@@ -596,6 +596,7 @@ func reportAggregate(ps []core.PipelineStats) {
 // dedicated cores; silent when no encode pool ran.
 func reportEncode(ps []core.PipelineStats) {
 	var chunks, raw, stored, maxFlight int64
+	var planes transform.PlaneCounts
 	var latMeans, utils []float64
 	for _, s := range ps {
 		if s.Encode.Workers == 0 {
@@ -604,6 +605,7 @@ func reportEncode(ps []core.PipelineStats) {
 		chunks += s.Encode.Chunks
 		raw += s.Encode.RawBytes
 		stored += s.Encode.StoredBytes
+		planes.Add(s.Encode.Planes)
 		if s.Encode.MaxBytesInFlight > maxFlight {
 			maxFlight = s.Encode.MaxBytesInFlight
 		}
@@ -617,4 +619,8 @@ func reportEncode(ps []core.PipelineStats) {
 		"pool utilization mean=%.1f%%; max %d raw bytes in flight\n",
 		ps[0].Encode.Workers, chunks, raw, stored,
 		stats.Mean(latMeans), 100*stats.Mean(utils), maxFlight)
+	if planes != (transform.PlaneCounts{}) {
+		fmt.Printf("encode: shuffle+gzip byte planes: %d stored, %d fast pass, %d at the configured level\n",
+			planes[transform.PlaneStored], planes[transform.PlaneFast], planes[transform.PlaneLevel])
+	}
 }

@@ -223,6 +223,7 @@ func (p *DSFPersister) writeFile(name string, entries []*metadata.Entry, attrs m
 		return err
 	}
 	if err := w.SetGzipLevel(p.GzipLevel); err != nil {
+		w.Abort()
 		ow.Abort()
 		return err
 	}
@@ -245,6 +246,7 @@ func (p *DSFPersister) writeFile(name string, entries []*metadata.Entry, attrs m
 		datas[i] = e.Bytes()
 	}
 	if err := w.WriteChunks(metas, datas, p.EncodePool()); err != nil {
+		w.Abort()
 		ow.Abort()
 		return err
 	}

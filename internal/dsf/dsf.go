@@ -36,6 +36,7 @@ import (
 	"io"
 	"os"
 	"sort"
+	"sync"
 
 	"damaris/internal/layout"
 	"damaris/internal/transform"
@@ -125,15 +126,19 @@ const DefaultGzipLevel = gzip.DefaultCompression
 // instead of one syscall per tiny piece.
 const writeBufferSize = 256 << 10
 
+// bufPool recycles the write buffers: one per object was the largest single
+// allocation left on the persist path.
+var bufPool = sync.Pool{New: func() any { return bufio.NewWriterSize(io.Discard, writeBufferSize) }}
+
 // Writer streams chunks into a DSF byte stream. It is not safe for
 // concurrent use; parallelism belongs in the encode stage (WriteChunks with
 // an EncodePool), never in the byte stream. The sink can be a file (Create)
 // or any io.Writer (NewWriter) — notably a storage backend's ObjectWriter,
 // which is how DSF streams reach object stores.
 type Writer struct {
-	out    io.Writer // underlying sink, behind bw
-	closer io.Closer // closed by Close when the Writer owns the sink (Create)
-	bw     *bufio.Writer
+	out    io.Writer     // underlying sink, behind bw
+	closer io.Closer     // closed by Close when the Writer owns the sink (Create)
+	bw     *bufio.Writer // pooled; nil once the Writer is closed or aborted
 	offset int64
 	recs   []tocRecord
 	attrs  map[string]string
@@ -143,16 +148,19 @@ type Writer struct {
 
 // NewWriter starts a DSF stream on an arbitrary sink and emits the header.
 // Close finishes the stream (TOC + footer) but does not close the sink —
-// the caller owns its lifecycle (e.g. committing a store.ObjectWriter).
+// the caller owns its lifecycle (e.g. committing a store.ObjectWriter). A
+// caller that gives up on the stream calls Abort instead of Close.
 func NewWriter(out io.Writer) (*Writer, error) {
 	w := &Writer{
 		out:    out,
-		bw:     bufio.NewWriterSize(out, writeBufferSize),
+		bw:     bufPool.Get().(*bufio.Writer),
 		offset: int64(len(headMagic)),
 		attrs:  make(map[string]string),
 		level:  DefaultGzipLevel,
 	}
+	w.bw.Reset(out)
 	if _, err := w.bw.Write(headMagic); err != nil {
+		w.Abort()
 		return nil, fmt.Errorf("dsf: header: %w", err)
 	}
 	return w, nil
@@ -174,11 +182,26 @@ func Create(path string) (*Writer, error) {
 	return w, nil
 }
 
-// abort closes an owned sink on the error path (no-op for NewWriter sinks).
-func (w *Writer) abort() {
+// Abort abandons the stream without finishing it: buffered bytes are
+// dropped, the write buffer goes back to its pool and an owned sink (Create)
+// is closed. The Writer accepts no chunks afterwards. Calling it after Close
+// or a second time does nothing.
+func (w *Writer) Abort() {
+	if w.bw == nil {
+		return
+	}
+	w.closed = true
+	w.releaseBuffer()
 	if w.closer != nil {
 		w.closer.Close()
 	}
+}
+
+// releaseBuffer recycles the write buffer, detached from the sink.
+func (w *Writer) releaseBuffer() {
+	w.bw.Reset(io.Discard)
+	bufPool.Put(w.bw)
+	w.bw = nil
 }
 
 // SetGzipLevel selects the compression level for subsequently written
@@ -278,11 +301,11 @@ func (w *Writer) Close() error {
 	sort.Slice(t.Attrs, func(i, j int) bool { return t.Attrs[i].Key < t.Attrs[j].Key })
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(&t); err != nil {
-		w.abort()
+		w.Abort()
 		return fmt.Errorf("dsf: toc encode: %w", err)
 	}
 	if _, err := w.bw.Write(buf.Bytes()); err != nil {
-		w.abort()
+		w.Abort()
 		return fmt.Errorf("dsf: toc write: %w", err)
 	}
 	var foot [24]byte
@@ -290,13 +313,14 @@ func (w *Writer) Close() error {
 	binary.LittleEndian.PutUint64(foot[8:], uint64(buf.Len()))
 	copy(foot[16:], tailMagic)
 	if _, err := w.bw.Write(foot[:]); err != nil {
-		w.abort()
+		w.Abort()
 		return fmt.Errorf("dsf: footer: %w", err)
 	}
 	if err := w.bw.Flush(); err != nil {
-		w.abort()
+		w.Abort()
 		return fmt.Errorf("dsf: flush: %w", err)
 	}
+	w.releaseBuffer()
 	if w.closer != nil {
 		return w.closer.Close()
 	}

@@ -20,8 +20,7 @@ import (
 // streams completed chunks in submission order, so the file bytes never
 // depend on worker count or scheduling.
 
-// scratchBuf is a pooled, reusable byte buffer for encode output and
-// shuffle scratch space.
+// scratchBuf is a pooled, reusable byte buffer for encode output.
 type scratchBuf struct{ b []byte }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratchBuf) }}
@@ -29,10 +28,13 @@ var scratchPool = sync.Pool{New: func() any { return new(scratchBuf) }}
 // encodedChunk is one chunk's storage encoding. For codec None, stored
 // aliases the caller's data (zero-copy) and buf is nil; otherwise stored
 // aliases buf's pooled backing array, returned to the pool by release.
+// planes is what the ShuffleGzip encoder decided per byte plane (zero for the
+// other codecs).
 type encodedChunk struct {
 	stored []byte
 	buf    *scratchBuf
 	crc    uint32
+	planes transform.PlaneCounts
 }
 
 // release recycles the chunk's pooled buffer, if any. The stored slice must
@@ -46,8 +48,9 @@ func (ec *encodedChunk) release() {
 }
 
 // encodeChunk encodes data for storage with pooled buffers: the gzip
-// compressor, the shuffle scratch space and the output buffer are all
-// recycled, so a steady-state encode performs no large allocations.
+// compressors and the shuffle scratch space (inside transform) and the output
+// buffer (here) are all recycled, so a steady-state encode performs no large
+// allocations.
 func encodeChunk(data []byte, c Codec, elemSize, level int) (encodedChunk, error) {
 	switch c {
 	case None:
@@ -61,21 +64,13 @@ func encodeChunk(data []byte, c Codec, elemSize, level int) (encodedChunk, error
 		}
 		return encodedChunk{stored: stored, buf: out, crc: crc32.ChecksumIEEE(stored)}, nil
 	case ShuffleGzip:
-		sh := scratchPool.Get().(*scratchBuf)
-		shuffled, err := transform.ShuffleTo(sh.b, data, elemSize)
-		if err != nil {
-			scratchPool.Put(sh)
-			return encodedChunk{}, err
-		}
-		sh.b = shuffled
 		out := scratchPool.Get().(*scratchBuf)
-		stored, err := transform.CompressGzipTo(out.b, shuffled, level)
-		scratchPool.Put(sh)
+		stored, planes, err := transform.ShuffleGzipTo(out.b, data, elemSize, level)
 		if err != nil {
 			scratchPool.Put(out)
 			return encodedChunk{}, err
 		}
-		return encodedChunk{stored: stored, buf: out, crc: crc32.ChecksumIEEE(stored)}, nil
+		return encodedChunk{stored: stored, buf: out, crc: crc32.ChecksumIEEE(stored), planes: planes}, nil
 	default:
 		return encodedChunk{}, fmt.Errorf("unknown codec %v", c)
 	}
@@ -122,6 +117,7 @@ type EncodePool struct {
 	chunks      int64
 	rawBytes    int64
 	storedBytes int64
+	planes      transform.PlaneCounts
 	failures    int64
 	latAcc      stats.Accumulator
 	inFlight    int64
@@ -242,6 +238,7 @@ func (p *EncodePool) worker(id int, stop chan struct{}) {
 				p.failures++
 			} else {
 				p.storedBytes += int64(len(ec.stored))
+				p.planes.Add(ec.planes)
 			}
 			tr, srv := p.tracer, p.trServer
 			p.mu.Unlock()
@@ -279,6 +276,10 @@ type EncodeStats struct {
 	Chunks, Failures int64
 	// RawBytes and StoredBytes measure the pool's input and output volume.
 	RawBytes, StoredBytes int64
+	// Planes counts the byte planes of ShuffleGzip chunks by what the encoder
+	// decided for them (transform.PlaneStored, PlaneFast, PlaneLevel): the
+	// first place to look when the ratio or the encode time moves.
+	Planes transform.PlaneCounts
 	// Latency summarizes per-chunk encode seconds.
 	Latency stats.Summary
 	// Utilization is Σbusy/(peak×wall) since the pool started, where peak
@@ -311,6 +312,7 @@ func (p *EncodePool) Stats() EncodeStats {
 		Failures:         p.failures,
 		RawBytes:         p.rawBytes,
 		StoredBytes:      p.storedBytes,
+		Planes:           p.planes,
 		Latency:          p.latAcc.Summary(),
 		Utilization:      p.ws.Utilization(wall),
 		MaxBytesInFlight: p.maxInFlight,
@@ -326,6 +328,10 @@ func (s EncodeStats) Emit(e *obs.Emitter, labels ...string) {
 	e.Counter("damaris_encode_failures_total", float64(s.Failures), labels...)
 	e.Counter("damaris_encode_raw_bytes_total", float64(s.RawBytes), labels...)
 	e.Counter("damaris_encode_stored_bytes_total", float64(s.StoredBytes), labels...)
+	for m, n := range s.Planes {
+		e.Counter("damaris_encode_planes_total", float64(n),
+			append([]string{"mode", transform.PlaneMode(m).String()}, labels...)...)
+	}
 	e.Counter("damaris_encode_resizes_total", float64(s.Resizes), labels...)
 	e.Gauge("damaris_encode_utilization", s.Utilization, labels...)
 	e.Gauge("damaris_encode_bytes_in_flight_max", float64(s.MaxBytesInFlight), labels...)

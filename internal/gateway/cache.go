@@ -53,6 +53,17 @@ func (c *partLRU) GetPart(key string) ([]byte, bool) {
 	return el.Value.(*lruEntry).data, true
 }
 
+// peek is GetPart without the hit/miss count or the recency update.
+func (c *partLRU) peek(key string) ([]byte, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.entries[key]
+	if !ok {
+		return nil, false
+	}
+	return el.Value.(*lruEntry).data, true
+}
+
 // AddPart implements store.PartCache. Oversized parts are declined rather
 // than wiping the whole cache for one entry.
 func (c *partLRU) AddPart(key string, data []byte) {

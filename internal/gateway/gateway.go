@@ -546,6 +546,12 @@ func (g *Gateway) fetchPart(part store.Part) ([]byte, error) {
 		<-f.done
 		return f.data, f.err
 	}
+	// The fetch this call missed may have finished between the lookup above
+	// and the lock: it adds the part before it leaves inflight, so look again.
+	if b, ok := g.parts.peek(key); ok {
+		g.flightMu.Unlock()
+		return b, nil
+	}
 	f := &partFetch{done: make(chan struct{})}
 	g.inflight[key] = f
 	g.flightMu.Unlock()

@@ -36,20 +36,29 @@ func (s *sliceWriter) Write(p []byte) (int, error) {
 }
 
 // pooledGzip couples a writer with its output sink so a steady-state
-// CompressGzipTo call allocates nothing.
+// appendGzipMember call allocates nothing.
 type pooledGzip struct {
 	w  *gzip.Writer
 	sw sliceWriter
 }
 
-// CompressGzipTo is CompressGzip appending into dst's backing array (grown as
-// needed), using a pooled gzip.Writer. It returns the encoded bytes, which
-// alias dst when its capacity sufficed. The level range is the full
-// compress/gzip range, gzip.HuffmanOnly (-2) through 9.
+// CompressGzipTo is CompressGzip encoding into dst's backing array: dst is
+// truncated, not appended to, and grown as needed. It returns the encoded
+// bytes, which alias dst when its capacity sufficed. The level range is the
+// full compress/gzip range, gzip.HuffmanOnly (-2) through 9.
 func CompressGzipTo(dst, b []byte, level int) ([]byte, error) {
 	if !ValidGzipLevel(level) {
 		return nil, fmt.Errorf("transform: gzip: invalid compression level: %d", level)
 	}
+	return appendGzipMember(dst[:0], b, level)
+}
+
+// appendGzipMember appends b to dst as one complete gzip member, deflated at
+// level (which the caller has validated) by a pooled gzip.Writer, and returns
+// the extended slice. A gzip stream is a sequence of members and readers
+// concatenate them, so members appended one after another decode as the
+// concatenation of their inputs.
+func appendGzipMember(dst, b []byte, level int) ([]byte, error) {
 	pool := &gzipWriterPools[level-gzip.HuffmanOnly]
 	pg, _ := pool.Get().(*pooledGzip)
 	if pg == nil {
@@ -60,7 +69,7 @@ func CompressGzipTo(dst, b []byte, level int) ([]byte, error) {
 		}
 		pg.w = w
 	}
-	pg.sw.b = dst[:0]
+	pg.sw.b = dst
 	pg.w.Reset(&pg.sw)
 	if _, err := pg.w.Write(b); err != nil {
 		return nil, fmt.Errorf("transform: gzip write: %w", err)
@@ -74,28 +83,47 @@ func CompressGzipTo(dst, b []byte, level int) ([]byte, error) {
 	return out, nil
 }
 
+// pooledGunzip couples a reader with the one-byte buffer it probes for the
+// end of the stream with (a local array would escape through Read).
+type pooledGunzip struct {
+	r     gzip.Reader
+	probe [1]byte
+}
+
 // DecompressGzipTo is DecompressGzip decoding into dst's backing array. Pass
 // a dst with the decoded size as capacity (e.g. from a stored RawSize) and
 // the decode performs exactly one read pass with no growth reallocations;
 // with a nil dst it behaves like io.ReadAll. It returns the decoded bytes,
-// aliasing dst when its capacity sufficed.
+// aliasing dst when its capacity sufficed. A stream of several gzip members
+// decodes to the concatenation of their contents.
 func DecompressGzipTo(dst, b []byte) ([]byte, error) {
-	r, _ := gzipReaderPool.Get().(*gzip.Reader)
-	if r == nil {
-		r = new(gzip.Reader)
+	pg, _ := gzipReaderPool.Get().(*pooledGunzip)
+	if pg == nil {
+		pg = new(pooledGunzip)
 	}
-	if err := r.Reset(bytes.NewReader(b)); err != nil {
+	if err := pg.r.Reset(bytes.NewReader(b)); err != nil {
 		return nil, fmt.Errorf("transform: gunzip: %w", err)
 	}
 	out := dst[:0]
+	if cap(out) == 0 {
+		out = make([]byte, 0, 512)
+	}
 	for {
-		if len(out) == cap(out) {
-			// Grow via append's amortized doubling, then back off to the
-			// previous length so the new capacity is fillable below.
-			out = append(out, 0)[:len(out)]
+		// A full buffer is where an exact capacity hint ends, but the stream's
+		// end can take one more Read to show: flate hands out a full 32 KiB
+		// window before it looks at the final block. So a full buffer is
+		// probed with one byte, and grows (append's amortized doubling) only
+		// if more data does arrive.
+		buf := out[len(out):cap(out)]
+		if len(buf) == 0 {
+			buf = pg.probe[:]
 		}
-		n, err := r.Read(out[len(out):cap(out)])
-		out = out[:len(out)+n]
+		n, err := pg.r.Read(buf)
+		if len(out) == cap(out) {
+			out = append(out, buf[:n]...)
+		} else {
+			out = out[:len(out)+n]
+		}
 		if err == io.EOF {
 			break
 		}
@@ -103,13 +131,13 @@ func DecompressGzipTo(dst, b []byte) ([]byte, error) {
 			return nil, fmt.Errorf("transform: gunzip read: %w", err)
 		}
 	}
-	if err := r.Close(); err != nil {
+	if err := pg.r.Close(); err != nil {
 		return nil, fmt.Errorf("transform: gunzip close: %w", err)
 	}
 	// Drop the reference to b before pooling — a parked reader must not pin
 	// the caller's compressed buffer (the Reset onto an empty source fails,
 	// which is fine; the next Get resets it onto real input).
-	_ = r.Reset(bytes.NewReader(nil))
-	gzipReaderPool.Put(r)
+	_ = pg.r.Reset(bytes.NewReader(nil))
+	gzipReaderPool.Put(pg)
 	return out, nil
 }

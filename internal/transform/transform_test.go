@@ -425,3 +425,26 @@ func TestPaperCompressionRatioShape(t *testing.T) {
 		t.Errorf("16-bit+gzip ratio = %.0f%%, want at least the 2x from quantization", redRatio)
 	}
 }
+
+// A decoded size that is a multiple of flate's 32 KiB window fills an exact
+// hint one Read before the stream reports its end; that must not cost a
+// second, doubled buffer.
+func TestDecompressGzipToExactHintAtWindowMultiple(t *testing.T) {
+	data := make([]byte, 64<<10)
+	rand.New(rand.NewSource(3)).Read(data[:len(data)/2])
+	comp, err := CompressGzip(data, gzip.DefaultCompression)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := make([]byte, 0, len(data))
+	got, err := DecompressGzipTo(dst, comp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, data) {
+		t.Error("hinted decompress mismatch")
+	}
+	if cap(got) != cap(dst) || &got[0] != &dst[:1][0] {
+		t.Errorf("decode grew the exact hint from %d to %d bytes", cap(dst), cap(got))
+	}
+}
