@@ -180,7 +180,7 @@ func BenchmarkEventQueue(b *testing.B) {
 	q := event.NewQueue()
 	for i := 0; i < b.N; i++ {
 		q.Push(event.Event{Kind: event.UserSignal, Iteration: int64(i)})
-		if _, ok := q.Pop(); !ok {
+		if _, ok := q.TryPop(); !ok {
 			b.Fatal("pop failed")
 		}
 	}

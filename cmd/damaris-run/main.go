@@ -81,7 +81,7 @@ func main() {
 		shardsMode = flag.String("shards-mode", "",
 			"shard sizing: static (the -shards count is final; default) | auto (derive the count from the node spare-core budget, capped by -shards when set)")
 		shardsSteal = flag.Int("shards-steal", config.DefaultShardSteal,
-			"sibling queue backlog that lets an idle shard loop steal a write event (0 = stealing off)")
+			"queue backlog past which a push to a running shard loop hints a parked sibling to steal write events (0 = stealing off)")
 		shardsBudget = flag.Int("shards-budget", 0,
 			"node spare-core budget shared by shard loops, persist writers and encode workers; setting it engages budget enforcement (0 = GOMAXPROCS-clients, engaged only in auto mode)")
 		metricsAddr = flag.String("metrics-addr", "",
@@ -408,16 +408,18 @@ func reportShards(ps []core.PipelineStats, budgets [][2]int) {
 	}
 	for i, s := range ps {
 		n := len(s.Shards)
-		var events, steals, stolen []int64
+		var events, wakeups, hints, steals, stolen []int64
 		var busy []string
 		for _, sh := range s.Shards {
 			events = append(events, sh.Events)
+			wakeups = append(wakeups, sh.Wakeups)
+			hints = append(hints, sh.StealHints)
 			steals = append(steals, sh.Steals)
 			stolen = append(stolen, sh.Stolen)
 			busy = append(busy, fmt.Sprintf("%.1f%%", 100*sh.BusyFraction))
 		}
-		fmt.Printf("shards[%d]: core %d: events=%v steals=%v stolen=%v busy=%v steal-threshold=%d\n",
-			n, i, events, steals, stolen, busy, s.StealThreshold)
+		fmt.Printf("shards[%d]: core %d: events=%v wakeups=%v steal-hints=%v steals=%v stolen=%v busy=%v steal-threshold=%d\n",
+			n, i, events, wakeups, hints, steals, stolen, busy, s.StealThreshold)
 	}
 	for i, b := range budgets {
 		if b[0] == 0 {

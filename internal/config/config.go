@@ -219,8 +219,9 @@ type Config struct {
 	// spare-core budget at deployment and engage the tuner's
 	// oversubscription veto).
 	ShardMode string
-	// ShardSteal is the sibling queue length above which an idle shard
-	// steals pending write-notifications (0 = stealing off; an XML <shards>
+	// ShardSteal is the queue length above which a push that finds its
+	// shard loop running hints a parked sibling, which then steals pending
+	// write-notifications from that queue (0 = stealing off; an XML <shards>
 	// element without a steal attribute selects DefaultShardSteal).
 	ShardSteal int
 	// ShardBudget overrides the node spare-core budget that shards auto
@@ -361,9 +362,9 @@ const (
 	// DefaultSpillAfter is the consecutive-backpressure count that triggers
 	// a scratch spill when <spill> enables one without an explicit after.
 	DefaultSpillAfter = 2
-	// DefaultShardSteal is the sibling queue length above which an idle
-	// shard loop steals work, applied when a <shards> element omits the
-	// steal attribute.
+	// DefaultShardSteal is the queue length above which pushes to a running
+	// shard loop hint a sibling to steal, applied when a <shards> element
+	// omits the steal attribute.
 	DefaultShardSteal = 4
 )
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -63,7 +64,10 @@ func (c *Client) Source() int { return c.source }
 //
 // Write blocks only when the shared buffer is full (the dedicated core has
 // fallen behind); the wait is part of the measured write time, as it would
-// be on a real system.
+// be on a real system. Otherwise it costs the copy plus a locked append to
+// the event queue — never a wake-up of the dedicated core, which picks the
+// notification up when EndIteration (or any other non-write event) resumes
+// it.
 func (c *Client) Write(name string, iteration int64, data []byte) error {
 	lay, ok := c.cfg.LayoutOf(name)
 	if !ok {
@@ -101,7 +105,7 @@ func (c *Client) write(name string, iteration int64, data []byte, lay layout.Lay
 			name, lay, lay.Bytes(), len(data))
 	}
 	start := time.Now()
-	blk, err := c.seg.ReserveWait(c.localIdx, int64(len(data)))
+	blk, err := c.reserve(int64(len(data)))
 	if err != nil {
 		return fmt.Errorf("core: variable %q: %w", name, err)
 	}
@@ -113,6 +117,7 @@ func (c *Client) write(name string, iteration int64, data []byte, lay layout.Lay
 		Source:    c.source,
 		Block:     blk,
 		Global:    global,
+		At:        start,
 	}
 	if dynamic {
 		ev.Layout = lay
@@ -120,6 +125,22 @@ func (c *Client) write(name string, iteration int64, data []byte, lay layout.Lay
 	c.queue.Push(ev)
 	c.recordWrite(time.Since(start))
 	return nil
+}
+
+// reserve claims shared-memory space, blocking while the segment is full. A
+// write notification does not wake a parked shard loop, so this client's (or
+// a sibling's) earlier writes may still be queued — and applying an overwrite
+// of the same variable and iteration is what releases the older block. Before
+// blocking, the client therefore nudges the dedicated core's loops to apply
+// what is queued; otherwise it could wait for space only its own unapplied
+// write would free.
+func (c *Client) reserve(size int64) (*shm.Block, error) {
+	blk, err := c.seg.Reserve(c.localIdx, size)
+	if errors.Is(err, shm.ErrNoSpace) {
+		c.queue.Nudge()
+		return c.seg.ReserveWait(c.localIdx, size)
+	}
+	return blk, err
 }
 
 // WriteFloat32s encodes and writes a float32 field.
@@ -148,7 +169,7 @@ func (c *Client) Alloc(name string, iteration int64) ([]byte, error) {
 	if _, dup := c.pending[k]; dup {
 		return nil, fmt.Errorf("core: %q iteration %d already allocated and not committed", name, iteration)
 	}
-	blk, err := c.seg.ReserveWait(c.localIdx, lay.Bytes())
+	blk, err := c.reserve(lay.Bytes())
 	if err != nil {
 		return nil, fmt.Errorf("core: alloc %q: %w", name, err)
 	}
@@ -173,6 +194,7 @@ func (c *Client) Commit(name string, iteration int64) error {
 		Iteration: iteration,
 		Source:    c.source,
 		Block:     blk,
+		At:        start,
 	})
 	c.recordWrite(time.Since(start))
 	return nil

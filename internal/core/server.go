@@ -73,9 +73,10 @@ type Server struct {
 	lastHeavy time.Time       // previous encode/store/ring sampling instant (event loop only)
 
 	// tracer records iteration-lifecycle spans (nil = tracing off);
-	// iterFirst tracks each open iteration's first client event so the
-	// StageWrite span covers the whole server-side write phase. Guarded by
-	// mu — with several shard loops any of them may open an iteration.
+	// iterFirst tracks when each open iteration's first write was made (the
+	// earliest Event.At) so the StageWrite span covers the whole write
+	// phase. Guarded by mu — with several shard loops any of them may open
+	// an iteration.
 	tracer    *obs.Tracer
 	iterFirst map[int64]time.Time
 
@@ -129,10 +130,7 @@ func newServer(cfg *config.Config, engines []*event.Engine, queues []*event.Queu
 		tracer:    opts.Obs.Tracer(),
 		iterFirst: make(map[int64]time.Time),
 	}
-	steal := 0
-	if len(engines) > 1 {
-		steal = cfg.ShardSteal
-	}
+	steal := stealThreshold(cfg, len(engines))
 	for i := range engines {
 		s.shards = append(s.shards, &shardLoop{idx: i, queue: queues[i], eng: engines[i], steal: steal})
 	}
@@ -525,8 +523,8 @@ func (s *Server) flushIteration(it int64) error { return s.flushIterationFrom(-1
 func (s *Server) flushIterationFrom(shard int, it int64) error {
 	entries := s.eng.Store().TakeIteration(it)
 	if s.tracer != nil {
-		// StageWrite: first client write notification → iteration complete,
-		// the server-side view of the write phase the paper measures,
+		// StageWrite: first client write → iteration complete, the write
+		// phase the paper measures as the dedicated core sees it,
 		// attributed to the shard that completed the iteration.
 		s.mu.Lock()
 		t0, ok := s.iterFirst[it]

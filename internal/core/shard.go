@@ -2,7 +2,7 @@ package core
 
 import (
 	"runtime"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"damaris/internal/config"
@@ -19,10 +19,10 @@ import (
 // single-submitter sequence the pre-sharding loop produced. See
 // docs/sharding.md.
 
-// stealPoll is how long an idle shard loop waits on its own queue between
-// scans of sibling queues for stealable work. Only used when stealing is on
-// and more than one shard runs.
-const stealPoll = time.Millisecond
+// accountEvery bounds how many events a shard loop handles between two
+// updates of its busy time, so a loop that never finds its queue empty still
+// shows up in a live scrape.
+const accountEvery = 64
 
 // shardLoop is one of the dedicated core's event-loop shards.
 type shardLoop struct {
@@ -31,10 +31,9 @@ type shardLoop struct {
 	eng   *event.Engine
 	steal int // sibling queue length that triggers stealing; 0 = off
 
-	mu     sync.Mutex
-	events int64 // events handled by this loop, including stolen ones
-	steals int64 // events this shard stole from sibling queues
-	stolen int64 // events siblings stole from this shard's queue
+	events atomic.Int64 // events handled by this loop, including stolen ones
+	steals atomic.Int64 // events this shard stole from sibling queues
+	stolen atomic.Int64 // events siblings stole from this shard's queue
 }
 
 // ShardStat is one event-loop shard's activity snapshot, reported through
@@ -44,6 +43,12 @@ type ShardStat struct {
 	// stole); Steals counts events it took from sibling queues; Stolen
 	// counts events siblings took from its queue.
 	Events, Steals, Stolen int64
+	// Wakeups counts the times the loop left a park — what an idle dedicated
+	// core pays for; it grows with iterations and signals, never with the
+	// number of writes or with wall time. StealHints counts the parks ended
+	// by a sibling's steal hint (a push that found that sibling's loop
+	// running behind a backlog).
+	Wakeups, StealHints int64
 	// QueueLen is the shard queue's instantaneous length at snapshot time.
 	QueueLen int
 	// BusySeconds is the time this shard's loop spent handling events;
@@ -103,84 +108,111 @@ func effectiveShards(cfg *config.Config, clients int) int {
 	return n
 }
 
-// runShard is one shard loop: pop (or steal) events, time idle vs busy, and
-// hand each event to the shard's engine. It returns when the shard's queue
-// is closed and drained.
+// stealThreshold is the queue backlog past which shard loops steal from one
+// another: the configured value with several loops, 0 (off) with one.
+func stealThreshold(cfg *config.Config, shards int) int {
+	if shards > 1 {
+		return cfg.ShardSteal
+	}
+	return 0
+}
+
+// runShard is one shard loop: park until the queue has something to act on,
+// drain the whole backlog in FIFO order (and, when a sibling hinted, steal
+// while there is something to steal), account the pass, park again. Idle and
+// busy time and the event count are booked once per pass, not per event. It
+// returns when the shard's queue is closed and drained.
 func (s *Server) runShard(sl *shardLoop) {
+	mark := time.Now()
 	for {
-		idleStart := time.Now()
-		ev, ok, wasStolen := s.nextEvent(sl)
-		s.mu.Lock()
-		s.spareDur += time.Since(idleStart).Seconds()
-		s.mu.Unlock()
-		if !ok {
+		nudged, open := sl.queue.Park()
+		mark = s.account(sl, mark, false, 0)
+		n := 0
+		for {
+			ev, wasStolen, ok := s.nextEvent(sl, nudged)
+			if !ok {
+				break
+			}
+			s.handle(sl, ev, wasStolen)
+			if n++; n == accountEvery {
+				mark = s.account(sl, mark, true, n)
+				n = 0
+			}
+		}
+		mark = s.account(sl, mark, true, n)
+		if !open {
 			return
 		}
-		busyStart := time.Now()
-		if s.tracer != nil && ev.Kind == event.WriteNotification {
-			s.mu.Lock()
-			if _, seen := s.iterFirst[ev.Iteration]; !seen {
-				s.iterFirst[ev.Iteration] = busyStart
-			}
-			s.mu.Unlock()
-		}
-		err := sl.eng.Handle(ev)
-		if wasStolen {
-			// The write is applied (or definitively rejected): release any
-			// flush waiting on this iteration's stolen events.
-			sl.eng.Tally().DonePending(ev.Iteration)
-		}
-		if err != nil {
-			s.mu.Lock()
-			s.handleErrs = append(s.handleErrs, err)
-			if s.flushErr == nil && isFlushError(err) {
-				s.flushErr = err
-			}
-			s.mu.Unlock()
-		}
-		busy := time.Since(busyStart).Seconds()
-		s.mu.Lock()
-		s.busyDur += busy
-		s.shardWS.AddBusy(sl.idx, busy)
-		s.mu.Unlock()
-		sl.mu.Lock()
-		sl.events++
-		sl.mu.Unlock()
 	}
 }
 
-// nextEvent returns the shard's next event: its own queue first, then — when
-// stealing is on and the queue is empty — a bounded steal from the most
-// backlogged direction of the sibling ring, interleaved with short timed
-// waits on its own queue. ok=false means the queue is closed and drained;
-// wasStolen marks events that must be un-pended after handling.
-func (s *Server) nextEvent(sl *shardLoop) (ev event.Event, ok, wasStolen bool) {
-	if ev, ok := sl.queue.TryPop(); ok {
-		return ev, true, false
+// account books the time since mark as busy (handling `events` events) or
+// spare (parked) and returns the new mark.
+func (s *Server) account(sl *shardLoop, mark time.Time, busy bool, events int) time.Time {
+	now := time.Now()
+	d := now.Sub(mark).Seconds()
+	s.mu.Lock()
+	if busy {
+		s.busyDur += d
+		s.shardWS.AddBusy(sl.idx, d)
+	} else {
+		s.spareDur += d
 	}
-	stealing := sl.steal > 0 && len(s.shards) > 1
-	for {
-		if stealing {
-			if ev, ok := s.trySteal(sl); ok {
-				return ev, true, true
-			}
-			ev, ok, closed := sl.queue.PopWait(stealPoll)
-			if ok {
-				return ev, true, false
-			}
-			if closed {
-				return event.Event{}, false, false
-			}
-			continue // timed out: rescan siblings
+	s.mu.Unlock()
+	sl.events.Add(int64(events))
+	return now
+}
+
+// nextEvent returns the shard's next event without blocking: its own queue
+// first, then — on a pass a nudge started, with stealing on — a bounded steal
+// from the sibling ring. wasStolen marks events that must be un-pended after
+// handling.
+func (s *Server) nextEvent(sl *shardLoop, nudged bool) (ev event.Event, wasStolen, ok bool) {
+	if ev, ok := sl.queue.TryPop(); ok {
+		return ev, false, true
+	}
+	if nudged && sl.steal > 0 {
+		ev, ok := s.trySteal(sl)
+		return ev, true, ok
+	}
+	return event.Event{}, false, false
+}
+
+// handle hands one event to the shard's engine and records its outcome.
+func (s *Server) handle(sl *shardLoop, ev event.Event, wasStolen bool) {
+	if s.tracer != nil && ev.Kind == event.WriteNotification {
+		// The write span opens when the iteration's first write was made,
+		// not when this loop got round to it.
+		at := ev.At
+		if at.IsZero() {
+			at = time.Now()
 		}
-		ev, ok := sl.queue.Pop()
-		return ev, ok, false
+		s.mu.Lock()
+		if first, seen := s.iterFirst[ev.Iteration]; !seen || at.Before(first) {
+			s.iterFirst[ev.Iteration] = at
+		}
+		s.mu.Unlock()
+	}
+	err := sl.eng.Handle(ev)
+	if wasStolen {
+		// The write is applied (or definitively rejected): release any
+		// flush waiting on this iteration's stolen events.
+		sl.eng.Tally().DonePending(ev.Iteration)
+	}
+	if err != nil {
+		s.mu.Lock()
+		s.handleErrs = append(s.handleErrs, err)
+		if s.flushErr == nil && isFlushError(err) {
+			s.flushErr = err
+		}
+		s.mu.Unlock()
 	}
 }
 
 // trySteal scans the sibling shards (starting just past this one, so thieves
 // spread over victims) and steals at most one pending WriteNotification from
-// the first whose queue backlog exceeds the steal threshold. Only writes are
+// the first whose loop is running behind a queue backlog that exceeds the
+// steal threshold (StealPop refuses a parked owner's queue). Only writes are
 // stealable: EndIteration/signal/exit events must stay on the owner shard so
 // per-client completion order is preserved. The pending registration inside
 // StealPop's accept callback happens under the victim queue's lock, before
@@ -204,12 +236,8 @@ func (s *Server) trySteal(sl *shardLoop) (event.Event, bool) {
 		if !ok {
 			continue
 		}
-		sl.mu.Lock()
-		sl.steals++
-		sl.mu.Unlock()
-		sib.mu.Lock()
-		sib.stolen++
-		sib.mu.Unlock()
+		sl.steals.Add(1)
+		sib.stolen.Add(1)
 		return ev, true
 	}
 	return event.Event{}, false
@@ -228,14 +256,13 @@ func (s *Server) shardStats() []ShardStat {
 	wall := end.Sub(s.started).Seconds()
 	out := make([]ShardStat, len(s.shards))
 	for i, sl := range s.shards {
-		sl.mu.Lock()
 		st := ShardStat{
-			Events: sl.events,
-			Steals: sl.steals,
-			Stolen: sl.stolen,
+			Events:   sl.events.Load(),
+			Steals:   sl.steals.Load(),
+			Stolen:   sl.stolen.Load(),
+			QueueLen: sl.queue.Len(),
 		}
-		sl.mu.Unlock()
-		st.QueueLen = sl.queue.Len()
+		st.Wakeups, st.StealHints = sl.queue.Wakes()
 		if i < len(busy) {
 			st.BusySeconds = busy[i]
 		}

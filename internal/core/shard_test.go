@@ -10,6 +10,7 @@ import (
 	"damaris/internal/config"
 	"damaris/internal/metadata"
 	"damaris/internal/mpi"
+	"damaris/internal/obs"
 	"damaris/internal/store"
 )
 
@@ -204,5 +205,224 @@ func TestShardStealsRacePersistFailures(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// Idle is free: a parked shard loop is resumed once per unit of work — a
+// client's EndIteration, its exit, the final Close — never per write and
+// never by the clock. With four one-client shards, stealing on, each loop may
+// leave a park about once per iteration however many writes the iteration
+// holds and however long the run takes.
+func TestShardIdleIsFree(t *testing.T) {
+	const (
+		iters  = 20
+		writes = 16
+		pause  = 5 * time.Millisecond
+		slack  = 8 // the exit, the close, and a hint from a drain that outlasted the pause
+	)
+	cfg := shardCfg(t, 1, 4, `<shards count="4"/>`)
+	var srv *Server
+	err := mpi.Run(5, 5, func(comm *mpi.Comm) {
+		dep, err := Deploy(comm, cfg, nil, Options{Persister: &MemPersister{}})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if !dep.IsClient() {
+			srv = dep.Server
+			if err := dep.Server.Run(); err != nil {
+				t.Error(err)
+			}
+			return
+		}
+		cli := dep.Client
+		defer cli.Finalize()
+		for it := int64(0); it < iters; it++ {
+			for w := 0; w < writes; w++ {
+				// Rewriting a variable within an iteration is an overwrite:
+				// one more event, one more catalogue insert, same output.
+				if err := cli.WriteFloat32s([]string{"a", "b"}[w%2], it, fieldData(cli.Source())); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			if err := cli.EndIteration(it); err != nil {
+				t.Error(err)
+				return
+			}
+			time.Sleep(pause)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps := srv.PipelineStats()
+	if len(ps.Shards) != 4 || ps.StealThreshold == 0 {
+		t.Fatalf("%d shards, steal threshold %d: want 4 loops with stealing on", len(ps.Shards), ps.StealThreshold)
+	}
+	var events int64
+	for i, sh := range ps.Shards {
+		events += sh.Events
+		// A timed poll would read ≥ iters·pause/1ms = 100 here, a wake per
+		// write iters·(writes+1) = 340.
+		if sh.Wakeups > iters+slack {
+			t.Errorf("shard %d left a park %d times for %d iterations of %d writes", i, sh.Wakeups, iters, writes)
+		}
+		if sh.Wakeups < iters/2 {
+			t.Errorf("shard %d: Wakeups = %d, the counter does not count", i, sh.Wakeups)
+		}
+	}
+	if want := int64(4 * (iters*(writes+1) + 1)); events != want {
+		t.Errorf("shards handled %d events, want %d", events, want)
+	}
+}
+
+// Stealing still engages where it helps: a slow synchronous persister keeps
+// the flushing loop inside a handler while its clients push the next
+// iteration, those pushes hint the parked siblings, the siblings steal — and
+// the DSF bytes are those of the classic single loop.
+func TestShardStealHintsEngageOnSkewedRun(t *testing.T) {
+	const iters = 30
+	run := func(shardsXML string) (map[string][]byte, PipelineStats) {
+		dir := t.TempDir()
+		backend, err := store.NewFileStore(dir, store.Options{Fault: store.Latency(2 * time.Millisecond)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer backend.Close()
+		ps, _ := runControl(t, shardCfg(t, 0, 1, shardsXML), Options{Persister: &DSFPersister{Backend: backend}}, iters)
+		return readDir(t, dir), ps
+	}
+	ref, _ := run("")
+	got, ps := run(`<shards count="4" steal="1"/>`)
+	var steals, stolen, hints int64
+	for _, sh := range ps.Shards {
+		steals += sh.Steals
+		stolen += sh.Stolen
+		hints += sh.StealHints
+	}
+	if steals == 0 || steals != stolen {
+		t.Errorf("steals = %d, stolen = %d: want stealing engaged and both sides agreeing", steals, stolen)
+	}
+	if hints == 0 {
+		t.Error("no steal hint resumed a parked loop")
+	}
+	if len(ref) != iters || len(got) != len(ref) {
+		t.Fatalf("%d objects sharded, %d classic, want %d", len(got), len(ref), iters)
+	}
+	for name, want := range ref {
+		if string(got[name]) != string(want) {
+			t.Errorf("object %s differs from the classic loop", name)
+		}
+	}
+}
+
+// An overwrite frees the older block only when it is applied, and writes sit
+// unapplied on a parked loop: a client that rewrites one variable into a
+// segment with room for two copies must get its loop to apply them before it
+// blocks for space, or it waits for a release only its own queue can produce.
+func TestShardOverwriteUnderFullSegment(t *testing.T) {
+	cfg, err := config.ParseString(`
+<simulation>
+  <buffer size="600" cores="1"/>
+  <layout name="l" type="real" dimensions="16,4"/>
+  <variable name="a" layout="l"/>
+</simulation>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pers := &MemPersister{}
+	done := make(chan error, 1)
+	go func() {
+		done <- mpi.Run(2, 2, func(comm *mpi.Comm) {
+			dep, err := Deploy(comm, cfg, nil, Options{Persister: pers})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if !dep.IsClient() {
+				if err := dep.Server.Run(); err != nil {
+					t.Error(err)
+				}
+				return
+			}
+			cli := dep.Client
+			defer cli.Finalize()
+			for v := 1; v <= 5; v++ {
+				if err := cli.WriteFloat32s("a", 0, fieldData(v)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			if err := cli.EndIteration(0); err != nil {
+				t.Error(err)
+			}
+		})
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("client deadlocked waiting for space its own queued overwrite holds")
+	}
+	got, ok := pers.Get(metadata.Key{Name: "a", Iteration: 0, Source: 0})
+	if want := mpi.Float32sToBytes(fieldData(5)); !ok || string(got) != string(want) {
+		t.Fatal("the last overwrite is not what was persisted")
+	}
+}
+
+// Span honesty: with tracing on, an iteration's write span runs from its
+// first write being made to the flush — not from the moment the loop, resumed
+// by EndIteration, got round to the queued notification.
+func TestShardWriteSpanOpensAtFirstPush(t *testing.T) {
+	const gap = 30 * time.Millisecond
+	plane := obs.NewPlane(0)
+	cfg := shardCfg(t, 1, 2, `<shards count="2"/>`)
+	begin := time.Now()
+	err := mpi.Run(3, 3, func(comm *mpi.Comm) {
+		dep, err := Deploy(comm, cfg, nil, Options{Persister: &MemPersister{}, Obs: plane})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if !dep.IsClient() {
+			if err := dep.Server.Run(); err != nil {
+				t.Error(err)
+			}
+			return
+		}
+		cli := dep.Client
+		defer cli.Finalize()
+		if err := cli.WriteFloat32s("a", 0, fieldData(1)); err != nil {
+			t.Error(err)
+		}
+		time.Sleep(gap) // the rest of the write phase
+		if err := cli.WriteFloat32s("b", 0, fieldData(2)); err != nil {
+			t.Error(err)
+		}
+		if err := cli.EndIteration(0); err != nil {
+			t.Error(err)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var spans int
+	for _, sp := range plane.Tracer().Snapshot() {
+		if sp.Stage != obs.StageWrite {
+			continue
+		}
+		spans++
+		if d := time.Duration(sp.Dur); d < gap {
+			t.Errorf("write span lasts %v, the write phase lasted at least %v", d, gap)
+		}
+		if sp.Start < begin.UnixNano() || sp.Bytes != 2*2*256 {
+			t.Errorf("write span starts %v before the run, carries %d bytes", time.Duration(begin.UnixNano()-sp.Start), sp.Bytes)
+		}
+	}
+	if spans != 1 {
+		t.Fatalf("%d write spans, want 1", spans)
 	}
 }

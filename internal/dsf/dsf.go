@@ -248,12 +248,12 @@ func (w *Writer) WriteChunk(meta ChunkMeta, data []byte) error {
 	if err := w.validateChunk(meta, data); err != nil {
 		return err
 	}
-	ec, err := encodeChunk(data, meta.Codec, meta.Layout.Type().Size(), w.level)
+	ec, err := encodeChunk(nil, nil, data, meta.Codec, meta.Layout.Type().Size(), w.level)
 	if err != nil {
 		return fmt.Errorf("dsf: chunk %q: %w", meta.Name, err)
 	}
 	err = w.appendEncoded(meta, int64(len(data)), ec)
-	ec.release()
+	ec.release(nil)
 	return err
 }
 

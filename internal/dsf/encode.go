@@ -20,14 +20,22 @@ import (
 // streams completed chunks in submission order, so the file bytes never
 // depend on worker count or scheduling.
 
-// scratchBuf is a pooled, reusable byte buffer for encode output.
+// scratchBuf is a reusable byte buffer for encode output.
 type scratchBuf struct{ b []byte }
 
+// scratchPool recycles the serial path's output buffers. An EncodePool keeps
+// its own (EncodePool.bufs).
 var scratchPool = sync.Pool{New: func() any { return new(scratchBuf) }}
+
+// poolBufs is the capacity of an EncodePool's free list of output buffers:
+// more than any deployment keeps in flight (2 × encode workers per persist
+// writer). Buffers exist only once they were needed, so a generous capacity
+// costs nothing.
+const poolBufs = 64
 
 // encodedChunk is one chunk's storage encoding. For codec None, stored
 // aliases the caller's data (zero-copy) and buf is nil; otherwise stored
-// aliases buf's pooled backing array, returned to the pool by release.
+// aliases buf's recycled backing array, handed back by release.
 // planes is what the ShuffleGzip encoder decided per byte plane (zero for the
 // other codecs).
 type encodedChunk struct {
@@ -37,43 +45,73 @@ type encodedChunk struct {
 	planes transform.PlaneCounts
 }
 
-// release recycles the chunk's pooled buffer, if any. The stored slice must
-// not be used afterwards.
-func (ec *encodedChunk) release() {
+// release hands the chunk's buffer, if any, back to the pool it was encoded
+// for (nil: the serial path). The stored slice must not be used afterwards.
+func (ec *encodedChunk) release(p *EncodePool) {
 	if ec.buf != nil {
 		ec.buf.b = ec.stored[:0]
-		scratchPool.Put(ec.buf)
+		p.putBuf(ec.buf)
 		ec.buf = nil
 	}
 }
 
-// encodeChunk encodes data for storage with pooled buffers: the gzip
-// compressors and the shuffle scratch space (inside transform) and the output
-// buffer (here) are all recycled, so a steady-state encode performs no large
-// allocations.
-func encodeChunk(data []byte, c Codec, elemSize, level int) (encodedChunk, error) {
-	switch c {
-	case None:
-		return encodedChunk{stored: data, crc: crc32.ChecksumIEEE(data)}, nil
-	case Gzip:
-		out := scratchPool.Get().(*scratchBuf)
-		stored, err := transform.CompressGzipTo(out.b, data, level)
-		if err != nil {
-			scratchPool.Put(out)
-			return encodedChunk{}, err
-		}
-		return encodedChunk{stored: stored, buf: out, crc: crc32.ChecksumIEEE(stored)}, nil
-	case ShuffleGzip:
-		out := scratchPool.Get().(*scratchBuf)
-		stored, planes, err := transform.ShuffleGzipTo(out.b, data, elemSize, level)
-		if err != nil {
-			scratchPool.Put(out)
-			return encodedChunk{}, err
-		}
-		return encodedChunk{stored: stored, buf: out, crc: crc32.ChecksumIEEE(stored), planes: planes}, nil
-	default:
-		return encodedChunk{}, fmt.Errorf("unknown codec %v", c)
+// getBuf returns an output buffer for one chunk. A pool's buffers are taken
+// by the worker that encodes a chunk and handed back by the goroutine that
+// streamed it out, usually on another P — where a sync.Pool would strand them
+// in private slots and miss at random; hence a free list of the pool's own,
+// which holds exactly as many buffers as were ever in flight at once. A nil
+// pool (serial encode) uses the process-wide sync.Pool.
+func (p *EncodePool) getBuf() *scratchBuf {
+	if p == nil {
+		return scratchPool.Get().(*scratchBuf)
 	}
+	select {
+	case b := <-p.bufs:
+		return b
+	default:
+		return new(scratchBuf)
+	}
+}
+
+func (p *EncodePool) putBuf(b *scratchBuf) {
+	if p == nil {
+		scratchPool.Put(b)
+		return
+	}
+	select {
+	case p.bufs <- b:
+	default: // more in flight than the list holds: let it go
+	}
+}
+
+// encodeChunk encodes data for storage with recycled state, so a steady-state
+// encode performs no large allocations: enc's gzip compressors and shuffle
+// scratch space, p's output buffers. A worker of p passes its own enc; the
+// serial path passes nil for both and borrows process-wide pooled ones for
+// the call.
+func encodeChunk(enc *transform.Encoder, p *EncodePool, data []byte, c Codec, elemSize, level int) (encodedChunk, error) {
+	if c == None {
+		return encodedChunk{stored: data, crc: crc32.ChecksumIEEE(data)}, nil
+	}
+	out := p.getBuf()
+	var (
+		stored []byte
+		planes transform.PlaneCounts
+		err    error
+	)
+	switch c {
+	case Gzip:
+		stored, err = enc.CompressGzipTo(out.b, data, level)
+	case ShuffleGzip:
+		stored, planes, err = enc.ShuffleGzipTo(out.b, data, elemSize, level)
+	default:
+		err = fmt.Errorf("unknown codec %v", c)
+	}
+	if err != nil {
+		p.putBuf(out)
+		return encodedChunk{}, err
+	}
+	return encodedChunk{stored: stored, buf: out, crc: crc32.ChecksumIEEE(stored), planes: planes}, nil
 }
 
 // encodeJob is one chunk travelling to an encode worker.
@@ -99,6 +137,7 @@ type encodeResult struct {
 // (serial encode).
 type EncodePool struct {
 	jobs  chan encodeJob
+	bufs  chan *scratchBuf // free output buffers, see getBuf
 	wg    sync.WaitGroup
 	start time.Time
 	// stopped freezes the utilization wall clock once Close drains, so a
@@ -139,6 +178,7 @@ func NewEncodePool(workers int) *EncodePool {
 	}
 	p := &EncodePool{
 		jobs:  make(chan encodeJob, queueCap),
+		bufs:  make(chan *scratchBuf, poolBufs),
 		start: time.Now(),
 	}
 	p.mu.Lock()
@@ -209,6 +249,10 @@ func (p *EncodePool) Close() {
 
 func (p *EncodePool) worker(id int, stop chan struct{}) {
 	defer p.wg.Done()
+	// The worker's own deflate state, allocated on its first chunk and gone
+	// with it when the pool shrinks: a process-wide sync.Pool would miss
+	// whenever the scheduler moved the worker to another P.
+	var enc transform.Encoder
 	for {
 		// A stopped worker exits between chunks: the non-blocking check runs
 		// first so a closed stop wins even while jobs keep arriving (the
@@ -226,7 +270,7 @@ func (p *EncodePool) worker(id int, stop chan struct{}) {
 				return
 			}
 			start := time.Now()
-			ec, err := encodeChunk(job.data, job.codec, job.elemSize, job.level)
+			ec, err := encodeChunk(&enc, p, job.data, job.codec, job.elemSize, job.level)
 			wall := time.Since(start)
 			dur := wall.Seconds()
 			p.mu.Lock()
@@ -402,7 +446,6 @@ func (w *Writer) WriteChunks(metas []ChunkMeta, datas [][]byte, pool *EncodePool
 	for i := range metas {
 		res := <-results[i]
 		pool.drained(int64(len(datas[i])))
-		<-sem
 		switch {
 		case res.err != nil:
 			if firstErr == nil {
@@ -411,7 +454,10 @@ func (w *Writer) WriteChunks(metas []ChunkMeta, datas [][]byte, pool *EncodePool
 		case firstErr == nil:
 			firstErr = w.appendEncoded(metas[i], int64(len(datas[i])), res.ec)
 		}
-		res.ec.release()
+		// The window opens only once the chunk's buffer is back, so the pool
+		// never has more than window buffers in flight for this call.
+		res.ec.release(pool)
+		<-sem
 	}
 	return firstErr
 }

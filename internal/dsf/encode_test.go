@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -283,6 +284,52 @@ func TestWriterGzipLevel(t *testing.T) {
 	}
 }
 
+// An EncodePool's deflate state and output buffers are its own, not a
+// sync.Pool's: a collection (which empties every sync.Pool) or the scheduler
+// moving a worker to another P (whose sync.Pool slots are empty) costs a warm
+// pool nothing. With sync.Pool-held writers each of the collections below made
+// both workers build their two gzip writers again, ≈3 MB a batch.
+func TestEncodePoolKeepsItsStateAcrossGC(t *testing.T) {
+	metas, datas := testChunks(8, 1<<16)
+	for i := range metas {
+		metas[i].Codec = ShuffleGzip
+	}
+	pool := NewEncodePool(2)
+	defer pool.Close()
+	w, err := Create(filepath.Join(t.TempDir(), "a.dsf"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Abort()
+	iteration := int64(0)
+	batch := func() {
+		for i := range metas {
+			metas[i].Iteration = iteration
+		}
+		iteration++
+		if err := w.WriteChunks(metas, datas, pool); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		batch()
+	}
+	const batches = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < batches; i++ {
+		runtime.GC()
+		runtime.GC()
+		batch()
+	}
+	runtime.ReadMemStats(&after)
+	if perBatch := (after.TotalAlloc - before.TotalAlloc) / batches; perBatch > 128<<10 {
+		t.Errorf("a warm pool allocates %d bytes per 8-chunk batch across collections, want bookkeeping only", perBatch)
+	} else {
+		t.Logf("%d bytes per batch", perBatch)
+	}
+}
+
 // ---------------------------------------------------------------------------
 // Benchmarks: the encode hot path, serial vs pooled (alloc win) and with
 // parallel workers (throughput win on multicore).
@@ -336,11 +383,11 @@ func BenchmarkEncodeChunkPooled(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ec, err := encodeChunk(data, ShuffleGzip, 4, gzip.DefaultCompression)
+		ec, err := encodeChunk(nil, nil, data, ShuffleGzip, 4, gzip.DefaultCompression)
 		if err != nil {
 			b.Fatal(err)
 		}
-		ec.release()
+		ec.release(nil)
 	}
 }
 

@@ -132,11 +132,11 @@ func TestWholeChunkMemberStillReadable(t *testing.T) {
 // claim is transform's TestShuffleGzipDecodeOnePass).
 func TestPlaneChunkDecode(t *testing.T) {
 	data := planeField(64 << 10)
-	ec, err := encodeChunk(data, ShuffleGzip, 4, DefaultGzipLevel)
+	ec, err := encodeChunk(nil, nil, data, ShuffleGzip, 4, DefaultGzipLevel)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ec.release()
+	defer ec.release(nil)
 	if ec.planes == (transform.PlaneCounts{transform.PlaneLevel: 4}) {
 		t.Fatalf("decisions %v: the field should exercise the shortcuts", ec.planes)
 	}

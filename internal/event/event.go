@@ -61,17 +61,55 @@ type Event struct {
 	Layout    layout.Layout // dataset layout (may be zero if static/config)
 	Global    layout.Block  // position in the global domain (optional)
 	Seq       int64         // queue push order (assigned by Push); versions same-tuple overwrites
+	// At is when the client began the write, stamped where the event is
+	// pushed: a write queued on a parked loop is handled later than it was
+	// made, and the trace's write span opens at the first push. Zero on
+	// events that carry no stamp (injected ones).
+	At time.Time
 }
 
-// Queue is an unbounded multi-producer single-consumer FIFO with blocking
-// Pop and close semantics. It stands in for the shared-memory message queue
-// of the original implementation.
+// Queue is an unbounded multi-producer FIFO owned by one consumer, a
+// dedicated core's shard loop. It stands in for the shared-memory message
+// queue of the original implementation.
+//
+// The wake protocol is purely event-driven — the paper's dedicated core is
+// idle 75–99 % of the time (§IV-C), so idling has to be free and a write has
+// to cost the client no more than a memcpy plus a locked append:
+//
+//   - The owner drains with TryPop and, once the queue is empty, blocks in
+//     Park. There is no timer anywhere: a parked loop costs nothing.
+//   - A WriteNotification pushed onto a parked loop's queue does not wake it.
+//     Nobody waits on a metadata insert; the write is applied, in FIFO order,
+//     when the loop next runs.
+//   - Any other event (EndIteration, UserSignal, ClientExit) and Close wake
+//     the owner, which then drains the whole backlog: one wake per unit of
+//     work, not one per write.
+//   - Nudge wakes the owner (and its siblings) on behalf of a client that is
+//     about to block for shared-memory space: queued writes may be what holds
+//     that space.
+//   - Steal hint: once LinkQueues joined the queues of one dedicated core, a
+//     Push that finds its owner running (not parked, and past its first Park)
+//     with more than the steal threshold queued nudges one parked sibling,
+//     which then tries StealPop. Stealing therefore engages against an owner
+//     stuck in a long handler and never against one that is merely asleep.
 type Queue struct {
 	mu     sync.Mutex
-	cond   *sync.Cond
-	items  []Event
+	cond   *sync.Cond // the parked owner waits here
+	items  []Event    // items[head:] are queued; the array is reused once drained
+	head   int
 	closed bool
 	pushed int64
+
+	running bool // the owner is between two Parks (false before its first and while it is blocked in one)
+	wake    bool // an event the owner must act on arrived since its last Park
+	nudged  bool // a Nudge or steal hint arrived since the owner's last Park
+
+	wakeups int64 // times the owner left a park
+	hints   int64 // steal hints that found the owner parked
+
+	// Set once by LinkQueues, before the queues are shared.
+	ring    []*Queue // the sibling loops' queues, nearest first
+	stealAt int      // backlog past which a push to a running owner hints a sibling; 0 = never
 }
 
 // NewQueue creates an empty queue.
@@ -81,8 +119,23 @@ func NewQueue() *Queue {
 	return q
 }
 
+// LinkQueues joins the queues of one dedicated core's shard loops into a
+// ring, so a push can hint a sibling loop and Nudge reaches every loop.
+// steal is the backlog past which pushes hint (0 = no hints). It must be
+// called before the queues are handed to clients or loops.
+func LinkQueues(queues []*Queue, steal int) {
+	n := len(queues)
+	for i, q := range queues {
+		q.stealAt = steal
+		for off := 1; off < n; off++ {
+			q.ring = append(q.ring, queues[(i+off)%n])
+		}
+	}
+}
+
 // Push appends an event. Pushing to a closed queue panics (a client writing
-// after finalize is a programming error).
+// after finalize is a programming error). A write notification never wakes a
+// parked owner; see the Queue doc for what does.
 func (q *Queue) Push(e Event) {
 	q.mu.Lock()
 	if q.closed {
@@ -91,85 +144,128 @@ func (q *Queue) Push(e Event) {
 	}
 	q.pushed++
 	e.Seq = q.pushed
+	if q.head > 0 && len(q.items) == cap(q.items) && q.head >= len(q.items)/2 {
+		// Full array, at least half of it already popped: slide the live
+		// events down instead of growing, so a queue that never quite drains
+		// stays as large as its backlog, not its history.
+		n := copy(q.items, q.items[q.head:])
+		clear(q.items[n:])
+		q.items, q.head = q.items[:n], 0
+	}
 	q.items = append(q.items, e)
+	signal := false
+	if e.Kind != WriteNotification {
+		q.wake = true
+		signal = !q.running
+	}
+	var hint []*Queue
+	if q.running && q.stealAt > 0 && len(q.items)-q.head > q.stealAt {
+		hint = q.ring
+	}
 	q.mu.Unlock()
-	q.cond.Signal()
+	if signal {
+		q.cond.Signal()
+	}
+	for _, sib := range hint {
+		if sib.nudge(true) {
+			break
+		}
+	}
 }
 
-// Pop blocks until an event is available or the queue is closed and drained;
-// ok is false only in the latter case.
-func (q *Queue) Pop() (e Event, ok bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for len(q.items) == 0 && !q.closed {
-		q.cond.Wait()
+// pop removes the head; the caller holds q.mu and checked the queue is not
+// empty. The slot is zeroed so the array does not pin the event's block.
+func (q *Queue) pop() Event {
+	e := q.items[q.head]
+	q.items[q.head] = Event{}
+	q.head++
+	if q.head == len(q.items) {
+		q.items, q.head = q.items[:0], 0
 	}
-	if len(q.items) == 0 {
-		return Event{}, false
-	}
-	e = q.items[0]
-	q.items = q.items[1:]
-	return e, true
+	return e
 }
 
 // TryPop returns the next event without blocking.
 func (q *Queue) TryPop() (e Event, ok bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if len(q.items) == 0 {
+	if q.head == len(q.items) {
 		return Event{}, false
 	}
-	e = q.items[0]
-	q.items = q.items[1:]
-	return e, true
+	return q.pop(), true
 }
 
-// PopWait blocks like Pop but gives up after d: ok reports an event was
-// returned, closed reports the queue is closed and drained. ok=false with
-// closed=false means the wait timed out — shard loops use this to
-// periodically scan sibling queues for work to steal while idle.
-func (q *Queue) PopWait(d time.Duration) (e Event, ok, closed bool) {
-	deadline := time.Now().Add(d)
+// Park blocks the owning loop until there is something it must act on: an
+// event other than a write notification was pushed, Nudge (or a steal hint)
+// was called, or the queue was closed — since the previous Park, so nothing
+// that arrives while the loop is running is lost. nudged tells the loop to
+// also look for work to steal; open is false once the queue is closed and
+// drained, the loop's signal to exit.
+func (q *Queue) Park() (nudged, open bool) {
 	q.mu.Lock()
-	defer q.mu.Unlock()
-	for len(q.items) == 0 && !q.closed {
-		remain := time.Until(deadline)
-		if remain <= 0 {
-			return Event{}, false, false
+	if !q.wake && !q.nudged && !q.closed {
+		q.running = false
+		for !q.wake && !q.nudged && !q.closed {
+			q.cond.Wait()
 		}
-		t := time.AfterFunc(remain, q.cond.Broadcast)
-		q.cond.Wait()
-		t.Stop()
+		q.wakeups++
 	}
-	if len(q.items) == 0 {
-		return Event{}, false, true
-	}
-	e = q.items[0]
-	q.items = q.items[1:]
-	return e, true, false
+	q.running = true
+	nudged = q.nudged
+	q.wake, q.nudged = false, false
+	open = !q.closed || q.head < len(q.items)
+	q.mu.Unlock()
+	return nudged, open
 }
 
-// StealPop removes and returns the head event if accept approves it. The
+// Nudge makes every loop of the dedicated core — this queue's owner and its
+// siblings' — run a pass over what is queued. A client calls it before it
+// blocks for shared-memory space: a write still queued on a parked loop may
+// be an overwrite whose application releases the block the client waits for.
+func (q *Queue) Nudge() {
+	q.nudge(false)
+	for _, sib := range q.ring {
+		sib.nudge(false)
+	}
+}
+
+// nudge marks the owner nudged and resumes it if parked, which it reports.
+// The mark is sticky: an owner on its way into Park returns from it at once,
+// so a hint racing a park is never lost.
+func (q *Queue) nudge(hint bool) (parked bool) {
+	q.mu.Lock()
+	parked = !q.running
+	if hint && parked && !q.nudged {
+		q.hints++
+	}
+	q.nudged = true
+	q.mu.Unlock()
+	if parked {
+		q.cond.Signal()
+	}
+	return parked
+}
+
+// StealPop removes and returns the head event if the owner is running (a
+// parked owner's backlog is waiting for nobody) and accept approves it. The
 // accept callback runs under the queue lock, so any bookkeeping it performs
 // (registering the stolen event as pending) is visible before the owning
-// shard can pop the events that followed. Used by idle shard loops to take
+// shard can pop the events that followed. Used by hinted shard loops to take
 // work from a backlogged sibling.
 func (q *Queue) StealPop(accept func(Event) bool) (Event, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if len(q.items) == 0 || !accept(q.items[0]) {
+	if !q.running || q.head == len(q.items) || !accept(q.items[q.head]) {
 		return Event{}, false
 	}
-	e := q.items[0]
-	q.items = q.items[1:]
-	return e, true
+	return q.pop(), true
 }
 
 // Len returns the number of queued events.
 func (q *Queue) Len() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return len(q.items)
+	return len(q.items) - q.head
 }
 
 // Pushed returns the total number of events ever pushed.
@@ -179,13 +275,21 @@ func (q *Queue) Pushed() int64 {
 	return q.pushed
 }
 
-// Close marks the queue closed; Pop drains remaining events then reports
-// ok=false.
+// Wakes returns how often the owner left a park, and how many of those parks
+// a steal hint ended.
+func (q *Queue) Wakes() (wakeups, stealHints int64) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.wakeups, q.hints
+}
+
+// Close marks the queue closed and wakes the owner; TryPop still drains the
+// remaining events, after which Park reports open=false.
 func (q *Queue) Close() {
 	q.mu.Lock()
 	q.closed = true
 	q.mu.Unlock()
-	q.cond.Broadcast()
+	q.cond.Signal()
 }
 
 // Engine is the EPE: it interprets events against the configuration,

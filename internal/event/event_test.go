@@ -47,7 +47,7 @@ func TestQueueFIFO(t *testing.T) {
 		t.Fatalf("Len=%d Pushed=%d", q.Len(), q.Pushed())
 	}
 	for i := 0; i < 5; i++ {
-		e, ok := q.Pop()
+		e, ok := q.TryPop()
 		if !ok || e.Iteration != int64(i) {
 			t.Fatalf("pop %d = %v, %v", i, e, ok)
 		}
@@ -61,11 +61,14 @@ func TestQueueCloseDrains(t *testing.T) {
 	q := NewQueue()
 	q.Push(Event{Iteration: 1})
 	q.Close()
-	if e, ok := q.Pop(); !ok || e.Iteration != 1 {
-		t.Error("Pop should drain after close")
+	if _, open := q.Park(); !open {
+		t.Error("a closed queue that still holds an event should report open")
 	}
-	if _, ok := q.Pop(); ok {
-		t.Error("Pop on closed empty queue should report !ok")
+	if e, ok := q.TryPop(); !ok || e.Iteration != 1 {
+		t.Error("TryPop should drain after close")
+	}
+	if _, open := q.Park(); open {
+		t.Error("Park on a closed empty queue should report !open")
 	}
 }
 
@@ -84,12 +87,13 @@ func TestQueueBlockingPop(t *testing.T) {
 	q := NewQueue()
 	done := make(chan Event)
 	go func() {
-		e, _ := q.Pop()
+		q.Park()
+		e, _ := q.TryPop()
 		done <- e
 	}()
-	q.Push(Event{Iteration: 7})
+	q.Push(Event{Kind: EndIteration, Iteration: 7})
 	if e := <-done; e.Iteration != 7 {
-		t.Errorf("blocking pop got %v", e)
+		t.Errorf("parked consumer got %v", e)
 	}
 }
 
@@ -115,7 +119,7 @@ func TestQueueConcurrentProducers(t *testing.T) {
 	}
 	n := 0
 	for {
-		e, ok := q.Pop()
+		e, ok := q.TryPop()
 		if !ok {
 			break
 		}

@@ -95,39 +95,6 @@ func TestTallySignalAndExitCounts(t *testing.T) {
 	}
 }
 
-func TestQueuePopWaitAndStealPop(t *testing.T) {
-	q := NewQueue()
-	if _, ok, closed := q.PopWait(time.Millisecond); ok || closed {
-		t.Fatal("PopWait on an empty open queue should time out")
-	}
-	q.Push(Event{Kind: WriteNotification, Iteration: 1})
-	q.Push(Event{Kind: EndIteration, Iteration: 1})
-	if ev, ok, _ := q.PopWait(time.Second); !ok || ev.Kind != WriteNotification {
-		t.Fatal("PopWait did not return the head")
-	}
-	// StealPop only takes the head when the accept callback approves; an
-	// EndIteration head blocks stealing entirely (order events are pinned).
-	if _, ok := q.StealPop(func(ev Event) bool { return ev.Kind == WriteNotification }); ok {
-		t.Fatal("stole a non-write head")
-	}
-	q.Push(Event{Kind: WriteNotification, Iteration: 1, Source: 3})
-	if ev, ok := q.StealPop(func(ev Event) bool { return false }); ok {
-		t.Fatalf("accept=false still stole %v", ev)
-	}
-	if ev, ok := q.StealPop(func(ev Event) bool { return true }); !ok || ev.Kind != EndIteration {
-		t.Fatal("StealPop did not take the approved head")
-	}
-	q.Close()
-	// The write pushed behind the stolen head is still there — a closed
-	// queue drains before reporting closed.
-	if ev, ok, _ := q.PopWait(time.Second); !ok || ev.Source != 3 {
-		t.Fatal("PopWait did not drain the closed queue")
-	}
-	if _, ok, closed := q.PopWait(time.Millisecond); ok || !closed {
-		t.Fatal("PopWait on a closed drained queue should report closed")
-	}
-}
-
 func TestQueueAssignsMonotoneSeq(t *testing.T) {
 	q := NewQueue()
 	q.Push(Event{Kind: WriteNotification})

@@ -10,13 +10,28 @@ import (
 
 // The encode hot path runs once per chunk per iteration; a fresh gzip.Writer
 // costs hundreds of kilobytes of deflate state per construction, so writers
-// (one pool per compression level) and readers are recycled with Reset. This
-// is the §IV-D story at the allocator level: the dedicated core's spare-time
-// transformations must not fight the garbage collector for the memory
-// bandwidth the simulation needs.
+// and readers are recycled with Reset. This is the §IV-D story at the
+// allocator level: the dedicated core's spare-time transformations must not
+// fight the garbage collector for the memory bandwidth the simulation needs.
 
-// gzipWriterPools[level-gzip.HuffmanOnly] pools writers for that level.
-var gzipWriterPools [gzip.BestCompression - gzip.HuffmanOnly + 1]sync.Pool
+// Encoder is the reusable state of one encoding goroutine: a gzip writer per
+// compression level it has used and the shuffle scratch space. A goroutine
+// that encodes for as long as it lives (a dsf.EncodePool worker) owns one, so
+// what it allocates is settled after its first chunk and depends on neither
+// the garbage collector nor the scheduler. The zero value is ready to use;
+// an Encoder must not be used by two goroutines at once.
+//
+// A nil *Encoder borrows one from a process-wide sync.Pool for the call: the
+// right thing for occasional callers, but a pool item parked in one P's
+// private slot is invisible to a goroutine that has since moved to another
+// P, so a pool miss — most of a megabyte — can strike at any time.
+type Encoder struct {
+	writers  [gzip.BestCompression - gzip.HuffmanOnly + 1]*gzip.Writer // indexed by level-gzip.HuffmanOnly
+	sw       sliceWriter                                               // the writers' sink
+	shuffled []byte
+}
+
+var encoderPool = sync.Pool{New: func() any { return new(Encoder) }}
 
 var gzipReaderPool sync.Pool
 
@@ -35,51 +50,51 @@ func (s *sliceWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// pooledGzip couples a writer with its output sink so a steady-state
-// appendGzipMember call allocates nothing.
-type pooledGzip struct {
-	w  *gzip.Writer
-	sw sliceWriter
-}
-
 // CompressGzipTo is CompressGzip encoding into dst's backing array: dst is
 // truncated, not appended to, and grown as needed. It returns the encoded
 // bytes, which alias dst when its capacity sufficed. The level range is the
 // full compress/gzip range, gzip.HuffmanOnly (-2) through 9.
 func CompressGzipTo(dst, b []byte, level int) ([]byte, error) {
+	return (*Encoder)(nil).CompressGzipTo(dst, b, level)
+}
+
+// CompressGzipTo is the package function of that name run on e's writers.
+func (e *Encoder) CompressGzipTo(dst, b []byte, level int) ([]byte, error) {
 	if !ValidGzipLevel(level) {
 		return nil, fmt.Errorf("transform: gzip: invalid compression level: %d", level)
 	}
-	return appendGzipMember(dst[:0], b, level)
+	if e == nil {
+		e = encoderPool.Get().(*Encoder)
+		defer encoderPool.Put(e)
+	}
+	return e.appendGzipMember(dst[:0], b, level)
 }
 
 // appendGzipMember appends b to dst as one complete gzip member, deflated at
-// level (which the caller has validated) by a pooled gzip.Writer, and returns
-// the extended slice. A gzip stream is a sequence of members and readers
-// concatenate them, so members appended one after another decode as the
-// concatenation of their inputs.
-func appendGzipMember(dst, b []byte, level int) ([]byte, error) {
-	pool := &gzipWriterPools[level-gzip.HuffmanOnly]
-	pg, _ := pool.Get().(*pooledGzip)
-	if pg == nil {
-		pg = &pooledGzip{}
-		w, err := gzip.NewWriterLevel(io.Discard, level)
-		if err != nil {
+// level (which the caller has validated) by e's writer for that level, and
+// returns the extended slice. A gzip stream is a sequence of members and
+// readers concatenate them, so members appended one after another decode as
+// the concatenation of their inputs.
+func (e *Encoder) appendGzipMember(dst, b []byte, level int) ([]byte, error) {
+	w := e.writers[level-gzip.HuffmanOnly]
+	if w == nil {
+		var err error
+		if w, err = gzip.NewWriterLevel(io.Discard, level); err != nil {
 			return nil, fmt.Errorf("transform: gzip: %w", err)
 		}
-		pg.w = w
+		e.writers[level-gzip.HuffmanOnly] = w
 	}
-	pg.sw.b = dst
-	pg.w.Reset(&pg.sw)
-	if _, err := pg.w.Write(b); err != nil {
-		return nil, fmt.Errorf("transform: gzip write: %w", err)
+	e.sw.b = dst
+	w.Reset(&e.sw)
+	_, err := w.Write(b)
+	if err == nil {
+		err = w.Close()
 	}
-	if err := pg.w.Close(); err != nil {
-		return nil, fmt.Errorf("transform: gzip close: %w", err)
+	out := e.sw.b
+	e.sw.b = nil // don't pin the caller's buffer inside the encoder
+	if err != nil {
+		return nil, fmt.Errorf("transform: gzip: %w", err)
 	}
-	out := pg.sw.b
-	pg.sw.b = nil // don't pin the caller's buffer inside the pool
-	pool.Put(pg)
 	return out, nil
 }
 

@@ -3,7 +3,6 @@ package transform
 import (
 	"compress/gzip"
 	"fmt"
-	"sync"
 )
 
 // After the byte shuffle a float field is elemSize very different streams:
@@ -96,8 +95,6 @@ const (
 	runShift = 4
 )
 
-var shuffleScratch = sync.Pool{New: func() any { return new([]byte) }}
-
 // ShuffleGzipTo byte-shuffles b by elemSize and encodes each of the elemSize
 // byte planes as its own gzip member into dst's backing array (truncated,
 // grown as needed), returning the encoded bytes and what was decided for each
@@ -124,23 +121,31 @@ var shuffleScratch = sync.Pool{New: func() any { return new([]byte) }}
 // Every decision is a pure function of the plane's bytes and the level, so
 // the output is reproducible across goroutines, pools and runs.
 func ShuffleGzipTo(dst, b []byte, elemSize, level int) ([]byte, PlaneCounts, error) {
+	return (*Encoder)(nil).ShuffleGzipTo(dst, b, elemSize, level)
+}
+
+// ShuffleGzipTo is the package function of that name run on e's writers and
+// shuffle scratch.
+func (e *Encoder) ShuffleGzipTo(dst, b []byte, elemSize, level int) ([]byte, PlaneCounts, error) {
 	var counts PlaneCounts
 	if !ValidGzipLevel(level) {
 		return nil, counts, fmt.Errorf("transform: gzip: invalid compression level: %d", level)
 	}
-	scratch := shuffleScratch.Get().(*[]byte)
-	defer shuffleScratch.Put(scratch)
-	shuffled, err := ShuffleTo(*scratch, b, elemSize)
+	if e == nil {
+		e = encoderPool.Get().(*Encoder)
+		defer encoderPool.Put(e)
+	}
+	shuffled, err := ShuffleTo(e.shuffled, b, elemSize)
 	if err != nil {
 		return nil, counts, err
 	}
-	*scratch = shuffled
+	e.shuffled = shuffled
 
 	out := dst[:0]
 	n := len(b) / elemSize
 	for j := 0; j < elemSize; j++ {
 		var mode PlaneMode
-		out, mode, err = appendPlane(out, shuffled[j*n:(j+1)*n], level)
+		out, mode, err = e.appendPlane(out, shuffled[j*n:(j+1)*n], level)
 		if err != nil {
 			return nil, counts, err
 		}
@@ -150,16 +155,16 @@ func ShuffleGzipTo(dst, b []byte, elemSize, level int) ([]byte, PlaneCounts, err
 }
 
 // appendPlane appends one plane to dst as one gzip member.
-func appendPlane(dst, plane []byte, level int) ([]byte, PlaneMode, error) {
+func (e *Encoder) appendPlane(dst, plane []byte, level int) ([]byte, PlaneMode, error) {
 	if level == gzip.HuffmanOnly || level == gzip.NoCompression || level == fastLevel || len(plane) <= noiseSample {
-		out, err := appendGzipMember(dst, plane, level)
+		out, err := e.appendGzipMember(dst, plane, level)
 		return out, PlaneLevel, err
 	}
-	out, mode, err := appendFastPass(dst, plane, level)
+	out, mode, err := e.appendFastPass(dst, plane, level)
 	if err != nil || mode != PlaneLevel {
 		return out, mode, err
 	}
-	out, err = appendGzipMember(out[:len(dst)], plane, level)
+	out, err = e.appendGzipMember(out[:len(dst)], plane, level)
 	return out, PlaneLevel, err
 }
 
@@ -167,9 +172,9 @@ func appendPlane(dst, plane []byte, level int) ([]byte, PlaneMode, error) {
 // lets it stand, and says as what (PlaneStored or PlaneFast). With PlaneLevel
 // the plane is still to be deflated at level: whatever lies behind len(dst)
 // in the returned slice is scratch, kept for its possibly grown array.
-func appendFastPass(dst, plane []byte, level int) ([]byte, PlaneMode, error) {
+func (e *Encoder) appendFastPass(dst, plane []byte, level int) ([]byte, PlaneMode, error) {
 	sample := midSample(plane, noiseSample)
-	fst, dst, err := memberLen(dst, sample, fastLevel)
+	fst, dst, err := e.memberLen(dst, sample, fastLevel)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -179,11 +184,11 @@ func appendFastPass(dst, plane []byte, level int) ([]byte, PlaneMode, error) {
 	}
 	if noise {
 		var repays bool
-		if repays, dst, err = levelRepays(dst, sample, fst, level); err != nil || repays {
+		if repays, dst, err = e.levelRepays(dst, sample, fst, level); err != nil || repays {
 			return dst, PlaneLevel, err
 		}
 	}
-	out, err := appendGzipMember(dst, plane, fastLevel)
+	out, err := e.appendGzipMember(dst, plane, fastLevel)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -196,11 +201,11 @@ func appendFastPass(dst, plane []byte, level int) ([]byte, PlaneMode, error) {
 		return out, PlaneFast, nil
 	case fast <= len(plane)>>runShift:
 		sample = midSample(plane, runSample)
-		if fst, out, err = memberLen(out, sample, fastLevel); err != nil {
+		if fst, out, err = e.memberLen(out, sample, fastLevel); err != nil {
 			return nil, 0, err
 		}
 		var repays bool
-		if repays, out, err = levelRepays(out, sample, fst, level); err != nil {
+		if repays, out, err = e.levelRepays(out, sample, fst, level); err != nil {
 			return nil, 0, err
 		}
 		if !repays {
@@ -218,8 +223,8 @@ func midSample(plane []byte, n int) []byte {
 // memberLen returns the length of sample's gzip member at level. The member
 // is written behind buf and dropped; buf comes back unchanged but for a grown
 // backing array if the member did not fit.
-func memberLen(buf, sample []byte, level int) (int, []byte, error) {
-	out, err := appendGzipMember(buf, sample, level)
+func (e *Encoder) memberLen(buf, sample []byte, level int) (int, []byte, error) {
+	out, err := e.appendGzipMember(buf, sample, level)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -229,7 +234,7 @@ func memberLen(buf, sample []byte, level int) (int, []byte, error) {
 // levelRepays reports whether level's member of sample is at least 1/256 of
 // the sample smaller than fst, the length of level 1's. buf is used and
 // returned as in memberLen.
-func levelRepays(buf, sample []byte, fst, level int) (bool, []byte, error) {
-	lvl, buf, err := memberLen(buf, sample, level)
+func (e *Encoder) levelRepays(buf, sample []byte, fst, level int) (bool, []byte, error) {
+	lvl, buf, err := e.memberLen(buf, sample, level)
 	return fst-lvl >= len(sample)>>worthShift, buf, err
 }

@@ -176,7 +176,7 @@ func TestShuffleGzipBenchFieldDecisions(t *testing.T) {
 	sh, _ := Shuffle(data, 4)
 	n := len(data) / 4
 	for j, w := range []PlaneMode{PlaneStored, PlaneLevel, PlaneFast, PlaneFast} {
-		_, mode, err := appendPlane(nil, sh[j*n:(j+1)*n], gzip.DefaultCompression)
+		_, mode, err := new(Encoder).appendPlane(nil, sh[j*n:(j+1)*n], gzip.DefaultCompression)
 		if err != nil {
 			t.Fatal(err)
 		}
