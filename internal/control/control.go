@@ -180,7 +180,7 @@ type Stats struct {
 	// at least one size.
 	Decisions, Resizes int64
 	// Steady is the consecutive decisions without a change — the convergence
-	// signal (the bench's settle criterion).
+	// signal.
 	Steady int64
 	// Sizes is the current effective configuration.
 	Sizes Sizes

@@ -242,6 +242,41 @@ func TestDegradedModeVetoesWindowGrowth(t *testing.T) {
 	}
 }
 
+// The spare-core budget under sustained growth pressure — flush latency far
+// above the interval (wants more writers), encode latency above store
+// latency (wants more encoders) — against a budget the initial sizes already
+// fill: every decision must keep Writers+Encode+Reserved within the budget,
+// and the pressure must really have pushed at the limit (vetoes counted).
+func TestBudgetRespectedUnderGrowthPressure(t *testing.T) {
+	const budget, reserved = 5, 2
+	clk := NewManualClock(time.Unix(0, 0))
+	tn, err := New(Config{
+		Mode:     "auto",
+		Initial:  Sizes{Writers: 2, Window: 2, Encode: 1},
+		Limits:   Limits{MaxWriters: 8, MaxWindow: 8, MaxEncode: 4},
+		Clock:    clk,
+		Budget:   budget,
+		Reserved: reserved,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sample := Sample{FlushLatency: 0.05, Interval: 0.005, QueueDepth: 2,
+		EncodeLatency: 0.004, StoreLatency: 0.001, RingFill: -1}
+	for i := 0; i < 40; i++ {
+		clk.Advance(DefaultInterval)
+		s, _ := tn.Observe(sample)
+		if used := s.Writers + s.Encode + reserved; used > budget {
+			t.Fatalf("decision %d: writers %d + encode %d + reserved %d = %d, budget %d",
+				i, s.Writers, s.Encode, reserved, used, budget)
+		}
+	}
+	if st := tn.Stats(); st.BudgetVetoes == 0 || st.Decisions == 0 {
+		t.Fatalf("growth pressure never reached the budget: %d vetoes over %d decisions",
+			st.BudgetVetoes, st.Decisions)
+	}
+}
+
 // Decisions are rate-limited to the configured interval even when every
 // iteration observes.
 func TestDecisionRateLimit(t *testing.T) {

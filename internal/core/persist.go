@@ -119,22 +119,13 @@ func (p *DSFPersister) Persist(iteration int64, entries []*metadata.Entry) error
 	return p.writeFile(name, entries, nil)
 }
 
-// PersistAs writes entries into one DSF object under a caller-chosen name
-// instead of the node/server/iteration scheme — the exact writeFile path,
-// for tools and benchmarks that must produce streams byte-identical to the
-// persister's under a different object name.
-func (p *DSFPersister) PersistAs(name string, entries []*metadata.Entry) error {
-	if len(entries) == 0 {
-		return nil
-	}
-	return p.writeFile(name, entries, nil)
-}
-
-// PersistAsWith is PersistAs plus caller-chosen file-level attributes
-// (overriding the defaults on key collision). It implements
-// aggregate.EpochWriter: the aggregation leader commits each merged epoch
-// through this one call, which is what keeps the merged path on the exact
-// same backend protocol (stream, then atomic publish) as the per-core path.
+// PersistAsWith writes entries into one DSF object under a caller-chosen
+// name instead of the node/server/iteration scheme — the exact writeFile
+// path — with caller-chosen file-level attributes (overriding the defaults
+// on key collision). It implements aggregate.EpochWriter: the aggregation
+// leader commits each merged epoch through this one call, which is what
+// keeps the merged path on the exact same backend protocol (stream, then
+// atomic publish) as the per-core path.
 func (p *DSFPersister) PersistAsWith(name string, entries []*metadata.Entry, attrs map[string]string) error {
 	if len(entries) == 0 {
 		return nil

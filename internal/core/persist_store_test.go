@@ -9,6 +9,7 @@ import (
 	"damaris/internal/config"
 	"damaris/internal/dsf"
 	"damaris/internal/mpi"
+	"damaris/internal/obs"
 	"damaris/internal/store"
 )
 
@@ -66,6 +67,33 @@ func TestDSFPersisterBackendsByteIdentical(t *testing.T) {
 	st := p.StoreStats()
 	if st.Scheme != "obj" || st.Commits != 1 || st.Puts == 0 {
 		t.Errorf("StoreStats = %+v", st)
+	}
+}
+
+// The lifecycle tracer rides the persist hot path (encode and persist spans
+// per call): attaching it may add at most 10% to the path's allocations.
+// dsf.Writer's bufio comes from a sync.Pool, so the count means nothing
+// under the race detector.
+func TestTracingPersistAllocOverheadBounded(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops entries under -race")
+	}
+	entries := batchEntries(1, 8)[0].Entries
+	allocs := func(tr *obs.Tracer) float64 {
+		p := &DSFPersister{Dir: t.TempDir(), Codec: dsf.ShuffleGzip, GzipLevel: dsf.DefaultGzipLevel}
+		p.SetTracer(tr)
+		it := int64(0)
+		return testing.AllocsPerRun(50, func() {
+			if err := p.Persist(it%8, entries); err != nil {
+				t.Fatal(err)
+			}
+			it++
+		})
+	}
+	off, on := allocs(nil), allocs(obs.NewTracer(1<<12))
+	t.Logf("persist allocs/op: %.0f untraced, %.0f traced", off, on)
+	if on > 1.10*off {
+		t.Errorf("tracing-on persist allocates %.0f/op, %.2fx the untraced %.0f (bound 1.10x)", on, on/off, off)
 	}
 }
 

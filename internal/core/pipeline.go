@@ -35,8 +35,9 @@ type pipeline struct {
 	wg        sync.WaitGroup
 	start     time.Time
 	// stopped freezes the utilization wall clock once close() drains — a
-	// quiesced pipeline's snapshot must stop changing (the obs bench scrapes
-	// it twice and compares bytes). Guarded by mu; zero while running.
+	// quiesced pipeline's snapshot must stop changing (the Deploy-level
+	// brownout test scrapes it twice and compares bytes). Guarded by mu;
+	// zero while running.
 	stopped time.Time
 
 	// onDurable is invoked in submission (ack) order for every iteration,

@@ -2,9 +2,8 @@
 // evaluation (§IV) from the simulator and the real middleware, printing
 // paper-reported values next to measured ones.
 //
-// Each experiment returns a Table; the damaris-bench command and the
-// top-level benchmark harness render them. Experiments are deterministic
-// for a given seed.
+// Each experiment returns a Table; the damaris-figures command renders
+// them. Experiments are deterministic for a given seed.
 package experiment
 
 import (

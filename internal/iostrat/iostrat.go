@@ -519,9 +519,8 @@ type ControlPoint struct {
 // model (each epoch is one independently seeded phase, so the natural
 // straggler/interference jitter of the platform is what the controller must
 // smooth). The returned curve shows how the writer pool and flow window
-// converge toward the latency/interval ratio the platform sustains; tests
-// and damaris-bench's BENCH_control.json assert the tail settles inside the
-// limits.
+// converge toward the latency/interval ratio the platform sustains; the
+// TestControlSim* tests assert the tail settles inside the limits.
 func SimulateControl(plat cluster.Platform, opt Options, cfg ControlSimConfig) ([]ControlPoint, error) {
 	if cfg.Epochs < 1 {
 		return nil, fmt.Errorf("iostrat: control sim needs at least one epoch")

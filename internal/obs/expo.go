@@ -70,9 +70,9 @@ func WriteSamples(w io.Writer, samples []Sample) error {
 //   - a family whose samples are not contiguous in sort order, which would
 //     render duplicate TYPE lines.
 //
-// The obs bench runs it against the full live plane, and subsystem tests run
-// it over their Emit output, so a colliding family name fails CI instead of
-// the first real scrape.
+// internal/core's Deploy-level brownout test runs it against the full live
+// plane, and subsystem tests run it over their Emit output, so a colliding
+// family name fails CI instead of the first real scrape.
 func (r *Registry) CheckExposition() error {
 	return CheckSamples(r.Gather())
 }

@@ -70,6 +70,27 @@ func TestFederateShuffledOrderByteIdentical(t *testing.T) {
 	}
 }
 
+// Federate is a per-scrape string-keyed fold over every input sample (label
+// keys, fold map, per-rank label copies), so its budget is per output sample
+// and well above zero — ~17 measured. The bound catches the merge going
+// accidentally quadratic or per-byte, not a missing fast path: the record
+// paths stay 0-alloc, only rendering pays this.
+func TestFederateMergeAllocsPerSampleBounded(t *testing.T) {
+	const bound = 24.0
+	sources := fedTestSources(6, 100)
+	samples := len(Federate(sources))
+	if samples == 0 {
+		t.Fatal("federation merged nothing")
+	}
+	perOp := testing.AllocsPerRun(200, func() { Federate(sources) })
+	if perSample := perOp / float64(samples); perSample > bound {
+		t.Errorf("Federate allocates %.1f/sample (%.0f/op over %d samples), bound %.0f",
+			perSample, perOp, samples, bound)
+	} else {
+		t.Logf("Federate: %.1f allocs/sample over %d samples", perSample, samples)
+	}
+}
+
 func fedValue(t *testing.T, samples []Sample, name string, labels ...string) float64 {
 	t.Helper()
 	key := labelKey(sortLabels(labels))

@@ -15,7 +15,8 @@
 // Gauge.Set/Add, Histogram.Observe, Tracer.Record) is lock-free and
 // allocation-free. Histogram sums accumulate in fixed-point micro-units, so
 // an identical multiset of observations yields identical exposition bytes
-// regardless of goroutine interleaving — the property the obs bench gates.
+// regardless of goroutine interleaving — the property
+// TestExpositionDeterministic holds.
 package obs
 
 import (

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"damaris/internal/stats"
 )
@@ -143,6 +144,32 @@ func TestExpositionDeterministic(t *testing.T) {
 	}
 	if !bytes.Equal(js[0].Bytes(), js[1].Bytes()) {
 		t.Error("JSON exposition bytes differ across interleavings")
+	}
+}
+
+// The observe paths run inside the pipeline they measure — on the dedicated
+// core's event loop and in every persist writer — so each must stay at zero
+// allocations per call, or telemetry perturbs what it reports. All four are
+// pure atomics (no sync.Pool), so the count holds under -race too.
+func TestObservePathsDoNotAllocate(t *testing.T) {
+	reg := NewRegistry()
+	c := reg.Counter("events_total")
+	g := reg.Gauge("depth")
+	h := reg.Histogram("lat_seconds", DefaultDurationBuckets())
+	tr := NewTracer(1 << 10)
+	start := time.Now()
+	x := 1e-4
+	for name, observe := range map[string]func(){
+		"Counter.Inc":       func() { c.Inc() },
+		"Gauge.Set":         func() { g.Set(7) },
+		"Histogram.Observe": func() { h.Observe(x); x += 1e-6 },
+		"Tracer.Record": func() {
+			tr.Record(StagePersist, 3, 42, start, time.Millisecond, 4096, false)
+		},
+	} {
+		if allocs := testing.AllocsPerRun(1000, observe); allocs != 0 {
+			t.Errorf("%s allocates %.1f/op, budget is 0", name, allocs)
+		}
 	}
 }
 

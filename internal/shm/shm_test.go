@@ -2,6 +2,8 @@ package shm
 
 import (
 	"errors"
+	"io"
+	"os"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -370,5 +372,92 @@ func TestBlockReleasedReporting(t *testing.T) {
 	blk.Release()
 	if got := seg.Releases(); got != 1 {
 		t.Errorf("Releases = %d, want 1", got)
+	}
+}
+
+// BenchmarkTransportSharedMemory vs BenchmarkTransportKernelPipe reproduces
+// the paper's §V-B comparison with FUSE-based designs: "such a FUSE
+// interface is about 10 times slower in transferring data than using shared
+// memory". The pipe pushes every byte through the kernel twice (write +
+// read), as a FUSE round trip does; the shared segment is one user-space
+// copy.
+
+func BenchmarkTransportSharedMemory(b *testing.B) {
+	const size = 1 << 20
+	seg, err := NewSegment(4 * size)
+	if err != nil {
+		b.Fatal(err)
+	}
+	payload := make([]byte, size)
+	b.SetBytes(size)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		blk, err := seg.Reserve(0, size)
+		if err != nil {
+			b.Fatal(err)
+		}
+		copy(blk.Data(), payload)
+		blk.Release()
+	}
+}
+
+func BenchmarkTransportKernelPipe(b *testing.B) {
+	const size = 1 << 20
+	r, w, err := os.Pipe()
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer r.Close()
+	defer w.Close()
+	payload := make([]byte, size)
+	sink := make([]byte, size)
+	done := make(chan error, 1)
+	go func() {
+		for {
+			if _, err := io.ReadFull(r, sink); err != nil {
+				done <- err
+				return
+			}
+		}
+	}()
+	b.SetBytes(size)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := w.Write(payload); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	w.Close()
+	<-done
+}
+
+// BenchmarkShmContention runs 8 concurrent writers against one segment —
+// the paper's all-cores-copy-at-once moment.
+func BenchmarkShmContention(b *testing.B) {
+	const size = 64 << 10
+	seg, err := NewSegment(64 << 20)
+	if err != nil {
+		b.Fatal(err)
+	}
+	data := make([]byte, size)
+	b.SetBytes(size * 8)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var wg sync.WaitGroup
+		for w := 0; w < 8; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				blk, err := seg.ReserveWait(0, size)
+				if err != nil {
+					b.Error(err)
+					return
+				}
+				copy(blk.Data(), data)
+				blk.Release()
+			}()
+		}
+		wg.Wait()
 	}
 }

@@ -98,6 +98,8 @@ func TestUploadRetryBackoffCounted(t *testing.T) {
 }
 
 // hang is a fault that blocks matching ops forever (until the test ends).
+// Ops unparked by the test's end fail rather than proceed: a stray attempt
+// that went on to write its blob would race the TempDir cleanup.
 func hang(done <-chan struct{}, ops ...string) Fault {
 	match := map[string]bool{}
 	for _, op := range ops {
@@ -106,6 +108,7 @@ func hang(done <-chan struct{}, ops ...string) Fault {
 	return FaultFunc(func(op, name string) error {
 		if len(match) == 0 || match[op] {
 			<-done
+			return errors.New("hung target released at test end")
 		}
 		return nil
 	})

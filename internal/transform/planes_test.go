@@ -82,7 +82,7 @@ func planeCorpus() []corpusEntry {
 		{"bench/seed1", 4, benchField(1, 0, n)},
 		{"bench/seed2", 4, benchField(2, 1, n)},
 		{"bench/seed3", 4, benchField(3, 3, n)},
-		// cmd/damaris-bench's persistWorkload: level 1 gives up on its low
+		// A smooth temperature-like field: level 1 gives up on its low
 		// mantissa plane, the default level does not.
 		{"smooth", 4, float32Field(n, func(i int) float64 { return 280 + 8*math.Sin(float64(i)/600) })},
 		{"noise", 4, noise},
