@@ -17,8 +17,8 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"slices"
 	"sync"
-	"time"
 
 	"damaris/internal/cm1"
 	"damaris/internal/config"
@@ -31,92 +31,53 @@ import (
 	"damaris/internal/transform"
 )
 
+// options are the flags that describe the run itself; every knob of the
+// middleware is a flag config.BindFlags declares from the same table that
+// reads the XML.
+type options struct {
+	ranks, coresPerNode, steps, outputEvery, traceRing int
+	outDir, backend, metricsAddr, traceOut             string
+	compress                                           bool
+	bufMB                                              int64
+}
+
 func main() {
-	var (
-		ranks        = flag.Int("ranks", 12, "total ranks (cores) in the world")
-		coresPerNode = flag.Int("cores-per-node", 4, "SMP node width")
-		steps        = flag.Int("steps", 20, "simulation timesteps")
-		outputEvery  = flag.Int("output-every", 5, "write phase every K steps")
-		outDir       = flag.String("out", "damaris-out", "output directory")
-		backend      = flag.String("backend", "damaris", "damaris | fpp | collective")
-		compress     = flag.Bool("compress", false, "gzip chunks (damaris and fpp)")
-		bufMB        = flag.Int64("buffer-mb", 64, "per-node shared buffer (MiB)")
-		allocator    = flag.String("allocator", "mutex", "shared-memory allocator: mutex | lockfree")
-		persistWork  = flag.Int("persist-workers", config.DefaultPersistWorkers,
-			"write-behind persist workers per dedicated core (0 = synchronous baseline)")
-		persistQueue = flag.Int("persist-queue", config.DefaultPersistQueueDepth,
-			"in-flight iteration queue depth (also the client flow window when async)")
-		encodeWork = flag.Int("encode-workers", config.DefaultEncodeWorkers,
-			"parallel chunk-encode workers per dedicated core (0 = serial encoding)")
-		gzipLevel = flag.Int("gzip-level", config.DefaultPersistGzipLevel,
-			"gzip level for compressed chunks, full compress/gzip range -2 (HuffmanOnly) to 9")
-		persistBackend = flag.String("persist-backend", "",
-			"storage backend URL for the damaris persistency layer (file://dir | obj://dir; empty = DSF files in -out)")
-		storePartSize = flag.Int64("store-part-size", 0,
-			"object-store multipart split in bytes (0 = backend default)")
-		storePutTimeout = flag.Int("store-put-timeout", 0,
-			"per-part put deadline in milliseconds; a hung target converts to a retryable timeout (0 = no deadline)")
-		spillDir = flag.String("spill-dir", "",
-			"local scratch directory for degraded-mode spill; empty disables (see docs/resilience.md)")
-		spillAfter = flag.Int("spill-after", config.DefaultSpillAfter,
-			"consecutive backpressured iterations before the event loop spills to scratch")
-		storePutWorkers = flag.Int("store-put-workers", 0,
-			"bounded parallel part-upload pool size (0 = backend default)")
-		aggregate = flag.String("aggregate", "off",
-			"aggregation tier in front of the storage backend: off (one DSF stream per dedicated core) | core (one object per node per epoch) | node (Damaris 2: one object per epoch via a dedicated aggregator node)")
-		aggregateRing = flag.Int("aggregate-ring", 0,
-			"fan-in ring depth between sibling dedicated cores and the aggregation leader (0 = default)")
-		controlMode = flag.String("control", "static",
-			"adaptive control plane: static (the sizing knobs above are final) | auto (feedback-tune persist workers, flow window and encode pool from observed latency; the knobs become the starting point)")
-		controlInterval = flag.Int("control-interval-ms", 0,
-			"minimum milliseconds between controller decisions (0 = default)")
-		controlMaxWorkers = flag.Int("control-max-workers", 0,
-			"auto-control upper bound on persist workers (0 = default)")
-		controlMaxWindow = flag.Int("control-max-window", 0,
-			"auto-control upper bound on the flow-window depth (0 = default)")
-		controlMaxEncode = flag.Int("control-max-encode", 0,
-			"auto-control upper bound on encode workers (0 = default)")
-		shards = flag.Int("shards", 0,
-			"event-loop shards per dedicated core (0 or 1 = the classic single loop)")
-		shardsMode = flag.String("shards-mode", "",
-			"shard sizing: static (the -shards count is final; default) | auto (derive the count from the node spare-core budget, capped by -shards when set)")
-		shardsSteal = flag.Int("shards-steal", config.DefaultShardSteal,
-			"queue backlog past which a push to a running shard loop hints a parked sibling to steal write events (0 = stealing off)")
-		shardsBudget = flag.Int("shards-budget", 0,
-			"node spare-core budget shared by shard loops, persist writers and encode workers; setting it engages budget enforcement (0 = GOMAXPROCS-clients, engaged only in auto mode)")
-		metricsAddr = flag.String("metrics-addr", "",
-			"serve live telemetry over HTTP on this address (/metrics Prometheus text, /metrics.json, /trace, /jitter, /debug/pprof); empty disables")
-		traceOut = flag.String("trace-out", "",
-			"write the retained lifecycle spans as JSONL to this file at exit (read back with dsf-inspect -trace)")
-		traceRing = flag.Int("trace-ring", 0,
-			"lifecycle-trace ring capacity in spans, rounded up to a power of two (0 = default)")
-	)
+	var o options
+	flag.IntVar(&o.ranks, "ranks", 12, "total ranks (cores) in the world")
+	flag.IntVar(&o.coresPerNode, "cores-per-node", 4, "SMP node width")
+	flag.IntVar(&o.steps, "steps", 20, "simulation timesteps")
+	flag.IntVar(&o.outputEvery, "output-every", 5, "write phase every K steps")
+	flag.StringVar(&o.outDir, "out", "damaris-out", "output directory")
+	flag.StringVar(&o.backend, "backend", "damaris", "damaris | fpp | collective")
+	flag.BoolVar(&o.compress, "compress", false, "gzip chunks (damaris and fpp)")
+	flag.Int64Var(&o.bufMB, "buffer-mb", 64, "per-node shared buffer (MiB)")
+	flag.StringVar(&o.metricsAddr, "metrics-addr", "",
+		"serve live telemetry over HTTP on this address (/metrics Prometheus text, /metrics.json, /trace, /jitter, /debug/pprof); empty disables")
+	flag.StringVar(&o.traceOut, "trace-out", "",
+		"write the retained lifecycle spans as JSONL to this file at exit (read back with dsf-inspect -trace)")
+	flag.IntVar(&o.traceRing, "trace-ring", 0,
+		"lifecycle-trace ring capacity in spans, rounded up to a power of two (0 = default)")
+	cfg := &config.Config{}
+	cfg.BindFlags(flag.CommandLine)
 	flag.Parse()
 
-	if err := run(*ranks, *coresPerNode, *steps, *outputEvery, *outDir,
-		*backend, *compress, *bufMB, *allocator, *persistWork, *persistQueue,
-		*encodeWork, *gzipLevel, *persistBackend, *storePartSize, *storePutWorkers,
-		*storePutTimeout, *spillDir, *spillAfter, *aggregate, *aggregateRing,
-		*controlMode, *controlInterval, *controlMaxWorkers, *controlMaxWindow, *controlMaxEncode,
-		*shards, *shardsMode, *shardsSteal, *shardsBudget,
-		*metricsAddr, *traceOut, *traceRing); err != nil {
+	if err := run(cfg, o); err != nil {
 		fmt.Fprintln(os.Stderr, "damaris-run:", err)
 		os.Exit(1)
 	}
 }
 
-func run(ranks, coresPerNode, steps, outputEvery int, outDir, backend string,
-	compress bool, bufMB int64, allocator string, persistWork, persistQueue,
-	encodeWork, gzipLevel int, persistBackend string, storePartSize int64,
-	storePutWorkers, storePutTimeout int, spillDir string, spillAfter int,
-	aggregate string, aggregateRing int,
-	controlMode string, controlInterval, controlMaxWorkers, controlMaxWindow, controlMaxEncode int,
-	shards int, shardsMode string, shardsSteal, shardsBudget int,
-	metricsAddr, traceOut string, traceRing int) error {
-	if ranks%coresPerNode != 0 {
-		return fmt.Errorf("ranks %d not a multiple of cores-per-node %d", ranks, coresPerNode)
+// run executes one world. cfg carries the knobs as the flags left them; run
+// adds what the mini-app declares (buffer, layouts, variables, events) and
+// validates the whole before any rank starts.
+func run(cfg *config.Config, o options) error {
+	if o.ranks%o.coresPerNode != 0 {
+		return fmt.Errorf("ranks %d not a multiple of cores-per-node %d", o.ranks, o.coresPerNode)
 	}
-	nodes := ranks / coresPerNode
+	if !slices.Contains([]string{"damaris", "fpp", "collective"}, o.backend) {
+		return fmt.Errorf("unknown -backend %q (want damaris, fpp or collective)", o.backend)
+	}
+	nodes := o.ranks / o.coresPerNode
 
 	// One telemetry plane for the whole in-process world: every dedicated
 	// core records spans and registers collectors against it, so a single
@@ -125,11 +86,11 @@ func run(ranks, coresPerNode, steps, outputEvery int, outDir, backend string,
 	// dedicated core registers its collectors on a private registry too as
 	// it deploys — so /fleet/metrics shows the same figures rank by rank,
 	// exactly as a multi-process fleet would expose them.
-	plane := obs.NewPlane(traceRing)
+	plane := obs.NewPlane(o.traceRing)
 	fleet := obs.NewFederator()
 	plane.SetFederator(fleet)
-	if metricsAddr != "" {
-		ln, lerr := net.Listen("tcp", metricsAddr)
+	if o.metricsAddr != "" {
+		ln, lerr := net.Listen("tcp", o.metricsAddr)
 		if lerr != nil {
 			return fmt.Errorf("metrics listener: %w", lerr)
 		}
@@ -138,14 +99,14 @@ func run(ranks, coresPerNode, steps, outputEvery int, outDir, backend string,
 		defer srv.Close()
 		fmt.Printf("telemetry: http://%s/metrics (also /metrics.json /fleet/metrics /epochs /trace /jitter /readyz /debug/pprof)\n", ln.Addr())
 	}
-	computeRanks := ranks
-	if backend == "damaris" {
-		computeRanks = ranks - nodes // one dedicated core per node
+	computeRanks := o.ranks
+	if o.backend == "damaris" {
+		computeRanks = o.ranks - nodes // one dedicated core per node
 	}
 	params := cm1.DefaultParams(computeRanks, 1)
 
 	codec := dsf.None
-	if compress {
+	if o.compress {
 		codec = dsf.ShuffleGzip
 	}
 
@@ -157,54 +118,22 @@ func run(ranks, coresPerNode, steps, outputEvery int, outDir, backend string,
 	var pipeStats []core.PipelineStats
 	var shardBudgets [][2]int // engaged spare-core budget and shard reservation, per dedicated core
 
-	var cfg *config.Config
 	var sharedStore store.Backend
-	if backend == "damaris" {
-		var err error
-		cfg, err = config.ParseString(cm1.ConfigXML(params, bufMB<<20, allocator, 1))
+	if o.backend == "damaris" {
+		decl, err := config.ParseString(cm1.ConfigXML(params, o.bufMB<<20, cfg.Allocator, 1))
 		if err != nil {
 			return err
 		}
-		if persistWork < 0 || persistQueue < 1 || encodeWork < 0 {
-			return fmt.Errorf("invalid pipeline knobs: workers=%d queue=%d encode=%d",
-				persistWork, persistQueue, encodeWork)
-		}
-		if !transform.ValidGzipLevel(gzipLevel) {
-			return fmt.Errorf("invalid gzip level %d (want -2..9)", gzipLevel)
-		}
-		cfg.PersistWorkers = persistWork
-		cfg.PersistQueueDepth = persistQueue
-		cfg.EncodeWorkers = encodeWork
-		cfg.PersistGzipLevel = gzipLevel
-		cfg.PersistBackend = persistBackend
-		cfg.StorePartSize = storePartSize
-		cfg.StorePutWorkers = storePutWorkers
-		cfg.StorePutTimeoutMS = storePutTimeout
-		cfg.SpillDir = spillDir
-		cfg.SpillAfter = spillAfter
-		cfg.AggregateMode = aggregate
-		cfg.AggregateRingDepth = aggregateRing
-		cfg.ControlMode = controlMode
-		cfg.ControlIntervalMS = controlInterval
-		cfg.ControlMaxWriters = controlMaxWorkers
-		cfg.ControlMaxWindow = controlMaxWindow
-		cfg.ControlMaxEncode = controlMaxEncode
-		cfg.ShardCount = shards
-		cfg.ShardMode = shardsMode
-		cfg.ShardSteal = shardsSteal
-		cfg.ShardBudget = shardsBudget
+		cfg.BufferSize, cfg.DedicatedCores = decl.BufferSize, decl.DedicatedCores
+		cfg.Layouts, cfg.Variables, cfg.Events = decl.Layouts, decl.Variables, decl.Events
 		if err := cfg.Validate(); err != nil {
 			return err
 		}
-		if persistBackend != "" {
+		if cfg.PersistBackend != "" {
 			// One backend instance shared by every dedicated core, so the
 			// run's store metrics (and the object store's dedupe) span the
 			// whole node set — mirroring a real shared storage service.
-			sharedStore, err = store.OpenWith(persistBackend, store.Options{
-				PartSize:   storePartSize,
-				PutWorkers: storePutWorkers,
-				PutTimeout: time.Duration(storePutTimeout) * time.Millisecond,
-			})
+			sharedStore, err = store.OpenWith(cfg.PersistBackend, cfg.StoreOptions())
 			if err != nil {
 				return err
 			}
@@ -212,16 +141,16 @@ func run(ranks, coresPerNode, steps, outputEvery int, outDir, backend string,
 		}
 	}
 
-	err := mpi.Run(ranks, coresPerNode, func(comm *mpi.Comm) {
+	err := mpi.Run(o.ranks, o.coresPerNode, func(comm *mpi.Comm) {
 		var b cm1.Backend
 		var computeComm *mpi.Comm
 
-		switch backend {
+		switch o.backend {
 		case "damaris":
-			pers := &core.DSFPersister{Dir: outDir, Backend: sharedStore, Codec: codec,
-				GzipLevel: gzipLevel, Node: comm.Node(), ServerID: comm.Rank()}
+			pers := &core.DSFPersister{Dir: o.outDir, Backend: sharedStore, Codec: codec,
+				GzipLevel: cfg.PersistGzipLevel, Node: comm.Node(), ServerID: comm.Rank()}
 			pers.SetTracer(plane.Tracer())
-			dep, err := core.Deploy(comm, cfg, nil, core.Options{OutputDir: outDir, Persister: pers, Obs: plane})
+			dep, err := core.Deploy(comm, cfg, nil, core.Options{OutputDir: o.outDir, Persister: pers, Obs: plane})
 			if err != nil {
 				panic(err)
 			}
@@ -230,7 +159,7 @@ func run(ranks, coresPerNode, steps, outputEvery int, outDir, backend string,
 				// server rank owns the encode pool lifecycle (the server
 				// only auto-wires pools and tracers for persisters it
 				// creates itself).
-				pool := dsf.NewEncodePool(encodeWork)
+				pool := dsf.NewEncodePool(cfg.EncodeWorkers)
 				pool.SetTracer(plane.Tracer(), comm.Rank())
 				pers.SetEncodePool(pool)
 				defer pool.Close()
@@ -257,19 +186,17 @@ func run(ranks, coresPerNode, steps, outputEvery int, outDir, backend string,
 			b = cm1.NewDamarisBackend(dep.Client)
 		case "fpp":
 			computeComm = comm
-			b = cm1.NewFPPBackend(outDir, codec, comm.Rank())
+			b = cm1.NewFPPBackend(o.outDir, codec, comm.Rank())
 		case "collective":
 			computeComm = comm
-			b = cm1.NewCollectiveBackend(outDir, comm)
-		default:
-			panic(fmt.Sprintf("unknown backend %q", backend))
+			b = cm1.NewCollectiveBackend(o.outDir, comm)
 		}
 
 		sim, err := cm1.New(computeComm, params)
 		if err != nil {
 			panic(err)
 		}
-		rep, err := cm1.Run(sim, b, steps, outputEvery)
+		rep, err := cm1.Run(sim, b, o.steps, o.outputEvery)
 		if err != nil {
 			panic(err)
 		}
@@ -285,30 +212,30 @@ func run(ranks, coresPerNode, steps, outputEvery int, outDir, backend string,
 	}
 
 	ps := stats.Summarize(phaseTimes)
-	fmt.Printf("backend=%s ranks=%d nodes=%d steps=%d\n", backend, ranks, nodes, steps)
+	fmt.Printf("backend=%s ranks=%d nodes=%d steps=%d\n", o.backend, o.ranks, nodes, o.steps)
 	fmt.Printf("client write phases: n=%d mean=%.2gs min=%.2gs max=%.2gs (spread %.2gs)\n",
 		ps.N, ps.Mean, ps.Min, ps.Max, ps.Spread())
-	if backend == "damaris" {
+	if o.backend == "damaris" {
 		ws := stats.Summarize(serverWrite)
 		fmt.Printf("dedicated cores: %d flushes, write mean=%.2gs; spare total=%.2gs; %d bytes persisted\n",
 			ws.N, ws.Mean, stats.Mean(serverSpare), bytesWritten)
 		reportPipeline(pipeStats)
 		reportShards(pipeStats, shardBudgets)
 		reportSpill(pipeStats)
-		reportControl(pipeStats, controlMode)
+		reportControl(pipeStats, cfg.ControlMode)
 		reportStore(pipeStats, sharedStore)
 		reportAggregate(pipeStats)
 		reportJitter(plane)
 	}
-	if traceOut != "" {
-		if err := writeTrace(plane, traceOut); err != nil {
+	if o.traceOut != "" {
+		if err := writeTrace(plane, o.traceOut); err != nil {
 			return err
 		}
 	}
 	if sharedStore != nil {
-		fmt.Printf("output in backend %s\n", persistBackend)
+		fmt.Printf("output in backend %s\n", cfg.PersistBackend)
 	} else {
-		fmt.Printf("output in %s\n", outDir)
+		fmt.Printf("output in %s\n", o.outDir)
 	}
 	return nil
 }

@@ -1,0 +1,86 @@
+package main
+
+import (
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"damaris/internal/config"
+	"damaris/internal/dsf"
+)
+
+// runWorld is main without the process: the knob flags parsed onto a fresh
+// Config, then a 6-rank world (two nodes of two clients and a dedicated
+// core) that writes on each of its 4 steps.
+func runWorld(t *testing.T, out string, compress bool, knobArgs ...string) error {
+	t.Helper()
+	cfg := &config.Config{}
+	fs := flag.NewFlagSet("damaris-run", flag.ContinueOnError)
+	cfg.BindFlags(fs)
+	if err := fs.Parse(knobArgs); err != nil {
+		t.Fatal(err)
+	}
+	return run(cfg, options{ranks: 6, coresPerNode: 3, steps: 4, outputEvery: 1,
+		outDir: out, backend: "damaris", compress: compress, bufMB: 64})
+}
+
+func TestRunWritesEveryIterationFile(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		compress bool
+		args     []string
+	}{
+		{name: "defaults"},
+		{name: "synchronous", args: []string{"-persist-workers", "0"}},
+		{name: "sharded-compressed", compress: true,
+			args: []string{"-shards", "2", "-persist-workers", "2", "-encode-workers", "2"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			out := t.TempDir()
+			if err := runWorld(t, out, tc.compress, tc.args...); err != nil {
+				t.Fatal(err)
+			}
+			// The dedicated core is the last rank of each node: 2 and 5.
+			for node, srv := range []int{2, 5} {
+				for it := 0; it < 4; it++ {
+					path := filepath.Join(out, fmt.Sprintf("node%04d_srv%04d_it%06d.dsf", node, srv, it))
+					f, err := os.Open(path)
+					if err != nil {
+						t.Error(err)
+						continue
+					}
+					if st, err := f.Stat(); err != nil {
+						t.Error(err)
+					} else if _, err := dsf.OpenReaderAt(f, st.Size()); err != nil {
+						t.Errorf("%s: %v", path, err)
+					}
+					f.Close()
+				}
+			}
+		})
+	}
+}
+
+// A knob out of range is config's error, raised before any rank starts —
+// and so is a backend that does not exist, which used to panic inside rank 0.
+func TestRunRejectsBadFlagsBeforeDeploying(t *testing.T) {
+	for _, args := range [][]string{{"-persist-workers", "-1"}, {"-gzip-level", "11"}} {
+		out := filepath.Join(t.TempDir(), "out")
+		err := runWorld(t, out, false, args...)
+		if err == nil || !strings.HasPrefix(err.Error(), "config:") {
+			t.Errorf("%v: error %v, want a config: error", args, err)
+		}
+		if _, serr := os.Stat(out); serr == nil {
+			t.Errorf("%v: the world deployed and created %s", args, out)
+		}
+	}
+	out := filepath.Join(t.TempDir(), "out")
+	err := run(&config.Config{}, options{ranks: 6, coresPerNode: 3, steps: 1, outputEvery: 1,
+		outDir: out, backend: "foo"})
+	if err == nil || !strings.Contains(err.Error(), `unknown -backend "foo"`) {
+		t.Errorf("-backend foo: error %v", err)
+	}
+}

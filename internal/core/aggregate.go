@@ -177,10 +177,7 @@ func setupAggregation(nodeComm *mpi.Comm, leaderComm *mpi.Comm, cfg *config.Conf
 		p := &DSFPersister{Dir: opts.OutputDir, Node: nodeIdx, ServerID: worldRank,
 			GzipLevel: cfg.PersistGzipLevel}
 		if cfg.PersistBackend != "" {
-			b, err := store.OpenWith(cfg.PersistBackend, store.Options{
-				PartSize:   cfg.StorePartSize,
-				PutWorkers: cfg.StorePutWorkers,
-			})
+			b, err := store.OpenWith(cfg.PersistBackend, cfg.StoreOptions())
 			if err != nil {
 				return fail(fmt.Errorf("core: server %d: persist backend: %w", worldRank, err))
 			}

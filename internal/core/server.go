@@ -174,11 +174,7 @@ func newServer(cfg *config.Config, engines []*event.Engine, queues []*event.Queu
 			// instance it opens (siblings on other dedicated cores open
 			// their own over the same target, which is how object-store
 			// deployments work — dedupe composes across instances).
-			b, err := store.OpenWith(cfg.PersistBackend, store.Options{
-				PartSize:   cfg.StorePartSize,
-				PutWorkers: cfg.StorePutWorkers,
-				PutTimeout: time.Duration(cfg.StorePutTimeoutMS) * time.Millisecond,
-			})
+			b, err := store.OpenWith(cfg.PersistBackend, cfg.StoreOptions())
 			if err != nil {
 				return nil, fmt.Errorf("core: server %d: persist backend: %w", worldRank, err)
 			}
