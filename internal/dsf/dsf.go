@@ -356,10 +356,23 @@ func decode(stored []byte, c Codec, elemSize int, rawSize int64) ([]byte, error)
 	}
 }
 
+// Viewer is implemented by sources that can lend the bytes of a range
+// instead of copying them into a caller's buffer — a cache of immutable
+// blocks, a mapped file. A Reader whose source is a Viewer reads the source
+// through ReadAt only while OpenReaderAt loads the header, footer and TOC;
+// every chunk read goes through View.
+type Viewer interface {
+	// View returns exactly n bytes of the stream starting at off. The result
+	// is read-only and may alias memory shared with other readers; the
+	// source must never write to it again.
+	View(off, n int64) ([]byte, error)
+}
+
 // Reader reads a DSF stream from any random-access source — a file (Open),
 // an in-memory buffer, or a storage backend's ObjectReader (OpenReaderAt).
 type Reader struct {
 	ra     io.ReaderAt
+	viewer Viewer // ra, when it can lend chunk bytes without a copy
 	size   int64
 	closer io.Closer // closed by Close when the Reader owns the source (Open)
 	recs   []tocRecord
@@ -392,6 +405,7 @@ func Open(path string) (*Reader, error) {
 // its lifecycle.
 func OpenReaderAt(ra io.ReaderAt, size int64) (*Reader, error) {
 	r := &Reader{ra: ra, size: size}
+	r.viewer, _ = ra.(Viewer)
 	if err := r.load(); err != nil {
 		return nil, err
 	}
@@ -525,15 +539,36 @@ func (r *Reader) Attribute(key string) (string, bool) {
 	return v, ok
 }
 
+// storedBytes returns the chunk's bytes as the stream holds them: a view
+// lent by the source when it is a Viewer, a fresh copy otherwise.
+func (r *Reader) storedBytes(rec tocRecord) ([]byte, error) {
+	if r.viewer == nil {
+		stored := make([]byte, rec.Stored)
+		_, err := r.ra.ReadAt(stored, rec.Offset)
+		return stored, err
+	}
+	v, err := r.viewer.View(rec.Offset, rec.Stored)
+	if err != nil {
+		return nil, err
+	}
+	if int64(len(v)) != rec.Stored {
+		return nil, fmt.Errorf("view of %d bytes, toc says %d", len(v), rec.Stored)
+	}
+	// cap == len: an append by the caller must never reach the bytes that
+	// follow the chunk in the lender's memory.
+	return v[:len(v):len(v)], nil
+}
+
 // ReadChunk returns the decoded payload of chunk index i, verifying its
-// checksum.
+// checksum. When the source is a Viewer, the payload of a codec-None chunk
+// is the view itself: read-only, and possibly shared with other readers.
 func (r *Reader) ReadChunk(i int) ([]byte, error) {
 	if i < 0 || i >= len(r.recs) {
 		return nil, fmt.Errorf("dsf: chunk index %d out of range [0,%d)", i, len(r.recs))
 	}
 	rec := r.recs[i]
-	stored := make([]byte, rec.Stored)
-	if _, err := r.ra.ReadAt(stored, rec.Offset); err != nil {
+	stored, err := r.storedBytes(rec)
+	if err != nil {
 		return nil, fmt.Errorf("dsf: chunk %d read: %w", i, err)
 	}
 	if crc := crc32.ChecksumIEEE(stored); crc != rec.CRC {

@@ -2,9 +2,11 @@ package dsf
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -401,5 +403,83 @@ func TestAccessorAliasing(t *testing.T) {
 	}
 	if r.Find("theta", 3, 7) != 0 {
 		t.Fatal("Find no longer locates the chunk after accessor mutation")
+	}
+}
+
+// memViewer is a Viewer over an in-memory stream. Once sealed it refuses
+// ReadAt: a Reader over a Viewer reads chunks through View alone.
+type memViewer struct {
+	b      []byte
+	sealed bool
+	short  int64 // bytes View withholds, to fake a misbehaving lender
+}
+
+func (m *memViewer) ReadAt(p []byte, off int64) (int, error) {
+	if m.sealed {
+		return 0, errors.New("ReadAt after open on a Viewer source")
+	}
+	return bytes.NewReader(m.b).ReadAt(p, off)
+}
+
+func (m *memViewer) View(off, n int64) ([]byte, error) {
+	return m.b[off : off+n-m.short], nil
+}
+
+// TestReadChunkThroughView pins the view seam: a codec-None chunk is the
+// lent bytes themselves (no copy, cap == len), the gzip codecs decode out
+// of the view, and the CRC is checked on the view.
+func TestReadChunkThroughView(t *testing.T) {
+	var stream bytes.Buffer
+	w, err := NewWriter(&stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lay := layout.MustNew(layout.Float32, 256)
+	xs := make([]float32, 256)
+	for i := range xs {
+		xs[i] = float32(i) / 8
+	}
+	payload := mpi.Float32sToBytes(xs)
+	codecs := []Codec{None, Gzip, ShuffleGzip}
+	for i, c := range codecs {
+		if err := w.WriteChunk(ChunkMeta{Name: "x", Source: i, Layout: lay, Codec: c}, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	src := &memViewer{b: stream.Bytes()}
+	r, err := OpenReaderAt(src, int64(len(src.b)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	src.sealed = true
+
+	for i, c := range codecs {
+		got, err := r.ReadChunk(i)
+		if err != nil {
+			t.Fatalf("%v: %v", c, err)
+		}
+		if !bytes.Equal(got, payload) {
+			t.Fatalf("%v: payload differs", c)
+		}
+	}
+	raw, _ := r.ReadChunk(0)
+	if &raw[0] != &src.b[len(headMagic)] {
+		t.Error("codec None: payload is a copy, want the view itself")
+	}
+	if cap(raw) != len(raw) {
+		t.Errorf("codec None: cap %d != len %d — an append would reach the lender's next bytes", cap(raw), len(raw))
+	}
+
+	src.b[len(headMagic)+5] ^= 0xFF
+	if _, err := r.ReadChunk(0); err == nil || !strings.Contains(err.Error(), "checksum") {
+		t.Errorf("corrupt view: err = %v, want a checksum mismatch", err)
+	}
+	src.b[len(headMagic)+5] ^= 0xFF
+	src.short = 1
+	if _, err := r.ReadChunk(0); err == nil {
+		t.Error("a view shorter than the TOC's stored size should be an error")
 	}
 }

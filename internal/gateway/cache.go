@@ -8,11 +8,13 @@ import (
 // partLRU is the gateway's bounded, byte-budgeted part cache, keyed by
 // store.PartCacheKey — the content digest for content-addressed backends.
 // Dedupe makes the key global: one cached part serves every object (and
-// every request) referencing the same bytes. It implements store.PartCache,
-// so the same instance plugs into ObjStore.OpenCached readers.
+// every request) referencing the same bytes.
 //
 // Entries are immutable byte slices; the cache never copies on Get, so hits
-// cost one map lookup and one list move. Eviction is strict LRU by bytes.
+// cost one map lookup and one list move, and readers are handed sub-slices
+// of them. Eviction is strict LRU by bytes and only drops the cache's
+// reference: the memory is never reused, so a slice a reader still holds
+// stays valid.
 type partLRU struct {
 	mu       sync.Mutex
 	capacity int64
@@ -39,7 +41,7 @@ func newPartLRU(capacity int64) *partLRU {
 	}
 }
 
-// GetPart implements store.PartCache.
+// GetPart returns the cached part for key, counting the hit or miss.
 func (c *partLRU) GetPart(key string) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -64,10 +66,14 @@ func (c *partLRU) peek(key string) ([]byte, bool) {
 	return el.Value.(*lruEntry).data, true
 }
 
-// AddPart implements store.PartCache. Oversized parts are declined rather
-// than wiping the whole cache for one entry.
+// admits reports whether a part of the given size can ever be cached.
+// Oversized parts are declined rather than wiping the whole cache for one
+// entry.
+func (c *partLRU) admits(size int64) bool { return size <= c.capacity }
+
+// AddPart caches data under key, evicting from the cold end to make room.
 func (c *partLRU) AddPart(key string, data []byte) {
-	if int64(len(data)) > c.capacity {
+	if !c.admits(int64(len(data))) {
 		return
 	}
 	c.mu.Lock()

@@ -14,6 +14,7 @@
 //     (store.PartCacheKey). Content addressing makes the key global: one
 //     cached part serves every object that references the same bytes, so
 //     dedupe on the write path becomes cache sharing on the read path.
+//     Reads are served as read-only views of the cached parts, not copies.
 //   - Parallel range reads: a range spanning several parts fans its missing
 //     parts across a bounded fetcher pool (with per-digest singleflight)
 //     instead of walking them serially.
@@ -106,10 +107,12 @@ type Stats struct {
 	// PartCacheBytes/PartCacheParts gauge its occupancy.
 	PartHits, PartMisses, PartEvictions int64
 	PartCacheBytes, PartCacheParts      int64
-	// BackendGets counts part fetches that reached the backend — the figure
-	// that must stay flat on a warm cache.
+	// BackendGets counts part fetches that reached the backend — whole-part
+	// Gets on a cache miss, ranged reads of parts too large to cache — the
+	// figure that must stay flat on a warm cache. TOC loads are not part
+	// fetches; the store's own Gets/GetBytes count them.
 	BackendGets int64
-	// FetchBytes is the volume fetched from the backend; BytesServed the
+	// FetchBytes is the part volume those fetches moved; BytesServed the
 	// decoded volume returned to clients.
 	FetchBytes  int64
 	BytesServed int64
@@ -384,6 +387,17 @@ func (g *Gateway) evict(e *tocEntry) {
 	g.mu.Unlock()
 }
 
+// tocSource is what build opens an object's DSF stream through. The header,
+// footer and TOC are exact ranged reads of the store (ReaderAt): the decoded
+// TOC is what gets cached, so pulling its raw parts through the part cache
+// as well would only evict chunk data. Chunk payloads are views of the part
+// cache (Viewer). dsf.Reader reads a Viewer source through ReadAt only while
+// it loads, so the store reader closes when build returns.
+type tocSource struct {
+	io.ReaderAt
+	dsf.Viewer
+}
+
 // build decodes the object's manifest and TOC into the entry.
 func (g *Gateway) build(e *tocEntry) {
 	if g.stater != nil {
@@ -396,8 +410,18 @@ func (g *Gateway) build(e *tocEntry) {
 		e.err = err
 		return
 	}
+	or, err := g.backend.Open(e.object)
+	if err != nil {
+		e.err = err
+		return
+	}
+	defer or.Close()
+	if or.Size() != m.Size {
+		e.err = fmt.Errorf("gateway: object %q: reader is %d bytes, manifest says %d", e.object, or.Size(), m.Size)
+		return
+	}
 	ra := newRangeReader(g, m)
-	r, err := dsf.OpenReaderAt(ra, m.Size)
+	r, err := dsf.OpenReaderAt(tocSource{or, ra}, m.Size)
 	if err != nil {
 		e.err = fmt.Errorf("gateway: object %q: %w", e.object, err)
 		return
@@ -425,9 +449,10 @@ func (g *Gateway) Manifest(object string) (*store.Manifest, error) {
 	return e.m, nil
 }
 
-// ReadRange returns length raw bytes of the object's DSF stream starting at
-// offset, fanning the covered parts across the fetch pool.
-func (g *Gateway) ReadRange(object string, off, length int64) ([]byte, error) {
+// rangeSegments resolves length raw bytes of the object's DSF stream
+// starting at offset (clamped to the object's end) to read-only slices, one
+// per covered part, in stream order.
+func (g *Gateway) rangeSegments(object string, off, length int64) ([][]byte, error) {
 	if off < 0 || length < 0 {
 		return nil, fmt.Errorf("gateway: negative range %d+%d", off, length)
 	}
@@ -438,18 +463,32 @@ func (g *Gateway) ReadRange(object string, off, length int64) ([]byte, error) {
 	if off > e.m.Size {
 		return nil, fmt.Errorf("gateway: range start %d beyond object size %d", off, e.m.Size)
 	}
-	if off+length > e.m.Size {
+	if length > e.m.Size-off {
 		length = e.m.Size - off
 	}
-	buf := make([]byte, length)
-	if _, err := e.ra.ReadAt(buf, off); err != nil {
+	segs, err := e.ra.segments(off, length)
+	if err != nil {
 		return nil, err
 	}
-	g.addServed(int64(len(buf)))
-	return buf, nil
+	g.addServed(length)
+	return segs, nil
 }
 
-// ReadChunk returns the decoded payload and metadata of chunk index i.
+// ReadRange returns length raw bytes of the object's DSF stream starting at
+// offset, fanning the covered parts across the fetch pool. The result is
+// read-only: a range inside one part is a view of the cached part, shared
+// with every other reader of it.
+func (g *Gateway) ReadRange(object string, off, length int64) ([]byte, error) {
+	segs, err := g.rangeSegments(object, off, length)
+	if err != nil {
+		return nil, err
+	}
+	return join(segs), nil
+}
+
+// ReadChunk returns the decoded payload and metadata of chunk index i. The
+// payload is read-only: an uncompressed chunk inside one part is a view of
+// the cached part, shared with every other reader of it.
 func (g *Gateway) ReadChunk(object string, i int) (dsf.ChunkMeta, []byte, error) {
 	e, err := g.open(object)
 	if err != nil {
@@ -583,6 +622,32 @@ func (g *Gateway) fetchPart(part store.Part) ([]byte, error) {
 	return f.data, f.err
 }
 
+// readDirect reads n bytes at off of an object through the store's own
+// exact-range reader, past the part cache.
+func (g *Gateway) readDirect(object string, off, n int64) ([]byte, error) {
+	g.sem <- struct{}{} // same bounded pool as the part fetches
+	defer func() { <-g.sem }()
+	start := time.Now()
+	or, err := g.backend.Open(object)
+	if err != nil {
+		return nil, err
+	}
+	defer or.Close()
+	buf := make([]byte, n)
+	_, err = or.ReadAt(buf, off)
+	g.met.Lock()
+	g.met.backendGets++
+	g.met.fetchLat.Add(time.Since(start).Seconds())
+	if err == nil {
+		g.met.fetchBytes += n
+	}
+	g.met.Unlock()
+	if err != nil {
+		return nil, fmt.Errorf("gateway: object %q: read %d+%d: %w", object, off, n, err)
+	}
+	return buf, nil
+}
+
 func (g *Gateway) addServed(n int64) {
 	g.met.Lock()
 	g.met.bytesServed += n
@@ -632,11 +697,13 @@ func (g *Gateway) Stats() Stats {
 	}
 }
 
-// rangeReader is the gateway's io.ReaderAt over one object: offsets resolve
-// through the manifest to parts, missing parts fan out across the bounded
-// fetch pool in parallel, and everything lands in (and is served from) the
-// shared digest-keyed LRU. This is what replaces the store's serial
-// one-slot read loop on the serving path.
+// rangeReader resolves byte ranges of one object through its manifest to
+// parts: missing parts fan out across the bounded fetch pool in parallel
+// and land in the shared digest-keyed LRU, and what callers get back are
+// sub-slices of those cached parts, not copies. Cached parts are immutable
+// and owned by the garbage collector — eviction drops the cache's reference
+// and never reuses the memory — so a slice stays valid for as long as its
+// holder keeps it.
 type rangeReader struct {
 	g       *Gateway
 	m       *store.Manifest
@@ -654,34 +721,31 @@ func newRangeReader(g *Gateway, m *store.Manifest) *rangeReader {
 	return r
 }
 
-func (r *rangeReader) Size() int64 { return r.m.Size }
-
 func (r *rangeReader) partAt(off int64) int {
 	return sort.Search(len(r.m.Parts), func(i int) bool { return r.offsets[i+1] > off })
 }
 
-func (r *rangeReader) ReadAt(p []byte, off int64) (int, error) {
-	if off < 0 {
-		return 0, fmt.Errorf("gateway: negative read offset %d", off)
+// segments is the one part-resolution routine every read goes through: it
+// returns the object's bytes [off, off+n) as read-only slices, one per
+// covered part, in stream order. Each has cap == len, so an append by a
+// caller can never reach the rest of the part.
+func (r *rangeReader) segments(off, n int64) ([][]byte, error) {
+	if off < 0 || n < 0 || n > r.m.Size-off {
+		return nil, fmt.Errorf("gateway: range %d+%d outside object of %d bytes", off, n, r.m.Size)
 	}
-	if off >= r.m.Size {
-		return 0, io.EOF
-	}
-	if len(p) == 0 {
-		return 0, nil
-	}
-	want := int64(len(p))
-	short := false
-	if off+want > r.m.Size {
-		want = r.m.Size - off
-		p = p[:want]
-		short = true
+	if n == 0 {
+		return nil, nil
 	}
 	r.g.rangeStart()
 	defer r.g.rangeEnd()
 
-	first, last := r.partAt(off), r.partAt(off+want-1)
-	bufs := make([][]byte, last-first+1)
+	first, last := r.partAt(off), r.partAt(off+n-1)
+	segs := make([][]byte, last-first+1)
+	if first == last {
+		var err error
+		segs[0], err = r.segment(first, off, n)
+		return segs, err
+	}
 	var wg sync.WaitGroup
 	var errMu sync.Mutex
 	var firstErr error
@@ -690,7 +754,7 @@ func (r *rangeReader) ReadAt(p []byte, off int64) (int, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			b, err := r.g.fetchPart(r.m.Parts[i])
+			seg, err := r.segment(i, off, n)
 			if err != nil {
 				errMu.Lock()
 				if firstErr == nil {
@@ -699,22 +763,64 @@ func (r *rangeReader) ReadAt(p []byte, off int64) (int, error) {
 				errMu.Unlock()
 				return
 			}
-			bufs[i-first] = b
+			segs[i-first] = seg
 		}()
 	}
 	wg.Wait()
 	if firstErr != nil {
-		return 0, firstErr
+		return nil, firstErr
 	}
-	total := 0
-	for i := first; i <= last; i++ {
-		n := copy(p, bufs[i-first][off-r.offsets[i]:])
-		p = p[n:]
-		off += int64(n)
-		total += n
+	return segs, nil
+}
+
+// segment returns the bytes of part i that the range [off, off+n) covers.
+func (r *rangeReader) segment(i int, off, n int64) ([]byte, error) {
+	part := r.m.Parts[i]
+	lo, hi := int64(0), part.Size // within the part
+	if off > r.offsets[i] {
+		lo = off - r.offsets[i]
 	}
-	if short {
-		return total, io.EOF
+	if end := off + n; end < r.offsets[i+1] {
+		hi = end - r.offsets[i]
 	}
-	return total, nil
+	if !r.g.parts.admits(part.Size) {
+		// The cache will never hold this part (a file:// object is one part
+		// however large), so fetching it whole would repeat on every read.
+		return r.g.readDirect(r.m.Object, r.offsets[i]+lo, hi-lo)
+	}
+	b, err := r.g.fetchPart(part)
+	if err != nil {
+		return nil, err
+	}
+	return b[lo:hi:hi], nil
+}
+
+// View implements dsf.Viewer: a range inside one part is lent, one that
+// straddles parts is assembled.
+func (r *rangeReader) View(off, n int64) ([]byte, error) {
+	segs, err := r.segments(off, n)
+	if err != nil {
+		return nil, err
+	}
+	return join(segs), nil
+}
+
+// segsLen is the number of bytes the segments hold together.
+func segsLen(segs [][]byte) (n int) {
+	for _, s := range segs {
+		n += len(s)
+	}
+	return n
+}
+
+// join returns the one segment as it is and assembles several.
+func join(segs [][]byte) []byte {
+	if len(segs) == 1 {
+		return segs[0]
+	}
+	buf := make([]byte, 0, segsLen(segs))
+	for _, s := range segs {
+		buf = append(buf, s...)
+	}
+	return buf
 }

@@ -19,7 +19,7 @@ import (
 
 // newBackend opens a content-addressed object store in a temp dir with a
 // small part size, so even modest DSF objects span many parts.
-func newBackend(t *testing.T, partSize int) store.Backend {
+func newBackend(t testing.TB, partSize int) store.Backend {
 	t.Helper()
 	b, err := store.Open(fmt.Sprintf("obj://%s?part_size=%d", t.TempDir(), partSize))
 	if err != nil {
@@ -32,7 +32,13 @@ func newBackend(t *testing.T, partSize int) store.Backend {
 // writeDSFObject commits one DSF object with nsrc float32 chunks of variable
 // "theta", each 64x64 and globally placed as row bands, scaled by scale so
 // different objects can carry identical or distinct part content on demand.
-func writeDSFObject(t *testing.T, b store.Backend, name string, iteration int64, nsrc int, scale float32) {
+func writeDSFObject(t testing.TB, b store.Backend, name string, iteration int64, nsrc int, scale float32) {
+	t.Helper()
+	writeDSFObjectCodec(t, b, name, iteration, nsrc, scale, dsf.None)
+}
+
+// writeDSFObjectCodec is writeDSFObject with the chunks' codec chosen.
+func writeDSFObjectCodec(t testing.TB, b store.Backend, name string, iteration int64, nsrc int, scale float32, codec dsf.Codec) {
 	t.Helper()
 	ow, err := b.Create(name)
 	if err != nil {
@@ -50,7 +56,7 @@ func writeDSFObject(t *testing.T, b store.Backend, name string, iteration int64,
 			xs[i] = scale * float32(src*len(xs)+i)
 		}
 		meta := dsf.ChunkMeta{
-			Name: "theta", Iteration: iteration, Source: src, Layout: lay,
+			Name: "theta", Iteration: iteration, Source: src, Layout: lay, Codec: codec,
 			Global: layout.Block{
 				Start: []int64{int64(src) * 64, 0},
 				Count: []int64{64, 64},
@@ -70,7 +76,7 @@ func writeDSFObject(t *testing.T, b store.Backend, name string, iteration int64,
 
 // serialBytes reads the whole object through the store's own serial reader —
 // the reference path the gateway must match byte for byte.
-func serialBytes(t *testing.T, b store.Backend, name string) []byte {
+func serialBytes(t testing.TB, b store.Backend, name string) []byte {
 	t.Helper()
 	r, err := b.Open(name)
 	if err != nil {
@@ -84,7 +90,7 @@ func serialBytes(t *testing.T, b store.Backend, name string) []byte {
 	return buf
 }
 
-func newGateway(t *testing.T, b store.Backend, cfg Config) *Gateway {
+func newGateway(t testing.TB, b store.Backend, cfg Config) *Gateway {
 	t.Helper()
 	cfg.Backend = b
 	g, err := New(cfg)
@@ -441,16 +447,7 @@ func TestTwoReplicasByteIdentical(t *testing.T) {
 
 func objIteration(t *testing.T, b store.Backend, name string) int64 {
 	t.Helper()
-	r, err := b.Open(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	dr, err := dsf.OpenReaderAt(r, r.Size())
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := dr.Chunk(0)
+	m, err := storeReader(t, b, name).Chunk(0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -294,13 +294,20 @@ func (g *Gateway) handleRaw(w http.ResponseWriter, r *http.Request, object strin
 		httpError(w, http.StatusBadRequest, fmt.Errorf("gateway: bad len: %w", err))
 		return
 	}
-	data, err := g.ReadRange(object, off, length)
+	segs, err := g.rangeSegments(object, off, length)
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Write(data)
+	w.Header().Set("Content-Length", strconv.Itoa(segsLen(segs)))
+	// Part by part, straight out of the cache: a range over many parts is
+	// never assembled in memory.
+	for _, seg := range segs {
+		if _, err := w.Write(seg); err != nil {
+			return // the client went away
+		}
+	}
 }
 
 // fieldJSON is the /v1/field JSON response body.

@@ -361,43 +361,95 @@ func (s *ObjStore) hedged(do func(ti int) error) error {
 	}
 }
 
+// openBlobAt opens a blob on target ti for reading and reports its length.
+// Every read of blob bytes — whole (Get) or ranged (objReader) — starts
+// here, so the OpGet fault hook and the failure accounting apply to both.
+func (s *ObjStore) openBlobAt(ti int, name string) (*os.File, int64, error) {
+	if err := opFault(s.faultAt(ti), OpGet, name); err != nil {
+		s.metrics.recordFailure()
+		return nil, 0, err
+	}
+	f, err := os.Open(s.blobPathAt(ti, name))
+	if err != nil {
+		if os.IsNotExist(err) {
+			return nil, 0, fmt.Errorf("store: get %q: %w", name, ErrNotExist)
+		}
+		s.metrics.recordFailure()
+		return nil, 0, fmt.Errorf("store: get %q: %w", name, err)
+	}
+	fi, err := f.Stat()
+	if err != nil {
+		f.Close()
+		s.metrics.recordFailure()
+		return nil, 0, fmt.Errorf("store: get %q: %w", name, err)
+	}
+	return f, fi.Size(), nil
+}
+
 // getAt reads a blob from target ti.
 func (s *ObjStore) getAt(ti int, name string) ([]byte, error) {
 	start := time.Now()
-	if err := opFault(s.faultAt(ti), OpGet, name); err != nil {
-		s.metrics.recordFailure()
+	f, size, err := s.openBlobAt(ti, name)
+	if err != nil {
 		return nil, err
 	}
-	b, err := os.ReadFile(s.blobPathAt(ti, name))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, fmt.Errorf("store: get %q: %w", name, ErrNotExist)
-		}
+	defer f.Close()
+	b := make([]byte, size)
+	if _, err := io.ReadFull(f, b); err != nil {
 		s.metrics.recordFailure()
 		return nil, fmt.Errorf("store: get %q: %w", name, err)
 	}
-	s.metrics.recordGet(time.Since(start).Seconds(), int64(len(b)))
+	s.metrics.recordGet(time.Since(start).Seconds(), size)
 	return b, nil
 }
 
-// Get reads a blob back, falling back across replica targets in order — a
-// part that was hedged onto a replica stays readable even when the primary
-// lost (or never received) it.
-func (s *ObjStore) Get(name string) ([]byte, error) {
-	if err := validName(name); err != nil {
-		return nil, err
+// readPartAt fills p from offset off of a manifest part's blob on target
+// ti. A blob whose length is not the manifest's is an error, never bytes:
+// the same check a whole-part Get gets from its caller.
+func (s *ObjStore) readPartAt(ti int, part Part, p []byte, off int64) (int, error) {
+	start := time.Now()
+	f, size, err := s.openBlobAt(ti, part.Blob)
+	if err != nil {
+		return 0, err
 	}
+	defer f.Close()
+	if size != part.Size {
+		s.metrics.recordFailure()
+		return 0, fmt.Errorf("store: part %q is %d bytes, manifest says %d", part.Blob, size, part.Size)
+	}
+	if _, err := f.ReadAt(p, off); err != nil {
+		s.metrics.recordFailure()
+		return 0, fmt.Errorf("store: get %q: %w", part.Blob, err)
+	}
+	s.metrics.recordGet(time.Since(start).Seconds(), int64(len(p)))
+	return len(p), nil
+}
+
+// firstTarget runs fn against the primary target, then each replica in
+// order, and returns the first success — a part or manifest that was hedged
+// onto a replica stays readable even when the primary lost (or never
+// received) it. When every target fails, the primary's error is returned.
+func firstTarget[T any](s *ObjStore, fn func(ti int) (T, error)) (T, error) {
+	var zero T
 	var firstErr error
 	for ti := 0; ti < s.targets(); ti++ {
-		b, err := s.getAt(ti, name)
+		v, err := fn(ti)
 		if err == nil {
-			return b, nil
+			return v, nil
 		}
 		if firstErr == nil {
 			firstErr = err
 		}
 	}
-	return nil, firstErr
+	return zero, firstErr
+}
+
+// Get reads a blob back, falling back across replica targets in order.
+func (s *ObjStore) Get(name string) ([]byte, error) {
+	if err := validName(name); err != nil {
+		return nil, err
+	}
+	return firstTarget(s, func(ti int) ([]byte, error) { return s.getAt(ti, name) })
 }
 
 // Stat reports a blob's size — the dedupe probe — falling back across
@@ -406,17 +458,7 @@ func (s *ObjStore) Stat(name string) (ObjectInfo, error) {
 	if err := validName(name); err != nil {
 		return ObjectInfo{}, err
 	}
-	var firstErr error
-	for ti := 0; ti < s.targets(); ti++ {
-		info, err := s.statAt(ti, name)
-		if err == nil {
-			return info, nil
-		}
-		if firstErr == nil {
-			firstErr = err
-		}
-	}
-	return ObjectInfo{}, firstErr
+	return firstTarget(s, func(ti int) (ObjectInfo, error) { return s.statAt(ti, name) })
 }
 
 func (s *ObjStore) statAt(ti int, name string) (ObjectInfo, error) {
@@ -837,17 +879,7 @@ func (s *ObjStore) Manifest(object string) (*Manifest, error) {
 	if err := validName(object); err != nil {
 		return nil, err
 	}
-	var firstErr error
-	for ti := 0; ti < s.targets(); ti++ {
-		m, err := s.manifestAt(ti, object)
-		if err == nil {
-			return m, nil
-		}
-		if firstErr == nil {
-			firstErr = err
-		}
-	}
-	return nil, firstErr
+	return firstTarget(s, func(ti int) (*Manifest, error) { return s.manifestAt(ti, object) })
 }
 
 func (s *ObjStore) manifestAt(ti int, object string) (*Manifest, error) {
@@ -917,15 +949,6 @@ func (s *ObjStore) Objects() ([]ObjectInfo, error) {
 // Open returns random access over a committed object, resolving reads
 // through its manifest to the content-addressed parts.
 func (s *ObjStore) Open(object string) (ObjectReader, error) {
-	return s.OpenCached(object, nil)
-}
-
-// OpenCached is Open with an external digest-addressed part cache attached:
-// the reader consults it before every backend Get and feeds fetched parts
-// back into it. Because parts are content-addressed, one cached part serves
-// every object that references the same bytes — the hook the read gateway's
-// LRU plugs into. A nil cache degrades to plain Open.
-func (s *ObjStore) OpenCached(object string, cache PartCache) (ObjectReader, error) {
 	if err := opFault(s.fault, OpOpen, object); err != nil {
 		s.metrics.recordFailure()
 		return nil, err
@@ -934,7 +957,7 @@ func (s *ObjStore) OpenCached(object string, cache PartCache) (ObjectReader, err
 	if err != nil {
 		return nil, err
 	}
-	r := &objReader{s: s, m: m, cache: cache, offsets: make([]int64, len(m.Parts)+1), cached: -1}
+	r := &objReader{s: s, m: m, offsets: make([]int64, len(m.Parts)+1)}
 	var off int64
 	for i, p := range m.Parts {
 		r.offsets[i] = off
@@ -978,65 +1001,24 @@ func (s *ObjStore) StatObject(object string) (ObjectStat, error) {
 	return ObjectStat{}, firstErr
 }
 
-// objReader maps ReadAt offsets onto manifest parts, caching the most
-// recently fetched part — DSF's read pattern (header, footer, TOC, then
-// ascending chunks) makes that one-slot cache effective for a single
-// sequential reader. Concurrent readers with interleaved offsets would
-// thrash the one slot; they should share an external PartCache
-// (OpenCached), which absorbs the interleaving.
+// objReader maps ReadAt offsets onto manifest parts and reads exactly the
+// requested bytes of each covered part blob: one open, fstat and pread per
+// part per call, falling back across replica targets like Get. It holds no
+// state beyond the manifest, so any number of goroutines may share it;
+// callers that want part reuse on a slow store go through the gateway's
+// part cache.
 type objReader struct {
 	s       *ObjStore
 	m       *Manifest
-	cache   PartCache // optional external digest-addressed cache
-	offsets []int64   // offsets[i] is part i's start; last entry is the size
-
-	// mu guards only the one-slot cache fields. It is never held across a
-	// backend Get: holding it there would serialize every concurrent reader
-	// of the object behind one slow fetch.
-	mu      sync.Mutex
-	cached  int
-	partBuf []byte
+	offsets []int64 // offsets[i] is part i's start; last entry is the size
 }
 
-func (r *objReader) Size() int64 { return r.m.Size }
-
-func (r *objReader) Close() error {
-	r.mu.Lock()
-	r.partBuf = nil
-	r.cached = -1
-	r.mu.Unlock()
-	return nil
-}
+func (r *objReader) Size() int64  { return r.m.Size }
+func (r *objReader) Close() error { return nil }
 
 // partAt returns the index of the part containing offset off.
 func (r *objReader) partAt(off int64) int {
-	i := sort.Search(len(r.m.Parts), func(i int) bool { return r.offsets[i+1] > off })
-	return i
-}
-
-// fetchPart returns part i's bytes, consulting the external cache first.
-// The returned slice is immutable by contract — it may be shared with the
-// cache and with other readers.
-func (r *objReader) fetchPart(i int) ([]byte, error) {
-	part := r.m.Parts[i]
-	key := PartCacheKey(part)
-	if r.cache != nil {
-		if b, ok := r.cache.GetPart(key); ok && int64(len(b)) == part.Size {
-			return b, nil
-		}
-	}
-	b, err := r.s.Get(part.Blob)
-	if err != nil {
-		return nil, err
-	}
-	if int64(len(b)) != part.Size {
-		return nil, fmt.Errorf("store: part %q is %d bytes, manifest says %d",
-			part.Blob, len(b), part.Size)
-	}
-	if r.cache != nil {
-		r.cache.AddPart(key, b)
-	}
-	return b, nil
+	return sort.Search(len(r.m.Parts), func(i int) bool { return r.offsets[i+1] > off })
 }
 
 func (r *objReader) ReadAt(p []byte, off int64) (int, error) {
@@ -1054,26 +1036,16 @@ func (r *objReader) ReadAt(p []byte, off int64) (int, error) {
 			return total, io.EOF
 		}
 		i := r.partAt(off)
-		// Fast path: the one-slot cache, locked only for the pointer read.
-		// Part buffers are immutable once installed, so copying from buf
-		// outside the lock is safe even if another reader replaces the slot.
-		r.mu.Lock()
-		var buf []byte
-		if r.cached == i {
-			buf = r.partBuf
+		want := p
+		if room := r.offsets[i+1] - off; int64(len(want)) > room {
+			want = want[:room]
 		}
-		r.mu.Unlock()
-		if buf == nil {
-			b, err := r.fetchPart(i) // backend fetch happens unlocked
-			if err != nil {
-				return total, err
-			}
-			r.mu.Lock()
-			r.cached, r.partBuf = i, b
-			r.mu.Unlock()
-			buf = b
+		n, err := firstTarget(r.s, func(ti int) (int, error) {
+			return r.s.readPartAt(ti, r.m.Parts[i], want, off-r.offsets[i])
+		})
+		if err != nil {
+			return total, err
 		}
-		n := copy(p, buf[off-r.offsets[i]:])
 		p = p[n:]
 		off += int64(n)
 		total += n

@@ -5,6 +5,9 @@ import (
 	"errors"
 	"io"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -90,8 +93,8 @@ func TestObjReaderReadAtContract(t *testing.T) {
 }
 
 // TestObjReaderConcurrentInterleaved hammers one reader from many
-// goroutines at interleaved offsets under -race: every read must return the
-// exact bytes regardless of how the one-slot cache is being thrashed.
+// goroutines at interleaved offsets under -race: the reader holds no state
+// between calls, so every read must return the exact bytes.
 func TestObjReaderConcurrentInterleaved(t *testing.T) {
 	s, err := NewObjStore(t.TempDir(), Options{PartSize: 256})
 	if err != nil {
@@ -140,10 +143,10 @@ func TestObjReaderConcurrentInterleaved(t *testing.T) {
 	}
 }
 
-// TestObjReaderGetNotSerialized proves the mutex is no longer held across
-// backend fetches: two readers of different parts with injected Get latency
-// must overlap. With the old lock-across-Get behavior the two fetches
-// serialize and the elapsed time doubles.
+// TestObjReaderGetNotSerialized is the overlap proof for the lock-free
+// reader: four readers of different parts with injected Get latency must
+// overlap. Anything that serialized them — a reader-wide lock, as the
+// one-slot cache once had — would quadruple the elapsed time.
 func TestObjReaderGetNotSerialized(t *testing.T) {
 	const lat = 150 * time.Millisecond
 	s, err := NewObjStore(t.TempDir(), Options{
@@ -179,93 +182,166 @@ func TestObjReaderGetNotSerialized(t *testing.T) {
 	// Four fetches, each sleeping lat: concurrent ≈ lat, serialized ≈ 4*lat.
 	// 3*lat splits the two with margin for scheduler noise.
 	if elapsed >= 3*lat {
-		t.Fatalf("four concurrent part fetches took %v — backend Gets appear serialized under the reader mutex", elapsed)
+		t.Fatalf("four concurrent part reads took %v — they appear serialized", elapsed)
 	}
 }
 
-// mapPartCache is the minimal PartCache for tests.
-type mapPartCache struct {
-	mu   sync.Mutex
-	m    map[string][]byte
-	hits int
-}
-
-func (c *mapPartCache) GetPart(key string) ([]byte, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	b, ok := c.m[key]
-	if ok {
-		c.hits++
+// dsfLikeOpen reads what dsf.OpenReaderAt reads of a stream: an 8-byte
+// header, a 24-byte footer and a TOC just before the footer.
+func dsfLikeOpen(t *testing.T, r ObjectReader, tocLen int64) {
+	t.Helper()
+	for _, rg := range [][2]int64{{0, 8}, {r.Size() - 24, 24}, {r.Size() - 24 - tocLen, tocLen}} {
+		if _, err := r.ReadAt(make([]byte, rg[1]), rg[0]); err != nil {
+			t.Fatalf("ReadAt(%d+%d): %v", rg[0], rg[1], err)
+		}
 	}
-	return b, ok
 }
 
-func (c *mapPartCache) AddPart(key string, data []byte) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.m == nil {
-		c.m = map[string][]byte{}
-	}
-	c.m[key] = data
-}
-
-// TestOpenCachedSharesParts proves the digest-addressed cache hook: two
-// objects with identical content share cached parts, and warm reads do zero
-// backend Gets.
-func TestOpenCachedSharesParts(t *testing.T) {
-	s, err := NewObjStore(t.TempDir(), Options{PartSize: 128})
+// TestObjReaderOpenMovesOnlyTheTOC is the ranged-read claim: opening a
+// three-part object the way dsf does moves the bytes the header, footer and
+// TOC occupy, where the whole-part reader moved two parts.
+func TestObjReaderOpenMovesOnlyTheTOC(t *testing.T) {
+	const partSize = 1 << 20
+	s, err := NewObjStore(t.TempDir(), Options{PartSize: partSize})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	const size = 128 * 4
-	data := writeTestObject(t, s, "a.dsf", size, 4)
-	// Same bytes under a second name: content addressing makes the parts
-	// identical blobs.
-	w, err := s.Create("b.dsf")
+	writeTestObject(t, s, "o.dsf", 2*partSize+1500, 6)
+
+	r, err := s.Open("o.dsf")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Write(data); err != nil {
+	defer r.Close()
+	before := s.Stats()
+	dsfLikeOpen(t, r, 1024)
+	after := s.Stats()
+	if moved := after.GetBytes - before.GetBytes; moved >= 64<<10 {
+		t.Errorf("opening a three-part object moved %d bytes, want < 64 KiB", moved)
+	}
+	// One OpGet per covered part per call: header, footer, TOC.
+	if gets := after.Gets - before.Gets; gets != 3 {
+		t.Errorf("three single-part ranged reads counted %d Gets, want 3", gets)
+	}
+}
+
+// TestObjReaderRangedReadsSeeGetFaults: the OpGet hook guards ranged reads
+// the way it guards whole-blob Gets — injected latency delays them, injected
+// failures fail them and are counted.
+func TestObjReaderRangedReadsSeeGetFaults(t *testing.T) {
+	const lat = 30 * time.Millisecond
+	boom := errors.New("injected get failure")
+	onParts := Chain(Latency(lat, OpGet), FailTimes(OpGet, 2, boom))
+	s, err := NewObjStore(t.TempDir(), Options{
+		PartSize: 64,
+		Fault: FaultFunc(func(op, name string) error {
+			if !strings.HasPrefix(name, "cas/") {
+				return nil // manifest reads are OpGets too; leave Open alone
+			}
+			return onParts.Op(op, name)
+		}),
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Commit(); err != nil {
+	defer s.Close()
+	data := writeTestObject(t, s, "o.dsf", 64*2, 7)
+	r, err := s.Open("o.dsf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+
+	buf := make([]byte, 16)
+	for i := 0; i < 2; i++ {
+		if _, err := r.ReadAt(buf, 70); !errors.Is(err, boom) {
+			t.Fatalf("read %d under FailTimes(OpGet, 2) = %v, want the injected error", i, err)
+		}
+	}
+	if got := s.Stats().Failures; got != 2 {
+		t.Errorf("Failures = %d, want 2", got)
+	}
+	start := time.Now()
+	if _, err := r.ReadAt(buf, 70); err != nil {
+		t.Fatal(err)
+	}
+	if elapsed := time.Since(start); elapsed < lat {
+		t.Errorf("ranged read took %v under Latency(%v, OpGet)", elapsed, lat)
+	}
+	if !bytes.Equal(buf, data[70:86]) {
+		t.Fatal("bytes mismatch after the faults cleared")
+	}
+}
+
+// TestObjReaderFallsBackToReplica: a part blob present only on a replica
+// target is read through the same fallback Get uses.
+func TestObjReaderFallsBackToReplica(t *testing.T) {
+	primary, replica := t.TempDir(), t.TempDir()
+	s, err := NewObjStore(primary, Options{PartSize: 64, Replicas: []string{replica}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	data := writeTestObject(t, s, "o.dsf", 64*3, 8)
+	m, err := s.Manifest("o.dsf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	moved := m.Parts[1].Blob
+	dst := s.blobPathAt(1, moved)
+	if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(s.blobPathAt(0, moved), dst); err != nil {
 		t.Fatal(err)
 	}
 
-	cache := &mapPartCache{}
-	ra, err := s.OpenCached("a.dsf", cache)
+	r, err := s.Open("o.dsf")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ra.Close()
-	buf := make([]byte, size)
-	if _, err := ra.ReadAt(buf, 0); err != nil {
-		t.Fatal(err)
+	defer r.Close()
+	buf := make([]byte, 100)
+	if _, err := r.ReadAt(buf, 40); err != nil { // parts 0, 1 and 2
+		t.Fatalf("read across a replica-only part: %v", err)
 	}
-	if !bytes.Equal(buf, data) {
-		t.Fatal("object a bytes mismatch")
+	if !bytes.Equal(buf, data[40:140]) {
+		t.Fatal("bytes mismatch through the replica fallback")
 	}
+}
 
-	// Object b referencing the same digests must be served from the cache:
-	// no new backend Gets at all.
-	gets := s.Stats().Gets
-	rb, err := s.OpenCached("b.dsf", cache)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rb.Close()
-	if _, err := rb.ReadAt(buf, 0); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf, data) {
-		t.Fatal("object b bytes mismatch")
-	}
-	if got := s.Stats().Gets; got != gets {
-		t.Fatalf("warm read did %d backend Gets, want 0", got-gets)
-	}
-	if cache.hits == 0 {
-		t.Fatal("no part-cache hits across deduped objects")
+// TestObjReaderRejectsWrongLengthBlob: a blob one byte longer or shorter
+// than its manifest entry is an error, never bytes — even when the range
+// asked for lies inside what is there.
+func TestObjReaderRejectsWrongLengthBlob(t *testing.T) {
+	for _, delta := range []int{+1, -1} {
+		s, err := NewObjStore(t.TempDir(), Options{PartSize: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		writeTestObject(t, s, "o.dsf", 64*2, 9)
+		m, err := s.Manifest("o.dsf")
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := s.blobPath(m.Parts[0].Blob)
+		if err := os.Truncate(path, int64(64+delta)); err != nil {
+			t.Fatal(err)
+		}
+		r, err := s.Open("o.dsf")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n, err := r.ReadAt(make([]byte, 8), 4); err == nil || n != 0 {
+			t.Errorf("blob %+d byte: ReadAt = %d, %v; want 0 and an error", delta, n, err)
+		}
+		// The intact part still reads.
+		if _, err := r.ReadAt(make([]byte, 8), 64+4); err != nil {
+			t.Errorf("blob %+d byte: intact part: %v", delta, err)
+		}
+		r.Close()
+		s.Close()
 	}
 }
 

@@ -111,22 +111,14 @@ type ObjectReader interface {
 	Close() error
 }
 
-// PartCache is an external cache object readers may consult before fetching
-// a part from the backend — the seam the read gateway's bounded LRU plugs
-// into. Keys come from PartCacheKey, so content-addressed parts are shared
-// across every object referencing the same bytes. Stored slices are
-// immutable by contract: neither the cache nor its callers may mutate them.
-// Implementations must be safe for concurrent use.
+// PartCache and CachedOpener have no implementation or caller in the
+// middleware any more; they stay declared only because bench/ still names
+// them, and go when a benchmark PR drops those references.
 type PartCache interface {
-	// GetPart returns the cached bytes for key, if present.
 	GetPart(key string) ([]byte, bool)
-	// AddPart offers bytes to the cache; the cache may decline (bounded
-	// caches evict or refuse oversized entries).
 	AddPart(key string, data []byte)
 }
 
-// CachedOpener is implemented by backends whose object readers can resolve
-// parts through an external PartCache.
 type CachedOpener interface {
 	OpenCached(object string, cache PartCache) (ObjectReader, error)
 }
