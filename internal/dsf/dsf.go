@@ -31,6 +31,7 @@ import (
 	"compress/gzip"
 	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -50,6 +51,10 @@ var (
 	headMagic = []byte("DSFv0002")
 	tailMagic = []byte("DSFINDEX")
 )
+
+// ErrChunkIndex is what Reader.Chunk and Reader.ReadChunk wrap when asked for
+// a chunk the file does not have: the caller's fault, not the file's.
+var ErrChunkIndex = errors.New("dsf: chunk index out of range")
 
 // Codec selects the per-chunk storage encoding.
 type Codec uint8
@@ -518,7 +523,7 @@ func (r *Reader) NumChunks() int { return len(r.metas) }
 // Chunk returns a copy of the i-th chunk's metadata.
 func (r *Reader) Chunk(i int) (ChunkMeta, error) {
 	if i < 0 || i >= len(r.metas) {
-		return ChunkMeta{}, fmt.Errorf("dsf: chunk index %d out of range [0,%d)", i, len(r.metas))
+		return ChunkMeta{}, fmt.Errorf("%w: %d not in [0,%d)", ErrChunkIndex, i, len(r.metas))
 	}
 	return copyMeta(r.metas[i]), nil
 }
@@ -564,7 +569,7 @@ func (r *Reader) storedBytes(rec tocRecord) ([]byte, error) {
 // is the view itself: read-only, and possibly shared with other readers.
 func (r *Reader) ReadChunk(i int) ([]byte, error) {
 	if i < 0 || i >= len(r.recs) {
-		return nil, fmt.Errorf("dsf: chunk index %d out of range [0,%d)", i, len(r.recs))
+		return nil, fmt.Errorf("%w: %d not in [0,%d)", ErrChunkIndex, i, len(r.recs))
 	}
 	rec := r.recs[i]
 	stored, err := r.storedBytes(rec)

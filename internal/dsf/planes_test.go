@@ -22,11 +22,16 @@ import (
 // planeField is a float32 field whose four byte planes get three different
 // treatments: noise (stored), half-structured (configured level) and long
 // runs (fast pass).
-func planeField(elems int) []byte {
+func planeField(elems int) []byte { return sineField(elems, 0.01) }
+
+// sineField is 280 + 8·sin(i/600) + N(0, sigma) as float32. Without noise
+// its low plane is one level 1 can only store and the configured level
+// repays: the member whose head was the trial.
+func sineField(elems int, sigma float64) []byte {
 	rng := rand.New(rand.NewSource(11))
 	out := make([]byte, 4*elems)
 	for i := 0; i < elems; i++ {
-		x := 280 + 8*math.Sin(float64(i)/600) + rng.NormFloat64()*0.01
+		x := 280 + 8*math.Sin(float64(i)/600) + rng.NormFloat64()*sigma
 		binary.LittleEndian.PutUint32(out[4*i:], math.Float32bits(float32(x)))
 	}
 	return out
@@ -61,31 +66,39 @@ func storedBytes(t *testing.T, r *Reader, i int) []byte {
 
 // A chunk written now decodes with nothing but compress/gzip and Unshuffle,
 // which is all a reader built before planes existed has.
+//
+// That holds for a member whose head was the configured level's trial, too:
+// the noise-free field's low plane is one, and the flush that ended the trial
+// left an empty stored block in it, which is deflate like any other block.
 func TestPlaneChunkReadableByStdlibGzip(t *testing.T) {
-	data := planeField(64 << 10)
-	r := writeOneChunk(t, data, func(w *Writer, meta ChunkMeta) {
-		if err := w.WriteChunk(meta, data); err != nil {
+	for name, data := range map[string][]byte{"noisy": planeField(64 << 10), "smooth": sineField(64<<10, 0)} {
+		r := writeOneChunk(t, data, func(w *Writer, meta ChunkMeta) {
+			if err := w.WriteChunk(meta, data); err != nil {
+				t.Fatal(err)
+			}
+		})
+		stored := storedBytes(t, r, 0)
+		if members := bytes.Count(stored, []byte{0x1f, 0x8b, 0x08, 0, 0, 0, 0, 0}); members < 4 {
+			t.Fatalf("%s: stored chunk holds %d gzip headers, want one per byte plane", name, members)
+		}
+		if name == "smooth" && !bytes.Contains(stored, []byte{0, 0, 0xff, 0xff}) {
+			t.Fatalf("%s: no sync marker in the stored chunk: no trial head was kept", name)
+		}
+		zr, err := gzip.NewReader(bytes.NewReader(stored))
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	stored := storedBytes(t, r, 0)
-	if members := bytes.Count(stored, []byte{0x1f, 0x8b, 0x08, 0, 0, 0, 0, 0}); members < 4 {
-		t.Fatalf("stored chunk holds %d gzip headers, want one per byte plane", members)
-	}
-	zr, err := gzip.NewReader(bytes.NewReader(stored))
-	if err != nil {
-		t.Fatal(err)
-	}
-	shuffled, err := io.ReadAll(zr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := transform.Unshuffle(shuffled, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Error("stdlib decode of a plane-encoded chunk differs from the input")
+		shuffled, err := io.ReadAll(zr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := transform.Unshuffle(shuffled, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, data) {
+			t.Errorf("%s: stdlib decode of a plane-encoded chunk differs from the input", name)
+		}
 	}
 }
 

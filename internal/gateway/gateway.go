@@ -28,6 +28,7 @@ package gateway
 
 import (
 	"container/list"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -449,19 +450,23 @@ func (g *Gateway) Manifest(object string) (*store.Manifest, error) {
 	return e.m, nil
 }
 
+// ErrRange is what the range reads wrap when the range asked for is negative
+// or starts beyond the object's end.
+var ErrRange = errors.New("gateway: range not satisfiable")
+
 // rangeSegments resolves length raw bytes of the object's DSF stream
 // starting at offset (clamped to the object's end) to read-only slices, one
 // per covered part, in stream order.
 func (g *Gateway) rangeSegments(object string, off, length int64) ([][]byte, error) {
 	if off < 0 || length < 0 {
-		return nil, fmt.Errorf("gateway: negative range %d+%d", off, length)
+		return nil, fmt.Errorf("%w: negative %d+%d", ErrRange, off, length)
 	}
 	e, err := g.open(object)
 	if err != nil {
 		return nil, err
 	}
 	if off > e.m.Size {
-		return nil, fmt.Errorf("gateway: range start %d beyond object size %d", off, e.m.Size)
+		return nil, fmt.Errorf("%w: start %d beyond object size %d", ErrRange, off, e.m.Size)
 	}
 	if length > e.m.Size-off {
 		length = e.m.Size - off

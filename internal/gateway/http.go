@@ -14,6 +14,7 @@ import (
 	"damaris/internal/mpi"
 	"damaris/internal/obs"
 	"damaris/internal/store"
+	"damaris/internal/viz"
 )
 
 // forwardedHeader marks a request already routed once by a replica; the
@@ -135,10 +136,17 @@ func (g *Gateway) route(w http.ResponseWriter, r *http.Request, ownerBase string
 	io.Copy(w, resp.Body)
 }
 
+// httpError answers with fallback unless err is one of the faults only the
+// request's own parameters can cause.
 func httpError(w http.ResponseWriter, fallback int, err error) {
 	code := fallback
-	if errors.Is(err, store.ErrNotExist) {
+	switch {
+	case errors.Is(err, store.ErrNotExist), errors.Is(err, viz.ErrNoChunks):
 		code = http.StatusNotFound
+	case errors.Is(err, dsf.ErrChunkIndex):
+		code = http.StatusBadRequest
+	case errors.Is(err, ErrRange):
+		code = http.StatusRequestedRangeNotSatisfiable
 	}
 	http.Error(w, err.Error(), code)
 }

@@ -26,10 +26,14 @@ import (
 // private slot is invisible to a goroutine that has since moved to another
 // P, so a pool miss — most of a megabyte — can strike at any time.
 type Encoder struct {
-	writers  [gzip.BestCompression - gzip.HuffmanOnly + 1]*gzip.Writer // indexed by level-gzip.HuffmanOnly
-	sw       sliceWriter                                               // the writers' sink
+	writers  [numLevels]*gzip.Writer // indexed by level-gzip.HuffmanOnly
+	fed      [numLevels]int64        // bytes each writer was given; tests bound the discarded share
+	sw       sliceWriter             // the writers' sink
 	shuffled []byte
+	grams    [1 << 14]uint32 // repeats4's table
 }
+
+const numLevels = gzip.BestCompression - gzip.HuffmanOnly + 1
 
 var encoderPool = sync.Pool{New: func() any { return new(Encoder) }}
 
@@ -76,26 +80,51 @@ func (e *Encoder) CompressGzipTo(dst, b []byte, level int) ([]byte, error) {
 // readers concatenate them, so members appended one after another decode as
 // the concatenation of their inputs.
 func (e *Encoder) appendGzipMember(dst, b []byte, level int) ([]byte, error) {
+	out, _, err := e.appendMemberIf(dst, b, level, 0)
+	return out, err
+}
+
+// appendMemberIf is appendGzipMember with the trial built in: with head > 0,
+// b[:head] is deflated and flushed first, and the member is completed by the
+// same writer only if that took head>>worthShift bytes off the head. If not,
+// it reports false and returns dst, the abandoned bytes behind its length.
+// The flush is an empty stored block (00 00 00 ff ff), which is plain
+// deflate to every inflater; the matcher's window carries on across it.
+func (e *Encoder) appendMemberIf(dst, b []byte, level, head int) ([]byte, bool, error) {
 	w := e.writers[level-gzip.HuffmanOnly]
 	if w == nil {
 		var err error
 		if w, err = gzip.NewWriterLevel(io.Discard, level); err != nil {
-			return nil, fmt.Errorf("transform: gzip: %w", err)
+			return nil, false, fmt.Errorf("transform: gzip: %w", err)
 		}
 		e.writers[level-gzip.HuffmanOnly] = w
 	}
 	e.sw.b = dst
 	w.Reset(&e.sw)
-	_, err := w.Write(b)
-	if err == nil {
-		err = w.Close()
+	var err error
+	keep, fed := true, &e.fed[level-gzip.HuffmanOnly]
+	if head > 0 {
+		if _, err = w.Write(b[:head]); err == nil {
+			err = w.Flush()
+		}
+		*fed += int64(head)
+		keep = head-(len(e.sw.b)-len(dst)) >= head>>worthShift
+	}
+	if err == nil && keep {
+		*fed += int64(len(b) - head)
+		if _, err = w.Write(b[head:]); err == nil {
+			err = w.Close()
+		}
 	}
 	out := e.sw.b
 	e.sw.b = nil // don't pin the caller's buffer inside the encoder
 	if err != nil {
-		return nil, fmt.Errorf("transform: gzip: %w", err)
+		return nil, false, fmt.Errorf("transform: gzip: %w", err)
 	}
-	return out, nil
+	if !keep {
+		out = out[:len(dst)]
+	}
+	return out, keep, nil
 }
 
 // pooledGunzip couples a reader with the one-byte buffer it probes for the
@@ -116,6 +145,14 @@ func DecompressGzipTo(dst, b []byte) ([]byte, error) {
 	if pg == nil {
 		pg = new(pooledGunzip)
 	}
+	// Back to the pool on every path, corrupt input included, and without a
+	// reference to b — a parked reader must not pin the caller's compressed
+	// buffer (the Reset onto an empty source fails, which is fine; the next
+	// Get resets it onto real input).
+	defer func() {
+		_ = pg.r.Reset(bytes.NewReader(nil))
+		gzipReaderPool.Put(pg)
+	}()
 	if err := pg.r.Reset(bytes.NewReader(b)); err != nil {
 		return nil, fmt.Errorf("transform: gunzip: %w", err)
 	}
@@ -149,10 +186,5 @@ func DecompressGzipTo(dst, b []byte) ([]byte, error) {
 	if err := pg.r.Close(); err != nil {
 		return nil, fmt.Errorf("transform: gunzip close: %w", err)
 	}
-	// Drop the reference to b before pooling — a parked reader must not pin
-	// the caller's compressed buffer (the Reset onto an empty source fails,
-	// which is fine; the next Get resets it onto real input).
-	_ = pg.r.Reset(bytes.NewReader(nil))
-	gzipReaderPool.Put(pg)
 	return out, nil
 }

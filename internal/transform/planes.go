@@ -2,6 +2,7 @@ package transform
 
 import (
 	"compress/gzip"
+	"encoding/binary"
 	"fmt"
 )
 
@@ -62,10 +63,10 @@ const (
 	// whole plane after a sample has said it will be the last pass.
 	fastLevel = gzip.BestSpeed
 	// worthShift is the price of the configured level: it runs over a whole
-	// plane when, on a mid-plane sample, it saves at least 1/256 of the
-	// sample beyond what level 1 saves. Deflate time is proportional to the
-	// plane, so this is a price per byte saved, and it caps what all
-	// shortcuts together can add to a chunk at 1/256 of its raw size.
+	// plane when, on a sample, it saves at least 1/256 of the sample beyond
+	// what level 1 saves. Deflate time is proportional to the plane, so this
+	// is a price per byte saved, and it caps what all shortcuts together can
+	// add to a chunk at 1/256 of its raw size.
 	// Run-dominated planes sit at 0-1/500, planes with structure only the
 	// hash chains find at 1/100 and more.
 	//
@@ -77,12 +78,13 @@ const (
 	// mantissa plane to 1/37 of its size and the default level to half of
 	// that again.
 	worthShift = 8
-	// noiseSample is the mid-plane sample that classifies a plane, and on
-	// which the configured level is tried when level 1 could only store it.
-	// It cannot be shorter: what the default level finds in that smooth
-	// field's low plane are near-repeats one sine period (3.7 KiB) and more
-	// apart, 0.2 % of an 8 KiB sample, 1 % of a 16 KiB one, 3 % of the
-	// plane. Planes no longer than this take no shortcut.
+	// noiseSample is the mid-plane sample that classifies a plane, and the
+	// length of the head on which the configured level is tried when level 1
+	// could only store that sample. It cannot be shorter: what the default
+	// level finds in that smooth field's low plane are near-repeats one sine
+	// period (3.7 KiB) and more apart, 0.2 % of an 8 KiB sample, 1 % of a
+	// 16 KiB one, 3 % of the plane. Planes no longer than this take no
+	// shortcut.
 	noiseSample = 16 << 10
 	// runSample is the sample on which the two levels are compared once
 	// level 1 has made the plane small. What the hash chains find there and
@@ -107,10 +109,13 @@ const (
 // and a shortcut is taken when the configured level would not save 1/256 of
 // the plane beyond level 1:
 //
-//   - level 1 only stores the sample, the configured level does not take
-//     1/256 off it either, and level 1 then only stores the whole plane too:
-//     the plane is noise to both matchers, its member is level 1's stored
-//     blocks (PlaneStored);
+//   - level 1 only stores the sample, the plane's first 16 KiB either hold no
+//     four-byte sequence twice or come out of the configured level less than
+//     1/256 shorter, and level 1 then only stores the whole plane too: the
+//     plane is noise to both matchers, its member is level 1's stored blocks
+//     (PlaneStored). If the head does come out 1/256 shorter, the writer that
+//     deflated it carries on to the end of the plane: the trial is the head
+//     of the member (PlaneLevel), a flush's empty stored block 16 KiB in;
 //   - level 1 leaves at most 1/16 of the sample and then of the whole plane,
 //     and either that is at most 1/256 of the plane or, on an 8 KiB
 //     mid-plane sample, the configured level's member is not 1/256 of the
@@ -156,23 +161,22 @@ func (e *Encoder) ShuffleGzipTo(dst, b []byte, elemSize, level int) ([]byte, Pla
 
 // appendPlane appends one plane to dst as one gzip member.
 func (e *Encoder) appendPlane(dst, plane []byte, level int) ([]byte, PlaneMode, error) {
-	if level == gzip.HuffmanOnly || level == gzip.NoCompression || level == fastLevel || len(plane) <= noiseSample {
-		out, err := e.appendGzipMember(dst, plane, level)
-		return out, PlaneLevel, err
+	if level != gzip.HuffmanOnly && level != gzip.NoCompression && level != fastLevel && len(plane) > noiseSample {
+		out, mode, err := e.appendSampled(dst, plane, level)
+		if err != nil || len(out) > len(dst) {
+			return out, mode, err
+		}
+		dst = out
 	}
-	out, mode, err := e.appendFastPass(dst, plane, level)
-	if err != nil || mode != PlaneLevel {
-		return out, mode, err
-	}
-	out, err = e.appendGzipMember(out[:len(dst)], plane, level)
+	out, err := e.appendGzipMember(dst, plane, level)
 	return out, PlaneLevel, err
 }
 
-// appendFastPass appends plane's level-1 member to dst if the sampling rule
-// lets it stand, and says as what (PlaneStored or PlaneFast). With PlaneLevel
-// the plane is still to be deflated at level: whatever lies behind len(dst)
-// in the returned slice is scratch, kept for its possibly grown array.
-func (e *Encoder) appendFastPass(dst, plane []byte, level int) ([]byte, PlaneMode, error) {
+// appendSampled appends plane's member to dst if the sampling rule settles
+// whose it is, and says as what. If it returns dst no longer than it came
+// (possibly with a grown array, scratch behind its length), the plane is
+// still to be deflated at level.
+func (e *Encoder) appendSampled(dst, plane []byte, level int) ([]byte, PlaneMode, error) {
 	sample := midSample(plane, noiseSample)
 	fst, dst, err := e.memberLen(dst, sample, fastLevel)
 	if err != nil {
@@ -182,11 +186,16 @@ func (e *Encoder) appendFastPass(dst, plane []byte, level int) ([]byte, PlaneMod
 	if !noise && fst > len(sample)>>runShift {
 		return dst, PlaneLevel, nil
 	}
-	if noise {
-		var repays bool
-		if repays, dst, err = e.levelRepays(dst, sample, fst, level); err != nil || repays {
-			return dst, PlaneLevel, err
+	// The configured level's trial is the head of its member, so a plane that
+	// goes there is deflated once. Without a four-byte repeat in the head
+	// (compress/flate's shortest match) that level has only the literals
+	// level 1 could not pack, and the trial is skipped.
+	if noise && e.repeats4(plane[:noiseSample]) {
+		out, kept, err := e.appendMemberIf(dst, plane, level, noiseSample)
+		if err != nil || kept {
+			return out, PlaneLevel, err
 		}
+		dst = out
 	}
 	out, err := e.appendGzipMember(dst, plane, fastLevel)
 	if err != nil {
@@ -204,15 +213,39 @@ func (e *Encoder) appendFastPass(dst, plane []byte, level int) ([]byte, PlaneMod
 		if fst, out, err = e.memberLen(out, sample, fastLevel); err != nil {
 			return nil, 0, err
 		}
-		var repays bool
-		if repays, out, err = e.levelRepays(out, sample, fst, level); err != nil {
+		var lvl int
+		if lvl, out, err = e.memberLen(out, sample, level); err != nil {
 			return nil, 0, err
 		}
-		if !repays {
+		if fst-lvl < len(sample)>>worthShift {
 			return out, PlaneFast, nil
 		}
 	}
-	return out, PlaneLevel, nil
+	return out[:len(dst)], PlaneLevel, nil
+}
+
+// repeats4 reports whether it finds a four-byte sequence that occurs twice in
+// s: one pass, one slot per hash holding the offset the sequence was last seen
+// at, candidates verified. An empty slot is offset 0, whose sequence is as
+// good a candidate as any, so the loop has no branch that noise makes
+// unpredictable. A repeat whose first occurrence another sequence has since
+// pushed out of its slot is missed, which matters to no verdict: what repays
+// a trial is hundreds of them.
+func (e *Encoder) repeats4(s []byte) bool {
+	if len(s) < 4 {
+		return false
+	}
+	e.grams = [len(e.grams)]uint32{}
+	w := binary.LittleEndian.Uint32(s)
+	for i := 4; i < len(s); i++ {
+		w = w>>8 | uint32(s[i])<<24
+		slot := &e.grams[w*2654435761>>18]
+		if binary.LittleEndian.Uint32(s[*slot:]) == w {
+			return true
+		}
+		*slot = uint32(i - 3)
+	}
+	return false
 }
 
 func midSample(plane []byte, n int) []byte {
@@ -229,12 +262,4 @@ func (e *Encoder) memberLen(buf, sample []byte, level int) (int, []byte, error) 
 		return 0, nil, err
 	}
 	return len(out) - len(buf), out[:len(buf)], nil
-}
-
-// levelRepays reports whether level's member of sample is at least 1/256 of
-// the sample smaller than fst, the length of level 1's. buf is used and
-// returned as in memberLen.
-func (e *Encoder) levelRepays(buf, sample []byte, fst, level int) (bool, []byte, error) {
-	lvl, buf, err := e.memberLen(buf, sample, level)
-	return fst-lvl >= len(sample)>>worthShift, buf, err
 }

@@ -38,6 +38,13 @@ func float32Field(n int, f func(i int) float64) []byte {
 	return out
 }
 
+// smoothField is a temperature-like field without noise: level 1 gives up on
+// its low mantissa plane, the default level does not, so that plane's member
+// is a kept trial with a sync marker 16 KiB in.
+func smoothField(n int) []byte {
+	return float32Field(n, func(i int) float64 { return 280 + 8*math.Sin(float64(i)/600) })
+}
+
 type corpusEntry struct {
 	name     string
 	elemSize int
@@ -82,9 +89,7 @@ func planeCorpus() []corpusEntry {
 		{"bench/seed1", 4, benchField(1, 0, n)},
 		{"bench/seed2", 4, benchField(2, 1, n)},
 		{"bench/seed3", 4, benchField(3, 3, n)},
-		// A smooth temperature-like field: level 1 gives up on its low
-		// mantissa plane, the default level does not.
-		{"smooth", 4, float32Field(n, func(i int) float64 { return 280 + 8*math.Sin(float64(i)/600) })},
+		{"smooth", 4, smoothField(n)},
 		{"noise", 4, noise},
 		{"zeros", 4, make([]byte, n)},
 		{"ramp", 4, ramp},
@@ -246,6 +251,58 @@ func TestShuffleGzipCostBound(t *testing.T) {
 	}
 }
 
+// The count behind the cost bound: what each gzip writer was fed, less the
+// plane's one kept member, is deflate work thrown away. On the benchmark's
+// fields that is the level-1 samples and the run plane's 8 KiB trial; the
+// configured level's 16 KiB trial is either skipped (no four-byte repeat) or
+// the head of the member that is kept.
+func TestShuffleGzipDiscardedWork(t *testing.T) {
+	const (
+		chunk = 256 << 10
+		// What the encoder discarded before trial heads were kept, per chunk:
+		// four 16 KiB level-1 samples, 16 KiB configured-level trials on
+		// planes 0 and 1, and 8 KiB at both levels on plane 2.
+		parentDiscarded = 4*noiseSample + 2*noiseSample + 2*runSample
+	)
+	const lvl, fst = gzip.DefaultCompression - gzip.HuffmanOnly, fastLevel - gzip.HuffmanOnly
+	for seed := int64(1); seed <= 6; seed++ {
+		for v := 0; v < 4; v++ {
+			sh, _ := Shuffle(benchField(seed, v, chunk), 4)
+			var e Encoder
+			var lvlDiscarded, discarded int64
+			for j := 0; j < 4; j++ {
+				plane := sh[j*chunk/4 : (j+1)*chunk/4]
+				before := e.fed
+				_, mode, err := e.appendPlane(nil, plane, gzip.DefaultCompression)
+				if err != nil {
+					t.Fatal(err)
+				}
+				atLevel, atFast := e.fed[lvl]-before[lvl], e.fed[fst]-before[fst]
+				if atLevel >= 2*int64(len(plane)) {
+					t.Errorf("seed %d v %d plane %d (%v): %d bytes through the configured level, the plane is %d",
+						seed, v, j, mode, atLevel, len(plane))
+				}
+				if mode == PlaneLevel {
+					atLevel -= int64(len(plane))
+				} else {
+					atFast -= int64(len(plane))
+				}
+				if atLevel < 0 || atFast < 0 {
+					t.Fatalf("seed %d v %d plane %d (%v): kept member not counted (%d, %d)", seed, v, j, mode, atLevel, atFast)
+				}
+				lvlDiscarded += atLevel
+				discarded += atLevel + atFast
+			}
+			if lvlDiscarded > chunk/16 {
+				t.Errorf("seed %d v %d: %d bytes deflated at the configured level and dropped, want <= %d", seed, v, lvlDiscarded, chunk/16)
+			}
+			if discarded > parentDiscarded {
+				t.Errorf("seed %d v %d: %d bytes deflated and dropped, want <= %d", seed, v, discarded, parentDiscarded)
+			}
+		}
+	}
+}
+
 // Output must not depend on pool state or on which goroutine encodes: cold
 // pools, warm pools and concurrent callers all produce the same bytes.
 func TestShuffleGzipDeterministic(t *testing.T) {
@@ -319,8 +376,37 @@ func TestShuffleGzipToSteadyStateAllocs(t *testing.T) {
 // result lives in that buffer and nothing grows it, although each 64 KiB
 // plane ends on a 32 KiB window boundary, where flate reports the end of a
 // member one Read late.
+//
+// The smooth field's low plane is one level 1 can only store and the
+// configured level repays: its member is the kept trial, an empty stored block
+// (the flush's sync marker) 16 KiB in. To a plain compress/gzip reader that is
+// one more deflate block: same bytes, same single pass.
 func TestShuffleGzipDecodeOnePass(t *testing.T) {
-	data := benchField(1, 0, 256<<10)
+	smooth := smoothField(256 << 10)
+	enc, _, err := ShuffleGzipTo(nil, smooth, 4, gzip.DefaultCompression)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(enc, []byte{0, 0, 0xff, 0xff}) {
+		t.Fatal("no sync marker in the smooth field's encoding: no trial head was kept")
+	}
+	zr, err := gzip.NewReader(bytes.NewReader(enc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh := make([]byte, len(smooth)+1)
+	if n, err := io.ReadFull(zr, sh); n != len(smooth) || err != io.ErrUnexpectedEOF {
+		t.Fatalf("compress/gzip read %d bytes (%v) of a %d-byte chunk with a sync marker", n, err, len(smooth))
+	}
+	if raw, _ := Unshuffle(sh[:len(smooth)], 4); !bytes.Equal(raw, smooth) {
+		t.Fatal("compress/gzip decodes the member with a sync marker to different bytes")
+	}
+	for _, data := range [][]byte{benchField(1, 0, 256<<10), smooth} {
+		decodeOnePass(t, data)
+	}
+}
+
+func decodeOnePass(t *testing.T, data []byte) {
 	enc, _, err := ShuffleGzipTo(nil, data, 4, gzip.DefaultCompression)
 	if err != nil {
 		t.Fatal(err)
@@ -368,6 +454,28 @@ func FuzzPlaneGzipRoundTrip(f *testing.F) {
 	f.Add(append(noise, runs...), uint8(1), int8(2))
 	f.Add(benchField(2, 0, 4*noiseSample+40), uint8(2), int8(-1))
 	f.Add(runs, uint8(3), int8(-2))
+	// Both branches of the four-byte pre-check, with planes around the trial
+	// head's length: noise without a repeat skips the configured level's
+	// trial; noise stamped with a 5-byte pattern every 61 bytes is still
+	// nothing level 1 can pack, but takes the trial (and fails it).
+	for _, planeLen := range []int{noiseSample - 1, noiseSample, noiseSample + 1, 2 * noiseSample} {
+		for _, sizeSel := range []uint8{2, 3} {
+			n := planeLen << sizeSel
+			fresh := make([]byte, n)
+			rand.New(rand.NewSource(int64(n))).Read(fresh)
+			f.Add(bytes.Clone(fresh), sizeSel, int8(-1))
+			// Shuffled, every 1<<sizeSel-th byte is the lowest plane.
+			for i := 0; i+5 <= planeLen; i += 61 {
+				for k, c := range []byte{3, 1, 4, 1, 5} {
+					fresh[(i+k)<<sizeSel] = c
+				}
+			}
+			f.Add(fresh, sizeSel, int8(-1))
+		}
+	}
+	// A trial that is kept: the low plane of a smooth field.
+	smooth, _ := Shuffle(smoothField(8*noiseSample), 4)
+	f.Add(smooth[:2*noiseSample], uint8(0), int8(-1))
 	f.Fuzz(func(t *testing.T, data []byte, sizeSel uint8, level int8) {
 		elemSize := 1 << (sizeSel % 4)
 		data = data[:len(data)-len(data)%elemSize]
@@ -417,4 +525,45 @@ func BenchmarkShuffleGzipBenchField(b *testing.B) {
 			out, _, _ = ShuffleGzipTo(out, data, 4, gzip.DefaultCompression)
 		}
 	})
+}
+
+func TestRepeats4(t *testing.T) {
+	// More four-byte sequences than the table has slots: slots are reused by
+	// unrelated sequences throughout, and verification must tell those from
+	// repeats.
+	crowded := make([]byte, 2*len(Encoder{}.grams))
+	rand.New(rand.NewSource(5)).Read(crowded)
+	seen := make(map[string]bool)
+	for i := 0; i+4 <= len(crowded); i++ {
+		if seen[string(crowded[i:i+4])] {
+			t.Fatal("the collision case has a real repeat: pick another seed")
+		}
+		seen[string(crowded[i:i+4])] = true
+	}
+	for _, c := range []struct {
+		name string
+		s    []byte
+		want bool
+	}{
+		{"empty", nil, false},
+		{"three bytes", []byte{7, 7, 7}, false},
+		{"one sequence", []byte{7, 7, 7, 7}, false},
+		{"no repeat", []byte("abcdefghijklmnop"), false},
+		{"distance 1", []byte{1, 7, 7, 7, 7, 7, 2}, true},
+		{"three bytes repeat, four do not", []byte("abcXabcYabcZ"), false},
+		{"repeat ends on the last byte", []byte("abcd-0123456789-abcd"), true},
+		{"repeat starts on the first byte", []byte("abcdabcd"), true},
+		{"collisions without a repeat", crowded, false},
+		{"a repeat among collisions", append(bytes.Clone(crowded[:len(crowded)/2]), crowded[len(crowded)/2-4:len(crowded)/2]...), true},
+	} {
+		if got := new(Encoder).repeats4(c.s); got != c.want {
+			t.Errorf("%s: repeats4 = %v, want %v", c.name, got, c.want)
+		}
+	}
+	// The table is cleared per call: a sequence seen in one sample is not a
+	// repeat in the next.
+	var e Encoder
+	if e.repeats4([]byte("abcdefgh")) || e.repeats4([]byte("abcdefgh")) {
+		t.Error("repeats4 carries sequences over from one call to the next")
+	}
 }

@@ -51,42 +51,12 @@ func Shuffle(b []byte, elemSize int) ([]byte, error) {
 	return ShuffleTo(nil, b, elemSize)
 }
 
-// shuffleBlock is the element-count tile of the cache-blocked transpose: the
-// inner loops touch shuffleBlock source bytes per output row while the whole
-// source tile (shuffleBlock × elemSize bytes) stays resident in L1, instead
-// of striding through the entire input once per byte lane.
-const shuffleBlock = 512
-
 // ShuffleTo is Shuffle writing into dst's backing array (grown as needed, à
 // la append), so steady-state callers shuffle without allocating. It returns
 // the result slice, which aliases dst when cap(dst) >= len(b). b and dst
 // must not overlap.
 func ShuffleTo(dst, b []byte, elemSize int) ([]byte, error) {
-	if elemSize <= 0 {
-		return nil, fmt.Errorf("transform: shuffle element size %d", elemSize)
-	}
-	if len(b)%elemSize != 0 {
-		return nil, fmt.Errorf("transform: shuffle: %d bytes not a multiple of element size %d", len(b), elemSize)
-	}
-	out := grow(dst, len(b))
-	if elemSize == 1 {
-		copy(out, b)
-		return out, nil
-	}
-	n := len(b) / elemSize
-	for i0 := 0; i0 < n; i0 += shuffleBlock {
-		i1 := i0 + shuffleBlock
-		if i1 > n {
-			i1 = n
-		}
-		for j := 0; j < elemSize; j++ {
-			lane := out[j*n : (j+1)*n]
-			for i := i0; i < i1; i++ {
-				lane[i] = b[i*elemSize+j]
-			}
-		}
-	}
-	return out, nil
+	return transposeTo(dst, b, elemSize, "shuffle", shuffle4, shuffle8, shuffleBytes)
 }
 
 // Unshuffle reverses Shuffle.
@@ -97,23 +67,100 @@ func Unshuffle(b []byte, elemSize int) ([]byte, error) {
 // UnshuffleTo is Unshuffle writing into dst's backing array (grown as
 // needed). b and dst must not overlap.
 func UnshuffleTo(dst, b []byte, elemSize int) ([]byte, error) {
+	return transposeTo(dst, b, elemSize, "unshuffle", unshuffle4, unshuffle8, unshuffleBytes)
+}
+
+// transposeTo checks the arguments and picks the kernel: float32 and float64
+// elements, which is what fields are made of, move as one word each.
+func transposeTo(dst, b []byte, elemSize int, op string, by4, by8 func(out, b []byte), byN func(out, b []byte, elemSize int)) ([]byte, error) {
 	if elemSize <= 0 {
-		return nil, fmt.Errorf("transform: unshuffle element size %d", elemSize)
+		return nil, fmt.Errorf("transform: %s element size %d", op, elemSize)
 	}
 	if len(b)%elemSize != 0 {
-		return nil, fmt.Errorf("transform: unshuffle: %d bytes not a multiple of element size %d", len(b), elemSize)
+		return nil, fmt.Errorf("transform: %s: %d bytes not a multiple of element size %d", op, len(b), elemSize)
 	}
 	out := grow(dst, len(b))
-	if elemSize == 1 {
+	switch elemSize {
+	case 1:
 		copy(out, b)
-		return out, nil
+	case 4:
+		by4(out, b)
+	case 8:
+		by8(out, b)
+	default:
+		byN(out, b, elemSize)
 	}
+	return out, nil
+}
+
+// lanes4 and lanes8 cut a shuffled buffer into its byte planes, all of one
+// length the compiler can see: a kernel then pays one bounds check per
+// element (the word access) instead of one per byte.
+func lanes4(s []byte) (l0, l1, l2, l3 []byte) {
+	n := len(s) / 4
+	return s[:n], s[n:][:n], s[2*n:][:n], s[3*n:][:n]
+}
+
+func lanes8(s []byte) (l0, l1, l2, l3, l4, l5, l6, l7 []byte) {
+	n := len(s) / 8
+	return s[:n], s[n:][:n], s[2*n:][:n], s[3*n:][:n], s[4*n:][:n], s[5*n:][:n], s[6*n:][:n], s[7*n:][:n]
+}
+
+func shuffle4(out, b []byte) {
+	l0, l1, l2, l3 := lanes4(out)
+	for i := range l0 {
+		w := binary.LittleEndian.Uint32(b[4*i:])
+		l0[i], l1[i], l2[i], l3[i] = byte(w), byte(w>>8), byte(w>>16), byte(w>>24)
+	}
+}
+
+func unshuffle4(out, b []byte) {
+	l0, l1, l2, l3 := lanes4(b)
+	for i := range l0 {
+		binary.LittleEndian.PutUint32(out[4*i:], uint32(l0[i])|uint32(l1[i])<<8|uint32(l2[i])<<16|uint32(l3[i])<<24)
+	}
+}
+
+func shuffle8(out, b []byte) {
+	l0, l1, l2, l3, l4, l5, l6, l7 := lanes8(out)
+	for i := range l0 {
+		w := binary.LittleEndian.Uint64(b[8*i:])
+		l0[i], l1[i], l2[i], l3[i] = byte(w), byte(w>>8), byte(w>>16), byte(w>>24)
+		l4[i], l5[i], l6[i], l7[i] = byte(w>>32), byte(w>>40), byte(w>>48), byte(w>>56)
+	}
+}
+
+func unshuffle8(out, b []byte) {
+	l0, l1, l2, l3, l4, l5, l6, l7 := lanes8(b)
+	for i := range l0 {
+		binary.LittleEndian.PutUint64(out[8*i:], uint64(l0[i])|uint64(l1[i])<<8|uint64(l2[i])<<16|uint64(l3[i])<<24|
+			uint64(l4[i])<<32|uint64(l5[i])<<40|uint64(l6[i])<<48|uint64(l7[i])<<56)
+	}
+}
+
+// shuffleBlock is the element-count tile of the cache-blocked transpose for
+// the other element sizes: the inner loops touch shuffleBlock source bytes per
+// output row while the whole source tile (shuffleBlock × elemSize bytes) stays
+// resident in L1, instead of striding through the entire input once per lane.
+const shuffleBlock = 512
+
+func shuffleBytes(out, b []byte, elemSize int) {
 	n := len(b) / elemSize
 	for i0 := 0; i0 < n; i0 += shuffleBlock {
-		i1 := i0 + shuffleBlock
-		if i1 > n {
-			i1 = n
+		i1 := min(i0+shuffleBlock, n)
+		for j := 0; j < elemSize; j++ {
+			lane := out[j*n : (j+1)*n]
+			for i := i0; i < i1; i++ {
+				lane[i] = b[i*elemSize+j]
+			}
 		}
+	}
+}
+
+func unshuffleBytes(out, b []byte, elemSize int) {
+	n := len(b) / elemSize
+	for i0 := 0; i0 < n; i0 += shuffleBlock {
+		i1 := min(i0+shuffleBlock, n)
 		for j := 0; j < elemSize; j++ {
 			lane := b[j*n : (j+1)*n]
 			for i := i0; i < i1; i++ {
@@ -121,7 +168,6 @@ func UnshuffleTo(dst, b []byte, elemSize int) ([]byte, error) {
 			}
 		}
 	}
-	return out, nil
 }
 
 // grow returns a slice of length n using dst's backing array when its

@@ -3,8 +3,10 @@ package transform
 import (
 	"bytes"
 	"compress/gzip"
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -446,5 +448,90 @@ func TestDecompressGzipToExactHintAtWindowMultiple(t *testing.T) {
 	}
 	if cap(got) != cap(dst) || &got[0] != &dst[:1][0] {
 		t.Errorf("decode grew the exact hint from %d to %d bytes", cap(dst), cap(got))
+	}
+}
+
+func BenchmarkShuffleTo(b *testing.B) {
+	data := make([]byte, 256<<10)
+	rand.New(rand.NewSource(3)).Read(data)
+	for _, es := range []int{4, 8, 2} {
+		for name, f := range map[string]func(dst, b []byte, elemSize int) ([]byte, error){"shuffle": ShuffleTo, "unshuffle": UnshuffleTo} {
+			b.Run(fmt.Sprintf("%s%d", name, es), func(b *testing.B) {
+				var out []byte
+				b.SetBytes(int64(len(data)))
+				for i := 0; i < b.N; i++ {
+					out, _ = f(out, data, es)
+				}
+			})
+		}
+	}
+}
+
+// The word-wide kernels for 4- and 8-byte elements are the byte loop, faster:
+// same bytes out for every length, in both directions.
+func TestShuffle4And8MatchGeneric(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for _, es := range []int{4, 8} {
+		for _, elems := range []int{0, 1, 2, 3, 7, shuffleBlock + 1, 1023} {
+			b := make([]byte, es*elems)
+			rng.Read(b)
+			want, back := make([]byte, len(b)), make([]byte, len(b))
+			shuffleBytes(want, b, es)
+			got, err := ShuffleTo(nil, b, es)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("ShuffleTo(es=%d, n=%d) differs from the byte loop", es, elems)
+			}
+			unshuffleBytes(back, want, es)
+			if !bytes.Equal(back, b) {
+				t.Fatalf("the byte loops do not invert each other (es=%d, n=%d)", es, elems)
+			}
+			if got, err = UnshuffleTo(nil, want, es); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, b) {
+				t.Errorf("UnshuffleTo(es=%d, n=%d) differs from the byte loop", es, elems)
+			}
+		}
+	}
+}
+
+// A corrupt chunk must not cost the pool its reader: the decode after a
+// failed one allocates bookkeeping, not a gzip.Reader and its 32 KiB window.
+func TestDecompressGzipToKeepsReaderOnError(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
+	data := make([]byte, 64<<10)
+	rand.New(rand.NewSource(17)).Read(data)
+	whole, err := CompressGzip(data, gzip.DefaultCompression)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := make([]byte, 0, len(data))
+	for _, c := range []struct {
+		name    string
+		corrupt []byte
+	}{
+		{"bad header", []byte("not gzip at all")},
+		{"truncated member", whole[:len(whole)/2]},
+		{"bad trailer", append(bytes.Clone(whole[:len(whole)-1]), whole[len(whole)-1]^1)},
+	} {
+		name, corrupt := c.name, c.corrupt
+		if _, err := DecompressGzipTo(dst, corrupt); err == nil {
+			t.Fatalf("%s: decode succeeded", name)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := DecompressGzipTo(dst, corrupt)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%s: second decode succeeded", name)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 4<<10 {
+			t.Errorf("%s: the decode after a failed one allocates %d bytes, want < 4096", name, got)
+		}
 	}
 }

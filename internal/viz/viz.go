@@ -10,6 +10,7 @@
 package viz
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -17,6 +18,10 @@ import (
 	"damaris/internal/layout"
 	"damaris/internal/mpi"
 )
+
+// ErrNoChunks is what FromChunkSource wraps when the source holds no chunk of
+// the variable and iteration asked for.
+var ErrNoChunks = errors.New("viz: no chunks")
 
 // Field is a dense N-dimensional float32 array with C-order extents
 // (slowest-varying first).
@@ -190,7 +195,7 @@ func FromChunkSource(metas []dsf.ChunkMeta, read func(i int) ([]byte, error), na
 		chunks = append(chunks, Chunk{Global: m.Global, Data: mpi.BytesToFloat32s(raw)})
 	}
 	if len(chunks) == 0 {
-		return nil, fmt.Errorf("viz: no chunks of %q iteration %d", name, iteration)
+		return nil, fmt.Errorf("%w of %q iteration %d", ErrNoChunks, name, iteration)
 	}
 	return Assemble(chunks)
 }
