@@ -335,18 +335,14 @@ func reportShards(ps []core.PipelineStats, budgets [][2]int) {
 	}
 	for i, s := range ps {
 		n := len(s.Shards)
-		var events, wakeups, hints, steals, stolen []int64
+		var events, wakeups []int64
 		var busy []string
 		for _, sh := range s.Shards {
 			events = append(events, sh.Events)
 			wakeups = append(wakeups, sh.Wakeups)
-			hints = append(hints, sh.StealHints)
-			steals = append(steals, sh.Steals)
-			stolen = append(stolen, sh.Stolen)
 			busy = append(busy, fmt.Sprintf("%.1f%%", 100*sh.BusyFraction))
 		}
-		fmt.Printf("shards[%d]: core %d: events=%v wakeups=%v steal-hints=%v steals=%v stolen=%v busy=%v steal-threshold=%d\n",
-			n, i, events, wakeups, hints, steals, stolen, busy, s.StealThreshold)
+		fmt.Printf("shards[%d]: core %d: events=%v wakeups=%v busy=%v\n", n, i, events, wakeups, busy)
 	}
 	for i, b := range budgets {
 		if b[0] == 0 {

@@ -15,7 +15,7 @@
 //	  <spill     dir="/local/scratch" after="2"/>
 //	  <aggregate mode="core" ring="8"/>
 //	  <control   mode="auto" interval_ms="250" max_workers="8" max_window="16" max_encode="8"/>
-//	  <shards    count="4" mode="auto" steal="4" budget="8"/>
+//	  <shards    count="4" mode="auto" budget="8"/>
 //	  <layout    name="my_layout" type="real" dimensions="64,16,2" language="fortran"/>
 //	  <variable  name="my_variable" layout="my_layout"/>
 //	  <event     name="my_event" action="do_something" using="my_plugin.so" scope="local"/>
@@ -122,11 +122,6 @@ type Config struct {
 	// spare-core budget at deployment and engage the tuner's
 	// oversubscription veto).
 	ShardMode string
-	// ShardSteal is the queue length above which a push that finds its
-	// shard loop running hints a parked sibling, which then steals pending
-	// write-notifications from that queue (0 = stealing off; an XML <shards>
-	// element without a steal attribute selects DefaultShardSteal).
-	ShardSteal int
 	// ShardBudget overrides the node spare-core budget that shards auto
 	// mode and the tuner's oversubscription veto divide between shard
 	// loops, persist writers, and encode workers (0 = derive

@@ -21,10 +21,6 @@ const (
 	// DefaultSpillAfter is the consecutive-backpressure count that triggers
 	// a scratch spill when <spill> enables one without an explicit after.
 	DefaultSpillAfter = 2
-	// DefaultShardSteal is the queue length above which pushes to a running
-	// shard loop hint a sibling to steal, applied when a <shards> element
-	// omits the steal attribute.
-	DefaultShardSteal = 4
 )
 
 // knob is one runtime setting: where the XML spells it, which damaris-run
@@ -94,8 +90,6 @@ func (c *Config) knobs() []knob {
 		{elem: "shards", attr: "count", flag: "shards", i: &c.ShardCount, help: "event-loop shards per dedicated core (0 or 1 = the classic single loop)"},
 		{elem: "shards", attr: "mode", flag: "shards-mode", s: &c.ShardMode, enum: modes,
 			help: "shard sizing: static (the count is final; default) | auto (derive the count from the node spare-core budget, capped by the count when set)"},
-		{elem: "shards", attr: "steal", flag: "shards-steal", i: &c.ShardSteal, def: DefaultShardSteal,
-			help: "queue backlog past which a push to a running shard loop hints a parked sibling to steal write events (0 = stealing off)"},
 		{elem: "shards", attr: "budget", flag: "shards-budget", i: &c.ShardBudget,
 			help: "node spare-core budget shared by shard loops, persist writers and encode workers; setting it engages enforcement (0 = GOMAXPROCS-clients, auto mode only)"},
 	}

@@ -19,7 +19,8 @@ func TestUnknownAttributesAndElementsRejected(t *testing.T) {
 		`<pipeline worker="4"/>`:                       {"<pipeline>", `"worker"`, "workers, queue, encode_workers, gzip_level"},
 		`<control max_writers="2"/>`:                   {"<control>", `"max_writers"`, "mode, interval_ms, max_workers, max_window, max_encode"},
 		`<spil dir="/x"/>`:                             {"<spil>", "buffer, pipeline, store, spill, aggregate, control, shards", "layout, variable or event"},
-		`<shards cnt="4"/>`:                            {"<shards>", `"cnt"`, "count, mode, steal, budget"},
+		`<shards cnt="4"/>`:                            {"<shards>", `"cnt"`, "count, mode, budget"},
+		`<shards count="2" steal="4"/>`:                {"<shards>", `"steal"`, "count, mode, budget"},
 		`<pipeline workers="2"/><pipeline queue="3"/>`: {"more than one <pipeline>"},
 	} {
 		_, err := ParseString("<simulation>" + doc + "</simulation>")
@@ -111,9 +112,17 @@ func TestFlagAndAttributeAgree(t *testing.T) {
 			t.Errorf("-%s %s changed nothing", k.flag, value)
 		}
 	}
-	if flags != 22 {
-		t.Errorf("%d knobs have a flag, want 22 (damaris-run's other 11 flags are its own)", flags)
+	if flags != 21 {
+		t.Errorf("%d knobs have a flag, want 21 (damaris-run's other 11 flags are its own)", flags)
 	}
+	// Work stealing between shard loops is gone, and its flag with it.
+	fs := flag.NewFlagSet("damaris-run", flag.ContinueOnError)
+	new(Config).BindFlags(fs)
+	fs.VisitAll(func(f *flag.Flag) {
+		if strings.Contains(f.Name, "steal") {
+			t.Errorf("-%s is still a flag", f.Name)
+		}
+	})
 }
 
 // docRow is a knob row of a docs table: | `attr` / `-flag` | default | …,

@@ -35,8 +35,7 @@ type serverAgg struct {
 
 	// Leader-only state.
 	leader  bool
-	writer  *DSFPersister // merged-object writer, nil when opts provided one
-	statser StoreStatser  // store metrics source behind the epoch writer
+	statser StoreStatser // store metrics source behind the epoch writer
 	fwd     *aggregate.Forwarder
 
 	// Aggregator-host-only state ("node" mode, lowest node's leader).
@@ -159,9 +158,7 @@ func setupAggregation(nodeComm *mpi.Comm, leaderComm *mpi.Comm, cfg *config.Conf
 
 	sa := &serverAgg{leader: true}
 	// Resolve the epoch writer the merged objects go through: the provided
-	// persister when it can (damaris-run's case), else a server-created DSF
-	// persister over the configured backend — the same resolution newServer
-	// applies to the per-core path.
+	// persister when it can (damaris-run's case), else the default one.
 	var writer aggregate.EpochWriter
 	if opts.Persister != nil {
 		w, ok := opts.Persister.(aggregate.EpochWriter)
@@ -174,23 +171,12 @@ func setupAggregation(nodeComm *mpi.Comm, leaderComm *mpi.Comm, cfg *config.Conf
 			sa.statser = ss
 		}
 	} else {
-		p := &DSFPersister{Dir: opts.OutputDir, Node: nodeIdx, ServerID: worldRank,
-			GzipLevel: cfg.PersistGzipLevel}
-		if cfg.PersistBackend != "" {
-			b, err := store.OpenWith(cfg.PersistBackend, cfg.StoreOptions())
-			if err != nil {
-				return fail(fmt.Errorf("core: server %d: persist backend: %w", worldRank, err))
-			}
-			p.Backend = b
-			sa.ownStore = b
+		p, pool, backend, err := newDefaultPersister(cfg, opts, nodeIdx, worldRank)
+		if err != nil {
+			return fail(err)
 		}
-		if cfg.EncodeWorkers > 0 {
-			sa.pool = dsf.NewEncodePool(cfg.EncodeWorkers)
-			p.SetEncodePool(sa.pool)
-		}
-		writer = p
-		sa.writer = p
-		sa.statser = p
+		writer, sa.statser = p, p
+		sa.pool, sa.ownStore = pool, backend
 	}
 
 	// Members are the node's dedicated cores, identified by world rank (the

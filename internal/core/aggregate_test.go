@@ -11,19 +11,20 @@ import (
 	"damaris/internal/config"
 	"damaris/internal/dsf"
 	"damaris/internal/mpi"
+	"damaris/internal/obs"
 	"damaris/internal/store"
 )
 
-// runAggregated deploys 2 nodes x 4 cores with the given config, every
+// runAggregated deploys 2 nodes x 4 cores with the given config and options, every
 // client writing both variables for `iters` iterations, and returns the
 // pipeline stats collected from each server.
-func runAggregated(t *testing.T, cfg *config.Config, outDir string, iters int) []PipelineStats {
+func runAggregated(t *testing.T, cfg *config.Config, opts Options, iters int) []PipelineStats {
 	t.Helper()
 	var mu sync.Mutex
 	var stats []PipelineStats
 	var firstErr error
 	err := mpi.Run(8, 4, func(comm *mpi.Comm) {
-		dep, err := Deploy(comm, cfg, nil, Options{OutputDir: outDir})
+		dep, err := Deploy(comm, cfg, nil, opts)
 		if err != nil {
 			mu.Lock()
 			if firstErr == nil {
@@ -104,7 +105,7 @@ func TestDeployAggregateCoreOneObjectPerNodePerEpoch(t *testing.T) {
 		cfg.AggregateMode = "core"
 		cfg.PersistWorkers = workers
 		cfg.PersistQueueDepth = 4
-		stats := runAggregated(t, cfg, dir, iters)
+		stats := runAggregated(t, cfg, Options{OutputDir: dir}, iters)
 
 		files := readDir(t, dir)
 		// 2 nodes x 3 epochs, one object each; no per-server objects.
@@ -159,7 +160,7 @@ func TestDeployAggregateCoreOneObjectPerNodePerEpoch(t *testing.T) {
 	dir := t.TempDir()
 	cfg := testCfg(t, "mutex", 2)
 	cfg.AggregateMode = "core"
-	runAggregated(t, cfg, dir, 1)
+	runAggregated(t, cfg, Options{OutputDir: dir}, 1)
 	for nodeIdx, wantServers := range map[int]string{0: "2,3", 1: "6,7"} {
 		path := filepath.Join(dir, fmt.Sprintf("node%04d_it%06d.dsf", nodeIdx, 0))
 		r, err := dsf.Open(path)
@@ -192,7 +193,19 @@ func TestDeployAggregateCoreObjBackend(t *testing.T) {
 	cfg.AggregateMode = "core"
 	cfg.PersistBackend = fmt.Sprintf("obj://%s?part_size=4096", dir)
 	const iters = 2
-	runAggregated(t, cfg, t.TempDir(), iters)
+	// No Options.Persister: the leader resolves the default one, and its
+	// commits of the merged objects must show up in the trace.
+	plane := obs.NewPlane(0)
+	runAggregated(t, cfg, Options{OutputDir: t.TempDir(), Obs: plane}, iters)
+	commits := 0
+	for _, sp := range plane.Tracer().Snapshot() {
+		if sp.Stage == obs.StageCommit {
+			commits++
+		}
+	}
+	if commits != 2*iters {
+		t.Errorf("%d commit spans, want %d (one per merged epoch)", commits, 2*iters)
+	}
 
 	b, err := store.Open("obj://" + dir)
 	if err != nil {
@@ -238,7 +251,7 @@ func TestDeployAggregateNode(t *testing.T) {
 	cfg.AggregateMode = "node"
 	cfg.PersistWorkers = 2
 	cfg.PersistQueueDepth = 4
-	stats := runAggregated(t, cfg, dir, iters)
+	stats := runAggregated(t, cfg, Options{OutputDir: dir}, iters)
 
 	files := readDir(t, dir)
 	if len(files) != iters {

@@ -246,9 +246,7 @@ func (c *Client) EndIteration(iteration int64) error {
 	// (see the flow doc in core.go). This wait overlaps the next compute
 	// phase in real use — by the time the simulation computes, the
 	// pipeline has drained within the window again.
-	if c.fc != nil {
-		c.fc.wait(iteration)
-	}
+	c.fc.wait(iteration)
 	return nil
 }
 

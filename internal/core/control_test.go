@@ -215,7 +215,7 @@ func TestControlAggregatedByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_ = runAggregated(t, cfg, dir, 8)
+		_ = runAggregated(t, cfg, Options{OutputDir: dir}, 8)
 		return readDir(t, dir)
 	}
 

@@ -307,7 +307,7 @@ func Deploy(world *mpi.Comm, cfg *config.Config, reg *plugin.Registry, opts Opti
 		for i := range queues {
 			queues[i] = event.NewQueue()
 		}
-		event.LinkQueues(queues, stealThreshold(cfg, nsh))
+		event.LinkQueues(queues)
 		fc := newFlow(window)
 		for localIdx, clientNodeRank := range group {
 			node.Send(clientNodeRank, tagInit,

@@ -39,15 +39,11 @@ func (ps PipelineStats) Emit(e *obs.Emitter, labels ...string) {
 	}
 	e.Counter("damaris_aggregate_forwarded_total", float64(ps.AggregateForwarded), labels...)
 	e.Gauge("damaris_shard_count", float64(len(ps.Shards)), labels...)
-	e.Gauge("damaris_shard_steal_threshold", float64(ps.StealThreshold), labels...)
 	for i, sh := range ps.Shards {
 		sl := append([]string{"shard", fmt.Sprint(i)}, labels...)
 		e.Gauge("damaris_shard_queue_depth", float64(sh.QueueLen), sl...)
 		e.Counter("damaris_shard_events_total", float64(sh.Events), sl...)
-		e.Counter("damaris_shard_steals_total", float64(sh.Steals), sl...)
-		e.Counter("damaris_shard_stolen_total", float64(sh.Stolen), sl...)
 		e.Counter("damaris_shard_wakeups_total", float64(sh.Wakeups), sl...)
-		e.Counter("damaris_shard_steal_hints_total", float64(sh.StealHints), sl...)
 		e.Gauge("damaris_shard_busy_fraction", sh.BusyFraction, sl...)
 	}
 }

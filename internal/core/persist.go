@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"damaris/internal/config"
 	"damaris/internal/dsf"
 	"damaris/internal/metadata"
 	"damaris/internal/mpi"
@@ -108,6 +109,43 @@ func (p *DSFPersister) traceHandle() *obs.Tracer {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.tracer
+}
+
+// newDefaultPersister builds the persister a dedicated core (or a node's
+// aggregation leader) writes through when Options names none: a DSF
+// persister over the configured backend, compressing on a pool of
+// encode_workers, recording commit spans on the deployment's tracer. The
+// caller owns the returned pool and backend (either may be nil) and closes
+// them after its last Persist.
+//
+// Only this persister has a pool and a tracer installed for it: an
+// externally provided one may be shared across servers, where per-server
+// installation would race and the first server to close would tear the pool
+// out from under the others; such persisters wire their own (see
+// SetEncodePool, SetTracer). Likewise the backend: every dedicated core opens
+// its own instance over the same target, which is how object-store
+// deployments work — dedupe composes across instances.
+func newDefaultPersister(cfg *config.Config, opts Options, node, worldRank int) (*DSFPersister, *dsf.EncodePool, store.Backend, error) {
+	p := &DSFPersister{Dir: opts.OutputDir, Node: node, ServerID: worldRank,
+		GzipLevel: cfg.PersistGzipLevel}
+	var backend store.Backend
+	if cfg.PersistBackend != "" {
+		b, err := store.OpenWith(cfg.PersistBackend, cfg.StoreOptions())
+		if err != nil {
+			return nil, nil, nil, fmt.Errorf("core: server %d: persist backend: %w", worldRank, err)
+		}
+		p.Backend, backend = b, b
+	}
+	var pool *dsf.EncodePool
+	if cfg.EncodeWorkers > 0 {
+		// Shared by every persist writer of the dedicated core: chunk
+		// compression fans out across the pool while each writer streams its
+		// file in deterministic order.
+		pool = dsf.NewEncodePool(cfg.EncodeWorkers)
+		p.SetEncodePool(pool)
+	}
+	p.SetTracer(opts.Obs.Tracer())
+	return p, pool, backend, nil
 }
 
 // Persist writes all entries of the iteration into one new DSF file.

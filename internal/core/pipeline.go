@@ -530,9 +530,6 @@ type PipelineStats struct {
 	// shard loop; a single classic loop reports one). Filled by
 	// Server.PipelineStats.
 	Shards []ShardStat
-	// StealThreshold is the sibling-queue backlog that triggers work
-	// stealing between shard loops (0 = stealing off or single shard).
-	StealThreshold int
 }
 
 // tuneSample cheaply reads the telemetry the control plane consumes every

@@ -67,7 +67,6 @@ type Server struct {
 	tuner     *control.Tuner  // nil under static control
 	budget    int             // spare-core budget (0 = budgeting off)
 	reserved  int             // budget cores reserved for shard loops
-	clock     control.Clock   // decision clock
 	tuneEvery time.Duration   // decision interval (heavy-sample rate limit)
 	lastIter  time.Time       // previous iteration-completion instant (event loop only)
 	lastHeavy time.Time       // previous encode/store/ring sampling instant (event loop only)
@@ -99,8 +98,6 @@ type Server struct {
 // segmentCloser is the part of shm.Segment the server needs at shutdown.
 type segmentCloser interface {
 	Close()
-	Size() int64
-	FreeBytes() int64
 }
 
 // newServer builds a dedicated-core server over one engine+queue pair per
@@ -130,9 +127,8 @@ func newServer(cfg *config.Config, engines []*event.Engine, queues []*event.Queu
 		tracer:    opts.Obs.Tracer(),
 		iterFirst: make(map[int64]time.Time),
 	}
-	steal := stealThreshold(cfg, len(engines))
 	for i := range engines {
-		s.shards = append(s.shards, &shardLoop{idx: i, queue: queues[i], eng: engines[i], steal: steal})
+		s.shards = append(s.shards, &shardLoop{idx: i, queue: queues[i], eng: engines[i]})
 	}
 	// One WorkerSet slot per shard loop: the same busy bookkeeping the
 	// writer and encode pools use, so per-shard utilization is computed the
@@ -158,35 +154,11 @@ func newServer(cfg *config.Config, engines []*event.Engine, queues []*event.Queu
 		s.encPool = sagg.pool
 		s.ownStore = sagg.ownStore
 	} else if s.persister == nil {
-		// The encode pool is shared by every persist writer of this
-		// dedicated core: chunk compression fans out across encode_workers
-		// goroutines while each writer streams its file in deterministic
-		// order. The server only installs (and owns) a pool on the default
-		// persister it creates here — an externally provided persister may
-		// be shared across servers, where per-server pool installation
-		// would race and the first server to close would tear the pool out
-		// from under the others; such persisters wire their own pool (see
-		// DSFPersister.SetEncodePool).
-		p := &DSFPersister{Dir: opts.OutputDir, Node: node, ServerID: worldRank,
-			GzipLevel: cfg.PersistGzipLevel}
-		if cfg.PersistBackend != "" {
-			// The config names a storage backend; this server owns the
-			// instance it opens (siblings on other dedicated cores open
-			// their own over the same target, which is how object-store
-			// deployments work — dedupe composes across instances).
-			b, err := store.OpenWith(cfg.PersistBackend, cfg.StoreOptions())
-			if err != nil {
-				return nil, fmt.Errorf("core: server %d: persist backend: %w", worldRank, err)
-			}
-			p.Backend = b
-			s.ownStore = b
+		p, pool, backend, err := newDefaultPersister(cfg, opts, node, worldRank)
+		if err != nil {
+			return nil, err
 		}
-		if cfg.EncodeWorkers > 0 {
-			s.encPool = dsf.NewEncodePool(cfg.EncodeWorkers)
-			p.SetEncodePool(s.encPool)
-		}
-		p.SetTracer(s.tracer)
-		s.persister = p
+		s.persister, s.encPool, s.ownStore = p, pool, backend
 	}
 	// The pools and persisters the server owns trace under its rank; shared
 	// external ones wire their own tracer (see DSFPersister.SetTracer), the
@@ -195,12 +167,11 @@ func newServer(cfg *config.Config, engines []*event.Engine, queues []*event.Queu
 	if cfg.ControlAuto() {
 		// Adaptive control plane: the configured knobs become the starting
 		// point of a feedback-tuned range. Config.Validate has already
-		// rejected auto mode without an asynchronous pipeline. The wall
-		// clock is the only sensible clock here — every latency in the
-		// sample is wall-time; deterministic convergence is tested at the
-		// Tuner level (internal/control, iostrat.SimulateControl), where
-		// the whole sample is synthetic.
-		s.clock = control.RealClock()
+		// rejected auto mode without an asynchronous pipeline. The tuner runs
+		// on the wall clock — every latency in the sample is wall-time;
+		// deterministic convergence is tested at the Tuner level
+		// (internal/control, iostrat.SimulateControl), where the whole sample
+		// is synthetic.
 		// Unset bounds default to the package defaults, widened to cover the
 		// configured starting sizes (an explicit max_* attribute instead
 		// clamps them — the user asked for that bound).
@@ -251,7 +222,7 @@ func newServer(cfg *config.Config, engines []*event.Engine, queues []*event.Queu
 				MaxEncode:  maxEncode,
 			},
 			Interval: time.Duration(cfg.ControlIntervalMS) * time.Millisecond,
-			Clock:    s.clock,
+			Clock:    control.RealClock(),
 			Budget:   budget,
 			Reserved: reserved,
 		})
@@ -264,9 +235,7 @@ func newServer(cfg *config.Config, engines []*event.Engine, queues []*event.Queu
 			s.tuneEvery = control.DefaultInterval
 		}
 		// The clamped initial sizes are the effective starting configuration.
-		if fc != nil {
-			fc.setWindow(int64(t.Sizes().Window))
-		}
+		fc.setWindow(int64(t.Sizes().Window))
 	}
 	if cfg.PersistWorkers > 0 {
 		workers, depth := cfg.PersistWorkers, cfg.PersistQueueDepth
@@ -480,9 +449,7 @@ func (s *Server) Close() error {
 			}
 		}
 		s.seg.Close()
-		if s.fc != nil {
-			s.fc.close()
-		}
+		s.fc.close()
 	})
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -582,7 +549,7 @@ func (s *Server) tune() {
 	if s.tuner == nil || s.pipe == nil {
 		return
 	}
-	now := s.clock.Now()
+	now := time.Now()
 	var gap float64
 	if !s.lastIter.IsZero() {
 		gap = now.Sub(s.lastIter).Seconds()
@@ -620,9 +587,7 @@ func (s *Server) tune() {
 		return
 	}
 	s.pipe.resize(sizes.Writers)
-	if s.fc != nil {
-		s.fc.setWindow(int64(sizes.Window))
-	}
+	s.fc.setWindow(int64(sizes.Window))
 	if sizes.Encode > 0 {
 		// Only the pool this server owns is ever resized (see the Encode
 		// dimension note in newServer); sizes.Encode stays 0 otherwise.
@@ -654,11 +619,9 @@ func (s *Server) iterationDurable(it int64, persistDur, latency float64, bytes i
 		}
 	}
 	s.mu.Unlock()
-	if s.fc != nil {
-		// Unblock clients waiting at the flow-control window; on persist
-		// error the data is gone either way, so liveness wins.
-		s.fc.setFlushed(it)
-	}
+	// Unblock clients waiting at the flow-control window; on persist error
+	// the data is gone either way, so liveness wins.
+	s.fc.setFlushed(it)
 }
 
 // WriteTimes returns the seconds each iteration flush took on the dedicated
@@ -741,15 +704,9 @@ func (s *Server) PipelineStats() PipelineStats {
 		s.mu.Unlock()
 	} else {
 		ps = s.pipe.snapshot(s.cfg.PersistQueueDepth)
-		ps.Window = s.cfg.PersistQueueDepth
-		if s.fc != nil {
-			ps.Window = int(s.fc.windowSize())
-		}
+		ps.Window = int(s.fc.windowSize())
 	}
 	ps.Shards = s.shardStats()
-	if len(s.shards) > 0 {
-		ps.StealThreshold = s.shards[0].steal
-	}
 	ps.Control = s.tuner.Stats()
 	// Report the pool this server owns, or the one an external persister
 	// carries; nil pools yield zero stats.
@@ -790,9 +747,6 @@ func (s *Server) EffectiveSizes() (writers, window, encode int) {
 	if s.pipe != nil {
 		snap := s.pipe.snapshot(s.cfg.PersistQueueDepth)
 		writers = snap.Workers
-		window = s.cfg.PersistQueueDepth
-	}
-	if s.fc != nil && s.pipe != nil {
 		window = int(s.fc.windowSize())
 	}
 	// Report whatever pool actually encodes for this server — owned or

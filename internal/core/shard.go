@@ -29,26 +29,24 @@ type shardLoop struct {
 	idx   int
 	queue *event.Queue
 	eng   *event.Engine
-	steal int // sibling queue length that triggers stealing; 0 = off
 
-	events atomic.Int64 // events handled by this loop, including stolen ones
-	steals atomic.Int64 // events this shard stole from sibling queues
-	stolen atomic.Int64 // events siblings stole from this shard's queue
+	events atomic.Int64 // events handled by this loop
 }
 
 // ShardStat is one event-loop shard's activity snapshot, reported through
 // PipelineStats.Shards.
 type ShardStat struct {
-	// Events counts events handled by this shard's loop (including ones it
-	// stole); Steals counts events it took from sibling queues; Stolen
-	// counts events siblings took from its queue.
-	Events, Steals, Stolen int64
+	// Events counts events handled by this shard's loop.
+	Events int64
+	// Steals is always zero: shard loops do not steal from one another
+	// (docs/sharding.md says why). The field stays only because
+	// bench/layers.go reads it for the core.shard_steals row, and goes with
+	// that row.
+	Steals int64
 	// Wakeups counts the times the loop left a park — what an idle dedicated
 	// core pays for; it grows with iterations and signals, never with the
-	// number of writes or with wall time. StealHints counts the parks ended
-	// by a sibling's steal hint (a push that found that sibling's loop
-	// running behind a backlog).
-	Wakeups, StealHints int64
+	// number of writes or with wall time.
+	Wakeups int64
 	// QueueLen is the shard queue's instantaneous length at snapshot time.
 	QueueLen int
 	// BusySeconds is the time this shard's loop spent handling events;
@@ -108,32 +106,22 @@ func effectiveShards(cfg *config.Config, clients int) int {
 	return n
 }
 
-// stealThreshold is the queue backlog past which shard loops steal from one
-// another: the configured value with several loops, 0 (off) with one.
-func stealThreshold(cfg *config.Config, shards int) int {
-	if shards > 1 {
-		return cfg.ShardSteal
-	}
-	return 0
-}
-
 // runShard is one shard loop: park until the queue has something to act on,
-// drain the whole backlog in FIFO order (and, when a sibling hinted, steal
-// while there is something to steal), account the pass, park again. Idle and
-// busy time and the event count are booked once per pass, not per event. It
-// returns when the shard's queue is closed and drained.
+// drain the whole backlog in FIFO order, account the pass, park again. Idle
+// and busy time and the event count are booked once per pass, not per event.
+// It returns when the shard's queue is closed and drained.
 func (s *Server) runShard(sl *shardLoop) {
 	mark := time.Now()
 	for {
-		nudged, open := sl.queue.Park()
+		open := sl.queue.Park()
 		mark = s.account(sl, mark, false, 0)
 		n := 0
 		for {
-			ev, wasStolen, ok := s.nextEvent(sl, nudged)
+			ev, ok := sl.queue.TryPop()
 			if !ok {
 				break
 			}
-			s.handle(sl, ev, wasStolen)
+			s.handle(sl, ev)
 			if n++; n == accountEvery {
 				mark = s.account(sl, mark, true, n)
 				n = 0
@@ -163,23 +151,8 @@ func (s *Server) account(sl *shardLoop, mark time.Time, busy bool, events int) t
 	return now
 }
 
-// nextEvent returns the shard's next event without blocking: its own queue
-// first, then — on a pass a nudge started, with stealing on — a bounded steal
-// from the sibling ring. wasStolen marks events that must be un-pended after
-// handling.
-func (s *Server) nextEvent(sl *shardLoop, nudged bool) (ev event.Event, wasStolen, ok bool) {
-	if ev, ok := sl.queue.TryPop(); ok {
-		return ev, false, true
-	}
-	if nudged && sl.steal > 0 {
-		ev, ok := s.trySteal(sl)
-		return ev, true, ok
-	}
-	return event.Event{}, false, false
-}
-
 // handle hands one event to the shard's engine and records its outcome.
-func (s *Server) handle(sl *shardLoop, ev event.Event, wasStolen bool) {
+func (s *Server) handle(sl *shardLoop, ev event.Event) {
 	if s.tracer != nil && ev.Kind == event.WriteNotification {
 		// The write span opens when the iteration's first write was made,
 		// not when this loop got round to it.
@@ -193,13 +166,7 @@ func (s *Server) handle(sl *shardLoop, ev event.Event, wasStolen bool) {
 		}
 		s.mu.Unlock()
 	}
-	err := sl.eng.Handle(ev)
-	if wasStolen {
-		// The write is applied (or definitively rejected): release any
-		// flush waiting on this iteration's stolen events.
-		sl.eng.Tally().DonePending(ev.Iteration)
-	}
-	if err != nil {
+	if err := sl.eng.Handle(ev); err != nil {
 		s.mu.Lock()
 		s.handleErrs = append(s.handleErrs, err)
 		if s.flushErr == nil && isFlushError(err) {
@@ -207,40 +174,6 @@ func (s *Server) handle(sl *shardLoop, ev event.Event, wasStolen bool) {
 		}
 		s.mu.Unlock()
 	}
-}
-
-// trySteal scans the sibling shards (starting just past this one, so thieves
-// spread over victims) and steals at most one pending WriteNotification from
-// the first whose loop is running behind a queue backlog that exceeds the
-// steal threshold (StealPop refuses a parked owner's queue). Only writes are
-// stealable: EndIteration/signal/exit events must stay on the owner shard so
-// per-client completion order is preserved. The pending registration inside
-// StealPop's accept callback happens under the victim queue's lock, before
-// the victim can pop past the stolen event — a flush of that iteration then
-// waits for the thief to finish applying it.
-func (s *Server) trySteal(sl *shardLoop) (event.Event, bool) {
-	n := len(s.shards)
-	tally := sl.eng.Tally()
-	for off := 1; off < n; off++ {
-		sib := s.shards[(sl.idx+off)%n]
-		if sib.queue.Len() <= sl.steal {
-			continue
-		}
-		ev, ok := sib.queue.StealPop(func(ev event.Event) bool {
-			if ev.Kind != event.WriteNotification {
-				return false
-			}
-			tally.AddPending(ev.Iteration)
-			return true
-		})
-		if !ok {
-			continue
-		}
-		sl.steals.Add(1)
-		sib.stolen.Add(1)
-		return ev, true
-	}
-	return event.Event{}, false
 }
 
 // shardStats snapshots every shard loop's counters, busy time (from the
@@ -258,11 +191,9 @@ func (s *Server) shardStats() []ShardStat {
 	for i, sl := range s.shards {
 		st := ShardStat{
 			Events:   sl.events.Load(),
-			Steals:   sl.steals.Load(),
-			Stolen:   sl.stolen.Load(),
+			Wakeups:  sl.queue.Wakes(),
 			QueueLen: sl.queue.Len(),
 		}
-		st.Wakeups, st.StealHints = sl.queue.Wakes()
 		if i < len(busy) {
 			st.BusySeconds = busy[i]
 		}

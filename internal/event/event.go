@@ -10,6 +10,7 @@ package event
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -60,7 +61,6 @@ type Event struct {
 	Block     *shm.Block    // payload handle for write-notifications
 	Layout    layout.Layout // dataset layout (may be zero if static/config)
 	Global    layout.Block  // position in the global domain (optional)
-	Seq       int64         // queue push order (assigned by Push); versions same-tuple overwrites
 	// At is when the client began the write, stamped where the event is
 	// pushed: a write queued on a parked loop is handled later than it was
 	// made, and the trace's write span opens at the first push. Zero on
@@ -87,29 +87,22 @@ type Event struct {
 //   - Nudge wakes the owner (and its siblings) on behalf of a client that is
 //     about to block for shared-memory space: queued writes may be what holds
 //     that space.
-//   - Steal hint: once LinkQueues joined the queues of one dedicated core, a
-//     Push that finds its owner running (not parked, and past its first Park)
-//     with more than the steal threshold queued nudges one parked sibling,
-//     which then tries StealPop. Stealing therefore engages against an owner
-//     stuck in a long handler and never against one that is merely asleep.
+//
+// Only the owner pops, so each client's events are applied in push order by
+// exactly one loop.
 type Queue struct {
 	mu     sync.Mutex
 	cond   *sync.Cond // the parked owner waits here
 	items  []Event    // items[head:] are queued; the array is reused once drained
 	head   int
 	closed bool
-	pushed int64
 
-	running bool // the owner is between two Parks (false before its first and while it is blocked in one)
-	wake    bool // an event the owner must act on arrived since its last Park
-	nudged  bool // a Nudge or steal hint arrived since the owner's last Park
+	parked bool // the owner is blocked in Park
+	wake   bool // something the owner must act on arrived since its last Park; sticky until then
 
 	wakeups int64 // times the owner left a park
-	hints   int64 // steal hints that found the owner parked
 
-	// Set once by LinkQueues, before the queues are shared.
-	ring    []*Queue // the sibling loops' queues, nearest first
-	stealAt int      // backlog past which a push to a running owner hints a sibling; 0 = never
+	siblings []*Queue // the dedicated core's other loops' queues; set once by LinkQueues, before the queues are shared
 }
 
 // NewQueue creates an empty queue.
@@ -119,17 +112,12 @@ func NewQueue() *Queue {
 	return q
 }
 
-// LinkQueues joins the queues of one dedicated core's shard loops into a
-// ring, so a push can hint a sibling loop and Nudge reaches every loop.
-// steal is the backlog past which pushes hint (0 = no hints). It must be
-// called before the queues are handed to clients or loops.
-func LinkQueues(queues []*Queue, steal int) {
-	n := len(queues)
+// LinkQueues joins the queues of one dedicated core's shard loops, so Nudge
+// on any of them reaches every loop. It must be called before the queues are
+// handed to clients or loops.
+func LinkQueues(queues []*Queue) {
 	for i, q := range queues {
-		q.stealAt = steal
-		for off := 1; off < n; off++ {
-			q.ring = append(q.ring, queues[(i+off)%n])
-		}
+		q.siblings = slices.Concat(queues[:i], queues[i+1:])
 	}
 }
 
@@ -142,8 +130,6 @@ func (q *Queue) Push(e Event) {
 		q.mu.Unlock()
 		panic("event: Push on closed queue")
 	}
-	q.pushed++
-	e.Seq = q.pushed
 	if q.head > 0 && len(q.items) == cap(q.items) && q.head >= len(q.items)/2 {
 		// Full array, at least half of it already popped: slide the live
 		// events down instead of growing, so a queue that never quite drains
@@ -156,20 +142,11 @@ func (q *Queue) Push(e Event) {
 	signal := false
 	if e.Kind != WriteNotification {
 		q.wake = true
-		signal = !q.running
-	}
-	var hint []*Queue
-	if q.running && q.stealAt > 0 && len(q.items)-q.head > q.stealAt {
-		hint = q.ring
+		signal = q.parked
 	}
 	q.mu.Unlock()
 	if signal {
 		q.cond.Signal()
-	}
-	for _, sib := range hint {
-		if sib.nudge(true) {
-			break
-		}
 	}
 }
 
@@ -196,26 +173,24 @@ func (q *Queue) TryPop() (e Event, ok bool) {
 }
 
 // Park blocks the owning loop until there is something it must act on: an
-// event other than a write notification was pushed, Nudge (or a steal hint)
-// was called, or the queue was closed — since the previous Park, so nothing
-// that arrives while the loop is running is lost. nudged tells the loop to
-// also look for work to steal; open is false once the queue is closed and
+// event other than a write notification was pushed, Nudge was called, or the
+// queue was closed — since the previous Park, so nothing that arrives while
+// the loop is running is lost. open is false once the queue is closed and
 // drained, the loop's signal to exit.
-func (q *Queue) Park() (nudged, open bool) {
+func (q *Queue) Park() (open bool) {
 	q.mu.Lock()
-	if !q.wake && !q.nudged && !q.closed {
-		q.running = false
-		for !q.wake && !q.nudged && !q.closed {
+	if !q.wake && !q.closed {
+		q.parked = true
+		for !q.wake && !q.closed {
 			q.cond.Wait()
 		}
+		q.parked = false
 		q.wakeups++
 	}
-	q.running = true
-	nudged = q.nudged
-	q.wake, q.nudged = false, false
+	q.wake = false
 	open = !q.closed || q.head < len(q.items)
 	q.mu.Unlock()
-	return nudged, open
+	return open
 }
 
 // Nudge makes every loop of the dedicated core — this queue's owner and its
@@ -223,42 +198,23 @@ func (q *Queue) Park() (nudged, open bool) {
 // blocks for shared-memory space: a write still queued on a parked loop may
 // be an overwrite whose application releases the block the client waits for.
 func (q *Queue) Nudge() {
-	q.nudge(false)
-	for _, sib := range q.ring {
-		sib.nudge(false)
+	q.wakeOwner()
+	for _, sib := range q.siblings {
+		sib.wakeOwner()
 	}
 }
 
-// nudge marks the owner nudged and resumes it if parked, which it reports.
-// The mark is sticky: an owner on its way into Park returns from it at once,
-// so a hint racing a park is never lost.
-func (q *Queue) nudge(hint bool) (parked bool) {
+// wakeOwner leaves the wake mark and resumes the owner if it is parked. The
+// mark is sticky: an owner on its way into Park returns from it at once, so a
+// wake racing a park is never lost.
+func (q *Queue) wakeOwner() {
 	q.mu.Lock()
-	parked = !q.running
-	if hint && parked && !q.nudged {
-		q.hints++
-	}
-	q.nudged = true
+	parked := q.parked
+	q.wake = true
 	q.mu.Unlock()
 	if parked {
 		q.cond.Signal()
 	}
-	return parked
-}
-
-// StealPop removes and returns the head event if the owner is running (a
-// parked owner's backlog is waiting for nobody) and accept approves it. The
-// accept callback runs under the queue lock, so any bookkeeping it performs
-// (registering the stolen event as pending) is visible before the owning
-// shard can pop the events that followed. Used by hinted shard loops to take
-// work from a backlogged sibling.
-func (q *Queue) StealPop(accept func(Event) bool) (Event, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if !q.running || q.head == len(q.items) || !accept(q.items[q.head]) {
-		return Event{}, false
-	}
-	return q.pop(), true
 }
 
 // Len returns the number of queued events.
@@ -268,19 +224,11 @@ func (q *Queue) Len() int {
 	return len(q.items) - q.head
 }
 
-// Pushed returns the total number of events ever pushed.
-func (q *Queue) Pushed() int64 {
+// Wakes returns how often the owner left a park.
+func (q *Queue) Wakes() int64 {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return q.pushed
-}
-
-// Wakes returns how often the owner left a park, and how many of those parks
-// a steal hint ended.
-func (q *Queue) Wakes() (wakeups, stealHints int64) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.wakeups, q.hints
+	return q.wakeups
 }
 
 // Close marks the queue closed and wakes the owner; TryPop still drains the
@@ -367,10 +315,6 @@ func NewShardEngine(cfg *config.Config, reg *plugin.Registry, store *metadata.St
 // Store exposes the engine's metadata catalog.
 func (e *Engine) Store() *metadata.Store { return e.store }
 
-// Tally exposes the engine's shared completion tracker (used by shard loops
-// to register stolen writes).
-func (e *Engine) Tally() *Tally { return e.tally }
-
 // Context returns the plugin context (for inspection in tests and tools).
 func (e *Engine) Context() *plugin.Context { return &e.ctx }
 
@@ -419,7 +363,6 @@ func (e *Engine) handleWrite(ev Event) error {
 		Layout: lay,
 		Block:  ev.Block,
 		Global: ev.Global,
-		Seq:    ev.Seq,
 	})
 }
 
@@ -453,9 +396,8 @@ func (e *Engine) handleEnd(ev Event) error {
 		return nil
 	}
 	// Rendezvous: wait for our flush turn (tickets are issued in iteration
-	// completion order, so per-epoch emission stays strictly ascending) and
-	// for any stolen writes of this iteration to finish applying.
-	e.tally.awaitFlush(ticket, ev.Iteration)
+	// completion order, so per-epoch emission stays strictly ascending).
+	e.tally.awaitFlush(ticket)
 	defer e.tally.flushDone()
 	if e.OnIterationEnd != nil {
 		return e.OnIterationEnd(ev.Iteration)

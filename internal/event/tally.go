@@ -16,11 +16,9 @@ import "sync"
 // ticket order — so the pipeline, spill, and aggregation layers see the same
 // single-submitter, ascending-epoch sequence as with one event loop.
 //
-// Pending writes: a shard stealing a WriteNotification from a sibling's
-// queue registers it here before the sibling can pop past it. A flush for
-// iteration i waits until no stolen write of iteration i is still being
-// applied, so TakeIteration never misses an entry that already had its
-// EndIteration counted.
+// No flush has to wait for writes: a client's writes of iteration i sit ahead
+// of its end(i) on the one queue only its loop pops, so they are all applied
+// by the time the last end(i) is counted.
 type Tally struct {
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -30,9 +28,8 @@ type Tally struct {
 	sigCount map[sigKey]int
 	exited   int
 
-	pending    map[int64]int // in-flight stolen writes per iteration
-	nextTicket int64         // flush tickets issued
-	turn       int64         // next ticket allowed to flush
+	nextTicket int64 // flush tickets issued
+	turn       int64 // next ticket allowed to flush
 }
 
 // NewTally creates a tally for a dedicated core serving `clients` compute
@@ -42,7 +39,6 @@ func NewTally(clients int) *Tally {
 		clients:  clients,
 		endCount: make(map[int64]int),
 		sigCount: make(map[sigKey]int),
-		pending:  make(map[int64]int),
 	}
 	t.cond = sync.NewCond(&t.mu)
 	return t
@@ -50,29 +46,6 @@ func NewTally(clients int) *Tally {
 
 // Clients returns the number of clients the tally counts toward.
 func (t *Tally) Clients() int { return t.clients }
-
-// AddPending registers a stolen WriteNotification of an iteration that is
-// about to be applied by a thief shard. It is called from inside
-// Queue.StealPop's accept callback — i.e. under the victim queue's lock —
-// so the registration is visible before the victim can pop the events that
-// followed the stolen one.
-func (t *Tally) AddPending(it int64) {
-	t.mu.Lock()
-	t.pending[it]++
-	t.mu.Unlock()
-}
-
-// DonePending marks a stolen write as applied and wakes any flusher waiting
-// on the iteration.
-func (t *Tally) DonePending(it int64) {
-	t.mu.Lock()
-	t.pending[it]--
-	if t.pending[it] <= 0 {
-		delete(t.pending, it)
-	}
-	t.mu.Unlock()
-	t.cond.Broadcast()
-}
 
 // endIteration counts one EndIteration. When the count reaches the client
 // total it issues the next flush ticket and reports fire=true; the caller
@@ -90,11 +63,10 @@ func (t *Tally) endIteration(it int64) (ticket int64, fire bool) {
 	return ticket, true
 }
 
-// awaitFlush blocks until it is the ticket's turn to flush and no stolen
-// write of the iteration is still in flight.
-func (t *Tally) awaitFlush(ticket, it int64) {
+// awaitFlush blocks until it is the ticket's turn to flush.
+func (t *Tally) awaitFlush(ticket int64) {
 	t.mu.Lock()
-	for t.turn != ticket || t.pending[it] > 0 {
+	for t.turn != ticket {
 		t.cond.Wait()
 	}
 	t.mu.Unlock()

@@ -30,14 +30,14 @@ func TestTallyTicketsSerializeFlushes(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		ta.awaitFlush(t1, 1)
+		ta.awaitFlush(t1)
 		mu.Lock()
 		order = append(order, 1)
 		mu.Unlock()
 		ta.flushDone()
 	}()
 	time.Sleep(5 * time.Millisecond) // give the late ticket a head start
-	ta.awaitFlush(t0, 0)
+	ta.awaitFlush(t0)
 	mu.Lock()
 	order = append(order, 0)
 	mu.Unlock()
@@ -46,32 +46,6 @@ func TestTallyTicketsSerializeFlushes(t *testing.T) {
 	if len(order) != 2 || order[0] != 0 || order[1] != 1 {
 		t.Fatalf("flush order = %v, want [0 1]", order)
 	}
-}
-
-func TestTallyFlushWaitsForPendingSteals(t *testing.T) {
-	ta := NewTally(1)
-	ta.AddPending(5)
-	ticket, fire := ta.endIteration(5)
-	if !fire {
-		t.Fatal("single-client end should fire")
-	}
-	flushed := make(chan struct{})
-	go func() {
-		ta.awaitFlush(ticket, 5)
-		close(flushed)
-	}()
-	select {
-	case <-flushed:
-		t.Fatal("flush ran while a stolen write was still pending")
-	case <-time.After(10 * time.Millisecond):
-	}
-	ta.DonePending(5)
-	select {
-	case <-flushed:
-	case <-time.After(time.Second):
-		t.Fatal("flush did not run after DonePending")
-	}
-	ta.flushDone()
 }
 
 func TestTallySignalAndExitCounts(t *testing.T) {
@@ -92,16 +66,5 @@ func TestTallySignalAndExitCounts(t *testing.T) {
 	}
 	if !ta.clientExit() {
 		t.Fatal("last exit did not fire")
-	}
-}
-
-func TestQueueAssignsMonotoneSeq(t *testing.T) {
-	q := NewQueue()
-	q.Push(Event{Kind: WriteNotification})
-	q.Push(Event{Kind: WriteNotification})
-	a, _ := q.TryPop()
-	b, _ := q.TryPop()
-	if a.Seq == 0 || b.Seq != a.Seq+1 {
-		t.Fatalf("Seq not monotone: %d then %d", a.Seq, b.Seq)
 	}
 }

@@ -46,7 +46,6 @@ type Entry struct {
 	Block  *shm.Block   // shared-memory handle (nil if inline)
 	Inline []byte       // inline payload (nil if in shared memory)
 	Global layout.Block // position of this piece in the global domain (optional)
-	Seq    int64        // queue-assigned push order; on tuple overwrite the higher Seq wins
 }
 
 // Bytes returns the dataset payload regardless of where it lives.
@@ -134,10 +133,8 @@ func (s *Store) shardFor(name string, source int) *storeShard {
 
 // Put registers an entry. Re-writing an existing tuple replaces the previous
 // entry and releases its shared-memory block (a client overwriting the same
-// variable within one iteration). When both entries carry a queue sequence
-// number, the higher Seq wins regardless of arrival order — a work-stealing
-// shard may apply an older write after the owner shard already applied a
-// newer one for the same tuple.
+// variable within one iteration). The last Put wins: one tuple's writes come
+// from one client, whose events one shard loop applies in push order.
 func (s *Store) Put(e *Entry) error {
 	if e == nil {
 		return fmt.Errorf("metadata: nil entry")
@@ -152,12 +149,6 @@ func (s *Store) Put(e *Entry) error {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if old, ok := sh.byIter[e.Key.Iteration][e.Key]; ok {
-		if e.Seq < old.Seq {
-			// Stale overwrite arriving late (stolen event): keep the newer
-			// entry and drop the incoming payload.
-			e.release()
-			return nil
-		}
 		old.release()
 		sh.count--
 	}

@@ -98,37 +98,6 @@ func sameIterSet(a, b []int64) bool {
 	return true
 }
 
-func TestPutSeqResolvesOverwriteRaces(t *testing.T) {
-	s := NewSharded(4)
-	k := Key{"v", 1, 0}
-	newer := inlineEntry("v", 1, 0, 8)
-	newer.Seq = 10
-	if err := s.Put(newer); err != nil {
-		t.Fatal(err)
-	}
-	// A stale event (lower queue sequence) applied after the newer one — the
-	// work-stealing interleaving — must not clobber the newer entry.
-	stale := inlineEntry("v", 1, 0, 8)
-	stale.Seq = 5
-	if err := s.Put(stale); err != nil {
-		t.Fatal(err)
-	}
-	got, ok := s.Get(k)
-	if !ok || got != newer {
-		t.Fatal("stale Put overwrote a newer entry")
-	}
-	// Equal (or zero) sequence keeps the last-Put-wins semantics the
-	// pre-sharding store had.
-	tie := inlineEntry("v", 1, 0, 8)
-	tie.Seq = 10
-	if err := s.Put(tie); err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := s.Get(k); got != tie {
-		t.Fatal("equal-Seq Put should replace (last wins)")
-	}
-}
-
 // residentStore returns a 4-shard store holding 16 entries for each of
 // iterations 1..resident-1; refill puts iteration 0's 16 entries, the ones
 // the TakeIteration measurements below take back out.

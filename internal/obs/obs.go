@@ -89,7 +89,7 @@ func DefaultDurationBuckets() []float64 {
 
 // NewHistogram builds a histogram over the given ascending upper bounds.
 // It panics on an empty or unsorted bound set — a registration-time
-// programming error, like stats.NewHistogram.
+// programming error.
 func NewHistogram(bounds []float64) *Histogram {
 	if len(bounds) == 0 {
 		panic("obs: NewHistogram needs at least one bound")

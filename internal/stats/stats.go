@@ -1,6 +1,6 @@
 // Package stats provides the small statistical toolkit used throughout the
 // Damaris reproduction: summary statistics over duration/throughput samples,
-// incremental accumulators, percentiles and histograms.
+// incremental accumulators and percentiles.
 //
 // The paper's evaluation reports averages, minima, maxima and variability
 // (jitter) of write-phase durations; this package computes those figures for
@@ -196,72 +196,4 @@ func (a *Accumulator) Stddev() float64 { return math.Sqrt(a.Variance()) }
 // not available online and are left zero.
 func (a *Accumulator) Summary() Summary {
 	return Summary{N: a.n, Mean: a.mean, Min: a.min, Max: a.max, Stddev: a.Stddev()}
-}
-
-// Utilization returns the fraction of available worker time actually spent
-// busy: Σbusy / (workers × wall). It is the dedicated-core pipeline's
-// "writer utilization" metric — the complement of the paper's spare time
-// (§IV-C2 reports dedicated cores idle 75%–99% of the time). It returns 0
-// for a non-positive wall clock or an empty busy set, and clamps to 1 when
-// rounding pushes the ratio slightly above unity.
-func Utilization(busy []float64, wall float64) float64 {
-	if wall <= 0 || len(busy) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, b := range busy {
-		sum += b
-	}
-	u := sum / (wall * float64(len(busy)))
-	if u > 1 {
-		u = 1
-	}
-	if u < 0 {
-		u = 0
-	}
-	return u
-}
-
-// Histogram is a fixed-width-bin histogram over [Lo, Hi). Values outside the
-// range are clamped into the first/last bin so no sample is lost.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	total  int
-}
-
-// NewHistogram creates a histogram with nbins equal-width bins spanning
-// [lo, hi). It panics if nbins < 1 or hi <= lo.
-func NewHistogram(lo, hi float64, nbins int) *Histogram {
-	if nbins < 1 {
-		panic("stats: NewHistogram needs at least one bin")
-	}
-	if hi <= lo {
-		panic("stats: NewHistogram needs hi > lo")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, nbins)}
-}
-
-// Add places x into its bin.
-func (h *Histogram) Add(x float64) {
-	i := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Counts)))
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(h.Counts) {
-		i = len(h.Counts) - 1
-	}
-	h.Counts[i]++
-	h.total++
-}
-
-// Total returns the number of samples added.
-func (h *Histogram) Total() int { return h.total }
-
-// Fraction returns the fraction of samples in bin i.
-func (h *Histogram) Fraction(i int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.Counts[i]) / float64(h.total)
 }

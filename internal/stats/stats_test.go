@@ -192,65 +192,9 @@ func sortFloats(xs []float64) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{-1, 0, 1.9, 2, 9.99, 10, 100} {
-		h.Add(x)
-	}
-	if h.Total() != 7 {
-		t.Fatalf("total = %d", h.Total())
-	}
-	// -1, 0, 1.9 -> bin 0; 2 -> bin 1; 9.99, 10, 100 -> bin 4 (clamped)
-	want := []int{3, 1, 0, 0, 3}
-	for i, w := range want {
-		if h.Counts[i] != w {
-			t.Errorf("bin %d = %d, want %d", i, h.Counts[i], w)
-		}
-	}
-	if !almostEqual(h.Fraction(0), 3.0/7, 1e-12) {
-		t.Errorf("fraction(0) = %v", h.Fraction(0))
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	for _, fn := range []func(){
-		func() { NewHistogram(0, 10, 0) },
-		func() { NewHistogram(5, 5, 3) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
-				}
-			}()
-			fn()
-		}()
-	}
-}
-
 func TestSummaryString(t *testing.T) {
 	s := Summarize([]float64{1, 2, 3})
 	if got := s.String(); got == "" {
 		t.Error("String should be non-empty")
-	}
-}
-
-func TestUtilization(t *testing.T) {
-	cases := []struct {
-		busy []float64
-		wall float64
-		want float64
-	}{
-		{[]float64{1, 1}, 2, 0.5},
-		{[]float64{2, 2}, 2, 1},
-		{[]float64{3, 3}, 2, 1}, // clamped
-		{[]float64{1}, 0, 0},    // no wall clock
-		{nil, 5, 0},             // no workers
-		{[]float64{0, 0, 0}, 4, 0},
-	}
-	for _, c := range cases {
-		if got := Utilization(c.busy, c.wall); got != c.want {
-			t.Errorf("Utilization(%v, %v) = %v, want %v", c.busy, c.wall, got, c.want)
-		}
 	}
 }
