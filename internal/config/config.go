@@ -54,8 +54,8 @@ type Config struct {
 	// (the paper uses 1; §V-A discusses several).
 	DedicatedCores int
 	// PersistWorkers is the number of write-behind persister goroutines
-	// per dedicated core; 0 selects the synchronous baseline where the
-	// event loop flushes inline.
+	// per dedicated core; with 0 the pipeline persists inline on the event
+	// loop — the coupled baseline.
 	PersistWorkers int
 	// PersistQueueDepth bounds the in-flight iteration queue feeding the
 	// persist workers; it is also the client flow-control window when the

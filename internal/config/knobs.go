@@ -57,7 +57,7 @@ func (c *Config) knobs() []knob {
 		{elem: "buffer", attr: "cores", i: &c.DedicatedCores, def: DefaultDedicatedCores, help: "dedicated cores per node"},
 
 		{elem: "pipeline", attr: "workers", flag: "persist-workers", i: &c.PersistWorkers, def: DefaultPersistWorkers,
-			help: "write-behind persist workers per dedicated core (0 = synchronous baseline: the event loop persists inline)"},
+			help: "write-behind persist workers per dedicated core (0 = the pipeline persists inline on the event loop)"},
 		{elem: "pipeline", attr: "queue", flag: "persist-queue", i: &c.PersistQueueDepth, def: DefaultPersistQueueDepth,
 			help: "in-flight iteration queue depth; also the client flow window when async, so the buffer must hold queue+1 write phases"},
 		{elem: "pipeline", attr: "encode_workers", flag: "encode-workers", i: &c.EncodeWorkers, def: DefaultEncodeWorkers,

@@ -50,10 +50,10 @@ type serverAgg struct {
 
 // aggPersister adapts a member handle on the aggregation layer to the
 // pipeline's Persister/BatchPersister contract. Contributions are submitted
-// from the event loop (Server.flushIteration calls submit before handing the
-// iteration to the pipeline), which is what guarantees each member's epochs
-// reach the fan-in ring in ascending order — pipeline writers race each
-// other, the event loop does not. Persist then only waits: it blocks until
+// from the event loop (submit is the pipeline's merge stage, run before the
+// iteration is queued), which is what guarantees each member's epochs reach
+// the fan-in ring in ascending order — pipeline writers race each other, the
+// event loop does not. Persist then only waits: it blocks until
 // the *merged* object containing this member's contribution is durable, so
 // the pipeline's release-after-persist rule keeps shared-memory chunks
 // pinned exactly until then, and the flow window advances on merged
@@ -79,22 +79,17 @@ func (p *aggPersister) submit(it int64, entries []*metadata.Entry) {
 	p.mu.Unlock()
 }
 
-// wait returns the pre-submitted iteration's ack channel, or submits on the
-// spot for callers that bypass flushIteration (tests driving the persister
-// directly).
-func (p *aggPersister) wait(it int64, entries []*metadata.Entry) <-chan error {
+// wait returns the ack channel submit stored for the iteration.
+func (p *aggPersister) wait(it int64) <-chan error {
 	p.mu.Lock()
 	ch := p.waits[it]
 	delete(p.waits, it)
 	p.mu.Unlock()
-	if ch == nil {
-		ch = p.sa.agg.Submit(p.sa.memberID, it, entries)
-	}
 	return ch
 }
 
-func (p *aggPersister) Persist(it int64, entries []*metadata.Entry) error {
-	return <-p.wait(it, entries)
+func (p *aggPersister) Persist(it int64, _ []*metadata.Entry) error {
+	return <-p.wait(it)
 }
 
 // PersistBatch collects every iteration's ack channel before waiting on
@@ -104,7 +99,7 @@ func (p *aggPersister) Persist(it int64, entries []*metadata.Entry) error {
 func (p *aggPersister) PersistBatch(batch []IterationBatch) error {
 	chans := make([]<-chan error, len(batch))
 	for i, b := range batch {
-		chans[i] = p.wait(b.Iteration, b.Entries)
+		chans[i] = p.wait(b.Iteration)
 	}
 	var first error
 	for _, ch := range chans {

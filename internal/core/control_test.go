@@ -111,9 +111,8 @@ func TestControlAutoConvergesUnderFaultLatency(t *testing.T) {
 	if ps.Window != s.Window {
 		t.Fatalf("effective window %d does not track controller window %d", ps.Window, s.Window)
 	}
-	w, win, _ := srv.EffectiveSizes()
-	if w != s.Writers || win != s.Window {
-		t.Fatalf("EffectiveSizes = %d/%d, controller says %d/%d", w, win, s.Writers, s.Window)
+	if live := srv.PipelineStats(); live.Workers != s.Writers || live.Window != s.Window {
+		t.Fatalf("effective sizes = %d/%d, controller says %d/%d", live.Workers, live.Window, s.Writers, s.Window)
 	}
 	if ps.Enqueued != 60 || ps.Completed != 60 {
 		t.Fatalf("drain incomplete under resizing: %+v", ps)
@@ -131,9 +130,8 @@ func TestControlStaticIsInert(t *testing.T) {
 	if ps.Workers != 2 || ps.Window != 3 || ps.Resizes != 0 {
 		t.Fatalf("static sizes moved: workers=%d window=%d resizes=%d", ps.Workers, ps.Window, ps.Resizes)
 	}
-	w, win, enc := srv.EffectiveSizes()
-	if w != 2 || win != 3 || enc != 0 {
-		t.Fatalf("EffectiveSizes = %d/%d/%d, want 2/3/0", w, win, enc)
+	if live := srv.PipelineStats(); live.Workers != 2 || live.Window != 3 || live.Encode.Workers != 0 {
+		t.Fatalf("effective sizes = %d/%d/%d, want 2/3/0", live.Workers, live.Window, live.Encode.Workers)
 	}
 }
 
@@ -245,11 +243,12 @@ func TestPipelineResizeRacesPersistFailures(t *testing.T) {
 	}
 	var acked []int64
 	var mu sync.Mutex
-	p := newPipeline(pers, nil, 1, 4, func(it int64, _, _ float64, _ int64, err error) {
-		mu.Lock()
-		acked = append(acked, it)
-		mu.Unlock()
-	})
+	p := newPipeline(pipelineSpec{persister: pers, workers: 1, depth: 4,
+		onDurable: func(it int64, _, _ float64, _ int64, err error) {
+			mu.Lock()
+			acked = append(acked, it)
+			mu.Unlock()
+		}})
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -308,14 +307,13 @@ func TestBatchSchedulerKeepsBatchingOn(t *testing.T) {
 	if _, ok := bs.(BatchScheduler); !ok {
 		t.Fatal("schedule.SlotScheduler does not implement BatchScheduler")
 	}
-	noop := func(int64, float64, float64, int64, error) {}
-	p := newPipeline(&NullPersister{}, sched, 2, 8, func(it int64, d, l float64, b int64, e error) { noop(it, d, l, b, e) })
+	p := newPipeline(pipelineSpec{persister: &NullPersister{}, scheduler: sched, workers: 2, depth: 8})
 	if p.maxBatch != 8 {
 		t.Fatalf("maxBatch = %d with a batch-aware scheduler, want the queue depth 8", p.maxBatch)
 	}
 	p.close()
 
-	p = newPipeline(&NullPersister{}, perIterScheduler{}, 2, 8, func(it int64, d, l float64, b int64, e error) { noop(it, d, l, b, e) })
+	p = newPipeline(pipelineSpec{persister: &NullPersister{}, scheduler: perIterScheduler{}, workers: 2, depth: 8})
 	if p.maxBatch != 1 {
 		t.Fatalf("maxBatch = %d with a per-iteration scheduler, want 1", p.maxBatch)
 	}

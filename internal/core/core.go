@@ -278,7 +278,7 @@ func Deploy(world *mpi.Comm, cfg *config.Config, reg *plugin.Registry, opts Opti
 		// Buffer-derived window cap: the segment holds at most `phases`
 		// write phases of this group's estimated volume, so no window deeper
 		// than phases-1 can ever make progress. The adaptive control plane
-		// receives it as a hard bound (see newServer).
+		// receives it as a hard bound (see serverSpec).
 		phaseBytes := cfg.PhaseBytesPerClient() * int64(len(group))
 		windowCap := 0
 		if phaseBytes > 0 {
@@ -332,7 +332,8 @@ func Deploy(world *mpi.Comm, cfg *config.Config, reg *plugin.Registry, opts Opti
 				return nil, err
 			}
 		}
-		srv, err := newServer(cfg, engines, queues, seg, fc, world.WorldRank(), node.Node(), g, len(group), opts, sagg, windowCap)
+		srv, err := newServer(serverSpec{cfg: cfg, opts: opts, engines: engines, queues: queues, seg: seg, fc: fc,
+			worldRank: world.WorldRank(), node: node.Node(), group: g, clients: len(group), agg: sagg, windowCap: windowCap})
 		if err != nil {
 			seg.Close()
 			return nil, err

@@ -6,10 +6,9 @@ import (
 	"damaris/internal/obs"
 )
 
-// Registry emission for the core layer's snapshot structs. Every figure here
-// comes from the same snapshot call (Server.PipelineStats and friends) the
-// end-of-run report prints, so a live scrape mid-run and the final report
-// can never disagree on a value both carry.
+// Registry emission for the core layer's snapshot structs. damaris-run's
+// end-of-run report is a gather of the registry these feed, so a live scrape
+// mid-run and the final report can never disagree on a value.
 
 // Emit writes the pipeline snapshot into a registry gather under the
 // damaris_pipeline_* families, fanning out to the encode, store, spill,

@@ -13,13 +13,62 @@ import (
 	"damaris/internal/store"
 )
 
-// pipeline is the dedicated core's asynchronous write-behind persistence
-// path: a bounded queue of completed iterations feeding N writer
-// goroutines. The event loop hands a finished iteration's entries over
-// through submit and immediately resumes draining client events; writers
-// make the data durable, release the shared-memory chunks, and advance the
-// client flow-control window — so clients re-couple to I/O latency only
-// when the queue is full (backpressure) or they outrun the flow window.
+// pipelineSpec names the stages one dedicated core's persistence path is
+// built from — flush → [merge] → [spill] → [slot wait] → persist → release →
+// ack in order → [tune] — resolved once by newServer from the knob table and
+// Options. An optional stage that is off is nil.
+type pipelineSpec struct {
+	persister Persister
+	// workers is the writer goroutine count. 0 selects the inline executor:
+	// submit persists the iteration on the event loop that called it and
+	// returns once it is acked — the coupled baseline the paper's
+	// dedicated-core design eliminates, kept for comparison runs.
+	workers int
+	// depth is the queue's capacity, and the cap on iterations per persist
+	// call.
+	depth int
+
+	// onDurable is invoked in submission (ack) order for every iteration,
+	// after the iteration and all earlier ones are durable. persistDur is
+	// the iteration's share of its persist call (call duration / batch
+	// size); err is the iteration's persist error, if any.
+	onDurable func(it int64, persistDur, latency float64, bytes int64, err error)
+
+	// merge, with the aggregation layer on, contributes the iteration to the
+	// node's merge from the event loop, before it is queued — so this
+	// member's epochs enter the fan-in ring in ascending order (the property
+	// the leader's in-order emission, and the cross-node lockstep in "node"
+	// mode, is built on). The writer then only waits for the merged object's
+	// durability ack before releasing chunks.
+	merge func(it int64, entries []*metadata.Entry)
+	// scratch is the degraded-mode overflow. The pipeline owns it: close
+	// gives its drainer a last attempt at the backlog.
+	scratch *scratch
+	// scheduler delays each persist call to this server's transfer slot
+	// (paper §IV-D).
+	scheduler Scheduler
+	// tune is the control plane's turn after each submit: observe the
+	// iteration boundary and, at most once per decision interval, re-size
+	// the writer pool, flow window and encode pool — between iterations, on
+	// the event loop, never mid-write.
+	tune func()
+
+	// tracer records the queue/spill/persist/ack legs of every iteration's
+	// lifecycle (nil = tracing off); server labels the spans with this
+	// dedicated core's world rank.
+	tracer *obs.Tracer
+	server int
+}
+
+// pipeline is the dedicated core's persistence path, the single owner of
+// "completed iteration → durable → released → acked in order": a bounded
+// queue of completed iterations feeding N writer goroutines. The event loop
+// hands a finished iteration's entries over through submit and immediately
+// resumes draining client events; writers make the data durable, release the
+// shared-memory chunks, and advance the client flow-control window — so
+// clients re-couple to I/O latency only when the queue is full
+// (backpressure) or they outrun the flow window. With zero writers the same
+// steps run inside submit, on a batch of one.
 //
 // Durability ordering: writers may complete iterations out of submission
 // order, but the flow window and the per-iteration completion callback
@@ -28,42 +77,25 @@ import (
 // are released as soon as their own iteration's write returns, since the
 // space is reusable regardless of sibling iterations.
 type pipeline struct {
-	persister Persister
-	scheduler Scheduler
-	maxBatch  int
-	jobs      chan persistJob
-	wg        sync.WaitGroup
-	start     time.Time
+	pipelineSpec
+	maxBatch int
+	jobs     chan persistJob
+	wg       sync.WaitGroup
+	start    time.Time
 	// stopped freezes the utilization wall clock once close() drains — a
 	// quiesced pipeline's snapshot must stop changing (the Deploy-level
 	// brownout test scrapes it twice and compares bytes). Guarded by mu;
 	// zero while running.
 	stopped time.Time
 
-	// onDurable is invoked in submission (ack) order for every iteration,
-	// after the iteration and all earlier ones are durable. persistDur is
-	// the iteration's share of its persist call (call duration / batch
-	// size); err is the iteration's persist error, if any.
-	onDurable func(it int64, persistDur, latency float64, bytes int64, err error)
-
 	// ackMu serializes the ack-drain + onDurable section across writers,
 	// so callbacks really are delivered in watermark order (p.mu alone
 	// only orders the state updates, not the calls after unlock).
 	ackMu sync.Mutex
 
-	// scratch, when attached, is the degraded-mode overflow; pressure
-	// counts consecutive submits that found the queue full. Both are
-	// touched only by the event loop (the sole submitter), so neither
-	// needs p.mu.
-	scratch  *scratch
+	// pressure counts consecutive submits that found the queue full. Only
+	// the event loop (the sole submitter) touches it, so it needs no lock.
 	pressure int
-
-	// tracer, when attached (before the first submit — writers see the
-	// write through the job channel's happens-before edge), records the
-	// queue/spill/persist/ack legs of every iteration's lifecycle;
-	// trServer labels the spans with this dedicated core's world rank.
-	tracer   *obs.Tracer
-	trServer int
 
 	mu        sync.Mutex
 	closed    bool
@@ -102,7 +134,7 @@ type persistDone struct {
 	err        error
 }
 
-// newPipeline starts `workers` writer goroutines over a queue of depth
+// newPipeline starts the spec's writer goroutines over a queue of depth
 // `depth`. Batching is capped at the queue depth: a writer wakes, takes one
 // job, then greedily drains whatever else is already queued so one durable
 // persister call can cover several iterations (amortizing per-call costs —
@@ -110,32 +142,28 @@ type persistDone struct {
 // Scheduler is present that is not batch-aware, batching is disabled, since
 // each iteration must then wait for its own transfer slot (paper §IV-D); a
 // BatchScheduler keeps batching on and waits once per batch instead.
-func newPipeline(persister Persister, scheduler Scheduler, workers, depth int,
-	onDurable func(it int64, persistDur, latency float64, bytes int64, err error)) *pipeline {
-	if workers < 1 {
-		workers = 1
+func newPipeline(spec pipelineSpec) *pipeline {
+	if spec.depth < 1 {
+		spec.depth = 1
 	}
-	if depth < 1 {
-		depth = 1
-	}
-	maxBatch := depth
-	if scheduler != nil {
-		if _, ok := scheduler.(BatchScheduler); !ok {
+	maxBatch := spec.depth
+	if spec.scheduler != nil {
+		if _, ok := spec.scheduler.(BatchScheduler); !ok {
 			maxBatch = 1
 		}
 	}
 	p := &pipeline{
-		persister: persister,
-		scheduler: scheduler,
-		maxBatch:  maxBatch,
-		jobs:      make(chan persistJob, depth),
-		start:     time.Now(),
-		onDurable: onDurable,
-		done:      make(map[int64]persistDone),
+		pipelineSpec: spec,
+		maxBatch:     maxBatch,
+		jobs:         make(chan persistJob, spec.depth),
+		start:        time.Now(),
+		done:         make(map[int64]persistDone),
 	}
-	p.mu.Lock()
-	p.ws.Resize(workers, p.startWriter)
-	p.mu.Unlock()
+	if spec.workers > 0 {
+		p.mu.Lock()
+		p.ws.Resize(spec.workers, p.startWriter)
+		p.mu.Unlock()
+	}
 	return p
 }
 
@@ -150,13 +178,11 @@ func (p *pipeline) startWriter(slot int, stop chan struct{}) {
 // control plane's writer-pool knob. Growing starts fresh writers on the
 // shared queue; shrinking signals the newest writers to exit after their
 // current batch (slot semantics in control.WorkerSet). The pool never
-// drops below one writer, and resizing never affects durability ordering:
-// acks still advance strictly by submission seq, which is independent of
-// which (or how many) writers complete the work. Must not race close.
+// drops below one writer (Config.Validate keeps the control plane off the
+// inline executor), and resizing never affects durability ordering: acks
+// still advance strictly by submission seq, which is independent of which
+// (or how many) writers complete the work. Must not race close.
 func (p *pipeline) resize(n int) {
-	if p == nil {
-		return
-	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
@@ -165,30 +191,14 @@ func (p *pipeline) resize(n int) {
 	p.ws.Resize(n, p.startWriter)
 }
 
-// attachScratch wires the degraded-mode spill path in. Must be called
-// before the first submit (the server does it right after newPipeline).
-func (p *pipeline) attachScratch(sc *scratch) { p.scratch = sc }
-
-// attachTracer wires lifecycle tracing in. Must be called before the first
-// submit, like attachScratch.
-func (p *pipeline) attachTracer(tr *obs.Tracer, server int) {
-	p.tracer = tr
-	p.trServer = server
-}
-
-// submit hands one completed iteration to the writers. It blocks while the
-// queue is full — the backpressure point for the event loop — and must not
+// submit takes one completed iteration through the stages: merge, then the
+// queue (or, with no writers, the persist itself), then tune. It is called
+// by one event loop at a time, in ascending iteration order, and must not
 // be called after close.
-//
-// With a scratch attached, sustained backpressure changes the story: once
-// the queue has been full for `scratch.after` consecutive submits, the
-// event loop pulls the oldest queued iteration, spills it to the local
-// scratch file (fsynced — locally durable, so its chunks are released and
-// its ack fires through the normal in-order watermark), and enqueues the
-// new iteration in the freed slot. Clients therefore keep streaming at
-// local-disk speed while the backend is browned out, instead of freezing
-// behind the durability watermark.
 func (p *pipeline) submit(it int64, entries []*metadata.Entry) {
+	if p.merge != nil {
+		p.merge(it, entries)
+	}
 	var bytes int64
 	for _, e := range entries {
 		bytes += e.Size()
@@ -204,6 +214,30 @@ func (p *pipeline) submit(it int64, entries []*metadata.Entry) {
 	p.depthAcc.Add(float64(p.inFlight))
 	p.mu.Unlock()
 	job := persistJob{seq: seq, it: it, entries: entries, bytes: bytes, submitted: time.Now()}
+	if p.workers == 0 {
+		// Inline executor: no writer slot is charged — the time is already
+		// the calling loop's busy time.
+		p.persistAndAck(-1, []persistJob{job})
+	} else {
+		p.enqueue(job)
+	}
+	if p.tune != nil {
+		p.tune()
+	}
+}
+
+// enqueue hands a job to the writers. It blocks while the queue is full —
+// the backpressure point for the event loop.
+//
+// With a scratch attached, sustained backpressure changes the story: once
+// the queue has been full for `scratch.after` consecutive submits, the
+// event loop pulls the oldest queued iteration, spills it to the local
+// scratch file (fsynced — locally durable, so its chunks are released and
+// its ack fires through the normal in-order watermark), and enqueues the
+// new iteration in the freed slot. Clients therefore keep streaming at
+// local-disk speed while the backend is browned out, instead of freezing
+// behind the durability watermark.
+func (p *pipeline) enqueue(job persistJob) {
 	if p.scratch == nil {
 		p.jobs <- job
 		return
@@ -243,34 +277,41 @@ func (p *pipeline) spillJob(j persistJob) {
 	start := time.Now()
 	err := p.scratch.spill(j.it, j.entries)
 	wall := time.Since(start)
-	p.tracer.Record(obs.StageSpill, p.trServer, j.it, start, wall, j.bytes, err != nil)
-	dur := wall.Seconds()
+	p.tracer.Record(obs.StageSpill, p.server, j.it, start, wall, j.bytes, err != nil)
 	for _, e := range j.entries {
 		e.Release()
 	}
-	p.completeOne(j, dur, err)
+	p.complete([]persistJob{j}, wall.Seconds(), []error{err})
 }
 
-// completeOne records one iteration durable (or failed) outside the writer
-// path and advances the in-order ack watermark — persistAndAck's tail for
-// a single job.
-func (p *pipeline) completeOne(j persistJob, dur float64, err error) {
+// complete records a batch's iterations durable (or failed), each charged
+// perIt seconds of persisting, and advances the in-order ack watermark. The
+// writers, the inline executor and the spill path all end here.
+func (p *pipeline) complete(batch []persistJob, perIt float64, errs []error) {
 	now := time.Now()
-	p.tracer.Record(obs.StageAck, p.trServer, j.it, j.submitted, now.Sub(j.submitted), j.bytes, err != nil)
+	for i, j := range batch {
+		p.tracer.Record(obs.StageAck, p.server, j.it, j.submitted, now.Sub(j.submitted), j.bytes, errs[i] != nil)
+	}
 	p.ackMu.Lock()
 	p.mu.Lock()
-	p.completed++
-	p.inFlight--
-	p.depthAcc.Add(float64(p.inFlight))
-	lat := now.Sub(j.submitted).Seconds()
-	p.latAcc.Add(lat)
-	p.recentLat = lat
-	if err != nil {
-		p.failures++
+	for i, j := range batch {
+		p.completed++
+		p.inFlight--
+		p.depthAcc.Add(float64(p.inFlight))
+		lat := now.Sub(j.submitted).Seconds()
+		p.latAcc.Add(lat)
+		p.recentLat = lat
+		if errs[i] != nil {
+			p.failures++
+		}
+		p.done[j.seq] = persistDone{it: j.it, persistDur: perIt, latency: lat, bytes: j.bytes, err: errs[i]}
 	}
-	p.done[j.seq] = persistDone{it: j.it, persistDur: dur, latency: lat, bytes: j.bytes, err: err}
+	// Advance the ack watermark over every contiguous completed seq.
 	acks := p.drainAcksLocked()
 	p.mu.Unlock()
+	// Deliver under ackMu (not p.mu, which writers need to complete other
+	// batches): a second writer advancing the watermark further must wait
+	// here until these earlier acks are delivered.
 	for _, d := range acks {
 		if p.onDurable != nil {
 			p.onDurable(d.it, d.persistDur, d.latency, d.bytes, d.err)
@@ -303,22 +344,28 @@ func (p *pipeline) spillActive() bool {
 }
 
 // close stops accepting work, waits for the writers to drain every queued
-// iteration, and returns. Idempotent is the caller's job (Server.Close uses
-// a sync.Once).
-func (p *pipeline) close() {
+// iteration, then gives the scratch drainer one final attempt at any spill
+// backlog; a frame it cannot replay stays in the scratch file (recovered on
+// the next start) and is the error returned. Idempotent is the caller's job
+// (Server.Close uses a sync.Once).
+func (p *pipeline) close() error {
 	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		p.wg.Wait()
-		return
-	}
+	closed := p.closed
 	p.closed = true
 	p.mu.Unlock()
-	close(p.jobs)
+	if !closed {
+		close(p.jobs)
+	}
 	p.wg.Wait()
-	p.mu.Lock()
-	p.stopped = time.Now()
-	p.mu.Unlock()
+	if !closed {
+		p.mu.Lock()
+		p.stopped = time.Now()
+		p.mu.Unlock()
+	}
+	if p.scratch != nil {
+		return p.scratch.close()
+	}
+	return nil
 }
 
 // writer is one persist goroutine: pop a job, drain a batch, make it
@@ -369,8 +416,9 @@ func tryRecv(ch chan persistJob) (persistJob, bool) {
 }
 
 // persistAndAck writes one batch durably, releases its shared-memory
-// chunks, and records completion for in-order acking.
-func (p *pipeline) persistAndAck(id int, batch []persistJob) {
+// chunks, and records completion for in-order acking. slot is the calling
+// writer's, or negative on the inline executor's event loop.
+func (p *pipeline) persistAndAck(slot int, batch []persistJob) {
 	start := time.Now()
 	errs := make([]error, len(batch))
 	if bp, ok := p.persister.(BatchPersister); ok && len(batch) > 1 {
@@ -420,62 +468,39 @@ func (p *pipeline) persistAndAck(id int, batch []persistJob) {
 		}
 	}
 
-	now := time.Now()
 	// Lifecycle spans, one triple per iteration: queue wait (submit to
 	// writer pickup), persist (each iteration carries the whole batch's
-	// call span — its durability really did take that long) and the full
-	// submit-to-durable ack latency the flow window tracks.
+	// call span — its durability really did take that long) and, in
+	// complete, the full submit-to-durable ack latency the flow window
+	// tracks.
 	for i, j := range batch {
-		p.tracer.Record(obs.StageQueue, p.trServer, j.it, j.submitted, start.Sub(j.submitted), j.bytes, false)
-		p.tracer.Record(obs.StagePersist, p.trServer, j.it, start, callDur, j.bytes, errs[i] != nil)
-		p.tracer.Record(obs.StageAck, p.trServer, j.it, j.submitted, now.Sub(j.submitted), j.bytes, errs[i] != nil)
+		p.tracer.Record(obs.StageQueue, p.server, j.it, j.submitted, start.Sub(j.submitted), j.bytes, false)
+		p.tracer.Record(obs.StagePersist, p.server, j.it, start, callDur, j.bytes, errs[i] != nil)
 	}
+	p.mu.Lock()
+	if slot >= 0 {
+		p.ws.AddBusy(slot, dur)
+	}
+	p.batchAcc.Add(float64(len(batch)))
+	p.mu.Unlock()
 	// Each iteration is charged its share of the batch's persist call, so
 	// Σ WriteTimes stays the real time spent persisting rather than being
 	// inflated by the batch factor.
-	perIt := dur / float64(len(batch))
-	p.ackMu.Lock()
-	p.mu.Lock()
-	p.ws.AddBusy(id, dur)
-	p.batchAcc.Add(float64(len(batch)))
-	for i, j := range batch {
-		p.completed++
-		p.inFlight--
-		p.depthAcc.Add(float64(p.inFlight))
-		lat := now.Sub(j.submitted).Seconds()
-		p.latAcc.Add(lat)
-		p.recentLat = lat
-		if errs[i] != nil {
-			p.failures++
-		}
-		p.done[j.seq] = persistDone{it: j.it, persistDur: perIt, latency: lat, bytes: j.bytes, err: errs[i]}
-	}
-	// Advance the ack watermark over every contiguous completed seq.
-	acks := p.drainAcksLocked()
-	p.mu.Unlock()
-	// Deliver under ackMu (not p.mu, which writers need to complete other
-	// batches): a second writer advancing the watermark further must wait
-	// here until these earlier acks are delivered.
-	for _, d := range acks {
-		if p.onDurable != nil {
-			p.onDurable(d.it, d.persistDur, d.latency, d.bytes, d.err)
-		}
-	}
-	p.ackMu.Unlock()
+	p.complete(batch, dur/float64(len(batch)), errs)
 }
 
-// PipelineStats is a snapshot of the write-behind pipeline's per-stage
-// metrics, exported through Server.PipelineStats and reported by
-// cmd/damaris-run.
+// PipelineStats is a snapshot of the persistence pipeline's per-stage
+// metrics, exported through Server.PipelineStats and put on the registry by
+// Emit.
 type PipelineStats struct {
 	// Workers is the effective (possibly auto-tuned) writer goroutine count
-	// (0 = synchronous baseline).
+	// (0 = the pipeline persists inline on the event loop).
 	Workers int
 	// QueueDepth is the configured bound on in-flight iterations.
 	QueueDepth int
 	// Window is the effective client flow-window depth (equals QueueDepth
-	// under static control; the tuner moves it in auto mode). 1 in the
-	// synchronous baseline.
+	// under static control; the tuner moves it in auto mode). 1 with the
+	// inline executor.
 	Window int
 	// Resizes counts live writer-pool size changes (control.Tuner activity).
 	Resizes int64

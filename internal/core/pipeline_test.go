@@ -549,4 +549,20 @@ func TestSyncBaselineStatsTrackFailures(t *testing.T) {
 		t.Errorf("stats = enqueued %d / completed %d / failures %d, want 3/3/3",
 			ps.Enqueued, ps.Completed, ps.Failures)
 	}
+	// The same pipeline as every other worker count keeps the same books: a
+	// flush latency per iteration, one iteration per persist call, no writer
+	// to be busy — and each failed persist reported once.
+	if ps.FlushLatency.N != 3 || ps.BatchSize.Mean != 1 || len(ps.WriterBusy) != 0 {
+		t.Errorf("flush latencies %d, batch size mean %v, writer slots %d, want 3, 1, 0",
+			ps.FlushLatency.N, ps.BatchSize.Mean, len(ps.WriterBusy))
+	}
+	errs := srv.HandleErrors()
+	if len(errs) != 3 {
+		t.Fatalf("HandleErrors = %v, want the 3 failed iterations once each", errs)
+	}
+	for _, err := range errs {
+		if !errors.Is(err, boom) {
+			t.Errorf("HandleErrors holds %v, want the persist failure", err)
+		}
+	}
 }

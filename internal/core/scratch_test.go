@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -241,13 +242,13 @@ func TestPipelineSubmitSpillsOldestUnderSustainedBackpressure(t *testing.T) {
 	var ackMu sync.Mutex
 	var acked []int64
 	var ackErrs []error
-	p := newPipeline(pers, nil, 1, 1, func(it int64, _, _ float64, _ int64, err error) {
-		ackMu.Lock()
-		acked = append(acked, it)
-		ackErrs = append(ackErrs, err)
-		ackMu.Unlock()
-	})
-	p.attachScratch(sc)
+	p := newPipeline(pipelineSpec{persister: pers, workers: 1, depth: 1, scratch: sc,
+		onDurable: func(it int64, _, _ float64, _ int64, err error) {
+			ackMu.Lock()
+			acked = append(acked, it)
+			ackErrs = append(ackErrs, err)
+			ackMu.Unlock()
+		}})
 
 	payload := func(it int64) []byte { return []byte(fmt.Sprintf("iteration-%d", it)) }
 	p.submit(0, []*metadata.Entry{spillEntry("v", 0, 0, payload(0))})
@@ -412,5 +413,52 @@ func TestServerSpillWiring(t *testing.T) {
 		if string(b) != string(want) {
 			t.Errorf("iteration %d payload mismatch (%d bytes)", it, len(b))
 		}
+	}
+}
+
+// A stage that fails to open fails the deployment on the server rank, and
+// what the server had opened for itself by then — the obj:// backend, the
+// encode pool — is closed again, with no pipeline writer left behind. The
+// spill dir sits under a regular file, which Config.Validate cannot see.
+func TestDeployClosesWhatItOpenedWhenAStageFails(t *testing.T) {
+	blocker := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(blocker, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := config.ParseString(fmt.Sprintf(`
+<simulation>
+  <buffer size="1048576" cores="1"/>
+  <pipeline workers="2" queue="2" encode_workers="2"/>
+  <store backend="obj://%s"/>
+  <spill dir=%q after="1"/>
+  <layout name="l" type="real" dimensions="8,8"/>
+  <variable name="v" layout="l"/>
+</simulation>`, t.TempDir(), filepath.Join(blocker, "spill")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	var serverErr error
+	err = mpi.Run(2, 2, func(comm *mpi.Comm) {
+		if dep, err := Deploy(comm, cfg, nil, Options{}); err != nil {
+			serverErr = err
+		} else if !dep.IsClient() {
+			t.Error("the server rank deployed over an uncreatable spill dir")
+			dep.Server.Close()
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if serverErr == nil || !strings.Contains(serverErr.Error(), "scratch dir") {
+		t.Fatalf("Deploy error on the server rank = %v, want the scratch dir failure", serverErr)
+	}
+	// Stopped workers unwind asynchronously; leaked ones never do.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("%d goroutines after the failed Deploy, %d before it", after, before)
 	}
 }

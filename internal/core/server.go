@@ -42,8 +42,8 @@ type BatchScheduler interface {
 // shared queue, maintains the metadata catalog through the EPE, and hands
 // each completed iteration to the write-behind persistence pipeline, so
 // that I/O overlaps the clients' next compute phase and a slow persister
-// never stalls event draining. With PersistWorkers=0 the server instead
-// flushes synchronously inside the event loop — the coupled baseline the
+// never stalls event draining. With PersistWorkers=0 the pipeline has no
+// writers and persists inside the event loop — the coupled baseline the
 // paper's dedicated-core design eliminates, kept for comparison runs.
 type Server struct {
 	cfg       *config.Config
@@ -58,15 +58,11 @@ type Server struct {
 	node      int
 	group     int // dedicated-core index within the node
 	persister Persister
-	scheduler Scheduler
-	pipe      *pipeline       // nil in the synchronous baseline
-	scratch   *scratch        // degraded-mode spill file; nil when disabled
+	pipe      *pipeline       // completed iteration → durable → released → acked in order
 	encPool   *dsf.EncodePool // nil when encode_workers is 0
 	ownStore  store.Backend   // backend this server opened (and must close)
 	agg       *serverAgg      // aggregation-layer state; nil when disabled
 	tuner     *control.Tuner  // nil under static control
-	budget    int             // spare-core budget (0 = budgeting off)
-	reserved  int             // budget cores reserved for shard loops
 	tuneEvery time.Duration   // decision interval (heavy-sample rate limit)
 	lastIter  time.Time       // previous iteration-completion instant (event loop only)
 	lastHeavy time.Time       // previous encode/store/ring sampling instant (event loop only)
@@ -86,12 +82,11 @@ type Server struct {
 	writeDurs    []float64         // seconds spent persisting, per iteration
 	flushLats    []float64         // seconds from iteration completion to durability
 	spareDur     float64           // seconds spent idle waiting for events
-	busyDur      float64           // seconds handling events (incl. persisting only in the sync baseline)
+	busyDur      float64           // seconds handling events (incl. persisting only with the inline executor)
 	bytesWritten int64
 	iterations   []int64
 	handleErrs   []error
 	flushErr     error // first persistence error, surfaced by Run/Close
-	syncFails    int64 // failed iterations in the synchronous baseline
 	running      bool
 }
 
@@ -100,15 +95,40 @@ type segmentCloser interface {
 	Close()
 }
 
-// newServer builds a dedicated-core server over one engine+queue pair per
-// event-loop shard (len 1 = the classic single loop; all engines must share
-// one metadata store and one event.Tally). windowCap, when positive, bounds
-// the control plane's flow-window range to what the shared buffer can hold
-// (Deploy derives it from the segment size and the estimated write-phase
-// volume); 0 means no buffer-derived cap. clients is the number of compute
-// cores this server serves — the spare-core budget's other half.
-func newServer(cfg *config.Config, engines []*event.Engine, queues []*event.Queue, seg segmentCloser,
-	fc *flow, worldRank, node, group, clients int, opts Options, sagg *serverAgg, windowCap int) (*Server, error) {
+// serverSpec is what Deploy resolved for one dedicated core: its event-loop
+// shards, the segment and flow window it shares with its clients, and its
+// place in the world.
+type serverSpec struct {
+	cfg  *config.Config
+	opts Options
+	// engines and queues pair up one per event-loop shard (len 1 = the
+	// classic single loop); all engines share one metadata store and one
+	// event.Tally.
+	engines []*event.Engine
+	queues  []*event.Queue
+	seg     segmentCloser
+	fc      *flow
+	// worldRank, node and group place the server: its rank in the world, its
+	// SMP node, its dedicated-core index within the node.
+	worldRank, node, group int
+	// clients is the number of compute cores this server serves — the
+	// spare-core budget's other half.
+	clients int
+	// agg is the server's aggregation-layer state; nil when disabled.
+	agg *serverAgg
+	// windowCap, when positive, bounds the control plane's flow-window range
+	// to what the shared buffer can hold (Deploy derives it from the segment
+	// size and the estimated write-phase volume); 0 means no buffer-derived
+	// cap.
+	windowCap int
+}
+
+// newServer builds a dedicated-core server from its spec: it resolves the
+// persister, then every stage of the persistence pipeline, and starts the
+// pipeline last — so a stage that fails to open leaves no writer behind,
+// and what the server had opened for itself by then is closed again.
+func newServer(sp serverSpec) (*Server, error) {
+	cfg, opts, engines, queues, fc, worldRank := sp.cfg, sp.opts, sp.engines, sp.queues, sp.fc, sp.worldRank
 	if len(engines) == 0 || len(engines) != len(queues) {
 		return nil, fmt.Errorf("core: server %d: %d engines for %d queues", worldRank, len(engines), len(queues))
 	}
@@ -117,13 +137,12 @@ func newServer(cfg *config.Config, engines []*event.Engine, queues []*event.Queu
 		eng:       engines[0],
 		queue:     queues[0],
 		started:   time.Now(),
-		seg:       seg,
+		seg:       sp.seg,
 		fc:        fc,
 		id:        worldRank,
-		node:      node,
-		group:     group,
+		node:      sp.node,
+		group:     sp.group,
 		persister: opts.Persister,
-		scheduler: opts.Scheduler,
 		tracer:    opts.Obs.Tracer(),
 		iterFirst: make(map[int64]time.Time),
 	}
@@ -139,26 +158,44 @@ func newServer(cfg *config.Config, engines []*event.Engine, queues []*event.Queu
 	// top and the tuner divides the rest between writers and encoders.
 	budget, reserved := 0, 0
 	if shardBudgeted(cfg) {
-		budget = nodeSpareBudget(cfg, clients)
+		budget = nodeSpareBudget(cfg, sp.clients)
 		reserved = len(engines)
 	}
-	s.budget, s.reserved = budget, reserved
-	if sagg != nil {
+	stages := pipelineSpec{
+		workers:   cfg.PersistWorkers,
+		depth:     cfg.PersistQueueDepth,
+		onDurable: s.iterationDurable,
+		scheduler: opts.Scheduler,
+		tracer:    s.tracer,
+		server:    worldRank,
+	}
+	if sagg := sp.agg; sagg != nil {
 		// Aggregation layer on: this server persists through its member
 		// handle — Persist returns only once the node's (or node group's)
 		// merged object is durable, so chunk release and the flow window
 		// track merged durability. The leader's server adopts the epoch
 		// writer's resources (encode pool, backend) it created.
 		s.agg = sagg
-		s.persister = newAggPersister(sagg)
+		ap := newAggPersister(sagg)
+		s.persister, stages.merge = ap, ap.submit
 		s.encPool = sagg.pool
 		s.ownStore = sagg.ownStore
 	} else if s.persister == nil {
-		p, pool, backend, err := newDefaultPersister(cfg, opts, node, worldRank)
+		p, pool, backend, err := newDefaultPersister(cfg, opts, sp.node, worldRank)
 		if err != nil {
 			return nil, err
 		}
 		s.persister, s.encPool, s.ownStore = p, pool, backend
+	}
+	stages.persister = s.persister
+	// fail closes again what the server opened for itself (or adopted from
+	// the aggregation leader) when a later stage cannot be built.
+	fail := func(err error) (*Server, error) {
+		s.encPool.Close()
+		if s.ownStore != nil {
+			s.ownStore.Close()
+		}
+		return nil, fmt.Errorf("core: server %d: %w", worldRank, err)
 	}
 	// The pools and persisters the server owns trace under its rank; shared
 	// external ones wire their own tracer (see DSFPersister.SetTracer), the
@@ -204,10 +241,10 @@ func newServer(cfg *config.Config, engines []*event.Engine, queues []*event.Queu
 				maxEncode = ownEncode
 			}
 		}
-		if windowCap > 0 && maxWindow > windowCap {
+		if sp.windowCap > 0 && maxWindow > sp.windowCap {
 			// The buffer-derived bound wins: opening the window past what the
 			// shared segment can pin would deadlock clients, not hide latency.
-			maxWindow = windowCap
+			maxWindow = sp.windowCap
 		}
 		t, err := control.New(control.Config{
 			Mode: "auto",
@@ -227,7 +264,7 @@ func newServer(cfg *config.Config, engines []*event.Engine, queues []*event.Queu
 			Reserved: reserved,
 		})
 		if err != nil {
-			return nil, fmt.Errorf("core: server %d: %w", worldRank, err)
+			return fail(err)
 		}
 		s.tuner = t
 		s.tuneEvery = time.Duration(cfg.ControlIntervalMS) * time.Millisecond
@@ -236,45 +273,37 @@ func newServer(cfg *config.Config, engines []*event.Engine, queues []*event.Queu
 		}
 		// The clamped initial sizes are the effective starting configuration.
 		fc.setWindow(int64(t.Sizes().Window))
-	}
-	if cfg.PersistWorkers > 0 {
-		workers, depth := cfg.PersistWorkers, cfg.PersistQueueDepth
-		if s.tuner != nil {
-			workers = s.tuner.Sizes().Writers
-			// The queue must be able to carry the widest window the tuner may
-			// open; the effective backpressure point is the flow window, which
-			// the tuner moves inside [1, MaxWindow]. With a scratch file
-			// configured the configured depth stays authoritative instead:
-			// sustained overflow spills to local disk (bounded memory), and
-			// the tuner's degraded mode vetoes window growth while the
-			// backlog replays.
-			if lim := s.tuner.Limits(); cfg.SpillDir == "" && lim.MaxWindow > depth {
-				depth = lim.MaxWindow
-			}
-		}
-		s.pipe = newPipeline(s.persister, s.scheduler,
-			workers, depth, s.iterationDurable)
-		s.pipe.attachTracer(s.tracer, worldRank)
-		if cfg.SpillDir != "" {
-			// Degraded-mode scratch file, one per dedicated core. Opening it
-			// also performs crash recovery: frames a previous run left behind
-			// are handed straight to the drainer, which replays them through
-			// this server's normal persist path. Config.Validate has already
-			// rejected spill with aggregation (spilled chunks are released
-			// early, which the shared merge ring cannot tolerate) and spill
-			// without an asynchronous pipeline.
-			path := fmt.Sprintf("%s/node%04d_srv%04d.spill", cfg.SpillDir, node, worldRank)
-			sc, err := openScratch(path, cfg.SpillAfter, s.persister)
-			if err != nil {
-				return nil, fmt.Errorf("core: server %d: %w", worldRank, err)
-			}
-			s.scratch = sc
-			s.pipe.attachScratch(sc)
+		stages.workers, stages.tune = t.Sizes().Writers, s.tune
+		// The queue must be able to carry the widest window the tuner may
+		// open; the effective backpressure point is the flow window, which
+		// the tuner moves inside [1, MaxWindow]. With a scratch file
+		// configured the configured depth stays authoritative instead:
+		// sustained overflow spills to local disk (bounded memory), and
+		// the tuner's degraded mode vetoes window growth while the
+		// backlog replays.
+		if lim := t.Limits(); cfg.SpillDir == "" && lim.MaxWindow > stages.depth {
+			stages.depth = lim.MaxWindow
 		}
 	}
+	if cfg.SpillDir != "" {
+		// Degraded-mode scratch file, one per dedicated core. Opening it
+		// also performs crash recovery: frames a previous run left behind
+		// are handed straight to the drainer, which replays them through
+		// this server's normal persist path. Config.Validate has already
+		// rejected spill with aggregation (spilled chunks are released
+		// early, which the shared merge ring cannot tolerate) and spill
+		// without an asynchronous pipeline.
+		path := fmt.Sprintf("%s/node%04d_srv%04d.spill", cfg.SpillDir, sp.node, worldRank)
+		sc, err := openScratch(path, cfg.SpillAfter, s.persister)
+		if err != nil {
+			return fail(err)
+		}
+		stages.scratch = sc
+	}
+	s.pipe = newPipeline(stages)
 	for i, eng := range engines {
 		shard := i
-		eng.OnIterationEnd = func(it int64) error { return s.flushIterationFrom(shard, it) }
+		eng.OnIterationEnd = func(it int64) error { s.flushIterationFrom(shard, it); return nil }
 		// The last ClientExit (counted node-wide on the shared tally) closes
 		// every shard queue so all loops drain and exit.
 		eng.OnAllExited = func() error {
@@ -290,7 +319,7 @@ func newServer(cfg *config.Config, engines []*event.Engine, queues []*event.Queu
 	// Readiness, distinct from liveness: a server that is replaying a
 	// spill backlog or whose tuner is in degraded mode is alive but should
 	// not be considered ready (e.g. for admitting more load).
-	if sc := s.scratch; sc != nil {
+	if sc := stages.scratch; sc != nil {
 		opts.Obs.AddReadiness(fmt.Sprintf("server-%d-spill", worldRank), func() error {
 			if pending := sc.stats().Pending; pending > 0 {
 				return fmt.Errorf("spill backlog draining: %d iterations pending", pending)
@@ -310,10 +339,10 @@ func newServer(cfg *config.Config, engines []*event.Engine, queues []*event.Queu
 }
 
 // RegisterObs registers this server's live metric collectors on a registry.
-// Live scrapes read the exact snapshot functions the end-of-run report
-// prints — the two can never disagree. newServer calls it for the shared
-// plane; damaris-run calls it again with per-rank registries so the
-// federator can expose a rank-by-rank fleet view.
+// A live scrape and damaris-run's end-of-run report are the same gather of
+// the same registry. newServer calls it for the shared plane; damaris-run
+// calls it again with per-rank registries so the federator can expose a
+// rank-by-rank fleet view.
 func (s *Server) RegisterObs(reg *obs.Registry) {
 	if reg == nil {
 		return
@@ -341,11 +370,6 @@ func (s *Server) Inject(ev event.Event) { s.queue.Push(ev) }
 // ShardCount returns the number of event-loop shards this server runs
 // (1 = the classic single loop).
 func (s *Server) ShardCount() int { return len(s.shards) }
-
-// SpareBudget reports the node spare-core budget the control plane enforces
-// and the cores of it reserved for shard loops. Both are 0 when budgeting is
-// off (neither shards auto mode nor an explicit budget engaged it).
-func (s *Server) SpareBudget() (budget, reserved int) { return s.budget, s.reserved }
 
 // Run executes the dedicated-core loop(s) until every client has finalized
 // and all shard queues have drained. With one shard it runs the loop inline
@@ -384,14 +408,8 @@ func (s *Server) Run() error {
 	if leftover := s.eng.Store().Iterations(); len(leftover) > 0 {
 		sort.Slice(leftover, func(i, j int) bool { return leftover[i] < leftover[j] })
 		for _, it := range leftover {
-			if err := s.flushIteration(it); err != nil {
-				s.mu.Lock()
-				s.handleErrs = append(s.handleErrs, err)
-				if s.flushErr == nil {
-					s.flushErr = err
-				}
-				s.mu.Unlock()
-			}
+			// Not attributed to an event-loop shard: every loop has drained.
+			s.flushIterationFrom(-1, it)
 		}
 	}
 	return s.Close()
@@ -405,20 +423,10 @@ func (s *Server) Run() error {
 // clients are still producing events.
 func (s *Server) Close() error {
 	s.closeOnce.Do(func() {
-		if s.pipe != nil {
-			s.pipe.close()
-		}
-		// The scratch drainer gets one final attempt at any spill backlog; a
-		// frame it cannot replay stays in the scratch file (recovered on the
-		// next start) and is surfaced as the close error.
-		if s.scratch != nil {
-			if err := s.scratch.close(); err != nil {
-				s.mu.Lock()
-				if s.flushErr == nil {
-					s.flushErr = flushError{fmt.Errorf("core: server %d: %w", s.id, err)}
-				}
-				s.mu.Unlock()
-			}
+		// A spill frame the scratch drainer could not replay on its final
+		// attempt is surfaced as the close error.
+		if err := s.pipe.close(); err != nil {
+			s.noteFlushErr(fmt.Errorf("core: server %d: %w", s.id, err))
 		}
 		// Aggregation teardown: every contribution of this member is acked
 		// (the pipeline drained), so declare it done; the leader then waits
@@ -427,11 +435,7 @@ func (s *Server) Close() error {
 		if s.agg != nil {
 			s.agg.agg.MemberDone(s.agg.memberID)
 			if err := s.agg.close(); err != nil {
-				s.mu.Lock()
-				if s.flushErr == nil {
-					s.flushErr = flushError{fmt.Errorf("core: server %d: close aggregator: %w", s.id, err)}
-				}
-				s.mu.Unlock()
+				s.noteFlushErr(fmt.Errorf("core: server %d: close aggregator: %w", s.id, err))
 			}
 		}
 		// Encode workers stop only after every persist writer drained: a
@@ -441,11 +445,7 @@ func (s *Server) Close() error {
 		// by now, so tearing it down cannot lose data.
 		if s.ownStore != nil {
 			if err := s.ownStore.Close(); err != nil {
-				s.mu.Lock()
-				if s.flushErr == nil {
-					s.flushErr = flushError{fmt.Errorf("core: server %d: close backend: %w", s.id, err)}
-				}
-				s.mu.Unlock()
+				s.noteFlushErr(fmt.Errorf("core: server %d: close backend: %w", s.id, err))
 			}
 		}
 		s.seg.Close()
@@ -456,34 +456,30 @@ func (s *Server) Close() error {
 	return s.flushErr
 }
 
-type flushError struct{ err error }
-
-func (f flushError) Error() string { return f.err.Error() }
-func (f flushError) Unwrap() error { return f.err }
-
-func isFlushError(err error) bool {
-	_, ok := err.(flushError)
-	return ok
+// noteFlushErr keeps err as the error Run and Close return, unless an earlier
+// one is already held.
+func (s *Server) noteFlushErr(err error) {
+	s.mu.Lock()
+	if s.flushErr == nil {
+		s.flushErr = err
+	}
+	s.mu.Unlock()
 }
 
-// flushIteration hands one completed iteration to the persistence path
-// without attributing it to an event-loop shard — the leftover path Run
-// takes after every shard loop has drained.
-func (s *Server) flushIteration(it int64) error { return s.flushIterationFrom(-1, it) }
-
-// flushIterationFrom hands one completed iteration to the persistence path.
-// It is the engine's OnIterationEnd hook, so it runs on the dedicated core —
-// the simulation never waits for it; with several shard loops the engine's
-// tally has already serialized flushes into ascending-iteration order, so at
-// most one flush runs at a time (the pipeline's single-submitter contract).
-// `shard` is the loop that counted the iteration's last EndIteration (-1 =
-// not shard-attributed). With the write-behind pipeline the hand-off is a
-// bounded-queue send (blocking only when the pipeline is
+// flushIterationFrom hands one completed iteration to the persistence
+// pipeline. It is the engine's OnIterationEnd hook, so it runs on the
+// dedicated core — the simulation never waits for it; with several shard
+// loops the engine's tally has already serialized flushes into
+// ascending-iteration order, so at most one flush runs at a time (the
+// pipeline's single-submitter contract). `shard` is the loop that counted the
+// iteration's last EndIteration (-1 = not shard-attributed). With writers the
+// hand-off is a bounded-queue send (blocking only when the pipeline is
 // `persist_queue_depth` iterations behind — the backpressure point); the
 // event loop then resumes draining client events while writers persist.
 // Entries leave the metadata catalog here but their shared-memory chunks
-// stay pinned until a writer reports the iteration durable.
-func (s *Server) flushIterationFrom(shard int, it int64) error {
+// stay pinned until the pipeline reports the iteration durable. A persist
+// error reaches HandleErrors and Run through iterationDurable.
+func (s *Server) flushIterationFrom(shard int, it int64) {
 	entries := s.eng.Store().TakeIteration(it)
 	if s.tracer != nil {
 		// StageWrite: first client write → iteration complete, the write
@@ -503,52 +499,14 @@ func (s *Server) flushIterationFrom(shard int, it int64) error {
 			s.tracer.RecordShard(obs.StageWrite, s.id, shard, it, t0, time.Since(t0), bytes, false)
 		}
 	}
-	// Aggregation on: contribute to the node's merge here, from the event
-	// loop, so this member's epochs enter the fan-in ring in ascending order
-	// (the property the leader's in-order emission — and the cross-node
-	// lockstep in "node" mode — is built on). The pipeline writer then only
-	// waits for the merged object's durability ack before releasing chunks.
-	if ap, ok := s.persister.(*aggPersister); ok {
-		ap.submit(it, entries)
-	}
-	if s.pipe != nil {
-		s.pipe.submit(it, entries)
-		// Control plane: observe this iteration boundary and, at most once
-		// per decision interval, re-size the writer pool, flow window and
-		// encode pool. Resizing happens here — between iterations, on the
-		// event loop — never mid-write.
-		s.tune()
-		return nil
-	}
-
-	// Synchronous baseline: persist inline, inside the event loop.
-	if s.scheduler != nil {
-		s.scheduler.WaitTurn(it)
-	}
-	start := time.Now()
-	var bytes int64
-	for _, e := range entries {
-		bytes += e.Size()
-	}
-	err := s.persister.Persist(it, entries)
-	for _, e := range entries {
-		e.Release()
-	}
-	dur := time.Since(start).Seconds()
-	s.iterationDurable(it, dur, dur, bytes, err)
-	if err != nil {
-		return flushError{fmt.Errorf("core: server %d: persist iteration %d: %w", s.id, it, err)}
-	}
-	return nil
+	s.pipe.submit(it, entries)
 }
 
 // tune feeds one telemetry sample to the control plane and applies any
-// decision it returns. Called from the event loop at iteration boundaries
-// only; a nil tuner (static mode) makes it a no-op.
+// decision it returns. It is the pipeline's tune stage under auto control
+// (static mode has none), so it runs on the event loop at iteration
+// boundaries only.
 func (s *Server) tune() {
-	if s.tuner == nil || s.pipe == nil {
-		return
-	}
 	now := time.Now()
 	var gap float64
 	if !s.lastIter.IsZero() {
@@ -597,8 +555,7 @@ func (s *Server) tune() {
 
 // iterationDurable records one iteration's durability and advances the
 // client flow-control window. The pipeline invokes it in submission (ack)
-// order once the iteration and all earlier ones are durable; the
-// synchronous baseline calls it inline.
+// order once the iteration and all earlier ones are durable.
 func (s *Server) iterationDurable(it int64, persistDur, latency float64, bytes int64, err error) {
 	s.mu.Lock()
 	s.writeDurs = append(s.writeDurs, persistDur)
@@ -606,13 +563,10 @@ func (s *Server) iterationDurable(it int64, persistDur, latency float64, bytes i
 	s.iterations = append(s.iterations, it)
 	if err == nil {
 		s.bytesWritten += bytes
-	} else if s.pipe == nil {
-		s.syncFails++
 	} else {
 		// Pipeline errors never travel through Engine.Handle, so record
-		// them here for HandleErrors/Run; the sync path reports through
-		// flushIteration's return instead.
-		werr := flushError{fmt.Errorf("core: server %d: persist iteration %d: %w", s.id, it, err)}
+		// them here for HandleErrors/Run.
+		werr := fmt.Errorf("core: server %d: persist iteration %d: %w", s.id, it, err)
 		s.handleErrs = append(s.handleErrs, werr)
 		if s.flushErr == nil {
 			s.flushErr = werr
@@ -677,35 +631,22 @@ func (s *Server) WriteStats() stats.Summary {
 }
 
 // FlushLatencies returns, per iteration in ack order, the seconds from
-// iteration completion (all clients ended it) to durability. In the
-// synchronous baseline this equals the write time; under the write-behind
-// pipeline it additionally includes queueing delay.
+// iteration completion (all clients ended it) to durability. With the inline
+// executor this equals the write time; with writers it additionally includes
+// queueing delay.
 func (s *Server) FlushLatencies() []float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return append([]float64(nil), s.flushLats...)
 }
 
-// PipelineStats snapshots the write-behind pipeline's per-stage metrics
+// PipelineStats snapshots the persistence pipeline's per-stage metrics
 // (queue depth, flush latency, batch size, writer utilization, encode-stage
-// latency and pool utilization). In the synchronous baseline it reports
-// Workers=0 with only FlushLatency and Encode filled.
+// latency and pool utilization). Workers and Window are the effective —
+// under auto control, the tuned — sizes.
 func (s *Server) PipelineStats() PipelineStats {
-	var ps PipelineStats
-	if s.pipe == nil {
-		s.mu.Lock()
-		ps = PipelineStats{
-			Window:       1,
-			Enqueued:     int64(len(s.flushLats)),
-			Completed:    int64(len(s.flushLats)),
-			Failures:     s.syncFails,
-			FlushLatency: stats.Summarize(s.flushLats),
-		}
-		s.mu.Unlock()
-	} else {
-		ps = s.pipe.snapshot(s.cfg.PersistQueueDepth)
-		ps.Window = int(s.fc.windowSize())
-	}
+	ps := s.pipe.snapshot(s.cfg.PersistQueueDepth)
+	ps.Window = int(s.fc.windowSize())
 	ps.Shards = s.shardStats()
 	ps.Control = s.tuner.Stats()
 	// Report the pool this server owns, or the one an external persister
@@ -735,31 +676,6 @@ func (s *Server) PipelineStats() PipelineStats {
 		}
 	}
 	return ps
-}
-
-// EffectiveSizes reports the live (possibly auto-tuned) concurrency
-// configuration: persist writers (0 = synchronous baseline), client
-// flow-window depth and encode workers. Under static control these are
-// exactly the configured knobs; under auto control they are wherever the
-// tuner currently sits — what damaris-run's report lines print.
-func (s *Server) EffectiveSizes() (writers, window, encode int) {
-	window = 1
-	if s.pipe != nil {
-		snap := s.pipe.snapshot(s.cfg.PersistQueueDepth)
-		writers = snap.Workers
-		window = int(s.fc.windowSize())
-	}
-	// Report whatever pool actually encodes for this server — owned or
-	// carried by an external persister (the latter is never resized by the
-	// control plane, but its size is still the effective one).
-	pool := s.encPool
-	if pool == nil {
-		if pp, ok := s.persister.(interface{ EncodePool() *dsf.EncodePool }); ok {
-			pool = pp.EncodePool()
-		}
-	}
-	encode = pool.Workers()
-	return writers, window, encode
 }
 
 // Persister is the persistency layer invoked once per completed iteration

@@ -169,9 +169,6 @@ func (s *Server) handle(sl *shardLoop, ev event.Event) {
 	if err := sl.eng.Handle(ev); err != nil {
 		s.mu.Lock()
 		s.handleErrs = append(s.handleErrs, err)
-		if s.flushErr == nil && isFlushError(err) {
-			s.flushErr = err
-		}
 		s.mu.Unlock()
 	}
 }

@@ -383,11 +383,19 @@ func TestShardOverwriteUnderFullSegment(t *testing.T) {
 
 // Span honesty: with tracing on, an iteration's write span runs from its
 // first write being made to the flush — not from the moment the loop, resumed
-// by EndIteration, got round to the queued notification.
+// by EndIteration, got round to the queued notification. And the pipeline
+// records the iteration's queue, persist and ack spans whether a writer made
+// it durable (workers=1) or the event loop did, inline (workers=0).
 func TestShardWriteSpanOpensAtFirstPush(t *testing.T) {
+	for _, workers := range []int{0, 1} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) { testWriteSpan(t, workers) })
+	}
+}
+
+func testWriteSpan(t *testing.T, workers int) {
 	const gap = 30 * time.Millisecond
 	plane := obs.NewPlane(0)
-	cfg := shardCfg(t, 1, 2, `<shards count="2"/>`)
+	cfg := shardCfg(t, workers, 2, `<shards count="2"/>`)
 	begin := time.Now()
 	err := mpi.Run(3, 3, func(comm *mpi.Comm) {
 		dep, err := Deploy(comm, cfg, nil, Options{Persister: &MemPersister{}, Obs: plane})
@@ -417,12 +425,12 @@ func TestShardWriteSpanOpensAtFirstPush(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var spans int
+	spans := map[obs.Stage]int{}
 	for _, sp := range plane.Tracer().Snapshot() {
+		spans[sp.Stage]++
 		if sp.Stage != obs.StageWrite {
 			continue
 		}
-		spans++
 		if d := time.Duration(sp.Dur); d < gap {
 			t.Errorf("write span lasts %v, the write phase lasted at least %v", d, gap)
 		}
@@ -430,7 +438,9 @@ func TestShardWriteSpanOpensAtFirstPush(t *testing.T) {
 			t.Errorf("write span starts %v before the run, carries %d bytes", time.Duration(begin.UnixNano()-sp.Start), sp.Bytes)
 		}
 	}
-	if spans != 1 {
-		t.Fatalf("%d write spans, want 1", spans)
+	for _, stage := range []obs.Stage{obs.StageWrite, obs.StageQueue, obs.StagePersist, obs.StageAck} {
+		if spans[stage] != 1 {
+			t.Errorf("%d %s spans, want 1 for the one iteration", spans[stage], stage)
+		}
 	}
 }

@@ -240,9 +240,8 @@ func New(cfg Config) (*Gateway, error) {
 	if g.obs == nil {
 		g.obs = obs.NewPlane(0)
 	}
-	// The live scrape reads the same Stats snapshot /v1/stats serves and the
-	// end-of-run report prints; the backend's metrics ride along when it
-	// exposes them.
+	// The live scrape reads the same Stats snapshot /v1/stats serves; the
+	// backend's metrics ride along when it exposes them.
 	g.obs.Registry().Collect(func(e *obs.Emitter) {
 		g.Stats().Emit(e)
 		g.backend.Stats().Emit(e)

@@ -8,8 +8,8 @@
 // The paper's headline claim is *jitter-free* I/O; before this package the
 // runtime could only argue it post-hoc, from the summary each subsystem
 // printed at exit. The registry makes the same figures scrapeable while a
-// run is in flight — and because live scrapes and end-of-run reports read
-// the very same snapshot functions, the two can never disagree.
+// run is in flight — and because damaris-run's end-of-run report is a gather
+// of the same registry, the two can never disagree.
 //
 // Concurrency and determinism: the observe path (Counter.Add,
 // Gauge.Set/Add, Histogram.Observe, Tracer.Record) is lock-free and
@@ -391,8 +391,8 @@ func (r *Registry) Histogram(name string, bounds []float64, labels ...string) *H
 
 // Collect registers a pull-time collector, invoked on every Gather with a
 // fresh Emitter. Collectors are how the run's existing *Stats snapshot
-// structs join the registry: the same snapshot function feeds the live
-// scrape and the end-of-run report, so the two cannot diverge.
+// structs join the registry: the live scrape and the end-of-run report are
+// both a Gather, so the two cannot diverge.
 func (r *Registry) Collect(fn func(*Emitter)) {
 	if r == nil || fn == nil {
 		return
