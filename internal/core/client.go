@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"damaris/internal/config"
@@ -30,8 +31,8 @@ type Client struct {
 
 	pending map[pendKey]*shm.Block
 
-	writeDurs []float64 // seconds per Write/Commit call
-	phaseDurs []float64 // seconds of write activity per iteration
+	writeDurs recent[float64] // seconds per Write/Commit call
+	phaseDurs recent[float64] // seconds of write activity per iteration
 	phaseAcc  float64
 	finalized bool
 }
@@ -148,11 +149,6 @@ func (c *Client) WriteFloat32s(name string, iteration int64, xs []float32) error
 	return c.Write(name, iteration, mpi.Float32sToBytes(xs))
 }
 
-// WriteFloat64s encodes and writes a float64 field.
-func (c *Client) WriteFloat64s(name string, iteration int64, xs []float64) error {
-	return c.Write(name, iteration, mpi.Float64sToBytes(xs))
-}
-
 // Alloc reserves the variable's shared-memory buffer and returns it for
 // in-place production — the paper's zero-copy path (§III-C, "Minimum-copy
 // overhead": "the simulation directly allocates its variables in the shared
@@ -237,7 +233,7 @@ func (c *Client) EndIteration(iteration int64) error {
 		Iteration: iteration,
 		Source:    c.source,
 	})
-	c.phaseDurs = append(c.phaseDurs, c.phaseAcc)
+	c.phaseDurs.add(c.phaseAcc)
 	c.phaseAcc = 0
 	// Flow control: run at most `window` iterations ahead of the last
 	// durable flush (window = 1 synchronous, persist_queue_depth under the
@@ -268,18 +264,43 @@ func (c *Client) Finalize() error {
 
 func (c *Client) recordWrite(d time.Duration) {
 	sec := d.Seconds()
-	c.writeDurs = append(c.writeDurs, sec)
+	c.writeDurs.add(sec)
 	c.phaseAcc += sec
 }
 
-// WriteTimes returns the duration of every Write/Commit call, in seconds —
-// the client-visible cost of I/O, which the paper shows collapses to a
-// memcpy under Damaris.
-func (c *Client) WriteTimes() []float64 { return append([]float64(nil), c.writeDurs...) }
+// WriteTimes returns the duration of the most recent Write/Commit calls (up
+// to recentCap of them), in seconds — the client-visible cost of I/O, which
+// the paper shows collapses to a memcpy under Damaris.
+func (c *Client) WriteTimes() []float64 { return c.writeDurs.values() }
 
-// PhaseTimes returns the per-iteration total write time, the quantity
-// plotted in the paper's Figures 2 and 3.
-func (c *Client) PhaseTimes() []float64 { return append([]float64(nil), c.phaseDurs...) }
+// PhaseTimes returns the per-iteration total write time of the most recent
+// iterations, the quantity plotted in the paper's Figures 2 and 3.
+func (c *Client) PhaseTimes() []float64 { return c.phaseDurs.values() }
 
 // WriteStats summarizes WriteTimes.
-func (c *Client) WriteStats() stats.Summary { return stats.Summarize(c.writeDurs) }
+func (c *Client) WriteStats() stats.Summary { return stats.Summarize(c.writeDurs.buf) }
+
+// recentCap is how many samples a recent keeps: more than any test, example
+// or benchmark run records, so only an arbitrarily long run ever drops one.
+const recentCap = 1 << 16
+
+// recent keeps the last recentCap values added to it, so a per-call or
+// per-iteration record does not grow for the life of a run.
+type recent[T any] struct {
+	buf  []T
+	next int // once buf is full: the oldest value, overwritten next
+}
+
+func (r *recent[T]) add(v T) {
+	if len(r.buf) < recentCap {
+		r.buf = append(r.buf, v)
+		return
+	}
+	r.buf[r.next] = v
+	r.next = (r.next + 1) % recentCap
+}
+
+// values returns a copy of what is kept, oldest first.
+func (r *recent[T]) values() []T {
+	return slices.Concat(r.buf[r.next:], r.buf[:r.next])
+}

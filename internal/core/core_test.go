@@ -14,6 +14,7 @@ import (
 	"damaris/internal/layout"
 	"damaris/internal/metadata"
 	"damaris/internal/mpi"
+	"damaris/internal/obs"
 )
 
 const testXML = `
@@ -441,6 +442,27 @@ func TestClientPhaseTimes(t *testing.T) {
 	}
 }
 
+// The per-call and per-iteration records keep the most recent recentCap
+// values, oldest first, and nothing before them: memory flat in run length.
+func TestRecentKeepsTheLastValues(t *testing.T) {
+	var r recent[int]
+	for i := 0; i < recentCap+5; i++ {
+		if i == 3 {
+			if got := r.values(); len(got) != 3 || got[0] != 0 || got[2] != 2 {
+				t.Fatalf("values before wrapping = %v", got)
+			}
+		}
+		r.add(i)
+	}
+	got := r.values()
+	if len(got) != recentCap || got[0] != 5 || got[recentCap-1] != recentCap+4 {
+		t.Fatalf("after %d adds: %d values, first %d, last %d", recentCap+5, len(got), got[0], got[len(got)-1])
+	}
+	if cap(r.buf) > 2*recentCap {
+		t.Errorf("ring holds room for %d values, cap is %d", cap(r.buf), recentCap)
+	}
+}
+
 func TestServerStats(t *testing.T) {
 	cfg := testCfg(t, "mutex", 1)
 	var srv *Server
@@ -465,6 +487,16 @@ func TestServerStats(t *testing.T) {
 	}
 	if got := srv.Iterations(); len(got) != 3 || got[0] != 0 || got[2] != 2 {
 		t.Errorf("Iterations = %v", got)
+	}
+	// The registry reads a counter, not the length of that record.
+	reg := obs.NewRegistry()
+	srv.RegisterObs(reg)
+	var expo strings.Builder
+	if err := obs.WriteSamples(&expo, reg.Gather()); err != nil {
+		t.Fatal(err)
+	}
+	if want := `damaris_server_iterations_total{server="1"} 3`; !strings.Contains(expo.String(), want) {
+		t.Errorf("registry lacks %q", want)
 	}
 	if srv.BytesWritten() != 3*256 {
 		t.Errorf("BytesWritten = %d, want %d", srv.BytesWritten(), 3*256)

@@ -69,7 +69,10 @@ func (ss SpillStats) Emit(e *obs.Emitter, labels ...string) {
 // time" measure) and the per-iteration write-time summary.
 func (s *Server) emitServer(e *obs.Emitter, labels ...string) {
 	e.Counter("damaris_server_bytes_written_total", float64(s.BytesWritten()), labels...)
-	e.Counter("damaris_server_iterations_total", float64(len(s.Iterations())), labels...)
+	s.mu.Lock()
+	acked := s.acked
+	s.mu.Unlock()
+	e.Counter("damaris_server_iterations_total", float64(acked), labels...)
 	e.Counter("damaris_server_spare_seconds_total", s.SpareSeconds(), labels...)
 	e.Counter("damaris_server_busy_seconds_total", s.BusySeconds(), labels...)
 	e.Summary("damaris_server_write_seconds", s.WriteStats(), labels...)

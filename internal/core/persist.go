@@ -74,6 +74,13 @@ type DSFPersister struct {
 	pool    *dsf.EncodePool
 	tracer  *obs.Tracer
 	files   []string
+	idle    []chunkBatch // batches between writeFile calls; as many as ever ran at once
+}
+
+// chunkBatch is what one writeFile call hands to dsf.Writer.WriteChunks.
+type chunkBatch struct {
+	metas []dsf.ChunkMeta
+	datas [][]byte
 }
 
 // SetEncodePool attaches the encode worker pool chunks are compressed on;
@@ -261,20 +268,10 @@ func (p *DSFPersister) writeFile(name string, entries []*metadata.Entry, attrs m
 	for k, v := range attrs {
 		w.SetAttribute(k, v)
 	}
-	metas := make([]dsf.ChunkMeta, len(entries))
-	datas := make([][]byte, len(entries))
-	for i, e := range entries {
-		metas[i] = dsf.ChunkMeta{
-			Name:      e.Key.Name,
-			Iteration: e.Key.Iteration,
-			Source:    e.Key.Source,
-			Layout:    e.Layout,
-			Global:    e.Global,
-			Codec:     p.Codec,
-		}
-		datas[i] = e.Bytes()
-	}
-	if err := w.WriteChunks(metas, datas, p.EncodePool()); err != nil {
+	cb := p.borrowBatch(entries)
+	err = w.WriteChunks(cb.metas, cb.datas, p.EncodePool())
+	p.returnBatch(cb)
+	if err != nil {
 		w.Abort()
 		ow.Abort()
 		return err
@@ -307,6 +304,45 @@ func (p *DSFPersister) writeFile(name string, entries []*metadata.Entry, attrs m
 	return nil
 }
 
+// chunkOf describes one catalogued entry to the DSF writer.
+func chunkOf(e *metadata.Entry, codec dsf.Codec) dsf.ChunkMeta {
+	return dsf.ChunkMeta{
+		Name:      e.Key.Name,
+		Iteration: e.Key.Iteration,
+		Source:    e.Key.Source,
+		Layout:    e.Layout,
+		Global:    e.Global,
+		Codec:     codec,
+	}
+}
+
+// borrowBatch describes entries for WriteChunks in a batch taken from the
+// persister's free list — persist writers run concurrently, so the scratch
+// cannot be a field.
+func (p *DSFPersister) borrowBatch(entries []*metadata.Entry) (cb chunkBatch) {
+	p.mu.Lock()
+	if n := len(p.idle); n > 0 {
+		cb, p.idle = p.idle[n-1], p.idle[:n-1]
+	}
+	p.mu.Unlock()
+	for _, e := range entries {
+		cb.metas = append(cb.metas, chunkOf(e, p.Codec))
+		cb.datas = append(cb.datas, e.Bytes())
+	}
+	return cb
+}
+
+// returnBatch takes back a batch WriteChunks is done with, cleared so that an
+// idle batch pins no entry's name or bytes.
+func (p *DSFPersister) returnBatch(cb chunkBatch) {
+	clear(cb.metas)
+	clear(cb.datas)
+	cb.metas, cb.datas = cb.metas[:0], cb.datas[:0]
+	p.mu.Lock()
+	p.idle = append(p.idle, cb)
+	p.mu.Unlock()
+}
+
 // Files lists the DSF objects written so far: filesystem paths when the
 // persister manages its own file backend over Dir, backend object names
 // when an explicit Backend was provided. The returned slice is a copy —
@@ -322,7 +358,6 @@ func (p *DSFPersister) Files() []string {
 type NullPersister struct {
 	mu    sync.Mutex
 	bytes int64
-	calls int
 }
 
 // Persist counts and drops the entries.
@@ -333,13 +368,12 @@ func (p *NullPersister) Persist(_ int64, entries []*metadata.Entry) error {
 	}
 	p.mu.Lock()
 	p.bytes += b
-	p.calls++
 	p.mu.Unlock()
 	return nil
 }
 
-// PersistBatch counts a whole batch as one call, so Calls() exposes the
-// pipeline's batching factor to benchmarks.
+// PersistBatch drops a whole batch in one call, so the pipeline batches over
+// a NullPersister as it would over a real one.
 func (p *NullPersister) PersistBatch(batch []IterationBatch) error {
 	var b int64
 	for _, ib := range batch {
@@ -349,7 +383,6 @@ func (p *NullPersister) PersistBatch(batch []IterationBatch) error {
 	}
 	p.mu.Lock()
 	p.bytes += b
-	p.calls++
 	p.mu.Unlock()
 	return nil
 }
@@ -359,13 +392,6 @@ func (p *NullPersister) Bytes() int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.bytes
-}
-
-// Calls returns the number of Persist invocations.
-func (p *NullPersister) Calls() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.calls
 }
 
 // MemPersister retains deep copies of all persisted entries, for tests and

@@ -97,6 +97,37 @@ func TestTracingPersistAllocOverheadBounded(t *testing.T) {
 	}
 }
 
+// What one persist call allocates does not depend on how many chunks the
+// iteration holds: the chunk batch is recycled, the TOC records are reserved
+// once, equal layouts share one descriptor and the TOC is encoded into the
+// pooled write buffer. What is left grows with log2 of the TOC's size: every
+// gob encoder doubles a buffer of its own up to the message it sends, three
+// more steps for eight times the records.
+func TestPersistAllocsIndependentOfChunkCount(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops entries under -race")
+	}
+	allocs := func(chunks int) float64 {
+		entries := batchEntries(1, chunks)[0].Entries
+		p := &DSFPersister{Dir: t.TempDir()}
+		it := int64(0)
+		persist := func() {
+			if err := p.Persist(it%8, entries); err != nil {
+				t.Fatal(err)
+			}
+			it++
+		}
+		persist()
+		persist()
+		return testing.AllocsPerRun(50, persist)
+	}
+	few, many := allocs(8), allocs(64)
+	t.Logf("persist allocs/op: %.0f for 8 chunks, %.0f for 64", few, many)
+	if many > few+4 {
+		t.Errorf("persisting 64 chunks allocates %.0f/op, 8 chunks %.0f: the count grows with the chunks", many, few)
+	}
+}
+
 // An injected commit failure must surface as a persist error and leave no
 // visible object — the pipeline's failure accounting sees exactly what a
 // crashed storage service would produce.

@@ -33,6 +33,10 @@ type pipelineSpec struct {
 	// the iteration's share of its persist call (call duration / batch
 	// size); err is the iteration's persist error, if any.
 	onDurable func(it int64, persistDur, latency float64, bytes int64, err error)
+	// recycle takes an iteration's entries back once it is acked — the last
+	// time the pipeline touches them (metadata.Store.Recycle: the catalog
+	// reuses the slice and the entries it owns).
+	recycle func(entries []*metadata.Entry)
 
 	// merge, with the aggregation layer on, contributes the iteration to the
 	// node's merge from the event loop, before it is queued — so this
@@ -128,6 +132,7 @@ type persistJob struct {
 // the ack watermark can pass it.
 type persistDone struct {
 	it         int64
+	entries    []*metadata.Entry // released; handed to recycle with the ack
 	persistDur float64
 	latency    float64
 	bytes      int64
@@ -269,8 +274,8 @@ func (p *pipeline) enqueue(job persistJob) {
 	}
 }
 
-// spillJob diverts one iteration to the scratch file, releases its chunks,
-// and completes it through the ack watermark. A spill error (local disk
+// spillJob diverts one iteration to the scratch file and completes it —
+// chunks released, ack through the watermark. A spill error (local disk
 // failure) surfaces as the iteration's persist error — there is nowhere
 // left to put the data.
 func (p *pipeline) spillJob(j persistJob) {
@@ -278,18 +283,22 @@ func (p *pipeline) spillJob(j persistJob) {
 	err := p.scratch.spill(j.it, j.entries)
 	wall := time.Since(start)
 	p.tracer.Record(obs.StageSpill, p.server, j.it, start, wall, j.bytes, err != nil)
-	for _, e := range j.entries {
-		e.Release()
-	}
 	p.complete([]persistJob{j}, wall.Seconds(), []error{err})
 }
 
-// complete records a batch's iterations durable (or failed), each charged
-// perIt seconds of persisting, and advances the in-order ack watermark. The
-// writers, the inline executor and the spill path all end here.
+// complete is where every iteration ends, whether a writer, the inline
+// executor or the spill path carried it: its iterations are durable (or
+// definitively failed), so only now are their shared-memory chunks released
+// — on error the data is gone either way, so liveness wins, release
+// regardless. Each is charged perIt seconds of persisting and recorded for
+// the in-order ack watermark; an iteration the watermark passes is acked
+// (onDurable) and its entries go back to the catalog (recycle).
 func (p *pipeline) complete(batch []persistJob, perIt float64, errs []error) {
 	now := time.Now()
 	for i, j := range batch {
+		for _, e := range j.entries {
+			e.Release()
+		}
 		p.tracer.Record(obs.StageAck, p.server, j.it, j.submitted, now.Sub(j.submitted), j.bytes, errs[i] != nil)
 	}
 	p.ackMu.Lock()
@@ -304,10 +313,15 @@ func (p *pipeline) complete(batch []persistJob, perIt float64, errs []error) {
 		if errs[i] != nil {
 			p.failures++
 		}
-		p.done[j.seq] = persistDone{it: j.it, persistDur: perIt, latency: lat, bytes: j.bytes, err: errs[i]}
+		p.done[j.seq] = persistDone{it: j.it, entries: j.entries, persistDur: perIt, latency: lat, bytes: j.bytes, err: errs[i]}
 	}
 	// Advance the ack watermark over every contiguous completed seq.
-	acks := p.drainAcksLocked()
+	var acks []persistDone
+	for d, ok := p.done[p.ackSeq]; ok; d, ok = p.done[p.ackSeq] {
+		delete(p.done, p.ackSeq)
+		p.ackSeq++
+		acks = append(acks, d)
+	}
 	p.mu.Unlock()
 	// Deliver under ackMu (not p.mu, which writers need to complete other
 	// batches): a second writer advancing the watermark further must wait
@@ -316,25 +330,11 @@ func (p *pipeline) complete(batch []persistJob, perIt float64, errs []error) {
 		if p.onDurable != nil {
 			p.onDurable(d.it, d.persistDur, d.latency, d.bytes, d.err)
 		}
+		if p.recycle != nil {
+			p.recycle(d.entries)
+		}
 	}
 	p.ackMu.Unlock()
-}
-
-// drainAcksLocked advances the ack watermark over every contiguous
-// completed seq. Caller holds both ackMu and p.mu; the returned acks must
-// be delivered (in order) before releasing ackMu.
-func (p *pipeline) drainAcksLocked() []persistDone {
-	var acks []persistDone
-	for {
-		d, ok := p.done[p.ackSeq]
-		if !ok {
-			break
-		}
-		delete(p.done, p.ackSeq)
-		p.ackSeq++
-		acks = append(acks, d)
-	}
-	return acks
 }
 
 // spillActive reports whether spilled iterations are still awaiting replay
@@ -415,8 +415,7 @@ func tryRecv(ch chan persistJob) (persistJob, bool) {
 	}
 }
 
-// persistAndAck writes one batch durably, releases its shared-memory
-// chunks, and records completion for in-order acking. slot is the calling
+// persistAndAck writes one batch durably and completes it. slot is the calling
 // writer's, or negative on the inline executor's event loop.
 func (p *pipeline) persistAndAck(slot int, batch []persistJob) {
 	start := time.Now()
@@ -459,14 +458,6 @@ func (p *pipeline) persistAndAck(slot int, batch []persistJob) {
 	}
 	callDur := time.Since(start)
 	dur := callDur.Seconds()
-	// The iterations of this batch are durable (or definitively failed):
-	// only now may their shared-memory chunks be released. On error the
-	// data is gone either way, so liveness wins — release regardless.
-	for _, j := range batch {
-		for _, e := range j.entries {
-			e.Release()
-		}
-	}
 
 	// Lifecycle spans, one triple per iteration: queue wait (submit to
 	// writer pickup), persist (each iteration carries the whole batch's

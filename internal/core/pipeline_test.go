@@ -11,6 +11,8 @@ import (
 	"damaris/internal/config"
 	"damaris/internal/metadata"
 	"damaris/internal/mpi"
+	"damaris/internal/plugin"
+	"damaris/internal/shm"
 )
 
 // pipelineCfg builds a config with explicit write-behind pipeline knobs.
@@ -326,6 +328,106 @@ func TestFlowWindowBoundsClientToDurableFlush(t *testing.T) {
 		t.Fatal(err)
 	}
 	close(pers.started)
+}
+
+// No entry is reused before its iteration is acked: what a plugin action saw
+// of iteration 0 — held here past the flush, which the Engine doc forbids, to
+// observe it — still reads as iteration 0, block pinned, while the persist of
+// iteration 0 is gated and the dedicated core catalogs iteration 1; none of
+// iteration 1's entries is one of them.
+func TestEntriesNotReusedBeforeAck(t *testing.T) {
+	cfg, err := config.ParseString(`
+<simulation>
+  <buffer size="1048576" cores="1"/>
+  <pipeline workers="1" queue="2"/>
+  <layout name="l" type="real" dimensions="32,32"/>
+  <variable name="a" layout="l"/>
+  <variable name="b" layout="l"/>
+  <event name="snap" action="snap" scope="local"/>
+</simulation>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pers := &gatedPersister{started: make(chan []int64, 2), allow: make(chan struct{}, 2)}
+	snaps := make(chan []*metadata.Entry, 2)
+	reg := plugin.NewRegistry()
+	reg.MustRegister("snap", func(ctx *plugin.Context, _ string) error {
+		snaps <- ctx.Store.Iteration(ctx.Iteration)
+		return nil
+	})
+	done := make(chan error, 1)
+	go func() {
+		done <- mpi.Run(2, 2, func(comm *mpi.Comm) {
+			dep, err := Deploy(comm, cfg, reg, Options{Persister: pers})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if !dep.IsClient() {
+				_ = dep.Server.Run()
+				return
+			}
+			cli := dep.Client
+			defer cli.Finalize()
+			data := make([]float32, 32*32)
+			for it := int64(0); it < 2; it++ {
+				for _, name := range []string{"a", "b"} {
+					if err := cli.WriteFloat32s(name, it, data); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				if err := cli.Signal("snap", it); err != nil {
+					t.Error(err)
+					return
+				}
+				if err := cli.EndIteration(it); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		})
+	}()
+	recv := func() []*metadata.Entry {
+		t.Helper()
+		select {
+		case es := <-snaps:
+			return es
+		case <-time.After(10 * time.Second):
+			t.Fatal("the snap action never ran")
+			return nil
+		}
+	}
+	held := recv()
+	blocks := make([]*shm.Block, len(held))
+	for i, e := range held {
+		blocks[i] = e.Block
+	}
+	select {
+	case <-pers.started: // iteration 0 is taken and in the writer's hands, gated
+	case <-time.After(10 * time.Second):
+		t.Fatal("persist of iteration 0 never started")
+	}
+	next := recv() // iteration 1 is catalogued; iteration 0 still not durable
+	if len(held) != 2 || len(next) != 2 {
+		t.Fatalf("snapshots hold %d and %d entries, want 2 and 2", len(held), len(next))
+	}
+	for i, e := range held {
+		want := metadata.Key{Name: []string{"a", "b"}[i], Iteration: 0, Source: 0}
+		if e.Key != want || e.Block == nil || e.Block != blocks[i] || e.Block.Released() {
+			t.Errorf("held entry %d of unacked iteration 0 changed: key %v, block %p (was %p)", i, e.Key, e.Block, blocks[i])
+		}
+		for _, n := range next {
+			if n == e {
+				t.Errorf("iteration 1's %v reuses the entry of unacked iteration 0's %v", n.Key, want)
+			}
+		}
+	}
+	pers.allow <- struct{}{}
+	pers.allow <- struct{}{}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestPipelineBatchesBacklog deterministically forces a backlog behind a

@@ -274,21 +274,10 @@ func encodeSpillPayload(entries []*metadata.Entry) ([]byte, error) {
 		return nil, err
 	}
 	w.SetAttribute("writer", "damaris-scratch-spill")
-	metas := make([]dsf.ChunkMeta, len(entries))
-	datas := make([][]byte, len(entries))
-	for i, e := range entries {
-		metas[i] = dsf.ChunkMeta{
-			Name:      e.Key.Name,
-			Iteration: e.Key.Iteration,
-			Source:    e.Key.Source,
-			Layout:    e.Layout,
-			Global:    e.Global,
-			Codec:     dsf.None,
+	for _, e := range entries {
+		if err := w.WriteChunk(chunkOf(e, dsf.None), e.Bytes()); err != nil {
+			return nil, err
 		}
-		datas[i] = e.Bytes()
-	}
-	if err := w.WriteChunks(metas, datas, nil); err != nil {
-		return nil, err
 	}
 	if err := w.Close(); err != nil {
 		return nil, err

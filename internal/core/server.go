@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -84,7 +83,8 @@ type Server struct {
 	spareDur     float64           // seconds spent idle waiting for events
 	busyDur      float64           // seconds handling events (incl. persisting only with the inline executor)
 	bytesWritten int64
-	iterations   []int64
+	iterations   recent[int64] // the most recent iterations acked, for Iterations
+	acked        int64         // iterations acked over the server's life
 	handleErrs   []error
 	flushErr     error // first persistence error, surfaced by Run/Close
 	running      bool
@@ -165,6 +165,7 @@ func newServer(sp serverSpec) (*Server, error) {
 		workers:   cfg.PersistWorkers,
 		depth:     cfg.PersistQueueDepth,
 		onDurable: s.iterationDurable,
+		recycle:   engines[0].Store().Recycle,
 		scheduler: opts.Scheduler,
 		tracer:    s.tracer,
 		server:    worldRank,
@@ -406,7 +407,6 @@ func (s *Server) Run() error {
 	// Flush anything left behind (clients that exited without ending their
 	// last iteration).
 	if leftover := s.eng.Store().Iterations(); len(leftover) > 0 {
-		sort.Slice(leftover, func(i, j int) bool { return leftover[i] < leftover[j] })
 		for _, it := range leftover {
 			// Not attributed to an event-loop shard: every loop has drained.
 			s.flushIterationFrom(-1, it)
@@ -560,7 +560,8 @@ func (s *Server) iterationDurable(it int64, persistDur, latency float64, bytes i
 	s.mu.Lock()
 	s.writeDurs = append(s.writeDurs, persistDur)
 	s.flushLats = append(s.flushLats, latency)
-	s.iterations = append(s.iterations, it)
+	s.iterations.add(it)
+	s.acked++
 	if err == nil {
 		s.bytesWritten += bytes
 	} else {
@@ -609,11 +610,12 @@ func (s *Server) BytesWritten() int64 {
 	return s.bytesWritten
 }
 
-// Iterations returns the iterations flushed, in completion order.
+// Iterations returns the most recent iterations flushed (up to recentCap of
+// them), in completion order.
 func (s *Server) Iterations() []int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return append([]int64(nil), s.iterations...)
+	return s.iterations.values()
 }
 
 // HandleErrors returns the per-event errors collected during Run.

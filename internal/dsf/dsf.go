@@ -36,7 +36,8 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 
 	"damaris/internal/layout"
@@ -146,10 +147,26 @@ type Writer struct {
 	bw     *bufio.Writer // pooled; nil once the Writer is closed or aborted
 	offset int64
 	recs   []tocRecord
-	attrs  map[string]string
-	level  int // gzip level for Gzip/ShuffleGzip chunks
+	attrs  []tocAttr // sorted by key, as the TOC stores them
+	level  int       // gzip level for Gzip/ShuffleGzip chunks
 	closed bool
+
+	// descs holds the marshalled descriptor of each distinct layout seen so
+	// far: the variables of a deployment share a handful, so a chunk's TOC
+	// record almost always borrows one instead of marshalling its own.
+	descs  []layoutDesc
+	tocLen int64 // bytes of TOC written by Close, for the footer
 }
+
+// layoutDesc pairs a layout with its marshalled descriptor.
+type layoutDesc struct {
+	layout layout.Layout
+	desc   []byte
+}
+
+// maxLayoutDescs bounds Writer.descs — the scan is linear. A stream with more
+// distinct layouts than this marshals the excess per chunk.
+const maxLayoutDescs = 16
 
 // NewWriter starts a DSF stream on an arbitrary sink and emits the header.
 // Close finishes the stream (TOC + footer) but does not close the sink —
@@ -160,7 +177,7 @@ func NewWriter(out io.Writer) (*Writer, error) {
 		out:    out,
 		bw:     bufPool.Get().(*bufio.Writer),
 		offset: int64(len(headMagic)),
-		attrs:  make(map[string]string),
+		attrs:  make([]tocAttr, 0, 4),
 		level:  DefaultGzipLevel,
 	}
 	w.bw.Reset(out)
@@ -223,7 +240,12 @@ func (w *Writer) SetGzipLevel(level int) error {
 // SetAttribute records a file-level key/value attribute (units, provenance,
 // simulation parameters — the "enriched dataset" metadata of §III-A).
 func (w *Writer) SetAttribute(key, value string) {
-	w.attrs[key] = value
+	i, found := slices.BinarySearchFunc(w.attrs, key, func(a tocAttr, k string) int { return strings.Compare(a.Key, k) })
+	if found {
+		w.attrs[i].Value = value
+		return
+	}
+	w.attrs = slices.Insert(w.attrs, i, tocAttr{Key: key, Value: value})
 }
 
 // validateChunk checks one chunk before any bytes are spent encoding it.
@@ -271,7 +293,7 @@ func (w *Writer) appendEncoded(meta ChunkMeta, rawSize int64, ec encodedChunk) e
 		Name:       meta.Name,
 		Iteration:  meta.Iteration,
 		Source:     meta.Source,
-		LayoutDesc: meta.Layout.Marshal(),
+		LayoutDesc: w.layoutDesc(meta.Layout),
 		Codec:      uint8(meta.Codec),
 		RawSize:    rawSize,
 		Stored:     int64(len(ec.stored)),
@@ -287,6 +309,21 @@ func (w *Writer) appendEncoded(meta ChunkMeta, rawSize int64, ec encodedChunk) e
 	return nil
 }
 
+// layoutDesc returns l's marshalled descriptor, shared by every record of
+// the stream with an equal layout.
+func (w *Writer) layoutDesc(l layout.Layout) []byte {
+	for i := range w.descs {
+		if w.descs[i].layout.Equal(l) {
+			return w.descs[i].desc
+		}
+	}
+	desc := l.Marshal()
+	if len(w.descs) < maxLayoutDescs {
+		w.descs = append(w.descs, layoutDesc{layout: l, desc: desc})
+	}
+	return desc
+}
+
 // StoredBytes returns the number of payload bytes written so far (excluding
 // header and TOC) — the figure throughput is computed from.
 func (w *Writer) StoredBytes() int64 { return w.offset - int64(len(headMagic)) }
@@ -299,23 +336,17 @@ func (w *Writer) Close() error {
 		return nil
 	}
 	w.closed = true
-	t := toc{Records: w.recs, Attrs: make([]tocAttr, 0, len(w.attrs))}
-	for k, v := range w.attrs {
-		t.Attrs = append(t.Attrs, tocAttr{Key: k, Value: v})
-	}
-	sort.Slice(t.Attrs, func(i, j int) bool { return t.Attrs[i].Key < t.Attrs[j].Key })
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&t); err != nil {
+	// The TOC is encoded straight into the pooled write buffer — no staging
+	// buffer per object; tocLen counts what the encoder wrote.
+	t := toc{Records: w.recs, Attrs: w.attrs}
+	w.tocLen = 0
+	if err := gob.NewEncoder(tocSink{w}).Encode(&t); err != nil {
 		w.Abort()
-		return fmt.Errorf("dsf: toc encode: %w", err)
-	}
-	if _, err := w.bw.Write(buf.Bytes()); err != nil {
-		w.Abort()
-		return fmt.Errorf("dsf: toc write: %w", err)
+		return fmt.Errorf("dsf: toc: %w", err)
 	}
 	var foot [24]byte
 	binary.LittleEndian.PutUint64(foot[0:], uint64(w.offset))
-	binary.LittleEndian.PutUint64(foot[8:], uint64(buf.Len()))
+	binary.LittleEndian.PutUint64(foot[8:], uint64(w.tocLen))
 	copy(foot[16:], tailMagic)
 	if _, err := w.bw.Write(foot[:]); err != nil {
 		w.Abort()
@@ -330,6 +361,16 @@ func (w *Writer) Close() error {
 		return w.closer.Close()
 	}
 	return nil
+}
+
+// tocSink is the io.Writer the TOC encoder sees: the Writer's buffer, with
+// the bytes counted for the footer.
+type tocSink struct{ w *Writer }
+
+func (s tocSink) Write(p []byte) (int, error) {
+	n, err := s.w.bw.Write(p)
+	s.w.tocLen += int64(n)
+	return n, err
 }
 
 // decode reverses encodeChunk. rawSize (from the TOC) sizes the

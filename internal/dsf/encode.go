@@ -3,6 +3,7 @@ package dsf
 import (
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"sync"
 	"time"
 
@@ -400,6 +401,9 @@ func (w *Writer) WriteChunks(metas []ChunkMeta, datas [][]byte, pool *EncodePool
 			return err
 		}
 	}
+	// One reservation for the batch's TOC records instead of regrowing them
+	// chunk by chunk.
+	w.recs = slices.Grow(w.recs, len(metas))
 	if pool == nil {
 		for i := range metas {
 			if err := w.WriteChunk(metas[i], datas[i]); err != nil {
@@ -418,7 +422,9 @@ func (w *Writer) WriteChunks(metas []ChunkMeta, datas [][]byte, pool *EncodePool
 	if window > len(metas) {
 		window = len(metas)
 	}
-	results := make([]chan encodeResult, len(metas))
+	// One result channel per window slot, not per chunk: chunk i+window is
+	// submitted only after chunk i's result was received and its slot freed.
+	results := make([]chan encodeResult, window)
 	for i := range results {
 		results[i] = make(chan encodeResult, 1)
 	}
@@ -435,7 +441,7 @@ func (w *Writer) WriteChunks(metas []ChunkMeta, datas [][]byte, pool *EncodePool
 				elemSize: metas[i].Layout.Type().Size(),
 				level:    w.level,
 				iter:     metas[i].Iteration,
-				result:   results[i],
+				result:   results[i%window],
 			}, int64(len(datas[i])))
 		}
 	}()
@@ -444,7 +450,7 @@ func (w *Writer) WriteChunks(metas []ChunkMeta, datas [][]byte, pool *EncodePool
 	// every in-flight buffer is recycled and the submitter terminates.
 	var firstErr error
 	for i := range metas {
-		res := <-results[i]
+		res := <-results[i%window]
 		pool.drained(int64(len(datas[i])))
 		switch {
 		case res.err != nil:

@@ -247,6 +247,10 @@ func (q *Queue) Close() {
 // sharing one Tally and one metadata store; iteration completion, global
 // signals, and client exits are then counted node-wide while each engine
 // keeps its own plugin context.
+//
+// The entries the engine catalogs belong to the store, which reuses them: a
+// plugin action may use what ctx.Store returns only until OnIterationEnd
+// takes the iteration (metadata.Store.TakeIteration), and copies what it keeps.
 type Engine struct {
 	cfg   *config.Config
 	reg   *plugin.Registry
@@ -358,7 +362,7 @@ func (e *Engine) handleWrite(ev Event) error {
 		return fmt.Errorf("event: variable %q: layout %v wants %d bytes, block has %d",
 			ev.Name, lay, lay.Bytes(), ev.Block.Size())
 	}
-	return e.store.Put(&metadata.Entry{
+	return e.store.Add(metadata.Entry{
 		Key:    metadata.Key{Name: ev.Name, Iteration: ev.Iteration, Source: ev.Source},
 		Layout: lay,
 		Block:  ev.Block,

@@ -6,24 +6,27 @@
 // of a write-notification, the EPE will add an entry in a metadata structure
 // associating the tuple with the received data. The data stay in shared
 // memory until actions are performed on them." This catalog is that
-// structure: it maps tuples to data handles, answers per-iteration and
-// per-variable queries for actions (persist, compress, statistics), and
-// releases shared-memory blocks once an iteration is flushed.
+// structure: it maps tuples to data handles, answers per-iteration queries
+// for actions (persist, compress, statistics), and releases shared-memory
+// blocks once an iteration is flushed.
 //
 // The catalog is internally sharded: tuples hash by (variable name, source
 // rank) onto a power-of-two number of shards, each with its own lock and its
-// own per-iteration and per-variable indexes. NewStore builds a single-shard
-// catalog (exactly the historical behavior); NewSharded spreads the same API
-// over N shards so concurrent event-loop shards do not serialize on one
-// mutex. Every cross-shard query merges per-shard results in the same
-// deterministic (name, source) order as before, so persistence output is
-// byte-identical for any shard count.
+// own per-iteration index, so concurrent event-loop shards do not serialize
+// on one mutex. Every cross-shard query merges per-shard results in (name,
+// source) order, so persistence output is byte-identical for any shard count.
+//
+// Steady state allocates nothing: a shard's per-iteration map is reused once
+// its iteration is taken or dropped, the entries Add catalogs and the slice
+// TakeIteration fills once the iteration's owner hands them back (Recycle).
 package metadata
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 
 	"damaris/internal/layout"
@@ -40,12 +43,20 @@ type Key struct {
 // Entry associates a Key with its layout and data. Data is normally a
 // shared-memory block; entries carrying an inline copy (e.g. after a
 // transformation) have Block nil and Inline non-nil.
+//
+// Who may hold an *Entry, and until when: one the caller allocated and Put is
+// the caller's for good. One catalogued by Add belongs to the store and is
+// reused: queries (Get, Iteration — what plugin actions see) may use it only
+// while its iteration is still catalogued, and whoever took the iteration
+// with TakeIteration may use it until it calls Recycle.
 type Entry struct {
 	Key    Key
 	Layout layout.Layout
 	Block  *shm.Block   // shared-memory handle (nil if inline)
 	Inline []byte       // inline payload (nil if in shared memory)
 	Global layout.Block // position of this piece in the global domain (optional)
+
+	home *storeShard // the shard that reuses this entry; nil when the caller allocated it
 }
 
 // Bytes returns the dataset payload regardless of where it lives.
@@ -59,36 +70,50 @@ func (e *Entry) Bytes() []byte {
 // Size returns the payload size in bytes.
 func (e *Entry) Size() int64 { return int64(len(e.Bytes())) }
 
-// release frees the shared-memory block, if any.
-func (e *Entry) release() {
+// Release frees the entry's shared-memory block, if any. It is called by
+// owners of entries obtained from TakeIteration — the persistence pipeline —
+// once the entry has been durably written (or its write definitively
+// failed). Releasing twice is a no-op.
+func (e *Entry) Release() {
 	if e.Block != nil {
 		e.Block.Release()
 		e.Block = nil
 	}
 }
 
-// Release frees the entry's shared-memory block, if any. It is called by
-// owners of entries obtained from TakeIteration — the persistence pipeline —
-// once the entry has been durably written (or its write definitively
-// failed). Releasing twice is a no-op.
-func (e *Entry) Release() { e.release() }
+// check rejects entries the catalog cannot hold.
+func (e *Entry) check() error {
+	if e.Key.Name == "" {
+		return fmt.Errorf("metadata: entry with empty variable name")
+	}
+	if e.Block == nil && e.Inline == nil {
+		return fmt.Errorf("metadata: entry %v carries no data", e.Key)
+	}
+	return nil
+}
 
-// storeShard is one lock domain of the catalog. Entries are indexed twice:
-// by iteration (the flush path: TakeIteration, TotalBytes, Iteration) and by
-// variable name (the query path: Variable), so neither walks unrelated
-// entries.
+// storeShard is one lock domain of the catalog, indexed by iteration (the
+// flush path: TakeIteration, TotalBytes, Iteration), so no query walks
+// unrelated entries.
 type storeShard struct {
 	mu     sync.RWMutex
 	byIter map[int64]map[Key]*Entry
-	byName map[string]map[Key]*Entry
-	count  int
+	idle   []map[Key]*Entry // emptied iteration maps: grown once per run, not once per iteration
+	spare  []*Entry         // entries this shard owns, handed back through Recycle, for Add
 }
+
+// slabEntries is how many entries a shard allocates at once when Add finds
+// none to reuse.
+const slabEntries = 32
 
 // Store is a thread-safe tuple catalog. The zero value is not usable; use
 // NewStore or NewSharded.
 type Store struct {
 	shards []storeShard
 	mask   uint32
+
+	takenMu sync.Mutex
+	taken   [][]*Entry // slices handed back through Recycle, for TakeIteration to fill
 }
 
 // NewStore creates an empty single-shard catalog.
@@ -106,13 +131,9 @@ func NewSharded(n int) *Store {
 	s := &Store{shards: make([]storeShard, n), mask: uint32(n - 1)}
 	for i := range s.shards {
 		s.shards[i].byIter = make(map[int64]map[Key]*Entry)
-		s.shards[i].byName = make(map[string]map[Key]*Entry)
 	}
 	return s
 }
-
-// ShardCount reports the number of lock shards.
-func (s *Store) ShardCount() int { return len(s.shards) }
 
 // shardFor routes a tuple to its shard: FNV-1a over the variable name mixed
 // with the source rank. Allocation-free.
@@ -131,41 +152,69 @@ func (s *Store) shardFor(name string, source int) *storeShard {
 	return &s.shards[h&s.mask]
 }
 
-// Put registers an entry. Re-writing an existing tuple replaces the previous
-// entry and releases its shared-memory block (a client overwriting the same
-// variable within one iteration). The last Put wins: one tuple's writes come
-// from one client, whose events one shard loop applies in push order.
+// Put registers an entry the caller allocated and keeps owning. Re-writing an
+// existing tuple replaces the previous entry and releases its shared-memory
+// block (a client overwriting the same variable within one iteration). The
+// last Put wins: one tuple's writes come from one client, whose events one
+// shard loop applies in push order.
 func (s *Store) Put(e *Entry) error {
 	if e == nil {
 		return fmt.Errorf("metadata: nil entry")
 	}
-	if e.Key.Name == "" {
-		return fmt.Errorf("metadata: entry with empty variable name")
+	if err := e.check(); err != nil {
+		return err
 	}
-	if e.Block == nil && e.Inline == nil {
-		return fmt.Errorf("metadata: entry %v carries no data", e.Key)
+	e.home = nil
+	sh := s.shardFor(e.Key.Name, e.Key.Source)
+	sh.mu.Lock()
+	sh.insert(e)
+	sh.mu.Unlock()
+	return nil
+}
+
+// Add is Put for the event path: it catalogs a copy of e in an entry the
+// store owns — one Recycle handed back, else one of a fresh slab — so a write
+// notification allocates nothing in steady state. See Entry for how long the
+// catalogued entry may be held.
+func (s *Store) Add(e Entry) error {
+	if err := e.check(); err != nil {
+		return err
 	}
 	sh := s.shardFor(e.Key.Name, e.Key.Source)
 	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if old, ok := sh.byIter[e.Key.Iteration][e.Key]; ok {
-		old.release()
-		sh.count--
+	if len(sh.spare) == 0 {
+		slab := make([]Entry, slabEntries)
+		for i := range slab {
+			sh.spare = append(sh.spare, &slab[i])
+		}
 	}
-	im := sh.byIter[e.Key.Iteration]
-	if im == nil {
-		im = make(map[Key]*Entry)
-		sh.byIter[e.Key.Iteration] = im
-	}
-	im[e.Key] = e
-	nm := sh.byName[e.Key.Name]
-	if nm == nil {
-		nm = make(map[Key]*Entry)
-		sh.byName[e.Key.Name] = nm
-	}
-	nm[e.Key] = e
-	sh.count++
+	owned := sh.spare[len(sh.spare)-1]
+	sh.spare = sh.spare[:len(sh.spare)-1]
+	*owned = e
+	owned.home = sh
+	sh.insert(owned)
+	sh.mu.Unlock()
 	return nil
+}
+
+// insert catalogs e under its iteration, replacing — and releasing the block
+// of — an entry already there under the same tuple. The replaced entry is
+// left to the collector, not reused: a query may still hold it. The caller
+// holds sh.mu.
+func (sh *storeShard) insert(e *Entry) {
+	m := sh.byIter[e.Key.Iteration]
+	if m == nil {
+		if n := len(sh.idle); n > 0 {
+			m, sh.idle = sh.idle[n-1], sh.idle[:n-1]
+		} else {
+			m = make(map[Key]*Entry)
+		}
+		sh.byIter[e.Key.Iteration] = m
+	}
+	if old, ok := m[e.Key]; ok {
+		old.Release()
+	}
+	m[e.Key] = e
 }
 
 // Get returns the entry for a tuple.
@@ -183,80 +232,63 @@ func (s *Store) Len() int {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		n += sh.count
+		for _, m := range sh.byIter {
+			n += len(m)
+		}
 		sh.mu.RUnlock()
 	}
 	return n
 }
 
-// Iteration returns all entries of one iteration, sorted by (name, source)
-// for deterministic persistence order.
-func (s *Store) Iteration(it int64) []*Entry {
-	var out []*Entry
+// gather appends one iteration's entries on every shard to out; with take it
+// also uncatalogs them, keeping each shard's emptied map for a later
+// iteration.
+func (s *Store) gather(it int64, out []*Entry, take bool) []*Entry {
 	for i := range s.shards {
 		sh := &s.shards[i]
-		sh.mu.RLock()
-		for _, e := range sh.byIter[it] {
+		sh.mu.Lock()
+		m := sh.byIter[it]
+		for _, e := range m {
 			out = append(out, e)
 		}
-		sh.mu.RUnlock()
+		if take && m != nil {
+			delete(sh.byIter, it)
+			clear(m)
+			sh.idle = append(sh.idle, m)
+		}
+		sh.mu.Unlock()
 	}
-	sortEntries(out)
 	return out
 }
 
-// Variable returns all entries of one variable across iterations and
-// sources, sorted by (iteration, source).
-func (s *Store) Variable(name string) []*Entry {
-	var out []*Entry
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for _, e := range sh.byName[name] {
-			out = append(out, e)
-		}
-		sh.mu.RUnlock()
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Key.Iteration != out[j].Key.Iteration {
-			return out[i].Key.Iteration < out[j].Key.Iteration
-		}
-		return out[i].Key.Source < out[j].Key.Source
-	})
+// Iteration returns all entries of one iteration, sorted by (name, source)
+// for deterministic persistence order.
+func (s *Store) Iteration(it int64) []*Entry {
+	out := s.gather(it, nil, false)
+	sortEntries(out)
 	return out
 }
 
 // Iterations lists the distinct iterations present, ascending.
 func (s *Store) Iterations() []int64 {
-	seen := make(map[int64]bool)
+	var out []int64
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		for it, m := range sh.byIter {
-			if len(m) > 0 {
-				seen[it] = true
-			}
+		for it := range sh.byIter {
+			out = append(out, it)
 		}
 		sh.mu.RUnlock()
 	}
-	out := make([]int64, 0, len(seen))
-	for it := range seen {
-		out = append(out, it)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // TotalBytes sums the payload sizes of all entries of one iteration.
 func (s *Store) TotalBytes(it int64) int64 {
 	var total int64
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for _, e := range sh.byIter[it] {
-			total += e.Size()
-		}
-		sh.mu.RUnlock()
+	for _, e := range s.gather(it, nil, false) {
+		total += e.Size()
 	}
 	return total
 }
@@ -268,76 +300,64 @@ func (s *Store) TotalBytes(it int64) int64 {
 // the write-behind pipeline — the data must stay pinned in shared memory
 // until a writer has made it durable. Entries are sorted by (name, source)
 // like Iteration; the merge across shards lands in the same order for any
-// shard count.
+// shard count. A caller that is done with the slice and its entries may hand
+// them back through Recycle; one that never does simply keeps them.
 func (s *Store) TakeIteration(it int64) []*Entry {
 	var out []*Entry
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for k, e := range sh.byIter[it] {
-			out = append(out, e)
-			sh.removeLocked(k, it)
-		}
-		delete(sh.byIter, it)
-		sh.mu.Unlock()
+	s.takenMu.Lock()
+	if n := len(s.taken); n > 0 {
+		out, s.taken = s.taken[n-1], s.taken[:n-1]
 	}
+	s.takenMu.Unlock()
+	out = s.gather(it, out, true)
 	sortEntries(out)
 	return out
 }
 
-// DropIteration removes all entries of an iteration, releasing their
-// shared-memory blocks, and returns how many entries were dropped. Called
-// after the iteration has been persisted.
-func (s *Store) DropIteration(it int64) int {
-	n := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for k, e := range sh.byIter[it] {
-			e.release()
-			sh.removeLocked(k, it)
-			n++
-		}
-		delete(sh.byIter, it)
-		sh.mu.Unlock()
+// Recycle hands back what TakeIteration returned, once the caller has
+// released the entries and holds no other reference to them or to the slice:
+// the entries Add catalogued and the slice itself are reused by later
+// iterations. Entries the caller Put are only dropped from the slice.
+func (s *Store) Recycle(entries []*Entry) {
+	if cap(entries) == 0 {
+		return
 	}
+	for _, e := range entries {
+		// Not touched again once its shard has it: Add may reuse it at once.
+		if sh := e.home; sh != nil {
+			*e = Entry{}
+			sh.mu.Lock()
+			sh.spare = append(sh.spare, e)
+			sh.mu.Unlock()
+		}
+	}
+	clear(entries)
+	s.takenMu.Lock()
+	s.taken = append(s.taken, entries[:0])
+	s.takenMu.Unlock()
+}
+
+// DropIteration removes all entries of an iteration, releasing their
+// shared-memory blocks, and returns how many entries were dropped.
+func (s *Store) DropIteration(it int64) int {
+	entries := s.TakeIteration(it)
+	n := len(entries)
+	for _, e := range entries {
+		e.Release()
+	}
+	s.Recycle(entries)
 	return n
 }
 
 // Clear removes everything, releasing all shared-memory blocks.
 func (s *Store) Clear() {
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for _, m := range sh.byIter {
-			for _, e := range m {
-				e.release()
-			}
-		}
-		sh.byIter = make(map[int64]map[Key]*Entry)
-		sh.byName = make(map[string]map[Key]*Entry)
-		sh.count = 0
-		sh.mu.Unlock()
+	for _, it := range s.Iterations() {
+		s.DropIteration(it)
 	}
-}
-
-// removeLocked unindexes one key (byName side plus bookkeeping); the caller
-// deletes the byIter map wholesale and must hold sh.mu.
-func (sh *storeShard) removeLocked(k Key, it int64) {
-	if nm, ok := sh.byName[k.Name]; ok {
-		delete(nm, k)
-		if len(nm) == 0 {
-			delete(sh.byName, k.Name)
-		}
-	}
-	sh.count--
 }
 
 func sortEntries(es []*Entry) {
-	sort.Slice(es, func(i, j int) bool {
-		if es[i].Key.Name != es[j].Key.Name {
-			return es[i].Key.Name < es[j].Key.Name
-		}
-		return es[i].Key.Source < es[j].Key.Source
+	slices.SortFunc(es, func(a, b *Entry) int {
+		return cmp.Or(strings.Compare(a.Key.Name, b.Key.Name), cmp.Compare(a.Key.Source, b.Key.Source))
 	})
 }

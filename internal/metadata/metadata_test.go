@@ -89,24 +89,6 @@ func TestIterationQuerySorted(t *testing.T) {
 	}
 }
 
-func TestVariableQuerySorted(t *testing.T) {
-	s := NewStore()
-	_ = s.Put(inlineEntry("u", 2, 1, 8))
-	_ = s.Put(inlineEntry("u", 1, 3, 8))
-	_ = s.Put(inlineEntry("u", 1, 0, 8))
-	_ = s.Put(inlineEntry("w", 1, 0, 8))
-	got := s.Variable("u")
-	if len(got) != 3 {
-		t.Fatalf("len = %d", len(got))
-	}
-	wantOrder := []Key{{"u", 1, 0}, {"u", 1, 3}, {"u", 2, 1}}
-	for i, w := range wantOrder {
-		if got[i].Key != w {
-			t.Errorf("order[%d] = %v, want %v", i, got[i].Key, w)
-		}
-	}
-}
-
 func TestIterationsAndTotalBytes(t *testing.T) {
 	s := NewStore()
 	_ = s.Put(inlineEntry("a", 3, 0, 10))
@@ -268,7 +250,7 @@ func TestTakeIterationTransfersOwnership(t *testing.T) {
 	}
 	// Releasing again is a no-op.
 	taken[0].Release()
-	if got := s.TakeIteration(99); got != nil {
+	if got := s.TakeIteration(99); len(got) != 0 {
 		t.Errorf("TakeIteration of empty iteration = %v", got)
 	}
 }
