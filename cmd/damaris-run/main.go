@@ -218,7 +218,7 @@ func run(cfg *config.Config, o options, out io.Writer) error {
 	if o.backend != "damaris" {
 		return nil
 	}
-	// The dedicated cores' figures — pipeline, shards, spill, control, store,
+	// The dedicated cores' figures — pipeline, shards, spill, store,
 	// aggregation, encode, each core's busy/spare split — are the plane's
 	// registry, in the bytes /metrics serves.
 	return obs.WriteSamples(out, plane.Registry().Gather())

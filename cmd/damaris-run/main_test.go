@@ -123,6 +123,11 @@ func TestReportTailIsTheRegistry(t *testing.T) {
 				t.Errorf("%v: the report has no %s family", args, want)
 			}
 		}
+		for f := range families {
+			if strings.HasPrefix(f, "damaris_control_") {
+				t.Errorf("%v: the report still has a %s family", args, f)
+			}
+		}
 		for _, srv := range []string{"2", "5"} {
 			if line := `damaris_pipeline_completed_total{server="` + srv + `"} 4` + "\n"; !strings.Contains(report[at:], line) {
 				t.Errorf("%v: report lacks %q", args, line)

@@ -229,13 +229,6 @@ func (a *Aggregator) Submit(member int, epoch int64, entries []*metadata.Entry) 
 	return done
 }
 
-// RingOccupancy reports the fan-in ring's instantaneous fill fraction — the
-// control plane's saturation signal (a full ring vetoes window growth).
-func (a *Aggregator) RingOccupancy() float64 {
-	n, capacity := a.ring.occupancy()
-	return float64(n) / float64(capacity)
-}
-
 // MemberDone declares that a member will submit no further epochs. Once
 // every member is done the fan-in ring closes and the leader drains.
 func (a *Aggregator) MemberDone(member int) {

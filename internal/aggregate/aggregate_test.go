@@ -462,22 +462,6 @@ func TestDurabilityWindowTracksSlowestSibling(t *testing.T) {
 	}
 }
 
-// RingOccupancy reports the live fill fraction the control plane samples.
-func TestRingOccupancy(t *testing.T) {
-	agg, err := New(Config{Mode: "core", Members: []int{0, 1}, RingDepth: 4, Sink: &countSink{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f := agg.RingOccupancy(); f < 0 || f > 1 {
-		t.Fatalf("occupancy %v outside [0,1]", f)
-	}
-	agg.MemberDone(0)
-	agg.MemberDone(1)
-	if err := agg.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestStatsEmitExposable pins the regression where the durability-window
 // gauge was named exactly like the `_max` companion the summary on the same
 // family auto-emits: the duplicate series (and duplicate TYPE line) made

@@ -113,11 +113,3 @@ func (r *ring) snapshot() (stats.Summary, int) {
 	defer r.mu.Unlock()
 	return r.depth.Summary(), r.max
 }
-
-// occupancy reports the instantaneous fill and capacity — the control
-// plane's ring-saturation signal.
-func (r *ring) occupancy() (n, capacity int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.n, len(r.buf)
-}

@@ -14,8 +14,7 @@
 //	  <store     backend="obj:///data/objects" part_size="4194304" put_workers="4" put_timeout="500"/>
 //	  <spill     dir="/local/scratch" after="2"/>
 //	  <aggregate mode="core" ring="8"/>
-//	  <control   mode="auto" interval_ms="250" max_workers="8" max_window="16" max_encode="8"/>
-//	  <shards    count="4" mode="auto" budget="8"/>
+//	  <shards    count="4"/>
 //	  <layout    name="my_layout" type="real" dimensions="64,16,2" language="fortran"/>
 //	  <variable  name="my_variable" layout="my_layout"/>
 //	  <event     name="my_event" action="do_something" using="my_plugin.so" scope="local"/>
@@ -26,7 +25,7 @@
 // the Config field it lands in, its default, its range and a help line.
 // Parse, Validate and BindFlags all walk that table, so an attribute or
 // element the table does not name is an error, not a silent default.
-// docs/{dsf,store,resilience,aggregate,control,sharding}.md say what each
+// docs/{dsf,store,resilience,aggregate,sharding}.md say what each
 // group of knobs is for.
 package config
 
@@ -59,7 +58,8 @@ type Config struct {
 	PersistWorkers int
 	// PersistQueueDepth bounds the in-flight iteration queue feeding the
 	// persist workers; it is also the client flow-control window when the
-	// pipeline is asynchronous.
+	// pipeline is asynchronous (with SpillDir set the window is what the
+	// shared buffer holds instead, see core.Deploy).
 	PersistQueueDepth int
 	// EncodeWorkers is the size of the per-dedicated-core chunk-encode pool
 	// (parallel compression/shuffle feeding a single ordered file streamer);
@@ -99,34 +99,11 @@ type Config struct {
 	// AggregateRingDepth bounds the in-process fan-in ring feeding the
 	// aggregation leader (0 = default).
 	AggregateRingDepth int
-	// ControlMode selects the adaptive control plane: "" or "static" (the
-	// sizing knobs above are final — byte-for-byte the pre-control
-	// behavior) or "auto" (a feedback controller re-sizes the persist
-	// writer pool, flow window and encode pool between iterations).
-	ControlMode string
-	// ControlIntervalMS is the minimum milliseconds between controller
-	// decisions (0 = control.DefaultInterval).
-	ControlIntervalMS int
-	// ControlMaxWriters / ControlMaxWindow / ControlMaxEncode bound the
-	// tunable range in auto mode (0 = control package defaults).
-	ControlMaxWriters int
-	ControlMaxWindow  int
-	ControlMaxEncode  int
 	// ShardCount is the number of dedicated-core event-loop shards (0 or 1
 	// = the classic single loop, byte-for-byte the pre-sharding behavior).
 	// Clients are routed to shards by rank; the effective count is clamped
 	// to the client count at deployment.
 	ShardCount int
-	// ShardMode selects how the shard count is chosen: "" or "static" (use
-	// ShardCount as configured) or "auto" (derive the count from the node's
-	// spare-core budget at deployment and engage the tuner's
-	// oversubscription veto).
-	ShardMode string
-	// ShardBudget overrides the node spare-core budget that shards auto
-	// mode and the tuner's oversubscription veto divide between shard
-	// loops, persist writers, and encode workers (0 = derive
-	// GOMAXPROCS − clients at deployment when mode is auto).
-	ShardBudget int
 	// Layouts maps layout names to normalized (C-order) layouts.
 	Layouts map[string]layout.Layout
 	// Variables maps variable names to their declarations.
@@ -373,9 +350,6 @@ func (c *Config) Validate() error {
 			return fmt.Errorf("config: scratch spill is incompatible with aggregation (mode %q): spilled chunks are released before the merge could read them", c.AggregateMode)
 		}
 	}
-	if c.ControlAuto() && c.PersistWorkers == 0 {
-		return fmt.Errorf("config: control mode auto requires an asynchronous pipeline (persist workers >= 1), got workers=0")
-	}
 	return nil
 }
 
@@ -388,9 +362,6 @@ func (c *Config) StoreOptions() store.Options {
 		PutTimeout: time.Duration(c.StorePutTimeoutMS) * time.Millisecond,
 	}
 }
-
-// ControlAuto reports whether the adaptive control plane is on.
-func (c *Config) ControlAuto() bool { return c.ControlMode == "auto" }
 
 // AggregateEnabled reports whether an aggregation tier is selected.
 func (c *Config) AggregateEnabled() bool {

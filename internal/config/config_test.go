@@ -471,68 +471,6 @@ func TestAggregateValidation(t *testing.T) {
 	}
 }
 
-func TestControlElement(t *testing.T) {
-	c, err := ParseString(`<simulation>
-  <pipeline workers="2" queue="3" encode_workers="1"/>
-  <control mode="auto" interval_ms="100" max_workers="6" max_window="12" max_encode="3"/>
-</simulation>`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !c.ControlAuto() || c.ControlMode != "auto" {
-		t.Errorf("ControlMode = %q", c.ControlMode)
-	}
-	if c.ControlIntervalMS != 100 || c.ControlMaxWriters != 6 ||
-		c.ControlMaxWindow != 12 || c.ControlMaxEncode != 3 {
-		t.Errorf("control knobs = %d/%d/%d/%d",
-			c.ControlIntervalMS, c.ControlMaxWriters, c.ControlMaxWindow, c.ControlMaxEncode)
-	}
-
-	// Absent element = static, zero knobs (package defaults at use).
-	c, err = ParseString(`<simulation/>`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.ControlAuto() || c.ControlMode != "" || c.ControlMaxWindow != 0 {
-		t.Errorf("absent control element: mode=%q max_window=%d", c.ControlMode, c.ControlMaxWindow)
-	}
-
-	// Explicit static parses.
-	c, err = ParseString(`<simulation><control mode="static"/></simulation>`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.ControlAuto() {
-		t.Error("static mode reported auto")
-	}
-}
-
-func TestControlValidation(t *testing.T) {
-	cases := map[string]string{
-		"unknown mode":      `<simulation><control mode="fuzzy"/></simulation>`,
-		"negative interval": `<simulation><control mode="auto" interval_ms="-1"/></simulation>`,
-		"negative bound":    `<simulation><control mode="auto" max_window="-2"/></simulation>`,
-		"non-numeric bound": `<simulation><control mode="auto" max_workers="lots"/></simulation>`,
-		"auto without pipeline": `<simulation>
-  <pipeline workers="0"/><control mode="auto"/></simulation>`,
-	}
-	for name, xml := range cases {
-		if _, err := ParseString(xml); err == nil {
-			t.Errorf("%s should fail", name)
-		}
-	}
-	// Programmatic mutation is held to the same rules.
-	c, err := ParseString(`<simulation/>`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.ControlMode = "auto"
-	c.PersistWorkers = 0
-	if err := c.Validate(); err == nil {
-		t.Error("programmatic auto mode with a synchronous pipeline should fail Validate")
-	}
-}
-
 func TestPhaseBytesPerClient(t *testing.T) {
 	c, err := ParseString(`<simulation>
   <layout name="a" type="real" dimensions="4,2"/>

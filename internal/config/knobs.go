@@ -49,7 +49,6 @@ type knob struct {
 // element is absent; the other elements switch a feature on, so absent
 // leaves their fields zero.
 func (c *Config) knobs() []knob {
-	modes := []string{"static", "auto"}
 	return []knob{
 		{elem: "buffer", attr: "size", i64: &c.BufferSize, def: DefaultBufferSize, help: "per-node shared-memory segment in bytes"},
 		{elem: "buffer", attr: "allocator", flag: "allocator", s: &c.Allocator, sdef: DefaultAllocator, enum: []string{"mutex", "lockfree"},
@@ -80,18 +79,7 @@ func (c *Config) knobs() []knob {
 			help: "aggregation tier in front of the storage backend: off (one DSF stream per dedicated core) | core (one object per node per epoch) | node (one object per epoch via a dedicated aggregator node)"},
 		{elem: "aggregate", attr: "ring", flag: "aggregate-ring", i: &c.AggregateRingDepth, help: "fan-in ring depth between sibling cores and the aggregation leader (0 = default)"},
 
-		{elem: "control", attr: "mode", flag: "control", s: &c.ControlMode, sdef: "static", enum: modes,
-			help: "adaptive control plane: static (the sizing knobs are final) | auto (feedback-tune persist workers, flow window and encode pool, starting from the knobs)"},
-		{elem: "control", attr: "interval_ms", flag: "control-interval-ms", i: &c.ControlIntervalMS, help: "minimum milliseconds between controller decisions (0 = default)"},
-		{elem: "control", attr: "max_workers", flag: "control-max-workers", i: &c.ControlMaxWriters, help: "auto-control upper bound on persist workers (0 = default)"},
-		{elem: "control", attr: "max_window", flag: "control-max-window", i: &c.ControlMaxWindow, help: "auto-control upper bound on the flow-window depth (0 = default)"},
-		{elem: "control", attr: "max_encode", flag: "control-max-encode", i: &c.ControlMaxEncode, help: "auto-control upper bound on encode workers (0 = default)"},
-
 		{elem: "shards", attr: "count", flag: "shards", i: &c.ShardCount, help: "event-loop shards per dedicated core (0 or 1 = the classic single loop)"},
-		{elem: "shards", attr: "mode", flag: "shards-mode", s: &c.ShardMode, enum: modes,
-			help: "shard sizing: static (the count is final; default) | auto (derive the count from the node spare-core budget, capped by the count when set)"},
-		{elem: "shards", attr: "budget", flag: "shards-budget", i: &c.ShardBudget,
-			help: "node spare-core budget shared by shard loops, persist writers and encode workers; setting it engages enforcement (0 = GOMAXPROCS-clients, auto mode only)"},
 	}
 }
 

@@ -17,11 +17,15 @@ import (
 func TestUnknownAttributesAndElementsRejected(t *testing.T) {
 	for doc, want := range map[string][]string{
 		`<pipeline worker="4"/>`:                       {"<pipeline>", `"worker"`, "workers, queue, encode_workers, gzip_level"},
-		`<control max_writers="2"/>`:                   {"<control>", `"max_writers"`, "mode, interval_ms, max_workers, max_window, max_encode"},
-		`<spil dir="/x"/>`:                             {"<spil>", "buffer, pipeline, store, spill, aggregate, control, shards", "layout, variable or event"},
-		`<shards cnt="4"/>`:                            {"<shards>", `"cnt"`, "count, mode, budget"},
-		`<shards count="2" steal="4"/>`:                {"<shards>", `"steal"`, "count, mode, budget"},
+		`<spil dir="/x"/>`:                             {"<spil>", "buffer, pipeline, store, spill, aggregate, shards", "layout, variable or event"},
+		`<shards cnt="4"/>`:                            {"<shards>", `"cnt"`, "(want count)"},
+		`<shards count="2" steal="4"/>`:                {"<shards>", `"steal"`, "(want count)"},
 		`<pipeline workers="2"/><pipeline queue="3"/>`: {"more than one <pipeline>"},
+		// The adaptive control plane and the spare-core budget it enforced
+		// are gone (docs/dsf.md, "Why the pipeline's sizes are static").
+		`<control mode="auto"/>`:          {"unknown element <control>", "buffer, pipeline, store, spill, aggregate, shards"},
+		`<shards count="2" mode="auto"/>`: {"<shards>", `"mode"`, "(want count)"},
+		`<shards budget="8"/>`:            {"<shards>", `"budget"`, "(want count)"},
 	} {
 		_, err := ParseString("<simulation>" + doc + "</simulation>")
 		if err == nil {
@@ -112,15 +116,18 @@ func TestFlagAndAttributeAgree(t *testing.T) {
 			t.Errorf("-%s %s changed nothing", k.flag, value)
 		}
 	}
-	if flags != 21 {
-		t.Errorf("%d knobs have a flag, want 21 (damaris-run's other 11 flags are its own)", flags)
+	if attrs := len(new(Config).knobs()); attrs != 16 || flags != 14 {
+		t.Errorf("%d attributes, %d of them with a flag; want 16 and 14 (damaris-run's other 11 flags are its own)", attrs, flags)
 	}
-	// Work stealing between shard loops is gone, and its flag with it.
+	// Work stealing between shard loops is gone, so are the adaptive control
+	// plane and the spare-core budget, and their flags with them.
 	fs := flag.NewFlagSet("damaris-run", flag.ContinueOnError)
 	new(Config).BindFlags(fs)
 	fs.VisitAll(func(f *flag.Flag) {
-		if strings.Contains(f.Name, "steal") {
-			t.Errorf("-%s is still a flag", f.Name)
+		for _, gone := range []string{"steal", "control", "budget"} {
+			if strings.Contains(f.Name, gone) {
+				t.Errorf("-%s is still a flag", f.Name)
+			}
 		}
 	})
 }

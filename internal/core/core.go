@@ -54,14 +54,13 @@ type initMsg struct {
 // equals the persistence pipeline's queue depth when flushing is
 // asynchronous: the pipeline can usefully absorb exactly that many
 // iterations, so letting clients run further ahead would only grow memory,
-// while a smaller window would idle the writers. Under the adaptive control
-// plane (<control mode="auto">) the depth is re-tuned live between
-// iterations via setWindow: the window opens only as far as the observed
-// flush-latency/iteration-interval ratio warrants.
+// while a smaller window would idle the writers. With a scratch file
+// attached it is what the shared buffer holds instead (see Deploy). Deploy
+// chooses it once; it never changes afterwards.
 type flow struct {
+	window  int64 // fixed at construction
 	mu      sync.Mutex
 	cond    *sync.Cond
-	window  int64
 	flushed int64 // highest durably flushed iteration; -1 before any
 	closed  bool
 }
@@ -89,34 +88,13 @@ func (f *flow) setFlushed(it int64) {
 
 // wait blocks a client that just ended iteration `it` until that leaves it
 // at most `window` iterations ahead of the last durable flush (or the
-// server shut down). The window is re-read on every wakeup, so a live
-// setWindow takes effect for already-parked clients too.
+// server shut down).
 func (f *flow) wait(it int64) {
 	f.mu.Lock()
 	for f.flushed < it-f.window && !f.closed {
 		f.cond.Wait()
 	}
 	f.mu.Unlock()
-}
-
-// setWindow re-tunes the window depth (control plane, auto mode). Widening
-// wakes parked clients immediately; narrowing only gates future waits —
-// clients already past the old window are never called back.
-func (f *flow) setWindow(w int64) {
-	if w < 1 {
-		w = 1
-	}
-	f.mu.Lock()
-	f.window = w
-	f.mu.Unlock()
-	f.cond.Broadcast()
-}
-
-// windowSize reads the current window depth.
-func (f *flow) windowSize() int64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.window
 }
 
 // close releases all waiters permanently (server shutdown).
@@ -211,8 +189,8 @@ func Deploy(world *mpi.Comm, cfg *config.Config, reg *plugin.Registry, opts Opti
 	clients := n - servers
 
 	// Flow window: 1 for the synchronous baseline, the persist queue depth
-	// for the write-behind pipeline (the control plane, when auto, moves the
-	// effective window inside a buffer-capped range at runtime).
+	// for the write-behind pipeline (a dedicated core with a scratch file
+	// widens its own below).
 	window := int64(1)
 	if cfg.PersistWorkers > 0 {
 		window = int64(cfg.PersistQueueDepth)
@@ -275,17 +253,18 @@ func Deploy(world *mpi.Comm, cfg *config.Config, reg *plugin.Registry, opts Opti
 		group := groupClients(g, clients, servers)
 		segSize := cfg.BufferSize / int64(servers)
 
-		// Buffer-derived window cap: the segment holds at most `phases`
-		// write phases of this group's estimated volume, so no window deeper
-		// than phases-1 can ever make progress. The adaptive control plane
-		// receives it as a hard bound (see serverSpec).
-		phaseBytes := cfg.PhaseBytesPerClient() * int64(len(group))
-		windowCap := 0
-		if phaseBytes > 0 {
-			if phases := segSize / phaseBytes; phases > 1 {
-				windowCap = int(phases - 1)
-			} else {
-				windowCap = 1
+		// With a scratch file the window opens to what the buffer holds: the
+		// segment fits segSize/phaseBytes write phases of this group's
+		// estimated volume, so clients may run one fewer iterations ahead.
+		// Spilled iterations release their chunks, so the segment, not the
+		// queue, is what bounds a client; and a window no wider than the queue
+		// keeps at most queue+1 iterations in flight against the pipeline's
+		// workers+queue, so the queue is never found full twice in a row and
+		// nothing spills. With no variable declared there is no estimate and
+		// the queue depth stands.
+		if phaseBytes := cfg.PhaseBytesPerClient() * int64(len(group)); cfg.SpillDir != "" && phaseBytes > 0 {
+			if held := segSize/phaseBytes - 1; held > window {
+				window = held
 			}
 		}
 
@@ -333,7 +312,7 @@ func Deploy(world *mpi.Comm, cfg *config.Config, reg *plugin.Registry, opts Opti
 			}
 		}
 		srv, err := newServer(serverSpec{cfg: cfg, opts: opts, engines: engines, queues: queues, seg: seg, fc: fc,
-			worldRank: world.WorldRank(), node: node.Node(), group: g, clients: len(group), agg: sagg, windowCap: windowCap})
+			worldRank: world.WorldRank(), node: node.Node(), group: g, agg: sagg})
 		if err != nil {
 			seg.Close()
 			return nil, err

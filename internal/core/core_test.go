@@ -445,18 +445,26 @@ func TestClientPhaseTimes(t *testing.T) {
 // The per-call and per-iteration records keep the most recent recentCap
 // values, oldest first, and nothing before them: memory flat in run length.
 func TestRecentKeepsTheLastValues(t *testing.T) {
-	var r recent[int]
+	// The iterations a server acked (int64) and the seconds each took
+	// (float64, Client.writeDurs and Server.writeDurs/flushLats alike).
+	checkRecent(t, func(i int) int64 { return int64(i) })
+	checkRecent(t, func(i int) float64 { return float64(i) })
+}
+
+func checkRecent[T comparable](t *testing.T, val func(int) T) {
+	t.Helper()
+	var r recent[T]
 	for i := 0; i < recentCap+5; i++ {
 		if i == 3 {
-			if got := r.values(); len(got) != 3 || got[0] != 0 || got[2] != 2 {
+			if got := r.values(); len(got) != 3 || got[0] != val(0) || got[2] != val(2) {
 				t.Fatalf("values before wrapping = %v", got)
 			}
 		}
-		r.add(i)
+		r.add(val(i))
 	}
 	got := r.values()
-	if len(got) != recentCap || got[0] != 5 || got[recentCap-1] != recentCap+4 {
-		t.Fatalf("after %d adds: %d values, first %d, last %d", recentCap+5, len(got), got[0], got[len(got)-1])
+	if len(got) != recentCap || got[0] != val(5) || got[recentCap-1] != val(recentCap+4) {
+		t.Fatalf("after %d adds: %d values, first %v, last %v", recentCap+5, len(got), got[0], got[len(got)-1])
 	}
 	if cap(r.buf) > 2*recentCap {
 		t.Errorf("ring holds room for %d values, cap is %d", cap(r.buf), recentCap)

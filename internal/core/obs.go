@@ -11,13 +11,12 @@ import (
 // mid-run and the final report can never disagree on a value.
 
 // Emit writes the pipeline snapshot into a registry gather under the
-// damaris_pipeline_* families, fanning out to the encode, store, spill,
-// control and aggregation sub-snapshots it embeds.
+// damaris_pipeline_* families, fanning out to the encode, store, spill and
+// aggregation sub-snapshots it embeds.
 func (ps PipelineStats) Emit(e *obs.Emitter, labels ...string) {
 	e.Gauge("damaris_pipeline_workers", float64(ps.Workers), labels...)
 	e.Gauge("damaris_pipeline_queue_depth_limit", float64(ps.QueueDepth), labels...)
 	e.Gauge("damaris_pipeline_window", float64(ps.Window), labels...)
-	e.Counter("damaris_pipeline_resizes_total", float64(ps.Resizes), labels...)
 	e.Counter("damaris_pipeline_enqueued_total", float64(ps.Enqueued), labels...)
 	e.Counter("damaris_pipeline_completed_total", float64(ps.Completed), labels...)
 	e.Counter("damaris_pipeline_failures_total", float64(ps.Failures), labels...)
@@ -29,7 +28,6 @@ func (ps PipelineStats) Emit(e *obs.Emitter, labels ...string) {
 	ps.Encode.Emit(e, labels...)
 	ps.Store.Emit(e, labels...)
 	ps.Spill.Emit(e, labels...)
-	ps.Control.Emit(e, labels...)
 	if ps.Aggregate.Members > 0 {
 		ps.Aggregate.Emit(e, append([]string{"tier", "node"}, labels...)...)
 	}

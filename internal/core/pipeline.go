@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"damaris/internal/aggregate"
-	"damaris/internal/control"
 	"damaris/internal/dsf"
 	"damaris/internal/metadata"
 	"damaris/internal/obs"
@@ -15,8 +14,8 @@ import (
 
 // pipelineSpec names the stages one dedicated core's persistence path is
 // built from — flush → [merge] → [spill] → [slot wait] → persist → release →
-// ack in order → [tune] — resolved once by newServer from the knob table and
-// Options. An optional stage that is off is nil.
+// ack in order — resolved once by newServer from the knob table and Options.
+// An optional stage that is off is nil.
 type pipelineSpec struct {
 	persister Persister
 	// workers is the writer goroutine count. 0 selects the inline executor:
@@ -51,11 +50,6 @@ type pipelineSpec struct {
 	// scheduler delays each persist call to this server's transfer slot
 	// (paper §IV-D).
 	scheduler Scheduler
-	// tune is the control plane's turn after each submit: observe the
-	// iteration boundary and, at most once per decision interval, re-size
-	// the writer pool, flow window and encode pool — between iterations, on
-	// the event loop, never mid-write.
-	tune func()
 
 	// tracer records the queue/spill/persist/ack legs of every iteration's
 	// lifecycle (nil = tracing off); server labels the spans with this
@@ -103,7 +97,7 @@ type pipeline struct {
 
 	mu        sync.Mutex
 	closed    bool
-	ws        control.WorkerSet // resizable writer-slot bookkeeping
+	ws        stats.WorkerSet // per-writer busy seconds
 	nextSeq   int64
 	ackSeq    int64                 // all seqs < ackSeq have been acked
 	done      map[int64]persistDone // completed seqs awaiting contiguous ack
@@ -112,7 +106,6 @@ type pipeline struct {
 	depthAcc  stats.Accumulator // queue depth sampled at submit/complete
 	latAcc    stats.Accumulator // submit→durable seconds, per iteration
 	batchAcc  stats.Accumulator // iterations per persist call
-	recentLat float64           // last observed submit→durable latency
 	enqueued  int64
 	completed int64
 	failures  int64
@@ -163,43 +156,19 @@ func newPipeline(spec pipelineSpec) *pipeline {
 		jobs:         make(chan persistJob, spec.depth),
 		start:        time.Now(),
 		done:         make(map[int64]persistDone),
+		ws:           stats.NewWorkerSet(spec.workers),
 	}
-	if spec.workers > 0 {
-		p.mu.Lock()
-		p.ws.Resize(spec.workers, p.startWriter)
-		p.mu.Unlock()
+	for slot := 0; slot < spec.workers; slot++ {
+		p.wg.Add(1)
+		go p.writer(slot)
 	}
 	return p
 }
 
-// startWriter launches one writer goroutine in its slot. Caller holds p.mu
-// (control.WorkerSet.Resize invokes it under the pool's lock).
-func (p *pipeline) startWriter(slot int, stop chan struct{}) {
-	p.wg.Add(1)
-	go p.writer(slot, stop)
-}
-
-// resize changes the commanded writer count between iterations — the
-// control plane's writer-pool knob. Growing starts fresh writers on the
-// shared queue; shrinking signals the newest writers to exit after their
-// current batch (slot semantics in control.WorkerSet). The pool never
-// drops below one writer (Config.Validate keeps the control plane off the
-// inline executor), and resizing never affects durability ordering: acks
-// still advance strictly by submission seq, which is independent of which
-// (or how many) writers complete the work. Must not race close.
-func (p *pipeline) resize(n int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed {
-		return
-	}
-	p.ws.Resize(n, p.startWriter)
-}
-
 // submit takes one completed iteration through the stages: merge, then the
-// queue (or, with no writers, the persist itself), then tune. It is called
-// by one event loop at a time, in ascending iteration order, and must not
-// be called after close.
+// queue (or, with no writers, the persist itself). It is called by one event
+// loop at a time, in ascending iteration order, and must not be called after
+// close.
 func (p *pipeline) submit(it int64, entries []*metadata.Entry) {
 	if p.merge != nil {
 		p.merge(it, entries)
@@ -225,9 +194,6 @@ func (p *pipeline) submit(it int64, entries []*metadata.Entry) {
 		p.persistAndAck(-1, []persistJob{job})
 	} else {
 		p.enqueue(job)
-	}
-	if p.tune != nil {
-		p.tune()
 	}
 }
 
@@ -309,7 +275,6 @@ func (p *pipeline) complete(batch []persistJob, perIt float64, errs []error) {
 		p.depthAcc.Add(float64(p.inFlight))
 		lat := now.Sub(j.submitted).Seconds()
 		p.latAcc.Add(lat)
-		p.recentLat = lat
 		if errs[i] != nil {
 			p.failures++
 		}
@@ -335,12 +300,6 @@ func (p *pipeline) complete(batch []persistJob, perIt float64, errs []error) {
 		}
 	}
 	p.ackMu.Unlock()
-}
-
-// spillActive reports whether spilled iterations are still awaiting replay
-// — the tuner's degraded-mode signal.
-func (p *pipeline) spillActive() bool {
-	return p.scratch != nil && p.scratch.active()
 }
 
 // close stops accepting work, waits for the writers to drain every queued
@@ -369,30 +328,12 @@ func (p *pipeline) close() error {
 }
 
 // writer is one persist goroutine: pop a job, drain a batch, make it
-// durable, release the chunks, ack. A writer stopped by resize exits
-// between batches — never mid-batch, so every popped job is persisted.
-func (p *pipeline) writer(id int, stop chan struct{}) {
+// durable, release the chunks, ack — until close has closed the queue and it
+// is drained.
+func (p *pipeline) writer(id int) {
 	defer p.wg.Done()
 	batch := make([]persistJob, 0, p.maxBatch)
-	for {
-		// Non-blocking stop check first: a closed stop wins even while jobs
-		// keep arriving (the blocking select picks arbitrarily between ready
-		// cases).
-		select {
-		case <-stop:
-			return
-		default:
-		}
-		var job persistJob
-		var ok bool
-		select {
-		case <-stop:
-			return
-		case job, ok = <-p.jobs:
-			if !ok {
-				return
-			}
-		}
+	for job := range p.jobs {
 		batch = append(batch[:0], job)
 		for len(batch) < p.maxBatch {
 			extra, ok := tryRecv(p.jobs)
@@ -484,17 +425,18 @@ func (p *pipeline) persistAndAck(slot int, batch []persistJob) {
 // metrics, exported through Server.PipelineStats and put on the registry by
 // Emit.
 type PipelineStats struct {
-	// Workers is the effective (possibly auto-tuned) writer goroutine count
-	// (0 = the pipeline persists inline on the event loop).
+	// Workers is the writer goroutine count (0 = the pipeline persists
+	// inline on the event loop).
 	Workers int
-	// QueueDepth is the configured bound on in-flight iterations.
+	// QueueDepth is the configured bound on queued iterations.
 	QueueDepth int
-	// Window is the effective client flow-window depth (equals QueueDepth
-	// under static control; the tuner moves it in auto mode). 1 with the
-	// inline executor.
+	// Window is the client flow-window depth — how many iterations a client
+	// may run ahead of the last durable one: 1 with the inline executor,
+	// QueueDepth with writers, and with a scratch file attached what the
+	// shared buffer holds (its size over one write phase of the server's
+	// clients, minus one, never below QueueDepth), so that a full queue
+	// overflows into the spill instead of stopping the clients.
 	Window int
-	// Resizes counts live writer-pool size changes (control.Tuner activity).
-	Resizes int64
 	// Enqueued and Completed count iterations through the pipeline.
 	Enqueued, Completed int64
 	// Failures counts iterations whose persist returned an error.
@@ -510,13 +452,9 @@ type PipelineStats struct {
 	// BatchSize summarizes iterations per persister call.
 	BatchSize stats.Summary
 	// WriterBusy is seconds each writer spent inside the persister, one
-	// slot per writer ever started (auto-control resizes never reuse a
-	// slot, so a long run may list more slots than Workers).
+	// slot per writer.
 	WriterBusy []float64
-	// Utilization is Σbusy/(peak×wall) over the pipeline's lifetime, where
-	// peak is the historical maximum commanded pool size — under auto
-	// control a shrunk pool therefore reads as utilization of the peak,
-	// not of the current Workers count.
+	// Utilization is Σbusy/(workers×wall) over the pipeline's lifetime.
 	Utilization float64
 	// Encode snapshots the shared chunk-encode pool (zero when
 	// encode_workers is 0 or the persister does not support pooled
@@ -529,9 +467,6 @@ type PipelineStats struct {
 	// Spill snapshots the degraded-mode scratch-spill path (zero when no
 	// scratch file is configured).
 	Spill SpillStats
-	// Control snapshots the adaptive control plane (zero under static
-	// control). Filled by Server.PipelineStats.
-	Control control.Stats
 	// Aggregate snapshots the node-level aggregation tier. Only the node's
 	// leader server reports it (siblings report zero), so summing across
 	// servers counts each node exactly once. Filled by Server.PipelineStats.
@@ -546,16 +481,6 @@ type PipelineStats struct {
 	// shard loop; a single classic loop reports one). Filled by
 	// Server.PipelineStats.
 	Shards []ShardStat
-}
-
-// tuneSample cheaply reads the telemetry the control plane consumes every
-// iteration: the most recent submit→durable latency and the instantaneous
-// in-flight depth (the backpressure tell — a lifetime mean would lag regime
-// changes). No allocation — it runs on the event loop.
-func (p *pipeline) tuneSample() (recentLat, depth float64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.recentLat, float64(p.inFlight)
 }
 
 // snapshot captures the pipeline metrics at a point in time.
@@ -575,7 +500,6 @@ func (p *pipeline) snapshot(queueDepth int) PipelineStats {
 		Spill:        spill,
 		Workers:      p.ws.Workers(),
 		QueueDepth:   queueDepth,
-		Resizes:      p.ws.Resizes(),
 		Enqueued:     p.enqueued,
 		Completed:    p.completed,
 		Failures:     p.failures,

@@ -1,9 +1,9 @@
 package core
 
-// Deploy-level overload resilience: the unit tests in scratch_test.go,
-// internal/control and internal/store pin the spill, degraded-mode and hedge
-// mechanics one at a time; these runs hold them composed, on the real
-// middleware path over a faulted obj:// backend.
+// Deploy-level overload resilience: the unit tests in scratch_test.go and
+// internal/store pin the spill and hedge mechanics one at a time; these runs
+// hold them composed, on the real middleware path over a faulted obj://
+// backend.
 
 import (
 	"bytes"
@@ -41,11 +41,11 @@ func readStoreTree(t *testing.T, root string) map[string][]byte {
 }
 
 // A brownout (5x put latency plus a 20% deterministic put error rate, at
-// peak from the first put) behind a 1-deep queue with one writer and an auto
-// flow window: the controller opens the window past the queue, the event
-// loop overflows and the scratch spill engages; degraded mode then vetoes
-// further growth until the backlog has replayed. Nothing may be lost or
-// reordered — the browned-out store tree must equal the healthy run's byte
+// peak from the first put) behind a 1-deep queue with one writer: with a
+// scratch file the flow window is what the shared buffer holds, far past the
+// queue, so the event loop overflows and the scratch spill engages. Nothing
+// may be lost or reordered — the browned-out store tree must equal the
+// healthy run's byte
 // for byte — and the attached telemetry plane must show the same run a
 // scraper would: the spill counter equal to the run's count, a quiesced
 // exposition that repeats byte for byte, spill and persist spans in the
@@ -66,14 +66,13 @@ func TestDeployBrownoutSpillsReplaysByteIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer backend.Close()
-		cfg := controlCfg(t, 1, 1, 0, "auto")
-		cfg.ControlMaxWriters = 1 // keep one writer so queue pressure is real
+		cfg := sizesCfg(t, 1, 1, 0)
 		cfg.SpillDir = t.TempDir()
 		cfg.SpillAfter = 2
 		pers := &DSFPersister{Backend: backend}
 		pers.SetTracer(plane.Tracer())
 		start := time.Now()
-		ps, _ := runControl(t, cfg, Options{Persister: pers, Scheduler: perIterScheduler{}, Obs: plane}, iters)
+		ps, _ := runNode(t, cfg, Options{Persister: pers, Scheduler: perIterScheduler{}, Obs: plane}, iters)
 		return ps, readStoreTree(t, root), time.Since(start)
 	}
 
@@ -88,18 +87,15 @@ func TestDeployBrownoutSpillsReplaysByteIdentical(t *testing.T) {
 		return
 	}
 	// Wall clock is recorded, never gated.
-	t.Logf("brownout run %v vs healthy %v (x%.1f); spilled %d of %d, %d degraded decisions, window %d, %d store retries",
+	t.Logf("brownout run %v vs healthy %v (x%.1f); spilled %d of %d, window %d, %d store retries",
 		brownWall, healthyWall, float64(brownWall)/float64(healthyWall),
-		ps.Spill.Spilled, iters, ps.Control.DegradedDecisions, ps.Window, ps.Store.Retries)
+		ps.Spill.Spilled, iters, ps.Window, ps.Store.Retries)
 
 	if ps.Spill.Spilled == 0 {
 		t.Fatal("brownout never engaged the scratch spill")
 	}
 	if ps.Spill.Replayed != ps.Spill.Spilled || ps.Spill.Pending != 0 || ps.Spill.Stranded != 0 {
 		t.Errorf("spill backlog not fully replayed: %+v", ps.Spill)
-	}
-	if ps.Control.DegradedDecisions == 0 {
-		t.Error("tuner never entered degraded mode while the spill backlog was live")
 	}
 	if ps.Completed != iters || ps.Failures != 0 {
 		t.Errorf("pipeline completed %d with %d failures, want %d/0", ps.Completed, ps.Failures, iters)
@@ -175,7 +171,7 @@ func TestDeployHedgesOverHungPrimary(t *testing.T) {
 	defer backend.Close()
 
 	pers := &DSFPersister{Backend: backend}
-	ps, _ := runControl(t, shardCfg(t, 1, 2, ""), Options{Persister: pers, Scheduler: perIterScheduler{}}, iters)
+	ps, _ := runNode(t, shardCfg(t, 1, 2, ""), Options{Persister: pers, Scheduler: perIterScheduler{}}, iters)
 	if ps.Completed != iters || ps.Failures != 0 {
 		t.Errorf("pipeline completed %d with %d failures over the hung primary, want %d/0", ps.Completed, ps.Failures, iters)
 	}

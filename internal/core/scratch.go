@@ -145,14 +145,6 @@ func (sc *scratch) spill(it int64, entries []*metadata.Entry) error {
 	return nil
 }
 
-// active reports whether spilled iterations are still awaiting replay —
-// the control plane's degraded-mode signal.
-func (sc *scratch) active() bool {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	return len(sc.pending) > 0
-}
-
 func (sc *scratch) stats() SpillStats {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"damaris/internal/config"
-	"damaris/internal/control"
 	"damaris/internal/dsf"
 	"damaris/internal/event"
 	"damaris/internal/metadata"
@@ -61,10 +60,6 @@ type Server struct {
 	encPool   *dsf.EncodePool // nil when encode_workers is 0
 	ownStore  store.Backend   // backend this server opened (and must close)
 	agg       *serverAgg      // aggregation-layer state; nil when disabled
-	tuner     *control.Tuner  // nil under static control
-	tuneEvery time.Duration   // decision interval (heavy-sample rate limit)
-	lastIter  time.Time       // previous iteration-completion instant (event loop only)
-	lastHeavy time.Time       // previous encode/store/ring sampling instant (event loop only)
 
 	// tracer records iteration-lifecycle spans (nil = tracing off);
 	// iterFirst tracks when each open iteration's first write was made (the
@@ -77,9 +72,10 @@ type Server struct {
 	closeOnce sync.Once
 
 	mu           sync.Mutex
-	shardWS      control.WorkerSet // per-shard-loop busy bookkeeping (one slot per shard)
-	writeDurs    []float64         // seconds spent persisting, per iteration
-	flushLats    []float64         // seconds from iteration completion to durability
+	shardWS      stats.WorkerSet   // per-shard-loop busy bookkeeping (one slot per shard)
+	writeDurs    recent[float64]   // seconds spent persisting, the most recent iterations
+	writeAcc     stats.Accumulator // the same over the server's life, for WriteStats
+	flushLats    recent[float64]   // seconds from iteration completion to durability
 	spareDur     float64           // seconds spent idle waiting for events
 	busyDur      float64           // seconds handling events (incl. persisting only with the inline executor)
 	bytesWritten int64
@@ -111,16 +107,8 @@ type serverSpec struct {
 	// worldRank, node and group place the server: its rank in the world, its
 	// SMP node, its dedicated-core index within the node.
 	worldRank, node, group int
-	// clients is the number of compute cores this server serves — the
-	// spare-core budget's other half.
-	clients int
 	// agg is the server's aggregation-layer state; nil when disabled.
 	agg *serverAgg
-	// windowCap, when positive, bounds the control plane's flow-window range
-	// to what the shared buffer can hold (Deploy derives it from the segment
-	// size and the estimated write-phase volume); 0 means no buffer-derived
-	// cap.
-	windowCap int
 }
 
 // newServer builds a dedicated-core server from its spec: it resolves the
@@ -145,21 +133,12 @@ func newServer(sp serverSpec) (*Server, error) {
 		persister: opts.Persister,
 		tracer:    opts.Obs.Tracer(),
 		iterFirst: make(map[int64]time.Time),
+		// One slot per shard loop: the busy bookkeeping the writer and
+		// encode pools use.
+		shardWS: stats.NewWorkerSet(len(engines)),
 	}
 	for i := range engines {
 		s.shards = append(s.shards, &shardLoop{idx: i, queue: queues[i], eng: engines[i]})
-	}
-	// One WorkerSet slot per shard loop: the same busy bookkeeping the
-	// writer and encode pools use, so per-shard utilization is computed the
-	// same way (Σbusy/(peak×wall)).
-	s.shardWS.Resize(len(engines), func(int, chan struct{}) {})
-	// Spare-core budget: engaged only when sharding auto mode (or an
-	// explicit budget) opts in; the shard loops' reservation comes off the
-	// top and the tuner divides the rest between writers and encoders.
-	budget, reserved := 0, 0
-	if shardBudgeted(cfg) {
-		budget = nodeSpareBudget(cfg, sp.clients)
-		reserved = len(engines)
 	}
 	stages := pipelineSpec{
 		workers:   cfg.PersistWorkers,
@@ -202,90 +181,6 @@ func newServer(sp serverSpec) (*Server, error) {
 	// external ones wire their own tracer (see DSFPersister.SetTracer), the
 	// same ownership rule the encode pool follows.
 	s.encPool.SetTracer(s.tracer, worldRank)
-	if cfg.ControlAuto() {
-		// Adaptive control plane: the configured knobs become the starting
-		// point of a feedback-tuned range. Config.Validate has already
-		// rejected auto mode without an asynchronous pipeline. The tuner runs
-		// on the wall clock — every latency in the sample is wall-time;
-		// deterministic convergence is tested at the Tuner level
-		// (internal/control, iostrat.SimulateControl), where the whole sample
-		// is synthetic.
-		// Unset bounds default to the package defaults, widened to cover the
-		// configured starting sizes (an explicit max_* attribute instead
-		// clamps them — the user asked for that bound).
-		maxWriters := cfg.ControlMaxWriters
-		if maxWriters == 0 {
-			maxWriters = control.DefaultMaxWriters
-			if cfg.PersistWorkers > maxWriters {
-				maxWriters = cfg.PersistWorkers
-			}
-		}
-		maxWindow := cfg.ControlMaxWindow
-		if maxWindow == 0 {
-			maxWindow = control.DefaultMaxWindow
-			if cfg.PersistQueueDepth > maxWindow {
-				maxWindow = cfg.PersistQueueDepth
-			}
-		}
-		// The encode dimension covers only the pool this server owns (the
-		// one it created, or the aggregation leader's adopted pool): an
-		// externally attached pool may be shared across servers, where
-		// several controllers issuing conflicting Resize targets would
-		// thrash it — the same cross-server interference reason the server
-		// never installs pools on external persisters. Servers without an
-		// owned pool run with the encode dimension off (Encode 0).
-		ownEncode := s.encPool.Workers()
-		maxEncode := cfg.ControlMaxEncode
-		if maxEncode == 0 {
-			maxEncode = control.DefaultMaxEncode
-			if ownEncode > maxEncode {
-				maxEncode = ownEncode
-			}
-		}
-		if sp.windowCap > 0 && maxWindow > sp.windowCap {
-			// The buffer-derived bound wins: opening the window past what the
-			// shared segment can pin would deadlock clients, not hide latency.
-			maxWindow = sp.windowCap
-		}
-		t, err := control.New(control.Config{
-			Mode: "auto",
-			Initial: control.Sizes{
-				Writers: cfg.PersistWorkers,
-				Window:  cfg.PersistQueueDepth,
-				Encode:  ownEncode,
-			},
-			Limits: control.Limits{
-				MaxWriters: maxWriters,
-				MaxWindow:  maxWindow,
-				MaxEncode:  maxEncode,
-			},
-			Interval: time.Duration(cfg.ControlIntervalMS) * time.Millisecond,
-			Clock:    control.RealClock(),
-			Budget:   budget,
-			Reserved: reserved,
-		})
-		if err != nil {
-			return fail(err)
-		}
-		s.tuner = t
-		s.tuneEvery = time.Duration(cfg.ControlIntervalMS) * time.Millisecond
-		if s.tuneEvery == 0 {
-			s.tuneEvery = control.DefaultInterval
-		}
-		// The clamped initial sizes are the effective starting configuration.
-		fc.setWindow(int64(t.Sizes().Window))
-		stages.workers, stages.tune = t.Sizes().Writers, s.tune
-		// The queue must be able to carry the widest window the tuner may
-		// open; the effective backpressure point is the flow window, which
-		// the tuner moves inside [1, MaxWindow]. With a scratch file
-		// configured the configured depth stays authoritative instead:
-		// sustained overflow spills to local disk (bounded memory), and
-		// the tuner's degraded mode vetoes window growth while the
-		// backlog replays.
-		if lim := t.Limits(); cfg.SpillDir == "" && lim.MaxWindow > stages.depth {
-			stages.depth = lim.MaxWindow
-		}
-	}
 	if cfg.SpillDir != "" {
 		// Degraded-mode scratch file, one per dedicated core. Opening it
 		// also performs crash recovery: frames a previous run left behind
@@ -317,21 +212,13 @@ func newServer(sp serverSpec) (*Server, error) {
 	if reg := opts.Obs.Registry(); reg != nil {
 		s.RegisterObs(reg)
 	}
-	// Readiness, distinct from liveness: a server that is replaying a
-	// spill backlog or whose tuner is in degraded mode is alive but should
-	// not be considered ready (e.g. for admitting more load).
+	// Readiness, distinct from liveness: a server that is replaying a spill
+	// backlog is alive but should not be considered ready (e.g. for
+	// admitting more load).
 	if sc := stages.scratch; sc != nil {
 		opts.Obs.AddReadiness(fmt.Sprintf("server-%d-spill", worldRank), func() error {
 			if pending := sc.stats().Pending; pending > 0 {
 				return fmt.Errorf("spill backlog draining: %d iterations pending", pending)
-			}
-			return nil
-		})
-	}
-	if tn := s.tuner; tn != nil {
-		opts.Obs.AddReadiness(fmt.Sprintf("server-%d-control", worldRank), func() error {
-			if tn.Stats().Degraded {
-				return fmt.Errorf("control plane degraded")
 			}
 			return nil
 		})
@@ -502,64 +389,14 @@ func (s *Server) flushIterationFrom(shard int, it int64) {
 	s.pipe.submit(it, entries)
 }
 
-// tune feeds one telemetry sample to the control plane and applies any
-// decision it returns. It is the pipeline's tune stage under auto control
-// (static mode has none), so it runs on the event loop at iteration
-// boundaries only.
-func (s *Server) tune() {
-	now := time.Now()
-	var gap float64
-	if !s.lastIter.IsZero() {
-		gap = now.Sub(s.lastIter).Seconds()
-	}
-	s.lastIter = now
-
-	recentLat, depth := s.pipe.tuneSample()
-	sample := control.Sample{
-		FlushLatency: recentLat,
-		Interval:     gap,
-		QueueDepth:   depth,
-		RingFill:     -1, // no ring sample this iteration
-		SpillActive:  s.pipe.spillActive(),
-	}
-	// The encode/store/ring figures require full stats snapshots (summary
-	// construction under their mutexes) — too heavy for every iteration of
-	// the event loop. They change slowly, so sample them at the decision
-	// cadence; in between, zero fields mean "no signal" and leave the
-	// tuner's smoothed state untouched.
-	if s.lastHeavy.IsZero() || now.Sub(s.lastHeavy) >= s.tuneEvery {
-		s.lastHeavy = now
-		if s.encPool != nil {
-			sample.EncodeLatency = s.encPool.Stats().Latency.Mean
-		}
-		if ss, ok := s.persister.(StoreStatser); ok {
-			sample.StoreLatency = ss.StoreStats().PutLatency.Mean
-		}
-		if s.agg != nil {
-			sample.RingFill = s.agg.agg.RingOccupancy()
-		}
-	}
-
-	sizes, changed := s.tuner.Observe(sample)
-	if !changed {
-		return
-	}
-	s.pipe.resize(sizes.Writers)
-	s.fc.setWindow(int64(sizes.Window))
-	if sizes.Encode > 0 {
-		// Only the pool this server owns is ever resized (see the Encode
-		// dimension note in newServer); sizes.Encode stays 0 otherwise.
-		s.encPool.Resize(sizes.Encode)
-	}
-}
-
 // iterationDurable records one iteration's durability and advances the
 // client flow-control window. The pipeline invokes it in submission (ack)
 // order once the iteration and all earlier ones are durable.
 func (s *Server) iterationDurable(it int64, persistDur, latency float64, bytes int64, err error) {
 	s.mu.Lock()
-	s.writeDurs = append(s.writeDurs, persistDur)
-	s.flushLats = append(s.flushLats, latency)
+	s.writeDurs.add(persistDur)
+	s.writeAcc.Add(persistDur)
+	s.flushLats.add(latency)
 	s.iterations.add(it)
 	s.acked++
 	if err == nil {
@@ -579,12 +416,13 @@ func (s *Server) iterationDurable(it int64, persistDur, latency float64, bytes i
 	s.fc.setFlushed(it)
 }
 
-// WriteTimes returns the seconds each iteration flush took on the dedicated
-// core (the paper's Figure 5 "Write time").
+// WriteTimes returns the seconds each of the most recent iteration flushes
+// (up to recentCap of them) took on the dedicated core (the paper's Figure 5
+// "Write time").
 func (s *Server) WriteTimes() []float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return append([]float64(nil), s.writeDurs...)
+	return s.writeDurs.values()
 }
 
 // SpareSeconds returns the total time the dedicated core spent idle — the
@@ -625,32 +463,34 @@ func (s *Server) HandleErrors() []error {
 	return append([]error(nil), s.handleErrs...)
 }
 
-// WriteStats summarizes the dedicated core's per-iteration write times.
+// WriteStats summarizes the dedicated core's per-iteration write times:
+// count, mean, extremes and deviation over the server's life, the quantiles
+// over what WriteTimes returns.
 func (s *Server) WriteStats() stats.Summary {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return stats.Summarize(s.writeDurs)
+	sum, life := stats.Summarize(s.writeDurs.buf), s.writeAcc.Summary()
+	life.Median, life.P95, life.P99 = sum.Median, sum.P95, sum.P99
+	return life
 }
 
-// FlushLatencies returns, per iteration in ack order, the seconds from
-// iteration completion (all clients ended it) to durability. With the inline
-// executor this equals the write time; with writers it additionally includes
-// queueing delay.
+// FlushLatencies returns, for the most recent iterations (up to recentCap of
+// them) in ack order, the seconds from iteration completion (all clients
+// ended it) to durability. With the inline executor this equals the write
+// time; with writers it additionally includes queueing delay.
 func (s *Server) FlushLatencies() []float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return append([]float64(nil), s.flushLats...)
+	return s.flushLats.values()
 }
 
 // PipelineStats snapshots the persistence pipeline's per-stage metrics
 // (queue depth, flush latency, batch size, writer utilization, encode-stage
-// latency and pool utilization). Workers and Window are the effective —
-// under auto control, the tuned — sizes.
+// latency and pool utilization).
 func (s *Server) PipelineStats() PipelineStats {
 	ps := s.pipe.snapshot(s.cfg.PersistQueueDepth)
-	ps.Window = int(s.fc.windowSize())
+	ps.Window = int(s.fc.window)
 	ps.Shards = s.shardStats()
-	ps.Control = s.tuner.Stats()
 	// Report the pool this server owns, or the one an external persister
 	// carries; nil pools yield zero stats.
 	pool := s.encPool

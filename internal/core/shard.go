@@ -1,7 +1,6 @@
 package core
 
 import (
-	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -57,53 +56,11 @@ type ShardStat struct {
 	BusyFraction float64
 }
 
-// nodeSpareBudget is the node's spare-core budget a dedicated core may
-// spread across shard loops, persist writers, and encode workers: an
-// explicit config override, or GOMAXPROCS − clients (floored at 1).
-func nodeSpareBudget(cfg *config.Config, clients int) int {
-	if cfg.ShardBudget > 0 {
-		return cfg.ShardBudget
-	}
-	b := runtime.GOMAXPROCS(0) - clients
-	if b < 1 {
-		b = 1
-	}
-	return b
-}
-
-// shardBudgeted reports whether the spare-core budget is engaged: shards
-// auto mode derives one, and an explicit budget opts in regardless of mode.
-// Without either, budgeting is off (0) — the pre-sharding behavior.
-func shardBudgeted(cfg *config.Config) bool {
-	return cfg.ShardMode == "auto" || cfg.ShardBudget > 0
-}
-
 // effectiveShards resolves the shard-loop count for a dedicated core
-// serving `clients` compute cores. Static mode (or no <shards> element)
-// uses the configured count as-is; auto mode gives the event plane half the
-// spare-core budget (rounded down, at least one loop), never more than an
-// explicit count. The result is clamped to the client count — a shard with
-// no clients would idle forever — and to the budget when budgeting is on.
+// serving `clients` compute cores: the configured count, at least one loop,
+// at most one per client — a shard with no clients would idle forever.
 func effectiveShards(cfg *config.Config, clients int) int {
-	n := cfg.ShardCount
-	if cfg.ShardMode == "auto" {
-		n = nodeSpareBudget(cfg, clients) / 2
-		if cfg.ShardCount > 0 && n > cfg.ShardCount {
-			n = cfg.ShardCount
-		}
-	}
-	if shardBudgeted(cfg) {
-		if b := nodeSpareBudget(cfg, clients); n > b {
-			n = b
-		}
-	}
-	if n < 1 {
-		n = 1
-	}
-	if n > clients {
-		n = clients
-	}
-	return n
+	return min(max(cfg.ShardCount, 1), clients)
 }
 
 // runShard is one shard loop: park until the queue has something to act on,
@@ -187,12 +144,10 @@ func (s *Server) shardStats() []ShardStat {
 	out := make([]ShardStat, len(s.shards))
 	for i, sl := range s.shards {
 		st := ShardStat{
-			Events:   sl.events.Load(),
-			Wakeups:  sl.queue.Wakes(),
-			QueueLen: sl.queue.Len(),
-		}
-		if i < len(busy) {
-			st.BusySeconds = busy[i]
+			Events:      sl.events.Load(),
+			Wakeups:     sl.queue.Wakes(),
+			QueueLen:    sl.queue.Len(),
+			BusySeconds: busy[i],
 		}
 		if wall > 0 {
 			st.BusyFraction = st.BusySeconds / wall

@@ -42,13 +42,10 @@ func TestEffectiveShards(t *testing.T) {
 		clients   int
 		want      int
 	}{
-		{"", 4, 1},                                            // no element: classic loop
-		{`<shards count="1"/>`, 4, 1},                         // explicit single
-		{`<shards count="4"/>`, 4, 4},                         // static count
-		{`<shards count="8"/>`, 3, 3},                         // clamped to clients
-		{`<shards mode="auto" budget="8"/>`, 16, 4},           // budget/2
-		{`<shards count="2" mode="auto" budget="8"/>`, 16, 2}, // auto capped by count
-		{`<shards count="6" budget="4"/>`, 16, 4},             // explicit budget clamps static too
+		{"", 4, 1},                    // no element: classic loop
+		{`<shards count="1"/>`, 4, 1}, // explicit single
+		{`<shards count="4"/>`, 4, 4}, // the count as configured
+		{`<shards count="8"/>`, 3, 3}, // clamped to clients
 	}
 	for _, c := range cases {
 		cfg := shardCfg(t, 1, 1, c.shardsXML)
@@ -74,9 +71,9 @@ func TestShardedOutputByteIdentical(t *testing.T) {
 		pers := &DSFPersister{Backend: backend}
 		cfg := shardCfg(t, workers, 2, shardsXML)
 		// A non-batch-aware scheduler forces one-iteration batches so the
-		// async pipeline's object names are deterministic (see the control
-		// golden test).
-		runControl(t, cfg, Options{Persister: pers, Scheduler: perIterScheduler{}}, iters)
+		// async pipeline's object names are deterministic (see the golden
+		// test over the pipeline's sizes).
+		runNode(t, cfg, Options{Persister: pers, Scheduler: perIterScheduler{}}, iters)
 		return readDir(t, dir)
 	}
 

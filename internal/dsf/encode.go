@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"damaris/internal/control"
 	"damaris/internal/obs"
 	"damaris/internal/stats"
 	"damaris/internal/transform"
@@ -132,10 +131,8 @@ type encodeResult struct {
 
 // EncodePool is a shared pool of chunk-encode workers. One pool serves a
 // whole dedicated core (all its persist writers submit to it), sized by the
-// encode_workers config knob — or, under the adaptive control plane, resized
-// live between iterations by control.Tuner. Methods are safe for concurrent
-// use; all of them tolerate a nil receiver, which behaves as "no pool"
-// (serial encode).
+// encode_workers config knob. Methods are safe for concurrent use; all of
+// them tolerate a nil receiver, which behaves as "no pool" (serial encode).
 type EncodePool struct {
 	jobs  chan encodeJob
 	bufs  chan *scratchBuf // free output buffers, see getBuf
@@ -153,7 +150,7 @@ type EncodePool struct {
 	trServer int
 
 	mu          sync.Mutex
-	ws          control.WorkerSet // resizable worker-slot bookkeeping
+	ws          stats.WorkerSet // per-worker busy seconds
 	chunks      int64
 	rawBytes    int64
 	storedBytes int64
@@ -170,29 +167,19 @@ func NewEncodePool(workers int) *EncodePool {
 	if workers <= 0 {
 		return nil
 	}
-	// The handoff buffer anticipates growth: a pool started small and grown
-	// by Resize (auto control) would otherwise keep a near-rendezvous
-	// channel that starves the added workers.
-	queueCap := workers
-	if queueCap < 8 {
-		queueCap = 8
-	}
 	p := &EncodePool{
-		jobs:  make(chan encodeJob, queueCap),
+		// One queued chunk per worker keeps each fed while it hands its
+		// result over; WriteChunks bounds what a caller has outstanding.
+		jobs:  make(chan encodeJob, workers),
 		bufs:  make(chan *scratchBuf, poolBufs),
 		start: time.Now(),
+		ws:    stats.NewWorkerSet(workers),
 	}
-	p.mu.Lock()
-	p.ws.Resize(workers, p.startWorker)
-	p.mu.Unlock()
+	for slot := 0; slot < workers; slot++ {
+		p.wg.Add(1)
+		go p.worker(slot)
+	}
 	return p
-}
-
-// startWorker launches one encode goroutine in its slot. Caller holds p.mu
-// (control.WorkerSet.Resize invokes it under the pool's lock).
-func (p *EncodePool) startWorker(slot int, stop chan struct{}) {
-	p.wg.Add(1)
-	go p.worker(slot, stop)
 }
 
 // SetTracer attaches a lifecycle tracer: every chunk encoded by the pool
@@ -209,34 +196,16 @@ func (p *EncodePool) SetTracer(tr *obs.Tracer, server int) {
 	p.mu.Unlock()
 }
 
-// Workers returns the commanded pool size (0 for a nil pool).
+// Workers returns the pool size, fixed at construction (0 for a nil pool).
 func (p *EncodePool) Workers() int {
 	if p == nil {
 		return 0
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	return p.ws.Workers()
 }
 
-// Resize changes the commanded worker count, growing new goroutines or
-// signalling the newest ones to stop after their current chunk (slot
-// semantics in control.WorkerSet). The pool never shrinks below one worker
-// (a drained pool would deadlock WriteChunks), and a nil pool ignores the
-// call — the controller treats "no pool" as a fixed serial deployment.
-// Resizing never changes output bytes: WriteChunks streams in submission
-// order for any worker count. Must not race Close.
-func (p *EncodePool) Resize(n int) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.ws.Resize(n, p.startWorker)
-}
-
-// Close stops the workers after draining submitted jobs. No WriteChunks or
-// Resize call may be in flight or submitted afterwards.
+// Close stops the workers after draining submitted jobs. No WriteChunks
+// call may be in flight or submitted afterwards.
 func (p *EncodePool) Close() {
 	if p == nil {
 		return
@@ -248,48 +217,32 @@ func (p *EncodePool) Close() {
 	p.mu.Unlock()
 }
 
-func (p *EncodePool) worker(id int, stop chan struct{}) {
+func (p *EncodePool) worker(id int) {
 	defer p.wg.Done()
 	// The worker's own deflate state, allocated on its first chunk and gone
-	// with it when the pool shrinks: a process-wide sync.Pool would miss
-	// whenever the scheduler moved the worker to another P.
+	// with the worker: a process-wide sync.Pool would miss whenever the
+	// scheduler moved the worker to another P.
 	var enc transform.Encoder
-	for {
-		// A stopped worker exits between chunks: the non-blocking check runs
-		// first so a closed stop wins even while jobs keep arriving (the
-		// blocking select below picks arbitrarily between ready cases).
-		select {
-		case <-stop:
-			return
-		default:
+	for job := range p.jobs {
+		start := time.Now()
+		ec, err := encodeChunk(&enc, p, job.data, job.codec, job.elemSize, job.level)
+		wall := time.Since(start)
+		dur := wall.Seconds()
+		p.mu.Lock()
+		p.ws.AddBusy(id, dur)
+		p.latAcc.Add(dur)
+		p.chunks++
+		p.rawBytes += int64(len(job.data))
+		if err != nil {
+			p.failures++
+		} else {
+			p.storedBytes += int64(len(ec.stored))
+			p.planes.Add(ec.planes)
 		}
-		select {
-		case <-stop:
-			return
-		case job, ok := <-p.jobs:
-			if !ok {
-				return
-			}
-			start := time.Now()
-			ec, err := encodeChunk(&enc, p, job.data, job.codec, job.elemSize, job.level)
-			wall := time.Since(start)
-			dur := wall.Seconds()
-			p.mu.Lock()
-			p.ws.AddBusy(id, dur)
-			p.latAcc.Add(dur)
-			p.chunks++
-			p.rawBytes += int64(len(job.data))
-			if err != nil {
-				p.failures++
-			} else {
-				p.storedBytes += int64(len(ec.stored))
-				p.planes.Add(ec.planes)
-			}
-			tr, srv := p.tracer, p.trServer
-			p.mu.Unlock()
-			tr.Record(obs.StageEncode, srv, job.iter, start, wall, int64(len(job.data)), err != nil)
-			job.result <- encodeResult{ec: ec, err: err}
-		}
+		tr, srv := p.tracer, p.trServer
+		p.mu.Unlock()
+		tr.Record(obs.StageEncode, srv, job.iter, start, wall, int64(len(job.data)), err != nil)
+		job.result <- encodeResult{ec: ec, err: err}
 	}
 }
 
@@ -327,16 +280,11 @@ type EncodeStats struct {
 	Planes transform.PlaneCounts
 	// Latency summarizes per-chunk encode seconds.
 	Latency stats.Summary
-	// Utilization is Σbusy/(peak×wall) since the pool started, where peak
-	// is the historical maximum commanded pool size — under auto control a
-	// shrunk pool reads as utilization of the peak, not of the current
-	// Workers count.
+	// Utilization is Σbusy/(workers×wall) since the pool started.
 	Utilization float64
 	// MaxBytesInFlight is the high-water mark of raw bytes submitted to the
 	// pool but not yet streamed out.
 	MaxBytesInFlight int64
-	// Resizes counts live worker-count changes (control.Tuner activity).
-	Resizes int64
 }
 
 // Stats snapshots the pool's metrics (zero value for a nil pool).
@@ -361,7 +309,6 @@ func (p *EncodePool) Stats() EncodeStats {
 		Latency:          p.latAcc.Summary(),
 		Utilization:      p.ws.Utilization(wall),
 		MaxBytesInFlight: p.maxInFlight,
-		Resizes:          p.ws.Resizes(),
 	}
 }
 
@@ -377,7 +324,6 @@ func (s EncodeStats) Emit(e *obs.Emitter, labels ...string) {
 		e.Counter("damaris_encode_planes_total", float64(n),
 			append([]string{"mode", transform.PlaneMode(m).String()}, labels...)...)
 	}
-	e.Counter("damaris_encode_resizes_total", float64(s.Resizes), labels...)
 	e.Gauge("damaris_encode_utilization", s.Utilization, labels...)
 	e.Gauge("damaris_encode_bytes_in_flight_max", float64(s.MaxBytesInFlight), labels...)
 	e.Summary("damaris_encode_seconds", s.Latency, labels...)
@@ -413,8 +359,6 @@ func (w *Writer) WriteChunks(metas []ChunkMeta, datas [][]byte, pool *EncodePool
 		return nil
 	}
 
-	// The outstanding-chunk window follows the pool size at call time; a
-	// concurrent Resize applies to subsequent batches.
 	window := 2 * pool.Workers()
 	if window < 2 {
 		window = 2

@@ -12,10 +12,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"time"
 
 	"damaris/internal/cluster"
-	"damaris/internal/control"
 	"damaris/internal/fs"
 	"damaris/internal/jitter"
 	"damaris/internal/sim"
@@ -487,100 +485,6 @@ func damarisResult(phase float64, clientTimes, busy []float64, lastEnd, total fl
 		Bytes:                total,
 		AggregateBps:         total / meanBusy,
 	}
-}
-
-// ControlSimConfig parameterizes a simulated run of the adaptive control
-// plane (internal/control) against a platform's modeled I/O latencies.
-type ControlSimConfig struct {
-	// Epochs is the number of write epochs to simulate (>= 1).
-	Epochs int
-	// Initial and Limits are handed to the control.Tuner unchanged; zero
-	// values select the tuner's defaults (Initial floors at 1/1).
-	Initial control.Sizes
-	Limits  control.Limits
-}
-
-// ControlPoint is one epoch of the simulated controller: the telemetry the
-// tuner saw and the sizes it settled on afterwards.
-type ControlPoint struct {
-	Epoch int
-	// FlushLatency is the epoch's modeled dedicated-core write time
-	// (seconds); Interval the modeled compute interval between write phases.
-	FlushLatency float64
-	Interval     float64
-	// Sizes is the effective configuration after observing this epoch.
-	Sizes control.Sizes
-	// Ratio is the tuner's smoothed flush-latency/interval ratio.
-	Ratio float64
-}
-
-// SimulateControl drives the real control.Tuner — not a re-implementation —
-// with per-epoch flush latencies drawn from the platform's Damaris write
-// model (each epoch is one independently seeded phase, so the natural
-// straggler/interference jitter of the platform is what the controller must
-// smooth). The returned curve shows how the writer pool and flow window
-// converge toward the latency/interval ratio the platform sustains; the
-// TestControlSim* tests assert the tail settles inside the limits.
-func SimulateControl(plat cluster.Platform, opt Options, cfg ControlSimConfig) ([]ControlPoint, error) {
-	if cfg.Epochs < 1 {
-		return nil, fmt.Errorf("iostrat: control sim needs at least one epoch")
-	}
-	clk := control.NewManualClock(time.Unix(0, 0))
-	tn, err := control.New(control.Config{
-		Mode:    "auto",
-		Initial: cfg.Initial,
-		Limits:  cfg.Limits,
-		// One decision per epoch: the simulated clock advances a full
-		// compute interval between observations, so any positive decision
-		// interval below it fires every time.
-		Interval: time.Nanosecond,
-		Clock:    clk,
-	})
-	if err != nil {
-		return nil, err
-	}
-	interval := plat.IterationSeconds * 50
-	out := make([]ControlPoint, 0, cfg.Epochs)
-	for e := 0; e < cfg.Epochs; e++ {
-		o := opt
-		o.Seed = opt.Seed + int64(e)
-		r, err := SimulateDamaris(plat, o)
-		if err != nil {
-			return nil, err
-		}
-		var flush float64
-		for _, b := range r.DedicatedBusySeconds {
-			flush += b
-		}
-		if n := len(r.DedicatedBusySeconds); n > 0 {
-			flush /= float64(n)
-		}
-		clk.Advance(time.Duration(interval * float64(time.Second)))
-		sizes, _ := tn.Observe(control.Sample{FlushLatency: flush, Interval: interval})
-		out = append(out, ControlPoint{
-			Epoch:        e,
-			FlushLatency: flush,
-			Interval:     interval,
-			Sizes:        sizes,
-			Ratio:        tn.Stats().Ratio,
-		})
-	}
-	return out, nil
-}
-
-// ControlSettled returns the first epoch index of the curve's final
-// constant run — the convergence point. len(points)-1 means the sizes were
-// still moving at the very end; -1 means an empty curve.
-func ControlSettled(points []ControlPoint) int {
-	if len(points) == 0 {
-		return -1
-	}
-	last := points[len(points)-1].Sizes
-	settled := len(points) - 1
-	for i := len(points) - 2; i >= 0 && points[i].Sizes == last; i-- {
-		settled = i
-	}
-	return settled
 }
 
 // Simulate dispatches by strategy name ("file-per-process", "collective",

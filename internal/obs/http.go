@@ -82,8 +82,7 @@ func (p *Plane) Federator() *Federator {
 // AddReadiness registers a named readiness probe: /readyz reports
 // not-ready (503) with the probe's error while check returns one. Probes
 // run on every /readyz request, so they must be cheap snapshots —
-// "spill backlog draining", "control plane degraded", "backend probe
-// object unreachable". Nil-safe.
+// "spill backlog draining", "backend probe object unreachable". Nil-safe.
 func (p *Plane) AddReadiness(name string, check func() error) {
 	if p == nil || check == nil {
 		return

@@ -197,3 +197,38 @@ func (a *Accumulator) Stddev() float64 { return math.Sqrt(a.Variance()) }
 func (a *Accumulator) Summary() Summary {
 	return Summary{N: a.n, Mean: a.mean, Min: a.min, Max: a.max, Stddev: a.Stddev()}
 }
+
+// WorkerSet is the busy-time bookkeeping of a fixed set of workers — the
+// persist pipeline's writers, the DSF encode pool's workers, a dedicated
+// core's shard loops: seconds spent working per slot, and their sum as a
+// share of the whole set running for a wall interval. A WorkerSet is not
+// internally locked: its owner guards it with the mutex that guards its
+// other counters.
+type WorkerSet struct {
+	busy []float64 // per-slot seconds spent working
+}
+
+// NewWorkerSet returns the bookkeeping of n workers, slots 0..n-1.
+func NewWorkerSet(n int) WorkerSet { return WorkerSet{busy: make([]float64, n)} }
+
+// Workers returns the number of slots.
+func (ws *WorkerSet) Workers() int { return len(ws.busy) }
+
+// AddBusy charges seconds of work to a slot.
+func (ws *WorkerSet) AddBusy(slot int, seconds float64) { ws.busy[slot] += seconds }
+
+// Busy returns a copy of the per-slot busy seconds.
+func (ws *WorkerSet) Busy() []float64 { return append([]float64(nil), ws.busy...) }
+
+// Utilization returns Σbusy/(workers×wall): time spent working relative to
+// every worker running for the whole wall interval.
+func (ws *WorkerSet) Utilization(wall float64) float64 {
+	if len(ws.busy) == 0 || wall <= 0 {
+		return 0
+	}
+	var sum float64
+	for _, b := range ws.busy {
+		sum += b
+	}
+	return sum / (float64(len(ws.busy)) * wall)
+}

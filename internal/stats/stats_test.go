@@ -198,3 +198,34 @@ func TestSummaryString(t *testing.T) {
 		t.Error("String should be non-empty")
 	}
 }
+
+// WorkerSet: one busy-seconds slot per worker, utilization against the whole
+// set running for the wall interval, and a zero set that reads zero.
+func TestWorkerSetSlotsAndUtilization(t *testing.T) {
+	ws := NewWorkerSet(3)
+	if ws.Workers() != 3 || len(ws.Busy()) != 3 {
+		t.Fatalf("workers=%d busy slots=%d, want 3 and 3", ws.Workers(), len(ws.Busy()))
+	}
+	for slot := 0; slot < 3; slot++ {
+		ws.AddBusy(slot, 2.5)
+		ws.AddBusy(slot, 7.5) // 3 slots x 10s = workers(3) x wall(10)
+	}
+	if u := ws.Utilization(10); !almostEqual(u, 1, 1e-12) {
+		t.Fatalf("utilization = %v, want 1 for a set busy the whole interval", u)
+	}
+	if u := ws.Utilization(40); !almostEqual(u, 0.25, 1e-12) {
+		t.Fatalf("utilization = %v, want 0.25", u)
+	}
+	if u := ws.Utilization(0); u != 0 {
+		t.Fatalf("zero wall utilization = %v", u)
+	}
+	busy := ws.Busy()
+	busy[0] = 99
+	if got := ws.Busy()[0]; got != 10 {
+		t.Fatalf("Busy returned the live slice: slot 0 reads %v after the caller wrote its copy", got)
+	}
+	var none WorkerSet // the inline executor's: no writers
+	if none.Workers() != 0 || none.Utilization(10) != 0 || none.Busy() != nil {
+		t.Fatalf("zero WorkerSet: workers=%d utilization=%v busy=%v", none.Workers(), none.Utilization(10), none.Busy())
+	}
+}

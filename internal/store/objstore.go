@@ -71,8 +71,13 @@ type ObjStore struct {
 	// worker slot) across all of this backend's ObjectWriters.
 	sem chan struct{}
 	// partBufs recycles part-sized buffers between uploads so steady-state
-	// multipart writes allocate nothing per part.
-	partBufs sync.Pool
+	// multipart writes allocate nothing per part. It is a plain free list,
+	// not a sync.Pool: a pool's per-P slots made a buffer put back by an
+	// uploader invisible to a writer on another P every so often, and each
+	// miss is a part-sized allocation. The list holds what was once in use
+	// at the same time, at most one buffer per open writer plus putWorkers.
+	bufMu    sync.Mutex
+	partBufs []*[]byte
 
 	// latMu guards the put-latency reservoir the hedge trigger is computed
 	// from and the jitter source for retry backoff.
@@ -133,11 +138,29 @@ func NewObjStore(dir string, opts Options) (*ObjStore, error) {
 		}
 		s.replicas = append(s.replicas, t)
 	}
-	s.partBufs.New = func() any {
-		b := make([]byte, 0, s.partSize)
-		return &b
-	}
 	return s, nil
+}
+
+// getPartBuf takes an empty part-sized buffer off the free list, or makes
+// one when every buffer is in use.
+func (s *ObjStore) getPartBuf() *[]byte {
+	s.bufMu.Lock()
+	defer s.bufMu.Unlock()
+	if n := len(s.partBufs); n > 0 {
+		buf := s.partBufs[n-1]
+		s.partBufs = s.partBufs[:n-1]
+		return buf
+	}
+	b := make([]byte, 0, s.partSize)
+	return &b
+}
+
+// putPartBuf empties buf and returns it to the free list.
+func (s *ObjStore) putPartBuf(buf *[]byte) {
+	*buf = (*buf)[:0]
+	s.bufMu.Lock()
+	s.partBufs = append(s.partBufs, buf)
+	s.bufMu.Unlock()
 }
 
 // Root returns the backing directory.
@@ -550,9 +573,7 @@ func (s *ObjStore) Create(object string) (ObjectWriter, error) {
 	if err := validName(object); err != nil {
 		return nil, err
 	}
-	buf := s.partBufs.Get().(*[]byte)
-	*buf = (*buf)[:0]
-	return &objWriter{s: s, object: object, buf: buf}, nil
+	return &objWriter{s: s, object: object, buf: s.getPartBuf()}, nil
 }
 
 // objWriter accumulates partSize bytes at a time and hands full parts to
@@ -630,8 +651,7 @@ func (w *objWriter) dispatchPart() {
 		defer func() {
 			<-w.s.sem
 			w.s.metrics.partEnd()
-			*buf = (*buf)[:0]
-			w.s.partBufs.Put(buf)
+			w.s.putPartBuf(buf)
 			w.wg.Done()
 		}()
 		part, err := w.s.uploadPart(*buf)
@@ -644,9 +664,7 @@ func (w *objWriter) dispatchPart() {
 		w.mu.Unlock()
 	}()
 
-	next := w.s.partBufs.Get().(*[]byte)
-	*next = (*next)[:0]
-	w.buf = next
+	w.buf = w.s.getPartBuf()
 }
 
 // Retry backoff bounds: capped exponential starting at the base, with full
@@ -733,8 +751,7 @@ func (w *objWriter) Commit() (*Manifest, error) {
 		w.dispatchPart()
 	}
 	// Release the final buffer and wait for every in-flight part.
-	*w.buf = (*w.buf)[:0]
-	w.s.partBufs.Put(w.buf)
+	w.s.putPartBuf(w.buf)
 	w.buf = nil
 	w.wg.Wait()
 	if err := w.err(); err != nil {
@@ -753,8 +770,7 @@ func (w *objWriter) Abort() error {
 	}
 	w.done = true
 	if w.buf != nil {
-		*w.buf = (*w.buf)[:0]
-		w.s.partBufs.Put(w.buf)
+		w.s.putPartBuf(w.buf)
 		w.buf = nil
 	}
 	w.wg.Wait()
