@@ -20,6 +20,10 @@
 //	  <event     name="my_event" action="do_something" using="my_plugin.so" scope="local"/>
 //	</simulation>
 //
+// The <store> attributes are the only way a run sets a backend option: the
+// backend URL names a place (scheme, root, replica= roots) and takes no
+// other parameter.
+//
 // Every knob attribute is declared once, in the table (*Config).knobs in
 // knobs.go: its element and attribute, the damaris-run flag that sets it,
 // the Config field it lands in, its default, its range and a help line.

@@ -418,6 +418,13 @@ func TestValidateProgrammaticConfig(t *testing.T) {
 	if err := c.Validate(); err != nil {
 		t.Errorf("file backend: %v", err)
 	}
+	// A backend URL carries no options: the old query spelling of a knob is
+	// refused with a pointer to the <store> element that declares it.
+	c = base()
+	c.PersistBackend = "obj://d?part_size=4096"
+	if err := c.Validate(); err == nil || !strings.Contains(err.Error(), "<store>") {
+		t.Errorf("option in the backend URL: %v, want an error naming <store>", err)
+	}
 }
 
 func TestAggregateElement(t *testing.T) {

@@ -191,7 +191,8 @@ func TestDeployAggregateCoreObjBackend(t *testing.T) {
 	dir := t.TempDir()
 	cfg := testCfg(t, "mutex", 2)
 	cfg.AggregateMode = "core"
-	cfg.PersistBackend = fmt.Sprintf("obj://%s?part_size=4096", dir)
+	cfg.PersistBackend = "obj://" + dir
+	cfg.StorePartSize = 4096
 	const iters = 2
 	// No Options.Persister: the leader resolves the default one, and its
 	// commits of the merged objects must show up in the trace.

@@ -167,7 +167,8 @@ func TestDSFPersisterObjStoreCommitFailure(t *testing.T) {
 func TestDeployWithObjBackend(t *testing.T) {
 	dir := t.TempDir()
 	cfg := testCfg(t, "mutex", 1)
-	cfg.PersistBackend = fmt.Sprintf("obj://%s?part_size=4096", dir)
+	cfg.PersistBackend = "obj://" + dir
+	cfg.StorePartSize = 4096
 
 	var mu sync.Mutex
 	var stats []PipelineStats

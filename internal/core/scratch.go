@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -32,6 +33,7 @@ type scratch struct {
 	mu        sync.Mutex
 	cond      *sync.Cond
 	f         *os.File
+	end       int64      // where the next frame is appended
 	pending   []spillRec // spilled (or recovered), not yet replayed
 	stranded  int        // frames whose replay failed terminally at close
 	closed    bool
@@ -45,10 +47,13 @@ type scratch struct {
 	done chan struct{} // drainer exited
 }
 
-// spillRec is one frame awaiting replay.
+// spillRec is one frame awaiting replay: where it lies in the scratch file,
+// not its bytes. A spill exists to get an iteration out of memory, so the
+// drainer reads each frame back when its turn comes instead of the backlog
+// sitting on the heap for as long as the backend is down.
 type spillRec struct {
-	it      int64
-	payload []byte
+	it     int64
+	off, n int64 // the whole frame, header included
 }
 
 // SpillStats is a snapshot of the scratch-spill path, exported through
@@ -98,21 +103,18 @@ func openScratch(path string, after int, persister Persister) (*scratch, error) 
 		f.Close()
 		return nil, fmt.Errorf("core: scratch truncate: %w", err)
 	}
-	if _, err := f.Seek(consumed, 0); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("core: scratch seek: %w", err)
-	}
 	sc := &scratch{
 		path:      path,
 		after:     after,
 		persister: persister,
 		f:         f,
+		end:       consumed,
 		recovered: int64(len(frames)),
 		done:      make(chan struct{}),
 	}
 	sc.cond = sync.NewCond(&sc.mu)
 	for _, fr := range frames {
-		sc.pending = append(sc.pending, spillRec{it: fr.Iteration, payload: fr.Payload})
+		sc.pending = append(sc.pending, spillRec{it: fr.Iteration, off: fr.Offset, n: dsf.SpillFrameOverhead + int64(len(fr.Payload))})
 	}
 	go sc.drain()
 	return sc, nil
@@ -132,7 +134,10 @@ func (sc *scratch) spill(it int64, entries []*metadata.Entry) error {
 	if sc.closed {
 		return fmt.Errorf("core: spill after close")
 	}
-	if _, err := dsf.AppendSpillFrame(sc.f, it, payload); err != nil {
+	// Written at the tracked offset, not the file position: a failed append
+	// leaves end where it was and the next frame overwrites the torn bytes.
+	n, err := dsf.AppendSpillFrame(io.NewOffsetWriter(sc.f, sc.end), it, payload)
+	if err != nil {
 		return err
 	}
 	if err := sc.f.Sync(); err != nil {
@@ -140,7 +145,8 @@ func (sc *scratch) spill(it int64, entries []*metadata.Entry) error {
 	}
 	sc.spilled++
 	sc.bytes += int64(len(payload))
-	sc.pending = append(sc.pending, spillRec{it: it, payload: payload})
+	sc.pending = append(sc.pending, spillRec{it: it, off: sc.end, n: n})
+	sc.end += n
 	sc.cond.Signal()
 	return nil
 }
@@ -188,7 +194,7 @@ func (sc *scratch) drain() {
 		rec := sc.pending[0]
 		sc.mu.Unlock()
 
-		entries, err := decodeSpillEntries(rec.payload)
+		entries, err := sc.readFrame(rec)
 		if err == nil {
 			backoff := replayBackoffBase
 			for {
@@ -224,11 +230,25 @@ func (sc *scratch) drain() {
 		// frames pin the file — truncating would destroy the only copy.
 		if len(sc.pending) == 0 && sc.stranded == 0 {
 			if sc.f.Truncate(0) == nil {
-				sc.f.Seek(0, 0)
+				sc.end = 0
 			}
 		}
 		sc.mu.Unlock()
 	}
+}
+
+// readFrame reads one pending frame back from the scratch file and decodes
+// it the way recovery does, so the CRC is checked again on the way out.
+func (sc *scratch) readFrame(rec spillRec) ([]*metadata.Entry, error) {
+	buf := make([]byte, rec.n)
+	if _, err := sc.f.ReadAt(buf, rec.off); err != nil {
+		return nil, fmt.Errorf("core: spill frame at offset %d: %w", rec.off, err)
+	}
+	frames, consumed := dsf.DecodeSpillFrames(buf)
+	if len(frames) != 1 || consumed != rec.n || frames[0].Iteration != rec.it {
+		return nil, fmt.Errorf("core: spill frame at offset %d is damaged", rec.off)
+	}
+	return decodeSpillEntries(frames[0].Payload)
 }
 
 // close stops accepting spills, lets the drainer make one final attempt at

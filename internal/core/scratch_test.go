@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -66,44 +67,71 @@ func waitSpill(t *testing.T, sc *scratch, cond func(SpillStats) bool) SpillStats
 // TestScratchReplayAfterBackendRecovers spills while the backend is down,
 // confirms the drainer retries with backoff, then heals the backend and
 // checks every iteration lands through the normal store path and the
-// scratch file is reclaimed.
+// scratch file is reclaimed. The large case holds the point of spilling: the
+// backlog lives in the scratch file, so the heap does not grow with it.
 func TestScratchReplayAfterBackendRecovers(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "node.spill")
-	pers := &flakyPersister{}
-	pers.fail.Store(true)
-	sc, err := openScratch(path, 2, pers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const iters = 3
-	for it := int64(0); it < iters; it++ {
-		data := []byte(fmt.Sprintf("payload-%d", it))
-		if err := sc.spill(it, []*metadata.Entry{spillEntry("v", it, 4, data)}); err != nil {
-			t.Fatalf("spill it %d: %v", it, err)
-		}
-	}
-	st := waitSpill(t, sc, func(s SpillStats) bool { return s.Failures >= 2 })
-	if st.Spilled != iters || st.Replayed != 0 || st.Pending != iters {
-		t.Errorf("mid-outage stats = %+v, want %d spilled and pending, 0 replayed", st, iters)
-	}
+	for _, tc := range []struct {
+		name        string
+		iters, size int
+		maxHeapGrow uint64 // 0 = not measured
+	}{
+		{name: "small", iters: 3, size: 9},
+		{name: "32x1MiB", iters: 32, size: 1 << 20, maxHeapGrow: 8 << 20},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			payload := func(it int64) []byte {
+				data := make([]byte, tc.size)
+				for i := range data {
+					data[i] = byte(int64(i)*7 + it)
+				}
+				return data
+			}
+			path := filepath.Join(t.TempDir(), "node.spill")
+			pers := &flakyPersister{}
+			pers.fail.Store(true)
+			sc, err := openScratch(path, 2, pers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var before, during runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			iters := int64(tc.iters)
+			for it := int64(0); it < iters; it++ {
+				if err := sc.spill(it, []*metadata.Entry{spillEntry("v", it, 4, payload(it))}); err != nil {
+					t.Fatalf("spill it %d: %v", it, err)
+				}
+			}
+			st := waitSpill(t, sc, func(s SpillStats) bool { return s.Failures >= 2 })
+			if st.Spilled != iters || st.Replayed != 0 || st.Pending != tc.iters {
+				t.Errorf("mid-outage stats = %+v, want %d spilled and pending, 0 replayed", st, iters)
+			}
+			runtime.GC()
+			runtime.ReadMemStats(&during)
+			if grew := int64(during.HeapInuse) - int64(before.HeapInuse); tc.maxHeapGrow > 0 && grew > int64(tc.maxHeapGrow) {
+				t.Errorf("heap grew %d bytes with %d bytes spilled and pending, want < %d: a spill must leave the heap",
+					grew, st.Bytes, tc.maxHeapGrow)
+			}
 
-	pers.fail.Store(false)
-	st = waitSpill(t, sc, func(s SpillStats) bool { return s.Pending == 0 })
-	if st.Replayed != iters || st.Stranded != 0 {
-		t.Errorf("post-recovery stats = %+v, want %d replayed, 0 stranded", st, iters)
-	}
-	if err := sc.close(); err != nil {
-		t.Fatalf("close: %v", err)
-	}
-	for it := int64(0); it < iters; it++ {
-		k := metadata.Key{Name: "v", Iteration: it, Source: 4}
-		got, ok := pers.mem.Get(k)
-		if !ok || string(got) != fmt.Sprintf("payload-%d", it) {
-			t.Errorf("replayed %v = %q, %v", k, got, ok)
-		}
-	}
-	if fi, err := os.Stat(path); err != nil || fi.Size() != 0 {
-		t.Errorf("drained scratch file size = %v, %v, want empty", fi, err)
+			pers.fail.Store(false)
+			st = waitSpill(t, sc, func(s SpillStats) bool { return s.Pending == 0 })
+			if st.Replayed != iters || st.Stranded != 0 {
+				t.Errorf("post-recovery stats = %+v, want %d replayed, 0 stranded", st, iters)
+			}
+			if err := sc.close(); err != nil {
+				t.Fatalf("close: %v", err)
+			}
+			for it := int64(0); it < iters; it++ {
+				k := metadata.Key{Name: "v", Iteration: it, Source: 4}
+				got, ok := pers.mem.Get(k)
+				if !ok || !bytes.Equal(got, payload(it)) {
+					t.Errorf("replayed %v: %d bytes, %v; want the %d spilled", k, len(got), ok, tc.size)
+				}
+			}
+			if fi, err := os.Stat(path); err != nil || fi.Size() != 0 {
+				t.Errorf("drained scratch file size = %v, %v, want empty", fi, err)
+			}
+		})
 	}
 }
 

@@ -21,7 +21,7 @@ import (
 // small part size, so even modest DSF objects span many parts.
 func newBackend(t testing.TB, partSize int) store.Backend {
 	t.Helper()
-	b, err := store.Open(fmt.Sprintf("obj://%s?part_size=%d", t.TempDir(), partSize))
+	b, err := store.OpenWith("obj://"+t.TempDir(), store.Options{PartSize: int64(partSize)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,11 +2,7 @@ package store
 
 import (
 	"fmt"
-	"io/fs"
 	"os"
-	"path/filepath"
-	"sort"
-	"strings"
 	"time"
 )
 
@@ -16,13 +12,14 @@ import (
 // through a FileStore is byte-identical to what the pre-backend persister
 // produced, and stays readable by dsf.OpenCollection and plain tools.
 //
-// Objects are single-part: Create streams into a hidden temp file and
-// Commit renames it into place, which is this backend's atomic-visibility
-// protocol (the rename plays the role the manifest commit plays in the
-// object store). Manifests are synthesized from the files themselves.
+// The backend is one tree: objects are its files, temporaries are hidden
+// ".tmp-*" files in the root. Objects are single-part: Create streams into
+// a temp file and Commit publishes it, which is this backend's
+// atomic-visibility protocol (the rename plays the role the manifest commit
+// plays in the object store). Manifests are synthesized from the files
+// themselves.
 type FileStore struct {
-	root    string
-	fault   Fault
+	t       tree
 	metrics metrics
 }
 
@@ -37,57 +34,26 @@ func NewFileStore(dir string, opts Options) (*FileStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: file backend: %w", err)
 	}
-	return &FileStore{root: dir, fault: opts.Fault, metrics: metrics{scheme: "file"}}, nil
+	return &FileStore{
+		t:       tree{root: dir, tmpDir: dir, tmpPrefix: ".tmp-", fault: opts.Fault},
+		metrics: metrics{Stats: Stats{Scheme: "file"}},
+	}, nil
 }
 
-// Root returns the backing directory.
-func (s *FileStore) Root() string { return s.root }
-
-// Path returns the filesystem path a committed object or blob lives at.
-func (s *FileStore) Path(name string) string { return filepath.Join(s.root, filepath.FromSlash(name)) }
-
-func (s *FileStore) tmpPath() string {
-	return filepath.Join(s.root, ".tmp-"+tmpName())
-}
-
-// writeBlob writes data to the named file via temp+rename, threading the
-// put faults through so tests can tear the write mid-flight.
-func (s *FileStore) writeBlob(name string, data []byte) error {
+// Put stores one immutable blob as a file under the root.
+func (s *FileStore) Put(name string, data []byte) error {
 	if err := validName(name); err != nil {
 		return err
 	}
 	// Timer before the fault hook: injected latency models the storage
 	// target and belongs in PutLatency.
 	start := time.Now()
-	if err := opFault(s.fault, OpPut, name); err != nil {
-		s.metrics.recordFailure()
-		return err
+	if err := s.t.put(OpPut, name, data); err != nil {
+		return s.metrics.failed(err)
 	}
-	dst := s.Path(name)
-	if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
-		s.metrics.recordFailure()
-		return fmt.Errorf("store: put %q: %w", name, err)
-	}
-	tmp := s.tmpPath()
-	if err := writeFileSync(tmp, data); err != nil {
-		s.metrics.recordFailure()
-		return fmt.Errorf("store: put %q: %w", name, err)
-	}
-	if err := opFault(s.fault, OpPutRename, name); err != nil {
-		// Torn write: the temp file stays behind, invisible to List/Get.
-		s.metrics.recordFailure()
-		return err
-	}
-	if err := os.Rename(tmp, dst); err != nil {
-		s.metrics.recordFailure()
-		return fmt.Errorf("store: put %q: %w", name, err)
-	}
-	s.metrics.recordPut(time.Since(start).Seconds(), int64(len(data)))
+	s.metrics.put(time.Since(start).Seconds(), int64(len(data)))
 	return nil
 }
-
-// Put stores one immutable blob as a file under the root.
-func (s *FileStore) Put(name string, data []byte) error { return s.writeBlob(name, data) }
 
 // Get reads a blob back.
 func (s *FileStore) Get(name string) ([]byte, error) {
@@ -95,19 +61,11 @@ func (s *FileStore) Get(name string) ([]byte, error) {
 		return nil, err
 	}
 	start := time.Now()
-	if err := opFault(s.fault, OpGet, name); err != nil {
-		s.metrics.recordFailure()
-		return nil, err
-	}
-	b, err := os.ReadFile(s.Path(name))
+	b, err := s.t.read(name)
 	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, fmt.Errorf("store: get %q: %w", name, ErrNotExist)
-		}
-		s.metrics.recordFailure()
-		return nil, fmt.Errorf("store: get %q: %w", name, err)
+		return nil, s.metrics.failed(err)
 	}
-	s.metrics.recordGet(time.Since(start).Seconds(), int64(len(b)))
+	s.metrics.get(time.Since(start).Seconds(), int64(len(b)))
 	return b, nil
 }
 
@@ -116,20 +74,9 @@ func (s *FileStore) Stat(name string) (ObjectInfo, error) {
 	if err := validName(name); err != nil {
 		return ObjectInfo{}, err
 	}
-	if err := opFault(s.fault, OpStat, name); err != nil {
-		s.metrics.recordFailure()
-		return ObjectInfo{}, err
-	}
-	fi, err := os.Stat(s.Path(name))
+	fi, err := s.t.stat(name)
 	if err != nil {
-		if os.IsNotExist(err) {
-			return ObjectInfo{}, fmt.Errorf("store: stat %q: %w", name, ErrNotExist)
-		}
-		s.metrics.recordFailure()
-		return ObjectInfo{}, fmt.Errorf("store: stat %q: %w", name, err)
-	}
-	if fi.IsDir() {
-		return ObjectInfo{}, fmt.Errorf("store: stat %q: %w", name, ErrNotExist)
+		return ObjectInfo{}, s.metrics.failed(err)
 	}
 	return ObjectInfo{Name: name, Size: fi.Size()}, nil
 }
@@ -137,46 +84,11 @@ func (s *FileStore) Stat(name string) (ObjectInfo, error) {
 // List returns the blobs whose names start with prefix, sorted. Hidden
 // files (backend temporaries) never appear.
 func (s *FileStore) List(prefix string) ([]ObjectInfo, error) {
-	if err := opFault(s.fault, OpList, prefix); err != nil {
-		s.metrics.recordFailure()
-		return nil, err
+	if err := opFault(s.t.fault, OpList, prefix); err != nil {
+		return nil, s.metrics.failed(err)
 	}
-	var out []ObjectInfo
-	err := filepath.WalkDir(s.root, func(p string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		base := filepath.Base(p)
-		if p != s.root && strings.HasPrefix(base, ".") {
-			if d.IsDir() {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if d.IsDir() {
-			return nil
-		}
-		rel, err := filepath.Rel(s.root, p)
-		if err != nil {
-			return err
-		}
-		name := filepath.ToSlash(rel)
-		if !strings.HasPrefix(name, prefix) {
-			return nil
-		}
-		fi, err := d.Info()
-		if err != nil {
-			return err
-		}
-		out = append(out, ObjectInfo{Name: name, Size: fi.Size()})
-		return nil
-	})
-	if err != nil {
-		s.metrics.recordFailure()
-		return nil, fmt.Errorf("store: list: %w", err)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out, nil
+	out, err := list(prefix, &s.t)
+	return out, s.metrics.failed(err)
 }
 
 // Delete removes a blob.
@@ -184,43 +96,28 @@ func (s *FileStore) Delete(name string) error {
 	if err := validName(name); err != nil {
 		return err
 	}
-	if err := opFault(s.fault, OpDelete, name); err != nil {
-		s.metrics.recordFailure()
-		return err
+	if err := s.t.remove(name); err != nil {
+		return s.metrics.failed(err)
 	}
-	if err := os.Remove(s.Path(name)); err != nil {
-		if os.IsNotExist(err) {
-			return fmt.Errorf("store: delete %q: %w", name, ErrNotExist)
-		}
-		s.metrics.recordFailure()
-		return fmt.Errorf("store: delete %q: %w", name, err)
-	}
-	s.metrics.recordDelete()
+	s.metrics.inc(&s.metrics.Deletes)
 	return nil
 }
 
 // Create opens an object for streaming. The bytes land in a hidden temp
-// file; Commit renames it to the object's name — the atomic publish.
+// file; Commit publishes it under the object's name.
 func (s *FileStore) Create(object string) (ObjectWriter, error) {
 	if err := validName(object); err != nil {
 		return nil, err
 	}
-	if err := opFault(s.fault, OpPut, object); err != nil {
-		s.metrics.recordFailure()
-		return nil, err
+	if err := opFault(s.t.fault, OpPut, object); err != nil {
+		return nil, s.metrics.failed(err)
 	}
-	dst := s.Path(object)
-	if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
-		s.metrics.recordFailure()
-		return nil, fmt.Errorf("store: create %q: %w", object, err)
-	}
-	tmp := s.tmpPath()
+	tmp := s.t.tmp()
 	f, err := os.Create(tmp)
 	if err != nil {
-		s.metrics.recordFailure()
-		return nil, fmt.Errorf("store: create %q: %w", object, err)
+		return nil, s.metrics.failed(fmt.Errorf("store: create %q: %w", object, err))
 	}
-	return &fileObjWriter{s: s, object: object, f: f, tmp: tmp, dst: dst, start: time.Now()}, nil
+	return &fileObjWriter{s: s, object: object, f: f, tmp: tmp, start: time.Now()}, nil
 }
 
 type fileObjWriter struct {
@@ -228,7 +125,6 @@ type fileObjWriter struct {
 	object string
 	f      *os.File
 	tmp    string
-	dst    string
 	size   int64
 	start  time.Time
 	done   bool
@@ -248,33 +144,21 @@ func (w *fileObjWriter) Commit() (*Manifest, error) {
 		return nil, fmt.Errorf("store: object %q already finished", w.object)
 	}
 	w.done = true
-	if err := w.f.Sync(); err != nil {
-		w.f.Close()
+	err := w.f.Sync()
+	if cerr := w.f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		os.Remove(w.tmp)
-		w.s.metrics.recordFailure()
-		return nil, fmt.Errorf("store: commit %q: %w", w.object, err)
+		return nil, w.s.metrics.failed(fmt.Errorf("store: commit %q: %w", w.object, err))
 	}
-	if err := w.f.Close(); err != nil {
-		os.Remove(w.tmp)
-		w.s.metrics.recordFailure()
-		return nil, fmt.Errorf("store: commit %q: %w", w.object, err)
+	// A fault here is a simulated crash before publish: the temp file stays
+	// torn and the object stays invisible.
+	if err := w.s.t.publish(w.tmp, w.object, OpCommit); err != nil {
+		return nil, w.s.metrics.failed(err)
 	}
-	if err := opFault(w.s.fault, OpPutRename, w.object); err != nil {
-		// Simulated crash before publish: the temp file stays torn and the
-		// object stays invisible.
-		w.s.metrics.recordFailure()
-		return nil, err
-	}
-	if err := opFault(w.s.fault, OpCommit, w.object); err != nil {
-		w.s.metrics.recordFailure()
-		return nil, err
-	}
-	if err := os.Rename(w.tmp, w.dst); err != nil {
-		w.s.metrics.recordFailure()
-		return nil, fmt.Errorf("store: commit %q: %w", w.object, err)
-	}
-	w.s.metrics.recordPut(time.Since(w.start).Seconds(), w.size)
-	w.s.metrics.recordCommit()
+	w.s.metrics.put(time.Since(w.start).Seconds(), w.size)
+	w.s.metrics.inc(&w.s.metrics.Commits)
 	return fileManifest(w.object, w.size), nil
 }
 
@@ -297,25 +181,11 @@ func (s *FileStore) Open(object string) (ObjectReader, error) {
 	if err := validName(object); err != nil {
 		return nil, err
 	}
-	if err := opFault(s.fault, OpOpen, object); err != nil {
-		s.metrics.recordFailure()
-		return nil, err
-	}
-	f, err := os.Open(s.Path(object))
+	f, size, err := s.t.open(OpOpen, object)
 	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, fmt.Errorf("store: open %q: %w", object, ErrNotExist)
-		}
-		s.metrics.recordFailure()
-		return nil, fmt.Errorf("store: open %q: %w", object, err)
+		return nil, s.metrics.failed(err)
 	}
-	fi, err := f.Stat()
-	if err != nil {
-		f.Close()
-		s.metrics.recordFailure()
-		return nil, fmt.Errorf("store: open %q: %w", object, err)
-	}
-	return &fileObjReader{s: s, f: f, size: fi.Size()}, nil
+	return &fileObjReader{s: s, f: f, size: size}, nil
 }
 
 type fileObjReader struct {
@@ -327,7 +197,7 @@ type fileObjReader struct {
 func (r *fileObjReader) ReadAt(p []byte, off int64) (int, error) {
 	start := time.Now()
 	n, err := r.f.ReadAt(p, off)
-	r.s.metrics.recordGet(time.Since(start).Seconds(), int64(n))
+	r.s.metrics.get(time.Since(start).Seconds(), int64(n))
 	return n, err
 }
 
@@ -341,17 +211,9 @@ func (s *FileStore) StatObject(object string) (ObjectStat, error) {
 	if err := validName(object); err != nil {
 		return ObjectStat{}, err
 	}
-	if err := opFault(s.fault, OpStat, object); err != nil {
-		s.metrics.recordFailure()
-		return ObjectStat{}, err
-	}
-	fi, err := os.Stat(s.Path(object))
+	fi, err := s.t.stat(object)
 	if err != nil {
-		if os.IsNotExist(err) {
-			return ObjectStat{}, fmt.Errorf("store: stat object %q: %w", object, ErrNotExist)
-		}
-		s.metrics.recordFailure()
-		return ObjectStat{}, fmt.Errorf("store: stat object %q: %w", object, err)
+		return ObjectStat{}, s.metrics.failed(err)
 	}
 	return ObjectStat{Size: fi.Size(), ModTime: fi.ModTime()}, nil
 }
@@ -377,16 +239,15 @@ func (s *FileStore) Commit(m *Manifest) error {
 	if m == nil || m.Object == "" {
 		return fmt.Errorf("store: commit without an object name")
 	}
-	if err := opFault(s.fault, OpCommit, m.Object); err != nil {
-		s.metrics.recordFailure()
-		return err
+	if err := opFault(s.t.fault, OpCommit, m.Object); err != nil {
+		return s.metrics.failed(err)
 	}
 	for _, p := range m.Parts {
 		if _, err := s.Stat(p.Blob); err != nil {
 			return fmt.Errorf("store: commit %q: part %q: %w", m.Object, p.Blob, err)
 		}
 	}
-	s.metrics.recordCommit()
+	s.metrics.inc(&s.metrics.Commits)
 	return nil
 }
 

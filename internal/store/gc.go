@@ -91,23 +91,11 @@ func (s *ObjStore) GC(opts GCOptions) (GCReport, error) {
 	}
 	rep.LiveParts = len(live)
 
-	// Sweep: unreferenced, sufficiently old content-addressed blobs.
-	casRoot := filepath.Join(s.root, "blobs", "cas")
-	err = filepath.WalkDir(casRoot, func(p string, d fs.DirEntry, err error) error {
-		if err != nil {
-			if os.IsNotExist(err) {
-				return nil // nothing content-addressed was ever written
-			}
-			return err
-		}
-		if d.IsDir() {
-			return nil
-		}
-		rel, err := filepath.Rel(filepath.Join(s.root, "blobs"), p)
-		if err != nil {
-			return err
-		}
-		name := filepath.ToSlash(rel)
+	// Sweep: unreferenced, sufficiently old content-addressed blobs, on the
+	// primary target only. The sweep removes files directly, not through the
+	// tree: reclaiming is not a Delete a fault gets to fail.
+	blobs := &s.targets[0].blobs
+	err = blobs.walk("cas/", func(name string, d fs.DirEntry) error {
 		if live[name] {
 			return nil
 		}
@@ -124,19 +112,19 @@ func (s *ObjStore) GC(opts GCOptions) (GCReport, error) {
 		if opts.DryRun {
 			return nil
 		}
-		return os.Remove(p)
+		return os.Remove(blobs.path(name))
 	})
 	if err != nil {
 		return rep, fmt.Errorf("store: gc: %w", err)
 	}
 
 	// Stale temporaries: torn writes whose process is long gone.
-	tmps, err := os.ReadDir(filepath.Join(s.root, "tmp"))
+	tmps, err := os.ReadDir(blobs.tmpDir)
 	if err != nil && !os.IsNotExist(err) {
 		return rep, fmt.Errorf("store: gc: %w", err)
 	}
 	for _, e := range tmps {
-		if e.IsDir() || !strings.HasPrefix(e.Name(), "t-") {
+		if e.IsDir() || !strings.HasPrefix(e.Name(), blobs.tmpPrefix) {
 			continue
 		}
 		fi, err := e.Info()
@@ -145,7 +133,7 @@ func (s *ObjStore) GC(opts GCOptions) (GCReport, error) {
 		}
 		rep.ReclaimedTemps++
 		if !opts.DryRun {
-			if err := os.Remove(filepath.Join(s.root, "tmp", e.Name())); err != nil {
+			if err := os.Remove(filepath.Join(blobs.tmpDir, e.Name())); err != nil {
 				return rep, fmt.Errorf("store: gc: %w", err)
 			}
 		}

@@ -44,7 +44,7 @@ func ageCAS(t *testing.T, s *ObjStore) {
 		t.Fatal(err)
 	}
 	for _, info := range infos {
-		if err := os.Chtimes(s.blobPath(info.Name), old, old); err != nil {
+		if err := os.Chtimes(s.targets[0].blobs.path(info.Name), old, old); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -197,7 +197,7 @@ func TestGCRespectsCrossObjectReferences(t *testing.T) {
 	commitObject(t, s, "b.dsf", data) // fully deduped against a.dsf
 	// Drop a's manifest (simulating object deletion); b still references
 	// every part.
-	if err := os.Remove(s.manifestPath("a.dsf")); err != nil {
+	if err := os.Remove(s.targets[0].manifests.path("a.dsf")); err != nil {
 		t.Fatal(err)
 	}
 	ageCAS(t, s)
@@ -229,7 +229,7 @@ func TestGCSweepsStaleTemps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tmp := s.tmpPathAt(0)
+	tmp := s.targets[0].blobs.tmp()
 	if err := os.WriteFile(tmp, []byte("torn"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func TestGCAbortsOnCorruptManifest(t *testing.T) {
 		t.Fatal(err)
 	}
 	commitObject(t, s, "ok.dsf", payload(2048, 3))
-	if err := os.WriteFile(s.manifestPath("bad.dsf"), []byte(`{"object":"bad.dsf","size":-5}`), 0o644); err != nil {
+	if err := os.WriteFile(s.targets[0].manifests.path("bad.dsf"), []byte(`{"object":"bad.dsf","size":-5}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	ageCAS(t, s)
@@ -299,7 +299,7 @@ func TestDedupeHitRefreshesBlobAge(t *testing.T) {
 		t.Fatal(err)
 	}
 	old := time.Now().Add(-2 * DefaultGCMinAge)
-	if err := os.Chtimes(s.blobPath(part.Blob), old, old); err != nil {
+	if err := os.Chtimes(s.targets[0].blobs.path(part.Blob), old, old); err != nil {
 		t.Fatal(err)
 	}
 	// Unreferenced and aged: a sweep right now would take it.

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"errors"
 	"sync"
 
 	"damaris/internal/obs"
@@ -87,139 +88,81 @@ func (s Stats) Emit(e *obs.Emitter, labels ...string) {
 	e.Summary("damaris_store_get_seconds", s.GetLatency, ls...)
 }
 
-// metrics is the mutex-guarded accumulator both backends embed.
+// metrics is a backend's Stats behind a lock. The counters are the exported
+// fields themselves; the two latency summaries are computed from their
+// accumulators when a snapshot is taken.
 type metrics struct {
-	scheme string
-
-	mu               sync.Mutex
-	puts, gets, dels int64
-	putBytes         int64
-	getBytes         int64
-	putLat, getLat   stats.Accumulator
-	failures         int64
-	retries          int64
-	backoffs         int64
-	backoffSecs      float64
-	putTimeouts      int64
-	hedges           int64
-	hedgeWins        int64
-	dedupeHits       int64
-	dedupeBytes      int64
-	partsInFlight    int64
-	maxPartsInFlight int64
-	commits          int64
+	mu sync.Mutex
+	Stats
+	putLat, getLat stats.Accumulator
 }
 
-func (m *metrics) recordPut(seconds float64, bytes int64) {
+// inc bumps one counter of the embedded Stats: m.inc(&m.Retries).
+func (m *metrics) inc(n *int64) {
 	m.mu.Lock()
-	m.puts++
-	m.putBytes += bytes
+	*n++
+	m.mu.Unlock()
+}
+
+// failed counts err as a failed operation unless it is nil or says the
+// thing asked for is not there — a miss is an answer, not a failure — and
+// returns it, so call sites read "return s.metrics.failed(err)".
+func (m *metrics) failed(err error) error {
+	if err != nil && !errors.Is(err, ErrNotExist) {
+		m.inc(&m.Failures)
+	}
+	return err
+}
+
+func (m *metrics) put(seconds float64, bytes int64) {
+	m.mu.Lock()
+	m.Puts++
+	m.PutBytes += bytes
 	m.putLat.Add(seconds)
 	m.mu.Unlock()
 }
 
-func (m *metrics) recordGet(seconds float64, bytes int64) {
+func (m *metrics) get(seconds float64, bytes int64) {
 	m.mu.Lock()
-	m.gets++
-	m.getBytes += bytes
+	m.Gets++
+	m.GetBytes += bytes
 	m.getLat.Add(seconds)
 	m.mu.Unlock()
 }
 
-func (m *metrics) recordDelete() {
+func (m *metrics) backoff(seconds float64) {
 	m.mu.Lock()
-	m.dels++
+	m.Backoffs++
+	m.BackoffSeconds += seconds
 	m.mu.Unlock()
 }
 
-func (m *metrics) recordFailure() {
+func (m *metrics) dedupe(bytes int64) {
 	m.mu.Lock()
-	m.failures++
-	m.mu.Unlock()
-}
-
-func (m *metrics) recordRetry() {
-	m.mu.Lock()
-	m.retries++
-	m.mu.Unlock()
-}
-
-func (m *metrics) recordBackoff(seconds float64) {
-	m.mu.Lock()
-	m.backoffs++
-	m.backoffSecs += seconds
-	m.mu.Unlock()
-}
-
-func (m *metrics) recordPutTimeout() {
-	m.mu.Lock()
-	m.putTimeouts++
-	m.mu.Unlock()
-}
-
-func (m *metrics) recordHedge() {
-	m.mu.Lock()
-	m.hedges++
-	m.mu.Unlock()
-}
-
-func (m *metrics) recordHedgeWin() {
-	m.mu.Lock()
-	m.hedgeWins++
-	m.mu.Unlock()
-}
-
-func (m *metrics) recordDedupe(bytes int64) {
-	m.mu.Lock()
-	m.dedupeHits++
-	m.dedupeBytes += bytes
-	m.mu.Unlock()
-}
-
-func (m *metrics) recordCommit() {
-	m.mu.Lock()
-	m.commits++
+	m.DedupeHits++
+	m.DedupeBytes += bytes
 	m.mu.Unlock()
 }
 
 func (m *metrics) partStart() {
 	m.mu.Lock()
-	m.partsInFlight++
-	if m.partsInFlight > m.maxPartsInFlight {
-		m.maxPartsInFlight = m.partsInFlight
+	m.PartsInFlight++
+	if m.PartsInFlight > m.MaxPartsInFlight {
+		m.MaxPartsInFlight = m.PartsInFlight
 	}
 	m.mu.Unlock()
 }
 
 func (m *metrics) partEnd() {
 	m.mu.Lock()
-	m.partsInFlight--
+	m.PartsInFlight--
 	m.mu.Unlock()
 }
 
 func (m *metrics) snapshot() Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return Stats{
-		Scheme:           m.scheme,
-		Puts:             m.puts,
-		Gets:             m.gets,
-		Deletes:          m.dels,
-		PutBytes:         m.putBytes,
-		GetBytes:         m.getBytes,
-		PutLatency:       m.putLat.Summary(),
-		GetLatency:       m.getLat.Summary(),
-		Failures:         m.failures,
-		Retries:          m.retries,
-		Backoffs:         m.backoffs,
-		BackoffSeconds:   m.backoffSecs,
-		PutTimeouts:      m.putTimeouts,
-		Hedges:           m.hedges,
-		HedgeWins:        m.hedgeWins,
-		DedupeHits:       m.dedupeHits,
-		DedupeBytes:      m.dedupeBytes,
-		PartsInFlight:    m.partsInFlight,
-		MaxPartsInFlight: m.maxPartsInFlight,
-		Commits:          m.commits,
-	}
+	s := m.Stats
+	s.PutLatency, s.GetLatency = m.putLat.Summary(), m.getLat.Summary()
+	return s
 }

@@ -7,12 +7,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"io/fs"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 )
@@ -36,7 +34,7 @@ import (
 // temp files — no reader can observe a partial object, and the retry skips
 // every part that already made it.
 //
-// Directory layout under the root:
+// Directory layout under the root — two trees sharing one temp area:
 //
 //	blobs/<name>            the blob plane (parts live under blobs/cas/sha256/)
 //	manifests/<object>.json committed manifests (atomic rename)
@@ -56,15 +54,12 @@ import (
 // fall back across targets in order, so an object whose parts were hedged
 // onto a replica stays fully readable. GC sweeps the primary only.
 type ObjStore struct {
-	root        string
 	partSize    int64
-	putWorkers  int
 	putAttempts int
 	putTimeout  time.Duration
 	hedgeAfter  time.Duration
 	hedgePct    float64
-	fault       Fault
-	replicas    []objTarget
+	targets     []objTarget // index 0 is the primary
 	metrics     metrics
 
 	// sem bounds the parts concurrently uploading (or buffered awaiting a
@@ -88,10 +83,24 @@ type ObjStore struct {
 	scratch []float64 // reusable sort buffer for the percentile
 }
 
-// objTarget is one replica storage root with its own injected fault.
+// objTarget is one storage root: a tree of blobs and a tree of manifests,
+// both consulting the target's own injected fault.
 type objTarget struct {
-	root  string
-	fault Fault
+	blobs, manifests tree
+}
+
+func newObjTarget(root string, fault Fault) (objTarget, error) {
+	tmp := filepath.Join(root, "tmp")
+	t := objTarget{
+		blobs:     tree{root: filepath.Join(root, "blobs"), tmpDir: tmp, tmpPrefix: "t-", fault: fault},
+		manifests: tree{root: filepath.Join(root, "manifests"), suffix: ".json", tmpDir: tmp, tmpPrefix: "t-", fault: fault},
+	}
+	for _, dir := range []string{t.blobs.root, t.manifests.root, tmp} {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return t, fmt.Errorf("store: object backend: %w", err)
+		}
+	}
+	return t, nil
 }
 
 // ErrPutTimeout marks a put attempt abandoned at the per-put deadline. The
@@ -108,35 +117,29 @@ func NewObjStore(dir string, opts Options) (*ObjStore, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("store: object backend needs a root directory")
 	}
-	roots := append([]string{dir}, opts.Replicas...)
-	for _, root := range roots {
-		for _, sub := range []string{"blobs", "manifests", "tmp"} {
-			if err := os.MkdirAll(filepath.Join(root, sub), 0o755); err != nil {
-				return nil, fmt.Errorf("store: object backend: %w", err)
-			}
-		}
-	}
 	s := &ObjStore{
-		root:        dir,
 		partSize:    opts.PartSize,
-		putWorkers:  opts.PutWorkers,
 		putAttempts: opts.PutAttempts,
 		putTimeout:  opts.PutTimeout,
 		hedgeAfter:  opts.HedgeAfter,
 		hedgePct:    opts.HedgePct,
-		fault:       opts.Fault,
-		metrics:     metrics{scheme: "obj"},
+		metrics:     metrics{Stats: Stats{Scheme: "obj"}},
 		sem:         make(chan struct{}, opts.PutWorkers),
 		// Jitter only spreads retry backoff in time; a fixed seed keeps runs
 		// reproducible and output bytes never depend on it.
 		jitter: rand.New(rand.NewSource(1)),
 	}
-	for i, r := range opts.Replicas {
-		t := objTarget{root: r}
-		if i < len(opts.ReplicaFaults) {
-			t.fault = opts.ReplicaFaults[i]
+	faults := append([]Fault{opts.Fault}, opts.ReplicaFaults...)
+	for i, root := range append([]string{dir}, opts.Replicas...) {
+		var fault Fault
+		if i < len(faults) {
+			fault = faults[i]
 		}
-		s.replicas = append(s.replicas, t)
+		t, err := newObjTarget(root, fault)
+		if err != nil {
+			return nil, err
+		}
+		s.targets = append(s.targets, t)
 	}
 	return s, nil
 }
@@ -163,74 +166,12 @@ func (s *ObjStore) putPartBuf(buf *[]byte) {
 	s.bufMu.Unlock()
 }
 
-// Root returns the backing directory.
-func (s *ObjStore) Root() string { return s.root }
-
 // PartSize returns the multipart split size.
 func (s *ObjStore) PartSize() int64 { return s.partSize }
-
-// targets returns how many storage roots this store writes to (primary +
-// replicas).
-func (s *ObjStore) targets() int { return 1 + len(s.replicas) }
-
-// rootAt returns target ti's storage root (0 = primary).
-func (s *ObjStore) rootAt(ti int) string {
-	if ti == 0 {
-		return s.root
-	}
-	return s.replicas[ti-1].root
-}
-
-// faultAt returns target ti's injected fault (0 = primary).
-func (s *ObjStore) faultAt(ti int) Fault {
-	if ti == 0 {
-		return s.fault
-	}
-	return s.replicas[ti-1].fault
-}
-
-func (s *ObjStore) blobPathAt(ti int, name string) string {
-	return filepath.Join(s.rootAt(ti), "blobs", filepath.FromSlash(name))
-}
-
-func (s *ObjStore) blobPath(name string) string { return s.blobPathAt(0, name) }
-
-func (s *ObjStore) manifestPathAt(ti int, object string) string {
-	return filepath.Join(s.rootAt(ti), "manifests", filepath.FromSlash(object)+".json")
-}
-
-func (s *ObjStore) manifestPath(object string) string { return s.manifestPathAt(0, object) }
-
-func (s *ObjStore) tmpPathAt(ti int) string {
-	return filepath.Join(s.rootAt(ti), "tmp", "t-"+tmpName())
-}
 
 // casBlobName is the content-addressed blob name of one part.
 func casBlobName(sum [sha256.Size]byte) string {
 	return "cas/sha256/" + hex.EncodeToString(sum[:])
-}
-
-// writeTempAndRename lands data at target ti's dst via that target's temp
-// area, with the put faults threaded through (OpPutRename failing between
-// write and rename is the torn-upload crash window). The temp file is
-// fsynced before the rename: the manifest-last protocol's invariant is that
-// everything a manifest references is durable, so a power loss after a
-// blob's rename must never surface zero-filled part bytes.
-func (s *ObjStore) writeTempAndRename(ti int, op string, name string, dst string, data []byte) error {
-	tmp := s.tmpPathAt(ti)
-	if err := writeFileSync(tmp, data); err != nil {
-		return fmt.Errorf("store: %s %q: %w", op, name, err)
-	}
-	if err := opFault(s.faultAt(ti), OpPutRename, name); err != nil {
-		return err // torn: tmp stays behind, invisible
-	}
-	if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
-		return fmt.Errorf("store: %s %q: %w", op, name, err)
-	}
-	if err := os.Rename(tmp, dst); err != nil {
-		return fmt.Errorf("store: %s %q: %w", op, name, err)
-	}
-	return nil
 }
 
 // withPutTimeout runs one write attempt under the per-put deadline. On
@@ -251,31 +192,28 @@ func (s *ObjStore) withPutTimeout(fn func() error) error {
 	case err := <-done:
 		return err
 	case <-t.C:
-		s.metrics.recordPutTimeout()
+		s.metrics.inc(&s.metrics.PutTimeouts)
 		return fmt.Errorf("store: put timed out after %v: %w", s.putTimeout, ErrPutTimeout)
 	}
 }
 
-// putAt stores one immutable blob on target ti, under the per-put deadline.
-func (s *ObjStore) putAt(ti int, name string, data []byte) error {
+// putAt stores one immutable blob on target t, under the per-put deadline.
+// The temp file is fsynced before the rename: the manifest-last protocol's
+// invariant is that everything a manifest references is durable, so a crash
+// after a blob's rename must never surface zero-filled part bytes.
+func (s *ObjStore) putAt(t *objTarget, name string, data []byte) error {
 	if err := validName(name); err != nil {
 		return err
 	}
 	// The timer starts before the fault hook on purpose: injected latency
 	// models the storage target, so it belongs in PutLatency.
 	start := time.Now()
-	err := s.withPutTimeout(func() error {
-		if err := opFault(s.faultAt(ti), OpPut, name); err != nil {
-			return err
-		}
-		return s.writeTempAndRename(ti, "put", name, s.blobPathAt(ti, name), data)
-	})
+	err := s.withPutTimeout(func() error { return t.blobs.put(OpPut, name, data) })
 	if err != nil {
-		s.metrics.recordFailure()
-		return err
+		return s.metrics.failed(err)
 	}
 	sec := time.Since(start).Seconds()
-	s.metrics.recordPut(sec, int64(len(data)))
+	s.metrics.put(sec, int64(len(data)))
 	s.observePutLatency(sec)
 	return nil
 }
@@ -284,7 +222,7 @@ func (s *ObjStore) putAt(ti int, name string, data []byte) error {
 // existing name is legal only with identical bytes (content-addressed
 // callers get that by construction); the rename makes the operation
 // idempotent either way.
-func (s *ObjStore) Put(name string, data []byte) error { return s.putAt(0, name, data) }
+func (s *ObjStore) Put(name string, data []byte) error { return s.putAt(&s.targets[0], name, data) }
 
 // observePutLatency feeds the hedge trigger's latency reservoir.
 func (s *ObjStore) observePutLatency(sec float64) {
@@ -322,15 +260,16 @@ func (s *ObjStore) hedgeDelay() time.Duration {
 	return d
 }
 
-// hedged runs do(0) and, while it stays outstanding past the hedge trigger
-// (or fails outright), escalates to do(1), do(2), … — first success wins.
-// Losing attempts are abandoned, not interrupted: idempotent writes make a
-// straggler that finishes later land identical bytes, so nothing waits for
-// it. With no replicas this is a plain primary call.
-func (s *ObjStore) hedged(do func(ti int) error) error {
-	n := s.targets()
+// hedged runs do on the primary and, while it stays outstanding past the
+// hedge trigger (or fails outright), escalates to the next target, then the
+// next — first success wins. Losing attempts are abandoned, not interrupted:
+// idempotent writes make a straggler that finishes later land identical
+// bytes, so nothing waits for it. With no replicas this is a plain primary
+// call.
+func (s *ObjStore) hedged(do func(t *objTarget) error) error {
+	n := len(s.targets)
 	if n == 1 {
-		return do(0)
+		return do(&s.targets[0])
 	}
 	type res struct {
 		ti  int
@@ -338,7 +277,7 @@ func (s *ObjStore) hedged(do func(ti int) error) error {
 	}
 	ch := make(chan res, n) // buffered: abandoned attempts never block
 	launch := func(ti int) {
-		go func() { ch <- res{ti, do(ti)} }()
+		go func() { ch <- res{ti, do(&s.targets[ti])} }()
 	}
 	launch(0)
 	launched, pending := 1, 1
@@ -358,7 +297,7 @@ func (s *ObjStore) hedged(do func(ti int) error) error {
 			pending--
 			if r.err == nil {
 				if r.ti > 0 {
-					s.metrics.recordHedgeWin()
+					s.metrics.inc(&s.metrics.HedgeWins)
 				}
 				return nil
 			}
@@ -368,7 +307,7 @@ func (s *ObjStore) hedged(do func(ti int) error) error {
 			if launched < n {
 				// A definitive failure hedges immediately — no point waiting
 				// out the trigger for a target that already said no.
-				s.metrics.recordHedge()
+				s.metrics.inc(&s.metrics.Hedges)
 				launch(launched)
 				launched++
 				pending++
@@ -376,7 +315,7 @@ func (s *ObjStore) hedged(do func(ti int) error) error {
 				return firstErr
 			}
 		case <-hedgeC:
-			s.metrics.recordHedge()
+			s.metrics.inc(&s.metrics.Hedges)
 			launch(launched)
 			launched++
 			pending++
@@ -384,82 +323,41 @@ func (s *ObjStore) hedged(do func(ti int) error) error {
 	}
 }
 
-// openBlobAt opens a blob on target ti for reading and reports its length.
-// Every read of blob bytes — whole (Get) or ranged (objReader) — starts
-// here, so the OpGet fault hook and the failure accounting apply to both.
-func (s *ObjStore) openBlobAt(ti int, name string) (*os.File, int64, error) {
-	if err := opFault(s.faultAt(ti), OpGet, name); err != nil {
-		s.metrics.recordFailure()
-		return nil, 0, err
-	}
-	f, err := os.Open(s.blobPathAt(ti, name))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, 0, fmt.Errorf("store: get %q: %w", name, ErrNotExist)
-		}
-		s.metrics.recordFailure()
-		return nil, 0, fmt.Errorf("store: get %q: %w", name, err)
-	}
-	fi, err := f.Stat()
-	if err != nil {
-		f.Close()
-		s.metrics.recordFailure()
-		return nil, 0, fmt.Errorf("store: get %q: %w", name, err)
-	}
-	return f, fi.Size(), nil
-}
-
-// getAt reads a blob from target ti.
-func (s *ObjStore) getAt(ti int, name string) ([]byte, error) {
+// readPartAt fills p from offset off of a manifest part's blob on target t.
+// A blob whose length is not the manifest's is an error, never bytes: the
+// same check a whole-part Get gets from its caller. It opens the blob the
+// way Get does, so the OpGet fault hook guards ranged reads too.
+func (s *ObjStore) readPartAt(t *objTarget, part Part, p []byte, off int64) (int, error) {
 	start := time.Now()
-	f, size, err := s.openBlobAt(ti, name)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	b := make([]byte, size)
-	if _, err := io.ReadFull(f, b); err != nil {
-		s.metrics.recordFailure()
-		return nil, fmt.Errorf("store: get %q: %w", name, err)
-	}
-	s.metrics.recordGet(time.Since(start).Seconds(), size)
-	return b, nil
-}
-
-// readPartAt fills p from offset off of a manifest part's blob on target
-// ti. A blob whose length is not the manifest's is an error, never bytes:
-// the same check a whole-part Get gets from its caller.
-func (s *ObjStore) readPartAt(ti int, part Part, p []byte, off int64) (int, error) {
-	start := time.Now()
-	f, size, err := s.openBlobAt(ti, part.Blob)
+	f, size, err := t.blobs.open(OpGet, part.Blob)
 	if err != nil {
 		return 0, err
 	}
 	defer f.Close()
 	if size != part.Size {
-		s.metrics.recordFailure()
 		return 0, fmt.Errorf("store: part %q is %d bytes, manifest says %d", part.Blob, size, part.Size)
 	}
 	if _, err := f.ReadAt(p, off); err != nil {
-		s.metrics.recordFailure()
-		return 0, fmt.Errorf("store: get %q: %w", part.Blob, err)
+		return 0, opErr(OpGet, part.Blob, err)
 	}
-	s.metrics.recordGet(time.Since(start).Seconds(), int64(len(p)))
+	s.metrics.get(time.Since(start).Seconds(), int64(len(p)))
 	return len(p), nil
 }
 
 // firstTarget runs fn against the primary target, then each replica in
 // order, and returns the first success — a part or manifest that was hedged
 // onto a replica stays readable even when the primary lost (or never
-// received) it. When every target fails, the primary's error is returned.
-func firstTarget[T any](s *ObjStore, fn func(ti int) (T, error)) (T, error) {
+// received) it. Each target's failure is counted; when every target fails,
+// the primary's error is returned.
+func firstTarget[T any](s *ObjStore, fn func(t *objTarget) (T, error)) (T, error) {
 	var zero T
 	var firstErr error
-	for ti := 0; ti < s.targets(); ti++ {
-		v, err := fn(ti)
+	for i := range s.targets {
+		v, err := fn(&s.targets[i])
 		if err == nil {
 			return v, nil
 		}
+		s.metrics.failed(err)
 		if firstErr == nil {
 			firstErr = err
 		}
@@ -472,7 +370,14 @@ func (s *ObjStore) Get(name string) ([]byte, error) {
 	if err := validName(name); err != nil {
 		return nil, err
 	}
-	return firstTarget(s, func(ti int) ([]byte, error) { return s.getAt(ti, name) })
+	return firstTarget(s, func(t *objTarget) ([]byte, error) {
+		start := time.Now()
+		b, err := t.blobs.read(name)
+		if err == nil {
+			s.metrics.get(time.Since(start).Seconds(), int64(len(b)))
+		}
+		return b, err
+	})
 }
 
 // Stat reports a blob's size — the dedupe probe — falling back across
@@ -481,90 +386,47 @@ func (s *ObjStore) Stat(name string) (ObjectInfo, error) {
 	if err := validName(name); err != nil {
 		return ObjectInfo{}, err
 	}
-	return firstTarget(s, func(ti int) (ObjectInfo, error) { return s.statAt(ti, name) })
+	return firstTarget(s, func(t *objTarget) (ObjectInfo, error) {
+		fi, err := t.blobs.stat(name)
+		if err != nil {
+			return ObjectInfo{}, err
+		}
+		return ObjectInfo{Name: name, Size: fi.Size()}, nil
+	})
 }
 
-func (s *ObjStore) statAt(ti int, name string) (ObjectInfo, error) {
-	if err := opFault(s.faultAt(ti), OpStat, name); err != nil {
-		s.metrics.recordFailure()
-		return ObjectInfo{}, err
+// union lists the names under prefix of one tree per target — a hedged part
+// or manifest that only landed on a replica is listed too. The listing's
+// OpList is the primary's to fail.
+func (s *ObjStore) union(prefix string, pick func(*objTarget) *tree) ([]ObjectInfo, error) {
+	if err := opFault(s.targets[0].blobs.fault, OpList, prefix); err != nil {
+		return nil, s.metrics.failed(err)
 	}
-	fi, err := os.Stat(s.blobPathAt(ti, name))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return ObjectInfo{}, fmt.Errorf("store: stat %q: %w", name, ErrNotExist)
-		}
-		s.metrics.recordFailure()
-		return ObjectInfo{}, fmt.Errorf("store: stat %q: %w", name, err)
+	trees := make([]*tree, len(s.targets))
+	for i := range s.targets {
+		trees[i] = pick(&s.targets[i])
 	}
-	if fi.IsDir() {
-		return ObjectInfo{}, fmt.Errorf("store: stat %q: %w", name, ErrNotExist)
-	}
-	return ObjectInfo{Name: name, Size: fi.Size()}, nil
+	out, err := list(prefix, trees...)
+	return out, s.metrics.failed(err)
 }
 
 // List returns the blobs whose names start with prefix, sorted — the union
-// across targets, so hedged parts that only landed on a replica are listed.
+// across targets.
 func (s *ObjStore) List(prefix string) ([]ObjectInfo, error) {
-	if err := opFault(s.fault, OpList, prefix); err != nil {
-		s.metrics.recordFailure()
-		return nil, err
-	}
-	seen := map[string]bool{}
-	var out []ObjectInfo
-	for ti := 0; ti < s.targets(); ti++ {
-		root := filepath.Join(s.rootAt(ti), "blobs")
-		err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
-			if err != nil {
-				return err
-			}
-			if d.IsDir() {
-				return nil
-			}
-			rel, err := filepath.Rel(root, p)
-			if err != nil {
-				return err
-			}
-			name := filepath.ToSlash(rel)
-			if !strings.HasPrefix(name, prefix) || seen[name] {
-				return nil
-			}
-			seen[name] = true
-			fi, err := d.Info()
-			if err != nil {
-				return err
-			}
-			out = append(out, ObjectInfo{Name: name, Size: fi.Size()})
-			return nil
-		})
-		if err != nil {
-			s.metrics.recordFailure()
-			return nil, fmt.Errorf("store: list: %w", err)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out, nil
+	return s.union(prefix, func(t *objTarget) *tree { return &t.blobs })
 }
 
-// Delete removes a blob. Deleting a part still referenced by a manifest
-// breaks that object — garbage collection of unreferenced parts is the
-// caller's (or a future GC pass's) concern.
+// Delete removes a blob from the primary target. Deleting a part still
+// referenced by a manifest breaks that object — garbage collection of
+// unreferenced parts is GC's concern.
 func (s *ObjStore) Delete(name string) error {
 	if err := validName(name); err != nil {
 		return err
 	}
-	if err := opFault(s.fault, OpDelete, name); err != nil {
-		s.metrics.recordFailure()
-		return err
+	if err := s.targets[0].blobs.remove(name); err != nil {
+		return s.metrics.failed(err)
 	}
-	if err := os.Remove(s.blobPath(name)); err != nil {
-		if os.IsNotExist(err) {
-			return fmt.Errorf("store: delete %q: %w", name, ErrNotExist)
-		}
-		s.metrics.recordFailure()
-		return fmt.Errorf("store: delete %q: %w", name, err)
-	}
-	s.metrics.recordDelete()
+	s.metrics.inc(&s.metrics.Deletes)
 	return nil
 }
 
@@ -690,7 +552,7 @@ func (s *ObjStore) backoffBeforeAttempt(attempt int) {
 	j := time.Duration(s.jitter.Int63n(int64(d)/2 + 1))
 	s.latMu.Unlock()
 	d = d/2 + j
-	s.metrics.recordBackoff(d.Seconds())
+	s.metrics.backoff(d.Seconds())
 	time.Sleep(d)
 }
 
@@ -713,7 +575,7 @@ func (s *ObjStore) uploadPart(data []byte) (Part, error) {
 	var lastErr error
 	for attempt := 1; attempt <= s.putAttempts; attempt++ {
 		if attempt > 1 {
-			s.metrics.recordRetry()
+			s.metrics.inc(&s.metrics.Retries)
 			s.backoffBeforeAttempt(attempt)
 			// A failed attempt may have landed the blob anyway (e.g. the
 			// caller observed a timeout after the rename); content
@@ -723,7 +585,7 @@ func (s *ObjStore) uploadPart(data []byte) (Part, error) {
 				return part, nil
 			}
 		}
-		if lastErr = s.hedged(func(ti int) error { return s.putAt(ti, part.Blob, data) }); lastErr == nil {
+		if lastErr = s.hedged(func(t *objTarget) error { return s.putAt(t, part.Blob, data) }); lastErr == nil {
 			return part, nil
 		}
 	}
@@ -738,8 +600,8 @@ func (s *ObjStore) uploadPart(data []byte) (Part, error) {
 // window could delete a part a just-committed manifest references.
 func (s *ObjStore) dedupeHit(part Part) {
 	now := time.Now()
-	_ = os.Chtimes(s.blobPath(part.Blob), now, now) // best-effort: worst case the blob just looks older
-	s.metrics.recordDedupe(part.Size)
+	_ = os.Chtimes(s.targets[0].blobs.path(part.Blob), now, now) // best-effort: worst case the blob just looks older
+	s.metrics.dedupe(part.Size)
 }
 
 func (w *objWriter) Commit() (*Manifest, error) {
@@ -782,23 +644,15 @@ func (w *objWriter) Abort() error {
 // partDurable reports whether a part's blob is durable on any target — a
 // part that was hedged onto a replica satisfies the manifest-last invariant
 // just as well as one on the primary, because reads fall back the same way.
+// It looks at the disk directly: a commit's precondition is not a read the
+// fault gets to fail.
 func (s *ObjStore) partDurable(p Part) bool {
-	for ti := 0; ti < s.targets(); ti++ {
-		if fi, err := os.Stat(s.blobPathAt(ti, p.Blob)); err == nil && fi.Size() == p.Size {
+	for i := range s.targets {
+		if fi, err := os.Stat(s.targets[i].blobs.path(p.Blob)); err == nil && fi.Size() == p.Size {
 			return true
 		}
 	}
 	return false
-}
-
-// commitAt lands one manifest on target ti, under the per-put deadline.
-func (s *ObjStore) commitAt(ti int, object string, enc []byte) error {
-	return s.withPutTimeout(func() error {
-		if err := opFault(s.faultAt(ti), OpCommit, object); err != nil {
-			return err
-		}
-		return s.writeTempAndRename(ti, "commit", object, s.manifestPathAt(ti, object), enc)
-	})
 }
 
 // Commit publishes a manifest, making its object visible. Every part blob
@@ -814,8 +668,7 @@ func (s *ObjStore) Commit(m *Manifest) error {
 	}
 	for i, p := range m.Parts {
 		if !s.partDurable(p) {
-			s.metrics.recordFailure()
-			return fmt.Errorf("store: commit %q: part %d blob %q not durable", m.Object, i, p.Blob)
+			return s.metrics.failed(fmt.Errorf("store: commit %q: part %d blob %q not durable", m.Object, i, p.Blob))
 		}
 	}
 	enc, err := json.MarshalIndent(m, "", "  ")
@@ -823,11 +676,13 @@ func (s *ObjStore) Commit(m *Manifest) error {
 		return fmt.Errorf("store: commit %q: %w", m.Object, err)
 	}
 	enc = append(enc, '\n')
-	if err := s.hedged(func(ti int) error { return s.commitAt(ti, m.Object, enc) }); err != nil {
-		s.metrics.recordFailure()
-		return err
+	err = s.hedged(func(t *objTarget) error {
+		return s.withPutTimeout(func() error { return t.manifests.put(OpCommit, m.Object, enc) })
+	})
+	if err != nil {
+		return s.metrics.failed(err)
 	}
-	s.metrics.recordCommit()
+	s.metrics.inc(&s.metrics.Commits)
 	return nil
 }
 
@@ -895,79 +750,42 @@ func (s *ObjStore) Manifest(object string) (*Manifest, error) {
 	if err := validName(object); err != nil {
 		return nil, err
 	}
-	return firstTarget(s, func(ti int) (*Manifest, error) { return s.manifestAt(ti, object) })
-}
-
-func (s *ObjStore) manifestAt(ti int, object string) (*Manifest, error) {
-	if err := opFault(s.faultAt(ti), OpGet, object); err != nil {
-		s.metrics.recordFailure()
-		return nil, err
-	}
-	b, err := os.ReadFile(s.manifestPathAt(ti, object))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, fmt.Errorf("store: manifest %q: %w", object, ErrNotExist)
+	return firstTarget(s, func(t *objTarget) (*Manifest, error) {
+		b, err := t.manifests.read(object)
+		if err != nil {
+			return nil, err
 		}
-		s.metrics.recordFailure()
-		return nil, fmt.Errorf("store: manifest %q: %w", object, err)
-	}
-	m, err := decodeManifest(b, object)
-	if err != nil {
-		return nil, fmt.Errorf("store: manifest %q: %w", object, err)
-	}
-	return m, nil
+		m, err := decodeManifest(b, object)
+		if err != nil {
+			return nil, fmt.Errorf("store: manifest %q: %w", object, err)
+		}
+		return m, nil
+	})
 }
 
 // Objects lists the committed objects (those with a manifest), sorted. The
 // listing is the union across targets: an object whose hedged commit landed
 // only on a replica still shows up.
 func (s *ObjStore) Objects() ([]ObjectInfo, error) {
-	if err := opFault(s.fault, OpList, ""); err != nil {
-		s.metrics.recordFailure()
+	out, err := s.union("", func(t *objTarget) *tree { return &t.manifests })
+	if err != nil {
 		return nil, err
 	}
-	seen := map[string]bool{}
-	var out []ObjectInfo
-	for ti := 0; ti < s.targets(); ti++ {
-		root := filepath.Join(s.rootAt(ti), "manifests")
-		err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
-			if err != nil {
-				return err
-			}
-			if d.IsDir() || !strings.HasSuffix(p, ".json") {
-				return nil
-			}
-			rel, err := filepath.Rel(root, p)
-			if err != nil {
-				return err
-			}
-			object := strings.TrimSuffix(filepath.ToSlash(rel), ".json")
-			if seen[object] {
-				return nil
-			}
-			seen[object] = true
-			m, err := s.Manifest(object)
-			if err != nil {
-				return err
-			}
-			out = append(out, ObjectInfo{Name: object, Size: m.Size})
-			return nil
-		})
+	for i := range out {
+		m, err := s.Manifest(out[i].Name)
 		if err != nil {
-			s.metrics.recordFailure()
 			return nil, fmt.Errorf("store: objects: %w", err)
 		}
+		out[i].Size = m.Size
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out, nil
 }
 
 // Open returns random access over a committed object, resolving reads
 // through its manifest to the content-addressed parts.
 func (s *ObjStore) Open(object string) (ObjectReader, error) {
-	if err := opFault(s.fault, OpOpen, object); err != nil {
-		s.metrics.recordFailure()
-		return nil, err
+	if err := opFault(s.targets[0].blobs.fault, OpOpen, object); err != nil {
+		return nil, s.metrics.failed(err)
 	}
 	m, err := s.Manifest(object)
 	if err != nil {
@@ -994,27 +812,13 @@ func (s *ObjStore) StatObject(object string) (ObjectStat, error) {
 	if err := validName(object); err != nil {
 		return ObjectStat{}, err
 	}
-	if err := opFault(s.fault, OpStat, object); err != nil {
-		s.metrics.recordFailure()
-		return ObjectStat{}, err
-	}
-	var firstErr error
-	for ti := 0; ti < s.targets(); ti++ {
-		fi, err := os.Stat(s.manifestPathAt(ti, object))
-		if err == nil {
-			return ObjectStat{Size: fi.Size(), ModTime: fi.ModTime()}, nil
+	return firstTarget(s, func(t *objTarget) (ObjectStat, error) {
+		fi, err := t.manifests.stat(object)
+		if err != nil {
+			return ObjectStat{}, err
 		}
-		if os.IsNotExist(err) {
-			err = fmt.Errorf("store: stat object %q: %w", object, ErrNotExist)
-		} else {
-			s.metrics.recordFailure()
-			err = fmt.Errorf("store: stat object %q: %w", object, err)
-		}
-		if firstErr == nil {
-			firstErr = err
-		}
-	}
-	return ObjectStat{}, firstErr
+		return ObjectStat{Size: fi.Size(), ModTime: fi.ModTime()}, nil
+	})
 }
 
 // objReader maps ReadAt offsets onto manifest parts and reads exactly the
@@ -1056,8 +860,8 @@ func (r *objReader) ReadAt(p []byte, off int64) (int, error) {
 		if room := r.offsets[i+1] - off; int64(len(want)) > room {
 			want = want[:room]
 		}
-		n, err := firstTarget(r.s, func(ti int) (int, error) {
-			return r.s.readPartAt(ti, r.m.Parts[i], want, off-r.offsets[i])
+		n, err := firstTarget(r.s, func(t *objTarget) (int, error) {
+			return r.s.readPartAt(t, r.m.Parts[i], want, off-r.offsets[i])
 		})
 		if err != nil {
 			return total, err

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -278,7 +279,14 @@ func TestObjReaderRangedReadsSeeGetFaults(t *testing.T) {
 // target is read through the same fallback Get uses.
 func TestObjReaderFallsBackToReplica(t *testing.T) {
 	primary, replica := t.TempDir(), t.TempDir()
-	s, err := NewObjStore(primary, Options{PartSize: 64, Replicas: []string{replica}})
+	var replicaStats atomic.Int64
+	onReplica := FaultFunc(func(op, name string) error {
+		if op == OpStat && name == "o.dsf" {
+			replicaStats.Add(1)
+		}
+		return nil
+	})
+	s, err := NewObjStore(primary, Options{PartSize: 64, Replicas: []string{replica}, ReplicaFaults: []Fault{onReplica}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,11 +297,11 @@ func TestObjReaderFallsBackToReplica(t *testing.T) {
 		t.Fatal(err)
 	}
 	moved := m.Parts[1].Blob
-	dst := s.blobPathAt(1, moved)
+	dst := s.targets[1].blobs.path(moved)
 	if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Rename(s.blobPathAt(0, moved), dst); err != nil {
+	if err := os.Rename(s.targets[0].blobs.path(moved), dst); err != nil {
 		t.Fatal(err)
 	}
 
@@ -308,6 +316,19 @@ func TestObjReaderFallsBackToReplica(t *testing.T) {
 	}
 	if !bytes.Equal(buf, data[40:140]) {
 		t.Fatal("bytes mismatch through the replica fallback")
+	}
+
+	// StatObject falls back the same way, and asks each target's own fault:
+	// a manifest present only on the replica is a stat the replica's fault
+	// sees, not a raw look at its disk.
+	if err := os.Rename(s.targets[0].manifests.path("o.dsf"), s.targets[1].manifests.path("o.dsf")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.StatObject("o.dsf"); err != nil {
+		t.Fatalf("StatObject of a replica-only manifest: %v", err)
+	}
+	if n := replicaStats.Load(); n != 1 {
+		t.Errorf("replica fault saw %d stats of o.dsf, want 1", n)
 	}
 }
 
@@ -325,7 +346,7 @@ func TestObjReaderRejectsWrongLengthBlob(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		path := s.blobPath(m.Parts[0].Blob)
+		path := s.targets[0].blobs.path(m.Parts[0].Blob)
 		if err := os.Truncate(path, int64(64+delta)); err != nil {
 			t.Fatal(err)
 		}

@@ -229,11 +229,22 @@ func TestDedupeProbesReplica(t *testing.T) {
 	}
 }
 
-// ValidateURL must accept the new resilience parameters and reject bad ones.
+// A URL carries the replica roots — deployment paths, repeated — and hands
+// them to the backend after any the options already list; deadlines and
+// hedge tuning are Options, so their old URL spellings are refused.
 func TestResilienceURLParams(t *testing.T) {
-	good := "obj://data?put_timeout=500&replica=/tmp/r1&replica=/tmp/r2&hedge_ms=30&hedge_pct=99"
+	r1, r2 := t.TempDir(), t.TempDir()
+	good := fmt.Sprintf("obj://%s?replica=%s&replica=%s", t.TempDir(), r1, r2)
 	if err := ValidateURL(good); err != nil {
 		t.Fatalf("ValidateURL(%q): %v", good, err)
+	}
+	b, err := OpenWith(good, Options{PutTimeout: 500 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := b.(*ObjStore)
+	if len(s.targets) != 3 || s.targets[1].blobs.root != filepath.Join(r1, "blobs") || s.targets[2].blobs.root != filepath.Join(r2, "blobs") {
+		t.Errorf("targets = %+v, want the primary and both replica roots in order", s.targets)
 	}
 	for _, bad := range []string{
 		"obj://data?put_timeout=-1",
@@ -243,6 +254,12 @@ func TestResilienceURLParams(t *testing.T) {
 	} {
 		if err := ValidateURL(bad); err == nil {
 			t.Errorf("ValidateURL(%q) passed, want error", bad)
+		}
+	}
+	// The same bounds hold where those values now arrive.
+	for _, bad := range []Options{{PutTimeout: -1}, {HedgeAfter: -5 * time.Millisecond}, {HedgePct: 101}} {
+		if _, err := NewObjStore(t.TempDir(), bad); err == nil {
+			t.Errorf("NewObjStore(%+v) passed, want error", bad)
 		}
 	}
 }

@@ -3,8 +3,7 @@
 // ends at "gathering data into large files" (§IV-B); this package turns the
 // destination of those files into a seam, so the same write-behind
 // machinery can drive storage targets with very different latency profiles
-// — a local DSF directory, a content-addressed object store, and later an
-// HDF5-shaped layer or a cross-node aggregator.
+// — a local DSF directory or a content-addressed object store.
 //
 // A Backend exposes two planes:
 //
@@ -18,10 +17,13 @@
 //     a crash mid-upload leaves no visible torn object: readers only ever
 //     see objects whose every byte is already durable.
 //
-// Backends are selected by URL through a registry (Register/Open), e.g.
-// "file:///data/out" or "obj:///data/objects?part_size=1048576". All
-// Backend implementations must be safe for concurrent use by multiple
-// persist writers.
+// Both backends are built on one unexported primitive, tree (tree.go): a
+// directory of immutable files whose only way in is write-temp, fsync,
+// rename. A backend is named by a URL that says where it lives —
+// "file:///data/out", "obj:///data/objects", optionally with replica=
+// roots — and tuned by Options; Open/OpenWith pick the implementation from
+// the scheme. All Backend implementations must be safe for concurrent use
+// by multiple persist writers.
 package store
 
 import (
@@ -29,15 +31,13 @@ import (
 	"fmt"
 	"os"
 	"path"
-	"sort"
-	"strconv"
+	"slices"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// Tuning defaults, used when Options or URL queries leave a knob zero.
+// Tuning defaults, used when Options leave a knob zero.
 const (
 	// DefaultPartSize is the objstore multipart split size. 4 MiB mirrors
 	// common object-store multipart minimums while keeping several parts in
@@ -173,8 +173,10 @@ type Backend interface {
 	Close() error
 }
 
-// Options tune a backend at Open time. Zero fields select defaults; URL
-// query parameters override non-zero fields.
+// Options tune a backend at Open time; zero fields select defaults. They
+// are the one list of backend options: configuration fills PartSize,
+// PutWorkers and PutTimeout from the <store> element (config.StoreOptions),
+// the rest keep their defaults outside tests.
 type Options struct {
 	// PartSize is the objstore multipart split size in bytes (0 = default).
 	PartSize int64
@@ -259,185 +261,66 @@ func (o *Options) validate() error {
 	return nil
 }
 
-// OpenFunc builds a backend over a scheme-less target (what follows the
-// "scheme://" in the URL, query stripped).
-type OpenFunc func(target string, opts Options) (Backend, error)
-
-var (
-	registryMu sync.RWMutex
-	registry   = map[string]OpenFunc{}
-)
-
-// Register adds a backend scheme. Built-ins "file" and "obj" are registered
-// by this package; external packages may add their own (the HDF5-shaped and
-// cross-node-aggregating backends the ROADMAP names plug in here).
-func Register(scheme string, open OpenFunc) error {
-	if scheme == "" || open == nil {
-		return fmt.Errorf("store: Register needs a scheme and an open function")
-	}
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	if _, dup := registry[scheme]; dup {
-		return fmt.Errorf("store: scheme %q already registered", scheme)
-	}
-	registry[scheme] = open
-	return nil
-}
-
-// Schemes lists the registered backend schemes, sorted.
-func Schemes() []string {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	out := make([]string, 0, len(registry))
-	for s := range registry {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func init() {
-	if err := Register("file", func(target string, opts Options) (Backend, error) {
-		return NewFileStore(target, opts)
-	}); err != nil {
-		panic(err)
-	}
-	if err := Register("obj", func(target string, opts Options) (Backend, error) {
-		return NewObjStore(target, opts)
-	}); err != nil {
-		panic(err)
-	}
-}
-
-// splitURL breaks "scheme://target?query" into its pieces. The target is
-// kept verbatim (so "file:///abs/dir" yields "/abs/dir" and "file://rel"
-// yields "rel").
-func splitURL(raw string) (scheme, target, query string, err error) {
+// parseURL breaks "scheme://root?replica=dir&replica=dir" into its pieces.
+// The root is kept verbatim (so "file:///abs/dir" yields "/abs/dir" and
+// "file://rel" yields "rel"). A URL says where the data lives — a scheme, a
+// root and any replica roots, all deployment paths — and never how the
+// backend behaves: that is Options, which configuration fills from the
+// <store> element's attributes.
+func parseURL(raw string) (scheme, root string, replicas []string, err error) {
 	i := strings.Index(raw, "://")
 	if i <= 0 {
-		return "", "", "", fmt.Errorf("store: %q is not a backend URL (want scheme://target)", raw)
+		return "", "", nil, fmt.Errorf("store: %q is not a backend URL (want scheme://root)", raw)
 	}
 	scheme = raw[:i]
-	target = raw[i+3:]
-	if j := strings.IndexByte(target, '?'); j >= 0 {
-		query = target[j+1:]
-		target = target[:j]
+	root, query, _ := strings.Cut(raw[i+3:], "?")
+	if root == "" {
+		return "", "", nil, fmt.Errorf("store: backend URL %q has an empty root", raw)
 	}
-	if target == "" {
-		return "", "", "", fmt.Errorf("store: backend URL %q has an empty target", raw)
-	}
-	return scheme, target, query, nil
-}
-
-// applyQuery folds URL query parameters into opts. Recognized keys:
-// part_size, put_workers, put_attempts, put_timeout (milliseconds),
-// replica (repeatable; one target root per occurrence), hedge_ms,
-// hedge_pct.
-func applyQuery(query string, opts Options) (Options, error) {
-	if query == "" {
-		return opts, nil
+	switch scheme {
+	case "file", "obj":
+	default:
+		return "", "", nil, fmt.Errorf("store: unknown backend scheme %q (known: file, obj)", scheme)
 	}
 	for _, kv := range strings.Split(query, "&") {
-		if kv == "" {
-			continue
-		}
 		k, v, _ := strings.Cut(kv, "=")
-		switch k {
-		case "put_timeout":
-			n, err := strconv.ParseInt(v, 10, 64)
-			if err != nil {
-				return opts, fmt.Errorf("store: put_timeout %q: %w", v, err)
-			}
-			opts.PutTimeout = time.Duration(n) * time.Millisecond
-		case "replica":
-			if v == "" {
-				return opts, fmt.Errorf("store: empty replica target")
-			}
-			opts.Replicas = append(opts.Replicas, v)
-		case "hedge_ms":
-			n, err := strconv.ParseInt(v, 10, 64)
-			if err != nil {
-				return opts, fmt.Errorf("store: hedge_ms %q: %w", v, err)
-			}
-			opts.HedgeAfter = time.Duration(n) * time.Millisecond
-		case "hedge_pct":
-			f, err := strconv.ParseFloat(v, 64)
-			if err != nil {
-				return opts, fmt.Errorf("store: hedge_pct %q: %w", v, err)
-			}
-			opts.HedgePct = f
-		case "part_size":
-			n, err := strconv.ParseInt(v, 10, 64)
-			if err != nil {
-				return opts, fmt.Errorf("store: part_size %q: %w", v, err)
-			}
-			opts.PartSize = n
-		case "put_workers":
-			n, err := strconv.Atoi(v)
-			if err != nil {
-				return opts, fmt.Errorf("store: put_workers %q: %w", v, err)
-			}
-			opts.PutWorkers = n
-		case "put_attempts":
-			n, err := strconv.Atoi(v)
-			if err != nil {
-				return opts, fmt.Errorf("store: put_attempts %q: %w", v, err)
-			}
-			opts.PutAttempts = n
+		switch {
+		case kv == "":
+		case k != "replica":
+			return "", "", nil, fmt.Errorf("store: unknown backend URL parameter %q: a URL takes only replica=; "+
+				"sizes and deadlines are <store> attributes (part_size, put_workers, put_timeout)", k)
+		case v == "":
+			return "", "", nil, fmt.Errorf("store: empty replica target")
 		default:
-			return opts, fmt.Errorf("store: unknown backend URL parameter %q", k)
+			replicas = append(replicas, v)
 		}
 	}
-	return opts, nil
+	return scheme, root, replicas, nil
 }
 
 // Open builds the backend a URL names, with default options.
 func Open(rawURL string) (Backend, error) { return OpenWith(rawURL, Options{}) }
 
-// OpenWith builds the backend a URL names. URL query parameters override
-// opts; unknown schemes fail with the registered alternatives listed.
+// OpenWith builds the backend a URL names, tuned by opts; the URL's replica
+// roots follow any opts already lists.
 func OpenWith(rawURL string, opts Options) (Backend, error) {
-	scheme, target, query, err := splitURL(rawURL)
+	scheme, root, replicas, err := parseURL(rawURL)
 	if err != nil {
 		return nil, err
 	}
-	opts, err = applyQuery(query, opts)
-	if err != nil {
-		return nil, err
+	opts.Replicas = slices.Concat(opts.Replicas, replicas)
+	if scheme == "file" {
+		return NewFileStore(root, opts)
 	}
-	if err := opts.validate(); err != nil {
-		return nil, err
-	}
-	registryMu.RLock()
-	open := registry[scheme]
-	registryMu.RUnlock()
-	if open == nil {
-		return nil, fmt.Errorf("store: unknown backend scheme %q (registered: %s)",
-			scheme, strings.Join(Schemes(), ", "))
-	}
-	return open(target, opts)
+	return NewObjStore(root, opts)
 }
 
-// ValidateURL checks a backend URL without opening it — scheme registered,
-// target present, query parameters well-formed. Config validation uses it
-// so a bad persist_backend fails at load time, not at first flush.
+// ValidateURL checks a backend URL without opening it — scheme known, root
+// present, no parameter but replica=. Config validation uses it so a bad
+// persist_backend fails at load time, not at first flush.
 func ValidateURL(rawURL string) error {
-	scheme, _, query, err := splitURL(rawURL)
-	if err != nil {
-		return err
-	}
-	registryMu.RLock()
-	_, ok := registry[scheme]
-	registryMu.RUnlock()
-	if !ok {
-		return fmt.Errorf("store: unknown backend scheme %q (registered: %s)",
-			scheme, strings.Join(Schemes(), ", "))
-	}
-	opts, err := applyQuery(query, Options{})
-	if err != nil {
-		return err
-	}
-	return opts.validate()
+	_, _, _, err := parseURL(rawURL)
+	return err
 }
 
 // tmpCounter is process-wide: several backend instances routinely share one

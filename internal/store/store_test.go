@@ -2,7 +2,6 @@ package store
 
 import (
 	"errors"
-	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -20,7 +19,8 @@ func TestOpenUnknownScheme(t *testing.T) {
 }
 
 func TestOpenBadURLs(t *testing.T) {
-	for _, raw := range []string{"", "no-scheme", "://x", "file://", "obj://d?part_size=abc", "obj://d?bogus=1", "obj://d?put_workers=-2"} {
+	for _, raw := range []string{"", "no-scheme", "://x", "file://", "obj://d?part_size=abc", "obj://d?bogus=1", "obj://d?put_workers=-2",
+		"obj://d?replica="} {
 		if _, err := Open(raw); err == nil {
 			t.Errorf("Open(%q) should fail", raw)
 		}
@@ -28,22 +28,25 @@ func TestOpenBadURLs(t *testing.T) {
 			t.Errorf("ValidateURL(%q) should fail", raw)
 		}
 	}
-}
-
-func TestValidateURLKnown(t *testing.T) {
-	for _, raw := range []string{"file:///tmp/x", "file://rel/dir", "obj://d?part_size=65536&put_workers=2"} {
-		if err := ValidateURL(raw); err != nil {
-			t.Errorf("ValidateURL(%q): %v", raw, err)
+	// A URL says where, never how: what used to be query options is refused
+	// with one message that points at the knob table.
+	for _, raw := range []string{"obj://d?part_size=4096", "obj://d?put_timeout=500", "obj://d?hedge_ms=5",
+		"obj://d?replica=/r&put_attempts=2"} {
+		_, oerr := Open(raw)
+		for _, err := range []error{oerr, ValidateURL(raw)} {
+			if err == nil || !strings.Contains(err.Error(), "unknown backend URL parameter") ||
+				!strings.Contains(err.Error(), "replica=") || !strings.Contains(err.Error(), "<store>") {
+				t.Errorf("%q: error should name the parameter, replica= and <store>: %v", raw, err)
+			}
 		}
 	}
 }
 
-func TestRegisterDuplicate(t *testing.T) {
-	if err := Register("file", func(string, Options) (Backend, error) { return nil, nil }); err == nil {
-		t.Error("re-registering a built-in scheme should fail")
-	}
-	if err := Register("", nil); err == nil {
-		t.Error("empty registration should fail")
+func TestValidateURLKnown(t *testing.T) {
+	for _, raw := range []string{"file:///tmp/x", "file://rel/dir", "obj://d", "obj://d?replica=/tmp/r1&replica=/tmp/r2"} {
+		if err := ValidateURL(raw); err != nil {
+			t.Errorf("ValidateURL(%q): %v", raw, err)
+		}
 	}
 }
 
@@ -56,7 +59,7 @@ func TestOpenURLSelectsBackend(t *testing.T) {
 	if _, ok := b.(*FileStore); !ok {
 		t.Errorf("file:// opened %T", b)
 	}
-	b2, err := Open(fmt.Sprintf("obj://%s/objects?part_size=4096", dir))
+	b2, err := OpenWith("obj://"+dir+"/objects", Options{PartSize: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +68,7 @@ func TestOpenURLSelectsBackend(t *testing.T) {
 		t.Fatalf("obj:// opened %T", b2)
 	}
 	if os.PartSize() != 4096 {
-		t.Errorf("part size = %d, want 4096 from the URL query", os.PartSize())
+		t.Errorf("part size = %d, want 4096 from the options", os.PartSize())
 	}
 }
 
