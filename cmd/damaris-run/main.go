@@ -113,7 +113,6 @@ func run(cfg *config.Config, o options, out io.Writer) error {
 	var mu sync.Mutex
 	var phaseTimes []float64
 
-	var sharedStore store.Backend
 	if o.backend == "damaris" {
 		decl, err := config.ParseString(cm1.ConfigXML(params, o.bufMB<<20, cfg.Allocator, 1))
 		if err != nil {
@@ -124,16 +123,6 @@ func run(cfg *config.Config, o options, out io.Writer) error {
 		if err := cfg.Validate(); err != nil {
 			return err
 		}
-		if cfg.PersistBackend != "" {
-			// One backend instance shared by every dedicated core, so the
-			// run's store metrics (and the object store's dedupe) span the
-			// whole node set — mirroring a real shared storage service.
-			sharedStore, err = store.OpenWith(cfg.PersistBackend, cfg.StoreOptions())
-			if err != nil {
-				return err
-			}
-			defer sharedStore.Close()
-		}
 	}
 
 	err := mpi.Run(o.ranks, o.coresPerNode, func(comm *mpi.Comm) {
@@ -142,7 +131,21 @@ func run(cfg *config.Config, o options, out io.Writer) error {
 
 		switch o.backend {
 		case "damaris":
-			pers := &core.DSFPersister{Dir: o.outDir, Backend: sharedStore, Codec: codec,
+			// Each rank opens its own instance of the backend, as the default
+			// persister does: dedupe composes across instances over one root,
+			// and a dedicated core's store metrics count its own writes only,
+			// so the fleet sum counts each exactly once. A compute core never
+			// writes through its instance.
+			var backend store.Backend
+			if cfg.PersistBackend != "" {
+				sb, err := store.OpenWith(cfg.PersistBackend, cfg.StoreOptions())
+				if err != nil {
+					panic(err)
+				}
+				defer sb.Close()
+				backend = sb
+			}
+			pers := &core.DSFPersister{Dir: o.outDir, Backend: backend, Codec: codec,
 				GzipLevel: cfg.PersistGzipLevel, Node: comm.Node(), ServerID: comm.Rank()}
 			pers.SetTracer(plane.Tracer())
 			dep, err := core.Deploy(comm, cfg, nil, core.Options{OutputDir: o.outDir, Persister: pers, Obs: plane})
@@ -210,7 +213,7 @@ func run(cfg *config.Config, o options, out io.Writer) error {
 			return err
 		}
 	}
-	if sharedStore != nil {
+	if o.backend == "damaris" && cfg.PersistBackend != "" {
 		fmt.Fprintf(out, "output in backend %s\n", cfg.PersistBackend)
 	} else {
 		fmt.Fprintf(out, "output in %s\n", o.outDir)

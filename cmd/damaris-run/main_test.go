@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -90,9 +91,12 @@ func TestRunRejectsBadFlagsBeforeDeploying(t *testing.T) {
 // The report ends with the plane's registry in the Prometheus text format —
 // the same families, with the inline executor (-persist-workers 0) as with
 // writers: every sample sits under its family's one TYPE line, and each
-// dedicated core counts its 4 iterations durable.
+// dedicated core counts its 4 iterations durable. Over an object store each
+// rank's store figures are its own, so the fleet sum of
+// damaris_store_commits_total is the number of manifests on disk.
 func TestReportTailIsTheRegistry(t *testing.T) {
-	for _, args := range [][]string{nil, {"-persist-workers", "0"}} {
+	objRoot := t.TempDir()
+	for _, args := range [][]string{nil, {"-persist-workers", "0"}, {"-persist-backend", "obj://" + objRoot}} {
 		var stdout bytes.Buffer
 		if err := runWorld(t, t.TempDir(), false, &stdout, args...); err != nil {
 			t.Fatal(err)
@@ -131,6 +135,26 @@ func TestReportTailIsTheRegistry(t *testing.T) {
 		for _, srv := range []string{"2", "5"} {
 			if line := `damaris_pipeline_completed_total{server="` + srv + `"} 4` + "\n"; !strings.Contains(report[at:], line) {
 				t.Errorf("%v: report lacks %q", args, line)
+			}
+		}
+		if len(args) == 2 && args[0] == "-persist-backend" {
+			var commits float64
+			for _, line := range strings.Split(report[at:], "\n") {
+				if f := strings.Fields(line); len(f) == 2 && strings.HasPrefix(f[0], "damaris_store_commits_total{") {
+					v, err := strconv.ParseFloat(f[1], 64)
+					if err != nil {
+						t.Fatal(err)
+					}
+					commits += v
+				}
+			}
+			manifests, err := filepath.Glob(filepath.Join(objRoot, "manifests", "*.json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(manifests) != 8 || commits != float64(len(manifests)) {
+				t.Errorf("%v: damaris_store_commits_total sums to %v over the servers, %d manifests on disk (want 8)",
+					args, commits, len(manifests))
 			}
 		}
 	}

@@ -205,7 +205,8 @@ func inspectReader(r *dsf.Reader, verify, stat bool) error {
 		fmt.Printf("  attr %s = %q\n", k, attrs[k])
 	}
 	// Aggregated objects carry their fan-in provenance: the dedicated cores
-	// (and, for the cross-node tier, the nodes) whose data was merged in.
+	// whose data was merged in, or — in archives written before PR 25
+	// removed the cross-node tier — the nodes.
 	if v, ok := attrs["servers"]; ok {
 		fmt.Printf("  contributing servers: %s\n", v)
 	}

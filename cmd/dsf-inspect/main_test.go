@@ -368,8 +368,8 @@ func TestInspectStoreBackends(t *testing.T) {
 }
 
 // Aggregated per-node objects must surface their fan-in provenance: the
-// contributing servers (tier 1) and nodes (tier 2) recorded by the
-// aggregation leader.
+// contributing servers recorded by the aggregation leader (and the nodes an
+// archived object from the former cross-node tier lists).
 func TestInspectListsContributingServers(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "node0000_it000000.dsf")

@@ -1,26 +1,19 @@
-// Package aggregate is the cross-core / cross-node aggregation layer that
-// sits between the write-behind persistence pipeline and the storage-backend
-// seam.
+// Package aggregate is the cross-core aggregation layer that sits between
+// the write-behind persistence pipeline and the storage-backend seam.
 //
 // The paper's scaling story (§IV-D, Figs. 6–7) is that Damaris wins because
 // dedicated cores collapse thousands of small writes into one large
 // sequential file per node. The pipeline alone still persists one DSF stream
 // per dedicated core, so a node with several dedicated cores hits storage
-// several times per epoch. This package closes that gap:
-//
-//   - Tier 1 (mode "core"): the dedicated cores of a node elect a leader
-//     (deterministically — the lowest dedicated-core group, so election needs
-//     no communication). Sibling cores hand their completed iterations to the
-//     leader over a bounded in-process fan-in ring; the leader merges each
-//     flush epoch's contributions in deterministic (member, name, source)
-//     order and commits exactly one DSF object per node per epoch through
-//     the store.Backend seam.
-//
-//   - Tier 2 (mode "node", Damaris 2's dedicated nodes): node leaders
-//     forward their merged epochs — serialized byte streams over the MPI
-//     runtime, modeling real data movement — to a global aggregator hosted
-//     on the designated aggregator node, which merges whole nodes the same
-//     way and commits one object per epoch for the node group.
+// several times per epoch. This package closes that gap (mode "core"): the
+// dedicated cores of a node elect a leader (deterministically — the lowest
+// dedicated-core group, so election needs no communication). Sibling cores
+// hand their completed iterations to the leader over a bounded in-process
+// fan-in ring; the leader merges each flush epoch's contributions in
+// deterministic (member, name, source) order and commits exactly one DSF
+// object per node per epoch through the store.Backend seam. Each node writes
+// independently of every other, as in the paper; docs/aggregate.md says why
+// there is no cross-node tier.
 //
 // Durability acks flow back through the aggregator: a member's Persist call
 // returns only once the *merged* object containing its contribution is
@@ -70,12 +63,10 @@ type Sink interface {
 
 // Config describes one aggregator instance.
 type Config struct {
-	// Mode labels the tier for reporting: "core" (per-node) or "node"
-	// (cross-node, Damaris 2).
+	// Mode labels the aggregator for reporting ("core").
 	Mode string
-	// Members are the ids of every contributor (dedicated-core world ranks
-	// for tier 1, node indices for tier 2). Order does not matter; merges
-	// always sort ascending.
+	// Members are the ids of every contributor (the node's dedicated cores'
+	// world ranks). Order does not matter; merges always sort ascending.
 	Members []int
 	// RingDepth bounds the fan-in ring (0 selects DefaultRingDepth).
 	RingDepth int
@@ -144,8 +135,8 @@ type Stats struct {
 }
 
 // Aggregator merges per-member flush epochs into one object per epoch. One
-// instance is shared by all members of its scope (a node's dedicated cores,
-// or all node leaders); Submit and MemberDone are safe for concurrent use.
+// instance is shared by all of a node's dedicated cores; Submit and
+// MemberDone are safe for concurrent use.
 type Aggregator struct {
 	cfg  Config
 	ring *ring
@@ -211,8 +202,8 @@ func New(cfg Config) (*Aggregator, error) {
 // must submit every epoch it observes, or siblings' epochs never complete.
 // Each member must submit its epochs in ascending order (core's event loop
 // guarantees this by contributing at iteration completion); that is what
-// makes the leader's emission strictly ascending, which the cross-node
-// tier's lockstep protocol relies on.
+// makes the leader's emission strictly ascending, which keeps each member's
+// acks in order and so lets its flow window advance.
 func (a *Aggregator) Submit(member int, epoch int64, entries []*metadata.Entry) <-chan error {
 	done := make(chan error, 1)
 	if !a.memberSet[member] {
@@ -382,11 +373,10 @@ func (a *Aggregator) emitReady(term int, force bool) bool {
 
 		mergeStart := time.Now()
 		members, withData, entries := merge(st)
-		// Empty epochs travel through the sink too: a forwarding sink must
-		// relay them (the global lockstep pairs one frame per node per
-		// epoch, data or not), while StoreSink declines to write an empty
-		// object. The sink sees only the data-bearing members — they are
-		// the object's provenance — but every contributor gets the ack.
+		// Empty epochs travel through the sink too (StoreSink declines to
+		// write an empty object). The sink sees only the data-bearing
+		// members — they are the object's provenance — but every
+		// contributor gets the ack.
 		err := a.cfg.Sink.CommitEpoch(epoch, withData, entries)
 		var bytes int64
 		for _, e := range entries {

@@ -95,10 +95,9 @@ type Config struct {
 	// SpillAfter is the consecutive-backpressure count that triggers a
 	// spill (0 = DefaultSpillAfter).
 	SpillAfter int
-	// AggregateMode selects the aggregation tier in front of the storage
-	// backend: "" or "off" (one DSF stream per dedicated core), "core" (one
-	// merged object per node per flush epoch) or "node" (Damaris 2: one
-	// object per epoch committed by a dedicated aggregator node).
+	// AggregateMode selects the aggregation in front of the storage
+	// backend: "" or "off" (one DSF stream per dedicated core) or "core"
+	// (one merged object per node per flush epoch).
 	AggregateMode string
 	// AggregateRingDepth bounds the in-process fan-in ring feeding the
 	// aggregation leader (0 = default).
@@ -367,9 +366,10 @@ func (c *Config) StoreOptions() store.Options {
 	}
 }
 
-// AggregateEnabled reports whether an aggregation tier is selected.
+// AggregateEnabled reports whether the node's dedicated cores merge their
+// epochs.
 func (c *Config) AggregateEnabled() bool {
-	return c.AggregateMode == "core" || c.AggregateMode == "node"
+	return c.AggregateMode == "core"
 }
 
 // Variable returns the declaration of a named variable.

@@ -476,6 +476,17 @@ func TestAggregateValidation(t *testing.T) {
 	if err := c.Validate(); err == nil {
 		t.Error("programmatic unknown aggregate mode should fail Validate")
 	}
+	// The cross-node tier is gone (docs/aggregate.md, "Why there is no
+	// cross-node tier"): mode="node" is an unknown value like any other, not
+	// a silent fall-back to off.
+	want := `config: <aggregate mode> (-aggregate) is "node": want off | core`
+	if _, err := ParseString(`<simulation><aggregate mode="node"/></simulation>`); err == nil || err.Error() != want {
+		t.Errorf(`mode="node": error %v, want %q`, err, want)
+	}
+	c.AggregateMode = "node"
+	if err := c.Validate(); err == nil || err.Error() != want {
+		t.Errorf("programmatic node mode: error %v, want %q", err, want)
+	}
 }
 
 func TestPhaseBytesPerClient(t *testing.T) {

@@ -75,8 +75,8 @@ func (c *Config) knobs() []knob {
 		{elem: "spill", attr: "after", flag: "spill-after", i: &c.SpillAfter, def: DefaultSpillAfter,
 			help: "consecutive backpressured iterations before the event loop spills to scratch"},
 
-		{elem: "aggregate", attr: "mode", flag: "aggregate", s: &c.AggregateMode, sdef: "off", enum: []string{"off", "core", "node"},
-			help: "aggregation tier in front of the storage backend: off (one DSF stream per dedicated core) | core (one object per node per epoch) | node (one object per epoch via a dedicated aggregator node)"},
+		{elem: "aggregate", attr: "mode", flag: "aggregate", s: &c.AggregateMode, sdef: "off", enum: []string{"off", "core"},
+			help: "aggregation in front of the storage backend: off (one DSF stream per dedicated core) | core (one object per node per epoch)"},
 		{elem: "aggregate", attr: "ring", flag: "aggregate-ring", i: &c.AggregateRingDepth, help: "fan-in ring depth between sibling cores and the aggregation leader (0 = default)"},
 
 		{elem: "shards", attr: "count", flag: "shards", i: &c.ShardCount, help: "event-loop shards per dedicated core (0 or 1 = the classic single loop)"},

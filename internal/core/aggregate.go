@@ -27,8 +27,7 @@ type aggrInitMsg struct {
 // serverAgg is one server's view of the aggregation layer. Every dedicated
 // core holds a member handle; the node's leader (group 0 — the
 // deterministic, communication-free election) additionally owns the node
-// aggregator, and in "node" mode the aggregator-host leader owns the global
-// tier and its fan-in receiver too.
+// aggregator.
 type serverAgg struct {
 	agg      *aggregate.Aggregator // the node-level aggregator (shared)
 	memberID int                   // this server's member id (world rank)
@@ -36,11 +35,6 @@ type serverAgg struct {
 	// Leader-only state.
 	leader  bool
 	statser StoreStatser // store metrics source behind the epoch writer
-	fwd     *aggregate.Forwarder
-
-	// Aggregator-host-only state ("node" mode, lowest node's leader).
-	global  *aggregate.Aggregator
-	recvErr chan error
 
 	// Resources the leader created for the default epoch writer, adopted by
 	// its Server (which already owns teardown of both kinds).
@@ -111,8 +105,10 @@ func (p *aggPersister) PersistBatch(batch []IterationBatch) error {
 }
 
 // StoreStats exposes the merged-object writer's backend metrics (leader
-// only; sibling members report zero — cmd/damaris-run aggregates across
-// servers, so the node's figures are counted exactly once).
+// only; sibling members write nothing and report zero). A fleet sum counts
+// the node's objects exactly once as long as the leader's backend instance
+// is its own — as the default persister's and damaris-run's are; an
+// instance shared across nodes would report every node's writes on each.
 func (p *aggPersister) StoreStats() store.Stats {
 	if p.sa.statser == nil {
 		return store.Stats{}
@@ -122,11 +118,8 @@ func (p *aggPersister) StoreStats() store.Stats {
 
 // setupAggregation wires one dedicated core into the node's aggregation
 // layer. The leader (group 0) builds the node aggregator and hands sibling
-// servers their member handles over the intra-node communicator; in "node"
-// mode the node leaders additionally stand up the cross-node tier on their
-// leader communicator (fan and ack channels are Dups, so the receiver
-// goroutine and the sink own isolated handles).
-func setupAggregation(nodeComm *mpi.Comm, leaderComm *mpi.Comm, cfg *config.Config,
+// servers their member handles over the intra-node communicator.
+func setupAggregation(nodeComm *mpi.Comm, cfg *config.Config,
 	opts Options, clients, servers, g, nodeIdx, worldRank int) (*serverAgg, error) {
 	if g != 0 {
 		// Sibling dedicated core: receive the member handle from the leader.
@@ -181,71 +174,18 @@ func setupAggregation(nodeComm *mpi.Comm, leaderComm *mpi.Comm, cfg *config.Conf
 		members[i] = nodeComm.WorldRankOf(clients + i)
 	}
 
-	var sink aggregate.Sink
-	switch cfg.AggregateMode {
-	case "node":
-		// Cross-node tier: the leader communicator spans every node's
-		// leader; its rank 0 hosts the global aggregator (the "dedicated
-		// aggregator node"). Fan and ack travel on Dups so the host's
-		// receiver goroutine and each leader's sink own isolated handles.
-		fan := leaderComm.Dup()
-		ack := leaderComm.Dup()
-		if leaderComm.Rank() == 0 {
-			nodeOf := func(r int) int {
-				w := leaderComm.World()
-				return w.NodeOf(leaderComm.WorldRankOf(r))
-			}
-			globalMembers := make([]int, leaderComm.Size())
-			sources := make(map[int]int)
-			for r := 0; r < leaderComm.Size(); r++ {
-				globalMembers[r] = nodeOf(r)
-				if r != 0 {
-					sources[r] = nodeOf(r)
-				}
-			}
-			global, err := aggregate.New(aggregate.Config{
-				Mode:        "node",
-				Members:     globalMembers,
-				RingDepth:   cfg.AggregateRingDepth,
-				Tracer:      opts.Obs.Tracer(),
-				TraceServer: worldRank,
-				Sink: &aggregate.StoreSink{
-					Writer:     writer,
-					ObjectName: func(e int64) string { return fmt.Sprintf("agg%04d_it%06d.dsf", nodeIdx, e) },
-					MemberAttr: "nodes",
-					Mode:       "node",
-				},
-			})
-			if err != nil {
-				return fail(err)
-			}
-			sa.global = global
-			sa.recvErr = make(chan error, 1)
-			go func() {
-				sa.recvErr <- aggregate.RunReceiver(fan, ack, sources, global)
-			}()
-			sink = &aggregate.LocalForward{Global: global, Member: nodeIdx}
-		} else {
-			sa.fwd = &aggregate.Forwarder{Fan: fan, Ack: ack, Dst: 0, Member: nodeIdx,
-				Tracer: opts.Obs.Tracer(), Rank: worldRank}
-			sink = sa.fwd
-		}
-	default: // "core"
-		sink = &aggregate.StoreSink{
-			Writer:     writer,
-			ObjectName: func(e int64) string { return fmt.Sprintf("node%04d_it%06d.dsf", nodeIdx, e) },
-			MemberAttr: "servers",
-			Mode:       "core",
-		}
-	}
-
 	agg, err := aggregate.New(aggregate.Config{
 		Mode:        cfg.AggregateMode,
 		Members:     members,
 		RingDepth:   cfg.AggregateRingDepth,
 		Tracer:      opts.Obs.Tracer(),
 		TraceServer: worldRank,
-		Sink:        sink,
+		Sink: &aggregate.StoreSink{
+			Writer:     writer,
+			ObjectName: func(e int64) string { return fmt.Sprintf("node%04d_it%06d.dsf", nodeIdx, e) },
+			MemberAttr: "servers",
+			Mode:       cfg.AggregateMode,
+		},
 	})
 	if err != nil {
 		return fail(err)
@@ -258,26 +198,12 @@ func setupAggregation(nodeComm *mpi.Comm, leaderComm *mpi.Comm, cfg *config.Conf
 	return sa, nil
 }
 
-// closeAggregation tears one server's aggregation state down, after its
-// pipeline drained and its member declared done. The leader waits for the
-// node aggregator (which waits for every sibling's MemberDone), then the
-// aggregator host drains the cross-node receiver and the global tier.
+// close tears one server's aggregation state down, after its pipeline
+// drained and its member declared done. The leader waits for the node
+// aggregator, which waits for every sibling's MemberDone.
 func (sa *serverAgg) close() error {
-	var first error
-	if sa.leader {
-		if err := sa.agg.Close(); err != nil && first == nil {
-			first = err
-		}
-		if sa.recvErr != nil {
-			if err := <-sa.recvErr; err != nil && first == nil {
-				first = err
-			}
-		}
-		if sa.global != nil {
-			if err := sa.global.Close(); err != nil && first == nil {
-				first = err
-			}
-		}
+	if !sa.leader {
+		return nil
 	}
-	return first
+	return sa.agg.Close()
 }

@@ -240,84 +240,6 @@ func TestDeployAggregateCoreObjBackend(t *testing.T) {
 	}
 }
 
-// Tier 2 (Damaris 2 dedicated nodes): whole nodes forward to the aggregator
-// node, which commits one object per epoch for the node group — and the
-// durability ack travels the full chain back before any client chunk is
-// released (the run completing at all proves the ack path; the chunk
-// payloads prove nothing was released early or torn).
-func TestDeployAggregateNode(t *testing.T) {
-	const iters = 3
-	dir := t.TempDir()
-	cfg := testCfg(t, "mutex", 1)
-	cfg.AggregateMode = "node"
-	cfg.PersistWorkers = 2
-	cfg.PersistQueueDepth = 4
-	stats := runAggregated(t, cfg, Options{OutputDir: dir}, iters)
-
-	files := readDir(t, dir)
-	if len(files) != iters {
-		t.Fatalf("%d objects, want %d (one per epoch for the node group): %v", len(files), iters, names(files))
-	}
-	for it := 0; it < iters; it++ {
-		path := filepath.Join(dir, fmt.Sprintf("agg%04d_it%06d.dsf", 0, it))
-		r, err := dsf.Open(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := r.Verify(); err != nil {
-			t.Error(err)
-		}
-		if got := r.Attributes()["nodes"]; got != "0,1" {
-			t.Errorf("nodes attr = %q, want \"0,1\"", got)
-		}
-		// 3 clients per node x 2 nodes x 2 variables.
-		if got := len(r.Chunks()); got != 12 {
-			t.Errorf("epoch %d: chunks = %d, want 12", it, got)
-		}
-		// Spot-check a payload crossed nodes intact: chunks are (name,
-		// source)-sorted within each node's contribution.
-		for i, m := range r.Chunks() {
-			if m.Name != "temp" {
-				continue
-			}
-			data, err := r.ReadChunk(i)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := fieldData(m.Source)
-			got := mpi.BytesToFloat32s(data)
-			for j := range want {
-				if got[j] != want[j] {
-					t.Fatalf("epoch %d chunk %d (src %d): payload[%d] = %v, want %v",
-						it, i, m.Source, j, got[j], want[j])
-				}
-			}
-		}
-		r.Close()
-	}
-
-	// One global tier on the aggregator host; one forwarder on the other
-	// node's leader.
-	var hosts, forwarders int
-	for _, ps := range stats {
-		if ps.AggregateGlobal.Members == 2 {
-			hosts++
-			if ps.AggregateGlobal.Epochs != iters {
-				t.Errorf("global epochs = %d, want %d", ps.AggregateGlobal.Epochs, iters)
-			}
-		}
-		if ps.AggregateForwarded > 0 {
-			forwarders++
-			if ps.AggregateForwarded != iters {
-				t.Errorf("forwarded = %d, want %d", ps.AggregateForwarded, iters)
-			}
-		}
-	}
-	if hosts != 1 || forwarders != 1 {
-		t.Errorf("hosts = %d, forwarders = %d; want 1 and 1", hosts, forwarders)
-	}
-}
-
 // Aggregation rejects persisters that cannot write merged epochs instead of
 // silently falling back to per-core output — and a leader's setup failure
 // reaches its sibling dedicated cores as an error too, rather than leaving

@@ -235,18 +235,6 @@ func Deploy(world *mpi.Comm, cfg *config.Config, reg *plugin.Registry, opts Opti
 	}
 	dep.ClientComm = world.Split(clientColor, world.Rank())
 
-	// Cross-node aggregation ("node" mode) needs a communicator over every
-	// node's leader dedicated core; Split is collective, so every rank
-	// participates before the roles diverge.
-	var leaderComm *mpi.Comm
-	if cfg.AggregateMode == "node" {
-		leaderColor := -1
-		if myNodeRank == clients {
-			leaderColor = 0
-		}
-		leaderComm = world.Split(leaderColor, world.Rank())
-	}
-
 	if myNodeRank >= clients {
 		// Dedicated core: create shared resources and hand them out.
 		g := myNodeRank - clients
@@ -304,7 +292,7 @@ func Deploy(world *mpi.Comm, cfg *config.Config, reg *plugin.Registry, opts Opti
 		}
 		var sagg *serverAgg
 		if cfg.AggregateEnabled() {
-			sagg, err = setupAggregation(node, leaderComm, cfg, opts,
+			sagg, err = setupAggregation(node, cfg, opts,
 				clients, servers, g, node.Node(), world.WorldRank())
 			if err != nil {
 				seg.Close()

@@ -31,10 +31,6 @@ func (ps PipelineStats) Emit(e *obs.Emitter, labels ...string) {
 	if ps.Aggregate.Members > 0 {
 		ps.Aggregate.Emit(e, append([]string{"tier", "node"}, labels...)...)
 	}
-	if ps.AggregateGlobal.Members > 0 {
-		ps.AggregateGlobal.Emit(e, append([]string{"tier", "global"}, labels...)...)
-	}
-	e.Counter("damaris_aggregate_forwarded_total", float64(ps.AggregateForwarded), labels...)
 	e.Gauge("damaris_shard_count", float64(len(ps.Shards)), labels...)
 	for i, sh := range ps.Shards {
 		sl := append([]string{"shard", fmt.Sprint(i)}, labels...)

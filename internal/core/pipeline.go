@@ -40,9 +40,9 @@ type pipelineSpec struct {
 	// merge, with the aggregation layer on, contributes the iteration to the
 	// node's merge from the event loop, before it is queued — so this
 	// member's epochs enter the fan-in ring in ascending order (the property
-	// the leader's in-order emission, and the cross-node lockstep in "node"
-	// mode, is built on). The writer then only waits for the merged object's
-	// durability ack before releasing chunks.
+	// the leader's in-order emission, and so this member's in-order acks and
+	// flow window, are built on). The writer then only waits for the merged
+	// object's durability ack before releasing chunks.
 	merge func(it int64, entries []*metadata.Entry)
 	// scratch is the degraded-mode overflow. The pipeline owns it: close
 	// gives its drainer a last attempt at the backlog.
@@ -471,12 +471,6 @@ type PipelineStats struct {
 	// leader server reports it (siblings report zero), so summing across
 	// servers counts each node exactly once. Filled by Server.PipelineStats.
 	Aggregate aggregate.Stats
-	// AggregateGlobal snapshots the cross-node tier on the aggregator host
-	// ("node" mode); zero everywhere else.
-	AggregateGlobal aggregate.Stats
-	// AggregateForwarded counts epochs this node's leader forwarded to the
-	// dedicated aggregator node ("node" mode, non-host leaders).
-	AggregateForwarded int64
 	// Shards snapshots the dedicated core's event-loop shards (one entry per
 	// shard loop; a single classic loop reports one). Filled by
 	// Server.PipelineStats.

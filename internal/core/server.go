@@ -317,8 +317,7 @@ func (s *Server) Close() error {
 		}
 		// Aggregation teardown: every contribution of this member is acked
 		// (the pipeline drained), so declare it done; the leader then waits
-		// for its siblings and drains the merge (and, on the aggregator
-		// host, the cross-node receiver and the global tier).
+		// for its siblings and drains the merge.
 		if s.agg != nil {
 			s.agg.agg.MemberDone(s.agg.memberID)
 			if err := s.agg.close(); err != nil {
@@ -505,17 +504,10 @@ func (s *Server) PipelineStats() PipelineStats {
 	if ss, ok := s.persister.(StoreStatser); ok {
 		ps.Store = ss.StoreStats()
 	}
-	// Aggregation metrics: the node leader reports its tier (and the
-	// aggregator host the global one), siblings stay zero so per-run sums
-	// count every node once.
+	// Aggregation metrics: the node leader reports the node's aggregator,
+	// siblings stay zero so per-run sums count every node once.
 	if s.agg != nil && s.agg.leader {
 		ps.Aggregate = s.agg.agg.Stats()
-		if s.agg.global != nil {
-			ps.AggregateGlobal = s.agg.global.Stats()
-		}
-		if s.agg.fwd != nil {
-			ps.AggregateForwarded = s.agg.fwd.Forwarded()
-		}
 	}
 	return ps
 }

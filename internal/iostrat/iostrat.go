@@ -34,12 +34,12 @@ type Options struct {
 	Scheduling bool
 	// DedicatedPerNode is the number of Damaris cores per node (default 1).
 	DedicatedPerNode int
-	// AggregateMode selects the aggregation tier in front of storage
-	// (mirroring the middleware's <aggregate> element): "" or "off" writes
-	// one stream per dedicated core; "core" merges each node's dedicated
-	// cores into one stream per node; "node" (Damaris 2) additionally
-	// funnels whole nodes through dedicated aggregator nodes, one stream
-	// each.
+	// AggregateMode selects the aggregation tier in front of storage: "" or
+	// "off" writes one stream per dedicated core; "core" merges each node's
+	// dedicated cores into one stream per node (both as the middleware's
+	// <aggregate> element does); "node" (Damaris 2) additionally funnels
+	// whole nodes through clientless aggregator nodes, one stream each — a
+	// design the middleware does not implement (docs/aggregate.md).
 	AggregateMode string
 	// AggregatorNodes is the dedicated aggregator-node count for mode
 	// "node" (0 = one per 16 compute nodes, minimum 1).

@@ -97,7 +97,6 @@ type World struct {
 	coresPerNode int
 	mail         []*mailbox
 	nextCommID   atomic.Int64
-	bytesMoved   atomic.Int64 // total []byte payload bytes sent (diagnostics)
 }
 
 // NewWorld creates a runtime for size ranks grouped into SMP nodes of
@@ -132,11 +131,6 @@ func (w *World) Nodes() int { return w.size / w.coresPerNode }
 
 // NodeOf returns the node index hosting a world rank.
 func (w *World) NodeOf(rank int) int { return rank / w.coresPerNode }
-
-// BytesMoved returns the total number of []byte payload bytes sent through
-// the world so far (a diagnostic counter; shared-memory handoffs inside a
-// node do not pass through here).
-func (w *World) BytesMoved() int64 { return w.bytesMoved.Load() }
 
 // commState is the shared identity of a communicator group: the world ranks
 // of its members, in comm-rank order.
@@ -217,9 +211,6 @@ func (c *Comm) WorldRankOf(rank int) int {
 	return c.state.ranks[rank]
 }
 
-// World returns the underlying runtime.
-func (c *Comm) World() *World { return c.state.world }
-
 // Node returns the SMP node index of the caller.
 func (c *Comm) Node() int { return c.state.world.NodeOf(c.WorldRank()) }
 
@@ -259,9 +250,6 @@ func (c *Comm) send(dst int, tag int64, payload any) {
 	}
 	wdst := c.state.ranks[dst]
 	wsrc := c.WorldRank()
-	if b, ok := payload.([]byte); ok {
-		c.state.world.bytesMoved.Add(int64(len(b)))
-	}
 	c.state.world.mail[wdst].queue(wsrc, tag).push(message{payload: payload})
 }
 
@@ -278,18 +266,6 @@ func (c *Comm) recv(src int, tag int64) any {
 	wsrc := c.state.ranks[src]
 	me := c.WorldRank()
 	return c.state.world.mail[me].queue(wsrc, tag).pop().payload
-}
-
-// SendBytes is Send for byte payloads (explicit data movement).
-func (c *Comm) SendBytes(dst, tag int, b []byte) { c.Send(dst, tag, b) }
-
-// RecvBytes receives a byte payload, panicking if the message is not bytes.
-func (c *Comm) RecvBytes(src, tag int) []byte {
-	b, ok := c.Recv(src, tag).([]byte)
-	if !ok {
-		panic("mpi: RecvBytes got non-byte payload")
-	}
-	return b
 }
 
 // Split partitions the communicator by color, ordering ranks in each new
@@ -367,17 +343,6 @@ func (c *Comm) Split(color, key int) *Comm {
 // communicator Damaris uses to pair clients with their dedicated core.
 func (c *Comm) SplitByNode() *Comm {
 	return c.Split(c.Node(), c.WorldRank())
-}
-
-// Dup returns a new communicator over the same group with an isolated tag
-// space (MPI_Comm_dup). Like MPI, this is what lets independent protocol
-// layers — or independent goroutines, since a Comm handle is not
-// goroutine-safe — message the same ranks without ever matching each
-// other's traffic: the cross-node aggregation fan-in and its ack channel
-// are two Dups of the leader communicator. Collective over the
-// communicator.
-func (c *Comm) Dup() *Comm {
-	return c.Split(0, c.rank)
 }
 
 // nextSeq advances the collective sequence number. MPI requires every rank

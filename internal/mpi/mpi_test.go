@@ -102,27 +102,6 @@ func TestTagsSeparateStreams(t *testing.T) {
 	}
 }
 
-func TestSendBytesCountsTraffic(t *testing.T) {
-	var moved int64
-	err := Run(2, 1, func(c *Comm) {
-		if c.Rank() == 0 {
-			c.SendBytes(1, 0, make([]byte, 1024))
-		} else {
-			b := c.RecvBytes(0, 0)
-			if len(b) != 1024 {
-				t.Errorf("len = %d", len(b))
-			}
-			moved = c.World().BytesMoved()
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if moved != 1024 {
-		t.Errorf("BytesMoved = %d, want 1024", moved)
-	}
-}
-
 func TestBarrier(t *testing.T) {
 	// After a barrier, every rank must observe every pre-barrier increment.
 	var before atomic.Int64
@@ -416,34 +395,6 @@ func TestWorldRankOf(t *testing.T) {
 			want := c.Node()*3 + r
 			if got := node.WorldRankOf(r); got != want {
 				t.Errorf("node %d rank %d: WorldRankOf = %d, want %d", c.Node(), r, got, want)
-			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Dup must produce a same-group communicator with an isolated tag space:
-// messages sent on the dup never match receives on the parent, even under
-// identical (src, tag) pairs — the property that lets two protocol layers
-// (or two goroutines with their own handles) share a rank group.
-func TestDupIsolatesTagSpace(t *testing.T) {
-	err := Run(2, 1, func(c *Comm) {
-		d := c.Dup()
-		if d.Rank() != c.Rank() || d.Size() != c.Size() {
-			t.Errorf("dup rank/size = %d/%d, want %d/%d", d.Rank(), d.Size(), c.Rank(), c.Size())
-		}
-		if c.Rank() == 0 {
-			c.Send(1, 5, "parent")
-			d.Send(1, 5, "dup")
-		} else {
-			// Same (src, tag) on both handles: each must deliver its own.
-			if got := d.Recv(0, 5); got != "dup" {
-				t.Errorf("dup recv = %v, want dup", got)
-			}
-			if got := c.Recv(0, 5); got != "parent" {
-				t.Errorf("parent recv = %v, want parent", got)
 			}
 		}
 	})

@@ -9,11 +9,11 @@ import (
 
 // Epoch critical-path analysis: reconstructing per-epoch timelines from a
 // (possibly multi-rank) span set. Spans group by their Iteration — the
-// aggregation tiers record merge/forward/fanack spans under the epoch
-// number, which equals the client iteration number, so one group holds an
-// epoch's full cross-rank story. Lifecycle stages overlap and nest (a
-// member's `persist` wait brackets the leader's `merge`, which brackets
-// the global commit), so the analyzer compares *total recorded stage
+// aggregation leader records its merge spans under the epoch number, which
+// equals the client iteration number, so one group holds an epoch's full
+// cross-rank story. Lifecycle stages overlap and nest (a member's
+// `persist` wait brackets the leader's `merge`, which brackets the
+// object's `commit`), so the analyzer compares *total recorded stage
 // time*, not a partition of wall time: the dominant stage is where the
 // epoch's recorded time concentrated, excluding the `ack` envelope
 // (submit→durable, which by construction spans almost everything and

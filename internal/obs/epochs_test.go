@@ -31,11 +31,11 @@ func TestAnalyzeEpochsCriticalPath(t *testing.T) {
 		mkSpan(StageMerge, 1, 1, 0, 30, 30),
 		mkSpan(StageAck, 1, 1, 0, 0, 60),
 		mkSpan(StageAck, 3, 3, 0, 0, 61),
-		// Epoch 2: merge dominates; the forward leg carries a cross-rank
-		// origin (recorded on host 1, originating on leader 3).
-		mkSpan(StageForward, 1, 3, 2, 100, 5),
+		// Epoch 2: merge dominates; two spans carry a cross-rank origin
+		// (recorded on server 1 for work from rank 3, and the other way).
+		mkSpan(StageWrite, 1, 3, 2, 100, 5),
 		mkSpan(StageMerge, 1, 1, 2, 105, 40),
-		mkSpan(StageFanAck, 3, 1, 2, 150, 5),
+		mkSpan(StageCommit, 3, 1, 2, 150, 5),
 		mkSpan(StagePersist, 3, 3, 2, 100, 10),
 		mkSpan(StageAck, 3, 3, 2, 100, 200), // straggler: far past p99 of acks
 	}
@@ -68,7 +68,7 @@ func TestAnalyzeEpochsCriticalPath(t *testing.T) {
 	if e2.DominantStage != "merge" {
 		t.Errorf("epoch 2 dominant = %q, want merge", e2.DominantStage)
 	}
-	// Origins include the cross-rank legs' origin ranks.
+	// Origins include the cross-rank spans' origin ranks.
 	if !reflect.DeepEqual(e2.Origins, []int{1, 3}) {
 		t.Errorf("epoch 2 origins = %v", e2.Origins)
 	}

@@ -50,25 +50,12 @@ const (
 	// StageAck is the full submit→durability-ack latency of one iteration —
 	// what the client flow window tracks.
 	StageAck
-	// StageForward is the fan leg of the aggregation wire: one merged
-	// epoch's transit from a node leader to the global aggregator host.
-	// Recorded on the receiving host from the sender's propagated
-	// timestamp (the in-process MPI ranks share one wall clock); Origin is
-	// the sending leader's world rank.
-	StageForward
-	// StageFanAck is the return leg: the global durability ack's transit
-	// back to the forwarding leader. Recorded on the leader from the
-	// host's propagated timestamp; Origin is the host's world rank.
-	// Distinct from StageAck, which is the client-visible submit→durable
-	// envelope.
-	StageFanAck
 	// NumStages bounds the stage space.
 	NumStages
 )
 
 var stageNames = [NumStages]string{
 	"write", "encode", "queue", "spill", "persist", "merge", "commit", "ack",
-	"forward", "fanack",
 }
 
 func (s Stage) String() string {
@@ -162,15 +149,7 @@ func (t *Tracer) Cap() int {
 // one cell simultaneously) a single exported span may mix fields; the ring
 // itself is never corrupted.
 func (t *Tracer) Record(stage Stage, server int, iteration int64, start time.Time, dur time.Duration, bytes int64, isErr bool) {
-	t.RecordFrom(stage, server, server, iteration, start, dur, bytes, isErr)
-}
-
-// RecordFrom appends one span carrying an explicit origin rank — the
-// cross-rank form the aggregation wire legs use: the recording rank is
-// `server`, the rank the work came from is `origin`. Same 0-alloc,
-// lock-free guarantees as Record.
-func (t *Tracer) RecordFrom(stage Stage, server, origin int, iteration int64, start time.Time, dur time.Duration, bytes int64, isErr bool) {
-	t.record(stage, server, origin, -1, iteration, start, dur, bytes, isErr)
+	t.record(stage, server, server, -1, iteration, start, dur, bytes, isErr)
 }
 
 // RecordShard appends one local span attributed to an event-loop shard of

@@ -234,7 +234,6 @@ func TestSnapshotByteStableAfterWrap(t *testing.T) {
 		final[i] = Span{
 			Stage:     Stage(i % int(NumStages)),
 			Server:    i % 3,
-			Origin:    (i + 1) % 3,
 			Iteration: int64(100 + i),
 			Start:     int64(1_000_000 + i*1000),
 			Dur:       int64(i+1) * int64(time.Microsecond),
@@ -242,7 +241,7 @@ func TestSnapshotByteStableAfterWrap(t *testing.T) {
 		}
 	}
 	rec := func(tr *Tracer, sp Span) {
-		tr.RecordFrom(sp.Stage, sp.Server, sp.Origin, sp.Iteration,
+		tr.Record(sp.Stage, sp.Server, sp.Iteration,
 			time.Unix(0, sp.Start), time.Duration(sp.Dur), sp.Bytes, sp.Err)
 	}
 	for i := 0; i < ringCap; i++ {
@@ -286,10 +285,10 @@ func TestSnapshotByteStableAfterWrap(t *testing.T) {
 // Cross-rank spans round-trip their origin through JSONL, and pre-fleet
 // trace files without the field read back with Origin defaulting to Server.
 func TestSpansJSONLOriginRoundTrip(t *testing.T) {
-	tr := NewTracer(16)
-	tr.RecordFrom(StageForward, 0, 5, 12, time.Unix(0, 777), time.Millisecond, 2048, false)
+	span := Span{Stage: StageWrite, Server: 0, Origin: 5, Shard: -1, Iteration: 12,
+		Start: 777, Dur: int64(time.Millisecond), Bytes: 2048}
 	var buf bytes.Buffer
-	if err := tr.WriteJSONL(&buf); err != nil {
+	if err := WriteSpansJSONL(&buf, []Span{span}); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), `"origin":5`) {

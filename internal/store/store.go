@@ -32,6 +32,7 @@ import (
 	"os"
 	"path"
 	"slices"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -330,9 +331,13 @@ func ValidateURL(rawURL string) error {
 var tmpCounter atomic.Int64
 
 // tmpName returns a temp-file name unique across every backend instance of
-// this process.
+// this process. Appended rather than formatted: boxing the counter for fmt
+// allocates only once it passes 255, which made what one write allocates
+// depend on how many temp files the process had made before it.
 func tmpName() string {
-	return fmt.Sprintf("%d-%d", os.Getpid(), tmpCounter.Add(1))
+	b := strconv.AppendInt(make([]byte, 0, 32), int64(os.Getpid()), 10)
+	b = append(b, '-')
+	return string(strconv.AppendInt(b, tmpCounter.Add(1), 10))
 }
 
 // writeFileSync is os.WriteFile plus an fsync before close, so bytes a
