@@ -8,6 +8,7 @@ import (
 
 	"damaris/internal/config"
 	"damaris/internal/dsf"
+	"damaris/internal/layout"
 	"damaris/internal/mpi"
 	"damaris/internal/obs"
 	"damaris/internal/store"
@@ -98,34 +99,44 @@ func TestTracingPersistAllocOverheadBounded(t *testing.T) {
 }
 
 // What one persist call allocates does not depend on how many chunks the
-// iteration holds: the chunk batch is recycled, the TOC records are reserved
-// once, equal layouts share one descriptor and the TOC is encoded into the
-// pooled write buffer. What is left grows with log2 of the TOC's size: every
-// gob encoder doubles a buffer of its own up to the message it sends, three
-// more steps for eight times the records.
+// iteration holds, with or without positions in the global domain: the
+// chunk batch is recycled, the TOC records and their global coordinates
+// reuse the previous object's, equal layouts share one descriptor and the
+// TOC is appended into the pooled write buffer.
 func TestPersistAllocsIndependentOfChunkCount(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops entries under -race")
 	}
-	allocs := func(chunks int) float64 {
-		entries := batchEntries(1, chunks)[0].Entries
-		p := &DSFPersister{Dir: t.TempDir()}
-		it := int64(0)
-		persist := func() {
-			if err := p.Persist(it%8, entries); err != nil {
-				t.Fatal(err)
-			}
-			it++
+	for _, global := range []bool{false, true} {
+		few, many := persistAllocs(t, 8, global), persistAllocs(t, 64, global)
+		t.Logf("global blocks %v: persist allocs/op: %.0f for 8 chunks, %.0f for 64", global, few, many)
+		if many > few+1 {
+			t.Errorf("global blocks %v: persisting 64 chunks allocates %.0f/op, 8 chunks %.0f: the count grows with the chunks",
+				global, many, few)
 		}
-		persist()
-		persist()
-		return testing.AllocsPerRun(50, persist)
 	}
-	few, many := allocs(8), allocs(64)
-	t.Logf("persist allocs/op: %.0f for 8 chunks, %.0f for 64", few, many)
-	if many > few+4 {
-		t.Errorf("persisting 64 chunks allocates %.0f/op, 8 chunks %.0f: the count grows with the chunks", many, few)
+}
+
+// persistAllocs is what one warm DSFPersister.Persist of an iteration of
+// the given chunk count allocates.
+func persistAllocs(t *testing.T, chunks int, global bool) float64 {
+	entries := batchEntries(1, chunks)[0].Entries
+	if global {
+		for i, e := range entries {
+			e.Global = layout.Block{Start: []int64{int64(i) * e.Layout.Elems()}, Count: []int64{e.Layout.Elems()}}
+		}
 	}
+	p := &DSFPersister{Dir: t.TempDir()}
+	it := int64(0)
+	persist := func() {
+		if err := p.Persist(it%8, entries); err != nil {
+			t.Fatal(err)
+		}
+		it++
+	}
+	persist()
+	persist()
+	return testing.AllocsPerRun(50, persist)
 }
 
 // An injected commit failure must surface as a persist error and leave no

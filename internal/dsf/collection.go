@@ -83,7 +83,7 @@ func (c *Collection) Chunk(i int) (ChunkMeta, error) {
 		return ChunkMeta{}, fmt.Errorf("dsf: collection chunk %d out of range [0,%d)", i, len(c.index))
 	}
 	ref := c.index[i]
-	return copyMeta(c.readers[ref.file].metas[ref.chunk]), nil
+	return copyMeta(c.readers[ref.file].chunks[ref.chunk].ChunkMeta), nil
 }
 
 // ReadChunk returns the decoded payload of the i-th chunk.
@@ -99,7 +99,7 @@ func (c *Collection) ReadChunk(i int) ([]byte, error) {
 func (c *Collection) Variables() []string {
 	seen := make(map[string]bool)
 	for _, ref := range c.index {
-		seen[c.readers[ref.file].metas[ref.chunk].Name] = true
+		seen[c.readers[ref.file].chunks[ref.chunk].Name] = true
 	}
 	out := make([]string, 0, len(seen))
 	for n := range seen {
@@ -113,7 +113,7 @@ func (c *Collection) Variables() []string {
 func (c *Collection) Iterations() []int64 {
 	seen := make(map[int64]bool)
 	for _, ref := range c.index {
-		seen[c.readers[ref.file].metas[ref.chunk].Iteration] = true
+		seen[c.readers[ref.file].chunks[ref.chunk].Iteration] = true
 	}
 	out := make([]int64, 0, len(seen))
 	for it := range seen {
@@ -131,7 +131,7 @@ func (c *Collection) Select(name string, iteration int64) []int {
 	var out []int
 	var sources []int
 	for i, ref := range c.index {
-		m := &c.readers[ref.file].metas[ref.chunk]
+		m := &c.readers[ref.file].chunks[ref.chunk]
 		if m.Name == name && m.Iteration == iteration {
 			out = append(out, i)
 			sources = append(sources, m.Source)

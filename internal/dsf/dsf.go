@@ -12,7 +12,7 @@
 //
 //	[magic "DSFv0002"]
 //	[chunk payloads ...]
-//	[gob-encoded table of contents]
+//	[table of contents: encoding/gob's wire form, canonical type ids (toc.go)]
 //	[toc offset : 8 bytes LE][toc length : 8 bytes LE][magic "DSFINDEX"]
 //
 // Chunks stream to disk as they arrive; the table of contents is written
@@ -21,8 +21,9 @@
 //
 // Encoding is deterministic: for a fixed chunk sequence and gzip level the
 // produced file is byte-identical regardless of how many encode workers
-// (see EncodePool) ran the compression, and the table of contents is
-// serialized in a canonical (sorted-attribute) order.
+// (see EncodePool) ran the compression or what else the process encoded,
+// and the table of contents is serialized in a canonical (sorted-attribute)
+// order.
 package dsf
 
 import (
@@ -30,7 +31,6 @@ import (
 	"bytes"
 	"compress/gzip"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -96,8 +96,9 @@ type ChunkMeta struct {
 	Stored    int64 // bytes on disk
 }
 
-// tocRecord is the on-disk form of ChunkMeta (gob-friendly: layout as its
-// binary descriptor).
+// tocRecord is the on-disk form of ChunkMeta, layout as its binary
+// descriptor. Its fields, their order and their types are the TOC's wire
+// format (tocPreamble spells them out): change nothing here.
 type tocRecord struct {
 	Name        string
 	Iteration   int64
@@ -119,6 +120,9 @@ type tocAttr struct {
 	Key, Value string
 }
 
+// toc is the TOC's value: the type tocPreamble describes and appendTOC and
+// decodeTOC encode by hand, and what the tests hand to encoding/gob as the
+// reference.
 type toc struct {
 	Records []tocRecord
 	Attrs   []tocAttr
@@ -132,9 +136,20 @@ const DefaultGzipLevel = gzip.DefaultCompression
 // instead of one syscall per tiny piece.
 const writeBufferSize = 256 << 10
 
-// bufPool recycles the write buffers: one per object was the largest single
-// allocation left on the persist path.
-var bufPool = sync.Pool{New: func() any { return bufio.NewWriterSize(io.Discard, writeBufferSize) }}
+// writerScratch is what one object's Writer leaves to the next: the write
+// buffer (one per object was the largest single allocation left on the
+// persist path), the TOC records and attributes, and the slab the records'
+// global coordinates live in. It goes back to writerPool cleared.
+type writerScratch struct {
+	bw      *bufio.Writer
+	recs    []tocRecord
+	attrs   []tocAttr // sorted by key, as the TOC stores them
+	globals []int64
+}
+
+var writerPool = sync.Pool{New: func() any {
+	return &writerScratch{bw: bufio.NewWriterSize(io.Discard, writeBufferSize)}
+}}
 
 // Writer streams chunks into a DSF byte stream. It is not safe for
 // concurrent use; parallelism belongs in the encode stage (WriteChunks with
@@ -142,20 +157,17 @@ var bufPool = sync.Pool{New: func() any { return bufio.NewWriterSize(io.Discard,
 // or any io.Writer (NewWriter) — notably a storage backend's ObjectWriter,
 // which is how DSF streams reach object stores.
 type Writer struct {
-	out    io.Writer     // underlying sink, behind bw
-	closer io.Closer     // closed by Close when the Writer owns the sink (Create)
-	bw     *bufio.Writer // pooled; nil once the Writer is closed or aborted
-	offset int64
-	recs   []tocRecord
-	attrs  []tocAttr // sorted by key, as the TOC stores them
-	level  int       // gzip level for Gzip/ShuffleGzip chunks
-	closed bool
+	out            io.Writer // underlying sink, behind bw
+	closer         io.Closer // closed by Close when the Writer owns the sink (Create)
+	*writerScratch           // pooled; nil once the Writer is closed or aborted
+	offset         int64
+	level          int // gzip level for Gzip/ShuffleGzip chunks
+	closed         bool
 
 	// descs holds the marshalled descriptor of each distinct layout seen so
 	// far: the variables of a deployment share a handful, so a chunk's TOC
 	// record almost always borrows one instead of marshalling its own.
-	descs  []layoutDesc
-	tocLen int64 // bytes of TOC written by Close, for the footer
+	descs []layoutDesc
 }
 
 // layoutDesc pairs a layout with its marshalled descriptor.
@@ -164,8 +176,9 @@ type layoutDesc struct {
 	desc   []byte
 }
 
-// maxLayoutDescs bounds Writer.descs — the scan is linear. A stream with more
-// distinct layouts than this marshals the excess per chunk.
+// maxLayoutDescs bounds Writer.descs and the layouts decodeTOC shares — the
+// scans are linear. A stream with more distinct layouts than this marshals
+// (and decodes) the excess per chunk.
 const maxLayoutDescs = 16
 
 // NewWriter starts a DSF stream on an arbitrary sink and emits the header.
@@ -174,11 +187,10 @@ const maxLayoutDescs = 16
 // caller that gives up on the stream calls Abort instead of Close.
 func NewWriter(out io.Writer) (*Writer, error) {
 	w := &Writer{
-		out:    out,
-		bw:     bufPool.Get().(*bufio.Writer),
-		offset: int64(len(headMagic)),
-		attrs:  make([]tocAttr, 0, 4),
-		level:  DefaultGzipLevel,
+		out:           out,
+		writerScratch: writerPool.Get().(*writerScratch),
+		offset:        int64(len(headMagic)),
+		level:         DefaultGzipLevel,
 	}
 	w.bw.Reset(out)
 	if _, err := w.bw.Write(headMagic); err != nil {
@@ -209,21 +221,26 @@ func Create(path string) (*Writer, error) {
 // is closed. The Writer accepts no chunks afterwards. Calling it after Close
 // or a second time does nothing.
 func (w *Writer) Abort() {
-	if w.bw == nil {
+	if w.writerScratch == nil {
 		return
 	}
 	w.closed = true
-	w.releaseBuffer()
+	w.release()
 	if w.closer != nil {
 		w.closer.Close()
 	}
 }
 
-// releaseBuffer recycles the write buffer, detached from the sink.
-func (w *Writer) releaseBuffer() {
-	w.bw.Reset(io.Discard)
-	bufPool.Put(w.bw)
-	w.bw = nil
+// release clears the scratch — the records and attributes reference the
+// caller's names — and recycles it, the buffer detached from the sink.
+func (w *Writer) release() {
+	s := w.writerScratch
+	s.bw.Reset(io.Discard)
+	clear(s.recs)
+	clear(s.attrs)
+	s.recs, s.attrs, s.globals = s.recs[:0], s.attrs[:0], s.globals[:0]
+	writerPool.Put(s)
+	w.writerScratch = nil
 }
 
 // SetGzipLevel selects the compression level for subsequently written
@@ -239,7 +256,11 @@ func (w *Writer) SetGzipLevel(level int) error {
 
 // SetAttribute records a file-level key/value attribute (units, provenance,
 // simulation parameters — the "enriched dataset" metadata of §III-A).
+// After Close or Abort it does nothing.
 func (w *Writer) SetAttribute(key, value string) {
+	if w.closed {
+		return
+	}
 	i, found := slices.BinarySearchFunc(w.attrs, key, func(a tocAttr, k string) int { return strings.Compare(a.Key, k) })
 	if found {
 		w.attrs[i].Value = value
@@ -301,8 +322,10 @@ func (w *Writer) appendEncoded(meta ChunkMeta, rawSize int64, ec encodedChunk) e
 		CRC:        ec.crc,
 	}
 	if meta.Global.Valid() {
-		rec.GlobalStart = append([]int64(nil), meta.Global.Start...)
-		rec.GlobalCount = append([]int64(nil), meta.Global.Count...)
+		g, d := len(w.globals), len(meta.Global.Start)
+		w.globals = append(append(w.globals, meta.Global.Start...), meta.Global.Count...)
+		rec.GlobalStart = w.globals[g : g+d : g+d]
+		rec.GlobalCount = w.globals[g+d : g+2*d : g+2*d]
 	}
 	w.recs = append(w.recs, rec)
 	w.offset += int64(len(ec.stored))
@@ -336,41 +359,32 @@ func (w *Writer) Close() error {
 		return nil
 	}
 	w.closed = true
-	// The TOC is encoded straight into the pooled write buffer — no staging
-	// buffer per object; tocLen counts what the encoder wrote.
-	t := toc{Records: w.recs, Attrs: w.attrs}
-	w.tocLen = 0
-	if err := gob.NewEncoder(tocSink{w}).Encode(&t); err != nil {
+	// The TOC and the footer are appended straight into the write buffer's
+	// free space, flushed first when they might not fit (one that outgrows
+	// this estimate still lands, through a grown slice).
+	if w.bw.Available() < len(tocPreamble)+256*(1+len(w.recs)+len(w.attrs)) {
+		if err := w.bw.Flush(); err != nil {
+			w.Abort()
+			return fmt.Errorf("dsf: flush: %w", err)
+		}
+	}
+	b := appendTOC(w.bw.AvailableBuffer(), w.recs, w.attrs)
+	tocLen := len(b)
+	b = binary.LittleEndian.AppendUint64(b, uint64(w.offset))
+	b = binary.LittleEndian.AppendUint64(b, uint64(tocLen))
+	if _, err := w.bw.Write(append(b, tailMagic...)); err != nil {
 		w.Abort()
 		return fmt.Errorf("dsf: toc: %w", err)
-	}
-	var foot [24]byte
-	binary.LittleEndian.PutUint64(foot[0:], uint64(w.offset))
-	binary.LittleEndian.PutUint64(foot[8:], uint64(w.tocLen))
-	copy(foot[16:], tailMagic)
-	if _, err := w.bw.Write(foot[:]); err != nil {
-		w.Abort()
-		return fmt.Errorf("dsf: footer: %w", err)
 	}
 	if err := w.bw.Flush(); err != nil {
 		w.Abort()
 		return fmt.Errorf("dsf: flush: %w", err)
 	}
-	w.releaseBuffer()
+	w.release()
 	if w.closer != nil {
 		return w.closer.Close()
 	}
 	return nil
-}
-
-// tocSink is the io.Writer the TOC encoder sees: the Writer's buffer, with
-// the bytes counted for the footer.
-type tocSink struct{ w *Writer }
-
-func (s tocSink) Write(p []byte) (int, error) {
-	n, err := s.w.bw.Write(p)
-	s.w.tocLen += int64(n)
-	return n, err
 }
 
 // decode reverses encodeChunk. rawSize (from the TOC) sizes the
@@ -421,9 +435,16 @@ type Reader struct {
 	viewer Viewer // ra, when it can lend chunk bytes without a copy
 	size   int64
 	closer io.Closer // closed by Close when the Reader owns the source (Open)
-	recs   []tocRecord
-	attrs  map[string]string
-	metas  []ChunkMeta
+	chunks []entry
+	attrs  []tocAttr // as the TOC lists them; the last of equal keys wins
+}
+
+// entry is one chunk as a Reader keeps it: its metadata and where and how
+// its stored bytes are.
+type entry struct {
+	ChunkMeta
+	Offset int64
+	CRC    uint32
 }
 
 // Open reads and validates the file's header, footer and table of contents.
@@ -492,44 +513,22 @@ func (r *Reader) load() error {
 	if _, err := r.ra.ReadAt(tocBytes, tocOff); err != nil {
 		return fmt.Errorf("dsf: toc read: %w", err)
 	}
-	var t toc
-	if err := gob.NewDecoder(bytes.NewReader(tocBytes)).Decode(&t); err != nil {
-		return fmt.Errorf("dsf: toc decode: %w", err)
+	chunks, attrs, err := decodeTOC(tocBytes)
+	if err != nil {
+		return fmt.Errorf("dsf: toc: %w", err)
 	}
-	r.recs = t.Records
-	r.attrs = make(map[string]string, len(t.Attrs))
-	for _, a := range t.Attrs {
-		r.attrs[a.Key] = a.Value
-	}
-	r.metas = make([]ChunkMeta, len(r.recs))
-	for i, rec := range r.recs {
+	for i := range chunks {
 		// Every chunk must lie wholly inside the payload region [header,
 		// toc). A TOC that says otherwise is corrupt; trusting it would at
-		// best read garbage and at worst allocate rec.Stored bytes on a
+		// best read garbage and at worst allocate e.Stored bytes on a
 		// attacker-chosen 2^60 size.
-		if rec.Stored < 0 || rec.RawSize < 0 || rec.Offset < int64(len(headMagic)) ||
-			rec.Stored > tocOff-rec.Offset {
+		if e := &chunks[i]; e.Stored < 0 || e.RawSize < 0 || e.Offset < int64(len(headMagic)) ||
+			e.Stored > tocOff-e.Offset {
 			return fmt.Errorf("dsf: chunk %d out of bounds (offset %d stored %d, payload ends %d)",
-				i, rec.Offset, rec.Stored, tocOff)
+				i, e.Offset, e.Stored, tocOff)
 		}
-		l, err := layout.Unmarshal(rec.LayoutDesc)
-		if err != nil {
-			return fmt.Errorf("dsf: chunk %d layout: %w", i, err)
-		}
-		m := ChunkMeta{
-			Name:      rec.Name,
-			Iteration: rec.Iteration,
-			Source:    rec.Source,
-			Layout:    l,
-			Codec:     Codec(rec.Codec),
-			RawSize:   rec.RawSize,
-			Stored:    rec.Stored,
-		}
-		if len(rec.GlobalStart) > 0 {
-			m.Global = layout.Block{Start: rec.GlobalStart, Count: rec.GlobalCount}
-		}
-		r.metas[i] = m
 	}
+	r.chunks, r.attrs = chunks, attrs
 	return nil
 }
 
@@ -539,9 +538,9 @@ func (r *Reader) load() error {
 // Readers are shared across concurrent requests in the read gateway, so
 // internal state must never leak through an accessor.
 func (r *Reader) Chunks() []ChunkMeta {
-	out := make([]ChunkMeta, len(r.metas))
-	for i, m := range r.metas {
-		out[i] = copyMeta(m)
+	out := make([]ChunkMeta, len(r.chunks))
+	for i := range r.chunks {
+		out[i] = copyMeta(r.chunks[i].ChunkMeta)
 	}
 	return out
 }
@@ -559,46 +558,50 @@ func copyMeta(m ChunkMeta) ChunkMeta {
 }
 
 // NumChunks returns the chunk count without copying any metadata.
-func (r *Reader) NumChunks() int { return len(r.metas) }
+func (r *Reader) NumChunks() int { return len(r.chunks) }
 
 // Chunk returns a copy of the i-th chunk's metadata.
 func (r *Reader) Chunk(i int) (ChunkMeta, error) {
-	if i < 0 || i >= len(r.metas) {
-		return ChunkMeta{}, fmt.Errorf("%w: %d not in [0,%d)", ErrChunkIndex, i, len(r.metas))
+	if i < 0 || i >= len(r.chunks) {
+		return ChunkMeta{}, fmt.Errorf("%w: %d not in [0,%d)", ErrChunkIndex, i, len(r.chunks))
 	}
-	return copyMeta(r.metas[i]), nil
+	return copyMeta(r.chunks[i].ChunkMeta), nil
 }
 
 // Attributes returns a copy of the file-level attributes; mutating it does
 // not touch reader state.
 func (r *Reader) Attributes() map[string]string {
 	out := make(map[string]string, len(r.attrs))
-	for k, v := range r.attrs {
-		out[k] = v
+	for _, a := range r.attrs {
+		out[a.Key] = a.Value
 	}
 	return out
 }
 
-// Attribute returns one file-level attribute without copying the map.
+// Attribute returns one file-level attribute without building the map.
 func (r *Reader) Attribute(key string) (string, bool) {
-	v, ok := r.attrs[key]
-	return v, ok
+	for i := len(r.attrs) - 1; i >= 0; i-- {
+		if r.attrs[i].Key == key {
+			return r.attrs[i].Value, true
+		}
+	}
+	return "", false
 }
 
 // storedBytes returns the chunk's bytes as the stream holds them: a view
 // lent by the source when it is a Viewer, a fresh copy otherwise.
-func (r *Reader) storedBytes(rec tocRecord) ([]byte, error) {
+func (r *Reader) storedBytes(e *entry) ([]byte, error) {
 	if r.viewer == nil {
-		stored := make([]byte, rec.Stored)
-		_, err := r.ra.ReadAt(stored, rec.Offset)
+		stored := make([]byte, e.Stored)
+		_, err := r.ra.ReadAt(stored, e.Offset)
 		return stored, err
 	}
-	v, err := r.viewer.View(rec.Offset, rec.Stored)
+	v, err := r.viewer.View(e.Offset, e.Stored)
 	if err != nil {
 		return nil, err
 	}
-	if int64(len(v)) != rec.Stored {
-		return nil, fmt.Errorf("view of %d bytes, toc says %d", len(v), rec.Stored)
+	if int64(len(v)) != e.Stored {
+		return nil, fmt.Errorf("view of %d bytes, toc says %d", len(v), e.Stored)
 	}
 	// cap == len: an append by the caller must never reach the bytes that
 	// follow the chunk in the lender's memory.
@@ -609,31 +612,31 @@ func (r *Reader) storedBytes(rec tocRecord) ([]byte, error) {
 // checksum. When the source is a Viewer, the payload of a codec-None chunk
 // is the view itself: read-only, and possibly shared with other readers.
 func (r *Reader) ReadChunk(i int) ([]byte, error) {
-	if i < 0 || i >= len(r.recs) {
-		return nil, fmt.Errorf("%w: %d not in [0,%d)", ErrChunkIndex, i, len(r.recs))
+	if i < 0 || i >= len(r.chunks) {
+		return nil, fmt.Errorf("%w: %d not in [0,%d)", ErrChunkIndex, i, len(r.chunks))
 	}
-	rec := r.recs[i]
-	stored, err := r.storedBytes(rec)
+	e := &r.chunks[i]
+	stored, err := r.storedBytes(e)
 	if err != nil {
 		return nil, fmt.Errorf("dsf: chunk %d read: %w", i, err)
 	}
-	if crc := crc32.ChecksumIEEE(stored); crc != rec.CRC {
-		return nil, fmt.Errorf("dsf: chunk %d checksum mismatch (%08x != %08x)", i, crc, rec.CRC)
+	if crc := crc32.ChecksumIEEE(stored); crc != e.CRC {
+		return nil, fmt.Errorf("dsf: chunk %d checksum mismatch (%08x != %08x)", i, crc, e.CRC)
 	}
-	data, err := decode(stored, Codec(rec.Codec), r.metas[i].Layout.Type().Size(), rec.RawSize)
+	data, err := decode(stored, e.Codec, e.Layout.Type().Size(), e.RawSize)
 	if err != nil {
 		return nil, fmt.Errorf("dsf: chunk %d: %w", i, err)
 	}
-	if int64(len(data)) != rec.RawSize {
-		return nil, fmt.Errorf("dsf: chunk %d decoded to %d bytes, toc says %d", i, len(data), rec.RawSize)
+	if int64(len(data)) != e.RawSize {
+		return nil, fmt.Errorf("dsf: chunk %d decoded to %d bytes, toc says %d", i, len(data), e.RawSize)
 	}
 	return data, nil
 }
 
 // Find returns the index of the chunk with the given tuple, or -1.
 func (r *Reader) Find(name string, iteration int64, source int) int {
-	for i, m := range r.metas {
-		if m.Name == name && m.Iteration == iteration && m.Source == source {
+	for i := range r.chunks {
+		if m := &r.chunks[i]; m.Name == name && m.Iteration == iteration && m.Source == source {
 			return i
 		}
 	}
@@ -642,7 +645,7 @@ func (r *Reader) Find(name string, iteration int64, source int) int {
 
 // Verify reads every chunk, checking checksums and decodability.
 func (r *Reader) Verify() error {
-	for i := range r.metas {
+	for i := range r.chunks {
 		if _, err := r.ReadChunk(i); err != nil {
 			return err
 		}

@@ -347,8 +347,11 @@ func (w *Writer) WriteChunks(metas []ChunkMeta, datas [][]byte, pool *EncodePool
 			return err
 		}
 	}
+	if len(metas) == 0 {
+		return nil // nothing to write, and a closed Writer has no records to grow
+	}
 	// One reservation for the batch's TOC records instead of regrowing them
-	// chunk by chunk.
+	// chunk by chunk; records reused from an earlier object need none.
 	w.recs = slices.Grow(w.recs, len(metas))
 	if pool == nil {
 		for i := range metas {

@@ -3,6 +3,7 @@ package dsf
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/gob"
 	"testing"
 
 	"damaris/internal/layout"
@@ -38,7 +39,9 @@ func fuzzSeedFile(tb testing.TB, codec Codec) []byte {
 // with arbitrary bytes. The invariant is totality: corrupt input must
 // produce an error, never a panic, a huge TOC-driven allocation, or a
 // reader whose chunks lie outside the stream. Inputs that do open must
-// read and verify without panicking.
+// read and verify without panicking, encoding/gob must decode their TOC to
+// the same records and attributes, and every global block they carry must
+// be Valid.
 func FuzzTOCDecode(f *testing.F) {
 	for _, codec := range []Codec{None, Gzip, ShuffleGzip} {
 		valid := fuzzSeedFile(f, codec)
@@ -57,11 +60,43 @@ func FuzzTOCDecode(f *testing.F) {
 	}
 	f.Add([]byte("DSFv0002"))
 	f.Add([]byte("DSFINDEX"))
+	// Global blocks and attributes, valid and not.
+	f.Add(tocStream(oneChunkTOC([]int64{0, 4}, []int64{2, 4})))
+	f.Add(tocStream(oneChunkTOC([]int64{0}, []int64{0})))
+	metas, datas := scratchChunks(5, 2, true)
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf)
+	if err != nil {
+		f.Fatal(err)
+	}
+	w.SetAttribute("unit", "K")
+	w.SetAttribute("writer", "fuzz-seed")
+	if err := w.WriteChunks(metas, datas, nil); err != nil {
+		f.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := OpenReaderAt(bytes.NewReader(data), int64(len(data)))
 		if err != nil {
 			return // rejected: exactly what corrupt input should get
+		}
+		foot := data[len(data)-24:]
+		tocOff := binary.LittleEndian.Uint64(foot)
+		var g toc
+		if err := gob.NewDecoder(bytes.NewReader(data[tocOff : len(data)-24])).Decode(&g); err != nil {
+			t.Fatalf("accepted a TOC gob rejects: %v", err)
+		}
+		if err := sameAsGob(r.chunks, r.attrs, g); err != nil {
+			t.Fatalf("accepted TOC decodes otherwise with gob: %v", err)
+		}
+		for i := range r.chunks {
+			if b := r.chunks[i].Global; (len(b.Start) > 0 || len(b.Count) > 0) && !b.Valid() {
+				t.Fatalf("chunk %d accepted with an invalid global block %v", i, b)
+			}
 		}
 		// An accepted stream must be fully traversable without panics; a
 		// checksum/decode error is fine (the fuzzer may luck into a

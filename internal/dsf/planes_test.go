@@ -57,8 +57,8 @@ func writeOneChunk(t *testing.T, data []byte, write func(w *Writer, meta ChunkMe
 
 func storedBytes(t *testing.T, r *Reader, i int) []byte {
 	t.Helper()
-	stored := make([]byte, r.recs[i].Stored)
-	if _, err := r.ra.ReadAt(stored, r.recs[i].Offset); err != nil {
+	stored := make([]byte, r.chunks[i].Stored)
+	if _, err := r.ra.ReadAt(stored, r.chunks[i].Offset); err != nil {
 		t.Fatal(err)
 	}
 	return stored

@@ -3,17 +3,22 @@ package dsf
 import (
 	"bytes"
 	"io"
+	"slices"
 	"testing"
 
 	"damaris/internal/layout"
 )
 
-// scratchChunks builds n chunks over `layouts` distinct layouts.
-func scratchChunks(n, layouts int) ([]ChunkMeta, [][]byte) {
+// scratchChunks builds n chunks over `layouts` distinct layouts, each with
+// its position in a global 1-D domain when global is set.
+func scratchChunks(n, layouts int, global bool) ([]ChunkMeta, [][]byte) {
 	metas, datas := make([]ChunkMeta, n), make([][]byte, n)
 	for i := range metas {
 		lay := layout.MustNew(layout.Float32, int64(4+i%layouts))
 		metas[i] = ChunkMeta{Name: "v", Iteration: 3, Source: i, Layout: lay}
+		if global {
+			metas[i].Global = layout.Block{Start: []int64{int64(16 * i)}, Count: []int64{lay.Elems()}}
+		}
 		datas[i] = make([]byte, lay.Bytes())
 		datas[i][0] = byte(i)
 	}
@@ -21,17 +26,15 @@ func scratchChunks(n, layouts int) ([]ChunkMeta, [][]byte) {
 }
 
 // What writing one object allocates does not grow with its chunk count:
-// records are reserved per batch, equal layouts share a descriptor, the TOC
-// goes straight into the pooled write buffer. The slack is gob's: each
-// encoder doubles a buffer of its own up to the TOC's size. (Chunks with a
-// position in the global domain cost two allocations each inside gob, which
-// boxes every coordinate slice it encodes.)
+// records and global coordinates go into the previous object's scratch,
+// equal layouts share a descriptor, the TOC is appended straight into the
+// pooled write buffer.
 func TestWriteChunksAllocsIndependentOfChunkCount(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops entries under -race")
 	}
-	allocs := func(chunks int) float64 {
-		metas, datas := scratchChunks(chunks, 3)
+	allocs := func(chunks int, global bool) float64 {
+		metas, datas := scratchChunks(chunks, 3, global)
 		write := func() {
 			w, err := NewWriter(io.Discard)
 			if err != nil {
@@ -48,10 +51,47 @@ func TestWriteChunksAllocsIndependentOfChunkCount(t *testing.T) {
 		write()
 		return testing.AllocsPerRun(50, write)
 	}
-	few, many := allocs(8), allocs(64)
-	t.Logf("allocs per object: %.0f for 8 chunks, %.0f for 64", few, many)
-	if many > few+4 {
-		t.Errorf("writing 64 chunks allocates %.0f, 8 chunks %.0f: the count grows with the chunks", many, few)
+	for _, global := range []bool{false, true} {
+		few, many := allocs(8, global), allocs(64, global)
+		t.Logf("global blocks %v: allocs per object: %.0f for 8 chunks, %.0f for 64", global, few, many)
+		if many > few+1 {
+			t.Errorf("global blocks %v: writing 64 chunks allocates %.0f, 8 chunks %.0f: the count grows with the chunks",
+				global, many, few)
+		}
+	}
+}
+
+// A Writer's scratch comes back empty: nothing of a previous object — its
+// records, attributes or global coordinates — reaches the next one's TOC.
+func TestWriterScratchStartsEmpty(t *testing.T) {
+	metas, datas := scratchChunks(12, 3, true)
+	for _, n := range []int{12, 1} {
+		var buf bytes.Buffer
+		w, err := NewWriter(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n > 1 {
+			w.SetAttribute("first", "object")
+		}
+		if err := w.WriteChunks(metas[:n], datas[:n], nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		r, err := OpenReaderAt(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.NumChunks() != n || (n == 1 && len(r.Attributes()) != 0) {
+			t.Fatalf("object of %d chunks reads back %d chunks, attributes %v", n, r.NumChunks(), r.Attributes())
+		}
+		for i, m := range r.Chunks() {
+			if !slices.Equal(m.Global.Start, metas[i].Global.Start) || !slices.Equal(m.Global.Count, metas[i].Global.Count) {
+				t.Fatalf("chunk %d: global block %v, want %v", i, m.Global, metas[i].Global)
+			}
+		}
 	}
 }
 
@@ -60,7 +100,7 @@ func TestWriteChunksAllocsIndependentOfChunkCount(t *testing.T) {
 // chunk. Either way every chunk reads back with its own layout.
 func TestWriterSharesLayoutDescriptors(t *testing.T) {
 	for _, layouts := range []int{3, maxLayoutDescs + 5} {
-		metas, datas := scratchChunks(3*(maxLayoutDescs+5), layouts)
+		metas, datas := scratchChunks(3*(maxLayoutDescs+5), layouts, false)
 		var buf bytes.Buffer
 		w, err := NewWriter(&buf)
 		if err != nil {
