@@ -565,6 +565,8 @@ func (g *Gateway) Iterations() ([]int64, error) {
 	return out, nil
 }
 
+// eachObject calls fn with the reader of every committed object. An object
+// deleted since the listing is no longer an object and is skipped.
 func (g *Gateway) eachObject(fn func(r *dsf.Reader)) error {
 	objs, err := g.backend.Objects()
 	if err != nil {
@@ -572,6 +574,9 @@ func (g *Gateway) eachObject(fn func(r *dsf.Reader)) error {
 	}
 	for _, o := range objs {
 		r, err := g.Reader(o.Name)
+		if errors.Is(err, store.ErrNotExist) {
+			continue
+		}
 		if err != nil {
 			return err
 		}

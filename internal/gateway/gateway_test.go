@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -281,6 +283,38 @@ func TestGatewayFieldAndChunks(t *testing.T) {
 	}
 	if len(its) != 1 || its[0] != 3 {
 		t.Fatalf("Iterations() = %v", its)
+	}
+}
+
+// An object deleted between the backend's listing and the gateway's open is
+// no longer an object: Iterations and Variables skip it instead of failing.
+func TestEachObjectSkipsObjectDeletedMidListing(t *testing.T) {
+	root := t.TempDir()
+	var armed atomic.Bool
+	b, err := store.OpenWith("obj://"+root, store.Options{PartSize: 4096, Fault: store.FaultFunc(func(op, name string) error {
+		// The gateway stats an object's manifest before it reads it.
+		if op == store.OpStat && name == "b.dsf" && armed.CompareAndSwap(true, false) {
+			os.Remove(filepath.Join(root, "manifests", "b.dsf.json"))
+		}
+		return nil
+	})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, name := range []string{"a.dsf", "b.dsf", "c.dsf"} {
+		writeDSFObject(t, b, name, int64(i+1), 1, 1)
+	}
+	g := newGateway(t, b, Config{})
+	armed.Store(true)
+	its, err := g.Iterations()
+	if err != nil {
+		t.Fatalf("Iterations with b.dsf deleted mid-listing: %v", err)
+	}
+	if fmt.Sprint(its) != "[1 3]" {
+		t.Errorf("Iterations() = %v, want [1 3]", its)
+	}
+	if vars, err := g.Variables(); err != nil || len(vars) != 1 {
+		t.Errorf("Variables() = %v, %v", vars, err)
 	}
 }
 

@@ -1,0 +1,180 @@
+package store
+
+import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
+	"sync"
+	"testing"
+)
+
+// TestObjStorePutAllocs gates what the object store's control path
+// allocates: everything a part upload and a commit do besides moving bytes.
+// A steady-state part upload (digest, dedupe probe miss, temp write,
+// rename) stays at a fixed count, and what Commit allocates grows with the
+// parts only by the durability stat's path and the syscall package's copy
+// of it: encoding the manifest costs nothing per part.
+func TestObjStorePutAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled encoders at random")
+	}
+	s, err := NewObjStore(t.TempDir(), Options{PartSize: 4096, PutWorkers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := pattern(4096, 9)
+	var seq uint64
+	upload := func() Part {
+		seq++ // fresh content: every upload misses the dedupe probe
+		binary.LittleEndian.PutUint64(data, seq)
+		part, err := s.uploadPart(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return part
+	}
+	upload() // the first part makes the fan-out directories
+	// The blob name; the probe's path, its syscall copy and its miss; the
+	// hedge and put-deadline closures; the temp path, its syscall copy and
+	// the os.File (two); the destination path and rename's two copies.
+	const maxPartAllocs = 13
+	if n := testing.AllocsPerRun(50, func() { upload() }); n > maxPartAllocs {
+		t.Errorf("a steady-state part upload allocates %.0f times, want at most %d", n, maxPartAllocs)
+	}
+
+	commit := func(parts int) float64 {
+		m := &Manifest{Object: fmt.Sprintf("o%d.dsf", parts)}
+		for range parts {
+			p := upload()
+			m.Parts = append(m.Parts, p)
+			m.Size += p.Size
+		}
+		return testing.AllocsPerRun(20, func() {
+			if err := s.Commit(m); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	few, many := commit(2), commit(18)
+	if grow := (many - few) / 16; grow > 2 {
+		t.Errorf("commit allocates %.0f for 2 parts and %.0f for 18: %.2f per part, want at most the durability stat's 2",
+			few, many, grow)
+	}
+}
+
+// TestManifestEncodingMatchesMarshalIndent holds the pooled encoder to the
+// bytes json.MarshalIndent(m, "", "  ") and a newline would write, for
+// object names JSON must escape (HTML characters, quotes, control and
+// non-ASCII characters, the JavaScript line separators) and for an object
+// with no parts.
+func TestManifestEncodingMatchesMarshalIndent(t *testing.T) {
+	s, err := NewObjStore(t.TempDir(), Options{PartSize: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := []string{"plain.dsf", "a&b.dsf", "<tag>.dsf", `q"uote".dsf`, "tab\there.dsf",
+		"héllo-ü-日本.dsf", "line\u2028para\u2029.dsf", "dir/nested.dsf", "empty.dsf"}
+	for i, name := range names {
+		size := 3000 + i
+		if name == "empty.dsf" {
+			size = 0
+		}
+		m := writeObject(t, s, name, pattern(size, byte(i)), 700)
+		got, err := os.ReadFile(s.targets[0].manifests.path(name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.MarshalIndent(m, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want = append(want, '\n'); !bytes.Equal(got, want) {
+			t.Errorf("%q: manifest on disk\n%s\nwant\n%s", name, got, want)
+		}
+		back, err := s.Manifest(name)
+		if err != nil || back.Object != name || len(back.Parts) != len(m.Parts) {
+			t.Errorf("%q: Manifest = %+v, %v", name, back, err)
+		}
+	}
+}
+
+// TestManifestDecodeKeepsNoBufferAlias decodes manifest A, then B through
+// the same pooled read buffer: A's strings must survive B's bytes landing
+// where A's were.
+func TestManifestDecodeKeepsNoBufferAlias(t *testing.T) {
+	s, err := NewObjStore(t.TempDir(), Options{PartSize: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeObject(t, s, "a.dsf", pattern(3000, 1), 3000)
+	writeObject(t, s, "b.dsf", pattern(3000, 2), 3000) // same length, other digests
+	a, err := s.Manifest("a.dsf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, p := range a.Parts {
+		want = append(want, strings.Clone(p.Blob), strings.Clone(p.SHA256))
+	}
+	for range 4 {
+		if _, err := s.Manifest("b.dsf"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, p := range a.Parts {
+		if p.Blob != want[2*i] || p.SHA256 != want[2*i+1] {
+			t.Fatalf("part %d of a.dsf changed under a later decode: %+v, want blob %s", i, p, want[2*i])
+		}
+	}
+}
+
+// TestObjectsSkipsManifestDeletedMidListing deletes manifests between the
+// walk that lists them and their reads: an object deleted since the listing
+// is no longer an object, so neither Objects nor GC's mark may fail on it.
+func TestObjectsSkipsManifestDeletedMidListing(t *testing.T) {
+	root := t.TempDir()
+	var mu sync.Mutex
+	gets := map[string]int{}     // OpGets of each object's manifest so far
+	deleteAt := map[string]int{} // the OpGet that deletes it
+	fault := FaultFunc(func(op, name string) error {
+		if op != OpGet {
+			return nil
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		if gets[name]++; gets[name] == deleteAt[name] {
+			os.Remove(filepath.Join(root, "manifests", name+".json"))
+		}
+		return nil
+	})
+	s, err := NewObjStore(root, Options{PartSize: 1024, Fault: fault})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, name := range []string{"a.dsf", "b.dsf", "c.dsf"} {
+		writeObject(t, s, name, pattern(2000, byte(i)), 2000)
+	}
+
+	deleteAt["b.dsf"] = 1 // Objects' own read
+	objs, err := s.Objects()
+	if err != nil {
+		t.Fatalf("Objects with b.dsf deleted mid-listing: %v", err)
+	}
+	if len(objs) != 2 || objs[0].Name != "a.dsf" || objs[1].Name != "c.dsf" || objs[1].Size != 2000 {
+		t.Errorf("Objects = %+v, want a.dsf and c.dsf", objs)
+	}
+
+	clear(gets)
+	deleteAt["c.dsf"] = 2 // GC's mark, after its listing read c.dsf
+	rep, err := s.GC(GCOptions{DryRun: true, MinAge: -1})
+	if err != nil {
+		t.Fatalf("GC with c.dsf deleted mid-mark: %v", err)
+	}
+	if rep.Manifests != 1 {
+		t.Errorf("GC marked from %d manifests, want 1 (a.dsf)", rep.Manifests)
+	}
+}

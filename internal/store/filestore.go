@@ -3,6 +3,7 @@ package store
 import (
 	"fmt"
 	"os"
+	"path/filepath"
 	"time"
 )
 
@@ -34,6 +35,7 @@ func NewFileStore(dir string, opts Options) (*FileStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: file backend: %w", err)
 	}
+	dir = filepath.Clean(dir)
 	return &FileStore{
 		t:       tree{root: dir, tmpDir: dir, tmpPrefix: ".tmp-", fault: opts.Fault},
 		metrics: metrics{Stats: Stats{Scheme: "file"}},
@@ -61,7 +63,7 @@ func (s *FileStore) Get(name string) ([]byte, error) {
 		return nil, err
 	}
 	start := time.Now()
-	b, err := s.t.read(name)
+	b, err := s.t.read(name, nil)
 	if err != nil {
 		return nil, s.metrics.failed(err)
 	}
@@ -85,11 +87,11 @@ func (s *FileStore) Stat(name string) (ObjectInfo, error) {
 	if err := validName(name); err != nil {
 		return ObjectInfo{}, err
 	}
-	fi, err := s.t.stat(name)
+	size, _, err := s.t.stat(name)
 	if err != nil {
 		return ObjectInfo{}, s.metrics.failed(err)
 	}
-	return ObjectInfo{Name: name, Size: fi.Size()}, nil
+	return ObjectInfo{Name: name, Size: size}, nil
 }
 
 // List returns the blobs whose names start with prefix, sorted. Hidden
@@ -222,11 +224,11 @@ func (s *FileStore) StatObject(object string) (ObjectStat, error) {
 	if err := validName(object); err != nil {
 		return ObjectStat{}, err
 	}
-	fi, err := s.t.stat(object)
+	size, mtime, err := s.t.stat(object)
 	if err != nil {
 		return ObjectStat{}, s.metrics.failed(err)
 	}
-	return ObjectStat{Size: fi.Size(), ModTime: fi.ModTime()}, nil
+	return ObjectStat{Size: size, ModTime: mtime}, nil
 }
 
 // Objects lists the committed objects — every visible file under the root.

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"errors"
 	"fmt"
 	"io/fs"
 	"os"
@@ -73,7 +74,8 @@ func (s *ObjStore) GC(opts GCOptions) (GCReport, error) {
 
 	// Mark: walk every committed manifest and collect the blobs it
 	// references. A decode failure aborts the pass — sweeping with a
-	// partial live set could delete referenced parts.
+	// partial live set could delete referenced parts; a manifest deleted
+	// since the listing references nothing.
 	objs, err := s.Objects()
 	if err != nil {
 		return rep, fmt.Errorf("store: gc: %w", err)
@@ -81,6 +83,9 @@ func (s *ObjStore) GC(opts GCOptions) (GCReport, error) {
 	live := make(map[string]bool)
 	for _, o := range objs {
 		m, err := s.Manifest(o.Name)
+		if errors.Is(err, ErrNotExist) {
+			continue
+		}
 		if err != nil {
 			return rep, fmt.Errorf("store: gc: %w", err)
 		}

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -11,7 +12,9 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
+	"syscall"
 	"time"
 )
 
@@ -66,7 +69,8 @@ type ObjStore struct {
 	// worker slot) across all of this backend's ObjectWriters.
 	sem chan struct{}
 	// partBufs recycles part-sized buffers between uploads so steady-state
-	// multipart writes allocate nothing per part. It is a plain free list,
+	// multipart writes allocate no part-sized buffer per part, unless an
+	// upload may be abandoned (abandons). It is a plain free list,
 	// not a sync.Pool: a pool's per-P slots made a buffer put back by an
 	// uploader invisible to a writer on another P every so often, and each
 	// miss is a part-sized allocation. The list holds what was once in use
@@ -166,12 +170,24 @@ func (s *ObjStore) putPartBuf(buf *[]byte) {
 	s.bufMu.Unlock()
 }
 
+// abandons reports whether a write attempt can outlive the call that made
+// it: a losing hedge or a put past its deadline is abandoned, not
+// interrupted, so the bytes it was handed must not be reused.
+func (s *ObjStore) abandons() bool { return len(s.targets) > 1 || s.putTimeout > 0 }
+
 // PartSize returns the multipart split size.
 func (s *ObjStore) PartSize() int64 { return s.partSize }
 
-// casBlobName is the content-addressed blob name of one part.
-func casBlobName(sum [sha256.Size]byte) string {
-	return "cas/sha256/" + hex.EncodeToString(sum[:])
+// casPrefix is where the blob plane keeps content-addressed parts.
+const casPrefix = "cas/sha256/"
+
+// casPart describes a part by its digest: the blob name is casPrefix and
+// the hex digest, encoded once, and SHA256 is a substring of it.
+func casPart(sum [sha256.Size]byte, size int64) Part {
+	var b [len(casPrefix) + 2*sha256.Size]byte
+	hex.Encode(b[copy(b[:], casPrefix):], sum[:])
+	blob := string(b[:])
+	return Part{Blob: blob, Size: size, SHA256: blob[len(casPrefix):]}
 }
 
 // withPutTimeout runs one write attempt under the per-put deadline. On
@@ -367,7 +383,7 @@ func (s *ObjStore) Get(name string) ([]byte, error) {
 	}
 	return firstTarget(s, func(t *objTarget) ([]byte, error) {
 		start := time.Now()
-		b, err := t.blobs.read(name)
+		b, err := t.blobs.read(name, nil)
 		if err == nil {
 			s.metrics.get(time.Since(start).Seconds(), int64(len(b)))
 		}
@@ -382,11 +398,11 @@ func (s *ObjStore) Stat(name string) (ObjectInfo, error) {
 		return ObjectInfo{}, err
 	}
 	return firstTarget(s, func(t *objTarget) (ObjectInfo, error) {
-		fi, err := t.blobs.stat(name)
+		size, _, err := t.blobs.stat(name)
 		if err != nil {
 			return ObjectInfo{}, err
 		}
-		return ObjectInfo{Name: name, Size: fi.Size()}, nil
+		return ObjectInfo{Name: name, Size: size}, nil
 	})
 }
 
@@ -508,7 +524,9 @@ func (w *objWriter) dispatchPart() {
 		defer func() {
 			<-w.s.sem
 			w.s.metrics.partEnd()
-			w.s.putPartBuf(buf)
+			if !w.s.abandons() {
+				w.s.putPartBuf(buf)
+			}
 			w.wg.Done()
 		}()
 		part, err := w.s.uploadPart(*buf)
@@ -557,12 +575,7 @@ func (s *ObjStore) backoffBeforeAttempt(attempt int) {
 // transient failures with backoff, idempotent because the name is the
 // content.
 func (s *ObjStore) uploadPart(data []byte) (Part, error) {
-	sum := sha256.Sum256(data)
-	part := Part{
-		Blob:   casBlobName(sum),
-		Size:   int64(len(data)),
-		SHA256: hex.EncodeToString(sum[:]),
-	}
+	part := casPart(sha256.Sum256(data), int64(len(data)))
 	if info, err := s.Stat(part.Blob); err == nil && info.Size == part.Size {
 		s.dedupeHit(part)
 		return part, nil
@@ -642,13 +655,29 @@ func (w *objWriter) Abort() error {
 // It looks at the disk directly: a commit's precondition is not a read the
 // fault gets to fail.
 func (s *ObjStore) partDurable(p Part) bool {
+	var st syscall.Stat_t
 	for i := range s.targets {
-		if fi, err := os.Stat(s.targets[i].blobs.path(p.Blob)); err == nil && fi.Size() == p.Size {
+		if statFile(s.targets[i].blobs.path(p.Blob), &st) == nil && st.Size == p.Size {
 			return true
 		}
 	}
 	return false
 }
+
+// manifestEnc is a pooled manifest encoder and the buffer it writes into:
+// its bytes are json.MarshalIndent(m, "", "  ") and a newline, without
+// Marshal's buffer and Indent's second one.
+type manifestEnc struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+var manifestEncs = sync.Pool{New: func() any {
+	e := new(manifestEnc)
+	e.enc = json.NewEncoder(&e.buf)
+	e.enc.SetIndent("", "  ")
+	return e
+}}
 
 // Commit publishes a manifest, making its object visible. Every part blob
 // must already be durable — the manifest-last protocol's invariant. The
@@ -662,18 +691,22 @@ func (s *ObjStore) Commit(m *Manifest) error {
 		return err
 	}
 	for i, p := range m.Parts {
-		if !s.partDurable(p) {
+		if validName(p.Blob) != nil || !s.partDurable(p) {
 			return s.metrics.failed(fmt.Errorf("store: commit %q: part %d blob %q not durable", m.Object, i, p.Blob))
 		}
 	}
-	enc, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
+	e := manifestEncs.Get().(*manifestEnc)
+	e.buf.Reset()
+	if err := e.enc.Encode(m); err != nil {
 		return fmt.Errorf("store: commit %q: %w", m.Object, err)
 	}
-	enc = append(enc, '\n')
-	err = s.hedged(func(t *objTarget) error {
+	enc := e.buf.Bytes()
+	err := s.hedged(func(t *objTarget) error {
 		return s.withPutTimeout(func() error { return t.manifests.put(OpCommit, m.Object, enc) })
 	})
+	if !s.abandons() {
+		manifestEncs.Put(e)
+	}
 	if err != nil {
 		return s.metrics.failed(err)
 	}
@@ -722,8 +755,8 @@ func decodeManifest(b []byte, object string) (*Manifest, error) {
 			if len(p.SHA256) != 2*sha256.Size {
 				return nil, fmt.Errorf("store: manifest %q: part %d digest length %d", m.Object, i, len(p.SHA256))
 			}
-			if _, err := hex.DecodeString(p.SHA256); err != nil {
-				return nil, fmt.Errorf("store: manifest %q: part %d digest: %w", m.Object, i, err)
+			if strings.Trim(p.SHA256, "0123456789abcdefABCDEF") != "" {
+				return nil, fmt.Errorf("store: manifest %q: part %d digest is not hex", m.Object, i)
 			}
 		}
 		if p.Size > m.Size-sum {
@@ -737,6 +770,10 @@ func decodeManifest(b []byte, object string) (*Manifest, error) {
 	return &m, nil
 }
 
+// manifestBufs recycles the buffers Manifest reads files into. Nothing
+// decoded aliases one: json.Unmarshal copies every string.
+var manifestBufs = sync.Pool{New: func() any { return new([]byte) }}
+
 // Manifest reads a committed object's manifest back, re-validating every
 // field — a manifest corrupted at rest fails loudly here instead of
 // propagating bad arithmetic into readers. Like Get, it falls back across
@@ -745,11 +782,14 @@ func (s *ObjStore) Manifest(object string) (*Manifest, error) {
 	if err := validName(object); err != nil {
 		return nil, err
 	}
+	buf := manifestBufs.Get().(*[]byte)
+	defer manifestBufs.Put(buf)
 	return firstTarget(s, func(t *objTarget) (*Manifest, error) {
-		b, err := t.manifests.read(object)
+		b, err := t.manifests.read(object, *buf)
 		if err != nil {
 			return nil, err
 		}
+		*buf = b
 		m, err := decodeManifest(b, object)
 		if err != nil {
 			return nil, fmt.Errorf("store: manifest %q: %w", object, err)
@@ -760,20 +800,27 @@ func (s *ObjStore) Manifest(object string) (*Manifest, error) {
 
 // Objects lists the committed objects (those with a manifest), sorted. The
 // listing is the union across targets: an object whose hedged commit landed
-// only on a replica still shows up.
+// only on a replica still shows up. One deleted between the walk and its
+// manifest read is no longer an object and is left out.
 func (s *ObjStore) Objects() ([]ObjectInfo, error) {
 	out, err := s.union("", func(t *objTarget) *tree { return &t.manifests })
 	if err != nil {
 		return nil, err
 	}
-	for i := range out {
-		m, err := s.Manifest(out[i].Name)
+	n := 0
+	for _, o := range out {
+		m, err := s.Manifest(o.Name)
+		if errors.Is(err, ErrNotExist) {
+			continue
+		}
 		if err != nil {
 			return nil, fmt.Errorf("store: objects: %w", err)
 		}
-		out[i].Size = m.Size
+		o.Size = m.Size
+		out[n] = o
+		n++
 	}
-	return out, nil
+	return out[:n], nil
 }
 
 // Open returns random access over a committed object, resolving reads
@@ -802,11 +849,11 @@ func (s *ObjStore) StatObject(object string) (ObjectStat, error) {
 		return ObjectStat{}, err
 	}
 	return firstTarget(s, func(t *objTarget) (ObjectStat, error) {
-		fi, err := t.manifests.stat(object)
+		size, mtime, err := t.manifests.stat(object)
 		if err != nil {
 			return ObjectStat{}, err
 		}
-		return ObjectStat{Size: fi.Size(), ModTime: fi.ModTime()}, nil
+		return ObjectStat{Size: size, ModTime: mtime}, nil
 	})
 }
 

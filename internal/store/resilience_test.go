@@ -2,9 +2,12 @@ package store
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 )
@@ -191,6 +194,61 @@ func TestHedgedPutWinsOverHungPrimary(t *testing.T) {
 	}
 	if _, err := s.StatObject("obj"); err != nil {
 		t.Fatalf("stat object via replica: %v", err)
+	}
+}
+
+// A losing hedge is abandoned, not interrupted: when the primary finally
+// lands the parts and manifests it was held on, each must hold the bytes
+// its name promises, not what the writer put into a recycled buffer since.
+func TestAbandonedHedgeLandsTheBytesItWasHanded(t *testing.T) {
+	release := make(chan struct{})
+	var once sync.Once
+	free := func() { once.Do(func() { close(release) }) }
+	defer free()
+	primary := t.TempDir()
+	s, err := NewObjStore(primary, Options{
+		PartSize:   64,
+		PutWorkers: 1,
+		Replicas:   []string{filepath.Join(t.TempDir(), "replica")},
+		HedgeAfter: time.Millisecond,
+		Fault: FaultFunc(func(op, name string) error {
+			if op == OpPut || op == OpCommit {
+				<-release // the replica wins; the primary lands later
+			}
+			return nil
+		}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, name := range []string{"a.dsf", "b.dsf"} {
+		writeObject(t, s, name, pattern(640, byte(i)), 640) // ten distinct parts each
+	}
+	free()
+	p := &s.targets[0]
+	var blobs, manifests []ObjectInfo
+	for deadline := time.Now().Add(10 * time.Second); len(blobs) < 20 || len(manifests) < 2; {
+		if time.Now().After(deadline) {
+			t.Fatalf("primary landed %d blobs and %d manifests, want 20 and 2", len(blobs), len(manifests))
+		}
+		time.Sleep(5 * time.Millisecond)
+		blobs, _ = list("", &p.blobs)
+		manifests, _ = list("", &p.manifests)
+	}
+	for _, b := range blobs {
+		data, err := os.ReadFile(p.blobs.path(b.Name))
+		if sum := sha256.Sum256(data); err != nil || b.Name != casPart(sum, 0).Blob {
+			t.Errorf("primary blob %s holds other bytes (%v)", b.Name, err)
+		}
+	}
+	for _, m := range manifests {
+		data, err := os.ReadFile(p.manifests.path(m.Name))
+		if err == nil {
+			_, err = decodeManifest(data, m.Name)
+		}
+		if err != nil {
+			t.Errorf("primary manifest %s: %v", m.Name, err)
+		}
 	}
 }
 

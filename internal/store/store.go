@@ -327,21 +327,15 @@ func ValidateURL(rawURL string) error {
 	return err
 }
 
-// tmpCounter is process-wide: several backend instances routinely share one
-// root directory (one instance per dedicated core over the same store), so
-// temp names must be unique across instances, and the pid keeps separate
-// processes on a shared filesystem apart too.
-var tmpCounter atomic.Int64
-
-// tmpName returns a temp-file name unique across every backend instance of
-// this process. Appended rather than formatted: boxing the counter for fmt
-// allocates only once it passes 255, which made what one write allocates
-// depend on how many temp files the process had made before it.
-func tmpName() string {
-	b := strconv.AppendInt(make([]byte, 0, 32), int64(os.Getpid()), 10)
-	b = append(b, '-')
-	return string(strconv.AppendInt(b, tmpCounter.Add(1), 10))
-}
+// tmpCounter and tmpPid name temp files (tree.tmp). The counter is
+// process-wide: several backend instances routinely share one root
+// directory (one instance per dedicated core over the same store), so temp
+// names must be unique across instances, and the pid, read once, keeps
+// separate processes on a shared filesystem apart too.
+var (
+	tmpCounter atomic.Int64
+	tmpPid     = strconv.Itoa(os.Getpid())
+)
 
 // writeFileSync is os.WriteFile plus an fsync before close, so bytes a
 // subsequent rename publishes are durable, not merely buffered.
@@ -374,10 +368,10 @@ func validName(name string) error {
 	if path.Clean(name) != name {
 		return fmt.Errorf("store: invalid name %q (not a clean relative path)", name)
 	}
-	for _, comp := range strings.Split(name, "/") {
-		if comp == ".." || strings.HasPrefix(comp, ".") {
-			return fmt.Errorf("store: invalid name %q (hidden or parent component)", name)
-		}
+	// A component starting with "." (".." included) starts the name or
+	// follows a slash.
+	if name[0] == '.' || strings.Contains(name, "/.") {
+		return fmt.Errorf("store: invalid name %q (hidden or parent component)", name)
 	}
 	return nil
 }

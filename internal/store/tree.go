@@ -6,8 +6,12 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
+	"syscall"
+	"time"
 )
 
 // tree is a directory of immutable files, the one directory protocol both
@@ -18,7 +22,7 @@ import (
 // the tree's fault before it touches the disk and reports a missing file as
 // ErrNotExist; none touches a metric, which stays the backend's business.
 type tree struct {
-	root string
+	root string // cleaned at construction
 	// suffix is appended to every name on disk and never shown to the fault
 	// or to walk's callback (".json" for manifests).
 	suffix string
@@ -29,14 +33,21 @@ type tree struct {
 	fault             Fault
 }
 
-// path returns where a name's file lives.
+// path returns where a name's file lives. It is one concatenation, not a
+// filepath.Join: root is clean and validName admits only clean names.
 func (t *tree) path(name string) string {
-	return filepath.Join(t.root, filepath.FromSlash(name)+t.suffix)
+	return t.root + string(filepath.Separator) + filepath.FromSlash(name) + t.suffix
 }
 
-// tmp returns a fresh temp-file path.
+// tmp returns a fresh temp-file path in one allocation, unique across every
+// backend instance of this process. The counter is appended, not formatted:
+// boxing it for fmt allocates only once it passes 255, which made what one
+// write allocates depend on how many temp files came before it.
 func (t *tree) tmp() string {
-	return filepath.Join(t.tmpDir, t.tmpPrefix+tmpName())
+	b := append(make([]byte, 0, 256), t.tmpDir...)
+	b = append(append(b, filepath.Separator), t.tmpPrefix...)
+	b = append(append(b, tmpPid...), '-')
+	return string(strconv.AppendInt(b, tmpCounter.Add(1), 10))
 }
 
 // opError is a failed step on a named file. It formats only when read: the
@@ -71,7 +82,10 @@ func (t *tree) put(op, name string, data []byte) error {
 }
 
 // publish renames an fsynced temp file into view as name: the package's
-// only rename. OpPutRename fires first — failing it is the torn-write crash
+// only rename. It renames first, making the parent directories only when
+// the rename reports them missing (after a directory's first file it does
+// not), with syscall.Rename, which skips os.Rename's Lstat of the
+// destination. OpPutRename fires first — failing it is the torn-write crash
 // window, the temp stays behind and invisible — then whatever further ops
 // the caller's protocol places between durable and visible.
 //
@@ -89,10 +103,13 @@ func (t *tree) publish(tmp, name string, then ...string) error {
 		}
 	}
 	dst := t.path(name)
-	if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
-		return opErr("publish", name, err)
+	err := syscall.Rename(tmp, dst)
+	if err == syscall.ENOENT {
+		if err = os.MkdirAll(filepath.Dir(dst), 0o755); err == nil {
+			err = syscall.Rename(tmp, dst)
+		}
 	}
-	if err := os.Rename(tmp, dst); err != nil {
+	if err != nil {
 		return opErr("publish", name, err)
 	}
 	return nil
@@ -116,14 +133,15 @@ func (t *tree) open(op, name string) (*os.File, int64, error) {
 	return f, fi.Size(), nil
 }
 
-// read returns a file's whole content.
-func (t *tree) read(name string) ([]byte, error) {
+// read returns a file's whole content, read into buf's storage when it is
+// large enough (nil asks for a fresh slice).
+func (t *tree) read(name string, buf []byte) ([]byte, error) {
 	f, size, err := t.open(OpGet, name)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	b := make([]byte, size)
+	b := slices.Grow(buf[:0], int(size))[:size]
 	if _, err := io.ReadFull(f, b); err != nil {
 		return nil, opErr(OpGet, name, err)
 	}
@@ -150,19 +168,26 @@ func (t *tree) readPart(part Part, p []byte, off int64) error {
 	return nil
 }
 
-// stat describes a file; a directory is not one.
-func (t *tree) stat(name string) (fs.FileInfo, error) {
+// stat reports a file's size and modification time.
+func (t *tree) stat(name string) (int64, time.Time, error) {
 	if err := opFault(t.fault, OpStat, name); err != nil {
-		return nil, err
+		return 0, time.Time{}, err
 	}
-	fi, err := os.Stat(t.path(name))
-	if err == nil && fi.IsDir() {
-		err = fs.ErrNotExist
+	var st syscall.Stat_t
+	if err := statFile(t.path(name), &st); err != nil {
+		return 0, time.Time{}, opErr(OpStat, name, err)
 	}
-	if err != nil {
-		return nil, opErr(OpStat, name, err)
+	return st.Size, time.Unix(st.Mtim.Unix()), nil
+}
+
+// statFile fills st for the file at p, with no fault and no os.FileInfo to
+// allocate; a directory is not a file.
+func statFile(p string, st *syscall.Stat_t) error {
+	err := syscall.Stat(p, st)
+	if err == nil && st.Mode&syscall.S_IFMT == syscall.S_IFDIR {
+		err = syscall.ENOENT
 	}
-	return fi, nil
+	return err
 }
 
 // remove deletes a file.
