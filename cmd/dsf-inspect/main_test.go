@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -104,8 +105,10 @@ func TestGoldenRoundTripAllCodecs(t *testing.T) {
 				}
 			}
 			// Find by tuple, as downstream tools do.
-			if i := r.Find("theta", 1, 1); i < 0 {
-				t.Error("Find lost a tuple")
+			if !slices.ContainsFunc(r.Chunks(), func(m dsf.ChunkMeta) bool {
+				return m.Name == "theta" && m.Iteration == 1 && m.Source == 1
+			}) {
+				t.Error("lost a tuple")
 			}
 		})
 	}

@@ -33,7 +33,7 @@ func aggCurve(t *testing.T, plat cluster.Platform, cores int, mode string) float
 // pins structure — curves exist, are reproducible, and respond to the mode
 // switch — rather than a single cross-platform ordering.
 func TestAggregationThroughputCurves(t *testing.T) {
-	for _, plat := range cluster.All() {
+	for _, plat := range []cluster.Platform{cluster.Kraken(), cluster.Grid5000(), cluster.BluePrint()} {
 		if plat.AggregatorIngest() <= 0 {
 			t.Errorf("%s: no aggregator ingest bandwidth", plat.Name)
 		}

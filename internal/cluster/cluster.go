@@ -215,8 +215,3 @@ func BluePrint() Platform {
 		AggregatorNICBandwidth:  1.2e9,
 	}
 }
-
-// All returns the three paper platforms.
-func All() []Platform {
-	return []Platform{Kraken(), Grid5000(), BluePrint()}
-}

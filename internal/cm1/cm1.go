@@ -72,13 +72,6 @@ func (p Params) LocalNX() int { return p.GlobalNX / p.PX }
 // LocalNY returns the per-process subdomain depth.
 func (p Params) LocalNY() int { return p.GlobalNY / p.PY }
 
-// BytesPerRankPerOutput returns the output volume one rank produces per
-// write phase (all variables, float32).
-func (p Params) BytesPerRankPerOutput() int64 {
-	cells := int64(p.LocalNX()) * int64(p.LocalNY()) * int64(p.NZ)
-	return cells * 4 * int64(len(VariableNames))
-}
-
 // VariableNames lists the output fields, CM1-style: potential temperature,
 // the three wind components, and water-vapor mixing ratio.
 var VariableNames = []string{"theta", "u", "v", "w", "qv"}
@@ -318,30 +311,6 @@ func (s *Sim) Field(name string) ([]float32, error) {
 	}
 	return out, nil
 }
-
-// Mean returns the interior mean of a field (a conservation diagnostic).
-func (s *Sim) Mean(name string) (float64, error) {
-	xs, err := s.Field(name)
-	if err != nil {
-		return 0, err
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += float64(x)
-	}
-	local := []float64{sum, float64(len(xs))}
-	tot := s.comm.AllreduceFloat64s(local, mpi.OpSum)
-	return tot[0] / tot[1], nil
-}
-
-// Step64 returns the current step count.
-func (s *Sim) Step64() int64 { return s.step }
-
-// Comm returns the simulation's communicator.
-func (s *Sim) Comm() *mpi.Comm { return s.comm }
-
-// Params returns the run parameters.
-func (s *Sim) Params() Params { return s.p }
 
 // LocalShape returns the interior extents in C order (nz, ny, nx).
 func (s *Sim) LocalShape() (nz, ny, nx int) { return s.nz, s.ny, s.nx }

@@ -87,7 +87,6 @@ type FPPBackend struct {
 	Dir   string
 	Codec dsf.Codec
 	rank  int
-	files int
 }
 
 // NewFPPBackend creates a file-per-process writer rooted at dir.
@@ -135,12 +134,8 @@ func (b *FPPBackend) WritePhase(s *Sim, iteration int64) error {
 			return err
 		}
 	}
-	b.files++
 	return w.Close()
 }
-
-// Files returns the number of files written.
-func (b *FPPBackend) Files() int { return b.files }
 
 // Close implements Backend.
 func (b *FPPBackend) Close() error { return nil }

@@ -37,7 +37,6 @@ import (
 	"encoding/xml"
 	"fmt"
 	"io"
-	"os"
 	"slices"
 	"strings"
 	"time"
@@ -179,16 +178,6 @@ func Parse(r io.Reader) (*Config, error) {
 
 // ParseString parses configuration from an in-memory XML document.
 func ParseString(s string) (*Config, error) { return Parse(strings.NewReader(s)) }
-
-// Load reads the configuration file at path.
-func Load(path string) (*Config, error) {
-	fh, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("config: %w", err)
-	}
-	defer fh.Close()
-	return Parse(fh)
-}
 
 func build(f *xmlFile) (*Config, error) {
 	c := &Config{
@@ -370,12 +359,6 @@ func (c *Config) StoreOptions() store.Options {
 // epochs.
 func (c *Config) AggregateEnabled() bool {
 	return c.AggregateMode == "core"
-}
-
-// Variable returns the declaration of a named variable.
-func (c *Config) Variable(name string) (Variable, bool) {
-	v, ok := c.Variables[name]
-	return v, ok
 }
 
 // Event returns the declaration of a named event.

@@ -2,8 +2,6 @@ package config
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -41,7 +39,7 @@ func TestParsePaperExample(t *testing.T) {
 	if !l.Equal(want) {
 		t.Errorf("layout = %v, want %v", l, want)
 	}
-	v, ok := c.Variable("my_variable")
+	v, ok := c.Variables["my_variable"]
 	if !ok || !v.Layout.Equal(want) {
 		t.Errorf("variable = %+v", v)
 	}
@@ -113,24 +111,6 @@ func TestParseErrors(t *testing.T) {
 		if _, err := ParseString(doc); err == nil {
 			t.Errorf("%s: expected error", name)
 		}
-	}
-}
-
-func TestLoadFromFile(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "conf.xml")
-	if err := os.WriteFile(path, []byte(paperExample), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	c, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(c.Variables) != 1 {
-		t.Errorf("variables = %d", len(c.Variables))
-	}
-	if _, err := Load(filepath.Join(dir, "missing.xml")); err == nil {
-		t.Error("expected error for missing file")
 	}
 }
 

@@ -268,16 +268,7 @@ func (c *Client) recordWrite(d time.Duration) {
 	c.phaseAcc += sec
 }
 
-// WriteTimes returns the duration of the most recent Write/Commit calls (up
-// to recentCap of them), in seconds — the client-visible cost of I/O, which
-// the paper shows collapses to a memcpy under Damaris.
-func (c *Client) WriteTimes() []float64 { return c.writeDurs.values() }
-
-// PhaseTimes returns the per-iteration total write time of the most recent
-// iterations, the quantity plotted in the paper's Figures 2 and 3.
-func (c *Client) PhaseTimes() []float64 { return c.phaseDurs.values() }
-
-// WriteStats summarizes WriteTimes.
+// WriteStats summarizes the most recent Write/Commit call durations.
 func (c *Client) WriteStats() stats.Summary { return stats.Summarize(c.writeDurs.buf) }
 
 // recentCap is how many samples a recent keeps: more than any test, example

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -337,7 +338,7 @@ func TestServerCollectsHandleErrors(t *testing.T) {
 		}
 		srv = dep.Server
 		// An external tool injects a write for an undeclared variable.
-		srv.Inject(event.Event{Kind: event.WriteNotification, Name: "ghost", Iteration: 0})
+		srv.queue.Push(event.Event{Kind: event.WriteNotification, Name: "ghost", Iteration: 0})
 		_ = srv.Run()
 	})
 	if err != nil {
@@ -423,10 +424,10 @@ func TestClientPhaseTimes(t *testing.T) {
 				_ = cli.WriteFloat32s("temp", it, fieldData(0))
 				_ = cli.EndIteration(it)
 			}
-			if got := len(cli.PhaseTimes()); got != 5 {
+			if got := len(cli.phaseDurs.values()); got != 5 {
 				t.Errorf("PhaseTimes = %d, want 5", got)
 			}
-			if got := len(cli.WriteTimes()); got != 5 {
+			if got := len(cli.writeDurs.values()); got != 5 {
 				t.Errorf("WriteTimes = %d, want 5", got)
 			}
 			if cli.WriteStats().N != 5 {
@@ -493,7 +494,7 @@ func TestServerStats(t *testing.T) {
 	if len(srv.WriteTimes()) != 3 {
 		t.Errorf("WriteTimes = %d", len(srv.WriteTimes()))
 	}
-	if got := srv.Iterations(); len(got) != 3 || got[0] != 0 || got[2] != 2 {
+	if got := srv.iterations.values(); len(got) != 3 || got[0] != 0 || got[2] != 2 {
 		t.Errorf("Iterations = %v", got)
 	}
 	// The registry reads a counter, not the length of that record.
@@ -536,7 +537,7 @@ func TestDSFPersisterEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	files := pers.Files()
+	files := pers.files
 	if len(files) != 1 {
 		t.Fatalf("files = %v", files)
 	}
@@ -552,7 +553,9 @@ func TestDSFPersisterEndToEnd(t *testing.T) {
 		t.Errorf("chunks = %d", len(r.Chunks()))
 	}
 	// Find source 1's chunk and verify payload.
-	i := r.Find("temp", 0, 1)
+	i := slices.IndexFunc(r.Chunks(), func(m dsf.ChunkMeta) bool {
+		return m.Name == "temp" && m.Iteration == 0 && m.Source == 1
+	})
 	if i < 0 {
 		t.Fatal("chunk missing")
 	}

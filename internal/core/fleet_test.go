@@ -122,7 +122,7 @@ func TestFleetLiveGates(t *testing.T) {
 		fleet.AddRegistry(fmt.Sprint(rank), reg)
 	}
 	runFleet(t, cfg, ranks, coresPer, iters, backend, plane, func(srv *Server) {
-		srv.RegisterObs(rankRegs[srv.ID()])
+		srv.RegisterObs(rankRegs[srv.id])
 	}, nil)
 	if t.Failed() {
 		return

@@ -343,56 +343,16 @@ func (p *DSFPersister) returnBatch(cb chunkBatch) {
 	p.mu.Unlock()
 }
 
-// Files lists the DSF objects written so far: filesystem paths when the
-// persister manages its own file backend over Dir, backend object names
-// when an explicit Backend was provided. The returned slice is a copy —
-// callers may read it while writer goroutines keep appending.
-func (p *DSFPersister) Files() []string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return append([]string(nil), p.files...)
-}
-
 // NullPersister discards data (for benchmarks isolating the middleware
 // path from disk speed).
-type NullPersister struct {
-	mu    sync.Mutex
-	bytes int64
-}
+type NullPersister struct{}
 
-// Persist counts and drops the entries.
-func (p *NullPersister) Persist(_ int64, entries []*metadata.Entry) error {
-	var b int64
-	for _, e := range entries {
-		b += e.Size()
-	}
-	p.mu.Lock()
-	p.bytes += b
-	p.mu.Unlock()
-	return nil
-}
+// Persist drops the entries.
+func (*NullPersister) Persist(int64, []*metadata.Entry) error { return nil }
 
 // PersistBatch drops a whole batch in one call, so the pipeline batches over
 // a NullPersister as it would over a real one.
-func (p *NullPersister) PersistBatch(batch []IterationBatch) error {
-	var b int64
-	for _, ib := range batch {
-		for _, e := range ib.Entries {
-			b += e.Size()
-		}
-	}
-	p.mu.Lock()
-	p.bytes += b
-	p.mu.Unlock()
-	return nil
-}
-
-// Bytes returns the total payload bytes dropped.
-func (p *NullPersister) Bytes() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.bytes
-}
+func (*NullPersister) PersistBatch([]IterationBatch) error { return nil }
 
 // MemPersister retains deep copies of all persisted entries, for tests and
 // in-situ analysis demos (the paper's simulation/visualization coupling

@@ -51,7 +51,7 @@ func TestSharedPersisterWithEncodeWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	files := shared.Files()
+	files := shared.files
 	if len(files) != 2 { // one file per node's dedicated core
 		t.Fatalf("files = %v", files)
 	}
@@ -103,7 +103,7 @@ func TestBatchedPersistCrashConsistency(t *testing.T) {
 	if err := p.PersistBatch(batchEntries(4, 3)); err != nil {
 		t.Fatal(err)
 	}
-	files := p.Files()
+	files := p.files
 	if len(files) != 1 {
 		t.Fatalf("files = %v", files)
 	}

@@ -156,8 +156,8 @@ func TestPipelineStressRace(t *testing.T) {
 	if ps.FlushLatency.N != iters {
 		t.Errorf("flush latency samples = %d, want %d", ps.FlushLatency.N, iters)
 	}
-	if len(srv.FlushLatencies()) != iters {
-		t.Errorf("FlushLatencies = %d samples, want %d", len(srv.FlushLatencies()), iters)
+	if len(srv.flushLats.values()) != iters {
+		t.Errorf("FlushLatencies = %d samples, want %d", len(srv.flushLats.values()), iters)
 	}
 
 	// Every non-failed iteration must be durable and intact; failed ones
@@ -184,7 +184,7 @@ func TestPipelineStressRace(t *testing.T) {
 
 	// Ack order: iterations must be recorded strictly ascending even with
 	// 4 writers racing.
-	got := srv.Iterations()
+	got := srv.iterations.values()
 	for i := 1; i < len(got); i++ {
 		if got[i] != got[i-1]+1 {
 			t.Fatalf("iterations acked out of order: %v", got)

@@ -53,7 +53,6 @@ type Server struct {
 	seg       segmentCloser
 	fc        *flow
 	id        int // world rank of this dedicated core
-	node      int
 	group     int // dedicated-core index within the node
 	persister Persister
 	pipe      *pipeline       // completed iteration → durable → released → acked in order
@@ -128,7 +127,6 @@ func newServer(sp serverSpec) (*Server, error) {
 		seg:       sp.seg,
 		fc:        fc,
 		id:        worldRank,
-		node:      sp.node,
 		group:     sp.group,
 		persister: opts.Persister,
 		tracer:    opts.Obs.Tracer(),
@@ -241,23 +239,10 @@ func (s *Server) RegisterObs(reg *obs.Registry) {
 	})
 }
 
-// ID returns the server's world rank.
-func (s *Server) ID() int { return s.id }
-
-// Node returns the SMP node the server runs on.
-func (s *Server) Node() int { return s.node }
-
 // Engine exposes the EPE (for tools that inject events, e.g. external
 // steering per §III-A "events sent either by the simulation or by external
 // tools").
 func (s *Server) Engine() *event.Engine { return s.eng }
-
-// Inject queues an event as an external tool would (onto shard 0's queue).
-func (s *Server) Inject(ev event.Event) { s.queue.Push(ev) }
-
-// ShardCount returns the number of event-loop shards this server runs
-// (1 = the classic single loop).
-func (s *Server) ShardCount() int { return len(s.shards) }
 
 // Run executes the dedicated-core loop(s) until every client has finalized
 // and all shard queues have drained. With one shard it runs the loop inline
@@ -447,14 +432,6 @@ func (s *Server) BytesWritten() int64 {
 	return s.bytesWritten
 }
 
-// Iterations returns the most recent iterations flushed (up to recentCap of
-// them), in completion order.
-func (s *Server) Iterations() []int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.iterations.values()
-}
-
 // HandleErrors returns the per-event errors collected during Run.
 func (s *Server) HandleErrors() []error {
 	s.mu.Lock()
@@ -471,16 +448,6 @@ func (s *Server) WriteStats() stats.Summary {
 	sum, life := stats.Summarize(s.writeDurs.buf), s.writeAcc.Summary()
 	life.Median, life.P95, life.P99 = sum.Median, sum.P95, sum.P99
 	return life
-}
-
-// FlushLatencies returns, for the most recent iterations (up to recentCap of
-// them) in ack order, the seconds from iteration completion (all clients
-// ended it) to durability. With the inline executor this equals the write
-// time; with writers it additionally includes queueing delay.
-func (s *Server) FlushLatencies() []float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.flushLats.values()
 }
 
 // PipelineStats snapshots the persistence pipeline's per-stage metrics

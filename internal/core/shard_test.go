@@ -199,7 +199,7 @@ func TestShardedLoopsSurvivePersistFailures(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if got := srv.ShardCount(); got != 3 {
+	if got := len(srv.shards); got != 3 {
 		t.Fatalf("ShardCount = %d, want 3 (count 4 clamped to 3 clients)", got)
 	}
 	ps := srv.PipelineStats()
@@ -315,7 +315,7 @@ func TestShardedOverwriteLastWriteWins(t *testing.T) {
 			return
 		}
 		if !dep.IsClient() {
-			if got := dep.Server.ShardCount(); got != 4 {
+			if got := len(dep.Server.shards); got != 4 {
 				t.Errorf("ShardCount = %d, want 4", got)
 			}
 			if err := dep.Server.Run(); err != nil {

@@ -347,10 +347,6 @@ func (w *Writer) layoutDesc(l layout.Layout) []byte {
 	return desc
 }
 
-// StoredBytes returns the number of payload bytes written so far (excluding
-// header and TOC) — the figure throughput is computed from.
-func (w *Writer) StoredBytes() int64 { return w.offset - int64(len(headMagic)) }
-
 // Close writes the table of contents and footer and, when the Writer owns
 // its sink (Create), closes it. The TOC, footer and any still-buffered
 // chunk bytes leave in one coalesced flush rather than a syscall per piece.
@@ -534,7 +530,7 @@ func (r *Reader) load() error {
 
 // Chunks lists the chunk metadata in file order. The returned slice is a
 // copy (Global blocks included) — callers may reorder or rewrite it without
-// corrupting reader state, the same contract Collection.Files() gives.
+// corrupting reader state.
 // Readers are shared across concurrent requests in the read gateway, so
 // internal state must never leak through an accessor.
 func (r *Reader) Chunks() []ChunkMeta {
@@ -576,16 +572,6 @@ func (r *Reader) Attributes() map[string]string {
 		out[a.Key] = a.Value
 	}
 	return out
-}
-
-// Attribute returns one file-level attribute without building the map.
-func (r *Reader) Attribute(key string) (string, bool) {
-	for i := len(r.attrs) - 1; i >= 0; i-- {
-		if r.attrs[i].Key == key {
-			return r.attrs[i].Value, true
-		}
-	}
-	return "", false
 }
 
 // storedBytes returns the chunk's bytes as the stream holds them: a view
@@ -631,16 +617,6 @@ func (r *Reader) ReadChunk(i int) ([]byte, error) {
 		return nil, fmt.Errorf("dsf: chunk %d decoded to %d bytes, toc says %d", i, len(data), e.RawSize)
 	}
 	return data, nil
-}
-
-// Find returns the index of the chunk with the given tuple, or -1.
-func (r *Reader) Find(name string, iteration int64, source int) int {
-	for i := range r.chunks {
-		if m := &r.chunks[i]; m.Name == name && m.Iteration == iteration && m.Source == source {
-			return i
-		}
-	}
-	return -1
 }
 
 // Verify reads every chunk, checking checksums and decodability.

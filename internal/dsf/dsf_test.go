@@ -2,7 +2,9 @@ package dsf
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -40,8 +42,8 @@ func TestWriteReadRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if w.StoredBytes() <= 0 {
-		t.Error("StoredBytes should be positive")
+	if payloadBytes(w) <= 0 {
+		t.Error("stored bytes should be positive")
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -82,26 +84,6 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	}
 	if err := r.Verify(); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestFind(t *testing.T) {
-	path := tmpfile(t)
-	w, _ := Create(path)
-	lay := layout.MustNew(layout.Byte, 4)
-	_ = w.WriteChunk(ChunkMeta{Name: "u", Iteration: 1, Source: 0, Layout: lay}, []byte("aaaa"))
-	_ = w.WriteChunk(ChunkMeta{Name: "v", Iteration: 1, Source: 2, Layout: lay}, []byte("bbbb"))
-	_ = w.Close()
-	r, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if i := r.Find("v", 1, 2); i != 1 {
-		t.Errorf("Find = %d", i)
-	}
-	if i := r.Find("v", 1, 3); i != -1 {
-		t.Errorf("Find missing = %d", i)
 	}
 }
 
@@ -220,9 +202,13 @@ func TestEmptyFileRoundTrip(t *testing.T) {
 	}
 }
 
-// StoredBytes and the TOC offsets must stay exact now that chunk, TOC and
-// footer writes coalesce in a bufio layer: the counter tracks logical bytes,
-// not flushed ones.
+// payloadBytes is the payload written so far (header and TOC excluded), from
+// the offset the writer records each chunk at.
+func payloadBytes(w *Writer) int64 { return w.offset - int64(len(headMagic)) }
+
+// The stored-byte count and the TOC offsets must stay exact now that chunk,
+// TOC and footer writes coalesce in a bufio layer: the offset tracks logical
+// bytes, not flushed ones.
 func TestStoredBytesWithBufferedWrites(t *testing.T) {
 	path := tmpfile(t)
 	w, err := Create(path)
@@ -231,7 +217,7 @@ func TestStoredBytesWithBufferedWrites(t *testing.T) {
 	}
 	lay := layout.MustNew(layout.Byte, 100)
 	// Many small chunks: all of them fit inside the write buffer, so
-	// nothing has hit the file when StoredBytes is read.
+	// nothing has hit the file when the offset is read.
 	const chunks = 20
 	for i := 0; i < chunks; i++ {
 		data := bytes.Repeat([]byte{byte(i)}, 100)
@@ -239,8 +225,8 @@ func TestStoredBytesWithBufferedWrites(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := w.StoredBytes(); got != chunks*100 {
-		t.Errorf("StoredBytes = %d before Close, want %d", got, chunks*100)
+	if got := payloadBytes(w); got != chunks*100 {
+		t.Errorf("stored bytes = %d before Close, want %d", got, chunks*100)
 	}
 	if st, err := os.Stat(path); err != nil || st.Size() >= chunks*100 {
 		t.Errorf("expected writes to be buffered, file is %v bytes (err %v)", st.Size(), err)
@@ -248,8 +234,8 @@ func TestStoredBytesWithBufferedWrites(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := w.StoredBytes(); got != chunks*100 {
-		t.Errorf("StoredBytes = %d after Close, want %d (TOC/footer must not count)", got, chunks*100)
+	if got := payloadBytes(w); got != chunks*100 {
+		t.Errorf("stored bytes = %d after Close, want %d (TOC/footer must not count)", got, chunks*100)
 	}
 	r, err := Open(path)
 	if err != nil {
@@ -311,7 +297,10 @@ func TestQuickChunkRoundTrip(t *testing.T) {
 		for i := range xs {
 			xs[i] = r2.NormFloat64()
 		}
-		data := mpi.Float64sToBytes(xs)
+		var data []byte
+		for _, x := range xs {
+			data = binary.LittleEndian.AppendUint64(data, math.Float64bits(x))
+		}
 		path := filepath.Join(os.TempDir(), "dsfquick", "q.dsf")
 		_ = os.MkdirAll(filepath.Dir(path), 0o755)
 		w, err := Create(path)
@@ -392,17 +381,14 @@ func TestAccessorAliasing(t *testing.T) {
 	if _, ok := r.Attributes()["extra"]; ok {
 		t.Fatal("attribute map insertion leaked into reader state")
 	}
-	if v, ok := r.Attribute("unit"); !ok || v != "K" {
-		t.Fatalf("Attribute(unit) = %q, %v", v, ok)
-	}
 	if m, err := r.Chunk(0); err != nil || m.Name != "theta" {
 		t.Fatalf("Chunk(0) = %+v, %v", m, err)
 	}
 	if _, err := r.Chunk(1); err == nil {
 		t.Fatal("Chunk(1) out of range should error")
 	}
-	if r.Find("theta", 3, 7) != 0 {
-		t.Fatal("Find no longer locates the chunk after accessor mutation")
+	if m := r.Chunks()[0]; m.Name != "theta" || m.Iteration != 3 || m.Source != 7 {
+		t.Fatalf("chunk tuple changed after accessor mutation: %+v", m)
 	}
 }
 

@@ -149,8 +149,8 @@ func TestWriteChunksValidation(t *testing.T) {
 	if err := w.WriteChunks(bad, datas, nil); err == nil {
 		t.Error("invalid chunk in batch should fail")
 	}
-	if w.StoredBytes() != 0 {
-		t.Errorf("failed batch wrote %d bytes; validation must reject before streaming", w.StoredBytes())
+	if payloadBytes(w) != 0 {
+		t.Errorf("failed batch wrote %d bytes; validation must reject before streaming", payloadBytes(w))
 	}
 	bad = append([]ChunkMeta(nil), metas...)
 	bad[1].Codec = Codec(42)
@@ -256,7 +256,7 @@ func TestWriterGzipLevel(t *testing.T) {
 		if err := w.WriteChunk(metas[0], datas[0]); err != nil {
 			t.Fatal(err)
 		}
-		stored := w.StoredBytes()
+		stored := payloadBytes(w)
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}

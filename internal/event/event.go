@@ -274,17 +274,6 @@ type sigKey struct {
 	it   int64
 }
 
-// NewEngine builds an EPE for a dedicated core serving `clients` compute
-// cores. serverID and node describe the dedicated core; outputDir is where
-// persistency actions write.
-func NewEngine(cfg *config.Config, reg *plugin.Registry, store *metadata.Store,
-	clients, serverID, node int, outputDir string) (*Engine, error) {
-	if clients <= 0 {
-		return nil, fmt.Errorf("event: engine needs at least one client, got %d", clients)
-	}
-	return NewShardEngine(cfg, reg, store, NewTally(clients), serverID, node, outputDir)
-}
-
 // NewShardEngine builds one shard's EPE sharing a node-wide tally with its
 // sibling engines. All engines of one dedicated core must share both the
 // tally and the metadata store.

@@ -31,7 +31,7 @@ func testConfig(t *testing.T) *config.Config {
 
 func newEngine(t *testing.T, clients int, reg *plugin.Registry) *Engine {
 	t.Helper()
-	e, err := NewEngine(testConfig(t), reg, metadata.NewStore(), clients, 99, 3, t.TempDir())
+	e, err := NewShardEngine(testConfig(t), reg, metadata.NewSharded(1), NewTally(clients), 99, 3, t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,13 +136,13 @@ func TestQueueConcurrentProducers(t *testing.T) {
 
 func TestEngineValidation(t *testing.T) {
 	cfg := testConfig(t)
-	if _, err := NewEngine(nil, nil, metadata.NewStore(), 1, 0, 0, ""); err == nil {
+	if _, err := NewShardEngine(nil, nil, metadata.NewSharded(1), NewTally(1), 0, 0, ""); err == nil {
 		t.Error("nil config must fail")
 	}
-	if _, err := NewEngine(cfg, nil, nil, 1, 0, 0, ""); err == nil {
+	if _, err := NewShardEngine(cfg, nil, nil, NewTally(1), 0, 0, ""); err == nil {
 		t.Error("nil store must fail")
 	}
-	if _, err := NewEngine(cfg, nil, metadata.NewStore(), 0, 0, 0, ""); err == nil {
+	if _, err := NewShardEngine(cfg, nil, metadata.NewSharded(1), NewTally(0), 0, 0, ""); err == nil {
 		t.Error("zero clients must fail")
 	}
 }

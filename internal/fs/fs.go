@@ -122,9 +122,6 @@ func New(eng *sim.Engine, cfg Config, rng *rand.Rand) (*System, error) {
 	return s, nil
 }
 
-// Config returns the model parameters.
-func (s *System) Config() Config { return s.cfg }
-
 // SetLoadFactors scales metadata (meta) and lock-negotiation (lock) service
 // times, both clamped to ≥ 1, modeling cross-application pressure on the
 // shared servers (§II-A cause 4). The two differ deliberately: a create is
@@ -220,15 +217,6 @@ func (s *System) WriteStream(bytes float64, stripes int, streamCap float64, done
 func (s *System) Stats() (creates, opens, locks int64) {
 	return s.creates, s.opens, s.locks
 }
-
-// PoolBytesMoved returns total bytes delivered to storage (inflation from
-// narrow striping excluded — this reports logical bytes only when all
-// writes used full width; callers needing exact logical totals should track
-// them at the strategy layer).
-func (s *System) PoolBytesMoved() float64 { return s.pool.BytesMoved() }
-
-// ActiveStreams returns the number of in-flight writes.
-func (s *System) ActiveStreams() int { return s.pool.Active() }
 
 // Lustre returns the Kraken-like configuration: a single metadata server,
 // hundreds of OSTs, byte-range locking, small default stripe count.

@@ -289,10 +289,6 @@ func New(cfg Config) (*Gateway, error) {
 	return g, nil
 }
 
-// Obs returns the gateway's telemetry plane (the configured one, or the
-// private plane New built).
-func (g *Gateway) Obs() *obs.Plane { return g.obs }
-
 // tocEntry is one cached decoded object. ready gates waiters while the
 // first request builds the entry; err entries are evicted immediately so
 // the next request retries.
@@ -480,18 +476,6 @@ func (g *Gateway) rangeSegments(object string, off, length int64) ([][]byte, err
 	}
 	g.addServed(length)
 	return segs, nil
-}
-
-// ReadRange returns length raw bytes of the object's DSF stream starting at
-// offset, fanning the covered parts across the fetch pool. The result is
-// read-only: a range inside one part is a view of the cached part, shared
-// with every other reader of it.
-func (g *Gateway) ReadRange(object string, off, length int64) ([]byte, error) {
-	segs, err := g.rangeSegments(object, off, length)
-	if err != nil {
-		return nil, err
-	}
-	return join(segs), nil
 }
 
 // ReadChunk returns the decoded payload and metadata of chunk index i. The
@@ -871,16 +855,4 @@ func segsLen(segs [][]byte) (n int) {
 		n += len(s)
 	}
 	return n
-}
-
-// join returns the one segment as it is and assembles several.
-func join(segs [][]byte) []byte {
-	if len(segs) == 1 {
-		return segs[0]
-	}
-	buf := make([]byte, 0, segsLen(segs))
-	for _, s := range segs {
-		buf = append(buf, s...)
-	}
-	return buf
 }

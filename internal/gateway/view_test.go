@@ -163,7 +163,7 @@ func TestHeldViewsSurviveEviction(t *testing.T) {
 				part := rng.Int63n(int64(len(ref)) / partSize)
 				lo := rng.Int63n(partSize - 1)
 				off, length := part*partSize+lo, rng.Int63n(partSize-lo)+1
-				view, err := g.ReadRange("evict.dsf", off, length)
+				view, err := g.readRange("evict.dsf", off, length)
 				if err != nil {
 					errs <- fmt.Errorf("ReadRange(%d,%d): %w", off, length, err)
 					return
@@ -539,7 +539,7 @@ func TestColdChunkReadMovesOnlyItsRange(t *testing.T) {
 	}
 
 	// Part 1 cached whole contains every chunk inside it.
-	if _, err := g.ReadRange("chunked.dsf", m.Parts[0].Size, m.Parts[1].Size); err != nil {
+	if _, err := g.readRange("chunked.dsf", m.Parts[0].Size, m.Parts[1].Size); err != nil {
 		t.Fatal(err)
 	}
 	whole := g.Stats()
@@ -715,7 +715,7 @@ func TestConcurrentColdStraddleReadsFillOnce(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			if got, err := g.ReadRange("chunked.dsf", 0, both); err != nil || !bytes.Equal(got, serial[:both]) {
+			if got, err := g.readRange("chunked.dsf", 0, both); err != nil || !bytes.Equal(got, serial[:both]) {
 				errs <- fmt.Errorf("round %d: ReadRange over parts 0/1: %v, or bytes differ", round, err)
 			}
 		}()
@@ -746,7 +746,7 @@ func TestConcurrentWholeAndRangeFetchesAgree(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				<-start
-				got, err := g.ReadRange("chunked.dsf", r[0], r[1])
+				got, err := g.readRange("chunked.dsf", r[0], r[1])
 				if err != nil || !bytes.Equal(got, ref[r[0]:r[0]+r[1]]) {
 					errs <- fmt.Errorf("round %d: ReadRange(%d,%d): %v, or bytes differ", round, r[0], r[1], err)
 				}
@@ -792,7 +792,7 @@ func FuzzReadRange(f *testing.F) {
 		}
 		for _, r := range [][2]int64{{off1, len1}, {off2, len2}} {
 			off, length := r[0], r[1]
-			got, err := g.ReadRange("fuzz.dsf", off, length)
+			got, err := g.readRange("fuzz.dsf", off, length)
 			if off < 0 || length < 0 || off > size {
 				if err == nil {
 					t.Fatalf("ReadRange(%d,%d) on %d bytes returned %d bytes, want an error", off, length, size, len(got))

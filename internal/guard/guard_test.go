@@ -1,0 +1,459 @@
+// Package guard holds the repository's structural rules as one test, so
+// `go test ./...` enforces them: every exported function in internal/ has a
+// non-test caller, no deleted design creeps back, the line budgets hold, and
+// damaris-run declares at most maxRunFlags flags by hand. It has no non-test
+// files and imports only the standard library.
+package guard
+
+import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"go/ast"
+	"go/importer"
+	"go/parser"
+	"go/token"
+	"go/types"
+	"io"
+	"io/fs"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"regexp"
+	"slices"
+	"strings"
+	"testing"
+)
+
+// allow names the exported internal/ functions and methods kept without a
+// non-test caller, as "pkg.Func" or "pkg.Type.Method" with pkg relative to
+// the module, each with its reason. An entry whose function gained a caller,
+// or no longer exists, fails the check.
+var allow = map[string]string{
+	"internal/core.Client.Alloc":            "the paper's zero-copy client call (§III-A): reserve in shared memory, fill in place, Commit",
+	"internal/core.Client.WriteDynamic":     "the paper's dynamic-layout write, a layout chosen per call instead of the declared one",
+	"internal/core.Server.HandleErrors":     "the only place Run's per-event errors (undeclared variable, failing action) are reported",
+	"internal/obs.Registry.CheckExposition": "tests of other packages check through it that their families collide with no other",
+	"internal/shm.Block.Released":           "tests of other packages assert through it that no chunk is released before it is durable",
+	"internal/shm.Segment.FreeBytes":        "shared-buffer counter tests of other packages read",
+	"internal/shm.Segment.Reserves":         "shared-buffer counter tests of other packages read",
+	"internal/shm.Segment.Releases":         "shared-buffer counter tests of other packages read",
+	"internal/store.Brownout":               "fault vocabulary tests compose into store.Options.Fault",
+	"internal/store.Chain":                  "fault vocabulary tests compose into store.Options.Fault",
+	"internal/store.FailNth":                "fault vocabulary tests compose into store.Options.Fault",
+	"internal/store.FailTimes":              "fault vocabulary tests compose into store.Options.Fault",
+	"internal/store.Latency":                "fault vocabulary tests compose into store.Options.Fault",
+	"internal/store.opError.Unwrap":         "errors.Is and errors.As call it through an interface no scanned code names",
+	"internal/transform.DecompressGzip":     "the reference decoder the plane encoder's tests compare against",
+}
+
+// forbidden is one row per deleted design: a line matching pattern in a file
+// whose module-relative path matches in, and not except, fails the tree.
+// An empty pattern forbids the file itself. plant is a file and a line the
+// row must reject; the self-test writes it into a fixture.
+var forbidden = []struct {
+	in, except, pattern string
+	tests               bool // also search _test.go files
+	reason              string
+	plant               [2]string
+}{
+	{in: `^BENCH_[^/]*\.json$`,
+		reason: "there is one harness, go run ./bench, its results under bench/results/; a root-level report means a second one is creeping back",
+		plant:  [2]string{"BENCH_paced.json", "{}"}},
+	{in: `\.go$`, pattern: `StealPop|trySteal|ShardSteal|shards-steal`, tests: true,
+		reason: "work stealing between shard loops was measured and deleted (docs/sharding.md, \"Why there is no work stealing\"); each client's events are applied by exactly one loop",
+		plant:  [2]string{"internal/event/queue.go", "func (q *Queue) StealPop() {}"}},
+	{in: `^internal/core/[^/]*\.go$`, pattern: `pipe (==|!=) nil|syncFails`,
+		reason: "the persistence pipeline always exists (workers=\"0\" is its inline executor); a nil check means the sync-baseline twin is creeping back",
+		plant:  [2]string{"internal/core/server.go", "if s.pipe == nil {"}},
+	{in: `^cmd/damaris-run/main\.go$`, pattern: `func report(Pipeline|Shards|Spill|Control|Store|Aggregate|Encode)`,
+		reason: "damaris-run's report is the registry; a hand-formatted report printer is creeping back",
+		plant:  [2]string{"cmd/damaris-run/main.go", "func reportPipeline() {}"}},
+	{in: `^internal/metadata/[^/]*\.go$`, pattern: `byName`, tests: true,
+		reason: "the metadata catalog is indexed by iteration only; the per-variable index had no reader outside tests and cost a map insert per write",
+		plant:  [2]string{"internal/metadata/store.go", "byName map[string]int"}},
+	{in: `\.go$`, pattern: `control\.(New|Tuner|Sample)|ControlMode|ShardBudget|setWindow|\) Resize\(`,
+		reason: "the adaptive control plane was measured and deleted (docs/dsf.md, \"Why the pipeline's sizes are static\"); pools and the flow window are sized once",
+		plant:  [2]string{"internal/core/pool.go", "func (p *pool) Resize(n int) {}"}},
+	{in: `\.go$`, pattern: `RunReceiver|Forwarder|LocalForward|StageForward|StageFanAck|AggregateGlobal|AggregateForwarded|SendBytes|RecvBytes`,
+		reason: "the cross-node aggregation tier was measured and deleted (docs/aggregate.md, \"Why there is no cross-node tier\"); each node merges and writes independently, as in the paper",
+		plant:  [2]string{"internal/mpi/mpi.go", "func (c *Comm) SendBytes(b []byte) {}"}},
+	{in: `^internal/config/knobs\.go$`, pattern: `"node"`, tests: true,
+		reason: "<aggregate mode=\"node\"> went with the cross-node tier",
+		plant:  [2]string{"internal/config/knobs.go", `modes := []string{"off", "core", "node"}`}},
+	{in: `^internal/store/[^/]*\.go$`, except: `^internal/store/(tree|store)\.go$`, pattern: `os\.Rename\(|writeFileSync\(|filepath\.WalkDir\(`,
+		reason: "both store backends sit on one directory protocol (docs/store.md, \"One directory protocol\"): tree.walk is the only walker and store.go only defines writeFileSync",
+		plant:  [2]string{"internal/store/objstore.go", "os.Rename(tmp, dst)"}},
+	{in: `^internal/store/[^/]*\.go$`, except: `^internal/store/tree\.go$`, pattern: `syscall\.Rename\(`,
+		reason: "tree.publish is the store's only rename, a syscall.Rename tried before any MkdirAll (docs/store.md)",
+		plant:  [2]string{"internal/store/filestore.go", "syscall.Rename(tmp, dst)"}},
+	{in: `^internal/store/[^/]*\.go$`, pattern: `func (Register|Schemes)\(|OpenFunc`, tests: true,
+		reason: "a backend is picked by a two-case switch on the URL's scheme; a scheme registry is creeping back",
+		plant:  [2]string{"internal/store/open.go", "func Register(scheme string) {}"}},
+	{in: `\.go$`, pattern: `"encoding/gob"`,
+		reason: "the DSF TOC is gob's wire form written by internal/dsf's own codec (docs/dsf.md); encoding/gob is only the reference its tests compare against",
+		plant:  [2]string{"internal/dsf/toc.go", `import "encoding/gob"`}},
+}
+
+// caps are line budgets in non-test Go lines (newlines, as wc -l counts
+// them) over every file under dirs; they only ever go down.
+var caps = []struct {
+	dirs   []string
+	max    int
+	reason string
+}{
+	{[]string{"internal/core", "internal/event", "internal/metadata", "internal/config", "cmd"}, 5029,
+		"ROADMAP item 3's budget for the dedicated core's composition path (5,170 before the dead exports went); 5,000 is the target"},
+	{[]string{"internal/aggregate"}, 650,
+		"the aggregation layer's budget (956 before the cross-node tier was deleted): one tier, one sink"},
+	{[]string{"internal/store"}, 2323,
+		"the store seam's budget (2,535 before the directory protocol was written once); raised from 2,250 by the allocation-lean put and commit path"},
+}
+
+// runFlags is the package whose hand-declared flags are counted. Its knob
+// flags come from the table in internal/config (config.BindFlags); only
+// maxRunFlags run-only flags are declared by hand, and one more means a knob
+// flag was added outside the table.
+const (
+	runFlags    = "cmd/damaris-run"
+	maxRunFlags = 11
+)
+
+// flagDecls are the flag package's functions, and *flag.FlagSet's methods,
+// that declare a flag.
+var flagDecls = []string{
+	"Bool", "BoolVar", "BoolFunc", "Duration", "DurationVar", "Float64", "Float64Var",
+	"Func", "Int", "IntVar", "Int64", "Int64Var", "String", "StringVar", "TextVar",
+	"Uint", "UintVar", "Uint64", "Uint64Var", "Var",
+}
+
+func TestTree(t *testing.T) {
+	root, err := filepath.Abs("../..")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range check(t, root, allow) {
+		t.Error(v)
+	}
+}
+
+// check runs every rule against the module at root.
+func check(t *testing.T, root string, allow map[string]string) []string {
+	t.Helper()
+	mod := load(t, root)
+	return slices.Concat(deadExports(mod, allow), handFlags(mod), forbiddenMatches(t, root), overCaps(t, root))
+}
+
+// module is every package of a module type-checked from its non-test files.
+type module struct {
+	path string
+	pkgs []*pkg
+}
+
+type pkg struct {
+	rel   string // import path relative to the module
+	files []*ast.File
+	info  *types.Info
+}
+
+// load type-checks every package `go list ./...` names under root. Imports
+// come from the compiler's export data, so a package is checked against what
+// its dependencies compile to, not their source.
+func load(t *testing.T, root string) *module {
+	t.Helper()
+	cmd := exec.Command("go", "list", "-e", "-export", "-deps",
+		"-json=ImportPath,Dir,GoFiles,Export,DepOnly,Module,Error", "./...")
+	cmd.Dir = root
+	cmd.Env = append(os.Environ(), "GOWORK=off", "GOPROXY=off", "GOTOOLCHAIN=local")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("go list: %v\n%s", err, stderr.Bytes())
+	}
+	type listed struct {
+		ImportPath, Dir, Export string
+		GoFiles                 []string
+		DepOnly                 bool
+		Module                  *struct{ Path string }
+		Error                   *struct{ Err string }
+	}
+	exports := map[string]string{}
+	var own []listed
+	mod := &module{}
+	for dec := json.NewDecoder(bytes.NewReader(out)); ; {
+		var p listed
+		if err := dec.Decode(&p); errors.Is(err, io.EOF) {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		exports[p.ImportPath] = p.Export
+		if p.DepOnly || len(p.GoFiles) == 0 {
+			continue
+		}
+		if p.Error != nil {
+			t.Fatalf("%s: %s", p.ImportPath, p.Error.Err)
+		}
+		mod.path = p.Module.Path
+		own = append(own, p)
+	}
+	fset := token.NewFileSet()
+	conf := types.Config{Importer: importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		if exports[path] == "" {
+			return nil, fmt.Errorf("no export data for %s", path)
+		}
+		return os.Open(exports[path])
+	})}
+	for _, p := range own {
+		q := &pkg{rel: strings.TrimPrefix(strings.TrimPrefix(p.ImportPath, mod.path), "/"), info: &types.Info{
+			Types: map[ast.Expr]types.TypeAndValue{},
+			Defs:  map[*ast.Ident]types.Object{},
+			Uses:  map[*ast.Ident]types.Object{},
+		}}
+		for _, name := range p.GoFiles {
+			f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			q.files = append(q.files, f)
+		}
+		if _, err := conf.Check(p.ImportPath, fset, q.files, q.info); err != nil {
+			t.Fatalf("type-check %s: %v", p.ImportPath, err)
+		}
+		mod.pkgs = append(mod.pkgs, q)
+	}
+	return mod
+}
+
+// deadExports reports every exported function and method declared in
+// internal/ that no non-test code uses, unless allow names it, and every
+// allow entry that names a function which is used or does not exist.
+//
+// Objects are keyed by package, receiver type and name: a package checked
+// from source and the same package imported from export data are distinct
+// objects. A method counts as used when a method of its name is declared on,
+// or called through, any interface the scan sees, since a call through an
+// interface names no concrete method.
+func deadExports(mod *module, allow map[string]string) []string {
+	declared := map[string]*types.Func{}
+	used := map[string]bool{}
+	viaIface := map[string]bool{}
+	addIface := func(t types.Type) {
+		add := func(t types.Type) {
+			if it, ok := t.Underlying().(*types.Interface); ok {
+				for i := range it.NumMethods() {
+					viaIface[it.Method(i).Name()] = true
+				}
+			}
+		}
+		add(t)
+		// sort.Sort(x) converts x to a parameter no expression here is typed as.
+		if sig, ok := t.Underlying().(*types.Signature); ok {
+			for v := range sig.Params().Variables() {
+				add(v.Type())
+			}
+		}
+	}
+	for _, p := range mod.pkgs {
+		for _, obj := range p.info.Uses {
+			if fn, ok := obj.(*types.Func); ok && fn.Pkg() != nil {
+				used[funcKey(mod.path, fn)] = true
+				if recv := fn.Signature().Recv(); recv != nil {
+					addIface(recv.Type())
+				}
+			}
+			if obj.Type() != nil {
+				addIface(obj.Type())
+			}
+		}
+		for _, obj := range p.info.Defs {
+			if obj != nil && obj.Type() != nil {
+				addIface(obj.Type())
+			}
+		}
+		for _, tv := range p.info.Types {
+			if tv.Type != nil {
+				addIface(tv.Type)
+			}
+		}
+		if !strings.HasPrefix(p.rel, "internal/") {
+			continue
+		}
+		for _, f := range p.files {
+			for _, d := range f.Decls {
+				if fd, ok := d.(*ast.FuncDecl); ok && fd.Name.IsExported() {
+					fn := p.info.Defs[fd.Name].(*types.Func)
+					declared[funcKey(mod.path, fn)] = fn
+				}
+			}
+		}
+	}
+	live := func(k string) bool {
+		fn := declared[k]
+		return used[k] || fn.Signature().Recv() != nil && viaIface[fn.Name()]
+	}
+	var out []string
+	for k := range declared {
+		if !live(k) && allow[k] == "" {
+			out = append(out, fmt.Sprintf("dead export: %s has no non-test caller; delete it or name it in allow with a reason", k))
+		}
+	}
+	for k := range allow {
+		if declared[k] == nil {
+			out = append(out, fmt.Sprintf("allow-list: %s does not exist; drop the entry", k))
+		} else if live(k) {
+			out = append(out, fmt.Sprintf("allow-list: %s now has a caller; drop the entry", k))
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
+// funcKey is "pkg.Func" or "pkg.Type.Method", pkg relative to the module.
+func funcKey(modPath string, fn *types.Func) string {
+	fn = fn.Origin()
+	k := strings.TrimPrefix(strings.TrimPrefix(fn.Pkg().Path(), modPath), "/")
+	if recv := fn.Signature().Recv(); recv != nil {
+		t := recv.Type()
+		if p, ok := t.(*types.Pointer); ok {
+			t = p.Elem()
+		}
+		if n, ok := t.(*types.Named); ok {
+			k += "." + n.Obj().Name()
+		}
+	}
+	return k + "." + fn.Name()
+}
+
+// handFlags reports runFlags declaring more than maxRunFlags flags itself:
+// calls of the flag package's declaring functions or *flag.FlagSet's
+// declaring methods. config.BindFlags, which declares the knob flags from
+// the table, is not such a call.
+func handFlags(mod *module) []string {
+	n := 0
+	for _, p := range mod.pkgs {
+		if p.rel != runFlags {
+			continue
+		}
+		for _, f := range p.files {
+			ast.Inspect(f, func(node ast.Node) bool {
+				if call, ok := node.(*ast.CallExpr); ok {
+					if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
+						fn, ok := p.info.Uses[sel.Sel].(*types.Func)
+						if ok && fn.Pkg() != nil && fn.Pkg().Path() == "flag" && slices.Contains(flagDecls, fn.Name()) {
+							n++
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	if n > maxRunFlags {
+		return []string{fmt.Sprintf("%s declares %d flags by hand, more than %d: declare a knob flag in internal/config's table", runFlags, n, maxRunFlags)}
+	}
+	return nil
+}
+
+// forbiddenMatches walks root, skipping hidden directories and this package
+// (whose table spells every pattern), and reports each forbidden match.
+func forbiddenMatches(t *testing.T, root string) []string {
+	t.Helper()
+	compile := func(expr string) *regexp.Regexp {
+		if expr == "" {
+			return nil
+		}
+		return regexp.MustCompile(expr)
+	}
+	type rule struct{ in, except, pattern *regexp.Regexp }
+	rules := make([]rule, len(forbidden))
+	for i, row := range forbidden {
+		rules[i] = rule{compile(row.in), compile(row.except), compile(row.pattern)}
+	}
+	var out []string
+	err := walk(root, func(rel string, path string) error {
+		var lines []string
+		for i, row := range forbidden {
+			r := rules[i]
+			if !r.in.MatchString(rel) || r.except != nil && r.except.MatchString(rel) ||
+				!row.tests && strings.HasSuffix(rel, "_test.go") {
+				continue
+			}
+			if r.pattern == nil {
+				out = append(out, fmt.Sprintf("%s: forbidden file: %s", rel, row.reason))
+				continue
+			}
+			if lines == nil {
+				b, err := os.ReadFile(path)
+				if err != nil {
+					return err
+				}
+				lines = strings.Split(string(b), "\n")
+			}
+			for n, line := range lines {
+				if r.pattern.MatchString(line) {
+					out = append(out, fmt.Sprintf("%s:%d: matches %q: %s", rel, n+1, row.pattern, row.reason))
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// overCaps reports each line budget its directories exceed; a directory
+// that does not exist holds no lines.
+func overCaps(t *testing.T, root string) []string {
+	t.Helper()
+	var out []string
+	for _, c := range caps {
+		n := 0
+		for _, dir := range c.dirs {
+			err := walk(filepath.Join(root, dir), func(rel, path string) error {
+				if !strings.HasSuffix(rel, ".go") || strings.HasSuffix(rel, "_test.go") {
+					return nil
+				}
+				b, err := os.ReadFile(path)
+				n += bytes.Count(b, []byte("\n"))
+				return err
+			})
+			if err != nil && !errors.Is(err, fs.ErrNotExist) {
+				t.Fatal(err)
+			}
+		}
+		if n > c.max {
+			out = append(out, fmt.Sprintf("%s: %d non-test lines, over the cap of %d: %s", strings.Join(c.dirs, "+"), n, c.max, c.reason))
+		}
+	}
+	return out
+}
+
+// walk calls fn for every regular file under dir with its slash-separated
+// path relative to dir, skipping hidden directories and internal/guard.
+func walk(dir string, fn func(rel, path string) error) error {
+	return filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(dir, path)
+		if err != nil {
+			return err
+		}
+		rel = filepath.ToSlash(rel)
+		if d.IsDir() {
+			if rel != "." && (strings.HasPrefix(d.Name(), ".") || rel == "internal/guard") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !d.Type().IsRegular() {
+			return nil
+		}
+		return fn(rel, path)
+	})
+}

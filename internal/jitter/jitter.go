@@ -36,23 +36,6 @@ func Pareto(rng *rand.Rand, xm, alpha float64) float64 {
 	return xm / math.Pow(u, 1/alpha)
 }
 
-// OSNoise is per-operation multiplicative noise applied to compute or
-// service durations.
-type OSNoise struct {
-	rng   *rand.Rand
-	sigma float64
-}
-
-// NewOSNoise builds an OS-noise source.
-func NewOSNoise(rng *rand.Rand, sigma float64) *OSNoise {
-	return &OSNoise{rng: rng, sigma: sigma}
-}
-
-// Perturb scales a nominal duration by one noise draw.
-func (o *OSNoise) Perturb(d float64) float64 {
-	return d * Lognormal(o.rng, o.sigma)
-}
-
 // Interference models cross-application file-system contention: most of the
 // time the system is quiet, but with probability BurstProb an I/O phase
 // collides with another job's burst, and the available bandwidth drops by a
@@ -98,10 +81,4 @@ func (i *Interference) AvailableFraction() float64 {
 		load = 0.97
 	}
 	return 1 - load
-}
-
-// Quiet returns an interference source that always reports full bandwidth,
-// for experiments isolating internal contention.
-func Quiet() *Interference {
-	return &Interference{rng: rand.New(rand.NewSource(1)), BurstProb: 0, BaseLoad: 0, BurstAlpha: 1}
 }

@@ -125,14 +125,8 @@ func MustNew(t Type, extents ...int64) Layout {
 // Type returns the element type.
 func (l Layout) Type() Type { return l.typ }
 
-// Dims returns the number of dimensions.
-func (l Layout) Dims() int { return len(l.extents) }
-
 // Extents returns a copy of the extents.
 func (l Layout) Extents() []int64 { return append([]int64(nil), l.extents...) }
-
-// Extent returns the extent of dimension i.
-func (l Layout) Extent(i int) int64 { return l.extents[i] }
 
 // Elems returns the total number of elements.
 func (l Layout) Elems() int64 {
@@ -275,17 +269,4 @@ func (b Block) Elems() int64 {
 		n *= c
 	}
 	return n
-}
-
-// Overlaps reports whether two blocks of the same rank intersect.
-func (b Block) Overlaps(o Block) bool {
-	if len(b.Start) != len(o.Start) || !b.Valid() || !o.Valid() {
-		return false
-	}
-	for i := range b.Start {
-		if b.Start[i]+b.Count[i] <= o.Start[i] || o.Start[i]+o.Count[i] <= b.Start[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -53,8 +53,8 @@ func TestNewValidation(t *testing.T) {
 
 func TestLayoutAccessors(t *testing.T) {
 	l := MustNew(Float32, 64, 16, 2)
-	if l.Dims() != 3 {
-		t.Errorf("Dims = %d", l.Dims())
+	if len(l.Extents()) != 3 {
+		t.Errorf("Extents = %v", l.Extents())
 	}
 	if l.Elems() != 64*16*2 {
 		t.Errorf("Elems = %d", l.Elems())
@@ -62,15 +62,15 @@ func TestLayoutAccessors(t *testing.T) {
 	if l.Bytes() != 64*16*2*4 {
 		t.Errorf("Bytes = %d", l.Bytes())
 	}
-	if l.Extent(1) != 16 {
-		t.Errorf("Extent(1) = %d", l.Extent(1))
+	if l.Extents()[1] != 16 {
+		t.Errorf("Extents()[1] = %d", l.Extents()[1])
 	}
 	if l.String() != "real[64,16,2]" {
 		t.Errorf("String = %q", l.String())
 	}
 	ext := l.Extents()
 	ext[0] = 999
-	if l.Extent(0) != 64 {
+	if l.Extents()[0] != 64 {
 		t.Error("Extents must return a copy")
 	}
 }
@@ -210,44 +210,5 @@ func TestBlockValidity(t *testing.T) {
 	}
 	if bads[0].Elems() != 0 {
 		t.Error("invalid block must have 0 elems")
-	}
-}
-
-func TestBlockOverlaps(t *testing.T) {
-	a := Block{Start: []int64{0, 0}, Count: []int64{4, 4}}
-	b := Block{Start: []int64{3, 3}, Count: []int64{4, 4}}
-	c := Block{Start: []int64{4, 0}, Count: []int64{4, 4}}
-	if !a.Overlaps(b) || !b.Overlaps(a) {
-		t.Error("a and b should overlap")
-	}
-	if a.Overlaps(c) {
-		t.Error("a and c touch but do not overlap")
-	}
-	d := Block{Start: []int64{0}, Count: []int64{4}}
-	if a.Overlaps(d) {
-		t.Error("rank mismatch must not overlap")
-	}
-}
-
-// Property: 1-D domain decomposition into disjoint blocks never overlaps.
-func TestQuickDisjointBlocks(t *testing.T) {
-	f := func(n uint8, w uint8) bool {
-		parts := int(n%8) + 1
-		width := int64(w%32) + 1
-		blocks := make([]Block, parts)
-		for i := range blocks {
-			blocks[i] = Block{Start: []int64{int64(i) * width}, Count: []int64{width}}
-		}
-		for i := range blocks {
-			for j := i + 1; j < len(blocks); j++ {
-				if blocks[i].Overlaps(blocks[j]) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }

@@ -93,7 +93,7 @@ func (e *Entry) check() error {
 }
 
 // storeShard is one lock domain of the catalog, indexed by iteration (the
-// flush path: TakeIteration, TotalBytes, Iteration), so no query walks
+// flush path: TakeIteration, Iteration), so no query walks
 // unrelated entries.
 type storeShard struct {
 	mu     sync.RWMutex
@@ -115,9 +115,6 @@ type Store struct {
 	takenMu sync.Mutex
 	taken   [][]*Entry // slices handed back through Recycle, for TakeIteration to fill
 }
-
-// NewStore creates an empty single-shard catalog.
-func NewStore() *Store { return NewSharded(1) }
 
 // NewSharded creates an empty catalog spread over n lock shards; n is
 // rounded up to the next power of two (minimum 1).
@@ -284,15 +281,6 @@ func (s *Store) Iterations() []int64 {
 	return slices.Compact(out)
 }
 
-// TotalBytes sums the payload sizes of all entries of one iteration.
-func (s *Store) TotalBytes(it int64) int64 {
-	var total int64
-	for _, e := range s.gather(it, nil, false) {
-		total += e.Size()
-	}
-	return total
-}
-
 // TakeIteration removes and returns all entries of an iteration WITHOUT
 // releasing their shared-memory blocks: ownership transfers to the caller,
 // which must call Release on every entry once it is durably persisted.
@@ -335,25 +323,6 @@ func (s *Store) Recycle(entries []*Entry) {
 	s.takenMu.Lock()
 	s.taken = append(s.taken, entries[:0])
 	s.takenMu.Unlock()
-}
-
-// DropIteration removes all entries of an iteration, releasing their
-// shared-memory blocks, and returns how many entries were dropped.
-func (s *Store) DropIteration(it int64) int {
-	entries := s.TakeIteration(it)
-	n := len(entries)
-	for _, e := range entries {
-		e.Release()
-	}
-	s.Recycle(entries)
-	return n
-}
-
-// Clear removes everything, releasing all shared-memory blocks.
-func (s *Store) Clear() {
-	for _, it := range s.Iterations() {
-		s.DropIteration(it)
-	}
 }
 
 func sortEntries(es []*Entry) {

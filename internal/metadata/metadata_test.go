@@ -17,7 +17,7 @@ func inlineEntry(name string, it int64, src int, n int) *Entry {
 }
 
 func TestPutGet(t *testing.T) {
-	s := NewStore()
+	s := NewSharded(1)
 	e := inlineEntry("temp", 3, 7, 16)
 	if err := s.Put(e); err != nil {
 		t.Fatal(err)
@@ -35,7 +35,7 @@ func TestPutGet(t *testing.T) {
 }
 
 func TestPutValidation(t *testing.T) {
-	s := NewStore()
+	s := NewSharded(1)
 	if err := s.Put(nil); err == nil {
 		t.Error("nil entry should fail")
 	}
@@ -53,7 +53,7 @@ func TestPutReplacesAndReleases(t *testing.T) {
 		t.Fatal(err)
 	}
 	b1, _ := seg.Reserve(0, 256)
-	s := NewStore()
+	s := NewSharded(1)
 	k := Key{"v", 1, 0}
 	if err := s.Put(&Entry{Key: k, Block: b1}); err != nil {
 		t.Fatal(err)
@@ -72,7 +72,7 @@ func TestPutReplacesAndReleases(t *testing.T) {
 }
 
 func TestIterationQuerySorted(t *testing.T) {
-	s := NewStore()
+	s := NewSharded(1)
 	_ = s.Put(inlineEntry("u", 5, 2, 8))
 	_ = s.Put(inlineEntry("u", 5, 0, 8))
 	_ = s.Put(inlineEntry("theta", 5, 1, 8))
@@ -90,7 +90,7 @@ func TestIterationQuerySorted(t *testing.T) {
 }
 
 func TestIterationsAndTotalBytes(t *testing.T) {
-	s := NewStore()
+	s := NewSharded(1)
 	_ = s.Put(inlineEntry("a", 3, 0, 10))
 	_ = s.Put(inlineEntry("b", 1, 0, 20))
 	_ = s.Put(inlineEntry("c", 3, 1, 30))
@@ -98,52 +98,21 @@ func TestIterationsAndTotalBytes(t *testing.T) {
 	if len(its) != 2 || its[0] != 1 || its[1] != 3 {
 		t.Errorf("Iterations = %v", its)
 	}
-	if s.TotalBytes(3) != 40 {
-		t.Errorf("TotalBytes(3) = %d", s.TotalBytes(3))
+	if got := totalBytes(s, 3); got != 40 {
+		t.Errorf("bytes of iteration 3 = %d", got)
 	}
-	if s.TotalBytes(99) != 0 {
-		t.Errorf("TotalBytes(99) = %d", s.TotalBytes(99))
-	}
-}
-
-func TestDropIterationReleasesBlocks(t *testing.T) {
-	seg, _ := shm.NewSegment(4096)
-	s := NewStore()
-	for src := 0; src < 4; src++ {
-		b, err := seg.Reserve(0, 512)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_ = s.Put(&Entry{Key: Key{"v", 9, src}, Block: b})
-	}
-	_ = s.Put(inlineEntry("v", 10, 0, 8))
-	if n := s.DropIteration(9); n != 4 {
-		t.Errorf("dropped %d, want 4", n)
-	}
-	if seg.FreeBytes() != 4096 {
-		t.Errorf("free = %d, want all released", seg.FreeBytes())
-	}
-	if s.Len() != 1 {
-		t.Errorf("Len = %d, want 1", s.Len())
-	}
-	if n := s.DropIteration(9); n != 0 {
-		t.Errorf("second drop = %d, want 0", n)
+	if got := totalBytes(s, 99); got != 0 {
+		t.Errorf("bytes of iteration 99 = %d", got)
 	}
 }
 
-func TestClear(t *testing.T) {
-	seg, _ := shm.NewSegment(1024)
-	s := NewStore()
-	b, _ := seg.Reserve(0, 128)
-	_ = s.Put(&Entry{Key: Key{"x", 0, 0}, Block: b})
-	_ = s.Put(inlineEntry("y", 0, 0, 8))
-	s.Clear()
-	if s.Len() != 0 {
-		t.Errorf("Len = %d after Clear", s.Len())
+// totalBytes sums the payload sizes of one iteration's entries.
+func totalBytes(s *Store, it int64) int64 {
+	var total int64
+	for _, e := range s.Iteration(it) {
+		total += e.Size()
 	}
-	if seg.FreeBytes() != 1024 {
-		t.Error("Clear must release blocks")
-	}
+	return total
 }
 
 func TestEntryBytes(t *testing.T) {
@@ -165,10 +134,10 @@ func TestEntryBytes(t *testing.T) {
 }
 
 // Property: after Putting any set of distinct tuples, Iteration(i) returns
-// exactly the tuples of iteration i and DropIteration removes exactly those.
+// exactly the tuples of iteration i and TakeIteration removes exactly those.
 func TestQuickIterationPartition(t *testing.T) {
 	f := func(raw []uint8) bool {
-		s := NewStore()
+		s := NewSharded(1)
 		put := make(map[Key]bool)
 		for i, r := range raw {
 			k := Key{Name: "v", Iteration: int64(r % 4), Source: i}
@@ -186,7 +155,7 @@ func TestQuickIterationPartition(t *testing.T) {
 				return false
 			}
 		}
-		n := s.DropIteration(2)
+		n := len(s.TakeIteration(2))
 		want2 := 0
 		for k := range put {
 			if k.Iteration == 2 {
@@ -201,7 +170,7 @@ func TestQuickIterationPartition(t *testing.T) {
 }
 
 func TestTakeIterationTransfersOwnership(t *testing.T) {
-	s := NewStore()
+	s := NewSharded(1)
 	seg, err := shm.NewSegment(1 << 12)
 	if err != nil {
 		t.Fatal(err)

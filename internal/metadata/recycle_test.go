@@ -150,7 +150,7 @@ func TestAddOverwriteReleasesOlderBlockOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewStore()
+	s := NewSharded(1)
 	k := Key{"v", 1, 0}
 	b1, _ := seg.Reserve(0, 256)
 	b2, _ := seg.Reserve(0, 256)

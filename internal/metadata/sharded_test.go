@@ -15,9 +15,6 @@ func TestNewShardedRoundsToPowerOfTwo(t *testing.T) {
 			t.Errorf("NewSharded(%d) has %d shards, want %d", in, got, want)
 		}
 	}
-	if got := len(NewStore().shards); got != 1 {
-		t.Errorf("NewStore() has %d shards, want 1", got)
-	}
 }
 
 // fillStore puts the same deterministic population into a store: several
@@ -63,8 +60,8 @@ func TestShardedQueriesMatchSingleShard(t *testing.T) {
 				if got, want := keysOf(s.Iteration(it)), keysOf(ref.Iteration(it)); !reflect.DeepEqual(got, want) {
 					t.Fatalf("Iteration(%d) order differs:\n got %v\nwant %v", it, got, want)
 				}
-				if got, want := s.TotalBytes(it), ref.TotalBytes(it); got != want {
-					t.Fatalf("TotalBytes(%d) = %d, want %d", it, got, want)
+				if got, want := totalBytes(s, it), totalBytes(ref, it); got != want {
+					t.Fatalf("bytes of iteration %d = %d, want %d", it, got, want)
 				}
 			}
 			// TakeIteration must hand back the exact same deterministic order
@@ -214,27 +211,5 @@ func BenchmarkStoreGet(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkTotalBytes gates the O(iteration) byte sum against the old
-// O(whole store) scan: cost must track the one iteration, not residency.
-func BenchmarkTotalBytes(b *testing.B) {
-	s := NewSharded(4)
-	for it := int64(0); it < 64; it++ {
-		for src := 0; src < 16; src++ {
-			e := &Entry{Key: Key{Name: "var", Iteration: it, Source: src},
-				Inline: make([]byte, 8)}
-			if err := s.Put(e); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if s.TotalBytes(3) != 16*8 {
-			b.Fatal("wrong sum")
-		}
 	}
 }

@@ -21,37 +21,6 @@ func (c *Comm) Barrier() {
 	}
 }
 
-// Bcast distributes root's value to every rank along a binomial tree and
-// returns it on all ranks. Non-root callers pass nil (or anything; the
-// argument is ignored on non-roots).
-func (c *Comm) Bcast(root int, v any) any {
-	p := c.Size()
-	if root < 0 || root >= p {
-		panic(fmt.Sprintf("mpi: Bcast root %d outside communicator of size %d", root, p))
-	}
-	seq := c.nextSeq()
-	tag := c.internalTag(opBcast, seq)
-	rel := (c.rank - root + p) % p
-	mask := 1
-	for mask < p {
-		if rel&mask != 0 {
-			src := (c.rank - mask + p) % p
-			v = c.recv(src, tag)
-			break
-		}
-		mask <<= 1
-	}
-	mask >>= 1
-	for mask > 0 {
-		if rel+mask < p {
-			dst := (c.rank + mask) % p
-			c.send(dst, tag, v)
-		}
-		mask >>= 1
-	}
-	return v
-}
-
 // Gather collects one value from every rank at root. At root it returns a
 // slice indexed by comm rank; other ranks receive nil.
 func (c *Comm) Gather(root int, v any) []any {
@@ -73,144 +42,4 @@ func (c *Comm) Gather(root int, v any) []any {
 		}
 	}
 	return out
-}
-
-// Allgather collects one value from every rank at every rank.
-func (c *Comm) Allgather(v any) []any {
-	gathered := c.Gather(0, v)
-	res := c.Bcast(0, gathered)
-	return res.([]any)
-}
-
-// Scatter distributes vs[i] from root to rank i and returns the local piece.
-// Only root's vs is consulted; it must have exactly Size() entries.
-func (c *Comm) Scatter(root int, vs []any) any {
-	p := c.Size()
-	if root < 0 || root >= p {
-		panic(fmt.Sprintf("mpi: Scatter root %d outside communicator of size %d", root, p))
-	}
-	seq := c.nextSeq()
-	tag := c.internalTag(opScatter, seq)
-	if c.rank == root {
-		if len(vs) != p {
-			panic(fmt.Sprintf("mpi: Scatter needs %d values, got %d", p, len(vs)))
-		}
-		for r := 0; r < p; r++ {
-			if r != root {
-				c.send(r, tag, vs[r])
-			}
-		}
-		return vs[root]
-	}
-	return c.recv(root, tag)
-}
-
-// Alltoall sends vs[i] to rank i and returns the values received from each
-// rank (result[i] came from rank i). vs must have Size() entries. Uses the
-// pairwise-exchange schedule.
-func (c *Comm) Alltoall(vs []any) []any {
-	p := c.Size()
-	if len(vs) != p {
-		panic(fmt.Sprintf("mpi: Alltoall needs %d values, got %d", p, len(vs)))
-	}
-	seq := c.nextSeq()
-	tag := c.internalTag(opAlltoall, seq)
-	out := make([]any, p)
-	out[c.rank] = vs[c.rank]
-	for i := 1; i < p; i++ {
-		dst := (c.rank + i) % p
-		src := (c.rank - i + p) % p
-		c.send(dst, tag, vs[dst])
-		out[src] = c.recv(src, tag)
-	}
-	return out
-}
-
-// ReduceOp selects the combining operation for reductions.
-type ReduceOp int
-
-// Supported reduction operators.
-const (
-	OpSum ReduceOp = iota
-	OpMax
-	OpMin
-)
-
-func (op ReduceOp) apply(dst, src []float64) {
-	switch op {
-	case OpSum:
-		for i := range dst {
-			dst[i] += src[i]
-		}
-	case OpMax:
-		for i := range dst {
-			if src[i] > dst[i] {
-				dst[i] = src[i]
-			}
-		}
-	case OpMin:
-		for i := range dst {
-			if src[i] < dst[i] {
-				dst[i] = src[i]
-			}
-		}
-	default:
-		panic(fmt.Sprintf("mpi: unknown reduce op %d", op))
-	}
-}
-
-// ReduceFloat64s combines equal-length vectors element-wise at root along a
-// binomial tree. Root receives the result; other ranks receive nil.
-func (c *Comm) ReduceFloat64s(root int, xs []float64, op ReduceOp) []float64 {
-	p := c.Size()
-	if root < 0 || root >= p {
-		panic(fmt.Sprintf("mpi: Reduce root %d outside communicator of size %d", root, p))
-	}
-	seq := c.nextSeq()
-	tag := c.internalTag(opReduce, seq)
-	acc := append([]float64(nil), xs...)
-	rel := (c.rank - root + p) % p
-	mask := 1
-	for mask < p {
-		if rel&mask == 0 {
-			srcRel := rel | mask
-			if srcRel < p {
-				src := (srcRel + root) % p
-				part := c.recv(src, tag).([]float64)
-				if len(part) != len(acc) {
-					panic(fmt.Sprintf("mpi: Reduce length mismatch: %d vs %d", len(part), len(acc)))
-				}
-				op.apply(acc, part)
-			}
-		} else {
-			dstRel := rel &^ mask
-			dst := (dstRel + root) % p
-			c.send(dst, tag, acc)
-			return nil
-		}
-		mask <<= 1
-	}
-	return acc
-}
-
-// AllreduceFloat64s is ReduceFloat64s followed by a broadcast of the result.
-// Each rank receives its own copy, safe to mutate.
-func (c *Comm) AllreduceFloat64s(xs []float64, op ReduceOp) []float64 {
-	red := c.ReduceFloat64s(0, xs, op)
-	res := c.Bcast(0, red).([]float64)
-	return append([]float64(nil), res...)
-}
-
-// ReduceFloat64 reduces a scalar at root (other ranks get 0 and ok=false).
-func (c *Comm) ReduceFloat64(root int, x float64, op ReduceOp) (float64, bool) {
-	res := c.ReduceFloat64s(root, []float64{x}, op)
-	if res == nil {
-		return 0, false
-	}
-	return res[0], true
-}
-
-// AllreduceFloat64 reduces a scalar at every rank.
-func (c *Comm) AllreduceFloat64(x float64, op ReduceOp) float64 {
-	return c.AllreduceFloat64s([]float64{x}, op)[0]
 }

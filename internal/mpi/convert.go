@@ -28,40 +28,12 @@ func BytesToFloat32s(b []byte) []float32 {
 	return xs
 }
 
-// Float64sToBytes encodes xs as little-endian bytes.
-func Float64sToBytes(xs []float64) []byte {
-	b := make([]byte, 8*len(xs))
-	for i, x := range xs {
-		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(x))
-	}
-	return b
-}
-
 // BytesToFloat64s decodes little-endian bytes into float64s. len(b) must be
 // a multiple of 8.
 func BytesToFloat64s(b []byte) []float64 {
 	xs := make([]float64, len(b)/8)
 	for i := range xs {
 		xs[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-	}
-	return xs
-}
-
-// Int64sToBytes encodes xs as little-endian bytes.
-func Int64sToBytes(xs []int64) []byte {
-	b := make([]byte, 8*len(xs))
-	for i, x := range xs {
-		binary.LittleEndian.PutUint64(b[8*i:], uint64(x))
-	}
-	return b
-}
-
-// BytesToInt64s decodes little-endian bytes into int64s. len(b) must be a
-// multiple of 8.
-func BytesToInt64s(b []byte) []int64 {
-	xs := make([]int64, len(b)/8)
-	for i := range xs {
-		xs[i] = int64(binary.LittleEndian.Uint64(b[8*i:]))
 	}
 	return xs
 }

@@ -123,12 +123,6 @@ func NewWorld(size, coresPerNode int) (*World, error) {
 // Size returns the number of ranks in the world.
 func (w *World) Size() int { return w.size }
 
-// CoresPerNode returns the SMP node width.
-func (w *World) CoresPerNode() int { return w.coresPerNode }
-
-// Nodes returns the number of SMP nodes.
-func (w *World) Nodes() int { return w.size / w.coresPerNode }
-
 // NodeOf returns the node index hosting a world rank.
 func (w *World) NodeOf(rank int) int { return rank / w.coresPerNode }
 
@@ -226,11 +220,7 @@ func (c *Comm) encodeTag(tag int) int64 {
 // internalTag returns a tag in the collective-reserved space for the comm.
 const (
 	opBarrier = iota + 1
-	opBcast
-	opReduce
 	opGather
-	opScatter
-	opAlltoall
 	opSplit
 )
 

@@ -212,9 +212,18 @@ func (f *Federator) AddFunc(rank string, gather func() ([]Sample, error)) {
 	f.mu.Unlock()
 }
 
+// maxScrapeBytes caps the /metrics.json document AddURL reads from a peer,
+// so a wrong or hostile -peers URL cannot make the federator allocate
+// whatever it sends. A full damaris-run registry document measured 80 KB
+// with 2 dedicated cores and 243 KB with 8 (48 ranks, shard loops, encode
+// pool, object store, aggregation): ≈30 KB per dedicated core, so 8 MiB
+// holds over 250 of them.
+const maxScrapeBytes = 8 << 20
+
 // AddURL adds a remote plane scraped over HTTP: base is the peer's root
 // (e.g. "http://host:port"); its /metrics.json document is parsed back
-// into samples. How damaris-gate federates its replica set.
+// into samples. How damaris-gate federates its replica set. A document
+// over maxScrapeBytes fails the scrape, so that source reads as down.
 func (f *Federator) AddURL(rank, base string) {
 	if f == nil {
 		return
@@ -230,21 +239,11 @@ func (f *Federator) AddURL(rank, base string) {
 			return nil, fmt.Errorf("obs: scrape %s: %s", url, resp.Status)
 		}
 		var doc MetricsDoc
-		if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+		if err := json.NewDecoder(io.LimitReader(resp.Body, maxScrapeBytes)).Decode(&doc); err != nil {
 			return nil, fmt.Errorf("obs: scrape %s: %w", url, err)
 		}
 		return SamplesFromJSON(doc.Metrics)
 	})
-}
-
-// Sources returns the number of registered sources.
-func (f *Federator) Sources() int {
-	if f == nil {
-		return 0
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return len(f.sources)
 }
 
 // Gather collects every source and returns the federated sample set plus

@@ -3,11 +3,13 @@ package obs
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"damaris/internal/stats"
@@ -19,16 +21,17 @@ import (
 // (bucket-wise sum) and a summary collector (per-rank quantiles, merged
 // extremes).
 func fedTestRegistry(rank int, obsCount int) *Registry {
-	reg := NewRegistry()
-	reg.Counter("test_shared_total").Add(int64(100 * (rank + 1)))
-	reg.Counter("test_ops_total", "server", fmt.Sprint(rank)).Add(int64(10 + rank))
-	reg.Gauge("test_depth").Set(int64(rank + 3))
-	h := reg.Histogram("test_lat_seconds", DefaultDurationBuckets())
+	h := NewHistogram(DefaultDurationBuckets())
 	rng := rand.New(rand.NewSource(int64(rank + 1)))
 	for i := 0; i < obsCount; i++ {
 		h.Observe(rng.Float64() / 100)
 	}
+	reg := NewRegistry()
 	reg.Collect(func(e *Emitter) {
+		e.Counter("test_shared_total", float64(100*(rank+1)))
+		e.Counter("test_ops_total", float64(10+rank), "server", fmt.Sprint(rank))
+		e.Gauge("test_depth", float64(rank+3))
+		e.histogram("test_lat_seconds", h, nil)
 		e.Summary("test_write_seconds", stats.Summarize([]float64{
 			0.001 * float64(rank+1), 0.002 * float64(rank+1), 0.004 * float64(rank+1),
 		}))
@@ -233,31 +236,32 @@ func TestFederateAssociativeForSummedKinds(t *testing.T) {
 // byte-identically.
 func TestFederatorConcurrentObserves(t *testing.T) {
 	fed := NewFederator()
-	regs := make([]*Registry, 4)
-	for r := range regs {
-		regs[r] = NewRegistry()
-		fed.AddRegistry(fmt.Sprint(r), regs[r])
-	}
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
-	for r, reg := range regs {
+	for r := range 4 {
+		var c, g atomic.Int64
+		h := NewHistogram(DefaultDurationBuckets())
+		reg := NewRegistry()
+		reg.Collect(func(e *Emitter) {
+			e.Counter("test_conc_total", float64(c.Load()))
+			e.histogram("test_conc_seconds", h, nil)
+			e.Gauge("test_conc_depth", float64(g.Load()))
+		})
+		fed.AddRegistry(fmt.Sprint(r), reg)
 		wg.Add(1)
-		go func(r int, reg *Registry) {
+		go func() {
 			defer wg.Done()
-			c := reg.Counter("test_conc_total")
-			h := reg.Histogram("test_conc_seconds", DefaultDurationBuckets())
-			g := reg.Gauge("test_conc_depth")
 			for i := 0; ; i++ {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				c.Inc()
+				c.Add(1)
 				h.Observe(float64(i%10) / 1e4)
-				g.Set(int64(i % 7))
+				g.Store(int64(i % 7))
 			}
-		}(r, reg)
+		}()
 	}
 	for i := 0; i < 20; i++ {
 		if err := CheckSamples(fed.Gather()); err != nil {
@@ -296,9 +300,6 @@ func TestFederatorSourcesAndMeta(t *testing.T) {
 	fed.AddRegistry("0", fedTestRegistry(1, 20))
 	fed.AddURL("1", srv.URL)
 	fed.AddFunc("2", func() ([]Sample, error) { return nil, fmt.Errorf("replica down") })
-	if fed.Sources() != 3 {
-		t.Fatalf("sources = %d, want 3", fed.Sources())
-	}
 
 	out := fed.Gather()
 	if err := CheckSamples(out); err != nil {
@@ -321,11 +322,35 @@ func TestFederatorSourcesAndMeta(t *testing.T) {
 
 	// A nil federator and an empty one are inert but serve.
 	var nilFed *Federator
-	if nilFed.Gather() != nil || nilFed.Sources() != 0 {
+	if nilFed.Gather() != nil {
 		t.Error("nil federator not inert")
 	}
 	nilFed.AddFunc("x", func() ([]Sample, error) { return nil, nil })
 	nilFed.AddURL("y", "http://unused.invalid")
+}
+
+// A peer's /metrics.json is read up to maxScrapeBytes: a valid document one
+// byte longer makes that source read as down, and the others stay intact.
+func TestFederatorCapsScrapeBody(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.WriteString(w, `{"metrics":`)
+		w.Write(bytes.Repeat([]byte(" "), maxScrapeBytes-len(`{"metrics":[]}`)+1))
+		io.WriteString(w, `[]}`)
+	}))
+	defer srv.Close()
+
+	fed := NewFederator()
+	fed.AddRegistry("0", fedTestRegistry(0, 20))
+	fed.AddURL("1", srv.URL)
+	out := fed.Gather()
+	for rank, want := range map[string]float64{"0": 1, "1": 0} {
+		if got := fedValue(t, out, "damaris_fleet_source_up", FedRankLabel, rank); got != want {
+			t.Errorf("source up[%s] = %v, want %v", rank, got, want)
+		}
+	}
+	if got := fedValue(t, out, "test_shared_total"); got != 100 {
+		t.Errorf("shared counter from the in-process source = %v, want 100", got)
+	}
 }
 
 func TestSamplesFromJSONRoundTrip(t *testing.T) {

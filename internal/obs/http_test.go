@@ -14,7 +14,7 @@ import (
 func planeWithSpans(t *testing.T) *Plane {
 	t.Helper()
 	p := NewPlane(64)
-	p.Registry().Counter("damaris_test_total").Add(3)
+	p.Registry().Collect(func(e *Emitter) { e.Counter("damaris_test_total", 3) })
 	tr := p.Tracer()
 	tr.Record(StagePersist, 0, 1, time.Unix(0, 1000), 2*time.Millisecond, 128, false)
 	tr.Record(StagePersist, 0, 2, time.Unix(0, 2000), 4*time.Millisecond, 128, false)
@@ -304,7 +304,7 @@ func TestFleetRoutes(t *testing.T) {
 	fed := NewFederator()
 	fed.AddRegistry("0", p.Registry())
 	r1 := NewRegistry()
-	r1.Counter("damaris_test_total").Add(4)
+	r1.Collect(func(e *Emitter) { e.Counter("damaris_test_total", 4) })
 	fed.AddRegistry("1", r1)
 	p.SetFederator(fed)
 	if p.Federator() != fed {

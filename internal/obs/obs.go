@@ -1,9 +1,8 @@
-// Package obs is the live telemetry plane: a metrics registry (atomic
-// counters, gauges and fixed-bucket streaming histograms with a 0-alloc
-// observe path), pull-time collectors that turn the run's existing *Stats
-// snapshot structs into scrapeable metric families, and an
-// iteration-lifecycle tracer (trace.go) recording per-stage span events
-// into a fixed-size ring.
+// Package obs is the live telemetry plane: a metrics registry of pull-time
+// collectors that turn the run's existing *Stats snapshot structs into
+// scrapeable metric families, fixed-bucket streaming histograms with a
+// 0-alloc observe path, and an iteration-lifecycle tracer (trace.go)
+// recording per-stage span events into a fixed-size ring.
 //
 // The paper's headline claim is *jitter-free* I/O; before this package the
 // runtime could only argue it post-hoc, from the summary each subsystem
@@ -11,12 +10,11 @@
 // run is in flight — and because damaris-run's end-of-run report is a gather
 // of the same registry, the two can never disagree.
 //
-// Concurrency and determinism: the observe path (Counter.Add,
-// Gauge.Set/Add, Histogram.Observe, Tracer.Record) is lock-free and
-// allocation-free. Histogram sums accumulate in fixed-point micro-units, so
-// an identical multiset of observations yields identical exposition bytes
-// regardless of goroutine interleaving — the property
-// TestExpositionDeterministic holds.
+// Concurrency and determinism: the observe path (Histogram.Observe,
+// Tracer.Record) is lock-free and allocation-free. Histogram sums accumulate
+// in fixed-point micro-units, so an identical multiset of observations
+// yields identical exposition bytes regardless of goroutine interleaving —
+// the property TestExpositionDeterministic holds.
 package obs
 
 import (
@@ -30,30 +28,6 @@ import (
 
 	"damaris/internal/stats"
 )
-
-// Counter is a monotonically increasing metric.
-type Counter struct{ v atomic.Int64 }
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Add adds n (which should be non-negative; Counter does not enforce it).
-func (c *Counter) Add(n int64) { c.v.Add(n) }
-
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Gauge is a settable instantaneous value.
-type Gauge struct{ v atomic.Int64 }
-
-// Set replaces the value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add moves the value by n (negative allowed).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // sumScale is the fixed-point resolution histogram sums accumulate at.
 // Integer accumulation is commutative, which is what keeps exposition bytes
@@ -160,14 +134,6 @@ func (h *Histogram) Max() float64 {
 	return math.Float64frombits(uint64(h.max.Load()))
 }
 
-// Spread returns Max-Min — the paper's unpredictability measure, live.
-func (h *Histogram) Spread() float64 {
-	if h.count.Load() == 0 {
-		return 0
-	}
-	return h.Max() - h.Min()
-}
-
 // Buckets returns the per-bucket counts (finite buckets in bound order,
 // then the overflow bucket).
 func (h *Histogram) Buckets() []int64 {
@@ -176,46 +142,6 @@ func (h *Histogram) Buckets() []int64 {
 		out[i] = h.counts[i].Load()
 	}
 	return out
-}
-
-// Quantile estimates the q-th quantile (0..1) by linear interpolation
-// inside the bucket holding the target rank, clamped to the observed
-// min/max. It returns 0 for an empty histogram. The estimate converges on
-// the exact sample quantile as buckets narrow; exact per-stage percentiles
-// come from the tracer's retained spans instead.
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(total)
-	var cum float64
-	for i := range h.counts {
-		n := float64(h.counts[i].Load())
-		if cum+n >= rank && n > 0 {
-			lo := h.Min()
-			if i > 0 && h.bounds[i-1] > lo {
-				lo = h.bounds[i-1]
-			}
-			hi := h.Max()
-			if i < len(h.bounds) && h.bounds[i] < hi {
-				hi = h.bounds[i]
-			}
-			if lo > hi {
-				lo = hi
-			}
-			frac := (rank - cum) / n
-			return lo + (hi-lo)*frac
-		}
-		cum += n
-	}
-	return h.Max()
 }
 
 // Kind labels a metric family for exposition.
@@ -300,94 +226,16 @@ func sortLabels(labels []string) []string {
 	return out
 }
 
-// Registry holds directly registered metrics plus pull-time collectors. All
-// methods are safe for concurrent use; the observe paths of the metrics it
-// hands out never touch the registry lock.
+// Registry holds pull-time collectors: every metric in the tree, the
+// tracer's stage histograms included, is emitted by one at Gather. All
+// methods are safe for concurrent use.
 type Registry struct {
 	mu         sync.Mutex
-	byKey      map[string]*entry
-	entries    []*entry
 	collectors []func(*Emitter)
 }
 
-type entry struct {
-	name   string
-	labels []string
-	c      *Counter
-	g      *Gauge
-	h      *Histogram
-}
-
 // NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{byKey: make(map[string]*entry)}
-}
-
-func (r *Registry) lookup(name string, labels []string) (*entry, string) {
-	sorted := sortLabels(labels)
-	key := name + "\x01" + labelKey(sorted)
-	e, ok := r.byKey[key]
-	if !ok {
-		e = &entry{name: name, labels: sorted}
-		r.byKey[key] = e
-		r.entries = append(r.entries, e)
-	}
-	return e, key
-}
-
-// Counter returns (registering on first use) the counter for name+labels.
-// Labels are alternating key/value pairs. Asking for an existing name with
-// a different metric kind panics — a registration programming error.
-func (r *Registry) Counter(name string, labels ...string) *Counter {
-	if r == nil {
-		return &Counter{}
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	e, _ := r.lookup(name, labels)
-	if e.g != nil || e.h != nil {
-		panic("obs: " + name + " already registered with another kind")
-	}
-	if e.c == nil {
-		e.c = &Counter{}
-	}
-	return e.c
-}
-
-// Gauge returns (registering on first use) the gauge for name+labels.
-func (r *Registry) Gauge(name string, labels ...string) *Gauge {
-	if r == nil {
-		return &Gauge{}
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	e, _ := r.lookup(name, labels)
-	if e.c != nil || e.h != nil {
-		panic("obs: " + name + " already registered with another kind")
-	}
-	if e.g == nil {
-		e.g = &Gauge{}
-	}
-	return e.g
-}
-
-// Histogram returns (registering on first use) the histogram for
-// name+labels; bounds apply only on first registration.
-func (r *Registry) Histogram(name string, bounds []float64, labels ...string) *Histogram {
-	if r == nil {
-		return NewHistogram(bounds)
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	e, _ := r.lookup(name, labels)
-	if e.c != nil || e.g != nil {
-		panic("obs: " + name + " already registered with another kind")
-	}
-	if e.h == nil {
-		e.h = NewHistogram(bounds)
-	}
-	return e.h
-}
+func NewRegistry() *Registry { return &Registry{} }
 
 // Collect registers a pull-time collector, invoked on every Gather with a
 // fresh Emitter. Collectors are how the run's existing *Stats snapshot
@@ -402,28 +250,17 @@ func (r *Registry) Collect(fn func(*Emitter)) {
 	r.mu.Unlock()
 }
 
-// Gather snapshots every metric and collector into a deterministic,
-// (name, labels)-sorted sample list.
+// Gather runs every collector into a deterministic, (name, labels)-sorted
+// sample list.
 func (r *Registry) Gather() []Sample {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
-	entries := append([]*entry(nil), r.entries...)
 	collectors := append(make([]func(*Emitter), 0, len(r.collectors)), r.collectors...)
 	r.mu.Unlock()
 
 	e := &Emitter{}
-	for _, en := range entries {
-		switch {
-		case en.c != nil:
-			e.add(KindCounter, en.name, float64(en.c.Value()), en.labels)
-		case en.g != nil:
-			e.add(KindGauge, en.name, float64(en.g.Value()), en.labels)
-		case en.h != nil:
-			e.histogram(en.name, en.h, en.labels)
-		}
-	}
 	for _, fn := range collectors {
 		fn(e)
 	}

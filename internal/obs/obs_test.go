@@ -5,58 +5,26 @@ import (
 	"math/rand"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"damaris/internal/stats"
 )
 
-func TestCounterGauge(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("reqs_total", "plane", "read")
-	c.Inc()
-	c.Add(4)
-	if got := c.Value(); got != 5 {
-		t.Fatalf("counter = %d, want 5", got)
-	}
-	if again := r.Counter("reqs_total", "plane", "read"); again != c {
-		t.Fatal("same name+labels returned a different counter")
-	}
-	if other := r.Counter("reqs_total", "plane", "write"); other == c {
-		t.Fatal("different labels returned the same counter")
-	}
-	g := r.Gauge("depth")
-	g.Set(7)
-	g.Add(-3)
-	if got := g.Value(); got != 4 {
-		t.Fatalf("gauge = %d, want 4", got)
-	}
-}
-
-func TestKindMismatchPanics(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("x")
-	defer func() {
-		if recover() == nil {
-			t.Fatal("re-registering a counter as a gauge did not panic")
-		}
-	}()
-	r.Gauge("x")
-}
-
 func TestLabelOrderCanonical(t *testing.T) {
-	r := NewRegistry()
-	a := r.Counter("m", "b", "2", "a", "1")
-	b := r.Counter("m", "a", "1", "b", "2")
-	if a != b {
-		t.Fatal("label order changed metric identity")
+	e := &Emitter{}
+	e.Counter("m", 1, "b", "2", "a", "1")
+	e.Counter("m", 1, "a", "1", "b", "2")
+	if a, b := labelKey(e.samples[0].Labels), labelKey(e.samples[1].Labels); a != b {
+		t.Fatalf("label order changed metric identity: %q vs %q", a, b)
 	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("odd label list did not panic")
 		}
 	}()
-	r.Counter("odd", "only-key")
+	e.Counter("odd", 1, "only-key")
 }
 
 func TestHistogramBasics(t *testing.T) {
@@ -77,27 +45,8 @@ func TestHistogramBasics(t *testing.T) {
 	if h.Min() != 0.5 || h.Max() != 500 {
 		t.Fatalf("min/max = %g/%g, want 0.5/500", h.Min(), h.Max())
 	}
-	if h.Spread() != 499.5 {
-		t.Fatalf("spread = %g, want 499.5", h.Spread())
-	}
 	if s := h.Sum(); s != 556.5 {
 		t.Fatalf("sum = %g, want 556.5", s)
-	}
-}
-
-func TestHistogramQuantileClamped(t *testing.T) {
-	h := NewHistogram(DefaultDurationBuckets())
-	for i := 0; i < 100; i++ {
-		h.Observe(1e-3)
-	}
-	for _, q := range []float64{0, 0.5, 0.99, 1} {
-		v := h.Quantile(q)
-		if v < h.Min() || v > h.Max() {
-			t.Fatalf("q%.2f = %g outside [%g, %g]", q, v, h.Min(), h.Max())
-		}
-	}
-	if NewHistogram([]float64{1}).Quantile(0.5) != 0 {
-		t.Fatal("empty histogram quantile != 0")
 	}
 }
 
@@ -109,9 +58,13 @@ func TestExpositionDeterministic(t *testing.T) {
 	const n = 5000
 	const workers = 8
 	feed := func(seed int64) *Registry {
+		h := NewHistogram(DefaultDurationBuckets())
+		var c atomic.Int64
 		r := NewRegistry()
-		h := r.Histogram("lat_seconds", DefaultDurationBuckets())
-		c := r.Counter("samples_total")
+		r.Collect(func(e *Emitter) {
+			e.histogram("lat_seconds", h, nil)
+			e.Counter("samples_total", float64(c.Load()))
+		})
 		order := rand.New(rand.NewSource(seed)).Perm(n)
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
@@ -121,7 +74,7 @@ func TestExpositionDeterministic(t *testing.T) {
 				defer wg.Done()
 				for j := w; j < n; j += workers {
 					h.Observe(1e-6 * float64(1+order[j]))
-					c.Inc()
+					c.Add(1)
 				}
 			}()
 		}
@@ -149,19 +102,14 @@ func TestExpositionDeterministic(t *testing.T) {
 
 // The observe paths run inside the pipeline they measure — on the dedicated
 // core's event loop and in every persist writer — so each must stay at zero
-// allocations per call, or telemetry perturbs what it reports. All four are
+// allocations per call, or telemetry perturbs what it reports. Both are
 // pure atomics (no sync.Pool), so the count holds under -race too.
 func TestObservePathsDoNotAllocate(t *testing.T) {
-	reg := NewRegistry()
-	c := reg.Counter("events_total")
-	g := reg.Gauge("depth")
-	h := reg.Histogram("lat_seconds", DefaultDurationBuckets())
+	h := NewHistogram(DefaultDurationBuckets())
 	tr := NewTracer(1 << 10)
 	start := time.Now()
 	x := 1e-4
 	for name, observe := range map[string]func(){
-		"Counter.Inc":       func() { c.Inc() },
-		"Gauge.Set":         func() { g.Set(7) },
 		"Histogram.Observe": func() { h.Observe(x); x += 1e-6 },
 		"Tracer.Record": func() {
 			tr.Record(StagePersist, 3, 42, start, time.Millisecond, 4096, false)
@@ -174,10 +122,14 @@ func TestObservePathsDoNotAllocate(t *testing.T) {
 }
 
 func TestWritePrometheusFormat(t *testing.T) {
+	h := NewHistogram([]float64{1})
+	h.Observe(0.5)
 	r := NewRegistry()
-	r.Counter("a_total", "k", `va"l`).Add(2)
-	r.Gauge("b").Set(3)
-	r.Histogram("h_seconds", []float64{1}).Observe(0.5)
+	r.Collect(func(e *Emitter) {
+		e.Counter("a_total", 2, "k", `va"l`)
+		e.Gauge("b", 3)
+		e.histogram("h_seconds", h, nil)
+	})
 	var buf bytes.Buffer
 	if err := r.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
@@ -214,8 +166,8 @@ func TestHistogramSumRounds(t *testing.T) {
 
 func TestCheckExposition(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("good_total").Inc()
 	r.Collect(func(e *Emitter) {
+		e.Counter("good_total", 1)
 		e.Summary("dur_epochs", stats.Summarize([]float64{1, 2, 3}))
 	})
 	if err := r.CheckExposition(); err != nil {
@@ -224,7 +176,7 @@ func TestCheckExposition(t *testing.T) {
 	// A gauge named like the summary's auto-emitted _max companion is the
 	// collision class that once broke the aggregate families: same name,
 	// same labels, two values.
-	r.Gauge("dur_epochs_max").Set(9)
+	r.Collect(func(e *Emitter) { e.Gauge("dur_epochs_max", 9) })
 	if err := r.CheckExposition(); err == nil {
 		t.Fatal("colliding _max gauge not detected")
 	}
@@ -265,9 +217,6 @@ func TestCollectors(t *testing.T) {
 
 func TestNilRegistrySafe(t *testing.T) {
 	var r *Registry
-	r.Counter("x").Inc()
-	r.Gauge("y").Set(1)
-	r.Histogram("z", []float64{1}).Observe(2)
 	r.Collect(func(*Emitter) {})
 	if r.Gather() != nil {
 		t.Fatal("nil registry gathered samples")

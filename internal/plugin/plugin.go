@@ -11,7 +11,6 @@ package plugin
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"damaris/internal/metadata"
@@ -104,19 +103,4 @@ func (r *Registry) Get(name string) (Action, bool) {
 	defer r.mu.RUnlock()
 	a, ok := r.actions[name]
 	return a, ok
-}
-
-// Names lists the registered action names, sorted.
-func (r *Registry) Names() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	names := make([]string, 0, len(r.actions))
-	for n := range r.actions {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -50,23 +50,10 @@ func TestMustRegisterPanics(t *testing.T) {
 	r.MustRegister("ok", func(*Context, string) error { return nil })
 }
 
-func TestNames(t *testing.T) {
-	r := NewRegistry()
-	r.MustRegister("zeta", func(*Context, string) error { return nil })
-	r.MustRegister("alpha", func(*Context, string) error { return nil })
-	names := r.Names()
-	if len(names) != 2 || names[0] != "alpha" || names[1] != "zeta" {
-		t.Errorf("Names = %v", names)
-	}
-}
-
 func TestNilRegistry(t *testing.T) {
 	var r *Registry
 	if _, ok := r.Get("x"); ok {
 		t.Error("nil registry Get should fail")
-	}
-	if r.Names() != nil {
-		t.Error("nil registry Names should be nil")
 	}
 }
 

@@ -69,10 +69,6 @@ func NewWithClock(index, total int, interval time.Duration, clock Clock) (*SlotS
 	}, nil
 }
 
-// SetEpoch aligns the scheduler's time origin (e.g. to the simulation's
-// first iteration boundary shared by all dedicated cores).
-func (s *SlotScheduler) SetEpoch(t time.Time) { s.epoch = t }
-
 // SlotWidth returns the duration of one slot.
 func (s *SlotScheduler) SlotWidth() time.Duration {
 	return s.interval / time.Duration(s.total)

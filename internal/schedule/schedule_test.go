@@ -95,7 +95,6 @@ func TestSlotsDoNotOverlap(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.SetEpoch(time.Unix(0, 0))
 		starts = append(starts, s.SlotStart(5))
 	}
 	for i := 1; i < total; i++ {
@@ -103,15 +102,6 @@ func TestSlotsDoNotOverlap(t *testing.T) {
 		if gap != 10*time.Second {
 			t.Errorf("gap %d = %v, want 10s", i, gap)
 		}
-	}
-}
-
-func TestSetEpoch(t *testing.T) {
-	clock := &fakeClock{now: time.Unix(500, 0)}
-	s, _ := NewWithClock(0, 4, 40*time.Second, clock)
-	s.SetEpoch(time.Unix(0, 0))
-	if got := s.SlotStart(1); !got.Equal(time.Unix(40, 0)) {
-		t.Errorf("SlotStart(1) = %v", got)
 	}
 }
 
@@ -190,7 +180,6 @@ func TestWaitTurnBatchTilesBatchSizedSlots(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		si.SetEpoch(time.Unix(0, 0))
 		start := time.Unix(0, 0).Add(100 * time.Second).Add(time.Duration(i) * si.BatchSlotWidth(1, 3))
 		if want := time.Unix(int64(100+i*75), 0); !start.Equal(want) {
 			t.Fatalf("core %d batch slot opens at %v, want %v", i, start, want)

@@ -48,9 +48,6 @@ type Block struct {
 // Data returns the writable byte slice backing the block.
 func (b *Block) Data() []byte { return b.seg.buf[b.offset : b.offset+b.size] }
 
-// Offset returns the block's offset within the segment.
-func (b *Block) Offset() int64 { return b.offset }
-
 // Size returns the block's size in bytes.
 func (b *Block) Size() int64 { return b.size }
 
@@ -76,8 +73,6 @@ type Allocator interface {
 	// freeBytes reports the bytes currently available (approximate for
 	// lock-free allocators).
 	freeBytes() int64
-	// name identifies the strategy for diagnostics.
-	name() string
 }
 
 // Segment is a node-local shared buffer with an allocation strategy.
@@ -142,9 +137,6 @@ func (s *Segment) Size() int64 { return int64(len(s.buf)) }
 
 // FreeBytes returns the bytes currently available for reservation.
 func (s *Segment) FreeBytes() int64 { return s.alloc.freeBytes() }
-
-// AllocatorName identifies the reservation strategy.
-func (s *Segment) AllocatorName() string { return s.alloc.name() }
 
 // Reserves returns the total number of successful reservations.
 func (s *Segment) Reserves() int64 { return s.reserves.Load() }
@@ -244,8 +236,6 @@ func newMutexAllocator(size int64) *mutexAllocator {
 	return &mutexAllocator{spans: []span{{0, size}}, avail: size}
 }
 
-func (a *mutexAllocator) name() string { return "mutex-first-fit" }
-
 func (a *mutexAllocator) freeBytes() int64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -328,8 +318,6 @@ func newPartitionedAllocator(size int64, clients int) (*partitionedAllocator, er
 	}
 	return a, nil
 }
-
-func (a *partitionedAllocator) name() string { return "lock-free-partitioned" }
 
 func (a *partitionedAllocator) freeBytes() int64 {
 	var total int64

@@ -30,8 +30,8 @@ func TestMutexReserveRelease(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.AllocatorName() != "mutex-first-fit" {
-		t.Errorf("allocator = %q", s.AllocatorName())
+	if _, ok := s.alloc.(*mutexAllocator); !ok {
+		t.Errorf("allocator = %T", s.alloc)
 	}
 	b1, err := s.Reserve(0, 256)
 	if err != nil {
@@ -41,7 +41,7 @@ func TestMutexReserveRelease(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b1.Offset() == b2.Offset() {
+	if b1.offset == b2.offset {
 		t.Error("blocks must not alias")
 	}
 	if s.FreeBytes() != 512 {
@@ -104,23 +104,23 @@ func TestPartitionedBasic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.AllocatorName() != "lock-free-partitioned" {
-		t.Errorf("allocator = %q", s.AllocatorName())
+	if _, ok := s.alloc.(*partitionedAllocator); !ok {
+		t.Errorf("allocator = %T", s.alloc)
 	}
 	// Each client owns 100 bytes.
 	b0, err := s.Reserve(0, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b0.Offset() != 0 {
-		t.Errorf("client 0 offset = %d", b0.Offset())
+	if b0.offset != 0 {
+		t.Errorf("client 0 offset = %d", b0.offset)
 	}
 	b3, err := s.Reserve(3, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b3.Offset() != 300 {
-		t.Errorf("client 3 offset = %d", b3.Offset())
+	if b3.offset != 300 {
+		t.Errorf("client 3 offset = %d", b3.offset)
 	}
 	// Client 0 partition is now full.
 	if _, err := s.Reserve(0, 1); !errors.Is(err, ErrNoSpace) {
@@ -132,8 +132,8 @@ func TestPartitionedBasic(t *testing.T) {
 	if err != nil {
 		t.Fatalf("partition did not recycle: %v", err)
 	}
-	if b0b.Offset() != 0 {
-		t.Errorf("recycled offset = %d, want 0", b0b.Offset())
+	if b0b.offset != 0 {
+		t.Errorf("recycled offset = %d, want 0", b0b.offset)
 	}
 	if _, err := s.Reserve(7, 10); err == nil {
 		t.Error("expected out-of-range client error")
@@ -302,7 +302,7 @@ func TestQuickMutexNoOverlap(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			lo, hi := b.Offset(), b.Offset()+b.Size()
+			lo, hi := b.offset, b.offset+b.Size()
 			if lo < 0 || hi > s.Size() {
 				return false
 			}
@@ -341,7 +341,7 @@ func TestQuickPartitionedBounds(t *testing.T) {
 				return false
 			}
 			base := int64(client) * per
-			if b.Offset() < base || b.Offset()+b.Size() > base+per {
+			if b.offset < base || b.offset+b.Size() > base+per {
 				return false
 			}
 		}

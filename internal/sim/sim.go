@@ -51,7 +51,6 @@ type Engine struct {
 	now  Time
 	heap evHeap
 	seq  int64
-	ran  int64
 }
 
 // NewEngine creates an empty simulation at time zero.
@@ -61,9 +60,6 @@ func NewEngine() *Engine {
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
-
-// EventsRun returns the number of events executed so far.
-func (e *Engine) EventsRun() int64 { return e.ran }
 
 // At schedules fn at absolute time t (>= Now).
 func (e *Engine) At(t Time, fn func()) {
@@ -90,22 +86,7 @@ func (e *Engine) Run() Time {
 	for len(e.heap) > 0 {
 		nxt := heap.Pop(&e.heap).(*ev)
 		e.now = nxt.at
-		e.ran++
 		nxt.call()
-	}
-	return e.now
-}
-
-// RunUntil executes events with timestamps <= limit.
-func (e *Engine) RunUntil(limit Time) Time {
-	for len(e.heap) > 0 && e.heap[0].at <= limit {
-		nxt := heap.Pop(&e.heap).(*ev)
-		e.now = nxt.at
-		e.ran++
-		nxt.call()
-	}
-	if e.now < limit {
-		e.now = limit
 	}
 	return e.now
 }
@@ -123,12 +104,6 @@ type Resource struct {
 	servers int
 	busy    int
 	queue   []resReq
-
-	// Metrics.
-	served    int64
-	busyTime  Time
-	lastStart Time
-	maxQueue  int
 }
 
 type resReq struct {
@@ -151,9 +126,6 @@ func (r *Resource) Acquire(service Time, done func()) {
 		panic("sim: negative service time")
 	}
 	r.queue = append(r.queue, resReq{service, done})
-	if len(r.queue) > r.maxQueue {
-		r.maxQueue = len(r.queue)
-	}
 	r.dispatch()
 }
 
@@ -162,15 +134,8 @@ func (r *Resource) dispatch() {
 		req := r.queue[0]
 		r.queue = r.queue[1:]
 		r.busy++
-		if r.busy == 1 {
-			r.lastStart = r.eng.Now()
-		}
 		r.eng.After(req.service, func() {
 			r.busy--
-			r.served++
-			if r.busy == 0 {
-				r.busyTime += r.eng.Now() - r.lastStart
-			}
 			if req.done != nil {
 				req.done()
 			}
@@ -178,12 +143,6 @@ func (r *Resource) dispatch() {
 		})
 	}
 }
-
-// Served returns the number of completed requests.
-func (r *Resource) Served() int64 { return r.served }
-
-// MaxQueue returns the peak queue length observed.
-func (r *Resource) MaxQueue() int { return r.maxQueue }
 
 // ---------------------------------------------------------------------------
 // Link: a bandwidth-shared channel with processor-sharing semantics. Every
@@ -218,7 +177,6 @@ type Link struct {
 	heap  xferHeap
 	caps  map[float64]int // multiset of active per-transfer caps (>0 only)
 	gen   int64           // pending wake-up generation
-	moved float64         // total bytes completed
 }
 
 type xfer struct {
@@ -243,12 +201,6 @@ func NewLink(eng *Engine, bandwidth float64) *Link {
 	}
 	return &Link{eng: eng, bandwidth: bandwidth, caps: make(map[float64]int)}
 }
-
-// Active returns the number of in-flight transfers.
-func (l *Link) Active() int { return len(l.heap) }
-
-// BytesMoved returns the total bytes delivered.
-func (l *Link) BytesMoved() float64 { return l.moved }
 
 // Transfer moves `bytes` through the link, calling done on completion.
 // Concurrent transfers share the bandwidth fairly.
@@ -342,7 +294,6 @@ func (l *Link) schedule() {
 					delete(l.caps, t.cap)
 				}
 			}
-			l.moved += t.size
 			if t.done != nil {
 				t.done()
 			}

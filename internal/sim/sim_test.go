@@ -20,9 +20,6 @@ func TestEngineOrdering(t *testing.T) {
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Errorf("order = %v", order)
 	}
-	if e.EventsRun() != 3 {
-		t.Errorf("events = %d", e.EventsRun())
-	}
 }
 
 func TestEngineFIFOTieBreak(t *testing.T) {
@@ -73,26 +70,6 @@ func TestEnginePanics(t *testing.T) {
 	}
 }
 
-func TestRunUntil(t *testing.T) {
-	e := NewEngine()
-	var fired []Time
-	for _, at := range []Time{1, 2, 3, 4, 5} {
-		at := at
-		e.At(at, func() { fired = append(fired, at) })
-	}
-	e.RunUntil(3)
-	if len(fired) != 3 {
-		t.Errorf("fired = %v", fired)
-	}
-	if e.Now() != 3 {
-		t.Errorf("now = %v", e.Now())
-	}
-	e.Run()
-	if len(fired) != 5 {
-		t.Errorf("fired after Run = %v", fired)
-	}
-}
-
 func TestResourceSerializes(t *testing.T) {
 	e := NewEngine()
 	r := NewResource(e, 1)
@@ -109,13 +86,6 @@ func TestResourceSerializes(t *testing.T) {
 		if math.Abs(ends[i]-want[i]) > 1e-9 {
 			t.Errorf("ends[%d] = %v, want %v", i, ends[i], want[i])
 		}
-	}
-	if r.Served() != 4 {
-		t.Errorf("served = %d", r.Served())
-	}
-	// The first request starts service immediately; three others queued.
-	if r.MaxQueue() != 3 {
-		t.Errorf("max queue = %d", r.MaxQueue())
 	}
 }
 
@@ -166,9 +136,6 @@ func TestLinkSingleTransfer(t *testing.T) {
 	e.Run()
 	if math.Abs(done-5) > 1e-9 {
 		t.Errorf("done at %v, want 5", done)
-	}
-	if l.BytesMoved() != 500 {
-		t.Errorf("moved = %v", l.BytesMoved())
 	}
 }
 
@@ -250,8 +217,8 @@ func TestLinkValidation(t *testing.T) {
 }
 
 func TestLinkManyTransfersConservation(t *testing.T) {
-	// Total bytes through the link must equal the sum of transfer sizes, and
-	// the makespan must be >= total/bandwidth (work conservation bound).
+	// Every transfer completes, and the makespan must be >= total/bandwidth
+	// (work conservation bound).
 	e := NewEngine()
 	l := NewLink(e, 1000)
 	total := 0.0
@@ -267,9 +234,6 @@ func TestLinkManyTransfersConservation(t *testing.T) {
 	end := e.Run()
 	if n != 20 {
 		t.Fatalf("completed = %d", n)
-	}
-	if math.Abs(l.BytesMoved()-total) > 1e-6 {
-		t.Errorf("moved = %v, want %v", l.BytesMoved(), total)
 	}
 	if end < total/1000-1e-9 {
 		t.Errorf("makespan %v violates work conservation bound %v", end, total/1000)

@@ -57,15 +57,6 @@ func Summarize(xs []float64) Summary {
 // ("difference between the fastest and the slowest phase").
 func (s Summary) Spread() float64 { return s.Max - s.Min }
 
-// CV returns the coefficient of variation (stddev/mean), a scale-free jitter
-// measure. It returns 0 for a zero mean.
-func (s Summary) CV() float64 {
-	if s.Mean == 0 {
-		return 0
-	}
-	return s.Stddev / s.Mean
-}
-
 // String renders the summary in a compact single-line form.
 func (s Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%.4g min=%.4g max=%.4g sd=%.4g",
@@ -168,18 +159,6 @@ func (a *Accumulator) Add(x float64) {
 	a.mean += d / float64(a.n)
 	a.m2 += d * (x - a.mean)
 }
-
-// N returns the number of observations added so far.
-func (a *Accumulator) N() int { return a.n }
-
-// Mean returns the running mean (0 when empty).
-func (a *Accumulator) Mean() float64 { return a.mean }
-
-// Min returns the smallest observation (0 when empty).
-func (a *Accumulator) Min() float64 { return a.min }
-
-// Max returns the largest observation (0 when empty).
-func (a *Accumulator) Max() float64 { return a.max }
 
 // Variance returns the population variance (0 when n < 2).
 func (a *Accumulator) Variance() float64 {

@@ -45,9 +45,6 @@ func TestSummarizeKnown(t *testing.T) {
 	if s.Spread() != 7 {
 		t.Errorf("spread = %v, want 7", s.Spread())
 	}
-	if !almostEqual(s.CV(), 0.4, 1e-12) {
-		t.Errorf("cv = %v, want 0.4", s.CV())
-	}
 }
 
 func TestPercentileInterpolation(t *testing.T) {
@@ -98,31 +95,31 @@ func TestAccumulatorMatchesSummarize(t *testing.T) {
 		xs[i] = rng.NormFloat64()*5 + 10
 		acc.Add(xs[i])
 	}
-	s := Summarize(xs)
-	if acc.N() != s.N {
-		t.Fatalf("N mismatch: %d vs %d", acc.N(), s.N)
+	s, got := Summarize(xs), acc.Summary()
+	if got.N != s.N {
+		t.Fatalf("N mismatch: %d vs %d", got.N, s.N)
 	}
-	if !almostEqual(acc.Mean(), s.Mean, 1e-9) {
-		t.Errorf("mean: %v vs %v", acc.Mean(), s.Mean)
+	if !almostEqual(got.Mean, s.Mean, 1e-9) {
+		t.Errorf("mean: %v vs %v", got.Mean, s.Mean)
 	}
-	if !almostEqual(acc.Stddev(), s.Stddev, 1e-9) {
-		t.Errorf("stddev: %v vs %v", acc.Stddev(), s.Stddev)
+	if !almostEqual(got.Stddev, s.Stddev, 1e-9) {
+		t.Errorf("stddev: %v vs %v", got.Stddev, s.Stddev)
 	}
-	if acc.Min() != s.Min || acc.Max() != s.Max {
-		t.Errorf("min/max: %v/%v vs %v/%v", acc.Min(), acc.Max(), s.Min, s.Max)
+	if got.Min != s.Min || got.Max != s.Max {
+		t.Errorf("min/max: %v/%v vs %v/%v", got.Min, got.Max, s.Min, s.Max)
 	}
 }
 
 func TestAccumulatorEmptyAndSingle(t *testing.T) {
 	var acc Accumulator
-	if acc.Variance() != 0 || acc.Mean() != 0 {
+	if acc.Variance() != 0 || acc.Summary().Mean != 0 {
 		t.Error("zero accumulator should report zeros")
 	}
 	acc.Add(5)
 	if acc.Variance() != 0 {
 		t.Error("variance of one sample should be 0")
 	}
-	if acc.Min() != 5 || acc.Max() != 5 {
+	if got := acc.Summary(); got.Min != 5 || got.Max != 5 {
 		t.Error("min/max of one sample should be the sample")
 	}
 }
@@ -145,10 +142,10 @@ func TestQuickAccumulatorAgreement(t *testing.T) {
 		for _, x := range xs {
 			acc.Add(x)
 		}
-		s := Summarize(xs)
-		return almostEqual(acc.Mean(), s.Mean, 1e-6) &&
-			almostEqual(acc.Stddev(), s.Stddev, 1e-5) &&
-			acc.Min() == s.Min && acc.Max() == s.Max
+		s, got := Summarize(xs), acc.Summary()
+		return almostEqual(got.Mean, s.Mean, 1e-6) &&
+			almostEqual(got.Stddev, s.Stddev, 1e-5) &&
+			got.Min == s.Min && got.Max == s.Max
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -11,7 +11,7 @@ import (
 // to one backend among peers. Every object (or blob) is a plain file under
 // the root directory, named exactly as the object — so a directory written
 // through a FileStore is byte-identical to what the pre-backend persister
-// produced, and stays readable by dsf.OpenCollection and plain tools.
+// produced, and stays readable by dsf-inspect and plain tools.
 //
 // The backend is one tree: objects are its files, temporaries are hidden
 // ".tmp-*" files in the root. Objects are single-part: Create streams into

@@ -175,9 +175,6 @@ func (s *ObjStore) putPartBuf(buf *[]byte) {
 // interrupted, so the bytes it was handed must not be reused.
 func (s *ObjStore) abandons() bool { return len(s.targets) > 1 || s.putTimeout > 0 }
 
-// PartSize returns the multipart split size.
-func (s *ObjStore) PartSize() int64 { return s.partSize }
-
 // casPrefix is where the blob plane keeps content-addressed parts.
 const casPrefix = "cas/sha256/"
 

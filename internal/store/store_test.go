@@ -67,8 +67,8 @@ func TestOpenURLSelectsBackend(t *testing.T) {
 	if !ok {
 		t.Fatalf("obj:// opened %T", b2)
 	}
-	if os.PartSize() != 4096 {
-		t.Errorf("part size = %d, want 4096 from the options", os.PartSize())
+	if os.partSize != 4096 {
+		t.Errorf("part size = %d, want 4096 from the options", os.partSize)
 	}
 }
 

@@ -53,11 +53,6 @@ func (f *Field) At(idx ...int64) float32 {
 	return f.Data[f.offset(idx)]
 }
 
-// Set assigns the value at the given coordinates.
-func (f *Field) Set(v float32, idx ...int64) {
-	f.Data[f.offset(idx)] = v
-}
-
 func (f *Field) offset(idx []int64) int64 {
 	if len(idx) != len(f.Dims) {
 		panic(fmt.Sprintf("viz: %d coordinates for %d-dimensional field", len(idx), len(f.Dims)))
@@ -87,18 +82,6 @@ func (f *Field) MinMax() (mn, mx float32) {
 		}
 	}
 	return mn, mx
-}
-
-// Mean returns the arithmetic mean (0 for an empty field).
-func (f *Field) Mean() float64 {
-	if len(f.Data) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, x := range f.Data {
-		sum += float64(x)
-	}
-	return sum / float64(len(f.Data))
 }
 
 // Chunk pairs a piece's placement with its payload.
