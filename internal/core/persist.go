@@ -249,18 +249,21 @@ func (p *DSFPersister) writeFile(name string, entries []*metadata.Entry, attrs m
 	if err != nil {
 		return err
 	}
+	// The object writer may keep the raw chunks dsf.Writer hands it through
+	// WritePinned until Commit or Abort returns. Every entry stays reserved
+	// until writeFile returns — the pipeline and the aggregation leader both
+	// release after persist — so the shared-memory bytes outlive that.
 	ow, err := b.Create(name)
 	if err != nil {
 		return fmt.Errorf("persist: %w", err)
 	}
+	defer ow.Abort() // does nothing once committed, like w.Abort once closed
 	w, err := dsf.NewWriter(ow)
 	if err != nil {
-		ow.Abort()
 		return err
 	}
+	defer w.Abort()
 	if err := w.SetGzipLevel(p.GzipLevel); err != nil {
-		w.Abort()
-		ow.Abort()
 		return err
 	}
 	w.SetAttribute("writer", "damaris-dedicated-core")
@@ -272,12 +275,9 @@ func (p *DSFPersister) writeFile(name string, entries []*metadata.Entry, attrs m
 	err = w.WriteChunks(cb.metas, cb.datas, p.EncodePool())
 	p.returnBatch(cb)
 	if err != nil {
-		w.Abort()
-		ow.Abort()
 		return err
 	}
 	if err := w.Close(); err != nil {
-		ow.Abort()
 		return err
 	}
 	// The stream is complete; only the commit makes it visible. A crash (or

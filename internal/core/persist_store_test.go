@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"damaris/internal/config"
 	"damaris/internal/dsf"
 	"damaris/internal/layout"
+	"damaris/internal/metadata"
 	"damaris/internal/mpi"
 	"damaris/internal/obs"
 	"damaris/internal/store"
@@ -74,8 +76,8 @@ func TestDSFPersisterBackendsByteIdentical(t *testing.T) {
 
 // The lifecycle tracer rides the persist hot path (encode and persist spans
 // per call): attaching it may add at most 10% to the path's allocations.
-// dsf.Writer's bufio comes from a sync.Pool, so the count means nothing
-// under the race detector.
+// The serial encoder's buffers and deflate state come from sync.Pools, so
+// the count means nothing under the race detector.
 func TestTracingPersistAllocOverheadBounded(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops entries under -race")
@@ -315,5 +317,56 @@ func TestDSFPersisterRecordsConcurrentPersists(t *testing.T) {
 	wg.Wait()
 	if got := len(slices.Compact(slices.Sorted(slices.Values(p.files)))); got != 32 {
 		t.Fatalf("distinct files = %d, want 32 (%d recorded)", got, len(p.files))
+	}
+}
+
+// A raw object goes from the entries' bytes to the object store without a
+// second copy: its chunks are hashed and written where they lie, so the
+// store allocates no part-sized buffer for them and holds none once the
+// object is committed. The live heap grows by less than one part, where a
+// store copying into recycled part buffers kept several alive.
+func TestPinnedRawObjectLeavesNoPartBuffer(t *testing.T) {
+	const part = 1 << 20
+	b, err := store.NewObjStore(t.TempDir(), store.Options{PartSize: part})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var entries []*metadata.Entry
+	for v := range 8 {
+		data := make([]byte, part)
+		data[0] = byte(v)
+		entries = append(entries, spillEntry(fmt.Sprintf("v%d", v), 0, 0, data))
+	}
+	p := &DSFPersister{Backend: b}
+	var before, mid, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if err := p.Persist(0, entries); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&mid)
+	if err := p.Persist(1, entries); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(b)
+	runtime.KeepAlive(entries)
+	if n := after.TotalAlloc - mid.TotalAlloc; n >= part {
+		t.Errorf("persisting 8 MiB of raw chunks allocates %d bytes, want less than one part (%d)", n, part)
+	}
+	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew >= part {
+		t.Errorf("the live heap grew by %d bytes over two raw objects, want less than one part (%d)", grew, part)
+	}
+	or, err := b.Open(p.files[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := dsf.OpenReaderAt(or, or.Size())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Verify(); err != nil || r.NumChunks() != len(entries) {
+		t.Errorf("object holds %d chunks (%v), want %d", r.NumChunks(), err, len(entries))
 	}
 }

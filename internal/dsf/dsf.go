@@ -139,7 +139,7 @@ const writeBufferSize = 256 << 10
 // writerScratch is what one object's Writer leaves to the next: the write
 // buffer (one per object was the largest single allocation left on the
 // persist path), the TOC records and attributes, and the slab the records'
-// global coordinates live in. It goes back to writerPool cleared.
+// global coordinates live in. It goes back to writerScratches cleared.
 type writerScratch struct {
 	bw      *bufio.Writer
 	recs    []tocRecord
@@ -147,9 +147,32 @@ type writerScratch struct {
 	globals []int64
 }
 
-var writerPool = sync.Pool{New: func() any {
+// writerScratches is the free list of writer scratch. It is a plain list,
+// not a sync.Pool: a pool's per-P slots and its clearing at garbage
+// collection made it miss now and then, and each miss is a fresh write
+// buffer. The list holds as many as were ever in use at once.
+var writerScratches struct {
+	sync.Mutex
+	free []*writerScratch
+}
+
+// getScratch takes scratch off the free list, or makes it.
+func getScratch() *writerScratch {
+	writerScratches.Lock()
+	defer writerScratches.Unlock()
+	if n := len(writerScratches.free); n > 0 {
+		s := writerScratches.free[n-1]
+		writerScratches.free = writerScratches.free[:n-1]
+		return s
+	}
 	return &writerScratch{bw: bufio.NewWriterSize(io.Discard, writeBufferSize)}
-}}
+}
+
+// pinner is a sink that may keep the bytes it is handed instead of copying
+// them: store.ObjectWriter's WritePinned.
+type pinner interface {
+	WritePinned(p []byte) (int, error)
+}
 
 // Writer streams chunks into a DSF byte stream. It is not safe for
 // concurrent use; parallelism belongs in the encode stage (WriteChunks with
@@ -158,8 +181,9 @@ var writerPool = sync.Pool{New: func() any {
 // which is how DSF streams reach object stores.
 type Writer struct {
 	out            io.Writer // underlying sink, behind bw
+	pin            pinner    // out, when it can keep raw chunks without a copy
 	closer         io.Closer // closed by Close when the Writer owns the sink (Create)
-	*writerScratch           // pooled; nil once the Writer is closed or aborted
+	*writerScratch           // recycled; nil once the Writer is closed or aborted
 	offset         int64
 	level          int // gzip level for Gzip/ShuffleGzip chunks
 	closed         bool
@@ -185,13 +209,19 @@ const maxLayoutDescs = 16
 // Close finishes the stream (TOC + footer) but does not close the sink —
 // the caller owns its lifecycle (e.g. committing a store.ObjectWriter). A
 // caller that gives up on the stream calls Abort instead of Close.
+//
+// A sink with WritePinned (store.ObjectWriter) is handed every codec-None
+// chunk of at least the write buffer's size through it, unbuffered, and may
+// keep the chunk's bytes instead of copying them: the caller leaves them
+// unmodified until the sink's Commit or Abort returns.
 func NewWriter(out io.Writer) (*Writer, error) {
 	w := &Writer{
 		out:           out,
-		writerScratch: writerPool.Get().(*writerScratch),
+		writerScratch: getScratch(),
 		offset:        int64(len(headMagic)),
 		level:         DefaultGzipLevel,
 	}
+	w.pin, _ = out.(pinner)
 	w.bw.Reset(out)
 	if _, err := w.bw.Write(headMagic); err != nil {
 		w.Abort()
@@ -217,9 +247,9 @@ func Create(path string) (*Writer, error) {
 }
 
 // Abort abandons the stream without finishing it: buffered bytes are
-// dropped, the write buffer goes back to its pool and an owned sink (Create)
-// is closed. The Writer accepts no chunks afterwards. Calling it after Close
-// or a second time does nothing.
+// dropped, the write buffer goes back to its free list and an owned sink
+// (Create) is closed. The Writer accepts no chunks afterwards. Calling it
+// after Close or a second time does nothing.
 func (w *Writer) Abort() {
 	if w.writerScratch == nil {
 		return
@@ -239,7 +269,9 @@ func (w *Writer) release() {
 	clear(s.recs)
 	clear(s.attrs)
 	s.recs, s.attrs, s.globals = s.recs[:0], s.attrs[:0], s.globals[:0]
-	writerPool.Put(s)
+	writerScratches.Lock()
+	writerScratches.free = append(writerScratches.free, s)
+	writerScratches.Unlock()
 	w.writerScratch = nil
 }
 
@@ -306,8 +338,19 @@ func (w *Writer) WriteChunk(meta ChunkMeta, data []byte) error {
 }
 
 // appendEncoded streams one already-encoded chunk and records its TOC entry.
+// A raw chunk of at least the write buffer's size goes to a pinning sink
+// itself, after the buffer's bytes: the sink keeps the caller's bytes, and
+// the stream's bytes are what buffering would have made them.
 func (w *Writer) appendEncoded(meta ChunkMeta, rawSize int64, ec encodedChunk) error {
-	if _, err := w.bw.Write(ec.stored); err != nil {
+	var err error
+	if w.pin != nil && meta.Codec == None && len(ec.stored) >= writeBufferSize {
+		if err = w.bw.Flush(); err == nil {
+			_, err = w.pin.WritePinned(ec.stored)
+		}
+	} else {
+		_, err = w.bw.Write(ec.stored)
+	}
+	if err != nil {
 		return fmt.Errorf("dsf: chunk %q: %w", meta.Name, err)
 	}
 	rec := tocRecord{

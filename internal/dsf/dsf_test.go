@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
 	"math"
 	"math/rand"
 	"os"
@@ -467,5 +468,55 @@ func TestReadChunkThroughView(t *testing.T) {
 	src.short = 1
 	if _, err := r.ReadChunk(0); err == nil {
 		t.Error("a view shorter than the TOC's stored size should be an error")
+	}
+}
+
+// pinSink records which bytes reached it pinned: a store.ObjectWriter in
+// miniature.
+type pinSink struct {
+	bytes.Buffer
+	pinned [][]byte
+}
+
+func (s *pinSink) WritePinned(p []byte) (int, error) {
+	s.pinned = append(s.pinned, p)
+	return s.Write(p)
+}
+
+// A sink with WritePinned is handed every raw chunk of at least the write
+// buffer's size itself — exactly that size included — after the bytes
+// buffered before it; smaller chunks and encoded ones still go through the
+// buffer. The stream's bytes are those a plain sink receives.
+func TestPinningSinkGetsRawChunksUnbuffered(t *testing.T) {
+	sizes := []int{100, writeBufferSize, writeBufferSize - 1, 3 * writeBufferSize, 8}
+	var datas [][]byte
+	var metas []ChunkMeta
+	for i, n := range sizes {
+		datas = append(datas, bytes.Repeat([]byte{byte(i + 1)}, n))
+		metas = append(metas, ChunkMeta{Name: "x", Source: i, Layout: layout.MustNew(layout.Byte, int64(n))})
+	}
+	gz := ChunkMeta{Name: "gz", Layout: layout.MustNew(layout.Byte, writeBufferSize), Codec: Gzip}
+	metas, datas = append(metas, gz), append(datas, bytes.Repeat([]byte{9}, writeBufferSize))
+	stream := func(sink io.Writer) {
+		w, err := NewWriter(sink)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.WriteChunks(metas, datas, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var plain bytes.Buffer
+	pin := &pinSink{}
+	stream(&plain)
+	stream(pin)
+	if !bytes.Equal(plain.Bytes(), pin.Bytes()) {
+		t.Fatal("a pinning sink receives other bytes than a plain one")
+	}
+	if len(pin.pinned) != 2 || &pin.pinned[0][0] != &datas[1][0] || &pin.pinned[1][0] != &datas[3][0] {
+		t.Errorf("pinned %d writes, want the caller's chunks 1 and 3", len(pin.pinned))
 	}
 }

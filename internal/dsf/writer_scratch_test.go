@@ -3,6 +3,7 @@ package dsf
 import (
 	"bytes"
 	"io"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -168,5 +169,30 @@ func TestAttributesSortedLastWins(t *testing.T) {
 	}
 	if attrs := r.Attributes(); len(attrs) != 3 || attrs["node"] != "0" || attrs["a"] != "1" {
 		t.Errorf("attributes = %v", attrs)
+	}
+}
+
+// A Writer's write buffer outlives a garbage collection: scratch goes back
+// to a free list, not to a sync.Pool that collections empty, so the first
+// object after one does not allocate a fresh buffer.
+func TestWriterScratchSurvivesGC(t *testing.T) {
+	object := func() {
+		w, err := NewWriter(io.Discard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	object()
+	runtime.GC()
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	object()
+	runtime.ReadMemStats(&after)
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 4<<10 {
+		t.Errorf("an object written after two collections allocates %d bytes, want < 4 KiB", n)
 	}
 }

@@ -27,11 +27,12 @@ func TestObjStorePutAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := pattern(4096, 9)
+	pt := &objPart{runs: [][]byte{data}, size: int64(len(data))}
 	var seq uint64
 	upload := func() Part {
 		seq++ // fresh content: every upload misses the dedupe probe
 		binary.LittleEndian.PutUint64(data, seq)
-		part, err := s.uploadPart(data)
+		part, err := s.uploadPart(pt)
 		if err != nil {
 			t.Fatal(err)
 		}

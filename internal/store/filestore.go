@@ -42,21 +42,6 @@ func NewFileStore(dir string, opts Options) (*FileStore, error) {
 	}, nil
 }
 
-// Put stores one immutable blob as a file under the root.
-func (s *FileStore) Put(name string, data []byte) error {
-	if err := validName(name); err != nil {
-		return err
-	}
-	// Timer before the fault hook: injected latency models the storage
-	// target and belongs in PutLatency.
-	start := time.Now()
-	if err := s.t.put(OpPut, name, data); err != nil {
-		return s.metrics.failed(err)
-	}
-	s.metrics.put(time.Since(start).Seconds(), int64(len(data)))
-	return nil
-}
-
 // Get reads a blob back.
 func (s *FileStore) Get(name string) ([]byte, error) {
 	if err := validName(name); err != nil {
@@ -151,6 +136,9 @@ func (w *fileObjWriter) Write(p []byte) (int, error) {
 	w.size += int64(n)
 	return n, err
 }
+
+// WritePinned is Write: the bytes go straight to the temp file.
+func (w *fileObjWriter) WritePinned(p []byte) (int, error) { return w.Write(p) }
 
 func (w *fileObjWriter) Commit() (*Manifest, error) {
 	if w.done {

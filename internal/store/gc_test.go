@@ -293,8 +293,8 @@ func TestDedupeHitRefreshesBlobAge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data := payload(1024, 5)
-	part, err := s.uploadPart(data)
+	pt := &objPart{runs: [][]byte{payload(1024, 5)}, size: 1024}
+	part, err := s.uploadPart(pt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +311,7 @@ func TestDedupeHitRefreshesBlobAge(t *testing.T) {
 		t.Fatalf("aged part not reclaimable: %+v", rep)
 	}
 	// The dedupe hit of a new writer makes it young again.
-	if _, err := s.uploadPart(data); err != nil {
+	if _, err := s.uploadPart(pt); err != nil {
 		t.Fatal(err)
 	}
 	if st := s.Stats(); st.DedupeHits != 1 {

@@ -14,6 +14,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"time"
 )
@@ -65,18 +66,9 @@ type ObjStore struct {
 	targets     []objTarget // index 0 is the primary
 	metrics     metrics
 
-	// sem bounds the parts concurrently uploading (or buffered awaiting a
+	// sem bounds the parts concurrently uploading (or filled awaiting a
 	// worker slot) across all of this backend's ObjectWriters.
 	sem chan struct{}
-	// partBufs recycles part-sized buffers between uploads so steady-state
-	// multipart writes allocate no part-sized buffer per part, unless an
-	// upload may be abandoned (abandons). It is a plain free list,
-	// not a sync.Pool: a pool's per-P slots made a buffer put back by an
-	// uploader invisible to a writer on another P every so often, and each
-	// miss is a part-sized allocation. The list holds what was once in use
-	// at the same time, at most one buffer per open writer plus putWorkers.
-	bufMu    sync.Mutex
-	partBufs []*[]byte
 
 	// latMu guards the put-latency reservoir the hedge trigger is computed
 	// from and the jitter source for retry backoff.
@@ -148,26 +140,25 @@ func NewObjStore(dir string, opts Options) (*ObjStore, error) {
 	return s, nil
 }
 
-// getPartBuf takes an empty part-sized buffer off the free list, or makes
-// one when every buffer is in use.
-func (s *ObjStore) getPartBuf() *[]byte {
-	s.bufMu.Lock()
-	defer s.bufMu.Unlock()
-	if n := len(s.partBufs); n > 0 {
-		buf := s.partBufs[n-1]
-		s.partBufs = s.partBufs[:n-1]
-		return buf
-	}
-	b := make([]byte, 0, s.partSize)
-	return &b
+// objPart is one part on its way to a blob: runs in stream order, each
+// either bytes a WritePinned caller keeps or a copy of what one Write was
+// handed, sized to it. The store keeps no bytes of a part once its upload
+// is done; partPool recycles only the run list, where a sync.Pool's
+// occasional miss costs a few hundred bytes, not a buffer.
+type objPart struct {
+	runs [][]byte
+	size int64
 }
 
-// putPartBuf empties buf and returns it to the free list.
-func (s *ObjStore) putPartBuf(buf *[]byte) {
-	*buf = (*buf)[:0]
-	s.bufMu.Lock()
-	s.partBufs = append(s.partBufs, buf)
-	s.bufMu.Unlock()
+var partPool = sync.Pool{New: func() any { return &objPart{runs: make([][]byte, 0, 8)} }}
+
+// digest hashes the runs in order.
+func (pt *objPart) digest() (sum [sha256.Size]byte) {
+	h := sha256.New()
+	for _, r := range pt.runs {
+		h.Write(r)
+	}
+	return [sha256.Size]byte(h.Sum(sum[:0]))
 }
 
 // abandons reports whether a write attempt can outlive the call that made
@@ -210,32 +201,27 @@ func (s *ObjStore) withPutTimeout(fn func() error) error {
 	}
 }
 
-// putAt stores one immutable blob on target t, under the per-put deadline.
-// The temp file is fsynced before the rename: the manifest-last protocol's
-// invariant is that everything a manifest references is durable, so a crash
-// after a blob's rename must never surface zero-filled part bytes.
-func (s *ObjStore) putAt(t *objTarget, name string, data []byte) error {
+// putAt stores the runs, in order, as one immutable blob of size bytes on
+// target t, under the per-put deadline. The temp file is fsynced before the
+// rename: the manifest-last protocol's invariant is that everything a
+// manifest references is durable, so a crash after a blob's rename must
+// never surface zero-filled part bytes.
+func (s *ObjStore) putAt(t *objTarget, name string, runs [][]byte, size int64) error {
 	if err := validName(name); err != nil {
 		return err
 	}
 	// The timer starts before the fault hook on purpose: injected latency
 	// models the storage target, so it belongs in PutLatency.
 	start := time.Now()
-	err := s.withPutTimeout(func() error { return t.blobs.put(OpPut, name, data) })
+	err := s.withPutTimeout(func() error { return t.blobs.put(OpPut, name, runs...) })
 	if err != nil {
 		return s.metrics.failed(err)
 	}
 	sec := time.Since(start).Seconds()
-	s.metrics.put(sec, int64(len(data)))
+	s.metrics.put(sec, size)
 	s.observePutLatency(sec)
 	return nil
 }
-
-// Put stores one immutable blob on the primary target. Re-putting an
-// existing name is legal only with identical bytes (content-addressed
-// callers get that by construction); the rename makes the operation
-// idempotent either way.
-func (s *ObjStore) Put(name string, data []byte) error { return s.putAt(&s.targets[0], name, data) }
 
 // observePutLatency feeds the hedge trigger's latency reservoir.
 func (s *ObjStore) observePutLatency(sec float64) {
@@ -443,74 +429,68 @@ func (s *ObjStore) Create(object string) (ObjectWriter, error) {
 	if err := validName(object); err != nil {
 		return nil, err
 	}
-	return &objWriter{s: s, object: object, buf: s.getPartBuf()}, nil
+	return &objWriter{s: s, object: object}, nil
 }
 
-// objWriter accumulates partSize bytes at a time and hands full parts to
-// the upload pool; Write blocks when putWorkers parts are already in
-// flight, so memory stays bounded at (putWorkers+1) part buffers no matter
-// how large the object is.
+// objWriter fills partSize bytes at a time and hands full parts to the
+// upload pool; Write blocks when putWorkers parts are already in flight, so
+// the bytes it copies stay bounded at (putWorkers+1) parts no matter how
+// large the object is. Pinned bytes are the caller's, not the writer's.
 type objWriter struct {
 	s      *ObjStore
 	object string
-	buf    *[]byte
+	pt     *objPart // the part being filled, nil until bytes arrive
 	size   int64
-	nparts int
+	done   bool
 	wg     sync.WaitGroup
+	// firstErr is the first part's terminal failure.
+	firstErr atomic.Pointer[error]
 
-	mu       sync.Mutex
-	parts    []Part // indexed by part number, filled as uploads finish
-	firstErr error
-	done     bool
+	mu    sync.Mutex
+	parts []Part // indexed by part number, filled as uploads finish
 }
 
-func (w *objWriter) setErr(err error) {
-	w.mu.Lock()
-	if w.firstErr == nil {
-		w.firstErr = err
-	}
-	w.mu.Unlock()
-}
+func (w *objWriter) Write(p []byte) (int, error) { return w.write(p, false) }
 
-func (w *objWriter) err() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.firstErr
-}
+// WritePinned keeps p in the parts' runs. A store whose uploads can outlive
+// Commit (abandons) copies it, as Write does: a losing hedge or a put past
+// its deadline may still be writing p after the caller has moved on.
+func (w *objWriter) WritePinned(p []byte) (int, error) { return w.write(p, !w.s.abandons()) }
 
-func (w *objWriter) Write(p []byte) (int, error) {
+func (w *objWriter) write(p []byte, pin bool) (int, error) {
 	if w.done {
 		return 0, fmt.Errorf("store: write on finished object %q", w.object)
 	}
-	if err := w.err(); err != nil {
-		return 0, err // fail fast: a part already failed terminally
+	if err := w.firstErr.Load(); err != nil {
+		return 0, *err // fail fast: a part already failed terminally
 	}
-	written := 0
+	written := len(p)
 	for len(p) > 0 {
-		room := int(w.s.partSize) - len(*w.buf)
-		n := len(p)
-		if n > room {
-			n = room
+		if w.pt == nil {
+			w.pt = partPool.Get().(*objPart)
 		}
-		*w.buf = append(*w.buf, p[:n]...)
+		n := min(int64(len(p)), w.s.partSize-w.pt.size)
+		run := p[:n]
+		if !pin {
+			run = bytes.Clone(run)
+		}
+		w.pt.runs = append(w.pt.runs, run)
 		p = p[n:]
-		written += n
-		w.size += int64(n)
-		if int64(len(*w.buf)) == w.s.partSize {
+		w.pt.size += n
+		w.size += n
+		if w.pt.size == w.s.partSize {
 			w.dispatchPart()
 		}
 	}
 	return written, nil
 }
 
-// dispatchPart hands the current buffer to the upload pool and starts a
-// fresh one. It blocks on the pool semaphore — the multipart backpressure
-// point.
+// dispatchPart hands the current part to the upload pool. It blocks on the
+// pool semaphore — the multipart backpressure point.
 func (w *objWriter) dispatchPart() {
-	buf := w.buf
-	idx := w.nparts
-	w.nparts++
+	pt := w.pt
 	w.mu.Lock()
+	idx := len(w.parts)
 	w.parts = append(w.parts, Part{}) // reserve slot idx, filled by the upload
 	w.mu.Unlock()
 
@@ -521,22 +501,24 @@ func (w *objWriter) dispatchPart() {
 		defer func() {
 			<-w.s.sem
 			w.s.metrics.partEnd()
-			if !w.s.abandons() {
-				w.s.putPartBuf(buf)
+			if !w.s.abandons() { // else an abandoned put may still read the runs
+				clear(pt.runs)
+				pt.runs, pt.size = pt.runs[:0], 0
+				partPool.Put(pt)
 			}
 			w.wg.Done()
 		}()
-		part, err := w.s.uploadPart(*buf)
+		part, err := w.s.uploadPart(pt)
 		if err != nil {
-			w.setErr(fmt.Errorf("store: object %q part %d: %w", w.object, idx, err))
+			err = fmt.Errorf("store: object %q part %d: %w", w.object, idx, err)
+			w.firstErr.CompareAndSwap(nil, &err)
 			return
 		}
 		w.mu.Lock()
 		w.parts[idx] = part
 		w.mu.Unlock()
 	}()
-
-	w.buf = w.s.getPartBuf()
+	w.pt = nil
 }
 
 // Retry backoff bounds: capped exponential starting at the base, with full
@@ -571,8 +553,8 @@ func (s *ObjStore) backoffBeforeAttempt(attempt int) {
 // put it — hedged across replica targets when configured — retrying
 // transient failures with backoff, idempotent because the name is the
 // content.
-func (s *ObjStore) uploadPart(data []byte) (Part, error) {
-	part := casPart(sha256.Sum256(data), int64(len(data)))
+func (s *ObjStore) uploadPart(pt *objPart) (Part, error) {
+	part := casPart(pt.digest(), pt.size)
 	if info, err := s.Stat(part.Blob); err == nil && info.Size == part.Size {
 		s.dedupeHit(part)
 		return part, nil
@@ -590,8 +572,8 @@ func (s *ObjStore) uploadPart(data []byte) (Part, error) {
 				return part, nil
 			}
 		}
-		if lastErr = s.hedged(func(t *objTarget) error { return s.putAt(t, part.Blob, data) }); lastErr == nil {
-			return part, nil
+		if lastErr = s.hedged(func(t *objTarget) error { return s.putAt(t, part.Blob, pt.runs, part.Size) }); lastErr == nil {
+			return part, s.checkPut(pt, part)
 		}
 	}
 	return Part{}, fmt.Errorf("upload failed after %d attempts: %w", s.putAttempts, lastErr)
@@ -614,15 +596,12 @@ func (w *objWriter) Commit() (*Manifest, error) {
 		return nil, fmt.Errorf("store: object %q already finished", w.object)
 	}
 	w.done = true
-	if len(*w.buf) > 0 {
+	if w.pt != nil {
 		w.dispatchPart()
 	}
-	// Release the final buffer and wait for every in-flight part.
-	w.s.putPartBuf(w.buf)
-	w.buf = nil
 	w.wg.Wait()
-	if err := w.err(); err != nil {
-		return nil, err
+	if err := w.firstErr.Load(); err != nil {
+		return nil, *err
 	}
 	m := &Manifest{Object: w.object, Size: w.size, Parts: w.parts}
 	if err := w.s.Commit(m); err != nil {
@@ -636,10 +615,7 @@ func (w *objWriter) Abort() error {
 		return nil
 	}
 	w.done = true
-	if w.buf != nil {
-		w.s.putPartBuf(w.buf)
-		w.buf = nil
-	}
+	w.pt = nil
 	w.wg.Wait()
 	// Already-uploaded parts stay as unreferenced CAS blobs: invisible
 	// without a manifest, and free dedupe fodder for the retry.

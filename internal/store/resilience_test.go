@@ -130,7 +130,7 @@ func TestPutTimeoutConvertsHangToError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = s.Put("cas/sha256/aa", []byte("payload"))
+	err = plantBlob(s, "cas/sha256/aa", []byte("payload"))
 	if !errors.Is(err, ErrPutTimeout) {
 		t.Fatalf("put against hung target: got %v, want ErrPutTimeout", err)
 	}
@@ -199,8 +199,18 @@ func TestHedgedPutWinsOverHungPrimary(t *testing.T) {
 
 // A losing hedge is abandoned, not interrupted: when the primary finally
 // lands the parts and manifests it was held on, each must hold the bytes
-// its name promises, not what the writer put into a recycled buffer since.
+// its name promises, not what the store put into a recycled buffer since,
+// nor what the caller put into its buffer once Commit returned — a store
+// that abandons uploads copies even the bytes handed to WritePinned.
 func TestAbandonedHedgeLandsTheBytesItWasHanded(t *testing.T) {
+	for _, pinned := range []bool{false, true} {
+		t.Run(map[bool]string{false: "Write", true: "WritePinned"}[pinned], func(t *testing.T) {
+			abandonedHedge(t, pinned)
+		})
+	}
+}
+
+func abandonedHedge(t *testing.T, pinned bool) {
 	release := make(chan struct{})
 	var once sync.Once
 	free := func() { once.Do(func() { close(release) }) }
@@ -221,8 +231,23 @@ func TestAbandonedHedgeLandsTheBytesItWasHanded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	buf := make([]byte, 640) // ten distinct parts per object, one buffer for both
 	for i, name := range []string{"a.dsf", "b.dsf"} {
-		writeObject(t, s, name, pattern(640, byte(i)), 640) // ten distinct parts each
+		copy(buf, pattern(640, byte(i)))
+		w, err := s.Create(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		write := w.Write
+		if pinned {
+			write = w.WritePinned
+		}
+		if _, err := write(buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.Commit(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	free()
 	p := &s.targets[0]

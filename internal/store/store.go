@@ -7,9 +7,10 @@
 //
 // A Backend exposes two planes:
 //
-//   - The blob plane: Put/Get/Stat/List/Delete over named immutable blobs.
-//     Blobs are write-once; re-putting a name must carry the same bytes
-//     (content-addressed callers get this for free), which makes retries
+//   - The blob plane: Get/ReadPartAt/Stat/List/Delete over named immutable
+//     blobs. Blobs come into being only as an object's parts (or, for the
+//     file backend, as its objects); re-landing a name must carry the same
+//     bytes (content addressing gives this for free), which makes retries
 //     idempotent.
 //   - The object plane: Create streams one logical object (for Damaris, one
 //     encoded DSF file) into the backend and Commit publishes a manifest
@@ -98,6 +99,10 @@ type ObjectWriter interface {
 	// backend's upload pool is saturated — that backpressure is what bounds
 	// the writer's memory.
 	Write(p []byte) (int, error)
+	// WritePinned is Write for bytes the caller leaves unmodified until
+	// Commit or Abort returns: the backend may hash and store p where it
+	// lies instead of copying it.
+	WritePinned(p []byte) (int, error)
 	// Commit makes the object durable and atomically visible, returning its
 	// manifest. No Write may follow.
 	Commit() (*Manifest, error)
@@ -154,7 +159,6 @@ type ObjectStater interface {
 // Backend is the storage seam every persistence target implements.
 type Backend interface {
 	// Blob plane: named immutable blobs.
-	Put(name string, data []byte) error
 	Get(name string) ([]byte, error)
 	// ReadPartAt fills p from offset off of one manifest part's blob: exact
 	// bytes, under Get's fault hook, and an error if the blob is not part.Size.
@@ -337,16 +341,19 @@ var (
 	tmpPid     = strconv.Itoa(os.Getpid())
 )
 
-// writeFileSync is os.WriteFile plus an fsync before close, so bytes a
-// subsequent rename publishes are durable, not merely buffered.
-func writeFileSync(path string, data []byte) error {
+// writeFileSync is os.WriteFile of the runs in order plus an fsync before
+// close, so bytes a subsequent rename publishes are durable, not merely
+// buffered.
+func writeFileSync(path string, runs ...[]byte) error {
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
+	for _, r := range runs {
+		if _, err := f.Write(r); err != nil {
+			f.Close()
+			return err
+		}
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()

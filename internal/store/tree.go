@@ -68,14 +68,14 @@ func opErr(op, name string, err error) error {
 	return &opError{op, name, err}
 }
 
-// put lands data under name; op (OpPut or OpCommit) is what the fault sees
-// first.
-func (t *tree) put(op, name string, data []byte) error {
+// put lands the runs, in order, under name; op (OpPut or OpCommit) is what
+// the fault sees first.
+func (t *tree) put(op, name string, runs ...[]byte) error {
 	if err := opFault(t.fault, op, name); err != nil {
 		return err
 	}
 	tmp := t.tmp()
-	if err := writeFileSync(tmp, data); err != nil {
+	if err := writeFileSync(tmp, runs...); err != nil {
 		return opErr(op, name, err)
 	}
 	return t.publish(tmp, name)

@@ -233,8 +233,10 @@ func RestoreFloat32From16(b []byte) ([]float32, error) {
 	if len(b) < 20 || !bytes.Equal(b[0:4], reducedMagic[:]) {
 		return nil, fmt.Errorf("transform: not a 16-bit reduced payload")
 	}
+	// The count is checked against the length, not 20+2n against it: that sum
+	// wraps around for a count past 2^63.
 	n := binary.LittleEndian.Uint64(b[4:])
-	if uint64(len(b)) != 20+2*n {
+	if (len(b)-20)%2 != 0 || n != uint64(len(b)-20)/2 {
 		return nil, fmt.Errorf("transform: reduced payload length %d does not match count %d", len(b), n)
 	}
 	lo := math.Float32frombits(binary.LittleEndian.Uint32(b[12:]))

@@ -3,6 +3,7 @@ package transform
 import (
 	"bytes"
 	"compress/gzip"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -305,6 +306,11 @@ func TestRestoreErrors(t *testing.T) {
 	bad[0] = 'X'
 	if _, err := RestoreFloat32From16(bad); err == nil {
 		t.Error("bad magic should fail")
+	}
+	huge := append([]byte(nil), enc...)
+	binary.LittleEndian.PutUint64(huge[4:], 1<<63+2) // 20+2n wraps around to len(huge)
+	if _, err := RestoreFloat32From16(huge); err == nil {
+		t.Error("a count whose payload size wraps around should fail")
 	}
 }
 
