@@ -352,11 +352,11 @@ func TestInspectStoreBackends(t *testing.T) {
 	}
 
 	// A corrupted part must fail verification loudly.
-	blobs, err := ob.List("cas/")
+	blobs, err := filepath.Glob(filepath.Join(objDir, "blobs", "cas", "sha256", "*"))
 	if err != nil || len(blobs) == 0 {
 		t.Fatalf("parts = %v, %v", blobs, err)
 	}
-	path := filepath.Join(objDir, "blobs", blobs[0].Name)
+	path := blobs[0]
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)

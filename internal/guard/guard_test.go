@@ -44,7 +44,6 @@ var allow = map[string]string{
 	"internal/store.FailNth":                "fault vocabulary tests compose into store.Options.Fault",
 	"internal/store.FailTimes":              "fault vocabulary tests compose into store.Options.Fault",
 	"internal/store.Latency":                "fault vocabulary tests compose into store.Options.Fault",
-	"internal/store.opError.Unwrap":         "errors.Is and errors.As call it through an interface no scanned code names",
 	"internal/transform.DecompressGzip":     "the reference decoder the plane encoder's tests compare against",
 }
 
@@ -82,12 +81,12 @@ var forbidden = []struct {
 	{in: `^internal/config/knobs\.go$`, pattern: `"node"`, tests: true,
 		reason: "<aggregate mode=\"node\"> went with the cross-node tier",
 		plant:  [2]string{"internal/config/knobs.go", `modes := []string{"off", "core", "node"}`}},
-	{in: `^internal/store/[^/]*\.go$`, except: `^internal/store/(tree|store)\.go$`, pattern: `os\.Rename\(|writeFileSync\(|filepath\.WalkDir\(`,
-		reason: "both store backends sit on one directory protocol (docs/store.md, \"One directory protocol\"): tree.walk is the only walker and store.go only defines writeFileSync",
+	{in: `^internal/store/[^/]*\.go$`, except: `^internal/store/tree\.go$`, pattern: `os\.Rename\(|filepath\.WalkDir\(|syscall\.(Openat|Unlinkat|Fstat)\(`,
+		reason: "both store backends sit on one directory protocol (docs/store.md, \"One directory protocol\"): tree.walk is the only walker and tree.go the only caller of the *at system calls",
 		plant:  [2]string{"internal/store/objstore.go", "os.Rename(tmp, dst)"}},
-	{in: `^internal/store/[^/]*\.go$`, except: `^internal/store/tree\.go$`, pattern: `syscall\.Rename\(`,
-		reason: "tree.publish is the store's only rename, a syscall.Rename tried before any MkdirAll (docs/store.md)",
-		plant:  [2]string{"internal/store/filestore.go", "syscall.Rename(tmp, dst)"}},
+	{in: `^internal/store/[^/]*\.go$`, except: `^internal/store/tree\.go$`, pattern: `syscall\.Rename(at)?\(`,
+		reason: "tree.publish is the store's only rename, a syscall.Renameat tried before any MkdirAll (docs/store.md)",
+		plant:  [2]string{"internal/store/filestore.go", "syscall.Renameat(tmpfd, tmp, dirfd, dst)"}},
 	{in: `^internal/store/[^/]*\.go$`, pattern: `func (Register|Schemes)\(|OpenFunc`, tests: true,
 		reason: "a backend is picked by a two-case switch on the URL's scheme; a scheme registry is creeping back",
 		plant:  [2]string{"internal/store/open.go", "func Register(scheme string) {}"}},
@@ -107,8 +106,8 @@ var caps = []struct {
 		"ROADMAP item 3's budget for the dedicated core's composition path (5,170 before the dead exports went); 5,000 is the target"},
 	{[]string{"internal/aggregate"}, 650,
 		"the aggregation layer's budget (956 before the cross-node tier was deleted): one tier, one sink"},
-	{[]string{"internal/store"}, 2323,
-		"the store seam's budget (2,535 before the directory protocol was written once); raised from 2,250 by the allocation-lean put and commit path"},
+	{[]string{"internal/store"}, 2308,
+		"the store seam's budget (2,535 before the directory protocol was written once); raised from 2,250 by the allocation-lean put and commit path, lowered from 2,323 when Backend.List went and the tree named its files relative to open directories"},
 }
 
 // runFlags is the package whose hand-declared flags are counted. Its knob

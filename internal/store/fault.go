@@ -181,9 +181,10 @@ func (b *brownout) Op(op, name string) error {
 	return nil
 }
 
-// opFault is the backends' nil-tolerant fault hook.
+// opFault is the backends' fault hook; a nil fault or an empty op ("not
+// an operation a fault may fail") passes.
 func opFault(f Fault, op, name string) error {
-	if f == nil {
+	if f == nil || op == "" {
 		return nil
 	}
 	return f.Op(op, name)

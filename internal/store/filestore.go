@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"syscall"
 	"time"
 )
 
@@ -32,21 +33,18 @@ func NewFileStore(dir string, opts Options) (*FileStore, error) {
 	if dir == "" {
 		dir = "."
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	d, err := openDir(filepath.Clean(dir))
+	if err != nil {
 		return nil, fmt.Errorf("store: file backend: %w", err)
 	}
-	dir = filepath.Clean(dir)
 	return &FileStore{
-		t:       tree{root: dir, tmpDir: dir, tmpPrefix: ".tmp-", fault: opts.Fault},
+		t:       tree{dir: d, tmp: d, tmpPrefix: ".tmp-", fault: opts.Fault},
 		metrics: metrics{Stats: Stats{Scheme: "file"}},
 	}, nil
 }
 
 // Get reads a blob back.
 func (s *FileStore) Get(name string) ([]byte, error) {
-	if err := validName(name); err != nil {
-		return nil, err
-	}
 	start := time.Now()
 	b, err := s.t.read(name, nil)
 	if err != nil {
@@ -67,33 +65,14 @@ func (s *FileStore) ReadPartAt(part Part, p []byte, off int64) (int, error) {
 	return len(p), nil
 }
 
-// Stat reports a blob's size.
+// Stat reports a blob's size: every blob of this backend is an object.
 func (s *FileStore) Stat(name string) (ObjectInfo, error) {
-	if err := validName(name); err != nil {
-		return ObjectInfo{}, err
-	}
-	size, _, err := s.t.stat(name)
-	if err != nil {
-		return ObjectInfo{}, s.metrics.failed(err)
-	}
-	return ObjectInfo{Name: name, Size: size}, nil
-}
-
-// List returns the blobs whose names start with prefix, sorted. Hidden
-// files (backend temporaries) never appear.
-func (s *FileStore) List(prefix string) ([]ObjectInfo, error) {
-	if err := opFault(s.t.fault, OpList, prefix); err != nil {
-		return nil, s.metrics.failed(err)
-	}
-	out, err := list(prefix, &s.t)
-	return out, s.metrics.failed(err)
+	st, err := s.StatObject(name)
+	return ObjectInfo{Name: name, Size: st.Size}, err
 }
 
 // Delete removes a blob.
 func (s *FileStore) Delete(name string) error {
-	if err := validName(name); err != nil {
-		return err
-	}
 	if err := s.t.remove(name); err != nil {
 		return s.metrics.failed(err)
 	}
@@ -110,19 +89,19 @@ func (s *FileStore) Create(object string) (ObjectWriter, error) {
 	if err := opFault(s.t.fault, OpPut, object); err != nil {
 		return nil, s.metrics.failed(err)
 	}
-	tmp := s.t.tmp()
-	f, err := os.Create(tmp)
+	tmp := s.t.tmpName()
+	fd, err := openat(s.t.tmp, tmp, syscall.O_WRONLY|syscall.O_CREAT|syscall.O_TRUNC)
 	if err != nil {
 		return nil, s.metrics.failed(fmt.Errorf("store: create %q: %w", object, err))
 	}
-	return &fileObjWriter{s: s, object: object, f: f, tmp: tmp, start: time.Now()}, nil
+	return &fileObjWriter{s: s, object: object, f: os.NewFile(uintptr(fd), tmp), tmp: tmp, start: time.Now()}, nil
 }
 
 type fileObjWriter struct {
 	s      *FileStore
 	object string
-	f      *os.File
-	tmp    string
+	f      *os.File // os.NewFile on an Openat descriptor: no poller set-up
+	tmp    string   // relative to s.t.tmp
 	size   int64
 	start  time.Time
 	done   bool
@@ -150,7 +129,7 @@ func (w *fileObjWriter) Commit() (*Manifest, error) {
 		err = cerr
 	}
 	if err != nil {
-		os.Remove(w.tmp)
+		unlinkat(w.s.t.tmp, w.tmp)
 		return nil, w.s.metrics.failed(fmt.Errorf("store: commit %q: %w", w.object, err))
 	}
 	// A fault here is a simulated crash before publish: the temp file stays
@@ -169,7 +148,7 @@ func (w *fileObjWriter) Abort() error {
 	}
 	w.done = true
 	w.f.Close()
-	return os.Remove(w.tmp)
+	return unlinkat(w.s.t.tmp, w.tmp)
 }
 
 // fileManifest synthesizes the single-part manifest of a file-backed object.
@@ -179,14 +158,12 @@ func fileManifest(object string, size int64) *Manifest {
 
 // Open returns random access over a committed object.
 func (s *FileStore) Open(object string) (ObjectReader, error) {
-	if err := validName(object); err != nil {
-		return nil, err
-	}
-	f, size, err := s.t.open(OpOpen, object)
+	var st syscall.Stat_t
+	fd, err := s.t.open(OpOpen, object, &st)
 	if err != nil {
 		return nil, s.metrics.failed(err)
 	}
-	return &fileObjReader{s: s, f: f, size: size}, nil
+	return &fileObjReader{s: s, f: os.NewFile(uintptr(fd), object), size: st.Size}, nil
 }
 
 type fileObjReader struct {
@@ -209,18 +186,19 @@ func (r *fileObjReader) Close() error { return r.f.Close() }
 // the file itself is what commits the object, so its size and mtime are the
 // signature.
 func (s *FileStore) StatObject(object string) (ObjectStat, error) {
-	if err := validName(object); err != nil {
-		return ObjectStat{}, err
-	}
-	size, mtime, err := s.t.stat(object)
-	if err != nil {
-		return ObjectStat{}, s.metrics.failed(err)
-	}
-	return ObjectStat{Size: size, ModTime: mtime}, nil
+	st, err := s.t.stat(OpStat, object)
+	return st, s.metrics.failed(err)
 }
 
-// Objects lists the committed objects — every visible file under the root.
-func (s *FileStore) Objects() ([]ObjectInfo, error) { return s.List("") }
+// Objects lists the committed objects — every visible file under the root,
+// sorted. Hidden files (backend temporaries) never appear.
+func (s *FileStore) Objects() ([]ObjectInfo, error) {
+	if err := opFault(s.t.fault, OpList, ""); err != nil {
+		return nil, s.metrics.failed(err)
+	}
+	out, err := list("", &s.t)
+	return out, s.metrics.failed(err)
+}
 
 // Manifest synthesizes the manifest of a committed object: one part, the
 // file itself.
@@ -255,5 +233,5 @@ func (s *FileStore) Commit(m *Manifest) error {
 // Stats snapshots the backend metrics.
 func (s *FileStore) Stats() Stats { return s.metrics.snapshot() }
 
-// Close is a no-op: the file backend holds no resources between calls.
-func (s *FileStore) Close() error { return nil }
+// Close releases the open root directory; an operation after it fails.
+func (s *FileStore) Close() error { return s.t.dir.Close() }

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"errors"
 	"fmt"
 	"io/fs"
 	"os"
@@ -72,27 +71,19 @@ func (s *ObjStore) GC(opts GCOptions) (GCReport, error) {
 	}
 	cutoff := time.Now().Add(-minAge)
 
-	// Mark: walk every committed manifest and collect the blobs it
+	// Mark: read every committed manifest once and collect the blobs it
 	// references. A decode failure aborts the pass — sweeping with a
 	// partial live set could delete referenced parts; a manifest deleted
 	// since the listing references nothing.
-	objs, err := s.Objects()
-	if err != nil {
-		return rep, fmt.Errorf("store: gc: %w", err)
-	}
 	live := make(map[string]bool)
-	for _, o := range objs {
-		m, err := s.Manifest(o.Name)
-		if errors.Is(err, ErrNotExist) {
-			continue
-		}
-		if err != nil {
-			return rep, fmt.Errorf("store: gc: %w", err)
-		}
+	err := s.eachManifest(func(m *Manifest) {
 		rep.Manifests++
 		for _, p := range m.Parts {
 			live[p.Blob] = true
 		}
+	})
+	if err != nil {
+		return rep, fmt.Errorf("store: gc: %w", err)
 	}
 	rep.LiveParts = len(live)
 
@@ -124,7 +115,7 @@ func (s *ObjStore) GC(opts GCOptions) (GCReport, error) {
 	}
 
 	// Stale temporaries: torn writes whose process is long gone.
-	tmps, err := os.ReadDir(blobs.tmpDir)
+	tmps, err := os.ReadDir(blobs.tmp.Name())
 	if err != nil && !os.IsNotExist(err) {
 		return rep, fmt.Errorf("store: gc: %w", err)
 	}
@@ -138,7 +129,7 @@ func (s *ObjStore) GC(opts GCOptions) (GCReport, error) {
 		}
 		rep.ReclaimedTemps++
 		if !opts.DryRun {
-			if err := os.Remove(filepath.Join(blobs.tmpDir, e.Name())); err != nil {
+			if err := os.Remove(filepath.Join(blobs.tmp.Name(), e.Name())); err != nil {
 				return rep, fmt.Errorf("store: gc: %w", err)
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"os"
+	"path/filepath"
 	"testing"
 	"time"
 )
@@ -39,7 +40,7 @@ func commitObject(t *testing.T, s *ObjStore, name string, data []byte) *Manifest
 func ageCAS(t *testing.T, s *ObjStore) {
 	t.Helper()
 	old := time.Now().Add(-2 * DefaultGCMinAge)
-	infos, err := s.List("cas/")
+	infos, err := list("cas/", &s.targets[0].blobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +145,7 @@ func TestGCReclaimsAbandonedParts(t *testing.T) {
 	if dry.ReclaimedBlobs != 2 {
 		t.Fatalf("dry run = %+v, want 2 reclaimable blobs", dry)
 	}
-	casBlobs, err := s.List("cas/")
+	casBlobs, err := list("cas/", &s.targets[0].blobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +230,8 @@ func TestGCSweepsStaleTemps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tmp := s.targets[0].blobs.tmp()
+	blobs := &s.targets[0].blobs
+	tmp := filepath.Join(blobs.tmp.Name(), blobs.tmpName())
 	if err := os.WriteFile(tmp, []byte("torn"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +276,7 @@ func TestGCAbortsOnCorruptManifest(t *testing.T) {
 		t.Fatal("GC over a corrupt manifest must fail, not sweep")
 	}
 	// Nothing was deleted.
-	blobs, err := s.List("cas/")
+	blobs, err := list("cas/", &s.targets[0].blobs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"syscall"
 	"time"
 )
 
@@ -80,23 +79,27 @@ type ObjStore struct {
 }
 
 // objTarget is one storage root: a tree of blobs and a tree of manifests,
-// both consulting the target's own injected fault.
+// both consulting the target's own injected fault and sharing its open tmp/.
 type objTarget struct {
 	blobs, manifests tree
 }
 
 func newObjTarget(root string, fault Fault) (objTarget, error) {
-	tmp := filepath.Join(root, "tmp")
-	t := objTarget{
-		blobs:     tree{root: filepath.Join(root, "blobs"), tmpDir: tmp, tmpPrefix: "t-", fault: fault},
-		manifests: tree{root: filepath.Join(root, "manifests"), suffix: ".json", tmpDir: tmp, tmpPrefix: "t-", fault: fault},
-	}
-	for _, dir := range []string{t.blobs.root, t.manifests.root, tmp} {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return t, fmt.Errorf("store: object backend: %w", err)
+	var dirs [3]*os.File
+	for i, name := range []string{"blobs", "manifests", "tmp"} {
+		d, err := openDir(filepath.Join(root, name))
+		if err != nil {
+			for _, d := range dirs[:i] {
+				d.Close()
+			}
+			return objTarget{}, fmt.Errorf("store: object backend: %w", err)
 		}
+		dirs[i] = d
 	}
-	return t, nil
+	return objTarget{
+		blobs:     tree{dir: dirs[0], tmp: dirs[2], tmpPrefix: "t-", fault: fault},
+		manifests: tree{dir: dirs[1], suffix: ".json", tmp: dirs[2], tmpPrefix: "t-", fault: fault},
+	}, nil
 }
 
 // ErrPutTimeout marks a put attempt abandoned at the per-put deadline. The
@@ -133,6 +136,7 @@ func NewObjStore(dir string, opts Options) (*ObjStore, error) {
 		}
 		t, err := newObjTarget(root, fault)
 		if err != nil {
+			s.Close()
 			return nil, err
 		}
 		s.targets = append(s.targets, t)
@@ -207,9 +211,6 @@ func (s *ObjStore) withPutTimeout(fn func() error) error {
 // manifest references is durable, so a crash after a blob's rename must
 // never surface zero-filled part bytes.
 func (s *ObjStore) putAt(t *objTarget, name string, runs [][]byte, size int64) error {
-	if err := validName(name); err != nil {
-		return err
-	}
 	// The timer starts before the fault hook on purpose: injected latency
 	// models the storage target, so it belongs in PutLatency.
 	start := time.Now()
@@ -361,9 +362,6 @@ func firstTarget[T any](s *ObjStore, fn func(t *objTarget) (T, error)) (T, error
 
 // Get reads a blob back, falling back across replica targets in order.
 func (s *ObjStore) Get(name string) ([]byte, error) {
-	if err := validName(name); err != nil {
-		return nil, err
-	}
 	return firstTarget(s, func(t *objTarget) ([]byte, error) {
 		start := time.Now()
 		b, err := t.blobs.read(name, nil)
@@ -377,46 +375,16 @@ func (s *ObjStore) Get(name string) ([]byte, error) {
 // Stat reports a blob's size — the dedupe probe — falling back across
 // replica targets like Get.
 func (s *ObjStore) Stat(name string) (ObjectInfo, error) {
-	if err := validName(name); err != nil {
-		return ObjectInfo{}, err
-	}
 	return firstTarget(s, func(t *objTarget) (ObjectInfo, error) {
-		size, _, err := t.blobs.stat(name)
-		if err != nil {
-			return ObjectInfo{}, err
-		}
-		return ObjectInfo{Name: name, Size: size}, nil
+		st, err := t.blobs.stat(OpStat, name)
+		return ObjectInfo{Name: name, Size: st.Size}, err
 	})
-}
-
-// union lists the names under prefix of one tree per target — a hedged part
-// or manifest that only landed on a replica is listed too. The listing's
-// OpList is the primary's to fail.
-func (s *ObjStore) union(prefix string, pick func(*objTarget) *tree) ([]ObjectInfo, error) {
-	if err := opFault(s.targets[0].blobs.fault, OpList, prefix); err != nil {
-		return nil, s.metrics.failed(err)
-	}
-	trees := make([]*tree, len(s.targets))
-	for i := range s.targets {
-		trees[i] = pick(&s.targets[i])
-	}
-	out, err := list(prefix, trees...)
-	return out, s.metrics.failed(err)
-}
-
-// List returns the blobs whose names start with prefix, sorted — the union
-// across targets.
-func (s *ObjStore) List(prefix string) ([]ObjectInfo, error) {
-	return s.union(prefix, func(t *objTarget) *tree { return &t.blobs })
 }
 
 // Delete removes a blob from the primary target. Deleting a part still
 // referenced by a manifest breaks that object — garbage collection of
 // unreferenced parts is GC's concern.
 func (s *ObjStore) Delete(name string) error {
-	if err := validName(name); err != nil {
-		return err
-	}
 	if err := s.targets[0].blobs.remove(name); err != nil {
 		return s.metrics.failed(err)
 	}
@@ -555,22 +523,18 @@ func (s *ObjStore) backoffBeforeAttempt(attempt int) {
 // content.
 func (s *ObjStore) uploadPart(pt *objPart) (Part, error) {
 	part := casPart(pt.digest(), pt.size)
-	if info, err := s.Stat(part.Blob); err == nil && info.Size == part.Size {
-		s.dedupeHit(part)
-		return part, nil
-	}
 	var lastErr error
 	for attempt := 1; attempt <= s.putAttempts; attempt++ {
 		if attempt > 1 {
 			s.metrics.inc(&s.metrics.Retries)
 			s.backoffBeforeAttempt(attempt)
-			// A failed attempt may have landed the blob anyway (e.g. the
-			// caller observed a timeout after the rename); content
-			// addressing lets the retry begin with the same dedupe probe.
-			if info, err := s.Stat(part.Blob); err == nil && info.Size == part.Size {
-				s.dedupeHit(part)
-				return part, nil
-			}
+		}
+		// Every attempt begins with the dedupe probe: a failed attempt may
+		// have landed the blob anyway (e.g. the caller observed a timeout
+		// after the rename).
+		if info, err := s.Stat(part.Blob); err == nil && info.Size == part.Size {
+			s.dedupeHit(part)
+			return part, nil
 		}
 		if lastErr = s.hedged(func(t *objTarget) error { return s.putAt(t, part.Blob, pt.runs, part.Size) }); lastErr == nil {
 			return part, s.checkPut(pt, part)
@@ -628,9 +592,8 @@ func (w *objWriter) Abort() error {
 // It looks at the disk directly: a commit's precondition is not a read the
 // fault gets to fail.
 func (s *ObjStore) partDurable(p Part) bool {
-	var st syscall.Stat_t
 	for i := range s.targets {
-		if statFile(s.targets[i].blobs.path(p.Blob), &st) == nil && st.Size == p.Size {
+		if st, err := s.targets[i].blobs.stat("", p.Blob); err == nil && st.Size == p.Size {
 			return true
 		}
 	}
@@ -660,11 +623,8 @@ func (s *ObjStore) Commit(m *Manifest) error {
 	if m == nil || m.Object == "" {
 		return fmt.Errorf("store: commit without an object name")
 	}
-	if err := validName(m.Object); err != nil {
-		return err
-	}
 	for i, p := range m.Parts {
-		if validName(p.Blob) != nil || !s.partDurable(p) {
+		if !s.partDurable(p) {
 			return s.metrics.failed(fmt.Errorf("store: commit %q: part %d blob %q not durable", m.Object, i, p.Blob))
 		}
 	}
@@ -752,9 +712,6 @@ var manifestBufs = sync.Pool{New: func() any { return new([]byte) }}
 // propagating bad arithmetic into readers. Like Get, it falls back across
 // replica targets: a commit whose hedge won on a replica is still visible.
 func (s *ObjStore) Manifest(object string) (*Manifest, error) {
-	if err := validName(object); err != nil {
-		return nil, err
-	}
 	buf := manifestBufs.Get().(*[]byte)
 	defer manifestBufs.Put(buf)
 	return firstTarget(s, func(t *objTarget) (*Manifest, error) {
@@ -771,29 +728,44 @@ func (s *ObjStore) Manifest(object string) (*Manifest, error) {
 	})
 }
 
-// Objects lists the committed objects (those with a manifest), sorted. The
-// listing is the union across targets: an object whose hedged commit landed
-// only on a replica still shows up. One deleted between the walk and its
-// manifest read is no longer an object and is left out.
-func (s *ObjStore) Objects() ([]ObjectInfo, error) {
-	out, err := s.union("", func(t *objTarget) *tree { return &t.manifests })
-	if err != nil {
-		return nil, err
+// eachManifest reads every committed manifest once, in name order, and
+// hands it to fn. The listing is the union across targets: an object whose
+// hedged commit landed only on a replica is read too. Its OpList is the
+// primary's to fail. A manifest deleted between the walk and its read is no
+// longer an object and is skipped.
+func (s *ObjStore) eachManifest(fn func(m *Manifest)) error {
+	if err := opFault(s.targets[0].blobs.fault, OpList, ""); err != nil {
+		return s.metrics.failed(err)
 	}
-	n := 0
-	for _, o := range out {
+	trees := make([]*tree, len(s.targets))
+	for i := range s.targets {
+		trees[i] = &s.targets[i].manifests
+	}
+	names, err := list("", trees...)
+	if err != nil {
+		return s.metrics.failed(err)
+	}
+	for _, o := range names {
 		m, err := s.Manifest(o.Name)
 		if errors.Is(err, ErrNotExist) {
 			continue
 		}
 		if err != nil {
-			return nil, fmt.Errorf("store: objects: %w", err)
+			return err
 		}
-		o.Size = m.Size
-		out[n] = o
-		n++
+		fn(m)
 	}
-	return out[:n], nil
+	return nil
+}
+
+// Objects lists the committed objects (those with a manifest), sorted.
+func (s *ObjStore) Objects() ([]ObjectInfo, error) {
+	var out []ObjectInfo
+	err := s.eachManifest(func(m *Manifest) { out = append(out, ObjectInfo{Name: m.Object, Size: m.Size}) })
+	if err != nil {
+		return nil, fmt.Errorf("store: objects: %w", err)
+	}
+	return out, nil
 }
 
 // Open returns random access over a committed object, resolving reads
@@ -818,16 +790,7 @@ func (s *ObjStore) Open(object string) (ObjectReader, error) {
 // none — objects are write-once — but operators can overwrite) changes the
 // signature, which is what cache layers key invalidation on.
 func (s *ObjStore) StatObject(object string) (ObjectStat, error) {
-	if err := validName(object); err != nil {
-		return ObjectStat{}, err
-	}
-	return firstTarget(s, func(t *objTarget) (ObjectStat, error) {
-		size, mtime, err := t.manifests.stat(object)
-		if err != nil {
-			return ObjectStat{}, err
-		}
-		return ObjectStat{Size: size, ModTime: mtime}, nil
-	})
+	return firstTarget(s, func(t *objTarget) (ObjectStat, error) { return t.manifests.stat(OpStat, object) })
 }
 
 // objReader maps ReadAt offsets onto manifest parts and reads exactly the
@@ -880,6 +843,12 @@ func (r *objReader) ReadAt(p []byte, off int64) (int, error) {
 // Stats snapshots the backend metrics.
 func (s *ObjStore) Stats() Stats { return s.metrics.snapshot() }
 
-// Close is a no-op today; the interface keeps it for backends with real
-// connections to tear down.
-func (s *ObjStore) Close() error { return nil }
+// Close releases every target's open directories; an operation after it
+// fails.
+func (s *ObjStore) Close() error {
+	var errs []error
+	for _, t := range s.targets {
+		errs = append(errs, t.blobs.dir.Close(), t.manifests.dir.Close(), t.blobs.tmp.Close())
+	}
+	return errors.Join(errs...)
+}

@@ -93,16 +93,6 @@ func (tr *opTrace) drive(t *testing.T, b Backend) {
 	tr.call(`Get missing`, func() error { _, err := b.Get("missing"); return err })
 	tr.call(`Stat b`, func() error { _, err := b.Stat("b"); return err })
 	tr.call(`Stat missing`, func() error { _, err := b.Stat("missing"); return err })
-	tr.call(`List ""`, func() error {
-		infos, err := b.List("")
-		tr.printf("  = %d blobs\n", len(infos))
-		return err
-	})
-	tr.call(`List dir/`, func() error {
-		infos, err := b.List("dir/")
-		tr.printf("  = %d blobs\n", len(infos))
-		return err
-	})
 	tr.call(`Create+Write+Commit obj.dsf`, func() error {
 		w, err := b.Create("obj.dsf")
 		if err != nil {

@@ -326,7 +326,7 @@ func TestResilienceURLParams(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := b.(*ObjStore)
-	if len(s.targets) != 3 || s.targets[1].blobs.root != filepath.Join(r1, "blobs") || s.targets[2].blobs.root != filepath.Join(r2, "blobs") {
+	if len(s.targets) != 3 || s.targets[1].blobs.dir.Name() != filepath.Join(r1, "blobs") || s.targets[2].blobs.dir.Name() != filepath.Join(r2, "blobs") {
 		t.Errorf("targets = %+v, want the primary and both replica roots in order", s.targets)
 	}
 	for _, bad := range []string{

@@ -7,7 +7,7 @@
 //
 // A Backend exposes two planes:
 //
-//   - The blob plane: Get/ReadPartAt/Stat/List/Delete over named immutable
+//   - The blob plane: Get/ReadPartAt/Stat/Delete over named immutable
 //     blobs. Blobs come into being only as an object's parts (or, for the
 //     file backend, as its objects); re-landing a name must carry the same
 //     bytes (content addressing gives this for free), which makes retries
@@ -164,7 +164,6 @@ type Backend interface {
 	// bytes, under Get's fault hook, and an error if the blob is not part.Size.
 	ReadPartAt(part Part, p []byte, off int64) (int, error)
 	Stat(name string) (ObjectInfo, error)
-	List(prefix string) ([]ObjectInfo, error)
 	Delete(name string) error
 
 	// Object plane: streamed writes published by an atomic manifest commit.
@@ -176,8 +175,8 @@ type Backend interface {
 
 	// Stats snapshots the backend's operation metrics.
 	Stats() Stats
-	// Close releases backend resources. Objects committed before Close stay
-	// durable.
+	// Close releases backend resources; an operation after it fails.
+	// Objects committed before Close stay durable.
 	Close() error
 }
 
@@ -331,7 +330,7 @@ func ValidateURL(rawURL string) error {
 	return err
 }
 
-// tmpCounter and tmpPid name temp files (tree.tmp). The counter is
+// tmpCounter and tmpPid name temp files (tree.tmpName). The counter is
 // process-wide: several backend instances routinely share one root
 // directory (one instance per dedicated core over the same store), so temp
 // names must be unique across instances, and the pid, read once, keeps
@@ -340,27 +339,6 @@ var (
 	tmpCounter atomic.Int64
 	tmpPid     = strconv.Itoa(os.Getpid())
 )
-
-// writeFileSync is os.WriteFile of the runs in order plus an fsync before
-// close, so bytes a subsequent rename publishes are durable, not merely
-// buffered.
-func writeFileSync(path string, runs ...[]byte) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	for _, r := range runs {
-		if _, err := f.Write(r); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
 
 // validName vets a blob or object name: relative, already clean, no "..",
 // and no hidden ("."-prefixed) path components, which are reserved for

@@ -3,6 +3,11 @@ package store
 import (
 	"errors"
 	"fmt"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -105,7 +110,19 @@ func plantBlob(b Backend, name string, data []byte) error {
 	return fmt.Errorf("plantBlob: %T", b)
 }
 
-// blobPlane exercises Get/Stat/List/Delete uniformly on any backend.
+// blobTree is the tree a backend keeps its blobs in (the primary's on obj).
+func blobTree(b Backend) *tree {
+	switch s := b.(type) {
+	case *ObjStore:
+		return &s.targets[0].blobs
+	case *FileStore:
+		return &s.t
+	}
+	panic(fmt.Sprintf("blobTree: %T", b))
+}
+
+// blobPlane exercises Get/Stat/Delete, and what list sees of the blobs,
+// uniformly on any backend.
 func blobPlane(t *testing.T, b Backend) {
 	t.Helper()
 	for _, blob := range []struct{ name, data string }{{"dir/a", "alpha"}, {"dir/b", "beta"}, {"c", "gamma"}} {
@@ -129,16 +146,16 @@ func blobPlane(t *testing.T, b Backend) {
 		t.Errorf("Get missing = %v, want ErrNotExist", err)
 	}
 
-	all, err := b.List("")
+	all, err := list("", blobTree(b))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(all) != 3 || all[0].Name != "c" || all[1].Name != "dir/a" || all[2].Name != "dir/b" {
-		t.Fatalf("List = %+v", all)
+		t.Fatalf("list = %+v", all)
 	}
-	sub, err := b.List("dir/")
+	sub, err := list("dir/", blobTree(b))
 	if err != nil || len(sub) != 2 {
-		t.Fatalf("List(dir/) = %+v, %v", sub, err)
+		t.Fatalf("list(dir/) = %+v, %v", sub, err)
 	}
 
 	if err := b.Delete("dir/a"); err != nil {
@@ -212,5 +229,103 @@ func TestFaultLatencyCountsInStats(t *testing.T) {
 	}
 	if st.GetLatency.Mean < d.Seconds() {
 		t.Errorf("GetLatency.Mean = %v, want >= %v", st.GetLatency.Mean, d.Seconds())
+	}
+}
+
+// openFDs counts the process's open descriptors.
+func openFDs(t *testing.T) int {
+	t.Helper()
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("no /proc/self/fd: %v", err)
+	}
+	return len(fds)
+}
+
+// settleFDs waits, collecting garbage, until at most base descriptors are
+// open: another test's abandoned put may hold one for a moment, and stores
+// other tests dropped are closed by their finalizers.
+func settleFDs(t *testing.T, base int, what string) {
+	t.Helper()
+	n := openFDs(t)
+	for deadline := time.Now().Add(5 * time.Second); n > base && time.Now().Before(deadline); n = openFDs(t) {
+		runtime.GC()
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n > base {
+		t.Errorf("%s: %d descriptors open, %d before", what, n, base)
+	}
+}
+
+// TestStoresReleaseDirectories holds both backends to owning the
+// directories they name files against: Close releases them, a store
+// dropped without Close releases them when collected, and a put after
+// Close fails without creating a file anywhere under the root.
+func TestStoresReleaseDirectories(t *testing.T) {
+	open := map[string]func(root string) (Backend, error){
+		"file": func(root string) (Backend, error) { return NewFileStore(root, Options{}) },
+		"obj":  func(root string) (Backend, error) { return NewObjStore(root, Options{PartSize: 1024}) },
+	}
+	files := func(root string) (names []string) {
+		filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+			if err == nil && !d.IsDir() {
+				names = append(names, p)
+			}
+			return err
+		})
+		return names
+	}
+	for _, scheme := range []string{"file", "obj"} {
+		root := t.TempDir()
+		b, err := open[scheme](root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		writeObject(t, b, "a.dsf", pattern(3000, 1), 3000) // directories exist, one object is committed
+		b.Close()
+		base := openFDs(t)
+		closed := make([]Backend, 500) // reachable: no finalizer may do Close's work
+		for i := range closed {
+			if closed[i], err = open[scheme](root); err != nil {
+				t.Fatal(err)
+			}
+			if err := closed[i].Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		settleFDs(t, base, scheme+": 500 stores closed")
+		runtime.KeepAlive(closed)
+		for range 100 {
+			if _, err := open[scheme](root); err != nil {
+				t.Fatal(err)
+			}
+		}
+		settleFDs(t, base, scheme+": 100 stores dropped")
+
+		b, err = open[scheme](root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := files(root)
+		b.Close()
+		if err := plantBlob(b, "after-close", []byte("x")); err == nil {
+			t.Errorf("%s: a put after Close succeeded", scheme)
+		}
+		if w, err := b.Create("b.dsf"); err == nil {
+			if _, err := w.Write(pattern(3000, 2)); err == nil {
+				if _, err := w.Commit(); err == nil {
+					t.Errorf("%s: an object committed after Close", scheme)
+				}
+			}
+		}
+		if _, err := b.Open("a.dsf"); err == nil {
+			t.Errorf("%s: a read after Close succeeded", scheme)
+		}
+		if _, err := b.Objects(); err == nil {
+			t.Errorf("%s: a listing after Close succeeded", scheme)
+		}
+		if after := files(root); !slices.Equal(after, before) {
+			t.Errorf("%s: files under the root after Close: %v, before: %v", scheme, after, before)
+		}
 	}
 }
