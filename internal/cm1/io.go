@@ -26,9 +26,14 @@ type Backend interface {
 	Name() string
 }
 
+// statsEvent is the event every client raises at each output: its global
+// action, the built-in "stats", adds each field's min/max/mean over the
+// node's subdomains to the output (§III-C).
+const statsEvent = "cm1_stats"
+
 // ConfigXML generates the Damaris configuration for a run: one layout
-// matching the local subdomain and one variable per output field, matching
-// the paper's XML schema.
+// matching the local subdomain, one variable per output field and the
+// statsEvent, matching the paper's XML schema.
 func ConfigXML(p Params, bufferBytes int64, allocator string, dedicatedCores int) string {
 	xml := fmt.Sprintf("<simulation>\n  <buffer size=%q allocator=%q cores=%q/>\n"+
 		"  <layout name=\"subdomain\" type=\"real\" dimensions=\"%d,%d,%d\"/>\n",
@@ -37,7 +42,7 @@ func ConfigXML(p Params, bufferBytes int64, allocator string, dedicatedCores int
 	for _, v := range VariableNames {
 		xml += fmt.Sprintf("  <variable name=%q layout=\"subdomain\"/>\n", v)
 	}
-	xml += "  <event name=\"cm1_stats\" action=\"stats\" scope=\"global\"/>\n"
+	xml += fmt.Sprintf("  <event name=%q action=\"stats\" scope=\"global\"/>\n", statsEvent)
 	xml += "</simulation>\n"
 	return xml
 }
@@ -56,8 +61,9 @@ func NewDamarisBackend(cli *core.Client) *DamarisBackend {
 // Name implements Backend.
 func (b *DamarisBackend) Name() string { return "damaris" }
 
-// WritePhase implements Backend: one shared-memory write per variable plus
-// the end-of-iteration notification. No synchronization with other ranks.
+// WritePhase implements Backend: one shared-memory write per variable, the
+// statsEvent signal, and the end-of-iteration notification. No
+// synchronization with other ranks.
 func (b *DamarisBackend) WritePhase(s *Sim, iteration int64) error {
 	x0, y0 := s.GlobalOffset()
 	nz, ny, nx := s.LocalShape()
@@ -73,6 +79,9 @@ func (b *DamarisBackend) WritePhase(s *Sim, iteration int64) error {
 		if err := b.cli.WriteBlock(name, iteration, mpi.Float32sToBytes(xs), global); err != nil {
 			return err
 		}
+	}
+	if err := b.cli.Signal(statsEvent, iteration); err != nil {
+		return err
 	}
 	return b.cli.EndIteration(iteration)
 }

@@ -1,8 +1,10 @@
 package cm1
 
 import (
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"damaris/internal/config"
@@ -143,14 +145,30 @@ func TestDamarisBackendEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 3 clients × 5 variables × 2 iterations.
-	if mem.Len() != 3*5*2 {
-		t.Errorf("persisted datasets = %d, want 30", mem.Len())
+	// 3 clients × 5 variables × 2 iterations, plus the cm1_stats action's
+	// entry per variable and iteration, keyed by the dedicated core (rank 3).
+	if mem.Len() != 3*5*2+5*2 {
+		t.Errorf("persisted datasets = %d, want 40", mem.Len())
 	}
-	// Every source wrote theta at iteration 1.
-	for src := 0; src < 3; src++ {
-		if _, ok := mem.Get(metadata.Key{Name: "theta", Iteration: 1, Source: src}); !ok {
-			t.Errorf("theta it=1 src=%d missing", src)
+	for it := range int64(2) {
+		for _, name := range VariableNames {
+			mn, mx, sum, n := math.Inf(1), math.Inf(-1), 0.0, 0
+			for src := 0; src < 3; src++ {
+				b, ok := mem.Get(metadata.Key{Name: name, Iteration: it, Source: src})
+				if !ok {
+					t.Fatalf("%s it=%d src=%d missing", name, it, src)
+				}
+				for _, x := range mpi.BytesToFloat32s(b) {
+					mn, mx, sum, n = min(mn, float64(x)), max(mx, float64(x)), sum+float64(x), n+1
+				}
+			}
+			b, ok := mem.Get(metadata.Key{Name: "stats:" + name, Iteration: it, Source: 3})
+			if !ok {
+				t.Fatalf("stats:%s it=%d missing", name, it)
+			}
+			if got, want := mpi.BytesToFloat64s(b), []float64{mn, mx, sum / float64(n)}; !slices.Equal(got, want) {
+				t.Errorf("stats:%s it=%d = %v, want the node's min/max/mean %v", name, it, got, want)
+			}
 		}
 	}
 }

@@ -226,6 +226,11 @@ func build(f *xmlFile) (*Config, error) {
 		if xv.Name == "" {
 			return nil, fmt.Errorf("config: variable with empty name")
 		}
+		if strings.Contains(xv.Name, ":") {
+			// "stats:<var>" and the like name what actions add to an
+			// iteration; a declared variable must not collide with them.
+			return nil, fmt.Errorf("config: variable %q: ':' is reserved for action products", xv.Name)
+		}
 		if _, dup := c.Variables[xv.Name]; dup {
 			return nil, fmt.Errorf("config: duplicate variable %q", xv.Name)
 		}

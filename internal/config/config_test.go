@@ -99,6 +99,7 @@ func TestParseErrors(t *testing.T) {
 		"unknown layout":    `<simulation><variable name="v" layout="nope"/></simulation>`,
 		"dup variable":      `<simulation><layout name="l" type="real" dimensions="2"/><variable name="v" layout="l"/><variable name="v" layout="l"/></simulation>`,
 		"empty var name":    `<simulation><layout name="l" type="real" dimensions="2"/><variable name="" layout="l"/></simulation>`,
+		"colon in var name": `<simulation><layout name="l" type="real" dimensions="2"/><variable name="stats:v" layout="l"/></simulation>`,
 		"event no action":   `<simulation><event name="e"/></simulation>`,
 		"event bad scope":   `<simulation><event name="e" action="a" scope="galactic"/></simulation>`,
 		"dup event":         `<simulation><event name="e" action="a"/><event name="e" action="b"/></simulation>`,

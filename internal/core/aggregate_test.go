@@ -36,10 +36,10 @@ func runAggregated(t *testing.T, cfg *config.Config, opts Options, iters int) []
 		if dep.IsClient() {
 			cli := dep.Client
 			for it := int64(0); it < int64(iters); it++ {
-				if err := cli.WriteFloat32s("temp", it, fieldData(cli.Source())); err != nil {
+				if err := cli.Write("temp", it, mpi.Float32sToBytes(fieldData(comm.Rank()))); err != nil {
 					t.Error(err)
 				}
-				if err := cli.WriteFloat32s("wind", it, fieldData(-cli.Source())); err != nil {
+				if err := cli.Write("wind", it, mpi.Float32sToBytes(fieldData(-comm.Rank()))); err != nil {
 					t.Error(err)
 				}
 				if err := cli.EndIteration(it); err != nil {

@@ -3,15 +3,12 @@ package core
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"time"
 
 	"damaris/internal/config"
 	"damaris/internal/event"
 	"damaris/internal/layout"
-	"damaris/internal/mpi"
 	"damaris/internal/shm"
-	"damaris/internal/stats"
 )
 
 // Client is the compute-core side of Damaris, mirroring the paper's C API
@@ -31,9 +28,6 @@ type Client struct {
 
 	pending map[pendKey]*shm.Block
 
-	writeDurs recent[float64] // seconds per Write/Commit call
-	phaseDurs recent[float64] // seconds of write activity per iteration
-	phaseAcc  float64
 	finalized bool
 }
 
@@ -53,9 +47,6 @@ func newClient(cfg *config.Config, seg *shm.Segment, q *event.Queue, fc *flow, s
 		pending:  make(map[pendKey]*shm.Block),
 	}
 }
-
-// Source returns the client's identity (its world rank).
-func (c *Client) Source() int { return c.source }
 
 // Write copies data for a configured variable into shared memory and
 // notifies the dedicated core. This is the paper's df_write: "copies the
@@ -124,7 +115,6 @@ func (c *Client) write(name string, iteration int64, data []byte, lay layout.Lay
 		ev.Layout = lay
 	}
 	c.queue.Push(ev)
-	c.recordWrite(time.Since(start))
 	return nil
 }
 
@@ -142,11 +132,6 @@ func (c *Client) reserve(size int64) (*shm.Block, error) {
 		return c.seg.ReserveWait(c.localIdx, size)
 	}
 	return blk, err
-}
-
-// WriteFloat32s encodes and writes a float32 field.
-func (c *Client) WriteFloat32s(name string, iteration int64, xs []float32) error {
-	return c.Write(name, iteration, mpi.Float32sToBytes(xs))
 }
 
 // Alloc reserves the variable's shared-memory buffer and returns it for
@@ -183,16 +168,14 @@ func (c *Client) Commit(name string, iteration int64) error {
 		return fmt.Errorf("core: commit of %q iteration %d without alloc", name, iteration)
 	}
 	delete(c.pending, k)
-	start := time.Now()
 	c.queue.Push(event.Event{
 		Kind:      event.WriteNotification,
 		Name:      name,
 		Iteration: iteration,
 		Source:    c.source,
 		Block:     blk,
-		At:        start,
+		At:        time.Now(),
 	})
-	c.recordWrite(time.Since(start))
 	return nil
 }
 
@@ -233,8 +216,6 @@ func (c *Client) EndIteration(iteration int64) error {
 		Iteration: iteration,
 		Source:    c.source,
 	})
-	c.phaseDurs.add(c.phaseAcc)
-	c.phaseAcc = 0
 	// Flow control: run at most `window` iterations ahead of the last
 	// durable flush (window = 1 synchronous, persist_queue_depth under the
 	// write-behind pipeline), so a fast client can never fill the shared
@@ -260,38 +241,4 @@ func (c *Client) Finalize() error {
 	}
 	c.queue.Push(event.Event{Kind: event.ClientExit, Source: c.source})
 	return nil
-}
-
-func (c *Client) recordWrite(d time.Duration) {
-	sec := d.Seconds()
-	c.writeDurs.add(sec)
-	c.phaseAcc += sec
-}
-
-// WriteStats summarizes the most recent Write/Commit call durations.
-func (c *Client) WriteStats() stats.Summary { return stats.Summarize(c.writeDurs.buf) }
-
-// recentCap is how many samples a recent keeps: more than any test, example
-// or benchmark run records, so only an arbitrarily long run ever drops one.
-const recentCap = 1 << 16
-
-// recent keeps the last recentCap values added to it, so a per-call or
-// per-iteration record does not grow for the life of a run.
-type recent[T any] struct {
-	buf  []T
-	next int // once buf is full: the oldest value, overwritten next
-}
-
-func (r *recent[T]) add(v T) {
-	if len(r.buf) < recentCap {
-		r.buf = append(r.buf, v)
-		return
-	}
-	r.buf[r.next] = v
-	r.next = (r.next + 1) % recentCap
-}
-
-// values returns a copy of what is kept, oldest first.
-func (r *recent[T]) values() []T {
-	return slices.Concat(r.buf[r.next:], r.buf[:r.next])
 }

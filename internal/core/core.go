@@ -284,7 +284,7 @@ func Deploy(world *mpi.Comm, cfg *config.Config, reg *plugin.Registry, opts Opti
 		tally := event.NewTally(len(group))
 		engines := make([]*event.Engine, nsh)
 		for i := range engines {
-			eng, err := event.NewShardEngine(cfg, reg, store, tally, world.WorldRank(), node.Node(), opts.OutputDir)
+			eng, err := event.NewShardEngine(cfg, reg, store, tally, world.WorldRank())
 			if err != nil {
 				return nil, fmt.Errorf("core: server %d: %w", g, err)
 			}

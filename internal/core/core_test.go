@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
@@ -25,7 +26,9 @@ const testXML = `
   <variable name="temp" layout="field" unit="K"/>
   <variable name="wind" layout="field" unit="m/s"/>
   <event name="do_stats" action="stats" scope="global"/>
-  <event name="note" action="log" scope="local"/>
+  <layout name="counts" type="int" dimensions="64"/>
+  <variable name="count" layout="counts"/>
+  <event name="note" action="stats" scope="local"/>
 </simulation>`
 
 func testCfg(t *testing.T, allocator string, dedicated int) *config.Config {
@@ -65,10 +68,10 @@ func runPipeline(t *testing.T, ranks, coresPerNode int, cfg *config.Config, iter
 			mu.Unlock()
 			cli := dep.Client
 			for it := int64(0); it < int64(iters); it++ {
-				if err := cli.WriteFloat32s("temp", it, fieldData(cli.Source())); err != nil {
+				if err := cli.Write("temp", it, mpi.Float32sToBytes(fieldData(comm.Rank()))); err != nil {
 					t.Error(err)
 				}
-				if err := cli.WriteFloat32s("wind", it, fieldData(-cli.Source())); err != nil {
+				if err := cli.Write("wind", it, mpi.Float32sToBytes(fieldData(-comm.Rank()))); err != nil {
 					t.Error(err)
 				}
 				if err := cli.EndIteration(it); err != nil {
@@ -184,38 +187,130 @@ func TestZeroCopyAllocCommit(t *testing.T) {
 	}
 }
 
-func TestSignalGlobalAction(t *testing.T) {
-	cfg := testCfg(t, "mutex", 1)
+// statsRun runs iteration 0 on one node of `ranks` ranks, the dedicated core
+// last: client c writes temp = fieldData(c+1) and count = 0..63 and raises
+// do_stats, before its EndIteration or, with late, after it. It returns what
+// was persisted and the dedicated core.
+func statsRun(t *testing.T, cfg *config.Config, ranks int, late bool) (*MemPersister, *Server) {
+	t.Helper()
+	var counts []byte
+	for i := range uint32(64) {
+		counts = binary.LittleEndian.AppendUint32(counts, i)
+	}
+	mem := &MemPersister{}
 	var srv *Server
-	err := mpi.Run(4, 4, func(comm *mpi.Comm) {
-		dep, err := Deploy(comm, cfg, nil, Options{Persister: &NullPersister{}})
+	err := mpi.Run(ranks, ranks, func(comm *mpi.Comm) {
+		dep, err := Deploy(comm, cfg, nil, Options{Persister: mem})
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		if dep.IsClient() {
-			cli := dep.Client
-			_ = cli.WriteFloat32s("temp", 0, fieldData(1))
+		if !dep.IsClient() {
+			srv = dep.Server
+			if err := srv.Run(); err != nil {
+				t.Error(err)
+			}
+			return
+		}
+		cli := dep.Client
+		for _, err := range []error{
+			cli.Write("temp", 0, mpi.Float32sToBytes(fieldData(comm.Rank()+1))),
+			cli.Write("count", 0, counts),
+		} {
+			if err != nil {
+				t.Error(err)
+			}
+		}
+		signal := func() {
 			if err := cli.Signal("do_stats", 0); err != nil {
 				t.Error(err)
 			}
-			_ = cli.EndIteration(0)
-			_ = cli.Finalize()
-			return
 		}
-		srv = dep.Server
-		_ = dep.Server.Run()
+		if !late {
+			signal()
+		}
+		if err := cli.EndIteration(0); err != nil {
+			t.Error(err)
+		}
+		if late {
+			signal()
+		}
+		if err := cli.Finalize(); err != nil {
+			t.Error(err)
+		}
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := srv.Engine().Context().Value("stats:temp")
-	if v == nil {
-		t.Fatal("stats action did not run")
+	if errs := srv.HandleErrors(); len(errs) > 0 {
+		t.Fatalf("server errors: %v", errs)
 	}
-	mm := v.([3]float64)
-	if mm[0] != 1000 || mm[1] != 1063 {
-		t.Errorf("stats = %v", mm)
+	return mem, srv
+}
+
+// wantStats checks the persisted stats entry of temp for iteration 0, keyed
+// by the dedicated core, against clients writing seeds 1..clients.
+func wantStats(t *testing.T, mem *MemPersister, server, clients int) {
+	t.Helper()
+	b, ok := mem.Get(metadata.Key{Name: "stats:temp", Iteration: 0, Source: server})
+	if !ok {
+		t.Fatal("no stats:temp entry was persisted")
+	}
+	got := mpi.BytesToFloat64s(b)
+	n := float64(clients)
+	if want := []float64{1000, n*1000 + 63, (n+1)*500 + 31.5}; !slices.Equal(got, want) {
+		t.Errorf("stats:temp = %v, want %v (min, max, mean over every client's piece)", got, want)
+	}
+}
+
+// A global stats action covers every client's piece of the iteration, not the
+// last one it visits, and its entry is persisted with the iteration.
+func TestSignalGlobalAction(t *testing.T) {
+	mem, _ := statsRun(t, testCfg(t, "mutex", 1), 4, false)
+	wantStats(t, mem, 3, 3)
+	// 3 clients × (temp + count) + one entry for the one real variable.
+	if mem.Len() != 3*2+1 {
+		t.Errorf("persisted %d datasets, want 7", mem.Len())
+	}
+}
+
+// Only real variables get stats: an int field holding 0..63 is not read as
+// float32 (which would give a max of 8.8e-44).
+func TestSignalStatsOnlyReal(t *testing.T) {
+	mem, _ := statsRun(t, testCfg(t, "mutex", 1), 2, false)
+	if b, ok := mem.Get(metadata.Key{Name: "stats:count", Iteration: 0, Source: 1}); ok {
+		t.Errorf("int variable count got stats %v", mpi.BytesToFloat64s(b))
+	}
+	wantStats(t, mem, 1, 1)
+}
+
+// With two shard loops the action runs on whichever loop counts the last
+// signal; its entry goes into the store both share, so no run loses it.
+func TestSignalStatsUnderShards(t *testing.T) {
+	cfg := testCfg(t, "mutex", 1)
+	cfg.ShardCount = 2
+	for run := 0; run < 40; run++ {
+		mem, _ := statsRun(t, cfg, 5, false)
+		wantStats(t, mem, 4, 4)
+		if t.Failed() {
+			t.Fatalf("run %d", run)
+		}
+	}
+}
+
+// A signal raised after the client's own EndIteration finds the iteration
+// already taken for persistence: it adds nothing, and nothing is left behind
+// in the catalog.
+func TestSignalAfterEndIteration(t *testing.T) {
+	mem, srv := statsRun(t, testCfg(t, "mutex", 1), 2, true)
+	if _, ok := mem.Get(metadata.Key{Name: "stats:temp", Iteration: 0, Source: 1}); ok {
+		t.Error("a late signal added stats to an iteration already persisted")
+	}
+	if mem.Len() != 2 {
+		t.Errorf("persisted %d datasets, want 2", mem.Len())
+	}
+	if n := srv.eng.Store().Len(); n != 0 {
+		t.Errorf("catalog holds %d entries after the run, want 0", n)
 	}
 }
 
@@ -358,7 +453,7 @@ func TestLeftoverIterationFlushedOnExit(t *testing.T) {
 	err := mpi.Run(2, 2, func(comm *mpi.Comm) {
 		dep, _ := Deploy(comm, cfg, nil, Options{Persister: mem})
 		if dep.IsClient() {
-			_ = dep.Client.WriteFloat32s("temp", 7, fieldData(1))
+			_ = dep.Client.Write("temp", 7, mpi.Float32sToBytes(fieldData(1)))
 			_ = dep.Client.Finalize() // no EndIteration
 			return
 		}
@@ -395,7 +490,7 @@ func TestBackpressureSmallBuffer(t *testing.T) {
 		}
 		if dep.IsClient() {
 			for it := int64(0); it < 10; it++ {
-				if err := dep.Client.WriteFloat32s("temp", it, fieldData(int(it))); err != nil {
+				if err := dep.Client.Write("temp", it, mpi.Float32sToBytes(fieldData(int(it)))); err != nil {
 					t.Error(err)
 					return
 				}
@@ -414,42 +509,18 @@ func TestBackpressureSmallBuffer(t *testing.T) {
 	}
 }
 
-func TestClientPhaseTimes(t *testing.T) {
-	cfg := testCfg(t, "mutex", 1)
-	err := mpi.Run(2, 2, func(comm *mpi.Comm) {
-		dep, _ := Deploy(comm, cfg, nil, Options{Persister: &NullPersister{}})
-		if dep.IsClient() {
-			cli := dep.Client
-			for it := int64(0); it < 5; it++ {
-				_ = cli.WriteFloat32s("temp", it, fieldData(0))
-				_ = cli.EndIteration(it)
-			}
-			if got := len(cli.phaseDurs.values()); got != 5 {
-				t.Errorf("PhaseTimes = %d, want 5", got)
-			}
-			if got := len(cli.writeDurs.values()); got != 5 {
-				t.Errorf("WriteTimes = %d, want 5", got)
-			}
-			if cli.WriteStats().N != 5 {
-				t.Error("WriteStats wrong")
-			}
-			_ = cli.Finalize()
-			return
-		}
-		_ = dep.Server.Run()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-// The per-call and per-iteration records keep the most recent recentCap
-// values, oldest first, and nothing before them: memory flat in run length.
+// The per-iteration records keep the most recent recentCap values, oldest
+// first, and nothing before them: memory flat in run length.
 func TestRecentKeepsTheLastValues(t *testing.T) {
 	// The iterations a server acked (int64) and the seconds each took
-	// (float64, Client.writeDurs and Server.writeDurs/flushLats alike).
+	// (float64, Server.writeDurs and flushLats alike).
 	checkRecent(t, func(i int) int64 { return int64(i) })
 	checkRecent(t, func(i int) float64 { return float64(i) })
+}
+
+// values returns a copy of what r keeps, oldest first.
+func (r *recent[T]) values() []T {
+	return slices.Concat(r.buf[r.next:], r.buf[:r.next])
 }
 
 func checkRecent[T comparable](t *testing.T, val func(int) T) {
@@ -479,7 +550,7 @@ func TestServerStats(t *testing.T) {
 		dep, _ := Deploy(comm, cfg, nil, Options{Persister: &NullPersister{}})
 		if dep.IsClient() {
 			for it := int64(0); it < 3; it++ {
-				_ = dep.Client.WriteFloat32s("temp", it, fieldData(0))
+				_ = dep.Client.Write("temp", it, mpi.Float32sToBytes(fieldData(0)))
 				_ = dep.Client.EndIteration(it)
 			}
 			_ = dep.Client.Finalize()
@@ -490,9 +561,6 @@ func TestServerStats(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if len(srv.WriteTimes()) != 3 {
-		t.Errorf("WriteTimes = %d", len(srv.WriteTimes()))
 	}
 	if got := srv.iterations.values(); len(got) != 3 || got[0] != 0 || got[2] != 2 {
 		t.Errorf("Iterations = %v", got)
@@ -525,7 +593,7 @@ func TestDSFPersisterEndToEnd(t *testing.T) {
 	err := mpi.Run(4, 4, func(comm *mpi.Comm) {
 		dep, _ := Deploy(comm, cfg, nil, Options{OutputDir: dir, Persister: pers})
 		if dep.IsClient() {
-			_ = dep.Client.WriteFloat32s("temp", 0, fieldData(dep.Client.Source()))
+			_ = dep.Client.Write("temp", 0, mpi.Float32sToBytes(fieldData(comm.Rank())))
 			_ = dep.Client.EndIteration(0)
 			_ = dep.Client.Finalize()
 			return
@@ -598,7 +666,7 @@ func TestPersistErrorSurfacesFromRun(t *testing.T) {
 	err := mpi.Run(2, 2, func(comm *mpi.Comm) {
 		dep, _ := Deploy(comm, cfg, nil, Options{Persister: failingPersister{boom}})
 		if dep.IsClient() {
-			_ = dep.Client.WriteFloat32s("temp", 0, fieldData(0))
+			_ = dep.Client.Write("temp", 0, mpi.Float32sToBytes(fieldData(0)))
 			_ = dep.Client.EndIteration(0)
 			_ = dep.Client.Finalize()
 			return

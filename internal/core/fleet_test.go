@@ -53,9 +53,9 @@ func runFleet(t *testing.T, cfg *config.Config, ranks, coresPer, iters int, back
 			if pace != nil {
 				pace(dep.ClientComm)
 			}
-			err := cli.WriteFloat32s("temp", it, fieldData(cli.Source()))
+			err := cli.Write("temp", it, mpi.Float32sToBytes(fieldData(comm.Rank())))
 			if err == nil {
-				err = cli.WriteFloat32s("wind", it, fieldData(-cli.Source()))
+				err = cli.Write("wind", it, mpi.Float32sToBytes(fieldData(-comm.Rank())))
 			}
 			if err == nil {
 				err = cli.EndIteration(it)

@@ -1,19 +1,21 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"path/filepath"
 	"sync"
 	"time"
 
 	"damaris/internal/config"
 	"damaris/internal/dsf"
+	"damaris/internal/layout"
 	"damaris/internal/metadata"
 	"damaris/internal/mpi"
 	"damaris/internal/obs"
 	"damaris/internal/plugin"
 	"damaris/internal/store"
-	"damaris/internal/transform"
 )
 
 // IterationBatch couples one completed iteration with its catalogued
@@ -355,7 +357,7 @@ func (*NullPersister) Persist(int64, []*metadata.Entry) error { return nil }
 func (*NullPersister) PersistBatch([]IterationBatch) error { return nil }
 
 // MemPersister retains deep copies of all persisted entries, for tests and
-// in-situ analysis demos (the paper's simulation/visualization coupling
+// in-situ analysis (the paper's simulation/visualization coupling
 // direction, §VI).
 type MemPersister struct {
 	mu   sync.Mutex
@@ -391,62 +393,51 @@ func (p *MemPersister) Len() int {
 }
 
 // RegisterBuiltins adds the built-in actions to a registry, skipping names
-// already present so user overrides win. Provided actions:
-//
-//   - "persist-gzip": marker consulted by persistency layers (no-op here;
-//     compression choice is carried by DSFPersister.Codec)
-//   - "stats": computes per-variable min/max/mean over the triggering
-//     iteration and stores them in the plugin context under
-//     "stats:<variable>" — the paper's "statistical studies" smart action
-//   - "reduce16": re-encodes every float32 entry of the iteration with
-//     16-bit precision reduction, the paper's visualization-precision path
-//   - "log": records the event in the context under "log"
+// already present so user overrides win. There is one, "stats", the paper's
+// "statistical studies" smart action (statsAction).
 func RegisterBuiltins(reg *plugin.Registry) {
-	_ = reg.Register("log", func(ctx *plugin.Context, ev string) error {
-		var log []string
-		if v := ctx.Value("log"); v != nil {
-			log = v.([]string)
-		}
-		log = append(log, fmt.Sprintf("event %s at iteration %d from %d", ev, ctx.Iteration, ctx.Source))
-		ctx.SetValue("log", log)
-		return nil
-	})
-	_ = reg.Register("stats", func(ctx *plugin.Context, ev string) error {
-		for _, e := range ctx.Store.Iteration(ctx.Iteration) {
-			if e.Layout.Type().Size() != 4 {
+	_ = reg.Register("stats", statsAction)
+}
+
+// statsLayout is the layout of a stats entry: minimum, maximum, mean.
+var statsLayout = layout.MustNew(layout.Float64, 3)
+
+// statsAction adds, for every real (float32) variable of the iteration, one
+// entry named "stats:<variable>" keyed by (iteration, ctx.Source): a
+// double[3] of the minimum, maximum and mean over every element of every
+// piece of the variable catalogued when the action runs. A global event runs
+// it once every client has signalled, so it covers every client's piece and
+// is keyed by the dedicated core. The entry is an inline piece of the
+// iteration like any other, so it is persisted, spilled and merged with the
+// iteration's data; an iteration already taken for persistence gets none.
+func statsAction(ctx *plugin.Context, _ string) error {
+	entries := ctx.Store.Iteration(ctx.Iteration) // sorted by name: a variable's pieces are adjacent
+	for i := 0; i < len(entries); {
+		name := entries[i].Key.Name
+		mn, mx, sum, n := math.Inf(1), math.Inf(-1), 0.0, 0
+		for ; i < len(entries) && entries[i].Key.Name == name; i++ {
+			if entries[i].Layout.Type() != layout.Float32 {
 				continue
 			}
-			xs := mpi.BytesToFloat32s(e.Bytes())
-			if len(xs) == 0 {
-				continue
+			for _, x := range mpi.BytesToFloat32s(entries[i].Bytes()) {
+				mn, mx, sum, n = min(mn, float64(x)), max(mx, float64(x)), sum+float64(x), n+1
 			}
-			mn, mx, sum := xs[0], xs[0], 0.0
-			for _, x := range xs {
-				if x < mn {
-					mn = x
-				}
-				if x > mx {
-					mx = x
-				}
-				sum += float64(x)
-			}
-			ctx.SetValue("stats:"+e.Key.Name, [3]float64{float64(mn), float64(mx), sum / float64(len(xs))})
 		}
-		return nil
-	})
-	_ = reg.Register("reduce16", func(ctx *plugin.Context, ev string) error {
-		for _, e := range ctx.Store.Iteration(ctx.Iteration) {
-			if e.Layout.Type().Size() != 4 {
-				continue
-			}
-			xs := mpi.BytesToFloat32s(e.Bytes())
-			reduced := transform.ReduceFloat32To16(xs)
-			ctx.SetValue(fmt.Sprintf("reduced:%s:%d", e.Key.Name, e.Key.Source), reduced)
+		if n == 0 {
+			continue
 		}
-		return nil
-	})
-	_ = reg.Register("persist-gzip", func(ctx *plugin.Context, ev string) error {
-		ctx.SetValue("persist-codec", "gzip")
-		return nil
-	})
+		var b []byte
+		for _, v := range [3]float64{mn, mx, sum / float64(n)} {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		}
+		err := ctx.Store.Put(&metadata.Entry{
+			Key:    metadata.Key{Name: "stats:" + name, Iteration: ctx.Iteration, Source: ctx.Source},
+			Layout: statsLayout,
+			Inline: b,
+		})
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -267,7 +267,7 @@ func mpiRunPersistDefault(t *testing.T, cfg *config.Config, onServer func(*Serve
 			return
 		}
 		if dep.IsClient() {
-			_ = dep.Client.WriteFloat32s("temp", 0, fieldData(dep.Client.Source()))
+			_ = dep.Client.Write("temp", 0, mpi.Float32sToBytes(fieldData(comm.Rank())))
 			_ = dep.Client.EndIteration(0)
 			_ = dep.Client.Finalize()
 			return

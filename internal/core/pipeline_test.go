@@ -104,11 +104,11 @@ func TestPipelineStressRace(t *testing.T) {
 		cli := dep.Client
 		data := make([]float32, 32*32)
 		for i := range data {
-			data[i] = float32(cli.Source())
+			data[i] = float32(comm.Rank())
 		}
 		for it := int64(0); it < iters; it++ {
 			for _, name := range []string{"a", "b"} {
-				if err := cli.WriteFloat32s(name, it, data); err != nil {
+				if err := cli.Write(name, it, mpi.Float32sToBytes(data)); err != nil {
 					t.Errorf("write %s@%d: %v", name, it, err)
 					return
 				}
@@ -260,7 +260,7 @@ func TestFlowWindowBoundsClientToDurableFlush(t *testing.T) {
 			cli := dep.Client
 			data := make([]float32, 32*32)
 			for it := int64(0); it < iters; it++ {
-				if err := cli.WriteFloat32s("v", it, data); err != nil {
+				if err := cli.Write("v", it, mpi.Float32sToBytes(data)); err != nil {
 					t.Error(err)
 					return
 				}
@@ -351,10 +351,13 @@ func TestEntriesNotReusedBeforeAck(t *testing.T) {
 	pers := &gatedPersister{started: make(chan []int64, 2), allow: make(chan struct{}, 2)}
 	snaps := make(chan []*metadata.Entry, 2)
 	reg := plugin.NewRegistry()
-	reg.MustRegister("snap", func(ctx *plugin.Context, _ string) error {
+	err = reg.Register("snap", func(ctx *plugin.Context, _ string) error {
 		snaps <- ctx.Store.Iteration(ctx.Iteration)
 		return nil
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	done := make(chan error, 1)
 	go func() {
 		done <- mpi.Run(2, 2, func(comm *mpi.Comm) {
@@ -372,7 +375,7 @@ func TestEntriesNotReusedBeforeAck(t *testing.T) {
 			data := make([]float32, 32*32)
 			for it := int64(0); it < 2; it++ {
 				for _, name := range []string{"a", "b"} {
-					if err := cli.WriteFloat32s(name, it, data); err != nil {
+					if err := cli.Write(name, it, mpi.Float32sToBytes(data)); err != nil {
 						t.Error(err)
 						return
 					}
@@ -458,7 +461,7 @@ func TestPipelineBatchesBacklog(t *testing.T) {
 			// writer, the rest pile up in the bounded queue while the
 			// client is finally stopped by the flow window.
 			for it := int64(0); it <= queue; it++ {
-				if err := cli.WriteFloat32s("v", it, data); err != nil {
+				if err := cli.Write("v", it, mpi.Float32sToBytes(data)); err != nil {
 					t.Error(err)
 					return
 				}
@@ -578,7 +581,7 @@ func TestAsyncPipelineDecouplesClientFromPersistLatency(t *testing.T) {
 			data := make([]float32, 32*32)
 			start := time.Now()
 			for it := int64(0); it < iters; it++ {
-				if err := cli.WriteFloat32s("v", it, data); err != nil {
+				if err := cli.Write("v", it, mpi.Float32sToBytes(data)); err != nil {
 					t.Error(err)
 					return
 				}
@@ -629,7 +632,7 @@ func TestSyncBaselineStatsTrackFailures(t *testing.T) {
 		cli := dep.Client
 		data := make([]float32, 32*32)
 		for it := int64(0); it < 3; it++ {
-			if err := cli.WriteFloat32s("v", it, data); err != nil {
+			if err := cli.Write("v", it, mpi.Float32sToBytes(data)); err != nil {
 				t.Error(err)
 				return
 			}

@@ -385,13 +385,13 @@ func TestServerSpillWiring(t *testing.T) {
 			return
 		}
 		cli := dep.Client
-		source = cli.Source()
+		source = comm.Rank()
 		data := make([]float32, 16*16)
 		for it := int64(0); it < iters; it++ {
 			for i := range data {
 				data[i] = float32(it)
 			}
-			if err := cli.WriteFloat32s("v", it, data); err != nil {
+			if err := cli.Write("v", it, mpi.Float32sToBytes(data)); err != nil {
 				t.Error(err)
 				return
 			}

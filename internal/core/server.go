@@ -239,11 +239,6 @@ func (s *Server) RegisterObs(reg *obs.Registry) {
 	})
 }
 
-// Engine exposes the EPE (for tools that inject events, e.g. external
-// steering per §III-A "events sent either by the simulation or by external
-// tools").
-func (s *Server) Engine() *event.Engine { return s.eng }
-
 // Run executes the dedicated-core loop(s) until every client has finalized
 // and all shard queues have drained. With one shard it runs the loop inline
 // (the classic behavior); with several it runs one goroutine per shard and
@@ -400,15 +395,6 @@ func (s *Server) iterationDurable(it int64, persistDur, latency float64, bytes i
 	s.fc.setFlushed(it)
 }
 
-// WriteTimes returns the seconds each of the most recent iteration flushes
-// (up to recentCap of them) took on the dedicated core (the paper's Figure 5
-// "Write time").
-func (s *Server) WriteTimes() []float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.writeDurs.values()
-}
-
 // SpareSeconds returns the total time the dedicated core spent idle — the
 // paper's "spare time […] dedicated cores are not performing any task",
 // which §IV-C2 reports as 75%–99% of their time.
@@ -441,7 +427,7 @@ func (s *Server) HandleErrors() []error {
 
 // WriteStats summarizes the dedicated core's per-iteration write times:
 // count, mean, extremes and deviation over the server's life, the quantiles
-// over what WriteTimes returns.
+// over the most recent recentCap iterations.
 func (s *Server) WriteStats() stats.Summary {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -485,4 +471,24 @@ func (s *Server) PipelineStats() PipelineStats {
 // persistency layer embedded in a plugin").
 type Persister interface {
 	Persist(iteration int64, entries []*metadata.Entry) error
+}
+
+// recentCap is how many samples a recent keeps: more than any test or
+// benchmark run records, so only an arbitrarily long run ever drops one.
+const recentCap = 1 << 16
+
+// recent keeps the last recentCap values added to it, so a per-iteration
+// record does not grow for the life of a run.
+type recent[T any] struct {
+	buf  []T
+	next int // once buf is full: the oldest value, overwritten next
+}
+
+func (r *recent[T]) add(v T) {
+	if len(r.buf) < recentCap {
+		r.buf = append(r.buf, v)
+		return
+	}
+	r.buf[r.next] = v
+	r.next = (r.next + 1) % recentCap
 }

@@ -178,7 +178,7 @@ func TestShardedLoopsSurvivePersistFailures(t *testing.T) {
 			defer cli.Finalize()
 			for it := int64(0); it < iters; it++ {
 				for _, name := range []string{"a", "b"} {
-					if err := cli.WriteFloat32s(name, it, fieldData(cli.Source())); err != nil {
+					if err := cli.Write(name, it, mpi.Float32sToBytes(fieldData(comm.Rank()))); err != nil {
 						t.Error(err)
 						return
 					}
@@ -265,7 +265,7 @@ func TestShardIdleIsFree(t *testing.T) {
 			for w := 0; w < writes; w++ {
 				// Rewriting a variable within an iteration is an overwrite:
 				// one more event, one more catalogue insert, same output.
-				if err := cli.WriteFloat32s([]string{"a", "b"}[w%2], it, fieldData(cli.Source())); err != nil {
+				if err := cli.Write([]string{"a", "b"}[w%2], it, mpi.Float32sToBytes(fieldData(comm.Rank()))); err != nil {
 					t.Error(err)
 					return
 				}
@@ -327,7 +327,7 @@ func TestShardedOverwriteLastWriteWins(t *testing.T) {
 		defer cli.Finalize()
 		for it := 0; it < iters; it++ {
 			for v := 1; v <= rewrites; v++ {
-				if err := cli.WriteFloat32s("a", int64(it), fieldData(cli.Source()*100+it*10+v)); err != nil {
+				if err := cli.Write("a", int64(it), mpi.Float32sToBytes(fieldData(comm.Rank()*100+it*10+v))); err != nil {
 					t.Error(err)
 					return
 				}
@@ -383,7 +383,7 @@ func TestShardOverwriteUnderFullSegment(t *testing.T) {
 			cli := dep.Client
 			defer cli.Finalize()
 			for v := 1; v <= 5; v++ {
-				if err := cli.WriteFloat32s("a", 0, fieldData(v)); err != nil {
+				if err := cli.Write("a", 0, mpi.Float32sToBytes(fieldData(v))); err != nil {
 					t.Error(err)
 					return
 				}
@@ -437,11 +437,11 @@ func testWriteSpan(t *testing.T, workers int) {
 		}
 		cli := dep.Client
 		defer cli.Finalize()
-		if err := cli.WriteFloat32s("a", 0, fieldData(1)); err != nil {
+		if err := cli.Write("a", 0, mpi.Float32sToBytes(fieldData(1))); err != nil {
 			t.Error(err)
 		}
 		time.Sleep(gap) // the rest of the write phase
-		if err := cli.WriteFloat32s("b", 0, fieldData(2)); err != nil {
+		if err := cli.Write("b", 0, mpi.Float32sToBytes(fieldData(2))); err != nil {
 			t.Error(err)
 		}
 		if err := cli.EndIteration(0); err != nil {

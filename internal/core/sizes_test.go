@@ -53,7 +53,7 @@ func runNode(t *testing.T, cfg *config.Config, opts Options, iters int) (Pipelin
 		loop:
 			for it := int64(0); it < int64(iters); it++ {
 				for _, name := range []string{"a", "b"} {
-					if err := cli.WriteFloat32s(name, it, fieldData(cli.Source())); err != nil {
+					if err := cli.Write(name, it, mpi.Float32sToBytes(fieldData(comm.Rank()))); err != nil {
 						t.Error(err)
 						break loop
 					}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 
 	"damaris/internal/config"
@@ -43,8 +42,6 @@ func TestStressManyIterations(t *testing.T) {
 				t.Fatal(err)
 			}
 			mem := &MemPersister{}
-			var phaseMax float64
-			var mu sync.Mutex
 			err = mpi.Run(ranks, coresPerNode, func(comm *mpi.Comm) {
 				dep, err := Deploy(comm, cfg, nil, Options{Persister: mem})
 				if err != nil {
@@ -63,11 +60,11 @@ func TestStressManyIterations(t *testing.T) {
 				cli := dep.Client
 				data := make([]float32, 32*32)
 				for i := range data {
-					data[i] = float32(cli.Source())
+					data[i] = float32(comm.Rank())
 				}
 				for it := int64(0); it < iters; it++ {
 					for _, name := range []string{"a", "b", "c"} {
-						if err := cli.WriteFloat32s(name, it, data); err != nil {
+						if err := cli.Write(name, it, mpi.Float32sToBytes(data)); err != nil {
 							t.Errorf("write %s@%d: %v", name, it, err)
 							return
 						}
@@ -77,11 +74,6 @@ func TestStressManyIterations(t *testing.T) {
 						return
 					}
 				}
-				mu.Lock()
-				if m := cli.WriteStats().Max; m > phaseMax {
-					phaseMax = m
-				}
-				mu.Unlock()
 				_ = cli.Finalize()
 			})
 			if err != nil {
@@ -135,7 +127,7 @@ func TestStressConcurrentVariablesZeroCopy(t *testing.T) {
 			for i := range data {
 				data[i] = float32(it)
 			}
-			if err := cli.WriteFloat32s("copied", it, data); err != nil {
+			if err := cli.Write("copied", it, mpi.Float32sToBytes(data)); err != nil {
 				t.Error(err)
 				return
 			}

@@ -245,8 +245,8 @@ func (q *Queue) Close() {
 // iteration completion across the node's clients. A dedicated core running
 // several shard loops creates one Engine per shard (NewShardEngine), all
 // sharing one Tally and one metadata store; iteration completion, global
-// signals, and client exits are then counted node-wide while each engine
-// keeps its own plugin context.
+// signals, and client exits are then counted node-wide, and whatever an
+// action adds to the store is seen by every engine.
 //
 // The entries the engine catalogs belong to the store, which reuses them: a
 // plugin action may use what ctx.Store returns only until OnIterationEnd
@@ -256,8 +256,7 @@ type Engine struct {
 	reg   *plugin.Registry
 	store *metadata.Store
 	tally *Tally // shared completion/signal/exit tracking
-
-	ctx plugin.Context
+	rank  int    // the dedicated core's world rank, a global event's source
 
 	// OnIterationEnd, when non-nil, runs after every client has announced
 	// EndIteration for an iteration (the dedicated core's flush hook).
@@ -276,9 +275,9 @@ type sigKey struct {
 
 // NewShardEngine builds one shard's EPE sharing a node-wide tally with its
 // sibling engines. All engines of one dedicated core must share both the
-// tally and the metadata store.
+// tally and the metadata store; rank is the dedicated core's world rank.
 func NewShardEngine(cfg *config.Config, reg *plugin.Registry, store *metadata.Store,
-	tally *Tally, serverID, node int, outputDir string) (*Engine, error) {
+	tally *Tally, rank int) (*Engine, error) {
 	if cfg == nil {
 		return nil, fmt.Errorf("event: nil config")
 	}
@@ -296,20 +295,12 @@ func NewShardEngine(cfg *config.Config, reg *plugin.Registry, store *metadata.St
 		reg:   reg,
 		store: store,
 		tally: tally,
-		ctx: plugin.Context{
-			Store:     store,
-			ServerID:  serverID,
-			Node:      node,
-			OutputDir: outputDir,
-		},
+		rank:  rank,
 	}, nil
 }
 
 // Store exposes the engine's metadata catalog.
 func (e *Engine) Store() *metadata.Store { return e.store }
-
-// Context returns the plugin context (for inspection in tests and tools).
-func (e *Engine) Context() *plugin.Context { return &e.ctx }
 
 // Handle processes one event. It returns an error for unknown variables,
 // unknown events or failing actions; the caller (server loop) decides
@@ -368,19 +359,19 @@ func (e *Engine) handleSignal(ev Event) error {
 	if !ok {
 		return fmt.Errorf("event: event %q: action %q not registered", ev.Name, decl.Action)
 	}
+	src := ev.Source
 	if decl.Scope == "global" {
 		// Global scope: fire once per iteration, after every client of this
-		// node has raised the signal (counted node-wide across shards).
+		// node has raised the signal (counted node-wide across shards), on
+		// behalf of the dedicated core. Each client's writes precede its
+		// signal on the one queue its loop pops, so every client's pieces
+		// of the iteration are catalogued by then.
 		if !e.tally.signal(sigKey{ev.Name, ev.Iteration}) {
 			return nil
 		}
-		e.ctx.Iteration = ev.Iteration
-		e.ctx.Source = -1
-		return action(&e.ctx, ev.Name)
+		src = e.rank
 	}
-	e.ctx.Iteration = ev.Iteration
-	e.ctx.Source = ev.Source
-	return action(&e.ctx, ev.Name)
+	return action(&plugin.Context{Store: e.store, Iteration: ev.Iteration, Source: src}, ev.Name)
 }
 
 func (e *Engine) handleEnd(ev Event) error {

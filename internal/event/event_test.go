@@ -31,7 +31,7 @@ func testConfig(t *testing.T) *config.Config {
 
 func newEngine(t *testing.T, clients int, reg *plugin.Registry) *Engine {
 	t.Helper()
-	e, err := NewShardEngine(testConfig(t), reg, metadata.NewSharded(1), NewTally(clients), 99, 3, t.TempDir())
+	e, err := NewShardEngine(testConfig(t), reg, metadata.NewSharded(1), NewTally(clients), 99)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,13 +136,13 @@ func TestQueueConcurrentProducers(t *testing.T) {
 
 func TestEngineValidation(t *testing.T) {
 	cfg := testConfig(t)
-	if _, err := NewShardEngine(nil, nil, metadata.NewSharded(1), NewTally(1), 0, 0, ""); err == nil {
+	if _, err := NewShardEngine(nil, nil, metadata.NewSharded(1), NewTally(1), 0); err == nil {
 		t.Error("nil config must fail")
 	}
-	if _, err := NewShardEngine(cfg, nil, nil, NewTally(1), 0, 0, ""); err == nil {
+	if _, err := NewShardEngine(cfg, nil, nil, NewTally(1), 0); err == nil {
 		t.Error("nil store must fail")
 	}
-	if _, err := NewShardEngine(cfg, nil, metadata.NewSharded(1), NewTally(0), 0, 0, ""); err == nil {
+	if _, err := NewShardEngine(cfg, nil, metadata.NewSharded(1), NewTally(0), 0); err == nil {
 		t.Error("zero clients must fail")
 	}
 }
@@ -241,10 +241,12 @@ func TestWriteDynamicLayoutOverride(t *testing.T) {
 func TestLocalSignalFiresPerClient(t *testing.T) {
 	reg := plugin.NewRegistry()
 	var calls []int
-	reg.MustRegister("do_flush", func(ctx *plugin.Context, ev string) error {
+	if err := reg.Register("do_flush", func(ctx *plugin.Context, ev string) error {
 		calls = append(calls, ctx.Source)
 		return nil
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	e := newEngine(t, 3, reg)
 	for src := 0; src < 3; src++ {
 		if err := e.Handle(Event{Kind: UserSignal, Name: "flush", Iteration: 1, Source: src}); err != nil {
@@ -259,13 +261,15 @@ func TestLocalSignalFiresPerClient(t *testing.T) {
 func TestGlobalSignalFiresOncePerIteration(t *testing.T) {
 	reg := plugin.NewRegistry()
 	count := 0
-	reg.MustRegister("do_sync", func(ctx *plugin.Context, ev string) error {
+	if err := reg.Register("do_sync", func(ctx *plugin.Context, ev string) error {
 		count++
-		if ctx.Source != -1 {
-			t.Errorf("global action source = %d, want -1", ctx.Source)
+		if ctx.Source != 99 {
+			t.Errorf("global action source = %d, want the dedicated core's rank 99", ctx.Source)
 		}
 		return nil
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	e := newEngine(t, 3, reg)
 	for it := int64(0); it < 2; it++ {
 		for src := 0; src < 3; src++ {
@@ -293,7 +297,9 @@ func TestSignalErrors(t *testing.T) {
 func TestActionErrorPropagates(t *testing.T) {
 	reg := plugin.NewRegistry()
 	boom := errors.New("boom")
-	reg.MustRegister("do_flush", func(*plugin.Context, string) error { return boom })
+	if err := reg.Register("do_flush", func(*plugin.Context, string) error { return boom }); err != nil {
+		t.Fatal(err)
+	}
 	e := newEngine(t, 1, reg)
 	if err := e.Handle(Event{Kind: UserSignal, Name: "flush"}); !errors.Is(err, boom) {
 		t.Errorf("got %v", err)

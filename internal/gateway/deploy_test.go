@@ -58,10 +58,10 @@ func runDeploy(t *testing.T, root string, iters int64) {
 			for it := int64(0); it < iters; it++ {
 				xs := make([]float32, 64)
 				for i := range xs {
-					xs[i] = float32(cli.Source()*1000 + int(it)*100 + i)
+					xs[i] = float32(comm.Rank()*1000 + int(it)*100 + i)
 				}
 				global := layout.Block{
-					Start: []int64{int64(cli.Source()) * 16, 0},
+					Start: []int64{int64(comm.Rank()) * 16, 0},
 					Count: []int64{16, 4},
 				}
 				if err := cli.WriteBlock("temp", it, mpi.Float32sToBytes(xs), global); err != nil {

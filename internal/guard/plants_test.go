@@ -151,6 +151,11 @@ func TestPlants(t *testing.T) {
 	} {
 		t.Run(p.name, func(t *testing.T) { expect(t, check(t, plant(t, p.file, p.src), fixtureAllow), p.want) })
 	}
+	t.Run("export only an example uses", func(t *testing.T) {
+		root := plant(t, "internal/live/example.go", "package live\n\n// Shown is used by an example only.\nfunc Shown() {}\n",
+			"examples/x/main.go", "package main\n\nimport \"fixture/internal/live\"\n\nfunc main() { live.Shown() }\n")
+		expect(t, check(t, root, fixtureAllow), "dead export: internal/live.Shown has no non-test caller")
+	})
 	for _, row := range forbidden {
 		t.Run(row.plant[0], func(t *testing.T) {
 			expect(t, forbiddenMatches(t, plant(t, row.plant[0], "\n"+row.plant[1]+"\n")), row.reason)

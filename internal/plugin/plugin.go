@@ -16,40 +16,19 @@ import (
 	"damaris/internal/metadata"
 )
 
-// Context carries the dedicated core's state into an action invocation.
+// Context carries the dedicated core's state into an action invocation. An
+// action's products go into Store as entries of Iteration, so they travel
+// with the iteration's data to wherever it is persisted.
 type Context struct {
 	// Store is the metadata catalog holding the iteration's datasets.
 	Store *metadata.Store
 	// Iteration is the simulation step the triggering event belongs to.
 	Iteration int64
-	// Source is the client that sent the event (-1 for global events).
+	// Source is the world rank the event is attributed to: the sending
+	// client's for a local event, the dedicated core's for a global one.
+	// Clients and dedicated cores are distinct ranks, so entries an action
+	// keys by Source never collide with a client's writes.
 	Source int
-	// ServerID identifies the dedicated core (its world rank).
-	ServerID int
-	// Node is the SMP node index the dedicated core serves.
-	Node int
-	// OutputDir is where persistency actions write files.
-	OutputDir string
-	// Values carries arbitrary key/value state shared between actions of
-	// one dedicated core (e.g. accumulated compression ratios).
-	Values map[string]any
-}
-
-// Value returns a context value, nil when absent or when the context has no
-// value map.
-func (c *Context) Value(key string) any {
-	if c.Values == nil {
-		return nil
-	}
-	return c.Values[key]
-}
-
-// SetValue stores a context value, allocating the map on first use.
-func (c *Context) SetValue(key string, v any) {
-	if c.Values == nil {
-		c.Values = make(map[string]any)
-	}
-	c.Values[key] = v
 }
 
 // Action is a user-provided reaction to an event. Event is the configured
@@ -85,13 +64,6 @@ func (r *Registry) Register(name string, a Action) error {
 	}
 	r.actions[name] = a
 	return nil
-}
-
-// MustRegister is Register but panics on error; for static initialization.
-func (r *Registry) MustRegister(name string, a Action) {
-	if err := r.Register(name, a); err != nil {
-		panic(err)
-	}
 }
 
 // Get looks an action up by name.

@@ -39,17 +39,6 @@ func TestRegisterValidation(t *testing.T) {
 	}
 }
 
-func TestMustRegisterPanics(t *testing.T) {
-	r := NewRegistry()
-	r.MustRegister("ok", func(*Context, string) error { return nil })
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic on duplicate MustRegister")
-		}
-	}()
-	r.MustRegister("ok", func(*Context, string) error { return nil })
-}
-
 func TestNilRegistry(t *testing.T) {
 	var r *Registry
 	if _, ok := r.Get("x"); ok {
@@ -57,21 +46,12 @@ func TestNilRegistry(t *testing.T) {
 	}
 }
 
-func TestContextValues(t *testing.T) {
-	var c Context
-	if c.Value("k") != nil {
-		t.Error("value on empty context")
-	}
-	c.SetValue("k", 42)
-	if c.Value("k").(int) != 42 {
-		t.Error("SetValue/Value round trip failed")
-	}
-}
-
 func TestActionErrorPropagates(t *testing.T) {
 	r := NewRegistry()
 	boom := errors.New("boom")
-	r.MustRegister("fail", func(*Context, string) error { return boom })
+	if err := r.Register("fail", func(*Context, string) error { return boom }); err != nil {
+		t.Fatal(err)
+	}
 	a, _ := r.Get("fail")
 	if err := a(&Context{}, "e"); !errors.Is(err, boom) {
 		t.Error("error not propagated")

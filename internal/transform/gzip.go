@@ -54,10 +54,13 @@ func (s *sliceWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// CompressGzipTo is CompressGzip encoding into dst's backing array: dst is
-// truncated, not appended to, and grown as needed. It returns the encoded
-// bytes, which alias dst when its capacity sufficed. The level range is the
-// full compress/gzip range, gzip.HuffmanOnly (-2) through 9.
+// CompressGzipTo compresses b at the given gzip level into dst's backing
+// array: dst is truncated, not appended to, and grown as needed. It returns
+// the encoded bytes, which alias dst when its capacity sufficed. The level
+// follows compress/gzip exactly: gzip.HuffmanOnly (-2),
+// gzip.DefaultCompression (-1), gzip.NoCompression (0) and 1..9 are all
+// accepted and mean what the stdlib says they mean; other levels are an
+// error.
 func CompressGzipTo(dst, b []byte, level int) ([]byte, error) {
 	return (*Encoder)(nil).CompressGzipTo(dst, b, level)
 }

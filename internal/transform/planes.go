@@ -97,10 +97,11 @@ const (
 	runShift = 4
 )
 
-// ShuffleGzipTo byte-shuffles b by elemSize and encodes each of the elemSize
-// byte planes as its own gzip member into dst's backing array (truncated,
-// grown as needed), returning the encoded bytes and what was decided for each
-// plane. DecompressGzipTo followed by UnshuffleTo reverses it.
+// ShuffleGzipTo byte-shuffles b by elemSize into e's scratch and encodes each
+// of the elemSize byte planes as its own gzip member, on e's writers, into
+// dst's backing array (truncated, grown as needed), returning the encoded
+// bytes and what was decided for each plane. A nil e borrows an Encoder for
+// the call. DecompressGzipTo followed by UnshuffleTo reverses it.
 //
 // Levels gzip.HuffmanOnly, gzip.NoCompression and gzip.BestSpeed have nothing
 // cheaper to fall back on, and planes of at most 16 KiB are too short to
@@ -125,12 +126,6 @@ const (
 //
 // Every decision is a pure function of the plane's bytes and the level, so
 // the output is reproducible across goroutines, pools and runs.
-func ShuffleGzipTo(dst, b []byte, elemSize, level int) ([]byte, PlaneCounts, error) {
-	return (*Encoder)(nil).ShuffleGzipTo(dst, b, elemSize, level)
-}
-
-// ShuffleGzipTo is the package function of that name run on e's writers and
-// shuffle scratch.
 func (e *Encoder) ShuffleGzipTo(dst, b []byte, elemSize, level int) ([]byte, PlaneCounts, error) {
 	var counts PlaneCounts
 	if !ValidGzipLevel(level) {

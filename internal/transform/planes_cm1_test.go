@@ -46,7 +46,7 @@ func cm1Fields(tb testing.TB) map[string][]byte {
 // the fast pass may be kept only where the sample says so.
 func TestShuffleGzipCM1Contract(t *testing.T) {
 	for name, raw := range cm1Fields(t) {
-		enc, modes, err := transform.ShuffleGzipTo(nil, raw, 4, gzip.DefaultCompression)
+		enc, modes, err := (*transform.Encoder)(nil).ShuffleGzipTo(nil, raw, 4, gzip.DefaultCompression)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,8 +61,8 @@ func TestShuffleGzipCM1Contract(t *testing.T) {
 		if !bytes.Equal(got, raw) {
 			t.Fatalf("%s: round trip mismatch", name)
 		}
-		shuffled, _ := transform.Shuffle(raw, 4)
-		whole, err := transform.CompressGzip(shuffled, gzip.DefaultCompression)
+		shuffled, _ := transform.ShuffleTo(nil, raw, 4)
+		whole, err := transform.CompressGzipTo(nil, shuffled, gzip.DefaultCompression)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -106,11 +106,11 @@ var planeLevels = []int{gzip.HuffmanOnly, gzip.NoCompression, gzip.BestSpeed, gz
 // whole shuffled chunk. It stays here as the size reference.
 func wholeChunk(t testing.TB, b []byte, elemSize, level int) []byte {
 	t.Helper()
-	sh, err := Shuffle(b, elemSize)
+	sh, err := ShuffleTo(nil, b, elemSize)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := CompressGzip(sh, level)
+	out, err := CompressGzipTo(nil, sh, level)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestShuffleGzipCorpusContract(t *testing.T) {
 	for _, e := range planeCorpus() {
 		for _, level := range planeLevels {
 			t.Run(fmt.Sprintf("%s/level%d", e.name, level), func(t *testing.T) {
-				enc, counts, err := ShuffleGzipTo(nil, e.data, e.elemSize, level)
+				enc, counts, err := (*Encoder)(nil).ShuffleGzipTo(nil, e.data, e.elemSize, level)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -178,7 +178,7 @@ func TestShuffleGzipCorpusContract(t *testing.T) {
 // 1/32 of the plane and well inside the 1/16 the rule allows.
 func TestShuffleGzipBenchFieldDecisions(t *testing.T) {
 	data := benchField(1, 0, 256<<10)
-	sh, _ := Shuffle(data, 4)
+	sh, _ := ShuffleTo(nil, data, 4)
 	n := len(data) / 4
 	for j, w := range []PlaneMode{PlaneStored, PlaneLevel, PlaneFast, PlaneFast} {
 		_, mode, err := new(Encoder).appendPlane(nil, sh[j*n:(j+1)*n], gzip.DefaultCompression)
@@ -192,7 +192,7 @@ func TestShuffleGzipBenchFieldDecisions(t *testing.T) {
 	want := PlaneCounts{PlaneStored: 1, PlaneLevel: 1, PlaneFast: 2}
 	for seed := int64(1); seed <= 6; seed++ {
 		for v := 0; v < 4; v++ {
-			_, counts, err := ShuffleGzipTo(nil, benchField(seed, v, 256<<10), 4, gzip.DefaultCompression)
+			_, counts, err := (*Encoder)(nil).ShuffleGzipTo(nil, benchField(seed, v, 256<<10), 4, gzip.DefaultCompression)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -202,7 +202,7 @@ func TestShuffleGzipBenchFieldDecisions(t *testing.T) {
 		}
 	}
 	for _, level := range []int{gzip.HuffmanOnly, gzip.NoCompression, gzip.BestSpeed} {
-		_, counts, err := ShuffleGzipTo(nil, data, 4, level)
+		_, counts, err := (*Encoder)(nil).ShuffleGzipTo(nil, data, 4, level)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -241,7 +241,7 @@ func TestShuffleGzipCostBound(t *testing.T) {
 		})
 		var counts PlaneCounts
 		planes := best(func() {
-			out, counts, _ = ShuffleGzipTo(out, e.data, e.elemSize, gzip.DefaultCompression)
+			out, counts, _ = (*Encoder)(nil).ShuffleGzipTo(out, e.data, e.elemSize, gzip.DefaultCompression)
 		})
 		t.Logf("%-12s whole %8v planes %8v (%.2fx) decisions %v", e.name, whole, planes,
 			float64(planes)/float64(whole), counts)
@@ -267,7 +267,7 @@ func TestShuffleGzipDiscardedWork(t *testing.T) {
 	const lvl, fst = gzip.DefaultCompression - gzip.HuffmanOnly, fastLevel - gzip.HuffmanOnly
 	for seed := int64(1); seed <= 6; seed++ {
 		for v := 0; v < 4; v++ {
-			sh, _ := Shuffle(benchField(seed, v, chunk), 4)
+			sh, _ := ShuffleTo(nil, benchField(seed, v, chunk), 4)
 			var e Encoder
 			var lvlDiscarded, discarded int64
 			for j := 0; j < 4; j++ {
@@ -310,7 +310,7 @@ func TestShuffleGzipDeterministic(t *testing.T) {
 	want := make([][]byte, len(corpus))
 	for i, e := range corpus {
 		var err error
-		if want[i], _, err = ShuffleGzipTo(nil, e.data, e.elemSize, gzip.DefaultCompression); err != nil {
+		if want[i], _, err = (*Encoder)(nil).ShuffleGzipTo(nil, e.data, e.elemSize, gzip.DefaultCompression); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -323,7 +323,7 @@ func TestShuffleGzipDeterministic(t *testing.T) {
 			for r := 0; r < 3; r++ {
 				for k := range corpus {
 					i := (k + g) % len(corpus)
-					got, _, err := ShuffleGzipTo(dst, corpus[i].data, corpus[i].elemSize, gzip.DefaultCompression)
+					got, _, err := (*Encoder)(nil).ShuffleGzipTo(dst, corpus[i].data, corpus[i].elemSize, gzip.DefaultCompression)
 					if err != nil {
 						t.Error(err)
 						return
@@ -340,13 +340,13 @@ func TestShuffleGzipDeterministic(t *testing.T) {
 }
 
 func TestShuffleGzipToErrors(t *testing.T) {
-	if _, _, err := ShuffleGzipTo(nil, make([]byte, 8), 4, 10); err == nil {
+	if _, _, err := (*Encoder)(nil).ShuffleGzipTo(nil, make([]byte, 8), 4, 10); err == nil {
 		t.Error("level 10 should fail")
 	}
-	if _, _, err := ShuffleGzipTo(nil, make([]byte, 7), 4, 1); err == nil {
+	if _, _, err := (*Encoder)(nil).ShuffleGzipTo(nil, make([]byte, 7), 4, 1); err == nil {
 		t.Error("length not a multiple of the element size should fail")
 	}
-	if _, _, err := ShuffleGzipTo(nil, nil, 0, 1); err == nil {
+	if _, _, err := (*Encoder)(nil).ShuffleGzipTo(nil, nil, 0, 1); err == nil {
 		t.Error("element size 0 should fail")
 	}
 }
@@ -356,12 +356,12 @@ func TestShuffleGzipToSteadyStateAllocs(t *testing.T) {
 		t.Skip("sync.Pool drops items under the race detector")
 	}
 	data := benchField(1, 0, 256<<10)
-	dst, _, err := ShuffleGzipTo(nil, data, 4, gzip.DefaultCompression)
+	dst, _, err := (*Encoder)(nil).ShuffleGzipTo(nil, data, 4, gzip.DefaultCompression)
 	if err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(10, func() {
-		dst, _, err = ShuffleGzipTo(dst, data, 4, gzip.DefaultCompression)
+		dst, _, err = (*Encoder)(nil).ShuffleGzipTo(dst, data, 4, gzip.DefaultCompression)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -383,7 +383,7 @@ func TestShuffleGzipToSteadyStateAllocs(t *testing.T) {
 // one more deflate block: same bytes, same single pass.
 func TestShuffleGzipDecodeOnePass(t *testing.T) {
 	smooth := smoothField(256 << 10)
-	enc, _, err := ShuffleGzipTo(nil, smooth, 4, gzip.DefaultCompression)
+	enc, _, err := (*Encoder)(nil).ShuffleGzipTo(nil, smooth, 4, gzip.DefaultCompression)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,7 +407,7 @@ func TestShuffleGzipDecodeOnePass(t *testing.T) {
 }
 
 func decodeOnePass(t *testing.T, data []byte) {
-	enc, _, err := ShuffleGzipTo(nil, data, 4, gzip.DefaultCompression)
+	enc, _, err := (*Encoder)(nil).ShuffleGzipTo(nil, data, 4, gzip.DefaultCompression)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,7 +446,7 @@ func FuzzPlaneGzipRoundTrip(f *testing.F) {
 	noise := make([]byte, noiseSample+1000)
 	rand.New(rand.NewSource(9)).Read(noise)
 	runs := bytes.Repeat([]byte{7, 7, 7, 7, 7, 7, 7, 9}, noiseSample/8+77)
-	sh, _ := Shuffle(benchField(1, 0, 4*noiseSample+40), 4)
+	sh, _ := ShuffleTo(nil, benchField(1, 0, 4*noiseSample+40), 4)
 	f.Add([]byte("damaris"), uint8(0), int8(-1))
 	f.Add(noise, uint8(0), int8(-1))
 	f.Add(runs, uint8(0), int8(6))
@@ -474,7 +474,7 @@ func FuzzPlaneGzipRoundTrip(f *testing.F) {
 		}
 	}
 	// A trial that is kept: the low plane of a smooth field.
-	smooth, _ := Shuffle(smoothField(8*noiseSample), 4)
+	smooth, _ := ShuffleTo(nil, smoothField(8*noiseSample), 4)
 	f.Add(smooth[:2*noiseSample], uint8(0), int8(-1))
 	f.Fuzz(func(t *testing.T, data []byte, sizeSel uint8, level int8) {
 		elemSize := 1 << (sizeSel % 4)
@@ -483,7 +483,7 @@ func FuzzPlaneGzipRoundTrip(f *testing.F) {
 		if !ValidGzipLevel(lv) {
 			lv = gzip.DefaultCompression
 		}
-		enc, counts, err := ShuffleGzipTo(nil, data, elemSize, lv)
+		enc, counts, err := (*Encoder)(nil).ShuffleGzipTo(nil, data, elemSize, lv)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -522,7 +522,7 @@ func BenchmarkShuffleGzipBenchField(b *testing.B) {
 		var out []byte
 		b.SetBytes(int64(len(data)))
 		for i := 0; i < b.N; i++ {
-			out, _, _ = ShuffleGzipTo(out, data, 4, gzip.DefaultCompression)
+			out, _, _ = (*Encoder)(nil).ShuffleGzipTo(out, data, 4, gzip.DefaultCompression)
 		}
 	})
 }

@@ -2,64 +2,38 @@
 // cores run during their spare time.
 //
 // Paper §IV-D, "Potential use of spare time": "Using lossless gzip
-// compression on the 3D arrays, we observed a compression ratio of 187%.
-// When writing data for offline visualization, the floating point precision
-// can also be reduced to 16 bits, leading to nearly 600% compression ratio
-// when coupling with gzip." This package implements both: gzip (stdlib
-// compress/gzip), 16-bit scale-offset precision reduction for float32
-// fields, and a byte-shuffle filter that improves float compressibility
-// (the standard HDF5 shuffle trick). It also provides min/max chunk
-// indexing, one of the "smart actions" (§III-A) dedicated cores can run.
+// compression on the 3D arrays, we observed a compression ratio of 187%."
+// This package implements the lossless half: gzip (stdlib compress/gzip) and
+// a byte-shuffle filter that improves float compressibility (the standard
+// HDF5 shuffle trick), combined per byte plane by (*Encoder).ShuffleGzipTo.
+// The paper's lossy 16-bit reduction is not here: on a 128×128×40 CM1 θ
+// field, lossless per-plane shuffle+gzip reaches a ratio of 1,112 %, and
+// 16-bit reduction followed by shuffle+gzip only 997 %.
 package transform
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
-	"math"
 )
 
-// CompressGzip compresses b at the given gzip level. The level follows
-// compress/gzip exactly: gzip.HuffmanOnly (-2), gzip.DefaultCompression (-1),
-// gzip.NoCompression (0) and 1..9 are all accepted and mean what the stdlib
-// says they mean. Levels outside that range are an error.
-func CompressGzip(b []byte, level int) ([]byte, error) {
-	return CompressGzipTo(nil, b, level)
-}
-
-// DecompressGzip reverses CompressGzip.
+// DecompressGzip reverses CompressGzipTo.
 func DecompressGzip(b []byte) ([]byte, error) {
 	return DecompressGzipTo(nil, b)
 }
 
-// Ratio returns the compression ratio in the paper's convention:
-// raw/compressed expressed as a percentage (187% means the compressed form
-// is 1.87× smaller). Returns 0 when compressed is empty.
-func Ratio(rawSize, compressedSize int) float64 {
-	if compressedSize <= 0 {
-		return 0
-	}
-	return 100 * float64(rawSize) / float64(compressedSize)
-}
-
-// Shuffle rearranges b so that the i-th bytes of every element are stored
+// ShuffleTo rearranges b so that the i-th bytes of every element are stored
 // contiguously (elemSize-way transpose). For floating-point fields whose
 // neighbouring values are close, this groups the nearly-constant exponent
 // bytes together and markedly improves gzip ratios. len(b) must be a
-// multiple of elemSize.
-func Shuffle(b []byte, elemSize int) ([]byte, error) {
-	return ShuffleTo(nil, b, elemSize)
-}
-
-// ShuffleTo is Shuffle writing into dst's backing array (grown as needed, à
-// la append), so steady-state callers shuffle without allocating. It returns
-// the result slice, which aliases dst when cap(dst) >= len(b). b and dst
-// must not overlap.
+// multiple of elemSize. The result is written into dst's backing array
+// (grown as needed, à la append), so steady-state callers shuffle without
+// allocating; it aliases dst when cap(dst) >= len(b). b and dst must not
+// overlap.
 func ShuffleTo(dst, b []byte, elemSize int) ([]byte, error) {
 	return transposeTo(dst, b, elemSize, "shuffle", shuffle4, shuffle8, shuffleBytes)
 }
 
-// Unshuffle reverses Shuffle.
+// Unshuffle reverses ShuffleTo.
 func Unshuffle(b []byte, elemSize int) ([]byte, error) {
 	return UnshuffleTo(nil, b, elemSize)
 }
@@ -177,133 +151,4 @@ func grow(dst []byte, n int) []byte {
 		return dst[:n]
 	}
 	return make([]byte, n)
-}
-
-// reducedMagic guards Reduced16 payloads.
-var reducedMagic = [4]byte{'R', 'D', '1', '6'}
-
-// ReduceFloat32To16 quantizes a float32 field to 16 bits per element using
-// linear scale-offset coding: x ≈ min + q/65535*(max-min). The worst-case
-// absolute error is (max-min)/131070 (half a quantum). The returned payload
-// is self-describing (magic, count, min, max, little-endian uint16 data) so
-// it can round-trip through RestoreFloat32From16.
-//
-// Non-finite inputs are clamped into the finite range observed; an all-NaN
-// or empty field encodes min=max=0.
-func ReduceFloat32To16(xs []float32) []byte {
-	lo, hi := float32(math.Inf(1)), float32(math.Inf(-1))
-	for _, x := range xs {
-		if isFinite32(x) {
-			if x < lo {
-				lo = x
-			}
-			if x > hi {
-				hi = x
-			}
-		}
-	}
-	if lo > hi { // no finite values
-		lo, hi = 0, 0
-	}
-	out := make([]byte, 4+8+4+4+2*len(xs))
-	copy(out[0:4], reducedMagic[:])
-	binary.LittleEndian.PutUint64(out[4:], uint64(len(xs)))
-	binary.LittleEndian.PutUint32(out[12:], math.Float32bits(lo))
-	binary.LittleEndian.PutUint32(out[16:], math.Float32bits(hi))
-	span := float64(hi) - float64(lo)
-	for i, x := range xs {
-		var q uint16
-		if span > 0 {
-			v := x
-			if !isFinite32(v) || v < lo {
-				v = lo
-			}
-			if v > hi {
-				v = hi
-			}
-			q = uint16(math.Round((float64(v) - float64(lo)) / span * 65535))
-		}
-		binary.LittleEndian.PutUint16(out[20+2*i:], q)
-	}
-	return out
-}
-
-// RestoreFloat32From16 decodes a payload produced by ReduceFloat32To16.
-func RestoreFloat32From16(b []byte) ([]float32, error) {
-	if len(b) < 20 || !bytes.Equal(b[0:4], reducedMagic[:]) {
-		return nil, fmt.Errorf("transform: not a 16-bit reduced payload")
-	}
-	// The count is checked against the length, not 20+2n against it: that sum
-	// wraps around for a count past 2^63.
-	n := binary.LittleEndian.Uint64(b[4:])
-	if (len(b)-20)%2 != 0 || n != uint64(len(b)-20)/2 {
-		return nil, fmt.Errorf("transform: reduced payload length %d does not match count %d", len(b), n)
-	}
-	lo := math.Float32frombits(binary.LittleEndian.Uint32(b[12:]))
-	hi := math.Float32frombits(binary.LittleEndian.Uint32(b[16:]))
-	span := float64(hi) - float64(lo)
-	xs := make([]float32, n)
-	for i := range xs {
-		q := binary.LittleEndian.Uint16(b[20+2*i:])
-		xs[i] = float32(float64(lo) + float64(q)/65535*span)
-	}
-	return xs, nil
-}
-
-// MaxReductionError returns the worst-case absolute error of 16-bit
-// reduction for a field spanning [lo, hi].
-func MaxReductionError(lo, hi float32) float64 {
-	return (float64(hi) - float64(lo)) / 65535 / 2 * 1.0000001 // half quantum + fp slack
-}
-
-func isFinite32(x float32) bool {
-	return !math.IsNaN(float64(x)) && !math.IsInf(float64(x), 0)
-}
-
-// MinMax is one index record covering a chunk of elements.
-type MinMax struct {
-	Offset int // element offset of the chunk
-	Count  int // elements in the chunk
-	Min    float32
-	Max    float32
-}
-
-// IndexFloat32 computes a min/max index over consecutive chunks of
-// chunkElems elements. Such indexes let dedicated cores answer range queries
-// ("which blocks contain updraft > 30 m/s?") without touching the file
-// system — one of the paper's "smart actions" enabled by keeping enriched
-// datasets rather than raw bytes.
-func IndexFloat32(xs []float32, chunkElems int) ([]MinMax, error) {
-	if chunkElems <= 0 {
-		return nil, fmt.Errorf("transform: index chunk size %d", chunkElems)
-	}
-	var idx []MinMax
-	for off := 0; off < len(xs); off += chunkElems {
-		end := off + chunkElems
-		if end > len(xs) {
-			end = len(xs)
-		}
-		mm := MinMax{Offset: off, Count: end - off, Min: xs[off], Max: xs[off]}
-		for _, x := range xs[off+1 : end] {
-			if x < mm.Min {
-				mm.Min = x
-			}
-			if x > mm.Max {
-				mm.Max = x
-			}
-		}
-		idx = append(idx, mm)
-	}
-	return idx, nil
-}
-
-// QueryIndex returns the chunks whose [Min,Max] range intersects [lo,hi].
-func QueryIndex(idx []MinMax, lo, hi float32) []MinMax {
-	var out []MinMax
-	for _, mm := range idx {
-		if mm.Max >= lo && mm.Min <= hi {
-			out = append(out, mm)
-		}
-	}
-	return out
 }

@@ -1,8 +1,8 @@
-// Package viz reassembles globally-decomposed fields from per-writer chunks
-// and provides the lightweight in-situ diagnostics the paper's future-work
-// section motivates (§VI: "a tight coupling between running simulations and
-// visualization engines, enabling direct access to data by visualization
-// engines (through the I/O cores) while the simulation is running").
+// Package viz reassembles globally-decomposed fields from per-writer chunks,
+// the read side the paper's future-work section motivates (§VI: "a tight
+// coupling between running simulations and visualization engines, enabling
+// direct access to data by visualization engines (through the I/O cores)
+// while the simulation is running").
 //
 // Chunks carry their position in the global domain (layout.Block); Assemble
 // stitches them back into one dense array, whether they come from a DSF file
@@ -12,7 +12,6 @@ package viz
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"damaris/internal/dsf"
 	"damaris/internal/layout"
@@ -48,11 +47,8 @@ func NewField(dims ...int64) (*Field, error) {
 	return &Field{Dims: append([]int64(nil), dims...), Data: make([]float32, n)}, nil
 }
 
-// At returns the value at the given coordinates.
-func (f *Field) At(idx ...int64) float32 {
-	return f.Data[f.offset(idx)]
-}
-
+// offset is the index in Data of the given coordinates, C order; it panics
+// on coordinates outside the field.
 func (f *Field) offset(idx []int64) int64 {
 	if len(idx) != len(f.Dims) {
 		panic(fmt.Sprintf("viz: %d coordinates for %d-dimensional field", len(idx), len(f.Dims)))
@@ -65,23 +61,6 @@ func (f *Field) offset(idx []int64) int64 {
 		off = off*f.Dims[i] + x
 	}
 	return off
-}
-
-// MinMax returns the extreme values (0,0 for an empty field).
-func (f *Field) MinMax() (mn, mx float32) {
-	if len(f.Data) == 0 {
-		return 0, 0
-	}
-	mn, mx = f.Data[0], f.Data[0]
-	for _, x := range f.Data {
-		if x < mn {
-			mn = x
-		}
-		if x > mx {
-			mx = x
-		}
-	}
-	return mn, mx
 }
 
 // Chunk pairs a piece's placement with its payload.
@@ -187,88 +166,4 @@ func FromChunkSource(metas []dsf.ChunkMeta, read func(i int) ([]byte, error), na
 // FromChunkSource over the reader's own metadata and decode path.
 func FromReader(r *dsf.Reader, name string, iteration int64) (*Field, error) {
 	return FromChunkSource(r.Chunks(), r.ReadChunk, name, iteration)
-}
-
-// ASCIIRender draws a horizontal slice (fixed first coordinate, for 3D
-// fields the level k) as an ASCII contour map with the given width — the
-// "poor man's visualization engine" for examples and smoke checks.
-func ASCIIRender(f *Field, level int64, width int) (string, error) {
-	if len(f.Dims) != 3 {
-		return "", fmt.Errorf("viz: ASCIIRender wants a 3-D field, got %d-D", len(f.Dims))
-	}
-	if level < 0 || level >= f.Dims[0] {
-		return "", fmt.Errorf("viz: level %d outside [0,%d)", level, f.Dims[0])
-	}
-	if width < 2 {
-		return "", fmt.Errorf("viz: width %d too small", width)
-	}
-	ny, nx := f.Dims[1], f.Dims[2]
-	height := int(float64(width) * float64(ny) / float64(nx) / 2) // terminal cells are ~2:1
-	if height < 1 {
-		height = 1
-	}
-	// Normalize within the rendered slice so stratified 3-D fields (whole
-	// range dominated by the vertical gradient) still show horizontal
-	// structure.
-	mn, mx := f.At(level, 0, 0), f.At(level, 0, 0)
-	for j := int64(0); j < ny; j++ {
-		for i := int64(0); i < nx; i++ {
-			v := f.At(level, j, i)
-			if v < mn {
-				mn = v
-			}
-			if v > mx {
-				mx = v
-			}
-		}
-	}
-	span := float64(mx - mn)
-	if span == 0 {
-		span = 1
-	}
-	shades := []byte(" .:-=+*#%@")
-	out := make([]byte, 0, (width+1)*height)
-	for r := 0; r < height; r++ {
-		j := int64(r) * ny / int64(height)
-		for c := 0; c < width; c++ {
-			i := int64(c) * nx / int64(width)
-			v := float64(f.At(level, j, i)-mn) / span
-			s := int(v * float64(len(shades)-1))
-			if s < 0 {
-				s = 0
-			}
-			if s >= len(shades) {
-				s = len(shades) - 1
-			}
-			out = append(out, shades[s])
-		}
-		out = append(out, '\n')
-	}
-	return string(out), nil
-}
-
-// MaxUpdraft is the in-situ diagnostic of the paper's motivating science:
-// the strongest vertical velocity and its grid location (storm chasers care
-// exactly about this while the simulation runs).
-func MaxUpdraft(w *Field) (value float32, loc []int64) {
-	value = float32(math.Inf(-1))
-	loc = make([]int64, len(w.Dims))
-	idx := make([]int64, len(w.Dims))
-	var walk func(dim int)
-	walk = func(dim int) {
-		if dim == len(w.Dims) {
-			if v := w.At(idx...); v > value {
-				value = v
-				copy(loc, idx)
-			}
-			return
-		}
-		for i := int64(0); i < w.Dims[dim]; i++ {
-			idx[dim] = i
-			walk(dim + 1)
-		}
-		idx[dim] = 0
-	}
-	walk(0)
-	return value, loc
 }

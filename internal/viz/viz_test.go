@@ -2,7 +2,6 @@ package viz
 
 import (
 	"path/filepath"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -33,10 +32,13 @@ func TestNewFieldValidation(t *testing.T) {
 // set assigns the value at the given coordinates.
 func set(f *Field, v float32, idx ...int64) { f.Data[f.offset(idx)] = v }
 
+// at returns the value at the given coordinates.
+func at(f *Field, idx ...int64) float32 { return f.Data[f.offset(idx)] }
+
 func TestAtSetRoundTrip(t *testing.T) {
 	f, _ := NewField(2, 3, 4)
 	set(f, 7.5, 1, 2, 3)
-	if f.At(1, 2, 3) != 7.5 {
+	if at(f, 1, 2, 3) != 7.5 {
 		t.Error("At/Set round trip failed")
 	}
 	// C-order: last coordinate fastest.
@@ -54,21 +56,8 @@ func TestAtPanics(t *testing.T) {
 					t.Errorf("expected panic for %v", idx)
 				}
 			}()
-			f.At(idx...)
+			at(f, idx...)
 		}()
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	f, _ := NewField(4)
-	copy(f.Data, []float32{1, -2, 3, 2})
-	mn, mx := f.MinMax()
-	if mn != -2 || mx != 3 {
-		t.Errorf("minmax = %v/%v", mn, mx)
-	}
-	empty := &Field{}
-	if mn, mx := empty.MinMax(); mn != 0 || mx != 0 {
-		t.Error("empty minmax should be zeros")
 	}
 }
 
@@ -112,7 +101,7 @@ func TestAssemble2x2(t *testing.T) {
 	for j := int64(0); j < 4; j++ {
 		for i := int64(0); i < 6; i++ {
 			want := float32(j*6 + i)
-			if got := f.At(j, i); got != want {
+			if got := at(f, j, i); got != want {
 				t.Fatalf("cell (%d,%d) = %v, want %v", j, i, got, want)
 			}
 		}
@@ -135,7 +124,7 @@ func TestAssemble3D(t *testing.T) {
 		for j := int64(0); j < 4; j++ {
 			for i := int64(0); i < 4; i++ {
 				want := float32((k*4+j)*4 + i)
-				if got := f.At(k, j, i); got != want {
+				if got := at(f, k, j, i); got != want {
 					t.Fatalf("cell (%d,%d,%d) = %v, want %v", k, j, i, got, want)
 				}
 			}
@@ -193,7 +182,7 @@ func TestQuickAssemble1D(t *testing.T) {
 			return false
 		}
 		for i := int64(0); i < off; i++ {
-			if fld.At(i) != float32(i) {
+			if at(fld, i) != float32(i) {
 				return false
 			}
 		}
@@ -239,57 +228,13 @@ func TestFromReader(t *testing.T) {
 	if f.Dims[0] != 2 || f.Dims[1] != 4 {
 		t.Fatalf("dims = %v", f.Dims)
 	}
-	if f.At(1, 3) != float32(1*4+3) {
-		t.Errorf("cell = %v", f.At(1, 3))
+	if at(f, 1, 3) != float32(1*4+3) {
+		t.Errorf("cell = %v", at(f, 1, 3))
 	}
 	if _, err := FromReader(r, "ghost", 3); err == nil {
 		t.Error("unknown variable should fail")
 	}
 	if _, err := FromReader(r, "w", 99); err == nil {
 		t.Error("unknown iteration should fail")
-	}
-}
-
-func TestASCIIRender(t *testing.T) {
-	f, _ := NewField(2, 8, 16)
-	for i := int64(0); i < 16; i++ {
-		for j := int64(0); j < 8; j++ {
-			set(f, float32(i), 0, j, i) // horizontal gradient on level 0
-		}
-	}
-	img, err := ASCIIRender(f, 0, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimRight(img, "\n"), "\n")
-	if len(lines) < 1 || len(lines[0]) != 16 {
-		t.Fatalf("render shape: %d lines of %d", len(lines), len(lines[0]))
-	}
-	// Gradient: leftmost darker (space) than rightmost (@).
-	if lines[0][0] == lines[0][15] {
-		t.Errorf("gradient not visible: %q", lines[0])
-	}
-
-	if _, err := ASCIIRender(f, 5, 16); err == nil {
-		t.Error("bad level should fail")
-	}
-	if _, err := ASCIIRender(f, 0, 1); err == nil {
-		t.Error("tiny width should fail")
-	}
-	f2, _ := NewField(4)
-	if _, err := ASCIIRender(f2, 0, 16); err == nil {
-		t.Error("non-3D field should fail")
-	}
-}
-
-func TestMaxUpdraft(t *testing.T) {
-	f, _ := NewField(2, 3, 4)
-	set(f, 42, 1, 2, 0)
-	v, loc := MaxUpdraft(f)
-	if v != 42 {
-		t.Errorf("value = %v", v)
-	}
-	if loc[0] != 1 || loc[1] != 2 || loc[2] != 0 {
-		t.Errorf("loc = %v", loc)
 	}
 }
