@@ -17,9 +17,11 @@
 package cm1
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 
+	"damaris/internal/layout"
 	"damaris/internal/mpi"
 )
 
@@ -81,8 +83,9 @@ type Sim struct {
 	comm *mpi.Comm
 	p    Params
 
-	rankX, rankY int // position in the process grid
-	nx, ny, nz   int // local interior sizes
+	rankX, rankY int          // position in the process grid
+	nx, ny, nz   int          // local interior sizes
+	global       layout.Block // the interior's place in the global domain
 
 	// Fields are stored with a one-cell halo in x and y:
 	// index = (k*(ny+2) + (j+1))*(nx+2) + (i+1) for interior (i,j,k).
@@ -110,6 +113,10 @@ func New(comm *mpi.Comm, p Params) (*Sim, error) {
 		nx:    p.LocalNX(),
 		ny:    p.LocalNY(),
 		nz:    p.NZ,
+	}
+	s.global = layout.Block{
+		Start: []int64{0, int64(s.globalY(0)), int64(s.globalX(0))},
+		Count: []int64{int64(s.nz), int64(s.ny), int64(s.nx)},
 	}
 	n := (s.nx + 2) * (s.ny + 2) * s.nz
 	s.theta = make([]float32, n)
@@ -283,9 +290,10 @@ func (s *Sim) exchangeHalo(f []float32) {
 	recvEdgeY(down, tagToUp, s.ny)
 }
 
-// Field extracts an output variable's interior (no halo) in C order
-// [nz][ny][nx].
-func (s *Sim) Field(name string) ([]float32, error) {
+// FieldInto gathers an output variable's interior (no halo), in C order
+// [nz][ny][nx], into dst as little-endian float32: one pass from the model's
+// array to wherever the bytes are going. dst must hold exactly the interior.
+func (s *Sim) FieldInto(name string, dst []byte) error {
 	var src []float32
 	switch name {
 	case "theta":
@@ -299,22 +307,23 @@ func (s *Sim) Field(name string) ([]float32, error) {
 	case "qv":
 		src = s.qv
 	default:
-		return nil, fmt.Errorf("cm1: unknown field %q", name)
+		return fmt.Errorf("cm1: unknown field %q", name)
 	}
-	out := make([]float32, s.nx*s.ny*s.nz)
+	if want := 4 * s.nx * s.ny * s.nz; len(dst) != want {
+		return fmt.Errorf("cm1: field %q needs %d bytes, got %d", name, want, len(dst))
+	}
 	for k := 0; k < s.nz; k++ {
 		for j := 0; j < s.ny; j++ {
-			for i := 0; i < s.nx; i++ {
-				out[(k*s.ny+j)*s.nx+i] = src[s.idx(i, j, k)]
+			for _, x := range src[s.idx(0, j, k):][:s.nx] {
+				binary.LittleEndian.PutUint32(dst, math.Float32bits(x))
+				dst = dst[4:]
 			}
 		}
 	}
-	return out, nil
+	return nil
 }
 
-// LocalShape returns the interior extents in C order (nz, ny, nx).
-func (s *Sim) LocalShape() (nz, ny, nx int) { return s.nz, s.ny, s.nx }
-
-// GlobalOffset returns this rank's interior origin in the global domain
-// (x0, y0).
-func (s *Sim) GlobalOffset() (x0, y0 int) { return s.rankX * s.nx, s.rankY * s.ny }
+// GlobalBlock returns where this rank's interior lies in the global
+// [nz][ny][nx] domain. Every call returns the same slices; callers must not
+// modify them.
+func (s *Sim) GlobalBlock() layout.Block { return s.global }

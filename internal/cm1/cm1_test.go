@@ -47,6 +47,15 @@ func TestNewValidatesCommSize(t *testing.T) {
 	}
 }
 
+// field is name's interior as float32s, gathered through FieldInto.
+func field(s *Sim, name string) ([]float32, error) {
+	dst := make([]byte, 4*s.nx*s.ny*s.nz)
+	if err := s.FieldInto(name, dst); err != nil {
+		return nil, err
+	}
+	return mpi.BytesToFloat32s(dst), nil
+}
+
 func TestFieldExtraction(t *testing.T) {
 	err := mpi.Run(1, 1, func(c *mpi.Comm) {
 		p := Params{GlobalNX: 8, GlobalNY: 6, NZ: 3, PX: 1, PY: 1, DT: 0.05, Kappa: 0.1, WorkFactor: 1}
@@ -56,7 +65,7 @@ func TestFieldExtraction(t *testing.T) {
 			return
 		}
 		for _, name := range VariableNames {
-			xs, err := s.Field(name)
+			xs, err := field(s, name)
 			if err != nil {
 				t.Error(err)
 				continue
@@ -65,11 +74,16 @@ func TestFieldExtraction(t *testing.T) {
 				t.Errorf("%s: len = %d", name, len(xs))
 			}
 		}
-		if _, err := s.Field("pressure"); err == nil {
+		if _, err := field(s, "pressure"); err == nil {
 			t.Error("unknown field should fail")
 		}
+		for _, n := range []int{0, 4*8*6*3 - 4, 4*8*6*3 + 4} {
+			if err := s.FieldInto("theta", make([]byte, n)); err == nil {
+				t.Errorf("a %d-byte destination should be rejected", n)
+			}
+		}
 		// theta must be a plausible atmosphere: 250..320 K.
-		xs, _ := s.Field("theta")
+		xs, _ := field(s, "theta")
 		for _, x := range xs {
 			if x < 250 || x > 320 {
 				t.Fatalf("theta = %v out of plausible range", x)
@@ -102,7 +116,7 @@ func TestDecompositionEquivalence(t *testing.T) {
 			s.Step()
 		}
 		for _, name := range VariableNames {
-			xs, _ := s.Field(name)
+			xs, _ := field(s, name)
 			serial[name] = xs
 		}
 	})
@@ -127,7 +141,7 @@ func TestDecompositionEquivalence(t *testing.T) {
 		mu.Lock()
 		defer mu.Unlock()
 		for _, name := range VariableNames {
-			xs, _ := s.Field(name)
+			xs, _ := field(s, name)
 			if parallel[name] == nil {
 				parallel[name] = make(map[int][]float32)
 			}
@@ -190,7 +204,7 @@ func TestMeanApproximatelyConserved(t *testing.T) {
 // fieldMean is the interior mean of a field over every rank of s's
 // communicator, at rank 0 (ok is false elsewhere); every rank must call it.
 func fieldMean(s *Sim, name string) (mean float64, ok bool) {
-	xs, _ := s.Field(name)
+	xs, _ := field(s, name)
 	var sum float64
 	for _, x := range xs {
 		sum += float64(x)
@@ -214,7 +228,7 @@ func TestStabilityLongRun(t *testing.T) {
 		for i := 0; i < 100; i++ {
 			s.Step()
 		}
-		xs, _ := s.Field("theta")
+		xs, _ := field(s, "theta")
 		for _, x := range xs {
 			if math.IsNaN(float64(x)) || math.IsInf(float64(x), 0) {
 				t.Fatal("field blew up")
@@ -236,9 +250,9 @@ func TestEvolutionChangesFields(t *testing.T) {
 	err := mpi.Run(1, 1, func(c *mpi.Comm) {
 		p := Params{GlobalNX: 12, GlobalNY: 12, NZ: 3, PX: 1, PY: 1, DT: 0.05, Kappa: 0.12, WorkFactor: 1}
 		s, _ := New(c, p)
-		before, _ := s.Field("theta")
+		before, _ := field(s, "theta")
 		s.Step()
-		after, _ := s.Field("theta")
+		after, _ := field(s, "theta")
 		changed := 0
 		for i := range before {
 			if before[i] != after[i] {
@@ -273,5 +287,27 @@ func TestConfigXML(t *testing.T) {
 	}
 	if _, ok := cfg.Event("cm1_stats"); !ok {
 		t.Error("cm1_stats event missing")
+	}
+}
+
+func TestFieldIntoDoesNotAllocate(t *testing.T) {
+	err := mpi.Run(1, 1, func(c *mpi.Comm) {
+		s, err := New(c, DefaultParams(1, 1))
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		dst := make([]byte, 4*s.nx*s.ny*s.nz)
+		gather := func() {
+			if err := s.FieldInto("theta", dst); err != nil {
+				t.Error(err)
+			}
+		}
+		if n := testing.AllocsPerRun(100, gather); n != 0 {
+			t.Errorf("FieldInto allocates %v objects per call, want 0", n)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

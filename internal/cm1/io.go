@@ -48,7 +48,8 @@ func ConfigXML(p Params, bufferBytes int64, allocator string, dedicatedCores int
 }
 
 // DamarisBackend hands fields to the node's dedicated core through shared
-// memory; the write phase is a sequence of memcpys.
+// memory: each field is gathered in one pass straight into its block of the
+// segment, so the simulation's own gather is the write phase's only copy.
 type DamarisBackend struct {
 	cli *core.Client
 }
@@ -61,29 +62,35 @@ func NewDamarisBackend(cli *core.Client) *DamarisBackend {
 // Name implements Backend.
 func (b *DamarisBackend) Name() string { return "damaris" }
 
-// WritePhase implements Backend: one shared-memory write per variable, the
+// WritePhase implements Backend: every variable written in place, the
 // statsEvent signal, and the end-of-iteration notification. No
 // synchronization with other ranks.
 func (b *DamarisBackend) WritePhase(s *Sim, iteration int64) error {
-	x0, y0 := s.GlobalOffset()
-	nz, ny, nx := s.LocalShape()
-	global := layout.Block{
-		Start: []int64{0, int64(y0), int64(x0)},
-		Count: []int64{int64(nz), int64(ny), int64(nx)},
-	}
-	for _, name := range VariableNames {
-		xs, err := s.Field(name)
-		if err != nil {
-			return err
-		}
-		if err := b.cli.WriteBlock(name, iteration, mpi.Float32sToBytes(xs), global); err != nil {
-			return err
-		}
+	if err := b.writeFields(s, iteration); err != nil {
+		return err
 	}
 	if err := b.cli.Signal(statsEvent, iteration); err != nil {
 		return err
 	}
 	return b.cli.EndIteration(iteration)
+}
+
+// writeFields gathers each variable into the shared-memory block Alloc
+// reserves for it (the paper's dc_alloc) and commits it.
+func (b *DamarisBackend) writeFields(s *Sim, iteration int64) error {
+	for _, name := range VariableNames {
+		dst, err := b.cli.Alloc(name, iteration, s.GlobalBlock())
+		if err != nil {
+			return err
+		}
+		if err := s.FieldInto(name, dst); err != nil {
+			return err
+		}
+		if err := b.cli.Commit(name, iteration); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Close finalizes the Damaris client.
@@ -96,6 +103,7 @@ type FPPBackend struct {
 	Dir   string
 	Codec dsf.Codec
 	rank  int
+	buf   []byte // one field's bytes, gathered into for every variable and phase
 }
 
 // NewFPPBackend creates a file-per-process writer rooted at dir.
@@ -109,6 +117,14 @@ func (b *FPPBackend) Name() string { return "file-per-process" }
 // WritePhase implements Backend: open, write all variables, close — on the
 // simulation's critical path.
 func (b *FPPBackend) WritePhase(s *Sim, iteration int64) error {
+	global := s.GlobalBlock()
+	lay, err := layout.New(layout.Float32, global.Count...)
+	if err != nil {
+		return err
+	}
+	if int64(len(b.buf)) != lay.Bytes() {
+		b.buf = make([]byte, lay.Bytes())
+	}
 	if err := os.MkdirAll(b.Dir, 0o755); err != nil {
 		return err
 	}
@@ -117,28 +133,18 @@ func (b *FPPBackend) WritePhase(s *Sim, iteration int64) error {
 	if err != nil {
 		return err
 	}
-	nz, ny, nx := s.LocalShape()
-	lay, err := layout.New(layout.Float32, int64(nz), int64(ny), int64(nx))
-	if err != nil {
-		w.Close()
-		return err
-	}
-	x0, y0 := s.GlobalOffset()
-	global := layout.Block{
-		Start: []int64{0, int64(y0), int64(x0)},
-		Count: []int64{int64(nz), int64(ny), int64(nx)},
-	}
 	for _, name := range VariableNames {
-		xs, ferr := s.Field(name)
-		if ferr != nil {
+		if err := s.FieldInto(name, b.buf); err != nil {
 			w.Close()
-			return ferr
+			return err
 		}
 		meta := dsf.ChunkMeta{
 			Name: name, Iteration: iteration, Source: b.rank,
 			Layout: lay, Global: global, Codec: b.Codec,
 		}
-		if err := w.WriteChunk(meta, mpi.Float32sToBytes(xs)); err != nil {
+		// A file keeps no chunk bytes past WriteChunk, so b.buf is free
+		// for the next variable.
+		if err := w.WriteChunk(meta, b.buf); err != nil {
 			w.Close()
 			return err
 		}
@@ -159,6 +165,7 @@ type CollectiveBackend struct {
 	comm *mpi.Comm
 	agg  *mpi.Comm // aggregator subcommunicator (one rank per node), nil on others
 	node *mpi.Comm
+	buf  []byte // every variable's bytes, gathered into each phase
 }
 
 // NewCollectiveBackend prepares the aggregation topology. Must be called by
@@ -181,28 +188,31 @@ func (b *CollectiveBackend) WritePhase(s *Sim, iteration int64) error {
 	// Collective open: every rank synchronizes.
 	b.comm.Barrier()
 
-	nz, ny, nx := s.LocalShape()
-	lay, err := layout.New(layout.Float32, int64(nz), int64(ny), int64(nx))
+	global := s.GlobalBlock()
+	lay, err := layout.New(layout.Float32, global.Count...)
 	if err != nil {
 		return err
 	}
-	x0, y0 := s.GlobalOffset()
 
-	// Phase one: gather every rank's variables at the node aggregator.
+	// Phase one: gather every rank's variables at the node aggregator. The
+	// aggregator reads this rank's b.buf; the collective close below orders
+	// those reads before the next phase refills it.
 	type piece struct {
-		Name   string
-		Source int
-		X0, Y0 int
-		Data   []byte
+		meta dsf.ChunkMeta
+		data []byte
 	}
-	var mine []piece
-	for _, name := range VariableNames {
-		xs, ferr := s.Field(name)
-		if ferr != nil {
-			return ferr
+	n := lay.Bytes()
+	if int64(len(b.buf)) != n*int64(len(VariableNames)) {
+		b.buf = make([]byte, n*int64(len(VariableNames)))
+	}
+	mine := make([]piece, len(VariableNames))
+	for i, name := range VariableNames {
+		data := b.buf[int64(i)*n : int64(i+1)*n]
+		if err := s.FieldInto(name, data); err != nil {
+			return err
 		}
-		mine = append(mine, piece{Name: name, Source: s.comm.Rank(), X0: x0, Y0: y0,
-			Data: mpi.Float32sToBytes(xs)})
+		mine[i] = piece{dsf.ChunkMeta{Name: name, Iteration: iteration, Source: s.comm.Rank(),
+			Layout: lay, Global: global}, data}
 	}
 	gathered := b.node.Gather(0, mine)
 
@@ -219,15 +229,7 @@ func (b *CollectiveBackend) WritePhase(s *Sim, iteration int64) error {
 			} else {
 				for _, raw := range gathered {
 					for _, pc := range raw.([]piece) {
-						meta := dsf.ChunkMeta{
-							Name: pc.Name, Iteration: iteration, Source: pc.Source,
-							Layout: lay,
-							Global: layout.Block{
-								Start: []int64{0, int64(pc.Y0), int64(pc.X0)},
-								Count: []int64{int64(nz), int64(ny), int64(nx)},
-							},
-						}
-						if err := w.WriteChunk(meta, pc.Data); err != nil {
+						if err := w.WriteChunk(pc.meta, pc.data); err != nil {
 							werr = err
 							break
 						}
@@ -269,8 +271,9 @@ type PhaseReport struct {
 }
 
 // Run advances the simulation `steps` timesteps, performing an output phase
-// through the backend every `outputEvery` steps (and once at the end if the
-// last step isn't aligned). It returns this rank's timings.
+// through the backend after every `outputEvery`-th step (none when
+// outputEvery <= 0; steps after the last multiple are not output). It
+// returns this rank's timings.
 func Run(s *Sim, backend Backend, steps, outputEvery int) (PhaseReport, error) {
 	var rep PhaseReport
 	if outputEvery <= 0 {

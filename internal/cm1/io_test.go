@@ -1,9 +1,12 @@
 package cm1
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -174,16 +177,16 @@ func TestDamarisBackendEndToEnd(t *testing.T) {
 }
 
 func TestDamarisVsFPPSameData(t *testing.T) {
-	// The bytes Damaris persists must equal what FPP would write.
-	dirFPP := t.TempDir()
+	// What Damaris persists must equal what FPP writes: each chunk's bytes
+	// and its metadata, the global block Alloc carried to Commit included.
+	dirDam, dirFPP := t.TempDir(), t.TempDir()
 	p := smallParams(2, 1)
 	cfg, err := config.ParseString(ConfigXML(p, 8<<20, "mutex", 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	mem := &core.MemPersister{}
 	err = mpi.Run(3, 3, func(c *mpi.Comm) {
-		dep, err := core.Deploy(c, cfg, nil, core.Options{Persister: mem})
+		dep, err := core.Deploy(c, cfg, nil, core.Options{OutputDir: dirDam})
 		if err != nil {
 			t.Error(err)
 			return
@@ -214,29 +217,44 @@ func TestDamarisVsFPPSameData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	files, _ := filepath.Glob(filepath.Join(dirFPP, "rank*.dsf"))
-	if len(files) != 2 {
-		t.Fatalf("fpp files = %d", len(files))
+	type chunk struct {
+		meta dsf.ChunkMeta
+		data []byte
 	}
-	for _, f := range files {
-		r, err := dsf.Open(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, m := range r.Chunks() {
-			fppBytes, err := r.ReadChunk(i)
+	read := func(pattern string) map[string]chunk {
+		files, _ := filepath.Glob(pattern)
+		out := map[string]chunk{}
+		for _, f := range files {
+			r, err := dsf.Open(f)
 			if err != nil {
 				t.Fatal(err)
 			}
-			dam, ok := mem.Get(metadata.Key{Name: m.Name, Iteration: 0, Source: m.Source})
-			if !ok {
-				t.Fatalf("damaris missing %s src %d", m.Name, m.Source)
+			for i, m := range r.Chunks() {
+				b, err := r.ReadChunk(i)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out[fmt.Sprintf("%s/%d", m.Name, m.Source)] = chunk{m, b}
 			}
-			if string(dam) != string(fppBytes) {
-				t.Errorf("%s src %d: damaris and fpp bytes differ", m.Name, m.Source)
-			}
+			r.Close()
 		}
-		r.Close()
+		return out
+	}
+	fpp, dam := read(filepath.Join(dirFPP, "rank*.dsf")), read(filepath.Join(dirDam, "*.dsf"))
+	if len(fpp) != 2*len(VariableNames) {
+		t.Fatalf("fpp chunks = %d, want %d", len(fpp), 2*len(VariableNames))
+	}
+	for k, f := range fpp {
+		d, ok := dam[k]
+		if !ok {
+			t.Fatalf("damaris missing %s", k)
+		}
+		if !reflect.DeepEqual(d.meta, f.meta) {
+			t.Errorf("%s: damaris chunk %+v, fpp chunk %+v", k, d.meta, f.meta)
+		}
+		if !bytes.Equal(d.data, f.data) {
+			t.Errorf("%s: damaris and fpp bytes differ", k)
+		}
 	}
 }
 
@@ -305,5 +323,65 @@ func TestFPPWriteFailurePropagates(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// The client half of the Damaris write phase — Alloc, FieldInto and Commit
+// for every variable — allocates one object per variable whatever the grid:
+// the *shm.Block Segment.Reserve returns. The dedicated core starts only once
+// the measurement is over (a write notification would not wake it anyway),
+// so only the client's allocations count.
+func TestDamarisWriteFieldsAllocs(t *testing.T) {
+	const runs = 10
+	var counts []float64
+	for _, nz := range []int{20, 40} {
+		p := DefaultParams(1, 1)
+		p.NZ = nz
+		phase := int64(4*p.LocalNX()*p.LocalNY()*p.NZ) * int64(len(VariableNames))
+		cfg, err := config.ParseString(ConfigXML(p, (runs+2)*phase, "mutex", 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		measured := make(chan struct{})
+		err = mpi.Run(2, 2, func(c *mpi.Comm) {
+			dep, err := core.Deploy(c, cfg, nil, core.Options{Persister: &core.NullPersister{}})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if !dep.IsClient() {
+				<-measured
+				if err := dep.Server.Run(); err != nil {
+					t.Error(err)
+				}
+				return
+			}
+			s, err := New(dep.ClientComm, p)
+			if err != nil {
+				t.Error(err)
+				close(measured)
+				return
+			}
+			b := NewDamarisBackend(dep.Client)
+			counts = append(counts, testing.AllocsPerRun(runs, func() {
+				if err := b.writeFields(s, 0); err != nil {
+					t.Error(err)
+				}
+			}))
+			close(measured)
+			if err := dep.Client.EndIteration(0); err != nil {
+				t.Error(err)
+			}
+			if err := b.Close(); err != nil {
+				t.Error(err)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(counts) != 2 || counts[0] > float64(len(VariableNames)) || counts[0] != counts[1] {
+		t.Errorf("write phase allocates %v objects at nz=20 and nz=40, want at most %d and the same at both",
+			counts, len(VariableNames))
 	}
 }

@@ -26,7 +26,7 @@ type Client struct {
 	source   int // world rank, the paper's "source" tuple component
 	localIdx int // allocator slot within the server's client group
 
-	pending map[pendKey]*shm.Block
+	pending map[pendKey]pendingAlloc
 
 	finalized bool
 }
@@ -34,6 +34,14 @@ type Client struct {
 type pendKey struct {
 	name string
 	it   int64
+}
+
+// pendingAlloc is an Alloc awaiting its Commit: the block handed out, the
+// chunk's place in the global domain, and when the write began.
+type pendingAlloc struct {
+	blk    *shm.Block
+	global layout.Block
+	at     time.Time
 }
 
 func newClient(cfg *config.Config, seg *shm.Segment, q *event.Queue, fc *flow, source, localIdx int) *Client {
@@ -44,7 +52,7 @@ func newClient(cfg *config.Config, seg *shm.Segment, q *event.Queue, fc *flow, s
 		fc:       fc,
 		source:   source,
 		localIdx: localIdx,
-		pending:  make(map[pendKey]*shm.Block),
+		pending:  make(map[pendKey]pendingAlloc),
 	}
 }
 
@@ -61,61 +69,39 @@ func newClient(cfg *config.Config, seg *shm.Segment, q *event.Queue, fc *flow, s
 // notification up when EndIteration (or any other non-write event) resumes
 // it.
 func (c *Client) Write(name string, iteration int64, data []byte) error {
-	lay, ok := c.cfg.LayoutOf(name)
-	if !ok {
-		return fmt.Errorf("core: write of undeclared variable %q", name)
-	}
-	return c.write(name, iteration, data, lay, layout.Block{}, false)
-}
-
-// WriteBlock is Write plus the chunk's position in the global domain, used
-// by persistency layers that record global placement.
-func (c *Client) WriteBlock(name string, iteration int64, data []byte, global layout.Block) error {
-	lay, ok := c.cfg.LayoutOf(name)
-	if !ok {
-		return fmt.Errorf("core: write of undeclared variable %q", name)
-	}
-	return c.write(name, iteration, data, lay, global, false)
-}
-
-// WriteDynamic writes an array whose shape is not statically configured
-// (particle arrays and other per-iteration shapes, §III-D "arrays that
-// don't have a static shape"). The layout travels with the notification.
-func (c *Client) WriteDynamic(name string, iteration int64, data []byte, lay layout.Layout) error {
-	if lay.IsZero() {
-		return fmt.Errorf("core: WriteDynamic of %q needs a layout", name)
-	}
-	return c.write(name, iteration, data, lay, layout.Block{}, true)
-}
-
-func (c *Client) write(name string, iteration int64, data []byte, lay layout.Layout, global layout.Block, dynamic bool) error {
 	if c.finalized {
 		return fmt.Errorf("core: write after finalize")
+	}
+	lay, ok := c.cfg.LayoutOf(name)
+	if !ok {
+		return fmt.Errorf("core: write of undeclared variable %q", name)
 	}
 	if int64(len(data)) != lay.Bytes() {
 		return fmt.Errorf("core: variable %q: layout %v wants %d bytes, got %d",
 			name, lay, lay.Bytes(), len(data))
 	}
 	start := time.Now()
-	blk, err := c.reserve(int64(len(data)))
+	blk, err := c.reserve(lay.Bytes())
 	if err != nil {
 		return fmt.Errorf("core: variable %q: %w", name, err)
 	}
 	copy(blk.Data(), data)
-	ev := event.Event{
+	c.notify(name, iteration, blk, layout.Block{}, start)
+	return nil
+}
+
+// notify queues the write notification of a filled block, stamped with
+// when the client began the write.
+func (c *Client) notify(name string, iteration int64, blk *shm.Block, global layout.Block, at time.Time) {
+	c.queue.Push(event.Event{
 		Kind:      event.WriteNotification,
 		Name:      name,
 		Iteration: iteration,
 		Source:    c.source,
 		Block:     blk,
 		Global:    global,
-		At:        start,
-	}
-	if dynamic {
-		ev.Layout = lay
-	}
-	c.queue.Push(ev)
-	return nil
+		At:        at,
+	})
 }
 
 // reserve claims shared-memory space, blocking while the segment is full. A
@@ -137,8 +123,10 @@ func (c *Client) reserve(size int64) (*shm.Block, error) {
 // Alloc reserves the variable's shared-memory buffer and returns it for
 // in-place production — the paper's zero-copy path (§III-C, "Minimum-copy
 // overhead": "the simulation directly allocates its variables in the shared
-// memory buffer"). The caller fills the returned slice then calls Commit.
-func (c *Client) Alloc(name string, iteration int64) ([]byte, error) {
+// memory buffer"). global is the chunk's position in the global domain
+// (zero when the variable has none). The caller fills the returned slice
+// then calls Commit.
+func (c *Client) Alloc(name string, iteration int64, global layout.Block) ([]byte, error) {
 	if c.finalized {
 		return nil, fmt.Errorf("core: alloc after finalize")
 	}
@@ -150,32 +138,28 @@ func (c *Client) Alloc(name string, iteration int64) ([]byte, error) {
 	if _, dup := c.pending[k]; dup {
 		return nil, fmt.Errorf("core: %q iteration %d already allocated and not committed", name, iteration)
 	}
+	start := time.Now()
 	blk, err := c.reserve(lay.Bytes())
 	if err != nil {
 		return nil, fmt.Errorf("core: alloc %q: %w", name, err)
 	}
-	c.pending[k] = blk
+	c.pending[k] = pendingAlloc{blk, global, start}
 	return blk.Data(), nil
 }
 
 // Commit tells the dedicated core that a buffer obtained from Alloc is
 // ready (the paper's dc_commit). The write time seen by the simulation is
-// only the notification push — no copy at all.
+// only the notification push — no copy at all. The notification is stamped
+// with the Alloc's start, so the write it reports covers the reservation
+// and the filling.
 func (c *Client) Commit(name string, iteration int64) error {
 	k := pendKey{name, iteration}
-	blk, ok := c.pending[k]
+	p, ok := c.pending[k]
 	if !ok {
 		return fmt.Errorf("core: commit of %q iteration %d without alloc", name, iteration)
 	}
 	delete(c.pending, k)
-	c.queue.Push(event.Event{
-		Kind:      event.WriteNotification,
-		Name:      name,
-		Iteration: iteration,
-		Source:    c.source,
-		Block:     blk,
-		At:        time.Now(),
-	})
+	c.notify(name, iteration, p.blk, p.global, p.at)
 	return nil
 }
 
@@ -235,8 +219,8 @@ func (c *Client) Finalize() error {
 		return nil
 	}
 	c.finalized = true
-	for k, blk := range c.pending {
-		blk.Release()
+	for k, p := range c.pending {
+		p.blk.Release()
 		delete(c.pending, k)
 	}
 	c.queue.Push(event.Event{Kind: event.ClientExit, Source: c.source})

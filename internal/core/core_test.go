@@ -160,7 +160,7 @@ func TestZeroCopyAllocCommit(t *testing.T) {
 		}
 		if dep.IsClient() {
 			cli := dep.Client
-			buf, err := cli.Alloc("temp", 0)
+			buf, err := cli.Alloc("temp", 0, layout.Block{})
 			if err != nil {
 				t.Error(err)
 				return
@@ -350,13 +350,13 @@ func TestClientAPIErrors(t *testing.T) {
 		if err := cli.Commit("temp", 0); err == nil {
 			t.Error("commit without alloc should fail")
 		}
-		if _, err := cli.Alloc("ghost", 0); err == nil {
+		if _, err := cli.Alloc("ghost", 0, layout.Block{}); err == nil {
 			t.Error("alloc of undeclared variable should fail")
 		}
-		if _, err := cli.Alloc("temp", 1); err != nil {
+		if _, err := cli.Alloc("temp", 1, layout.Block{}); err != nil {
 			t.Error(err)
 		}
-		if _, err := cli.Alloc("temp", 1); err == nil {
+		if _, err := cli.Alloc("temp", 1, layout.Block{}); err == nil {
 			t.Error("double alloc should fail")
 		}
 		if err := cli.EndIteration(1); err == nil {
@@ -377,7 +377,7 @@ func TestClientAPIErrors(t *testing.T) {
 		if err := cli.Write("temp", 2, make([]byte, 256)); err == nil {
 			t.Error("write after finalize should fail")
 		}
-		if _, err := cli.Alloc("temp", 2); err == nil {
+		if _, err := cli.Alloc("temp", 2, layout.Block{}); err == nil {
 			t.Error("alloc after finalize should fail")
 		}
 		if err := cli.Signal("note", 2); err == nil {
@@ -389,36 +389,6 @@ func TestClientAPIErrors(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestWriteDynamicLayout(t *testing.T) {
-	cfg := testCfg(t, "mutex", 1)
-	var srv *Server
-	err := mpi.Run(2, 2, func(comm *mpi.Comm) {
-		dep, _ := Deploy(comm, cfg, nil, Options{Persister: &NullPersister{}})
-		if dep.IsClient() {
-			cli := dep.Client
-			// a per-iteration particle array, not in the config
-			lay := layout.MustNew(layout.Byte, 40)
-			if err := cli.WriteDynamic("particles", 0, make([]byte, 40), lay); err != nil {
-				t.Error(err)
-			}
-			if err := cli.WriteDynamic("particles2", 0, nil, lay); err == nil {
-				t.Error("dynamic write with wrong size should fail")
-			}
-			_ = cli.EndIteration(0)
-			_ = cli.Finalize()
-			return
-		}
-		srv = dep.Server
-		_ = dep.Server.Run()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := len(srv.HandleErrors()); n != 0 {
-		t.Errorf("server errors: %v", srv.HandleErrors())
 	}
 }
 

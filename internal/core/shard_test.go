@@ -10,6 +10,7 @@ import (
 
 	"damaris/internal/config"
 	"damaris/internal/dsf"
+	"damaris/internal/layout"
 	"damaris/internal/metadata"
 	"damaris/internal/mpi"
 	"damaris/internal/obs"
@@ -468,5 +469,57 @@ func testWriteSpan(t *testing.T, workers int) {
 		if spans[stage] != 1 {
 			t.Errorf("%d %s spans, want 1 for the one iteration", spans[stage], stage)
 		}
+	}
+}
+
+// Event.At means when the client began the write on the zero-copy path too:
+// Commit stamps the notification with the time of its Alloc, so the write
+// span covers the reservation and the filling of the block, not just the
+// push.
+func TestCommitStampsAllocStart(t *testing.T) {
+	const hold = 5 * time.Millisecond
+	plane := obs.NewPlane(0)
+	err := mpi.Run(2, 2, func(comm *mpi.Comm) {
+		dep, err := Deploy(comm, shardCfg(t, 0, 2, ""), nil, Options{Persister: &MemPersister{}, Obs: plane})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if !dep.IsClient() {
+			if err := dep.Server.Run(); err != nil {
+				t.Error(err)
+			}
+			return
+		}
+		cli := dep.Client
+		defer cli.Finalize()
+		buf, err := cli.Alloc("a", 0, layout.Block{})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		time.Sleep(hold) // the simulation filling the block in place
+		copy(buf, mpi.Float32sToBytes(fieldData(1)))
+		if err := cli.Commit("a", 0); err != nil {
+			t.Error(err)
+		}
+		if err := cli.EndIteration(0); err != nil {
+			t.Error(err)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, sp := range plane.Tracer().Snapshot() {
+		if sp.Stage == obs.StageWrite {
+			n++
+			if d := time.Duration(sp.Dur); d < hold {
+				t.Errorf("write span lasts %v, the block was held %v between Alloc and Commit", d, hold)
+			}
+		}
+	}
+	if n != 1 {
+		t.Errorf("%d write spans, want 1", n)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"damaris/internal/config"
+	"damaris/internal/layout"
 	"damaris/internal/metadata"
 	"damaris/internal/mpi"
 )
@@ -131,7 +132,7 @@ func TestStressConcurrentVariablesZeroCopy(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			buf, err := cli.Alloc("zerocopy", it)
+			buf, err := cli.Alloc("zerocopy", it, layout.Block{})
 			if err != nil {
 				t.Error(err)
 				return

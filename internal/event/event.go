@@ -57,10 +57,9 @@ type Event struct {
 	Kind      Kind
 	Name      string // variable name (write) or event name (signal)
 	Iteration int64
-	Source    int           // sending client's identity (world rank)
-	Block     *shm.Block    // payload handle for write-notifications
-	Layout    layout.Layout // dataset layout (may be zero if static/config)
-	Global    layout.Block  // position in the global domain (optional)
+	Source    int          // sending client's identity (world rank)
+	Block     *shm.Block   // payload handle for write-notifications
+	Global    layout.Block // position in the global domain (optional)
 	// At is when the client began the write, stamped where the event is
 	// pushed: a write queued on a parked loop is handled later than it was
 	// made, and the trace's write span opens at the first push. Zero on
@@ -324,18 +323,14 @@ func (e *Engine) Handle(ev Event) error {
 }
 
 func (e *Engine) handleWrite(ev Event) error {
-	lay := ev.Layout
-	if lay.IsZero() {
-		// Static layout from configuration (the normal path: only the
-		// minimal descriptor crossed shared memory).
-		var ok bool
-		lay, ok = e.cfg.LayoutOf(ev.Name)
-		if !ok {
-			if ev.Block != nil {
-				ev.Block.Release()
-			}
-			return fmt.Errorf("event: write of undeclared variable %q", ev.Name)
+	// The layout comes from the configuration: only the minimal descriptor
+	// crossed shared memory.
+	lay, ok := e.cfg.LayoutOf(ev.Name)
+	if !ok {
+		if ev.Block != nil {
+			ev.Block.Release()
 		}
+		return fmt.Errorf("event: write of undeclared variable %q", ev.Name)
 	}
 	if ev.Block != nil && lay.Bytes() != ev.Block.Size() {
 		ev.Block.Release()

@@ -227,17 +227,6 @@ func TestWriteSizeMismatchReleasesBlock(t *testing.T) {
 	}
 }
 
-func TestWriteDynamicLayoutOverride(t *testing.T) {
-	e := newEngine(t, 1, nil)
-	dyn := layout.MustNew(layout.Byte, 2)
-	if err := e.Handle(Event{
-		Kind: WriteNotification, Name: "particles", Iteration: 1, Source: 0,
-		Layout: dyn, Block: nil,
-	}); err == nil {
-		t.Fatal("nil block and nil inline should fail via store")
-	}
-}
-
 func TestLocalSignalFiresPerClient(t *testing.T) {
 	reg := plugin.NewRegistry()
 	var calls []int

@@ -64,7 +64,13 @@ func runDeploy(t *testing.T, root string, iters int64) {
 					Start: []int64{int64(comm.Rank()) * 16, 0},
 					Count: []int64{16, 4},
 				}
-				if err := cli.WriteBlock("temp", it, mpi.Float32sToBytes(xs), global); err != nil {
+				buf, err := cli.Alloc("temp", it, global)
+				if err != nil {
+					fail(err)
+					return
+				}
+				copy(buf, mpi.Float32sToBytes(xs))
+				if err := cli.Commit("temp", it); err != nil {
 					fail(err)
 					return
 				}

@@ -27,12 +27,11 @@ func cm1Fields(tb testing.TB) map[string][]byte {
 			sim.Step()
 		}
 		for _, name := range cm1.VariableNames {
-			xs, err := sim.Field(name)
-			if err != nil {
+			fields[name] = make([]byte, 4*p.GlobalNX*p.GlobalNY*p.NZ)
+			if err := sim.FieldInto(name, fields[name]); err != nil {
 				tb.Error(err)
 				return
 			}
-			fields[name] = mpi.Float32sToBytes(xs)
 		}
 	})
 	if err != nil {
