@@ -147,7 +147,6 @@ type Aggregator struct {
 	doneMbr   map[int]bool
 	memberSet map[int]bool
 	closed    bool
-	term      int
 	// counters behind Stats
 	epochs      int64
 	emptyEpochs int64

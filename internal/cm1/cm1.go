@@ -93,7 +93,6 @@ type Sim struct {
 	u, v, w, qv      []float32
 
 	step int64
-	buf  []float32 // scratch for halo packing
 }
 
 // New builds a rank's simulation state. comm.Size() must equal PX*PY; the
@@ -125,16 +124,8 @@ func New(comm *mpi.Comm, p Params) (*Sim, error) {
 	s.v = make([]float32, n)
 	s.w = make([]float32, n)
 	s.qv = make([]float32, n)
-	s.buf = make([]float32, maxInt(s.nx, s.ny)*s.nz)
 	s.initialize()
 	return s, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // idx maps interior coordinates (i,j,k), with i∈[-1,nx] and j∈[-1,ny]

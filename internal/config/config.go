@@ -114,20 +114,17 @@ type Config struct {
 	Events map[string]Event
 }
 
-// Variable declares a named dataset and the layout its writes follow.
+// Variable declares a named dataset and the layout its writes follow. The
+// <variable> element's description and unit attributes are accepted and
+// not kept: nothing reads them.
 type Variable struct {
-	Name        string
-	LayoutName  string
-	Layout      layout.Layout
-	Description string
-	Unit        string
+	Layout layout.Layout
 }
 
-// Event binds a user signal to an action.
+// Event binds a user signal to an action. The <event> element's using
+// attribute (the plugin library, informational) is accepted and not kept.
 type Event struct {
-	Name   string
 	Action string // plugin/action name to invoke
-	Using  string // plugin library providing the action (informational)
 	Scope  string // "local" (per dedicated core) or "global"
 }
 
@@ -238,13 +235,7 @@ func build(f *xmlFile) (*Config, error) {
 		if !ok {
 			return nil, fmt.Errorf("config: variable %q references unknown layout %q", xv.Name, xv.Layout)
 		}
-		c.Variables[xv.Name] = Variable{
-			Name:        xv.Name,
-			LayoutName:  xv.Layout,
-			Layout:      l,
-			Description: xv.Description,
-			Unit:        xv.Unit,
-		}
+		c.Variables[xv.Name] = Variable{Layout: l}
 	}
 
 	for _, xe := range f.Events {
@@ -265,7 +256,7 @@ func build(f *xmlFile) (*Config, error) {
 		default:
 			return nil, fmt.Errorf("config: event %q: unknown scope %q", xe.Name, xe.Scope)
 		}
-		c.Events[xe.Name] = Event{Name: xe.Name, Action: xe.Action, Using: xe.Using, Scope: scope}
+		c.Events[xe.Name] = Event{Action: xe.Action, Scope: scope}
 	}
 	return c, nil
 }

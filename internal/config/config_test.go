@@ -44,7 +44,7 @@ func TestParsePaperExample(t *testing.T) {
 		t.Errorf("variable = %+v", v)
 	}
 	e, ok := c.Event("my_event")
-	if !ok || e.Action != "do_something" || e.Using != "my_plugin.so" || e.Scope != "local" {
+	if !ok || e.Action != "do_something" || e.Scope != "local" {
 		t.Errorf("event = %+v", e)
 	}
 }
@@ -128,17 +128,22 @@ func TestLayoutOf(t *testing.T) {
 	}
 }
 
+// The informational attributes — a variable's description and unit, an
+// event's using — parse, and nothing keeps them.
 func TestVariableMetadataAttributes(t *testing.T) {
 	c, err := ParseString(`<simulation>
 	  <layout name="l" type="real" dimensions="4"/>
 	  <variable name="temp" layout="l" description="potential temperature" unit="K"/>
+	  <event name="e" action="a" using="lib.so"/>
 	</simulation>`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := c.Variables["temp"]
-	if v.Description != "potential temperature" || v.Unit != "K" {
-		t.Errorf("attrs = %+v", v)
+	if v, ok := c.Variables["temp"]; !ok || !v.Layout.Equal(c.Layouts["l"]) {
+		t.Errorf("variable = %+v, %v", v, ok)
+	}
+	if e, ok := c.Event("e"); !ok || e.Action != "a" {
+		t.Errorf("event = %+v, %v", e, ok)
 	}
 }
 

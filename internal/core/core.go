@@ -112,15 +112,10 @@ type Deployment struct {
 	Client *Client
 	// Server is non-nil on dedicated cores.
 	Server *Server
-	// NodeComm is the intra-node communicator (all ranks of this node).
-	NodeComm *mpi.Comm
 	// ClientComm spans all compute cores across all nodes — the
 	// communicator the simulation itself runs on (CM1's world, shrunk by
 	// the dedicated cores). It is nil on dedicated cores.
 	ClientComm *mpi.Comm
-	// NodeClients and NodeServers are the per-node role counts.
-	NodeClients int
-	NodeServers int
 }
 
 // IsClient reports whether this rank is a compute core.
@@ -132,10 +127,6 @@ type Options struct {
 	OutputDir string
 	// Persister overrides the default DSF persistency layer on servers.
 	Persister Persister
-	// Scheduler, when non-nil, delays each server's persistence to its
-	// assigned slot (paper §IV-D, "Data transfer scheduling"). Schedulers
-	// that also implement BatchScheduler keep write-behind batching enabled.
-	Scheduler Scheduler
 	// Obs, when non-nil, is the telemetry plane every server wires into:
 	// pipeline stats register as live collectors on its registry, and the
 	// write→encode→queue/spill→persist→merge→commit→ack lifecycle records
@@ -224,7 +215,7 @@ func Deploy(world *mpi.Comm, cfg *config.Config, reg *plugin.Registry, opts Opti
 		}
 	}
 
-	dep := &Deployment{NodeComm: node, NodeClients: clients, NodeServers: servers}
+	dep := &Deployment{}
 	myNodeRank := node.Rank()
 
 	// Build the all-clients communicator collectively: compute cores get
@@ -300,7 +291,7 @@ func Deploy(world *mpi.Comm, cfg *config.Config, reg *plugin.Registry, opts Opti
 			}
 		}
 		srv, err := newServer(serverSpec{cfg: cfg, opts: opts, engines: engines, queues: queues, seg: seg, fc: fc,
-			worldRank: world.WorldRank(), node: node.Node(), group: g, agg: sagg})
+			worldRank: world.WorldRank(), node: node.Node(), agg: sagg})
 		if err != nil {
 			seg.Close()
 			return nil, err

@@ -403,7 +403,7 @@ func TestServerCollectsHandleErrors(t *testing.T) {
 		}
 		srv = dep.Server
 		// An external tool injects a write for an undeclared variable.
-		srv.queue.Push(event.Event{Kind: event.WriteNotification, Name: "ghost", Iteration: 0})
+		srv.shards[0].queue.Push(event.Event{Kind: event.WriteNotification, Name: "ghost", Iteration: 0})
 		_ = srv.Run()
 	})
 	if err != nil {

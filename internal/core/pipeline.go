@@ -13,8 +13,8 @@ import (
 )
 
 // pipelineSpec names the stages one dedicated core's persistence path is
-// built from — flush → [merge] → [spill] → [slot wait] → persist → release →
-// ack in order — resolved once by newServer from the knob table and Options.
+// built from — flush → [merge] → [spill] → persist → release → ack in order —
+// resolved once by newServer from the knob table and Options.
 // An optional stage that is off is nil.
 type pipelineSpec struct {
 	persister Persister
@@ -47,9 +47,6 @@ type pipelineSpec struct {
 	// scratch is the degraded-mode overflow. The pipeline owns it: close
 	// gives its drainer a last attempt at the backlog.
 	scratch *scratch
-	// scheduler delays each persist call to this server's transfer slot
-	// (paper §IV-D).
-	scheduler Scheduler
 
 	// tracer records the queue/spill/persist/ack legs of every iteration's
 	// lifecycle (nil = tracing off); server labels the spans with this
@@ -76,10 +73,9 @@ type pipelineSpec struct {
 // space is reusable regardless of sibling iterations.
 type pipeline struct {
 	pipelineSpec
-	maxBatch int
-	jobs     chan persistJob
-	wg       sync.WaitGroup
-	start    time.Time
+	jobs  chan persistJob
+	wg    sync.WaitGroup
+	start time.Time
 	// stopped freezes the utilization wall clock once close() drains — a
 	// quiesced pipeline's snapshot must stop changing (the Deploy-level
 	// brownout test scrapes it twice and compares bytes). Guarded by mu;
@@ -136,23 +132,13 @@ type persistDone struct {
 // `depth`. Batching is capped at the queue depth: a writer wakes, takes one
 // job, then greedily drains whatever else is already queued so one durable
 // persister call can cover several iterations (amortizing per-call costs —
-// file creation, fsync — exactly where a slow persister hurts most). When a
-// Scheduler is present that is not batch-aware, batching is disabled, since
-// each iteration must then wait for its own transfer slot (paper §IV-D); a
-// BatchScheduler keeps batching on and waits once per batch instead.
+// file creation, fsync — exactly where a slow persister hurts most).
 func newPipeline(spec pipelineSpec) *pipeline {
 	if spec.depth < 1 {
 		spec.depth = 1
 	}
-	maxBatch := spec.depth
-	if spec.scheduler != nil {
-		if _, ok := spec.scheduler.(BatchScheduler); !ok {
-			maxBatch = 1
-		}
-	}
 	p := &pipeline{
 		pipelineSpec: spec,
-		maxBatch:     maxBatch,
 		jobs:         make(chan persistJob, spec.depth),
 		start:        time.Now(),
 		done:         make(map[int64]persistDone),
@@ -332,10 +318,10 @@ func (p *pipeline) close() error {
 // is drained.
 func (p *pipeline) writer(id int) {
 	defer p.wg.Done()
-	batch := make([]persistJob, 0, p.maxBatch)
+	batch := make([]persistJob, 0, p.depth)
 	for job := range p.jobs {
 		batch = append(batch[:0], job)
-		for len(batch) < p.maxBatch {
+		for len(batch) < p.depth {
 			extra, ok := tryRecv(p.jobs)
 			if !ok {
 				break
@@ -362,22 +348,6 @@ func (p *pipeline) persistAndAck(slot int, batch []persistJob) {
 	start := time.Now()
 	errs := make([]error, len(batch))
 	if bp, ok := p.persister.(BatchPersister); ok && len(batch) > 1 {
-		// A batch-aware scheduler waits once per batch, for the slot of the
-		// batch's first iteration (§IV-D slots composed with write-behind
-		// batching; non-batch-aware schedulers never see batches — maxBatch
-		// is 1 then).
-		if bs, ok := p.scheduler.(BatchScheduler); ok {
-			lo, hi := batch[0].it, batch[0].it
-			for _, j := range batch[1:] {
-				if j.it < lo {
-					lo = j.it
-				}
-				if j.it > hi {
-					hi = j.it
-				}
-			}
-			bs.WaitTurnBatch(lo, hi)
-		}
 		ib := make([]IterationBatch, len(batch))
 		for i, j := range batch {
 			ib[i] = IterationBatch{Iteration: j.it, Entries: j.entries}
@@ -391,9 +361,6 @@ func (p *pipeline) persistAndAck(slot int, batch []persistJob) {
 		}
 	} else {
 		for i, j := range batch {
-			if p.scheduler != nil {
-				p.scheduler.WaitTurn(j.it)
-			}
 			errs[i] = p.persister.Persist(j.it, j.entries)
 		}
 	}
@@ -451,9 +418,6 @@ type PipelineStats struct {
 	FlushLatency stats.Summary
 	// BatchSize summarizes iterations per persister call.
 	BatchSize stats.Summary
-	// WriterBusy is seconds each writer spent inside the persister, one
-	// slot per writer.
-	WriterBusy []float64
 	// Utilization is Σbusy/(workers×wall) over the pipeline's lifetime.
 	Utilization float64
 	// Encode snapshots the shared chunk-encode pool (zero when
@@ -501,7 +465,6 @@ func (p *pipeline) snapshot(queueDepth int) PipelineStats {
 		Depth:        p.depthAcc.Summary(),
 		FlushLatency: p.latAcc.Summary(),
 		BatchSize:    p.batchAcc.Summary(),
-		WriterBusy:   p.ws.Busy(),
 		Utilization:  p.ws.Utilization(wall),
 	}
 }

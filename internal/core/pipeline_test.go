@@ -507,17 +507,15 @@ func TestPipelineBatchesBacklog(t *testing.T) {
 	close(pers.started)
 
 	sizes := pers.batchSizes()
-	total, maxBatch := 0, 0
+	total, largest := 0, 0
 	for _, s := range sizes {
 		total += s
-		if s > maxBatch {
-			maxBatch = s
-		}
+		largest = max(largest, s)
 	}
 	if total != queue+1 {
 		t.Fatalf("persisted %d iterations across %v, want %d", total, sizes, queue+1)
 	}
-	if maxBatch < 2 {
+	if largest < 2 {
 		t.Errorf("no batching happened: call sizes %v (first call %v)", sizes, first)
 	}
 	ps := srv.PipelineStats()
@@ -657,9 +655,9 @@ func TestSyncBaselineStatsTrackFailures(t *testing.T) {
 	// The same pipeline as every other worker count keeps the same books: a
 	// flush latency per iteration, one iteration per persist call, no writer
 	// to be busy — and each failed persist reported once.
-	if ps.FlushLatency.N != 3 || ps.BatchSize.Mean != 1 || len(ps.WriterBusy) != 0 {
-		t.Errorf("flush latencies %d, batch size mean %v, writer slots %d, want 3, 1, 0",
-			ps.FlushLatency.N, ps.BatchSize.Mean, len(ps.WriterBusy))
+	if ps.FlushLatency.N != 3 || ps.BatchSize.Mean != 1 || ps.Utilization != 0 {
+		t.Errorf("flush latencies %d, batch size mean %v, utilization %v, want 3, 1, 0",
+			ps.FlushLatency.N, ps.BatchSize.Mean, ps.Utilization)
 	}
 	errs := srv.HandleErrors()
 	if len(errs) != 3 {

@@ -72,7 +72,7 @@ func TestDeployBrownoutSpillsReplaysByteIdentical(t *testing.T) {
 		pers := &DSFPersister{Backend: backend}
 		pers.SetTracer(plane.Tracer())
 		start := time.Now()
-		ps, _ := runNode(t, cfg, Options{Persister: pers, Scheduler: perIterScheduler{}, Obs: plane}, iters)
+		ps, _ := runNode(t, cfg, Options{Persister: pers, Obs: plane}, iters)
 		return ps, readStoreTree(t, root), time.Since(start)
 	}
 
@@ -170,8 +170,10 @@ func TestDeployHedgesOverHungPrimary(t *testing.T) {
 	}
 	defer backend.Close()
 
+	// A queue of one keeps one object per iteration: this tests the hedge,
+	// not batching.
 	pers := &DSFPersister{Backend: backend}
-	ps, _ := runNode(t, shardCfg(t, 1, 2, ""), Options{Persister: pers, Scheduler: perIterScheduler{}}, iters)
+	ps, _ := runNode(t, shardCfg(t, 1, 1, ""), Options{Persister: pers}, iters)
 	if ps.Completed != iters || ps.Failures != 0 {
 		t.Errorf("pipeline completed %d with %d failures over the hung primary, want %d/0", ps.Completed, ps.Failures, iters)
 	}

@@ -14,28 +14,6 @@ import (
 	"damaris/internal/store"
 )
 
-// Scheduler delays a server's persistence to its assigned slot, the paper's
-// communication-free data-transfer scheduling (§IV-D): "each dedicated core
-// computes an estimation of the computation time of an iteration […] divided
-// into as many slots as dedicated cores. Each dedicated core then waits for
-// its slot before writing."
-type Scheduler interface {
-	// WaitTurn blocks until this server's slot for the iteration opens.
-	WaitTurn(iteration int64)
-}
-
-// BatchScheduler is an optional Scheduler extension the write-behind
-// pipeline probes for: a scheduler that understands batch-sized slots keeps
-// multi-iteration batching enabled (one wait per batch, covering the
-// batch's combined slot span) instead of forcing one-slot-per-iteration
-// writes. schedule.SlotScheduler implements it.
-type BatchScheduler interface {
-	Scheduler
-	// WaitTurnBatch blocks until this server's slot for a batch covering
-	// iterations [first,last] opens.
-	WaitTurnBatch(first, last int64)
-}
-
 // Server is the dedicated-core side of Damaris: it pulls events from the
 // shared queue, maintains the metadata catalog through the EPE, and hands
 // each completed iteration to the write-behind persistence pipeline, so
@@ -46,14 +24,12 @@ type BatchScheduler interface {
 type Server struct {
 	cfg       *config.Config
 	eng       *event.Engine // shard 0's engine (they share the store and tally)
-	queue     *event.Queue  // shard 0's queue (where Inject routes)
 	shards    []*shardLoop  // the event-loop shards; len 1 = the classic single loop
 	started   time.Time     // server construction instant (wall base for busy fractions)
 	stoppedAt time.Time     // set when the shard loops exit; freezes the busy-fraction wall clock so post-run expositions are byte-stable
 	seg       segmentCloser
 	fc        *flow
 	id        int // world rank of this dedicated core
-	group     int // dedicated-core index within the node
 	persister Persister
 	pipe      *pipeline       // completed iteration → durable → released → acked in order
 	encPool   *dsf.EncodePool // nil when encode_workers is 0
@@ -103,9 +79,9 @@ type serverSpec struct {
 	queues  []*event.Queue
 	seg     segmentCloser
 	fc      *flow
-	// worldRank, node and group place the server: its rank in the world, its
-	// SMP node, its dedicated-core index within the node.
-	worldRank, node, group int
+	// worldRank and node place the server: its rank in the world and its
+	// SMP node.
+	worldRank, node int
 	// agg is the server's aggregation-layer state; nil when disabled.
 	agg *serverAgg
 }
@@ -122,12 +98,10 @@ func newServer(sp serverSpec) (*Server, error) {
 	s := &Server{
 		cfg:       cfg,
 		eng:       engines[0],
-		queue:     queues[0],
 		started:   time.Now(),
 		seg:       sp.seg,
 		fc:        fc,
 		id:        worldRank,
-		group:     sp.group,
 		persister: opts.Persister,
 		tracer:    opts.Obs.Tracer(),
 		iterFirst: make(map[int64]time.Time),
@@ -143,7 +117,6 @@ func newServer(sp serverSpec) (*Server, error) {
 		depth:     cfg.PersistQueueDepth,
 		onDurable: s.iterationDurable,
 		recycle:   engines[0].Store().Recycle,
-		scheduler: opts.Scheduler,
 		tracer:    s.tracer,
 		server:    worldRank,
 	}

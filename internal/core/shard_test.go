@@ -58,8 +58,11 @@ func TestEffectiveShards(t *testing.T) {
 
 // The tentpole invariant: sharding the event loop may only change *when*
 // work overlaps, never output bytes. Every shard count x persist-worker
-// count must leave a DSF directory byte-identical to the pre-sharding classic
-// loop.
+// count must leave a DSF tree holding the chunks of the pre-sharding classic
+// loop persisting inline. Inline, each iteration is its own object, so
+// those runs must match object for object; persist writers batch whatever
+// is queued, so their object names follow the interleaving and only their
+// chunks are compared.
 func TestShardedOutputByteIdentical(t *testing.T) {
 	const iters = 10
 	run := func(workers int, shardsXML string) map[string][]byte {
@@ -70,66 +73,67 @@ func TestShardedOutputByteIdentical(t *testing.T) {
 		}
 		defer backend.Close()
 		pers := &DSFPersister{Backend: backend}
-		cfg := shardCfg(t, workers, 2, shardsXML)
-		// A non-batch-aware scheduler forces one-iteration batches so the
-		// async pipeline's object names are deterministic (see the golden
-		// test over the pipeline's sizes).
-		runNode(t, cfg, Options{Persister: pers, Scheduler: perIterScheduler{}}, iters)
+		runNode(t, shardCfg(t, workers, 2, shardsXML), Options{Persister: pers}, iters)
 		return readDir(t, dir)
 	}
 
+	ref := run(0, "")
+	if len(ref) != iters {
+		t.Fatalf("inline classic loop produced %d objects, want %d", len(ref), iters)
+	}
+	refChunks := readChunks(t, ref)
+	singleUse(t, "workers=0", ref)
 	for _, workers := range []int{0, 4} {
-		ref := run(workers, "")
-		if len(ref) != iters {
-			t.Fatalf("workers=%d: classic loop produced %d objects, want %d", workers, len(ref), iters)
-		}
-		for _, shardsXML := range []string{
-			`<shards count="1"/>`,
-			`<shards count="2"/>`,
-			`<shards count="4"/>`,
-		} {
+		for _, shardsXML := range []string{"", `<shards count="1"/>`, `<shards count="2"/>`, `<shards count="4"/>`} {
+			if workers == 0 && shardsXML == "" {
+				continue // the reference
+			}
+			label := fmt.Sprintf("workers=%d %s", workers, shardsXML)
 			variant := run(workers, shardsXML)
-			if len(variant) != len(ref) {
-				t.Errorf("workers=%d %s: %d objects, want %d", workers, shardsXML, len(variant), len(ref))
-				continue
-			}
-			for obj, want := range ref {
-				got, ok := variant[obj]
-				if !ok {
-					t.Errorf("workers=%d %s: object %s missing", workers, shardsXML, obj)
-					continue
-				}
-				if string(got) != string(want) {
-					t.Errorf("workers=%d %s: object %s differs from the classic loop", workers, shardsXML, obj)
-				}
+			sameChunks(t, label, readChunks(t, variant), refChunks)
+			singleUse(t, label, variant)
+			if workers == 0 {
+				sameFiles(t, label, variant, ref)
 			}
 		}
-		// Every run above goes through recycled catalog maps, entries and
-		// chunk batches from its second iteration on. The first three
-		// objects — first, second and third use — must be what a persister
-		// used once writes for the same chunks.
-		for it := int64(0); it < 3; it++ {
-			obj := fmt.Sprintf("node0000_srv0000_it%06d.dsf", it)
-			r, err := dsf.OpenReaderAt(bytes.NewReader(ref[obj]), int64(len(ref[obj])))
+	}
+}
+
+// singleUse reports each object in files that a persister used once writes
+// differently from the same chunks. A run goes through recycled catalog
+// maps, entries and chunk batches from its second iteration on; its objects
+// must not show it.
+func singleUse(t *testing.T, label string, files map[string][]byte) {
+	t.Helper()
+	for obj, b := range files {
+		r, err := dsf.OpenReaderAt(bytes.NewReader(b), int64(len(b)))
+		if err != nil {
+			t.Fatalf("%s: %s: %v", label, obj, err)
+		}
+		var batch []IterationBatch
+		for i, m := range r.Chunks() {
+			data, err := r.ReadChunk(i)
 			if err != nil {
-				t.Fatalf("workers=%d: %s: %v", workers, obj, err)
-			}
-			var entries []*metadata.Entry
-			for i, m := range r.Chunks() {
-				data, err := r.ReadChunk(i)
-				if err != nil {
-					t.Fatal(err)
-				}
-				entries = append(entries, &metadata.Entry{
-					Key: metadata.Key{Name: m.Name, Iteration: m.Iteration, Source: m.Source}, Layout: m.Layout, Inline: data})
-			}
-			dir := t.TempDir()
-			if err := (&DSFPersister{Dir: dir}).Persist(it, entries); err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(readDir(t, dir)[obj], ref[obj]) {
-				t.Errorf("workers=%d: %s (use %d of the recycled state) differs from a single-use persister's", workers, obj, it+1)
+			if n := len(batch); n == 0 || batch[n-1].Iteration != m.Iteration {
+				batch = append(batch, IterationBatch{Iteration: m.Iteration})
 			}
+			e := &metadata.Entry{Key: metadata.Key{Name: m.Name, Iteration: m.Iteration, Source: m.Source}, Layout: m.Layout, Inline: data}
+			batch[len(batch)-1].Entries = append(batch[len(batch)-1].Entries, e)
+		}
+		dir := t.TempDir()
+		pers := &DSFPersister{Dir: dir}
+		if len(batch) == 1 {
+			err = pers.Persist(batch[0].Iteration, batch[0].Entries)
+		} else {
+			err = pers.PersistBatch(batch)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(readDir(t, dir)[obj], b) {
+			t.Errorf("%s: %s differs from a single-use persister's", label, obj)
 		}
 	}
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -10,7 +12,6 @@ import (
 	"damaris/internal/config"
 	"damaris/internal/dsf"
 	"damaris/internal/mpi"
-	"damaris/internal/schedule"
 	"damaris/internal/store"
 )
 
@@ -76,20 +77,92 @@ func runNode(t *testing.T, cfg *config.Config, opts Options, iters int) (Pipelin
 	return srv.PipelineStats(), srv
 }
 
-// perIterScheduler is a non-batch-aware Scheduler: its presence forces the
-// pipeline to one-iteration batches, which makes off-mode DSF file names
-// (and therefore the whole output directory) deterministic for the golden
-// comparison below.
-type perIterScheduler struct{}
+// chunkKey names a chunk within an output tree.
+type chunkKey struct {
+	name      string
+	iteration int64
+	source    int
+}
 
-func (perIterScheduler) WaitTurn(int64) {}
+// storedChunk is a chunk's full metadata and decoded bytes.
+type storedChunk struct {
+	meta dsf.ChunkMeta
+	data []byte
+}
+
+// readChunks decodes every chunk of the DSF objects in files (name → bytes),
+// keyed by (variable, iteration, source). A key found twice fails the test.
+func readChunks(t *testing.T, files map[string][]byte) map[chunkKey]storedChunk {
+	t.Helper()
+	out := make(map[chunkKey]storedChunk)
+	for obj, b := range files {
+		r, err := dsf.OpenReaderAt(bytes.NewReader(b), int64(len(b)))
+		if err != nil {
+			t.Fatalf("%s: %v", obj, err)
+		}
+		for i, m := range r.Chunks() {
+			data, err := r.ReadChunk(i)
+			if err != nil {
+				t.Fatalf("%s: chunk %d: %v", obj, i, err)
+			}
+			k := chunkKey{m.Name, m.Iteration, m.Source}
+			if _, dup := out[k]; dup {
+				t.Errorf("%s: chunk %+v written twice", obj, k)
+			}
+			out[k] = storedChunk{m, data}
+		}
+	}
+	return out
+}
+
+// sameChunks reports each chunk of want that got lacks or holds with other
+// metadata or bytes, and each chunk got holds beyond want.
+func sameChunks(t *testing.T, label string, got, want map[chunkKey]storedChunk) {
+	t.Helper()
+	for k, w := range want {
+		g, ok := got[k]
+		switch {
+		case !ok:
+			t.Errorf("%s: chunk %+v missing", label, k)
+		case !reflect.DeepEqual(g.meta, w.meta):
+			t.Errorf("%s: chunk %+v metadata %+v, want %+v", label, k, g.meta, w.meta)
+		case !bytes.Equal(g.data, w.data):
+			t.Errorf("%s: chunk %+v bytes differ", label, k)
+		}
+	}
+	for k := range got {
+		if _, ok := want[k]; !ok {
+			t.Errorf("%s: extra chunk %+v", label, k)
+		}
+	}
+}
+
+// sameFiles reports each object of want that got lacks or holds with other
+// bytes, and a count mismatch.
+func sameFiles(t *testing.T, label string, got, want map[string][]byte) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Errorf("%s: %d objects, want %d", label, len(got), len(want))
+	}
+	for obj, w := range want {
+		if g, ok := got[obj]; !ok {
+			t.Errorf("%s: object %s missing", label, obj)
+		} else if !bytes.Equal(g, w) {
+			t.Errorf("%s: object %s differs", label, obj)
+		}
+	}
+}
 
 // The determinism invariant: the pipeline's sizes may only change *when*
 // work overlaps, never output bytes. Every static (workers, queue,
 // encode_workers) — under different injected store latencies, i.e. different
 // interleavings of writers and encoders — must leave a shuffle+gzip DSF
-// directory byte-identical to the smallest configuration's.
+// tree holding the smallest configuration's chunks. A writer batches
+// whatever is queued into one object, so where the queue holds more than one
+// iteration the object names follow the interleaving and only the chunk set
+// is compared; with a queue of one, or no writers, every object is too.
 func TestControlDecisionSequencesByteIdentical(t *testing.T) {
+	const iters = 12
 	run := func(lat time.Duration, workers, queue, encode int) map[string][]byte {
 		dir := t.TempDir()
 		var opts store.Options
@@ -106,37 +179,45 @@ func TestControlDecisionSequencesByteIdentical(t *testing.T) {
 		pool := dsf.NewEncodePool(encode)
 		defer pool.Close()
 		pers.SetEncodePool(pool)
-		runNode(t, sizesCfg(t, workers, queue, encode), Options{Persister: pers, Scheduler: perIterScheduler{}}, 12)
+		runNode(t, sizesCfg(t, workers, queue, encode), Options{Persister: pers}, iters)
 		return readDir(t, dir)
 	}
 
 	ref := run(0, 1, 1, 0)
-	if len(ref) != 12 {
+	if len(ref) != iters {
 		t.Fatalf("w1 q1 e0 run produced %d objects, want one per iteration", len(ref))
 	}
-	for name, variant := range map[string]map[string][]byte{
-		"w1 q1 e0/slow-store": run(3*time.Millisecond, 1, 1, 0),
-		"w1 q4 e1":            run(1*time.Millisecond, 1, 4, 1),
-		"w2 q2 e2":            run(2*time.Millisecond, 2, 2, 2),
-		"w3 q1 e4":            run(1*time.Millisecond, 3, 1, 4),
-		"w4 q4 e0":            run(1*time.Millisecond, 4, 4, 0),
-		"w4 q4 e2":            run(2*time.Millisecond, 4, 4, 2),
-		"w0 q1 e3/inline":     run(0, 0, 1, 3),
+	refChunks := readChunks(t, ref)
+	if want := iters * 3 * 2; len(refChunks) != want { // 3 clients, 2 variables
+		t.Fatalf("w1 q1 e0 run holds %d chunks, want %d", len(refChunks), want)
+	}
+	batched := false
+	for _, v := range []struct {
+		name                   string
+		lat                    time.Duration
+		workers, queue, encode int
+	}{
+		{"w1 q1 e0/slow-store", 3 * time.Millisecond, 1, 1, 0},
+		{"w1 q4 e1", 1 * time.Millisecond, 1, 4, 1},
+		{"w2 q2 e2", 2 * time.Millisecond, 2, 2, 2},
+		{"w3 q1 e4", 1 * time.Millisecond, 3, 1, 4},
+		{"w4 q4 e0", 1 * time.Millisecond, 4, 4, 0},
+		{"w4 q4 e2", 2 * time.Millisecond, 4, 4, 2},
+		{"w0 q1 e3/inline", 0, 0, 1, 3},
 	} {
-		if len(variant) != len(ref) {
-			t.Errorf("%s: %d objects, want %d", name, len(variant), len(ref))
-			continue
+		files := run(v.lat, v.workers, v.queue, v.encode)
+		sameChunks(t, v.name, readChunks(t, files), refChunks)
+		if v.queue == 1 || v.workers == 0 {
+			sameFiles(t, v.name, files, ref)
+		} else {
+			t.Logf("%s: %d objects for %d iterations", v.name, len(files), iters)
+			batched = batched || len(files) < iters
 		}
-		for obj, want := range ref {
-			got, ok := variant[obj]
-			if !ok {
-				t.Errorf("%s: object %s missing", name, obj)
-				continue
-			}
-			if string(got) != string(want) {
-				t.Errorf("%s: object %s differs from the w1 q1 e0 baseline", name, obj)
-			}
-		}
+	}
+	// Without this the golden could quietly go back to one-iteration
+	// batches, which no bench workload runs.
+	if !batched {
+		t.Error("no variant with a queue of more than one wrote fewer objects than iterations: batching went untested")
 	}
 }
 
@@ -178,30 +259,6 @@ func TestControlAggregatedByteIdentical(t *testing.T) {
 			}
 		}
 	}
-}
-
-// A batch-aware SlotScheduler keeps multi-iteration batching enabled; a
-// plain Scheduler still disables it (§IV-D composed with write-behind).
-func TestBatchSchedulerKeepsBatchingOn(t *testing.T) {
-	sched, err := schedule.New(0, 2, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var bs Scheduler = sched
-	if _, ok := bs.(BatchScheduler); !ok {
-		t.Fatal("schedule.SlotScheduler does not implement BatchScheduler")
-	}
-	p := newPipeline(pipelineSpec{persister: &NullPersister{}, scheduler: sched, workers: 2, depth: 8})
-	if p.maxBatch != 8 {
-		t.Fatalf("maxBatch = %d with a batch-aware scheduler, want the queue depth 8", p.maxBatch)
-	}
-	p.close()
-
-	p = newPipeline(pipelineSpec{persister: &NullPersister{}, scheduler: perIterScheduler{}, workers: 2, depth: 8})
-	if p.maxBatch != 1 {
-		t.Fatalf("maxBatch = %d with a per-iteration scheduler, want 1", p.maxBatch)
-	}
-	p.close()
 }
 
 // The aggregation-aware buffer bound: a shared buffer too small for

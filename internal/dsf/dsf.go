@@ -120,14 +120,6 @@ type tocAttr struct {
 	Key, Value string
 }
 
-// toc is the TOC's value: the type tocPreamble describes and appendTOC and
-// decodeTOC encode by hand, and what the tests hand to encoding/gob as the
-// reference.
-type toc struct {
-	Records []tocRecord
-	Attrs   []tocAttr
-}
-
 // DefaultGzipLevel is the compression level new writers start with.
 const DefaultGzipLevel = gzip.DefaultCompression
 
@@ -180,8 +172,7 @@ type pinner interface {
 // or any io.Writer (NewWriter) — notably a storage backend's ObjectWriter,
 // which is how DSF streams reach object stores.
 type Writer struct {
-	out            io.Writer // underlying sink, behind bw
-	pin            pinner    // out, when it can keep raw chunks without a copy
+	pin            pinner    // the sink behind bw, when it can keep raw chunks without a copy
 	closer         io.Closer // closed by Close when the Writer owns the sink (Create)
 	*writerScratch           // recycled; nil once the Writer is closed or aborted
 	offset         int64
@@ -216,7 +207,6 @@ const maxLayoutDescs = 16
 // unmodified until the sink's Commit or Abort returns.
 func NewWriter(out io.Writer) (*Writer, error) {
 	w := &Writer{
-		out:           out,
 		writerScratch: getScratch(),
 		offset:        int64(len(headMagic)),
 		level:         DefaultGzipLevel,

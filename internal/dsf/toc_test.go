@@ -24,6 +24,13 @@ import (
 // encoding/gob is the TOC's reference: these tests, and FuzzTOCDecode, hold
 // appendTOC and decodeTOC to it. Production code does not import it.
 
+// toc is the TOC's value: the type tocPreamble describes, which appendTOC
+// and decodeTOC encode by hand.
+type toc struct {
+	Records []tocRecord
+	Attrs   []tocAttr
+}
+
 // gobTOC is what encoding/gob writes for the TOC of recs and attrs.
 func gobTOC(tb testing.TB, recs []tocRecord, attrs []tocAttr) []byte {
 	tb.Helper()

@@ -1,6 +1,7 @@
 // Package guard holds the repository's structural rules as one test, so
-// `go test ./...` enforces them: every exported function in internal/ has a
-// non-test caller, no deleted design creeps back, the line budgets hold, and
+// `go test ./...` enforces them: no function, method or field is dead state
+// that only tests reach, no allow-list reason outlives the ROADMAP item it
+// cites, no deleted design creeps back, the line budgets hold, and
 // damaris-run declares at most maxRunFlags flags by hand. It has no non-test
 // files and imports only the standard library.
 package guard
@@ -26,14 +27,14 @@ import (
 	"testing"
 )
 
-// allow names the exported internal/ functions and methods kept without a
-// non-test caller, as "pkg.Func" or "pkg.Type.Method" with pkg relative to
-// the module, each with its reason. An entry whose function gained a caller,
-// or no longer exists, fails the check.
+// allow names the declarations deadState would fail that are kept anyway,
+// as "pkg.Func", "pkg.Type.Method" or "pkg.Type.field" with pkg relative to
+// the module, each with its reason. An entry whose declaration is reached,
+// or no longer exists, fails the check, and so does a reason citing a
+// ROADMAP item that ROADMAP.md no longer lists.
 var allow = map[string]string{
-	"internal/core.Server.HandleErrors":     "the only place Run's per-event errors (undeclared variable, failing action) are reported",
+	"internal/core.Server.HandleErrors":     "the only place Run's per-event errors (undeclared variable, failing action) are reported, and no production path calls it; ROADMAP item 4 counts them in a metric family instead",
 	"internal/obs.Registry.CheckExposition": "tests of other packages check through it that their families collide with no other",
-	"internal/schedule.New":                 "the only core.Scheduler implementation, the paper's §IV-D slot scheduling; ROADMAP item 2 decides between a knob with a workload and deletion",
 	"internal/shm.Block.Released":           "tests of other packages assert through it that no chunk is released before it is durable",
 	"internal/shm.Segment.FreeBytes":        "shared-buffer counter tests of other packages read",
 	"internal/shm.Segment.Reserves":         "shared-buffer counter tests of other packages read",
@@ -89,6 +90,9 @@ var forbidden = []struct {
 	{in: `^internal/store/[^/]*\.go$`, pattern: `func (Register|Schemes)\(|OpenFunc`, tests: true,
 		reason: "a backend is picked by a two-case switch on the URL's scheme; a scheme registry is creeping back",
 		plant:  [2]string{"internal/store/open.go", "func Register(scheme string) {}"}},
+	{in: `\.go$`, pattern: `BatchScheduler|WaitTurn`, tests: true,
+		reason: "§IV-D slot scheduling was reached by no command and no workload and was deleted (docs/dsf.md, \"§IV-D slot scheduling\"); it comes back as a <schedule> knob with a workload on ROADMAP item 20's contention storage, not as a seam only tests use",
+		plant:  [2]string{"internal/core/pipeline.go", "bs.WaitTurnBatch(lo, hi)"}},
 	{in: `\.go$`, pattern: `"encoding/gob"`,
 		reason: "the DSF TOC is gob's wire form written by internal/dsf's own codec (docs/dsf.md); encoding/gob is only the reference its tests compare against",
 		plant:  [2]string{"internal/dsf/toc.go", `import "encoding/gob"`}},
@@ -101,8 +105,8 @@ var caps = []struct {
 	max    int
 	reason string
 }{
-	{[]string{"internal/core", "internal/event", "internal/metadata", "internal/config", "cmd"}, 4948,
-		"ROADMAP item 3's budget for the dedicated core's composition path (5,170 before the dead exports went, 5,029 before what only examples/ used went, 4,969 before the client kept one write call per paper concept); 5,000 was the target"},
+	{[]string{"internal/core", "internal/event", "internal/metadata", "internal/config", "cmd"}, 4866,
+		"ROADMAP item 3's budget for the dedicated core's composition path (5,170 before the dead exports went, 5,029 before what only examples/ used went, 4,969 before the client kept one write call per paper concept, 4,948 before the slot scheduler and the unread fields went); 5,000 was the target"},
 	{[]string{"internal/aggregate"}, 650,
 		"the aggregation layer's budget (956 before the cross-node tier was deleted): one tier, one sink"},
 	{[]string{"internal/store"}, 2308,
@@ -140,12 +144,13 @@ func TestTree(t *testing.T) {
 func check(t *testing.T, root string, allow map[string]string) []string {
 	t.Helper()
 	mod := load(t, root)
-	return slices.Concat(deadExports(mod, allow), handFlags(mod), forbiddenMatches(t, root), overCaps(t, root))
+	return slices.Concat(deadState(mod, allow), staleCitations(t, root, allow), handFlags(mod), forbiddenMatches(t, root), overCaps(t, root))
 }
 
 // module is every package of a module type-checked from its non-test files.
 type module struct {
 	path string
+	fset *token.FileSet
 	pkgs []*pkg
 }
 
@@ -198,6 +203,7 @@ func load(t *testing.T, root string) *module {
 		own = append(own, p)
 	}
 	fset := token.NewFileSet()
+	mod.fset = fset
 	conf := types.Config{Importer: importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
 		if exports[path] == "" {
 			return nil, fmt.Errorf("no export data for %s", path)
@@ -225,24 +231,86 @@ func load(t *testing.T, root string) *module {
 	return mod
 }
 
-// deadExports reports every exported function and method declared in
-// internal/ that no non-test code uses, unless allow names it, and every
-// allow entry that names a function which is used or does not exist.
+// deadState reports every declaration no non-test code reaches, unless
+// allow names it, and every allow entry that names nothing declared or
+// something reached. Two kinds are checked:
+//   - functions and methods, exported ones declared in internal/ ("dead
+//     export") and unexported ones declared in internal/ or cmd/, reached
+//     when used outside their own body;
+//   - fields of structs declared in internal/, reached when read. Embedded
+//     and tagged fields count as read: the one promotes methods, the other
+//     is read by encoding/json or encoding/xml.
 //
-// Objects are keyed by package, receiver type and name: a package checked
-// from source and the same package imported from export data are distinct
-// objects. A method counts as used when a method of its name is declared on,
-// or called through, any interface the scan sees, since a call through an
+// A method counts as used when a method of its name is declared on, or
+// called through, any interface the scan sees, since a call through an
 // interface names no concrete method.
-func deadExports(mod *module, allow map[string]string) []string {
-	declared := map[string]*types.Func{}
-	used := map[string]bool{}
-	viaIface := map[string]bool{}
+func deadState(mod *module, allow map[string]string) []string {
+	u := scanUses(mod)
+	reached := map[string]bool{}
+	var out []string
+	report := func(k string, live bool, format string) {
+		reached[k] = live
+		if !live && allow[k] == "" {
+			out = append(out, fmt.Sprintf(format+"; delete it or name it in allow with a reason", k))
+		}
+	}
+	for _, p := range mod.pkgs {
+		internal := strings.HasPrefix(p.rel, "internal/")
+		if !internal && !strings.HasPrefix(p.rel, "cmd/") {
+			continue
+		}
+		for _, f := range p.files {
+			for _, d := range f.Decls {
+				fd, ok := d.(*ast.FuncDecl)
+				if !ok || fd.Recv == nil && (fd.Name.Name == "init" || fd.Name.Name == "main") {
+					continue
+				}
+				fn := p.info.Defs[fd.Name].(*types.Func)
+				k := funcKey(mod.path, fn)
+				live := u.funcs[k] || fd.Recv != nil && u.iface[fn.Name()]
+				switch {
+				case fd.Name.IsExported() && internal:
+					report(k, live, "dead export: %s has no non-test caller")
+				case !fd.Name.IsExported():
+					report(k, live, "dead function: %s has no non-test use outside its own body")
+				}
+			}
+			if internal {
+				structFields(mod.fset, p.info, f, func(name string, v *types.Var) {
+					report(p.rel+"."+name, u.fields[mod.fieldKey(v)], "unread field: %s is never read by non-test code")
+				})
+			}
+		}
+	}
+	for k := range allow {
+		if live, ok := reached[k]; !ok {
+			out = append(out, fmt.Sprintf("allow-list: %s does not exist; drop the entry", k))
+		} else if live {
+			out = append(out, fmt.Sprintf("allow-list: %s is reached by non-test code; drop the entry", k))
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
+// uses is what the non-test code of the packages that count as callers
+// reaches.
+type uses struct {
+	funcs  map[string]bool // funcKey of each function used outside its own body
+	iface  map[string]bool // name of each method some interface declares
+	fields map[string]bool // fieldKey of each field read
+}
+
+// scanUses collects uses. Objects are keyed by package, receiver type and
+// name (fields by declaring line): a package checked from source and the
+// same package imported from export data are distinct objects.
+func scanUses(mod *module) uses {
+	u := uses{map[string]bool{}, map[string]bool{}, map[string]bool{}}
 	addIface := func(t types.Type) {
 		add := func(t types.Type) {
 			if it, ok := t.Underlying().(*types.Interface); ok {
 				for i := range it.NumMethods() {
-					viaIface[it.Method(i).Name()] = true
+					u.iface[it.Method(i).Name()] = true
 				}
 			}
 		}
@@ -254,13 +322,25 @@ func deadExports(mod *module, allow map[string]string) []string {
 			}
 		}
 	}
+	// A map compares its keys, which reads every field of a struct key.
+	var readAll func(t types.Type)
+	readAll = func(t types.Type) {
+		switch t := t.Underlying().(type) {
+		case *types.Struct:
+			for v := range t.Fields() {
+				u.fields[mod.fieldKey(v)] = true
+				readAll(v.Type())
+			}
+		case *types.Array:
+			readAll(t.Elem())
+		}
+	}
 	for _, p := range mod.pkgs {
 		if !caller(p.rel) {
 			continue
 		}
 		for _, obj := range p.info.Uses {
-			if fn, ok := obj.(*types.Func); ok && fn.Pkg() != nil {
-				used[funcKey(mod.path, fn)] = true
+			if fn, ok := obj.(*types.Func); ok {
 				if recv := fn.Signature().Recv(); recv != nil {
 					addIface(recv.Type())
 				}
@@ -277,35 +357,137 @@ func deadExports(mod *module, allow map[string]string) []string {
 		for _, tv := range p.info.Types {
 			if tv.Type != nil {
 				addIface(tv.Type)
-			}
-		}
-		if !strings.HasPrefix(p.rel, "internal/") {
-			continue
-		}
-		for _, f := range p.files {
-			for _, d := range f.Decls {
-				if fd, ok := d.(*ast.FuncDecl); ok && fd.Name.IsExported() {
-					fn := p.info.Defs[fd.Name].(*types.Func)
-					declared[funcKey(mod.path, fn)] = fn
+				if m, ok := tv.Type.Underlying().(*types.Map); ok {
+					readAll(m.Key())
 				}
 			}
 		}
-	}
-	live := func(k string) bool {
-		fn := declared[k]
-		return used[k] || fn.Signature().Recv() != nil && viaIface[fn.Name()]
-	}
-	var out []string
-	for k := range declared {
-		if !live(k) && allow[k] == "" {
-			out = append(out, fmt.Sprintf("dead export: %s has no non-test caller; delete it or name it in allow with a reason", k))
+		for _, f := range p.files {
+			written := writes(f)
+			for _, d := range f.Decls {
+				var self types.Object
+				if fd, ok := d.(*ast.FuncDecl); ok {
+					self = p.info.Defs[fd.Name]
+				}
+				ast.Inspect(d, func(n ast.Node) bool {
+					id, ok := n.(*ast.Ident)
+					if !ok {
+						return true
+					}
+					switch obj := p.info.Uses[id].(type) {
+					case *types.Func:
+						if obj.Pkg() != nil && obj.Origin() != self {
+							u.funcs[funcKey(mod.path, obj)] = true
+						}
+					case *types.Var:
+						if obj.IsField() && !written[id] {
+							u.fields[mod.fieldKey(obj)] = true
+						}
+					}
+					return true
+				})
+			}
 		}
 	}
-	for k := range allow {
-		if declared[k] == nil {
-			out = append(out, fmt.Sprintf("allow-list: %s does not exist; drop the entry", k))
-		} else if live(k) {
-			out = append(out, fmt.Sprintf("allow-list: %s now has a caller; drop the entry", k))
+	return u
+}
+
+// writes returns the field names f only assigns to: the selected name on the
+// left of = or :=, and every key of a struct literal. Any other use of a
+// field, ++ and += included, reads it.
+func writes(f *ast.File) map[*ast.Ident]bool {
+	w := map[*ast.Ident]bool{}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			if n.Tok == token.ASSIGN || n.Tok == token.DEFINE {
+				for _, lhs := range n.Lhs {
+					if sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr); ok {
+						w[sel.Sel] = true
+					}
+				}
+			}
+		case *ast.KeyValueExpr:
+			// A map literal's identifier key names a value, never a field.
+			if id, ok := n.Key.(*ast.Ident); ok {
+				w[id] = true
+			}
+		}
+		return true
+	})
+	return w
+}
+
+// structFields calls fn with every field of a struct type written in f that
+// is neither embedded, tagged nor blank, named Type.field: Type.field.sub
+// inside a struct-typed field, struct@line.field in a struct no type
+// declaration names.
+func structFields(fset *token.FileSet, info *types.Info, f *ast.File, fn func(name string, v *types.Var)) {
+	var visit func(prefix string, st *ast.StructType)
+	visit = func(prefix string, st *ast.StructType) {
+		for _, field := range st.Fields.List {
+			if len(field.Names) == 0 {
+				continue
+			}
+			for _, name := range field.Names {
+				if field.Tag == nil && name.Name != "_" {
+					fn(prefix+"."+name.Name, info.Defs[name].(*types.Var))
+				}
+			}
+			ast.Inspect(field.Type, func(n ast.Node) bool {
+				if inner, ok := n.(*ast.StructType); ok {
+					visit(prefix+"."+field.Names[0].Name, inner)
+					return false
+				}
+				return true
+			})
+		}
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.TypeSpec:
+			if st, ok := n.Type.(*ast.StructType); ok {
+				visit(n.Name.Name, st)
+				return false
+			}
+		case *ast.StructType:
+			visit(fmt.Sprintf("struct@%d", fset.Position(n.Pos()).Line), n)
+			return false
+		}
+		return true
+	})
+}
+
+// fieldKey is a field's declaring file and line, and its name: what the
+// object checked from source and the one imported from export data share
+// (export data keeps no columns).
+func (m *module) fieldKey(v *types.Var) string {
+	pos := m.fset.Position(v.Origin().Pos())
+	return fmt.Sprintf("%s:%d.%s", pos.Filename, pos.Line, v.Name())
+}
+
+// staleCitations reports each allow reason citing a ROADMAP item that the
+// "Open items" section of root's ROADMAP.md does not list (as a line
+// starting "N. "): an entry kept until an item is done must not outlive it.
+func staleCitations(t *testing.T, root string, allow map[string]string) []string {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join(root, "ROADMAP.md"))
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		t.Fatal(err)
+	}
+	_, open, _ := strings.Cut(string(b), "\n## Open items\n")
+	open, _, _ = strings.Cut(open, "\n## ")
+	items := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^(\d+)\. `).FindAllStringSubmatch(open, -1) {
+		items[m[1]] = true
+	}
+	cite := regexp.MustCompile(`ROADMAP item (\d+)`)
+	var out []string
+	for k, reason := range allow {
+		for _, m := range cite.FindAllStringSubmatch(reason, -1) {
+			if !items[m[1]] {
+				out = append(out, fmt.Sprintf("allow-list: %s cites ROADMAP item %s, which ROADMAP.md no longer lists; drop the entry or its citation", k, m[1]))
+			}
 		}
 	}
 	slices.Sort(out)

@@ -8,9 +8,10 @@ import (
 )
 
 // base is a module every rule passes: a method reached only through an
-// interface, sort.Sort's methods, an allow-listed export, 11 hand-declared
-// flags beside a config.BindFlags, and lines only an except pattern or a
-// test file may hold.
+// interface, sort.Sort's methods, an allow-listed export whose reason cites
+// an open ROADMAP item, fields read only through a tag, a map key, ++ or
+// their address, 11 hand-declared flags beside a config.BindFlags, and lines
+// only an except pattern or a test file may hold.
 var base = map[string]string{
 	"go.mod": "module fixture\n\ngo 1.24\n",
 	"internal/live/live.go": `package live
@@ -37,6 +38,28 @@ func Used(words []string) { sort.Sort(byLen(words)) }
 
 // Kept has no caller; the fixture's allow-list names it.
 func Kept() {}
+
+// Doc's field is read by encoding/json, through its tag.
+type Doc struct {
+	Name string ` + "`json:\"name\"`" + `
+}
+
+// pair is a map key: the map reads its fields when it compares keys.
+type pair struct{ n, parity int }
+
+// counter's field is read by ++.
+type counter struct{ seen int }
+
+// Lengths counts words by length and parity.
+func Lengths(words []string) map[pair]int {
+	m := map[pair]int{}
+	var c counter
+	for _, w := range words {
+		m[pair{n: len(w), parity: len(w) % 2}]++
+		c.seen++
+	}
+	return m
+}
 `,
 	"internal/config/config.go": `package config
 
@@ -87,6 +110,7 @@ func main() {
 	cfg.BindFlags(flag.CommandLine)
 	flag.Parse()
 	live.Used(flag.Args())
+	_ = live.Lengths(flag.Args())
 	var named live.Named = live.T{}
 	_ = named
 }
@@ -94,10 +118,11 @@ func main() {
 	"internal/store/tree.go":       "package store\n\n// publish is the one rename: os.Rename(tmp, dst)\n",
 	"internal/core/pipe_test.go":   "package core\n\n// A test may spell it: if pipe == nil {}\n",
 	"internal/metadata/catalog.go": "package metadata\n",
+	"ROADMAP.md":                   "# Roadmap\n\n1. A needle, not an item.\n\n## Open items\n\n2. **The item Kept waits for.**\n\n## Recent\n\n3. Done, no longer an item.\n",
 }
 
 // fixtureAllow is base's allow-list.
-var fixtureAllow = map[string]string{"internal/live.Kept": "the fixture's allowed export"}
+var fixtureAllow = map[string]string{"internal/live.Kept": "the fixture's allowed export, until ROADMAP item 2"}
 
 // plant writes base, and path/content pairs over it, into a fresh module.
 func plant(t *testing.T, extra ...string) string {
@@ -144,13 +169,31 @@ func TestPlants(t *testing.T) {
 			"dead export: internal/live.Dead has no non-test caller"},
 		{"allow-list entry with a caller", "cmd/damaris-run/kept.go",
 			"package main\n\nimport \"fixture/internal/live\"\n\nfunc init() { live.Kept() }\n",
-			"allow-list: internal/live.Kept now has a caller"},
+			"allow-list: internal/live.Kept is reached by non-test code"},
+		{"unexported function only its own body uses", "internal/live/loop.go",
+			"package live\n\nfunc loop(n int) {\n\tif n > 0 {\n\t\tloop(n - 1)\n\t}\n}\n",
+			"dead function: internal/live.loop has no non-test use outside its own body"},
+		{"unexported method in cmd", "cmd/damaris-run/method.go",
+			"package main\n\ntype run struct{}\n\nfunc (run) step() {}\n",
+			"dead function: cmd/damaris-run.run.step has no non-test use"},
+		{"field written, never read", "internal/live/box.go",
+			"package live\n\n// Box holds what nothing reads.\ntype Box struct{ v, w int }\n\n// Fill writes it.\nfunc Fill() *Box {\n\tb := &Box{v: 1}\n\tb.w = 2\n\treturn b\n}\n\nfunc init() { Fill() }\n",
+			"unread field: internal/live.Box.w is never read by non-test code"},
+		{"field only a composite literal sets", "internal/live/lit.go",
+			"package live\n\ntype lit struct{ only int }\n\nvar _ = lit{only: 1}\n",
+			"unread field: internal/live.lit.only is never read by non-test code"},
 		{"twelfth flag", "cmd/damaris-run/twelfth.go",
 			"package main\n\nimport \"flag\"\n\nvar twelfth float64\n\nfunc init() { flag.Float64Var(&twelfth, \"twelfth\", 0, \"\") }\n",
 			"cmd/damaris-run declares 12 flags by hand"},
 	} {
 		t.Run(p.name, func(t *testing.T) { expect(t, check(t, plant(t, p.file, p.src), fixtureAllow), p.want) })
 	}
+	t.Run("allow reason citing a closed ROADMAP item", func(t *testing.T) {
+		for _, item := range []string{"1", "3", "4"} {
+			allow := map[string]string{"internal/live.Kept": "until ROADMAP item " + item}
+			expect(t, check(t, plant(t), allow), "allow-list: internal/live.Kept cites ROADMAP item "+item+", which ROADMAP.md no longer lists")
+		}
+	})
 	t.Run("export only an example uses", func(t *testing.T) {
 		root := plant(t, "internal/live/example.go", "package live\n\n// Shown is used by an example only.\nfunc Shown() {}\n",
 			"examples/x/main.go", "package main\n\nimport \"fixture/internal/live\"\n\nfunc main() { live.Shown() }\n")

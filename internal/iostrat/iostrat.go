@@ -74,26 +74,16 @@ func (o Options) aggregators(nodes int) int {
 
 // PhaseResult is what one simulated write phase yields.
 type PhaseResult struct {
-	// Strategy is the simulated approach's name.
-	Strategy string
 	// ClientSeconds is the barrier-to-barrier write-phase duration seen by
 	// the simulation (the paper's Figures 2 and 3 quantity).
 	ClientSeconds float64
-	// PerProcessSeconds is each compute process's own completion time
-	// within the phase (fastest <1 s vs slowest >25 s in §IV-C1).
-	PerProcessSeconds []float64
 	// DedicatedBusySeconds is, for Damaris, each dedicated core's time
 	// spent creating + writing (Figure 5 "write time"); empty otherwise.
 	DedicatedBusySeconds []float64
-	// DedicatedSpanSeconds is, for Damaris, the interval from phase end to
-	// the last dedicated-core completion — the asynchronous I/O span that
-	// must fit in the compute interval.
-	DedicatedSpanSeconds float64
-	// Bytes is the logical data volume of the phase.
-	Bytes float64
 	// AggregateBps is the throughput the strategy achieves. For the two
-	// synchronous baselines it is Bytes over the write-phase wall time. For
-	// Damaris it is Bytes over the mean dedicated-core write duration — the
+	// synchronous baselines it is the phase's logical volume over the
+	// write-phase wall time. For Damaris it is that volume over the mean
+	// dedicated-core write duration — the
 	// paper's "apparent throughput […] from the point of view of the
 	// dedicated cores" (§IV-D), which is also the only reading under which
 	// its scheduling arithmetic (9.7 -> 13.1 GB/s at constant volume) holds.
@@ -180,27 +170,20 @@ func SimulateFPP(plat cluster.Platform, opt Options) (PhaseResult, error) {
 	}
 	n := opt.Cores
 	perCore := e.bytes
-	completions := make([]float64, n)
 	for i := 0; i < n; i++ {
-		i := i
 		node := i / plat.CoresPerNode
 		mult := e.straggler()
 		// create -> NIC -> pool, each stage contended.
 		e.fsys.CreateFile(func() {
 			e.nics[node].Transfer(perCore, func() {
-				e.fsys.Write(e.fsBytes(perCore*mult), 0, func() {
-					completions[i] = e.eng.Now()
-				})
+				e.fsys.Write(e.fsBytes(perCore*mult), 0, nil)
 			})
 		})
 	}
 	end := e.eng.Run()
 	return PhaseResult{
-		Strategy:          "file-per-process",
-		ClientSeconds:     end,
-		PerProcessSeconds: completions,
-		Bytes:             float64(n) * perCore,
-		AggregateBps:      float64(n) * perCore / end,
+		ClientSeconds: end,
+		AggregateBps:  float64(n) * perCore / end,
 	}, nil
 }
 
@@ -221,8 +204,6 @@ func SimulateCollective(plat cluster.Platform, opt Options) (PhaseResult, error)
 
 	// Stage timing is composed sequentially: sync + opens + shuffle happen
 	// before the first round.
-	completions := make([]float64, n)
-
 	// Shared-file opens queue at the metadata service.
 	opened := 0
 	for i := 0; i < n; i++ {
@@ -252,16 +233,10 @@ func SimulateCollective(plat cluster.Platform, opt Options) (PhaseResult, error)
 		}
 		elapsed += re.eng.Run() + barrier
 	}
-	for i := range completions {
-		completions[i] = elapsed // collective: everyone finishes together
-	}
-	total := float64(n) * perCore
+	// Collective: every process finishes with the last round.
 	return PhaseResult{
-		Strategy:          "collective",
-		ClientSeconds:     elapsed,
-		PerProcessSeconds: completions,
-		Bytes:             total,
-		AggregateBps:      total / elapsed,
+		ClientSeconds: elapsed,
+		AggregateBps:  float64(n) * perCore / elapsed,
 	}, nil
 }
 
@@ -302,14 +277,9 @@ func SimulateDamaris(plat cluster.Platform, opt Options) (PhaseResult, error) {
 
 	// Client-visible phase: concurrent memcpys into the node's shared
 	// segment; small OS-noise spread only.
-	clientTimes := make([]float64, n)
 	phase := 0.0
-	for i := range clientTimes {
-		t := perClient / plat.MemcpyRate * jitter.Lognormal(e.rng, plat.OSNoiseSigma)
-		clientTimes[i] = t
-		if t > phase {
-			phase = t
-		}
+	for range n {
+		phase = max(phase, perClient/plat.MemcpyRate*jitter.Lognormal(e.rng, plat.OSNoiseSigma))
 	}
 
 	// Asynchronous dedicated-core I/O. The aggregation tier decides how many
@@ -337,8 +307,7 @@ func SimulateDamaris(plat cluster.Platform, opt Options) (PhaseResult, error) {
 		writers = nodes
 		perWriter = perNode
 	case "node":
-		busy, lastEnd := e.damarisNodeTier(plat, opt, nodes, perNode, interval)
-		return damarisResult(phase, clientTimes, busy, lastEnd, total), nil
+		return damarisResult(phase, e.damarisNodeTier(plat, opt, nodes, perNode, interval), total), nil
 	default:
 		return PhaseResult{}, fmt.Errorf("iostrat: unknown aggregate mode %q", opt.AggregateMode)
 	}
@@ -358,7 +327,6 @@ func SimulateDamaris(plat cluster.Platform, opt Options) (PhaseResult, error) {
 	}
 
 	busy := make([]float64, writers)
-	var lastEnd float64
 	for w := 0; w < writers; w++ {
 		w := w
 		start := float64(w) * slot
@@ -370,16 +338,13 @@ func SimulateDamaris(plat cluster.Platform, opt Options) (PhaseResult, error) {
 					e.fsys.WriteStream(e.fsBytes(writeBytes*mult), plat.DamarisStripes,
 						plat.NodeStreamCap, func() {
 							busy[w] = e.eng.Now() - s0
-							if e.eng.Now() > lastEnd {
-								lastEnd = e.eng.Now()
-							}
 						})
 				})
 			})
 		})
 	}
 	e.eng.Run()
-	return damarisResult(phase, clientTimes, busy, lastEnd, total), nil
+	return damarisResult(phase, busy, total), nil
 }
 
 // damarisNodeTier simulates aggregate mode "node": every compute node's
@@ -387,10 +352,9 @@ func SimulateDamaris(plat cluster.Platform, opt Options) (PhaseResult, error) {
 // through its own NIC and the target aggregator node's ingest NIC; once an
 // aggregator has collected all of its nodes' data for the epoch it creates
 // one file and streams the whole group's bytes. Returns each aggregator
-// writer's busy time (create + write, the Figure-5 quantity) and the span
-// end.
+// writer's busy time (create + write, the Figure-5 quantity).
 func (e *env) damarisNodeTier(plat cluster.Platform, opt Options, nodes int,
-	perNode, interval float64) (busy []float64, lastEnd float64) {
+	perNode, interval float64) []float64 {
 	aggs := opt.aggregators(nodes)
 	if aggs > nodes {
 		aggs = nodes
@@ -416,12 +380,11 @@ func (e *env) damarisNodeTier(plat cluster.Platform, opt Options, nodes int,
 	for a := range mults {
 		mults[a] = jitter.Lognormal(e.rng, plat.DedicatedStragglerSigma)
 	}
-	busy = make([]float64, aggs)
+	busy := make([]float64, aggs)
 	assign := func(node int) int { return node * aggs / nodes }
 	for node := 0; node < nodes; node++ {
 		remaining[assign(node)]++
 	}
-	var end float64
 	for node := 0; node < nodes; node++ {
 		node := node
 		a := assign(node)
@@ -446,9 +409,6 @@ func (e *env) damarisNodeTier(plat cluster.Platform, opt Options, nodes int,
 							e.fsys.WriteStream(e.fsBytes(pending[a]*mults[a]), stripes,
 								0, func() {
 									busy[a] = e.eng.Now() - s0
-									if e.eng.Now() > end {
-										end = e.eng.Now()
-									}
 								})
 						})
 					}
@@ -463,11 +423,11 @@ func (e *env) damarisNodeTier(plat cluster.Platform, opt Options, nodes int,
 		})
 	}
 	e.eng.Run()
-	return busy, end
+	return busy
 }
 
 // damarisResult assembles the common Damaris phase result.
-func damarisResult(phase float64, clientTimes, busy []float64, lastEnd, total float64) PhaseResult {
+func damarisResult(phase float64, busy []float64, total float64) PhaseResult {
 	meanBusy := 0.0
 	for _, b := range busy {
 		meanBusy += b
@@ -477,12 +437,8 @@ func damarisResult(phase float64, clientTimes, busy []float64, lastEnd, total fl
 		meanBusy = math.SmallestNonzeroFloat64
 	}
 	return PhaseResult{
-		Strategy:             "damaris",
 		ClientSeconds:        phase,
-		PerProcessSeconds:    clientTimes,
 		DedicatedBusySeconds: busy,
-		DedicatedSpanSeconds: lastEnd,
-		Bytes:                total,
 		AggregateBps:         total / meanBusy,
 	}
 }

@@ -1,6 +1,8 @@
 package iostrat
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"damaris/internal/cluster"
@@ -63,25 +65,9 @@ func TestFPPShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Strategy != "file-per-process" {
-		t.Errorf("strategy = %q", r.Strategy)
-	}
-	if len(r.PerProcessSeconds) != 576 {
-		t.Errorf("per-process samples = %d", len(r.PerProcessSeconds))
-	}
-	if r.Bytes != 576*plat.BytesPerCore {
-		t.Errorf("bytes = %g", r.Bytes)
-	}
-	// Phase = max over processes.
-	if m := stats.Max(r.PerProcessSeconds); m > r.ClientSeconds+1e-9 {
-		t.Errorf("client phase %g below slowest process %g", r.ClientSeconds, m)
-	}
-	// Within-phase straggling: slowest well above fastest (paper: <1 s
-	// vs >25 s on Grid'5000).
-	fast := stats.Min(r.PerProcessSeconds)
-	slow := stats.Max(r.PerProcessSeconds)
-	if slow < 2*fast {
-		t.Errorf("expected straggling: fastest %g, slowest %g", fast, slow)
+	// The phase moves the whole volume at the reported throughput.
+	if got, want := r.AggregateBps*r.ClientSeconds, 576*plat.BytesPerCore; math.Abs(got-want) > 1e-9*want {
+		t.Errorf("volume = %g, want %g", got, want)
 	}
 }
 
@@ -143,9 +129,6 @@ func TestDamarisDedicatedFitsComputeInterval(t *testing.T) {
 		busy := stats.Mean(r.DedicatedBusySeconds)
 		if busy > interval*0.25 {
 			t.Errorf("%s: dedicated busy %.1fs exceeds 25%% of interval %.0fs", plat.Name, busy, interval)
-		}
-		if r.DedicatedSpanSeconds > interval {
-			t.Errorf("%s: I/O span %.1fs exceeds compute interval", plat.Name, r.DedicatedSpanSeconds)
 		}
 	}
 }
@@ -335,11 +318,12 @@ func TestDamarisAggregationTiers(t *testing.T) {
 		t.Errorf("node: writers = %d, want 2 (one per aggregator node)", got)
 	}
 
-	// The logical volume is mode-independent; the client-visible phase too
-	// (aggregation is entirely behind the shared-memory handoff).
-	for _, r := range []PhaseResult{cr, nr} {
-		if r.Bytes != off.Bytes {
-			t.Errorf("%s bytes = %g, want %g", r.Strategy, r.Bytes, off.Bytes)
+	// The logical volume, throughput times the mean writer's busy time, is
+	// mode-independent.
+	volume := func(r PhaseResult) float64 { return r.AggregateBps * stats.Mean(r.DedicatedBusySeconds) }
+	for mode, r := range map[string]PhaseResult{"core": cr, "node": nr} {
+		if got, want := volume(r), volume(off); math.Abs(got-want) > 1e-9*want {
+			t.Errorf("%s volume = %g, want %g", mode, got, want)
 		}
 	}
 
@@ -348,9 +332,9 @@ func TestDamarisAggregationTiers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nr.AggregateBps != nr2.AggregateBps || nr.DedicatedSpanSeconds != nr2.DedicatedSpanSeconds {
-		t.Errorf("node mode not deterministic: %g/%g vs %g/%g",
-			nr.AggregateBps, nr.DedicatedSpanSeconds, nr2.AggregateBps, nr2.DedicatedSpanSeconds)
+	if nr.AggregateBps != nr2.AggregateBps || !slices.Equal(nr.DedicatedBusySeconds, nr2.DedicatedBusySeconds) {
+		t.Errorf("node mode not deterministic: %g/%v vs %g/%v",
+			nr.AggregateBps, nr.DedicatedBusySeconds, nr2.AggregateBps, nr2.DedicatedBusySeconds)
 	}
 
 	// Unknown modes fail loudly.

@@ -119,28 +119,24 @@ func Federate(sources []FedSource) []Sample {
 	srcs := append([]FedSource(nil), sources...)
 	sort.SliceStable(srcs, func(i, j int) bool { return rankLess(srcs[i].Rank, srcs[j].Rank) })
 
-	type acc struct {
-		s  Sample
-		op mergeOp
-	}
-	merged := make(map[string]*acc)
+	merged := make(map[string]*Sample)
 	fold := func(s Sample, op mergeOp) {
 		key := s.Name + "\x01" + labelKey(s.Labels)
 		a, ok := merged[key]
 		if !ok {
-			merged[key] = &acc{s: s, op: op}
+			merged[key] = &s
 			return
 		}
 		switch op {
 		case opSum:
-			a.s.Value += s.Value
+			a.Value += s.Value
 		case opMin:
-			if s.Value < a.s.Value {
-				a.s.Value = s.Value
+			if s.Value < a.Value {
+				a.Value = s.Value
 			}
 		case opMax:
-			if s.Value > a.s.Value {
-				a.s.Value = s.Value
+			if s.Value > a.Value {
+				a.Value = s.Value
 			}
 		}
 	}
@@ -166,7 +162,7 @@ func Federate(sources []FedSource) []Sample {
 		}
 	}
 	for _, a := range merged {
-		out = append(out, a.s)
+		out = append(out, *a)
 	}
 	// Every surviving (name, labels) pair is unique — per-rank series carry
 	// the rank label, folded series are map-deduplicated — so this sort is

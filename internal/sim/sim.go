@@ -180,7 +180,6 @@ type Link struct {
 }
 
 type xfer struct {
-	size    float64
 	finishV float64 // vsrv value at which this transfer completes
 	cap     float64 // per-transfer rate ceiling (0 = none)
 	done    func()
@@ -226,7 +225,7 @@ func (l *Link) TransferCapped(bytes, maxRate float64, done func()) {
 		panic("sim: negative transfer rate cap")
 	}
 	l.advance()
-	heap.Push(&l.heap, &xfer{size: bytes, finishV: l.vsrv + bytes, cap: maxRate, done: done})
+	heap.Push(&l.heap, &xfer{finishV: l.vsrv + bytes, cap: maxRate, done: done})
 	if maxRate > 0 {
 		l.caps[maxRate]++
 	}
