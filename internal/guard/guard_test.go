@@ -33,18 +33,19 @@ import (
 // or no longer exists, fails the check, and so does a reason citing a
 // ROADMAP item that ROADMAP.md no longer lists.
 var allow = map[string]string{
-	"internal/core.Server.HandleErrors":     "the only place Run's per-event errors (undeclared variable, failing action) are reported, and no production path calls it; ROADMAP item 4 counts them in a metric family instead",
-	"internal/obs.Registry.CheckExposition": "tests of other packages check through it that their families collide with no other",
-	"internal/shm.Block.Released":           "tests of other packages assert through it that no chunk is released before it is durable",
-	"internal/shm.Segment.FreeBytes":        "shared-buffer counter tests of other packages read",
-	"internal/shm.Segment.Reserves":         "shared-buffer counter tests of other packages read",
-	"internal/shm.Segment.Releases":         "shared-buffer counter tests of other packages read",
-	"internal/store.Brownout":               "fault vocabulary tests compose into store.Options.Fault",
-	"internal/store.Chain":                  "fault vocabulary tests compose into store.Options.Fault",
-	"internal/store.FailNth":                "fault vocabulary tests compose into store.Options.Fault",
-	"internal/store.FailTimes":              "fault vocabulary tests compose into store.Options.Fault",
-	"internal/store.Latency":                "fault vocabulary tests compose into store.Options.Fault",
-	"internal/transform.DecompressGzip":     "the reference decoder the plane encoder's tests compare against",
+	"internal/core.Server.HandleErrors":              "the only place Run's per-event errors (undeclared variable, failing action) are reported, and no production path calls it; ROADMAP item 4 counts them in a metric family instead",
+	"internal/iostrat.PhaseResult.PerProcessSeconds": "tests hold the model's §IV-C1 within-phase straggling (slowest process ≥ 2× fastest) through it",
+	"internal/obs.Registry.CheckExposition":          "tests of other packages check through it that their families collide with no other",
+	"internal/shm.Block.Released":                    "tests of other packages assert through it that no chunk is released before it is durable",
+	"internal/shm.Segment.FreeBytes":                 "shared-buffer counter tests of other packages read",
+	"internal/shm.Segment.Reserves":                  "shared-buffer counter tests of other packages read",
+	"internal/shm.Segment.Releases":                  "shared-buffer counter tests of other packages read",
+	"internal/store.Brownout":                        "fault vocabulary tests compose into store.Options.Fault",
+	"internal/store.Chain":                           "fault vocabulary tests compose into store.Options.Fault",
+	"internal/store.FailNth":                         "fault vocabulary tests compose into store.Options.Fault",
+	"internal/store.FailTimes":                       "fault vocabulary tests compose into store.Options.Fault",
+	"internal/store.Latency":                         "fault vocabulary tests compose into store.Options.Fault",
+	"internal/transform.DecompressGzip":              "the reference decoder the plane encoder's tests compare against",
 }
 
 // forbidden is one row per deleted design: a line matching pattern in a file
@@ -322,7 +323,8 @@ func scanUses(mod *module) uses {
 			}
 		}
 	}
-	// A map compares its keys, which reads every field of a struct key.
+	// A map compares its keys, and == and != their operands, which reads
+	// every field of a struct.
 	var readAll func(t types.Type)
 	readAll = func(t types.Type) {
 		switch t := t.Underlying().(type) {
@@ -370,6 +372,11 @@ func scanUses(mod *module) uses {
 					self = p.info.Defs[fd.Name]
 				}
 				ast.Inspect(d, func(n ast.Node) bool {
+					if be, ok := n.(*ast.BinaryExpr); ok && (be.Op == token.EQL || be.Op == token.NEQ) {
+						if t := p.info.TypeOf(be.X); t != nil {
+							readAll(t)
+						}
+					}
 					id, ok := n.(*ast.Ident)
 					if !ok {
 						return true
@@ -458,12 +465,13 @@ func structFields(fset *token.FileSet, info *types.Info, f *ast.File, fn func(na
 	})
 }
 
-// fieldKey is a field's declaring file and line, and its name: what the
-// object checked from source and the one imported from export data share
-// (export data keeps no columns).
+// fieldKey is a field's package, the base name of its declaring file, its
+// line and its name: what the object checked from source and the one
+// imported from export data share. Export data keeps no columns, and under
+// -trimpath it names files relative to the module, not absolutely.
 func (m *module) fieldKey(v *types.Var) string {
 	pos := m.fset.Position(v.Origin().Pos())
-	return fmt.Sprintf("%s:%d.%s", pos.Filename, pos.Line, v.Name())
+	return fmt.Sprintf("%s/%s:%d.%s", v.Pkg().Path(), filepath.Base(pos.Filename), pos.Line, v.Name())
 }
 
 // staleCitations reports each allow reason citing a ROADMAP item that the

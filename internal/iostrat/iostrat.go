@@ -77,6 +77,10 @@ type PhaseResult struct {
 	// ClientSeconds is the barrier-to-barrier write-phase duration seen by
 	// the simulation (the paper's Figures 2 and 3 quantity).
 	ClientSeconds float64
+	// PerProcessSeconds is, for file-per-process, each compute process's
+	// own completion time within the phase (fastest <1 s vs slowest >25 s
+	// in §IV-C1); empty otherwise.
+	PerProcessSeconds []float64
 	// DedicatedBusySeconds is, for Damaris, each dedicated core's time
 	// spent creating + writing (Figure 5 "write time"); empty otherwise.
 	DedicatedBusySeconds []float64
@@ -170,20 +174,24 @@ func SimulateFPP(plat cluster.Platform, opt Options) (PhaseResult, error) {
 	}
 	n := opt.Cores
 	perCore := e.bytes
+	completions := make([]float64, n)
 	for i := 0; i < n; i++ {
 		node := i / plat.CoresPerNode
 		mult := e.straggler()
 		// create -> NIC -> pool, each stage contended.
 		e.fsys.CreateFile(func() {
 			e.nics[node].Transfer(perCore, func() {
-				e.fsys.Write(e.fsBytes(perCore*mult), 0, nil)
+				e.fsys.Write(e.fsBytes(perCore*mult), 0, func() {
+					completions[i] = e.eng.Now()
+				})
 			})
 		})
 	}
 	end := e.eng.Run()
 	return PhaseResult{
-		ClientSeconds: end,
-		AggregateBps:  float64(n) * perCore / end,
+		ClientSeconds:     end,
+		PerProcessSeconds: completions,
+		AggregateBps:      float64(n) * perCore / end,
 	}, nil
 }
 
