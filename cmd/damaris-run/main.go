@@ -1,7 +1,8 @@
 // Command damaris-run executes the real middleware pipeline: the CM1-like
 // mini-app on an in-process MPI world with one dedicated I/O core per node,
 // writing DSF files through Damaris — or through the file-per-process /
-// collective baselines for comparison.
+// collective baselines for comparison. Every strategy writes through the
+// one storage backend -persist-backend names, file://<-out> by default.
 //
 // Usage:
 //
@@ -37,7 +38,6 @@ import (
 type options struct {
 	ranks, coresPerNode, steps, outputEvery, traceRing int
 	outDir, backend, metricsAddr, traceOut             string
-	compress                                           bool
 	bufMB                                              int64
 }
 
@@ -47,9 +47,8 @@ func main() {
 	flag.IntVar(&o.coresPerNode, "cores-per-node", 4, "SMP node width")
 	flag.IntVar(&o.steps, "steps", 20, "simulation timesteps")
 	flag.IntVar(&o.outputEvery, "output-every", 5, "write phase every K steps")
-	flag.StringVar(&o.outDir, "out", "damaris-out", "output directory")
+	flag.StringVar(&o.outDir, "out", "damaris-out", "output directory: the file:// backend when -persist-backend is empty")
 	flag.StringVar(&o.backend, "backend", "damaris", "damaris | fpp | collective")
-	flag.BoolVar(&o.compress, "compress", false, "gzip chunks (damaris and fpp)")
 	flag.Int64Var(&o.bufMB, "buffer-mb", 64, "per-node shared buffer (MiB)")
 	flag.StringVar(&o.metricsAddr, "metrics-addr", "",
 		"serve live telemetry over HTTP on this address (/metrics Prometheus text, /metrics.json, /trace, /jitter, /debug/pprof); empty disables")
@@ -68,8 +67,10 @@ func main() {
 }
 
 // run executes one world and writes its report to out. cfg carries the knobs
-// as the flags left them; run adds what the mini-app declares (buffer,
-// layouts, variables, events) and validates the whole before any rank starts.
+// as the flags left them; run names the -out directory as the backend when
+// none is set, adds what the mini-app declares (buffer, layouts, variables,
+// events) and validates the whole before any rank starts, whatever the
+// strategy.
 func run(cfg *config.Config, o options, out io.Writer) error {
 	if o.ranks%o.coresPerNode != 0 {
 		return fmt.Errorf("ranks %d not a multiple of cores-per-node %d", o.ranks, o.coresPerNode)
@@ -78,6 +79,30 @@ func run(cfg *config.Config, o options, out io.Writer) error {
 		return fmt.Errorf("unknown -backend %q (want damaris, fpp or collective)", o.backend)
 	}
 	nodes := o.ranks / o.coresPerNode
+	computeRanks := o.ranks
+	if o.backend == "damaris" {
+		computeRanks = o.ranks - nodes // one dedicated core per node
+	}
+	params := cm1.DefaultParams(computeRanks, 1)
+
+	if cfg.PersistBackend == "" {
+		cfg.PersistBackend = "file://" + o.outDir
+	}
+	if o.backend == "damaris" {
+		decl, err := config.ParseString(cm1.ConfigXML(params, o.bufMB<<20, cfg.Allocator, 1))
+		if err != nil {
+			return err
+		}
+		cfg.BufferSize, cfg.DedicatedCores = decl.BufferSize, decl.DedicatedCores
+		cfg.Layouts, cfg.Variables, cfg.Events = decl.Layouts, decl.Variables, decl.Events
+	}
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	codec, err := dsf.CodecNamed(cfg.PersistCodec)
+	if err != nil {
+		return err
+	}
 
 	// One telemetry plane for the whole in-process world: every dedicated
 	// core records spans and registers collectors against it, so a single
@@ -99,68 +124,29 @@ func run(cfg *config.Config, o options, out io.Writer) error {
 		defer srv.Close()
 		fmt.Fprintf(out, "telemetry: http://%s/metrics (also /metrics.json /fleet/metrics /epochs /trace /jitter /readyz /debug/pprof)\n", ln.Addr())
 	}
-	computeRanks := o.ranks
-	if o.backend == "damaris" {
-		computeRanks = o.ranks - nodes // one dedicated core per node
-	}
-	params := cm1.DefaultParams(computeRanks, 1)
 
-	codec := dsf.None
-	if o.compress {
-		codec = dsf.ShuffleGzip
+	// The baselines' ranks share one instance of the backend; each dedicated
+	// core opens its own as it deploys.
+	var shared store.Backend
+	if o.backend != "damaris" {
+		if shared, err = store.OpenWith(cfg.PersistBackend, cfg.StoreOptions()); err != nil {
+			return err
+		}
 	}
 
 	var mu sync.Mutex
 	var phaseTimes []float64
-
-	if o.backend == "damaris" {
-		decl, err := config.ParseString(cm1.ConfigXML(params, o.bufMB<<20, cfg.Allocator, 1))
-		if err != nil {
-			return err
-		}
-		cfg.BufferSize, cfg.DedicatedCores = decl.BufferSize, decl.DedicatedCores
-		cfg.Layouts, cfg.Variables, cfg.Events = decl.Layouts, decl.Variables, decl.Events
-		if err := cfg.Validate(); err != nil {
-			return err
-		}
-	}
-
-	err := mpi.Run(o.ranks, o.coresPerNode, func(comm *mpi.Comm) {
+	err = mpi.Run(o.ranks, o.coresPerNode, func(comm *mpi.Comm) {
 		var b cm1.Backend
 		var computeComm *mpi.Comm
 
 		switch o.backend {
 		case "damaris":
-			// Each rank opens its own instance of the backend, as the default
-			// persister does: dedupe composes across instances over one root,
-			// and a dedicated core's store metrics count its own writes only,
-			// so the fleet sum counts each exactly once. A compute core never
-			// writes through its instance.
-			var backend store.Backend
-			if cfg.PersistBackend != "" {
-				sb, err := store.OpenWith(cfg.PersistBackend, cfg.StoreOptions())
-				if err != nil {
-					panic(err)
-				}
-				defer sb.Close()
-				backend = sb
-			}
-			pers := &core.DSFPersister{Dir: o.outDir, Backend: backend, Codec: codec,
-				GzipLevel: cfg.PersistGzipLevel, Node: comm.Node(), ServerID: comm.Rank()}
-			pers.SetTracer(plane.Tracer())
-			dep, err := core.Deploy(comm, cfg, nil, core.Options{OutputDir: o.outDir, Persister: pers, Obs: plane})
+			dep, err := core.Deploy(comm, cfg, nil, core.Options{Obs: plane})
 			if err != nil {
 				panic(err)
 			}
 			if !dep.IsClient() {
-				// This rank's persister is private to this server, so the
-				// server rank owns the encode pool lifecycle (the server
-				// only auto-wires pools and tracers for persisters it
-				// creates itself).
-				pool := dsf.NewEncodePool(cfg.EncodeWorkers)
-				pool.SetTracer(plane.Tracer(), comm.Rank())
-				pers.SetEncodePool(pool)
-				defer pool.Close()
 				// This rank's slice of the fleet view: a private registry
 				// carrying only this dedicated core's collectors, merged by
 				// the federator behind /fleet/metrics.
@@ -176,10 +162,10 @@ func run(cfg *config.Config, o options, out io.Writer) error {
 			b = cm1.NewDamarisBackend(dep.Client)
 		case "fpp":
 			computeComm = comm
-			b = cm1.NewFPPBackend(o.outDir, codec, comm.Rank())
+			b = cm1.NewFPPBackend(shared, codec, comm.Rank())
 		case "collective":
 			computeComm = comm
-			b = cm1.NewCollectiveBackend(o.outDir, comm)
+			b = cm1.NewCollectiveBackend(shared, comm)
 		}
 
 		sim, err := cm1.New(computeComm, params)
@@ -197,6 +183,11 @@ func run(cfg *config.Config, o options, out io.Writer) error {
 		phaseTimes = append(phaseTimes, rep.WriteSeconds...)
 		mu.Unlock()
 	})
+	if shared != nil {
+		if cerr := shared.Close(); err == nil {
+			err = cerr
+		}
+	}
 	if err != nil {
 		return err
 	}
@@ -213,11 +204,7 @@ func run(cfg *config.Config, o options, out io.Writer) error {
 			return err
 		}
 	}
-	if o.backend == "damaris" && cfg.PersistBackend != "" {
-		fmt.Fprintf(out, "output in backend %s\n", cfg.PersistBackend)
-	} else {
-		fmt.Fprintf(out, "output in %s\n", o.outDir)
-	}
+	fmt.Fprintf(out, "output in %s\n", cfg.PersistBackend)
 	if o.backend != "damaris" {
 		return nil
 	}

@@ -7,18 +7,21 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 
 	"damaris/internal/config"
 	"damaris/internal/dsf"
+	"damaris/internal/store"
 )
 
 // runWorld is main without the process: the knob flags parsed onto a fresh
-// Config, then a 6-rank world (two nodes of two clients and a dedicated
-// core) that writes on each of its 4 steps. The report goes to stdout.
-func runWorld(t *testing.T, out string, compress bool, stdout io.Writer, knobArgs ...string) error {
+// Config, then a 6-rank world on two nodes of three cores that writes on each
+// of its 4 steps through the named strategy. Under damaris each node is two
+// clients and a dedicated core. The report goes to stdout.
+func runWorld(t *testing.T, out, backend string, stdout io.Writer, knobArgs ...string) error {
 	t.Helper()
 	cfg := &config.Config{}
 	fs := flag.NewFlagSet("damaris-run", flag.ContinueOnError)
@@ -27,57 +30,117 @@ func runWorld(t *testing.T, out string, compress bool, stdout io.Writer, knobArg
 		t.Fatal(err)
 	}
 	return run(cfg, options{ranks: 6, coresPerNode: 3, steps: 4, outputEvery: 1,
-		outDir: out, backend: "damaris", compress: compress, bufMB: 64}, stdout)
+		outDir: out, backend: backend, bufMB: 64}, stdout)
 }
 
+// Every strategy commits each iteration's objects to the one backend the
+// run names — file://<-out> unless -persist-backend says otherwise — each
+// under its strategy's name, each verifying, each chunk in the run's codec
+// (the collective baseline writes raw chunks whatever -codec says).
 func TestRunWritesEveryIterationFile(t *testing.T) {
 	for _, tc := range []struct {
-		name     string
-		compress bool
-		args     []string
+		name, backend string
+		obj           bool // -persist-backend obj://<tmp>
+		args          []string
 	}{
-		{name: "defaults"},
-		{name: "synchronous", args: []string{"-persist-workers", "0"}},
-		{name: "sharded-compressed", compress: true,
-			args: []string{"-shards", "2", "-persist-workers", "2", "-encode-workers", "2"}},
+		{name: "defaults", backend: "damaris"},
+		{name: "synchronous", backend: "damaris", args: []string{"-persist-workers", "0"}},
+		{name: "sharded-compressed", backend: "damaris",
+			args: []string{"-codec", "shuffle+gzip", "-shards", "2", "-persist-workers", "2", "-encode-workers", "2"}},
+		{name: "fpp-compressed", backend: "fpp", args: []string{"-codec", "shuffle+gzip"}},
+		{name: "collective", backend: "collective"},
+		{name: "fpp-obj", backend: "fpp", obj: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			out := t.TempDir()
-			if err := runWorld(t, out, tc.compress, io.Discard, tc.args...); err != nil {
+			url, args := "file://"+out, tc.args
+			if tc.obj {
+				url = "obj://" + t.TempDir()
+				args = append(args, "-persist-backend", url)
+			}
+			if err := runWorld(t, out, tc.backend, io.Discard, args...); err != nil {
 				t.Fatal(err)
 			}
-			// The dedicated core is the last rank of each node: 2 and 5.
-			for node, srv := range []int{2, 5} {
-				for it := 0; it < 4; it++ {
-					path := filepath.Join(out, fmt.Sprintf("node%04d_srv%04d_it%06d.dsf", node, srv, it))
-					f, err := os.Open(path)
-					if err != nil {
-						t.Error(err)
-						continue
+			var want []string
+			for it := 0; it < 4; it++ {
+				switch tc.backend {
+				case "damaris":
+					// The dedicated core is the last rank of each node: 2 and 5.
+					for node, srv := range []int{2, 5} {
+						want = append(want, fmt.Sprintf("node%04d_srv%04d_it%06d.dsf", node, srv, it))
 					}
-					if st, err := f.Stat(); err != nil {
-						t.Error(err)
-					} else if _, err := dsf.OpenReaderAt(f, st.Size()); err != nil {
-						t.Errorf("%s: %v", path, err)
+				case "fpp":
+					for rank := 0; rank < 6; rank++ {
+						want = append(want, fmt.Sprintf("rank%05d_it%06d.dsf", rank, it))
 					}
-					f.Close()
+				case "collective":
+					for part := 0; part < 2; part++ {
+						want = append(want, fmt.Sprintf("shared_it%06d_part%04d.dsf", it, part))
+					}
 				}
+			}
+			slices.Sort(want)
+			codec := dsf.None
+			if slices.Contains(args, "-codec") && tc.backend != "collective" {
+				codec = dsf.ShuffleGzip
+			}
+			b, err := store.Open(url)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer b.Close()
+			objs, err := b.Objects()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []string
+			for _, o := range objs {
+				got = append(got, o.Name)
+				or, err := b.Open(o.Name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				r, err := dsf.OpenReaderAt(or, or.Size())
+				if err != nil {
+					t.Fatalf("%s: %v", o.Name, err)
+				}
+				if err := r.Verify(); err != nil {
+					t.Errorf("%s: %v", o.Name, err)
+				}
+				for _, m := range r.Chunks() {
+					if m.Codec != codec {
+						t.Errorf("%s: chunk %s has codec %v, want %v", o.Name, m.Name, m.Codec, codec)
+					}
+				}
+				or.Close()
+			}
+			if !slices.Equal(got, want) {
+				t.Errorf("objects %v, want %v", got, want)
 			}
 		})
 	}
 }
 
-// A knob out of range is config's error, raised before any rank starts —
-// and so is a backend that does not exist, which used to panic inside rank 0.
+// A knob out of range is config's error, raised before any rank starts or
+// anything is opened, whatever the strategy — and so is a backend that does
+// not exist, which used to panic inside rank 0.
 func TestRunRejectsBadFlagsBeforeDeploying(t *testing.T) {
-	for _, args := range [][]string{{"-persist-workers", "-1"}, {"-gzip-level", "11"}} {
+	for _, tc := range []struct {
+		backend string
+		args    []string
+	}{
+		{"damaris", []string{"-persist-workers", "-1"}},
+		{"damaris", []string{"-gzip-level", "11"}},
+		{"fpp", []string{"-codec", "bogus"}},
+		{"collective", []string{"-persist-backend", "obj://d?part_size=1"}},
+	} {
 		out := filepath.Join(t.TempDir(), "out")
-		err := runWorld(t, out, false, io.Discard, args...)
+		err := runWorld(t, out, tc.backend, io.Discard, tc.args...)
 		if err == nil || !strings.HasPrefix(err.Error(), "config:") {
-			t.Errorf("%v: error %v, want a config: error", args, err)
+			t.Errorf("-backend %s %v: error %v, want a config: error", tc.backend, tc.args, err)
 		}
 		if _, serr := os.Stat(out); serr == nil {
-			t.Errorf("%v: the world deployed and created %s", args, out)
+			t.Errorf("-backend %s %v: the world deployed and created %s", tc.backend, tc.args, out)
 		}
 	}
 	out := filepath.Join(t.TempDir(), "out")
@@ -98,7 +161,7 @@ func TestReportTailIsTheRegistry(t *testing.T) {
 	objRoot := t.TempDir()
 	for _, args := range [][]string{nil, {"-persist-workers", "0"}, {"-persist-backend", "obj://" + objRoot}} {
 		var stdout bytes.Buffer
-		if err := runWorld(t, t.TempDir(), false, &stdout, args...); err != nil {
+		if err := runWorld(t, t.TempDir(), "damaris", &stdout, args...); err != nil {
 			t.Fatal(err)
 		}
 		report := stdout.String()

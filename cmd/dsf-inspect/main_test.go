@@ -14,6 +14,17 @@ import (
 	"damaris/internal/store"
 )
 
+// create starts a DSF stream on a new file at path; the file is closed when
+// the test ends.
+func create(t *testing.T, path string) (*dsf.Writer, error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	t.Cleanup(func() { f.Close() })
+	return dsf.NewWriter(f)
+}
+
 // goldenField is a deterministic float32 payload whose values survive a
 // codec round trip bit-exactly.
 func goldenField(seed int, n int) []float32 {
@@ -30,7 +41,7 @@ func writeGolden(t *testing.T, dir string, codec dsf.Codec) (string, [][]float32
 	t.Helper()
 	path := filepath.Join(dir, "golden_"+codec.String()+".dsf")
 	path = strings.ReplaceAll(path, "+", "_") // shuffle+gzip → filesystem-safe
-	w, err := dsf.Create(path)
+	w, err := create(t, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +225,7 @@ func TestCorruptedAndTruncatedFiles(t *testing.T) {
 func writeBatched(t *testing.T, dir string, iters int) string {
 	t.Helper()
 	path := filepath.Join(dir, "batched.dsf")
-	w, err := dsf.Create(path)
+	w, err := create(t, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +387,7 @@ func TestInspectStoreBackends(t *testing.T) {
 func TestInspectListsContributingServers(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "node0000_it000000.dsf")
-	w, err := dsf.Create(path)
+	w, err := create(t, path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,6 +13,7 @@ import (
 	"damaris/internal/core"
 	"damaris/internal/dsf"
 	"damaris/internal/mpi"
+	"damaris/internal/store"
 )
 
 // treeHash is what `cd dir && find . -type f | sort | xargs sha256sum |
@@ -48,11 +49,15 @@ func treeHash(t *testing.T, dir string) (string, int) {
 func runGolden(t *testing.T, backend, dir string) {
 	p := smallParams(6, 1)
 	var cfg *config.Config
+	var out store.Backend
 	if backend == "damaris" {
 		var err error
 		if cfg, err = config.ParseString(ConfigXML(p, 8<<20, "mutex", 1)); err != nil {
 			t.Fatal(err)
 		}
+		cfg.PersistBackend = "file://" + dir
+	} else {
+		out = fileBackend(t, dir)
 	}
 	ranks := 8
 	if backend != "damaris" {
@@ -63,7 +68,7 @@ func runGolden(t *testing.T, backend, dir string) {
 		comm := c
 		switch backend {
 		case "damaris":
-			dep, err := core.Deploy(c, cfg, nil, core.Options{OutputDir: dir})
+			dep, err := core.Deploy(c, cfg, nil, core.Options{})
 			if err != nil {
 				t.Error(err)
 				return
@@ -76,9 +81,9 @@ func runGolden(t *testing.T, backend, dir string) {
 			}
 			comm, b = dep.ClientComm, NewDamarisBackend(dep.Client)
 		case "fpp":
-			b = NewFPPBackend(dir, dsf.None, c.Rank())
+			b = NewFPPBackend(out, dsf.None, c.Rank())
 		case "collective":
-			b = NewCollectiveBackend(dir, c)
+			b = NewCollectiveBackend(out, c)
 		}
 		s, err := New(comm, p)
 		if err != nil {

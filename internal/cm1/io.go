@@ -2,14 +2,13 @@ package cm1
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"time"
 
 	"damaris/internal/core"
 	"damaris/internal/dsf"
 	"damaris/internal/layout"
 	"damaris/internal/mpi"
+	"damaris/internal/store"
 )
 
 // Backend is the pluggable I/O strategy of the mini-app. The paper compares
@@ -96,60 +95,81 @@ func (b *DamarisBackend) writeFields(s *Sim, iteration int64) error {
 // Close finalizes the Damaris client.
 func (b *DamarisBackend) Close() error { return b.cli.Finalize() }
 
-// FPPBackend is the file-per-process approach: every rank synchronously
-// writes its own DSF file each output phase. Compression may be enabled, as
-// the paper notes is possible with per-process HDF5.
-type FPPBackend struct {
-	Dir   string
-	Codec dsf.Codec
-	rank  int
-	buf   []byte // one field's bytes, gathered into for every variable and phase
+// writeObject streams one DSF object named name into out and publishes it
+// as Damaris's persister does: Create, the chunks write puts in the stream,
+// Close, then Commit — the fsync and atomic rename a file backend pays.
+// On any error the object is aborted and never becomes visible.
+func writeObject(out store.Backend, name string, write func(*dsf.Writer) error) error {
+	ow, err := out.Create(name)
+	if err != nil {
+		return err
+	}
+	defer ow.Abort() // does nothing once committed
+	w, err := dsf.NewWriter(ow)
+	if err != nil {
+		return err
+	}
+	defer w.Abort() // does nothing once closed
+	if err := write(w); err != nil {
+		return err
+	}
+	if err := w.Close(); err != nil {
+		return err
+	}
+	_, err = ow.Commit()
+	return err
 }
 
-// NewFPPBackend creates a file-per-process writer rooted at dir.
-func NewFPPBackend(dir string, codec dsf.Codec, rank int) *FPPBackend {
-	return &FPPBackend{Dir: dir, Codec: codec, rank: rank}
+// FPPBackend is the file-per-process approach: every rank synchronously
+// writes and commits its own DSF object each output phase, through the same
+// store.Backend protocol as Damaris's dedicated core. Compression may be
+// enabled, as the paper notes is possible with per-process HDF5.
+type FPPBackend struct {
+	Codec dsf.Codec
+	out   store.Backend
+	rank  int
+	buf   []byte // every variable's bytes, gathered into each phase
+}
+
+// NewFPPBackend creates a file-per-process writer whose objects go to out.
+func NewFPPBackend(out store.Backend, codec dsf.Codec, rank int) *FPPBackend {
+	return &FPPBackend{Codec: codec, out: out, rank: rank}
 }
 
 // Name implements Backend.
 func (b *FPPBackend) Name() string { return "file-per-process" }
 
-// WritePhase implements Backend: open, write all variables, close — on the
-// simulation's critical path.
+// WritePhase implements Backend: create, write all variables, commit — on
+// the simulation's critical path.
 func (b *FPPBackend) WritePhase(s *Sim, iteration int64) error {
 	global := s.GlobalBlock()
 	lay, err := layout.New(layout.Float32, global.Count...)
 	if err != nil {
 		return err
 	}
-	if int64(len(b.buf)) != lay.Bytes() {
-		b.buf = make([]byte, lay.Bytes())
+	// One slice per variable: a backend may keep a raw chunk's bytes until
+	// Commit (store.ObjectWriter.WritePinned), so none is reused mid-object.
+	n := lay.Bytes()
+	if int64(len(b.buf)) != n*int64(len(VariableNames)) {
+		b.buf = make([]byte, n*int64(len(VariableNames)))
 	}
-	if err := os.MkdirAll(b.Dir, 0o755); err != nil {
-		return err
-	}
-	path := filepath.Join(b.Dir, fmt.Sprintf("rank%05d_it%06d.dsf", b.rank, iteration))
-	w, err := dsf.Create(path)
-	if err != nil {
-		return err
-	}
-	for _, name := range VariableNames {
-		if err := s.FieldInto(name, b.buf); err != nil {
-			w.Close()
-			return err
+	name := fmt.Sprintf("rank%05d_it%06d.dsf", b.rank, iteration)
+	return writeObject(b.out, name, func(w *dsf.Writer) error {
+		for i, v := range VariableNames {
+			data := b.buf[int64(i)*n : int64(i+1)*n]
+			if err := s.FieldInto(v, data); err != nil {
+				return err
+			}
+			meta := dsf.ChunkMeta{
+				Name: v, Iteration: iteration, Source: b.rank,
+				Layout: lay, Global: global, Codec: b.Codec,
+			}
+			if err := w.WriteChunk(meta, data); err != nil {
+				return err
+			}
 		}
-		meta := dsf.ChunkMeta{
-			Name: name, Iteration: iteration, Source: b.rank,
-			Layout: lay, Global: global, Codec: b.Codec,
-		}
-		// A file keeps no chunk bytes past WriteChunk, so b.buf is free
-		// for the next variable.
-		if err := w.WriteChunk(meta, b.buf); err != nil {
-			w.Close()
-			return err
-		}
-	}
-	return w.Close()
+		return nil
+	})
 }
 
 // Close implements Backend.
@@ -157,27 +177,28 @@ func (b *FPPBackend) Close() error { return nil }
 
 // CollectiveBackend models collective I/O (pHDF5 over MPI-IO): all ranks
 // synchronize, data funnels to aggregators (one per node, ROMIO-style
-// two-phase I/O), and the aggregators write a shared file per iteration.
-// The post-write barrier mirrors the collective close: nobody resumes
-// computing until the file is complete.
+// two-phase I/O), and the aggregators write and commit one object of a
+// logically shared file per iteration, through the same store.Backend
+// protocol as Damaris's dedicated core. The post-write barrier mirrors the
+// collective close: nobody resumes computing until the file is complete.
 type CollectiveBackend struct {
-	Dir  string
+	out  store.Backend
 	comm *mpi.Comm
 	agg  *mpi.Comm // aggregator subcommunicator (one rank per node), nil on others
 	node *mpi.Comm
 	buf  []byte // every variable's bytes, gathered into each phase
 }
 
-// NewCollectiveBackend prepares the aggregation topology. Must be called by
-// every rank of comm.
-func NewCollectiveBackend(dir string, comm *mpi.Comm) *CollectiveBackend {
+// NewCollectiveBackend prepares the aggregation topology; the aggregators'
+// objects go to out. Must be called by every rank of comm.
+func NewCollectiveBackend(out store.Backend, comm *mpi.Comm) *CollectiveBackend {
 	node := comm.SplitByNode()
 	color := -1
 	if node.Rank() == 0 {
 		color = 0
 	}
 	agg := comm.Split(color, comm.Rank())
-	return &CollectiveBackend{Dir: dir, comm: comm, agg: agg, node: node}
+	return &CollectiveBackend{out: out, comm: comm, agg: agg, node: node}
 }
 
 // Name implements Backend.
@@ -195,8 +216,8 @@ func (b *CollectiveBackend) WritePhase(s *Sim, iteration int64) error {
 	}
 
 	// Phase one: gather every rank's variables at the node aggregator. The
-	// aggregator reads this rank's b.buf; the collective close below orders
-	// those reads before the next phase refills it.
+	// aggregator reads this rank's b.buf until its Commit returns; the
+	// collective close below orders that before the next phase refills it.
 	type piece struct {
 		meta dsf.ChunkMeta
 		data []byte
@@ -221,27 +242,17 @@ func (b *CollectiveBackend) WritePhase(s *Sim, iteration int64) error {
 	// a striped pHDF5 file).
 	var werr error
 	if b.node.Rank() == 0 {
-		if err := os.MkdirAll(b.Dir, 0o755); err == nil {
-			path := filepath.Join(b.Dir, fmt.Sprintf("shared_it%06d_part%04d.dsf", iteration, b.agg.Rank()))
-			w, err := dsf.Create(path)
-			if err != nil {
-				werr = err
-			} else {
-				for _, raw := range gathered {
-					for _, pc := range raw.([]piece) {
-						if err := w.WriteChunk(pc.meta, pc.data); err != nil {
-							werr = err
-							break
-						}
+		name := fmt.Sprintf("shared_it%06d_part%04d.dsf", iteration, b.agg.Rank())
+		werr = writeObject(b.out, name, func(w *dsf.Writer) error {
+			for _, raw := range gathered {
+				for _, pc := range raw.([]piece) {
+					if err := w.WriteChunk(pc.meta, pc.data); err != nil {
+						return err
 					}
 				}
-				if err := w.Close(); err != nil && werr == nil {
-					werr = err
-				}
 			}
-		} else {
-			werr = err
-		}
+			return nil
+		})
 	}
 	// Collective close: every rank waits for the slowest writer.
 	b.comm.Barrier()

@@ -2,12 +2,15 @@ package cm1
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strings"
+	"sync"
 	"testing"
 
 	"damaris/internal/config"
@@ -15,6 +18,7 @@ import (
 	"damaris/internal/dsf"
 	"damaris/internal/metadata"
 	"damaris/internal/mpi"
+	"damaris/internal/store"
 )
 
 func parseConfig(xml string) (*config.Config, error) { return config.ParseString(xml) }
@@ -24,15 +28,27 @@ func smallParams(px, py int) Params {
 		DT: 0.05, Kappa: 0.12, WorkFactor: 1}
 }
 
+// fileBackend opens a file backend over dir, closed when the test ends.
+func fileBackend(t *testing.T, dir string) store.Backend {
+	t.Helper()
+	b, err := store.NewFileStore(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { b.Close() })
+	return b
+}
+
 func TestFPPBackendWritesFiles(t *testing.T) {
 	dir := t.TempDir()
+	out := fileBackend(t, dir)
 	err := mpi.Run(4, 4, func(c *mpi.Comm) {
 		s, err := New(c, smallParams(2, 2))
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		b := NewFPPBackend(dir, dsf.None, c.Rank())
+		b := NewFPPBackend(out, dsf.None, c.Rank())
 		rep, err := Run(s, b, 4, 2)
 		if err != nil {
 			t.Error(err)
@@ -66,13 +82,14 @@ func TestFPPBackendWritesFiles(t *testing.T) {
 
 func TestCollectiveBackendWritesSharedFiles(t *testing.T) {
 	dir := t.TempDir()
+	out := fileBackend(t, dir)
 	err := mpi.Run(8, 4, func(c *mpi.Comm) { // 2 nodes × 4 cores
 		s, err := New(c, smallParams(4, 2))
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		b := NewCollectiveBackend(dir, c)
+		b := NewCollectiveBackend(out, c)
 		if _, err := Run(s, b, 2, 2); err != nil {
 			t.Error(err)
 		}
@@ -105,7 +122,6 @@ func TestCollectiveBackendWritesSharedFiles(t *testing.T) {
 }
 
 func TestDamarisBackendEndToEnd(t *testing.T) {
-	dir := t.TempDir()
 	p := smallParams(3, 1) // 3 compute ranks
 	cfgXML := ConfigXML(p, 8<<20, "mutex", 1)
 	cfg, err := config.ParseString(cfgXML)
@@ -114,7 +130,7 @@ func TestDamarisBackendEndToEnd(t *testing.T) {
 	}
 	mem := &core.MemPersister{}
 	err = mpi.Run(4, 4, func(c *mpi.Comm) {
-		dep, err := core.Deploy(c, cfg, nil, core.Options{OutputDir: dir, Persister: mem})
+		dep, err := core.Deploy(c, cfg, nil, core.Options{Persister: mem})
 		if err != nil {
 			t.Error(err)
 			return
@@ -185,8 +201,10 @@ func TestDamarisVsFPPSameData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cfg.PersistBackend = "file://" + dirDam
+	outFPP := fileBackend(t, dirFPP)
 	err = mpi.Run(3, 3, func(c *mpi.Comm) {
-		dep, err := core.Deploy(c, cfg, nil, core.Options{OutputDir: dirDam})
+		dep, err := core.Deploy(c, cfg, nil, core.Options{})
 		if err != nil {
 			t.Error(err)
 			return
@@ -202,7 +220,7 @@ func TestDamarisVsFPPSameData(t *testing.T) {
 			return
 		}
 		damaris := NewDamarisBackend(dep.Client)
-		fpp := NewFPPBackend(dirFPP, dsf.None, compute.Rank())
+		fpp := NewFPPBackend(outFPP, dsf.None, compute.Rank())
 		for step := 1; step <= 2; step++ {
 			s.Step()
 		}
@@ -297,7 +315,7 @@ func TestRunWithoutOutput(t *testing.T) {
 }
 
 func TestBackendNames(t *testing.T) {
-	if NewFPPBackend("", dsf.None, 0).Name() != "file-per-process" {
+	if NewFPPBackend(nil, dsf.None, 0).Name() != "file-per-process" {
 		t.Error("fpp name")
 	}
 	if (&DamarisBackend{}).Name() != "damaris" {
@@ -309,20 +327,133 @@ func TestBackendNames(t *testing.T) {
 }
 
 func TestFPPWriteFailurePropagates(t *testing.T) {
-	err := mpi.Run(1, 1, func(c *mpi.Comm) {
+	// A backend that can no longer write: every operation after Close fails.
+	out, err := store.NewFileStore(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := out.Close(); err != nil {
+		t.Fatal(err)
+	}
+	err = mpi.Run(1, 1, func(c *mpi.Comm) {
 		s, _ := New(c, smallParams(1, 1))
-		// Point the backend at an unwritable path.
-		file := filepath.Join(t.TempDir(), "blocker")
-		if err := os.WriteFile(file, nil, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		b := NewFPPBackend(filepath.Join(file, "sub"), dsf.None, 0)
+		b := NewFPPBackend(out, dsf.None, 0)
 		if _, err := Run(s, b, 1, 1); err == nil {
-			t.Error("expected error from unwritable dir")
+			t.Error("expected error from a backend that cannot write")
 		}
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// The baselines commit through the backend as Damaris's persister does, so
+// they inherit its "no torn object ever visible": the nth commit fails, the
+// phase that made it returns an error wrapping the store's, its object never
+// appears, and every other object opens through the store and verifies.
+// The nth commit is one of the last phase's, so no rank waits in a halo
+// exchange for one that stopped. The file-per-process ranks race to it, so
+// which one fails is read back from the reports; the collective run is one
+// node, whose one aggregator commits phase after phase.
+func TestBaselineCommitFailureLeavesNoTornObject(t *testing.T) {
+	boom := errors.New("boom")
+	for _, c := range []struct {
+		backend                     string
+		ranks, phases, nth, objects int // objects: commits the run attempts
+	}{
+		{"fpp", 2, 2, 3, 4},
+		{"collective", 3, 2, 2, 2},
+	} {
+		t.Run(c.backend, func(t *testing.T) {
+			dir := t.TempDir()
+			out, err := store.NewFileStore(dir, store.Options{Fault: store.FailNth(store.OpCommit, c.nth, boom)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer out.Close()
+			var mu sync.Mutex
+			phasesDone := map[int]int{} // rank -> write phases that returned
+			var failures []error
+			failedRank := -1
+			err = mpi.Run(c.ranks, c.ranks, func(comm *mpi.Comm) {
+				s, err := New(comm, smallParams(c.ranks, 1))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				var b Backend = NewFPPBackend(out, dsf.None, comm.Rank())
+				if c.backend == "collective" {
+					b = NewCollectiveBackend(out, comm)
+				}
+				rep, err := Run(s, b, c.phases, 1)
+				mu.Lock()
+				defer mu.Unlock()
+				phasesDone[comm.Rank()] = len(rep.WriteSeconds)
+				if err != nil {
+					failures, failedRank = append(failures, err), comm.Rank()
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(failures) != 1 || !errors.Is(failures[0], boom) {
+				t.Fatalf("phase errors %v, want one wrapping %v", failures, boom)
+			}
+			// The objects each rank's completed phases committed; the
+			// collective ones are the aggregator's, rank 0's.
+			name := func(rank, it int) string {
+				if c.backend == "fpp" {
+					return fmt.Sprintf("rank%05d_it%06d.dsf", rank, it)
+				}
+				return fmt.Sprintf("shared_it%06d_part%04d.dsf", it, rank)
+			}
+			var want []string
+			for rank := 0; rank < c.ranks; rank++ {
+				for it := 0; it < phasesDone[rank] && (c.backend == "fpp" || rank == 0); it++ {
+					want = append(want, name(rank, it))
+				}
+			}
+			if len(want) != c.objects-1 {
+				t.Fatalf("%d objects committed, want every phase's but the failing one: %v", len(want), phasesDone)
+			}
+			torn := name(failedRank, phasesDone[failedRank])
+			objs, err := out.Objects()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []string
+			for _, o := range objs {
+				got = append(got, o.Name)
+				or, err := out.Open(o.Name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				r, err := dsf.OpenReaderAt(or, or.Size())
+				if err != nil {
+					t.Fatalf("%s: %v", o.Name, err)
+				}
+				if err := r.Verify(); err != nil {
+					t.Errorf("%s: %v", o.Name, err)
+				}
+				or.Close()
+			}
+			slices.Sort(want)
+			if !slices.Equal(got, want) || slices.Contains(got, torn) {
+				t.Errorf("visible objects %v, want %v (not %s)", got, want, torn)
+			}
+			// Nor is the torn object in the directory under any name a
+			// reader would list: the failed commit's bytes stay in the
+			// store's hidden temporary area, as a crash would leave them.
+			entries, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range entries {
+				if !strings.HasPrefix(e.Name(), ".") && !slices.Contains(want, e.Name()) {
+					t.Errorf("%s is in the output directory", e.Name())
+				}
+			}
+		})
 	}
 }
 

@@ -10,7 +10,7 @@
 //
 //	<simulation>
 //	  <buffer    size="67108864" allocator="mutex" cores="1"/>
-//	  <pipeline  workers="4" queue="8" encode_workers="4" gzip_level="-1"/>
+//	  <pipeline  workers="4" queue="8" encode_workers="4" gzip_level="-1" codec="shuffle+gzip"/>
 //	  <store     backend="obj:///data/objects" part_size="4194304" put_workers="4" put_timeout="500"/>
 //	  <spill     dir="/local/scratch" after="2"/>
 //	  <aggregate mode="core" ring="8"/>
@@ -71,9 +71,12 @@ type Config struct {
 	// PersistGzipLevel is the compress/gzip level for compressed chunks,
 	// accepting the full stdlib range gzip.HuffmanOnly (-2) through 9.
 	PersistGzipLevel int
-	// PersistBackend is the storage-backend URL DSF streams are persisted
-	// through ("file://…", "obj://…"); empty keeps the file layout over the
-	// deployment's output directory.
+	// PersistCodec names the codec every persisted chunk is encoded with:
+	// "none" (or "") or "shuffle+gzip" (dsf.CodecNamed).
+	PersistCodec string
+	// PersistBackend is the storage-backend URL every persisted DSF stream
+	// goes to ("file://…", "obj://…"): the one name of the destination. A
+	// deployment without its own persister needs it.
 	PersistBackend string
 	// StorePartSize is the object store's multipart split size in bytes
 	// (0 = backend default).

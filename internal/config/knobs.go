@@ -63,9 +63,11 @@ func (c *Config) knobs() []knob {
 			help: "parallel chunk-encode workers per dedicated core (0 = serial encoding inside each persist writer)"},
 		{elem: "pipeline", attr: "gzip_level", flag: "gzip-level", i: &c.PersistGzipLevel, def: DefaultPersistGzipLevel,
 			min: gzip.HuffmanOnly, max: gzip.BestCompression, help: "gzip level for compressed chunks: -2 (HuffmanOnly) to 9"},
+		{elem: "pipeline", attr: "codec", flag: "codec", s: &c.PersistCodec, sdef: "none", enum: []string{"none", "shuffle+gzip"},
+			help: "chunk codec of every persisted DSF stream: none | shuffle+gzip"},
 
 		{elem: "store", attr: "backend", flag: "persist-backend", s: &c.PersistBackend,
-			help: "storage backend URL: file://dir | obj://dir (empty = DSF files in the output directory)"},
+			help: "storage backend URL every persisted DSF stream goes to: file://dir | obj://dir (damaris-run: empty = file://<-out>)"},
 		{elem: "store", attr: "part_size", flag: "store-part-size", i64: &c.StorePartSize, help: "object-store multipart split in bytes (0 = backend default)"},
 		{elem: "store", attr: "put_workers", flag: "store-put-workers", i: &c.StorePutWorkers, help: "parallel part-upload pool size (0 = backend default)"},
 		{elem: "store", attr: "put_timeout", flag: "store-put-timeout", i: &c.StorePutTimeoutMS,

@@ -116,8 +116,8 @@ func TestFlagAndAttributeAgree(t *testing.T) {
 			t.Errorf("-%s %s changed nothing", k.flag, value)
 		}
 	}
-	if attrs := len(new(Config).knobs()); attrs != 16 || flags != 14 {
-		t.Errorf("%d attributes, %d of them with a flag; want 16 and 14 (damaris-run's other 11 flags are its own)", attrs, flags)
+	if attrs := len(new(Config).knobs()); attrs != 17 || flags != 15 {
+		t.Errorf("%d attributes, %d of them with a flag; want 17 and 15 (damaris-run's other 10 flags are its own)", attrs, flags)
 	}
 	// Work stealing between shard loops is gone, so are the adaptive control
 	// plane and the spare-core budget, and their flags with them.

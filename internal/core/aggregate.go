@@ -145,8 +145,8 @@ func setupAggregation(nodeComm *mpi.Comm, cfg *config.Config,
 	}
 
 	sa := &serverAgg{leader: true}
-	// Resolve the epoch writer the merged objects go through: the provided
-	// persister when it can (damaris-run's case), else the default one.
+	// Resolve the epoch writer the merged objects go through: the caller's
+	// own persister when it can, else the default one.
 	var writer aggregate.EpochWriter
 	if opts.Persister != nil {
 		w, ok := opts.Persister.(aggregate.EpochWriter)
@@ -159,12 +159,12 @@ func setupAggregation(nodeComm *mpi.Comm, cfg *config.Config,
 			sa.statser = ss
 		}
 	} else {
-		p, pool, backend, err := newDefaultPersister(cfg, opts, nodeIdx, worldRank)
+		p, pool, err := newDefaultPersister(cfg, opts, nodeIdx, worldRank)
 		if err != nil {
 			return fail(err)
 		}
 		writer, sa.statser = p, p
-		sa.pool, sa.ownStore = pool, backend
+		sa.pool, sa.ownStore = pool, p.Backend
 	}
 
 	// Members are the node's dedicated cores, identified by world rank (the

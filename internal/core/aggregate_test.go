@@ -105,7 +105,8 @@ func TestDeployAggregateCoreOneObjectPerNodePerEpoch(t *testing.T) {
 		cfg.AggregateMode = "core"
 		cfg.PersistWorkers = workers
 		cfg.PersistQueueDepth = 4
-		stats := runAggregated(t, cfg, Options{OutputDir: dir}, iters)
+		cfg.PersistBackend = "file://" + dir
+		stats := runAggregated(t, cfg, Options{}, iters)
 
 		files := readDir(t, dir)
 		// 2 nodes x 3 epochs, one object each; no per-server objects.
@@ -160,7 +161,8 @@ func TestDeployAggregateCoreOneObjectPerNodePerEpoch(t *testing.T) {
 	dir := t.TempDir()
 	cfg := testCfg(t, "mutex", 2)
 	cfg.AggregateMode = "core"
-	runAggregated(t, cfg, Options{OutputDir: dir}, 1)
+	cfg.PersistBackend = "file://" + dir
+	runAggregated(t, cfg, Options{}, 1)
 	for nodeIdx, wantServers := range map[int]string{0: "2,3", 1: "6,7"} {
 		path := filepath.Join(dir, fmt.Sprintf("node%04d_it%06d.dsf", nodeIdx, 0))
 		r, err := dsf.Open(path)
@@ -197,7 +199,7 @@ func TestDeployAggregateCoreObjBackend(t *testing.T) {
 	// No Options.Persister: the leader resolves the default one, and its
 	// commits of the merged objects must show up in the trace.
 	plane := obs.NewPlane(0)
-	runAggregated(t, cfg, Options{OutputDir: t.TempDir(), Obs: plane}, iters)
+	runAggregated(t, cfg, Options{Obs: plane}, iters)
 	commits := 0
 	for _, sp := range plane.Tracer().Snapshot() {
 		if sp.Stage == obs.StageCommit {

@@ -123,9 +123,9 @@ func (d *Deployment) IsClient() bool { return d.Client != nil }
 
 // Options tune deployment beyond the configuration file.
 type Options struct {
-	// OutputDir is where persistency actions write DSF files.
-	OutputDir string
-	// Persister overrides the default DSF persistency layer on servers.
+	// Persister overrides the default persistency layer on servers: a
+	// DSFPersister over the backend <store backend> names, which a
+	// deployment without a Persister must therefore set.
 	Persister Persister
 	// Obs, when non-nil, is the telemetry plane every server wires into:
 	// pipeline stats register as live collectors on its registry, and the
@@ -162,6 +162,9 @@ func Deploy(world *mpi.Comm, cfg *config.Config, reg *plugin.Registry, opts Opti
 	// scheme must fail deployment, not silently select another behavior.
 	if err := cfg.Validate(); err != nil {
 		return nil, err
+	}
+	if opts.Persister == nil && cfg.PersistBackend == "" {
+		return nil, fmt.Errorf("core: no persister and no <store backend> (-persist-backend) to write to")
 	}
 	if reg == nil {
 		reg = plugin.NewRegistry()

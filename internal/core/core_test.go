@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"path/filepath"
 	"slices"
 	"strings"
 	"sync"
@@ -559,9 +560,9 @@ func TestServerStats(t *testing.T) {
 func TestDSFPersisterEndToEnd(t *testing.T) {
 	cfg := testCfg(t, "mutex", 1)
 	dir := t.TempDir()
-	pers := &DSFPersister{Dir: dir, Codec: dsf.ShuffleGzip, GzipLevel: dsf.DefaultGzipLevel, Node: 0, ServerID: 3}
+	pers := &DSFPersister{Backend: fileBackend(t, dir), Codec: dsf.ShuffleGzip, GzipLevel: dsf.DefaultGzipLevel, Node: 0, ServerID: 3}
 	err := mpi.Run(4, 4, func(comm *mpi.Comm) {
-		dep, _ := Deploy(comm, cfg, nil, Options{OutputDir: dir, Persister: pers})
+		dep, _ := Deploy(comm, cfg, nil, Options{Persister: pers})
 		if dep.IsClient() {
 			_ = dep.Client.Write("temp", 0, mpi.Float32sToBytes(fieldData(comm.Rank())))
 			_ = dep.Client.EndIteration(0)
@@ -575,11 +576,11 @@ func TestDSFPersisterEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	files := pers.files
+	files := objectNames(t, pers.Backend)
 	if len(files) != 1 {
 		t.Fatalf("files = %v", files)
 	}
-	r, err := dsf.Open(files[0])
+	r, err := dsf.Open(filepath.Join(dir, files[0]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -609,8 +610,19 @@ func TestDSFPersisterEndToEnd(t *testing.T) {
 func TestDeployValidation(t *testing.T) {
 	cfgNoClients := testCfg(t, "mutex", 4)
 	err := mpi.Run(4, 4, func(comm *mpi.Comm) {
-		if _, err := Deploy(comm, cfgNoClients, nil, Options{}); err == nil {
+		if _, err := Deploy(comm, cfgNoClients, nil, Options{Persister: &NullPersister{}}); err == nil {
 			t.Error("all-dedicated node should fail")
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// No persister and no <store backend>: there is nowhere to write, and
+	// every rank says so before deploying anything.
+	cfg := testCfg(t, "mutex", 1)
+	err = mpi.Run(4, 4, func(comm *mpi.Comm) {
+		if _, err := Deploy(comm, cfg, nil, Options{}); err == nil || !strings.Contains(err.Error(), "<store backend>") {
+			t.Errorf("deploy without a destination: error %v, want one naming <store backend>", err)
 		}
 	})
 	if err != nil {
@@ -626,6 +638,14 @@ func TestDeployValidation(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A DSFPersister without a Backend has nowhere to write: Persist fails.
+func TestDSFPersisterRequiresBackend(t *testing.T) {
+	p := &DSFPersister{}
+	if err := p.Persist(0, batchEntries(1, 1)[0].Entries); err == nil || !strings.Contains(err.Error(), "no backend") {
+		t.Errorf("Persist without a backend: error %v", err)
 	}
 }
 

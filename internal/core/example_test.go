@@ -33,9 +33,10 @@ func ExampleDeploy() {
 		log.Fatal(err)
 	}
 	defer os.RemoveAll(dir)
+	cfg.PersistBackend = "file://" + dir // where the dedicated core's DSF files go
 
 	err = mpi.Run(4, 4, func(comm *mpi.Comm) {
-		dep, err := core.Deploy(comm, cfg, nil, core.Options{OutputDir: dir})
+		dep, err := core.Deploy(comm, cfg, nil, core.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"path/filepath"
 	"sync"
 	"time"
 
@@ -44,16 +43,14 @@ type StoreStatser interface {
 
 // DSFPersister writes each completed iteration as one DSF object per
 // dedicated core — the paper's "gathering data into large files" that cuts
-// metadata pressure from one-file-per-process to one-file-per-node. The
-// destination is a store.Backend: the classic DSF directory is simply the
-// "file" backend, and the same persister streams into the content-addressed
-// object store (or any registered backend) unchanged.
+// metadata pressure from one-file-per-process to one-file-per-node. Every
+// object goes to Backend, streamed and then atomically committed: the DSF
+// directory is the "file" backend, and the same persister streams into the
+// content-addressed object store unchanged. A deployment builds one per
+// dedicated core over the backend <store backend> names (newDefaultPersister);
+// callers with their own persister set Backend themselves.
 type DSFPersister struct {
-	// Dir is the output directory, used only when Backend is nil: the
-	// persister then opens a "file" backend over it (created on demand) —
-	// the pre-subsystem behavior, byte-identical on disk.
-	Dir string
-	// Backend, when non-nil, receives every DSF stream. The caller owns its
+	// Backend receives every DSF stream; it is required. The caller owns its
 	// lifecycle (a backend may be shared across persisters and servers).
 	Backend store.Backend
 	// Codec encodes every chunk (None by default; ShuffleGzip gives the
@@ -71,12 +68,10 @@ type DSFPersister struct {
 	Node     int
 	ServerID int
 
-	mu      sync.Mutex
-	backend store.Backend // resolved from Backend or Dir on first use
-	pool    *dsf.EncodePool
-	tracer  *obs.Tracer
-	files   []string
-	idle    []chunkBatch // batches between writeFile calls; as many as ever ran at once
+	mu     sync.Mutex
+	pool   *dsf.EncodePool
+	tracer *obs.Tracer
+	idle   []chunkBatch // batches between writeFile calls; as many as ever ran at once
 }
 
 // chunkBatch is what one writeFile call hands to dsf.Writer.WriteChunks.
@@ -89,9 +84,9 @@ type chunkBatch struct {
 // nil (or no call) keeps serial encoding. The caller owns the pool's
 // lifecycle and must not Close it while Persist calls are in flight. The
 // server wires this automatically for the default persister it creates;
-// externally constructed persisters opt in explicitly (as cmd/damaris-run
-// does), since a persister shared across servers must not have its pool
-// torn down by whichever server finishes first.
+// externally constructed persisters opt in explicitly, since a persister
+// shared across servers must not have its pool torn down by whichever
+// server finishes first.
 func (p *DSFPersister) SetEncodePool(pool *dsf.EncodePool) {
 	p.mu.Lock()
 	p.pool = pool
@@ -122,10 +117,11 @@ func (p *DSFPersister) traceHandle() *obs.Tracer {
 
 // newDefaultPersister builds the persister a dedicated core (or a node's
 // aggregation leader) writes through when Options names none: a DSF
-// persister over the configured backend, compressing on a pool of
-// encode_workers, recording commit spans on the deployment's tracer. The
-// caller owns the returned pool and backend (either may be nil) and closes
-// them after its last Persist.
+// persister over the backend <store backend> names, encoding with the
+// pipeline's codec on a pool of encode_workers, recording commit spans on
+// the deployment's tracer. The caller owns the returned pool (nil when
+// encode_workers is 0) and the persister's Backend, and closes both after
+// its last Persist.
 //
 // Only this persister has a pool and a tracer installed for it: an
 // externally provided one may be shared across servers, where per-server
@@ -133,28 +129,25 @@ func (p *DSFPersister) traceHandle() *obs.Tracer {
 // out from under the others; such persisters wire their own (see
 // SetEncodePool, SetTracer). Likewise the backend: every dedicated core opens
 // its own instance over the same target, which is how object-store
-// deployments work — dedupe composes across instances.
-func newDefaultPersister(cfg *config.Config, opts Options, node, worldRank int) (*DSFPersister, *dsf.EncodePool, store.Backend, error) {
-	p := &DSFPersister{Dir: opts.OutputDir, Node: node, ServerID: worldRank,
-		GzipLevel: cfg.PersistGzipLevel}
-	var backend store.Backend
-	if cfg.PersistBackend != "" {
-		b, err := store.OpenWith(cfg.PersistBackend, cfg.StoreOptions())
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("core: server %d: persist backend: %w", worldRank, err)
-		}
-		p.Backend, backend = b, b
+// deployments work — dedupe composes across instances, and each core's
+// store metrics count its own writes only.
+func newDefaultPersister(cfg *config.Config, opts Options, node, worldRank int) (*DSFPersister, *dsf.EncodePool, error) {
+	codec, err := dsf.CodecNamed(cfg.PersistCodec)
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: server %d: %w", worldRank, err)
 	}
-	var pool *dsf.EncodePool
-	if cfg.EncodeWorkers > 0 {
-		// Shared by every persist writer of the dedicated core: chunk
-		// compression fans out across the pool while each writer streams its
-		// file in deterministic order.
-		pool = dsf.NewEncodePool(cfg.EncodeWorkers)
-		p.SetEncodePool(pool)
+	b, err := store.OpenWith(cfg.PersistBackend, cfg.StoreOptions())
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: server %d: persist backend: %w", worldRank, err)
 	}
+	p := &DSFPersister{Backend: b, Codec: codec, GzipLevel: cfg.PersistGzipLevel, Node: node, ServerID: worldRank}
+	// Shared by every persist writer of the dedicated core: chunk compression
+	// fans out across the pool while each writer streams its file in
+	// deterministic order.
+	pool := dsf.NewEncodePool(cfg.EncodeWorkers)
+	p.SetEncodePool(pool)
 	p.SetTracer(opts.Obs.Tracer())
-	return p, pool, backend, nil
+	return p, pool, nil
 }
 
 // Persist writes all entries of the iteration into one new DSF file.
@@ -207,55 +200,18 @@ func (p *DSFPersister) PersistBatch(batch []IterationBatch) error {
 	return p.writeFile(name, entries, nil)
 }
 
-// resolveBackend returns the backend DSF streams go to, opening the legacy
-// "file" backend over Dir on first use when none was provided.
-func (p *DSFPersister) resolveBackend() (store.Backend, bool, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.backend != nil {
-		return p.backend, p.Backend == nil, nil
-	}
-	if p.Backend != nil {
-		p.backend = p.Backend
-		return p.backend, false, nil
-	}
-	dir := p.Dir
-	if dir == "" {
-		dir = "."
-	}
-	fs, err := store.NewFileStore(dir, store.Options{})
-	if err != nil {
-		return nil, false, fmt.Errorf("persist: %w", err)
-	}
-	p.backend = fs
-	return p.backend, true, nil
-}
-
-// StoreStats snapshots the backend's metrics (zero before the first write
-// when the persister opens its own file backend lazily).
-func (p *DSFPersister) StoreStats() store.Stats {
-	p.mu.Lock()
-	b := p.backend
-	if b == nil {
-		b = p.Backend
-	}
-	p.mu.Unlock()
-	if b == nil {
-		return store.Stats{}
-	}
-	return b.Stats()
-}
+// StoreStats snapshots the backend's metrics.
+func (p *DSFPersister) StoreStats() store.Stats { return p.Backend.Stats() }
 
 func (p *DSFPersister) writeFile(name string, entries []*metadata.Entry, attrs map[string]string) error {
-	b, implicitFile, err := p.resolveBackend()
-	if err != nil {
-		return err
+	if p.Backend == nil {
+		return fmt.Errorf("persist: %s: no backend", name)
 	}
 	// The object writer may keep the raw chunks dsf.Writer hands it through
 	// WritePinned until Commit or Abort returns. Every entry stays reserved
 	// until writeFile returns — the pipeline and the aggregation leader both
 	// release after persist — so the shared-memory bytes outlive that.
-	ow, err := b.Create(name)
+	ow, err := p.Backend.Create(name)
 	if err != nil {
 		return fmt.Errorf("persist: %w", err)
 	}
@@ -295,14 +251,6 @@ func (p *DSFPersister) writeFile(name string, entries []*metadata.Entry, attrs m
 	if commitErr != nil {
 		return fmt.Errorf("persist: %w", commitErr)
 	}
-	recorded := name
-	if implicitFile {
-		// Legacy callers hold Dir-relative paths they dsf.Open directly.
-		recorded = filepath.Join(p.Dir, name)
-	}
-	p.mu.Lock()
-	p.files = append(p.files, recorded)
-	p.mu.Unlock()
 	return nil
 }
 

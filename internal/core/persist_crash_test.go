@@ -46,17 +46,18 @@ func TestSharedPersisterWithEncodeWorkers(t *testing.T) {
 	cfg := testCfg(t, "mutex", 1)
 	cfg.EncodeWorkers = 2
 	dir := t.TempDir()
-	shared := &DSFPersister{Dir: dir, Codec: dsf.ShuffleGzip, GzipLevel: dsf.DefaultGzipLevel}
+	shared := &DSFPersister{Backend: fileBackend(t, dir), Codec: dsf.ShuffleGzip, GzipLevel: dsf.DefaultGzipLevel}
 	err := mpiRunPersist(t, shared, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	files := shared.files
-	if len(files) != 2 { // one file per node's dedicated core
-		t.Fatalf("files = %v", files)
+	// One object per node's dedicated core; both carry the shared
+	// persister's one name, so the second commit replaces the first.
+	if n := shared.StoreStats().Commits; n != 2 {
+		t.Fatalf("commits = %d, want 2", n)
 	}
-	for _, f := range files {
-		r, err := dsf.Open(f)
+	for _, f := range objectNames(t, shared.Backend) {
+		r, err := dsf.Open(filepath.Join(dir, f))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,15 +99,16 @@ func TestBatchedPersistCrashConsistency(t *testing.T) {
 	dir := t.TempDir()
 	pool := dsf.NewEncodePool(2)
 	defer pool.Close()
-	p := &DSFPersister{Dir: dir, Codec: dsf.ShuffleGzip, GzipLevel: dsf.DefaultGzipLevel}
+	p := &DSFPersister{Backend: fileBackend(t, dir), Codec: dsf.ShuffleGzip, GzipLevel: dsf.DefaultGzipLevel}
 	p.SetEncodePool(pool)
 	if err := p.PersistBatch(batchEntries(4, 3)); err != nil {
 		t.Fatal(err)
 	}
-	files := p.files
+	files := objectNames(t, p.Backend)
 	if len(files) != 1 {
 		t.Fatalf("files = %v", files)
 	}
+	files[0] = filepath.Join(dir, files[0])
 	if !strings.Contains(files[0], "it000000-000003") {
 		t.Errorf("batched file name %q should span the iteration range", files[0])
 	}

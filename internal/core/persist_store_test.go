@@ -17,6 +17,31 @@ import (
 	"damaris/internal/store"
 )
 
+// fileBackend opens a file backend over dir, closed when the test ends.
+func fileBackend(t *testing.T, dir string) store.Backend {
+	t.Helper()
+	b, err := store.NewFileStore(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { b.Close() })
+	return b
+}
+
+// objectNames lists the objects committed to b.
+func objectNames(t *testing.T, b store.Backend) []string {
+	t.Helper()
+	objs, err := b.Objects()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, o := range objs {
+		names = append(names, o.Name)
+	}
+	return names
+}
+
 // The tentpole's end-to-end claim: the same DSFPersister batch, streamed
 // through the file backend and the content-addressed object store, restores
 // byte-identically — the backend is a pure transport under the DSF format.
@@ -36,7 +61,7 @@ func TestDSFPersisterBackendsByteIdentical(t *testing.T) {
 		if err := p.PersistBatch(batch); err != nil {
 			t.Fatal(err)
 		}
-		files := p.files
+		files := objectNames(t, b)
 		if len(files) != 1 {
 			t.Fatalf("files = %v", files)
 		}
@@ -84,7 +109,7 @@ func TestTracingPersistAllocOverheadBounded(t *testing.T) {
 	}
 	entries := batchEntries(1, 8)[0].Entries
 	allocs := func(tr *obs.Tracer) float64 {
-		p := &DSFPersister{Dir: t.TempDir(), Codec: dsf.ShuffleGzip, GzipLevel: dsf.DefaultGzipLevel}
+		p := &DSFPersister{Backend: fileBackend(t, t.TempDir()), Codec: dsf.ShuffleGzip, GzipLevel: dsf.DefaultGzipLevel}
 		p.SetTracer(tr)
 		it := int64(0)
 		return testing.AllocsPerRun(50, func() {
@@ -129,7 +154,7 @@ func persistAllocs(t *testing.T, chunks int, global bool) float64 {
 			e.Global = layout.Block{Start: []int64{int64(i) * e.Layout.Elems()}, Count: []int64{e.Layout.Elems()}}
 		}
 	}
-	p := &DSFPersister{Dir: t.TempDir()}
+	p := &DSFPersister{Backend: fileBackend(t, t.TempDir())}
 	it := int64(0)
 	persist := func() {
 		if err := p.Persist(it%8, entries); err != nil {
@@ -156,9 +181,6 @@ func TestDSFPersisterObjStoreCommitFailure(t *testing.T) {
 	p := &DSFPersister{Backend: objB, Codec: dsf.None}
 	if err := p.PersistBatch(batchEntries(2, 2)); err == nil {
 		t.Fatal("persist must fail when the manifest commit fails")
-	}
-	if len(p.files) != 0 {
-		t.Errorf("failed persist recorded files: %v", p.files)
 	}
 	if objs, _ := objB.Objects(); len(objs) != 0 {
 		t.Errorf("failed persist left visible objects: %+v", objs)
@@ -289,10 +311,10 @@ func mpiRunPersistDefault(t *testing.T, cfg *config.Config, onServer func(*Serve
 	return firstErr
 }
 
-// Concurrent PersistBatch calls each record their object, race-detector
-// cleanly: 4 writers × 8 batches leave 32 distinct files.
+// Concurrent PersistBatch calls each commit their object, race-detector
+// cleanly: 4 writers × 8 batches leave 32 distinct objects.
 func TestDSFPersisterRecordsConcurrentPersists(t *testing.T) {
-	p := &DSFPersister{Dir: t.TempDir(), Codec: dsf.None}
+	p := &DSFPersister{Backend: fileBackend(t, t.TempDir()), Codec: dsf.None}
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		w := w
@@ -315,8 +337,9 @@ func TestDSFPersisterRecordsConcurrentPersists(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := len(slices.Compact(slices.Sorted(slices.Values(p.files)))); got != 32 {
-		t.Fatalf("distinct files = %d, want 32 (%d recorded)", got, len(p.files))
+	files := objectNames(t, p.Backend)
+	if got := len(slices.Compact(slices.Sorted(slices.Values(files)))); got != 32 {
+		t.Fatalf("distinct files = %d, want 32 (%d listed)", got, len(files))
 	}
 }
 
@@ -358,7 +381,7 @@ func TestPinnedRawObjectLeavesNoPartBuffer(t *testing.T) {
 	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew >= part {
 		t.Errorf("the live heap grew by %d bytes over two raw objects, want less than one part (%d)", grew, part)
 	}
-	or, err := b.Open(p.files[1])
+	or, err := b.Open("node0000_srv0000_it000001.dsf")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -132,11 +132,11 @@ func newServer(sp serverSpec) (*Server, error) {
 		s.encPool = sagg.pool
 		s.ownStore = sagg.ownStore
 	} else if s.persister == nil {
-		p, pool, backend, err := newDefaultPersister(cfg, opts, sp.node, worldRank)
+		p, pool, err := newDefaultPersister(cfg, opts, sp.node, worldRank)
 		if err != nil {
 			return nil, err
 		}
-		s.persister, s.encPool, s.ownStore = p, pool, backend
+		s.persister, s.encPool, s.ownStore = p, pool, p.Backend
 	}
 	stages.persister = s.persister
 	// fail closes again what the server opened for itself (or adopted from

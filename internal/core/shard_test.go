@@ -123,7 +123,7 @@ func singleUse(t *testing.T, label string, files map[string][]byte) {
 			batch[len(batch)-1].Entries = append(batch[len(batch)-1].Entries, e)
 		}
 		dir := t.TempDir()
-		pers := &DSFPersister{Dir: dir}
+		pers := &DSFPersister{Backend: fileBackend(t, dir)}
 		if len(batch) == 1 {
 			err = pers.Persist(batch[0].Iteration, batch[0].Entries)
 		} else {

@@ -240,7 +240,8 @@ func TestControlAggregatedByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_ = runAggregated(t, cfg, Options{OutputDir: dir}, 8)
+		cfg.PersistBackend = "file://" + dir
+		_ = runAggregated(t, cfg, Options{}, 8)
 		return readDir(t, dir)
 	}
 
@@ -277,10 +278,11 @@ func TestDeployAggregateBufferBoundEnforced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	pers := &DSFPersister{Backend: fileBackend(t, t.TempDir())}
 	var errs []error
 	var mu sync.Mutex
 	if err := mpi.Run(4, 4, func(comm *mpi.Comm) {
-		_, err := Deploy(comm, cfg, nil, Options{Persister: &DSFPersister{Dir: t.TempDir()}})
+		_, err := Deploy(comm, cfg, nil, Options{Persister: pers})
 		mu.Lock()
 		if err != nil {
 			errs = append(errs, err)
@@ -301,7 +303,7 @@ func TestDeployAggregateBufferBoundEnforced(t *testing.T) {
 	// The same deployment with a sufficient buffer must come up.
 	cfg.BufferSize = 1 << 20
 	if err := mpi.Run(4, 4, func(comm *mpi.Comm) {
-		dep, err := Deploy(comm, cfg, nil, Options{Persister: &DSFPersister{Dir: t.TempDir()}})
+		dep, err := Deploy(comm, cfg, nil, Options{Persister: pers})
 		if err != nil {
 			t.Error(err)
 			return

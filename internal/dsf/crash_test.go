@@ -12,7 +12,7 @@ import (
 func writeBatchedFile(t *testing.T, path string) {
 	t.Helper()
 	metas, datas := testChunks(12, 2048) // iterations 0..3 × 3 variables
-	w, err := Create(path)
+	w, err := create(t, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestAbortedWriterDetected(t *testing.T) {
 	// Write well past the bufio buffer so real chunk bytes reach the file,
 	// then abandon the writer without Close — footer and TOC never land.
 	metas, datas := testChunks(6, 128<<10)
-	w, err := Create(path)
+	w, err := create(t, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,6 +100,6 @@ func TestAbortedWriterDetected(t *testing.T) {
 	if _, err := Open(path); err == nil {
 		t.Error("file from aborted writer should fail to open")
 	}
-	// The leaked fd is closed by the test process exiting; a crashed
-	// process would be no different.
+	// The file is closed only when the test ends; a crashed process would
+	// leave it no different.
 }

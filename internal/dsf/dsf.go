@@ -71,6 +71,19 @@ const (
 	ShuffleGzip
 )
 
+// CodecNamed returns the codec String names; "" is None.
+func CodecNamed(name string) (Codec, error) {
+	for c := None; c <= ShuffleGzip; c++ {
+		if c.String() == name {
+			return c, nil
+		}
+	}
+	if name == "" {
+		return None, nil
+	}
+	return None, fmt.Errorf("dsf: unknown codec %q", name)
+}
+
 func (c Codec) String() string {
 	switch c {
 	case None:
@@ -168,13 +181,12 @@ type pinner interface {
 
 // Writer streams chunks into a DSF byte stream. It is not safe for
 // concurrent use; parallelism belongs in the encode stage (WriteChunks with
-// an EncodePool), never in the byte stream. The sink can be a file (Create)
-// or any io.Writer (NewWriter) — notably a storage backend's ObjectWriter,
-// which is how DSF streams reach object stores.
+// an EncodePool), never in the byte stream. Every persisted stream's sink is
+// a storage backend's ObjectWriter, which Commit publishes once the Writer
+// is closed (docs/store.md, "One write path").
 type Writer struct {
-	pin            pinner    // the sink behind bw, when it can keep raw chunks without a copy
-	closer         io.Closer // closed by Close when the Writer owns the sink (Create)
-	*writerScratch           // recycled; nil once the Writer is closed or aborted
+	pin            pinner // the sink behind bw, when it can keep raw chunks without a copy
+	*writerScratch        // recycled; nil once the Writer is closed or aborted
 	offset         int64
 	level          int // gzip level for Gzip/ShuffleGzip chunks
 	closed         bool
@@ -196,10 +208,11 @@ type layoutDesc struct {
 // (and decodes) the excess per chunk.
 const maxLayoutDescs = 16
 
-// NewWriter starts a DSF stream on an arbitrary sink and emits the header.
-// Close finishes the stream (TOC + footer) but does not close the sink —
-// the caller owns its lifecycle (e.g. committing a store.ObjectWriter). A
-// caller that gives up on the stream calls Abort instead of Close.
+// NewWriter starts a DSF stream on a sink and emits the header. Close
+// finishes the stream (TOC + footer) but does not close the sink — the
+// caller owns its lifecycle: committing the store.ObjectWriter it created,
+// or aborting it. A caller that gives up on the stream calls Abort instead
+// of Close.
 //
 // A sink with WritePinned (store.ObjectWriter) is handed every codec-None
 // chunk of at least the write buffer's size through it, unbuffered, and may
@@ -220,35 +233,16 @@ func NewWriter(out io.Writer) (*Writer, error) {
 	return w, nil
 }
 
-// Create opens path for writing and emits the header. Close closes the
-// file.
-func Create(path string) (*Writer, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, fmt.Errorf("dsf: %w", err)
-	}
-	w, err := NewWriter(f)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	w.closer = f
-	return w, nil
-}
-
 // Abort abandons the stream without finishing it: buffered bytes are
-// dropped, the write buffer goes back to its free list and an owned sink
-// (Create) is closed. The Writer accepts no chunks afterwards. Calling it
-// after Close or a second time does nothing.
+// dropped and the write buffer goes back to its free list. The Writer
+// accepts no chunks afterwards. Calling it after Close or a second time does
+// nothing.
 func (w *Writer) Abort() {
 	if w.writerScratch == nil {
 		return
 	}
 	w.closed = true
 	w.release()
-	if w.closer != nil {
-		w.closer.Close()
-	}
 }
 
 // release clears the scratch — the records and attributes reference the
@@ -380,9 +374,9 @@ func (w *Writer) layoutDesc(l layout.Layout) []byte {
 	return desc
 }
 
-// Close writes the table of contents and footer and, when the Writer owns
-// its sink (Create), closes it. The TOC, footer and any still-buffered
-// chunk bytes leave in one coalesced flush rather than a syscall per piece.
+// Close writes the table of contents and footer; the sink stays open. The
+// TOC, footer and any still-buffered chunk bytes leave in one coalesced
+// flush rather than a syscall per piece.
 func (w *Writer) Close() error {
 	if w.closed {
 		return nil
@@ -410,9 +404,6 @@ func (w *Writer) Close() error {
 		return fmt.Errorf("dsf: flush: %w", err)
 	}
 	w.release()
-	if w.closer != nil {
-		return w.closer.Close()
-	}
 	return nil
 }
 

@@ -22,9 +22,20 @@ func tmpfile(t *testing.T) string {
 	return filepath.Join(t.TempDir(), "out.dsf")
 }
 
+// create starts a DSF stream on a new file at path; the file is closed when
+// the test ends.
+func create(t testing.TB, path string) (*Writer, error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	t.Cleanup(func() { f.Close() })
+	return NewWriter(f)
+}
+
 func TestWriteReadRoundTrip(t *testing.T) {
 	path := tmpfile(t)
-	w, err := Create(path)
+	w, err := create(t, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +100,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 }
 
 func TestWriterValidation(t *testing.T) {
-	w, _ := Create(tmpfile(t))
+	w, _ := create(t, tmpfile(t))
 	lay := layout.MustNew(layout.Byte, 4)
 	if err := w.WriteChunk(ChunkMeta{Name: "", Layout: lay}, []byte("aaaa")); err == nil {
 		t.Error("empty name should fail")
@@ -130,7 +141,7 @@ func TestOpenErrors(t *testing.T) {
 
 func TestTruncatedFileDetected(t *testing.T) {
 	path := tmpfile(t)
-	w, _ := Create(path)
+	w, _ := create(t, path)
 	lay := layout.MustNew(layout.Byte, 1024)
 	_ = w.WriteChunk(ChunkMeta{Name: "x", Layout: lay}, make([]byte, 1024))
 	_ = w.Close()
@@ -144,7 +155,7 @@ func TestTruncatedFileDetected(t *testing.T) {
 
 func TestCorruptChunkDetected(t *testing.T) {
 	path := tmpfile(t)
-	w, _ := Create(path)
+	w, _ := create(t, path)
 	lay := layout.MustNew(layout.Byte, 64)
 	payload := bytes.Repeat([]byte{7}, 64)
 	_ = w.WriteChunk(ChunkMeta{Name: "x", Layout: lay}, payload)
@@ -168,7 +179,7 @@ func TestCorruptChunkDetected(t *testing.T) {
 
 func TestReadChunkBounds(t *testing.T) {
 	path := tmpfile(t)
-	w, _ := Create(path)
+	w, _ := create(t, path)
 	_ = w.Close()
 	r, err := Open(path)
 	if err != nil {
@@ -185,7 +196,7 @@ func TestReadChunkBounds(t *testing.T) {
 
 func TestEmptyFileRoundTrip(t *testing.T) {
 	path := tmpfile(t)
-	w, _ := Create(path)
+	w, _ := create(t, path)
 	w.SetAttribute("empty", "yes")
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -212,7 +223,7 @@ func payloadBytes(w *Writer) int64 { return w.offset - int64(len(headMagic)) }
 // bytes, not flushed ones.
 func TestStoredBytesWithBufferedWrites(t *testing.T) {
 	path := tmpfile(t)
-	w, err := Create(path)
+	w, err := create(t, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +276,7 @@ func TestCodecStrings(t *testing.T) {
 
 func TestCompressionShrinksSmoothField(t *testing.T) {
 	path := tmpfile(t)
-	w, _ := Create(path)
+	w, _ := create(t, path)
 	n := int64(1 << 14)
 	lay := layout.MustNew(layout.Float32, n)
 	xs := make([]float32, n)
@@ -304,7 +315,7 @@ func TestQuickChunkRoundTrip(t *testing.T) {
 		}
 		path := filepath.Join(os.TempDir(), "dsfquick", "q.dsf")
 		_ = os.MkdirAll(filepath.Dir(path), 0o755)
-		w, err := Create(path)
+		w, err := create(t, path)
 		if err != nil {
 			return false
 		}
@@ -337,7 +348,7 @@ func TestQuickChunkRoundTrip(t *testing.T) {
 // what the next request sees.
 func TestAccessorAliasing(t *testing.T) {
 	path := tmpfile(t)
-	w, err := Create(path)
+	w, err := create(t, path)
 	if err != nil {
 		t.Fatal(err)
 	}

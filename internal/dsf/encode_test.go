@@ -43,7 +43,7 @@ func writeWithWorkers(t *testing.T, path string, metas []ChunkMeta, datas [][]by
 	t.Helper()
 	pool := NewEncodePool(workers)
 	defer pool.Close()
-	w, err := Create(path)
+	w, err := create(t, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestTOCEncodingDeterministic(t *testing.T) {
 	var prev []byte
 	for round := 0; round < 5; round++ {
 		path := filepath.Join(dir, fmt.Sprintf("r%d.dsf", round))
-		w, err := Create(path)
+		w, err := create(t, path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,7 +136,7 @@ func TestTOCEncodingDeterministic(t *testing.T) {
 func TestWriteChunksValidation(t *testing.T) {
 	dir := t.TempDir()
 	metas, datas := testChunks(4, 64)
-	w, err := Create(filepath.Join(dir, "v.dsf"))
+	w, err := create(t, filepath.Join(dir, "v.dsf"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestEncodePoolSharedAcrossWriters(t *testing.T) {
 				metas[i].Source = 100*wi + i // distinct tuples per file
 			}
 			paths[wi] = filepath.Join(dir, fmt.Sprintf("w%d.dsf", wi))
-			w, err := Create(paths[wi])
+			w, err := create(t, paths[wi])
 			if err != nil {
 				errs[wi] = err
 				return
@@ -246,7 +246,7 @@ func TestWriterGzipLevel(t *testing.T) {
 	metas[0].Codec = Gzip
 	size := func(level int) int64 {
 		path := filepath.Join(dir, fmt.Sprintf("l%d.dsf", level))
-		w, err := Create(path)
+		w, err := create(t, path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -277,7 +277,7 @@ func TestWriterGzipLevel(t *testing.T) {
 	if size(gzip.HuffmanOnly) <= size(gzip.BestCompression) {
 		t.Error("HuffmanOnly should compress worse than BestCompression")
 	}
-	w, _ := Create(filepath.Join(dir, "bad.dsf"))
+	w, _ := create(t, filepath.Join(dir, "bad.dsf"))
 	defer w.Close()
 	if err := w.SetGzipLevel(42); err == nil {
 		t.Error("invalid gzip level should fail")
@@ -296,7 +296,7 @@ func TestEncodePoolKeepsItsStateAcrossGC(t *testing.T) {
 	}
 	pool := NewEncodePool(2)
 	defer pool.Close()
-	w, err := Create(filepath.Join(t.TempDir(), "a.dsf"))
+	w, err := create(t, filepath.Join(t.TempDir(), "a.dsf"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,7 +410,11 @@ func benchWriteChunks(b *testing.B, workers int) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		path := filepath.Join(dir, fmt.Sprintf("b%03d.dsf", i%16))
-		w, err := Create(path)
+		f, err := os.Create(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		w, err := NewWriter(f)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -418,6 +422,9 @@ func benchWriteChunks(b *testing.B, workers int) {
 			b.Fatal(err)
 		}
 		if err := w.Close(); err != nil {
+			b.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package viz
 
 import (
+	"os"
 	"path/filepath"
 	"testing"
 	"testing/quick"
@@ -9,6 +10,17 @@ import (
 	"damaris/internal/layout"
 	"damaris/internal/mpi"
 )
+
+// create starts a DSF stream on a new file at path; the file is closed when
+// the test ends.
+func create(t *testing.T, path string) (*dsf.Writer, error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	t.Cleanup(func() { f.Close() })
+	return dsf.NewWriter(f)
+}
 
 func TestNewFieldValidation(t *testing.T) {
 	if _, err := NewField(); err == nil {
@@ -195,7 +207,7 @@ func TestQuickAssemble1D(t *testing.T) {
 
 func TestFromReader(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "f.dsf")
-	w, err := dsf.Create(path)
+	w, err := create(t, path)
 	if err != nil {
 		t.Fatal(err)
 	}
