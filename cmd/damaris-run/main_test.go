@@ -36,11 +36,13 @@ func runWorld(t *testing.T, out, backend string, stdout io.Writer, knobArgs ...s
 // Every strategy commits each iteration's objects to the one backend the
 // run names — file://<-out> unless -persist-backend says otherwise — each
 // under its strategy's name, each verifying, each chunk in the run's codec
-// (the collective baseline writes raw chunks whatever -codec says).
+// (the collective baseline writes raw chunks whatever -codec says). A spill
+// dir that is the output directory adds nothing to its listing.
 func TestRunWritesEveryIterationFile(t *testing.T) {
 	for _, tc := range []struct {
 		name, backend string
 		obj           bool // -persist-backend obj://<tmp>
+		spill         bool // -spill-dir <out>
 		args          []string
 	}{
 		{name: "defaults", backend: "damaris"},
@@ -50,6 +52,7 @@ func TestRunWritesEveryIterationFile(t *testing.T) {
 		{name: "fpp-compressed", backend: "fpp", args: []string{"-codec", "shuffle+gzip"}},
 		{name: "collective", backend: "collective"},
 		{name: "fpp-obj", backend: "fpp", obj: true},
+		{name: "spill-into-out", backend: "damaris", spill: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			out := t.TempDir()
@@ -57,6 +60,9 @@ func TestRunWritesEveryIterationFile(t *testing.T) {
 			if tc.obj {
 				url = "obj://" + t.TempDir()
 				args = append(args, "-persist-backend", url)
+			}
+			if tc.spill {
+				args = append(args, "-spill-dir", out)
 			}
 			if err := runWorld(t, out, tc.backend, io.Discard, args...); err != nil {
 				t.Fatal(err)

@@ -89,10 +89,11 @@ type Config struct {
 	// instead of stalling the durability watermark forever.
 	StorePutTimeoutMS int
 	// SpillDir, when non-empty, enables the degraded-mode scratch spill:
-	// each dedicated core keeps a local DSF-framed spill file under this
-	// directory and diverts iterations into it once the pipeline queue has
-	// backpressured for SpillAfter consecutive iterations. Requires an
-	// asynchronous pipeline and is incompatible with aggregation.
+	// each dedicated core keeps a local file:// store in a hidden directory
+	// under this one (.spill-nodeNNNN_srvNNNN, which no listing of SpillDir
+	// shows) and commits iterations to it as DSF objects once the pipeline
+	// queue has backpressured for SpillAfter consecutive iterations.
+	// Requires an asynchronous pipeline and is incompatible with aggregation.
 	SpillDir string
 	// SpillAfter is the consecutive-backpressure count that triggers a
 	// spill (0 = DefaultSpillAfter).

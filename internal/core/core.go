@@ -54,7 +54,7 @@ type initMsg struct {
 // equals the persistence pipeline's queue depth when flushing is
 // asynchronous: the pipeline can usefully absorb exactly that many
 // iterations, so letting clients run further ahead would only grow memory,
-// while a smaller window would idle the writers. With a scratch file
+// while a smaller window would idle the writers. With a scratch store
 // attached it is what the shared buffer holds instead (see Deploy). Deploy
 // chooses it once; it never changes afterwards.
 type flow struct {
@@ -183,7 +183,7 @@ func Deploy(world *mpi.Comm, cfg *config.Config, reg *plugin.Registry, opts Opti
 	clients := n - servers
 
 	// Flow window: 1 for the synchronous baseline, the persist queue depth
-	// for the write-behind pipeline (a dedicated core with a scratch file
+	// for the write-behind pipeline (a dedicated core with a scratch store
 	// widens its own below).
 	window := int64(1)
 	if cfg.PersistWorkers > 0 {
@@ -235,7 +235,7 @@ func Deploy(world *mpi.Comm, cfg *config.Config, reg *plugin.Registry, opts Opti
 		group := groupClients(g, clients, servers)
 		segSize := cfg.BufferSize / int64(servers)
 
-		// With a scratch file the window opens to what the buffer holds: the
+		// With a scratch store the window opens to what the buffer holds: the
 		// segment fits segSize/phaseBytes write phases of this group's
 		// estimated volume, so clients may run one fewer iterations ahead.
 		// Spilled iterations release their chunks, so the segment, not the

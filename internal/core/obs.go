@@ -59,14 +59,16 @@ func (ss SpillStats) Emit(e *obs.Emitter, labels ...string) {
 }
 
 // emitServer adds the server-level figures that live outside PipelineStats:
-// payload volume, the dedicated core's busy/spare split (the paper's "spare
-// time" measure) and the per-iteration write-time summary.
+// payload volume, iterations acked, events not handled, the dedicated
+// core's busy/spare split (the paper's "spare time" measure) and the
+// per-iteration write-time summary.
 func (s *Server) emitServer(e *obs.Emitter, labels ...string) {
 	e.Counter("damaris_server_bytes_written_total", float64(s.BytesWritten()), labels...)
 	s.mu.Lock()
-	acked := s.acked
+	acked, eventErrs := s.acked, s.eventErrs
 	s.mu.Unlock()
 	e.Counter("damaris_server_iterations_total", float64(acked), labels...)
+	e.Counter("damaris_server_event_errors_total", float64(eventErrs), labels...)
 	e.Counter("damaris_server_spare_seconds_total", s.SpareSeconds(), labels...)
 	e.Counter("damaris_server_busy_seconds_total", s.BusySeconds(), labels...)
 	e.Summary("damaris_server_write_seconds", s.WriteStats(), labels...)

@@ -31,7 +31,7 @@ type pipelineSpec struct {
 	// after the iteration and all earlier ones are durable. persistDur is
 	// the iteration's share of its persist call (call duration / batch
 	// size); err is the iteration's persist error, if any.
-	onDurable func(it int64, persistDur, latency float64, bytes int64, err error)
+	onDurable func(it int64, persistDur float64, bytes int64, err error)
 	// recycle takes an iteration's entries back once it is acked — the last
 	// time the pipeline touches them (metadata.Store.Recycle: the catalog
 	// reuses the slice and the entries it owns).
@@ -123,7 +123,6 @@ type persistDone struct {
 	it         int64
 	entries    []*metadata.Entry // released; handed to recycle with the ack
 	persistDur float64
-	latency    float64
 	bytes      int64
 	err        error
 }
@@ -188,8 +187,8 @@ func (p *pipeline) submit(it int64, entries []*metadata.Entry) {
 //
 // With a scratch attached, sustained backpressure changes the story: once
 // the queue has been full for `scratch.after` consecutive submits, the
-// event loop pulls the oldest queued iteration, spills it to the local
-// scratch file (fsynced — locally durable, so its chunks are released and
+// event loop pulls the oldest queued iteration, commits it to the local
+// scratch store (fsynced — locally durable, so its chunks are released and
 // its ack fires through the normal in-order watermark), and enqueues the
 // new iteration in the freed slot. Clients therefore keep streaming at
 // local-disk speed while the backend is browned out, instead of freezing
@@ -226,7 +225,7 @@ func (p *pipeline) enqueue(job persistJob) {
 	}
 }
 
-// spillJob diverts one iteration to the scratch file and completes it —
+// spillJob diverts one iteration to the scratch store and completes it —
 // chunks released, ack through the watermark. A spill error (local disk
 // failure) surfaces as the iteration's persist error — there is nowhere
 // left to put the data.
@@ -259,12 +258,11 @@ func (p *pipeline) complete(batch []persistJob, perIt float64, errs []error) {
 		p.completed++
 		p.inFlight--
 		p.depthAcc.Add(float64(p.inFlight))
-		lat := now.Sub(j.submitted).Seconds()
-		p.latAcc.Add(lat)
+		p.latAcc.Add(now.Sub(j.submitted).Seconds())
 		if errs[i] != nil {
 			p.failures++
 		}
-		p.done[j.seq] = persistDone{it: j.it, entries: j.entries, persistDur: perIt, latency: lat, bytes: j.bytes, err: errs[i]}
+		p.done[j.seq] = persistDone{it: j.it, entries: j.entries, persistDur: perIt, bytes: j.bytes, err: errs[i]}
 	}
 	// Advance the ack watermark over every contiguous completed seq.
 	var acks []persistDone
@@ -279,7 +277,7 @@ func (p *pipeline) complete(batch []persistJob, perIt float64, errs []error) {
 	// here until these earlier acks are delivered.
 	for _, d := range acks {
 		if p.onDurable != nil {
-			p.onDurable(d.it, d.persistDur, d.latency, d.bytes, d.err)
+			p.onDurable(d.it, d.persistDur, d.bytes, d.err)
 		}
 		if p.recycle != nil {
 			p.recycle(d.entries)
@@ -290,9 +288,9 @@ func (p *pipeline) complete(batch []persistJob, perIt float64, errs []error) {
 
 // close stops accepting work, waits for the writers to drain every queued
 // iteration, then gives the scratch drainer one final attempt at any spill
-// backlog; a frame it cannot replay stays in the scratch file (recovered on
-// the next start) and is the error returned. Idempotent is the caller's job
-// (Server.Close uses a sync.Once).
+// backlog; an iteration it cannot replay stays in the scratch store
+// (recovered on the next start) and is the error returned. Idempotent is the
+// caller's job (Server.Close uses a sync.Once).
 func (p *pipeline) close() error {
 	p.mu.Lock()
 	closed := p.closed
@@ -399,7 +397,7 @@ type PipelineStats struct {
 	QueueDepth int
 	// Window is the client flow-window depth — how many iterations a client
 	// may run ahead of the last durable one: 1 with the inline executor,
-	// QueueDepth with writers, and with a scratch file attached what the
+	// QueueDepth with writers, and with a scratch store attached what the
 	// shared buffer holds (its size over one write phase of the server's
 	// clients, minus one, never below QueueDepth), so that a full queue
 	// overflows into the spill instead of stopping the clients.
@@ -429,7 +427,7 @@ type PipelineStats struct {
 	// Server.PipelineStats, not by the pipeline itself.
 	Store store.Stats
 	// Spill snapshots the degraded-mode scratch-spill path (zero when no
-	// scratch file is configured).
+	// scratch store is configured).
 	Spill SpillStats
 	// Aggregate snapshots the node-level aggregation tier. Only the node's
 	// leader server reports it (siblings report zero), so summing across

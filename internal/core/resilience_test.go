@@ -42,7 +42,7 @@ func readStoreTree(t *testing.T, root string) map[string][]byte {
 
 // A brownout (5x put latency plus a 20% deterministic put error rate, at
 // peak from the first put) behind a 1-deep queue with one writer: with a
-// scratch file the flow window is what the shared buffer holds, far past the
+// scratch store the flow window is what the shared buffer holds, far past the
 // queue, so the event loop overflows and the scratch spill engages. Nothing
 // may be lost or reordered — the browned-out store tree must equal the
 // healthy run's byte

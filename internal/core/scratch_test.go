@@ -3,11 +3,13 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -18,6 +20,7 @@ import (
 	"damaris/internal/layout"
 	"damaris/internal/metadata"
 	"damaris/internal/mpi"
+	"damaris/internal/store"
 )
 
 // flakyPersister fails every Persist while tripped, and retains entries in
@@ -67,8 +70,8 @@ func waitSpill(t *testing.T, sc *scratch, cond func(SpillStats) bool) SpillStats
 // TestScratchReplayAfterBackendRecovers spills while the backend is down,
 // confirms the drainer retries with backoff, then heals the backend and
 // checks every iteration lands through the normal store path and the
-// scratch file is reclaimed. The large case holds the point of spilling: the
-// backlog lives in the scratch file, so the heap does not grow with it.
+// scratch store is emptied. The large case holds the point of spilling: the
+// backlog lives in the scratch store, so the heap does not grow with it.
 func TestScratchReplayAfterBackendRecovers(t *testing.T) {
 	for _, tc := range []struct {
 		name        string
@@ -86,10 +89,10 @@ func TestScratchReplayAfterBackendRecovers(t *testing.T) {
 				}
 				return data
 			}
-			path := filepath.Join(t.TempDir(), "node.spill")
+			dir := t.TempDir()
 			pers := &flakyPersister{}
 			pers.fail.Store(true)
-			sc, err := openScratch(path, 2, pers)
+			sc, err := openScratch(fileBackend(t, dir), 2, pers)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -128,21 +131,21 @@ func TestScratchReplayAfterBackendRecovers(t *testing.T) {
 					t.Errorf("replayed %v: %d bytes, %v; want the %d spilled", k, len(got), ok, tc.size)
 				}
 			}
-			if fi, err := os.Stat(path); err != nil || fi.Size() != 0 {
-				t.Errorf("drained scratch file size = %v, %v, want empty", fi, err)
+			if names := objectNames(t, fileBackend(t, dir)); len(names) != 0 {
+				t.Errorf("drained scratch store holds %v, want nothing", names)
 			}
 		})
 	}
 }
 
 // TestScratchStrandsAtCloseAndRecoversNextStart closes the scratch while
-// the backend is still down: frames must stay on disk, close must report
+// the backend is still down: objects must stay on disk, close must report
 // them, and a fresh openScratch against a healthy backend must replay them.
 func TestScratchStrandsAtCloseAndRecoversNextStart(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "node.spill")
+	dir := t.TempDir()
 	pers := &flakyPersister{}
 	pers.fail.Store(true)
-	sc, err := openScratch(path, 1, pers)
+	sc, err := openScratch(fileBackend(t, dir), 1, pers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,13 +160,13 @@ func TestScratchStrandsAtCloseAndRecoversNextStart(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "stranded") {
 		t.Fatalf("close with backend down = %v, want stranded error", err)
 	}
-	if fi, statErr := os.Stat(path); statErr != nil || fi.Size() == 0 {
-		t.Fatalf("stranded scratch file must keep its frames: %v, %v", fi, statErr)
+	if names := objectNames(t, fileBackend(t, dir)); len(names) != iters {
+		t.Fatalf("stranded scratch store must keep its objects, holds %v", names)
 	}
 
-	// Next start: same file, healthy backend.
+	// Next start: same directory, healthy backend.
 	pers2 := &flakyPersister{}
-	sc2, err := openScratch(path, 1, pers2)
+	sc2, err := openScratch(fileBackend(t, dir), 1, pers2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,50 +184,151 @@ func TestScratchStrandsAtCloseAndRecoversNextStart(t *testing.T) {
 			t.Errorf("recovered %v = %q, %v", k, got, ok)
 		}
 	}
-	if fi, err := os.Stat(path); err != nil || fi.Size() != 0 {
-		t.Errorf("scratch file after recovery = %v, %v, want empty", fi, err)
+	if names := objectNames(t, fileBackend(t, dir)); len(names) != 0 {
+		t.Errorf("scratch store after recovery holds %v, want nothing", names)
 	}
 }
 
-// TestScratchRecoveryTruncatesTornTail simulates a crash mid-append: a
-// valid frame followed by garbage. openScratch must keep the frame and
-// truncate the tail so new appends start on a frame boundary.
-func TestScratchRecoveryTruncatesTornTail(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "node.spill")
+// TestScratchCrashBeforeCommitRecoversWhatCommitted crashes a spill
+// before its object is published: iteration 0 commits, iteration 1's commit
+// fails the way a crash before the rename would. The spill must report the
+// error and leave no object for iteration 1, only an invisible temp file;
+// the next start must recover and replay exactly iteration 0, its bytes
+// intact.
+func TestScratchCrashBeforeCommitRecoversWhatCommitted(t *testing.T) {
+	dir := t.TempDir()
+	crash := errors.New("injected crash before publish")
+	local, err := store.NewFileStore(dir, store.Options{Fault: store.FailNth(store.OpCommit, 2, crash)})
+	if err != nil {
+		t.Fatal(err)
+	}
 	pers := &flakyPersister{}
 	pers.fail.Store(true)
-	sc, err := openScratch(path, 1, pers)
+	sc, err := openScratch(local, 1, pers)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := sc.spill(0, []*metadata.Entry{spillEntry("v", 0, 1, []byte("whole"))}); err != nil {
 		t.Fatal(err)
 	}
-	if err := sc.close(); err == nil {
-		t.Fatal("close with backend down should report the stranded frame")
+	if err := sc.spill(1, []*metadata.Entry{spillEntry("v", 1, 1, []byte("torn"))}); !errors.Is(err, crash) {
+		t.Fatalf("spill through a crashing commit = %v, want %v", err, crash)
 	}
-	good, err := os.ReadFile(path)
+	if names := objectNames(t, fileBackend(t, dir)); !slices.Equal(names, []string{spillName(0)}) {
+		t.Errorf("scratch store after the crash holds %v, want only iteration 0", names)
+	}
+	if err := sc.close(); err == nil {
+		t.Fatal("close with backend down should report the stranded iteration")
+	}
+	ents, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, append(good, []byte("DSFSPILL torn half-frame")...), 0o644); err != nil {
-		t.Fatal(err)
+	var temps int
+	for _, e := range ents {
+		if strings.HasPrefix(e.Name(), ".") {
+			temps++
+		}
+	}
+	if temps != 1 {
+		t.Errorf("%d hidden temp files after the crash, want the torn one", temps)
 	}
 
 	pers2 := &flakyPersister{}
-	sc2, err := openScratch(path, 1, pers2)
+	sc2, err := openScratch(fileBackend(t, dir), 1, pers2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	st := waitSpill(t, sc2, func(s SpillStats) bool { return s.Pending == 0 })
 	if st.Recovered != 1 || st.Replayed != 1 {
-		t.Errorf("torn-tail recovery stats = %+v, want exactly the intact frame", st)
+		t.Errorf("recovery stats = %+v, want exactly the committed iteration", st)
 	}
 	if err := sc2.close(); err != nil {
 		t.Fatal(err)
 	}
 	if got, ok := pers2.mem.Get(metadata.Key{Name: "v", Iteration: 0, Source: 1}); !ok || string(got) != "whole" {
-		t.Errorf("intact frame payload = %q, %v", got, ok)
+		t.Errorf("recovered iteration 0 = %q, %v", got, ok)
+	}
+	if pers2.mem.Len() != 1 {
+		t.Errorf("replayed %d datasets, want iteration 0's one", pers2.mem.Len())
+	}
+}
+
+// A restarted run may spill an iteration a previous run left stranded. The
+// new object replaces the old one, and the drainer deletes it only after
+// replaying the queued spill too: the newer bytes are what lands.
+func TestScratchRespillOfARecoveredIteration(t *testing.T) {
+	dir := t.TempDir()
+	down := &flakyPersister{}
+	down.fail.Store(true)
+	sc, err := openScratch(fileBackend(t, dir), 1, down)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sc.spill(0, []*metadata.Entry{spillEntry("v", 0, 2, []byte("old"))}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sc.close(); err == nil {
+		t.Fatal("close with backend down should report the stranded iteration")
+	}
+
+	gate := make(chan struct{})
+	pers := &blockingMemPersister{gate: gate}
+	sc2, err := openScratch(fileBackend(t, dir), 1, pers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sc2.spill(0, []*metadata.Entry{spillEntry("v", 0, 2, []byte("new"))}); err != nil {
+		t.Fatal(err)
+	}
+	close(gate)
+	st := waitSpill(t, sc2, func(s SpillStats) bool { return s.Pending == 0 })
+	if err := sc2.close(); err != nil {
+		t.Fatal(err)
+	}
+	if st.Recovered != 1 || st.Spilled != 1 || st.Replayed != 2 {
+		t.Errorf("stats = %+v, want 1 recovered, 1 spilled, 2 replayed", st)
+	}
+	if got, _ := pers.mem.Get(metadata.Key{Name: "v", Iteration: 0, Source: 2}); string(got) != "new" {
+		t.Errorf("iteration 0 = %q, want the later spill's bytes", got)
+	}
+	if names := objectNames(t, fileBackend(t, dir)); len(names) != 0 {
+		t.Errorf("scratch store holds %v, want it drained", names)
+	}
+}
+
+// An iteration with no entries writes no object, so it is replayed the
+// moment it is spilled: nothing is pending, and close reports nothing
+// stranded.
+func TestScratchSpillOfAnEmptyIteration(t *testing.T) {
+	dir := t.TempDir()
+	sc, err := openScratch(fileBackend(t, dir), 1, &flakyPersister{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sc.spill(3, nil); err != nil {
+		t.Fatal(err)
+	}
+	if st := sc.stats(); st.Spilled != 1 || st.Replayed != 1 || st.Pending != 0 {
+		t.Errorf("stats = %+v, want 1 spilled and replayed, none pending", st)
+	}
+	if err := sc.close(); err != nil {
+		t.Fatal(err)
+	}
+	if names := objectNames(t, fileBackend(t, dir)); len(names) != 0 {
+		t.Errorf("scratch store holds %v, want nothing", names)
+	}
+}
+
+// A configuration built in code with a spill dir and no threshold spills
+// after the documented default, not after one backpressured submit.
+func TestSpillAfterZeroIsTheDefault(t *testing.T) {
+	cfg := sizesCfg(t, 1, 1, 0)
+	cfg.SpillDir = t.TempDir()
+	cfg.SpillAfter = 0
+	ps, _ := runNode(t, cfg, Options{Persister: &MemPersister{}}, 2)
+	if ps.Spill.Threshold != config.DefaultSpillAfter {
+		t.Errorf("spill threshold = %d, want config.DefaultSpillAfter (%d)", ps.Spill.Threshold, config.DefaultSpillAfter)
 	}
 }
 
@@ -254,10 +358,10 @@ func (p *blockingMemPersister) Persist(it int64, entries []*metadata.Entry) erro
 // the backend recovers, every iteration — direct or replayed — must be
 // durable with acks delivered strictly in submission order.
 func TestPipelineSubmitSpillsOldestUnderSustainedBackpressure(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "node.spill")
+	dir := t.TempDir()
 	gate := make(chan struct{})
 	pers := &blockingMemPersister{gate: gate}
-	sc, err := openScratch(path, 1, pers)
+	sc, err := openScratch(fileBackend(t, dir), 1, pers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +369,7 @@ func TestPipelineSubmitSpillsOldestUnderSustainedBackpressure(t *testing.T) {
 	var acked []int64
 	var ackErrs []error
 	p := newPipeline(pipelineSpec{persister: pers, workers: 1, depth: 1, scratch: sc,
-		onDurable: func(it int64, _, _ float64, _ int64, err error) {
+		onDurable: func(it int64, _ float64, _ int64, err error) {
 			ackMu.Lock()
 			acked = append(acked, it)
 			ackErrs = append(ackErrs, err)
@@ -329,8 +433,8 @@ func TestPipelineSubmitSpillsOldestUnderSustainedBackpressure(t *testing.T) {
 			t.Errorf("iteration %d = %q, %v after recovery", it, got, ok)
 		}
 	}
-	if fi, err := os.Stat(path); err != nil || fi.Size() != 0 {
-		t.Errorf("scratch file = %v, %v, want drained empty", fi, err)
+	if names := objectNames(t, fileBackend(t, dir)); len(names) != 0 {
+		t.Errorf("scratch store holds %v, want it drained", names)
 	}
 }
 
@@ -351,7 +455,7 @@ func (p *slowMemPersister) Persist(it int64, entries []*metadata.Entry) error {
 // behind a 1-deep queue lets the event loop spill whenever it outruns the
 // writer, clients keep completing iterations, and after Close every
 // iteration — spilled or not — is durable through the store path with the
-// scratch file drained. Whether any iteration actually spills depends on
+// scratch store drained. Whether any iteration actually spills depends on
 // event-loop/writer scheduling, so that count is logged, not asserted; the
 // deterministic spill mechanics are covered above.
 func TestServerSpillWiring(t *testing.T) {
@@ -417,7 +521,7 @@ func TestServerSpillWiring(t *testing.T) {
 		t.Errorf("pipeline completed %d failures %d, want %d/0", ps.Completed, ps.Failures, iters)
 	}
 	// Every iteration must be durable through the store path with the bytes
-	// the client wrote, whether it travelled the queue or the scratch file.
+	// the client wrote, whether it travelled the queue or the scratch store.
 	for it := int64(0); it < iters; it++ {
 		k := metadata.Key{Name: "v", Iteration: it, Source: source}
 		b, ok := pers.mem.Get(k)

@@ -50,13 +50,11 @@ type Server struct {
 	shardWS      stats.WorkerSet   // per-shard-loop busy bookkeeping (one slot per shard)
 	writeDurs    recent[float64]   // seconds spent persisting, the most recent iterations
 	writeAcc     stats.Accumulator // the same over the server's life, for WriteStats
-	flushLats    recent[float64]   // seconds from iteration completion to durability
 	spareDur     float64           // seconds spent idle waiting for events
 	busyDur      float64           // seconds handling events (incl. persisting only with the inline executor)
 	bytesWritten int64
-	iterations   recent[int64] // the most recent iterations acked, for Iterations
-	acked        int64         // iterations acked over the server's life
-	handleErrs   []error
+	acked        int64 // iterations acked over the server's life
+	eventErrs    int64 // events the engine failed to handle; the first is logged
 	flushErr     error // first persistence error, surfaced by Run/Close
 	running      bool
 }
@@ -153,15 +151,19 @@ func newServer(sp serverSpec) (*Server, error) {
 	// same ownership rule the encode pool follows.
 	s.encPool.SetTracer(s.tracer, worldRank)
 	if cfg.SpillDir != "" {
-		// Degraded-mode scratch file, one per dedicated core. Opening it
-		// also performs crash recovery: frames a previous run left behind
-		// are handed straight to the drainer, which replays them through
-		// this server's normal persist path. Config.Validate has already
-		// rejected spill with aggregation (spilled chunks are released
-		// early, which the shared merge ring cannot tolerate) and spill
-		// without an asynchronous pipeline.
-		path := fmt.Sprintf("%s/node%04d_srv%04d.spill", cfg.SpillDir, sp.node, worldRank)
-		sc, err := openScratch(path, cfg.SpillAfter, s.persister)
+		// Degraded-mode scratch store, one per dedicated core, in a hidden
+		// directory no file:// listing of the spill dir walks into. Opening
+		// it also performs crash recovery: objects a previous run left
+		// committed are handed straight to the drainer, which replays them
+		// through this server's normal persist path. Config.Validate has
+		// already rejected spill with aggregation (spilled chunks are
+		// released early, which the shared merge ring cannot tolerate) and
+		// spill without an asynchronous pipeline.
+		local, err := store.NewFileStore(fmt.Sprintf("%s/.spill-node%04d_srv%04d", cfg.SpillDir, sp.node, worldRank), store.Options{})
+		if err != nil {
+			return fail(fmt.Errorf("scratch dir: %w", err))
+		}
+		sc, err := openScratch(local, cfg.SpillAfter, s.persister)
 		if err != nil {
 			return fail(err)
 		}
@@ -217,8 +219,8 @@ func (s *Server) RegisterObs(reg *obs.Registry) {
 // (the classic behavior); with several it runs one goroutine per shard and
 // waits for all of them. It returns the first persistence error, if any;
 // per-event handling errors (unknown variables, failing actions) are
-// collected and available through HandleErrors, matching a long-running
-// service that logs and continues.
+// counted in damaris_server_event_errors_total and the first is logged,
+// matching a long-running service that logs and continues.
 func (s *Server) Run() error {
 	s.mu.Lock()
 	if s.running {
@@ -263,8 +265,8 @@ func (s *Server) Run() error {
 // clients are still producing events.
 func (s *Server) Close() error {
 	s.closeOnce.Do(func() {
-		// A spill frame the scratch drainer could not replay on its final
-		// attempt is surfaced as the close error.
+		// A spilled iteration the scratch drainer could not replay on its
+		// final attempt is surfaced as the close error.
 		if err := s.pipe.close(); err != nil {
 			s.noteFlushErr(fmt.Errorf("core: server %d: %w", s.id, err))
 		}
@@ -317,7 +319,7 @@ func (s *Server) noteFlushErr(err error) {
 // event loop then resumes draining client events while writers persist.
 // Entries leave the metadata catalog here but their shared-memory chunks
 // stay pinned until the pipeline reports the iteration durable. A persist
-// error reaches HandleErrors and Run through iterationDurable.
+// error reaches Run through iterationDurable.
 func (s *Server) flushIterationFrom(shard int, it int64) {
 	entries := s.eng.Store().TakeIteration(it)
 	if s.tracer != nil {
@@ -344,23 +346,16 @@ func (s *Server) flushIterationFrom(shard int, it int64) {
 // iterationDurable records one iteration's durability and advances the
 // client flow-control window. The pipeline invokes it in submission (ack)
 // order once the iteration and all earlier ones are durable.
-func (s *Server) iterationDurable(it int64, persistDur, latency float64, bytes int64, err error) {
+func (s *Server) iterationDurable(it int64, persistDur float64, bytes int64, err error) {
 	s.mu.Lock()
 	s.writeDurs.add(persistDur)
 	s.writeAcc.Add(persistDur)
-	s.flushLats.add(latency)
-	s.iterations.add(it)
 	s.acked++
 	if err == nil {
 		s.bytesWritten += bytes
-	} else {
-		// Pipeline errors never travel through Engine.Handle, so record
-		// them here for HandleErrors/Run.
-		werr := fmt.Errorf("core: server %d: persist iteration %d: %w", s.id, it, err)
-		s.handleErrs = append(s.handleErrs, werr)
-		if s.flushErr == nil {
-			s.flushErr = werr
-		}
+	} else if s.flushErr == nil {
+		// Counted in damaris_pipeline_failures_total; Run returns the first.
+		s.flushErr = fmt.Errorf("core: server %d: persist iteration %d: %w", s.id, it, err)
 	}
 	s.mu.Unlock()
 	// Unblock clients waiting at the flow-control window; on persist error
@@ -389,13 +384,6 @@ func (s *Server) BytesWritten() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.bytesWritten
-}
-
-// HandleErrors returns the per-event errors collected during Run.
-func (s *Server) HandleErrors() []error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]error(nil), s.handleErrs...)
 }
 
 // WriteStats summarizes the dedicated core's per-iteration write times:

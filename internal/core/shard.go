@@ -1,6 +1,7 @@
 package core
 
 import (
+	"log/slog"
 	"sync/atomic"
 	"time"
 
@@ -125,8 +126,13 @@ func (s *Server) handle(sl *shardLoop, ev event.Event) {
 	}
 	if err := sl.eng.Handle(ev); err != nil {
 		s.mu.Lock()
-		s.handleErrs = append(s.handleErrs, err)
+		s.eventErrs++
+		first := s.eventErrs == 1
 		s.mu.Unlock()
+		if first {
+			slog.Error("core: event not handled; later failures are only counted",
+				"server", s.id, "iteration", ev.Iteration, "err", err)
+		}
 	}
 }
 

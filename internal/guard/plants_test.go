@@ -121,6 +121,7 @@ func main() {
 }
 `,
 	"internal/store/tree.go":       "package store\n\n// publish is the one rename: os.Rename(tmp, dst)\n",
+	"internal/core/persist.go":     "package core\n\n// writeFile is the one writer: w, err := dsf.NewWriter(ow)\n",
 	"internal/core/pipe_test.go":   "package core\n\n// A test may spell it: if pipe == nil {}\n",
 	"internal/metadata/catalog.go": "package metadata\n",
 	"ROADMAP.md":                   "# Roadmap\n\n1. A needle, not an item.\n\n## Open items\n\n2. **The item Kept waits for.**\n\n## Recent\n\n3. Done, no longer an item.\n",
