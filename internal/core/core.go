@@ -49,14 +49,7 @@ type initMsg struct {
 // sibling never gets the space to finish the oldest — and the oldest can
 // then never flush. (The lock-free partitioned allocator cannot starve
 // siblings, but the window still bounds memory and is kept uniform.)
-//
-// The window is 1 for the synchronous baseline (the seed behaviour) and
-// equals the persistence pipeline's queue depth when flushing is
-// asynchronous: the pipeline can usefully absorb exactly that many
-// iterations, so letting clients run further ahead would only grow memory,
-// while a smaller window would idle the writers. With a scratch store
-// attached it is what the shared buffer holds instead (see Deploy). Deploy
-// chooses it once; it never changes afterwards.
+// Deploy sizes the window once (planBuffer); it never changes afterwards.
 type flow struct {
 	window  int64 // fixed at construction
 	mu      sync.Mutex
@@ -148,7 +141,10 @@ type Options struct {
 // flush, so at most window+1 iterations are ever in flight; that much
 // space therefore guarantees progress, while less can deadlock (a fast
 // client's iteration-N+k data occupying space a sibling needs to finish
-// N). The lock-free partitioned allocator cannot cross-starve and needs
+// N). It is also all the clients can fill, so Deploy allocates only that
+// much of each dedicated core's segment (planBuffer); the rest of <buffer
+// size> is capacity, allocated only if a reservation ever lands there.
+// The lock-free partitioned allocator cannot cross-starve and needs
 // only window+1 phases per client partition.
 func Deploy(world *mpi.Comm, cfg *config.Config, reg *plugin.Registry, opts Options) (*Deployment, error) {
 	if world == nil {
@@ -182,39 +178,13 @@ func Deploy(world *mpi.Comm, cfg *config.Config, reg *plugin.Registry, opts Opti
 	}
 	clients := n - servers
 
-	// Flow window: 1 for the synchronous baseline, the persist queue depth
-	// for the write-behind pipeline (a dedicated core with a scratch store
-	// widens its own below).
-	window := int64(1)
-	if cfg.PersistWorkers > 0 {
-		window = int64(cfg.PersistQueueDepth)
-	}
-
-	// Aggregation-aware buffer bound: with <aggregate> on, a member's chunks
-	// stay pinned until the *whole node's* epoch is durable — the slowest
-	// sibling's durability window (aggregate.Stats reports the observed
-	// value), not just this core's own flush. The window+1 rule therefore
-	// becomes a hard liveness requirement per dedicated core: a buffer that
-	// cannot hold window+1 phases deadlocks the node the moment one sibling
-	// lags. Every rank can derive the bound from collective data, so a
-	// violation fails the whole deployment symmetrically instead of leaving
-	// clients parked in the handshake.
-	if cfg.AggregateEnabled() {
-		perClient := cfg.PhaseBytesPerClient()
-		segSize := cfg.BufferSize / int64(servers)
-		for g := 0; g < servers; g++ {
-			phase := perClient * int64(len(groupClients(g, clients, servers)))
-			if phase == 0 {
-				continue
-			}
-			if need := (window + 1) * phase; segSize < need {
-				return nil, fmt.Errorf(
-					"core: <aggregate> pins chunks for the slowest sibling's durability window: "+
-						"shared buffer %d B per dedicated core (group %d) is below the derived bound %d B "+
-						"(window %d + 1 write phases x %d B/phase, every declared variable once per client); "+
-						"raise <buffer size>, lower persist_queue_depth, or trim unwritten <variable> declarations",
-					segSize, g, need, window, phase)
-			}
+	// Every rank plans every group's buffer from collective data, so a
+	// buffer too small for <aggregate> fails the whole deployment
+	// symmetrically instead of leaving clients parked in the handshake.
+	segSize := cfg.BufferSize / int64(servers)
+	for g := 0; g < servers; g++ {
+		if _, _, err := planBuffer(cfg, segSize, g, len(groupClients(g, clients, servers))); err != nil {
+			return nil, err
 		}
 	}
 
@@ -233,28 +203,12 @@ func Deploy(world *mpi.Comm, cfg *config.Config, reg *plugin.Registry, opts Opti
 		// Dedicated core: create shared resources and hand them out.
 		g := myNodeRank - clients
 		group := groupClients(g, clients, servers)
-		segSize := cfg.BufferSize / int64(servers)
-
-		// With a scratch store the window opens to what the buffer holds: the
-		// segment fits segSize/phaseBytes write phases of this group's
-		// estimated volume, so clients may run one fewer iterations ahead.
-		// Spilled iterations release their chunks, so the segment, not the
-		// queue, is what bounds a client; and a window no wider than the queue
-		// keeps at most queue+1 iterations in flight against the pipeline's
-		// workers+queue, so the queue is never found full twice in a row and
-		// nothing spills. With no variable declared there is no estimate and
-		// the queue depth stands.
-		if phaseBytes := cfg.PhaseBytesPerClient() * int64(len(group)); cfg.SpillDir != "" && phaseBytes > 0 {
-			if held := segSize/phaseBytes - 1; held > window {
-				window = held
-			}
-		}
-
-		var segOpts []shm.Option
+		window, committed, _ := planBuffer(cfg, segSize, g, len(group))
+		segOpt := shm.WithCommitted(committed)
 		if cfg.Allocator == "lockfree" {
-			segOpts = append(segOpts, shm.WithLockFree(len(group)))
+			segOpt = shm.WithLockFree(len(group))
 		}
-		seg, err := shm.NewSegment(segSize, segOpts...)
+		seg, err := shm.NewSegment(segSize, segOpt)
 		if err != nil {
 			return nil, fmt.Errorf("core: server %d: %w", g, err)
 		}
@@ -313,6 +267,50 @@ func Deploy(world *mpi.Comm, cfg *config.Config, reg *plugin.Registry, opts Opti
 	}
 	dep.Client = newClient(cfg, msg.seg, msg.queue, msg.fc, world.WorldRank(), msg.localIdx)
 	return dep, nil
+}
+
+// planBuffer derives one dedicated core's flow window, and how much of its
+// segSize-byte segment Deploy allocates, from group g's write phase: every
+// declared variable once per member client.
+//
+// The window is 1 for the synchronous baseline and the persist queue depth
+// for the write-behind pipeline, which can usefully absorb exactly that
+// many iterations: further ahead would only grow memory, less would idle
+// the writers. With a scratch store it opens to what the segment holds
+// (segSize/phase phases, one fewer ahead): spilled iterations release their
+// chunks, so the segment, not the queue, bounds a client; and a window no
+// wider than the queue keeps at most queue+1 iterations in flight against
+// the pipeline's workers+queue, so the queue is never found full twice in a
+// row and nothing spills.
+//
+// Flow control keeps at most window+1 phases in flight, so that much is
+// committed: the whole segment with a scratch store, or with no variable
+// declared (no estimate). With <aggregate> on, a member's chunks stay pinned
+// until the whole node's epoch is durable — the slowest sibling's
+// durability window (aggregate.Stats reports it) — so a segment below
+// window+1 phases deadlocks the node once a sibling lags: an error.
+func planBuffer(cfg *config.Config, segSize int64, g, members int) (window, committed int64, err error) {
+	window = 1
+	if cfg.PersistWorkers > 0 {
+		window = int64(cfg.PersistQueueDepth)
+	}
+	phase := cfg.PhaseBytesPerClient() * int64(members)
+	if phase == 0 {
+		return window, segSize, nil
+	}
+	if cfg.SpillDir != "" {
+		return max(window, segSize/phase-1), segSize, nil
+	}
+	need := (window + 1) * phase
+	if cfg.AggregateEnabled() && segSize < need {
+		return 0, 0, fmt.Errorf(
+			"core: <aggregate> pins chunks for the slowest sibling's durability window: "+
+				"shared buffer %d B per dedicated core (group %d) is below the derived bound %d B "+
+				"(window %d + 1 write phases x %d B/phase, every declared variable once per client); "+
+				"raise <buffer size>, lower persist_queue_depth, or trim unwritten <variable> declarations",
+			segSize, g, need, window, phase)
+	}
+	return window, min(segSize, need), nil
 }
 
 // groupOf maps a client's node rank to its dedicated-core group, splitting

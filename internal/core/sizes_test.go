@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -258,6 +259,61 @@ func TestControlAggregatedByteIdentical(t *testing.T) {
 			if string(got[name]) != string(want) {
 				t.Errorf("merged object %s differs between w2 q4 e0 and w%d q%d e%d", name, sz[0], sz[1], sz[2])
 			}
+		}
+	}
+}
+
+// A dedicated core allocates the window+1 write phases flow control lets its
+// clients fill, not its whole share of <buffer size>: 64 MiB with four
+// clients each writing two 256 KiB variables at queue depth 2 allocates three
+// 2 MiB phases. With a scratch store the window is what the buffer holds, so
+// the segment is allocated whole.
+func TestDeployCommittedBufferAlloc(t *testing.T) {
+	const phase, mib = 4 * 2 * 256 << 10, 1 << 20
+	for _, c := range []struct {
+		name     string
+		spill    bool
+		min, max uint64
+	}{
+		{"queue 2", false, 3 * phase, 3*phase + mib},
+		{"spill", true, 64 * mib, 64*mib + mib},
+	} {
+		cfg, err := config.ParseString(`
+<simulation>
+  <buffer size="67108864" cores="1"/>
+  <pipeline workers="1" queue="2"/>
+  <layout name="l" type="real" dimensions="256,256"/>
+  <variable name="a" layout="l"/>
+  <variable name="b" layout="l"/>
+</simulation>`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.spill {
+			cfg.SpillDir = t.TempDir()
+		}
+		pers := &DSFPersister{Backend: fileBackend(t, t.TempDir())}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := mpi.Run(5, 5, func(comm *mpi.Comm) {
+			dep, err := Deploy(comm, cfg, nil, Options{Persister: pers})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if dep.IsClient() {
+				_ = dep.Client.Finalize()
+				return
+			}
+			if err := dep.Server.Run(); err != nil {
+				t.Error(err)
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got < c.min || got > c.max {
+			t.Errorf("%s: deployment allocated %d bytes, want [%d, %d]", c.name, got, c.min, c.max)
 		}
 	}
 }

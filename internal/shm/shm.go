@@ -16,6 +16,16 @@
 // Within this reproduction, "shared memory" is process memory shared between
 // goroutines that model the cores of one SMP node; the visibility and
 // lifetime rules are the same as for a mapped segment.
+//
+// A mapped segment costs resident memory only for the pages clients touch,
+// and flow control keeps clients within a few write phases of its start.
+// The first-fit segment models this with two parts: the committed part
+// (WithCommitted, the bytes the flow window lets clients fill) is allocated
+// when the segment is created, the remainder by one allocation the first
+// time a reservation lands in it. Capacity is the whole size either way; no
+// free span and no block crosses the boundary. The partitioned allocator's
+// bump cursors walk every partition before recycling, so its segment is
+// allocated whole.
 package shm
 
 import (
@@ -41,15 +51,15 @@ var (
 type Block struct {
 	seg    *Segment
 	offset int64
-	size   int64
+	data   []byte
 	freed  atomic.Bool
 }
 
 // Data returns the writable byte slice backing the block.
-func (b *Block) Data() []byte { return b.seg.buf[b.offset : b.offset+b.size] }
+func (b *Block) Data() []byte { return b.data }
 
 // Size returns the block's size in bytes.
-func (b *Block) Size() int64 { return b.size }
+func (b *Block) Size() int64 { return int64(len(b.data)) }
 
 // Release returns the block to its allocator. Releasing twice is a no-op.
 func (b *Block) Release() {
@@ -73,11 +83,17 @@ type Allocator interface {
 	// freeBytes reports the bytes currently available (approximate for
 	// lock-free allocators).
 	freeBytes() int64
+	// largest is the size of the largest block the allocator can ever
+	// place: a first-fit part or a client's partition.
+	largest() int64
 }
 
 // Segment is a node-local shared buffer with an allocation strategy.
 type Segment struct {
-	buf      []byte
+	size     int64
+	buf      []byte // the committed part, offsets [0, len(buf))
+	rest     []byte // the remainder, allocated by restOnce
+	restOnce sync.Once
 	alloc    Allocator
 	closed   atomic.Bool
 	reserves atomic.Int64
@@ -91,8 +107,17 @@ type Segment struct {
 type Option func(*options)
 
 type options struct {
-	clients  int
-	lockfree bool
+	clients   int
+	lockfree  bool
+	committed int64
+}
+
+// WithCommitted allocates only the first n bytes of a first-fit segment
+// when it is created; the rest is allocated the first time a reservation
+// lands past them. n outside (0, size) commits the whole segment, as does
+// WithLockFree.
+func WithCommitted(n int64) Option {
+	return func(o *options) { o.committed = n }
 }
 
 // WithLockFree selects the lock-free partitioned allocator for nclients
@@ -116,7 +141,11 @@ func NewSegment(size int64, opts ...Option) (*Segment, error) {
 	for _, opt := range opts {
 		opt(&o)
 	}
-	s := &Segment{buf: make([]byte, size)}
+	committed := o.committed
+	if o.lockfree || committed <= 0 || committed > size {
+		committed = size
+	}
+	s := &Segment{size: size}
 	if o.lockfree {
 		if o.clients <= 0 {
 			return nil, fmt.Errorf("shm: lock-free allocator needs at least one client, got %d", o.clients)
@@ -127,13 +156,25 @@ func NewSegment(size int64, opts ...Option) (*Segment, error) {
 		}
 		s.alloc = a
 	} else {
-		s.alloc = newMutexAllocator(size)
+		s.alloc = newMutexAllocator(size, committed)
 	}
+	s.buf = make([]byte, committed)
 	return s, nil
 }
 
-// Size returns the total size of the segment in bytes.
-func (s *Segment) Size() int64 { return int64(len(s.buf)) }
+// Size returns the total size of the segment in bytes, allocated or not.
+func (s *Segment) Size() int64 { return s.size }
+
+// bytes returns the size bytes at off, which lie in one part. The
+// remainder's allocation is published to every reserving goroutine by
+// restOnce, and to the dedicated core with the block it reads.
+func (s *Segment) bytes(off, size int64) []byte {
+	if c := int64(len(s.buf)); off >= c {
+		s.restOnce.Do(func() { s.rest = make([]byte, s.size-c) })
+		return s.rest[off-c : off-c+size : off-c+size]
+	}
+	return s.buf[off : off+size : off+size]
+}
 
 // FreeBytes returns the bytes currently available for reservation.
 func (s *Segment) FreeBytes() int64 { return s.alloc.freeBytes() }
@@ -160,7 +201,7 @@ func (s *Segment) Reserve(client int, size int64) (*Block, error) {
 		return nil, err
 	}
 	s.reserves.Add(1)
-	return &Block{seg: s, offset: off, size: size}, nil
+	return &Block{seg: s, offset: off, data: s.bytes(off, size)}, nil
 }
 
 // ReserveWait behaves like Reserve but blocks until space becomes available
@@ -176,9 +217,9 @@ func (s *Segment) ReserveWait(client int, size int64) (*Block, error) {
 		if !errors.Is(err, ErrNoSpace) {
 			return nil, err
 		}
-		if size > s.Size() {
-			return nil, fmt.Errorf("shm: reservation of %d bytes can never fit segment of %d bytes: %w",
-				size, s.Size(), ErrNoSpace)
+		if room := s.alloc.largest(); size > room {
+			return nil, fmt.Errorf("shm: reservation of %d bytes can never fit the %d-byte region the allocator places blocks in: %w",
+				size, room, ErrNoSpace)
 		}
 		ch := make(chan struct{})
 		s.mu.Lock()
@@ -227,14 +268,22 @@ type span struct {
 }
 
 type mutexAllocator struct {
-	mu    sync.Mutex
-	spans []span // sorted by offset, coalesced
-	avail int64
+	mu       sync.Mutex
+	spans    []span // sorted by offset, coalesced except across boundary
+	avail    int64
+	boundary int64 // where the committed part ends; no span crosses it
+	size     int64
 }
 
-func newMutexAllocator(size int64) *mutexAllocator {
-	return &mutexAllocator{spans: []span{{0, size}}, avail: size}
+func newMutexAllocator(size, committed int64) *mutexAllocator {
+	a := &mutexAllocator{spans: []span{{0, committed}}, avail: size, boundary: committed, size: size}
+	if committed < size {
+		a.spans = append(a.spans, span{committed, size - committed})
+	}
+	return a
 }
+
+func (a *mutexAllocator) largest() int64 { return max(a.boundary, a.size-a.boundary) }
 
 func (a *mutexAllocator) freeBytes() int64 {
 	a.mu.Lock()
@@ -269,18 +318,17 @@ func (a *mutexAllocator) free(b *Block) {
 	}
 	a.spans = append(a.spans, span{})
 	copy(a.spans[i+1:], a.spans[i:])
-	a.spans[i] = span{b.offset, b.size}
-	// Coalesce right.
-	if i+1 < len(a.spans) && a.spans[i].off+a.spans[i].size == a.spans[i+1].off {
+	a.spans[i] = span{b.offset, b.Size()}
+	// Coalesce right, then left, never across the boundary.
+	if i+1 < len(a.spans) && a.spans[i].off+a.spans[i].size == a.spans[i+1].off && a.spans[i+1].off != a.boundary {
 		a.spans[i].size += a.spans[i+1].size
 		a.spans = append(a.spans[:i+1], a.spans[i+2:]...)
 	}
-	// Coalesce left.
-	if i > 0 && a.spans[i-1].off+a.spans[i-1].size == a.spans[i].off {
+	if i > 0 && a.spans[i-1].off+a.spans[i-1].size == a.spans[i].off && a.spans[i].off != a.boundary {
 		a.spans[i-1].size += a.spans[i].size
 		a.spans = append(a.spans[:i], a.spans[i+1:]...)
 	}
-	a.avail += b.size
+	a.avail += b.Size()
 	a.mu.Unlock()
 	b.seg.blockReleased()
 }
@@ -327,6 +375,8 @@ func (a *partitionedAllocator) freeBytes() int64 {
 	return total
 }
 
+func (a *partitionedAllocator) largest() int64 { return a.parts[0].size }
+
 func (a *partitionedAllocator) reserve(client int, size int64) (int64, error) {
 	if client < 0 || client >= len(a.parts) {
 		return 0, fmt.Errorf("shm: client %d out of range for %d partitions", client, len(a.parts))
@@ -354,6 +404,6 @@ func (a *partitionedAllocator) free(b *Block) {
 	if idx >= len(a.parts) {
 		idx = len(a.parts) - 1
 	}
-	a.parts[idx].live.Add(-b.size)
+	a.parts[idx].live.Add(-b.Size())
 	b.seg.blockReleased()
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"io"
 	"os"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -188,10 +189,37 @@ func TestReserveWaitUnblocks(t *testing.T) {
 	}
 }
 
+// A block larger than every region the allocator places blocks in (the
+// segment, a client's partition, a first-fit part) fails at once instead of
+// waiting for space no release can make.
 func TestReserveWaitImpossible(t *testing.T) {
-	s, _ := NewSegment(64)
-	if _, err := s.ReserveWait(0, 65); !errors.Is(err, ErrNoSpace) {
-		t.Errorf("expected ErrNoSpace for impossible request, got %v", err)
+	for _, c := range []struct {
+		name       string
+		size, want int64
+		opts       []Option
+	}{
+		{"segment", 64, 65, nil},
+		{"partition", 4 << 20, 2 << 20, []Option{WithLockFree(4)}},
+		{"first-fit part", 100, 80, []Option{WithCommitted(30)}},
+	} {
+		s, err := NewSegment(c.size, c.opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		errc := make(chan error, 1)
+		go func() {
+			_, err := s.ReserveWait(0, c.want)
+			errc <- err
+		}()
+		select {
+		case err := <-errc:
+			if !errors.Is(err, ErrNoSpace) {
+				t.Errorf("%s: expected ErrNoSpace for impossible request, got %v", c.name, err)
+			}
+		case <-time.After(2 * time.Second):
+			t.Errorf("%s: ReserveWait(%d) still blocked after 2s", c.name, c.want)
+			s.Close()
+		}
 	}
 }
 
@@ -283,40 +311,164 @@ func TestConcurrentPartitioned(t *testing.T) {
 	wg.Wait()
 }
 
-// Property: any sequence of mutex-allocator reservations yields
-// non-overlapping, in-bounds blocks.
+// Property: any sequence of mutex-allocator reservations and releases, on a
+// segment committed whole or in part, keeps the live blocks disjoint and
+// each inside one part, conserves free bytes, and never leaves a free span
+// across the boundary. An odd step releases a live block instead of
+// reserving.
 func TestQuickMutexNoOverlap(t *testing.T) {
-	f := func(sizes []uint16) bool {
-		s, err := NewSegment(1 << 15)
+	const size = 1 << 15
+	f := func(steps []uint16, rawCommitted uint16) bool {
+		committed := int64(rawCommitted)%size + 1
+		s, err := NewSegment(size, WithCommitted(committed))
 		if err != nil {
 			return false
 		}
-		type iv struct{ lo, hi int64 }
-		var live []iv
-		for _, raw := range sizes {
-			size := int64(raw%2048) + 1
-			b, err := s.Reserve(0, size)
-			if errors.Is(err, ErrNoSpace) {
-				continue
+		a := s.alloc.(*mutexAllocator)
+		var live []*Block
+		for i, raw := range steps {
+			if raw%2 == 1 && len(live) > 0 {
+				j := i % len(live)
+				live[j].Release()
+				live = append(live[:j], live[j+1:]...)
+			} else {
+				b, err := s.Reserve(0, int64(raw%2048)+1)
+				if err != nil && !errors.Is(err, ErrNoSpace) {
+					return false
+				}
+				if err == nil {
+					live = append(live, b)
+				}
 			}
-			if err != nil {
+			held := int64(0)
+			for j, b := range live {
+				lo, hi := b.offset, b.offset+b.Size()
+				if lo < 0 || hi > size || (lo < committed && hi > committed) {
+					return false
+				}
+				for _, o := range live[:j] {
+					if lo < o.offset+o.Size() && o.offset < hi {
+						return false
+					}
+				}
+				held += b.Size()
+			}
+			if s.FreeBytes()+held != size {
 				return false
 			}
-			lo, hi := b.offset, b.offset+b.Size()
-			if lo < 0 || hi > s.Size() {
-				return false
-			}
-			for _, o := range live {
-				if lo < o.hi && o.lo < hi {
+			for _, sp := range a.spans {
+				if sp.off < committed && sp.off+sp.size > committed {
 					return false
 				}
 			}
-			live = append(live, iv{lo, hi})
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// totalAlloc runs f and returns the heap bytes it allocated.
+func totalAlloc(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// A segment with a committed part allocates that part when it is created,
+// the remainder once when the first reservation lands past it, and nothing
+// but the *Block for every reservation after.
+func TestSegmentCommittedAlloc(t *testing.T) {
+	const size, committed, page = 64 << 20, 3<<20 + 1000, 8 << 10
+	const slack = 1 << 10 // the Segment, its allocator and its spans
+	var s *Segment
+	got := totalAlloc(func() {
+		var err error
+		if s, err = NewSegment(size, WithCommitted(committed)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got < committed || got > committed+page+slack {
+		t.Errorf("NewSegment allocated %d bytes, want the %d-byte committed part rounded to a page", got, committed)
+	}
+	first, err := s.Reserve(0, committed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var past *Block
+	if got := totalAlloc(func() { past, err = s.Reserve(0, 1<<20) }); err != nil {
+		t.Fatal(err)
+	} else if rest := int64(size - committed); got < uint64(rest) || got > uint64(rest)+page+slack {
+		t.Errorf("first reservation past the committed part allocated %d bytes, want the %d-byte remainder", got, rest)
+	}
+	if past.offset < committed {
+		t.Fatalf("second block at %d, inside the committed part", past.offset)
+	}
+	first.Release()
+	for _, at := range []string{"committed part", "remainder"} {
+		var b *Block
+		if got := totalAlloc(func() { b, err = s.Reserve(0, committed) }); err != nil {
+			t.Fatal(err)
+		} else if got > 128 {
+			t.Errorf("reservation in the %s allocated %d bytes, want only its *Block", at, got)
+		}
+		if (b.offset < committed) != (at == "committed part") {
+			t.Errorf("block at %d, want it in the %s", b.offset, at)
+		}
+		b.Data()[0] = 1
+	}
+}
+
+// Clients reserve concurrently from a segment whose committed part holds
+// two of their blocks, so the remainder is allocated while they reserve; a
+// dedicated-core goroutine reads and releases every block through Data().
+func TestSegmentCommittedConcurrent(t *testing.T) {
+	const clients, block = 8, 512
+	s, err := NewSegment(clients*4*block, WithCommitted(2*block))
+	if err != nil {
+		t.Fatal(err)
+	}
+	filled := make(chan *Block, clients)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for b := range filled {
+			pat := b.Data()[0]
+			for _, v := range b.Data() {
+				if v != pat {
+					t.Error("block overwritten before release")
+					break
+				}
+			}
+			b.Release()
+		}
+	}()
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(id byte) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				b, err := s.ReserveWait(0, block)
+				if err != nil {
+					t.Errorf("client %d: %v", id, err)
+					return
+				}
+				for j := range b.Data() {
+					b.Data()[j] = id
+				}
+				filled <- b
+			}
+		}(byte(c + 1))
+	}
+	wg.Wait()
+	close(filled)
+	<-done
+	if s.FreeBytes() != s.Size() {
+		t.Errorf("free = %d after all released, want %d", s.FreeBytes(), s.Size())
 	}
 }
 
