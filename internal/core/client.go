@@ -39,7 +39,7 @@ type pendKey struct {
 // pendingAlloc is an Alloc awaiting its Commit: the block handed out, the
 // chunk's place in the global domain, and when the write began.
 type pendingAlloc struct {
-	blk    *shm.Block
+	blk    shm.Block
 	global layout.Block
 	at     time.Time
 }
@@ -92,7 +92,7 @@ func (c *Client) Write(name string, iteration int64, data []byte) error {
 
 // notify queues the write notification of a filled block, stamped with
 // when the client began the write.
-func (c *Client) notify(name string, iteration int64, blk *shm.Block, global layout.Block, at time.Time) {
+func (c *Client) notify(name string, iteration int64, blk shm.Block, global layout.Block, at time.Time) {
 	c.queue.Push(event.Event{
 		Kind:      event.WriteNotification,
 		Name:      name,
@@ -111,7 +111,7 @@ func (c *Client) notify(name string, iteration int64, blk *shm.Block, global lay
 // blocking, the client therefore nudges the dedicated core's loops to apply
 // what is queued; otherwise it could wait for space only its own unapplied
 // write would free.
-func (c *Client) reserve(size int64) (*shm.Block, error) {
+func (c *Client) reserve(size int64) (shm.Block, error) {
 	blk, err := c.seg.Reserve(c.localIdx, size)
 	if errors.Is(err, shm.ErrNoSpace) {
 		c.queue.Nudge()
@@ -220,7 +220,7 @@ func (c *Client) Finalize() error {
 	}
 	c.finalized = true
 	for k, p := range c.pending {
-		p.blk.Release()
+		_ = p.blk.Release() // an uncommitted block's only handle is the client's
 		delete(c.pending, k)
 	}
 	c.queue.Push(event.Event{Kind: event.ClientExit, Source: c.source})

@@ -248,7 +248,7 @@ func (p *pipeline) complete(batch []persistJob, perIt float64, errs []error) {
 	now := time.Now()
 	for i, j := range batch {
 		for _, e := range j.entries {
-			e.Release()
+			_ = e.Release() // taken entries are released here only, once
 		}
 		p.tracer.Record(obs.StageAck, p.server, j.it, j.submitted, now.Sub(j.submitted), j.bytes, errs[i] != nil)
 	}

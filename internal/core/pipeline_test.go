@@ -50,7 +50,7 @@ type checkingPersister struct {
 
 func (p *checkingPersister) Persist(it int64, entries []*metadata.Entry) error {
 	for _, e := range entries {
-		if e.Block != nil && e.Block.Released() {
+		if e.Block.Released() {
 			p.violations.Add(1)
 		}
 	}
@@ -64,7 +64,7 @@ func (p *checkingPersister) Persist(it int64, entries []*metadata.Entry) error {
 	// Re-check after the (copying) write: releases racing with an ongoing
 	// persist would corrupt data on a real mmap-backed segment.
 	for _, e := range entries {
-		if e.Block != nil && e.Block.Released() {
+		if e.Block.Released() {
 			p.violations.Add(1)
 		}
 	}
@@ -433,7 +433,7 @@ func TestEntriesNotReusedBeforeAck(t *testing.T) {
 		}
 	}
 	held := recv()
-	blocks := make([]*shm.Block, len(held))
+	blocks := make([]shm.Block, len(held))
 	for i, e := range held {
 		blocks[i] = e.Block
 	}
@@ -448,8 +448,8 @@ func TestEntriesNotReusedBeforeAck(t *testing.T) {
 	}
 	for i, e := range held {
 		want := metadata.Key{Name: []string{"a", "b"}[i], Iteration: 0, Source: 0}
-		if e.Key != want || e.Block == nil || e.Block != blocks[i] || e.Block.Released() {
-			t.Errorf("held entry %d of unacked iteration 0 changed: key %v, block %p (was %p)", i, e.Key, e.Block, blocks[i])
+		if e.Key != want || e.Block == (shm.Block{}) || e.Block != blocks[i] || e.Block.Released() {
+			t.Errorf("held entry %d of unacked iteration 0 changed: key %v, block %v (was %v)", i, e.Key, e.Block, blocks[i])
 		}
 		for _, n := range next {
 			if n == e {

@@ -58,7 +58,7 @@ type Event struct {
 	Name      string // variable name (write) or event name (signal)
 	Iteration int64
 	Source    int          // sending client's identity (world rank)
-	Block     *shm.Block   // payload handle for write-notifications
+	Block     shm.Block    // payload handle for write-notifications
 	Global    layout.Block // position in the global domain (optional)
 	// At is when the client began the write, stamped where the event is
 	// pushed: a write queued on a parked loop is handled later than it was
@@ -150,7 +150,7 @@ func (q *Queue) Push(e Event) {
 }
 
 // pop removes the head; the caller holds q.mu and checked the queue is not
-// empty. The slot is zeroed so the array does not pin the event's block.
+// empty. The slot is zeroed so the array pins nothing the event references.
 func (q *Queue) pop() Event {
 	e := q.items[q.head]
 	q.items[q.head] = Event{}
@@ -327,13 +327,11 @@ func (e *Engine) handleWrite(ev Event) error {
 	// crossed shared memory.
 	lay, ok := e.cfg.LayoutOf(ev.Name)
 	if !ok {
-		if ev.Block != nil {
-			ev.Block.Release()
-		}
+		_ = ev.Block.Release() // the event holds the block's only handle
 		return fmt.Errorf("event: write of undeclared variable %q", ev.Name)
 	}
-	if ev.Block != nil && lay.Bytes() != ev.Block.Size() {
-		ev.Block.Release()
+	if ev.Block != (shm.Block{}) && lay.Bytes() != ev.Block.Size() {
+		_ = ev.Block.Release() // the event holds the block's only handle
 		return fmt.Errorf("event: variable %q: layout %v wants %d bytes, block has %d",
 			ev.Name, lay, lay.Bytes(), ev.Block.Size())
 	}

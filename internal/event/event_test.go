@@ -177,7 +177,7 @@ func TestHandleWriteDoesNotAllocate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blocks := make([]*shm.Block, 64)
+	blocks := make([]shm.Block, 64)
 	for i := range blocks {
 		if blocks[i], err = seg.Reserve(0, 4); err != nil {
 			t.Fatal(err)

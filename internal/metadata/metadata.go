@@ -42,7 +42,7 @@ type Key struct {
 
 // Entry associates a Key with its layout and data. Data is normally a
 // shared-memory block; entries carrying an inline copy (e.g. after a
-// transformation) have Block nil and Inline non-nil.
+// transformation) have Block zero and Inline non-nil.
 //
 // Who may hold an *Entry, and until when: one the caller allocated and Put is
 // the caller's for good. One catalogued by Add belongs to the store and is
@@ -52,7 +52,7 @@ type Key struct {
 type Entry struct {
 	Key    Key
 	Layout layout.Layout
-	Block  *shm.Block   // shared-memory handle (nil if inline)
+	Block  shm.Block    // shared-memory handle (zero if inline)
 	Inline []byte       // inline payload (nil if in shared memory)
 	Global layout.Block // position of this piece in the global domain (optional)
 
@@ -61,7 +61,7 @@ type Entry struct {
 
 // Bytes returns the dataset payload regardless of where it lives.
 func (e *Entry) Bytes() []byte {
-	if e.Block != nil {
+	if e.Block != (shm.Block{}) {
 		return e.Block.Data()
 	}
 	return e.Inline
@@ -73,20 +73,16 @@ func (e *Entry) Size() int64 { return int64(len(e.Bytes())) }
 // Release frees the entry's shared-memory block, if any. It is called by
 // owners of entries obtained from TakeIteration — the persistence pipeline —
 // once the entry has been durably written (or its write definitively
-// failed). Releasing twice is a no-op.
-func (e *Entry) Release() {
-	if e.Block != nil {
-		e.Block.Release()
-		e.Block = nil
-	}
-}
+// failed). The entry keeps the now stale handle, so Block.Released reports
+// the release, and a second one frees nothing and returns shm.ErrStale.
+func (e *Entry) Release() error { return e.Block.Release() }
 
 // check rejects entries the catalog cannot hold.
 func (e *Entry) check() error {
 	if e.Key.Name == "" {
 		return fmt.Errorf("metadata: entry with empty variable name")
 	}
-	if e.Block == nil && e.Inline == nil {
+	if e.Block == (shm.Block{}) && e.Inline == nil {
 		return fmt.Errorf("metadata: entry %v carries no data", e.Key)
 	}
 	return nil
@@ -209,7 +205,7 @@ func (sh *storeShard) insert(e *Entry) {
 		sh.byIter[e.Key.Iteration] = m
 	}
 	if old, ok := m[e.Key]; ok {
-		old.Release()
+		_ = old.Release() // the catalog held the replaced entry's only handle
 	}
 	m[e.Key] = e
 }

@@ -1,6 +1,7 @@
 package metadata
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -175,7 +176,7 @@ func TestTakeIterationTransfersOwnership(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var blocks []*shm.Block
+	var blocks []shm.Block
 	for src := 0; src < 3; src++ {
 		blk, err := seg.Reserve(0, 16)
 		if err != nil {
@@ -217,8 +218,10 @@ func TestTakeIterationTransfersOwnership(t *testing.T) {
 			t.Errorf("block %d not released by Entry.Release", i)
 		}
 	}
-	// Releasing again is a no-op.
-	taken[0].Release()
+	// Releasing again frees nothing and says so.
+	if err := taken[0].Release(); !errors.Is(err, shm.ErrStale) {
+		t.Errorf("second release: %v, want shm.ErrStale", err)
+	}
 	if got := s.TakeIteration(99); len(got) != 0 {
 		t.Errorf("TakeIteration of empty iteration = %v", got)
 	}

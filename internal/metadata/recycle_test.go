@@ -154,7 +154,7 @@ func TestAddOverwriteReleasesOlderBlockOnce(t *testing.T) {
 	k := Key{"v", 1, 0}
 	b1, _ := seg.Reserve(0, 256)
 	b2, _ := seg.Reserve(0, 256)
-	for _, b := range []*shm.Block{b1, b2} {
+	for _, b := range []shm.Block{b1, b2} {
 		if err := s.Add(Entry{Key: k, Block: b}); err != nil {
 			t.Fatal(err)
 		}

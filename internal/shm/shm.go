@@ -26,6 +26,19 @@
 // free span and no block crosses the boundary. The partitioned allocator's
 // bump cursors walk every partition before recycling, so its segment is
 // allocated whole.
+//
+// A reservation returns a Block, a small comparable value: the segment, the
+// block's offset and size, and a slot and generation in its allocator's
+// generation table. Handles are copied freely (into events, catalog entries)
+// and reserving one allocates nothing once the table has grown to the
+// number of blocks live at once. The segment resolves Data through the
+// handle. A slot's generation is odd while its block is live and moves on
+// when the block is released and again when the slot is handed out anew,
+// so a handle whose block was released — whether its slot is free or reused
+// — is stale: Data returns nil, Release returns ErrStale and frees nothing,
+// and Released stays true forever. The zero Block names no block. In a
+// race-detector build a release also poisons the block's bytes, so a slice
+// taken before the release and read after it no longer holds the data.
 package shm
 
 import (
@@ -43,43 +56,101 @@ var (
 	ErrClosed = errors.New("shm: segment closed")
 	// ErrBadSize is returned for non-positive reservation sizes.
 	ErrBadSize = errors.New("shm: reservation size must be positive")
+	// ErrStale is returned by a release through a handle whose block was
+	// already released.
+	ErrStale = errors.New("shm: stale block handle")
 )
 
-// Block is a reserved region of a segment. The caller copies data into
-// Data() and later releases the block (normally done by the dedicated core
-// once the data has been persisted).
+// Block is a handle to a reserved region of a segment. The caller copies
+// data into Data() and later releases the block (normally done by the
+// dedicated core once the data has been persisted). Within one process the
+// segment is named by pointer; a handle carries no other pointer.
 type Block struct {
-	seg    *Segment
-	offset int64
-	data   []byte
-	freed  atomic.Bool
+	seg  *Segment
+	off  int64
+	size int64
+	slot uint32 // index into the allocator's generation table
+	gen  uint32 // the slot's generation when the block was handed out
 }
 
-// Data returns the writable byte slice backing the block.
-func (b *Block) Data() []byte { return b.data }
+// live reports whether the handle still names its block.
+func (b Block) live() bool {
+	return b.seg != nil && b.seg.alloc.gen(b).Load() == b.gen
+}
+
+// Data returns the writable byte slice backing the block, or nil when the
+// handle is zero or stale.
+func (b Block) Data() []byte {
+	if !b.live() {
+		return nil
+	}
+	return b.seg.bytes(b.off, b.size)
+}
 
 // Size returns the block's size in bytes.
-func (b *Block) Size() int64 { return int64(len(b.data)) }
+func (b Block) Size() int64 { return b.size }
 
-// Release returns the block to its allocator. Releasing twice is a no-op.
-func (b *Block) Release() {
-	if b.freed.CompareAndSwap(false, true) {
-		b.seg.alloc.free(b)
-		b.seg.releases.Add(1)
+// Release returns the block to its allocator. Releasing through a stale
+// handle — a second release, or one after the slot was handed out again —
+// frees nothing and returns ErrStale. Releasing the zero Block does nothing.
+func (b Block) Release() error {
+	if b.seg == nil {
+		return nil
 	}
+	if !b.seg.alloc.gen(b).CompareAndSwap(b.gen, b.gen+1) {
+		return fmt.Errorf("%w: %d bytes at offset %d", ErrStale, b.size, b.off)
+	}
+	poison(b.seg.bytes(b.off, b.size))
+	b.seg.alloc.free(b)
+	b.seg.releases.Add(1)
+	return nil
 }
 
-// Released reports whether the block has been returned to its allocator.
-// The persistence pipeline's durability invariant — no chunk is released
-// before its iteration is durably written — is asserted through this.
-func (b *Block) Released() bool { return b.freed.Load() }
+// Released reports whether the block has been returned to its allocator;
+// it stays true after the slot is handed out again. The persistence
+// pipeline's durability invariant — no chunk is released before its
+// iteration is durably written — is asserted through this.
+func (b Block) Released() bool { return b.seg != nil && !b.live() }
+
+// gens is an allocator's table of slot generations. It grows by pages that
+// never move, so a handle reads its slot without a lock while the table's
+// one grower (the allocator's mutex holder, a partition's owner) appends.
+type gens struct {
+	pages atomic.Pointer[[]*genPage]
+	n     uint32 // slots handed out; read and written by the grower only
+}
+
+const genPageSlots = 256
+
+type genPage [genPageSlots]atomic.Uint32
+
+func (g *gens) at(slot uint32) *atomic.Uint32 {
+	return &(*g.pages.Load())[slot/genPageSlots][slot%genPageSlots]
+}
+
+// add returns a new slot, generation 0 (free).
+func (g *gens) add() uint32 {
+	if g.n%genPageSlots == 0 {
+		var pages []*genPage
+		if p := g.pages.Load(); p != nil {
+			pages = *p
+		}
+		pages = append(pages[:len(pages):len(pages)], new(genPage))
+		g.pages.Store(&pages)
+	}
+	g.n++
+	return g.n - 1
+}
 
 // Allocator is the reservation strategy used by a Segment.
 type Allocator interface {
-	// reserve claims size bytes for the given client and returns the offset.
-	reserve(client int, size int64) (int64, error)
-	// free returns a block's bytes to the allocator.
-	free(b *Block)
+	// reserve claims size bytes for the given client and returns the offset
+	// and the generation slot of the block.
+	reserve(client int, size int64) (off int64, slot uint32, err error)
+	// gen returns the generation of a block's slot.
+	gen(b Block) *atomic.Uint32
+	// free returns a released block's bytes and slot to the allocator.
+	free(b Block)
 	// freeBytes reports the bytes currently available (approximate for
 	// lock-free allocators).
 	freeBytes() int64
@@ -189,36 +260,39 @@ func (s *Segment) Releases() int64 { return s.releases.Load() }
 // index; only meaningful for the partitioned allocator). It returns
 // ErrNoSpace when the segment is full — callers that prefer to block should
 // use ReserveWait.
-func (s *Segment) Reserve(client int, size int64) (*Block, error) {
+func (s *Segment) Reserve(client int, size int64) (Block, error) {
 	if s.closed.Load() {
-		return nil, ErrClosed
+		return Block{}, ErrClosed
 	}
 	if size <= 0 {
-		return nil, ErrBadSize
+		return Block{}, ErrBadSize
 	}
-	off, err := s.alloc.reserve(client, size)
+	off, slot, err := s.alloc.reserve(client, size)
 	if err != nil {
-		return nil, err
+		return Block{}, err
 	}
 	s.reserves.Add(1)
-	return &Block{seg: s, offset: off, data: s.bytes(off, size)}, nil
+	s.bytes(off, size) // the first reservation past the committed part allocates the remainder
+	b := Block{seg: s, off: off, size: size, slot: slot}
+	b.gen = s.alloc.gen(b).Add(1)
+	return b, nil
 }
 
 // ReserveWait behaves like Reserve but blocks until space becomes available
 // (a block is released) or the segment is closed. This models the client
 // stalling when the dedicated core has fallen behind — the paper's
 // back-pressure regime when I/O cannot keep up with output frequency.
-func (s *Segment) ReserveWait(client int, size int64) (*Block, error) {
+func (s *Segment) ReserveWait(client int, size int64) (Block, error) {
 	for {
 		b, err := s.Reserve(client, size)
 		if err == nil {
 			return b, nil
 		}
 		if !errors.Is(err, ErrNoSpace) {
-			return nil, err
+			return Block{}, err
 		}
 		if room := s.alloc.largest(); size > room {
-			return nil, fmt.Errorf("shm: reservation of %d bytes can never fit the %d-byte region the allocator places blocks in: %w",
+			return Block{}, fmt.Errorf("shm: reservation of %d bytes can never fit the %d-byte region the allocator places blocks in: %w",
 				size, room, ErrNoSpace)
 		}
 		ch := make(chan struct{})
@@ -230,11 +304,11 @@ func (s *Segment) ReserveWait(client int, size int64) (*Block, error) {
 			s.notifyAll()
 			return b, nil
 		} else if !errors.Is(err, ErrNoSpace) {
-			return nil, err
+			return Block{}, err
 		}
 		<-ch
 		if s.closed.Load() {
-			return nil, ErrClosed
+			return Block{}, ErrClosed
 		}
 	}
 }
@@ -273,6 +347,8 @@ type mutexAllocator struct {
 	avail    int64
 	boundary int64 // where the committed part ends; no span crosses it
 	size     int64
+	gens     gens
+	idle     []uint32 // released slots, handed out again first
 }
 
 func newMutexAllocator(size, committed int64) *mutexAllocator {
@@ -291,7 +367,9 @@ func (a *mutexAllocator) freeBytes() int64 {
 	return a.avail
 }
 
-func (a *mutexAllocator) reserve(_ int, size int64) (int64, error) {
+func (a *mutexAllocator) gen(b Block) *atomic.Uint32 { return a.gens.at(b.slot) }
+
+func (a *mutexAllocator) reserve(_ int, size int64) (int64, uint32, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	for i := range a.spans {
@@ -303,22 +381,27 @@ func (a *mutexAllocator) reserve(_ int, size int64) (int64, error) {
 				a.spans = append(a.spans[:i], a.spans[i+1:]...)
 			}
 			a.avail -= size
-			return off, nil
+			if n := len(a.idle); n > 0 {
+				slot := a.idle[n-1]
+				a.idle = a.idle[:n-1]
+				return off, slot, nil
+			}
+			return off, a.gens.add(), nil
 		}
 	}
-	return 0, ErrNoSpace
+	return 0, 0, ErrNoSpace
 }
 
-func (a *mutexAllocator) free(b *Block) {
+func (a *mutexAllocator) free(b Block) {
 	a.mu.Lock()
 	// Insert keeping offset order, then coalesce with neighbours.
 	i := 0
-	for i < len(a.spans) && a.spans[i].off < b.offset {
+	for i < len(a.spans) && a.spans[i].off < b.off {
 		i++
 	}
 	a.spans = append(a.spans, span{})
 	copy(a.spans[i+1:], a.spans[i:])
-	a.spans[i] = span{b.offset, b.Size()}
+	a.spans[i] = span{b.off, b.size}
 	// Coalesce right, then left, never across the boundary.
 	if i+1 < len(a.spans) && a.spans[i].off+a.spans[i].size == a.spans[i+1].off && a.spans[i+1].off != a.boundary {
 		a.spans[i].size += a.spans[i+1].size
@@ -328,7 +411,8 @@ func (a *mutexAllocator) free(b *Block) {
 		a.spans[i-1].size += a.spans[i].size
 		a.spans = append(a.spans[:i], a.spans[i+1:]...)
 	}
-	a.avail += b.Size()
+	a.avail += b.size
+	a.idle = append(a.idle, b.slot)
 	a.mu.Unlock()
 	b.seg.blockReleased()
 }
@@ -342,12 +426,15 @@ func (a *mutexAllocator) free(b *Block) {
 // been released by the dedicated core. Contract: reservations for a given
 // client index are issued by a single goroutine (one compute core = one
 // client), which is exactly the Damaris usage; releases may come from any
-// goroutine.
+// goroutine. A partition's generation slots recycle with it: the k-th block
+// since the last reset takes slot k.
 
 type partition struct {
 	base, size int64
 	cursor     atomic.Int64 // bytes handed out since last reset (owner-written)
 	live       atomic.Int64 // outstanding (unreleased) bytes
+	next       uint32       // blocks handed out since last reset (owner only)
+	gens       gens
 }
 
 type partitionedAllocator struct {
@@ -377,9 +464,9 @@ func (a *partitionedAllocator) freeBytes() int64 {
 
 func (a *partitionedAllocator) largest() int64 { return a.parts[0].size }
 
-func (a *partitionedAllocator) reserve(client int, size int64) (int64, error) {
+func (a *partitionedAllocator) reserve(client int, size int64) (int64, uint32, error) {
 	if client < 0 || client >= len(a.parts) {
-		return 0, fmt.Errorf("shm: client %d out of range for %d partitions", client, len(a.parts))
+		return 0, 0, fmt.Errorf("shm: client %d out of range for %d partitions", client, len(a.parts))
 	}
 	p := &a.parts[client]
 	// Recycle the region if every previously reserved block has been
@@ -387,23 +474,29 @@ func (a *partitionedAllocator) reserve(client int, size int64) (int64, error) {
 	// this partition, and live==0 means no release is still pending.
 	if p.live.Load() == 0 && p.cursor.Load() != 0 {
 		p.cursor.Store(0)
+		p.next = 0
 	}
 	cur := p.cursor.Load()
 	if cur+size > p.size {
-		return 0, ErrNoSpace
+		return 0, 0, ErrNoSpace
 	}
 	p.cursor.Store(cur + size)
 	p.live.Add(size)
-	return p.base + cur, nil
+	if p.next == p.gens.n {
+		p.gens.add()
+	}
+	p.next++
+	return p.base + cur, p.next - 1, nil
 }
 
-func (a *partitionedAllocator) free(b *Block) {
-	// Locate the owning partition by offset.
-	per := a.parts[0].size
-	idx := int(b.offset / per)
-	if idx >= len(a.parts) {
-		idx = len(a.parts) - 1
-	}
-	a.parts[idx].live.Add(-b.Size())
+// part returns the partition a block lies in.
+func (a *partitionedAllocator) part(b Block) *partition {
+	return &a.parts[min(int(b.off/a.parts[0].size), len(a.parts)-1)]
+}
+
+func (a *partitionedAllocator) gen(b Block) *atomic.Uint32 { return a.part(b).gens.at(b.slot) }
+
+func (a *partitionedAllocator) free(b Block) {
+	a.part(b).live.Add(-b.size)
 	b.seg.blockReleased()
 }

@@ -3,6 +3,7 @@ package shm
 import (
 	"errors"
 	"io"
+	"math"
 	"os"
 	"runtime"
 	"sync"
@@ -42,7 +43,7 @@ func TestMutexReserveRelease(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b1.offset == b2.offset {
+	if b1.off == b2.off {
 		t.Error("blocks must not alias")
 	}
 	if s.FreeBytes() != 512 {
@@ -52,8 +53,12 @@ func TestMutexReserveRelease(t *testing.T) {
 	if string(b1.Data()[:5]) != "hello" {
 		t.Error("data not visible through block")
 	}
-	b1.Release()
-	b1.Release() // double release is a no-op
+	if err := b1.Release(); err != nil {
+		t.Fatal(err)
+	}
+	if err := b1.Release(); !errors.Is(err, ErrStale) {
+		t.Errorf("second release: %v, want ErrStale", err)
+	}
 	if s.FreeBytes() != 768 {
 		t.Errorf("free after release = %d, want 768", s.FreeBytes())
 	}
@@ -113,15 +118,15 @@ func TestPartitionedBasic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b0.offset != 0 {
-		t.Errorf("client 0 offset = %d", b0.offset)
+	if b0.off != 0 {
+		t.Errorf("client 0 offset = %d", b0.off)
 	}
 	b3, err := s.Reserve(3, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b3.offset != 300 {
-		t.Errorf("client 3 offset = %d", b3.offset)
+	if b3.off != 300 {
+		t.Errorf("client 3 offset = %d", b3.off)
 	}
 	// Client 0 partition is now full.
 	if _, err := s.Reserve(0, 1); !errors.Is(err, ErrNoSpace) {
@@ -133,8 +138,8 @@ func TestPartitionedBasic(t *testing.T) {
 	if err != nil {
 		t.Fatalf("partition did not recycle: %v", err)
 	}
-	if b0b.offset != 0 {
-		t.Errorf("recycled offset = %d, want 0", b0b.offset)
+	if b0b.off != 0 {
+		t.Errorf("recycled offset = %d, want 0", b0b.off)
 	}
 	if _, err := s.Reserve(7, 10); err == nil {
 		t.Error("expected out-of-range client error")
@@ -165,7 +170,7 @@ func TestPartitionedIsolation(t *testing.T) {
 func TestReserveWaitUnblocks(t *testing.T) {
 	s, _ := NewSegment(128)
 	b, _ := s.Reserve(0, 128)
-	done := make(chan *Block)
+	done := make(chan Block)
 	go func() {
 		nb, err := s.ReserveWait(0, 64)
 		if err != nil {
@@ -181,8 +186,8 @@ func TestReserveWaitUnblocks(t *testing.T) {
 	b.Release()
 	select {
 	case nb := <-done:
-		if nb == nil {
-			t.Fatal("nil block")
+		if nb == (Block{}) {
+			t.Fatal("zero block")
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("ReserveWait did not unblock after release")
@@ -280,7 +285,7 @@ func TestConcurrentMutexAllocator(t *testing.T) {
 func TestConcurrentPartitioned(t *testing.T) {
 	const clients = 8
 	s, _ := NewSegment(clients*1024, WithLockFree(clients))
-	var wg sync.WaitGroup
+	var wg, releasers sync.WaitGroup
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
 		go func(id int) {
@@ -296,7 +301,9 @@ func TestConcurrentPartitioned(t *testing.T) {
 					b.Data()[j] = pat
 				}
 				// Release from another goroutine, as the dedicated core would.
+				releasers.Add(1)
 				go func() {
+					defer releasers.Done()
 					for j := range b.Data() {
 						if b.Data()[j] != pat {
 							t.Error("cross-partition corruption")
@@ -309,6 +316,7 @@ func TestConcurrentPartitioned(t *testing.T) {
 		}(c)
 	}
 	wg.Wait()
+	releasers.Wait()
 }
 
 // Property: any sequence of mutex-allocator reservations and releases, on a
@@ -325,7 +333,7 @@ func TestQuickMutexNoOverlap(t *testing.T) {
 			return false
 		}
 		a := s.alloc.(*mutexAllocator)
-		var live []*Block
+		var live []Block
 		for i, raw := range steps {
 			if raw%2 == 1 && len(live) > 0 {
 				j := i % len(live)
@@ -342,12 +350,12 @@ func TestQuickMutexNoOverlap(t *testing.T) {
 			}
 			held := int64(0)
 			for j, b := range live {
-				lo, hi := b.offset, b.offset+b.Size()
+				lo, hi := b.off, b.off+b.Size()
 				if lo < 0 || hi > size || (lo < committed && hi > committed) {
 					return false
 				}
 				for _, o := range live[:j] {
-					if lo < o.offset+o.Size() && o.offset < hi {
+					if lo < o.off+o.Size() && o.off < hi {
 						return false
 					}
 				}
@@ -369,23 +377,36 @@ func TestQuickMutexNoOverlap(t *testing.T) {
 	}
 }
 
-// totalAlloc runs f and returns the heap bytes it allocated.
+// totalAlloc runs f and returns the heap bytes it allocated. A collection
+// first, so that a cycle f's allocations start does not count the runtime's
+// own first-cycle allocations (its mark workers) against f.
 func totalAlloc(f func()) uint64 {
 	var before, after runtime.MemStats
+	runtime.GC()
 	runtime.ReadMemStats(&before)
 	f()
 	runtime.ReadMemStats(&after)
 	return after.TotalAlloc - before.TotalAlloc
 }
 
+// leastAlloc returns the fewest heap bytes any of three runs of f
+// allocated: another goroutine's allocation during a run only adds to it.
+func leastAlloc(f func()) uint64 {
+	least := uint64(math.MaxUint64)
+	for range 3 {
+		least = min(least, totalAlloc(f))
+	}
+	return least
+}
+
 // A segment with a committed part allocates that part when it is created,
 // the remainder once when the first reservation lands past it, and nothing
-// but the *Block for every reservation after.
+// but its first generation-table page for every reservation after.
 func TestSegmentCommittedAlloc(t *testing.T) {
 	const size, committed, page = 64 << 20, 3<<20 + 1000, 8 << 10
 	const slack = 1 << 10 // the Segment, its allocator and its spans
 	var s *Segment
-	got := totalAlloc(func() {
+	got := leastAlloc(func() {
 		var err error
 		if s, err = NewSegment(size, WithCommitted(committed)); err != nil {
 			t.Fatal(err)
@@ -398,25 +419,25 @@ func TestSegmentCommittedAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var past *Block
+	var past Block
 	if got := totalAlloc(func() { past, err = s.Reserve(0, 1<<20) }); err != nil {
 		t.Fatal(err)
 	} else if rest := int64(size - committed); got < uint64(rest) || got > uint64(rest)+page+slack {
 		t.Errorf("first reservation past the committed part allocated %d bytes, want the %d-byte remainder", got, rest)
 	}
-	if past.offset < committed {
-		t.Fatalf("second block at %d, inside the committed part", past.offset)
+	if past.off < committed {
+		t.Fatalf("second block at %d, inside the committed part", past.off)
 	}
 	first.Release()
 	for _, at := range []string{"committed part", "remainder"} {
-		var b *Block
-		if got := totalAlloc(func() { b, err = s.Reserve(0, committed) }); err != nil {
+		var b Block // zero on the first run, whose Release does nothing
+		if got := leastAlloc(func() { b.Release(); b, err = s.Reserve(0, committed) }); err != nil {
 			t.Fatal(err)
-		} else if got > 128 {
-			t.Errorf("reservation in the %s allocated %d bytes, want only its *Block", at, got)
+		} else if got != 0 {
+			t.Errorf("reservation in the %s allocated %d bytes, want nothing", at, got)
 		}
-		if (b.offset < committed) != (at == "committed part") {
-			t.Errorf("block at %d, want it in the %s", b.offset, at)
+		if (b.off < committed) != (at == "committed part") {
+			t.Errorf("block at %d, want it in the %s", b.off, at)
 		}
 		b.Data()[0] = 1
 	}
@@ -431,7 +452,7 @@ func TestSegmentCommittedConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	filled := make(chan *Block, clients)
+	filled := make(chan Block, clients)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -493,7 +514,7 @@ func TestQuickPartitionedBounds(t *testing.T) {
 				return false
 			}
 			base := int64(client) * per
-			if b.offset < base || b.offset+b.Size() > base+per {
+			if b.off < base || b.off+b.Size() > base+per {
 				return false
 			}
 		}
@@ -516,15 +537,161 @@ func TestBlockReleasedReporting(t *testing.T) {
 	if blk.Released() {
 		t.Error("fresh block reports released")
 	}
-	blk.Release()
+	if err := blk.Release(); err != nil {
+		t.Fatal(err)
+	}
 	if !blk.Released() {
 		t.Error("released block reports live")
 	}
-	// Double release stays a no-op and keeps the counter consistent.
-	blk.Release()
+	// A double release is refused and keeps the counter consistent.
+	if err := blk.Release(); !errors.Is(err, ErrStale) {
+		t.Errorf("double release: %v, want ErrStale", err)
+	}
 	if got := seg.Releases(); got != 1 {
 		t.Errorf("Releases = %d, want 1", got)
 	}
+}
+
+// eachAllocator runs f on a 1 KiB first-fit segment and on a 1 KiB
+// partitioned segment of one client.
+func eachAllocator(t *testing.T, f func(t *testing.T, s *Segment)) {
+	for _, c := range []struct {
+		name string
+		opts []Option
+	}{{"first-fit", nil}, {"partitioned", []Option{WithLockFree(1)}}} {
+		t.Run(c.name, func(t *testing.T) {
+			s, err := NewSegment(1<<10, c.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f(t, s)
+		})
+	}
+}
+
+// Releases of one handle racing each other free its bytes once: exactly one
+// succeeds, the others are refused.
+func TestHandleDoubleRelease(t *testing.T) {
+	eachAllocator(t, func(t *testing.T, s *Segment) {
+		b, err := s.Reserve(0, 256)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const racers = 4
+		errs := make(chan error, racers)
+		for range racers {
+			go func() { errs <- b.Release() }()
+		}
+		freed := 0
+		for range racers {
+			if err := <-errs; err == nil {
+				freed++
+			} else if !errors.Is(err, ErrStale) {
+				t.Errorf("release: %v, want nil or ErrStale", err)
+			}
+		}
+		if freed != 1 || s.Releases() != 1 {
+			t.Errorf("%d of %d releases succeeded, Releases() = %d; want 1 and 1", freed, racers, s.Releases())
+		}
+		// The freed region is handed out once more, not twice.
+		if _, err := s.Reserve(0, s.Size()); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Reserve(0, 1); !errors.Is(err, ErrNoSpace) {
+			t.Errorf("reserve past a full segment: %v, want ErrNoSpace", err)
+		}
+	})
+}
+
+// A handle whose slot was handed out again reads nothing and releases
+// nothing: the new block keeps its bytes and its place.
+func TestHandleReusedSlot(t *testing.T) {
+	eachAllocator(t, func(t *testing.T, s *Segment) {
+		old, err := s.Reserve(0, 256)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := old.Release(); err != nil {
+			t.Fatal(err)
+		}
+		cur, err := s.Reserve(0, 256)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cur.slot != old.slot || cur.off != old.off || cur == old {
+			t.Fatalf("reservation after release: slot %d at %d (old handle: slot %d at %d), want the same slot and region under a new generation",
+				cur.slot, cur.off, old.slot, old.off)
+		}
+		copy(cur.Data(), "live")
+		if d := old.Data(); d != nil {
+			t.Errorf("Data through the stale handle = %d bytes, want nil", len(d))
+		}
+		if err := old.Release(); !errors.Is(err, ErrStale) {
+			t.Errorf("release through the stale handle: %v, want ErrStale", err)
+		}
+		if string(cur.Data()[:4]) != "live" || cur.Released() || s.FreeBytes() != s.Size()-256 || s.Releases() != 1 {
+			t.Errorf("the stale handle disturbed the new block: data %q, released %v, free %d, releases %d",
+				cur.Data()[:4], cur.Released(), s.FreeBytes(), s.Releases())
+		}
+	})
+}
+
+// Released is a query on the segment, and an old handle's answer stays
+// true once its slot is live again under a new generation.
+func TestHandleReleasedAfterReuse(t *testing.T) {
+	eachAllocator(t, func(t *testing.T, s *Segment) {
+		if (Block{}).Released() || (Block{}).Data() != nil || (Block{}).Release() != nil {
+			t.Error("the zero Block names a block")
+		}
+		old, err := s.Reserve(0, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if old.Released() {
+			t.Error("fresh block reports released")
+		}
+		if err := old.Release(); err != nil {
+			t.Fatal(err)
+		}
+		for i := range 3 {
+			cur, err := s.Reserve(0, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !old.Released() || cur.Released() {
+				t.Errorf("reuse %d: old handle released %v, new handle released %v; want true, false", i, old.Released(), cur.Released())
+			}
+			if err := cur.Release(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+}
+
+// Once a segment's generation table holds as many slots as blocks live at
+// once, a reservation and its release allocate nothing.
+func TestReserveReleaseDoesNotAllocate(t *testing.T) {
+	eachAllocator(t, func(t *testing.T, s *Segment) {
+		var held [3]Block
+		cycle := func() {
+			for i := range held {
+				b, err := s.Reserve(0, 100)
+				if err != nil {
+					t.Fatal(err)
+				}
+				b.Data()[0] = byte(i)
+				held[i] = b
+			}
+			for _, b := range held {
+				if err := b.Release(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if n := testing.AllocsPerRun(100, cycle); n != 0 {
+			t.Errorf("reserve+release allocates %v times per cycle of %d blocks, want 0", n, len(held))
+		}
+	})
 }
 
 // BenchmarkTransportSharedMemory vs BenchmarkTransportKernelPipe reproduces
