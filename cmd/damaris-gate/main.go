@@ -1,17 +1,14 @@
 // Command damaris-gate is the stateless read gateway: it serves DSF data
 // out of any storage backend URL over HTTP, so analysis and visualization
-// clients read through gateway replicas instead of mounting the store.
+// clients read through a gateway instead of mounting the store.
 //
 // Usage:
 //
 //	damaris-gate -store obj:///data/objects -listen :8080
-//	damaris-gate -store obj:///data/objects -listen :8081 \
-//	    -peers http://host:8080,http://host:8081 -self 1
 //
-// With -peers, replicas partition objects by name hash (shared-nothing — no
-// coordination, any number of replicas over one store): requests for an
-// object another replica owns are 307-redirected there, or proxied with
-// -forward. See docs/gateway.md for the API.
+// A gateway keeps no state the store does not hold, so any number of
+// independent gateways can serve one store root; each exposes its own
+// /metrics. See docs/gateway.md for the API.
 package main
 
 import (
@@ -19,7 +16,6 @@ import (
 	"fmt"
 	"net/http"
 	"os"
-	"strings"
 	"time"
 
 	"damaris/internal/gateway"
@@ -27,13 +23,19 @@ import (
 	"damaris/internal/store"
 )
 
+// A client gets this long to send its request headers, and an idle
+// keep-alive connection is closed after idleTimeout, so a client that
+// trickles its headers or never sends a next request cannot hold a
+// connection open forever.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	var (
 		storeURL = flag.String("store", "", "storage backend URL to serve (required), e.g. obj:///data/objects")
 		listen   = flag.String("listen", ":8080", "HTTP listen address")
-		peers    = flag.String("peers", "", "comma-separated base URLs of all gateway replicas (self included); empty = single replica")
-		self     = flag.Int("self", 0, "this replica's index into -peers")
-		forward  = flag.Bool("forward", false, "proxy misrouted requests to their owner instead of 307-redirecting")
 		partMB   = flag.Int64("part-cache-mb", gateway.DefaultPartCacheBytes>>20, "LRU part cache budget in MiB")
 		fetchers = flag.Int("fetch-workers", gateway.DefaultFetchWorkers, "bound on concurrent backend part fetches")
 		tocN     = flag.Int("toc-cache", gateway.DefaultTOCEntries, "bound on cached decoded manifests/TOCs")
@@ -42,7 +44,7 @@ func main() {
 	)
 	flag.Parse()
 	if *storeURL == "" {
-		fmt.Fprintln(os.Stderr, "usage: damaris-gate -store URL [-listen addr] [-peers a,b,... -self i [-forward]]")
+		fmt.Fprintln(os.Stderr, "usage: damaris-gate -store URL [-listen addr] [-part-cache-mb n] [-fetch-workers n] [-toc-cache n] [-stats-interval d] [-ready-probe object]")
 		os.Exit(2)
 	}
 	backend, err := store.Open(*storeURL)
@@ -53,29 +55,18 @@ func main() {
 	defer backend.Close()
 
 	// The telemetry plane folds into the gateway's own mux (no second
-	// listener): /metrics, /metrics.json, /v1/metrics, /jitter, /readyz and
-	// the federated /fleet/metrics (this replica merged with its -peers)
+	// listener): /metrics, /metrics.json, /v1/metrics, /jitter and /readyz
 	// ride on -listen next to the data API. pprof does not — the gateway
 	// mux is client-facing, and profiling stays on damaris-run's dedicated
 	// -metrics-addr listener.
-	cfg := gateway.Config{
+	g, err := gateway.New(gateway.Config{
 		Backend:        backend,
 		PartCacheBytes: *partMB << 20,
 		FetchWorkers:   *fetchers,
 		TOCEntries:     *tocN,
-		Self:           *self,
-		Forward:        *forward,
 		Obs:            obs.NewPlane(0),
 		ReadyProbe:     *probe,
-	}
-	if *peers != "" {
-		for _, p := range strings.Split(*peers, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				cfg.Peers = append(cfg.Peers, p)
-			}
-		}
-	}
-	g, err := gateway.New(cfg)
+	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "damaris-gate:", err)
 		os.Exit(1)
@@ -85,20 +76,21 @@ func main() {
 		go func() {
 			for range time.Tick(*statsDur) {
 				s := g.Stats()
-				fmt.Printf("gateway: req=%d toc(hit=%.0f%%) parts(hit=%.0f%% %dB/%d) gets=%d served=%dB routed=%d\n",
+				fmt.Printf("gateway: req=%d toc(hit=%.0f%%) parts(hit=%.0f%% %dB/%d) gets=%d served=%dB\n",
 					s.Requests, 100*s.TOCHitRate(), 100*s.PartHitRate(),
-					s.PartCacheBytes, s.PartCacheParts, s.BackendGets, s.BytesServed,
-					s.Forwards+s.Redirects)
+					s.PartCacheBytes, s.PartCacheParts, s.BackendGets, s.BytesServed)
 			}
 		}()
 	}
 
-	replicas := len(cfg.Peers)
-	if replicas == 0 {
-		replicas = 1
+	fmt.Printf("damaris-gate: serving %s on %s\n", *storeURL, *listen)
+	srv := &http.Server{
+		Addr:              *listen,
+		Handler:           g.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
 	}
-	fmt.Printf("damaris-gate: serving %s on %s (replica %d/%d)\n", *storeURL, *listen, *self, replicas)
-	if err := http.ListenAndServe(*listen, g.Handler()); err != nil {
+	if err := srv.ListenAndServe(); err != nil {
 		fmt.Fprintln(os.Stderr, "damaris-gate:", err)
 		os.Exit(1)
 	}

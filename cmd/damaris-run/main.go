@@ -21,6 +21,7 @@ import (
 	"os"
 	"slices"
 	"sync"
+	"time"
 
 	"damaris/internal/cm1"
 	"damaris/internal/config"
@@ -40,6 +41,14 @@ type options struct {
 	outDir, backend, metricsAddr, traceOut             string
 	bufMB                                              int64
 }
+
+// The telemetry listener gives a client this long to send its request
+// headers and closes an idle keep-alive connection after idleTimeout, so a
+// client that trickles its headers cannot hold a connection open forever.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
 
 func main() {
 	var o options
@@ -105,24 +114,23 @@ func run(cfg *config.Config, o options, out io.Writer) error {
 	}
 
 	// One telemetry plane for the whole in-process world: every dedicated
-	// core records spans and registers collectors against it, so a single
-	// scrape (or the end-of-run report, which is one) covers the run. The
-	// fleet federator merges rank-local registries — each dedicated core
-	// registers its collectors on a private registry too as it deploys — so
-	// /fleet/metrics shows the same figures rank by rank, exactly as a
-	// multi-process fleet would expose them.
+	// core records spans and registers its collectors once against it,
+	// under its own server label, so a single scrape (or the end-of-run
+	// report, which is one) covers the run.
 	plane := obs.NewPlane(o.traceRing)
-	fleet := obs.NewFederator()
-	plane.SetFederator(fleet)
 	if o.metricsAddr != "" {
 		ln, lerr := net.Listen("tcp", o.metricsAddr)
 		if lerr != nil {
 			return fmt.Errorf("metrics listener: %w", lerr)
 		}
-		srv := &http.Server{Handler: plane.Handler()}
+		srv := &http.Server{
+			Handler:           plane.Handler(),
+			ReadHeaderTimeout: readHeaderTimeout,
+			IdleTimeout:       idleTimeout,
+		}
 		go srv.Serve(ln)
 		defer srv.Close()
-		fmt.Fprintf(out, "telemetry: http://%s/metrics (also /metrics.json /fleet/metrics /epochs /trace /jitter /readyz /debug/pprof)\n", ln.Addr())
+		fmt.Fprintf(out, "telemetry: http://%s/metrics (also /metrics.json /epochs /trace /jitter /readyz /debug/pprof)\n", ln.Addr())
 	}
 
 	// The baselines' ranks share one instance of the backend; each dedicated
@@ -147,12 +155,6 @@ func run(cfg *config.Config, o options, out io.Writer) error {
 				panic(err)
 			}
 			if !dep.IsClient() {
-				// This rank's slice of the fleet view: a private registry
-				// carrying only this dedicated core's collectors, merged by
-				// the federator behind /fleet/metrics.
-				rankReg := obs.NewRegistry()
-				dep.Server.RegisterObs(rankReg)
-				fleet.AddRegistry(fmt.Sprint(comm.Rank()), rankReg)
 				if err := dep.Server.Run(); err != nil {
 					panic(err)
 				}

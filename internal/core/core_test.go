@@ -405,9 +405,10 @@ func TestServerCollectsHandleErrors(t *testing.T) {
 	defer log.SetOutput(log.Writer())
 	slog.SetDefault(slog.New(slog.NewTextHandler(&logged, nil)))
 	cfg := testCfg(t, "mutex", 1)
+	plane := obs.NewPlane(0)
 	var srv *Server
 	err := mpi.Run(2, 2, func(comm *mpi.Comm) {
-		dep, _ := Deploy(comm, cfg, nil, Options{Persister: &NullPersister{}})
+		dep, _ := Deploy(comm, cfg, nil, Options{Persister: &NullPersister{}, Obs: plane})
 		if dep.IsClient() {
 			_ = dep.Client.Finalize()
 			return
@@ -420,10 +421,8 @@ func TestServerCollectsHandleErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := obs.NewRegistry()
-	srv.RegisterObs(reg)
 	var expo strings.Builder
-	if err := obs.WriteSamples(&expo, reg.Gather()); err != nil {
+	if err := obs.WriteSamples(&expo, plane.Registry().Gather()); err != nil {
 		t.Fatal(err)
 	}
 	if want := `damaris_server_event_errors_total{server="1"} 1`; !strings.Contains(expo.String(), want) {
@@ -535,9 +534,10 @@ func checkRecent[T comparable](t *testing.T, val func(int) T) {
 
 func TestServerStats(t *testing.T) {
 	cfg := testCfg(t, "mutex", 1)
+	plane := obs.NewPlane(0)
 	var srv *Server
 	err := mpi.Run(2, 2, func(comm *mpi.Comm) {
-		dep, _ := Deploy(comm, cfg, nil, Options{Persister: &NullPersister{}})
+		dep, _ := Deploy(comm, cfg, nil, Options{Persister: &NullPersister{}, Obs: plane})
 		if dep.IsClient() {
 			for it := int64(0); it < 3; it++ {
 				_ = dep.Client.Write("temp", it, mpi.Float32sToBytes(fieldData(0)))
@@ -552,10 +552,8 @@ func TestServerStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := obs.NewRegistry()
-	srv.RegisterObs(reg)
 	var expo strings.Builder
-	if err := obs.WriteSamples(&expo, reg.Gather()); err != nil {
+	if err := obs.WriteSamples(&expo, plane.Registry().Gather()); err != nil {
 		t.Fatal(err)
 	}
 	if want := `damaris_server_iterations_total{server="1"} 3`; !strings.Contains(expo.String(), want) {

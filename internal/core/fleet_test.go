@@ -1,16 +1,16 @@
 package core
 
 // Live multi-node runs with the telemetry plane attached, under -race in CI:
-// cross-rank epoch attribution and in-process federation are where a torn
-// merge or an unsynchronized registry would surface.
+// cross-rank epoch attribution and several servers collecting on one
+// registry are where an unsynchronized collector would surface.
 
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -23,11 +23,10 @@ import (
 
 // runFleet deploys ranks x coresPer over one shared backend with the plane
 // attached; every dedicated core persists (and traces) under its own world
-// rank. onServer, when non-nil, sees each server before its loop starts;
-// pace, when non-nil, runs on every client ahead of each write phase. Every
-// client writes both testCfg variables for `iters` iterations.
+// rank. pace, when non-nil, runs on every client ahead of each write phase.
+// Every client writes both testCfg variables for `iters` iterations.
 func runFleet(t *testing.T, cfg *config.Config, ranks, coresPer, iters int, backend store.Backend,
-	plane *obs.Plane, onServer func(*Server), pace func(clients *mpi.Comm)) {
+	plane *obs.Plane, pace func(clients *mpi.Comm)) {
 	t.Helper()
 	err := mpi.Run(ranks, coresPer, func(comm *mpi.Comm) {
 		me := comm.Rank()
@@ -39,9 +38,6 @@ func runFleet(t *testing.T, cfg *config.Config, ranks, coresPer, iters int, back
 			return
 		}
 		if !dep.IsClient() {
-			if onServer != nil {
-				onServer(dep.Server)
-			}
 			if err := dep.Server.Run(); err != nil {
 				t.Error(err)
 			}
@@ -71,6 +67,10 @@ func runFleet(t *testing.T, cfg *config.Config, ranks, coresPer, iters int, back
 	}
 }
 
+// serverLabel finds a sample's server label, with the comma that joins it
+// to its neighbours, so the rest of the series is what the servers share.
+var serverLabel = regexp.MustCompile(`,?server="([^"]*)"`)
+
 // scrape GETs one route off a live plane and requires a 200.
 func scrape(t *testing.T, srv *httptest.Server, path string) []byte {
 	t.Helper()
@@ -90,21 +90,18 @@ func scrape(t *testing.T, srv *httptest.Server, path string) []byte {
 }
 
 // A two-node mode="core" run (1 client + 1 dedicated core per node; servers
-// are world ranks 1 and 3, each its node's aggregation leader) whose shared
-// plane federates the per-rank registries in-process: /fleet/metrics must
-// be lint-clean, independent of source order and equal to the sum of the
-// per-rank scrapes; /epochs must attribute every committed epoch; /readyz
-// must be 200 once the run has quiesced.
+// are world ranks 1 and 3, each its node's aggregation leader) on one shared
+// plane, whose registry is the only one: /metrics must be lint-clean, carry
+// each server's damaris_server_* series exactly once per server label, and,
+// once the run has quiesced, be the bytes damaris-run's end-of-run report
+// prints; /epochs must attribute every committed epoch; /readyz must be 200.
 func TestFleetLiveGates(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live aggregated run")
 	}
 	const ranks, coresPer, iters = 4, 2, 8
-	const first, second = 1, 3
 
 	plane := obs.NewPlane(1 << 16)
-	fleet := obs.NewFederator()
-	plane.SetFederator(fleet)
 	backend, err := store.NewObjStore(t.TempDir(), store.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -116,14 +113,7 @@ func TestFleetLiveGates(t *testing.T) {
 	cfg.PersistWorkers = 1
 	cfg.PersistQueueDepth = 2
 
-	// One private registry per dedicated core, federated on the shared plane.
-	rankRegs := map[int]*obs.Registry{first: obs.NewRegistry(), second: obs.NewRegistry()}
-	for rank, reg := range rankRegs {
-		fleet.AddRegistry(fmt.Sprint(rank), reg)
-	}
-	runFleet(t, cfg, ranks, coresPer, iters, backend, plane, func(srv *Server) {
-		srv.RegisterObs(rankRegs[srv.id])
-	}, nil)
+	runFleet(t, cfg, ranks, coresPer, iters, backend, plane, nil)
 	if t.Failed() {
 		return
 	}
@@ -131,51 +121,44 @@ func TestFleetLiveGates(t *testing.T) {
 	srv := httptest.NewServer(plane.Handler())
 	defer srv.Close()
 
-	fleetProm := scrape(t, srv, "/fleet/metrics")
-	if err := obs.CheckSamples(fleet.Gather()); err != nil {
-		t.Errorf("fleet exposition fails lint: %v", err)
+	prom := scrape(t, srv, "/metrics")
+	if err := plane.Registry().CheckExposition(); err != nil {
+		t.Errorf("/metrics fails lint: %v", err)
 	}
-	// A second federator over the same quiesced registries, sources added in
-	// the opposite order: the rendering must not care which scrape arrived
-	// first.
-	rev := obs.NewFederator()
-	for _, r := range []int{second, first} {
-		rev.AddRegistry(fmt.Sprint(r), rankRegs[r])
-	}
-	var revBuf bytes.Buffer
-	if err := rev.WritePrometheus(&revBuf); err != nil {
+	var report bytes.Buffer
+	if err := obs.WriteSamples(&report, plane.Registry().Gather()); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(revBuf.Bytes(), fleetProm) {
-		t.Error("fleet exposition bytes depend on source order")
+	if !bytes.Equal(prom, report.Bytes()) {
+		t.Error("quiesced /metrics differs from the end-of-run report's bytes")
 	}
 
-	// Every counter series any rank exposes appears in the fleet view with
-	// the sum over the ranks that expose it, and the fleet view invents none
-	// (fmt prints a map's keys sorted, so the series key is canonical).
-	var fleetDoc obs.MetricsDoc
-	if err := json.Unmarshal(scrape(t, srv, "/fleet/metrics.json"), &fleetDoc); err != nil {
-		t.Fatalf("fleet JSON: %v", err)
-	}
-	counters := func(doc []obs.MetricJSON, into map[string]float64) {
-		for _, m := range doc {
-			if m.Kind == "counter" {
-				into[fmt.Sprint(m.Name, m.Labels)] += m.Value
-			}
+	// Every damaris_server_* series, its server label set aside, appears
+	// once for each dedicated core and for no other rank.
+	servers := map[string]map[string]int{}
+	for _, line := range strings.Split(string(prom), "\n") {
+		if !strings.HasPrefix(line, "damaris_server_") {
+			continue
 		}
-	}
-	got, want := map[string]float64{}, map[string]float64{}
-	counters(fleetDoc.Metrics, got)
-	for _, reg := range rankRegs {
-		counters(reg.GatherJSON(), want)
-	}
-	for series, sum := range want {
-		if v, ok := got[series]; !ok || v != sum {
-			t.Errorf("fleet counter %s = %v (present=%v), per-rank scrapes sum to %v", series, v, ok, sum)
+		series := line[:strings.LastIndexByte(line, ' ')]
+		m := serverLabel.FindStringSubmatchIndex(series)
+		if m == nil {
+			t.Errorf("%s carries no server label", series)
+			continue
 		}
+		key := series[:m[0]] + series[m[1]:]
+		if servers[key] == nil {
+			servers[key] = map[string]int{}
+		}
+		servers[key][series[m[2]:m[3]]]++
 	}
-	if len(want) == 0 || len(got) != len(want) {
-		t.Errorf("fleet view carries %d counter series, the ranks expose %d", len(got), len(want))
+	if len(servers) == 0 {
+		t.Fatal("/metrics carries no damaris_server_* series")
+	}
+	for key, by := range servers {
+		if len(by) != 2 || by["1"] != 1 || by["3"] != 1 {
+			t.Errorf("%s: series per server label %v, want server 1 and 3 once each", key, by)
+		}
 	}
 
 	var reports []obs.EpochReport
@@ -241,7 +224,7 @@ func TestBrownoutAttributionGates(t *testing.T) {
 	// own persist stage. The barrier keeps the clients in lockstep — the
 	// write-stage span runs from first write to iteration complete, and
 	// drifting sleeps would let client skew rival the delay.
-	runFleet(t, cfg, ranks, coresPer, iters, backend, plane, nil, func(clients *mpi.Comm) {
+	runFleet(t, cfg, ranks, coresPer, iters, backend, plane, func(clients *mpi.Comm) {
 		time.Sleep(2 * delay)
 		clients.Barrier()
 	})

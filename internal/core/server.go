@@ -182,9 +182,12 @@ func newServer(sp serverSpec) (*Server, error) {
 			return nil
 		}
 	}
-	if reg := opts.Obs.Registry(); reg != nil {
-		s.RegisterObs(reg)
-	}
+	// The plane's registry is the only one: a live scrape and damaris-run's
+	// end-of-run report are the same gather of it.
+	opts.Obs.Registry().Collect(func(e *obs.Emitter) {
+		s.PipelineStats().Emit(e, "server", fmt.Sprint(s.id))
+		s.emitServer(e, "server", fmt.Sprint(s.id))
+	})
 	// Readiness, distinct from liveness: a server that is replaying a spill
 	// backlog is alive but should not be considered ready (e.g. for
 	// admitting more load).
@@ -197,21 +200,6 @@ func newServer(sp serverSpec) (*Server, error) {
 		})
 	}
 	return s, nil
-}
-
-// RegisterObs registers this server's live metric collectors on a registry.
-// A live scrape and damaris-run's end-of-run report are the same gather of
-// the same registry. newServer calls it for the shared plane; damaris-run
-// calls it again with per-rank registries so the federator can expose a
-// rank-by-rank fleet view.
-func (s *Server) RegisterObs(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	reg.Collect(func(e *obs.Emitter) {
-		s.PipelineStats().Emit(e, "server", fmt.Sprint(s.id))
-		s.emitServer(e, "server", fmt.Sprint(s.id))
-	})
 }
 
 // Run executes the dedicated-core loop(s) until every client has finalized

@@ -96,9 +96,9 @@ func runDeploy(t *testing.T, root string, iters int64) {
 	}
 }
 
-// The PR's acceptance claim end to end: two gateway replicas over the same
-// obj:// store return byte-identical chunk and assembled-field responses for
-// every object a core.Deploy run produced.
+// Statelessness end to end: two independent gateways over the same obj://
+// store return byte-identical chunk and assembled-field responses for every
+// object a core.Deploy run produced.
 func TestTwoReplicasServeDeployOutput(t *testing.T) {
 	root := t.TempDir()
 	runDeploy(t, root, 2)
@@ -116,7 +116,7 @@ func TestTwoReplicasServeDeployOutput(t *testing.T) {
 		t.Fatal("deploy run produced no objects")
 	}
 
-	urls := twoReplicas(t, root, true)
+	urls := twoGateways(t, root)
 	for _, o := range objs {
 		it := objIteration(t, b, o.Name)
 		for _, path := range []string{
@@ -131,7 +131,7 @@ func TestTwoReplicasServeDeployOutput(t *testing.T) {
 				t.Fatalf("%s: status %d / %d (%s / %s)", path, code0, code1, body0, body1)
 			}
 			if !bytes.Equal(body0, body1) {
-				t.Fatalf("%s: replicas disagree (%d vs %d bytes)", path, len(body0), len(body1))
+				t.Fatalf("%s: gateways disagree (%d vs %d bytes)", path, len(body0), len(body1))
 			}
 		}
 	}

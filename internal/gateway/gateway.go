@@ -23,10 +23,8 @@
 //     instead of walking them serially.
 //
 // Gateways are stateless by construction — every byte they serve is
-// re-derivable from the backend — so N replicas scale reads with zero
-// coordination: requests partition by hash of the object name
-// (shared-nothing, cf. the multicore-joins argument in PAPERS.md) and any
-// replica can forward or redirect to the owner. See docs/gateway.md.
+// re-derivable from the backend — so any number of independent gateways
+// can serve one store root with no coordination. See docs/gateway.md.
 package gateway
 
 import (
@@ -75,18 +73,6 @@ type Config struct {
 	// TOCEntries bounds the decoded manifest/TOC cache (0 = default).
 	TOCEntries int
 
-	// Peers are the base URLs of every gateway replica serving this store
-	// (self included), in the shared, identically-ordered list the replicas
-	// partition objects over. Empty or single-entry means this gateway owns
-	// everything.
-	Peers []string
-	// Self is this replica's index into Peers.
-	Self int
-	// Forward selects how misrouted requests reach their owner: true
-	// proxies them through this replica, false answers 307 so the client
-	// re-requests the owner directly.
-	Forward bool
-
 	// Obs is the telemetry plane the gateway registers its stats on and
 	// serves over its mux (/metrics, /v1/metrics, /trace, /jitter, /readyz
 	// — not pprof, which stays off the client-facing mux). Nil means the
@@ -105,7 +91,7 @@ type Config struct {
 // Stats is a snapshot of one gateway's serving metrics, in the same style
 // as store.Stats.
 type Stats struct {
-	// Requests counts HTTP requests accepted (forwarded ones included).
+	// Requests counts HTTP requests accepted.
 	Requests int64
 	// TOCHits/TOCMisses count manifest/TOC cache lookups; TOCRevalidations
 	// the cheap signature probes on hits, TOCInvalidations the rebuilds a
@@ -134,8 +120,6 @@ type Stats struct {
 	FetchLatency stats.Summary
 	// RangesInFlight/MaxRangesInFlight gauge concurrent range reads.
 	RangesInFlight, MaxRangesInFlight int64
-	// Forwards and Redirects count requests routed to their owning replica.
-	Forwards, Redirects int64
 }
 
 // PartHitRate is the fraction of part lookups served from the cache.
@@ -176,8 +160,6 @@ func (s Stats) Emit(e *obs.Emitter, labels ...string) {
 	e.Counter("damaris_gateway_bytes_served_total", float64(s.BytesServed), labels...)
 	e.Gauge("damaris_gateway_ranges_in_flight", float64(s.RangesInFlight), labels...)
 	e.Gauge("damaris_gateway_ranges_in_flight_max", float64(s.MaxRangesInFlight), labels...)
-	e.Counter("damaris_gateway_forwards_total", float64(s.Forwards), labels...)
-	e.Counter("damaris_gateway_redirects_total", float64(s.Redirects), labels...)
 	e.Gauge("damaris_gateway_part_hit_rate", s.PartHitRate(), labels...)
 	e.Gauge("damaris_gateway_toc_hit_rate", s.TOCHitRate(), labels...)
 	e.Summary("damaris_gateway_fetch_seconds", s.FetchLatency, labels...)
@@ -214,8 +196,6 @@ type Gateway struct {
 		fetchLat         stats.Accumulator
 		rangesInFlight   int64
 		maxRanges        int64
-		forwards         int64
-		redirects        int64
 	}
 }
 
@@ -235,9 +215,6 @@ func New(cfg Config) (*Gateway, error) {
 	}
 	if cfg.TOCEntries == 0 {
 		cfg.TOCEntries = DefaultTOCEntries
-	}
-	if len(cfg.Peers) > 0 && (cfg.Self < 0 || cfg.Self >= len(cfg.Peers)) {
-		return nil, fmt.Errorf("gateway: self index %d outside peer list of %d", cfg.Self, len(cfg.Peers))
 	}
 	g := &Gateway{
 		cfg:      cfg,
@@ -266,25 +243,6 @@ func New(cfg Config) (*Gateway, error) {
 			}
 			return nil
 		})
-	}
-	// With a replica set configured, the fleet federator merges every
-	// replica's metrics behind /fleet/metrics: self is read in-process, the
-	// peers are scraped over their /metrics.json. A standalone gateway
-	// federates just itself, so the fleet routes always answer.
-	if plane := g.obs; plane.Federator() == nil {
-		fed := obs.NewFederator()
-		if len(cfg.Peers) > 1 {
-			for i, peer := range cfg.Peers {
-				if i == cfg.Self {
-					fed.AddRegistry(fmt.Sprint(i), plane.Registry())
-				} else {
-					fed.AddURL(fmt.Sprint(i), peer)
-				}
-			}
-		} else {
-			fed.AddRegistry(fmt.Sprint(cfg.Self), plane.Registry())
-		}
-		plane.SetFederator(fed)
 	}
 	return g, nil
 }
@@ -613,8 +571,6 @@ func (g *Gateway) Stats() Stats {
 		FetchLatency:      g.met.fetchLat.Summary(),
 		RangesInFlight:    g.met.rangesInFlight,
 		MaxRangesInFlight: g.met.maxRanges,
-		Forwards:          g.met.forwards,
-		Redirects:         g.met.redirects,
 	}
 }
 

@@ -362,71 +362,24 @@ func TestGatewayInvalidatesOnObjectChange(t *testing.T) {
 	}
 }
 
-func TestOwnerStableAndInRange(t *testing.T) {
-	for _, replicas := range []int{1, 2, 3, 7} {
-		seen := map[int]bool{}
-		for i := 0; i < 64; i++ {
-			name := fmt.Sprintf("node%04d_it%06d.dsf", i%4, i)
-			o := Owner(name, replicas)
-			if o < 0 || o >= replicas {
-				t.Fatalf("Owner(%q,%d) = %d out of range", name, replicas, o)
-			}
-			if o2 := Owner(name, replicas); o2 != o {
-				t.Fatalf("Owner not deterministic: %d then %d", o, o2)
-			}
-			seen[o] = true
-		}
-		if replicas > 1 && len(seen) < 2 {
-			t.Errorf("replicas=%d: all 64 objects hashed to one owner", replicas)
-		}
-	}
-}
-
-// switchboard lets us start the HTTP listeners before the gateways exist:
-// the peer URLs feed gateway construction, then the handlers are installed.
-type switchboard struct {
-	mu sync.Mutex
-	h  http.Handler
-}
-
-func (s *switchboard) set(h http.Handler) {
-	s.mu.Lock()
-	s.h = h
-	s.mu.Unlock()
-}
-
-func (s *switchboard) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	h := s.h
-	s.mu.Unlock()
-	if h == nil {
-		http.Error(w, "not ready", http.StatusServiceUnavailable)
-		return
-	}
-	h.ServeHTTP(w, r)
-}
-
-// twoReplicas starts two gateway replicas over the same store root, each
-// with its own backend handle, partitioned over the same peer list.
-func twoReplicas(t *testing.T, root string, forward bool) (urls [2]string) {
+// twoGateways starts two independent gateways over the same store root,
+// each with its own backend handle and caches. Nothing routes between
+// them: a stateless gateway needs no peer to answer any request.
+func twoGateways(t *testing.T, root string) (urls [2]string) {
 	t.Helper()
-	boards := [2]*switchboard{{}, {}}
-	for i := range boards {
-		srv := httptest.NewServer(boards[i])
-		t.Cleanup(srv.Close)
-		urls[i] = srv.URL
-	}
-	for i := range boards {
+	for i := range urls {
 		b, err := store.Open("obj://" + root)
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { b.Close() })
-		g, err := New(Config{Backend: b, Peers: urls[:], Self: i, Forward: forward})
+		g, err := New(Config{Backend: b})
 		if err != nil {
 			t.Fatal(err)
 		}
-		boards[i].set(g.Handler())
+		srv := httptest.NewServer(g.Handler())
+		t.Cleanup(srv.Close)
+		urls[i] = srv.URL
 	}
 	return urls
 }
@@ -445,9 +398,9 @@ func httpGet(t *testing.T, url string) (int, []byte) {
 	return resp.StatusCode, body
 }
 
-// The acceptance claim: two replicas over one store answer byte-identically
-// for every object, chunk, and assembled field, whichever replica the client
-// happens to ask (forward mode proxies misrouted requests to the owner).
+// Gateways are stateless: two independent gateways over one store answer
+// byte-identically for every object, chunk, raw range and assembled field,
+// whichever one the client happens to ask.
 func TestTwoReplicasByteIdentical(t *testing.T) {
 	root := t.TempDir()
 	b, err := store.Open("obj://" + root)
@@ -466,7 +419,7 @@ func TestTwoReplicasByteIdentical(t *testing.T) {
 		t.Fatalf("%d objects, want 3", len(objs))
 	}
 
-	urls := twoReplicas(t, root, true)
+	urls := twoGateways(t, root)
 	for _, o := range objs {
 		for _, path := range []string{
 			"/v1/object/" + o.Name,
@@ -481,13 +434,13 @@ func TestTwoReplicasByteIdentical(t *testing.T) {
 				t.Fatalf("%s: status %d / %d", path, code0, code1)
 			}
 			if !bytes.Equal(body0, body1) {
-				t.Fatalf("%s: replicas returned different bodies (%d vs %d bytes)",
+				t.Fatalf("%s: gateways returned different bodies (%d vs %d bytes)",
 					path, len(body0), len(body1))
 			}
 		}
 	}
 
-	// List endpoints are served by any replica, identically.
+	// List endpoints answer identically too.
 	for _, path := range []string{"/v1/objects", "/v1/variables", "/v1/iterations"} {
 		_, body0 := httpGet(t, urls[0]+path)
 		_, body1 := httpGet(t, urls[1]+path)
@@ -542,40 +495,4 @@ func objIteration(t *testing.T, b store.Backend, name string) int64 {
 		t.Fatal(err)
 	}
 	return m.Iteration
-}
-
-// Redirect mode: a request for an object the receiving replica does not own
-// answers 307 with the owner's URL; the owner serves it directly.
-func TestReplicaRedirects(t *testing.T) {
-	root := t.TempDir()
-	b, err := store.Open("obj://" + root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	writeDSFObject(t, b, "redir.dsf", 0, 2, 1)
-
-	urls := twoReplicas(t, root, false)
-	owner := Owner("redir.dsf", 2)
-	nonOwner := 1 - owner
-
-	client := &http.Client{CheckRedirect: func(*http.Request, []*http.Request) error {
-		return http.ErrUseLastResponse
-	}}
-	resp, err := client.Get(urls[nonOwner] + "/v1/object/redir.dsf")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusTemporaryRedirect {
-		t.Fatalf("non-owner status = %d, want 307", resp.StatusCode)
-	}
-	if loc := resp.Header.Get("Location"); loc != urls[owner]+"/v1/object/redir.dsf" {
-		t.Fatalf("Location = %q, want owner %q", loc, urls[owner]+"/v1/object/redir.dsf")
-	}
-
-	code, _ := httpGet(t, urls[owner]+"/v1/object/redir.dsf")
-	if code != http.StatusOK {
-		t.Fatalf("owner status = %d", code)
-	}
 }

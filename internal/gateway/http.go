@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
-	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -16,24 +14,6 @@ import (
 	"damaris/internal/store"
 	"damaris/internal/viz"
 )
-
-// forwardedHeader marks a request already routed once by a replica; the
-// receiver serves it locally regardless of ownership, so a stale peer list
-// can never bounce a request around the ring.
-const forwardedHeader = "X-Damaris-Forwarded"
-
-// Owner returns the index of the replica owning an object: FNV-1a of the
-// object name modulo the replica count. Every replica computes the same
-// answer from the same peer list — shared-nothing partitioning with zero
-// coordination.
-func Owner(object string, replicas int) int {
-	if replicas <= 1 {
-		return 0
-	}
-	h := fnv.New32a()
-	h.Write([]byte(object))
-	return int(h.Sum32() % uint32(replicas))
-}
 
 // Handler returns the gateway's HTTP API:
 //
@@ -47,10 +27,6 @@ func Owner(object string, replicas int) int {
 //	GET /v1/raw/{name...}?off=&len=   raw bytes of the object's DSF stream
 //	GET /v1/field/{name...}?var=&iteration=[&format=raw]
 //	                                  viz.Assemble-backed dense field read
-//
-// Object-scoped endpoints are partition-routed: a request landing on a
-// non-owner replica is proxied (Config.Forward) or 307-redirected to the
-// owner. List endpoints are served by any replica.
 func (g *Gateway) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -67,10 +43,10 @@ func (g *Gateway) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/objects", g.countReq(g.handleObjects))
 	mux.HandleFunc("GET /v1/variables", g.countReq(g.handleVariables))
 	mux.HandleFunc("GET /v1/iterations", g.countReq(g.handleIterations))
-	mux.HandleFunc("GET /v1/object/{name...}", g.countReq(g.routed(g.handleObject)))
-	mux.HandleFunc("GET /v1/chunk/{name...}", g.countReq(g.routed(g.handleChunk)))
-	mux.HandleFunc("GET /v1/raw/{name...}", g.countReq(g.routed(g.handleRaw)))
-	mux.HandleFunc("GET /v1/field/{name...}", g.countReq(g.routed(g.handleField)))
+	mux.HandleFunc("GET /v1/object/{name...}", g.countReq(objectScoped(g.handleObject)))
+	mux.HandleFunc("GET /v1/chunk/{name...}", g.countReq(objectScoped(g.handleChunk)))
+	mux.HandleFunc("GET /v1/raw/{name...}", g.countReq(objectScoped(g.handleRaw)))
+	mux.HandleFunc("GET /v1/field/{name...}", g.countReq(objectScoped(g.handleField)))
 	return mux
 }
 
@@ -83,57 +59,16 @@ func (g *Gateway) countReq(h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// routed applies shared-nothing partition routing to an object-scoped
-// handler.
-func (g *Gateway) routed(h func(http.ResponseWriter, *http.Request, string)) http.HandlerFunc {
+// objectScoped hands an object-scoped handler its non-empty object name.
+func objectScoped(h func(http.ResponseWriter, *http.Request, string)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		object := r.PathValue("name")
 		if object == "" {
 			httpError(w, http.StatusBadRequest, fmt.Errorf("gateway: empty object name"))
 			return
 		}
-		if len(g.cfg.Peers) > 1 && r.Header.Get(forwardedHeader) == "" {
-			if owner := Owner(object, len(g.cfg.Peers)); owner != g.cfg.Self {
-				g.route(w, r, g.cfg.Peers[owner])
-				return
-			}
-		}
 		h(w, r, object)
 	}
-}
-
-// route hands a misrouted request to its owning replica.
-func (g *Gateway) route(w http.ResponseWriter, r *http.Request, ownerBase string) {
-	target := strings.TrimSuffix(ownerBase, "/") + r.URL.RequestURI()
-	if !g.cfg.Forward {
-		g.met.Lock()
-		g.met.redirects++
-		g.met.Unlock()
-		http.Redirect(w, r, target, http.StatusTemporaryRedirect)
-		return
-	}
-	g.met.Lock()
-	g.met.forwards++
-	g.met.Unlock()
-	req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, target, nil)
-	if err != nil {
-		httpError(w, http.StatusBadGateway, err)
-		return
-	}
-	req.Header.Set(forwardedHeader, "1")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		httpError(w, http.StatusBadGateway, err)
-		return
-	}
-	defer resp.Body.Close()
-	for k, vs := range resp.Header {
-		for _, v := range vs {
-			w.Header().Add(k, v)
-		}
-	}
-	w.WriteHeader(resp.StatusCode)
-	io.Copy(w, resp.Body)
 }
 
 // httpError answers with fallback unless err is one of the faults only the

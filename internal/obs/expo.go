@@ -12,11 +12,7 @@ import (
 // Prometheus text (for scrapers) and JSON (for tools and for the gateway's
 // /v1/metrics alias, so the read plane and the write plane expose one
 // schema). Both renderings are deterministic: same sample multiset, same
-// bytes. The sample-level functions (WriteSamples, CheckSamples,
-// SamplesJSON) are the single rendering path shared by a Registry and by
-// the Federator's merged fleet view — which is how federated output stays
-// byte-identical to what a single registry would produce for the same
-// samples.
+// bytes.
 
 // WritePrometheus renders the registry in the Prometheus text exposition
 // format, families sorted by name and a single TYPE line per family.
@@ -74,12 +70,7 @@ func WriteSamples(w io.Writer, samples []Sample) error {
 // plane, and subsystem tests run it over their Emit output, so a colliding
 // family name fails CI instead of the first real scrape.
 func (r *Registry) CheckExposition() error {
-	return CheckSamples(r.Gather())
-}
-
-// CheckSamples runs the CheckExposition collision scan over an explicit
-// sample list — how the federation tests vet merged fleet output.
-func CheckSamples(samples []Sample) error {
+	samples := r.Gather()
 	var lastKey, lastFam string
 	kinds := make(map[string]Kind)
 	families := make(map[string]bool)
@@ -160,11 +151,7 @@ type MetricsDoc struct {
 
 // GatherJSON converts the registry's samples to the JSON exposition schema.
 func (r *Registry) GatherJSON() []MetricJSON {
-	return SamplesJSON(r.Gather())
-}
-
-// SamplesJSON converts a sample list to the JSON exposition schema.
-func SamplesJSON(samples []Sample) []MetricJSON {
+	samples := r.Gather()
 	out := make([]MetricJSON, 0, len(samples))
 	for _, s := range samples {
 		m := MetricJSON{Name: s.Name, Kind: s.Kind.String(), Value: s.Value}
@@ -179,40 +166,10 @@ func SamplesJSON(samples []Sample) []MetricJSON {
 	return out
 }
 
-// SamplesFromJSON converts JSON exposition metrics back into samples —
-// the inverse of SamplesJSON, used by the federator's HTTP scrape sources.
-// Unknown kinds are an error; labels come back sorted.
-func SamplesFromJSON(metrics []MetricJSON) ([]Sample, error) {
-	out := make([]Sample, 0, len(metrics))
-	for _, m := range metrics {
-		k, ok := KindFromString(m.Kind)
-		if !ok {
-			return nil, fmt.Errorf("obs: metric %s: unknown kind %q", m.Name, m.Kind)
-		}
-		s := Sample{Name: m.Name, Kind: k, Value: m.Value}
-		if len(m.Labels) > 0 {
-			ls := make([]string, 0, 2*len(m.Labels))
-			for lk, lv := range m.Labels {
-				ls = append(ls, lk, lv)
-			}
-			s.Labels = sortLabels(ls)
-		}
-		out = append(out, s)
-	}
-	sortSamples(out)
-	return out, nil
-}
-
 // WriteJSON renders the JSON exposition document. encoding/json sorts map
 // keys, so the bytes are as deterministic as the sample list.
 func (r *Registry) WriteJSON(w io.Writer) error {
-	return WriteSamplesJSON(w, r.Gather())
-}
-
-// WriteSamplesJSON renders an explicit sample list as the JSON exposition
-// document — the federated endpoints share this path with WriteJSON.
-func WriteSamplesJSON(w io.Writer, samples []Sample) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(MetricsDoc{Metrics: SamplesJSON(samples)})
+	return enc.Encode(MetricsDoc{Metrics: r.GatherJSON()})
 }

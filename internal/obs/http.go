@@ -7,22 +7,20 @@ import (
 	"net/http/pprof"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"damaris/internal/stats"
 )
 
 // Plane bundles the telemetry a process exposes: one metrics registry and
-// one lifecycle tracer — plus, optionally, a federator serving the fleet
-// view and readiness probes behind /readyz — and the HTTP exposition
-// handler both damaris-run (-metrics-addr) and damaris-gate (folded into
-// its mux) serve. All methods tolerate a nil receiver — subsystems wire
-// telemetry unconditionally and a nil plane means "observability off".
+// one lifecycle tracer — plus readiness probes behind /readyz — and the
+// HTTP exposition handler both damaris-run (-metrics-addr) and damaris-gate
+// (folded into its mux) serve. All methods tolerate a nil receiver —
+// subsystems wire telemetry unconditionally and a nil plane means
+// "observability off".
 type Plane struct {
 	reg   *Registry
 	trace *Tracer
-	fed   atomic.Pointer[Federator]
 
 	readyMu sync.Mutex
 	probes  []readyProbe
@@ -59,24 +57,6 @@ func (p *Plane) Tracer() *Tracer {
 		return nil
 	}
 	return p.trace
-}
-
-// SetFederator attaches the fleet federator served at /fleet/metrics and
-// /fleet/metrics.json. Nil-safe on both sides; without one, the fleet
-// routes answer 503.
-func (p *Plane) SetFederator(f *Federator) {
-	if p == nil {
-		return
-	}
-	p.fed.Store(f)
-}
-
-// Federator returns the attached fleet federator, or nil.
-func (p *Plane) Federator() *Federator {
-	if p == nil {
-		return nil
-	}
-	return p.fed.Load()
 }
 
 // AddReadiness registers a named readiness probe: /readyz reports
@@ -183,8 +163,6 @@ func stageJitterOf(stage string, s stats.Summary) StageJitter {
 //	GET /v1/metrics         alias of /metrics.json (the gateway serves the
 //	                        same route over its registry — one schema for
 //	                        the read and write planes)
-//	GET /fleet/metrics      federated fleet view, Prometheus text
-//	GET /fleet/metrics.json federated fleet view, JSON (503 if no federator)
 //	GET /epochs             per-epoch critical-path reports (EpochReport)
 //	GET /trace              retained lifecycle spans, JSONL
 //	GET /trace?format=chrome  Chrome trace-event format (chrome://tracing)
@@ -252,23 +230,6 @@ func RegisterRoutes(mux *http.ServeMux, p *Plane) {
 		enc.SetIndent("", "  ")
 		enc.Encode(reports)
 	})
-	fleet := func(write func(*Federator, http.ResponseWriter) error, ctype string) http.HandlerFunc {
-		return func(w http.ResponseWriter, r *http.Request) {
-			fed := p.Federator()
-			if fed == nil {
-				http.Error(w, "fleet federation not configured", http.StatusServiceUnavailable)
-				return
-			}
-			w.Header().Set("Content-Type", ctype)
-			write(fed, w)
-		}
-	}
-	mux.HandleFunc("GET /fleet/metrics", fleet(func(f *Federator, w http.ResponseWriter) error {
-		return f.WritePrometheus(w)
-	}, "text/plain; version=0.0.4"))
-	mux.HandleFunc("GET /fleet/metrics.json", fleet(func(f *Federator, w http.ResponseWriter) error {
-		return f.WriteJSON(w)
-	}, "application/json"))
 	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
 		ready, reasons := p.Ready()
 		if reasons == nil {

@@ -283,54 +283,6 @@ func TestEpochsRoute(t *testing.T) {
 	}
 }
 
-func TestFleetRoutes(t *testing.T) {
-	p := planeWithSpans(t)
-	srv := httptest.NewServer(p.Handler())
-	defer srv.Close()
-
-	// Without a federator the fleet routes refuse rather than serve a
-	// misleading single-rank document.
-	for _, path := range []string{"/fleet/metrics", "/fleet/metrics.json"} {
-		resp, err := http.Get(srv.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusServiceUnavailable {
-			t.Errorf("GET %s without federator = %s, want 503", path, resp.Status)
-		}
-	}
-
-	fed := NewFederator()
-	fed.AddRegistry("0", p.Registry())
-	r1 := NewRegistry()
-	r1.Collect(func(e *Emitter) { e.Counter("damaris_test_total", 4) })
-	fed.AddRegistry("1", r1)
-	p.SetFederator(fed)
-	if p.Federator() != fed {
-		t.Fatal("SetFederator did not take")
-	}
-
-	body, ct := get(t, srv, "/fleet/metrics")
-	if !strings.HasPrefix(ct, "text/plain") {
-		t.Errorf("/fleet/metrics content type %q", ct)
-	}
-	if !strings.Contains(body, "damaris_test_total 7") {
-		t.Errorf("/fleet/metrics did not sum ranks:\n%s", body)
-	}
-	jbody, ct := get(t, srv, "/fleet/metrics.json")
-	if ct != "application/json" {
-		t.Errorf("/fleet/metrics.json content type %q", ct)
-	}
-	var doc MetricsDoc
-	if err := json.Unmarshal([]byte(jbody), &doc); err != nil {
-		t.Fatalf("fleet JSON: %v", err)
-	}
-	if len(doc.Metrics) == 0 {
-		t.Fatal("fleet JSON is empty")
-	}
-}
-
 func TestNilPlaneSafe(t *testing.T) {
 	var p *Plane
 	if p.Registry() != nil || p.Tracer() != nil || p.JitterReport() != nil {
@@ -344,11 +296,6 @@ func TestNilPlaneSafe(t *testing.T) {
 	}
 	if body, _ := get(t, srv, "/jitter"); strings.TrimSpace(body) != "[]" {
 		t.Errorf("/jitter over nil plane = %q", body)
-	}
-	// The fleet-layer methods must be inert too.
-	p.SetFederator(NewFederator())
-	if p.Federator() != nil {
-		t.Fatal("nil plane holds a federator")
 	}
 	p.AddReadiness("x", func() error { return nil })
 	if ready, reasons := p.Ready(); !ready || reasons != nil {

@@ -170,23 +170,6 @@ func (k Kind) String() string {
 	}
 }
 
-// KindFromString resolves a kind's exposition name; ok is false for
-// unknown names. The inverse of Kind.String, used when parsing scraped
-// JSON expositions back into samples.
-func KindFromString(name string) (Kind, bool) {
-	switch name {
-	case "counter":
-		return KindCounter, true
-	case "gauge":
-		return KindGauge, true
-	case "histogram":
-		return KindHistogram, true
-	case "summary":
-		return KindSummary, true
-	}
-	return 0, false
-}
-
 // Sample is one exposition data point: a family name, sorted label pairs
 // and a value.
 type Sample struct {
@@ -264,20 +247,14 @@ func (r *Registry) Gather() []Sample {
 	for _, fn := range collectors {
 		fn(e)
 	}
-	sortSamples(e.samples)
-	return e.samples
-}
-
-// sortSamples orders samples by (name, labels) — the canonical exposition
-// order every rendering (and the federator's merged output) relies on.
-func sortSamples(samples []Sample) {
-	sort.SliceStable(samples, func(i, j int) bool {
-		a, b := samples[i], samples[j]
+	sort.SliceStable(e.samples, func(i, j int) bool {
+		a, b := e.samples[i], e.samples[j]
 		if a.Name != b.Name {
 			return a.Name < b.Name
 		}
 		return labelKey(a.Labels) < labelKey(b.Labels)
 	})
+	return e.samples
 }
 
 // Emitter receives samples from collectors during Gather.

@@ -297,7 +297,7 @@ func (t *Tracer) Collect(e *Emitter) {
 }
 
 // spanJSON is the JSONL wire form of a span. Origin is a pointer so that
-// pre-fleet trace files (no origin field) read back with Origin defaulted
+// older trace files (no origin field) read back with Origin defaulted
 // to Server rather than zero; shard follows the same pattern — absent (the
 // pre-sharding format, or a span not attributed to an event-loop shard)
 // reads back as -1.
@@ -345,13 +345,17 @@ func WriteSpansJSONL(w io.Writer, spans []Span) error {
 	return bw.Flush()
 }
 
-// ReadSpansJSONL parses spans written by WriteSpansJSONL.
+// ReadSpansJSONL parses spans written by WriteSpansJSONL. A shard is absent
+// or not negative: WriteSpansJSONL never writes a negative one, so a file
+// that holds one was not written by it.
 func ReadSpansJSONL(r io.Reader) ([]Span, error) {
 	dec := json.NewDecoder(r)
 	var out []Span
-	for dec.More() {
+	for {
 		var sj spanJSON
-		if err := dec.Decode(&sj); err != nil {
+		if err := dec.Decode(&sj); err == io.EOF {
+			return out, nil
+		} else if err != nil {
 			return nil, fmt.Errorf("obs: trace line %d: %w", len(out)+1, err)
 		}
 		st, ok := StageFromString(sj.Stage)
@@ -364,7 +368,9 @@ func ReadSpansJSONL(r io.Reader) ([]Span, error) {
 		}
 		shard := -1
 		if sj.Shard != nil {
-			shard = *sj.Shard
+			if shard = *sj.Shard; shard < 0 {
+				return nil, fmt.Errorf("obs: trace line %d: negative shard %d", len(out)+1, shard)
+			}
 		}
 		out = append(out, Span{
 			Stage:     st,
@@ -378,7 +384,6 @@ func ReadSpansJSONL(r io.Reader) ([]Span, error) {
 			Err:       sj.Err,
 		})
 	}
-	return out, nil
 }
 
 // chromeEvent is one Chrome trace-event ("X" complete event). pid groups by

@@ -282,7 +282,7 @@ func TestSnapshotByteStableAfterWrap(t *testing.T) {
 	}
 }
 
-// Cross-rank spans round-trip their origin through JSONL, and pre-fleet
+// Cross-rank spans round-trip their origin through JSONL, and older
 // trace files without the field read back with Origin defaulting to Server.
 func TestSpansJSONLOriginRoundTrip(t *testing.T) {
 	span := Span{Stage: StageWrite, Server: 0, Origin: 5, Shard: -1, Iteration: 12,
