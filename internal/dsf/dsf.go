@@ -407,33 +407,32 @@ func (w *Writer) Close() error {
 	return nil
 }
 
-// decode reverses encodeChunk. rawSize (from the TOC) sizes the
-// decompression buffer so the decode runs in one pass instead of growing
-// through io.ReadAll; an implausible value — negative, ≥2 GiB, or beyond
-// deflate's ~1032:1 expansion limit for the stored bytes — degrades to
-// unhinted decoding rather than trusting a corrupt TOC with a huge upfront
-// allocation.
+// decode reverses encodeChunk and returns exactly rawSize (from the TOC)
+// bytes or an error. rawSize sizes the decompression buffer, so the decode
+// runs in one pass, and bounds it: a stream that inflates past rawSize
+// stops one byte later, and a rawSize beyond deflate's ~1032:1 expansion
+// limit for the stored bytes is refused before anything is allocated — a
+// corrupt TOC never sizes an allocation the stored bytes could not fill.
 func decode(stored []byte, c Codec, elemSize int, rawSize int64) ([]byte, error) {
-	hint := func() []byte {
-		if rawSize > 0 && rawSize < 1<<31 && rawSize <= 1032*int64(len(stored))+64 {
-			return make([]byte, 0, rawSize)
-		}
-		return nil
+	if rawSize < 0 || (c != None && rawSize > 1032*int64(len(stored))+64) {
+		return nil, fmt.Errorf("toc raw size %d is not what %d stored bytes can decode to", rawSize, len(stored))
 	}
+	raw := stored
+	var err error
 	switch c {
 	case None:
-		return stored, nil
-	case Gzip:
-		return transform.DecompressGzipTo(hint(), stored)
-	case ShuffleGzip:
-		raw, err := transform.DecompressGzipTo(hint(), stored)
-		if err != nil {
-			return nil, err
-		}
-		return transform.Unshuffle(raw, elemSize)
+	case Gzip, ShuffleGzip:
+		raw, err = transform.DecompressGzipTo(make([]byte, 0, rawSize), stored, int(rawSize))
 	default:
 		return nil, fmt.Errorf("unknown codec %v", c)
 	}
+	if err == nil && int64(len(raw)) != rawSize {
+		return nil, fmt.Errorf("decoded to %d bytes, toc says %d", len(raw), rawSize)
+	}
+	if err == nil && c == ShuffleGzip {
+		raw, err = transform.Unshuffle(raw, elemSize)
+	}
+	return raw, err
 }
 
 // Viewer is implemented by sources that can lend the bytes of a range
@@ -636,9 +635,6 @@ func (r *Reader) ReadChunk(i int) ([]byte, error) {
 	data, err := decode(stored, e.Codec, e.Layout.Type().Size(), e.RawSize)
 	if err != nil {
 		return nil, fmt.Errorf("dsf: chunk %d: %w", i, err)
-	}
-	if int64(len(data)) != e.RawSize {
-		return nil, fmt.Errorf("dsf: chunk %d decoded to %d bytes, toc says %d", i, len(data), e.RawSize)
 	}
 	return data, nil
 }

@@ -2,8 +2,10 @@ package dsf
 
 import (
 	"bytes"
+	"compress/gzip"
 	"encoding/binary"
 	"encoding/gob"
+	"runtime"
 	"testing"
 
 	"damaris/internal/layout"
@@ -109,5 +111,52 @@ func FuzzTOCDecode(f *testing.F) {
 		}
 		_ = r.Attributes()
 		_ = r.Verify()
+	})
+}
+
+// FuzzChunkDecode hands decode arbitrary stored bytes, a codec and a
+// RawSize, past the CRC a corrupt TOC would have to match. The result is an
+// error or exactly RawSize bytes, and the decode allocates no more than
+// RawSize plus a constant — twice RawSize for shuffle+gzip, whose gunzip
+// buffer and unshuffled copy coexist — however far the stream would
+// inflate: a TOC that understates a bomb stops it one byte past RawSize.
+func FuzzChunkDecode(f *testing.F) {
+	var bomb bytes.Buffer // 1 MiB of zeros in ≈1 KB
+	zw := gzip.NewWriter(&bomb)
+	zw.Write(make([]byte, 1<<20))
+	zw.Close()
+	f.Add(bomb.Bytes(), uint8(Gzip), uint8(2), int64(1024))
+	f.Add(bomb.Bytes(), uint8(ShuffleGzip), uint8(2), int64(1<<20))
+	for _, codec := range []Codec{None, Gzip, ShuffleGzip} {
+		data := planeField(4 << 10)
+		ec, err := encodeChunk(nil, nil, data, codec, 4, DefaultGzipLevel)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(bytes.Clone(ec.stored), uint8(codec), uint8(2), int64(len(data)))
+		f.Add(bytes.Clone(ec.stored), uint8(codec), uint8(2), int64(len(data)-1))
+		ec.release(nil)
+	}
+	f.Add([]byte{}, uint8(Gzip), uint8(0), int64(0))
+	f.Add([]byte("not gzip"), uint8(ShuffleGzip), uint8(3), int64(-1))
+
+	const slack = 256 << 10 // a gzip reader the pool lost, error strings
+	f.Fuzz(func(t *testing.T, stored []byte, codec, elemLog uint8, rawSize int64) {
+		c, elemSize := Codec(codec), 1<<(elemLog%4)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		raw, err := decode(stored, c, elemSize, rawSize)
+		runtime.ReadMemStats(&after)
+		if err == nil && int64(len(raw)) != rawSize {
+			t.Fatalf("decoded %d bytes, RawSize %d", len(raw), rawSize)
+		}
+		bound := uint64(max(rawSize, 0)) + slack
+		if c == ShuffleGzip {
+			bound += uint64(max(rawSize, 0))
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > bound {
+			t.Fatalf("%v decode of %d stored bytes with RawSize %d allocated %d bytes, bound %d",
+				c, len(stored), rawSize, got, bound)
+		}
 	})
 }

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -41,11 +42,12 @@ func TestObjStorePutAllocs(t *testing.T) {
 		return part
 	}
 	upload() // the first part makes the fan-out directories
-	// The blob name; the probe's syscall copy and its miss; the hedge and
-	// put-deadline closures; the temp name and its syscall copy; rename's two
-	// copies. Names are relative to open directories, so no path is built,
-	// and the temp file is a bare descriptor, not an os.File.
-	const maxPartAllocs = 9
+	// The blob name; the probe's syscall copy; the temp name and its syscall
+	// copy; rename's two copies. Names are relative to open directories, so
+	// no path is built; the temp file is a bare descriptor, not an os.File;
+	// the probe's miss is the bare ErrNotExist; and the put reaches the
+	// hedge and the deadline as a value, so neither builds a closure.
+	const maxPartAllocs = 6
 	if n := testing.AllocsPerRun(50, func() { upload() }); n > maxPartAllocs {
 		t.Errorf("a steady-state part upload allocates %.0f times, want at most %d", n, maxPartAllocs)
 	}
@@ -73,8 +75,9 @@ func TestObjStorePutAllocs(t *testing.T) {
 // TestPinnedObjectAllocBytes gates the bytes the store's control path
 // allocates for a whole object: a steady-state 8 MiB object written pinned
 // at 1 MiB parts, every part new, uploaded by the default pool and
-// committed. None of it is part data; ≈12.3 KB by this measure before the
-// store named its files relative to open directories.
+// committed. None of it is part data; ≈5.7 KB by this measure before puts
+// went closure-free and the part list was sized by the previous object,
+// ≈12.3 KB before the store named its files relative to open directories.
 func TestPinnedObjectAllocBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops pooled encoders at random")
@@ -106,7 +109,7 @@ func TestPinnedObjectAllocBytes(t *testing.T) {
 	object() // the fan-out directories, the pools
 	// The least of three rounds: a garbage collection empties the pools,
 	// and a round it lands in pays for refilling them.
-	const rounds, runs, maxBytes = 3, 8, 8 << 10
+	const rounds, runs, maxBytes = 3, 8, 4608
 	least := uint64(math.MaxUint64)
 	for range rounds {
 		var before, after runtime.MemStats
@@ -119,6 +122,41 @@ func TestPinnedObjectAllocBytes(t *testing.T) {
 	}
 	if least > maxBytes {
 		t.Errorf("an 8 MiB pinned object allocates %d bytes in the store, want at most %d", least, maxBytes)
+	}
+}
+
+// TestManifestReadAllocBytes gates what reading a 9-part manifest back
+// allocates — the janitor of a retention policy reads each object's twice,
+// the gateway once per object it opens: the decoded strings and a part list
+// sized once, the pooled read buffer aside. ≈3.0 KB before the part list was
+// pre-sized and the digests became substrings of the blob names.
+func TestManifestReadAllocBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled buffers at random")
+	}
+	s, err := NewObjStore(t.TempDir(), Options{PartSize: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if m := writeObject(t, s, "node0000_it000001.dsf", pattern(9*1024-7, 5), 4096); len(m.Parts) != 9 {
+		t.Fatalf("%d parts, want 9", len(m.Parts))
+	}
+	const rounds, runs, maxBytes = 3, 50, 2200
+	least := uint64(math.MaxUint64)
+	for range rounds {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			if _, err := s.Manifest("node0000_it000001.dsf"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, (after.TotalAlloc-before.TotalAlloc)/runs)
+	}
+	if least > maxBytes {
+		t.Errorf("reading a 9-part manifest allocates %d bytes, want at most %d", least, maxBytes)
 	}
 }
 
@@ -185,6 +223,33 @@ func TestManifestDecodeKeepsNoBufferAlias(t *testing.T) {
 		if p.Blob != want[2*i] || p.SHA256 != want[2*i+1] {
 			t.Fatalf("part %d of a.dsf changed under a later decode: %+v, want blob %s", i, p, want[2*i])
 		}
+	}
+}
+
+// TestManifestDigestMustNameItsBlob commits a manifest whose two parts'
+// digests are swapped — valid hex of the right length, as a corruption at
+// rest could leave them. Commit checks durability, not digests, so it lands;
+// reading it back must fail, or the gateway's part cache, keyed by digest,
+// would file each blob's bytes under the other part.
+func TestManifestDigestMustNameItsBlob(t *testing.T) {
+	s, err := NewObjStore(t.TempDir(), Options{PartSize: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := writeObject(t, s, "o.dsf", pattern(2048, 1), 2048)
+	if len(m.Parts) != 2 {
+		t.Fatalf("%d parts, want 2", len(m.Parts))
+	}
+	swapped := &Manifest{Object: "swapped.dsf", Size: m.Size, Parts: slices.Clone(m.Parts)}
+	swapped.Parts[0].SHA256, swapped.Parts[1].SHA256 = m.Parts[1].SHA256, m.Parts[0].SHA256
+	if err := s.Commit(swapped); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := s.Manifest("swapped.dsf"); err == nil || !strings.Contains(err.Error(), "does not name blob") {
+		t.Errorf("Manifest of swapped digests = %+v, %v; want the digest error", got, err)
+	}
+	if got, err := s.Manifest("o.dsf"); err != nil || !slices.Equal(got.Parts, m.Parts) {
+		t.Errorf("Manifest(o.dsf) = %+v, %v; want %+v", got, err, m.Parts)
 	}
 }
 

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"cmp"
 	"fmt"
 	"io/fs"
 	"os"
@@ -65,11 +66,7 @@ type Collector interface {
 // grace window and the next pass reclaims them.
 func (s *ObjStore) GC(opts GCOptions) (GCReport, error) {
 	var rep GCReport
-	minAge := opts.MinAge
-	if minAge == 0 {
-		minAge = DefaultGCMinAge
-	}
-	cutoff := time.Now().Add(-minAge)
+	cutoff := time.Now().Add(-cmp.Or(opts.MinAge, DefaultGCMinAge))
 
 	// Mark: read every committed manifest once and collect the blobs it
 	// references. A decode failure aborts the pass — sweeping with a

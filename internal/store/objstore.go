@@ -11,6 +11,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -64,6 +65,7 @@ type ObjStore struct {
 	hedgePct    float64
 	targets     []objTarget // index 0 is the primary
 	metrics     metrics
+	lastParts   atomic.Int64 // part count of the last object committed: where the next one's list starts
 
 	// sem bounds the parts concurrently uploading (or filled awaiting a
 	// worker slot) across all of this backend's ObjectWriters.
@@ -71,11 +73,10 @@ type ObjStore struct {
 
 	// latMu guards the put-latency reservoir the hedge trigger is computed
 	// from and the jitter source for retry backoff.
-	latMu   sync.Mutex
-	lats    [64]float64 // ring of recent successful put seconds
-	latN    int         // total samples ever recorded
-	jitter  *rand.Rand
-	scratch []float64 // reusable sort buffer for the percentile
+	latMu  sync.Mutex
+	lats   [64]float64 // ring of recent successful put seconds
+	latN   int         // total samples ever recorded
+	jitter *rand.Rand
 }
 
 // objTarget is one storage root: a tree of blobs and a tree of manifests,
@@ -182,46 +183,58 @@ func casPart(sum [sha256.Size]byte, size int64) Part {
 	return Part{Blob: blob, Size: size, SHA256: blob[len(casPrefix):]}
 }
 
+// put is one write attempt a hedge may re-issue and a deadline may abandon:
+// the runs, in order, landing as name in a target's blobs (op OpPut, a part
+// of size bytes) or manifests (OpCommit). It travels as a value, so a put
+// that neither hedges nor has a deadline builds no closure.
+type put struct {
+	op, name string
+	runs     [][]byte
+	size     int64
+}
+
+// putOn lands p on target t under the per-put deadline. A part put is timed
+// and counted, its failure too; a commit's one outcome is Commit's to count.
+func (s *ObjStore) putOn(t *objTarget, p put) error {
+	tr := &t.blobs
+	if p.op == OpCommit {
+		tr = &t.manifests
+	}
+	// The timer starts before the fault hook on purpose: injected latency
+	// models the storage target, so it belongs in PutLatency.
+	start := time.Now()
+	err := s.withPutTimeout(tr, p)
+	if p.op == OpCommit {
+		return err
+	}
+	if err != nil {
+		return s.metrics.failed(err)
+	}
+	sec := time.Since(start).Seconds()
+	s.metrics.put(sec, p.size)
+	s.observePutLatency(sec)
+	return nil
+}
+
 // withPutTimeout runs one write attempt under the per-put deadline. On
 // deadline the attempt keeps running in the background (a hung fault or
 // filesystem cannot be interrupted) and the caller gets a retryable
 // ErrPutTimeout; if the stray attempt lands its blob later, the retry's
 // content-addressed dedupe probe discovers it. Without a configured
 // deadline this is a plain call — no goroutine per put.
-func (s *ObjStore) withPutTimeout(fn func() error) error {
+func (s *ObjStore) withPutTimeout(tr *tree, p put) error {
 	if s.putTimeout <= 0 {
-		return fn()
+		return tr.put(p.op, p.name, p.runs...)
 	}
 	done := make(chan error, 1)
-	go func() { done <- fn() }()
-	t := time.NewTimer(s.putTimeout)
-	defer t.Stop()
+	go func() { done <- tr.put(p.op, p.name, p.runs...) }()
 	select {
 	case err := <-done:
 		return err
-	case <-t.C:
+	case <-time.After(s.putTimeout):
 		s.metrics.inc(&s.metrics.PutTimeouts)
 		return fmt.Errorf("store: put timed out after %v: %w", s.putTimeout, ErrPutTimeout)
 	}
-}
-
-// putAt stores the runs, in order, as one immutable blob of size bytes on
-// target t, under the per-put deadline. The temp file is fsynced before the
-// rename: the manifest-last protocol's invariant is that everything a
-// manifest references is durable, so a crash after a blob's rename must
-// never surface zero-filled part bytes.
-func (s *ObjStore) putAt(t *objTarget, name string, runs [][]byte, size int64) error {
-	// The timer starts before the fault hook on purpose: injected latency
-	// models the storage target, so it belongs in PutLatency.
-	start := time.Now()
-	err := s.withPutTimeout(func() error { return t.blobs.put(OpPut, name, runs...) })
-	if err != nil {
-		return s.metrics.failed(err)
-	}
-	sec := time.Since(start).Seconds()
-	s.metrics.put(sec, size)
-	s.observePutLatency(sec)
-	return nil
 }
 
 // observePutLatency feeds the hedge trigger's latency reservoir.
@@ -243,33 +256,25 @@ const hedgeTriggerSamples = 8
 func (s *ObjStore) hedgeDelay() time.Duration {
 	s.latMu.Lock()
 	defer s.latMu.Unlock()
-	n := s.latN
-	if n > len(s.lats) {
-		n = len(s.lats)
-	}
 	if s.latN < hedgeTriggerSamples {
 		return s.hedgeAfter
 	}
-	s.scratch = append(s.scratch[:0], s.lats[:n]...)
-	sort.Float64s(s.scratch)
+	n, sorted := min(s.latN, len(s.lats)), s.lats
+	slices.Sort(sorted[:n])
 	idx := int(float64(n-1) * s.hedgePct / 100)
-	d := time.Duration(s.scratch[idx] * float64(time.Second))
-	if d < s.hedgeAfter {
-		d = s.hedgeAfter
-	}
-	return d
+	return max(time.Duration(sorted[idx]*float64(time.Second)), s.hedgeAfter)
 }
 
-// hedged runs do on the primary and, while it stays outstanding past the
+// hedged runs p on the primary and, while it stays outstanding past the
 // hedge trigger (or fails outright), escalates to the next target, then the
 // next — first success wins. Losing attempts are abandoned, not interrupted:
 // idempotent writes make a straggler that finishes later land identical
 // bytes, so nothing waits for it. With no replicas this is a plain primary
 // call.
-func (s *ObjStore) hedged(do func(t *objTarget) error) error {
+func (s *ObjStore) hedged(p put) error {
 	n := len(s.targets)
 	if n == 1 {
-		return do(&s.targets[0])
+		return s.putOn(&s.targets[0], p)
 	}
 	type res struct {
 		ti  int
@@ -277,23 +282,18 @@ func (s *ObjStore) hedged(do func(t *objTarget) error) error {
 	}
 	ch := make(chan res, n) // buffered: abandoned attempts never block
 	launch := func(ti int) {
-		go func() { ch <- res{ti, do(&s.targets[ti])} }()
+		go func() { ch <- res{ti, s.putOn(&s.targets[ti], p)} }()
 	}
 	launch(0)
 	launched, pending := 1, 1
 	var firstErr error
 	for {
-		var hedgeC <-chan time.Time
-		var timer *time.Timer
+		var hedgeC <-chan time.Time // nil, never ready, once every target has an attempt
 		if launched < n {
-			timer = time.NewTimer(s.hedgeDelay())
-			hedgeC = timer.C
+			hedgeC = time.After(s.hedgeDelay())
 		}
 		select {
 		case r := <-ch:
-			if timer != nil {
-				timer.Stop()
-			}
 			pending--
 			if r.err == nil {
 				if r.ti > 0 {
@@ -458,6 +458,9 @@ func (w *objWriter) write(p []byte, pin bool) (int, error) {
 func (w *objWriter) dispatchPart() {
 	pt := w.pt
 	w.mu.Lock()
+	if w.parts == nil { // nil, not empty, until a part comes: a manifest's "parts": null
+		w.parts = make([]Part, 0, w.s.lastParts.Load())
+	}
 	idx := len(w.parts)
 	w.parts = append(w.parts, Part{}) // reserve slot idx, filled by the upload
 	w.mu.Unlock()
@@ -478,7 +481,7 @@ func (w *objWriter) dispatchPart() {
 		}()
 		part, err := w.s.uploadPart(pt)
 		if err != nil {
-			err = fmt.Errorf("store: object %q part %d: %w", w.object, idx, err)
+			err := fmt.Errorf("store: object %q part %d: %w", w.object, idx, err) // a new variable: only a failure escapes
 			w.firstErr.CompareAndSwap(nil, &err)
 			return
 		}
@@ -504,9 +507,7 @@ const (
 func (s *ObjStore) backoffBeforeAttempt(attempt int) {
 	d := retryBackoffCap
 	if shift := uint(attempt - 2); shift < 8 {
-		if step := retryBackoffBase << shift; step < d {
-			d = step
-		}
+		d = min(d, retryBackoffBase<<shift)
 	}
 	s.latMu.Lock()
 	j := time.Duration(s.jitter.Int63n(int64(d)/2 + 1))
@@ -536,7 +537,7 @@ func (s *ObjStore) uploadPart(pt *objPart) (Part, error) {
 			s.dedupeHit(part)
 			return part, nil
 		}
-		if lastErr = s.hedged(func(t *objTarget) error { return s.putAt(t, part.Blob, pt.runs, part.Size) }); lastErr == nil {
+		if lastErr = s.hedged(put{OpPut, part.Blob, pt.runs, part.Size}); lastErr == nil {
 			return part, s.checkPut(pt, part)
 		}
 	}
@@ -571,6 +572,7 @@ func (w *objWriter) Commit() (*Manifest, error) {
 	if err := w.s.Commit(m); err != nil {
 		return nil, err
 	}
+	w.s.lastParts.Store(int64(len(m.Parts)))
 	return m, nil
 }
 
@@ -633,11 +635,9 @@ func (s *ObjStore) Commit(m *Manifest) error {
 	if err := e.enc.Encode(m); err != nil {
 		return fmt.Errorf("store: commit %q: %w", m.Object, err)
 	}
-	enc := e.buf.Bytes()
-	err := s.hedged(func(t *objTarget) error {
-		return s.withPutTimeout(func() error { return t.manifests.put(OpCommit, m.Object, enc) })
-	})
-	if !s.abandons() {
+	err := s.hedged(put{op: OpCommit, name: m.Object, runs: [][]byte{e.buf.Bytes()}})
+	if !s.abandons() { // else an abandoned commit may still write the buffer
+		poison(e.buf.Bytes())
 		manifestEncs.Put(e)
 	}
 	if err != nil {
@@ -663,7 +663,8 @@ func decodeManifest(b []byte, object string) (*Manifest, error) {
 	if len(b) > maxManifestBytes {
 		return nil, fmt.Errorf("store: manifest exceeds %d bytes", maxManifestBytes)
 	}
-	var m Manifest
+	// Parts is sized by its "blob" keys, which no escaped string can hold.
+	m := Manifest{Parts: make([]Part, 0, bytes.Count(b, []byte(`"blob"`)))}
 	if err := json.Unmarshal(b, &m); err != nil {
 		return nil, fmt.Errorf("store: manifest: %w", err)
 	}
@@ -673,9 +674,6 @@ func decodeManifest(b []byte, object string) (*Manifest, error) {
 	if object != "" && m.Object != object {
 		return nil, fmt.Errorf("store: manifest names object %q, expected %q", m.Object, object)
 	}
-	if m.Size < 0 {
-		return nil, fmt.Errorf("store: manifest %q: negative size %d", m.Object, m.Size)
-	}
 	var sum int64
 	for i, p := range m.Parts {
 		if err := validName(p.Blob); err != nil {
@@ -684,13 +682,14 @@ func decodeManifest(b []byte, object string) (*Manifest, error) {
 		if p.Size <= 0 {
 			return nil, fmt.Errorf("store: manifest %q: part %d has non-positive size %d", m.Object, i, p.Size)
 		}
+		// A digest names its blob: it is the part cache's key for the blob's
+		// bytes, so it may not file one blob's bytes under another's.
 		if p.SHA256 != "" {
-			if len(p.SHA256) != 2*sha256.Size {
-				return nil, fmt.Errorf("store: manifest %q: part %d digest length %d", m.Object, i, len(p.SHA256))
+			sum, ok := strings.CutPrefix(p.Blob, casPrefix)
+			if !ok || sum != p.SHA256 {
+				return nil, fmt.Errorf("store: manifest %q: part %d digest %q does not name blob %q", m.Object, i, p.SHA256, p.Blob)
 			}
-			if strings.Trim(p.SHA256, "0123456789abcdefABCDEF") != "" {
-				return nil, fmt.Errorf("store: manifest %q: part %d digest is not hex", m.Object, i)
-			}
+			m.Parts[i].SHA256 = sum // the blob name's substring, not a second string
 		}
 		if p.Size > m.Size-sum {
 			return nil, fmt.Errorf("store: manifest %q: parts exceed object size %d", m.Object, m.Size)
@@ -704,7 +703,8 @@ func decodeManifest(b []byte, object string) (*Manifest, error) {
 }
 
 // manifestBufs recycles the buffers Manifest reads files into. Nothing
-// decoded aliases one: json.Unmarshal copies every string.
+// decoded aliases one: json.Unmarshal copies every string (a race build
+// poisons each buffer on its way back to prove it).
 var manifestBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // Manifest reads a committed object's manifest back, re-validating every
@@ -713,7 +713,7 @@ var manifestBufs = sync.Pool{New: func() any { return new([]byte) }}
 // replica targets: a commit whose hedge won on a replica is still visible.
 func (s *ObjStore) Manifest(object string) (*Manifest, error) {
 	buf := manifestBufs.Get().(*[]byte)
-	defer manifestBufs.Put(buf)
+	defer func() { poison(*buf); manifestBufs.Put(buf) }()
 	return firstTarget(s, func(t *objTarget) (*Manifest, error) {
 		b, err := t.manifests.read(object, *buf)
 		if err != nil {

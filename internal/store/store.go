@@ -28,6 +28,7 @@
 package store
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"os"
@@ -37,6 +38,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 )
 
 // Tuning defaults, used when Options leave a knob zero.
@@ -219,21 +221,11 @@ type Options struct {
 
 func (o *Options) withDefaults() Options {
 	r := *o
-	if r.PartSize == 0 {
-		r.PartSize = DefaultPartSize
-	}
-	if r.PutWorkers == 0 {
-		r.PutWorkers = DefaultPutWorkers
-	}
-	if r.PutAttempts == 0 {
-		r.PutAttempts = DefaultPutAttempts
-	}
-	if r.HedgeAfter == 0 {
-		r.HedgeAfter = DefaultHedgeAfter
-	}
-	if r.HedgePct == 0 {
-		r.HedgePct = DefaultHedgePct
-	}
+	r.PartSize = cmp.Or(r.PartSize, DefaultPartSize)
+	r.PutWorkers = cmp.Or(r.PutWorkers, DefaultPutWorkers)
+	r.PutAttempts = cmp.Or(r.PutAttempts, DefaultPutAttempts)
+	r.HedgeAfter = cmp.Or(r.HedgeAfter, DefaultHedgeAfter)
+	r.HedgePct = cmp.Or(r.HedgePct, DefaultHedgePct)
 	return r
 }
 
@@ -340,14 +332,15 @@ var (
 	tmpPid     = strconv.Itoa(os.Getpid())
 )
 
-// validName vets a blob or object name: relative, already clean, no "..",
+// validName vets a blob or object name: valid UTF-8 (a JSON manifest would
+// store any other name as another one), relative, already clean, no "..",
 // and no hidden ("."-prefixed) path components, which are reserved for
 // backend-internal temporaries.
 func validName(name string) error {
 	if name == "" {
 		return fmt.Errorf("store: empty name")
 	}
-	if strings.HasPrefix(name, "/") || strings.Contains(name, "\\") {
+	if strings.HasPrefix(name, "/") || strings.Contains(name, "\\") || !utf8.ValidString(name) {
 		return fmt.Errorf("store: invalid name %q", name)
 	}
 	if path.Clean(name) != name {

@@ -79,7 +79,7 @@ func TestOpenURLSelectsBackend(t *testing.T) {
 }
 
 func TestValidNames(t *testing.T) {
-	bad := []string{"", "/abs", "a/../b", "..", ".hidden", "a/.tmp-x", "a//b", "a\\b", "./a"}
+	bad := []string{"", "/abs", "a/../b", "..", ".hidden", "a/.tmp-x", "a//b", "a\\b", "./a", "a\xffb.dsf"}
 	for _, n := range bad {
 		if err := validName(n); err == nil {
 			t.Errorf("validName(%q) should fail", n)
@@ -93,12 +93,34 @@ func TestValidNames(t *testing.T) {
 	}
 }
 
+// A name that is not valid UTF-8 would come back from a JSON manifest as
+// another name (U+FFFD for the bad byte): an object no read could reach and
+// whose manifest fails every listing of the store and GC's mark. Both
+// backends refuse it at Create, before anything lands.
+func TestNonUTF8NameRefused(t *testing.T) {
+	for _, scheme := range []string{"file", "obj"} {
+		b, err := Open(scheme + "://" + t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer b.Close()
+		if w, err := b.Create("a\xffb.dsf"); err == nil {
+			w.Abort()
+			t.Errorf("%s: Create of a name that is not UTF-8 succeeded", scheme)
+		}
+		writeObject(t, b, "ok.dsf", pattern(100, 1), 100)
+		if objs, err := b.Objects(); err != nil || len(objs) != 1 || objs[0].Name != "ok.dsf" {
+			t.Errorf("%s: Objects = %v, %v; want just ok.dsf", scheme, objs, err)
+		}
+	}
+}
+
 // plantBlob lands a blob no object wrote, through the backend's fault hook
 // and counted in its Stats as a put, for tests of the blob plane's readers.
 func plantBlob(b Backend, name string, data []byte) error {
 	switch s := b.(type) {
 	case *ObjStore:
-		return s.putAt(&s.targets[0], name, [][]byte{data}, int64(len(data)))
+		return s.putOn(&s.targets[0], put{OpPut, name, [][]byte{data}, int64(len(data))})
 	case *FileStore:
 		start := time.Now()
 		if err := s.t.put(OpPut, name, data); err != nil {

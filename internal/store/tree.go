@@ -105,10 +105,13 @@ func full(rw func(int, []byte, int64) (int, error), fd int, p []byte, off int64)
 }
 
 // opErr names the failed step and maps the OS's not-exist onto ErrNotExist.
-// A PathError formats only when read: the dedupe probe of every new part is
-// a stat miss nobody prints.
+// A stat's miss is ErrNotExist itself, no PathError: the dedupe probe of
+// every new part is one, and nobody prints it.
 func opErr(op, name string, err error) error {
 	if os.IsNotExist(err) {
+		if op == OpStat {
+			return ErrNotExist
+		}
 		err = ErrNotExist
 	}
 	return &fs.PathError{Op: op, Path: name, Err: err}

@@ -142,8 +142,10 @@ type pooledGunzip struct {
 // the decode performs exactly one read pass with no growth reallocations;
 // with a nil dst it behaves like io.ReadAll. It returns the decoded bytes,
 // aliasing dst when its capacity sufficed. A stream of several gzip members
-// decodes to the concatenation of their contents.
-func DecompressGzipTo(dst, b []byte) ([]byte, error) {
+// decodes to the concatenation of their contents. A stream that decodes to
+// more than limit bytes is an error found one byte past the limit, before
+// the rest is inflated; a negative limit is none.
+func DecompressGzipTo(dst, b []byte, limit int) ([]byte, error) {
 	pg, _ := gzipReaderPool.Get().(*pooledGunzip)
 	if pg == nil {
 		pg = new(pooledGunzip)
@@ -173,11 +175,17 @@ func DecompressGzipTo(dst, b []byte) ([]byte, error) {
 		if len(buf) == 0 {
 			buf = pg.probe[:]
 		}
+		if limit >= 0 && len(buf) > limit+1-len(out) {
+			buf = buf[:limit+1-len(out)]
+		}
 		n, err := pg.r.Read(buf)
 		if len(out) == cap(out) {
 			out = append(out, buf[:n]...)
 		} else {
 			out = out[:len(out)+n]
+		}
+		if limit >= 0 && len(out) > limit {
+			return nil, fmt.Errorf("transform: gunzip: stream decodes past %d bytes", limit)
 		}
 		if err == io.EOF {
 			break

@@ -412,7 +412,7 @@ func decodeOnePass(t *testing.T, data []byte) {
 		t.Fatal(err)
 	}
 	hint := make([]byte, 0, len(data))
-	got, err := DecompressGzipTo(hint, enc)
+	got, err := DecompressGzipTo(hint, enc, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,7 +427,7 @@ func decodeOnePass(t *testing.T, data []byte) {
 	// bookkeeping — a bytes.Reader, flate's Huffman link tables.)
 	decodeInto := func(hint []byte) float64 {
 		return testing.AllocsPerRun(20, func() {
-			got, err = DecompressGzipTo(hint, enc)
+			got, err = DecompressGzipTo(hint, enc, -1)
 		})
 	}
 	roomy := decodeInto(make([]byte, 0, len(data)+1))
@@ -494,7 +494,7 @@ func FuzzPlaneGzipRoundTrip(f *testing.F) {
 		if planes != int64(elemSize) {
 			t.Fatalf("decisions %v cover %d planes, want %d", counts, planes, elemSize)
 		}
-		sh, err := DecompressGzipTo(make([]byte, 0, len(data)), enc)
+		sh, err := DecompressGzipTo(make([]byte, 0, len(data)), enc, -1)
 		if err != nil {
 			t.Fatal(err)
 		}

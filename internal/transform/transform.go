@@ -18,7 +18,7 @@ import (
 
 // DecompressGzip reverses CompressGzipTo.
 func DecompressGzip(b []byte) ([]byte, error) {
-	return DecompressGzipTo(nil, b)
+	return DecompressGzipTo(nil, b, -1)
 }
 
 // ShuffleTo rearranges b so that the i-th bytes of every element are stored

@@ -111,7 +111,7 @@ func TestDecompressGzipToSizeHint(t *testing.T) {
 	}
 	// Exact hint: one pass, reuses the buffer.
 	dst := make([]byte, 0, len(data))
-	got, err := DecompressGzipTo(dst, comp)
+	got, err := DecompressGzipTo(dst, comp, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestDecompressGzipToSizeHint(t *testing.T) {
 		t.Error("DecompressGzipTo did not reuse the hinted buffer")
 	}
 	// Wrong (too small) hint still decodes correctly.
-	got, err = DecompressGzipTo(make([]byte, 0, 7), comp)
+	got, err = DecompressGzipTo(make([]byte, 0, 7), comp, -1)
 	if err != nil || !bytes.Equal(got, data) {
 		t.Errorf("undersized hint decode failed: %v", err)
 	}
@@ -290,7 +290,7 @@ func TestDecompressGzipToExactHintAtWindowMultiple(t *testing.T) {
 		t.Fatal(err)
 	}
 	dst := make([]byte, 0, len(data))
-	got, err := DecompressGzipTo(dst, comp)
+	got, err := DecompressGzipTo(dst, comp, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,12 +371,12 @@ func TestDecompressGzipToKeepsReaderOnError(t *testing.T) {
 		{"bad trailer", append(bytes.Clone(whole[:len(whole)-1]), whole[len(whole)-1]^1)},
 	} {
 		name, corrupt := c.name, c.corrupt
-		if _, err := DecompressGzipTo(dst, corrupt); err == nil {
+		if _, err := DecompressGzipTo(dst, corrupt, -1); err == nil {
 			t.Fatalf("%s: decode succeeded", name)
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		_, err := DecompressGzipTo(dst, corrupt)
+		_, err := DecompressGzipTo(dst, corrupt, -1)
 		runtime.ReadMemStats(&after)
 		if err == nil {
 			t.Fatalf("%s: second decode succeeded", name)
