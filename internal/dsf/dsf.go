@@ -407,6 +407,11 @@ func (w *Writer) Close() error {
 	return nil
 }
 
+// shuffledScratch recycles the buffers a shuffle+gzip chunk is gunzipped
+// into: UnshuffleTo then writes the one rawSize result, so a decode
+// allocates its result and nothing else of its size.
+var shuffledScratch = sync.Pool{New: func() any { return new([]byte) }}
+
 // decode reverses encodeChunk and returns exactly rawSize (from the TOC)
 // bytes or an error. rawSize sizes the decompression buffer, so the decode
 // runs in one pass, and bounds it: a stream that inflates past rawSize
@@ -421,8 +426,15 @@ func decode(stored []byte, c Codec, elemSize int, rawSize int64) ([]byte, error)
 	var err error
 	switch c {
 	case None:
-	case Gzip, ShuffleGzip:
+	case Gzip:
 		raw, err = transform.DecompressGzipTo(make([]byte, 0, rawSize), stored, int(rawSize))
+	case ShuffleGzip:
+		sp := shuffledScratch.Get().(*[]byte)
+		defer shuffledScratch.Put(sp)
+		if int64(cap(*sp)) < rawSize {
+			*sp = make([]byte, 0, rawSize)
+		}
+		raw, err = transform.DecompressGzipTo((*sp)[:0], stored, int(rawSize))
 	default:
 		return nil, fmt.Errorf("unknown codec %v", c)
 	}
@@ -430,7 +442,7 @@ func decode(stored []byte, c Codec, elemSize int, rawSize int64) ([]byte, error)
 		return nil, fmt.Errorf("decoded to %d bytes, toc says %d", len(raw), rawSize)
 	}
 	if err == nil && c == ShuffleGzip {
-		raw, err = transform.Unshuffle(raw, elemSize)
+		raw, err = transform.UnshuffleTo(make([]byte, rawSize), raw, elemSize)
 	}
 	return raw, err
 }

@@ -64,7 +64,7 @@ func storedBytes(t *testing.T, r *Reader, i int) []byte {
 	return stored
 }
 
-// A chunk written now decodes with nothing but compress/gzip and Unshuffle,
+// A chunk written now decodes with nothing but compress/gzip and UnshuffleTo,
 // which is all a reader built before planes existed has.
 //
 // That holds for a member whose head was the configured level's trial, too:
@@ -92,7 +92,7 @@ func TestPlaneChunkReadableByStdlibGzip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := transform.Unshuffle(shuffled, 4)
+		got, err := transform.UnshuffleTo(nil, shuffled, 4)
 		if err != nil {
 			t.Fatal(err)
 		}

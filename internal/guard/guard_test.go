@@ -84,6 +84,9 @@ var forbidden = []struct {
 	{in: `^internal/store/[^/]*\.go$`, except: `^internal/store/tree\.go$`, pattern: `os\.Rename\(|filepath\.WalkDir\(|syscall\.(Openat|Unlinkat|Fstat)\(`,
 		reason: "both store backends sit on one directory protocol (docs/store.md, \"One directory protocol\"): tree.walk is the only walker and tree.go the only caller of the *at system calls",
 		plant:  [2]string{"internal/store/objstore.go", "os.Rename(tmp, dst)"}},
+	{in: `^internal/store/[^/]*\.go$`, except: `^internal/store/tree(_linux_(amd64|arm64))?\.go$`, pattern: `syscall\.(Raw)?Syscall6?\(|SYS_`,
+		reason: "tree.go makes the store's only raw system calls, on names built in a stack buffer (docs/store.md, \"Open directories and the *at calls\"), and its two per-architecture files hold the only system-call numbers",
+		plant:  [2]string{"internal/store/gc.go", "syscall.Syscall(syscall.SYS_UNLINKAT, dirfd, uintptr(unsafe.Pointer(p)), 0)"}},
 	{in: `^internal/store/[^/]*\.go$`, except: `^internal/store/tree\.go$`, pattern: `syscall\.Rename(at)?\(`,
 		reason: "tree.publish is the store's only rename, a syscall.Renameat tried before any MkdirAll (docs/store.md)",
 		plant:  [2]string{"internal/store/filestore.go", "syscall.Renameat(tmpfd, tmp, dirfd, dst)"}},
@@ -121,8 +124,8 @@ var caps = []struct {
 		"ROADMAP item 3's budget for the dedicated core's composition path (5,170 before the dead exports went, 5,029 before what only examples/ used went, 4,969 before the client kept one write call per paper concept, 4,948 before the slot scheduler and the unread fields went, 4,866 before the store URL became the only destination and Deploy's default persister the only one damaris-run builds, 4,809 before the spill committed through a store.Backend and the server's growing error and latency records went, 4,757 before Deploy derived the flow window, the aggregation bound and the committed buffer in one place, 4,755 before a block became a value handle whose zero value and stale release need no nil check, 4,749 before each server registered once on the one registry and damaris-gate lost its replica flags); 5,000 was the target"},
 	{[]string{"internal/aggregate"}, 650,
 		"the aggregation layer's budget (956 before the cross-node tier was deleted): one tier, one sink"},
-	{[]string{"internal/store"}, 2308,
-		"the store seam's budget (2,535 before the directory protocol was written once); raised from 2,250 by the allocation-lean put and commit path, lowered from 2,323 when Backend.List went and the tree named its files relative to open directories"},
+	{[]string{"internal/store"}, 2389,
+		"the store seam's budget (2,535 before the directory protocol was written once); raised from 2,250 by the allocation-lean put and commit path, lowered from 2,323 when Backend.List went and the tree named its files relative to open directories, raised from 2,308 by the raw *at calls that name files from a stack buffer and their two per-architecture number files"},
 }
 
 // runFlags is the package whose hand-declared flags are counted. Its knob

@@ -83,25 +83,23 @@ func (s *FileStore) Delete(name string) error {
 // Create opens an object for streaming. The bytes land in a hidden temp
 // file; Commit publishes it under the object's name.
 func (s *FileStore) Create(object string) (ObjectWriter, error) {
-	if err := validName(object); err != nil {
-		return nil, err
-	}
-	if err := opFault(s.t.fault, OpPut, object); err != nil {
+	if err := s.t.vet(OpPut, object); err != nil {
 		return nil, s.metrics.failed(err)
 	}
-	tmp := s.t.tmpName()
-	fd, err := openat(s.t.tmp, tmp, syscall.O_WRONLY|syscall.O_CREAT|syscall.O_TRUNC)
+	var c tmpName
+	seq := tmpCounter.Add(1)
+	fd, err := openat(s.t.tmp, c.at(s.t.tmpPrefix, seq), syscall.O_WRONLY|syscall.O_CREAT|syscall.O_TRUNC)
 	if err != nil {
 		return nil, s.metrics.failed(fmt.Errorf("store: create %q: %w", object, err))
 	}
-	return &fileObjWriter{s: s, object: object, f: os.NewFile(uintptr(fd), tmp), tmp: tmp, start: time.Now()}, nil
+	return &fileObjWriter{s: s, object: object, f: os.NewFile(uintptr(fd), object), seq: seq, start: time.Now()}, nil
 }
 
 type fileObjWriter struct {
 	s      *FileStore
 	object string
-	f      *os.File // os.NewFile on an Openat descriptor: no poller set-up
-	tmp    string   // relative to s.t.tmp
+	f      *os.File // os.NewFile on an openat descriptor: no poller set-up
+	seq    int64    // names the temp file (tmpName.at)
 	size   int64
 	start  time.Time
 	done   bool
@@ -128,13 +126,15 @@ func (w *fileObjWriter) Commit() (*Manifest, error) {
 	if cerr := w.f.Close(); err == nil {
 		err = cerr
 	}
+	var c tmpName
+	tmp := c.at(w.s.t.tmpPrefix, w.seq)
 	if err != nil {
-		unlinkat(w.s.t.tmp, w.tmp)
+		unlinkat(w.s.t.tmp, tmp)
 		return nil, w.s.metrics.failed(fmt.Errorf("store: commit %q: %w", w.object, err))
 	}
 	// A fault here is a simulated crash before publish: the temp file stays
 	// torn and the object stays invisible.
-	if err := w.s.t.publish(w.tmp, w.object, OpCommit); err != nil {
+	if err := w.s.t.publish(tmp, w.object, OpCommit); err != nil {
 		return nil, w.s.metrics.failed(err)
 	}
 	w.s.metrics.put(time.Since(w.start).Seconds(), w.size)
@@ -148,7 +148,8 @@ func (w *fileObjWriter) Abort() error {
 	}
 	w.done = true
 	w.f.Close()
-	return unlinkat(w.s.t.tmp, w.tmp)
+	var c tmpName
+	return unlinkat(w.s.t.tmp, c.at(w.s.t.tmpPrefix, w.seq))
 }
 
 // fileManifest synthesizes the single-part manifest of a file-backed object.

@@ -2,8 +2,10 @@ package store
 
 import (
 	"encoding/json"
+	"os"
 	"reflect"
 	"strings"
+	"syscall"
 	"testing"
 )
 
@@ -74,6 +76,49 @@ func FuzzManifestDecode(f *testing.F) {
 		}
 		if back, err := decodeManifest(enc, m.Object); err != nil || !reflect.DeepEqual(back, m) {
 			t.Fatalf("re-encoded manifest decodes to %+v, %v; want %+v", back, err, m)
+		}
+	})
+}
+
+// FuzzNameAt holds the name builder behind every *at call (tree.go) to its
+// contract for any name and suffix bytes — object names reach it from the
+// gateway's HTTP requests. Each input ends one of three ways: validName
+// refuses the name (always, when it holds a NUL); the C name is exactly the
+// name, the suffix and a NUL; or a raw call on it answers ENAMETOOLONG,
+// exactly when name and suffix come to PATH_MAX (4096) bytes or more.
+func FuzzNameAt(f *testing.F) {
+	d, err := os.Open(f.TempDir())
+	if err != nil {
+		f.Fatal(err)
+	}
+	defer d.Close()
+	fits := strings.Repeat("a/", 2047) + "b" // 4095 bytes
+	f.Add("node0000_it000001.dsf", ".json")
+	f.Add("cas/sha256/"+strings.Repeat("ab", 32), "")
+	f.Add("a\x00b.dsf", "")
+	f.Add(fits, "")
+	f.Add(fits, "c")
+	f.Add(fits[:4091], ".json")
+	f.Add(strings.Repeat("x", 5000), "")
+	f.Fuzz(func(t *testing.T, name, suffix string) {
+		if validName(name) != nil {
+			return
+		}
+		if strings.IndexByte(name, 0) >= 0 {
+			t.Fatalf("validName admits %q, which holds a NUL", name)
+		}
+		var c cname
+		p := c.at(name, suffix)
+		n := len(name) + len(suffix)
+		if n >= len(c) {
+			var st syscall.Stat_t
+			if err := fstatat(d, p, &st); p != nil || err != syscall.ENAMETOOLONG {
+				t.Fatalf("%d-byte name and suffix: %v, want ENAMETOOLONG", n, err)
+			}
+			return
+		}
+		if p != &c[0] || string(c[:n]) != name+suffix || c[n] != 0 {
+			t.Fatalf("C name %q, want %q and a NUL", c[:n+1], name+suffix)
 		}
 	})
 }

@@ -231,7 +231,7 @@ func TestGCSweepsStaleTemps(t *testing.T) {
 		t.Fatal(err)
 	}
 	blobs := &s.targets[0].blobs
-	tmp := filepath.Join(blobs.tmp.Name(), blobs.tmpName())
+	tmp := filepath.Join(blobs.tmp.Name(), blobs.tmpPrefix+"torn")
 	if err := os.WriteFile(tmp, []byte("torn"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -256,6 +256,13 @@ func TestGCSweepsStaleTemps(t *testing.T) {
 	}
 	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
 		t.Error("stale temp still present")
+	}
+	// A temp area removed from under the store holds nothing to sweep.
+	if err := os.Remove(blobs.tmp.Name()); err != nil {
+		t.Fatal(err)
+	}
+	if rep, err = s.GC(GCOptions{}); err != nil || rep.ReclaimedTemps != 0 {
+		t.Errorf("GC without a temp directory: %+v, %v", rep, err)
 	}
 }
 

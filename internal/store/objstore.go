@@ -771,7 +771,7 @@ func (s *ObjStore) Objects() ([]ObjectInfo, error) {
 // Open returns random access over a committed object, resolving reads
 // through its manifest to the content-addressed parts.
 func (s *ObjStore) Open(object string) (ObjectReader, error) {
-	if err := opFault(s.targets[0].blobs.fault, OpOpen, object); err != nil {
+	if err := s.targets[0].blobs.vet(OpOpen, object); err != nil {
 		return nil, s.metrics.failed(err)
 	}
 	m, err := s.Manifest(object)

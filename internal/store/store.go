@@ -322,7 +322,7 @@ func ValidateURL(rawURL string) error {
 	return err
 }
 
-// tmpCounter and tmpPid name temp files (tree.tmpName). The counter is
+// tmpCounter and tmpPid name temp files (tmpName.at). The counter is
 // process-wide: several backend instances routinely share one root
 // directory (one instance per dedicated core over the same store), so temp
 // names must be unique across instances, and the pid, read once, keeps
@@ -333,14 +333,15 @@ var (
 )
 
 // validName vets a blob or object name: valid UTF-8 (a JSON manifest would
-// store any other name as another one), relative, already clean, no "..",
+// store any other name as another one), no NUL (the kernel would read the
+// name only up to it), relative, already clean, no "..",
 // and no hidden ("."-prefixed) path components, which are reserved for
 // backend-internal temporaries.
 func validName(name string) error {
 	if name == "" {
 		return fmt.Errorf("store: empty name")
 	}
-	if strings.HasPrefix(name, "/") || strings.Contains(name, "\\") || !utf8.ValidString(name) {
+	if strings.HasPrefix(name, "/") || strings.ContainsAny(name, "\\\x00") || !utf8.ValidString(name) {
 		return fmt.Errorf("store: invalid name %q", name)
 	}
 	if path.Clean(name) != name {

@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -79,7 +80,7 @@ func TestOpenURLSelectsBackend(t *testing.T) {
 }
 
 func TestValidNames(t *testing.T) {
-	bad := []string{"", "/abs", "a/../b", "..", ".hidden", "a/.tmp-x", "a//b", "a\\b", "./a", "a\xffb.dsf"}
+	bad := []string{"", "/abs", "a/../b", "..", ".hidden", "a/.tmp-x", "a//b", "a\\b", "./a", "a\xffb.dsf", "a\x00b.dsf"}
 	for _, n := range bad {
 		if err := validName(n); err == nil {
 			t.Errorf("validName(%q) should fail", n)
@@ -113,6 +114,67 @@ func TestNonUTF8NameRefused(t *testing.T) {
 			t.Errorf("%s: Objects = %v, %v; want just ok.dsf", scheme, objs, err)
 		}
 	}
+}
+
+// A name with a NUL reaches the kernel cut short at it: the whole object
+// would stream to disk and fail only at publish, leaving its temp (and, on
+// obj://, its parts) behind. Every call refuses it before the fault sees it
+// and before anything is written.
+func TestNULNameRefused(t *testing.T) {
+	const name = "a\x00b.dsf"
+	for _, scheme := range []string{"file", "obj"} {
+		root := t.TempDir()
+		var seen sync.Map
+		fault := FaultFunc(func(op, n string) error {
+			if strings.IndexByte(n, 0) >= 0 {
+				seen.Store(op, true)
+			}
+			return nil
+		})
+		b, err := OpenWith(scheme+"://"+root, Options{Fault: fault, PartSize: 1024})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer b.Close()
+		if w, err := b.Create(name); err == nil {
+			w.Write(pattern(4096, 1))
+			w.Commit()
+			t.Errorf("%s: Create succeeded", scheme)
+		}
+		if err := plantBlob(b, name, []byte("x")); err == nil {
+			t.Errorf("%s: a put succeeded", scheme)
+		}
+		if _, err := b.Open(name); err == nil {
+			t.Errorf("%s: Open succeeded", scheme)
+		}
+		if _, err := b.Stat(name); err == nil {
+			t.Errorf("%s: Stat succeeded", scheme)
+		}
+		if err := b.Delete(name); err == nil {
+			t.Errorf("%s: Delete succeeded", scheme)
+		}
+		if _, err := b.Manifest(name); err == nil {
+			t.Errorf("%s: Manifest succeeded", scheme)
+		}
+		seen.Range(func(op, _ any) bool {
+			t.Errorf("%s: the fault saw %s of the name", scheme, op)
+			return true
+		})
+		if files := filesUnder(root); len(files) > 0 {
+			t.Errorf("%s: files under the root: %v", scheme, files)
+		}
+	}
+}
+
+// filesUnder lists the files, not directories, under root.
+func filesUnder(root string) (names []string) {
+	filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+		if err == nil && !d.IsDir() {
+			names = append(names, p)
+		}
+		return err
+	})
+	return names
 }
 
 // plantBlob lands a blob no object wrote, through the backend's fault hook
@@ -288,15 +350,6 @@ func TestStoresReleaseDirectories(t *testing.T) {
 		"file": func(root string) (Backend, error) { return NewFileStore(root, Options{}) },
 		"obj":  func(root string) (Backend, error) { return NewObjStore(root, Options{PartSize: 1024}) },
 	}
-	files := func(root string) (names []string) {
-		filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
-			if err == nil && !d.IsDir() {
-				names = append(names, p)
-			}
-			return err
-		})
-		return names
-	}
 	for _, scheme := range []string{"file", "obj"} {
 		root := t.TempDir()
 		b, err := open[scheme](root)
@@ -328,7 +381,7 @@ func TestStoresReleaseDirectories(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		before := files(root)
+		before := filesUnder(root)
 		b.Close()
 		if err := plantBlob(b, "after-close", []byte("x")); err == nil {
 			t.Errorf("%s: a put after Close succeeded", scheme)
@@ -346,7 +399,7 @@ func TestStoresReleaseDirectories(t *testing.T) {
 		if _, err := b.Objects(); err == nil {
 			t.Errorf("%s: a listing after Close succeeded", scheme)
 		}
-		if after := files(root); !slices.Equal(after, before) {
+		if after := filesUnder(root); !slices.Equal(after, before) {
 			t.Errorf("%s: files under the root after Close: %v, before: %v", scheme, after, before)
 		}
 	}

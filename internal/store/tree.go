@@ -13,6 +13,7 @@ import (
 	"strings"
 	"syscall"
 	"time"
+	"unsafe"
 )
 
 // tree is a directory of immutable files, the one directory protocol both
@@ -24,8 +25,8 @@ import (
 // reports a missing file as ErrNotExist; none touches a metric, which stays
 // the backend's business.
 //
-// Per-file calls name their file relative to the open directories
-// (Openat, Renameat, Unlinkat); only walk, the GC sweep and MkdirAll go by
+// Per-file calls name their file relative to the open directories (openat,
+// renameat, unlinkat, fstatat); only walk, the GC sweep and MkdirAll go by
 // path. Fd is read per call: once the backend closes a directory it is -1,
 // which every *at call refuses, never a descriptor number since reused.
 type tree struct {
@@ -56,33 +57,90 @@ func (t *tree) path(name string) string {
 	return t.dir.Name() + string(filepath.Separator) + filepath.FromSlash(name) + t.suffix
 }
 
-// tmpName returns a fresh temp-file name, relative to tmp, in one
-// allocation, unique across every backend instance of this process. The
-// counter is appended, not formatted: boxing it for fmt allocates only once
-// it passes 255, which made what one write allocates depend on how many
-// temp files came before it.
-func (t *tree) tmpName() string {
-	b := append(make([]byte, 0, 64), t.tmpPrefix...)
-	b = append(append(b, tmpPid...), '-')
-	return string(strconv.AppendInt(b, tmpCounter.Add(1), 10))
+// cname is a NUL-terminated name in PATH_MAX bytes on the caller's stack,
+// where the syscall package's wrappers copy each name to the heap.
+type cname [4096]byte
+
+// at writes name, suffix and a NUL into c; a name that does not fit is nil,
+// which sysat answers with the kernel's ENAMETOOLONG. validName refuses a
+// NUL, which would cut the name short.
+func (c *cname) at(name, suffix string) *byte {
+	if len(name)+len(suffix) >= len(c) {
+		return nil
+	}
+	n := copy(c[:], name)
+	c[n+copy(c[n:], suffix)] = 0
+	return &c[0]
 }
 
-// openat opens name relative to the open directory d, close-on-exec, and
-// retries EINTR as os.OpenFile does.
-func openat(d *os.File, name string, flags int) (int, error) {
+// tmpName is a temp file's NUL-terminated name: the prefix (at most five
+// bytes), the pid, a dash and the sequence number, under 40 bytes. It is
+// not a cname so that a put's frame holds no PATH_MAX buffer beside the one
+// publish declares.
+type tmpName [64]byte
+
+// at writes temp file seq's name into c, unique across every backend
+// instance of this process. The number is appended, not formatted: boxing
+// it for fmt allocates once it passes 255.
+func (c *tmpName) at(prefix string, seq int64) *byte {
+	b := strconv.AppendInt(append(append(append(c[:0], prefix...), tmpPid...), '-'), seq, 10)
+	c[len(b)] = 0
+	return &c[0]
+}
+
+// sysat makes a raw *at system call on name relative to the open directory
+// d, retrying EINTR as package os does. call converts its pointers in the
+// system call's own argument list, the one place the compiler keeps them
+// valid through it. d's Fd is read per call: a closed directory's is -1,
+// which the kernel refuses with EBADF, never a number since reused.
+func sysat(d *os.File, name *byte, call func(dfd uintptr) (r1, r2 uintptr, e syscall.Errno)) (uintptr, error) {
+	if name == nil {
+		return ^uintptr(0), syscall.ENAMETOOLONG
+	}
 	defer runtime.KeepAlive(d) // d's finalizer must not close it mid-call
-	for {
-		fd, err := syscall.Openat(int(d.Fd()), name, flags|syscall.O_CLOEXEC, 0o644)
-		if err != syscall.EINTR {
-			return fd, err
+	for dfd := d.Fd(); ; {
+		switch r, _, e := call(dfd); e {
+		case 0:
+			return r, nil
+		case syscall.EINTR:
+		default:
+			return r, e
 		}
 	}
 }
 
+// openat opens name relative to the open directory d, close-on-exec.
+func openat(d *os.File, name *byte, flags int) (int, error) {
+	fd, err := sysat(d, name, func(dfd uintptr) (uintptr, uintptr, syscall.Errno) {
+		return syscall.Syscall6(syscall.SYS_OPENAT, dfd, uintptr(unsafe.Pointer(name)), uintptr(flags|syscall.O_CLOEXEC), 0o644, 0, 0)
+	})
+	return int(fd), err
+}
+
 // unlinkat deletes the file name relative to the open directory d.
-func unlinkat(d *os.File, name string) error {
-	defer runtime.KeepAlive(d)
-	return syscall.Unlinkat(int(d.Fd()), name)
+func unlinkat(d *os.File, name *byte) error {
+	_, err := sysat(d, name, func(dfd uintptr) (uintptr, uintptr, syscall.Errno) {
+		return syscall.Syscall(syscall.SYS_UNLINKAT, dfd, uintptr(unsafe.Pointer(name)), 0)
+	})
+	return err
+}
+
+// fstatat fills st for the file name relative to the open directory d.
+func fstatat(d *os.File, name *byte, st *syscall.Stat_t) error {
+	_, err := sysat(d, name, func(dfd uintptr) (uintptr, uintptr, syscall.Errno) {
+		return syscall.Syscall6(sysFstatat, dfd, uintptr(unsafe.Pointer(name)), uintptr(unsafe.Pointer(st)), 0, 0, 0)
+	})
+	return err
+}
+
+// renameat's src is a temp name, which always fits.
+func renameat(from *os.File, src *byte, to *os.File, dst *byte) error {
+	defer runtime.KeepAlive(to)
+	tfd := to.Fd()
+	_, err := sysat(from, dst, func(ffd uintptr) (uintptr, uintptr, syscall.Errno) {
+		return syscall.Syscall6(sysRenameat, ffd, uintptr(unsafe.Pointer(src)), tfd, uintptr(unsafe.Pointer(dst)), 0, 0)
+	})
+	return err
 }
 
 // full moves all of p from offset off with rw (syscall.Pread or Pwrite),
@@ -117,18 +175,25 @@ func opErr(op, name string, err error) error {
 	return &fs.PathError{Op: op, Path: name, Err: err}
 }
 
+// vet refuses an invalid name, then lets the fault see op ("" skips it):
+// what every per-file method does before it touches the disk.
+func (t *tree) vet(op, name string) error {
+	if err := validName(name); err != nil {
+		return err
+	}
+	return opFault(t.fault, op, name)
+}
+
 // put lands the runs, in order, under name; op (OpPut or OpCommit) is what
 // the fault sees first, once the name is vetted. The temp file is written
 // through a bare descriptor and fsynced before close, so the bytes the
 // rename publishes are durable, not merely buffered.
 func (t *tree) put(op, name string, runs ...[]byte) error {
-	if err := validName(name); err != nil {
+	if err := t.vet(op, name); err != nil {
 		return err
 	}
-	if err := opFault(t.fault, op, name); err != nil {
-		return err
-	}
-	tmp := t.tmpName()
+	var c tmpName
+	tmp := c.at(t.tmpPrefix, tmpCounter.Add(1))
 	fd, err := openat(t.tmp, tmp, syscall.O_WRONLY|syscall.O_CREAT|syscall.O_TRUNC)
 	if err != nil {
 		return opErr(op, name, err)
@@ -167,7 +232,7 @@ func (t *tree) put(op, name string, runs ...[]byte) error {
 // survives the death of the process, not a power cut (docs/store.md, What
 // "durable" means). A directory fsync, if one is ever wanted, goes after the
 // rename below and nowhere else.
-func (t *tree) publish(tmp, name string, then ...string) error {
+func (t *tree) publish(tmp *byte, name string, then ...string) error {
 	if err := opFault(t.fault, OpPutRename, name); err != nil {
 		return err
 	}
@@ -176,12 +241,12 @@ func (t *tree) publish(tmp, name string, then ...string) error {
 			return err
 		}
 	}
-	defer runtime.KeepAlive(t)
-	dst := name + t.suffix
-	err := syscall.Renameat(int(t.tmp.Fd()), tmp, int(t.dir.Fd()), dst)
+	var c cname
+	dst := c.at(name, t.suffix)
+	err := renameat(t.tmp, tmp, t.dir, dst)
 	if err == syscall.ENOENT {
 		if err = os.MkdirAll(filepath.Dir(t.path(name)), 0o755); err == nil {
-			err = syscall.Renameat(int(t.tmp.Fd()), tmp, int(t.dir.Fd()), dst)
+			err = renameat(t.tmp, tmp, t.dir, dst)
 		}
 	}
 	if err != nil {
@@ -191,22 +256,16 @@ func (t *tree) publish(tmp, name string, then ...string) error {
 }
 
 // open opens a name's file read-only and fills st; a directory is not a
-// file. op (OpGet, OpOpen or OpStat) is what the fault sees once the name is
-// vetted, and "" skips it: a commit's durability check is not a read the
-// fault gets to fail. The caller closes the descriptor.
+// file. op (OpGet or OpOpen) is what the fault sees once the name is
+// vetted. The caller closes the descriptor.
 func (t *tree) open(op, name string, st *syscall.Stat_t) (int, error) {
-	if err := validName(name); err != nil {
+	if err := t.vet(op, name); err != nil {
 		return -1, err
 	}
-	if err := opFault(t.fault, op, name); err != nil {
-		return -1, err
-	}
-	fd, err := openat(t.dir, name+t.suffix, syscall.O_RDONLY)
+	var c cname
+	fd, err := openat(t.dir, c.at(name, t.suffix), syscall.O_RDONLY)
 	if err == nil {
-		if err = syscall.Fstat(fd, st); err == nil && st.Mode&syscall.S_IFMT == syscall.S_IFDIR {
-			err = syscall.ENOENT
-		}
-		if err != nil {
+		if err = notDir(st, syscall.Fstat(fd, st)); err != nil {
 			syscall.Close(fd)
 		}
 	}
@@ -216,17 +275,27 @@ func (t *tree) open(op, name string, st *syscall.Stat_t) (int, error) {
 	return fd, nil
 }
 
-// stat reports a file's size and modification time: Openat, Fstat, Close,
-// as the syscall package has no Fstatat on every architecture. A miss is
-// still one system call.
+// stat reports a file's size and modification time in one fstatat; a
+// directory is not a file. op is OpStat, or "" for a commit's durability
+// check, which is not a read the fault gets to fail.
 func (t *tree) stat(op, name string) (ObjectStat, error) {
-	var st syscall.Stat_t
-	fd, err := t.open(op, name, &st)
-	if err != nil {
+	if err := t.vet(op, name); err != nil {
 		return ObjectStat{}, err
 	}
-	syscall.Close(fd)
+	var c cname
+	var st syscall.Stat_t
+	if err := notDir(&st, fstatat(t.dir, c.at(name, t.suffix), &st)); err != nil {
+		return ObjectStat{}, opErr(op, name, err)
+	}
 	return ObjectStat{Size: st.Size, ModTime: time.Unix(st.Mtim.Unix())}, nil
+}
+
+// notDir is err, or ENOENT for a directory: a directory is not a file.
+func notDir(st *syscall.Stat_t, err error) error {
+	if err == nil && st.Mode&syscall.S_IFMT == syscall.S_IFDIR {
+		return syscall.ENOENT
+	}
+	return err
 }
 
 // read returns a file's whole content, read into buf's storage when it is
@@ -265,13 +334,11 @@ func (t *tree) readPart(part Part, p []byte, off int64) error {
 
 // remove deletes a file.
 func (t *tree) remove(name string) error {
-	if err := validName(name); err != nil {
+	if err := t.vet(OpDelete, name); err != nil {
 		return err
 	}
-	if err := opFault(t.fault, OpDelete, name); err != nil {
-		return err
-	}
-	if err := unlinkat(t.dir, name+t.suffix); err != nil {
+	var c cname
+	if err := unlinkat(t.dir, c.at(name, t.suffix)); err != nil {
 		return opErr(OpDelete, name, err)
 	}
 	return nil

@@ -53,7 +53,7 @@ func TestShuffleGzipCM1Contract(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := transform.Unshuffle(sh, 4)
+		got, err := transform.UnshuffleTo(nil, sh, 4)
 		if err != nil {
 			t.Fatal(err)
 		}

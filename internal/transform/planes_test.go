@@ -117,7 +117,7 @@ func wholeChunk(t testing.TB, b []byte, elemSize, level int) []byte {
 	return out
 }
 
-// stdlibDecode decodes with nothing but compress/gzip and Unshuffle — what a
+// stdlibDecode decodes with nothing but compress/gzip and UnshuffleTo — what a
 // reader that has never heard of planes does.
 func stdlibDecode(t testing.TB, enc []byte, elemSize int) []byte {
 	t.Helper()
@@ -129,7 +129,7 @@ func stdlibDecode(t testing.TB, enc []byte, elemSize int) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := Unshuffle(sh, elemSize)
+	raw, err := UnshuffleTo(nil, sh, elemSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,7 +398,7 @@ func TestShuffleGzipDecodeOnePass(t *testing.T) {
 	if n, err := io.ReadFull(zr, sh); n != len(smooth) || err != io.ErrUnexpectedEOF {
 		t.Fatalf("compress/gzip read %d bytes (%v) of a %d-byte chunk with a sync marker", n, err, len(smooth))
 	}
-	if raw, _ := Unshuffle(sh[:len(smooth)], 4); !bytes.Equal(raw, smooth) {
+	if raw, _ := UnshuffleTo(nil, sh[:len(smooth)], 4); !bytes.Equal(raw, smooth) {
 		t.Fatal("compress/gzip decodes the member with a sync marker to different bytes")
 	}
 	for _, data := range [][]byte{benchField(1, 0, 256<<10), smooth} {
@@ -498,7 +498,7 @@ func FuzzPlaneGzipRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := Unshuffle(sh, elemSize)
+		got, err := UnshuffleTo(nil, sh, elemSize)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -33,13 +33,8 @@ func ShuffleTo(dst, b []byte, elemSize int) ([]byte, error) {
 	return transposeTo(dst, b, elemSize, "shuffle", shuffle4, shuffle8, shuffleBytes)
 }
 
-// Unshuffle reverses ShuffleTo.
-func Unshuffle(b []byte, elemSize int) ([]byte, error) {
-	return UnshuffleTo(nil, b, elemSize)
-}
-
-// UnshuffleTo is Unshuffle writing into dst's backing array (grown as
-// needed). b and dst must not overlap.
+// UnshuffleTo reverses ShuffleTo, writing into dst's backing array (grown
+// as needed). b and dst must not overlap.
 func UnshuffleTo(dst, b []byte, elemSize int) ([]byte, error) {
 	return transposeTo(dst, b, elemSize, "unshuffle", unshuffle4, unshuffle8, unshuffleBytes)
 }

@@ -144,7 +144,7 @@ func TestShuffleRoundTrip(t *testing.T) {
 	if sh[0] != 1 || sh[1] != 5 || sh[2] != 9 {
 		t.Errorf("shuffle layout wrong: %v", sh)
 	}
-	got, err := Unshuffle(sh, 4)
+	got, err := UnshuffleTo(nil, sh, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,10 +160,10 @@ func TestShuffleErrors(t *testing.T) {
 	if _, err := ShuffleTo(nil, []byte{1}, 0); err == nil {
 		t.Error("zero element size should fail")
 	}
-	if _, err := Unshuffle([]byte{1, 2, 3}, 2); err == nil {
+	if _, err := UnshuffleTo(nil, []byte{1, 2, 3}, 2); err == nil {
 		t.Error("unshuffle non-multiple should fail")
 	}
-	if _, err := Unshuffle([]byte{1}, -1); err == nil {
+	if _, err := UnshuffleTo(nil, []byte{1}, -1); err == nil {
 		t.Error("unshuffle bad size should fail")
 	}
 }
@@ -232,7 +232,7 @@ func TestQuickShuffleRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := Unshuffle(sh, es)
+		got, err := UnshuffleTo(nil, sh, es)
 		return err == nil && bytes.Equal(got, b)
 	}
 	if err := quick.Check(f, nil); err != nil {
