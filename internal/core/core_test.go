@@ -313,8 +313,8 @@ func TestSignalAfterEndIteration(t *testing.T) {
 	if mem.Len() != 2 {
 		t.Errorf("persisted %d datasets, want 2", mem.Len())
 	}
-	if n := srv.eng.Store().Len(); n != 0 {
-		t.Errorf("catalog holds %d entries after the run, want 0", n)
+	if its := srv.eng.Store().Iterations(); len(its) != 0 {
+		t.Errorf("catalog holds iterations %v after the run, want none", its)
 	}
 }
 

@@ -33,18 +33,18 @@ import (
 // or no longer exists, fails the check, and so does a reason citing a
 // ROADMAP item that ROADMAP.md no longer lists.
 var allow = map[string]string{
-	"internal/iostrat.PhaseResult.PerProcessSeconds": "tests hold the model's §IV-C1 within-phase straggling (slowest process ≥ 2× fastest) through it",
-	"internal/obs.Registry.CheckExposition":          "tests of other packages check through it that their families collide with no other",
-	"internal/shm.Block.Released":                    "tests of other packages assert through it that no chunk is released before it is durable",
-	"internal/shm.Segment.FreeBytes":                 "shared-buffer counter tests of other packages read",
-	"internal/shm.Segment.Reserves":                  "shared-buffer counter tests of other packages read",
-	"internal/shm.Segment.Releases":                  "shared-buffer counter tests of other packages read",
-	"internal/store.Brownout":                        "fault vocabulary tests compose into store.Options.Fault",
-	"internal/store.Chain":                           "fault vocabulary tests compose into store.Options.Fault",
-	"internal/store.FailNth":                         "fault vocabulary tests compose into store.Options.Fault",
-	"internal/store.FailTimes":                       "fault vocabulary tests compose into store.Options.Fault",
-	"internal/store.Latency":                         "fault vocabulary tests compose into store.Options.Fault",
-	"internal/transform.DecompressGzip":              "the reference decoder the plane encoder's tests compare against",
+	"internal/core.MemPersister.Len":        "tests of core and cm1 count through it the datasets a deployment persisted",
+	"internal/obs.Registry.CheckExposition": "tests of other packages check through it that their families collide with no other",
+	"internal/shm.Block.Released":           "tests of other packages assert through it that no chunk is released before it is durable",
+	"internal/shm.Segment.FreeBytes":        "shared-buffer counter tests of other packages read",
+	"internal/shm.Segment.Reserves":         "shared-buffer counter tests of other packages read",
+	"internal/shm.Segment.Releases":         "shared-buffer counter tests of other packages read",
+	"internal/store.Brownout":               "fault vocabulary tests compose into store.Options.Fault",
+	"internal/store.Chain":                  "fault vocabulary tests compose into store.Options.Fault",
+	"internal/store.FailNth":                "fault vocabulary tests compose into store.Options.Fault",
+	"internal/store.FailTimes":              "fault vocabulary tests compose into store.Options.Fault",
+	"internal/store.Latency":                "fault vocabulary tests compose into store.Options.Fault",
+	"internal/transform.DecompressGzip":     "the reference decoder the plane encoder's tests compare against",
 }
 
 // forbidden is one row per deleted design: a line matching pattern in a file
@@ -108,9 +108,26 @@ var forbidden = []struct {
 	{in: `\.go$`, pattern: `Federat|/fleet/|damaris_fleet_|X-Damaris-Forwarded|forwardedHeader|damaris_gateway_(forwards|redirects)_total`, tests: true,
 		reason: "one process has one registry, and every server family carries a server label (docs/observability.md, \"One process, one registry\"); a multi-process deployment scrapes each process. Gateway replica routing comes back with the parked shared-nothing query plane and a workload that runs it",
 		plant:  [2]string{"internal/obs/federate.go", "func Federate() {}"}},
+	{in: `^(internal/(sim|fs|jitter|cluster|iostrat|experiment)|cmd/damaris-figures)/`, tests: true,
+		reason: "the paper's figures are taken on the middleware that ships, in virtual time (internal/cm1's TestVirtualTime and its golden, docs/paper.md); the discrete-event model of a second Damaris was deleted and does not come back",
+		plant:  [2]string{"internal/iostrat/iostrat.go", "package iostrat"}},
 	{in: `\.go$`, pattern: `"encoding/gob"`,
 		reason: "the DSF TOC is gob's wire form written by internal/dsf's own codec (docs/dsf.md); encoding/gob is only the reference its tests compare against",
 		plant:  [2]string{"internal/dsf/toc.go", `import "encoding/gob"`}},
+}
+
+// required is one row per check that must stay wired in: some line of the
+// file at path, relative to the module, must match pattern. plant is a
+// content of that file the row must reject.
+var required = []struct {
+	path, pattern, reason, plant string
+}{
+	{path: "internal/cm1/virtual_test.go", pattern: `^func TestVirtualTime\(t \*testing\.T\) \{$`,
+		reason: "the paper's comparison runs on the middleware that ships, in virtual time, and its golden is the paper's figures (docs/paper.md); the CI step below runs nothing without it",
+		plant:  "//go:build goexperiment.synctest\n\npackage cm1\n"},
+	{path: ".github/workflows/ci.yml", pattern: `^\s+run: GOEXPERIMENT=synctest go test -count=10 -run TestVirtualTime \./internal/cm1$`,
+		reason: "go test ./... does not set GOEXPERIMENT=synctest, so this CI step is where the virtual-time harness runs: ten runs byte-identical to its golden are its determinism gate",
+		plant:  "      - name: virtual time\n        run: GOEXPERIMENT=synctest go test -count=1 -run TestVirtualTime ./internal/cm1\n"},
 }
 
 // caps are line budgets in non-test Go lines (newlines, as wc -l counts
@@ -120,8 +137,8 @@ var caps = []struct {
 	max    int
 	reason string
 }{
-	{[]string{"internal/core", "internal/event", "internal/metadata", "internal/config", "cmd"}, 4731,
-		"ROADMAP item 3's budget for the dedicated core's composition path (5,170 before the dead exports went, 5,029 before what only examples/ used went, 4,969 before the client kept one write call per paper concept, 4,948 before the slot scheduler and the unread fields went, 4,866 before the store URL became the only destination and Deploy's default persister the only one damaris-run builds, 4,809 before the spill committed through a store.Backend and the server's growing error and latency records went, 4,757 before Deploy derived the flow window, the aggregation bound and the committed buffer in one place, 4,755 before a block became a value handle whose zero value and stale release need no nil check, 4,749 before each server registered once on the one registry and damaris-gate lost its replica flags); 5,000 was the target"},
+	{[]string{"internal/core", "internal/event", "internal/metadata", "internal/config", "cmd"}, 4681,
+		"ROADMAP item 3's budget for the dedicated core's composition path (5,170 before the dead exports went, 5,029 before what only examples/ used went, 4,969 before the client kept one write call per paper concept, 4,948 before the slot scheduler and the unread fields went, 4,866 before the store URL became the only destination and Deploy's default persister the only one damaris-run builds, 4,809 before the spill committed through a store.Backend and the server's growing error and latency records went, 4,757 before Deploy derived the flow window, the aggregation bound and the committed buffer in one place, 4,755 before a block became a value handle whose zero value and stale release need no nil check, 4,749 before each server registered once on the one registry and damaris-gate lost its replica flags, 4,731 before cmd/damaris-figures went with the model it printed); 5,000 was the target"},
 	{[]string{"internal/aggregate"}, 650,
 		"the aggregation layer's budget (956 before the cross-node tier was deleted): one tier, one sink"},
 	{[]string{"internal/store"}, 2389,
@@ -159,7 +176,7 @@ func TestTree(t *testing.T) {
 func check(t *testing.T, root string, allow map[string]string) []string {
 	t.Helper()
 	mod := load(t, root)
-	return slices.Concat(deadState(mod, allow), staleCitations(t, root, allow), handFlags(mod), forbiddenMatches(t, root), overCaps(t, root))
+	return slices.Concat(deadState(mod, allow), staleCitations(t, root, allow), handFlags(mod), forbiddenMatches(t, root), missingRequired(t, root), overCaps(t, root))
 }
 
 // module is every package of a module type-checked from its non-test files.
@@ -614,6 +631,23 @@ func forbiddenMatches(t *testing.T, root string) []string {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	return out
+}
+
+// missingRequired reports each required row no line of its file matches; a
+// missing file matches nothing.
+func missingRequired(t *testing.T, root string) []string {
+	t.Helper()
+	var out []string
+	for _, row := range required {
+		b, err := os.ReadFile(filepath.Join(root, filepath.FromSlash(row.path)))
+		if err != nil && !errors.Is(err, fs.ErrNotExist) {
+			t.Fatal(err)
+		}
+		if !regexp.MustCompile(`(?m)` + row.pattern).Match(b) {
+			out = append(out, fmt.Sprintf("%s: no line matches %q: %s", row.path, row.pattern, row.reason))
+		}
 	}
 	return out
 }

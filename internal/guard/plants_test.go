@@ -124,6 +124,8 @@ func main() {
 	"internal/core/persist.go":     "package core\n\n// writeFile is the one writer: w, err := dsf.NewWriter(ow)\n",
 	"internal/core/pipe_test.go":   "package core\n\n// A test may spell it: if pipe == nil {}\n",
 	"internal/metadata/catalog.go": "package metadata\n",
+	"internal/cm1/virtual_test.go": "//go:build goexperiment.synctest\n\npackage cm1\n\nimport \"testing\"\n\nfunc TestVirtualTime(t *testing.T) {\n}\n",
+	".github/workflows/ci.yml":     "jobs:\n  test:\n    steps:\n      - name: virtual time\n        run: GOEXPERIMENT=synctest go test -count=10 -run TestVirtualTime ./internal/cm1\n",
 	"ROADMAP.md":                   "# Roadmap\n\n1. A needle, not an item.\n\n## Open items\n\n2. **The item Kept waits for.**\n\n## Recent\n\n3. Done, no longer an item.\n",
 }
 
@@ -208,6 +210,15 @@ func TestPlants(t *testing.T) {
 	for _, row := range forbidden {
 		t.Run(row.plant[0], func(t *testing.T) {
 			expect(t, forbiddenMatches(t, plant(t, row.plant[0], "\n"+row.plant[1]+"\n")), row.reason)
+		})
+	}
+	for _, row := range required {
+		t.Run(row.path, func(t *testing.T) {
+			root := plant(t)
+			if err := os.WriteFile(filepath.Join(root, filepath.FromSlash(row.path)), []byte(row.plant), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			expect(t, missingRequired(t, root), row.reason)
 		})
 	}
 	for _, c := range caps {

@@ -219,20 +219,6 @@ func (s *Store) Get(k Key) (*Entry, bool) {
 	return e, ok
 }
 
-// Len returns the number of catalogued entries.
-func (s *Store) Len() int {
-	n := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for _, m := range sh.byIter {
-			n += len(m)
-		}
-		sh.mu.RUnlock()
-	}
-	return n
-}
-
 // gather appends one iteration's entries on every shard to out; with take it
 // also uncatalogs them, keeping each shard's emptied map for a later
 // iteration.

@@ -17,6 +17,21 @@ func inlineEntry(name string, it int64, src int, n int) *Entry {
 	}
 }
 
+// Len returns the number of catalogued entries: the tests count them, no
+// caller outside them does.
+func (s *Store) Len() int {
+	n := 0
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.RLock()
+		for _, m := range sh.byIter {
+			n += len(m)
+		}
+		sh.mu.RUnlock()
+	}
+	return n
+}
+
 func TestPutGet(t *testing.T) {
 	s := NewSharded(1)
 	e := inlineEntry("temp", 3, 7, 16)

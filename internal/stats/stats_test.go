@@ -73,8 +73,8 @@ func TestPercentilePanicsOnEmpty(t *testing.T) {
 
 func TestMeanMinMaxHelpers(t *testing.T) {
 	xs := []float64{3, -1, 7, 2}
-	if Mean(xs) != 2.75 {
-		t.Errorf("Mean = %v", Mean(xs))
+	if m := Summarize(xs).Mean; m != 2.75 {
+		t.Errorf("Mean = %v", m)
 	}
 	if Min(xs) != -1 {
 		t.Errorf("Min = %v", Min(xs))
@@ -82,7 +82,7 @@ func TestMeanMinMaxHelpers(t *testing.T) {
 	if Max(xs) != 7 {
 		t.Errorf("Max = %v", Max(xs))
 	}
-	if Mean(nil) != 0 || Min(nil) != 0 || Max(nil) != 0 {
+	if Summarize(nil).Mean != 0 || Min(nil) != 0 || Max(nil) != 0 {
 		t.Error("empty-slice helpers should return 0")
 	}
 }
