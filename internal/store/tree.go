@@ -109,10 +109,11 @@ func sysat(d *os.File, name *byte, call func(dfd uintptr) (r1, r2 uintptr, e sys
 	}
 }
 
-// openat opens name relative to the open directory d, close-on-exec.
+// openat opens name relative to the open directory d, close-on-exec and,
+// as syscall.Openat does, with O_LARGEFILE (0 but on 386).
 func openat(d *os.File, name *byte, flags int) (int, error) {
 	fd, err := sysat(d, name, func(dfd uintptr) (uintptr, uintptr, syscall.Errno) {
-		return syscall.Syscall6(syscall.SYS_OPENAT, dfd, uintptr(unsafe.Pointer(name)), uintptr(flags|syscall.O_CLOEXEC), 0o644, 0, 0)
+		return syscall.Syscall6(syscall.SYS_OPENAT, dfd, uintptr(unsafe.Pointer(name)), uintptr(flags|syscall.O_CLOEXEC|syscall.O_LARGEFILE), 0o644, 0, 0)
 	})
 	return int(fd), err
 }
