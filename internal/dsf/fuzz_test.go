@@ -5,7 +5,6 @@ import (
 	"compress/gzip"
 	"encoding/binary"
 	"encoding/gob"
-	"math"
 	"runtime"
 	"testing"
 
@@ -116,15 +115,18 @@ func FuzzTOCDecode(f *testing.F) {
 }
 
 // FuzzChunkDecode hands decode arbitrary stored bytes, a codec and a
-// RawSize, past the CRC a corrupt TOC would have to match. The result is an
-// error or exactly RawSize bytes, and the decode allocates no more than
+// RawSize, past the CRC a corrupt TOC would have to match. Every input must
+// decode to an error or exactly RawSize bytes. An input whose RawSize is
+// past the slack is also held to two allocation bounds, which no smaller one
+// could fail by a second RawSize: its first decode allocates no more than
 // RawSize plus a constant — twice RawSize for shuffle+gzip when its gunzip
 // scratch is not pooled yet, as after a garbage collection empties the pool
-// — however far the stream would inflate: a TOC that understates a bomb
+// — however far the stream would inflate, so a TOC that understates a bomb
 // stops it one byte past RawSize. Once the scratch is pooled, shuffle+gzip
-// too allocates only RawSize plus a constant: the least of three further
-// decodes is held to that (a pooled buffer parked on another P misses now
-// and then).
+// too allocates only RawSize plus a constant: the least of up to three
+// further decodes is held to that (a pooled buffer parked on another P
+// misses now and then). Only those inputs pay for the measured decodes and
+// the stop-the-world ReadMemStats around each.
 func FuzzChunkDecode(f *testing.F) {
 	var bomb bytes.Buffer // 1 MiB of zeros in ≈1 KB
 	zw := gzip.NewWriter(&bomb)
@@ -132,6 +134,8 @@ func FuzzChunkDecode(f *testing.F) {
 	zw.Close()
 	f.Add(bomb.Bytes(), uint8(Gzip), uint8(2), int64(1024))
 	f.Add(bomb.Bytes(), uint8(ShuffleGzip), uint8(2), int64(1<<20))
+	// One byte past a full buffer at RawSize: an error, not a grown buffer.
+	f.Add(bomb.Bytes(), uint8(Gzip), uint8(2), int64(1<<20-1))
 	for _, codec := range []Codec{None, Gzip, ShuffleGzip} {
 		data := planeField(4 << 10)
 		ec, err := encodeChunk(nil, nil, data, codec, 4, DefaultGzipLevel)
@@ -148,30 +152,34 @@ func FuzzChunkDecode(f *testing.F) {
 	const slack = 256 << 10 // a gzip reader the pool lost, error strings
 	f.Fuzz(func(t *testing.T, stored []byte, codec, elemLog uint8, rawSize int64) {
 		c, elemSize := Codec(codec), 1<<(elemLog%4)
-		measure := func() (uint64, []byte, error) {
+		decodeOnce := func() {
+			if raw, err := decode(stored, c, elemSize, rawSize); err == nil && int64(len(raw)) != rawSize {
+				t.Fatalf("decoded %d bytes, RawSize %d", len(raw), rawSize)
+			}
+		}
+		if rawSize <= slack {
+			decodeOnce()
+			return
+		}
+		measure := func() uint64 {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			raw, err := decode(stored, c, elemSize, rawSize)
+			decodeOnce()
 			runtime.ReadMemStats(&after)
-			return after.TotalAlloc - before.TotalAlloc, raw, err
+			return after.TotalAlloc - before.TotalAlloc
 		}
-		got, raw, err := measure()
-		if err == nil && int64(len(raw)) != rawSize {
-			t.Fatalf("decoded %d bytes, RawSize %d", len(raw), rawSize)
-		}
-		bound := uint64(max(rawSize, 0)) + slack
+		bound := uint64(rawSize) + slack
 		cold := bound
 		if c == ShuffleGzip {
-			cold += uint64(max(rawSize, 0))
+			cold += uint64(rawSize)
 		}
-		if got > cold {
+		if got := measure(); got > cold {
 			t.Fatalf("%v decode of %d stored bytes with RawSize %d allocated %d bytes, bound %d",
 				c, len(stored), rawSize, got, cold)
 		}
-		warm := uint64(math.MaxUint64)
-		for range 3 {
-			n, _, _ := measure()
-			warm = min(warm, n)
+		warm := measure()
+		for i := 1; i < 3 && warm > bound; i++ {
+			warm = min(warm, measure())
 		}
 		if warm > bound {
 			t.Fatalf("%v decode of %d stored bytes with RawSize %d allocated %d bytes with its scratch pooled, bound %d",

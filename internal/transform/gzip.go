@@ -179,13 +179,15 @@ func DecompressGzipTo(dst, b []byte, limit int) ([]byte, error) {
 			buf = buf[:limit+1-len(out)]
 		}
 		n, err := pg.r.Read(buf)
+		// Refused before it is kept: a probe byte past a full buffer at the
+		// limit must not grow the buffer by append's quarter or more.
+		if limit >= 0 && len(out)+n > limit {
+			return nil, fmt.Errorf("transform: gunzip: stream decodes past %d bytes", limit)
+		}
 		if len(out) == cap(out) {
 			out = append(out, buf[:n]...)
 		} else {
 			out = out[:len(out)+n]
-		}
-		if limit >= 0 && len(out) > limit {
-			return nil, fmt.Errorf("transform: gunzip: stream decodes past %d bytes", limit)
 		}
 		if err == io.EOF {
 			break
