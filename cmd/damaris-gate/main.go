@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"damaris/internal/gateway"
-	"damaris/internal/obs"
 	"damaris/internal/store"
 )
 
@@ -64,7 +63,6 @@ func main() {
 		PartCacheBytes: *partMB << 20,
 		FetchWorkers:   *fetchers,
 		TOCEntries:     *tocN,
-		Obs:            obs.NewPlane(0),
 		ReadyProbe:     *probe,
 	})
 	if err != nil {

@@ -205,7 +205,7 @@ type layoutDesc struct {
 
 // maxLayoutDescs bounds Writer.descs and the layouts decodeTOC shares — the
 // scans are linear. A stream with more distinct layouts than this marshals
-// (and decodes) the excess per chunk.
+// the excess per chunk, and a Reader decodes it per access.
 const maxLayoutDescs = 16
 
 // NewWriter starts a DSF stream on a sink and emits the header. Close
@@ -430,7 +430,10 @@ func decode(stored []byte, c Codec, elemSize int, rawSize int64) ([]byte, error)
 		raw, err = transform.DecompressGzipTo(make([]byte, 0, rawSize), stored, int(rawSize))
 	case ShuffleGzip:
 		sp := shuffledScratch.Get().(*[]byte)
-		defer shuffledScratch.Put(sp)
+		defer func() {
+			poison((*sp)[:cap(*sp)])
+			shuffledScratch.Put(sp)
+		}()
 		if int64(cap(*sp)) < rawSize {
 			*sp = make([]byte, 0, rawSize)
 		}
@@ -461,21 +464,14 @@ type Viewer interface {
 
 // Reader reads a DSF stream from any random-access source — a file (Open),
 // an in-memory buffer, or a storage backend's ObjectReader (OpenReaderAt).
+// It holds the TOC as the stream does and decodes a chunk's record on every
+// access (docs/dsf.md, "Reading").
 type Reader struct {
 	ra     io.ReaderAt
 	viewer Viewer // ra, when it can lend chunk bytes without a copy
 	size   int64
 	closer io.Closer // closed by Close when the Reader owns the source (Open)
-	chunks []entry
-	attrs  []tocAttr // as the TOC lists them; the last of equal keys wins
-}
-
-// entry is one chunk as a Reader keeps it: its metadata and where and how
-// its stored bytes are.
-type entry struct {
-	ChunkMeta
-	Offset int64
-	CRC    uint32
+	toc    tocIndex
 }
 
 // Open reads and validates the file's header, footer and table of contents.
@@ -510,11 +506,23 @@ func OpenReaderAt(ra io.ReaderAt, size int64) (*Reader, error) {
 	return r, nil
 }
 
+// tocScratch recycles the buffers header, footer and TOC are read into:
+// decodeTOC copies what it keeps of the TOC into one string.
+var tocScratch = sync.Pool{New: func() any { return new([]byte) }}
+
 func (r *Reader) load() error {
-	head := make([]byte, len(headMagic))
 	if r.size < int64(len(headMagic)) {
 		return fmt.Errorf("dsf: header: truncated")
 	}
+	sp := tocScratch.Get().(*[]byte)
+	defer func() {
+		poison((*sp)[:cap(*sp)])
+		tocScratch.Put(sp)
+	}()
+	if cap(*sp) < 24 {
+		*sp = make([]byte, 0, 24) // the footer; the TOC grows it
+	}
+	head := (*sp)[:len(headMagic)]
 	if _, err := r.ra.ReadAt(head, 0); err != nil {
 		return fmt.Errorf("dsf: header: %w", err)
 	}
@@ -524,8 +532,8 @@ func (r *Reader) load() error {
 	if r.size < int64(len(headMagic))+24 {
 		return fmt.Errorf("dsf: file truncated (no footer)")
 	}
-	var foot [24]byte
-	if _, err := r.ra.ReadAt(foot[:], r.size-24); err != nil {
+	foot := (*sp)[:24]
+	if _, err := r.ra.ReadAt(foot, r.size-24); err != nil {
 		return fmt.Errorf("dsf: footer: %w", err)
 	}
 	if !bytes.Equal(foot[16:24], tailMagic) {
@@ -540,70 +548,69 @@ func (r *Reader) load() error {
 		r.size-24-tocOff != tocLen {
 		return fmt.Errorf("dsf: inconsistent footer (toc at %d len %d, file %d)", tocOff, tocLen, r.size)
 	}
-	tocBytes := make([]byte, tocLen)
+	if int64(cap(*sp)) < tocLen {
+		*sp = make([]byte, 0, tocLen)
+	}
+	tocBytes := (*sp)[:tocLen]
 	if _, err := r.ra.ReadAt(tocBytes, tocOff); err != nil {
 		return fmt.Errorf("dsf: toc read: %w", err)
 	}
-	chunks, attrs, err := decodeTOC(tocBytes)
+	toc, err := decodeTOC(tocBytes, func(i int, c record) error {
+		// Every chunk must lie wholly inside the payload region [header,
+		// toc). A TOC that says otherwise is corrupt; trusting it would at
+		// best read garbage and at worst allocate c.stored bytes on a
+		// attacker-chosen 2^60 size.
+		if c.stored < 0 || c.rawSize < 0 || c.offset < int64(len(headMagic)) || c.stored > tocOff-c.offset {
+			return fmt.Errorf("chunk %d out of bounds (offset %d stored %d, payload ends %d)",
+				i, c.offset, c.stored, tocOff)
+		}
+		return nil
+	})
 	if err != nil {
 		return fmt.Errorf("dsf: toc: %w", err)
 	}
-	for i := range chunks {
-		// Every chunk must lie wholly inside the payload region [header,
-		// toc). A TOC that says otherwise is corrupt; trusting it would at
-		// best read garbage and at worst allocate e.Stored bytes on a
-		// attacker-chosen 2^60 size.
-		if e := &chunks[i]; e.Stored < 0 || e.RawSize < 0 || e.Offset < int64(len(headMagic)) ||
-			e.Stored > tocOff-e.Offset {
-			return fmt.Errorf("dsf: chunk %d out of bounds (offset %d stored %d, payload ends %d)",
-				i, e.Offset, e.Stored, tocOff)
-		}
-	}
-	r.chunks, r.attrs = chunks, attrs
+	r.toc = toc
 	return nil
 }
 
-// Chunks lists the chunk metadata in file order. The returned slice is a
-// copy (Global blocks included) — callers may reorder or rewrite it without
-// corrupting reader state.
+// Chunks lists the chunk metadata in file order, decoded from the TOC: the
+// slice and the global blocks in it are the caller's to reorder or rewrite.
 // Readers are shared across concurrent requests in the read gateway, so
 // internal state must never leak through an accessor.
 func (r *Reader) Chunks() []ChunkMeta {
-	out := make([]ChunkMeta, len(r.chunks))
-	for i := range r.chunks {
-		out[i] = copyMeta(r.chunks[i].ChunkMeta)
+	out := make([]ChunkMeta, len(r.toc.recs))
+	var slab []int64
+	for i := range out {
+		rec := r.toc.record(i)
+		out[i], slab = r.toc.meta(&rec, slab, len(out)-i)
 	}
 	return out
 }
 
-// copyMeta deep-copies the meta's aliasable parts. Layout is already
-// defensive (Extents returns a copy); Global's Start/Count slices are not.
-func copyMeta(m ChunkMeta) ChunkMeta {
-	if m.Global.Valid() {
-		m.Global = layout.Block{
-			Start: append([]int64(nil), m.Global.Start...),
-			Count: append([]int64(nil), m.Global.Count...),
-		}
-	}
-	return m
-}
+// NumChunks returns the chunk count without decoding any metadata.
+func (r *Reader) NumChunks() int { return len(r.toc.recs) }
 
-// NumChunks returns the chunk count without copying any metadata.
-func (r *Reader) NumChunks() int { return len(r.chunks) }
-
-// Chunk returns a copy of the i-th chunk's metadata.
+// Chunk returns the i-th chunk's metadata, decoded from the TOC.
 func (r *Reader) Chunk(i int) (ChunkMeta, error) {
-	if i < 0 || i >= len(r.chunks) {
-		return ChunkMeta{}, fmt.Errorf("%w: %d not in [0,%d)", ErrChunkIndex, i, len(r.chunks))
+	if i < 0 || i >= len(r.toc.recs) {
+		return ChunkMeta{}, fmt.Errorf("%w: %d not in [0,%d)", ErrChunkIndex, i, len(r.toc.recs))
 	}
-	return copyMeta(r.chunks[i].ChunkMeta), nil
+	rec := r.toc.record(i)
+	m, _ := r.toc.meta(&rec, nil, 1)
+	return m, nil
 }
 
-// Attributes returns a copy of the file-level attributes; mutating it does
-// not touch reader state.
+// Attributes returns the file-level attributes, decoded from the TOC into a
+// map of the caller's; of equal keys the last wins.
 func (r *Reader) Attributes() map[string]string {
-	out := make(map[string]string, len(r.attrs))
-	for _, a := range r.attrs {
+	d, n := tocReader{s: r.toc.s, off: int(r.toc.attrs)}, 0
+	if r.toc.attrs > 0 {
+		n = d.count()
+	}
+	out := make(map[string]string, n)
+	var a tocAttr
+	for range n {
+		d.attr(&a)
 		out[a.Key] = a.Value
 	}
 	return out
@@ -611,18 +618,18 @@ func (r *Reader) Attributes() map[string]string {
 
 // storedBytes returns the chunk's bytes as the stream holds them: a view
 // lent by the source when it is a Viewer, a fresh copy otherwise.
-func (r *Reader) storedBytes(e *entry) ([]byte, error) {
+func (r *Reader) storedBytes(rec *record) ([]byte, error) {
 	if r.viewer == nil {
-		stored := make([]byte, e.Stored)
-		_, err := r.ra.ReadAt(stored, e.Offset)
+		stored := make([]byte, rec.stored)
+		_, err := r.ra.ReadAt(stored, rec.offset)
 		return stored, err
 	}
-	v, err := r.viewer.View(e.Offset, e.Stored)
+	v, err := r.viewer.View(rec.offset, rec.stored)
 	if err != nil {
 		return nil, err
 	}
-	if int64(len(v)) != e.Stored {
-		return nil, fmt.Errorf("view of %d bytes, toc says %d", len(v), e.Stored)
+	if int64(len(v)) != rec.stored {
+		return nil, fmt.Errorf("view of %d bytes, toc says %d", len(v), rec.stored)
 	}
 	// cap == len: an append by the caller must never reach the bytes that
 	// follow the chunk in the lender's memory.
@@ -633,18 +640,18 @@ func (r *Reader) storedBytes(e *entry) ([]byte, error) {
 // checksum. When the source is a Viewer, the payload of a codec-None chunk
 // is the view itself: read-only, and possibly shared with other readers.
 func (r *Reader) ReadChunk(i int) ([]byte, error) {
-	if i < 0 || i >= len(r.chunks) {
-		return nil, fmt.Errorf("%w: %d not in [0,%d)", ErrChunkIndex, i, len(r.chunks))
+	if i < 0 || i >= len(r.toc.recs) {
+		return nil, fmt.Errorf("%w: %d not in [0,%d)", ErrChunkIndex, i, len(r.toc.recs))
 	}
-	e := &r.chunks[i]
-	stored, err := r.storedBytes(e)
+	rec := r.toc.record(i)
+	stored, err := r.storedBytes(&rec)
 	if err != nil {
 		return nil, fmt.Errorf("dsf: chunk %d read: %w", i, err)
 	}
-	if crc := crc32.ChecksumIEEE(stored); crc != e.CRC {
-		return nil, fmt.Errorf("dsf: chunk %d checksum mismatch (%08x != %08x)", i, crc, e.CRC)
+	if crc := crc32.ChecksumIEEE(stored); crc != rec.crc {
+		return nil, fmt.Errorf("dsf: chunk %d checksum mismatch (%08x != %08x)", i, crc, rec.crc)
 	}
-	data, err := decode(stored, e.Codec, e.Layout.Type().Size(), e.RawSize)
+	data, err := decode(stored, rec.codec, r.toc.layout(rec.desc).Type().Size(), rec.rawSize)
 	if err != nil {
 		return nil, fmt.Errorf("dsf: chunk %d: %w", i, err)
 	}
@@ -653,7 +660,7 @@ func (r *Reader) ReadChunk(i int) ([]byte, error) {
 
 // Verify reads every chunk, checking checksums and decodability.
 func (r *Reader) Verify() error {
-	for i := range r.chunks {
+	for i := range r.toc.recs {
 		if _, err := r.ReadChunk(i); err != nil {
 			return err
 		}

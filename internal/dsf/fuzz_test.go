@@ -5,7 +5,9 @@ import (
 	"compress/gzip"
 	"encoding/binary"
 	"encoding/gob"
+	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 
 	"damaris/internal/layout"
@@ -40,10 +42,10 @@ func fuzzSeedFile(tb testing.TB, codec Codec) []byte {
 // FuzzTOCDecode drives OpenReaderAt — header, footer and TOC decoding —
 // with arbitrary bytes. The invariant is totality: corrupt input must
 // produce an error, never a panic, a huge TOC-driven allocation, or a
-// reader whose chunks lie outside the stream. Inputs that do open must
-// read and verify without panicking, encoding/gob must decode their TOC to
-// the same records and attributes, and every global block they carry must
-// be Valid.
+// reader whose chunks lie outside the stream. On inputs that do open,
+// every accessor must succeed and return what encoding/gob decodes from
+// their TOC, every global block must be Valid, and ReadChunk may fail only
+// a checksum or a payload decode.
 func FuzzTOCDecode(f *testing.F) {
 	for _, codec := range []Codec{None, Gzip, ShuffleGzip} {
 		valid := fuzzSeedFile(f, codec)
@@ -92,24 +94,28 @@ func FuzzTOCDecode(f *testing.F) {
 		if err := gob.NewDecoder(bytes.NewReader(data[tocOff : len(data)-24])).Decode(&g); err != nil {
 			t.Fatalf("accepted a TOC gob rejects: %v", err)
 		}
-		if err := sameAsGob(r.chunks, r.attrs, g); err != nil {
+		if err := sameAsGob(r, g); err != nil {
 			t.Fatalf("accepted TOC decodes otherwise with gob: %v", err)
 		}
-		for i := range r.chunks {
-			if b := r.chunks[i].Global; (len(b.Start) > 0 || len(b.Count) > 0) && !b.Valid() {
+		// Every accessor of an accepted stream succeeds (sameAsGob called
+		// Chunk, Chunks and Attributes): OpenReaderAt validated each record,
+		// and accessors decode them again. ReadChunk may still fail its
+		// checksum or its decode (the fuzzer may luck into a consistent TOC
+		// over garbage payload), never otherwise.
+		for i, m := range r.Chunks() {
+			if b := m.Global; (len(b.Start) > 0 || len(b.Count) > 0) && !b.Valid() {
 				t.Fatalf("chunk %d accepted with an invalid global block %v", i, b)
 			}
-		}
-		// An accepted stream must be fully traversable without panics; a
-		// checksum/decode error is fine (the fuzzer may luck into a
-		// consistent TOC over garbage payload).
-		for i, m := range r.Chunks() {
 			if m.Stored < 0 || m.RawSize < 0 {
 				t.Fatalf("chunk %d accepted with negative sizes: %+v", i, m)
 			}
-			_, _ = r.ReadChunk(i)
+			_, err := r.ReadChunk(i)
+			if msg := fmt.Sprint(err); err != nil &&
+				!strings.HasPrefix(msg, fmt.Sprintf("dsf: chunk %d: ", i)) &&
+				!strings.HasPrefix(msg, fmt.Sprintf("dsf: chunk %d checksum mismatch", i)) {
+				t.Fatalf("ReadChunk(%d) of an accepted stream: %v, want a checksum or decode error", i, err)
+			}
 		}
-		_ = r.Attributes()
 		_ = r.Verify()
 	})
 }

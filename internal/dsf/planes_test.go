@@ -57,8 +57,9 @@ func writeOneChunk(t *testing.T, data []byte, write func(w *Writer, meta ChunkMe
 
 func storedBytes(t *testing.T, r *Reader, i int) []byte {
 	t.Helper()
-	stored := make([]byte, r.chunks[i].Stored)
-	if _, err := r.ra.ReadAt(stored, r.chunks[i].Offset); err != nil {
+	rec := r.toc.record(i)
+	stored := make([]byte, rec.stored)
+	if _, err := r.ra.ReadAt(stored, rec.offset); err != nil {
 		t.Fatal(err)
 	}
 	return stored

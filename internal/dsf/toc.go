@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"damaris/internal/layout"
 )
@@ -135,8 +136,7 @@ func appendTOC(dst []byte, recs []tocRecord, attrs []tocAttr) []byte {
 // tocReader parses the value message that follows tocPreamble. The first
 // error sticks and moves off to the end, so every later read yields zero.
 type tocReader struct {
-	b   []byte
-	s   string // b as a string: names and attributes are substrings of it
+	s   string // the value message: names, attributes and descriptors are substrings of it
 	off int
 	err error
 }
@@ -145,26 +145,26 @@ func (d *tocReader) fail(format string, args ...any) {
 	if d.err == nil {
 		d.err = fmt.Errorf("byte %d: %s", len(tocPreamble)+d.off, fmt.Sprintf(format, args...))
 	}
-	d.off = len(d.b)
+	d.off = len(d.s)
 }
 
 // uint reads an unsigned integer no larger than max, the largest value of
 // its field's type.
 func (d *tocReader) uint(max uint64) uint64 {
-	if d.off >= len(d.b) {
+	if d.off >= len(d.s) {
 		d.fail("truncated")
 		return 0
 	}
-	x, n := uint64(d.b[d.off]), 0
+	x, n := uint64(d.s[d.off]), 0
 	if d.off++; x >= 0x80 {
 		x, n = 0, -int(int8(x))
 	}
-	if n > 8 || n > len(d.b)-d.off {
+	if n > 8 || n > len(d.s)-d.off {
 		d.fail("bad unsigned integer")
 		return 0
 	}
-	for _, c := range d.b[d.off : d.off+n] {
-		x = x<<8 | uint64(c)
+	for i := range n {
+		x = x<<8 | uint64(d.s[d.off+i])
 	}
 	if d.off += n; x > max {
 		d.fail("%d overflows its field", x)
@@ -179,23 +179,18 @@ func (d *tocReader) int() int64 { return unfold(d.uint(math.MaxUint64)) }
 // one of the bytes left, so a larger count is corrupt and is rejected before
 // anything is allocated for it.
 func (d *tocReader) count() int {
-	if n := d.uint(math.MaxUint64); n <= uint64(len(d.b)-d.off) {
+	if n := d.uint(math.MaxUint64); n <= uint64(len(d.s)-d.off) {
 		return int(n)
 	}
 	d.fail("count past the end")
 	return 0
 }
 
-// span reads a length-prefixed byte string and returns its bounds in b.
-func (d *tocReader) span() (int, int) {
+// str reads a length-prefixed byte string.
+func (d *tocReader) str() string {
 	n := d.count()
 	d.off += n
-	return d.off - n, d.off
-}
-
-func (d *tocReader) str() string {
-	lo, hi := d.span()
-	return d.s[lo:hi]
+	return d.s[d.off-n : d.off]
 }
 
 // field reads the number of a struct's next field, given the previous one
@@ -211,33 +206,127 @@ func (d *tocReader) field(prev, last int) int {
 	return prev + int(delta)
 }
 
-// ints reads a []int64 into slab. A slab without room is replaced by one
-// sized for the records left, each with as many coordinates as this one
-// (bounded by the bytes left), so the blocks of a TOC whose blocks share a
-// rank all live in one allocation.
-func (d *tocReader) ints(slab []int64, recsLeft int) ([]int64, []int64) {
+// coords is a []int64 as the TOC holds it: where its elements start and how
+// many there are.
+type coords struct{ at, n int }
+
+// coords reads a []int64 without keeping it.
+func (d *tocReader) coords() coords {
 	n := d.count()
-	if cap(slab)-len(slab) < n {
-		slab = make([]int64, 0, min(2*n*recsLeft, len(d.b)-d.off))
-	}
-	lo := len(slab)
+	c := coords{at: d.off, n: n}
 	for range n {
-		slab = append(slab, d.int())
+		d.int()
 	}
-	return slab[lo:len(slab):len(slab)], slab
+	return c
+}
+
+// record is one tocRecord as it decodes: the layout as its descriptor, the
+// global block as where its coordinates are.
+type record struct {
+	name                    string
+	iteration               int64
+	source                  int
+	desc                    string
+	start, count            coords
+	codec                   Codec
+	rawSize, stored, offset int64
+	crc                     uint32
+}
+
+// record parses the tocRecord at d.off into r.
+func (d *tocReader) record(r *record) {
+	*r = record{}
+	for f := d.field(-1, 10); f >= 0; f = d.field(f, 10) {
+		switch f {
+		case 0:
+			r.name = d.str()
+		case 1:
+			r.iteration = d.int()
+		case 2:
+			src := d.int()
+			if r.source = int(src); int64(r.source) != src {
+				d.fail("source overflows int")
+			}
+		case 3:
+			r.desc = d.str()
+		case 4:
+			r.start = d.coords()
+		case 5:
+			r.count = d.coords()
+		case 6:
+			r.codec = Codec(d.uint(math.MaxUint8))
+		case 7:
+			r.rawSize = d.int()
+		case 8:
+			r.stored = d.int()
+		case 9:
+			r.offset = d.int()
+		case 10:
+			r.crc = uint32(d.uint(math.MaxUint32))
+		}
+	}
+}
+
+// block appends the coordinates of r's global block to slab, Start then
+// Count, and returns the block and the slab. s is the value message r was
+// decoded from.
+func (r *record) block(s string, slab []int64) (layout.Block, []int64) {
+	lo, n := len(slab), r.start.n
+	for _, c := range [2]coords{r.start, r.count} {
+		d := tocReader{s: s, off: c.at}
+		for range c.n {
+			slab = append(slab, d.int())
+		}
+	}
+	return layout.Block{Start: slab[lo : lo+n : lo+n], Count: slab[lo+n : len(slab) : len(slab)]}, slab
+}
+
+// attr parses the tocAttr at d.off into a.
+func (d *tocReader) attr(a *tocAttr) {
+	*a = tocAttr{}
+	for g := d.field(-1, 1); g >= 0; g = d.field(g, 1) {
+		if g == 0 {
+			a.Key = d.str()
+		} else {
+			a.Value = d.str()
+		}
+	}
+}
+
+// tocIndex is a TOC as an open Reader holds it: the value message as one
+// string, where each record starts in it, where the attributes start, and
+// each distinct layout decoded once. A record decodes from it on every
+// access; decodeTOC validated each, so no access fails.
+type tocIndex struct {
+	s       string
+	recs    []int32
+	attrs   int32 // where the attribute count is in s; 0 without attributes
+	layouts []tocLayout
+}
+
+// tocLayout pairs a layout descriptor of the TOC with its decoded layout.
+type tocLayout struct {
+	desc   string
+	layout layout.Layout
 }
 
 // decodeTOC parses a TOC appendTOC wrote, strictly: the preamble byte for
 // byte, then one value message that fills b, with no field a toc does not
-// have and no integer wider than its field. Allocations do not grow with the
-// record count: the names and attributes share one copy of b, records with
-// equal layout descriptors one decoded layout, the global blocks one slab.
-func decodeTOC(b []byte) (entries []entry, attrs []tocAttr, err error) {
+// have and no integer wider than its field, every global block Valid and
+// every layout descriptor one layout.Unmarshal takes. check, when not nil,
+// sees each record as it decodes, and its error stops the decode. It
+// allocates the value message once, as a string, one offset per record, and
+// each distinct layout; nothing else grows with the record count.
+func decodeTOC(b []byte, check func(i int, r record) error) (tocIndex, error) {
 	if !bytes.HasPrefix(b, tocPreamble) {
-		return nil, nil, errNotCanonical
+		return tocIndex{}, errNotCanonical
 	}
 	b = b[len(tocPreamble):]
-	d := tocReader{b: b, s: string(b)}
+	if len(b) > math.MaxInt32 {
+		return tocIndex{}, fmt.Errorf("value message of %d bytes, more than its offsets can address", len(b))
+	}
+	t := tocIndex{s: string(b)}
+	d := tocReader{s: t.s}
 	if n := d.uint(math.MaxUint64); n != uint64(len(b)-d.off) {
 		d.fail("message of %d bytes, %d follow", n, len(b)-d.off)
 	}
@@ -245,19 +334,15 @@ func decodeTOC(b []byte) (entries []entry, attrs []tocAttr, err error) {
 		d.fail("not a toc")
 	}
 	for f := d.field(-1, 1); f >= 0; f = d.field(f, 1) {
+		at := d.off
 		if n := d.count(); f == 0 {
-			entries = make([]entry, n)
-			d.records(entries)
+			t.recs = make([]int32, n)
+			t.layouts = d.records(t.recs, check)
 		} else {
-			attrs = make([]tocAttr, n)
-			for i := range attrs {
-				for g := d.field(-1, 1); g >= 0; g = d.field(g, 1) {
-					if g == 0 {
-						attrs[i].Key = d.str()
-					} else {
-						attrs[i].Value = d.str()
-					}
-				}
+			t.attrs = int32(at)
+			var a tocAttr
+			for range n {
+				d.attr(&a)
 			}
 		}
 	}
@@ -265,79 +350,93 @@ func decodeTOC(b []byte) (entries []entry, attrs []tocAttr, err error) {
 		d.fail("trailing bytes")
 	}
 	if d.err != nil {
-		return nil, nil, d.err
+		return tocIndex{}, d.err
 	}
-	return entries, attrs, nil
+	return t, nil
 }
 
-// records parses len(es) tocRecords into es.
-func (d *tocReader) records(es []entry) {
+// records validates len(at) tocRecords, noting where each starts, and
+// returns the distinct layouts among the first maxLayoutDescs.
+func (d *tocReader) records(at []int32, check func(int, record) error) []tocLayout {
 	var (
-		slab  []int64
-		seen  [maxLayoutDescs]layoutDesc
-		nseen int
+		r       record
+		seen    [maxLayoutDescs]tocLayout
+		nseen   int
+		scratch [8]int64 // a global block of rank 4; a larger one grows it once
+		slab    = scratch[:0]
 	)
-	for i := range es {
-		e := &es[i]
-		var (
-			lo, hi       int
-			start, count []int64
-		)
-		for f := d.field(-1, 10); f >= 0; f = d.field(f, 10) {
-			switch f {
-			case 0:
-				e.Name = d.str()
-			case 1:
-				e.Iteration = d.int()
-			case 2:
-				src := d.int()
-				if e.Source = int(src); int64(e.Source) != src {
-					d.fail("source overflows int")
-				}
-			case 3:
-				lo, hi = d.span()
-			case 4:
-				start, slab = d.ints(slab, len(es)-i)
-			case 5:
-				count, slab = d.ints(slab, len(es)-i)
-			case 6:
-				e.Codec = Codec(d.uint(math.MaxUint8))
-			case 7:
-				e.RawSize = d.int()
-			case 8:
-				e.Stored = d.int()
-			case 9:
-				e.Offset = d.int()
-			case 10:
-				e.CRC = uint32(d.uint(math.MaxUint32))
-			}
-		}
-		// Writer records a block only when it is Valid, and Chunks copies only
-		// valid blocks: anything else would hand out reader state.
-		if len(start) > 0 || len(count) > 0 {
-			if e.Global = (layout.Block{Start: start, Count: count}); !e.Global.Valid() {
-				d.fail("chunk %d: invalid global block %v", i, e.Global)
+	for i := range at {
+		at[i] = int32(d.off)
+		d.record(&r)
+		// Writer records a block only when it is Valid; accessors build
+		// blocks from valid ones alone.
+		if d.err == nil && (r.start.n > 0 || r.count.n > 0) {
+			var b layout.Block
+			if b, slab = r.block(d.s, slab[:0]); !b.Valid() {
+				d.fail("chunk %d: invalid global block", i)
 			}
 		}
 		if d.err != nil {
-			return
+			return nil
 		}
-		desc, j := d.b[lo:hi], 0
-		for j < nseen && !bytes.Equal(seen[j].desc, desc) {
+		j := 0
+		for j < nseen && seen[j].desc != r.desc {
 			j++
 		}
-		if j < nseen {
-			e.Layout = seen[j].layout
-			continue
+		if j == nseen {
+			l, err := layout.Unmarshal([]byte(r.desc))
+			if err != nil {
+				d.fail("chunk %d layout: %v", i, err)
+				return nil
+			}
+			if nseen < len(seen) {
+				seen[nseen] = tocLayout{desc: r.desc, layout: l}
+				nseen++
+			}
 		}
-		l, err := layout.Unmarshal(desc)
-		if err != nil {
-			d.fail("chunk %d layout: %v", i, err)
-			return
-		}
-		if e.Layout = l; nseen < len(seen) {
-			seen[nseen] = layoutDesc{layout: l, desc: desc}
-			nseen++
+		if check != nil {
+			if err := check(i, r); err != nil {
+				d.err, d.off = err, len(d.s)
+				return nil
+			}
 		}
 	}
+	return slices.Clone(seen[:nseen])
+}
+
+// record decodes record i.
+func (t *tocIndex) record(i int) record {
+	d := tocReader{s: t.s, off: int(t.recs[i])}
+	var r record
+	d.record(&r)
+	return r
+}
+
+// layout returns the layout desc describes: a shared one, or past the first
+// maxLayoutDescs distinct descriptors one decoded now.
+func (t *tocIndex) layout(desc string) layout.Layout {
+	for i := range t.layouts {
+		if t.layouts[i].desc == desc {
+			return t.layouts[i].layout
+		}
+	}
+	l, _ := layout.Unmarshal([]byte(desc)) // decodeTOC took it
+	return l
+}
+
+// meta returns r's ChunkMeta. Its global block goes into slab, replaced when
+// it has no room by one sized for recsLeft records of the same rank, so the
+// blocks of a TOC whose blocks share a rank all live in one allocation.
+func (t *tocIndex) meta(r *record, slab []int64, recsLeft int) (ChunkMeta, []int64) {
+	m := ChunkMeta{
+		Name: r.name, Iteration: r.iteration, Source: r.source, Layout: t.layout(r.desc),
+		Codec: r.codec, RawSize: r.rawSize, Stored: r.stored,
+	}
+	if n := r.start.n; n > 0 {
+		if cap(slab)-len(slab) < 2*n {
+			slab = make([]int64, 0, min(2*n*recsLeft, len(t.s)-r.start.at))
+		}
+		m.Global, slab = r.block(t.s, slab)
+	}
+	return m, slab
 }

@@ -9,12 +9,13 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"maps"
 	"math"
 	"math/rand"
 	"os"
 	"os/exec"
 	"reflect"
-	"slices"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -41,28 +42,37 @@ func gobTOC(tb testing.TB, recs []tocRecord, attrs []tocAttr) []byte {
 	return buf.Bytes()
 }
 
-// sameAsGob reports how what decodeTOC returned differs from what gob
-// decoded from the same bytes.
-func sameAsGob(entries []entry, attrs []tocAttr, g toc) error {
-	if len(entries) != len(g.Records) {
-		return fmt.Errorf("%d records, gob %d", len(entries), len(g.Records))
+// sameAsGob reports how what r's accessors return differs from what gob
+// decoded from the same TOC. A chunk's offset and checksum, which no
+// accessor returns, come from the record decode ReadChunk reads them from.
+func sameAsGob(r *Reader, g toc) error {
+	chunks := r.Chunks()
+	if len(chunks) != len(g.Records) || r.NumChunks() != len(g.Records) {
+		return fmt.Errorf("%d records (NumChunks %d), gob %d", len(chunks), r.NumChunks(), len(g.Records))
 	}
 	for i, rec := range g.Records {
-		want := entry{
-			ChunkMeta: ChunkMeta{Name: rec.Name, Iteration: rec.Iteration, Source: rec.Source,
-				Codec: Codec(rec.Codec), RawSize: rec.RawSize, Stored: rec.Stored},
-			Offset: rec.Offset, CRC: rec.CRC,
-		}
+		want := ChunkMeta{Name: rec.Name, Iteration: rec.Iteration, Source: rec.Source,
+			Codec: Codec(rec.Codec), RawSize: rec.RawSize, Stored: rec.Stored}
 		want.Layout, _ = layout.Unmarshal(rec.LayoutDesc)
 		if len(rec.GlobalStart) > 0 || len(rec.GlobalCount) > 0 {
 			want.Global = layout.Block{Start: rec.GlobalStart, Count: rec.GlobalCount}
 		}
-		if !reflect.DeepEqual(entries[i], want) {
-			return fmt.Errorf("record %d: %+v, gob %+v", i, entries[i], want)
+		if !reflect.DeepEqual(chunks[i], want) {
+			return fmt.Errorf("record %d: Chunks() %+v, gob %+v", i, chunks[i], want)
+		}
+		if m, err := r.Chunk(i); err != nil || !reflect.DeepEqual(m, want) {
+			return fmt.Errorf("record %d: Chunk() %+v, %v; gob %+v", i, m, err, want)
+		}
+		if c := r.toc.record(i); c.offset != rec.Offset || c.crc != rec.CRC {
+			return fmt.Errorf("record %d: offset %d crc %08x, gob %d %08x", i, c.offset, c.crc, rec.Offset, rec.CRC)
 		}
 	}
-	if !slices.Equal(attrs, g.Attrs) {
-		return fmt.Errorf("attributes %v, gob %v", attrs, g.Attrs)
+	want := map[string]string{}
+	for _, a := range g.Attrs {
+		want[a.Key] = a.Value
+	}
+	if got := r.Attributes(); !maps.Equal(got, want) {
+		return fmt.Errorf("attributes %v, gob %v", got, want)
 	}
 	return nil
 }
@@ -145,11 +155,11 @@ func TestTOCCodecMatchesGob(t *testing.T) {
 				if err := gob.NewDecoder(bytes.NewReader(want)).Decode(&g); err != nil {
 					t.Fatal(err)
 				}
-				entries, decoded, err := decodeTOC(want)
+				index, err := decodeTOC(want, nil)
 				if err != nil {
 					t.Fatalf("%d records: %v", n, err)
 				}
-				if err := sameAsGob(entries, decoded, g); err != nil {
+				if err := sameAsGob(&Reader{toc: index}, g); err != nil {
 					t.Fatalf("%d records, globals %v, attrs %v: %v", n, globals, attrs, err)
 				}
 			}
@@ -200,9 +210,9 @@ func oneChunkTOC(start, count []int64) []byte {
 	return appendTOC(nil, []tocRecord{rec}, nil)
 }
 
-// Writer records a global block only when it is Valid, and Chunks deep-copies
-// only valid blocks; a TOC carrying any other block is corrupt, and opening
-// it fails instead of handing out slices of reader state.
+// Writer records a global block only when it is Valid, and accessors build
+// blocks from valid ones alone; a TOC carrying any other block is corrupt,
+// and opening it fails.
 func TestOpenReaderRejectsInvalidGlobalBlock(t *testing.T) {
 	ok := tocStream(oneChunkTOC([]int64{0}, []int64{8}))
 	if r, err := OpenReaderAt(bytes.NewReader(ok), int64(len(ok))); err != nil {
@@ -228,7 +238,7 @@ func TestOpenReaderRejectsInvalidGlobalBlock(t *testing.T) {
 // before any allocation a count or a length asks for.
 func TestDecodeTOCRejects(t *testing.T) {
 	valid := oneChunkTOC(nil, nil)
-	if _, _, err := decodeTOC(valid); err != nil {
+	if _, err := decodeTOC(valid, nil); err != nil {
 		t.Fatal(err)
 	}
 	// msg frames a value message body after the preamble.
@@ -258,7 +268,7 @@ func TestDecodeTOCRejects(t *testing.T) {
 		"record without layout":   msg(1, 1, 1, 1, 'a', 0, 0),
 		"attribute count too big": msg(2, 0x20, 0),
 	} {
-		if _, _, err := decodeTOC(b); err == nil {
+		if _, err := decodeTOC(b, nil); err == nil {
 			t.Errorf("%s: accepted", name)
 		} else if name == "other type ids" && !errors.Is(err, errNotCanonical) {
 			t.Errorf("%s: err = %v, want %v", name, err, errNotCanonical)
@@ -266,34 +276,81 @@ func TestDecodeTOCRejects(t *testing.T) {
 	}
 }
 
-// What opening a stream allocates does not grow with its chunk count: the
-// names share one copy of the TOC, equal layouts one decoded layout, the
-// global blocks one slab.
-func TestOpenReaderAllocsIndependentOfChunkCount(t *testing.T) {
-	allocs := func(chunks int) float64 {
-		metas, datas := scratchChunks(chunks, 3, true)
-		var buf bytes.Buffer
-		w, err := NewWriter(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w.SetAttribute("writer", "test")
-		if err := w.WriteChunks(metas, datas, nil); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		stream := buf.Bytes()
-		return testing.AllocsPerRun(50, func() {
-			if _, err := OpenReaderAt(bytes.NewReader(stream), int64(len(stream))); err != nil {
-				t.Fatal(err)
-			}
-		})
+// testStream writes n chunks of scratchChunks over three layouts, with
+// global blocks when asked, and returns the stream.
+func testStream(tb testing.TB, n int, global bool) []byte {
+	tb.Helper()
+	metas, datas := scratchChunks(n, 3, global)
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf)
+	if err != nil {
+		tb.Fatal(err)
 	}
-	few, many := allocs(8), allocs(64)
-	t.Logf("allocs per open: %.0f for 8 chunks, %.0f for 64", few, many)
+	w.SetAttribute("writer", "test")
+	if err := w.WriteChunks(metas, datas, nil); err != nil {
+		tb.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// openCost is what opening stream allocates, in allocations and bytes, per
+// open.
+func openCost(t *testing.T, stream []byte) (allocs float64, alloced uint64) {
+	open := func() {
+		if _, err := OpenReaderAt(bytes.NewReader(stream), int64(len(stream))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs = testing.AllocsPerRun(50, open)
+	const runs = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		open()
+	}
+	runtime.ReadMemStats(&after)
+	return allocs, (after.TotalAlloc - before.TotalAlloc) / runs
+}
+
+// What opening a stream allocates does not grow with its chunk count, and
+// its bytes are the TOC's once, one offset per chunk and a constant: the
+// TOC is read into pooled scratch and kept as one string, records decode
+// from it on access, equal layouts share one decoded layout.
+func TestOpenReaderAllocsIndependentOfChunkCount(t *testing.T) {
+	few, _ := openCost(t, testStream(t, 8, true))
+	stream := testStream(t, 64, true)
+	many, alloced := openCost(t, stream)
+	t.Logf("allocs per open: %.0f for 8 chunks, %.0f for 64 (%d bytes)", few, many, alloced)
 	if many > few+2 {
 		t.Errorf("opening 64 chunks allocates %.0f, 8 chunks %.0f: the count grows with the chunks", many, few)
+	}
+	if raceEnabled {
+		return // sync.Pool drops a quarter of the TOC scratch under -race
+	}
+	const perChunk, constant = 8, 1024
+	tocLen := binary.LittleEndian.Uint64(stream[len(stream)-16:])
+	if bound := tocLen + 64*perChunk + constant; alloced > bound {
+		t.Errorf("opening 64 chunks with a %d-byte TOC allocates %d bytes, bound %d (the TOC once, %d per chunk, %d)",
+			tocLen, alloced, bound, perChunk, constant)
+	}
+}
+
+// Chunks is one allocation, the slice it returns, on a stream without
+// global blocks: records decode from the TOC, names are substrings of it,
+// layouts are shared, so nothing is copied per chunk.
+func TestChunksIsOneAllocation(t *testing.T) {
+	stream := testStream(t, 64, false)
+	r, err := OpenReaderAt(bytes.NewReader(stream), int64(len(stream)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() { r.Chunks() }); n != 1 {
+		t.Errorf("Chunks() of 64 chunks allocates %.0f times, want 1", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { r.Chunk(5) }); n != 0 {
+		t.Errorf("Chunk(5) allocates %.0f times, want 0", n)
 	}
 }

@@ -228,7 +228,9 @@ func New(cfg Config) (*Gateway, error) {
 	g.stater, _ = cfg.Backend.(store.ObjectStater)
 	g.obs = cfg.Obs
 	if g.obs == nil {
-		g.obs = obs.NewPlane(0)
+		// Nothing in the gateway records a span: its private plane keeps the
+		// smallest trace ring, and /trace and /jitter answer empty.
+		g.obs = obs.NewPlane(1)
 	}
 	// The live scrape reads the same Stats snapshot /v1/stats serves; the
 	// backend's metrics ride along when it exposes them.
@@ -397,8 +399,8 @@ func (g *Gateway) build(e *tocEntry) {
 }
 
 // Reader returns the cached DSF reader of one object. The reader is shared
-// across requests — its accessors return copies, so handlers cannot corrupt
-// it (see dsf.Reader.Chunks).
+// across requests — its accessors decode fresh metadata from the TOC on each
+// call, so handlers cannot corrupt it (see dsf.Reader.Chunks).
 func (g *Gateway) Reader(object string) (*dsf.Reader, error) {
 	e, err := g.open(object)
 	if err != nil {

@@ -16,6 +16,7 @@ import (
 	"damaris/internal/dsf"
 	"damaris/internal/layout"
 	"damaris/internal/mpi"
+	"damaris/internal/obs"
 	"damaris/internal/store"
 	"damaris/internal/viz"
 )
@@ -382,6 +383,23 @@ func twoGateways(t *testing.T, root string) (urls [2]string) {
 		urls[i] = srv.URL
 	}
 	return urls
+}
+
+// A gateway built without a plane records no span into the private one it
+// builds: that plane's trace ring is the smallest, and its /trace and
+// /jitter still answer.
+func TestPrivatePlaneKeepsSmallestRing(t *testing.T) {
+	g := newGateway(t, newBackend(t, 4096), Config{})
+	if n := g.obs.Tracer().Cap(); n != obs.NewTracer(1).Cap() {
+		t.Errorf("private trace ring of %d slots, want the smallest, %d", n, obs.NewTracer(1).Cap())
+	}
+	srv := httptest.NewServer(g.Handler())
+	defer srv.Close()
+	for _, path := range []string{"/trace", "/jitter"} {
+		if code, body := httpGet(t, srv.URL+path); code != http.StatusOK {
+			t.Errorf("GET %s: %d %s", path, code, body)
+		}
+	}
 }
 
 func httpGet(t *testing.T, url string) (int, []byte) {

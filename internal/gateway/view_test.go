@@ -36,7 +36,7 @@ func storeReader(t testing.TB, b store.Backend, name string) *dsf.Reader {
 
 // A warm uncompressed chunk inside one part costs no payload allocation: it
 // is a view of the cached part, and one an append cannot grow into the
-// bytes that follow it.
+// bytes that follow it. The read's one allocation is its metadata.
 func TestWarmReadChunkIsAView(t *testing.T) {
 	b := newBackend(t, 1<<20) // the whole object is one part
 	writeDSFObject(t, b, "warm.dsf", 0, 4, 1)
@@ -74,6 +74,17 @@ func TestWarmReadChunkIsAView(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if perRead := (after.TotalAlloc - before.TotalAlloc) / reads; perRead >= 4<<10 {
 		t.Errorf("warm read of a %d-byte chunk allocated %d bytes, want < 4 KiB", len(want), perRead)
+	}
+	// The one allocation is the metadata's global block: the cached reader
+	// decodes the chunk's record from the TOC it holds and shares the
+	// decoded layout, so no read unmarshals a layout (two more).
+	n := testing.AllocsPerRun(reads, func() {
+		if _, _, err := g.ReadChunk("warm.dsf", 2); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n > 1 {
+		t.Errorf("warm read allocates %.0f times, want 1", n)
 	}
 }
 
