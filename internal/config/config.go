@@ -11,9 +11,9 @@
 //	<simulation>
 //	  <buffer    size="67108864" allocator="mutex" cores="1"/>
 //	  <pipeline  workers="4" queue="8" encode_workers="4" gzip_level="-1" codec="shuffle+gzip"/>
-//	  <store     backend="obj:///data/objects" part_size="4194304" put_workers="4" put_timeout="500"/>
+//	  <store     backend="obj:///data/objects" part_size="4194304" put_workers="4"/>
 //	  <spill     dir="/local/scratch" after="2"/>
-//	  <aggregate mode="core" ring="8"/>
+//	  <aggregate mode="core"/>
 //	  <shards    count="4"/>
 //	  <layout    name="my_layout" type="real" dimensions="64,16,2" language="fortran"/>
 //	  <variable  name="my_variable" layout="my_layout"/>
@@ -21,8 +21,7 @@
 //	</simulation>
 //
 // The <store> attributes are the only way a run sets a backend option: the
-// backend URL names a place (scheme, root, replica= roots) and takes no
-// other parameter.
+// backend URL names a place (scheme and root) and takes no parameter.
 //
 // Every knob attribute is declared once, in the table (*Config).knobs in
 // knobs.go: its element and attribute, the damaris-run flag that sets it,
@@ -39,7 +38,6 @@ import (
 	"io"
 	"slices"
 	"strings"
-	"time"
 
 	"damaris/internal/layout"
 	"damaris/internal/store"
@@ -84,10 +82,6 @@ type Config struct {
 	// StorePutWorkers bounds the object store's parallel part-upload pool
 	// (0 = backend default).
 	StorePutWorkers int
-	// StorePutTimeoutMS is the per-Put deadline in milliseconds (0 = none):
-	// a hung storage target converts to a retryable error at the deadline
-	// instead of stalling the durability watermark forever.
-	StorePutTimeoutMS int
 	// SpillDir, when non-empty, enables the degraded-mode scratch spill:
 	// each dedicated core keeps a local file:// store in a hidden directory
 	// under this one (.spill-nodeNNNN_srvNNNN, which no listing of SpillDir
@@ -102,9 +96,6 @@ type Config struct {
 	// backend: "" or "off" (one DSF stream per dedicated core) or "core"
 	// (one merged object per node per flush epoch).
 	AggregateMode string
-	// AggregateRingDepth bounds the in-process fan-in ring feeding the
-	// aggregation leader (0 = default).
-	AggregateRingDepth int
 	// ShardCount is the number of dedicated-core event-loop shards (0 or 1
 	// = the classic single loop, byte-for-byte the pre-sharding behavior).
 	// Clients are routed to shards by rank; the effective count is clamped
@@ -351,7 +342,6 @@ func (c *Config) StoreOptions() store.Options {
 	return store.Options{
 		PartSize:   c.StorePartSize,
 		PutWorkers: c.StorePutWorkers,
-		PutTimeout: time.Duration(c.StorePutTimeoutMS) * time.Millisecond,
 	}
 }
 

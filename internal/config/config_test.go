@@ -309,8 +309,6 @@ func TestStoreValidation(t *testing.T) {
 		"negative part size":   `<simulation><store backend="obj://d" part_size="-4"/></simulation>`,
 		"negative put workers": `<simulation><store backend="obj://d" put_workers="-1"/></simulation>`,
 		"non-numeric part":     `<simulation><store part_size="big"/></simulation>`,
-		"negative put timeout": `<simulation><store backend="obj://d" put_timeout="-10"/></simulation>`,
-		"non-numeric timeout":  `<simulation><store backend="obj://d" put_timeout="soon"/></simulation>`,
 	}
 	for name, xml := range cases {
 		if _, err := ParseString(xml); err == nil {
@@ -319,16 +317,13 @@ func TestStoreValidation(t *testing.T) {
 	}
 }
 
-func TestStorePutTimeoutAndSpillElements(t *testing.T) {
+func TestSpillElement(t *testing.T) {
 	c, err := ParseString(`<simulation>
-		<store backend="obj:///d" put_timeout="500"/>
+		<store backend="obj:///d"/>
 		<spill dir="/local/scratch" after="3"/>
 	</simulation>`)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if c.StorePutTimeoutMS != 500 {
-		t.Errorf("put timeout = %d, want 500", c.StorePutTimeoutMS)
 	}
 	if c.SpillDir != "/local/scratch" || c.SpillAfter != 3 {
 		t.Errorf("spill = %q after=%d", c.SpillDir, c.SpillAfter)
@@ -414,23 +409,23 @@ func TestValidateProgrammaticConfig(t *testing.T) {
 }
 
 func TestAggregateElement(t *testing.T) {
-	c, err := ParseString(`<simulation><aggregate mode="core" ring="4"/></simulation>`)
+	c, err := ParseString(`<simulation><aggregate mode="core"/></simulation>`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.AggregateMode != "core" || c.AggregateRingDepth != 4 {
-		t.Errorf("aggregate = %q ring=%d", c.AggregateMode, c.AggregateRingDepth)
+	if c.AggregateMode != "core" {
+		t.Errorf("aggregate = %q", c.AggregateMode)
 	}
 	if !c.AggregateEnabled() {
 		t.Error("mode core must report enabled")
 	}
-	// Absent element keeps aggregation off with the default ring depth.
+	// Absent element keeps aggregation off.
 	c, err = ParseString(`<simulation/>`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.AggregateMode != "" || c.AggregateRingDepth != 0 || c.AggregateEnabled() {
-		t.Errorf("defaults = %q ring=%d enabled=%v", c.AggregateMode, c.AggregateRingDepth, c.AggregateEnabled())
+	if c.AggregateMode != "" || c.AggregateEnabled() {
+		t.Errorf("defaults = %q enabled=%v", c.AggregateMode, c.AggregateEnabled())
 	}
 	// An explicit "off" parses and stays disabled.
 	c, err = ParseString(`<simulation><aggregate mode="off"/></simulation>`)

@@ -16,14 +16,14 @@ func FuzzConfigParse(f *testing.F) {
 	f.Add(`<simulation>
   <buffer size="4194304" allocator="mutex" cores="1"/>
   <pipeline workers="2" queue="4" encode_workers="2" gzip_level="6" codec="shuffle+gzip"/>
-  <store backend="obj:///tmp/o" part_size="65536" put_workers="2" put_timeout="100"/>
+  <store backend="obj:///tmp/o" part_size="65536" put_workers="2"/>
   <shards count="2"/>
   <layout name="l" type="double" dimensions="4,4"/>
   <variable name="v" layout="l" description="d" unit="K"/>
   <event name="e" action="a" scope="global"/>
 </simulation>`)
 	f.Add(`<simulation><pipeline workers="1" queue="2"/><spill dir="/s" after="3"/></simulation>`)
-	f.Add(`<simulation><aggregate mode="core" ring="4"/></simulation>`)
+	f.Add(`<simulation><aggregate mode="core"/></simulation>`)
 	f.Add(`<simulation><layout name="l" type="int" dimensions="2"/><variable name="stats:v" layout="l"/></simulation>`)
 	f.Add(`<simulation><buffer size="-1"/></simulation>`)
 	f.Add(`<simulation><pipeline workers="0" queue="0"/></simulation>`)

@@ -70,8 +70,6 @@ func (c *Config) knobs() []knob {
 			help: "storage backend URL every persisted DSF stream goes to: file://dir | obj://dir (damaris-run: empty = file://<-out>)"},
 		{elem: "store", attr: "part_size", flag: "store-part-size", i64: &c.StorePartSize, help: "object-store multipart split in bytes (0 = backend default)"},
 		{elem: "store", attr: "put_workers", flag: "store-put-workers", i: &c.StorePutWorkers, help: "parallel part-upload pool size (0 = backend default)"},
-		{elem: "store", attr: "put_timeout", flag: "store-put-timeout", i: &c.StorePutTimeoutMS,
-			help: "per-part put deadline in milliseconds; a hung target becomes a retryable timeout (0 = no deadline)"},
 
 		{elem: "spill", attr: "dir", flag: "spill-dir", s: &c.SpillDir, help: "local scratch directory for degraded-mode spill (empty = no spill)"},
 		{elem: "spill", attr: "after", flag: "spill-after", i: &c.SpillAfter, def: DefaultSpillAfter,
@@ -79,7 +77,6 @@ func (c *Config) knobs() []knob {
 
 		{elem: "aggregate", attr: "mode", flag: "aggregate", s: &c.AggregateMode, sdef: "off", enum: []string{"off", "core"},
 			help: "aggregation in front of the storage backend: off (one DSF stream per dedicated core) | core (one object per node per epoch)"},
-		{elem: "aggregate", attr: "ring", flag: "aggregate-ring", i: &c.AggregateRingDepth, help: "fan-in ring depth between sibling cores and the aggregation leader (0 = default)"},
 
 		{elem: "shards", attr: "count", flag: "shards", i: &c.ShardCount, help: "event-loop shards per dedicated core (0 or 1 = the classic single loop)"},
 	}

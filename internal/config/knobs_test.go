@@ -26,6 +26,9 @@ func TestUnknownAttributesAndElementsRejected(t *testing.T) {
 		`<control mode="auto"/>`:          {"unknown element <control>", "buffer, pipeline, store, spill, aggregate, shards"},
 		`<shards count="2" mode="auto"/>`: {"<shards>", `"mode"`, "(want count)"},
 		`<shards budget="8"/>`:            {"<shards>", `"budget"`, "(want count)"},
+		// The fan-in ring's depth is no knob: no workload set it
+		// (docs/aggregate.md).
+		`<aggregate ring="4"/>`: {"<aggregate>", `"ring"`, "(want mode)"},
 	} {
 		_, err := ParseString("<simulation>" + doc + "</simulation>")
 		if err == nil {
@@ -116,15 +119,16 @@ func TestFlagAndAttributeAgree(t *testing.T) {
 			t.Errorf("-%s %s changed nothing", k.flag, value)
 		}
 	}
-	if attrs := len(new(Config).knobs()); attrs != 17 || flags != 15 {
-		t.Errorf("%d attributes, %d of them with a flag; want 17 and 15 (damaris-run's other 10 flags are its own)", attrs, flags)
+	if attrs := len(new(Config).knobs()); attrs != 15 || flags != 13 {
+		t.Errorf("%d attributes, %d of them with a flag; want 15 and 13 (damaris-run's other 10 flags are its own)", attrs, flags)
 	}
 	// Work stealing between shard loops is gone, so are the adaptive control
-	// plane and the spare-core budget, and their flags with them.
+	// plane, the spare-core budget, the store's put deadline and the
+	// aggregation ring's depth, and their flags with them.
 	fs := flag.NewFlagSet("damaris-run", flag.ContinueOnError)
 	new(Config).BindFlags(fs)
 	fs.VisitAll(func(f *flag.Flag) {
-		for _, gone := range []string{"steal", "control", "budget"} {
+		for _, gone := range []string{"steal", "control", "budget", "put-timeout", "aggregate-ring"} {
 			if strings.Contains(f.Name, gone) {
 				t.Errorf("-%s is still a flag", f.Name)
 			}

@@ -177,7 +177,6 @@ func setupAggregation(nodeComm *mpi.Comm, cfg *config.Config,
 	agg, err := aggregate.New(aggregate.Config{
 		Mode:        cfg.AggregateMode,
 		Members:     members,
-		RingDepth:   cfg.AggregateRingDepth,
 		Tracer:      opts.Obs.Tracer(),
 		TraceServer: worldRank,
 		Sink: &aggregate.StoreSink{

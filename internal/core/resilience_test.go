@@ -8,7 +8,6 @@ package core
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"io/fs"
 	"net/http/httptest"
 	"os"
@@ -139,52 +138,5 @@ func TestDeployBrownoutSpillsReplaysByteIdentical(t *testing.T) {
 	if stages[obs.StageSpill] == 0 || stages[obs.StagePersist] == 0 {
 		t.Errorf("lifecycle trace has %d spill and %d persist spans, want both > 0",
 			stages[obs.StageSpill], stages[obs.StagePersist])
-	}
-}
-
-// A primary target that hangs forever on every write-plane op, a healthy
-// replica, per-put deadlines and hedged puts: the run must complete with
-// every iteration durable — the hedge path, not the hung primary, carries
-// the durability watermark.
-func TestDeployHedgesOverHungPrimary(t *testing.T) {
-	const iters = 8
-	// Closing done unparks the goroutines stuck in the hung primary; they
-	// then fail instead of landing stray files under a TempDir in cleanup.
-	done := make(chan struct{})
-	defer close(done)
-	backend, err := store.NewObjStore(t.TempDir(), store.Options{
-		Replicas:   []string{filepath.Join(t.TempDir(), "objects")},
-		HedgeAfter: 10 * time.Millisecond,
-		PutTimeout: 250 * time.Millisecond,
-		Fault: store.FaultFunc(func(op, _ string) error {
-			switch op {
-			case store.OpPut, store.OpPutRename, store.OpCommit:
-				<-done
-				return errors.New("primary hung for the whole run")
-			}
-			return nil
-		}),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer backend.Close()
-
-	// A queue of one keeps one object per iteration: this tests the hedge,
-	// not batching.
-	pers := &DSFPersister{Backend: backend}
-	ps, _ := runNode(t, shardCfg(t, 1, 1, ""), Options{Persister: pers}, iters)
-	if ps.Completed != iters || ps.Failures != 0 {
-		t.Errorf("pipeline completed %d with %d failures over the hung primary, want %d/0", ps.Completed, ps.Failures, iters)
-	}
-	if st := backend.Stats(); st.HedgeWins == 0 {
-		t.Errorf("hung primary produced no hedge wins: %+v", st)
-	}
-	objs, err := backend.Objects()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(objs) != iters {
-		t.Errorf("%d durable objects, want one per iteration (%d)", len(objs), iters)
 	}
 }

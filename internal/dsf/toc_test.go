@@ -330,6 +330,12 @@ func TestOpenReaderAllocsIndependentOfChunkCount(t *testing.T) {
 	if raceEnabled {
 		return // sync.Pool drops a quarter of the TOC scratch under -race
 	}
+	// Each of the stream's three layouts costs one allocation: the extents
+	// layout.Unmarshal decodes and keeps.
+	const maxOpenAllocs = 8
+	if many > maxOpenAllocs {
+		t.Errorf("opening 64 chunks allocates %.0f times, want at most %d", many, maxOpenAllocs)
+	}
 	const perChunk, constant = 8, 1024
 	tocLen := binary.LittleEndian.Uint64(stream[len(stream)-16:])
 	if bound := tocLen + 64*perChunk + constant; alloced > bound {

@@ -111,6 +111,9 @@ var forbidden = []struct {
 	{in: `^(internal/(sim|fs|jitter|cluster|iostrat|experiment)|cmd/damaris-figures)/`, tests: true,
 		reason: "the paper's figures are taken on the middleware that ships, in virtual time (internal/cm1's TestVirtualTime and its golden, docs/paper.md); the discrete-event model of a second Damaris was deleted and does not come back",
 		plant:  [2]string{"internal/iostrat/iostrat.go", "package iostrat"}},
+	{in: `\.go$`, pattern: `\bReplicas\b|ReplicaFaults|HedgeAfter|HedgePct|hedged\(|ErrPutTimeout|PutTimeout|put_timeout|damaris_store_(hedges|hedge_wins|put_timeouts)_total`, tests: true,
+		reason: "the object store is one target with one put path (docs/store.md); replica targets, hedged puts and the put deadline ran in no workload, shared the primary's disk and made the store copy pinned bytes. A deadline comes back with ROADMAP item 5's context plumbing, abandoning nothing",
+		plant:  [2]string{"internal/store/objstore.go", "func (s *ObjStore) hedged(p put) error { return nil }"}},
 	{in: `\.go$`, pattern: `"encoding/gob"`,
 		reason: "the DSF TOC is gob's wire form written by internal/dsf's own codec (docs/dsf.md); encoding/gob is only the reference its tests compare against",
 		plant:  [2]string{"internal/dsf/toc.go", `import "encoding/gob"`}},
@@ -137,12 +140,12 @@ var caps = []struct {
 	max    int
 	reason string
 }{
-	{[]string{"internal/core", "internal/event", "internal/metadata", "internal/config", "cmd"}, 4681,
-		"ROADMAP item 3's budget for the dedicated core's composition path (5,170 before the dead exports went, 5,029 before what only examples/ used went, 4,969 before the client kept one write call per paper concept, 4,948 before the slot scheduler and the unread fields went, 4,866 before the store URL became the only destination and Deploy's default persister the only one damaris-run builds, 4,809 before the spill committed through a store.Backend and the server's growing error and latency records went, 4,757 before Deploy derived the flow window, the aggregation bound and the committed buffer in one place, 4,755 before a block became a value handle whose zero value and stale release need no nil check, 4,749 before each server registered once on the one registry and damaris-gate lost its replica flags, 4,731 before cmd/damaris-figures went with the model it printed); 5,000 was the target"},
+	{[]string{"internal/core", "internal/event", "internal/metadata", "internal/config", "cmd"}, 4651,
+		"ROADMAP item 3's budget for the dedicated core's composition path (5,170 before the dead exports went, 5,029 before what only examples/ used went, 4,969 before the client kept one write call per paper concept, 4,948 before the slot scheduler and the unread fields went, 4,866 before the store URL became the only destination and Deploy's default persister the only one damaris-run builds, 4,809 before the spill committed through a store.Backend and the server's growing error and latency records went, 4,757 before Deploy derived the flow window, the aggregation bound and the committed buffer in one place, 4,755 before a block became a value handle whose zero value and stale release need no nil check, 4,749 before each server registered once on the one registry and damaris-gate lost its replica flags, 4,731 before cmd/damaris-figures went with the model it printed, 4,665 before the put deadline and aggregate ring knobs went); 5,000 was the target"},
 	{[]string{"internal/aggregate"}, 650,
 		"the aggregation layer's budget (956 before the cross-node tier was deleted): one tier, one sink"},
-	{[]string{"internal/store"}, 2410,
-		"the store seam's budget (2,535 before the directory protocol was written once); raised from 2,250 by the allocation-lean put and commit path, lowered from 2,323 when Backend.List went and the tree named its files relative to open directories, raised from 2,308 by the raw *at calls that name files from a stack buffer and their two per-architecture number files, raised from 2,389 by the numbers for linux/386, riscv64 and ppc64le, which CI vets, and openat's O_LARGEFILE for 386"},
+	{[]string{"internal/store"}, 2079,
+		"the store seam's budget (2,535 before the directory protocol was written once); raised from 2,250 by the allocation-lean put and commit path, lowered from 2,323 when Backend.List went and the tree named its files relative to open directories, raised from 2,308 by the raw *at calls that name files from a stack buffer and their two per-architecture number files, raised from 2,389 by the numbers for linux/386, riscv64 and ppc64le, which CI vets, and openat's O_LARGEFILE for 386, lowered from 2,410 when the replica set, hedged puts and the put deadline went and the store became one target with one put path"},
 }
 
 // runFlags is the package whose hand-declared flags are counted. Its knob

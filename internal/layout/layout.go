@@ -94,6 +94,11 @@ type Layout struct {
 // New builds a layout from a type and extents. Every extent must be
 // positive and the total byte size must fit in an int64.
 func New(t Type, extents ...int64) (Layout, error) {
+	return adopt(t, append([]int64(nil), extents...))
+}
+
+// adopt is New for extents the caller hands over: the layout keeps them.
+func adopt(t Type, extents []int64) (Layout, error) {
 	if t == Invalid || t.Size() == 0 {
 		return Layout{}, fmt.Errorf("layout: invalid element type")
 	}
@@ -110,7 +115,7 @@ func New(t Type, extents ...int64) (Layout, error) {
 		}
 		total *= e
 	}
-	return Layout{typ: t, extents: append([]int64(nil), extents...)}, nil
+	return Layout{typ: t, extents: extents}, nil
 }
 
 // MustNew is New but panics on error; for tests and static tables.
@@ -234,7 +239,7 @@ func Unmarshal(b []byte) (Layout, error) {
 	for i := 0; i < nd; i++ {
 		extents[i] = int64(binary.LittleEndian.Uint64(b[3+8*i:]))
 	}
-	return New(t, extents...)
+	return adopt(t, extents)
 }
 
 // Block identifies a rectangular sub-region of a global domain, used by the

@@ -141,11 +141,35 @@ func TestUnmarshalErrors(t *testing.T) {
 		{99, byte(Float32), 1, 0, 0, 0, 0, 0, 0, 0, 0},                // bad version
 		{descriptorVersion, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0},             // invalid type
 		{descriptorVersion, byte(Float32), 2, 1, 0, 0, 0, 0, 0, 0, 0}, // short
+		// New's checks hold for a descriptor's extents too.
+		{descriptorVersion, byte(Float32), 1, 0, 0, 0, 0, 0, 0, 0, 0},                         // zero extent
+		{descriptorVersion, byte(Float32), 1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, // negative extent
+		{descriptorVersion, byte(Float64), 2, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0}, // size overflow
+		{descriptorVersion, byte(Float64), 0},                                                 // no extent
 	}
 	for i, b := range cases {
 		if _, err := Unmarshal(b); err == nil {
 			t.Errorf("case %d: expected error", i)
 		}
+	}
+}
+
+// Unmarshal allocates a layout's extents once and keeps them, where New
+// copies what its caller passed: a caller's slice is not the layout's.
+func TestUnmarshalAllocatesExtentsOnce(t *testing.T) {
+	desc := MustNew(Float64, 4, 5, 6).Marshal()
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := Unmarshal(desc); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 1 {
+		t.Errorf("Unmarshal of a 3-d descriptor allocates %.0f times, want 1", n)
+	}
+	ext := []int64{4, 5, 6}
+	l := MustNew(Float64, ext...)
+	ext[0] = 999
+	if !l.Equal(MustNew(Float64, 4, 5, 6)) {
+		t.Errorf("New kept its caller's slice: %v", l)
 	}
 }
 

@@ -46,8 +46,7 @@ func TestObjStorePutAllocs(t *testing.T) {
 	// temp name too) in a stack buffer, not a heap copy; names are relative
 	// to open directories, so no path is built; the temp file is a bare
 	// descriptor, not an os.File; the probe's miss is the bare ErrNotExist;
-	// and the put reaches the hedge and the deadline as a value, so neither
-	// builds a closure.
+	// and the runs reach the tree's put as they are, through no closure.
 	const maxPartAllocs = 1
 	if n := testing.AllocsPerRun(50, func() { upload() }); n > maxPartAllocs {
 		t.Errorf("a steady-state part upload allocates %.0f times, want at most %d", n, maxPartAllocs)
@@ -182,7 +181,7 @@ func TestManifestEncodingMatchesMarshalIndent(t *testing.T) {
 			size = 0
 		}
 		m := writeObject(t, s, name, pattern(size, byte(i)), 700)
-		got, err := os.ReadFile(s.targets[0].manifests.path(name))
+		got, err := os.ReadFile(s.manifests.path(name))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -52,7 +52,7 @@ func TestObjStoreCrashMidPartThenRetryDedupes(t *testing.T) {
 		t.Fatalf("expected torn temp files from the killed part, got %v, %v", tmps, err)
 	}
 	// And the blob plane lists only fully durable parts.
-	blobs, err := list("cas/", &b.targets[0].blobs)
+	blobs, err := b.blobs.list("cas/")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -197,7 +197,7 @@ func (s *FileStore) Objects() ([]ObjectInfo, error) {
 	if err := opFault(s.t.fault, OpList, ""); err != nil {
 		return nil, s.metrics.failed(err)
 	}
-	out, err := list("", &s.t)
+	out, err := s.t.list("")
 	return out, s.metrics.failed(err)
 }
 

@@ -84,10 +84,10 @@ func (s *ObjStore) GC(opts GCOptions) (GCReport, error) {
 	}
 	rep.LiveParts = len(live)
 
-	// Sweep: unreferenced, sufficiently old content-addressed blobs, on the
-	// primary target only. The sweep removes files directly, not through the
-	// tree: reclaiming is not a Delete a fault gets to fail.
-	blobs := &s.targets[0].blobs
+	// Sweep: unreferenced, sufficiently old content-addressed blobs. The
+	// sweep removes files directly, not through the tree: reclaiming is not
+	// a Delete a fault gets to fail.
+	blobs := &s.blobs
 	err = blobs.walk("cas/", func(name string, d fs.DirEntry) error {
 		if live[name] {
 			return nil

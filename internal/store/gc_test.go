@@ -40,12 +40,12 @@ func commitObject(t *testing.T, s *ObjStore, name string, data []byte) *Manifest
 func ageCAS(t *testing.T, s *ObjStore) {
 	t.Helper()
 	old := time.Now().Add(-2 * DefaultGCMinAge)
-	infos, err := list("cas/", &s.targets[0].blobs)
+	infos, err := s.blobs.list("cas/")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, info := range infos {
-		if err := os.Chtimes(s.targets[0].blobs.path(info.Name), old, old); err != nil {
+		if err := os.Chtimes(s.blobs.path(info.Name), old, old); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -145,7 +145,7 @@ func TestGCReclaimsAbandonedParts(t *testing.T) {
 	if dry.ReclaimedBlobs != 2 {
 		t.Fatalf("dry run = %+v, want 2 reclaimable blobs", dry)
 	}
-	casBlobs, err := list("cas/", &s.targets[0].blobs)
+	casBlobs, err := s.blobs.list("cas/")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestGCRespectsCrossObjectReferences(t *testing.T) {
 	commitObject(t, s, "b.dsf", data) // fully deduped against a.dsf
 	// Drop a's manifest (simulating object deletion); b still references
 	// every part.
-	if err := os.Remove(s.targets[0].manifests.path("a.dsf")); err != nil {
+	if err := os.Remove(s.manifests.path("a.dsf")); err != nil {
 		t.Fatal(err)
 	}
 	ageCAS(t, s)
@@ -230,7 +230,7 @@ func TestGCSweepsStaleTemps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blobs := &s.targets[0].blobs
+	blobs := &s.blobs
 	tmp := filepath.Join(blobs.tmp.Name(), blobs.tmpPrefix+"torn")
 	if err := os.WriteFile(tmp, []byte("torn"), 0o644); err != nil {
 		t.Fatal(err)
@@ -275,7 +275,7 @@ func TestGCAbortsOnCorruptManifest(t *testing.T) {
 		t.Fatal(err)
 	}
 	commitObject(t, s, "ok.dsf", payload(2048, 3))
-	if err := os.WriteFile(s.targets[0].manifests.path("bad.dsf"), []byte(`{"object":"bad.dsf","size":-5}`), 0o644); err != nil {
+	if err := os.WriteFile(s.manifests.path("bad.dsf"), []byte(`{"object":"bad.dsf","size":-5}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	ageCAS(t, s)
@@ -283,7 +283,7 @@ func TestGCAbortsOnCorruptManifest(t *testing.T) {
 		t.Fatal("GC over a corrupt manifest must fail, not sweep")
 	}
 	// Nothing was deleted.
-	blobs, err := list("cas/", &s.targets[0].blobs)
+	blobs, err := s.blobs.list("cas/")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +308,7 @@ func TestDedupeHitRefreshesBlobAge(t *testing.T) {
 		t.Fatal(err)
 	}
 	old := time.Now().Add(-2 * DefaultGCMinAge)
-	if err := os.Chtimes(s.targets[0].blobs.path(part.Blob), old, old); err != nil {
+	if err := os.Chtimes(s.blobs.path(part.Blob), old, old); err != nil {
 		t.Fatal(err)
 	}
 	// Unreferenced and aged: a sweep right now would take it.

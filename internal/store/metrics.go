@@ -30,13 +30,6 @@ type Stats struct {
 	// part-upload retry attempts; BackoffSeconds is the total time slept.
 	Backoffs       int64
 	BackoffSeconds float64
-	// PutTimeouts counts put attempts abandoned at the per-put deadline —
-	// each is a hung-target stall converted into a retryable error.
-	PutTimeouts int64
-	// Hedges counts secondary puts launched after the hedge trigger;
-	// HedgeWins those where the hedged attempt supplied the first success
-	// (the primary was slow or lost).
-	Hedges, HedgeWins int64
 	// DedupeHits counts part uploads skipped because the content-addressed
 	// blob was already present; DedupeBytes the upload bytes saved.
 	DedupeHits  int64
@@ -76,9 +69,6 @@ func (s Stats) Emit(e *obs.Emitter, labels ...string) {
 	e.Counter("damaris_store_retries_total", float64(s.Retries), ls...)
 	e.Counter("damaris_store_backoffs_total", float64(s.Backoffs), ls...)
 	e.Counter("damaris_store_backoff_seconds_total", s.BackoffSeconds, ls...)
-	e.Counter("damaris_store_put_timeouts_total", float64(s.PutTimeouts), ls...)
-	e.Counter("damaris_store_hedges_total", float64(s.Hedges), ls...)
-	e.Counter("damaris_store_hedge_wins_total", float64(s.HedgeWins), ls...)
 	e.Counter("damaris_store_dedupe_hits_total", float64(s.DedupeHits), ls...)
 	e.Counter("damaris_store_dedupe_bytes_total", float64(s.DedupeBytes), ls...)
 	e.Counter("damaris_store_commits_total", float64(s.Commits), ls...)

@@ -11,7 +11,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -43,70 +42,21 @@ import (
 //	blobs/<name>            the blob plane (parts live under blobs/cas/sha256/)
 //	manifests/<object>.json committed manifests (atomic rename)
 //	tmp/                    in-flight temporaries, ignored by all reads
-//
-// # Replica targets and hedged writes
-//
-// Optional replica targets (Options.Replicas, or repeated replica= URL
-// parameters) turn the store into a small replica set with the same layout
-// under each root. Writes go to the primary first; a part put or manifest
-// commit still outstanding past the hedge trigger — the configured
-// percentile of observed put latency, floored at HedgeAfter — is re-issued
-// to the next target, first success wins. The "cancel" of the losing
-// attempt is idempotence, not interruption: content addressing and
-// write-temp-then-rename make a straggler that completes later land the
-// exact same bytes, so nobody waits for it. Reads (Get/Stat/Manifest/Open)
-// fall back across targets in order, so an object whose parts were hedged
-// onto a replica stays fully readable. GC sweeps the primary only.
 type ObjStore struct {
-	partSize    int64
-	putAttempts int
-	putTimeout  time.Duration
-	hedgeAfter  time.Duration
-	hedgePct    float64
-	targets     []objTarget // index 0 is the primary
-	metrics     metrics
-	lastParts   atomic.Int64 // part count of the last object committed: where the next one's list starts
+	partSize         int64
+	putAttempts      int
+	blobs, manifests tree
+	metrics          metrics
+	lastParts        atomic.Int64 // part count of the last object committed: where the next one's list starts
 
 	// sem bounds the parts concurrently uploading (or filled awaiting a
 	// worker slot) across all of this backend's ObjectWriters.
 	sem chan struct{}
 
-	// latMu guards the put-latency reservoir the hedge trigger is computed
-	// from and the jitter source for retry backoff.
-	latMu  sync.Mutex
-	lats   [64]float64 // ring of recent successful put seconds
-	latN   int         // total samples ever recorded
-	jitter *rand.Rand
+	// jitterMu guards the jitter source for retry backoff.
+	jitterMu sync.Mutex
+	jitter   *rand.Rand
 }
-
-// objTarget is one storage root: a tree of blobs and a tree of manifests,
-// both consulting the target's own injected fault and sharing its open tmp/.
-type objTarget struct {
-	blobs, manifests tree
-}
-
-func newObjTarget(root string, fault Fault) (objTarget, error) {
-	var dirs [3]*os.File
-	for i, name := range []string{"blobs", "manifests", "tmp"} {
-		d, err := openDir(filepath.Join(root, name))
-		if err != nil {
-			for _, d := range dirs[:i] {
-				d.Close()
-			}
-			return objTarget{}, fmt.Errorf("store: object backend: %w", err)
-		}
-		dirs[i] = d
-	}
-	return objTarget{
-		blobs:     tree{dir: dirs[0], tmp: dirs[2], tmpPrefix: "t-", fault: fault},
-		manifests: tree{dir: dirs[1], suffix: ".json", tmp: dirs[2], tmpPrefix: "t-", fault: fault},
-	}, nil
-}
-
-// ErrPutTimeout marks a put attempt abandoned at the per-put deadline. The
-// attempt may still land its blob later; retries re-probe via content
-// addressing, which keeps the timeout retryable.
-var ErrPutTimeout = errors.New("store: put deadline exceeded")
 
 // NewObjStore opens (creating if needed) an object store rooted at dir.
 func NewObjStore(dir string, opts Options) (*ObjStore, error) {
@@ -117,32 +67,28 @@ func NewObjStore(dir string, opts Options) (*ObjStore, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("store: object backend needs a root directory")
 	}
-	s := &ObjStore{
+	var dirs [3]*os.File
+	for i, name := range []string{"blobs", "manifests", "tmp"} {
+		d, err := openDir(filepath.Join(dir, name))
+		if err != nil {
+			for _, d := range dirs[:i] {
+				d.Close()
+			}
+			return nil, fmt.Errorf("store: object backend: %w", err)
+		}
+		dirs[i] = d
+	}
+	return &ObjStore{
 		partSize:    opts.PartSize,
 		putAttempts: opts.PutAttempts,
-		putTimeout:  opts.PutTimeout,
-		hedgeAfter:  opts.HedgeAfter,
-		hedgePct:    opts.HedgePct,
+		blobs:       tree{dir: dirs[0], tmp: dirs[2], tmpPrefix: "t-", fault: opts.Fault},
+		manifests:   tree{dir: dirs[1], suffix: ".json", tmp: dirs[2], tmpPrefix: "t-", fault: opts.Fault},
 		metrics:     metrics{Stats: Stats{Scheme: "obj"}},
 		sem:         make(chan struct{}, opts.PutWorkers),
 		// Jitter only spreads retry backoff in time; a fixed seed keeps runs
 		// reproducible and output bytes never depend on it.
 		jitter: rand.New(rand.NewSource(1)),
-	}
-	faults := append([]Fault{opts.Fault}, opts.ReplicaFaults...)
-	for i, root := range append([]string{dir}, opts.Replicas...) {
-		var fault Fault
-		if i < len(faults) {
-			fault = faults[i]
-		}
-		t, err := newObjTarget(root, fault)
-		if err != nil {
-			s.Close()
-			return nil, err
-		}
-		s.targets = append(s.targets, t)
-	}
-	return s, nil
+	}, nil
 }
 
 // objPart is one part on its way to a blob: runs in stream order, each
@@ -166,11 +112,6 @@ func (pt *objPart) digest() (sum [sha256.Size]byte) {
 	return [sha256.Size]byte(h.Sum(sum[:0]))
 }
 
-// abandons reports whether a write attempt can outlive the call that made
-// it: a losing hedge or a put past its deadline is abandoned, not
-// interrupted, so the bytes it was handed must not be reused.
-func (s *ObjStore) abandons() bool { return len(s.targets) > 1 || s.putTimeout > 0 }
-
 // casPrefix is where the blob plane keeps content-addressed parts.
 const casPrefix = "cas/sha256/"
 
@@ -183,209 +124,44 @@ func casPart(sum [sha256.Size]byte, size int64) Part {
 	return Part{Blob: blob, Size: size, SHA256: blob[len(casPrefix):]}
 }
 
-// put is one write attempt a hedge may re-issue and a deadline may abandon:
-// the runs, in order, landing as name in a target's blobs (op OpPut, a part
-// of size bytes) or manifests (OpCommit). It travels as a value, so a put
-// that neither hedges nor has a deadline builds no closure.
-type put struct {
-	op, name string
-	runs     [][]byte
-	size     int64
-}
-
-// putOn lands p on target t under the per-put deadline. A part put is timed
-// and counted, its failure too; a commit's one outcome is Commit's to count.
-func (s *ObjStore) putOn(t *objTarget, p put) error {
-	tr := &t.blobs
-	if p.op == OpCommit {
-		tr = &t.manifests
-	}
-	// The timer starts before the fault hook on purpose: injected latency
-	// models the storage target, so it belongs in PutLatency.
-	start := time.Now()
-	err := s.withPutTimeout(tr, p)
-	if p.op == OpCommit {
-		return err
-	}
-	if err != nil {
-		return s.metrics.failed(err)
-	}
-	sec := time.Since(start).Seconds()
-	s.metrics.put(sec, p.size)
-	s.observePutLatency(sec)
-	return nil
-}
-
-// withPutTimeout runs one write attempt under the per-put deadline. On
-// deadline the attempt keeps running in the background (a hung fault or
-// filesystem cannot be interrupted) and the caller gets a retryable
-// ErrPutTimeout; if the stray attempt lands its blob later, the retry's
-// content-addressed dedupe probe discovers it. Without a configured
-// deadline this is a plain call — no goroutine per put.
-func (s *ObjStore) withPutTimeout(tr *tree, p put) error {
-	if s.putTimeout <= 0 {
-		return tr.put(p.op, p.name, p.runs...)
-	}
-	done := make(chan error, 1)
-	go func() { done <- tr.put(p.op, p.name, p.runs...) }()
-	select {
-	case err := <-done:
-		return err
-	case <-time.After(s.putTimeout):
-		s.metrics.inc(&s.metrics.PutTimeouts)
-		return fmt.Errorf("store: put timed out after %v: %w", s.putTimeout, ErrPutTimeout)
-	}
-}
-
-// observePutLatency feeds the hedge trigger's latency reservoir.
-func (s *ObjStore) observePutLatency(sec float64) {
-	s.latMu.Lock()
-	s.lats[s.latN%len(s.lats)] = sec
-	s.latN++
-	s.latMu.Unlock()
-}
-
-// hedgeTriggerSamples is how many put-latency observations the percentile
-// trigger needs before it overrides the configured floor.
-const hedgeTriggerSamples = 8
-
-// hedgeDelay returns how long a write may stay outstanding before it is
-// re-issued to the next target: the configured percentile of recently
-// observed put latency, floored at HedgeAfter (also the fallback while the
-// reservoir is still cold).
-func (s *ObjStore) hedgeDelay() time.Duration {
-	s.latMu.Lock()
-	defer s.latMu.Unlock()
-	if s.latN < hedgeTriggerSamples {
-		return s.hedgeAfter
-	}
-	n, sorted := min(s.latN, len(s.lats)), s.lats
-	slices.Sort(sorted[:n])
-	idx := int(float64(n-1) * s.hedgePct / 100)
-	return max(time.Duration(sorted[idx]*float64(time.Second)), s.hedgeAfter)
-}
-
-// hedged runs p on the primary and, while it stays outstanding past the
-// hedge trigger (or fails outright), escalates to the next target, then the
-// next — first success wins. Losing attempts are abandoned, not interrupted:
-// idempotent writes make a straggler that finishes later land identical
-// bytes, so nothing waits for it. With no replicas this is a plain primary
-// call.
-func (s *ObjStore) hedged(p put) error {
-	n := len(s.targets)
-	if n == 1 {
-		return s.putOn(&s.targets[0], p)
-	}
-	type res struct {
-		ti  int
-		err error
-	}
-	ch := make(chan res, n) // buffered: abandoned attempts never block
-	launch := func(ti int) {
-		go func() { ch <- res{ti, s.putOn(&s.targets[ti], p)} }()
-	}
-	launch(0)
-	launched, pending := 1, 1
-	var firstErr error
-	for {
-		var hedgeC <-chan time.Time // nil, never ready, once every target has an attempt
-		if launched < n {
-			hedgeC = time.After(s.hedgeDelay())
-		}
-		select {
-		case r := <-ch:
-			pending--
-			if r.err == nil {
-				if r.ti > 0 {
-					s.metrics.inc(&s.metrics.HedgeWins)
-				}
-				return nil
-			}
-			if firstErr == nil {
-				firstErr = r.err
-			}
-			if launched < n {
-				// A definitive failure hedges immediately — no point waiting
-				// out the trigger for a target that already said no.
-				s.metrics.inc(&s.metrics.Hedges)
-				launch(launched)
-				launched++
-				pending++
-			} else if pending == 0 {
-				return firstErr
-			}
-		case <-hedgeC:
-			s.metrics.inc(&s.metrics.Hedges)
-			launch(launched)
-			launched++
-			pending++
-		}
-	}
-}
-
-// ReadPartAt fills p from offset off of a manifest part's blob, falling back
-// across replica targets like Get. A blob whose length is not the
-// manifest's is an error, never bytes: the same check a whole-part Get gets
-// from its caller. It opens the blob the way Get does, so the OpGet fault
-// hook guards ranged reads too.
+// ReadPartAt fills p from offset off of a manifest part's blob. A blob whose
+// length is not the manifest's is an error, never bytes: the same check a
+// whole-part Get gets from its caller. It opens the blob the way Get does,
+// so the OpGet fault hook guards ranged reads too.
 func (s *ObjStore) ReadPartAt(part Part, p []byte, off int64) (int, error) {
-	return firstTarget(s, func(t *objTarget) (int, error) {
-		start := time.Now()
-		if err := t.blobs.readPart(part, p, off); err != nil {
-			return 0, err
-		}
-		s.metrics.get(time.Since(start).Seconds(), int64(len(p)))
-		return len(p), nil
-	})
-}
-
-// firstTarget runs fn against the primary target, then each replica in
-// order, and returns the first success — a part or manifest that was hedged
-// onto a replica stays readable even when the primary lost (or never
-// received) it. Each target's failure is counted; when every target fails,
-// the primary's error is returned.
-func firstTarget[T any](s *ObjStore, fn func(t *objTarget) (T, error)) (T, error) {
-	var zero T
-	var firstErr error
-	for i := range s.targets {
-		v, err := fn(&s.targets[i])
-		if err == nil {
-			return v, nil
-		}
-		s.metrics.failed(err)
-		if firstErr == nil {
-			firstErr = err
-		}
+	start := time.Now()
+	if err := s.blobs.readPart(part, p, off); err != nil {
+		return 0, s.metrics.failed(err)
 	}
-	return zero, firstErr
+	s.metrics.get(time.Since(start).Seconds(), int64(len(p)))
+	return len(p), nil
 }
 
-// Get reads a blob back, falling back across replica targets in order.
+// Get reads a blob back.
 func (s *ObjStore) Get(name string) ([]byte, error) {
-	return firstTarget(s, func(t *objTarget) ([]byte, error) {
-		start := time.Now()
-		b, err := t.blobs.read(name, nil)
-		if err == nil {
-			s.metrics.get(time.Since(start).Seconds(), int64(len(b)))
-		}
-		return b, err
-	})
+	start := time.Now()
+	b, err := s.blobs.read(name, nil)
+	if err != nil {
+		return nil, s.metrics.failed(err)
+	}
+	s.metrics.get(time.Since(start).Seconds(), int64(len(b)))
+	return b, nil
 }
 
-// Stat reports a blob's size — the dedupe probe — falling back across
-// replica targets like Get.
+// Stat reports a blob's size — the dedupe probe.
 func (s *ObjStore) Stat(name string) (ObjectInfo, error) {
-	return firstTarget(s, func(t *objTarget) (ObjectInfo, error) {
-		st, err := t.blobs.stat(OpStat, name)
-		return ObjectInfo{Name: name, Size: st.Size}, err
-	})
+	st, err := s.blobs.stat(OpStat, name)
+	if err != nil {
+		return ObjectInfo{}, s.metrics.failed(err)
+	}
+	return ObjectInfo{Name: name, Size: st.Size}, nil
 }
 
-// Delete removes a blob from the primary target. Deleting a part still
-// referenced by a manifest breaks that object — garbage collection of
-// unreferenced parts is GC's concern.
+// Delete removes a blob. Deleting a part still referenced by a manifest
+// breaks that object — garbage collection of unreferenced parts is GC's
+// concern.
 func (s *ObjStore) Delete(name string) error {
-	if err := s.targets[0].blobs.remove(name); err != nil {
+	if err := s.blobs.remove(name); err != nil {
 		return s.metrics.failed(err)
 	}
 	s.metrics.inc(&s.metrics.Deletes)
@@ -420,10 +196,9 @@ type objWriter struct {
 
 func (w *objWriter) Write(p []byte) (int, error) { return w.write(p, false) }
 
-// WritePinned keeps p in the parts' runs. A store whose uploads can outlive
-// Commit (abandons) copies it, as Write does: a losing hedge or a put past
-// its deadline may still be writing p after the caller has moved on.
-func (w *objWriter) WritePinned(p []byte) (int, error) { return w.write(p, !w.s.abandons()) }
+// WritePinned keeps p in the parts' runs: every put of them has returned by
+// the time Commit or Abort does.
+func (w *objWriter) WritePinned(p []byte) (int, error) { return w.write(p, true) }
 
 func (w *objWriter) write(p []byte, pin bool) (int, error) {
 	if w.done {
@@ -472,11 +247,9 @@ func (w *objWriter) dispatchPart() {
 		defer func() {
 			<-w.s.sem
 			w.s.metrics.partEnd()
-			if !w.s.abandons() { // else an abandoned put may still read the runs
-				clear(pt.runs)
-				pt.runs, pt.size = pt.runs[:0], 0
-				partPool.Put(pt)
-			}
+			clear(pt.runs)
+			pt.runs, pt.size = pt.runs[:0], 0
+			partPool.Put(pt)
 			w.wg.Done()
 		}()
 		part, err := w.s.uploadPart(pt)
@@ -494,9 +267,8 @@ func (w *objWriter) dispatchPart() {
 
 // Retry backoff bounds: capped exponential starting at the base, with full
 // jitter over the upper half of each step. The cap keeps a long outage from
-// growing waits past what the put timeout already bounds; the jitter keeps a
-// burst of failed parts from retrying in lockstep against a target that just
-// browned out.
+// growing one wait past a quarter second; the jitter keeps a burst of failed
+// parts from retrying in lockstep against a target that just browned out.
 const (
 	retryBackoffBase = 2 * time.Millisecond
 	retryBackoffCap  = 250 * time.Millisecond
@@ -509,9 +281,9 @@ func (s *ObjStore) backoffBeforeAttempt(attempt int) {
 	if shift := uint(attempt - 2); shift < 8 {
 		d = min(d, retryBackoffBase<<shift)
 	}
-	s.latMu.Lock()
+	s.jitterMu.Lock()
 	j := time.Duration(s.jitter.Int63n(int64(d)/2 + 1))
-	s.latMu.Unlock()
+	s.jitterMu.Unlock()
 	d = d/2 + j
 	s.metrics.backoff(d.Seconds())
 	time.Sleep(d)
@@ -519,9 +291,8 @@ func (s *ObjStore) backoffBeforeAttempt(attempt int) {
 
 // uploadPart content-addresses one part and makes it durable: a part whose
 // blob already exists is a dedupe hit (skip the upload entirely); otherwise
-// put it — hedged across replica targets when configured — retrying
-// transient failures with backoff, idempotent because the name is the
-// content.
+// put it, retrying transient failures with backoff, idempotent because the
+// name is the content. A put is timed and counted, its failure too.
 func (s *ObjStore) uploadPart(pt *objPart) (Part, error) {
 	part := casPart(pt.digest(), pt.size)
 	var lastErr error
@@ -530,16 +301,21 @@ func (s *ObjStore) uploadPart(pt *objPart) (Part, error) {
 			s.metrics.inc(&s.metrics.Retries)
 			s.backoffBeforeAttempt(attempt)
 		}
-		// Every attempt begins with the dedupe probe: a failed attempt may
-		// have landed the blob anyway (e.g. the caller observed a timeout
-		// after the rename).
+		// Every attempt begins with the dedupe probe: while an attempt
+		// failed, another writer of the same content — in this instance or
+		// another over the same root — may have landed the blob.
 		if info, err := s.Stat(part.Blob); err == nil && info.Size == part.Size {
 			s.dedupeHit(part)
 			return part, nil
 		}
-		if lastErr = s.hedged(put{OpPut, part.Blob, pt.runs, part.Size}); lastErr == nil {
+		// The timer starts before the fault hook on purpose: injected
+		// latency models the storage target, so it belongs in PutLatency.
+		start := time.Now()
+		if lastErr = s.blobs.put(OpPut, part.Blob, pt.runs...); lastErr == nil {
+			s.metrics.put(time.Since(start).Seconds(), part.Size)
 			return part, s.checkPut(pt, part)
 		}
+		s.metrics.failed(lastErr)
 	}
 	return Part{}, fmt.Errorf("upload failed after %d attempts: %w", s.putAttempts, lastErr)
 }
@@ -552,7 +328,7 @@ func (s *ObjStore) uploadPart(pt *objPart) (Part, error) {
 // window could delete a part a just-committed manifest references.
 func (s *ObjStore) dedupeHit(part Part) {
 	now := time.Now()
-	_ = os.Chtimes(s.targets[0].blobs.path(part.Blob), now, now) // best-effort: worst case the blob just looks older
+	_ = os.Chtimes(s.blobs.path(part.Blob), now, now) // best-effort: worst case the blob just looks older
 	s.metrics.dedupe(part.Size)
 }
 
@@ -588,20 +364,6 @@ func (w *objWriter) Abort() error {
 	return nil
 }
 
-// partDurable reports whether a part's blob is durable on any target — a
-// part that was hedged onto a replica satisfies the manifest-last invariant
-// just as well as one on the primary, because reads fall back the same way.
-// It looks at the disk directly: a commit's precondition is not a read the
-// fault gets to fail.
-func (s *ObjStore) partDurable(p Part) bool {
-	for i := range s.targets {
-		if st, err := s.targets[i].blobs.stat("", p.Blob); err == nil && st.Size == p.Size {
-			return true
-		}
-	}
-	return false
-}
-
 // manifestEnc is a pooled manifest encoder and the buffer it writes into:
 // its bytes are json.MarshalIndent(m, "", "  ") and a newline, without
 // Marshal's buffer and Indent's second one.
@@ -618,15 +380,15 @@ var manifestEncs = sync.Pool{New: func() any {
 }}
 
 // Commit publishes a manifest, making its object visible. Every part blob
-// must already be durable — the manifest-last protocol's invariant. The
-// manifest write itself is hedged like part puts: a hung primary must not
-// stall the commit that advances the durability watermark.
+// must already be durable — the manifest-last protocol's invariant. That
+// check looks at the disk directly: a commit's precondition is not a read
+// the fault gets to fail.
 func (s *ObjStore) Commit(m *Manifest) error {
 	if m == nil || m.Object == "" {
 		return fmt.Errorf("store: commit without an object name")
 	}
 	for i, p := range m.Parts {
-		if !s.partDurable(p) {
+		if st, err := s.blobs.stat("", p.Blob); err != nil || st.Size != p.Size {
 			return s.metrics.failed(fmt.Errorf("store: commit %q: part %d blob %q not durable", m.Object, i, p.Blob))
 		}
 	}
@@ -635,11 +397,9 @@ func (s *ObjStore) Commit(m *Manifest) error {
 	if err := e.enc.Encode(m); err != nil {
 		return fmt.Errorf("store: commit %q: %w", m.Object, err)
 	}
-	err := s.hedged(put{op: OpCommit, name: m.Object, runs: [][]byte{e.buf.Bytes()}})
-	if !s.abandons() { // else an abandoned commit may still write the buffer
-		poison(e.buf.Bytes())
-		manifestEncs.Put(e)
-	}
+	err := s.manifests.put(OpCommit, m.Object, e.buf.Bytes())
+	poison(e.buf.Bytes())
+	manifestEncs.Put(e)
 	if err != nil {
 		return s.metrics.failed(err)
 	}
@@ -709,39 +469,30 @@ var manifestBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // Manifest reads a committed object's manifest back, re-validating every
 // field — a manifest corrupted at rest fails loudly here instead of
-// propagating bad arithmetic into readers. Like Get, it falls back across
-// replica targets: a commit whose hedge won on a replica is still visible.
+// propagating bad arithmetic into readers.
 func (s *ObjStore) Manifest(object string) (*Manifest, error) {
 	buf := manifestBufs.Get().(*[]byte)
 	defer func() { poison(*buf); manifestBufs.Put(buf) }()
-	return firstTarget(s, func(t *objTarget) (*Manifest, error) {
-		b, err := t.manifests.read(object, *buf)
-		if err != nil {
-			return nil, err
-		}
-		*buf = b
-		m, err := decodeManifest(b, object)
-		if err != nil {
-			return nil, fmt.Errorf("store: manifest %q: %w", object, err)
-		}
-		return m, nil
-	})
+	b, err := s.manifests.read(object, *buf)
+	if err != nil {
+		return nil, s.metrics.failed(err)
+	}
+	*buf = b
+	m, err := decodeManifest(b, object)
+	if err != nil {
+		return nil, s.metrics.failed(fmt.Errorf("store: manifest %q: %w", object, err))
+	}
+	return m, nil
 }
 
 // eachManifest reads every committed manifest once, in name order, and
-// hands it to fn. The listing is the union across targets: an object whose
-// hedged commit landed only on a replica is read too. Its OpList is the
-// primary's to fail. A manifest deleted between the walk and its read is no
+// hands it to fn. A manifest deleted between the walk and its read is no
 // longer an object and is skipped.
 func (s *ObjStore) eachManifest(fn func(m *Manifest)) error {
-	if err := opFault(s.targets[0].blobs.fault, OpList, ""); err != nil {
+	if err := opFault(s.manifests.fault, OpList, ""); err != nil {
 		return s.metrics.failed(err)
 	}
-	trees := make([]*tree, len(s.targets))
-	for i := range s.targets {
-		trees[i] = &s.targets[i].manifests
-	}
-	names, err := list("", trees...)
+	names, err := s.manifests.list("")
 	if err != nil {
 		return s.metrics.failed(err)
 	}
@@ -771,7 +522,7 @@ func (s *ObjStore) Objects() ([]ObjectInfo, error) {
 // Open returns random access over a committed object, resolving reads
 // through its manifest to the content-addressed parts.
 func (s *ObjStore) Open(object string) (ObjectReader, error) {
-	if err := s.targets[0].blobs.vet(OpOpen, object); err != nil {
+	if err := s.blobs.vet(OpOpen, object); err != nil {
 		return nil, s.metrics.failed(err)
 	}
 	m, err := s.Manifest(object)
@@ -790,12 +541,13 @@ func (s *ObjStore) Open(object string) (ObjectReader, error) {
 // none — objects are write-once — but operators can overwrite) changes the
 // signature, which is what cache layers key invalidation on.
 func (s *ObjStore) StatObject(object string) (ObjectStat, error) {
-	return firstTarget(s, func(t *objTarget) (ObjectStat, error) { return t.manifests.stat(OpStat, object) })
+	st, err := s.manifests.stat(OpStat, object)
+	return st, s.metrics.failed(err)
 }
 
 // objReader maps ReadAt offsets onto manifest parts and reads exactly the
 // requested bytes of each covered part blob: one open, fstat and pread per
-// part per call, falling back across replica targets like Get. It holds no
+// part per call. It holds no
 // state beyond the manifest, so any number of goroutines may share it;
 // callers that want part reuse on a slow store go through the gateway's
 // part cache.
@@ -843,12 +595,7 @@ func (r *objReader) ReadAt(p []byte, off int64) (int, error) {
 // Stats snapshots the backend metrics.
 func (s *ObjStore) Stats() Stats { return s.metrics.snapshot() }
 
-// Close releases every target's open directories; an operation after it
-// fails.
+// Close releases the open directories; an operation after it fails.
 func (s *ObjStore) Close() error {
-	var errs []error
-	for _, t := range s.targets {
-		errs = append(errs, t.blobs.dir.Close(), t.manifests.dir.Close(), t.blobs.tmp.Close())
-	}
-	return errors.Join(errs...)
+	return errors.Join(s.blobs.dir.Close(), s.manifests.dir.Close(), s.blobs.tmp.Close())
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"testing"
-	"time"
 )
 
 // pattern returns n deterministic, non-repeating bytes.
@@ -272,50 +271,42 @@ func TestObjStoreAbortLeavesNoObject(t *testing.T) {
 	}
 }
 
-// On a store that abandons no upload, the runs of a pinned part are the
-// caller's bytes themselves, hashed and written where they lie, while bytes
-// from Write are copied. A store with a replica or a put deadline copies
-// both. The object reads back whole either way.
+// The runs of a pinned part are the caller's bytes themselves, hashed and
+// written where they lie, while bytes from Write are copied. The object
+// reads back whole.
 func TestWritePinnedRunsAliasCallerBytes(t *testing.T) {
 	const partSize = 1024
-	for _, opts := range []Options{
-		{PartSize: partSize},
-		{PartSize: partSize, Replicas: []string{t.TempDir()}},
-		{PartSize: partSize, PutTimeout: time.Minute},
-	} {
-		s, err := NewObjStore(t.TempDir(), opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pins := !s.abandons()
-		head, body := pattern(8, 1), pattern(2*partSize+100, 2)
-		ow, err := s.Create("o")
-		if err != nil {
-			t.Fatal(err)
-		}
-		w := ow.(*objWriter)
-		if _, err := w.Write(head); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := w.WritePinned(body[:100]); err != nil {
-			t.Fatal(err)
-		}
-		if r := w.pt.runs; &r[0][0] == &head[0] || (&r[len(r)-1][0] == &body[0]) != pins {
-			t.Errorf("%+v: header run aliases the caller %v, pinned run %v, want false, %v",
-				opts, &r[0][0] == &head[0], &r[len(r)-1][0] == &body[0], pins)
-		}
-		// Across two part boundaries: the third part starts at body[2*partSize-8].
-		if _, err := w.WritePinned(body[100:]); err != nil {
-			t.Fatal(err)
-		}
-		if r := w.pt.runs; len(r) != 1 || len(r[0]) != 108 || (&r[0][0] == &body[2*partSize-8]) != pins {
-			t.Errorf("%+v: last part's runs alias the caller %v, want %v", opts, &r[0][0] == &body[2*partSize-8], pins)
-		}
-		if _, err := w.Commit(); err != nil {
-			t.Fatal(err)
-		}
-		if got := readBack(t, s, "o"); !bytes.Equal(got, append(head, body...)) {
-			t.Errorf("%+v: object reads back other bytes", opts)
-		}
+	s, err := NewObjStore(t.TempDir(), Options{PartSize: partSize})
+	if err != nil {
+		t.Fatal(err)
+	}
+	head, body := pattern(8, 1), pattern(2*partSize+100, 2)
+	ow, err := s.Create("o")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := ow.(*objWriter)
+	if _, err := w.Write(head); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.WritePinned(body[:100]); err != nil {
+		t.Fatal(err)
+	}
+	if r := w.pt.runs; &r[0][0] == &head[0] || &r[len(r)-1][0] != &body[0] {
+		t.Errorf("header run aliases the caller %v, pinned run %v, want false, true",
+			&r[0][0] == &head[0], &r[len(r)-1][0] == &body[0])
+	}
+	// Across two part boundaries: the third part starts at body[2*partSize-8].
+	if _, err := w.WritePinned(body[100:]); err != nil {
+		t.Fatal(err)
+	}
+	if r := w.pt.runs; len(r) != 1 || len(r[0]) != 108 || &r[0][0] != &body[2*partSize-8] {
+		t.Errorf("last part's runs: %d, want one run of 108 bytes aliasing the caller", len(r))
+	}
+	if _, err := w.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if got := readBack(t, s, "o"); !bytes.Equal(got, append(head, body...)) {
+		t.Error("object reads back other bytes")
 	}
 }

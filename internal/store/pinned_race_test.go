@@ -32,7 +32,7 @@ func TestPinnedBytesChangedDuringPutFailCommit(t *testing.T) {
 	if _, err := w.Commit(); err == nil || !strings.Contains(err.Error(), "WritePinned") {
 		t.Fatalf("Commit = %v, want the pin contract's error", err)
 	}
-	if blobs, err := list("cas/", &s.targets[0].blobs); err != nil || len(blobs) != 0 {
+	if blobs, err := s.blobs.list("cas/"); err != nil || len(blobs) != 0 {
 		t.Errorf("blobs left behind: %v, %v", blobs, err)
 	}
 	if _, err := s.Manifest("o"); err == nil {

@@ -12,10 +12,10 @@ func (s *ObjStore) checkPut(pt *objPart, part Part) error {
 	if casPart(pt.digest(), part.Size) == part {
 		return nil
 	}
-	_ = s.targets[0].blobs.remove(part.Blob) // the object fails whether or not the blob goes
+	_ = s.blobs.remove(part.Blob) // the object fails whether or not the blob goes
 	return fmt.Errorf("store: part %s changed during its upload: WritePinned bytes must stay unmodified until Commit or Abort returns", part.Blob)
 }
 
 // poison zeroes a manifest buffer on its way back to its pool: a string
-// still aliasing it, or an abandoned commit still writing it, then shows.
+// still aliasing it then shows.
 func poison(b []byte) { clear(b) }

@@ -6,7 +6,6 @@ import (
 	"io"
 	"math/rand"
 	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -275,63 +274,6 @@ func TestObjReaderRangedReadsSeeGetFaults(t *testing.T) {
 	}
 }
 
-// TestObjReaderFallsBackToReplica: a part blob present only on a replica
-// target is read through the same fallback Get uses.
-func TestObjReaderFallsBackToReplica(t *testing.T) {
-	primary, replica := t.TempDir(), t.TempDir()
-	var replicaStats atomic.Int64
-	onReplica := FaultFunc(func(op, name string) error {
-		if op == OpStat && name == "o.dsf" {
-			replicaStats.Add(1)
-		}
-		return nil
-	})
-	s, err := NewObjStore(primary, Options{PartSize: 64, Replicas: []string{replica}, ReplicaFaults: []Fault{onReplica}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	data := writeTestObject(t, s, "o.dsf", 64*3, 8)
-	m, err := s.Manifest("o.dsf")
-	if err != nil {
-		t.Fatal(err)
-	}
-	moved := m.Parts[1].Blob
-	dst := s.targets[1].blobs.path(moved)
-	if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Rename(s.targets[0].blobs.path(moved), dst); err != nil {
-		t.Fatal(err)
-	}
-
-	r, err := s.Open("o.dsf")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	buf := make([]byte, 100)
-	if _, err := r.ReadAt(buf, 40); err != nil { // parts 0, 1 and 2
-		t.Fatalf("read across a replica-only part: %v", err)
-	}
-	if !bytes.Equal(buf, data[40:140]) {
-		t.Fatal("bytes mismatch through the replica fallback")
-	}
-
-	// StatObject falls back the same way, and asks each target's own fault:
-	// a manifest present only on the replica is a stat the replica's fault
-	// sees, not a raw look at its disk.
-	if err := os.Rename(s.targets[0].manifests.path("o.dsf"), s.targets[1].manifests.path("o.dsf")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.StatObject("o.dsf"); err != nil {
-		t.Fatalf("StatObject of a replica-only manifest: %v", err)
-	}
-	if n := replicaStats.Load(); n != 1 {
-		t.Errorf("replica fault saw %d stats of o.dsf, want 1", n)
-	}
-}
-
 // TestObjReaderRejectsWrongLengthBlob: a blob one byte longer or shorter
 // than its manifest entry is an error, never bytes — even when the range
 // asked for lies inside what is there.
@@ -346,7 +288,7 @@ func TestObjReaderRejectsWrongLengthBlob(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		path := s.targets[0].blobs.path(m.Parts[0].Blob)
+		path := s.blobs.path(m.Parts[0].Blob)
 		if err := os.Truncate(path, int64(64+delta)); err != nil {
 			t.Fatal(err)
 		}
@@ -419,29 +361,6 @@ func TestReadPartAt(t *testing.T) {
 				t.Errorf("ReadPartAt under an OpGet failure = %v, want the injected error", err)
 			}
 		})
-	}
-
-	s, err := NewObjStore(t.TempDir(), Options{PartSize: 64, Replicas: []string{t.TempDir()}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	data := writeTestObject(t, s, "o.dsf", 64*2, 11)
-	m, err := s.Manifest("o.dsf")
-	if err != nil {
-		t.Fatal(err)
-	}
-	part := m.Parts[1]
-	dst := s.targets[1].blobs.path(part.Blob)
-	if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Rename(s.targets[0].blobs.path(part.Blob), dst); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 10)
-	if _, err := s.ReadPartAt(part, buf, 5); err != nil || !bytes.Equal(buf, data[64+5:64+15]) {
-		t.Fatalf("ReadPartAt of a replica-only blob: %v, or bytes differ", err)
 	}
 }
 

@@ -21,10 +21,10 @@
 // Both backends are built on one unexported primitive, tree (tree.go): a
 // directory of immutable files whose only way in is write-temp, fsync,
 // rename. A backend is named by a URL that says where it lives —
-// "file:///data/out", "obj:///data/objects", optionally with replica=
-// roots — and tuned by Options; Open/OpenWith pick the implementation from
-// the scheme. All Backend implementations must be safe for concurrent use
-// by multiple persist writers.
+// "file:///data/out" or "obj:///data/objects" — and tuned by Options;
+// Open/OpenWith pick the implementation from the scheme. All Backend
+// implementations must be safe for concurrent use by multiple persist
+// writers.
 package store
 
 import (
@@ -33,7 +33,6 @@ import (
 	"fmt"
 	"os"
 	"path"
-	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -52,13 +51,6 @@ const (
 	// DefaultPutAttempts is the total tries per part upload (1 first
 	// attempt + retries). Content addressing makes every retry idempotent.
 	DefaultPutAttempts = 3
-	// DefaultHedgeAfter is the hedge trigger used before enough put-latency
-	// samples exist to compute the configured percentile, and the floor under
-	// the computed trigger (hedging below it would double-write healthy puts).
-	DefaultHedgeAfter = 20 * time.Millisecond
-	// DefaultHedgePct is the observed put-latency percentile past which a
-	// still-outstanding put is hedged to the next replica target.
-	DefaultHedgePct = 95.0
 )
 
 // ErrNotExist reports a blob, object or manifest that is not (visibly)
@@ -183,9 +175,9 @@ type Backend interface {
 }
 
 // Options tune a backend at Open time; zero fields select defaults. They
-// are the one list of backend options: configuration fills PartSize,
-// PutWorkers and PutTimeout from the <store> element (config.StoreOptions),
-// the rest keep their defaults outside tests.
+// are the one list of backend options: configuration fills PartSize and
+// PutWorkers from the <store> element (config.StoreOptions), the rest keep
+// their defaults outside tests.
 type Options struct {
 	// PartSize is the objstore multipart split size in bytes (0 = default).
 	PartSize int64
@@ -194,28 +186,8 @@ type Options struct {
 	// PutAttempts is the total tries per part upload, first attempt
 	// included (0 = default).
 	PutAttempts int
-	// PutTimeout is the per-attempt deadline on a blob put (0 = none): a
-	// hung storage target converts to a retryable error instead of a
-	// forever-stall of the durability watermark.
-	PutTimeout time.Duration
-	// Replicas lists additional object-store target roots. With at least
-	// one replica, part puts and manifest commits that outlast the hedge
-	// trigger are re-issued to the next target, first success wins; reads
-	// fall back across targets in order.
-	Replicas []string
-	// ReplicaFaults injects per-op faults into the corresponding replica
-	// target (index-aligned with Replicas; nil entries inject nothing).
-	// Tests use it to brown out one target while its sibling stays healthy.
-	ReplicaFaults []Fault
-	// HedgeAfter floors the hedge trigger and serves as the trigger before
-	// enough latency samples exist (0 = DefaultHedgeAfter).
-	HedgeAfter time.Duration
-	// HedgePct is the observed put-latency percentile past which an
-	// outstanding put is hedged (0 = DefaultHedgePct).
-	HedgePct float64
 	// Fault, when non-nil, injects per-op latency and failures — the hook
-	// tests and benchmarks use to emulate slow or flaky storage. It applies
-	// to the primary target only; replica targets use ReplicaFaults.
+	// tests and benchmarks use to emulate slow or flaky storage.
 	Fault Fault
 }
 
@@ -224,8 +196,6 @@ func (o *Options) withDefaults() Options {
 	r.PartSize = cmp.Or(r.PartSize, DefaultPartSize)
 	r.PutWorkers = cmp.Or(r.PutWorkers, DefaultPutWorkers)
 	r.PutAttempts = cmp.Or(r.PutAttempts, DefaultPutAttempts)
-	r.HedgeAfter = cmp.Or(r.HedgeAfter, DefaultHedgeAfter)
-	r.HedgePct = cmp.Or(r.HedgePct, DefaultHedgePct)
 	return r
 }
 
@@ -239,75 +209,45 @@ func (o *Options) validate() error {
 	if o.PutAttempts < 0 {
 		return fmt.Errorf("store: negative put attempt count %d", o.PutAttempts)
 	}
-	if o.PutTimeout < 0 {
-		return fmt.Errorf("store: negative put timeout %v", o.PutTimeout)
-	}
-	if o.HedgeAfter < 0 {
-		return fmt.Errorf("store: negative hedge delay %v", o.HedgeAfter)
-	}
-	if o.HedgePct < 0 || o.HedgePct > 100 {
-		return fmt.Errorf("store: hedge percentile %v outside [0,100]", o.HedgePct)
-	}
-	for _, r := range o.Replicas {
-		if r == "" {
-			return fmt.Errorf("store: empty replica target")
-		}
-	}
-	if len(o.ReplicaFaults) > len(o.Replicas) {
-		return fmt.Errorf("store: %d replica faults for %d replicas",
-			len(o.ReplicaFaults), len(o.Replicas))
-	}
 	return nil
 }
 
-// parseURL breaks "scheme://root?replica=dir&replica=dir" into its pieces.
-// The root is kept verbatim (so "file:///abs/dir" yields "/abs/dir" and
-// "file://rel" yields "rel"). A URL says where the data lives — a scheme, a
-// root and any replica roots, all deployment paths — and never how the
-// backend behaves: that is Options, which configuration fills from the
-// <store> element's attributes.
-func parseURL(raw string) (scheme, root string, replicas []string, err error) {
+// parseURL breaks "scheme://root" into its pieces. The root is kept
+// verbatim (so "file:///abs/dir" yields "/abs/dir" and "file://rel" yields
+// "rel"). A URL says where the data lives and never how the backend
+// behaves: that is Options, which configuration fills from the <store>
+// element's attributes, so a URL with a query is refused.
+func parseURL(raw string) (scheme, root string, err error) {
 	i := strings.Index(raw, "://")
 	if i <= 0 {
-		return "", "", nil, fmt.Errorf("store: %q is not a backend URL (want scheme://root)", raw)
+		return "", "", fmt.Errorf("store: %q is not a backend URL (want scheme://root)", raw)
 	}
 	scheme = raw[:i]
-	root, query, _ := strings.Cut(raw[i+3:], "?")
+	root, query, hasQuery := strings.Cut(raw[i+3:], "?")
 	if root == "" {
-		return "", "", nil, fmt.Errorf("store: backend URL %q has an empty root", raw)
+		return "", "", fmt.Errorf("store: backend URL %q has an empty root", raw)
 	}
 	switch scheme {
 	case "file", "obj":
 	default:
-		return "", "", nil, fmt.Errorf("store: unknown backend scheme %q (known: file, obj)", scheme)
+		return "", "", fmt.Errorf("store: unknown backend scheme %q (known: file, obj)", scheme)
 	}
-	for _, kv := range strings.Split(query, "&") {
-		k, v, _ := strings.Cut(kv, "=")
-		switch {
-		case kv == "":
-		case k != "replica":
-			return "", "", nil, fmt.Errorf("store: unknown backend URL parameter %q: a URL takes only replica=; "+
-				"sizes and deadlines are <store> attributes (part_size, put_workers, put_timeout)", k)
-		case v == "":
-			return "", "", nil, fmt.Errorf("store: empty replica target")
-		default:
-			replicas = append(replicas, v)
-		}
+	if hasQuery {
+		return "", "", fmt.Errorf("store: backend URL %q has a query %q: a URL is scheme://root; "+
+			"sizes are <store> attributes (part_size, put_workers)", raw, query)
 	}
-	return scheme, root, replicas, nil
+	return scheme, root, nil
 }
 
 // Open builds the backend a URL names, with default options.
 func Open(rawURL string) (Backend, error) { return OpenWith(rawURL, Options{}) }
 
-// OpenWith builds the backend a URL names, tuned by opts; the URL's replica
-// roots follow any opts already lists.
+// OpenWith builds the backend a URL names, tuned by opts.
 func OpenWith(rawURL string, opts Options) (Backend, error) {
-	scheme, root, replicas, err := parseURL(rawURL)
+	scheme, root, err := parseURL(rawURL)
 	if err != nil {
 		return nil, err
 	}
-	opts.Replicas = slices.Concat(opts.Replicas, replicas)
 	if scheme == "file" {
 		return NewFileStore(root, opts)
 	}
@@ -315,10 +255,10 @@ func OpenWith(rawURL string, opts Options) (Backend, error) {
 }
 
 // ValidateURL checks a backend URL without opening it — scheme known, root
-// present, no parameter but replica=. Config validation uses it so a bad
-// persist_backend fails at load time, not at first flush.
+// present, no query. Config validation uses it so a bad persist_backend
+// fails at load time, not at first flush.
 func ValidateURL(rawURL string) error {
-	_, _, _, err := parseURL(rawURL)
+	_, _, err := parseURL(rawURL)
 	return err
 }
 

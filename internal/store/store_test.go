@@ -35,22 +35,29 @@ func TestOpenBadURLs(t *testing.T) {
 			t.Errorf("ValidateURL(%q) should fail", raw)
 		}
 	}
-	// A URL says where, never how: what used to be query options is refused
-	// with one message that points at the knob table.
-	for _, raw := range []string{"obj://d?part_size=4096", "obj://d?put_timeout=500", "obj://d?hedge_ms=5",
-		"obj://d?replica=/r&put_attempts=2"} {
-		_, oerr := Open(raw)
+	// A URL says where, never how: a query is refused on every scheme, with
+	// one message that points at the knob table, before anything is opened.
+	dir := t.TempDir()
+	root, replica := filepath.Join(dir, "d"), filepath.Join(dir, "r")
+	for _, raw := range []string{"obj://d?part_size=4096", "obj://d?hedge_ms=5",
+		"obj://d?replica=/r&put_attempts=2", "file://" + root + "?replica=" + replica, "obj://" + root + "?replica=" + replica, "obj://" + root + "?"} {
+		b, oerr := OpenWith(raw, Options{})
+		if oerr == nil {
+			b.Close()
+		}
 		for _, err := range []error{oerr, ValidateURL(raw)} {
-			if err == nil || !strings.Contains(err.Error(), "unknown backend URL parameter") ||
-				!strings.Contains(err.Error(), "replica=") || !strings.Contains(err.Error(), "<store>") {
-				t.Errorf("%q: error should name the parameter, replica= and <store>: %v", raw, err)
+			if err == nil || !strings.Contains(err.Error(), "has a query") || !strings.Contains(err.Error(), "<store>") {
+				t.Errorf("%q: error should say the URL has a query and name <store>: %v", raw, err)
 			}
 		}
+	}
+	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 0 {
+		t.Errorf("refused URLs made %v under their roots' directory (%v)", ents, err)
 	}
 }
 
 func TestValidateURLKnown(t *testing.T) {
-	for _, raw := range []string{"file:///tmp/x", "file://rel/dir", "obj://d", "obj://d?replica=/tmp/r1&replica=/tmp/r2"} {
+	for _, raw := range []string{"file:///tmp/x", "file://rel/dir", "obj://d"} {
 		if err := ValidateURL(raw); err != nil {
 			t.Errorf("ValidateURL(%q): %v", raw, err)
 		}
@@ -182,23 +189,28 @@ func filesUnder(root string) (names []string) {
 func plantBlob(b Backend, name string, data []byte) error {
 	switch s := b.(type) {
 	case *ObjStore:
-		return s.putOn(&s.targets[0], put{OpPut, name, [][]byte{data}, int64(len(data))})
+		return putCounted(&s.blobs, &s.metrics, name, data)
 	case *FileStore:
-		start := time.Now()
-		if err := s.t.put(OpPut, name, data); err != nil {
-			return s.metrics.failed(err)
-		}
-		s.metrics.put(time.Since(start).Seconds(), int64(len(data)))
-		return nil
+		return putCounted(&s.t, &s.metrics, name, data)
 	}
 	return fmt.Errorf("plantBlob: %T", b)
 }
 
-// blobTree is the tree a backend keeps its blobs in (the primary's on obj).
+// putCounted puts data as name in t and counts the put, or its failure, in m.
+func putCounted(t *tree, m *metrics, name string, data []byte) error {
+	start := time.Now()
+	if err := t.put(OpPut, name, data); err != nil {
+		return m.failed(err)
+	}
+	m.put(time.Since(start).Seconds(), int64(len(data)))
+	return nil
+}
+
+// blobTree is the tree a backend keeps its blobs in.
 func blobTree(b Backend) *tree {
 	switch s := b.(type) {
 	case *ObjStore:
-		return &s.targets[0].blobs
+		return &s.blobs
 	case *FileStore:
 		return &s.t
 	}
@@ -230,14 +242,14 @@ func blobPlane(t *testing.T, b Backend) {
 		t.Errorf("Get missing = %v, want ErrNotExist", err)
 	}
 
-	all, err := list("", blobTree(b))
+	all, err := blobTree(b).list("")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(all) != 3 || all[0].Name != "c" || all[1].Name != "dir/a" || all[2].Name != "dir/b" {
 		t.Fatalf("list = %+v", all)
 	}
-	sub, err := list("dir/", blobTree(b))
+	sub, err := blobTree(b).list("dir/")
 	if err != nil || len(sub) != 2 {
 		t.Fatalf("list(dir/) = %+v, %v", sub, err)
 	}

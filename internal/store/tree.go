@@ -348,7 +348,7 @@ func (t *tree) remove(name string) error {
 // walk calls fn for every file whose name starts with prefix, in lexical
 // order. Hidden entries (temps) and files without the tree's suffix are not
 // names and are skipped. It consults no fault: a listing's OpList belongs to
-// the backend, which may walk several trees for one call.
+// the backend.
 func (t *tree) walk(prefix string, fn func(name string, d fs.DirEntry) error) error {
 	if int(t.dir.Fd()) < 0 {
 		return os.ErrClosed
@@ -379,27 +379,19 @@ func (t *tree) walk(prefix string, fn func(name string, d fs.DirEntry) error) er
 	})
 }
 
-// list returns the files under prefix of every tree, sorted by name, each
-// name once (the first tree that holds it reports its size).
-func list(prefix string, trees ...*tree) ([]ObjectInfo, error) {
-	seen := map[string]bool{}
+// list returns the files under prefix, sorted by name.
+func (t *tree) list(prefix string) ([]ObjectInfo, error) {
 	var out []ObjectInfo
-	for _, t := range trees {
-		err := t.walk(prefix, func(name string, d fs.DirEntry) error {
-			if seen[name] {
-				return nil
-			}
-			seen[name] = true
-			fi, err := d.Info()
-			if err != nil {
-				return err
-			}
-			out = append(out, ObjectInfo{Name: name, Size: fi.Size()})
-			return nil
-		})
+	err := t.walk(prefix, func(name string, d fs.DirEntry) error {
+		fi, err := d.Info()
 		if err != nil {
-			return nil, fmt.Errorf("store: list: %w", err)
+			return err
 		}
+		out = append(out, ObjectInfo{Name: name, Size: fi.Size()})
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("store: list: %w", err)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out, nil
