@@ -58,10 +58,8 @@ type flow struct {
 	closed  bool
 }
 
+// newFlow takes a window of at least 1, as planBuffer derives it.
 func newFlow(window int64) *flow {
-	if window < 1 {
-		window = 1
-	}
 	f := &flow{window: window, flushed: -1}
 	f.cond = sync.NewCond(&f.mu)
 	return f
@@ -134,18 +132,14 @@ type Options struct {
 // collectively.
 //
 // Buffer sizing: with the shared ("mutex") allocator the per-node buffer
-// should hold at least window+1 write phases' worth of data, where the
-// flow-control window is 1 for the synchronous baseline and
-// persist_queue_depth for the write-behind pipeline. Built-in flow control
-// bounds every client to `window` iterations beyond the last durable
-// flush, so at most window+1 iterations are ever in flight; that much
-// space therefore guarantees progress, while less can deadlock (a fast
-// client's iteration-N+k data occupying space a sibling needs to finish
-// N). It is also all the clients can fill, so Deploy allocates only that
-// much of each dedicated core's segment (planBuffer); the rest of <buffer
-// size> is capacity, allocated only if a reservation ever lands there.
-// The lock-free partitioned allocator cannot cross-starve and needs
-// only window+1 phases per client partition.
+// should hold at least window+1 write phases (planBuffer derives the
+// window). Flow control bounds every client to `window` iterations beyond
+// the last durable flush, so that much space guarantees progress, while
+// less can deadlock (a fast client's iteration-N+k data occupying space a
+// sibling needs to finish N). Deploy allocates only the phases clients
+// fill in steady state, the rest as they reach it. The lock-free
+// partitioned allocator cannot cross-starve and needs only window+1 phases
+// per client partition.
 func Deploy(world *mpi.Comm, cfg *config.Config, reg *plugin.Registry, opts Options) (*Deployment, error) {
 	if world == nil {
 		return nil, fmt.Errorf("core: nil world communicator")
@@ -203,8 +197,8 @@ func Deploy(world *mpi.Comm, cfg *config.Config, reg *plugin.Registry, opts Opti
 		// Dedicated core: create shared resources and hand them out.
 		g := myNodeRank - clients
 		group := groupClients(g, clients, servers)
-		window, committed, _ := planBuffer(cfg, segSize, g, len(group))
-		segOpt := shm.WithCommitted(committed)
+		window, parts, _ := planBuffer(cfg, segSize, g, len(group))
+		segOpt := shm.WithParts(parts...)
 		if cfg.Allocator == "lockfree" {
 			segOpt = shm.WithLockFree(len(group))
 		}
@@ -269,8 +263,8 @@ func Deploy(world *mpi.Comm, cfg *config.Config, reg *plugin.Registry, opts Opti
 	return dep, nil
 }
 
-// planBuffer derives one dedicated core's flow window, and how much of its
-// segSize-byte segment Deploy allocates, from group g's write phase: every
+// planBuffer derives one dedicated core's flow window, and the parts of its
+// segSize-byte segment (shm.WithParts), from group g's write phase: every
 // declared variable once per member client.
 //
 // The window is 1 for the synchronous baseline and the persist queue depth
@@ -283,34 +277,39 @@ func Deploy(world *mpi.Comm, cfg *config.Config, reg *plugin.Registry, opts Opti
 // the pipeline's workers+queue, so the queue is never found full twice in a
 // row and nothing spills.
 //
-// Flow control keeps at most window+1 phases in flight, so that much is
-// committed: the whole segment with a scratch store, or with no variable
-// declared (no estimate). With <aggregate> on, a member's chunks stay pinned
-// until the whole node's epoch is durable — the slowest sibling's
-// durability window (aggregate.Stats reports it) — so a segment below
-// window+1 phases deadlocks the node once a sibling lags: an error.
-func planBuffer(cfg *config.Config, segSize int64, g, members int) (window, committed int64, err error) {
+// Flow control keeps at most window+1 phases in flight; in steady state
+// clients fill one plus one per persist writer, which Deploy allocates. Each
+// further phase is a part allocated when a client first reaches it, the rest
+// one more. A scratch store or no variable declared (no estimate): one part.
+// With <aggregate> on, a member's chunks stay pinned until the node's epoch
+// is durable (the slowest sibling's durability window, aggregate.Stats), so
+// a segment below window+1 phases deadlocks the node once one lags: an error.
+func planBuffer(cfg *config.Config, segSize int64, g, members int) (window int64, parts []int64, err error) {
 	window = 1
 	if cfg.PersistWorkers > 0 {
 		window = int64(cfg.PersistQueueDepth)
 	}
 	phase := cfg.PhaseBytesPerClient() * int64(members)
 	if phase == 0 {
-		return window, segSize, nil
+		return window, nil, nil
 	}
 	if cfg.SpillDir != "" {
-		return max(window, segSize/phase-1), segSize, nil
+		return max(window, segSize/phase-1), nil, nil
 	}
 	need := (window + 1) * phase
 	if cfg.AggregateEnabled() && segSize < need {
-		return 0, 0, fmt.Errorf(
+		return 0, nil, fmt.Errorf(
 			"core: <aggregate> pins chunks for the slowest sibling's durability window: "+
 				"shared buffer %d B per dedicated core (group %d) is below the derived bound %d B "+
 				"(window %d + 1 write phases x %d B/phase, every declared variable once per client); "+
 				"raise <buffer size>, lower persist_queue_depth, or trim unwritten <variable> declarations",
 			segSize, g, need, window, phase)
 	}
-	return window, min(segSize, need), nil
+	parts = []int64{(min(window, int64(max(cfg.PersistWorkers, 1))) + 1) * phase}
+	for n := parts[0]; n < need; n += phase {
+		parts = append(parts, phase)
+	}
+	return window, parts, nil
 }
 
 // groupOf maps a client's node rank to its dedicated-core group, splitting

@@ -556,8 +556,16 @@ func TestServerStats(t *testing.T) {
 	if err := obs.WriteSamples(&expo, plane.Registry().Gather()); err != nil {
 		t.Fatal(err)
 	}
-	if want := `damaris_server_iterations_total{server="1"} 3`; !strings.Contains(expo.String(), want) {
-		t.Errorf("registry lacks %q", want)
+	for _, want := range []string{
+		`damaris_server_iterations_total{server="1"} 3`,
+		`damaris_shm_allocated_bytes{server="1"} 1536`, // two phases of the three declared variables
+		`damaris_shm_free_bytes{server="1"} 1.048576e+06`,
+		`damaris_shm_reserves_total{server="1"} 3`,
+		`damaris_shm_releases_total{server="1"} 3`,
+	} {
+		if !strings.Contains(expo.String(), want) {
+			t.Errorf("registry lacks %q", want)
+		}
 	}
 	if srv.BytesWritten() != 3*256 {
 		t.Errorf("BytesWritten = %d, want %d", srv.BytesWritten(), 3*256)

@@ -10,6 +10,7 @@ import (
 	"damaris/internal/event"
 	"damaris/internal/metadata"
 	"damaris/internal/obs"
+	"damaris/internal/shm"
 	"damaris/internal/stats"
 	"damaris/internal/store"
 )
@@ -27,7 +28,7 @@ type Server struct {
 	shards    []*shardLoop  // the event-loop shards; len 1 = the classic single loop
 	started   time.Time     // server construction instant (wall base for busy fractions)
 	stoppedAt time.Time     // set when the shard loops exit; freezes the busy-fraction wall clock so post-run expositions are byte-stable
-	seg       segmentCloser
+	seg       *shm.Segment
 	fc        *flow
 	id        int // world rank of this dedicated core
 	persister Persister
@@ -59,11 +60,6 @@ type Server struct {
 	running      bool
 }
 
-// segmentCloser is the part of shm.Segment the server needs at shutdown.
-type segmentCloser interface {
-	Close()
-}
-
 // serverSpec is what Deploy resolved for one dedicated core: its event-loop
 // shards, the segment and flow window it shares with its clients, and its
 // place in the world.
@@ -75,7 +71,7 @@ type serverSpec struct {
 	// event.Tally.
 	engines []*event.Engine
 	queues  []*event.Queue
-	seg     segmentCloser
+	seg     *shm.Segment
 	fc      *flow
 	// worldRank and node place the server: its rank in the world and its
 	// SMP node.

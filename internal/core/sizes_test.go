@@ -12,6 +12,8 @@ import (
 
 	"damaris/internal/config"
 	"damaris/internal/dsf"
+	"damaris/internal/layout"
+	"damaris/internal/metadata"
 	"damaris/internal/mpi"
 	"damaris/internal/store"
 )
@@ -263,20 +265,25 @@ func TestControlAggregatedByteIdentical(t *testing.T) {
 	}
 }
 
-// A dedicated core allocates the window+1 write phases flow control lets its
-// clients fill, not its whole share of <buffer size>: 64 MiB with four
-// clients each writing two 256 KiB variables at queue depth 2 allocates three
-// 2 MiB phases. With a scratch store the window is what the buffer holds, so
-// the segment is allocated whole.
+// A dedicated core allocates the write phases its clients fill in steady
+// state, one being written plus one per persist writer, not its whole share
+// of <buffer size>: 64 MiB with four clients each writing two 256 KiB
+// variables, one writer and queue depth 2 allocates two 2 MiB phases. A
+// burst that writes window+1 phases before the first durable flush touches
+// one lazy phase more, and still not the remainder past the flow window's
+// bound. With a scratch store the window is what the buffer holds, so the
+// segment is allocated whole.
 func TestDeployCommittedBufferAlloc(t *testing.T) {
 	const phase, mib = 4 * 2 * 256 << 10, 1 << 20
 	for _, c := range []struct {
-		name     string
-		spill    bool
-		min, max uint64
+		name      string
+		spill     bool
+		iters     int64 // iterations each client writes, the first flush held until all are
+		allocated int64 // the segment's bytes allocated at the end
 	}{
-		{"queue 2", false, 3 * phase, 3*phase + mib},
-		{"spill", true, 64 * mib, 64*mib + mib},
+		{"queue 2", false, 0, 2 * phase},
+		{"queue 2 burst", false, 3, 3 * phase},
+		{"spill", true, 0, 64 * mib},
 	} {
 		cfg, err := config.ParseString(`
 <simulation>
@@ -292,30 +299,67 @@ func TestDeployCommittedBufferAlloc(t *testing.T) {
 		if c.spill {
 			cfg.SpillDir = t.TempDir()
 		}
-		pers := &DSFPersister{Backend: fileBackend(t, t.TempDir())}
+		held := heldPersister{make(chan struct{})}
+		if c.iters == 0 {
+			close(held.open)
+		}
 		var before, after runtime.MemStats
+		var allocated int64
 		runtime.ReadMemStats(&before)
 		if err := mpi.Run(5, 5, func(comm *mpi.Comm) {
-			dep, err := Deploy(comm, cfg, nil, Options{Persister: pers})
+			dep, err := Deploy(comm, cfg, nil, Options{Persister: held})
 			if err != nil {
 				t.Error(err)
 				return
 			}
 			if dep.IsClient() {
+				for it := range c.iters {
+					for _, v := range []string{"a", "b"} {
+						if _, err := dep.Client.Alloc(v, it, layout.Block{}); err != nil {
+							t.Error(err)
+						}
+						if err := dep.Client.Commit(v, it); err != nil {
+							t.Error(err)
+						}
+					}
+					if err := dep.Client.EndIteration(it); err != nil {
+						t.Error(err)
+					}
+				}
 				_ = dep.Client.Finalize()
 				return
+			}
+			if c.iters > 0 {
+				go func() { // the first flush waits until every client wrote every phase
+					for i := 0; i < 10000 && dep.Server.seg.Reserves() < 4*2*c.iters; i++ {
+						time.Sleep(time.Millisecond)
+					}
+					close(held.open)
+				}()
 			}
 			if err := dep.Server.Run(); err != nil {
 				t.Error(err)
 			}
+			allocated = dep.Server.seg.AllocatedBytes()
 		}); err != nil {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)
-		if got := after.TotalAlloc - before.TotalAlloc; got < c.min || got > c.max {
-			t.Errorf("%s: deployment allocated %d bytes, want [%d, %d]", c.name, got, c.min, c.max)
+		if allocated != c.allocated {
+			t.Errorf("%s: segment allocated %d bytes, want %d", c.name, allocated, c.allocated)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got < uint64(c.allocated) || got > uint64(c.allocated+mib) {
+			t.Errorf("%s: deployment allocated %d bytes, want [%d, %d]", c.name, got, c.allocated, c.allocated+mib)
 		}
 	}
+}
+
+// heldPersister persists nothing, each call once open is closed.
+type heldPersister struct{ open chan struct{} }
+
+func (p heldPersister) Persist(int64, []*metadata.Entry) error {
+	<-p.open
+	return nil
 }
 
 // The aggregation-aware buffer bound: a shared buffer too small for

@@ -32,14 +32,15 @@ type readyProbe struct {
 }
 
 // NewPlane builds a plane whose trace ring retains ringSlots spans
-// (<=0 selects DefaultTraceSlots). The tracer's registry view is
-// pre-registered.
+// (<=0 selects DefaultTraceSlots). The tracer's registry view and the
+// runtime collector (runtime.go) are pre-registered.
 func NewPlane(ringSlots int) *Plane {
 	if ringSlots <= 0 {
 		ringSlots = DefaultTraceSlots
 	}
 	p := &Plane{reg: NewRegistry(), trace: NewTracer(ringSlots)}
 	p.reg.Collect(p.trace.Collect)
+	p.reg.Collect(newRuntimeCollector().Collect)
 	return p
 }
 

@@ -19,12 +19,12 @@
 //
 // A mapped segment costs resident memory only for the pages clients touch,
 // and flow control keeps clients within a few write phases of its start.
-// The first-fit segment models this with two parts: the committed part
-// (WithCommitted, the bytes the flow window lets clients fill) is allocated
-// when the segment is created, the remainder by one allocation the first
-// time a reservation lands in it. Capacity is the whole size either way; no
-// free span and no block crosses the boundary. The partitioned allocator's
-// bump cursors walk every partition before recycling, so its segment is
+// The first-fit segment models this with parts (WithParts): the first part
+// is allocated when the segment is created, every other one by a single
+// allocation the first time a reservation lands in it. Capacity is the whole
+// size either way; no free span and no block crosses a part start, so a
+// block is always one slice of one part. The partitioned allocator's bump
+// cursors walk every partition before recycling, so its segment is one part,
 // allocated whole.
 //
 // A reservation returns a Block, a small comparable value: the segment, the
@@ -44,6 +44,7 @@ package shm
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -161,34 +162,43 @@ type Allocator interface {
 
 // Segment is a node-local shared buffer with an allocation strategy.
 type Segment struct {
-	size     int64
-	buf      []byte // the committed part, offsets [0, len(buf))
-	rest     []byte // the remainder, allocated by restOnce
-	restOnce sync.Once
-	alloc    Allocator
-	closed   atomic.Bool
-	reserves atomic.Int64
-	releases atomic.Int64
+	size      int64
+	parts     []part // in offset order, covering [0, size); parts[0] is allocated by NewSegment
+	allocated atomic.Int64
+	alloc     Allocator
+	closed    atomic.Bool
+	reserves  atomic.Int64
+	releases  atomic.Int64
 
 	mu      sync.Mutex
 	waiters []chan struct{}
+}
+
+// part is one extent of a segment's bytes; once allocates buf, on the first
+// touch.
+type part struct {
+	off, size int64
+	buf       []byte
+	once      sync.Once
 }
 
 // Option configures segment creation.
 type Option func(*options)
 
 type options struct {
-	clients   int
-	lockfree  bool
-	committed int64
+	clients  int
+	lockfree bool
+	parts    []int64
 }
 
-// WithCommitted allocates only the first n bytes of a first-fit segment
-// when it is created; the rest is allocated the first time a reservation
-// lands past them. n outside (0, size) commits the whole segment, as does
-// WithLockFree.
-func WithCommitted(n int64) Option {
-	return func(o *options) { o.committed = n }
+// WithParts splits a first-fit segment into parts of the given sizes, in
+// offset order and clipped to the segment; whatever they leave of it is one
+// last part. The first part is allocated when the segment is created, every
+// other one the first time a reservation lands in it. Sizes that are not
+// positive are skipped. Without WithParts, or with WithLockFree, the segment
+// is one part, allocated whole.
+func WithParts(sizes ...int64) Option {
+	return func(o *options) { o.parts = sizes }
 }
 
 // WithLockFree selects the lock-free partitioned allocator for nclients
@@ -212,11 +222,10 @@ func NewSegment(size int64, opts ...Option) (*Segment, error) {
 	for _, opt := range opts {
 		opt(&o)
 	}
-	committed := o.committed
-	if o.lockfree || committed <= 0 || committed > size {
-		committed = size
+	if o.lockfree {
+		o.parts = nil
 	}
-	s := &Segment{size: size}
+	s := &Segment{size: size, parts: cut(size, o.parts)}
 	if o.lockfree {
 		if o.clients <= 0 {
 			return nil, fmt.Errorf("shm: lock-free allocator needs at least one client, got %d", o.clients)
@@ -227,24 +236,55 @@ func NewSegment(size int64, opts ...Option) (*Segment, error) {
 		}
 		s.alloc = a
 	} else {
-		s.alloc = newMutexAllocator(size, committed)
+		s.alloc = newMutexAllocator(s.parts)
 	}
-	s.buf = make([]byte, committed)
+	s.bytes(0, 0) // allocates the first part
 	return s, nil
+}
+
+// cut splits size bytes into parts of the given sizes, clipped to size, and
+// one last part for whatever they leave.
+func cut(size int64, sizes []int64) []part {
+	parts := make([]part, 0, len(sizes)+1)
+	var off int64
+	for _, n := range sizes {
+		if n > 0 && off < size {
+			parts = append(parts, part{off: off, size: min(n, size-off)})
+			off += parts[len(parts)-1].size
+		}
+	}
+	if off < size {
+		parts = append(parts, part{off: off, size: size - off})
+	}
+	return parts
 }
 
 // Size returns the total size of the segment in bytes, allocated or not.
 func (s *Segment) Size() int64 { return s.size }
 
-// bytes returns the size bytes at off, which lie in one part. The
-// remainder's allocation is published to every reserving goroutine by
-// restOnce, and to the dedicated core with the block it reads.
+// AllocatedBytes returns the bytes of the parts allocated so far.
+func (s *Segment) AllocatedBytes() int64 { return s.allocated.Load() }
+
+// bytes returns the size bytes at off, which lie in one part, allocating
+// that part if nothing has touched it yet. A part's allocation is published
+// to every reserving goroutine by its once, and to the dedicated core with
+// the block it reads.
 func (s *Segment) bytes(off, size int64) []byte {
-	if c := int64(len(s.buf)); off >= c {
-		s.restOnce.Do(func() { s.rest = make([]byte, s.size-c) })
-		return s.rest[off-c : off-c+size : off-c+size]
+	lo, hi := 0, len(s.parts)-1
+	for lo < hi { // the last part starting at or before off
+		if m := (lo + hi + 1) / 2; s.parts[m].off <= off {
+			lo = m
+		} else {
+			hi = m - 1
+		}
 	}
-	return s.buf[off : off+size : off+size]
+	p := &s.parts[lo]
+	p.once.Do(func() {
+		p.buf = make([]byte, p.size)
+		s.allocated.Add(p.size)
+	})
+	off -= p.off
+	return p.buf[off : off+size : off+size]
 }
 
 // FreeBytes returns the bytes currently available for reservation.
@@ -272,7 +312,7 @@ func (s *Segment) Reserve(client int, size int64) (Block, error) {
 		return Block{}, err
 	}
 	s.reserves.Add(1)
-	s.bytes(off, size) // the first reservation past the committed part allocates the remainder
+	s.bytes(off, size) // the first reservation that lands in a part allocates it
 	b := Block{seg: s, off: off, size: size, slot: slot}
 	b.gen = s.alloc.gen(b).Add(1)
 	return b, nil
@@ -342,24 +382,34 @@ type span struct {
 }
 
 type mutexAllocator struct {
-	mu       sync.Mutex
-	spans    []span // sorted by offset, coalesced except across boundary
-	avail    int64
-	boundary int64 // where the committed part ends; no span crosses it
-	size     int64
-	gens     gens
-	idle     []uint32 // released slots, handed out again first
+	mu     sync.Mutex
+	spans  []span // sorted by offset, coalesced except across a part start
+	avail  int64
+	starts []int64 // where each part begins; no span and no block crosses one
+	big    int64   // the largest part
+	gens   gens
+	idle   []uint32 // released slots, handed out again first
 }
 
-func newMutexAllocator(size, committed int64) *mutexAllocator {
-	a := &mutexAllocator{spans: []span{{0, committed}}, avail: size, boundary: committed, size: size}
-	if committed < size {
-		a.spans = append(a.spans, span{committed, size - committed})
+func newMutexAllocator(parts []part) *mutexAllocator {
+	a := &mutexAllocator{}
+	for i := range parts {
+		a.spans = append(a.spans, span{parts[i].off, parts[i].size})
+		a.starts = append(a.starts, parts[i].off)
+		a.avail += parts[i].size
+		a.big = max(a.big, parts[i].size)
 	}
 	return a
 }
 
-func (a *mutexAllocator) largest() int64 { return max(a.boundary, a.size-a.boundary) }
+func (a *mutexAllocator) largest() int64 { return a.big }
+
+// joins reports whether a free span ending at off may be coalesced with one
+// starting there: not across a part start.
+func (a *mutexAllocator) joins(off int64) bool {
+	_, start := slices.BinarySearch(a.starts, off)
+	return !start
+}
 
 func (a *mutexAllocator) freeBytes() int64 {
 	a.mu.Lock()
@@ -402,12 +452,12 @@ func (a *mutexAllocator) free(b Block) {
 	a.spans = append(a.spans, span{})
 	copy(a.spans[i+1:], a.spans[i:])
 	a.spans[i] = span{b.off, b.size}
-	// Coalesce right, then left, never across the boundary.
-	if i+1 < len(a.spans) && a.spans[i].off+a.spans[i].size == a.spans[i+1].off && a.spans[i+1].off != a.boundary {
+	// Coalesce right, then left, never across a part start.
+	if i+1 < len(a.spans) && a.spans[i].off+a.spans[i].size == a.spans[i+1].off && a.joins(a.spans[i+1].off) {
 		a.spans[i].size += a.spans[i+1].size
 		a.spans = append(a.spans[:i+1], a.spans[i+2:]...)
 	}
-	if i > 0 && a.spans[i-1].off+a.spans[i-1].size == a.spans[i].off && a.spans[i].off != a.boundary {
+	if i > 0 && a.spans[i-1].off+a.spans[i-1].size == a.spans[i].off && a.joins(a.spans[i].off) {
 		a.spans[i-1].size += a.spans[i].size
 		a.spans = append(a.spans[:i], a.spans[i+1:]...)
 	}
@@ -489,14 +539,14 @@ func (a *partitionedAllocator) reserve(client int, size int64) (int64, uint32, e
 	return p.base + cur, p.next - 1, nil
 }
 
-// part returns the partition a block lies in.
-func (a *partitionedAllocator) part(b Block) *partition {
+// region returns the partition a block lies in.
+func (a *partitionedAllocator) region(b Block) *partition {
 	return &a.parts[min(int(b.off/a.parts[0].size), len(a.parts)-1)]
 }
 
-func (a *partitionedAllocator) gen(b Block) *atomic.Uint32 { return a.part(b).gens.at(b.slot) }
+func (a *partitionedAllocator) gen(b Block) *atomic.Uint32 { return a.region(b).gens.at(b.slot) }
 
 func (a *partitionedAllocator) free(b Block) {
-	a.part(b).live.Add(-b.size)
+	a.region(b).live.Add(-b.size)
 	b.seg.blockReleased()
 }

@@ -195,8 +195,9 @@ func TestReserveWaitUnblocks(t *testing.T) {
 }
 
 // A block larger than every region the allocator places blocks in (the
-// segment, a client's partition, a first-fit part) fails at once instead of
-// waiting for space no release can make.
+// segment, a client's partition, every first-fit part) fails at once
+// instead of waiting for space no release can make, though the parts
+// together hold it.
 func TestReserveWaitImpossible(t *testing.T) {
 	for _, c := range []struct {
 		name       string
@@ -205,7 +206,8 @@ func TestReserveWaitImpossible(t *testing.T) {
 	}{
 		{"segment", 64, 65, nil},
 		{"partition", 4 << 20, 2 << 20, []Option{WithLockFree(4)}},
-		{"first-fit part", 100, 80, []Option{WithCommitted(30)}},
+		{"first-fit part", 100, 80, []Option{WithParts(30)}},
+		{"every first-fit part", 100, 31, []Option{WithParts(30, 30, 30)}},
 	} {
 		s, err := NewSegment(c.size, c.opts...)
 		if err != nil {
@@ -320,15 +322,17 @@ func TestConcurrentPartitioned(t *testing.T) {
 }
 
 // Property: any sequence of mutex-allocator reservations and releases, on a
-// segment committed whole or in part, keeps the live blocks disjoint and
-// each inside one part, conserves free bytes, and never leaves a free span
-// across the boundary. An odd step releases a live block instead of
-// reserving.
+// segment whole or in parts, keeps the live blocks disjoint and each inside
+// one part, conserves free bytes, and never leaves a free span across a part
+// start. An odd step releases a live block instead of reserving.
 func TestQuickMutexNoOverlap(t *testing.T) {
 	const size = 1 << 15
-	f := func(steps []uint16, rawCommitted uint16) bool {
-		committed := int64(rawCommitted)%size + 1
-		s, err := NewSegment(size, WithCommitted(committed))
+	f := func(steps []uint16, rawParts []uint16) bool {
+		sizes := make([]int64, len(rawParts)%6)
+		for i := range sizes {
+			sizes[i] = int64(rawParts[i])%(size/2) + 1
+		}
+		s, err := NewSegment(size, WithParts(sizes...))
 		if err != nil {
 			return false
 		}
@@ -351,7 +355,7 @@ func TestQuickMutexNoOverlap(t *testing.T) {
 			held := int64(0)
 			for j, b := range live {
 				lo, hi := b.off, b.off+b.Size()
-				if lo < 0 || hi > size || (lo < committed && hi > committed) {
+				if lo < 0 || hi > size || acrossPart(s, lo, hi) {
 					return false
 				}
 				for _, o := range live[:j] {
@@ -365,7 +369,7 @@ func TestQuickMutexNoOverlap(t *testing.T) {
 				return false
 			}
 			for _, sp := range a.spans {
-				if sp.off < committed && sp.off+sp.size > committed {
+				if acrossPart(s, sp.off, sp.off+sp.size) {
 					return false
 				}
 			}
@@ -374,6 +378,60 @@ func TestQuickMutexNoOverlap(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// acrossPart reports whether [lo, hi) holds a part start past lo.
+func acrossPart(s *Segment, lo, hi int64) bool {
+	for i := range s.parts {
+		if st := s.parts[i].off; lo < st && st < hi {
+			return true
+		}
+	}
+	return false
+}
+
+// Blocks of every size from 1 byte to the largest part fill a segment of
+// four parts and are released in two interleaved passes: no block lies
+// across a part start, and the free spans coalesce back to exactly the
+// parts, none across a part start.
+func TestSegmentPartStartSweep(t *testing.T) {
+	const size = 128
+	for k := int64(1); k <= 40; k++ {
+		s, err := NewSegment(size, WithParts(40, 24, 24))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var live []Block
+		for {
+			b, err := s.Reserve(0, k)
+			if errors.Is(err, ErrNoSpace) {
+				break
+			} else if err != nil {
+				t.Fatal(err)
+			}
+			if acrossPart(s, b.off, b.off+k) {
+				t.Fatalf("k=%d: block [%d, %d) lies across a part start", k, b.off, b.off+k)
+			}
+			live = append(live, b)
+		}
+		for pass := range 2 {
+			for i := pass; i < len(live); i += 2 {
+				live[i].Release()
+			}
+		}
+		a := s.alloc.(*mutexAllocator)
+		if len(a.spans) != len(s.parts) {
+			t.Fatalf("k=%d: free spans %v after every release, want the %d parts", k, a.spans, len(s.parts))
+		}
+		for i, sp := range a.spans {
+			if sp.off != s.parts[i].off || sp.size != s.parts[i].size {
+				t.Errorf("k=%d: free span %d is %v, want part [%d, +%d)", k, i, sp, s.parts[i].off, s.parts[i].size)
+			}
+		}
+		if _, err := s.Reserve(0, 41); !errors.Is(err, ErrNoSpace) {
+			t.Errorf("k=%d: a block larger than every part: %v, want ErrNoSpace", k, err)
+		}
 	}
 }
 
@@ -399,21 +457,24 @@ func leastAlloc(f func()) uint64 {
 	return least
 }
 
-// A segment with a committed part allocates that part when it is created,
-// the remainder once when the first reservation lands past it, and nothing
-// but its first generation-table page for every reservation after.
+// A segment allocates its first part when it is created, the remainder once
+// when the first reservation lands past it, and nothing but its first
+// generation-table page for every reservation after.
 func TestSegmentCommittedAlloc(t *testing.T) {
 	const size, committed, page = 64 << 20, 3<<20 + 1000, 8 << 10
 	const slack = 1 << 10 // the Segment, its allocator and its spans
 	var s *Segment
 	got := leastAlloc(func() {
 		var err error
-		if s, err = NewSegment(size, WithCommitted(committed)); err != nil {
+		if s, err = NewSegment(size, WithParts(committed)); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if got < committed || got > committed+page+slack {
-		t.Errorf("NewSegment allocated %d bytes, want the %d-byte committed part rounded to a page", got, committed)
+		t.Errorf("NewSegment allocated %d bytes, want the %d-byte first part rounded to a page", got, committed)
+	}
+	if s.AllocatedBytes() != committed {
+		t.Errorf("AllocatedBytes = %d, want the %d-byte first part", s.AllocatedBytes(), committed)
 	}
 	first, err := s.Reserve(0, committed)
 	if err != nil {
@@ -423,32 +484,91 @@ func TestSegmentCommittedAlloc(t *testing.T) {
 	if got := totalAlloc(func() { past, err = s.Reserve(0, 1<<20) }); err != nil {
 		t.Fatal(err)
 	} else if rest := int64(size - committed); got < uint64(rest) || got > uint64(rest)+page+slack {
-		t.Errorf("first reservation past the committed part allocated %d bytes, want the %d-byte remainder", got, rest)
+		t.Errorf("first reservation past the first part allocated %d bytes, want the %d-byte remainder", got, rest)
 	}
 	if past.off < committed {
-		t.Fatalf("second block at %d, inside the committed part", past.off)
+		t.Fatalf("second block at %d, inside the first part", past.off)
+	}
+	if s.AllocatedBytes() != size {
+		t.Errorf("AllocatedBytes = %d, want the whole %d bytes", s.AllocatedBytes(), size)
 	}
 	first.Release()
-	for _, at := range []string{"committed part", "remainder"} {
+	for _, at := range []string{"first part", "remainder"} {
 		var b Block // zero on the first run, whose Release does nothing
 		if got := leastAlloc(func() { b.Release(); b, err = s.Reserve(0, committed) }); err != nil {
 			t.Fatal(err)
 		} else if got != 0 {
 			t.Errorf("reservation in the %s allocated %d bytes, want nothing", at, got)
 		}
-		if (b.off < committed) != (at == "committed part") {
+		if (b.off < committed) != (at == "first part") {
 			t.Errorf("block at %d, want it in the %s", b.off, at)
 		}
 		b.Data()[0] = 1
 	}
 }
 
-// Clients reserve concurrently from a segment whose committed part holds
-// two of their blocks, so the remainder is allocated while they reserve; a
-// dedicated-core goroutine reads and releases every block through Data().
+// A reservation that lands in a lazy part allocates exactly that part, and
+// only the first one does; parts no reservation reached stay unallocated.
+func TestSegmentPartsAlloc(t *testing.T) {
+	const mib, page = 1 << 20, 8 << 10
+	const slack = 1 << 10 // a generation-table page, the allocator's spans
+	s, err := NewSegment(16*mib, WithParts(mib, 2*mib, 2*mib))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var held []Block
+	for _, c := range []struct {
+		size, part int64 // the part the block lands in, by its start
+		alloc      int64 // the bytes the reservation allocates
+		allocated  int64 // AllocatedBytes after it
+	}{
+		{mib, 0, 0, mib},
+		{mib, mib, 2 * mib, 3 * mib},             // the first part is full: the second is touched
+		{mib, mib, 0, 3 * mib},                   // the second again: allocated already
+		{mib + mib/2, 3 * mib, 2 * mib, 5 * mib}, // too large for the second's rest
+		{mib / 2, 3 * mib, 0, 5 * mib},
+	} {
+		var b Block
+		got := totalAlloc(func() { b, err = s.Reserve(0, c.size) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		held = append(held, b)
+		if b.off < c.part || b.off+c.size > c.part+2*mib {
+			t.Errorf("block [%d, +%d) outside the part at %d", b.off, c.size, c.part)
+		}
+		if got < uint64(c.alloc) || got > uint64(c.alloc)+page+slack {
+			t.Errorf("reservation of %d bytes at %d allocated %d bytes, want %d", c.size, b.off, got, c.alloc)
+		}
+		if s.AllocatedBytes() != c.allocated {
+			t.Errorf("AllocatedBytes = %d after a block at %d, want %d", s.AllocatedBytes(), b.off, c.allocated)
+		}
+	}
+	for _, b := range held {
+		b.Release()
+	}
+	if got := leastAlloc(func() {
+		for i := range held {
+			held[i], err = s.Reserve(0, held[i].size)
+		}
+		for _, b := range held {
+			b.Release()
+		}
+	}); got != 0 || err != nil {
+		t.Errorf("reserving again in allocated parts allocated %d bytes (%v), want nothing", got, err)
+	}
+	if s.AllocatedBytes() != 5*mib {
+		t.Errorf("AllocatedBytes = %d after the blocks came back, want the %d bytes touched", s.AllocatedBytes(), 5*mib)
+	}
+}
+
+// Clients reserve concurrently from a segment whose first part holds two of
+// their blocks and whose next parts hold one each, so lazy parts are
+// allocated while they reserve; a dedicated-core goroutine reads and
+// releases every block through Data().
 func TestSegmentCommittedConcurrent(t *testing.T) {
 	const clients, block = 8, 512
-	s, err := NewSegment(clients*4*block, WithCommitted(2*block))
+	s, err := NewSegment(clients*4*block, WithParts(2*block, block, block))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -669,7 +789,8 @@ func TestHandleReleasedAfterReuse(t *testing.T) {
 }
 
 // Once a segment's generation table holds as many slots as blocks live at
-// once, a reservation and its release allocate nothing.
+// once, a reservation and its release allocate nothing, and neither does
+// reading the counters the dedicated core's registry reports.
 func TestReserveReleaseDoesNotAllocate(t *testing.T) {
 	eachAllocator(t, func(t *testing.T, s *Segment) {
 		var held [3]Block
@@ -686,6 +807,9 @@ func TestReserveReleaseDoesNotAllocate(t *testing.T) {
 				if err := b.Release(); err != nil {
 					t.Fatal(err)
 				}
+			}
+			if s.AllocatedBytes() < s.Size()-s.FreeBytes() || s.Reserves() < s.Releases() {
+				t.Fatal("counters disagree")
 			}
 		}
 		if n := testing.AllocsPerRun(100, cycle); n != 0 {
