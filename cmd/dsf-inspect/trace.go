@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"time"
 
 	"damaris/internal/obs"
-	"damaris/internal/stats"
 )
 
 // inspectTrace reads a lifecycle-trace JSONL file (damaris-run -trace-out or
@@ -80,8 +78,8 @@ func inspectTraceEpochs(paths []string) error {
 }
 
 // printTraceSummary prints per-stage descriptive statistics over the file's
-// spans — the same Summarize the live /jitter route applies to the ring, so
-// an archived trace reproduces the run's jitter lines.
+// spans — the same obs.SummarizeStages the live /jitter route applies to the
+// ring, so an archived trace reproduces the run's jitter lines.
 func printTraceSummary(path string, spans []obs.Span) {
 	fmt.Printf("%s: %d spans\n", path, len(spans))
 	servers := map[int]bool{}
@@ -93,21 +91,10 @@ func printTraceSummary(path string, spans []obs.Span) {
 		}
 	}
 	fmt.Printf("  %d recording servers; %d error spans\n", len(servers), errs)
-	for st := obs.Stage(0); st < obs.NumStages; st++ {
-		var durs []float64
-		var bytes int64
-		for _, sp := range spans {
-			if sp.Stage != st {
-				continue
-			}
-			durs = append(durs, time.Duration(sp.Dur).Seconds())
-			bytes += sp.Bytes
+	for st, ss := range obs.SummarizeStages(spans) {
+		if s := ss.Durations; s.N > 0 {
+			fmt.Printf("  %-7s n=%-6d mean=%-9.3gs p50=%-9.3gs p95=%-9.3gs p99=%-9.3gs spread=%-9.3gs bytes=%d\n",
+				obs.Stage(st), s.N, s.Mean, s.Median, s.P95, s.P99, s.Spread(), ss.Bytes)
 		}
-		if len(durs) == 0 {
-			continue
-		}
-		s := stats.Summarize(durs)
-		fmt.Printf("  %-7s n=%-6d mean=%-9.3gs p50=%-9.3gs p95=%-9.3gs p99=%-9.3gs spread=%-9.3gs bytes=%d\n",
-			st, s.N, s.Mean, s.Median, s.P95, s.P99, s.Spread(), bytes)
 	}
 }

@@ -155,9 +155,9 @@ type Aggregator struct {
 	bytes       int64
 	commitFails int64
 	reelections int64
-	maxEpochIn  int64             // highest epoch any member has submitted
-	seenEpoch   bool              // maxEpochIn is meaningful
-	lagAcc      stats.Accumulator // per-commit durability window (epochs)
+	maxEpochIn  int64          // highest epoch any member has submitted
+	seenEpoch   bool           // maxEpochIn is meaningful
+	lags        *obs.Histogram // per-commit durability window (epochs)
 	maxLag      int64
 }
 
@@ -182,6 +182,7 @@ func New(cfg Config) (*Aggregator, error) {
 		pending:   make(map[int64]*epochState),
 		doneMbr:   make(map[int]bool),
 		memberSet: make(map[int]bool, len(cfg.Members)),
+		lags:      obs.NewHistogram(obs.CountBuckets()),
 	}
 	for _, m := range cfg.Members {
 		if a.memberSet[m] {
@@ -268,7 +269,7 @@ func (a *Aggregator) Stats() Stats {
 		Reelections:         a.reelections,
 		RingDepth:           depth,
 		RingMax:             max,
-		DurabilityWindow:    a.lagAcc.Summary(),
+		DurabilityWindow:    a.lags.Summary(),
 		DurabilityWindowMax: a.maxLag,
 	}
 }
@@ -395,7 +396,7 @@ func (a *Aggregator) emitReady(term int, force bool) bool {
 			if lag < 0 {
 				lag = 0
 			}
-			a.lagAcc.Add(float64(lag))
+			a.lags.Observe(float64(lag))
 			if lag > a.maxLag {
 				a.maxLag = lag
 			}

@@ -3,6 +3,7 @@ package aggregate
 import (
 	"sync"
 
+	"damaris/internal/obs"
 	"damaris/internal/stats"
 )
 
@@ -24,7 +25,7 @@ type ring struct {
 	buf   []*contribution
 	head  int // index of the oldest element
 	n     int // occupancy
-	depth stats.Accumulator
+	depth *obs.Histogram
 	max   int
 	done  bool
 }
@@ -33,7 +34,7 @@ func newRing(capacity int) *ring {
 	if capacity < 1 {
 		capacity = 1
 	}
-	r := &ring{buf: make([]*contribution, capacity)}
+	r := &ring{buf: make([]*contribution, capacity), depth: obs.NewHistogram(obs.CountBuckets())}
 	r.full = sync.NewCond(&r.mu)
 	r.empty = sync.NewCond(&r.mu)
 	return r
@@ -55,7 +56,7 @@ func (r *ring) push(c *contribution) {
 	if r.n > r.max {
 		r.max = r.n
 	}
-	r.depth.Add(float64(r.n))
+	r.depth.Observe(float64(r.n))
 	r.mu.Unlock()
 	r.empty.Signal()
 }
@@ -75,7 +76,7 @@ func (r *ring) pop() (*contribution, bool) {
 	r.buf[r.head] = nil
 	r.head = (r.head + 1) % len(r.buf)
 	r.n--
-	r.depth.Add(float64(r.n))
+	r.depth.Observe(float64(r.n))
 	r.full.Signal()
 	return c, true
 }

@@ -498,40 +498,6 @@ func TestBackpressureSmallBuffer(t *testing.T) {
 	}
 }
 
-// The per-iteration records keep the most recent recentCap values, oldest
-// first, and nothing before them: memory flat in run length.
-func TestRecentKeepsTheLastValues(t *testing.T) {
-	// Any element type; Server.writeDurs keeps the seconds each iteration's
-	// persist took (float64).
-	checkRecent(t, func(i int) int64 { return int64(i) })
-	checkRecent(t, func(i int) float64 { return float64(i) })
-}
-
-// values returns a copy of what r keeps, oldest first.
-func (r *recent[T]) values() []T {
-	return slices.Concat(r.buf[r.next:], r.buf[:r.next])
-}
-
-func checkRecent[T comparable](t *testing.T, val func(int) T) {
-	t.Helper()
-	var r recent[T]
-	for i := 0; i < recentCap+5; i++ {
-		if i == 3 {
-			if got := r.values(); len(got) != 3 || got[0] != val(0) || got[2] != val(2) {
-				t.Fatalf("values before wrapping = %v", got)
-			}
-		}
-		r.add(val(i))
-	}
-	got := r.values()
-	if len(got) != recentCap || got[0] != val(5) || got[recentCap-1] != val(recentCap+4) {
-		t.Fatalf("after %d adds: %d values, first %v, last %v", recentCap+5, len(got), got[0], got[len(got)-1])
-	}
-	if cap(r.buf) > 2*recentCap {
-		t.Errorf("ring holds room for %d values, cap is %d", cap(r.buf), recentCap)
-	}
-}
-
 func TestServerStats(t *testing.T) {
 	cfg := testCfg(t, "mutex", 1)
 	plane := obs.NewPlane(0)
@@ -573,8 +539,8 @@ func TestServerStats(t *testing.T) {
 	if srv.SpareSeconds() < 0 || srv.BusySeconds() < 0 {
 		t.Error("negative durations")
 	}
-	if srv.WriteStats().N != 3 {
-		t.Error("WriteStats wrong")
+	if n := srv.writes.Count(); n != 3 {
+		t.Errorf("write times recorded for %d iterations, want 3", n)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
@@ -16,6 +17,7 @@ import (
 	"time"
 
 	"damaris/internal/config"
+	"damaris/internal/gateway"
 	"damaris/internal/mpi"
 	"damaris/internal/obs"
 	"damaris/internal/store"
@@ -256,6 +258,123 @@ func TestBrownoutAttributionGates(t *testing.T) {
 		}
 		if !browned[r.SlowestOrigin] {
 			t.Errorf("epoch %d slowest origin %d is not on the browned node", r.Epoch, r.SlowestOrigin)
+		}
+	}
+}
+
+// summaryFamilies are the registry's summary families a deployment and a
+// gateway fill from their histograms.
+var summaryFamilies = []string{
+	"damaris_pipeline_depth", "damaris_pipeline_flush_seconds", "damaris_pipeline_batch_size",
+	"damaris_server_write_seconds", "damaris_encode_seconds",
+	"damaris_store_put_seconds", "damaris_store_get_seconds", "damaris_gateway_fetch_seconds",
+	"damaris_aggregate_ring_depth", "damaris_aggregate_durability_window_epochs",
+}
+
+// checkSummaries requires every summary series of a gather with a positive
+// _count to hold _min ≤ q0.5 ≤ q0.95 ≤ q0.99 ≤ _max (a series without _min
+// or _max is bounded by ∓Inf there), and returns the families that have one.
+func checkSummaries(t *testing.T, what string, samples []obs.Sample) map[string]bool {
+	t.Helper()
+	type series struct{ count, min, q50, q95, q99, max float64 }
+	all := map[string]*series{}
+	for _, s := range samples {
+		if s.Kind != obs.KindSummary {
+			continue
+		}
+		var labels []string
+		quantile := ""
+		for i := 0; i < len(s.Labels); i += 2 {
+			if s.Labels[i] == "quantile" {
+				quantile = s.Labels[i+1]
+			} else {
+				labels = append(labels, s.Labels[i]+"="+s.Labels[i+1])
+			}
+		}
+		family, field := s.Name, quantile
+		if quantile == "" {
+			for _, suffix := range []string{"_count", "_sum", "_min", "_max"} {
+				if base, ok := strings.CutSuffix(s.Name, suffix); ok {
+					family, field = base, suffix
+				}
+			}
+		}
+		key := family + "{" + strings.Join(labels, ",") + "}"
+		sr := all[key]
+		if sr == nil {
+			sr = &series{min: math.Inf(-1), max: math.Inf(1)}
+			all[key] = sr
+		}
+		switch field {
+		case "0.5":
+			sr.q50 = s.Value
+		case "0.95":
+			sr.q95 = s.Value
+		case "0.99":
+			sr.q99 = s.Value
+		case "_count":
+			sr.count = s.Value
+		case "_min":
+			sr.min = s.Value
+		case "_max":
+			sr.max = s.Value
+		}
+	}
+	filled := map[string]bool{}
+	for key, sr := range all {
+		if sr.count == 0 {
+			continue
+		}
+		filled[key[:strings.IndexByte(key, '{')]] = true
+		if !(sr.min <= sr.q50 && sr.q50 <= sr.q95 && sr.q95 <= sr.q99 && sr.q99 <= sr.max) {
+			t.Errorf("%s: %s: min %g, quantiles %g/%g/%g, max %g are out of order",
+				what, key, sr.min, sr.q50, sr.q95, sr.q99, sr.max)
+		}
+	}
+	return filled
+}
+
+// Every summary the registry emits orders its figures: _min ≤ p50 ≤ p95 ≤
+// p99 ≤ _max wherever _count > 0. One two-node mode="core" deployment over
+// an object store with an encode pool, and one gateway reading what it
+// wrote, fill every family a histogram feeds.
+func TestSummaryQuantilesWithinExtremes(t *testing.T) {
+	dir := t.TempDir()
+	cfg := testCfg(t, "mutex", 2)
+	cfg.AggregateMode = "core"
+	cfg.PersistBackend = "obj://" + dir
+	cfg.PersistCodec = "shuffle+gzip"
+	cfg.EncodeWorkers = 1
+	cfg.PersistWorkers = 1
+	plane := obs.NewPlane(0)
+	runAggregated(t, cfg, Options{Obs: plane}, 4)
+	filled := checkSummaries(t, "deployment", plane.Registry().Gather())
+
+	b, err := store.Open("obj://" + dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	gplane := obs.NewPlane(0)
+	g, err := gateway.New(gateway.Config{Backend: b, Obs: gplane})
+	if err != nil {
+		t.Fatal(err)
+	}
+	objs, err := g.Objects()
+	if err != nil || len(objs) == 0 {
+		t.Fatalf("objects %v, %v", objs, err)
+	}
+	for _, o := range objs {
+		if _, _, err := g.ReadChunk(o.Name, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for f := range checkSummaries(t, "gateway", gplane.Registry().Gather()) {
+		filled[f] = true
+	}
+	for _, f := range summaryFamilies {
+		if !filled[f] {
+			t.Errorf("no gather fills %s", f)
 		}
 	}
 }

@@ -71,7 +71,7 @@ func (s *Server) emitServer(e *obs.Emitter, labels ...string) {
 	e.Counter("damaris_server_event_errors_total", float64(eventErrs), labels...)
 	e.Counter("damaris_server_spare_seconds_total", s.SpareSeconds(), labels...)
 	e.Counter("damaris_server_busy_seconds_total", s.BusySeconds(), labels...)
-	e.Summary("damaris_server_write_seconds", s.WriteStats(), labels...)
+	e.Summary("damaris_server_write_seconds", s.writes.Summary(), labels...)
 	e.Gauge("damaris_shm_allocated_bytes", float64(s.seg.AllocatedBytes()), labels...)
 	e.Gauge("damaris_shm_free_bytes", float64(s.seg.FreeBytes()), labels...)
 	e.Counter("damaris_shm_reserves_total", float64(s.seg.Reserves()), labels...)

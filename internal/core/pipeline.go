@@ -99,9 +99,9 @@ type pipeline struct {
 	done      map[int64]persistDone // completed seqs awaiting contiguous ack
 	inFlight  int                   // submitted, not yet durable
 	maxDepth  int
-	depthAcc  stats.Accumulator // queue depth sampled at submit/complete
-	latAcc    stats.Accumulator // submit→durable seconds, per iteration
-	batchAcc  stats.Accumulator // iterations per persist call
+	depths    *obs.Histogram // queue depth sampled at submit/complete
+	lat       obs.Histogram  // submit→durable seconds, per iteration
+	batches   *obs.Histogram // iterations per persist call
 	enqueued  int64
 	completed int64
 	failures  int64
@@ -142,6 +142,8 @@ func newPipeline(spec pipelineSpec) *pipeline {
 		start:        time.Now(),
 		done:         make(map[int64]persistDone),
 		ws:           stats.NewWorkerSet(spec.workers),
+		depths:       obs.NewHistogram(obs.CountBuckets()),
+		batches:      obs.NewHistogram(obs.CountBuckets()),
 	}
 	for slot := 0; slot < spec.workers; slot++ {
 		p.wg.Add(1)
@@ -170,7 +172,7 @@ func (p *pipeline) submit(it int64, entries []*metadata.Entry) {
 	if p.inFlight > p.maxDepth {
 		p.maxDepth = p.inFlight
 	}
-	p.depthAcc.Add(float64(p.inFlight))
+	p.depths.Observe(float64(p.inFlight))
 	p.mu.Unlock()
 	job := persistJob{seq: seq, it: it, entries: entries, bytes: bytes, submitted: time.Now()}
 	if p.workers == 0 {
@@ -257,8 +259,8 @@ func (p *pipeline) complete(batch []persistJob, perIt float64, errs []error) {
 	for i, j := range batch {
 		p.completed++
 		p.inFlight--
-		p.depthAcc.Add(float64(p.inFlight))
-		p.latAcc.Add(now.Sub(j.submitted).Seconds())
+		p.depths.Observe(float64(p.inFlight))
+		p.lat.Observe(now.Sub(j.submitted).Seconds())
 		if errs[i] != nil {
 			p.failures++
 		}
@@ -378,7 +380,7 @@ func (p *pipeline) persistAndAck(slot int, batch []persistJob) {
 	if slot >= 0 {
 		p.ws.AddBusy(slot, dur)
 	}
-	p.batchAcc.Add(float64(len(batch)))
+	p.batches.Observe(float64(len(batch)))
 	p.mu.Unlock()
 	// Each iteration is charged its share of the batch's persist call, so
 	// Σ WriteTimes stays the real time spent persisting rather than being
@@ -460,9 +462,9 @@ func (p *pipeline) snapshot(queueDepth int) PipelineStats {
 		Completed:    p.completed,
 		Failures:     p.failures,
 		MaxInFlight:  p.maxDepth,
-		Depth:        p.depthAcc.Summary(),
-		FlushLatency: p.latAcc.Summary(),
-		BatchSize:    p.batchAcc.Summary(),
+		Depth:        p.depths.Summary(),
+		FlushLatency: p.lat.Summary(),
+		BatchSize:    p.batches.Summary(),
 		Utilization:  p.ws.Utilization(wall),
 	}
 }

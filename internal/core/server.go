@@ -48,11 +48,10 @@ type Server struct {
 	closeOnce sync.Once
 
 	mu           sync.Mutex
-	shardWS      stats.WorkerSet   // per-shard-loop busy bookkeeping (one slot per shard)
-	writeDurs    recent[float64]   // seconds spent persisting, the most recent iterations
-	writeAcc     stats.Accumulator // the same over the server's life, for WriteStats
-	spareDur     float64           // seconds spent idle waiting for events
-	busyDur      float64           // seconds handling events (incl. persisting only with the inline executor)
+	shardWS      stats.WorkerSet // per-shard-loop busy bookkeeping (one slot per shard)
+	writes       obs.Histogram   // seconds spent persisting, per iteration, over the server's life
+	spareDur     float64         // seconds spent idle waiting for events
+	busyDur      float64         // seconds handling events (incl. persisting only with the inline executor)
 	bytesWritten int64
 	acked        int64 // iterations acked over the server's life
 	eventErrs    int64 // events the engine failed to handle; the first is logged
@@ -332,8 +331,7 @@ func (s *Server) flushIterationFrom(shard int, it int64) {
 // order once the iteration and all earlier ones are durable.
 func (s *Server) iterationDurable(it int64, persistDur float64, bytes int64, err error) {
 	s.mu.Lock()
-	s.writeDurs.add(persistDur)
-	s.writeAcc.Add(persistDur)
+	s.writes.Observe(persistDur)
 	s.acked++
 	if err == nil {
 		s.bytesWritten += bytes
@@ -368,17 +366,6 @@ func (s *Server) BytesWritten() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.bytesWritten
-}
-
-// WriteStats summarizes the dedicated core's per-iteration write times:
-// count, mean, extremes and deviation over the server's life, the quantiles
-// over the most recent recentCap iterations.
-func (s *Server) WriteStats() stats.Summary {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sum, life := stats.Summarize(s.writeDurs.buf), s.writeAcc.Summary()
-	life.Median, life.P95, life.P99 = sum.Median, sum.P95, sum.P99
-	return life
 }
 
 // PipelineStats snapshots the persistence pipeline's per-stage metrics
@@ -416,24 +403,4 @@ func (s *Server) PipelineStats() PipelineStats {
 // persistency layer embedded in a plugin").
 type Persister interface {
 	Persist(iteration int64, entries []*metadata.Entry) error
-}
-
-// recentCap is how many samples a recent keeps: more than any test or
-// benchmark run records, so only an arbitrarily long run ever drops one.
-const recentCap = 1 << 16
-
-// recent keeps the last recentCap values added to it, so a per-iteration
-// record does not grow for the life of a run.
-type recent[T any] struct {
-	buf  []T
-	next int // once buf is full: the oldest value, overwritten next
-}
-
-func (r *recent[T]) add(v T) {
-	if len(r.buf) < recentCap {
-		r.buf = append(r.buf, v)
-		return
-	}
-	r.buf[r.next] = v
-	r.next = (r.next + 1) % recentCap
 }

@@ -156,7 +156,7 @@ type EncodePool struct {
 	storedBytes int64
 	planes      transform.PlaneCounts
 	failures    int64
-	latAcc      stats.Accumulator
+	lat         obs.Histogram
 	inFlight    int64
 	maxInFlight int64
 }
@@ -230,7 +230,7 @@ func (p *EncodePool) worker(id int) {
 		dur := wall.Seconds()
 		p.mu.Lock()
 		p.ws.AddBusy(id, dur)
-		p.latAcc.Add(dur)
+		p.lat.Observe(dur)
 		p.chunks++
 		p.rawBytes += int64(len(job.data))
 		if err != nil {
@@ -306,7 +306,7 @@ func (p *EncodePool) Stats() EncodeStats {
 		RawBytes:         p.rawBytes,
 		StoredBytes:      p.storedBytes,
 		Planes:           p.planes,
-		Latency:          p.latAcc.Summary(),
+		Latency:          p.lat.Summary(),
 		Utilization:      p.ws.Utilization(wall),
 		MaxBytesInFlight: p.maxInFlight,
 	}

@@ -193,7 +193,7 @@ type Gateway struct {
 		backendGets      int64
 		fetchBytes       int64
 		bytesServed      int64
-		fetchLat         stats.Accumulator
+		fetchLat         obs.Histogram
 		rangesInFlight   int64
 		maxRanges        int64
 	}
@@ -794,7 +794,7 @@ func (r *rangeReader) fetch(i int, lo int64, p []byte) ([]byte, error) {
 	<-g.sem
 	g.met.Lock()
 	g.met.backendGets++
-	g.met.fetchLat.Add(elapsed)
+	g.met.fetchLat.Observe(elapsed)
 	if err == nil {
 		g.met.fetchBytes += int64(len(p))
 	}

@@ -8,8 +8,6 @@ import (
 	"sort"
 	"sync"
 	"time"
-
-	"damaris/internal/stats"
 )
 
 // Plane bundles the telemetry a process exposes: one metrics registry and
@@ -128,33 +126,20 @@ func (p *Plane) JitterReport() []StageJitter {
 		return nil
 	}
 	var out []StageJitter
-	for st := Stage(0); st < NumStages; st++ {
-		s := p.trace.StageSummary(st)
+	for st, ss := range SummarizeStages(p.trace.Snapshot()) {
+		s := ss.Durations
 		if s.N == 0 {
 			continue
 		}
-		j := stageJitterOf(st.String(), s)
 		// The lifetime stage histogram never truncates; its count is how
 		// many spans the ring would have needed to keep them all.
-		j.Total = p.trace.StageHistogram(st).Count()
-		j.Truncated = int64(j.Count) < j.Total
-		out = append(out, j)
+		total := p.trace.StageHistogram(Stage(st)).Count()
+		out = append(out, StageJitter{
+			Stage: Stage(st).String(), Count: s.N, Total: total, Truncated: int64(s.N) < total,
+			Mean: s.Mean, Min: s.Min, Max: s.Max, P50: s.Median, P95: s.P95, P99: s.P99, Spread: s.Spread(),
+		})
 	}
 	return out
-}
-
-func stageJitterOf(stage string, s stats.Summary) StageJitter {
-	return StageJitter{
-		Stage:  stage,
-		Count:  s.N,
-		Mean:   s.Mean,
-		Min:    s.Min,
-		Max:    s.Max,
-		P50:    s.Median,
-		P95:    s.P95,
-		P99:    s.P99,
-		Spread: s.Spread(),
-	}
 }
 
 // Handler returns the exposition endpoint:

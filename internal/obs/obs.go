@@ -10,8 +10,9 @@
 // run is in flight — and because damaris-run's end-of-run report is a gather
 // of the same registry, the two can never disagree.
 //
-// Concurrency and determinism: the observe path (Histogram.Observe,
-// Tracer.Record) is lock-free and allocation-free. Histogram sums accumulate
+// Concurrency and determinism: the observe path is allocation-free —
+// Histogram.Observe lock-free, Tracer.Record one short critical section
+// that writes a whole span. Histogram sums accumulate
 // in fixed-point micro-units, so an identical multiset of observations
 // yields identical exposition bytes regardless of goroutine interleaving —
 // the property TestExpositionDeterministic holds.
@@ -35,18 +36,29 @@ import (
 // (a float sum would depend on addition order).
 const sumScale = 1e6
 
+// maxBounds is the most finite buckets a Histogram holds: its counts are a
+// fixed array, so the zero value needs no allocation.
+const maxBounds = 33
+
+// durationBounds are the zero Histogram's bounds.
+var durationBounds = DefaultDurationBuckets()
+
 // Histogram is a fixed-bucket streaming histogram. Bounds are the
 // inclusive upper edges of the finite buckets; one implicit overflow bucket
-// catches everything above the last bound. Observe is lock-free and
-// performs no allocation.
+// catches everything above the last bound. The zero value is ready to use
+// and buckets by DefaultDurationBuckets; NewHistogram takes other bounds.
+// Observe is lock-free and performs no allocation.
 type Histogram struct {
-	bounds []float64
-	counts []atomic.Int64 // len(bounds)+1; last is the +Inf bucket
+	bounds []float64                   // nil: durationBounds
+	counts [maxBounds + 1]atomic.Int64 // one per bound, then the +Inf bucket
 	count  atomic.Int64
 	sum    atomic.Int64 // fixed-point, micro-units
-	min    atomic.Int64 // math.Float64bits, valid when count > 0
-	max    atomic.Int64
+	// min and max hold math.Float64bits of the extremes XOR that of +Inf
+	// and −Inf, so that the zero value reads +Inf and −Inf.
+	min, max atomic.Uint64
 }
+
+var posInf, negInf = math.Float64bits(math.Inf(1)), math.Float64bits(math.Inf(-1))
 
 // DefaultDurationBuckets spans 1µs to 100s, four buckets per decade — the
 // range of everything the middleware times, from a counter bump to a
@@ -61,31 +73,46 @@ func DefaultDurationBuckets() []float64 {
 	return append(b, 100)
 }
 
+// CountBuckets bounds counts — queue and ring depths, batch sizes, epochs:
+// one bucket per integer to 16, so small counts' quantiles are exact, then
+// two per doubling to 4096.
+func CountBuckets() []float64 {
+	var b []float64
+	for i := 0; i <= 16; i++ {
+		b = append(b, float64(i))
+	}
+	for v := 16.0; v < 4096; v *= 2 {
+		b = append(b, 1.5*v, 2*v)
+	}
+	return b
+}
+
 // NewHistogram builds a histogram over the given ascending upper bounds.
-// It panics on an empty or unsorted bound set — a registration-time
-// programming error.
+// It panics on an empty, unsorted or over-long bound set — a
+// registration-time programming error.
 func NewHistogram(bounds []float64) *Histogram {
-	if len(bounds) == 0 {
-		panic("obs: NewHistogram needs at least one bound")
+	if len(bounds) == 0 || len(bounds) > maxBounds {
+		panic(fmt.Sprintf("obs: NewHistogram needs 1 to %d bounds", maxBounds))
 	}
 	for i := 1; i < len(bounds); i++ {
 		if bounds[i] <= bounds[i-1] {
 			panic("obs: NewHistogram bounds must ascend")
 		}
 	}
-	h := &Histogram{
-		bounds: append([]float64(nil), bounds...),
-		counts: make([]atomic.Int64, len(bounds)+1),
+	return &Histogram{bounds: append([]float64(nil), bounds...)}
+}
+
+// edges returns the histogram's bounds.
+func (h *Histogram) edges() []float64 {
+	if h.bounds == nil {
+		return durationBounds
 	}
-	h.min.Store(int64(math.Float64bits(math.Inf(1))))
-	h.max.Store(int64(math.Float64bits(math.Inf(-1))))
-	return h
+	return h.bounds
 }
 
 // Observe records one sample. 0 allocs, safe for concurrent use.
 func (h *Histogram) Observe(x float64) {
-	i := sort.SearchFloat64s(h.bounds, x)
-	h.counts[i].Add(1)
+	h.counts[sort.SearchFloat64s(h.edges(), x)].Add(1)
 	h.count.Add(1)
 	// Round, don't truncate: truncation would contribute exactly 0 for
 	// every sub-resolution observation, biasing _sum low on fast stages.
@@ -94,19 +121,13 @@ func (h *Histogram) Observe(x float64) {
 	h.sum.Add(int64(math.Round(x * sumScale)))
 	for {
 		cur := h.min.Load()
-		if x >= math.Float64frombits(uint64(cur)) {
-			break
-		}
-		if h.min.CompareAndSwap(cur, int64(math.Float64bits(x))) {
+		if x >= math.Float64frombits(cur^posInf) || h.min.CompareAndSwap(cur, math.Float64bits(x)^posInf) {
 			break
 		}
 	}
 	for {
 		cur := h.max.Load()
-		if x <= math.Float64frombits(uint64(cur)) {
-			break
-		}
-		if h.max.CompareAndSwap(cur, int64(math.Float64bits(x))) {
+		if x <= math.Float64frombits(cur^negInf) || h.max.CompareAndSwap(cur, math.Float64bits(x)^negInf) {
 			break
 		}
 	}
@@ -123,7 +144,7 @@ func (h *Histogram) Min() float64 {
 	if h.count.Load() == 0 {
 		return 0
 	}
-	return math.Float64frombits(uint64(h.min.Load()))
+	return math.Float64frombits(h.min.Load() ^ posInf)
 }
 
 // Max returns the largest observation (0 when empty).
@@ -131,17 +152,42 @@ func (h *Histogram) Max() float64 {
 	if h.count.Load() == 0 {
 		return 0
 	}
-	return math.Float64frombits(uint64(h.max.Load()))
+	return math.Float64frombits(h.max.Load() ^ negInf)
 }
 
 // Buckets returns the per-bucket counts (finite buckets in bound order,
 // then the overflow bucket).
 func (h *Histogram) Buckets() []int64 {
-	out := make([]int64, len(h.counts))
-	for i := range h.counts {
+	out := make([]int64, len(h.edges())+1)
+	for i := range out {
 		out[i] = h.counts[i].Load()
 	}
 	return out
+}
+
+// Summary condenses the histogram into a stats.Summary: N, Mean (to the
+// sum's resolution), Min and Max as observed, and each quantile the upper
+// edge of the bucket that holds its rank, clamped to [Min, Max] — bucketEdge,
+// the rule the runtime's summaries follow. On CountBuckets, quantiles of
+// counts up to 16 are exact. Stddev stays 0: no squares are kept.
+func (h *Histogram) Summary() stats.Summary {
+	bounds := h.edges()
+	var buf [maxBounds + 1]uint64
+	counts := buf[:len(bounds)+1]
+	var n uint64
+	for i := range counts {
+		counts[i] = uint64(h.counts[i].Load())
+		n += counts[i]
+	}
+	if n == 0 {
+		return stats.Summary{}
+	}
+	s := stats.Summary{N: int(n), Mean: h.Sum() / float64(n), Min: h.Min(), Max: h.Max()}
+	q := func(p float64) float64 {
+		return bucketEdge(counts, bounds, uint64(math.Ceil(p*float64(n))), s.Min, s.Max)
+	}
+	s.Median, s.P95, s.P99 = q(0.5), q(0.95), q(0.99)
+	return s
 }
 
 // Kind labels a metric family for exposition.
@@ -296,13 +342,13 @@ func (e *Emitter) Summary(name string, s stats.Summary, labels ...string) {
 // histogram expands one histogram into cumulative _bucket samples plus
 // _count, _sum, _min and _max.
 func (e *Emitter) histogram(name string, h *Histogram, ls []string) {
-	counts := h.Buckets()
+	bounds := h.edges()
 	var cum int64
-	for i, n := range counts {
+	for i, n := range h.Buckets() {
 		cum += n
 		le := "+Inf"
-		if i < len(h.bounds) {
-			le = formatFloat(h.bounds[i])
+		if i < len(bounds) {
+			le = formatFloat(bounds[i])
 		}
 		e.add(KindHistogram, name+"_bucket", float64(cum),
 			append(append([]string(nil), ls...), "le", le))

@@ -50,6 +50,50 @@ func TestHistogramBasics(t *testing.T) {
 	}
 }
 
+// Summary's quantiles are bucket edges clamped to the observed extremes, so
+// they never leave [Min, Max]; on integer bounds, integer samples' quantiles
+// are exact.
+func TestHistogramSummary(t *testing.T) {
+	var empty Histogram
+	if s := empty.Summary(); s != (stats.Summary{}) {
+		t.Errorf("empty: %+v, want the zero Summary", s)
+	}
+
+	var one Histogram // the zero value buckets durations
+	one.Observe(0.003)
+	if s := one.Summary(); s != (stats.Summary{N: 1, Mean: 0.003, Min: 0.003, Max: 0.003, Median: 0.003, P95: 0.003, P99: 0.003}) {
+		t.Errorf("single value: %+v", s)
+	}
+
+	same := NewHistogram(CountBuckets())
+	for range 10 {
+		same.Observe(3)
+	}
+	if s := same.Summary(); s != (stats.Summary{N: 10, Mean: 3, Min: 3, Max: 3, Median: 3, P95: 3, P99: 3}) {
+		t.Errorf("all-equal integers: %+v", s)
+	}
+
+	counts := NewHistogram(CountBuckets())
+	for _, x := range []float64{0, 1, 1, 2, 2, 2, 5, 9, 9, 12} {
+		counts.Observe(x)
+	}
+	if s := counts.Summary(); s.Min != 0 || s.Median != 2 || s.P95 != 12 || s.P99 != 12 || s.Max != 12 || s.Mean != 4.3 {
+		t.Errorf("integers: %+v, want exact quantiles 2/12/12", s)
+	}
+
+	inf := NewHistogram([]float64{1, 10})
+	for _, x := range []float64{0.5, 0.5, 0.5, 250} {
+		inf.Observe(x)
+	}
+	s := inf.Summary()
+	if s.Min != 0.5 || s.Median != 1 || s.P99 != 250 || s.Max != 250 {
+		t.Errorf("+Inf bucket: %+v, want median 1 (clamped edge) and p99 250 (the max)", s)
+	}
+	if s.Median < s.Min || s.P95 > s.Max {
+		t.Errorf("+Inf bucket: quantiles %+v outside [min, max]", s)
+	}
+}
+
 // TestExpositionDeterministic is the satellite-3 determinism gate: identical
 // observation multisets must produce identical bucket counts and identical
 // exposition bytes regardless of which goroutine observed which sample in

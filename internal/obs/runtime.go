@@ -102,30 +102,37 @@ func (r *runtimeCollector) Collect(e *Emitter) {
 	e.Gauge("damaris_runtime_heap_released_bytes", float64(released))
 }
 
-// runtimeHistogram emits a runtime histogram as a summary.
+// runtimeHistogram emits a runtime histogram as a summary. Its last bucket
+// may reach +Inf, so its quantiles are clamped to the top finite edge.
 func (e *Emitter) runtimeHistogram(f runtimeSummary, h *metrics.Float64Histogram) {
 	var n uint64
 	for _, c := range h.Counts {
 		n += c
 	}
+	upper, top := h.Buckets[1:], h.Buckets[len(h.Buckets)-1]
+	if math.IsInf(top, 1) {
+		top = h.Buckets[len(h.Buckets)-2]
+	}
 	for _, q := range runtimeQuants {
-		e.add(KindSummary, f.name, bucketEdge(h, uint64(math.Ceil(q.q*float64(n)))), q.labels)
+		e.add(KindSummary, f.name, bucketEdge(h.Counts, upper, uint64(math.Ceil(q.q*float64(n))), math.Inf(-1), top), q.labels)
 	}
 	e.add(KindSummary, f.count, float64(n), nil)
-	e.add(KindSummary, f.max, bucketEdge(h, n), nil)
+	e.add(KindSummary, f.max, bucketEdge(h.Counts, upper, n, math.Inf(-1), top), nil)
 }
 
 // bucketEdge returns the upper edge of the bucket that holds the rank-th
-// smallest observation (its lower edge when the upper is +Inf), or 0 when
-// the histogram holds none.
-func bucketEdge(h *metrics.Float64Histogram, rank uint64) float64 {
+// smallest of the counted observations, clamped to [lo, hi], or 0 when the
+// counts hold none. Bucket i's upper edge is upper[i], +Inf past its end.
+// It is the one quantile rule of every summary the registry emits.
+func bucketEdge(counts []uint64, upper []float64, rank uint64, lo, hi float64) float64 {
 	var cum uint64
-	for i, c := range h.Counts {
+	for i, c := range counts {
 		if cum += c; c > 0 && cum >= max(rank, 1) {
-			if hi := h.Buckets[i+1]; !math.IsInf(hi, 1) {
-				return hi
+			edge := math.Inf(1)
+			if i < len(upper) {
+				edge = upper[i]
 			}
-			return h.Buckets[i]
+			return min(max(edge, lo), hi)
 		}
 	}
 	return 0

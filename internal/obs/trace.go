@@ -5,8 +5,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
-	"sync/atomic"
+	"sync"
 	"time"
 
 	"damaris/internal/stats"
@@ -15,7 +16,7 @@ import (
 // Iteration-lifecycle tracing: every stage an iteration passes through on
 // its way to durability — client write, chunk encode, queue wait (or
 // scratch spill), persist, aggregate merge, store commit, durability ack —
-// records one span event into a fixed-size lock-free ring. The ring keeps
+// records one span event into a fixed-size ring. The ring keeps
 // the most recent TraceSlots spans (older ones are overwritten — the
 // truncation semantics tests pin down); per-stage streaming histograms
 // accumulate over the whole run regardless, so live jitter percentiles and
@@ -88,25 +89,8 @@ type Span struct {
 	Err       bool
 }
 
-// spanSlot is one ring cell. Every field is atomic so concurrent
-// record/snapshot stays race-free; seq is the torn-read guard: a reader
-// that sees seq change (or negative, mid-write) across its field reads
-// discards the slot.
-type spanSlot struct {
-	seq    atomic.Int64 // 0 empty; -(idx+1) while writing; idx+1 when valid
-	stage  atomic.Int64
-	server atomic.Int64
-	origin atomic.Int64
-	shard  atomic.Int64
-	iter   atomic.Int64
-	start  atomic.Int64
-	dur    atomic.Int64
-	bytes  atomic.Int64
-	errv   atomic.Int64
-}
-
-// DefaultTraceSlots is the default ring capacity (¼Mi spans ≈ 16 MiB would
-// be excessive; 16Ki×64B = 1 MiB holds several thousand iterations' full
+// DefaultTraceSlots is the default ring capacity (¼Mi spans ≈ 18 MiB would
+// be excessive; 16Ki×72 B ≈ 1.1 MiB holds several thousand iterations' full
 // lifecycles).
 const DefaultTraceSlots = 1 << 14
 
@@ -114,10 +98,10 @@ const DefaultTraceSlots = 1 << 14
 // per-stage duration histograms. All methods tolerate a nil receiver
 // (tracing disabled): Record on a nil tracer is a single branch.
 type Tracer struct {
-	slots []spanSlot
-	mask  int64
-	next  atomic.Int64
-	hist  [NumStages]*Histogram
+	mu    sync.Mutex
+	slots []Span
+	next  int64 // spans ever recorded; the next one goes to slots[next%len]
+	hist  [NumStages]Histogram
 }
 
 // NewTracer builds a tracer whose ring retains the most recent `slots`
@@ -127,12 +111,7 @@ func NewTracer(slots int) *Tracer {
 	for n < slots {
 		n <<= 1
 	}
-	t := &Tracer{slots: make([]spanSlot, n), mask: int64(n - 1)}
-	bounds := DefaultDurationBuckets()
-	for i := range t.hist {
-		t.hist[i] = NewHistogram(bounds)
-	}
-	return t
+	return &Tracer{slots: make([]Span, n)}
 }
 
 // Cap returns the ring capacity in spans.
@@ -144,17 +123,15 @@ func (t *Tracer) Cap() int {
 }
 
 // Record appends one span whose work originated on the recording rank
-// (Origin == Server). 0 allocs, lock-free, safe for concurrent use. Under
-// an extreme wraparound race (two writers 2^slots records apart hitting
-// one cell simultaneously) a single exported span may mix fields; the ring
-// itself is never corrupted.
+// (Origin == Server). 0 allocs, safe for concurrent use: a short critical
+// section writes the span's slot whole, so no snapshot reads a torn span.
 func (t *Tracer) Record(stage Stage, server int, iteration int64, start time.Time, dur time.Duration, bytes int64, isErr bool) {
 	t.record(stage, server, server, -1, iteration, start, dur, bytes, isErr)
 }
 
 // RecordShard appends one local span attributed to an event-loop shard of
 // the recording dedicated core (shard < 0 means not shard-attributed). Same
-// 0-alloc, lock-free guarantees as Record.
+// guarantees as Record.
 func (t *Tracer) RecordShard(stage Stage, server, shard int, iteration int64, start time.Time, dur time.Duration, bytes int64, isErr bool) {
 	t.record(stage, server, server, shard, iteration, start, dur, bytes, isErr)
 }
@@ -163,23 +140,12 @@ func (t *Tracer) record(stage Stage, server, origin, shard int, iteration int64,
 	if t == nil || stage >= NumStages {
 		return
 	}
-	idx := t.next.Add(1) - 1
-	s := &t.slots[idx&t.mask]
-	s.seq.Store(-(idx + 1))
-	s.stage.Store(int64(stage))
-	s.server.Store(int64(server))
-	s.origin.Store(int64(origin))
-	s.shard.Store(int64(shard))
-	s.iter.Store(iteration)
-	s.start.Store(start.UnixNano())
-	s.dur.Store(int64(dur))
-	s.bytes.Store(bytes)
-	var e int64
-	if isErr {
-		e = 1
-	}
-	s.errv.Store(e)
-	s.seq.Store(idx + 1)
+	sp := Span{Stage: stage, Server: server, Origin: origin, Shard: shard, Iteration: iteration,
+		Start: start.UnixNano(), Dur: int64(dur), Bytes: bytes, Err: isErr}
+	t.mu.Lock()
+	t.slots[t.next%int64(len(t.slots))] = sp
+	t.next++
+	t.mu.Unlock()
 	t.hist[stage].Observe(dur.Seconds())
 }
 
@@ -188,61 +154,35 @@ func (t *Tracer) Total() int64 {
 	if t == nil {
 		return 0
 	}
-	return t.next.Load()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.next
 }
 
 // Dropped returns how many spans the ring has already overwritten — the
 // truncation the exports carry: Snapshot holds the most recent
 // Total()−Dropped() spans.
 func (t *Tracer) Dropped() int64 {
-	if t == nil {
-		return 0
-	}
-	d := t.next.Load() - int64(len(t.slots))
-	if d < 0 {
-		return 0
-	}
-	return d
+	return max(t.Total()-int64(t.Cap()), 0)
 }
 
 // Snapshot returns the retained spans in deterministic (start, seq) order:
 // primary key the span's start timestamp, ties broken by record sequence.
 // Ring-slot order alone is not byte-stable across identical runs once the
 // ring wraps — which record lands in which slot depends on goroutine
-// interleaving — so the exports sort instead. Slots being overwritten
-// concurrently are skipped, so a snapshot taken mid-run is consistent but
-// possibly a few spans short.
+// interleaving — so the exports sort instead.
 func (t *Tracer) Snapshot() []Span {
 	if t == nil {
 		return nil
 	}
-	hi := t.next.Load()
-	lo := hi - int64(len(t.slots))
-	if lo < 0 {
-		lo = 0
+	t.mu.Lock()
+	var out []Span
+	if at := t.next % int64(len(t.slots)); t.next <= int64(len(t.slots)) {
+		out = slices.Clone(t.slots[:t.next])
+	} else {
+		out = slices.Concat(t.slots[at:], t.slots[:at]) // oldest first
 	}
-	out := make([]Span, 0, hi-lo)
-	for idx := lo; idx < hi; idx++ {
-		s := &t.slots[idx&t.mask]
-		if s.seq.Load() != idx+1 {
-			continue // empty, mid-write, or already lapped
-		}
-		sp := Span{
-			Stage:     Stage(s.stage.Load()),
-			Server:    int(s.server.Load()),
-			Origin:    int(s.origin.Load()),
-			Shard:     int(s.shard.Load()),
-			Iteration: s.iter.Load(),
-			Start:     s.start.Load(),
-			Dur:       s.dur.Load(),
-			Bytes:     s.bytes.Load(),
-			Err:       s.errv.Load() != 0,
-		}
-		if s.seq.Load() != idx+1 {
-			continue // overwritten while reading
-		}
-		out = append(out, sp)
-	}
+	t.mu.Unlock()
 	// Spans were collected in ascending record-sequence order; a stable
 	// sort on start therefore leaves equal-start spans in seq order.
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Start < out[j].Start })
@@ -255,27 +195,34 @@ func (t *Tracer) StageHistogram(stage Stage) *Histogram {
 	if t == nil || stage >= NumStages {
 		return nil
 	}
-	return t.hist[stage]
+	return &t.hist[stage]
 }
 
-// StageSummary computes exact descriptive statistics (incl. percentiles)
-// over the retained spans of one stage — only the retained ones: once the
-// ring wraps, the summary describes the most recent tail, which is why
-// JitterReport pairs it with the lifetime count (Total/Truncated) from the
-// never-truncating stage histogram. This is the function both the live
-// /jitter scrape and damaris-run's end-of-run jitter report call — one
-// code path, so the two always agree.
-func (t *Tracer) StageSummary(stage Stage) stats.Summary {
-	if t == nil {
-		return stats.Summary{}
+// StageStats is one stage's figures over a set of spans: exact descriptive
+// statistics of their durations in seconds, percentiles included, and the
+// bytes they carried.
+type StageStats struct {
+	Durations stats.Summary
+	Bytes     int64
+}
+
+// SummarizeStages computes every stage's StageStats in one pass over spans.
+// The live /jitter scrape and damaris-run's jitter report run it over the
+// retained ring (once the ring wraps, the most recent tail, which is why
+// JitterReport pairs it with the never-truncating stage histogram's count),
+// dsf-inspect -trace over a trace file's spans: one code path, so the three
+// agree.
+func SummarizeStages(spans []Span) [NumStages]StageStats {
+	var durs [NumStages][]float64
+	var out [NumStages]StageStats
+	for _, sp := range spans {
+		durs[sp.Stage] = append(durs[sp.Stage], time.Duration(sp.Dur).Seconds())
+		out[sp.Stage].Bytes += sp.Bytes
 	}
-	var durs []float64
-	for _, sp := range t.Snapshot() {
-		if sp.Stage == stage {
-			durs = append(durs, time.Duration(sp.Dur).Seconds())
-		}
+	for st := range out {
+		out[st].Durations = stats.Summarize(durs[st])
 	}
-	return stats.Summarize(durs)
+	return out
 }
 
 // Collect emits the tracer's registry view: span totals plus, per stage,
@@ -288,7 +235,7 @@ func (t *Tracer) Collect(e *Emitter) {
 	e.Counter("damaris_trace_spans_dropped_total", float64(t.Dropped()))
 	e.Gauge("damaris_trace_ring_slots", float64(t.Cap()))
 	for st := Stage(0); st < NumStages; st++ {
-		h := t.hist[st]
+		h := &t.hist[st]
 		if h.Count() == 0 {
 			continue
 		}

@@ -80,8 +80,8 @@ func TestTracerCapacityRounding(t *testing.T) {
 }
 
 // TestTracerConcurrent hammers Record from many goroutines while snapshots
-// run, under -race. Every fully-retained span must be internally consistent
-// (the per-slot seqlock discards torn reads).
+// run, under -race. Every retained span must be internally consistent: a
+// writer that laps the ring must not overwrite a slot another is filling.
 func TestTracerConcurrent(t *testing.T) {
 	tr := NewTracer(256)
 	const writers = 8
@@ -121,7 +121,7 @@ func TestTracerConcurrent(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	if bad := <-torn; bad != 0 {
-		t.Fatalf("%d torn spans escaped the seqlock", bad)
+		t.Fatalf("%d torn spans in snapshots", bad)
 	}
 	if tr.Total() != writers*perWriter {
 		t.Fatalf("total = %d, want %d", tr.Total(), writers*perWriter)
@@ -135,11 +135,13 @@ func TestNilTracerSafe(t *testing.T) {
 	if tr.Snapshot() != nil || tr.Total() != 0 || tr.Dropped() != 0 || tr.Cap() != 0 {
 		t.Fatal("nil tracer is not inert")
 	}
-	if s := tr.StageSummary(StageWrite); s.N != 0 {
+	if s := SummarizeStages(tr.Snapshot()); s != ([NumStages]StageStats{}) {
 		t.Fatal("nil tracer produced a summary")
 	}
 }
 
+// SummarizeStages gives each stage the exact Summarize of its own spans'
+// durations and the sum of their bytes, in one pass over all of them.
 func TestStageSummaryMatchesSummarize(t *testing.T) {
 	tr := NewTracer(64)
 	durs := []time.Duration{5 * time.Millisecond, time.Millisecond, 20 * time.Millisecond, 2 * time.Millisecond}
@@ -149,10 +151,18 @@ func TestStageSummaryMatchesSummarize(t *testing.T) {
 		record(tr, StageWrite, int64(i), time.Second) // other stages must not leak in
 		secs = append(secs, d.Seconds())
 	}
-	got := tr.StageSummary(StageCommit)
-	want := stats.Summarize(secs)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("StageSummary = %+v, want %+v", got, want)
+	got := SummarizeStages(tr.Snapshot())
+	if want := stats.Summarize(secs); !reflect.DeepEqual(got[StageCommit].Durations, want) {
+		t.Fatalf("commit stage = %+v, want %+v", got[StageCommit].Durations, want)
+	}
+	if got[StageCommit].Bytes != int64(64*len(durs)) {
+		t.Fatalf("commit stage carried %d bytes, want %d", got[StageCommit].Bytes, 64*len(durs))
+	}
+	if w := got[StageWrite].Durations; w.N != len(durs) || w.Min != 1 || w.Max != 1 {
+		t.Fatalf("write stage = %+v, want %d spans of 1 s", w, len(durs))
+	}
+	if got[StagePersist].Durations.N != 0 {
+		t.Fatalf("persist stage = %+v, want none", got[StagePersist])
 	}
 }
 

@@ -1,10 +1,11 @@
 // Package stats provides the small statistical toolkit used throughout the
 // Damaris reproduction: summary statistics over duration/throughput samples,
-// incremental accumulators and percentiles.
+// percentiles and worker busy-time bookkeeping. Streaming distributions are
+// obs.Histogram, which condenses into the same Summary.
 //
 // The paper's evaluation reports averages, minima, maxima and variability
 // (jitter) of write-phase durations; this package computes those figures for
-// both the real middleware runs and the simulated experiments.
+// the middleware's runs.
 package stats
 
 import (
@@ -118,51 +119,6 @@ func Min(xs []float64) float64 {
 		}
 	}
 	return m
-}
-
-// Accumulator computes running statistics without retaining samples, using
-// Welford's online algorithm. The zero value is ready to use.
-type Accumulator struct {
-	n    int
-	mean float64
-	m2   float64
-	min  float64
-	max  float64
-}
-
-// Add incorporates one observation.
-func (a *Accumulator) Add(x float64) {
-	a.n++
-	if a.n == 1 {
-		a.min, a.max = x, x
-	} else {
-		if x < a.min {
-			a.min = x
-		}
-		if x > a.max {
-			a.max = x
-		}
-	}
-	d := x - a.mean
-	a.mean += d / float64(a.n)
-	a.m2 += d * (x - a.mean)
-}
-
-// Variance returns the population variance (0 when n < 2).
-func (a *Accumulator) Variance() float64 {
-	if a.n < 2 {
-		return 0
-	}
-	return a.m2 / float64(a.n)
-}
-
-// Stddev returns the population standard deviation.
-func (a *Accumulator) Stddev() float64 { return math.Sqrt(a.Variance()) }
-
-// Summary converts the accumulator to a Summary. Median and percentiles are
-// not available online and are left zero.
-func (a *Accumulator) Summary() Summary {
-	return Summary{N: a.n, Mean: a.mean, Min: a.min, Max: a.max, Stddev: a.Stddev()}
 }
 
 // WorkerSet is the busy-time bookkeeping of a fixed set of workers — the

@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -84,71 +83,6 @@ func TestMeanMinMaxHelpers(t *testing.T) {
 	}
 	if Summarize(nil).Mean != 0 || Min(nil) != 0 || Max(nil) != 0 {
 		t.Error("empty-slice helpers should return 0")
-	}
-}
-
-func TestAccumulatorMatchesSummarize(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	xs := make([]float64, 1000)
-	var acc Accumulator
-	for i := range xs {
-		xs[i] = rng.NormFloat64()*5 + 10
-		acc.Add(xs[i])
-	}
-	s, got := Summarize(xs), acc.Summary()
-	if got.N != s.N {
-		t.Fatalf("N mismatch: %d vs %d", got.N, s.N)
-	}
-	if !almostEqual(got.Mean, s.Mean, 1e-9) {
-		t.Errorf("mean: %v vs %v", got.Mean, s.Mean)
-	}
-	if !almostEqual(got.Stddev, s.Stddev, 1e-9) {
-		t.Errorf("stddev: %v vs %v", got.Stddev, s.Stddev)
-	}
-	if got.Min != s.Min || got.Max != s.Max {
-		t.Errorf("min/max: %v/%v vs %v/%v", got.Min, got.Max, s.Min, s.Max)
-	}
-}
-
-func TestAccumulatorEmptyAndSingle(t *testing.T) {
-	var acc Accumulator
-	if acc.Variance() != 0 || acc.Summary().Mean != 0 {
-		t.Error("zero accumulator should report zeros")
-	}
-	acc.Add(5)
-	if acc.Variance() != 0 {
-		t.Error("variance of one sample should be 0")
-	}
-	if got := acc.Summary(); got.Min != 5 || got.Max != 5 {
-		t.Error("min/max of one sample should be the sample")
-	}
-}
-
-// Property: Welford accumulator agrees with the two-pass Summarize on
-// arbitrary inputs.
-func TestQuickAccumulatorAgreement(t *testing.T) {
-	f := func(raw []float64) bool {
-		xs := make([]float64, 0, len(raw))
-		for _, x := range raw {
-			if math.IsNaN(x) || math.IsInf(x, 0) || math.Abs(x) > 1e12 {
-				continue
-			}
-			xs = append(xs, x)
-		}
-		if len(xs) == 0 {
-			return true
-		}
-		var acc Accumulator
-		for _, x := range xs {
-			acc.Add(x)
-		}
-		s, got := Summarize(xs), acc.Summary()
-		return almostEqual(got.Mean, s.Mean, 1e-6) &&
-			almostEqual(got.Stddev, s.Stddev, 1e-5) &&
-			got.Min == s.Min && got.Max == s.Max
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -80,11 +80,11 @@ func (s Stats) Emit(e *obs.Emitter, labels ...string) {
 
 // metrics is a backend's Stats behind a lock. The counters are the exported
 // fields themselves; the two latency summaries are computed from their
-// accumulators when a snapshot is taken.
+// histograms when a snapshot is taken.
 type metrics struct {
 	mu sync.Mutex
 	Stats
-	putLat, getLat stats.Accumulator
+	putLat, getLat obs.Histogram
 }
 
 // inc bumps one counter of the embedded Stats: m.inc(&m.Retries).
@@ -108,7 +108,7 @@ func (m *metrics) put(seconds float64, bytes int64) {
 	m.mu.Lock()
 	m.Puts++
 	m.PutBytes += bytes
-	m.putLat.Add(seconds)
+	m.putLat.Observe(seconds)
 	m.mu.Unlock()
 }
 
@@ -116,7 +116,7 @@ func (m *metrics) get(seconds float64, bytes int64) {
 	m.mu.Lock()
 	m.Gets++
 	m.GetBytes += bytes
-	m.getLat.Add(seconds)
+	m.getLat.Observe(seconds)
 	m.mu.Unlock()
 }
 
