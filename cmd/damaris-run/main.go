@@ -20,17 +20,12 @@ import (
 	"net/http"
 	"os"
 	"slices"
-	"sync"
 	"time"
 
 	"damaris/internal/cm1"
 	"damaris/internal/config"
-	"damaris/internal/core"
-	"damaris/internal/dsf"
-	"damaris/internal/mpi"
 	"damaris/internal/obs"
 	"damaris/internal/stats"
-	"damaris/internal/store"
 )
 
 // options are the flags that describe the run itself; every knob of the
@@ -77,41 +72,16 @@ func main() {
 
 // run executes one world and writes its report to out. cfg carries the knobs
 // as the flags left them; run names the -out directory as the backend when
-// none is set, adds what the mini-app declares (buffer, layouts, variables,
-// events) and validates the whole before any rank starts, whatever the
-// strategy.
+// none is set, and cm1.RunWorld adds what the mini-app declares and
+// validates the whole before any rank starts, whatever the strategy.
 func run(cfg *config.Config, o options, out io.Writer) error {
-	if o.ranks%o.coresPerNode != 0 {
-		return fmt.Errorf("ranks %d not a multiple of cores-per-node %d", o.ranks, o.coresPerNode)
-	}
-	if !slices.Contains([]string{"damaris", "fpp", "collective"}, o.backend) {
+	if !slices.Contains(cm1.Strategies, o.backend) {
 		return fmt.Errorf("unknown -backend %q (want damaris, fpp or collective)", o.backend)
 	}
-	nodes := o.ranks / o.coresPerNode
-	computeRanks := o.ranks
-	if o.backend == "damaris" {
-		computeRanks = o.ranks - nodes // one dedicated core per node
-	}
-	params := cm1.DefaultParams(computeRanks, 1)
-
 	if cfg.PersistBackend == "" {
 		cfg.PersistBackend = "file://" + o.outDir
 	}
-	if o.backend == "damaris" {
-		decl, err := config.ParseString(cm1.ConfigXML(params, o.bufMB<<20, cfg.Allocator, 1))
-		if err != nil {
-			return err
-		}
-		cfg.BufferSize, cfg.DedicatedCores = decl.BufferSize, decl.DedicatedCores
-		cfg.Layouts, cfg.Variables, cfg.Events = decl.Layouts, decl.Variables, decl.Events
-	}
-	if err := cfg.Validate(); err != nil {
-		return err
-	}
-	codec, err := dsf.CodecNamed(cfg.PersistCodec)
-	if err != nil {
-		return err
-	}
+	cfg.BufferSize = o.bufMB << 20
 
 	// One telemetry plane for the whole in-process world: every dedicated
 	// core records spans and registers its collectors once against it,
@@ -133,72 +103,25 @@ func run(cfg *config.Config, o options, out io.Writer) error {
 		fmt.Fprintf(out, "telemetry: http://%s/metrics (also /metrics.json /epochs /trace /jitter /readyz /debug/pprof)\n", ln.Addr())
 	}
 
-	// The baselines' ranks share one instance of the backend; each dedicated
-	// core opens its own as it deploys.
-	var shared store.Backend
-	if o.backend != "damaris" {
-		if shared, err = store.OpenWith(cfg.PersistBackend, cfg.StoreOptions()); err != nil {
-			return err
-		}
-	}
-
-	var mu sync.Mutex
-	var phaseTimes []float64
-	err = mpi.Run(o.ranks, o.coresPerNode, func(comm *mpi.Comm) {
-		var b cm1.Backend
-		var computeComm *mpi.Comm
-
-		switch o.backend {
-		case "damaris":
-			dep, err := core.Deploy(comm, cfg, nil, core.Options{Obs: plane})
-			if err != nil {
-				panic(err)
-			}
-			if !dep.IsClient() {
-				if err := dep.Server.Run(); err != nil {
-					panic(err)
-				}
-				return
-			}
-			computeComm = dep.ClientComm
-			b = cm1.NewDamarisBackend(dep.Client)
-		case "fpp":
-			computeComm = comm
-			b = cm1.NewFPPBackend(shared, codec, comm.Rank())
-		case "collective":
-			computeComm = comm
-			b = cm1.NewCollectiveBackend(shared, comm)
-		}
-
-		sim, err := cm1.New(computeComm, params)
-		if err != nil {
-			panic(err)
-		}
-		rep, err := cm1.Run(sim, b, o.steps, o.outputEvery)
-		if err != nil {
-			panic(err)
-		}
-		if err := b.Close(); err != nil {
-			panic(err)
-		}
-		mu.Lock()
-		phaseTimes = append(phaseTimes, rep.WriteSeconds...)
-		mu.Unlock()
-	})
-	if shared != nil {
-		if cerr := shared.Close(); err == nil {
-			err = cerr
-		}
-	}
+	res, err := cm1.RunWorld(cm1.WorldSpec{Strategy: o.backend, Ranks: o.ranks, CoresPerNode: o.coresPerNode,
+		Steps: o.steps, OutputEvery: o.outputEvery, Config: cfg, Obs: plane})
 	if err != nil {
 		return err
 	}
 
+	var phaseTimes []float64
+	for _, ph := range res.Phases {
+		for _, d := range ph {
+			phaseTimes = append(phaseTimes, d.Seconds())
+		}
+	}
 	ps := stats.Summarize(phaseTimes)
-	fmt.Fprintf(out, "backend=%s ranks=%d nodes=%d steps=%d\n", o.backend, o.ranks, nodes, o.steps)
+	fmt.Fprintf(out, "backend=%s ranks=%d nodes=%d steps=%d\n", o.backend, o.ranks, o.ranks/o.coresPerNode, o.steps)
 	fmt.Fprintf(out, "client write phases: n=%d mean=%.2gs min=%.2gs max=%.2gs (spread %.2gs)\n",
 		ps.N, ps.Mean, ps.Min, ps.Max, ps.Spread())
 	if o.backend == "damaris" {
+		fmt.Fprintf(out, "blocked write phases: %d of %d (%d waited on the flow window, %d reservations on buffer space)\n",
+			res.Blocked, ps.N, res.FlowWaits, res.BufferWaits)
 		reportJitter(out, plane)
 	}
 	if o.traceOut != "" {
@@ -211,8 +134,8 @@ func run(cfg *config.Config, o options, out io.Writer) error {
 		return nil
 	}
 	// The dedicated cores' figures — pipeline, shards, spill, store,
-	// aggregation, encode, each core's busy/spare split — are the plane's
-	// registry, in the bytes /metrics serves.
+	// aggregation, encode, each core's busy/spare split, its clients' waits —
+	// are the plane's registry, in the bytes /metrics serves.
 	return obs.WriteSamples(out, plane.Registry().Gather())
 }
 

@@ -21,8 +21,6 @@ type Backend interface {
 	WritePhase(s *Sim, iteration int64) error
 	// Close flushes and releases the backend.
 	Close() error
-	// Name identifies the strategy in reports.
-	Name() string
 }
 
 // statsEvent is the event every client raises at each output: its global
@@ -50,7 +48,8 @@ func ConfigXML(p Params, bufferBytes int64, allocator string, dedicatedCores int
 // memory: each field is gathered in one pass straight into its block of the
 // segment, so the simulation's own gather is the write phase's only copy.
 type DamarisBackend struct {
-	cli *core.Client
+	cli     *core.Client
+	blocked int // write phases in which the client waited (Client.Waits)
 }
 
 // NewDamarisBackend wraps a deployed Damaris client.
@@ -58,13 +57,17 @@ func NewDamarisBackend(cli *core.Client) *DamarisBackend {
 	return &DamarisBackend{cli: cli}
 }
 
-// Name implements Backend.
-func (b *DamarisBackend) Name() string { return "damaris" }
-
 // WritePhase implements Backend: every variable written in place, the
 // statsEvent signal, and the end-of-iteration notification. No
-// synchronization with other ranks.
+// synchronization with other ranks. A phase in which the client waited, on
+// the flow window or for buffer space, counts as blocked.
 func (b *DamarisBackend) WritePhase(s *Sim, iteration int64) error {
+	flow, buffer := b.cli.Waits()
+	defer func() {
+		if f, bu := b.cli.Waits(); f+bu > flow+buffer {
+			b.blocked++
+		}
+	}()
 	if err := b.writeFields(s, iteration); err != nil {
 		return err
 	}
@@ -136,9 +139,6 @@ func NewFPPBackend(out store.Backend, codec dsf.Codec, rank int) *FPPBackend {
 	return &FPPBackend{Codec: codec, out: out, rank: rank}
 }
 
-// Name implements Backend.
-func (b *FPPBackend) Name() string { return "file-per-process" }
-
 // WritePhase implements Backend: create, write all variables, commit — on
 // the simulation's critical path.
 func (b *FPPBackend) WritePhase(s *Sim, iteration int64) error {
@@ -201,9 +201,6 @@ func NewCollectiveBackend(out store.Backend, comm *mpi.Comm) *CollectiveBackend 
 	return &CollectiveBackend{out: out, comm: comm, agg: agg, node: node}
 }
 
-// Name implements Backend.
-func (b *CollectiveBackend) Name() string { return "collective" }
-
 // WritePhase implements Backend.
 func (b *CollectiveBackend) WritePhase(s *Sim, iteration int64) error {
 	// Collective open: every rank synchronizes.
@@ -262,47 +259,30 @@ func (b *CollectiveBackend) WritePhase(s *Sim, iteration int64) error {
 // Close implements Backend.
 func (b *CollectiveBackend) Close() error { return nil }
 
-// NullBackend performs no I/O — the paper's baseline C576 measurement
-// ("time of 50 iterations … without any I/O").
-type NullBackend struct{}
-
-// Name implements Backend.
-func (NullBackend) Name() string { return "no-io" }
-
-// WritePhase implements Backend.
-func (NullBackend) WritePhase(*Sim, int64) error { return nil }
-
-// Close implements Backend.
-func (NullBackend) Close() error { return nil }
-
-// PhaseReport is one rank's timing of a run.
-type PhaseReport struct {
-	ComputeSeconds float64
-	WriteSeconds   []float64 // one entry per output phase
-}
-
 // Run advances the simulation `steps` timesteps, performing an output phase
 // through the backend after every `outputEvery`-th step (none when
-// outputEvery <= 0; steps after the last multiple are not output). It
-// returns this rank's timings.
-func Run(s *Sim, backend Backend, steps, outputEvery int) (PhaseReport, error) {
-	var rep PhaseReport
+// outputEvery <= 0; steps after the last multiple are not output). A
+// non-nil afterStep runs after each step, as the rest of its compute phase.
+// It returns how long each of this rank's write phases took.
+func Run(s *Sim, backend Backend, steps, outputEvery int, afterStep func()) ([]time.Duration, error) {
+	var writes []time.Duration
 	if outputEvery <= 0 {
 		outputEvery = steps + 1
 	}
 	iteration := int64(0)
 	for step := 1; step <= steps; step++ {
-		t0 := time.Now()
 		s.Step()
-		rep.ComputeSeconds += time.Since(t0).Seconds()
+		if afterStep != nil {
+			afterStep()
+		}
 		if step%outputEvery == 0 {
-			t1 := time.Now()
+			t0 := time.Now()
 			if err := backend.WritePhase(s, iteration); err != nil {
-				return rep, fmt.Errorf("cm1: write phase %d: %w", iteration, err)
+				return writes, fmt.Errorf("cm1: write phase %d: %w", iteration, err)
 			}
-			rep.WriteSeconds = append(rep.WriteSeconds, time.Since(t1).Seconds())
+			writes = append(writes, time.Since(t0))
 			iteration++
 		}
 	}
-	return rep, nil
+	return writes, nil
 }

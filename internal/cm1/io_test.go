@@ -10,7 +10,6 @@ import (
 	"reflect"
 	"slices"
 	"strings"
-	"sync"
 	"testing"
 
 	"damaris/internal/config"
@@ -22,6 +21,16 @@ import (
 )
 
 func parseConfig(xml string) (*config.Config, error) { return config.ParseString(xml) }
+
+// defaults returns a configuration with every knob at its default.
+func defaults(t *testing.T) *config.Config {
+	t.Helper()
+	cfg, err := parseConfig("<simulation/>")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cfg
+}
 
 func smallParams(px, py int) Params {
 	return Params{GlobalNX: 8 * px, GlobalNY: 8 * py, NZ: 4, PX: px, PY: py,
@@ -39,295 +48,161 @@ func fileBackend(t *testing.T, dir string) store.Backend {
 	return b
 }
 
-func TestFPPBackendWritesFiles(t *testing.T) {
-	dir := t.TempDir()
-	out := fileBackend(t, dir)
-	err := mpi.Run(4, 4, func(c *mpi.Comm) {
-		s, err := New(c, smallParams(2, 2))
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		b := NewFPPBackend(out, dsf.None, c.Rank())
-		rep, err := Run(s, b, 4, 2)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		if len(rep.WriteSeconds) != 2 {
-			t.Errorf("write phases = %d, want 2", len(rep.WriteSeconds))
-		}
-		_ = b.Close()
-	})
+// runFileWorld runs a world of the named baseline strategy on 2 nodes of 4
+// cores, 4 steps with an output every 2, into a file store over dir.
+func runFileWorld(t *testing.T, strategy, dir string) WorldResult {
+	t.Helper()
+	res, err := RunWorld(WorldSpec{Strategy: strategy, Ranks: 8, CoresPerNode: 4, Steps: 4, OutputEvery: 2,
+		Grid: smallParams, Config: defaults(t), Shared: fileBackend(t, dir)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 4 ranks × 2 iterations = 8 files — the paper's metadata-storm shape.
-	files, _ := filepath.Glob(filepath.Join(dir, "rank*.dsf"))
-	if len(files) != 8 {
-		t.Fatalf("files on disk = %d, want 8", len(files))
-	}
-	r, err := dsf.Open(files[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if len(r.Chunks()) != len(VariableNames) {
-		t.Errorf("chunks = %d, want %d", len(r.Chunks()), len(VariableNames))
-	}
-	if err := r.Verify(); err != nil {
-		t.Error(err)
-	}
+	return res
 }
 
-func TestCollectiveBackendWritesSharedFiles(t *testing.T) {
-	dir := t.TempDir()
-	out := fileBackend(t, dir)
-	err := mpi.Run(8, 4, func(c *mpi.Comm) { // 2 nodes × 4 cores
-		s, err := New(c, smallParams(4, 2))
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		b := NewCollectiveBackend(out, c)
-		if _, err := Run(s, b, 2, 2); err != nil {
-			t.Error(err)
-		}
-		_ = b.Close()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// One shared file per node aggregator per iteration: 2 nodes × 1 iter.
-	files, _ := filepath.Glob(filepath.Join(dir, "shared_*.dsf"))
-	if len(files) != 2 {
-		t.Fatalf("files = %v", files)
-	}
-	// Together the parts must hold all 8 ranks × 5 variables.
-	total := 0
-	for _, f := range files {
+// openVerified opens every DSF file matching pattern, verifies it and
+// returns how many chunks they hold together.
+func openVerified(t *testing.T, pattern string) (files, chunks int) {
+	t.Helper()
+	names, _ := filepath.Glob(pattern)
+	for _, f := range names {
 		r, err := dsf.Open(f)
 		if err != nil {
 			t.Fatal(err)
 		}
-		total += len(r.Chunks())
+		chunks += len(r.Chunks())
 		if err := r.Verify(); err != nil {
 			t.Error(err)
 		}
 		r.Close()
 	}
-	if total != 8*len(VariableNames) {
-		t.Errorf("total chunks = %d, want %d", total, 8*len(VariableNames))
+	return len(names), chunks
+}
+
+// Every rank writes one file per output phase: 8 ranks × 2 phases, the
+// paper's metadata-storm shape, each file holding every variable.
+func TestFPPBackendWritesFiles(t *testing.T) {
+	dir := t.TempDir()
+	for rank, ph := range runFileWorld(t, "fpp", dir).Phases {
+		if len(ph) != 2 {
+			t.Errorf("rank %d: write phases = %d, want 2", rank, len(ph))
+		}
+	}
+	if files, chunks := openVerified(t, filepath.Join(dir, "rank*.dsf")); files != 16 || chunks != 16*len(VariableNames) {
+		t.Errorf("%d files of %d chunks, want 16 of %d", files, chunks, 16*len(VariableNames))
 	}
 }
 
-func TestDamarisBackendEndToEnd(t *testing.T) {
-	p := smallParams(3, 1) // 3 compute ranks
-	cfgXML := ConfigXML(p, 8<<20, "mutex", 1)
-	cfg, err := config.ParseString(cfgXML)
-	if err != nil {
+// One shared file per node aggregator per output phase, 2 nodes × 2
+// phases, together holding all 8 ranks × 5 variables of each phase.
+func TestCollectiveBackendWritesSharedFiles(t *testing.T) {
+	dir := t.TempDir()
+	runFileWorld(t, "collective", dir)
+	if files, chunks := openVerified(t, filepath.Join(dir, "shared_*.dsf")); files != 4 || chunks != 2*8*len(VariableNames) {
+		t.Errorf("%d files of %d chunks, want 4 of %d", files, chunks, 2*8*len(VariableNames))
+	}
+}
+
+// chunk is one chunk a world persisted: its metadata and its bytes.
+type chunk struct {
+	meta dsf.ChunkMeta
+	data []byte
+}
+
+// persisted runs a world of one node of ranks cores into a file store and
+// returns every chunk it committed, by (name, iteration, source).
+func persisted(t *testing.T, strategy string, ranks, steps, outputEvery int) map[metadata.Key]chunk {
+	t.Helper()
+	dir, cfg := t.TempDir(), defaults(t)
+	cfg.BufferSize, cfg.PersistBackend = 8<<20, "file://"+dir
+	if _, err := RunWorld(WorldSpec{Strategy: strategy, Ranks: ranks, CoresPerNode: ranks,
+		Steps: steps, OutputEvery: outputEvery, Grid: smallParams, Config: cfg}); err != nil {
 		t.Fatal(err)
 	}
-	mem := &core.MemPersister{}
-	err = mpi.Run(4, 4, func(c *mpi.Comm) {
-		dep, err := core.Deploy(c, cfg, nil, core.Options{Persister: mem})
+	files, _ := filepath.Glob(filepath.Join(dir, "*.dsf"))
+	out := map[metadata.Key]chunk{}
+	for _, f := range files {
+		r, err := dsf.Open(f)
 		if err != nil {
-			t.Error(err)
-			return
+			t.Fatal(err)
 		}
-		if !dep.IsClient() {
-			if err := dep.Server.Run(); err != nil {
-				t.Error(err)
+		for i, m := range r.Chunks() {
+			b, err := r.ReadChunk(i)
+			if err != nil {
+				t.Fatal(err)
 			}
-			return
+			out[metadata.Key{Name: m.Name, Iteration: m.Iteration, Source: m.Source}] = chunk{m, b}
 		}
-		// Clients form the compute communicator (3 ranks, 3x1 grid).
-		compute := dep.ClientComm
-		s, err := New(compute, p)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		b := NewDamarisBackend(dep.Client)
-		rep, err := Run(s, b, 4, 2)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		if len(rep.WriteSeconds) != 2 {
-			t.Errorf("phases = %d", len(rep.WriteSeconds))
-		}
-		if err := b.Close(); err != nil {
-			t.Error(err)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
+		r.Close()
 	}
-	// 3 clients × 5 variables × 2 iterations, plus the cm1_stats action's
-	// entry per variable and iteration, keyed by the dedicated core (rank 3).
-	if mem.Len() != 3*5*2+5*2 {
-		t.Errorf("persisted datasets = %d, want 40", mem.Len())
+	return out
+}
+
+// Three clients and their dedicated core (rank 3) persist every variable of
+// each output phase, and beside them the cm1_stats action's min/max/mean
+// over the node's pieces, keyed by the dedicated core.
+func TestDamarisBackendEndToEnd(t *testing.T) {
+	got := persisted(t, "damaris", 4, 4, 2)
+	if len(got) != 3*5*2+5*2 {
+		t.Errorf("persisted datasets = %d, want 40", len(got))
 	}
 	for it := range int64(2) {
 		for _, name := range VariableNames {
 			mn, mx, sum, n := math.Inf(1), math.Inf(-1), 0.0, 0
 			for src := 0; src < 3; src++ {
-				b, ok := mem.Get(metadata.Key{Name: name, Iteration: it, Source: src})
+				c, ok := got[metadata.Key{Name: name, Iteration: it, Source: src}]
 				if !ok {
 					t.Fatalf("%s it=%d src=%d missing", name, it, src)
 				}
-				for _, x := range mpi.BytesToFloat32s(b) {
+				for _, x := range mpi.BytesToFloat32s(c.data) {
 					mn, mx, sum, n = min(mn, float64(x)), max(mx, float64(x)), sum+float64(x), n+1
 				}
 			}
-			b, ok := mem.Get(metadata.Key{Name: "stats:" + name, Iteration: it, Source: 3})
+			c, ok := got[metadata.Key{Name: "stats:" + name, Iteration: it, Source: 3}]
 			if !ok {
 				t.Fatalf("stats:%s it=%d missing", name, it)
 			}
-			if got, want := mpi.BytesToFloat64s(b), []float64{mn, mx, sum / float64(n)}; !slices.Equal(got, want) {
+			if got, want := mpi.BytesToFloat64s(c.data), []float64{mn, mx, sum / float64(n)}; !slices.Equal(got, want) {
 				t.Errorf("stats:%s it=%d = %v, want the node's min/max/mean %v", name, it, got, want)
 			}
 		}
 	}
 }
 
+// What Damaris persists must equal what FPP writes: each chunk's bytes and
+// its metadata, the global block Alloc carried to Commit included. Both
+// worlds compute on two ranks, Damaris's beside one dedicated core.
 func TestDamarisVsFPPSameData(t *testing.T) {
-	// What Damaris persists must equal what FPP writes: each chunk's bytes
-	// and its metadata, the global block Alloc carried to Commit included.
-	dirDam, dirFPP := t.TempDir(), t.TempDir()
-	p := smallParams(2, 1)
-	cfg, err := config.ParseString(ConfigXML(p, 8<<20, "mutex", 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.PersistBackend = "file://" + dirDam
-	outFPP := fileBackend(t, dirFPP)
-	err = mpi.Run(3, 3, func(c *mpi.Comm) {
-		dep, err := core.Deploy(c, cfg, nil, core.Options{})
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		if !dep.IsClient() {
-			_ = dep.Server.Run()
-			return
-		}
-		compute := dep.ClientComm
-		s, err := New(compute, p)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		damaris := NewDamarisBackend(dep.Client)
-		fpp := NewFPPBackend(outFPP, dsf.None, compute.Rank())
-		for step := 1; step <= 2; step++ {
-			s.Step()
-		}
-		if err := damaris.WritePhase(s, 0); err != nil {
-			t.Error(err)
-		}
-		if err := fpp.WritePhase(s, 0); err != nil {
-			t.Error(err)
-		}
-		_ = damaris.Close()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	type chunk struct {
-		meta dsf.ChunkMeta
-		data []byte
-	}
-	read := func(pattern string) map[string]chunk {
-		files, _ := filepath.Glob(pattern)
-		out := map[string]chunk{}
-		for _, f := range files {
-			r, err := dsf.Open(f)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, m := range r.Chunks() {
-				b, err := r.ReadChunk(i)
-				if err != nil {
-					t.Fatal(err)
-				}
-				out[fmt.Sprintf("%s/%d", m.Name, m.Source)] = chunk{m, b}
-			}
-			r.Close()
-		}
-		return out
-	}
-	fpp, dam := read(filepath.Join(dirFPP, "rank*.dsf")), read(filepath.Join(dirDam, "*.dsf"))
+	fpp, dam := persisted(t, "fpp", 2, 2, 2), persisted(t, "damaris", 3, 2, 2)
 	if len(fpp) != 2*len(VariableNames) {
 		t.Fatalf("fpp chunks = %d, want %d", len(fpp), 2*len(VariableNames))
 	}
 	for k, f := range fpp {
 		d, ok := dam[k]
 		if !ok {
-			t.Fatalf("damaris missing %s", k)
+			t.Fatalf("damaris missing %v", k)
 		}
 		if !reflect.DeepEqual(d.meta, f.meta) {
-			t.Errorf("%s: damaris chunk %+v, fpp chunk %+v", k, d.meta, f.meta)
+			t.Errorf("%v: damaris chunk %+v, fpp chunk %+v", k, d.meta, f.meta)
 		}
 		if !bytes.Equal(d.data, f.data) {
-			t.Errorf("%s: damaris and fpp bytes differ", k)
+			t.Errorf("%v: damaris and fpp bytes differ", k)
 		}
 	}
 }
 
-func TestNullBackend(t *testing.T) {
-	err := mpi.Run(1, 1, func(c *mpi.Comm) {
-		s, _ := New(c, smallParams(1, 1))
-		rep, err := Run(s, NullBackend{}, 3, 1)
-		if err != nil {
-			t.Error(err)
-		}
-		if len(rep.WriteSeconds) != 3 {
-			t.Errorf("phases = %d", len(rep.WriteSeconds))
-		}
-		if rep.ComputeSeconds <= 0 {
-			t.Error("compute time not recorded")
-		}
-		if (NullBackend{}).Name() != "no-io" {
-			t.Error("name wrong")
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
+// With no output cadence a run has no write phase.
 func TestRunWithoutOutput(t *testing.T) {
-	err := mpi.Run(1, 1, func(c *mpi.Comm) {
-		s, _ := New(c, smallParams(1, 1))
-		rep, err := Run(s, NullBackend{}, 5, 0) // outputEvery <= 0: no phases
-		if err != nil {
-			t.Error(err)
-		}
-		if len(rep.WriteSeconds) != 0 {
-			t.Errorf("phases = %d, want 0", len(rep.WriteSeconds))
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
+	res, err := RunWorld(WorldSpec{Strategy: "fpp", Ranks: 1, CoresPerNode: 1, Steps: 5, Grid: smallParams,
+		Config: defaults(t), Shared: fileBackend(t, t.TempDir())})
+	if err != nil || len(res.Phases[0]) != 0 {
+		t.Errorf("RunWorld = %v, %v; want no write phase", res.Phases, err)
 	}
 }
 
-func TestBackendNames(t *testing.T) {
-	if NewFPPBackend(nil, dsf.None, 0).Name() != "file-per-process" {
-		t.Error("fpp name")
-	}
-	if (&DamarisBackend{}).Name() != "damaris" {
-		t.Error("damaris name")
-	}
-	if (&CollectiveBackend{}).Name() != "collective" {
-		t.Error("collective name")
-	}
-}
-
+// A backend that can no longer write (every operation after Close fails)
+// fails the rank's first write phase, and the world with it.
 func TestFPPWriteFailurePropagates(t *testing.T) {
-	// A backend that can no longer write: every operation after Close fails.
 	out, err := store.NewFileStore(t.TempDir(), store.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -335,15 +210,10 @@ func TestFPPWriteFailurePropagates(t *testing.T) {
 	if err := out.Close(); err != nil {
 		t.Fatal(err)
 	}
-	err = mpi.Run(1, 1, func(c *mpi.Comm) {
-		s, _ := New(c, smallParams(1, 1))
-		b := NewFPPBackend(out, dsf.None, 0)
-		if _, err := Run(s, b, 1, 1); err == nil {
-			t.Error("expected error from a backend that cannot write")
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
+	_, err = RunWorld(WorldSpec{Strategy: "fpp", Ranks: 1, CoresPerNode: 1, Steps: 1, OutputEvery: 1,
+		Grid: smallParams, Config: defaults(t), Shared: out})
+	if err == nil || !strings.HasPrefix(err.Error(), "mpi: rank 0: cm1: write phase 0: ") {
+		t.Errorf("RunWorld = %v, want rank 0's write phase 0 failing", err)
 	}
 }
 
@@ -352,9 +222,10 @@ func TestFPPWriteFailurePropagates(t *testing.T) {
 // phase that made it returns an error wrapping the store's, its object never
 // appears, and every other object opens through the store and verifies.
 // The nth commit is one of the last phase's, so no rank waits in a halo
-// exchange for one that stopped. The file-per-process ranks race to it, so
-// which one fails is read back from the reports; the collective run is one
-// node, whose one aggregator commits phase after phase.
+// exchange for one that stopped, and the world's abort reaches no rank. The
+// file-per-process ranks race to it, so the failed rank is the one with a
+// phase missing; the collective run is one node, whose one aggregator
+// commits phase after phase.
 func TestBaselineCommitFailureLeavesNoTornObject(t *testing.T) {
 	boom := errors.New("boom")
 	for _, c := range []struct {
@@ -371,33 +242,16 @@ func TestBaselineCommitFailureLeavesNoTornObject(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer out.Close()
-			var mu sync.Mutex
-			phasesDone := map[int]int{} // rank -> write phases that returned
-			var failures []error
-			failedRank := -1
-			err = mpi.Run(c.ranks, c.ranks, func(comm *mpi.Comm) {
-				s, err := New(comm, smallParams(c.ranks, 1))
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				var b Backend = NewFPPBackend(out, dsf.None, comm.Rank())
-				if c.backend == "collective" {
-					b = NewCollectiveBackend(out, comm)
-				}
-				rep, err := Run(s, b, c.phases, 1)
-				mu.Lock()
-				defer mu.Unlock()
-				phasesDone[comm.Rank()] = len(rep.WriteSeconds)
-				if err != nil {
-					failures, failedRank = append(failures, err), comm.Rank()
-				}
-			})
-			if err != nil {
-				t.Fatal(err)
+			res, err := RunWorld(WorldSpec{Strategy: c.backend, Ranks: c.ranks, CoresPerNode: c.ranks,
+				Steps: c.phases, OutputEvery: 1, Grid: smallParams, Config: defaults(t), Shared: out})
+			if !errors.Is(err, boom) {
+				t.Fatalf("RunWorld = %v, want an error wrapping %v", err, boom)
 			}
-			if len(failures) != 1 || !errors.Is(failures[0], boom) {
-				t.Fatalf("phase errors %v, want one wrapping %v", failures, boom)
+			phasesDone, failedRank := map[int]int{}, -1 // rank -> write phases that returned
+			for rank, ph := range res.Phases {
+				if phasesDone[rank] = len(ph); len(ph) < c.phases {
+					failedRank = rank
+				}
 			}
 			// The objects each rank's completed phases committed; the
 			// collective ones are the aggregator's, rank 0's.

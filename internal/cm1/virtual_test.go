@@ -7,6 +7,9 @@ import (
 	"cmp"
 	"flag"
 	"fmt"
+	"hash/fnv"
+	"math"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"slices"
@@ -16,15 +19,11 @@ import (
 	"testing/synctest"
 	"time"
 
-	"damaris/internal/config"
-	"damaris/internal/core"
-	"damaris/internal/dsf"
-	"damaris/internal/mpi"
 	"damaris/internal/store"
 )
 
 // The paper's comparison (Figs. 2, 4 and 6) taken on the middleware that
-// ships: every cell runs CM1 over mpi.Run inside a synctest bubble, under
+// ships: every cell is one RunWorld inside a synctest bubble, under
 // Damaris, file-per-process or collective I/O, each writing through one
 // store.Backend whose metadata operations queue on a shared service. In the
 // bubble the clock moves only when every goroutine is durably blocked, so a
@@ -44,6 +43,8 @@ const (
 	vMetaServers  = 2
 	vMetaService  = 4 * time.Millisecond
 	vBufferBytes  = 8 << 20
+	// vJitterMedian is table 3's median metadata service time.
+	vJitterMedian = 2 * time.Millisecond
 	// vTick splits virtual time into two half-grids: a compute phase ends
 	// on a whole tick, a metadata operation half a tick past one. A writer
 	// on the dedicated core that finishes a commit and a client that ends an
@@ -55,11 +56,17 @@ const (
 
 // metadataService is the paper's shared metadata server (§II-B): k servers,
 // each holding an object's create (store.OpPut) or its commit
-// (store.OpCommit) for the service time, first come first served. Requests
-// that arrive at one virtual instant are served in (op, name) order, so the
+// (store.OpCommit) for its cost, first come first served. Requests that
+// arrive at one virtual instant are served in (op, name) order, so the
 // schedule never depends on which goroutine the runtime ran first.
+//
+// An operation costs the service time times exp(σz), a log-normal jitter
+// whose median is the service time. z is drawn from a PCG seeded by the
+// FNV-64a hash of the operation's (op, name), so a draw does not depend on
+// the order operations arrive in; at σ = 0 nothing is drawn.
 type metadataService struct {
 	service time.Duration
+	sigma   float64
 
 	mu      sync.Mutex // held only while scheduling, never across a wait
 	free    []time.Time
@@ -70,10 +77,11 @@ type metadataService struct {
 type metaRequest struct {
 	at, done time.Time
 	key      string
+	cost     time.Duration
 }
 
-func newMetadataService(servers int, service time.Duration) *metadataService {
-	return &metadataService{service: service, free: make([]time.Time, servers)}
+func newMetadataService(servers int, service time.Duration, sigma float64) *metadataService {
+	return &metadataService{service: service, sigma: sigma, free: make([]time.Time, servers)}
 }
 
 // Op implements store.Fault.
@@ -81,7 +89,13 @@ func (m *metadataService) Op(op, name string) error {
 	if op != store.OpPut && op != store.OpCommit {
 		return nil
 	}
-	r := &metaRequest{at: time.Now(), key: op + " " + name}
+	r := &metaRequest{at: time.Now(), key: op + " " + name, cost: m.service}
+	if m.sigma != 0 {
+		h := fnv.New64a()
+		h.Write([]byte(r.key))
+		z := rand.New(rand.NewPCG(h.Sum64(), 0)).NormFloat64()
+		r.cost = time.Duration(float64(m.service) * math.Exp(m.sigma*z))
+	}
 	m.mu.Lock()
 	m.pending = append(m.pending, r)
 	if op == store.OpCommit {
@@ -117,7 +131,11 @@ func (m *metadataService) schedule(now time.Time) {
 				i = j
 			}
 		}
-		r.done = onGrid(later(r.at, m.free[i]).Add(m.service), vTick/2)
+		start := r.at
+		if m.free[i].After(start) {
+			start = m.free[i]
+		}
+		r.done = onGrid(start.Add(r.cost), vTick/2)
 		m.free[i] = r.done
 		n++
 	}
@@ -134,19 +152,13 @@ func onGrid(t time.Time, off time.Duration) time.Time {
 	return t.Add(vTick - time.Duration(r))
 }
 
-func later(a, b time.Time) time.Time {
-	if a.After(b) {
-		return a
-	}
-	return b
-}
-
 // virtualCell is one run of the harness.
 type virtualCell struct {
 	strategy     string // damaris, fpp or collective
 	ranks, cores int    // world size and cores per node
 	queue        int    // Damaris's persist-queue
 	service      time.Duration
+	sigma        float64 // the metadata service's log-normal jitter
 }
 
 // virtualResult is what a cell measured, all in virtual time.
@@ -162,86 +174,25 @@ type virtualResult struct {
 // it, the happens-before edge the race detector needs.
 func runVirtual(t *testing.T, c virtualCell) virtualResult {
 	t.Helper()
-	meta := newMetadataService(vMetaServers, c.service)
+	meta := newMetadataService(vMetaServers, c.service, c.sigma)
 	out, err := store.NewFileStore(t.TempDir(), store.Options{Fault: meta})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer out.Close()
-	nodes := c.ranks / c.cores
-	compute := c.ranks
-	var cfg *config.Config
-	if c.strategy == "damaris" {
-		compute -= nodes
-		if cfg, err = config.ParseString(ConfigXML(smallParams(compute, 1), vBufferBytes, "mutex", 1)); err != nil {
-			t.Fatal(err)
-		}
-		cfg.PersistQueueDepth = c.queue
-	}
-	p := smallParams(compute, 1)
+	cfg := defaults(t)
+	cfg.BufferSize, cfg.PersistQueueDepth = vBufferBytes, c.queue
 	done := make(chan virtualResult, 1)
 	synctest.Run(func() {
 		start := time.Now()
-		phases := make([][]time.Duration, c.ranks)
-		var mu sync.Mutex
-		var errs []error
-		fail := func(err error) {
-			mu.Lock()
-			errs = append(errs, err)
-			mu.Unlock()
-		}
-		err := mpi.Run(c.ranks, c.cores, func(w *mpi.Comm) {
-			comm := w
-			var b Backend
-			switch c.strategy {
-			case "damaris":
-				per := &core.DSFPersister{Backend: out, Codec: dsf.None, Node: w.Rank() / c.cores, ServerID: w.Rank()}
-				dep, err := core.Deploy(w, cfg, nil, core.Options{Persister: per})
-				if err != nil {
-					fail(err)
-					return
-				}
-				if !dep.IsClient() {
-					if err := dep.Server.Run(); err != nil {
-						fail(err)
-					}
-					return
-				}
-				comm, b = dep.ClientComm, NewDamarisBackend(dep.Client)
-			case "fpp":
-				b = NewFPPBackend(out, dsf.None, w.Rank())
-			case "collective":
-				b = NewCollectiveBackend(out, w)
-			}
-			s, err := New(comm, p)
-			if err != nil {
-				fail(err)
-				return
-			}
-			mine := make([]time.Duration, vIterations)
-			for it := range mine {
-				s.Step()
-				time.Sleep(time.Until(onGrid(time.Now().Add(vComputePhase), 0)))
-				t0 := time.Now()
-				if err := b.WritePhase(s, int64(it)); err != nil {
-					fail(err)
-					return
-				}
-				mine[it] = time.Since(t0)
-			}
-			if err := b.Close(); err != nil {
-				fail(err)
-			}
-			phases[w.Rank()] = mine
-		})
+		res, err := RunWorld(WorldSpec{Strategy: c.strategy, Ranks: c.ranks, CoresPerNode: c.cores,
+			Steps: vIterations, OutputEvery: 1, Grid: smallParams, Config: cfg, Shared: out,
+			AfterStep: func() { time.Sleep(time.Until(onGrid(time.Now().Add(vComputePhase), 0))) }})
 		if err != nil {
-			errs = append(errs, err)
-		}
-		if len(errs) > 0 {
-			t.Errorf("%+v: %v", c, errs)
+			t.Errorf("%+v: %v", c, err)
 		}
 		r := virtualResult{run: time.Since(start), commits: meta.commits, durable: out.Stats().PutBytes}
-		for _, ph := range phases {
+		for _, ph := range res.Phases {
 			r.phases = append(r.phases, ph...)
 		}
 		done <- r
@@ -275,7 +226,7 @@ func TestVirtualTime(t *testing.T) {
 		vIterations, vComputePhase, vMetaServers, vMetaService)
 	fmt.Fprintf(&buf, "%-10s %5s %5s %8s %8s %8s %9s %8s %8s %8s\n",
 		"strategy", "ranks", "cores", "mean_ms", "max_ms", "spread", "blocked", "commits", "run_s", "MB/s")
-	for _, strategy := range []string{"damaris", "fpp", "collective"} {
+	for _, strategy := range Strategies {
 		for _, cores := range []int{4, 8} {
 			for _, ranks := range []int{8, 16, 32} {
 				c := virtualCell{strategy: strategy, ranks: ranks, cores: cores, queue: 1, service: vMetaService}
@@ -292,6 +243,18 @@ func TestVirtualTime(t *testing.T) {
 			r := runVirtual(t, virtualCell{strategy: "damaris", ranks: 32, cores: 4, queue: q, service: service})
 			fmt.Fprintf(&buf, "%5d %10.0f %s %8.2f %8.3f\n", q, ms(service), r.writeColumns(),
 				float64(r.commits)/vIterations, r.run.Seconds())
+		}
+	}
+	fmt.Fprintf(&buf, "\n# Jitter: %d cores per node, persist-queue 1, each metadata operation %v x exp(sigma z)\n",
+		8, vJitterMedian)
+	fmt.Fprintf(&buf, "%-10s %5s %5s %8s %8s %8s %9s\n", "strategy", "ranks", "sigma", "mean_ms", "max_ms", "spread", "blocked")
+	for _, strategy := range Strategies {
+		for _, sigma := range []float64{0, 0.5, 1} {
+			for _, ranks := range []int{8, 16, 32} {
+				r := runVirtual(t, virtualCell{strategy: strategy, ranks: ranks, cores: 8, queue: 1,
+					service: vJitterMedian, sigma: sigma})
+				fmt.Fprintf(&buf, "%-10s %5d %5.1f %s\n", strategy, ranks, sigma, r.writeColumns())
+			}
 		}
 	}
 	golden := filepath.Join("testdata", "virtual.golden")

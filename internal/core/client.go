@@ -28,6 +28,11 @@ type Client struct {
 
 	pending map[pendKey]pendingAlloc
 
+	// EndIteration calls that waited on the flow window and reservations
+	// that waited for shared-memory space; the group's totals gain them at
+	// Finalize.
+	flowWaits, bufferWaits int
+
 	finalized bool
 }
 
@@ -114,6 +119,7 @@ func (c *Client) notify(name string, iteration int64, blk shm.Block, global layo
 func (c *Client) reserve(size int64) (shm.Block, error) {
 	blk, err := c.seg.Reserve(c.localIdx, size)
 	if errors.Is(err, shm.ErrNoSpace) {
+		c.bufferWaits++
 		c.queue.Nudge()
 		return c.seg.ReserveWait(c.localIdx, size)
 	}
@@ -207,9 +213,16 @@ func (c *Client) EndIteration(iteration int64) error {
 	// (see the flow doc in core.go). This wait overlaps the next compute
 	// phase in real use — by the time the simulation computes, the
 	// pipeline has drained within the window again.
-	c.fc.wait(iteration)
+	if c.fc.wait(iteration) {
+		c.flowWaits++
+	}
 	return nil
 }
+
+// Waits returns how many of this client's EndIteration calls waited on the
+// flow window and how many of its reservations waited for space in the
+// shared buffer: the write phases the dedicated side held up.
+func (c *Client) Waits() (flow, buffer int) { return c.flowWaits, c.bufferWaits }
 
 // Finalize releases the client's association with the dedicated core
 // (df_finalize). Uncommitted allocations are abandoned and their blocks
@@ -219,6 +232,7 @@ func (c *Client) Finalize() error {
 		return nil
 	}
 	c.finalized = true
+	c.fc.addWaits(c.flowWaits, c.bufferWaits)
 	for k, p := range c.pending {
 		_ = p.blk.Release() // an uncommitted block's only handle is the client's
 		delete(c.pending, k)

@@ -56,6 +56,7 @@ type flow struct {
 	cond    *sync.Cond
 	flushed int64 // highest durably flushed iteration; -1 before any
 	closed  bool
+	waits   [2]int64 // finalized clients' flow and buffer waits (Client.Waits)
 }
 
 // newFlow takes a window of at least 1, as planBuffer derives it.
@@ -79,12 +80,22 @@ func (f *flow) setFlushed(it int64) {
 
 // wait blocks a client that just ended iteration `it` until that leaves it
 // at most `window` iterations ahead of the last durable flush (or the
-// server shut down).
-func (f *flow) wait(it int64) {
+// server shut down), and reports whether it had to wait.
+func (f *flow) wait(it int64) (waited bool) {
 	f.mu.Lock()
 	for f.flushed < it-f.window && !f.closed {
+		waited = true
 		f.cond.Wait()
 	}
+	f.mu.Unlock()
+	return waited
+}
+
+// addWaits adds a finalizing client's wait counts to the group's.
+func (f *flow) addWaits(flow, buffer int) {
+	f.mu.Lock()
+	f.waits[0] += int64(flow)
+	f.waits[1] += int64(buffer)
 	f.mu.Unlock()
 }
 

@@ -11,6 +11,7 @@ import (
 	"damaris/internal/config"
 	"damaris/internal/metadata"
 	"damaris/internal/mpi"
+	"damaris/internal/obs"
 	"damaris/internal/plugin"
 	"damaris/internal/shm"
 )
@@ -693,5 +694,61 @@ func TestSyncBaselineStatsTrackFailures(t *testing.T) {
 	}
 	if !errors.Is(runErr, boom) {
 		t.Errorf("Run = %v, want the persist failure", runErr)
+	}
+}
+
+// TestClientCountsFlowWaits: against a persister slower than the client, at
+// queue 1 an EndIteration waits for the previous iteration to be durable, so
+// the client counts flow waits and the dedicated core's registry reports
+// them; at a queue deeper than the run no EndIteration ever waits. The
+// buffer holds every iteration, so no reservation waits either way.
+func TestClientCountsFlowWaits(t *testing.T) {
+	const iters = 6
+	for _, queue := range []int{1, iters + 1} {
+		cfg := pipelineCfg(t, 8<<20, 1, queue, "v")
+		plane := obs.NewPlane(0)
+		var flow, buffer int
+		err := mpi.Run(2, 2, func(comm *mpi.Comm) {
+			dep, err := Deploy(comm, cfg, nil, Options{Persister: &slowPersister{delay: 5 * time.Millisecond}, Obs: plane})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if !dep.IsClient() {
+				if err := dep.Server.Run(); err != nil {
+					t.Error(err)
+				}
+				return
+			}
+			cli := dep.Client
+			data := mpi.Float32sToBytes(make([]float32, 32*32))
+			for it := int64(0); it < iters; it++ {
+				if err := cli.Write("v", it, data); err != nil {
+					t.Error(err)
+					return
+				}
+				if err := cli.EndIteration(it); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			flow, buffer = cli.Waits()
+			_ = cli.Finalize()
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (queue == 1) != (flow > 0) || buffer != 0 {
+			t.Errorf("queue %d: %d flow waits and %d buffer waits in %d iterations", queue, flow, buffer, iters)
+		}
+		got := map[string]float64{}
+		for _, s := range plane.Registry().Gather() {
+			if s.Name == "damaris_client_waits_total" {
+				got[s.Labels[1]] = s.Value
+			}
+		}
+		if got["flow"] != float64(flow) || got["buffer"] != 0 || len(got) != 2 {
+			t.Errorf("queue %d: registry reads %v, want flow %d and buffer 0", queue, got, flow)
+		}
 	}
 }

@@ -16,6 +16,7 @@
 package mpi
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -26,18 +27,13 @@ import (
 // never collide with them.
 const maxUserTag = 1 << 20
 
-// message is one queued point-to-point payload.
-type message struct {
-	payload any
-}
-
-// queue is an unbounded FIFO used as the mailbox slot for one
+// queue is an unbounded FIFO of payloads used as the mailbox slot for one
 // (source, tag) pair. Unbounded buffering gives MPI "eager" semantics and
 // keeps pairwise exchange patterns deadlock-free.
 type queue struct {
 	mu    sync.Mutex
 	cond  *sync.Cond
-	items []message
+	items []any
 }
 
 func newQueue() *queue {
@@ -46,17 +42,22 @@ func newQueue() *queue {
 	return q
 }
 
-func (q *queue) push(m message) {
+func (q *queue) push(m any) {
 	q.mu.Lock()
 	q.items = append(q.items, m)
 	q.mu.Unlock()
 	q.cond.Signal()
 }
 
-func (q *queue) pop() message {
+// pop waits for the next message; once w has aborted, a pop that would wait
+// unwinds its rank instead.
+func (q *queue) pop(w *World) any {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for len(q.items) == 0 {
+		if w.aborted.Load() {
+			panic(errAborted)
+		}
 		q.cond.Wait()
 	}
 	m := q.items[0]
@@ -97,6 +98,38 @@ type World struct {
 	coresPerNode int
 	mail         []*mailbox
 	nextCommID   atomic.Int64
+
+	mu      sync.Mutex
+	err     error // the first rank failure
+	aborted atomic.Bool
+}
+
+// errAborted is the panic that unwinds a rank of an aborted world; Run
+// reports the failure that aborted it instead.
+var errAborted = errors.New("mpi: world aborted by another rank's failure")
+
+// fail records err if it is the world's first failure and then aborts the
+// world, waking every rank that waits in a receive.
+func (w *World) fail(err error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.err != nil {
+		return
+	}
+	w.err = err
+	w.aborted.Store(true)
+	for _, m := range w.mail {
+		m.mu.Lock()
+		for _, q := range m.queues {
+			// A waiter checks the flag under q.mu: taking it orders the flag
+			// before the check, or the Wait before the Broadcast. A queue
+			// made after this loop sees the flag on its first pop.
+			q.mu.Lock()
+			q.mu.Unlock()
+			q.cond.Broadcast()
+		}
+		m.mu.Unlock()
+	}
 }
 
 // NewWorld creates a runtime for size ranks grouped into SMP nodes of
@@ -145,9 +178,13 @@ type Comm struct {
 
 // Run creates a world of size ranks on nodes of coresPerNode cores and runs
 // fn once per rank, each on its own goroutine, passing the rank's world
-// communicator. It returns when every rank finishes; a panic in any rank is
-// captured and returned as an error (after all surviving ranks finish or
-// deadlock is avoided by the panicking rank's absence being tolerated).
+// communicator, and returns once every rank has returned.
+//
+// A rank fails by panicking or by calling Abort. The first failure aborts
+// the world: every rank that waits in a Recv or a collective of the world,
+// then or later, unwinds with an abort error (running its deferred calls),
+// and Run returns that first failure. A rank blocked on anything outside
+// the world is not woken, and Run waits for it.
 func Run(size, coresPerNode int, fn func(*Comm)) error {
 	w, err := NewWorld(size, coresPerNode)
 	if err != nil {
@@ -155,26 +192,28 @@ func Run(size, coresPerNode int, fn func(*Comm)) error {
 	}
 	state := &commState{id: w.nextCommID.Add(1), world: w, ranks: identity(size)}
 	var wg sync.WaitGroup
-	panics := make(chan error, size)
 	for r := 0; r < size; r++ {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
 			defer func() {
-				if p := recover(); p != nil {
-					panics <- fmt.Errorf("mpi: rank %d panicked: %v", rank, p)
+				if p := recover(); p != nil && p != errAborted {
+					w.fail(fmt.Errorf("mpi: rank %d panicked: %v", rank, p))
 				}
 			}()
 			fn(&Comm{state: state, rank: rank})
 		}(r)
 	}
 	wg.Wait()
-	select {
-	case err := <-panics:
-		return err
-	default:
-		return nil
-	}
+	return w.err
+}
+
+// Abort fails the calling rank with err, like MPI_Abort: unless another
+// rank failed first, Run returns err under the rank's number, and the world
+// aborts. The caller unwinds as the world's blocked ranks do.
+func (c *Comm) Abort(err error) {
+	c.state.world.fail(fmt.Errorf("mpi: rank %d: %w", c.WorldRank(), err))
+	panic(errAborted)
 }
 
 func identity(n int) []int {
@@ -240,7 +279,7 @@ func (c *Comm) send(dst int, tag int64, payload any) {
 	}
 	wdst := c.state.ranks[dst]
 	wsrc := c.WorldRank()
-	c.state.world.mail[wdst].queue(wsrc, tag).push(message{payload: payload})
+	c.state.world.mail[wdst].queue(wsrc, tag).push(payload)
 }
 
 // Recv blocks until a message from src under tag arrives and returns its
@@ -255,7 +294,8 @@ func (c *Comm) recv(src int, tag int64) any {
 	}
 	wsrc := c.state.ranks[src]
 	me := c.WorldRank()
-	return c.state.world.mail[me].queue(wsrc, tag).pop().payload
+	w := c.state.world
+	return w.mail[me].queue(wsrc, tag).pop(w)
 }
 
 // Split partitions the communicator by color, ordering ranks in each new
@@ -307,25 +347,17 @@ func (c *Comm) Split(color, key int) *Comm {
 			ranks: ranks,
 		}
 	}
-	var mine *Comm
-	for r := c.Size() - 1; r >= 0; r-- {
-		e := entries[r]
+	for r := c.Size() - 1; r > 0; r-- {
 		var payload any
-		if e.color >= 0 {
+		if e := entries[r]; e.color >= 0 {
 			payload = [2]any{states[e.color], newRank[r]}
 		}
-		if r == 0 {
-			if payload == nil {
-				mine = nil
-			} else {
-				pair := payload.([2]any)
-				mine = &Comm{state: pair[0].(*commState), rank: pair[1].(int)}
-			}
-		} else {
-			c.send(r, tag+8, payload)
-		}
+		c.send(r, tag+8, payload)
 	}
-	return mine
+	if color < 0 {
+		return nil
+	}
+	return &Comm{state: states[color], rank: newRank[0]}
 }
 
 // SplitByNode returns a communicator containing only the ranks of the

@@ -2,7 +2,9 @@ package mpi
 
 import (
 	"encoding/binary"
+	"errors"
 	"math"
+	"strings"
 	"sync/atomic"
 	"testing"
 )
@@ -302,5 +304,25 @@ func TestWorldRankOf(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// An abort races the messages in flight: the ring keeps passing tokens while
+// rank 0 aborts mid-stream, and Run returns rank 0's error once every rank
+// has unwound, wherever its receive was.
+func TestAbortRacesMessages(t *testing.T) {
+	boom := errors.New("boom")
+	err := Run(4, 2, func(c *Comm) {
+		next, prev := (c.Rank()+1)%c.Size(), (c.Rank()+c.Size()-1)%c.Size()
+		for i := 0; ; i++ {
+			if c.Rank() == 0 && i == 50 {
+				c.Abort(boom)
+			}
+			c.Send(next, 1, i)
+			c.Recv(prev, 1)
+		}
+	})
+	if !errors.Is(err, boom) || !strings.HasPrefix(err.Error(), "mpi: rank 0: ") {
+		t.Fatalf("Run = %v, want rank 0's %v", err, boom)
 	}
 }
