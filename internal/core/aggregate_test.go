@@ -245,7 +245,9 @@ func TestDeployAggregateCoreObjBackend(t *testing.T) {
 // Aggregation rejects persisters that cannot write merged epochs instead of
 // silently falling back to per-core output — and a leader's setup failure
 // reaches its sibling dedicated cores as an error too, rather than leaving
-// them blocked in the handshake.
+// them blocked in the handshake. A server that failed sends its clients no
+// handshake; the last of the four to fail aborts the world, which unwinds
+// them.
 func TestDeployAggregateNeedsEpochWriter(t *testing.T) {
 	cfg := testCfg(t, "mutex", 2)
 	cfg.AggregateMode = "core"
@@ -257,10 +259,14 @@ func TestDeployAggregateNeedsEpochWriter(t *testing.T) {
 		if err != nil {
 			errs = append(errs, err)
 		}
+		failed := len(errs)
 		mu.Unlock()
+		if failed == 4 {
+			comm.Abort(err)
+		}
 	})
-	if err != nil {
-		t.Fatal(err)
+	if err == nil {
+		t.Fatal("no dedicated core aborted the world")
 	}
 	// All four dedicated cores (2 leaders + 2 siblings) must report the
 	// failure; none may hang.

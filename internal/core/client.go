@@ -22,15 +22,15 @@ type Client struct {
 	cfg      *config.Config
 	seg      *shm.Segment
 	queue    *event.Queue
-	fc       *flow
-	source   int // world rank, the paper's "source" tuple component
-	localIdx int // allocator slot within the server's client group
+	pipe     *pipeline // the dedicated core's: its ack watermark is the flow window
+	source   int       // world rank, the paper's "source" tuple component
+	localIdx int       // allocator slot within the server's client group
 
 	pending map[pendKey]pendingAlloc
 
 	// EndIteration calls that waited on the flow window and reservations
-	// that waited for shared-memory space; the group's totals gain them at
-	// Finalize.
+	// that waited for shared-memory space; the dedicated core's counters
+	// gain each as it happens.
 	flowWaits, bufferWaits int
 
 	finalized bool
@@ -49,12 +49,12 @@ type pendingAlloc struct {
 	at     time.Time
 }
 
-func newClient(cfg *config.Config, seg *shm.Segment, q *event.Queue, fc *flow, source, localIdx int) *Client {
+func newClient(cfg *config.Config, seg *shm.Segment, q *event.Queue, pipe *pipeline, source, localIdx int) *Client {
 	return &Client{
 		cfg:      cfg,
 		seg:      seg,
 		queue:    q,
-		fc:       fc,
+		pipe:     pipe,
 		source:   source,
 		localIdx: localIdx,
 		pending:  make(map[pendKey]pendingAlloc),
@@ -120,6 +120,7 @@ func (c *Client) reserve(size int64) (shm.Block, error) {
 	blk, err := c.seg.Reserve(c.localIdx, size)
 	if errors.Is(err, shm.ErrNoSpace) {
 		c.bufferWaits++
+		c.pipe.bufferWaits.Add(1)
 		c.queue.Nudge()
 		return c.seg.ReserveWait(c.localIdx, size)
 	}
@@ -206,14 +207,14 @@ func (c *Client) EndIteration(iteration int64) error {
 		Iteration: iteration,
 		Source:    c.source,
 	})
-	// Flow control: run at most `window` iterations ahead of the last
-	// durable flush (window = 1 synchronous, persist_queue_depth under the
+	// Flow control: run at most `window` iterations ahead of the pipeline's
+	// last acked one (window = 1 synchronous, persist_queue_depth under the
 	// write-behind pipeline), so a fast client can never fill the shared
 	// buffer with its own backlog and starve a sibling's current iteration
-	// (see the flow doc in core.go). This wait overlaps the next compute
-	// phase in real use — by the time the simulation computes, the
+	// (see the pipeline doc in pipeline.go). This wait overlaps the next
+	// compute phase in real use — by the time the simulation computes, the
 	// pipeline has drained within the window again.
-	if c.fc.wait(iteration) {
+	if c.pipe.wait(iteration) {
 		c.flowWaits++
 	}
 	return nil
@@ -232,7 +233,6 @@ func (c *Client) Finalize() error {
 		return nil
 	}
 	c.finalized = true
-	c.fc.addWaits(c.flowWaits, c.bufferWaits)
 	for k, p := range c.pending {
 		_ = p.blk.Release() // an uncommitted block's only handle is the client's
 		delete(c.pending, k)

@@ -20,7 +20,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"damaris/internal/config"
 	"damaris/internal/event"
@@ -34,77 +33,14 @@ import (
 // tagInit is the intra-node user tag carrying the server→client handshake.
 const tagInit = 1
 
-// initMsg is what a dedicated core sends each of its clients at start time.
+// initMsg is what a dedicated core sends each of its clients at start time:
+// the shared segment, the client's shard queue, and the pipeline whose ack
+// watermark is the client's flow window.
 type initMsg struct {
 	seg      *shm.Segment
 	queue    *event.Queue
-	fc       *flow
+	pipe     *pipeline
 	localIdx int // client index within the server's group (allocator slot)
-}
-
-// flow is the iteration-window flow control between a dedicated core and
-// its clients. Clients may run at most `window` iterations ahead of the
-// last durably flushed one; without this bound, a fast client can fill the
-// shared buffer with many unflushed iterations of its own while a slow
-// sibling never gets the space to finish the oldest — and the oldest can
-// then never flush. (The lock-free partitioned allocator cannot starve
-// siblings, but the window still bounds memory and is kept uniform.)
-// Deploy sizes the window once (planBuffer); it never changes afterwards.
-type flow struct {
-	window  int64 // fixed at construction
-	mu      sync.Mutex
-	cond    *sync.Cond
-	flushed int64 // highest durably flushed iteration; -1 before any
-	closed  bool
-	waits   [2]int64 // finalized clients' flow and buffer waits (Client.Waits)
-}
-
-// newFlow takes a window of at least 1, as planBuffer derives it.
-func newFlow(window int64) *flow {
-	f := &flow{window: window, flushed: -1}
-	f.cond = sync.NewCond(&f.mu)
-	return f
-}
-
-// setFlushed records a durably completed flush and wakes waiting clients.
-// The persistence pipeline calls it in ack order, so `flushed` only ever
-// advances over iterations whose predecessors are durable too.
-func (f *flow) setFlushed(it int64) {
-	f.mu.Lock()
-	if it > f.flushed {
-		f.flushed = it
-	}
-	f.mu.Unlock()
-	f.cond.Broadcast()
-}
-
-// wait blocks a client that just ended iteration `it` until that leaves it
-// at most `window` iterations ahead of the last durable flush (or the
-// server shut down), and reports whether it had to wait.
-func (f *flow) wait(it int64) (waited bool) {
-	f.mu.Lock()
-	for f.flushed < it-f.window && !f.closed {
-		waited = true
-		f.cond.Wait()
-	}
-	f.mu.Unlock()
-	return waited
-}
-
-// addWaits adds a finalizing client's wait counts to the group's.
-func (f *flow) addWaits(flow, buffer int) {
-	f.mu.Lock()
-	f.waits[0] += int64(flow)
-	f.waits[1] += int64(buffer)
-	f.mu.Unlock()
-}
-
-// close releases all waiters permanently (server shutdown).
-func (f *flow) close() {
-	f.mu.Lock()
-	f.closed = true
-	f.mu.Unlock()
-	f.cond.Broadcast()
 }
 
 // Deployment is the per-rank outcome of Deploy: exactly one of Client or
@@ -145,9 +81,9 @@ type Options struct {
 // Buffer sizing: with the shared ("mutex") allocator the per-node buffer
 // should hold at least window+1 write phases (planBuffer derives the
 // window). Flow control bounds every client to `window` iterations beyond
-// the last durable flush, so that much space guarantees progress, while
-// less can deadlock (a fast client's iteration-N+k data occupying space a
-// sibling needs to finish N). Deploy allocates only the phases clients
+// the pipeline's last acked one, so that much space guarantees progress,
+// while less can deadlock (a fast client's iteration-N+k data occupying
+// space a sibling needs to finish N). Deploy allocates only the phases clients
 // fill in steady state, the rest as they reach it. The lock-free
 // partitioned allocator cannot cross-starve and needs only window+1 phases
 // per client partition.
@@ -228,11 +164,6 @@ func Deploy(world *mpi.Comm, cfg *config.Config, reg *plugin.Registry, opts Opti
 			queues[i] = event.NewQueue()
 		}
 		event.LinkQueues(queues)
-		fc := newFlow(window)
-		for localIdx, clientNodeRank := range group {
-			node.Send(clientNodeRank, tagInit,
-				initMsg{seg: seg, queue: queues[localIdx%nsh], fc: fc, localIdx: localIdx})
-		}
 		store := metadata.NewSharded(nsh)
 		tally := event.NewTally(len(group))
 		engines := make([]*event.Engine, nsh)
@@ -252,11 +183,17 @@ func Deploy(world *mpi.Comm, cfg *config.Config, reg *plugin.Registry, opts Opti
 				return nil, err
 			}
 		}
-		srv, err := newServer(serverSpec{cfg: cfg, opts: opts, engines: engines, queues: queues, seg: seg, fc: fc,
+		srv, err := newServer(serverSpec{cfg: cfg, opts: opts, engines: engines, queues: queues, seg: seg, window: window,
 			worldRank: world.WorldRank(), node: node.Node(), agg: sagg})
 		if err != nil {
 			seg.Close()
 			return nil, err
+		}
+		// Only a server that built sends the handshake; a failed one leaves
+		// its clients in the Recv below, which aborting the world unwinds.
+		for localIdx, clientNodeRank := range group {
+			node.Send(clientNodeRank, tagInit,
+				initMsg{seg: seg, queue: queues[localIdx%nsh], pipe: srv.pipe, localIdx: localIdx})
 		}
 		dep.Server = srv
 		return dep, nil
@@ -270,7 +207,7 @@ func Deploy(world *mpi.Comm, cfg *config.Config, reg *plugin.Registry, opts Opti
 	if !ok {
 		return nil, fmt.Errorf("core: client %d: bad handshake payload %T", myNodeRank, raw)
 	}
-	dep.Client = newClient(cfg, msg.seg, msg.queue, msg.fc, world.WorldRank(), msg.localIdx)
+	dep.Client = newClient(cfg, msg.seg, msg.queue, msg.pipe, world.WorldRank(), msg.localIdx)
 	return dep, nil
 }
 

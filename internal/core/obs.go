@@ -61,23 +61,23 @@ func (ss SpillStats) Emit(e *obs.Emitter, labels ...string) {
 // emitServer adds the server-level figures that live outside PipelineStats:
 // payload volume, iterations acked, events not handled, the dedicated
 // core's busy/spare split (the paper's "spare time" measure), the
-// per-iteration write-time summary, its finalized clients' waits and the
-// shared segment's counters.
+// per-iteration write-time summary, its clients' waits and the shared
+// segment's counters. Acks, bytes, write times and waits are the pipeline's.
 func (s *Server) emitServer(e *obs.Emitter, labels ...string) {
-	e.Counter("damaris_server_bytes_written_total", float64(s.BytesWritten()), labels...)
+	s.pipe.mu.Lock()
+	acked, bytes := s.pipe.ackSeq, s.pipe.bytes
+	s.pipe.mu.Unlock()
+	e.Counter("damaris_server_bytes_written_total", float64(bytes), labels...)
 	s.mu.Lock()
-	acked, eventErrs := s.acked, s.eventErrs
+	eventErrs := s.eventErrs
 	s.mu.Unlock()
 	e.Counter("damaris_server_iterations_total", float64(acked), labels...)
 	e.Counter("damaris_server_event_errors_total", float64(eventErrs), labels...)
 	e.Counter("damaris_server_spare_seconds_total", s.SpareSeconds(), labels...)
 	e.Counter("damaris_server_busy_seconds_total", s.BusySeconds(), labels...)
-	e.Summary("damaris_server_write_seconds", s.writes.Summary(), labels...)
-	s.fc.mu.Lock()
-	waits := s.fc.waits
-	s.fc.mu.Unlock()
-	e.Counter("damaris_client_waits_total", float64(waits[0]), append([]string{"kind", "flow"}, labels...)...)
-	e.Counter("damaris_client_waits_total", float64(waits[1]), append([]string{"kind", "buffer"}, labels...)...)
+	e.Summary("damaris_server_write_seconds", s.pipe.writes.Summary(), labels...)
+	e.Counter("damaris_client_waits_total", float64(s.pipe.flowWaits.Load()), append([]string{"kind", "flow"}, labels...)...)
+	e.Counter("damaris_client_waits_total", float64(s.pipe.bufferWaits.Load()), append([]string{"kind", "buffer"}, labels...)...)
 	e.Gauge("damaris_shm_allocated_bytes", float64(s.seg.AllocatedBytes()), labels...)
 	e.Gauge("damaris_shm_free_bytes", float64(s.seg.FreeBytes()), labels...)
 	e.Counter("damaris_shm_reserves_total", float64(s.seg.Reserves()), labels...)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"damaris/internal/aggregate"
@@ -26,12 +27,14 @@ type pipelineSpec struct {
 	// depth is the queue's capacity, and the cap on iterations per persist
 	// call.
 	depth int
+	// window is the client flow window planBuffer derived: how many
+	// iterations a client may run ahead of the last acked one (at least 1).
+	window int64
 
 	// onDurable is invoked in submission (ack) order for every iteration,
-	// after the iteration and all earlier ones are durable. persistDur is
-	// the iteration's share of its persist call (call duration / batch
-	// size); err is the iteration's persist error, if any.
-	onDurable func(it int64, persistDur float64, bytes int64, err error)
+	// after the iteration and all earlier ones are durable; err is the
+	// iteration's persist error, if any.
+	onDurable func(it int64, err error)
 	// recycle takes an iteration's entries back once it is acked — the last
 	// time the pipeline touches them (metadata.Store.Recycle: the catalog
 	// reuses the slice and the entries it owns).
@@ -60,17 +63,25 @@ type pipelineSpec struct {
 // queue of completed iterations feeding N writer goroutines. The event loop
 // hands a finished iteration's entries over through submit and immediately
 // resumes draining client events; writers make the data durable, release the
-// shared-memory chunks, and advance the client flow-control window — so
-// clients re-couple to I/O latency only when the queue is full
-// (backpressure) or they outrun the flow window. With zero writers the same
-// steps run inside submit, on a batch of one.
+// shared-memory chunks, and advance the ack watermark — so clients re-couple
+// to I/O latency only when the queue is full (backpressure) or they outrun
+// the flow window. With zero writers the same steps run inside submit, on a
+// batch of one.
 //
 // Durability ordering: writers may complete iterations out of submission
-// order, but the flow window and the per-iteration completion callback
+// order, but the watermark and the per-iteration completion callback
 // advance like a TCP ack — strictly in submission order, once every earlier
 // submitted iteration is durable too. Shared-memory chunks, by contrast,
 // are released as soon as their own iteration's write returns, since the
 // space is reusable regardless of sibling iterations.
+//
+// The watermark is also the clients' flow window (wait): a client may run
+// at most `window` iterations ahead of the last acked one. Without this
+// bound a fast client could fill the shared buffer with unflushed
+// iterations of its own while a slow sibling never gets the space to finish
+// the oldest, which then never flushes; with it, window+1 write phases of
+// the group are the most the segment ever holds (planBuffer). The window is
+// sized once, at deployment, and never changes.
 type pipeline struct {
 	pipelineSpec
 	jobs  chan persistJob
@@ -82,29 +93,31 @@ type pipeline struct {
 	// zero while running.
 	stopped time.Time
 
-	// ackMu serializes the ack-drain + onDurable section across writers,
-	// so callbacks really are delivered in watermark order (p.mu alone
-	// only orders the state updates, not the calls after unlock).
-	ackMu sync.Mutex
-
 	// pressure counts consecutive submits that found the queue full. Only
 	// the event loop (the sole submitter) touches it, so it needs no lock.
 	pressure int
 
 	mu        sync.Mutex
+	cond      *sync.Cond // on mu: clients wait at the window; acks and close wake them
 	closed    bool
 	ws        stats.WorkerSet // per-writer busy seconds
 	nextSeq   int64
 	ackSeq    int64                 // all seqs < ackSeq have been acked
+	acked     int64                 // the last acked iteration; -1 before any
 	done      map[int64]persistDone // completed seqs awaiting contiguous ack
-	inFlight  int                   // submitted, not yet durable
 	maxDepth  int
 	depths    *obs.Histogram // queue depth sampled at submit/complete
 	lat       obs.Histogram  // submit→durable seconds, per iteration
 	batches   *obs.Histogram // iterations per persist call
-	enqueued  int64
+	writes    obs.Histogram  // each acked iteration's share of its persist call, seconds
+	bytes     int64          // payload bytes of the acked iterations that persisted
 	completed int64
 	failures  int64
+
+	// flowWaits and bufferWaits count the clients' EndIteration calls that
+	// waited at the window and their reservations that waited for space in
+	// the shared buffer, as they happen.
+	flowWaits, bufferWaits atomic.Int64
 }
 
 // persistJob is one completed iteration travelling from the event loop to a
@@ -117,13 +130,11 @@ type persistJob struct {
 	submitted time.Time
 }
 
-// persistDone is a finished job waiting for every earlier seq to finish so
-// the ack watermark can pass it.
+// persistDone is a finished job, its entries released, waiting for every
+// earlier seq to finish so the ack watermark can pass it.
 type persistDone struct {
-	it         int64
-	entries    []*metadata.Entry // released; handed to recycle with the ack
+	persistJob
 	persistDur float64
-	bytes      int64
 	err        error
 }
 
@@ -140,11 +151,13 @@ func newPipeline(spec pipelineSpec) *pipeline {
 		pipelineSpec: spec,
 		jobs:         make(chan persistJob, spec.depth),
 		start:        time.Now(),
+		acked:        -1,
 		done:         make(map[int64]persistDone),
 		ws:           stats.NewWorkerSet(spec.workers),
 		depths:       obs.NewHistogram(obs.CountBuckets()),
 		batches:      obs.NewHistogram(obs.CountBuckets()),
 	}
+	p.cond = sync.NewCond(&p.mu)
 	for slot := 0; slot < spec.workers; slot++ {
 		p.wg.Add(1)
 		go p.writer(slot)
@@ -167,12 +180,9 @@ func (p *pipeline) submit(it int64, entries []*metadata.Entry) {
 	p.mu.Lock()
 	seq := p.nextSeq
 	p.nextSeq++
-	p.enqueued++
-	p.inFlight++
-	if p.inFlight > p.maxDepth {
-		p.maxDepth = p.inFlight
-	}
-	p.depths.Observe(float64(p.inFlight))
+	inFlight := int(p.nextSeq - p.completed)
+	p.maxDepth = max(p.maxDepth, inFlight)
+	p.depths.Observe(float64(inFlight))
 	p.mu.Unlock()
 	job := persistJob{seq: seq, it: it, entries: entries, bytes: bytes, submitted: time.Now()}
 	if p.workers == 0 {
@@ -244,8 +254,9 @@ func (p *pipeline) spillJob(j persistJob) {
 // definitively failed), so only now are their shared-memory chunks released
 // — on error the data is gone either way, so liveness wins, release
 // regardless. Each is charged perIt seconds of persisting and recorded for
-// the in-order ack watermark; an iteration the watermark passes is acked
-// (onDurable) and its entries go back to the catalog (recycle).
+// the in-order ack watermark. An iteration the watermark passes is counted,
+// wakes the clients waiting at the window, is acked (onDurable) and its
+// entries go back to the catalog (recycle).
 func (p *pipeline) complete(batch []persistJob, perIt float64, errs []error) {
 	now := time.Now()
 	for i, j := range batch {
@@ -254,50 +265,66 @@ func (p *pipeline) complete(batch []persistJob, perIt float64, errs []error) {
 		}
 		p.tracer.Record(obs.StageAck, p.server, j.it, j.submitted, now.Sub(j.submitted), j.bytes, errs[i] != nil)
 	}
-	p.ackMu.Lock()
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	for i, j := range batch {
 		p.completed++
-		p.inFlight--
-		p.depths.Observe(float64(p.inFlight))
+		p.depths.Observe(float64(p.nextSeq - p.completed))
 		p.lat.Observe(now.Sub(j.submitted).Seconds())
 		if errs[i] != nil {
 			p.failures++
 		}
-		p.done[j.seq] = persistDone{it: j.it, entries: j.entries, persistDur: perIt, bytes: j.bytes, err: errs[i]}
+		p.done[j.seq] = persistDone{j, perIt, errs[i]}
 	}
-	// Advance the ack watermark over every contiguous completed seq.
-	var acks []persistDone
+	// Advance the ack watermark over every contiguous completed seq. Acks
+	// are delivered under mu, so a writer that completes a later batch waits
+	// until these earlier ones are, and onDurable and recycle must not call
+	// into the pipeline or take a lock held by anyone who then does.
 	for d, ok := p.done[p.ackSeq]; ok; d, ok = p.done[p.ackSeq] {
 		delete(p.done, p.ackSeq)
 		p.ackSeq++
-		acks = append(acks, d)
-	}
-	p.mu.Unlock()
-	// Deliver under ackMu (not p.mu, which writers need to complete other
-	// batches): a second writer advancing the watermark further must wait
-	// here until these earlier acks are delivered.
-	for _, d := range acks {
-		if p.onDurable != nil {
-			p.onDurable(d.it, d.persistDur, d.bytes, d.err)
+		p.acked = max(p.acked, d.it) // a leftover flushed by Run may be older
+		p.writes.Observe(d.persistDur)
+		if d.err == nil {
+			p.bytes += d.bytes
 		}
+		p.onDurable(d.it, d.err)
 		if p.recycle != nil {
 			p.recycle(d.entries)
 		}
 	}
-	p.ackMu.Unlock()
+	// On persist error the data is gone either way: liveness wins.
+	p.cond.Broadcast()
 }
 
-// close stops accepting work, waits for the writers to drain every queued
-// iteration, then gives the scratch drainer one final attempt at any spill
-// backlog; an iteration it cannot replay stays in the scratch store
-// (recovered on the next start) and is the error returned. Idempotent is the
-// caller's job (Server.Close uses a sync.Once).
+// wait blocks a client that just ended iteration it until that leaves it at
+// most window iterations ahead of the last acked one, or close released it,
+// and reports whether it had to wait.
+func (p *pipeline) wait(it int64) (waited bool) {
+	p.mu.Lock()
+	for p.acked < it-p.window && !p.closed {
+		if !waited {
+			waited = true
+			p.flowWaits.Add(1)
+		}
+		p.cond.Wait()
+	}
+	p.mu.Unlock()
+	return waited
+}
+
+// close stops accepting work and releases the clients waiting at the
+// window, waits for the writers to drain every queued iteration, then gives
+// the scratch drainer one final attempt at any spill backlog; an iteration
+// it cannot replay stays in the scratch store (recovered on the next start)
+// and is the error returned. Idempotent is the caller's job (Server.Close
+// uses a sync.Once).
 func (p *pipeline) close() error {
 	p.mu.Lock()
 	closed := p.closed
 	p.closed = true
 	p.mu.Unlock()
+	p.cond.Broadcast()
 	if !closed {
 		close(p.jobs)
 	}
@@ -371,7 +398,7 @@ func (p *pipeline) persistAndAck(slot int, batch []persistJob) {
 	// writer pickup), persist (each iteration carries the whole batch's
 	// call span — its durability really did take that long) and, in
 	// complete, the full submit-to-durable ack latency the flow window
-	// tracks.
+	// waits on.
 	for i, j := range batch {
 		p.tracer.Record(obs.StageQueue, p.server, j.it, j.submitted, start.Sub(j.submitted), j.bytes, false)
 		p.tracer.Record(obs.StagePersist, p.server, j.it, start, callDur, j.bytes, errs[i] != nil)
@@ -397,8 +424,8 @@ type PipelineStats struct {
 	Workers int
 	// QueueDepth is the configured bound on queued iterations.
 	QueueDepth int
-	// Window is the client flow-window depth — how many iterations a client
-	// may run ahead of the last durable one: 1 with the inline executor,
+	// Window is the client flow window — how many iterations a client may
+	// run ahead of the pipeline's last acked one: 1 with the inline executor,
 	// QueueDepth with writers, and with a scratch store attached what the
 	// shared buffer holds (its size over one write phase of the server's
 	// clients, minus one, never below QueueDepth), so that a full queue
@@ -442,7 +469,7 @@ type PipelineStats struct {
 }
 
 // snapshot captures the pipeline metrics at a point in time.
-func (p *pipeline) snapshot(queueDepth int) PipelineStats {
+func (p *pipeline) snapshot() PipelineStats {
 	var spill SpillStats
 	if p.scratch != nil {
 		spill = p.scratch.stats()
@@ -457,8 +484,9 @@ func (p *pipeline) snapshot(queueDepth int) PipelineStats {
 	return PipelineStats{
 		Spill:        spill,
 		Workers:      p.ws.Workers(),
-		QueueDepth:   queueDepth,
-		Enqueued:     p.enqueued,
+		QueueDepth:   p.depth,
+		Window:       int(p.window),
+		Enqueued:     p.nextSeq,
 		Completed:    p.completed,
 		Failures:     p.failures,
 		MaxInFlight:  p.maxDepth,

@@ -190,8 +190,8 @@ func TestPipelineAcksInOrderUnderFailures(t *testing.T) {
 	var acked []int64
 	var ackErrs []error
 	p := newPipeline(pipelineSpec{persister: slowEvery{pers}, workers: 4, depth: 4,
-		onDurable: func(it int64, _ float64, _ int64, err error) {
-			acked = append(acked, it) // ack delivery is serialized (ackMu)
+		onDurable: func(it int64, err error) {
+			acked = append(acked, it) // ack delivery is serialized (under the pipeline's lock)
 			ackErrs = append(ackErrs, err)
 		}})
 	for it := int64(0); it < iters; it++ {
@@ -306,28 +306,8 @@ func TestFlowWindowBoundsClientToDurableFlush(t *testing.T) {
 		})
 	}()
 
-	mustRecv := func(ch chan int64, want int64, what string) {
-		t.Helper()
-		select {
-		case got := <-ch:
-			if got != want {
-				t.Fatalf("%s: got %d, want %d", what, got, want)
-			}
-		case <-time.After(10 * time.Second):
-			t.Fatalf("%s: timed out waiting for %d", what, want)
-		}
-	}
-	mustNotRecv := func(ch chan int64, what string) {
-		t.Helper()
-		select {
-		case got := <-ch:
-			t.Fatalf("%s: client advanced to %d ahead of the durable watermark", what, got)
-		case <-time.After(100 * time.Millisecond):
-		}
-	}
-
 	// Iteration 0 may complete with nothing durable yet (window 1).
-	mustRecv(ended, 0, "EndIteration(0)")
+	mustRecv(t, ended, 0, "EndIteration(0)")
 	// The writer picks iteration 0 up but is gated before durability.
 	select {
 	case <-pers.started:
@@ -338,9 +318,9 @@ func TestFlowWindowBoundsClientToDurableFlush(t *testing.T) {
 		// With iteration it-1 submitted but NOT durable, EndIteration(it)
 		// must block: the client would otherwise be 2 ahead of the durable
 		// watermark.
-		mustNotRecv(ended, fmt.Sprintf("EndIteration(%d) before %d durable", it, it-1))
+		mustNotRecv(t, ended, fmt.Sprintf("EndIteration(%d) before %d durable", it, it-1))
 		pers.allow <- struct{}{} // make iteration it-1 durable
-		mustRecv(ended, it, fmt.Sprintf("EndIteration(%d) after %d durable", it, it-1))
+		mustRecv(t, ended, it, fmt.Sprintf("EndIteration(%d) after %d durable", it, it-1))
 		if it < iters-1 {
 			select {
 			case <-pers.started:
@@ -360,6 +340,119 @@ func TestFlowWindowBoundsClientToDurableFlush(t *testing.T) {
 		t.Fatal(err)
 	}
 	close(pers.started)
+}
+
+// mustRecv fails the test unless the client's next ended iteration is want.
+func mustRecv(t *testing.T, ch chan int64, want int64, what string) {
+	t.Helper()
+	select {
+	case got := <-ch:
+		if got != want {
+			t.Fatalf("%s: got %d, want %d", what, got, want)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatalf("%s: timed out waiting for %d", what, want)
+	}
+}
+
+// mustNotRecv fails the test if the client ends an iteration within 100 ms.
+func mustNotRecv(t *testing.T, ch chan int64, what string) {
+	t.Helper()
+	select {
+	case got := <-ch:
+		t.Fatalf("%s: client advanced to %d ahead of the durable watermark", what, got)
+	case <-time.After(100 * time.Millisecond):
+	}
+}
+
+// holdIteration holds one iteration's persist until release is closed,
+// before the gate, so another writer's iteration can pass the gate first.
+type holdIteration struct {
+	*gatedPersister
+	it      int64
+	release chan struct{}
+}
+
+func (p holdIteration) Persist(it int64, entries []*metadata.Entry) error {
+	if it == p.it {
+		<-p.release
+	}
+	return p.gatedPersister.Persist(it, entries)
+}
+
+// TestWindowFollowsInOrderAckNotCompletion: with two writers, iteration 1
+// becomes durable while iteration 0 is still held. A client at the window
+// (EndIteration(1), window 1) must stay there — the window follows the
+// in-order ack, not completion order — until iteration 0 is durable too,
+// and then advance.
+func TestWindowFollowsInOrderAckNotCompletion(t *testing.T) {
+	gate := &gatedPersister{started: make(chan []int64, 2), allow: make(chan struct{})}
+	pers := holdIteration{gatedPersister: gate, it: 0, release: make(chan struct{})}
+	cfg := pipelineCfg(t, 1<<20, 2, 1, "v")
+	ended := make(chan int64, 2)
+	servers := make(chan *Server, 1)
+	done := make(chan error, 1)
+	go func() {
+		done <- mpi.Run(2, 2, func(comm *mpi.Comm) {
+			dep, err := Deploy(comm, cfg, nil, Options{Persister: pers})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if !dep.IsClient() {
+				servers <- dep.Server
+				_ = dep.Server.Run()
+				return
+			}
+			cli := dep.Client
+			data := mpi.Float32sToBytes(make([]float32, 32*32))
+			for it := int64(0); it < 2; it++ {
+				if err := cli.Write("v", it, data); err != nil {
+					t.Error(err)
+					return
+				}
+				if err := cli.EndIteration(it); err != nil {
+					t.Error(err)
+					return
+				}
+				ended <- it
+			}
+			_ = cli.Finalize()
+		})
+	}()
+	srv := <-servers
+	mustRecv(t, ended, 0, "EndIteration(0)")
+	select {
+	case its := <-gate.started:
+		if len(its) != 1 || its[0] != 1 {
+			t.Fatalf("the gate saw %v first, want iteration 1", its)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("persist of iteration 1 never started")
+	}
+	gate.allow <- struct{}{} // iteration 1 durable, iteration 0 still held
+	deadline := time.Now().Add(10 * time.Second)
+	for srv.PipelineStats().Completed != 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("iteration 1 never completed")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	mustNotRecv(t, ended, "EndIteration(1) with 1 durable and 0 not")
+	close(pers.release)
+	select {
+	case <-gate.started:
+	case <-time.After(10 * time.Second):
+		t.Fatal("persist of iteration 0 never reached the gate")
+	}
+	gate.allow <- struct{}{} // iteration 0 durable: the ack passes 0 and 1
+	mustRecv(t, ended, 1, "EndIteration(1) after 0 durable")
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if ps := srv.PipelineStats(); ps.Completed != 2 || ps.Window != 1 {
+		t.Errorf("completed %d iterations at window %d, want 2 at 1", ps.Completed, ps.Window)
+	}
 }
 
 // No entry is reused before its iteration is acked: what a plugin action saw
@@ -700,14 +793,25 @@ func TestSyncBaselineStatsTrackFailures(t *testing.T) {
 // TestClientCountsFlowWaits: against a persister slower than the client, at
 // queue 1 an EndIteration waits for the previous iteration to be durable, so
 // the client counts flow waits and the dedicated core's registry reports
-// them; at a queue deeper than the run no EndIteration ever waits. The
-// buffer holds every iteration, so no reservation waits either way.
+// them, live, before the client finalizes; at a queue deeper than the run no
+// EndIteration ever waits. The buffer holds every iteration, so no
+// reservation waits either way.
 func TestClientCountsFlowWaits(t *testing.T) {
 	const iters = 6
+	registryWaits := func(plane *obs.Plane) map[string]float64 {
+		got := map[string]float64{}
+		for _, s := range plane.Registry().Gather() {
+			if s.Name == "damaris_client_waits_total" {
+				got[s.Labels[1]] = s.Value
+			}
+		}
+		return got
+	}
 	for _, queue := range []int{1, iters + 1} {
 		cfg := pipelineCfg(t, 8<<20, 1, queue, "v")
 		plane := obs.NewPlane(0)
 		var flow, buffer int
+		var live map[string]float64
 		err := mpi.Run(2, 2, func(comm *mpi.Comm) {
 			dep, err := Deploy(comm, cfg, nil, Options{Persister: &slowPersister{delay: 5 * time.Millisecond}, Obs: plane})
 			if err != nil {
@@ -733,6 +837,7 @@ func TestClientCountsFlowWaits(t *testing.T) {
 				}
 			}
 			flow, buffer = cli.Waits()
+			live = registryWaits(plane)
 			_ = cli.Finalize()
 		})
 		if err != nil {
@@ -741,12 +846,10 @@ func TestClientCountsFlowWaits(t *testing.T) {
 		if (queue == 1) != (flow > 0) || buffer != 0 {
 			t.Errorf("queue %d: %d flow waits and %d buffer waits in %d iterations", queue, flow, buffer, iters)
 		}
-		got := map[string]float64{}
-		for _, s := range plane.Registry().Gather() {
-			if s.Name == "damaris_client_waits_total" {
-				got[s.Labels[1]] = s.Value
-			}
+		if live["flow"] != float64(flow) || live["buffer"] != float64(buffer) || len(live) != 2 {
+			t.Errorf("queue %d: registry reads %v before Finalize, want flow %d and buffer %d", queue, live, flow, buffer)
 		}
+		got := registryWaits(plane)
 		if got["flow"] != float64(flow) || got["buffer"] != 0 || len(got) != 2 {
 			t.Errorf("queue %d: registry reads %v, want flow %d and buffer 0", queue, got, flow)
 		}

@@ -369,7 +369,7 @@ func TestPipelineSubmitSpillsOldestUnderSustainedBackpressure(t *testing.T) {
 	var acked []int64
 	var ackErrs []error
 	p := newPipeline(pipelineSpec{persister: pers, workers: 1, depth: 1, scratch: sc,
-		onDurable: func(it int64, _ float64, _ int64, err error) {
+		onDurable: func(it int64, err error) {
 			ackMu.Lock()
 			acked = append(acked, it)
 			ackErrs = append(ackErrs, err)
@@ -542,7 +542,9 @@ func TestServerSpillWiring(t *testing.T) {
 // A stage that fails to open fails the deployment on the server rank, and
 // what the server had opened for itself by then — the obj:// backend, the
 // encode pool — is closed again, with no pipeline writer left behind. The
-// spill dir sits under a regular file, which Config.Validate cannot see.
+// spill dir sits under a regular file, which Config.Validate cannot see. The
+// failed server sends no handshake: the rank aborts its world, as
+// cm1.RunWorld does, which unwinds the client waiting for one.
 func TestDeployClosesWhatItOpenedWhenAStageFails(t *testing.T) {
 	blocker := filepath.Join(t.TempDir(), "file")
 	if err := os.WriteFile(blocker, nil, 0o644); err != nil {
@@ -561,18 +563,14 @@ func TestDeployClosesWhatItOpenedWhenAStageFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := runtime.NumGoroutine()
-	var serverErr error
-	err = mpi.Run(2, 2, func(comm *mpi.Comm) {
+	serverErr := mpi.Run(2, 2, func(comm *mpi.Comm) {
 		if dep, err := Deploy(comm, cfg, nil, Options{}); err != nil {
-			serverErr = err
+			comm.Abort(err)
 		} else if !dep.IsClient() {
 			t.Error("the server rank deployed over an uncreatable spill dir")
 			dep.Server.Close()
 		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if serverErr == nil || !strings.Contains(serverErr.Error(), "scratch dir") {
 		t.Fatalf("Deploy error on the server rank = %v, want the scratch dir failure", serverErr)
 	}

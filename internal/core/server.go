@@ -23,13 +23,11 @@ import (
 // writers and persists inside the event loop — the coupled baseline the
 // paper's dedicated-core design eliminates, kept for comparison runs.
 type Server struct {
-	cfg       *config.Config
 	eng       *event.Engine // shard 0's engine (they share the store and tally)
 	shards    []*shardLoop  // the event-loop shards; len 1 = the classic single loop
 	started   time.Time     // server construction instant (wall base for busy fractions)
 	stoppedAt time.Time     // set when the shard loops exit; freezes the busy-fraction wall clock so post-run expositions are byte-stable
 	seg       *shm.Segment
-	fc        *flow
 	id        int // world rank of this dedicated core
 	persister Persister
 	pipe      *pipeline       // completed iteration → durable → released → acked in order
@@ -47,21 +45,17 @@ type Server struct {
 
 	closeOnce sync.Once
 
-	mu           sync.Mutex
-	shardWS      stats.WorkerSet // per-shard-loop busy bookkeeping (one slot per shard)
-	writes       obs.Histogram   // seconds spent persisting, per iteration, over the server's life
-	spareDur     float64         // seconds spent idle waiting for events
-	busyDur      float64         // seconds handling events (incl. persisting only with the inline executor)
-	bytesWritten int64
-	acked        int64 // iterations acked over the server's life
-	eventErrs    int64 // events the engine failed to handle; the first is logged
-	flushErr     error // first persistence error, surfaced by Run/Close
-	running      bool
+	mu        sync.Mutex
+	shardWS   stats.WorkerSet // per-shard-loop busy seconds (incl. persisting only with the inline executor)
+	spareDur  float64         // seconds spent idle waiting for events
+	eventErrs int64           // events the engine failed to handle; the first is logged
+	flushErr  error           // first persistence error, surfaced by Run/Close
+	running   bool
 }
 
 // serverSpec is what Deploy resolved for one dedicated core: its event-loop
-// shards, the segment and flow window it shares with its clients, and its
-// place in the world.
+// shards, the segment it shares with its clients and their flow window, and
+// its place in the world.
 type serverSpec struct {
 	cfg  *config.Config
 	opts Options
@@ -71,7 +65,7 @@ type serverSpec struct {
 	engines []*event.Engine
 	queues  []*event.Queue
 	seg     *shm.Segment
-	fc      *flow
+	window  int64
 	// worldRank and node place the server: its rank in the world and its
 	// SMP node.
 	worldRank, node int
@@ -84,16 +78,14 @@ type serverSpec struct {
 // pipeline last — so a stage that fails to open leaves no writer behind,
 // and what the server had opened for itself by then is closed again.
 func newServer(sp serverSpec) (*Server, error) {
-	cfg, opts, engines, queues, fc, worldRank := sp.cfg, sp.opts, sp.engines, sp.queues, sp.fc, sp.worldRank
+	cfg, opts, engines, queues, worldRank := sp.cfg, sp.opts, sp.engines, sp.queues, sp.worldRank
 	if len(engines) == 0 || len(engines) != len(queues) {
 		return nil, fmt.Errorf("core: server %d: %d engines for %d queues", worldRank, len(engines), len(queues))
 	}
 	s := &Server{
-		cfg:       cfg,
 		eng:       engines[0],
 		started:   time.Now(),
 		seg:       sp.seg,
-		fc:        fc,
 		id:        worldRank,
 		persister: opts.Persister,
 		tracer:    opts.Obs.Tracer(),
@@ -106,12 +98,18 @@ func newServer(sp serverSpec) (*Server, error) {
 		s.shards = append(s.shards, &shardLoop{idx: i, queue: queues[i], eng: engines[i]})
 	}
 	stages := pipelineSpec{
-		workers:   cfg.PersistWorkers,
-		depth:     cfg.PersistQueueDepth,
-		onDurable: s.iterationDurable,
-		recycle:   engines[0].Store().Recycle,
-		tracer:    s.tracer,
-		server:    worldRank,
+		workers: cfg.PersistWorkers,
+		depth:   cfg.PersistQueueDepth,
+		window:  sp.window,
+		onDurable: func(it int64, err error) {
+			if err != nil {
+				// Counted in damaris_pipeline_failures_total; Run returns the first.
+				s.noteFlushErr(fmt.Errorf("core: server %d: persist iteration %d: %w", s.id, it, err))
+			}
+		},
+		recycle: engines[0].Store().Recycle,
+		tracer:  s.tracer,
+		server:  worldRank,
 	}
 	if sagg := sp.agg; sagg != nil {
 		// Aggregation layer on: this server persists through its member
@@ -240,9 +238,9 @@ func (s *Server) Run() error {
 	return s.Close()
 }
 
-// Close drains the persistence pipeline (every submitted iteration becomes
-// durable or definitively fails), closes the shared segment, releases flow
-// waiters, and returns the first persistence error observed over the
+// Close releases the clients waiting at the flow window, drains the
+// persistence pipeline (every submitted iteration becomes durable or
+// definitively fails), closes the shared segment, and returns the first persistence error observed over the
 // server's lifetime. Run calls it on the way out; calling it again is a
 // cheap no-op returning the same error. Close must not be called while
 // clients are still producing events.
@@ -273,7 +271,6 @@ func (s *Server) Close() error {
 			}
 		}
 		s.seg.Close()
-		s.fc.close()
 	})
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -302,7 +299,7 @@ func (s *Server) noteFlushErr(err error) {
 // event loop then resumes draining client events while writers persist.
 // Entries leave the metadata catalog here but their shared-memory chunks
 // stay pinned until the pipeline reports the iteration durable. A persist
-// error reaches Run through iterationDurable.
+// error reaches Run through the pipeline's onDurable hook.
 func (s *Server) flushIterationFrom(shard int, it int64) {
 	entries := s.eng.Store().TakeIteration(it)
 	if s.tracer != nil {
@@ -326,25 +323,6 @@ func (s *Server) flushIterationFrom(shard int, it int64) {
 	s.pipe.submit(it, entries)
 }
 
-// iterationDurable records one iteration's durability and advances the
-// client flow-control window. The pipeline invokes it in submission (ack)
-// order once the iteration and all earlier ones are durable.
-func (s *Server) iterationDurable(it int64, persistDur float64, bytes int64, err error) {
-	s.mu.Lock()
-	s.writes.Observe(persistDur)
-	s.acked++
-	if err == nil {
-		s.bytesWritten += bytes
-	} else if s.flushErr == nil {
-		// Counted in damaris_pipeline_failures_total; Run returns the first.
-		s.flushErr = fmt.Errorf("core: server %d: persist iteration %d: %w", s.id, it, err)
-	}
-	s.mu.Unlock()
-	// Unblock clients waiting at the flow-control window; on persist error
-	// the data is gone either way, so liveness wins.
-	s.fc.setFlushed(it)
-}
-
 // SpareSeconds returns the total time the dedicated core spent idle — the
 // paper's "spare time […] dedicated cores are not performing any task",
 // which §IV-C2 reports as 75%–99% of their time.
@@ -354,26 +332,21 @@ func (s *Server) SpareSeconds() float64 {
 	return s.spareDur
 }
 
-// BusySeconds returns the total time spent handling events and persisting.
+// BusySeconds returns the total time the shard loops spent handling events
+// and, with the inline executor, persisting.
 func (s *Server) BusySeconds() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.busyDur
-}
-
-// BytesWritten returns the total payload bytes successfully persisted.
-func (s *Server) BytesWritten() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.bytesWritten
+	var sum float64
+	for _, sh := range s.shardStats() {
+		sum += sh.BusySeconds
+	}
+	return sum
 }
 
 // PipelineStats snapshots the persistence pipeline's per-stage metrics
 // (queue depth, flush latency, batch size, writer utilization, encode-stage
 // latency and pool utilization).
 func (s *Server) PipelineStats() PipelineStats {
-	ps := s.pipe.snapshot(s.cfg.PersistQueueDepth)
-	ps.Window = int(s.fc.window)
+	ps := s.pipe.snapshot()
 	ps.Shards = s.shardStats()
 	// Report the pool this server owns, or the one an external persister
 	// carries; nil pools yield zero stats.

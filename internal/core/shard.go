@@ -99,7 +99,6 @@ func (s *Server) account(sl *shardLoop, mark time.Time, busy bool, events int) t
 	d := now.Sub(mark).Seconds()
 	s.mu.Lock()
 	if busy {
-		s.busyDur += d
 		s.shardWS.AddBusy(sl.idx, d)
 	} else {
 		s.spareDur += d

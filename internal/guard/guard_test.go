@@ -114,6 +114,9 @@ var forbidden = []struct {
 	{in: `\.go$`, pattern: `stats\.Accumulator|type Accumulator\b|recent\[`, tests: true,
 		reason: "every streaming distribution is an obs.Histogram, whose Summary gives real quantiles at bucket edges (docs/observability.md); a Welford accumulator emits its quantiles as 0, and a ring of recent samples forgets the run and re-sorts on every scrape",
 		plant:  [2]string{"internal/core/server.go", "writeDurs recent[float64]"}},
+	{in: `\.go$`, pattern: `type flow struct|setFlushed|iterationDurable|addWaits`, tests: true,
+		reason: "clients wait at the window on the pipeline's in-order ack, the one durability watermark, and the pipeline counts acks, bytes, write times and client waits (docs/observability.md); a second watermark the server copies acks into is creeping back",
+		plant:  [2]string{"internal/core/core.go", "type flow struct {"}},
 	{in: `\.go$`, pattern: `"encoding/gob"`,
 		reason: "the DSF TOC is gob's wire form written by internal/dsf's own codec (docs/dsf.md); encoding/gob is only the reference its tests compare against",
 		plant:  [2]string{"internal/dsf/toc.go", `import "encoding/gob"`}},
@@ -140,8 +143,8 @@ var caps = []struct {
 	max    int
 	reason string
 }{
-	{[]string{"internal/core", "internal/event", "internal/metadata", "internal/config", "cmd"}, 4560,
-		"ROADMAP item 3's budget for the dedicated core's composition path (5,170 before the dead exports went, 5,029 before what only examples/ used went, 4,969 before the client kept one write call per paper concept, 4,948 before the slot scheduler and the unread fields went, 4,866 before the store URL became the only destination and Deploy's default persister the only one damaris-run builds, 4,809 before the spill committed through a store.Backend and the server's growing error and latency records went, 4,757 before Deploy derived the flow window, the aggregation bound and the committed buffer in one place, 4,755 before a block became a value handle whose zero value and stale release need no nil check, 4,749 before each server registered once on the one registry and damaris-gate lost its replica flags, 4,731 before cmd/damaris-figures went with the model it printed, 4,665 before the put deadline and aggregate ring knobs went, 4,651 before the server held its shm.Segment directly and reported its counters, and planBuffer returned the segment's parts, 4,650 before the server's write times went from a ring and an accumulator to one histogram, 4,606 before damaris-run became a caller of cm1.RunWorld, with the clients' wait counters paid for); 5,000 was the target"},
+	{[]string{"internal/core", "internal/event", "internal/metadata", "internal/config", "cmd"}, 4497,
+		"ROADMAP item 3's budget for the dedicated core's composition path (5,170 before the dead exports went, 5,029 before what only examples/ used went, 4,969 before the client kept one write call per paper concept, 4,948 before the slot scheduler and the unread fields went, 4,866 before the store URL became the only destination and Deploy's default persister the only one damaris-run builds, 4,809 before the spill committed through a store.Backend and the server's growing error and latency records went, 4,757 before Deploy derived the flow window, the aggregation bound and the committed buffer in one place, 4,755 before a block became a value handle whose zero value and stale release need no nil check, 4,749 before each server registered once on the one registry and damaris-gate lost its replica flags, 4,731 before cmd/damaris-figures went with the model it printed, 4,665 before the put deadline and aggregate ring knobs went, 4,651 before the server held its shm.Segment directly and reported its counters, and planBuffer returned the segment's parts, 4,650 before the server's write times went from a ring and an accumulator to one histogram, 4,606 before damaris-run became a caller of cm1.RunWorld, with the clients' wait counters paid for, 4,560 before clients waited on the pipeline's in-order ack and the server's copies of the pipeline's counts went); 5,000 was the target"},
 	{[]string{"internal/aggregate"}, 650,
 		"the aggregation layer's budget (956 before the cross-node tier was deleted): one tier, one sink"},
 	{[]string{"internal/store"}, 2079,
