@@ -73,7 +73,10 @@ func (p *EncodePool) getBuf() *scratchBuf {
 	}
 }
 
+// putBuf hands an output buffer back; a race build poisons it first, so a
+// chunk still read through it after its release fails its CRC.
 func (p *EncodePool) putBuf(b *scratchBuf) {
+	poison(b.b[:cap(b.b)])
 	if p == nil {
 		scratchPool.Put(b)
 		return

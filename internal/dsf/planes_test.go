@@ -20,13 +20,12 @@ import (
 // tests hold both directions of that claim without fixture files.
 
 // planeField is a float32 field whose four byte planes get three different
-// treatments: noise (stored), half-structured (configured level) and long
-// runs (fast pass).
+// treatments: noise (stored), half-structured (planeLZ) and long runs (fast
+// pass).
 func planeField(elems int) []byte { return sineField(elems, 0.01) }
 
 // sineField is 280 + 8·sin(i/600) + N(0, sigma) as float32. Without noise
-// its low plane is one level 1 can only store and the configured level
-// repays: the member whose head was the trial.
+// its low plane is one level 1 can only store and planeLZ packs.
 func sineField(elems int, sigma float64) []byte {
 	rng := rand.New(rand.NewSource(11))
 	out := make([]byte, 4*elems)
@@ -68,9 +67,8 @@ func storedBytes(t *testing.T, r *Reader, i int) []byte {
 // A chunk written now decodes with nothing but compress/gzip and UnshuffleTo,
 // which is all a reader built before planes existed has.
 //
-// That holds for a member whose head was the configured level's trial, too:
-// the noise-free field's low plane is one, and the flush that ended the trial
-// left an empty stored block in it, which is deflate like any other block.
+// That holds for the members transform's own one-pass encoder writes too,
+// not compress/flate: both fields' planes hold one.
 func TestPlaneChunkReadableByStdlibGzip(t *testing.T) {
 	for name, data := range map[string][]byte{"noisy": planeField(64 << 10), "smooth": sineField(64<<10, 0)} {
 		r := writeOneChunk(t, data, func(w *Writer, meta ChunkMeta) {
@@ -82,9 +80,14 @@ func TestPlaneChunkReadableByStdlibGzip(t *testing.T) {
 		if members := bytes.Count(stored, []byte{0x1f, 0x8b, 0x08, 0, 0, 0, 0, 0}); members < 4 {
 			t.Fatalf("%s: stored chunk holds %d gzip headers, want one per byte plane", name, members)
 		}
-		if name == "smooth" && !bytes.Contains(stored, []byte{0, 0, 0xff, 0xff}) {
-			t.Fatalf("%s: no sync marker in the stored chunk: no trial head was kept", name)
+		ec, err := encodeChunk(nil, nil, data, ShuffleGzip, 4, DefaultGzipLevel)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if ec.planes[transform.PlaneLZ] == 0 {
+			t.Fatalf("%s: decisions %v, want a planeLZ member", name, ec.planes)
+		}
+		ec.release(nil)
 		zr, err := gzip.NewReader(bytes.NewReader(stored))
 		if err != nil {
 			t.Fatal(err)
@@ -190,7 +193,7 @@ func TestEncodeStatsPlaneDecisions(t *testing.T) {
 	pool.Close()
 
 	st := pool.Stats()
-	want := transform.PlaneCounts{transform.PlaneStored: 2, transform.PlaneLevel: 2, transform.PlaneFast: 4}
+	want := transform.PlaneCounts{transform.PlaneStored: 2, transform.PlaneLZ: 2, transform.PlaneFast: 4}
 	if st.Planes != want {
 		t.Errorf("plane decisions %v, want %v", st.Planes, want)
 	}
@@ -207,7 +210,8 @@ func TestEncodeStatsPlaneDecisions(t *testing.T) {
 	for _, line := range []string{
 		`damaris_encode_planes_total{mode="stored",server="0"} 2`,
 		`damaris_encode_planes_total{mode="fast",server="0"} 4`,
-		`damaris_encode_planes_total{mode="level",server="0"} 2`,
+		`damaris_encode_planes_total{mode="level",server="0"} 0`,
+		`damaris_encode_planes_total{mode="lz",server="0"} 2`,
 	} {
 		if !bytes.Contains(text.Bytes(), []byte(line)) {
 			t.Errorf("exposition lacks %q", line)

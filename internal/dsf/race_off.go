@@ -2,5 +2,5 @@
 
 package dsf
 
-// poison is the race build's check of the pooled read buffers (race_on.go).
+// poison is the race build's check of the pooled buffers (race_on.go).
 func poison([]byte) {}

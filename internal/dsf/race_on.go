@@ -2,7 +2,7 @@
 
 package dsf
 
-// poison zeroes a pooled buffer on its way back to its pool — a TOC read or
-// a gunzipped shuffle+gzip chunk: a string or a result still aliasing it
-// then shows.
+// poison zeroes a pooled buffer on its way back to its pool — a TOC read, a
+// gunzipped shuffle+gzip chunk or an encoded chunk's output: a string or a
+// result still aliasing it then shows.
 func poison(b []byte) { clear(b) }

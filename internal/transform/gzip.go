@@ -15,11 +15,12 @@ import (
 // fight the garbage collector for the memory bandwidth the simulation needs.
 
 // Encoder is the reusable state of one encoding goroutine: a gzip writer per
-// compression level it has used and the shuffle scratch space. A goroutine
-// that encodes for as long as it lives (a dsf.EncodePool worker) owns one, so
-// what it allocates is settled after its first chunk and depends on neither
-// the garbage collector nor the scheduler. The zero value is ready to use;
-// an Encoder must not be used by two goroutines at once.
+// compression level it has used, the one-pass encoder and the shuffle
+// scratch space. A goroutine that encodes for as long as it lives (a
+// dsf.EncodePool worker) owns one, so what it allocates is settled after its
+// first chunk and depends on neither the garbage collector nor the
+// scheduler. The zero value is ready to use; an Encoder must not be used by
+// two goroutines at once.
 //
 // A nil *Encoder borrows one from a process-wide sync.Pool for the call: the
 // right thing for occasional callers, but a pool item parked in one P's
@@ -28,14 +29,22 @@ import (
 type Encoder struct {
 	writers  [numLevels]*gzip.Writer // indexed by level-gzip.HuffmanOnly
 	fed      [numLevels]int64        // bytes each writer was given; tests bound the discarded share
+	lzFed    int64                   // and planeLZ
 	sw       sliceWriter             // the writers' sink
 	shuffled []byte
-	grams    [1 << 14]uint32 // repeats4's table
+	lz       planeLZ
 }
 
 const numLevels = gzip.BestCompression - gzip.HuffmanOnly + 1
 
 var encoderPool = sync.Pool{New: func() any { return new(Encoder) }}
+
+// releaseEncoder hands an Encoder borrowed from encoderPool back; a race
+// build poisons its shuffle scratch first.
+func releaseEncoder(e *Encoder) {
+	poison(e.shuffled[:cap(e.shuffled)])
+	encoderPool.Put(e)
+}
 
 var gzipReaderPool sync.Pool
 
@@ -72,7 +81,7 @@ func (e *Encoder) CompressGzipTo(dst, b []byte, level int) ([]byte, error) {
 	}
 	if e == nil {
 		e = encoderPool.Get().(*Encoder)
-		defer encoderPool.Put(e)
+		defer releaseEncoder(e)
 	}
 	return e.appendGzipMember(dst[:0], b, level)
 }
@@ -83,51 +92,27 @@ func (e *Encoder) CompressGzipTo(dst, b []byte, level int) ([]byte, error) {
 // readers concatenate them, so members appended one after another decode as
 // the concatenation of their inputs.
 func (e *Encoder) appendGzipMember(dst, b []byte, level int) ([]byte, error) {
-	out, _, err := e.appendMemberIf(dst, b, level, 0)
-	return out, err
-}
-
-// appendMemberIf is appendGzipMember with the trial built in: with head > 0,
-// b[:head] is deflated and flushed first, and the member is completed by the
-// same writer only if that took head>>worthShift bytes off the head. If not,
-// it reports false and returns dst, the abandoned bytes behind its length.
-// The flush is an empty stored block (00 00 00 ff ff), which is plain
-// deflate to every inflater; the matcher's window carries on across it.
-func (e *Encoder) appendMemberIf(dst, b []byte, level, head int) ([]byte, bool, error) {
 	w := e.writers[level-gzip.HuffmanOnly]
 	if w == nil {
 		var err error
 		if w, err = gzip.NewWriterLevel(io.Discard, level); err != nil {
-			return nil, false, fmt.Errorf("transform: gzip: %w", err)
+			return nil, fmt.Errorf("transform: gzip: %w", err)
 		}
 		e.writers[level-gzip.HuffmanOnly] = w
 	}
 	e.sw.b = dst
 	w.Reset(&e.sw)
-	var err error
-	keep, fed := true, &e.fed[level-gzip.HuffmanOnly]
-	if head > 0 {
-		if _, err = w.Write(b[:head]); err == nil {
-			err = w.Flush()
-		}
-		*fed += int64(head)
-		keep = head-(len(e.sw.b)-len(dst)) >= head>>worthShift
-	}
-	if err == nil && keep {
-		*fed += int64(len(b) - head)
-		if _, err = w.Write(b[head:]); err == nil {
-			err = w.Close()
-		}
+	e.fed[level-gzip.HuffmanOnly] += int64(len(b))
+	_, err := w.Write(b)
+	if err == nil {
+		err = w.Close()
 	}
 	out := e.sw.b
 	e.sw.b = nil // don't pin the caller's buffer inside the encoder
 	if err != nil {
-		return nil, false, fmt.Errorf("transform: gzip: %w", err)
+		return nil, fmt.Errorf("transform: gzip: %w", err)
 	}
-	if !keep {
-		out = out[:len(dst)]
-	}
-	return out, keep, nil
+	return out, nil
 }
 
 // pooledGunzip couples a reader with the one-byte buffer it probes for the

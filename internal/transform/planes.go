@@ -12,7 +12,8 @@ import (
 // same ~15 ns/B on all of them — its hash chains are at their worst on long
 // runs, and on noise it searches every position only to emit stored blocks.
 // ShuffleGzipTo therefore deflates every plane on its own, as one gzip member
-// each, and decides per plane whether the configured level is worth running.
+// each, and decides per plane whether the configured level is worth running,
+// or level 1, or this package's one-pass encoder (lz.go).
 // A gzip stream is a sequence of members and compress/gzip's reader
 // concatenates them, so the result decodes exactly like the single-member
 // stream CompressGzipTo(ShuffleTo(b)) does: the format does not change, only
@@ -30,6 +31,10 @@ const (
 	PlaneFast
 	// PlaneLevel: the member is the plane deflated at the configured level.
 	PlaneLevel
+	// PlaneLZ: the plane is noise to level 1 but holds four-byte repeats,
+	// and the member is planeLZ's, which takes every match its hash table
+	// finds in the window.
+	PlaneLZ
 	numPlaneModes
 )
 
@@ -41,6 +46,8 @@ func (m PlaneMode) String() string {
 		return "fast"
 	case PlaneLevel:
 		return "level"
+	case PlaneLZ:
+		return "lz"
 	}
 	return fmt.Sprintf("PlaneMode(%d)", int(m))
 }
@@ -62,11 +69,12 @@ const (
 	// most of what the default level costs there, so it only ever runs over a
 	// whole plane after a sample has said it will be the last pass.
 	fastLevel = gzip.BestSpeed
-	// worthShift is the price of the configured level: it runs over a whole
-	// plane when, on a sample, it saves at least 1/256 of the sample beyond
-	// what level 1 saves. Deflate time is proportional to the plane, so this
-	// is a price per byte saved, and it caps what all shortcuts together can
-	// add to a chunk at 1/256 of its raw size.
+	// worthShift is the price of a pass: the configured level runs over a
+	// whole plane when, on a sample, it saves at least 1/256 of the sample
+	// beyond what level 1 saves, and planeLZ's member is kept when it is
+	// 1/256 of the plane shorter than the plane. Deflate time is proportional
+	// to the plane, so this is a price per byte saved, and it caps what all
+	// shortcuts together can add to a chunk at 1/256 of its raw size.
 	// Run-dominated planes sit at 0-1/500, planes with structure only the
 	// hash chains find at 1/100 and more.
 	//
@@ -79,9 +87,9 @@ const (
 	// that again.
 	worthShift = 8
 	// noiseSample is the mid-plane sample that classifies a plane, and the
-	// length of the head on which the configured level is tried when level 1
-	// could only store that sample. It cannot be shorter: what the default
-	// level finds in that smooth field's low plane are near-repeats one sine
+	// length of the head searched for a four-byte repeat when level 1 could
+	// only store that sample. It cannot be shorter: what the default level
+	// finds in that smooth field's low plane are near-repeats one sine
 	// period (3.7 KiB) and more apart, 0.2 % of an 8 KiB sample, 1 % of a
 	// 16 KiB one, 3 % of the plane. Planes no longer than this take no
 	// shortcut.
@@ -95,6 +103,8 @@ const (
 	// plane) is what makes a plane a candidate for keeping its output.
 	// Between that and "stored" the configured level all but always repays.
 	runShift = 4
+	// repeatsBits sizes repeats4's table: 16 K slots for a 16 KiB head.
+	repeatsBits = 14
 )
 
 // ShuffleGzipTo byte-shuffles b by elemSize into e's scratch and encodes each
@@ -110,13 +120,16 @@ const (
 // and a shortcut is taken when the configured level would not save 1/256 of
 // the plane beyond level 1:
 //
-//   - level 1 only stores the sample, the plane's first 16 KiB either hold no
-//     four-byte sequence twice or come out of the configured level less than
-//     1/256 shorter, and level 1 then only stores the whole plane too: the
-//     plane is noise to both matchers, its member is level 1's stored blocks
-//     (PlaneStored). If the head does come out 1/256 shorter, the writer that
-//     deflated it carries on to the end of the plane: the trial is the head
-//     of the member (PlaneLevel), a flush's empty stored block 16 KiB in;
+//   - level 1 only stores the sample, and the plane's first 16 KiB hold a
+//     four-byte sequence twice: the plane is deflated by planeLZ, and its
+//     member is kept if it is 1/256 of the plane shorter than the plane
+//     (PlaneLZ). The configured level, whatever it is, is not run: planeLZ
+//     takes the four-byte matches compress/flate turns down, and its member
+//     is the shorter one;
+//   - level 1 only stores the sample, the head holds no four-byte repeat or
+//     planeLZ's member was not kept, and level 1 then only stores the whole
+//     plane too: the plane is noise to both matchers, its member is level
+//     1's stored blocks (PlaneStored);
 //   - level 1 leaves at most 1/16 of the sample and then of the whole plane,
 //     and either that is at most 1/256 of the plane or, on an 8 KiB
 //     mid-plane sample, the configured level's member is not 1/256 of the
@@ -133,7 +146,7 @@ func (e *Encoder) ShuffleGzipTo(dst, b []byte, elemSize, level int) ([]byte, Pla
 	}
 	if e == nil {
 		e = encoderPool.Get().(*Encoder)
-		defer encoderPool.Put(e)
+		defer releaseEncoder(e)
 	}
 	shuffled, err := ShuffleTo(e.shuffled, b, elemSize)
 	if err != nil {
@@ -181,16 +194,16 @@ func (e *Encoder) appendSampled(dst, plane []byte, level int) ([]byte, PlaneMode
 	if !noise && fst > len(sample)>>runShift {
 		return dst, PlaneLevel, nil
 	}
-	// The configured level's trial is the head of its member, so a plane that
-	// goes there is deflated once. Without a four-byte repeat in the head
-	// (compress/flate's shortest match) that level has only the literals
-	// level 1 could not pack, and the trial is skipped.
+	// Without a four-byte repeat in the head (deflate's shortest match worth
+	// a table slot) there are only the literals level 1 could not pack, and
+	// planeLZ is not run.
 	if noise && e.repeats4(plane[:noiseSample]) {
-		out, kept, err := e.appendMemberIf(dst, plane, level, noiseSample)
-		if err != nil || kept {
-			return out, PlaneLevel, err
+		out := e.lz.appendMember(dst, plane)
+		e.lzFed += int64(len(plane))
+		if len(plane)-(len(out)-len(dst)) >= len(plane)>>worthShift {
+			return out, PlaneLZ, nil
 		}
-		dst = out
+		dst = out[:len(dst)]
 	}
 	out, err := e.appendGzipMember(dst, plane, fastLevel)
 	if err != nil {
@@ -225,16 +238,18 @@ func (e *Encoder) appendSampled(dst, plane []byte, level int) ([]byte, PlaneMode
 // good a candidate as any, so the loop has no branch that noise makes
 // unpredictable. A repeat whose first occurrence another sequence has since
 // pushed out of its slot is missed, which matters to no verdict: what repays
-// a trial is hundreds of them.
+// planeLZ's pass is hundreds of them. The table is the first 1<<repeatsBits
+// slots of planeLZ's, which clears its own before it runs.
 func (e *Encoder) repeats4(s []byte) bool {
 	if len(s) < 4 {
 		return false
 	}
-	e.grams = [len(e.grams)]uint32{}
+	grams := (*[1 << repeatsBits]uint32)(e.lz.table[:])
+	clear(grams[:])
 	w := binary.LittleEndian.Uint32(s)
 	for i := 4; i < len(s); i++ {
 		w = w>>8 | uint32(s[i])<<24
-		slot := &e.grams[w*2654435761>>18]
+		slot := &grams[w*2654435761>>(32-repeatsBits)]
 		if binary.LittleEndian.Uint32(s[*slot:]) == w {
 			return true
 		}

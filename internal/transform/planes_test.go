@@ -39,8 +39,8 @@ func float32Field(n int, f func(i int) float64) []byte {
 }
 
 // smoothField is a temperature-like field without noise: level 1 gives up on
-// its low mantissa plane, the default level does not, so that plane's member
-// is a kept trial with a sync marker 16 KiB in.
+// its low mantissa plane, planeLZ does not, so that plane's member is
+// planeLZ's.
 func smoothField(n int) []byte {
 	return float32Field(n, func(i int) float64 { return 280 + 8*math.Sin(float64(i)/600) })
 }
@@ -173,14 +173,15 @@ func TestShuffleGzipCorpusContract(t *testing.T) {
 
 // The decisions on the benchmark's own fields at the default level are the
 // ones the sizing table in docs/dsf.md promises, for every variable offset:
-// the high mantissa plane of the even offsets (280, 282) dwells on a byte
+// the middle plane is noise to level 1 but not to planeLZ, and the high
+// mantissa plane of the even offsets (280, 282) dwells on a byte
 // boundary at the sine's extremes and packs to ~2 050 B of 65 536, right at
 // 1/32 of the plane and well inside the 1/16 the rule allows.
 func TestShuffleGzipBenchFieldDecisions(t *testing.T) {
 	data := benchField(1, 0, 256<<10)
 	sh, _ := ShuffleTo(nil, data, 4)
 	n := len(data) / 4
-	for j, w := range []PlaneMode{PlaneStored, PlaneLevel, PlaneFast, PlaneFast} {
+	for j, w := range []PlaneMode{PlaneStored, PlaneLZ, PlaneFast, PlaneFast} {
 		_, mode, err := new(Encoder).appendPlane(nil, sh[j*n:(j+1)*n], gzip.DefaultCompression)
 		if err != nil {
 			t.Fatal(err)
@@ -189,7 +190,7 @@ func TestShuffleGzipBenchFieldDecisions(t *testing.T) {
 			t.Errorf("plane %d: %v, want %v", j, mode, w)
 		}
 	}
-	want := PlaneCounts{PlaneStored: 1, PlaneLevel: 1, PlaneFast: 2}
+	want := PlaneCounts{PlaneStored: 1, PlaneLZ: 1, PlaneFast: 2}
 	for seed := int64(1); seed <= 6; seed++ {
 		for v := 0; v < 4; v++ {
 			_, counts, err := (*Encoder)(nil).ShuffleGzipTo(nil, benchField(seed, v, 256<<10), 4, gzip.DefaultCompression)
@@ -213,8 +214,8 @@ func TestShuffleGzipBenchFieldDecisions(t *testing.T) {
 }
 
 // A plane that is sampled and still goes to the configured level pays for the
-// trials on top (up to a quarter of a 64 KiB plane), and every member costs a
-// reset of its deflate state: 1.7x on the sparse entry, whose whole-chunk
+// level-1 sample on top (a quarter of a 64 KiB plane), and every member costs
+// a reset of its deflate state: 1.7x on the sparse entry, whose whole-chunk
 // encode is under a millisecond. The bound is loose enough for a noisy
 // machine and tight enough to catch a plane deflated twice at the configured
 // level, or level 1 run over planes it will not be kept for.
@@ -251,18 +252,17 @@ func TestShuffleGzipCostBound(t *testing.T) {
 	}
 }
 
-// The count behind the cost bound: what each gzip writer was fed, less the
-// plane's one kept member, is deflate work thrown away. On the benchmark's
-// fields that is the level-1 samples and the run plane's 8 KiB trial; the
-// configured level's 16 KiB trial is either skipped (no four-byte repeat) or
-// the head of the member that is kept.
+// The count behind the cost bound: what each gzip writer and planeLZ were
+// fed, less the plane's one kept member, is deflate work thrown away. On the
+// benchmark's fields that is the level-1 samples and the run plane's 8 KiB
+// comparison; planeLZ runs on the middle plane only, and is kept there.
 func TestShuffleGzipDiscardedWork(t *testing.T) {
 	const (
 		chunk = 256 << 10
-		// What the encoder discarded before trial heads were kept, per chunk:
-		// four 16 KiB level-1 samples, 16 KiB configured-level trials on
-		// planes 0 and 1, and 8 KiB at both levels on plane 2.
-		parentDiscarded = 4*noiseSample + 2*noiseSample + 2*runSample
+		// Per chunk: four 16 KiB level-1 samples and 8 KiB at both levels on
+		// plane 2. Configured-level trials on planes 0 and 1 added 32 KiB
+		// before planeLZ replaced them.
+		maxDiscarded = 4*noiseSample + 2*runSample
 	)
 	const lvl, fst = gzip.DefaultCompression - gzip.HuffmanOnly, fastLevel - gzip.HuffmanOnly
 	for seed := int64(1); seed <= 6; seed++ {
@@ -272,32 +272,35 @@ func TestShuffleGzipDiscardedWork(t *testing.T) {
 			var lvlDiscarded, discarded int64
 			for j := 0; j < 4; j++ {
 				plane := sh[j*chunk/4 : (j+1)*chunk/4]
-				before := e.fed
+				before, beforeLZ := e.fed, e.lzFed
 				_, mode, err := e.appendPlane(nil, plane, gzip.DefaultCompression)
 				if err != nil {
 					t.Fatal(err)
 				}
-				atLevel, atFast := e.fed[lvl]-before[lvl], e.fed[fst]-before[fst]
+				atLevel, atFast, atLZ := e.fed[lvl]-before[lvl], e.fed[fst]-before[fst], e.lzFed-beforeLZ
 				if atLevel >= 2*int64(len(plane)) {
 					t.Errorf("seed %d v %d plane %d (%v): %d bytes through the configured level, the plane is %d",
 						seed, v, j, mode, atLevel, len(plane))
 				}
-				if mode == PlaneLevel {
+				switch mode {
+				case PlaneLevel:
 					atLevel -= int64(len(plane))
-				} else {
+				case PlaneLZ:
+					atLZ -= int64(len(plane))
+				default:
 					atFast -= int64(len(plane))
 				}
-				if atLevel < 0 || atFast < 0 {
-					t.Fatalf("seed %d v %d plane %d (%v): kept member not counted (%d, %d)", seed, v, j, mode, atLevel, atFast)
+				if atLevel < 0 || atFast < 0 || atLZ < 0 {
+					t.Fatalf("seed %d v %d plane %d (%v): kept member not counted (%d, %d, %d)", seed, v, j, mode, atLevel, atFast, atLZ)
 				}
 				lvlDiscarded += atLevel
-				discarded += atLevel + atFast
+				discarded += atLevel + atFast + atLZ
 			}
-			if lvlDiscarded > chunk/16 {
-				t.Errorf("seed %d v %d: %d bytes deflated at the configured level and dropped, want <= %d", seed, v, lvlDiscarded, chunk/16)
+			if lvlDiscarded > runSample {
+				t.Errorf("seed %d v %d: %d bytes deflated at the configured level and dropped, want <= %d", seed, v, lvlDiscarded, runSample)
 			}
-			if discarded > parentDiscarded {
-				t.Errorf("seed %d v %d: %d bytes deflated and dropped, want <= %d", seed, v, discarded, parentDiscarded)
+			if discarded > maxDiscarded {
+				t.Errorf("seed %d v %d: %d bytes deflated and dropped, want <= %d", seed, v, discarded, maxDiscarded)
 			}
 		}
 	}
@@ -377,18 +380,18 @@ func TestShuffleGzipToSteadyStateAllocs(t *testing.T) {
 // plane ends on a 32 KiB window boundary, where flate reports the end of a
 // member one Read late.
 //
-// The smooth field's low plane is one level 1 can only store and the
-// configured level repays: its member is the kept trial, an empty stored block
-// (the flush's sync marker) 16 KiB in. To a plain compress/gzip reader that is
-// one more deflate block: same bytes, same single pass.
+// The smooth field's low plane is one level 1 can only store and planeLZ
+// packs: its member is planeLZ's, four dynamic Huffman blocks of this
+// package's own writing. To a plain compress/gzip reader it is a deflate
+// stream like the others: same bytes, same single pass.
 func TestShuffleGzipDecodeOnePass(t *testing.T) {
 	smooth := smoothField(256 << 10)
-	enc, _, err := (*Encoder)(nil).ShuffleGzipTo(nil, smooth, 4, gzip.DefaultCompression)
+	enc, counts, err := (*Encoder)(nil).ShuffleGzipTo(nil, smooth, 4, gzip.DefaultCompression)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Contains(enc, []byte{0, 0, 0xff, 0xff}) {
-		t.Fatal("no sync marker in the smooth field's encoding: no trial head was kept")
+	if counts[PlaneLZ] == 0 {
+		t.Fatalf("decisions %v: no plane of the smooth field is planeLZ's", counts)
 	}
 	zr, err := gzip.NewReader(bytes.NewReader(enc))
 	if err != nil {
@@ -396,10 +399,10 @@ func TestShuffleGzipDecodeOnePass(t *testing.T) {
 	}
 	sh := make([]byte, len(smooth)+1)
 	if n, err := io.ReadFull(zr, sh); n != len(smooth) || err != io.ErrUnexpectedEOF {
-		t.Fatalf("compress/gzip read %d bytes (%v) of a %d-byte chunk with a sync marker", n, err, len(smooth))
+		t.Fatalf("compress/gzip read %d bytes (%v) of a %d-byte chunk with a planeLZ member", n, err, len(smooth))
 	}
 	if raw, _ := UnshuffleTo(nil, sh[:len(smooth)], 4); !bytes.Equal(raw, smooth) {
-		t.Fatal("compress/gzip decodes the member with a sync marker to different bytes")
+		t.Fatal("compress/gzip decodes the planeLZ member to different bytes")
 	}
 	for _, data := range [][]byte{benchField(1, 0, 256<<10), smooth} {
 		decodeOnePass(t, data)
@@ -454,10 +457,10 @@ func FuzzPlaneGzipRoundTrip(f *testing.F) {
 	f.Add(append(noise, runs...), uint8(1), int8(2))
 	f.Add(benchField(2, 0, 4*noiseSample+40), uint8(2), int8(-1))
 	f.Add(runs, uint8(3), int8(-2))
-	// Both branches of the four-byte pre-check, with planes around the trial
-	// head's length: noise without a repeat skips the configured level's
-	// trial; noise stamped with a 5-byte pattern every 61 bytes is still
-	// nothing level 1 can pack, but takes the trial (and fails it).
+	// Both branches of the four-byte pre-check, with planes around the
+	// head's length: noise without a repeat skips planeLZ; noise stamped with
+	// a 5-byte pattern every 61 bytes is still nothing level 1 can pack, but
+	// goes through planeLZ.
 	for _, planeLen := range []int{noiseSample - 1, noiseSample, noiseSample + 1, 2 * noiseSample} {
 		for _, sizeSel := range []uint8{2, 3} {
 			n := planeLen << sizeSel
@@ -473,7 +476,7 @@ func FuzzPlaneGzipRoundTrip(f *testing.F) {
 			f.Add(fresh, sizeSel, int8(-1))
 		}
 	}
-	// A trial that is kept: the low plane of a smooth field.
+	// A planeLZ member that is kept: the low plane of a smooth field.
 	smooth, _ := ShuffleTo(nil, smoothField(8*noiseSample), 4)
 	f.Add(smooth[:2*noiseSample], uint8(0), int8(-1))
 	f.Fuzz(func(t *testing.T, data []byte, sizeSel uint8, level int8) {
@@ -531,7 +534,7 @@ func TestRepeats4(t *testing.T) {
 	// More four-byte sequences than the table has slots: slots are reused by
 	// unrelated sequences throughout, and verification must tell those from
 	// repeats.
-	crowded := make([]byte, 2*len(Encoder{}.grams))
+	crowded := make([]byte, 2<<repeatsBits)
 	rand.New(rand.NewSource(5)).Read(crowded)
 	seen := make(map[string]bool)
 	for i := 0; i+4 <= len(crowded); i++ {
