@@ -38,12 +38,11 @@ func main() {
 		partMB   = flag.Int64("part-cache-mb", gateway.DefaultPartCacheBytes>>20, "LRU part cache budget in MiB")
 		fetchers = flag.Int("fetch-workers", gateway.DefaultFetchWorkers, "bound on concurrent backend part fetches")
 		tocN     = flag.Int("toc-cache", gateway.DefaultTOCEntries, "bound on cached decoded manifests/TOCs")
-		statsDur = flag.Duration("stats-interval", 0, "print a stats line at this interval (0 = off)")
 		probe    = flag.String("ready-probe", "", "backend object /readyz must Stat successfully before reporting ready (empty = no backend probe)")
 	)
 	flag.Parse()
 	if *storeURL == "" {
-		fmt.Fprintln(os.Stderr, "usage: damaris-gate -store URL [-listen addr] [-part-cache-mb n] [-fetch-workers n] [-toc-cache n] [-stats-interval d] [-ready-probe object]")
+		fmt.Fprintln(os.Stderr, "usage: damaris-gate -store URL [-listen addr] [-part-cache-mb n] [-fetch-workers n] [-toc-cache n] [-ready-probe object]")
 		os.Exit(2)
 	}
 	backend, err := store.Open(*storeURL)
@@ -54,10 +53,9 @@ func main() {
 	defer backend.Close()
 
 	// The telemetry plane folds into the gateway's own mux (no second
-	// listener): /metrics, /metrics.json, /v1/metrics, /jitter and /readyz
-	// ride on -listen next to the data API. pprof does not — the gateway
-	// mux is client-facing, and profiling stays on damaris-run's dedicated
-	// -metrics-addr listener.
+	// listener): /metrics, /trace, /jitter and /readyz ride on -listen next
+	// to the data API. pprof does not — the gateway mux is client-facing,
+	// and profiling stays on damaris-run's dedicated -metrics-addr listener.
 	g, err := gateway.New(gateway.Config{
 		Backend:        backend,
 		PartCacheBytes: *partMB << 20,
@@ -68,17 +66,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "damaris-gate:", err)
 		os.Exit(1)
-	}
-
-	if *statsDur > 0 {
-		go func() {
-			for range time.Tick(*statsDur) {
-				s := g.Stats()
-				fmt.Printf("gateway: req=%d toc(hit=%.0f%%) parts(hit=%.0f%% %dB/%d) gets=%d served=%dB\n",
-					s.Requests, 100*s.TOCHitRate(), 100*s.PartHitRate(),
-					s.PartCacheBytes, s.PartCacheParts, s.BackendGets, s.BytesServed)
-			}
-		}()
 	}
 
 	fmt.Printf("damaris-gate: serving %s on %s\n", *storeURL, *listen)

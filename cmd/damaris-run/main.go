@@ -55,7 +55,7 @@ func main() {
 	flag.StringVar(&o.backend, "backend", "damaris", "damaris | fpp | collective")
 	flag.Int64Var(&o.bufMB, "buffer-mb", 64, "per-node shared buffer (MiB)")
 	flag.StringVar(&o.metricsAddr, "metrics-addr", "",
-		"serve live telemetry over HTTP on this address (/metrics Prometheus text, /metrics.json, /trace, /jitter, /debug/pprof); empty disables")
+		"serve live telemetry over HTTP on this address (/metrics Prometheus text, /trace, /jitter, /debug/pprof); empty disables")
 	flag.StringVar(&o.traceOut, "trace-out", "",
 		"write the retained lifecycle spans as JSONL to this file at exit (read back with dsf-inspect -trace)")
 	flag.IntVar(&o.traceRing, "trace-ring", 0,
@@ -100,7 +100,7 @@ func run(cfg *config.Config, o options, out io.Writer) error {
 		}
 		go srv.Serve(ln)
 		defer srv.Close()
-		fmt.Fprintf(out, "telemetry: http://%s/metrics (also /metrics.json /epochs /trace /jitter /readyz /debug/pprof)\n", ln.Addr())
+		fmt.Fprintf(out, "telemetry: http://%s/metrics (also /epochs /trace /jitter /readyz /debug/pprof)\n", ln.Addr())
 	}
 
 	res, err := cm1.RunWorld(cm1.WorldSpec{Strategy: o.backend, Ranks: o.ranks, CoresPerNode: o.coresPerNode,

@@ -46,7 +46,7 @@ func TestRunWritesEveryIterationFile(t *testing.T) {
 		args          []string
 	}{
 		{name: "defaults", backend: "damaris"},
-		{name: "synchronous", backend: "damaris", args: []string{"-persist-workers", "0"}},
+		{name: "one-writer", backend: "damaris", args: []string{"-persist-workers", "1", "-persist-queue", "1"}},
 		{name: "sharded-compressed", backend: "damaris",
 			args: []string{"-codec", "shuffle+gzip", "-shards", "2", "-persist-workers", "2", "-encode-workers", "2"}},
 		{name: "fpp-compressed", backend: "fpp", args: []string{"-codec", "shuffle+gzip"}},
@@ -136,6 +136,7 @@ func TestRunRejectsBadFlagsBeforeDeploying(t *testing.T) {
 		args    []string
 	}{
 		{"damaris", []string{"-persist-workers", "-1"}},
+		{"damaris", []string{"-persist-workers", "0"}},
 		{"damaris", []string{"-gzip-level", "11"}},
 		{"fpp", []string{"-codec", "bogus"}},
 		{"collective", []string{"-persist-backend", "obj://d?part_size=1"}},
@@ -158,14 +159,14 @@ func TestRunRejectsBadFlagsBeforeDeploying(t *testing.T) {
 }
 
 // The report ends with the plane's registry in the Prometheus text format —
-// the same families, with the inline executor (-persist-workers 0) as with
-// writers: every sample sits under its family's one TYPE line, and each
+// the same families with one writer behind a deeper queue as at the
+// defaults: every sample sits under its family's one TYPE line, and each
 // dedicated core counts its 4 iterations durable. Over an object store each
 // rank's store figures are its own, so the fleet sum of
 // damaris_store_commits_total is the number of manifests on disk.
 func TestReportTailIsTheRegistry(t *testing.T) {
 	objRoot := t.TempDir()
-	for _, args := range [][]string{nil, {"-persist-workers", "0"}, {"-persist-backend", "obj://" + objRoot}} {
+	for _, args := range [][]string{nil, {"-persist-workers", "1", "-persist-queue", "4"}, {"-persist-backend", "obj://" + objRoot}} {
 		var stdout bytes.Buffer
 		if err := runWorld(t, t.TempDir(), "damaris", &stdout, args...); err != nil {
 			t.Fatal(err)

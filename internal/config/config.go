@@ -54,13 +54,12 @@ type Config struct {
 	// (the paper uses 1; §V-A discusses several).
 	DedicatedCores int
 	// PersistWorkers is the number of write-behind persister goroutines
-	// per dedicated core; with 0 the pipeline persists inline on the event
-	// loop — the coupled baseline.
+	// per dedicated core, at least 1.
 	PersistWorkers int
 	// PersistQueueDepth bounds the in-flight iteration queue feeding the
-	// persist workers; it is also the client flow-control window when the
-	// pipeline is asynchronous (with SpillDir set the window is what the
-	// shared buffer holds instead, see core.Deploy).
+	// persist workers, at least 1; it is also the client flow-control window
+	// (with SpillDir set the window is what the shared buffer holds instead,
+	// see core.Deploy).
 	PersistQueueDepth int
 	// EncodeWorkers is the size of the per-dedicated-core chunk-encode pool
 	// (parallel compression/shuffle feeding a single ordered file streamer);
@@ -87,7 +86,7 @@ type Config struct {
 	// under this one (.spill-nodeNNNN_srvNNNN, which no listing of SpillDir
 	// shows) and commits iterations to it as DSF objects once the pipeline
 	// queue has backpressured for SpillAfter consecutive iterations.
-	// Requires an asynchronous pipeline and is incompatible with aggregation.
+	// Incompatible with aggregation.
 	SpillDir string
 	// SpillAfter is the consecutive-backpressure count that triggers a
 	// spill (0 = DefaultSpillAfter).
@@ -316,22 +315,13 @@ func (c *Config) Validate() error {
 			return err
 		}
 	}
-	if c.PersistWorkers > 0 && c.PersistQueueDepth < 1 {
-		return fmt.Errorf("config: persist queue depth must be at least 1 when the pipeline is asynchronous, got %d",
-			c.PersistQueueDepth)
-	}
 	if c.PersistBackend != "" {
 		if err := store.ValidateURL(c.PersistBackend); err != nil {
 			return fmt.Errorf("config: persist backend: %w", err)
 		}
 	}
-	if c.SpillDir != "" {
-		if c.PersistWorkers == 0 {
-			return fmt.Errorf("config: scratch spill requires an asynchronous pipeline (persist workers >= 1), got workers=0")
-		}
-		if c.AggregateEnabled() {
-			return fmt.Errorf("config: scratch spill is incompatible with aggregation (mode %q): spilled chunks are released before the merge could read them", c.AggregateMode)
-		}
+	if c.SpillDir != "" && c.AggregateEnabled() {
+		return fmt.Errorf("config: scratch spill is incompatible with aggregation (mode %q): spilled chunks are released before the merge could read them", c.AggregateMode)
 	}
 	return nil
 }

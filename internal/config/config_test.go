@@ -184,18 +184,12 @@ func TestPipelineKnobs(t *testing.T) {
 	}
 }
 
-func TestPipelineSynchronousBaseline(t *testing.T) {
-	// workers="0" is meaningful (the synchronous baseline), unlike an
-	// absent element which selects the defaults.
-	c, err := ParseString(`<simulation><pipeline workers="0"/></simulation>`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.PersistWorkers != 0 {
-		t.Errorf("PersistWorkers = %d, want explicit 0", c.PersistWorkers)
-	}
-	if c.PersistQueueDepth != DefaultPersistQueueDepth {
-		t.Errorf("PersistQueueDepth = %d, want default %d", c.PersistQueueDepth, DefaultPersistQueueDepth)
+func TestPipelineWorkersZeroRejected(t *testing.T) {
+	// The pipeline always has a writer: workers="0" fails with the knob's
+	// range error, like any other value below its minimum.
+	_, err := ParseString(`<simulation><pipeline workers="0"/></simulation>`)
+	if want := "<pipeline workers> (-persist-workers) is 0: must be at least 1"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("workers=0: error %v, want %q", err, want)
 	}
 }
 
@@ -210,10 +204,10 @@ func TestPipelineValidation(t *testing.T) {
 
 func TestPipelineQueueZeroRejected(t *testing.T) {
 	// An explicit queue="0" is an error (there is no zero-depth queue),
-	// unlike workers="0" which selects the synchronous baseline and unlike
-	// an absent attribute which selects the default.
-	if _, err := ParseString(`<simulation><pipeline workers="4" queue="0"/></simulation>`); err == nil {
-		t.Error("explicit queue=0 should fail")
+	// unlike an absent attribute which selects the default.
+	_, err := ParseString(`<simulation><pipeline workers="4" queue="0"/></simulation>`)
+	if want := "<pipeline queue> (-persist-queue) is 0: must be at least 1"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("queue=0: error %v, want %q", err, want)
 	}
 	if _, err := ParseString(`<simulation><pipeline queue="junk"/></simulation>`); err == nil {
 		t.Error("non-numeric queue should fail")
@@ -222,8 +216,7 @@ func TestPipelineQueueZeroRejected(t *testing.T) {
 
 func TestPipelineWorkersAttrAbsentKeepsDefault(t *testing.T) {
 	// <pipeline queue="8"/> must deepen the queue while keeping the
-	// default (asynchronous) worker count — an absent workers attribute is
-	// not the same as workers="0".
+	// default worker count.
 	c, err := ParseString(`<simulation><pipeline queue="8"/></simulation>`)
 	if err != nil {
 		t.Fatal(err)
@@ -340,7 +333,6 @@ func TestSpillElement(t *testing.T) {
 
 func TestSpillValidation(t *testing.T) {
 	cases := map[string]string{
-		"spill without pipeline": `<simulation><pipeline workers="0"/><spill dir="/s"/></simulation>`,
 		"spill with aggregation": `<simulation><aggregate mode="core"/><spill dir="/s"/></simulation>`,
 		"negative after":         `<simulation><spill dir="/s" after="-1"/></simulation>`,
 		"non-numeric after":      `<simulation><spill dir="/s" after="few"/></simulation>`,
@@ -370,7 +362,8 @@ func TestValidateProgrammaticConfig(t *testing.T) {
 	for name, mutate := range map[string]func(*Config){
 		"negative persist workers": func(c *Config) { c.PersistWorkers = -1 },
 		"negative queue depth":     func(c *Config) { c.PersistQueueDepth = -2 },
-		"zero queue with pipeline": func(c *Config) { c.PersistWorkers = 2; c.PersistQueueDepth = 0 },
+		"zero persist workers":     func(c *Config) { c.PersistWorkers = 0 },
+		"zero queue depth":         func(c *Config) { c.PersistWorkers = 2; c.PersistQueueDepth = 0 },
 		"negative encode workers":  func(c *Config) { c.EncodeWorkers = -3 },
 		"gzip level out of range":  func(c *Config) { c.PersistGzipLevel = 11 },
 		"unknown backend scheme":   func(c *Config) { c.PersistBackend = "s3://bucket" },
@@ -386,15 +379,8 @@ func TestValidateProgrammaticConfig(t *testing.T) {
 		}
 	}
 
-	// The synchronous baseline tolerates a zero queue depth (the window is
-	// pinned to 1 there), and known backends pass.
+	// Known backends pass.
 	c := base()
-	c.PersistWorkers = 0
-	c.PersistQueueDepth = 0
-	if err := c.Validate(); err != nil {
-		t.Errorf("sync baseline with zero queue: %v", err)
-	}
-	c = base()
 	c.PersistBackend = "file:///somewhere"
 	if err := c.Validate(); err != nil {
 		t.Errorf("file backend: %v", err)

@@ -55,10 +55,10 @@ func (c *Config) knobs() []knob {
 			help: "shared-memory allocator: mutex | lockfree"},
 		{elem: "buffer", attr: "cores", i: &c.DedicatedCores, def: DefaultDedicatedCores, help: "dedicated cores per node"},
 
-		{elem: "pipeline", attr: "workers", flag: "persist-workers", i: &c.PersistWorkers, def: DefaultPersistWorkers,
-			help: "write-behind persist workers per dedicated core (0 = the pipeline persists inline on the event loop)"},
-		{elem: "pipeline", attr: "queue", flag: "persist-queue", i: &c.PersistQueueDepth, def: DefaultPersistQueueDepth,
-			help: "in-flight iteration queue depth; also the client flow window when async, so the buffer must hold queue+1 write phases"},
+		{elem: "pipeline", attr: "workers", flag: "persist-workers", i: &c.PersistWorkers, def: DefaultPersistWorkers, min: 1,
+			help: "write-behind persist workers per dedicated core"},
+		{elem: "pipeline", attr: "queue", flag: "persist-queue", i: &c.PersistQueueDepth, def: DefaultPersistQueueDepth, min: 1,
+			help: "in-flight iteration queue depth; also the client flow window, so the buffer must hold queue+1 write phases"},
 		{elem: "pipeline", attr: "encode_workers", flag: "encode-workers", i: &c.EncodeWorkers, def: DefaultEncodeWorkers,
 			help: "parallel chunk-encode workers per dedicated core (0 = serial encoding inside each persist writer)"},
 		{elem: "pipeline", attr: "gzip_level", flag: "gzip-level", i: &c.PersistGzipLevel, def: DefaultPersistGzipLevel,

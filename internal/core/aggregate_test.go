@@ -95,11 +95,11 @@ func readDir(t *testing.T, dir string) map[string][]byte {
 // The tentpole's acceptance claim, tier 1: with aggregation enabled each
 // node commits exactly one DSF object per flush epoch, merging both
 // dedicated cores' contributions in deterministic order, byte-identical
-// across pipeline worker counts (0 = synchronous baseline included).
+// across pipeline worker counts.
 func TestDeployAggregateCoreOneObjectPerNodePerEpoch(t *testing.T) {
 	const iters = 3
 	var ref map[string][]byte
-	for _, workers := range []int{0, 1, 2} {
+	for _, workers := range []int{1, 2, 4} {
 		dir := t.TempDir()
 		cfg := testCfg(t, "mutex", 2)
 		cfg.AggregateMode = "core"
@@ -126,7 +126,7 @@ func TestDeployAggregateCoreOneObjectPerNodePerEpoch(t *testing.T) {
 		} else {
 			for name, b := range ref {
 				if !bytes.Equal(files[name], b) {
-					t.Errorf("workers=%d: %s differs from workers=0 output", workers, name)
+					t.Errorf("workers=%d: %s differs from workers=1 output", workers, name)
 				}
 			}
 		}

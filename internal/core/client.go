@@ -208,8 +208,7 @@ func (c *Client) EndIteration(iteration int64) error {
 		Source:    c.source,
 	})
 	// Flow control: run at most `window` iterations ahead of the pipeline's
-	// last acked one (window = 1 synchronous, persist_queue_depth under the
-	// write-behind pipeline), so a fast client can never fill the shared
+	// last acked one (window = persist_queue_depth), so a fast client can never fill the shared
 	// buffer with its own backlog and starve a sibling's current iteration
 	// (see the pipeline doc in pipeline.go). This wait overlaps the next
 	// compute phase in real use — by the time the simulation computes, the

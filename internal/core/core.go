@@ -215,10 +215,9 @@ func Deploy(world *mpi.Comm, cfg *config.Config, reg *plugin.Registry, opts Opti
 // segSize-byte segment (shm.WithParts), from group g's write phase: every
 // declared variable once per member client.
 //
-// The window is 1 for the synchronous baseline and the persist queue depth
-// for the write-behind pipeline, which can usefully absorb exactly that
-// many iterations: further ahead would only grow memory, less would idle
-// the writers. With a scratch store it opens to what the segment holds
+// The window is the persist queue depth, which the write-behind pipeline can
+// usefully absorb exactly: further ahead would only grow memory, less would
+// idle the writers. With a scratch store it opens to what the segment holds
 // (segSize/phase phases, one fewer ahead): spilled iterations release their
 // chunks, so the segment, not the queue, bounds a client; and a window no
 // wider than the queue keeps at most queue+1 iterations in flight against
@@ -233,10 +232,7 @@ func Deploy(world *mpi.Comm, cfg *config.Config, reg *plugin.Registry, opts Opti
 // is durable (the slowest sibling's durability window, aggregate.Stats), so
 // a segment below window+1 phases deadlocks the node once one lags: an error.
 func planBuffer(cfg *config.Config, segSize int64, g, members int) (window int64, parts []int64, err error) {
-	window = 1
-	if cfg.PersistWorkers > 0 {
-		window = int64(cfg.PersistQueueDepth)
-	}
+	window = int64(cfg.PersistQueueDepth)
 	phase := cfg.PhaseBytesPerClient() * int64(members)
 	if phase == 0 {
 		return window, nil, nil
@@ -253,7 +249,7 @@ func planBuffer(cfg *config.Config, segSize int64, g, members int) (window int64
 				"raise <buffer size>, lower persist_queue_depth, or trim unwritten <variable> declarations",
 			segSize, g, need, window, phase)
 	}
-	parts = []int64{(min(window, int64(max(cfg.PersistWorkers, 1))) + 1) * phase}
+	parts = []int64{(min(window, int64(cfg.PersistWorkers)) + 1) * phase}
 	for n := parts[0]; n < need; n += phase {
 		parts = append(parts, phase)
 	}

@@ -19,10 +19,7 @@ import (
 // An optional stage that is off is nil.
 type pipelineSpec struct {
 	persister Persister
-	// workers is the writer goroutine count. 0 selects the inline executor:
-	// submit persists the iteration on the event loop that called it and
-	// returns once it is acked — the coupled baseline the paper's
-	// dedicated-core design eliminates, kept for comparison runs.
+	// workers is the writer goroutine count, at least 1.
 	workers int
 	// depth is the queue's capacity, and the cap on iterations per persist
 	// call.
@@ -65,8 +62,7 @@ type pipelineSpec struct {
 // resumes draining client events; writers make the data durable, release the
 // shared-memory chunks, and advance the ack watermark — so clients re-couple
 // to I/O latency only when the queue is full (backpressure) or they outrun
-// the flow window. With zero writers the same steps run inside submit, on a
-// batch of one.
+// the flow window.
 //
 // Durability ordering: writers may complete iterations out of submission
 // order, but the watermark and the per-iteration completion callback
@@ -139,14 +135,12 @@ type persistDone struct {
 }
 
 // newPipeline starts the spec's writer goroutines over a queue of depth
-// `depth`. Batching is capped at the queue depth: a writer wakes, takes one
-// job, then greedily drains whatever else is already queued so one durable
-// persister call can cover several iterations (amortizing per-call costs —
-// file creation, fsync — exactly where a slow persister hurts most).
+// `depth` (config.Validate holds both to at least 1). Batching is capped at
+// the queue depth: a writer wakes, takes one job, then greedily drains
+// whatever else is already queued so one durable persister call can cover
+// several iterations (amortizing per-call costs — file creation, fsync —
+// exactly where a slow persister hurts most).
 func newPipeline(spec pipelineSpec) *pipeline {
-	if spec.depth < 1 {
-		spec.depth = 1
-	}
 	p := &pipeline{
 		pipelineSpec: spec,
 		jobs:         make(chan persistJob, spec.depth),
@@ -166,9 +160,8 @@ func newPipeline(spec pipelineSpec) *pipeline {
 }
 
 // submit takes one completed iteration through the stages: merge, then the
-// queue (or, with no writers, the persist itself). It is called by one event
-// loop at a time, in ascending iteration order, and must not be called after
-// close.
+// queue. It is called by one event loop at a time, in ascending iteration
+// order, and must not be called after close.
 func (p *pipeline) submit(it int64, entries []*metadata.Entry) {
 	if p.merge != nil {
 		p.merge(it, entries)
@@ -184,14 +177,7 @@ func (p *pipeline) submit(it int64, entries []*metadata.Entry) {
 	p.maxDepth = max(p.maxDepth, inFlight)
 	p.depths.Observe(float64(inFlight))
 	p.mu.Unlock()
-	job := persistJob{seq: seq, it: it, entries: entries, bytes: bytes, submitted: time.Now()}
-	if p.workers == 0 {
-		// Inline executor: no writer slot is charged — the time is already
-		// the calling loop's busy time.
-		p.persistAndAck(-1, []persistJob{job})
-	} else {
-		p.enqueue(job)
-	}
+	p.enqueue(persistJob{seq: seq, it: it, entries: entries, bytes: bytes, submitted: time.Now()})
 }
 
 // enqueue hands a job to the writers. It blocks while the queue is full —
@@ -249,11 +235,10 @@ func (p *pipeline) spillJob(j persistJob) {
 	p.complete([]persistJob{j}, wall.Seconds(), []error{err})
 }
 
-// complete is where every iteration ends, whether a writer, the inline
-// executor or the spill path carried it: its iterations are durable (or
-// definitively failed), so only now are their shared-memory chunks released
-// — on error the data is gone either way, so liveness wins, release
-// regardless. Each is charged perIt seconds of persisting and recorded for
+// complete is where every iteration ends, whether a writer or the spill path
+// carried it: its iterations are durable (or definitively failed), so only
+// now are their shared-memory chunks released — on error the data is gone
+// either way, so liveness wins, release regardless. Each is charged perIt seconds of persisting and recorded for
 // the in-order ack watermark. An iteration the watermark passes is counted,
 // wakes the clients waiting at the window, is acked (onDurable) and its
 // entries go back to the catalog (recycle).
@@ -369,8 +354,8 @@ func tryRecv(ch chan persistJob) (persistJob, bool) {
 	}
 }
 
-// persistAndAck writes one batch durably and completes it. slot is the calling
-// writer's, or negative on the inline executor's event loop.
+// persistAndAck writes one batch durably and completes it, charging the time
+// to writer slot.
 func (p *pipeline) persistAndAck(slot int, batch []persistJob) {
 	start := time.Now()
 	errs := make([]error, len(batch))
@@ -404,9 +389,7 @@ func (p *pipeline) persistAndAck(slot int, batch []persistJob) {
 		p.tracer.Record(obs.StagePersist, p.server, j.it, start, callDur, j.bytes, errs[i] != nil)
 	}
 	p.mu.Lock()
-	if slot >= 0 {
-		p.ws.AddBusy(slot, dur)
-	}
+	p.ws.AddBusy(slot, dur)
 	p.batches.Observe(float64(len(batch)))
 	p.mu.Unlock()
 	// Each iteration is charged its share of the batch's persist call, so
@@ -419,17 +402,16 @@ func (p *pipeline) persistAndAck(slot int, batch []persistJob) {
 // metrics, exported through Server.PipelineStats and put on the registry by
 // Emit.
 type PipelineStats struct {
-	// Workers is the writer goroutine count (0 = the pipeline persists
-	// inline on the event loop).
+	// Workers is the writer goroutine count.
 	Workers int
 	// QueueDepth is the configured bound on queued iterations.
 	QueueDepth int
 	// Window is the client flow window — how many iterations a client may
-	// run ahead of the pipeline's last acked one: 1 with the inline executor,
-	// QueueDepth with writers, and with a scratch store attached what the
-	// shared buffer holds (its size over one write phase of the server's
-	// clients, minus one, never below QueueDepth), so that a full queue
-	// overflows into the spill instead of stopping the clients.
+	// run ahead of the pipeline's last acked one: QueueDepth, and with a
+	// scratch store attached what the shared buffer holds (its size over one
+	// write phase of the server's clients, minus one, never below
+	// QueueDepth), so that a full queue overflows into the spill instead of
+	// stopping the clients.
 	Window int
 	// Enqueued and Completed count iterations through the pipeline.
 	Enqueued, Completed int64

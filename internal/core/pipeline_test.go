@@ -673,9 +673,10 @@ func (p *slowPersister) PersistBatch(batch []IterationBatch) error {
 }
 
 // TestAsyncPipelineDecouplesClientFromPersistLatency runs the same workload
-// against the synchronous baseline and the 4-writer write-behind pipeline
-// with a deliberately slow persister, and asserts the pipeline keeps client
-// iteration completion essentially independent of persist latency.
+// against one writer behind a one-deep queue and the 4-writer write-behind
+// pipeline with a deliberately slow persister, and asserts the deep pipeline
+// keeps client iteration completion essentially independent of persist
+// latency.
 func TestAsyncPipelineDecouplesClientFromPersistLatency(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test in short mode")
@@ -722,71 +723,16 @@ func TestAsyncPipelineDecouplesClientFromPersistLatency(t *testing.T) {
 		return clientDur
 	}
 
-	syncDur := run(0, 1)
+	coupledDur := run(1, 1)
 	asyncDur := run(4, 8)
-	t.Logf("client-side %d iterations: sync=%v async(4 writers)=%v (%.1fx)",
-		iters, syncDur, asyncDur, float64(syncDur)/float64(asyncDur))
-	// Sync couples every iteration to the persist latency, so it needs at
-	// least (iters-1)*delay. Async with 4 writers and batching must beat it
+	t.Logf("client-side %d iterations: coupled(1 writer, queue 1)=%v async(4 writers)=%v (%.1fx)",
+		iters, coupledDur, asyncDur, float64(coupledDur)/float64(asyncDur))
+	// A window of one iteration and batches of one couple every iteration
+	// after the first to the persist latency, so the coupled run needs at
+	// least (iters-2)*delay. Async with 4 writers and batching must beat it
 	// by a wide margin; 3x is a deliberately conservative floor for CI.
-	if asyncDur*3 > syncDur {
-		t.Errorf("async pipeline too slow: sync=%v async=%v, want >=3x speedup", syncDur, asyncDur)
-	}
-}
-
-// TestSyncBaselineStatsTrackFailures keeps the workers=0 baseline's
-// exported stats honest: errored iterations must show up in Failures, so
-// sync-vs-async comparisons of PipelineStats compare like with like.
-func TestSyncBaselineStatsTrackFailures(t *testing.T) {
-	boom := errors.New("sync persist failure")
-	cfg := pipelineCfg(t, 1<<20, 0, 1, "v")
-	var srv *Server
-	var runErr error
-	err := mpi.Run(2, 2, func(comm *mpi.Comm) {
-		dep, err := Deploy(comm, cfg, nil, Options{Persister: failingPersister{boom}})
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		if !dep.IsClient() {
-			srv = dep.Server
-			runErr = dep.Server.Run()
-			return
-		}
-		cli := dep.Client
-		data := make([]float32, 32*32)
-		for it := int64(0); it < 3; it++ {
-			if err := cli.Write("v", it, mpi.Float32sToBytes(data)); err != nil {
-				t.Error(err)
-				return
-			}
-			if err := cli.EndIteration(it); err != nil {
-				t.Error(err)
-				return
-			}
-		}
-		_ = cli.Finalize()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ps := srv.PipelineStats()
-	if ps.Workers != 0 {
-		t.Errorf("Workers = %d, want 0 for the sync baseline", ps.Workers)
-	}
-	if ps.Enqueued != 3 || ps.Completed != 3 || ps.Failures != 3 {
-		t.Errorf("stats = enqueued %d / completed %d / failures %d, want 3/3/3",
-			ps.Enqueued, ps.Completed, ps.Failures)
-	}
-	// The same pipeline as every other worker count keeps the same books: a
-	// flush latency per iteration, one iteration per persist call, no writer
-	// to be busy — and Run returning the persist failure.
-	if ps.FlushLatency.N != 3 || ps.BatchSize.Mean != 1 || ps.Utilization != 0 {
-		t.Errorf("flush latencies %d, batch size mean %v, utilization %v, want 3, 1, 0",
-			ps.FlushLatency.N, ps.BatchSize.Mean, ps.Utilization)
-	}
-	if !errors.Is(runErr, boom) {
-		t.Errorf("Run = %v, want the persist failure", runErr)
+	if asyncDur*3 > coupledDur {
+		t.Errorf("async pipeline too slow: coupled=%v async=%v, want >=3x speedup", coupledDur, asyncDur)
 	}
 }
 

@@ -7,7 +7,6 @@ package core
 
 import (
 	"bytes"
-	"encoding/json"
 	"io/fs"
 	"net/http/httptest"
 	"os"
@@ -118,18 +117,14 @@ func TestDeployBrownoutSpillsReplaysByteIdentical(t *testing.T) {
 	if !bytes.Equal(withoutRuntime(scrape(t, srv, "/metrics")), withoutRuntime(scrape(t, srv, "/metrics"))) {
 		t.Error("back-to-back quiesced Prometheus scrapes differ beyond the runtime's own figures")
 	}
-	var doc obs.MetricsDoc
-	if err := json.Unmarshal(scrape(t, srv, "/v1/metrics"), &doc); err != nil {
-		t.Fatalf("metrics JSON: %v", err)
-	}
-	var spilledScraped float64
-	for _, m := range doc.Metrics {
-		if m.Name == "damaris_spill_spilled_total" {
-			spilledScraped += m.Value
+	var spilledGathered float64
+	for _, s := range plane.Registry().Gather() {
+		if s.Name == "damaris_spill_spilled_total" {
+			spilledGathered += s.Value
 		}
 	}
-	if int64(spilledScraped) != ps.Spill.Spilled {
-		t.Errorf("scraped damaris_spill_spilled_total = %v, the run spilled %d", spilledScraped, ps.Spill.Spilled)
+	if int64(spilledGathered) != ps.Spill.Spilled {
+		t.Errorf("gathered damaris_spill_spilled_total = %v, the run spilled %d", spilledGathered, ps.Spill.Spilled)
 	}
 	stages := map[obs.Stage]int{}
 	for _, sp := range plane.Tracer().Snapshot() {

@@ -19,9 +19,7 @@ import (
 // shared queue, maintains the metadata catalog through the EPE, and hands
 // each completed iteration to the write-behind persistence pipeline, so
 // that I/O overlaps the clients' next compute phase and a slow persister
-// never stalls event draining. With PersistWorkers=0 the pipeline has no
-// writers and persists inside the event loop — the coupled baseline the
-// paper's dedicated-core design eliminates, kept for comparison runs.
+// never stalls event draining: the event loop itself never persists.
 type Server struct {
 	eng       *event.Engine // shard 0's engine (they share the store and tally)
 	shards    []*shardLoop  // the event-loop shards; len 1 = the classic single loop
@@ -46,7 +44,7 @@ type Server struct {
 	closeOnce sync.Once
 
 	mu        sync.Mutex
-	shardWS   stats.WorkerSet // per-shard-loop busy seconds (incl. persisting only with the inline executor)
+	shardWS   stats.WorkerSet // per-shard-loop busy seconds
 	spareDur  float64         // seconds spent idle waiting for events
 	eventErrs int64           // events the engine failed to handle; the first is logged
 	flushErr  error           // first persistence error, surfaced by Run/Close
@@ -150,8 +148,7 @@ func newServer(sp serverSpec) (*Server, error) {
 		// committed are handed straight to the drainer, which replays them
 		// through this server's normal persist path. Config.Validate has
 		// already rejected spill with aggregation (spilled chunks are
-		// released early, which the shared merge ring cannot tolerate) and
-		// spill without an asynchronous pipeline.
+		// released early, which the shared merge ring cannot tolerate).
 		local, err := store.NewFileStore(fmt.Sprintf("%s/.spill-node%04d_srv%04d", cfg.SpillDir, sp.node, worldRank), store.Options{})
 		if err != nil {
 			return fail(fmt.Errorf("scratch dir: %w", err))
@@ -293,8 +290,8 @@ func (s *Server) noteFlushErr(err error) {
 // loops the engine's tally has already serialized flushes into
 // ascending-iteration order, so at most one flush runs at a time (the
 // pipeline's single-submitter contract). `shard` is the loop that counted the
-// iteration's last EndIteration (-1 = not shard-attributed). With writers the
-// hand-off is a bounded-queue send (blocking only when the pipeline is
+// iteration's last EndIteration (-1 = not shard-attributed). The hand-off is a
+// bounded-queue send (blocking only when the pipeline is
 // `persist_queue_depth` iterations behind — the backpressure point); the
 // event loop then resumes draining client events while writers persist.
 // Entries leave the metadata catalog here but their shared-memory chunks
@@ -332,8 +329,7 @@ func (s *Server) SpareSeconds() float64 {
 	return s.spareDur
 }
 
-// BusySeconds returns the total time the shard loops spent handling events
-// and, with the inline executor, persisting.
+// BusySeconds returns the total time the shard loops spent handling events.
 func (s *Server) BusySeconds() float64 {
 	var sum float64
 	for _, sh := range s.shardStats() {

@@ -59,13 +59,14 @@ func TestEffectiveShards(t *testing.T) {
 // The tentpole invariant: sharding the event loop may only change *when*
 // work overlaps, never output bytes. Every shard count x persist-worker
 // count must leave a DSF tree holding the chunks of the pre-sharding classic
-// loop persisting inline. Inline, each iteration is its own object, so
-// those runs must match object for object; persist writers batch whatever
-// is queued, so their object names follow the interleaving and only their
-// chunks are compared.
+// loop with one writer behind a one-deep queue. There each batch is one
+// iteration, so each iteration is its own object, and every run at queue 1
+// must match it object for object; deeper queues batch whatever is queued,
+// so their object names follow the interleaving and only their chunks are
+// compared.
 func TestShardedOutputByteIdentical(t *testing.T) {
 	const iters = 10
-	run := func(workers int, shardsXML string) map[string][]byte {
+	run := func(workers, queue int, shardsXML string) map[string][]byte {
 		dir := t.TempDir()
 		backend, err := store.NewFileStore(dir, store.Options{})
 		if err != nil {
@@ -73,26 +74,26 @@ func TestShardedOutputByteIdentical(t *testing.T) {
 		}
 		defer backend.Close()
 		pers := &DSFPersister{Backend: backend}
-		runNode(t, shardCfg(t, workers, 2, shardsXML), Options{Persister: pers}, iters)
+		runNode(t, shardCfg(t, workers, queue, shardsXML), Options{Persister: pers}, iters)
 		return readDir(t, dir)
 	}
 
-	ref := run(0, "")
+	ref := run(1, 1, "")
 	if len(ref) != iters {
-		t.Fatalf("inline classic loop produced %d objects, want %d", len(ref), iters)
+		t.Fatalf("classic loop at workers=1 queue=1 produced %d objects, want %d", len(ref), iters)
 	}
 	refChunks := readChunks(t, ref)
-	singleUse(t, "workers=0", ref)
-	for _, workers := range []int{0, 4} {
+	singleUse(t, "workers=1 queue=1", ref)
+	for _, pipe := range []struct{ workers, queue int }{{1, 1}, {4, 2}} {
 		for _, shardsXML := range []string{"", `<shards count="1"/>`, `<shards count="2"/>`, `<shards count="4"/>`} {
-			if workers == 0 && shardsXML == "" {
+			if pipe.queue == 1 && shardsXML == "" {
 				continue // the reference
 			}
-			label := fmt.Sprintf("workers=%d %s", workers, shardsXML)
-			variant := run(workers, shardsXML)
+			label := fmt.Sprintf("workers=%d queue=%d %s", pipe.workers, pipe.queue, shardsXML)
+			variant := run(pipe.workers, pipe.queue, shardsXML)
 			sameChunks(t, label, readChunks(t, variant), refChunks)
 			singleUse(t, label, variant)
-			if workers == 0 {
+			if pipe.queue == 1 {
 				sameFiles(t, label, variant, ref)
 			}
 		}
@@ -158,17 +159,17 @@ func (p *slowFailPersister) Persist(it int64, entries []*metadata.Entry) error {
 }
 
 // Three shard loops racing injected persist failures, under -race in CI: a
-// slow failing synchronous persister blocks whichever loop won the flush
-// ticket while its clients keep pushing and its siblings run on, and every
-// client event must still be handled exactly once, Run must return the error,
-// and all surviving iterations must be complete in the store.
+// slow failing persister behind a one-deep queue blocks whichever loop won
+// the flush ticket while its clients keep pushing and its siblings run on,
+// and every client event must still be handled exactly once, Run must return
+// the error, and all surviving iterations must be complete in the store.
 func TestShardedLoopsSurvivePersistFailures(t *testing.T) {
 	boom := errors.New("injected persist failure")
 	pers := &slowFailPersister{delay: 2 * time.Millisecond, boom: boom}
-	// Synchronous baseline (workers=0): the flush runs inside the shard
-	// loop that won the ticket, so a slow persist reliably backs up that
-	// shard's queue.
-	cfg := shardCfg(t, 0, 1, `<shards count="4"/>`)
+	// One writer behind a one-deep queue: the flush that finds the queue
+	// full blocks the shard loop that won the ticket, so a slow persist
+	// reliably backs up that shard's queue.
+	cfg := shardCfg(t, 1, 1, `<shards count="4"/>`)
 	const iters = 40
 
 	var srv *Server
@@ -415,10 +416,10 @@ func TestShardOverwriteUnderFullSegment(t *testing.T) {
 // Span honesty: with tracing on, an iteration's write span runs from its
 // first write being made to the flush — not from the moment the loop, resumed
 // by EndIteration, got round to the queued notification. And the pipeline
-// records the iteration's queue, persist and ack spans whether a writer made
-// it durable (workers=1) or the event loop did, inline (workers=0).
+// records the iteration's queue, persist and ack spans whichever of its
+// writers made it durable.
 func TestShardWriteSpanOpensAtFirstPush(t *testing.T) {
-	for _, workers := range []int{0, 1} {
+	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) { testWriteSpan(t, workers) })
 	}
 }
@@ -484,7 +485,7 @@ func TestCommitStampsAllocStart(t *testing.T) {
 	const hold = 5 * time.Millisecond
 	plane := obs.NewPlane(0)
 	err := mpi.Run(2, 2, func(comm *mpi.Comm) {
-		dep, err := Deploy(comm, shardCfg(t, 0, 2, ""), nil, Options{Persister: &MemPersister{}, Obs: plane})
+		dep, err := Deploy(comm, shardCfg(t, 1, 2, ""), nil, Options{Persister: &MemPersister{}, Obs: plane})
 		if err != nil {
 			t.Error(err)
 			return

@@ -163,7 +163,7 @@ func sameFiles(t *testing.T, label string, got, want map[string][]byte) {
 // tree holding the smallest configuration's chunks. A writer batches
 // whatever is queued into one object, so where the queue holds more than one
 // iteration the object names follow the interleaving and only the chunk set
-// is compared; with a queue of one, or no writers, every object is too.
+// is compared; with a queue of one every object is too.
 func TestControlDecisionSequencesByteIdentical(t *testing.T) {
 	const iters = 12
 	run := func(lat time.Duration, workers, queue, encode int) map[string][]byte {
@@ -206,11 +206,11 @@ func TestControlDecisionSequencesByteIdentical(t *testing.T) {
 		{"w3 q1 e4", 1 * time.Millisecond, 3, 1, 4},
 		{"w4 q4 e0", 1 * time.Millisecond, 4, 4, 0},
 		{"w4 q4 e2", 2 * time.Millisecond, 4, 4, 2},
-		{"w0 q1 e3/inline", 0, 0, 1, 3},
+		{"w1 q1 e3", 0, 1, 1, 3},
 	} {
 		files := run(v.lat, v.workers, v.queue, v.encode)
 		sameChunks(t, v.name, readChunks(t, files), refChunks)
-		if v.queue == 1 || v.workers == 0 {
+		if v.queue == 1 {
 			sameFiles(t, v.name, files, ref)
 		} else {
 			t.Logf("%s: %d objects for %d iterations", v.name, len(files), iters)

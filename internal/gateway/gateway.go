@@ -74,10 +74,10 @@ type Config struct {
 	TOCEntries int
 
 	// Obs is the telemetry plane the gateway registers its stats on and
-	// serves over its mux (/metrics, /v1/metrics, /trace, /jitter, /readyz
-	// — not pprof, which stays off the client-facing mux). Nil means the
-	// gateway builds a private plane, so the read plane always exposes the
-	// same metrics schema as the write plane.
+	// serves over its mux (/metrics, /trace, /jitter, /readyz — not pprof,
+	// which stays off the client-facing mux). Nil means the gateway builds a
+	// private plane, so the read plane always exposes the same metrics
+	// exposition as the write plane.
 	Obs *obs.Plane
 
 	// ReadyProbe (optional) names a backend object /readyz must Stat
@@ -141,8 +141,7 @@ func (s Stats) TOCHitRate() float64 {
 }
 
 // Emit writes the snapshot into a registry gather under the
-// damaris_gateway_* families — the same figures /v1/stats serves as JSON,
-// from the same snapshot function.
+// damaris_gateway_* families: every field, and the two hit rates.
 func (s Stats) Emit(e *obs.Emitter, labels ...string) {
 	e.Counter("damaris_gateway_requests_total", float64(s.Requests), labels...)
 	e.Counter("damaris_gateway_toc_hits_total", float64(s.TOCHits), labels...)
@@ -232,8 +231,8 @@ func New(cfg Config) (*Gateway, error) {
 		// smallest trace ring, and /trace and /jitter answer empty.
 		g.obs = obs.NewPlane(1)
 	}
-	// The live scrape reads the same Stats snapshot /v1/stats serves; the
-	// backend's metrics ride along when it exposes them.
+	// The live scrape reads the Stats snapshot; the backend's metrics ride
+	// along.
 	g.obs.Registry().Collect(func(e *obs.Emitter) {
 		g.Stats().Emit(e)
 		g.backend.Stats().Emit(e)

@@ -18,7 +18,7 @@ import (
 // Handler returns the gateway's HTTP API:
 //
 //	GET /healthz                      liveness
-//	GET /v1/stats                     gateway.Stats snapshot (JSON)
+//	GET /metrics                      the telemetry registry, Prometheus text
 //	GET /v1/objects                   committed objects (JSON)
 //	GET /v1/variables                 distinct variable names across objects
 //	GET /v1/iterations                distinct iterations across objects
@@ -33,10 +33,9 @@ func (g *Gateway) Handler() http.Handler {
 		w.WriteHeader(http.StatusOK)
 		fmt.Fprintln(w, "ok")
 	})
-	mux.HandleFunc("GET /v1/stats", g.countReq(g.handleStats))
-	// Telemetry-plane routes (/metrics, /metrics.json, /v1/metrics, /trace,
-	// /jitter) fold into the same mux, so the read plane exposes the exact
-	// schema damaris-run's -metrics-addr listener serves. pprof is NOT
+	// Telemetry-plane routes (/metrics, /trace, /jitter, /epochs, /readyz)
+	// fold into the same mux, so the read plane exposes the exact
+	// exposition damaris-run's -metrics-addr listener serves. pprof is NOT
 	// mounted here — this mux faces data clients, and profiles would be
 	// both an information leak and a DoS vector.
 	obs.RegisterRoutes(mux, g.obs)
@@ -91,18 +90,6 @@ func writeJSON(w http.ResponseWriter, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(v)
-}
-
-// statsResponse is the /v1/stats body: the classic Stats snapshot plus the
-// registry-backed metric samples, so one request carries both views and they
-// come from the same gather.
-type statsResponse struct {
-	Stats
-	Metrics []obs.MetricJSON `json:"metrics"`
-}
-
-func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, statsResponse{Stats: g.Stats(), Metrics: g.obs.Registry().GatherJSON()})
 }
 
 func (g *Gateway) handleObjects(w http.ResponseWriter, r *http.Request) {

@@ -1,8 +1,9 @@
 // Package guard holds the repository's structural rules as one test, so
 // `go test ./...` enforces them: no function, method or field is dead state
 // that only tests reach, no allow-list reason outlives the ROADMAP item it
-// cites, no deleted design creeps back, the line budgets hold, and
-// damaris-run declares at most maxRunFlags flags by hand. It has no non-test
+// cites, no deleted design creeps back, the line budgets hold, every decoder
+// has a fuzz target, and damaris-run declares at most maxRunFlags flags by
+// hand. It has no non-test
 // files and imports only the standard library.
 package guard
 
@@ -61,7 +62,7 @@ var forbidden = []struct {
 		reason: "work stealing between shard loops was measured and deleted (docs/sharding.md, \"Why there is no work stealing\"); each client's events are applied by exactly one loop",
 		plant:  [2]string{"internal/event/queue.go", "func (q *Queue) StealPop() {}"}},
 	{in: `^internal/core/[^/]*\.go$`, pattern: `pipe (==|!=) nil|syncFails`,
-		reason: "the persistence pipeline always exists (workers=\"0\" is its inline executor); a nil check means the sync-baseline twin is creeping back",
+		reason: "the persistence pipeline always exists and always has its writers; a nil check means the sync-baseline twin is creeping back",
 		plant:  [2]string{"internal/core/server.go", "if s.pipe == nil {"}},
 	{in: `^cmd/damaris-run/main\.go$`, pattern: `func report(Pipeline|Shards|Spill|Control|Store|Aggregate|Encode)`,
 		reason: "damaris-run's report is the registry; a hand-formatted report printer is creeping back",
@@ -120,6 +121,12 @@ var forbidden = []struct {
 	{in: `\.go$`, pattern: `"encoding/gob"`,
 		reason: "the DSF TOC is gob's wire form written by internal/dsf's own codec (docs/dsf.md); encoding/gob is only the reference its tests compare against",
 		plant:  [2]string{"internal/dsf/toc.go", `import "encoding/gob"`}},
+	{in: `\.go$`, except: `^internal/gateway/telemetry_test\.go$`, pattern: `GatherJSON|WriteJSON\(|MetricsDoc|stats-interval|/metrics\.json|/v1/(metrics|stats)`, tests: true,
+		reason: "/metrics in the Prometheus text format is the one telemetry view (docs/observability.md); the JSON exposition, the gateway's /v1/stats and damaris-gate's stats printer repeated it and were deleted. The gateway's telemetry test alone names their routes, to see them answer 404",
+		plant:  [2]string{"internal/obs/expo.go", "func (r *Registry) WriteJSON(w io.Writer) error {"}},
+	{in: `^internal/core/[^/]*\.go$`, pattern: `workers == 0|persistAndAck\(-1`, tests: true,
+		reason: "the pipeline always has writer goroutines, so the event loop never persists (docs/sharding.md); workers=\"0\", the inline executor, was a comparison baseline no workload ran",
+		plant:  [2]string{"internal/core/pipeline.go", "if p.workers == 0 {"}},
 }
 
 // required is one row per check that must stay wired in: some line of the
@@ -143,13 +150,38 @@ var caps = []struct {
 	max    int
 	reason string
 }{
-	{[]string{"internal/core", "internal/event", "internal/metadata", "internal/config", "cmd"}, 4497,
-		"ROADMAP item 3's budget for the dedicated core's composition path (5,170 before the dead exports went, 5,029 before what only examples/ used went, 4,969 before the client kept one write call per paper concept, 4,948 before the slot scheduler and the unread fields went, 4,866 before the store URL became the only destination and Deploy's default persister the only one damaris-run builds, 4,809 before the spill committed through a store.Backend and the server's growing error and latency records went, 4,757 before Deploy derived the flow window, the aggregation bound and the committed buffer in one place, 4,755 before a block became a value handle whose zero value and stale release need no nil check, 4,749 before each server registered once on the one registry and damaris-gate lost its replica flags, 4,731 before cmd/damaris-figures went with the model it printed, 4,665 before the put deadline and aggregate ring knobs went, 4,651 before the server held its shm.Segment directly and reported its counters, and planBuffer returned the segment's parts, 4,650 before the server's write times went from a ring and an accumulator to one histogram, 4,606 before damaris-run became a caller of cm1.RunWorld, with the clients' wait counters paid for, 4,560 before clients waited on the pipeline's in-order ack and the server's copies of the pipeline's counts went); 5,000 was the target"},
+	{[]string{"internal/core", "internal/event", "internal/metadata", "internal/config", "cmd"}, 4447,
+		"ROADMAP item 3's budget for the dedicated core's composition path (5,170 before the dead exports went, 5,029 before what only examples/ used went, 4,969 before the client kept one write call per paper concept, 4,948 before the slot scheduler and the unread fields went, 4,866 before the store URL became the only destination and Deploy's default persister the only one damaris-run builds, 4,809 before the spill committed through a store.Backend and the server's growing error and latency records went, 4,757 before Deploy derived the flow window, the aggregation bound and the committed buffer in one place, 4,755 before a block became a value handle whose zero value and stale release need no nil check, 4,749 before each server registered once on the one registry and damaris-gate lost its replica flags, 4,731 before cmd/damaris-figures went with the model it printed, 4,665 before the put deadline and aggregate ring knobs went, 4,651 before the server held its shm.Segment directly and reported its counters, and planBuffer returned the segment's parts, 4,650 before the server's write times went from a ring and an accumulator to one histogram, 4,606 before damaris-run became a caller of cm1.RunWorld, with the clients' wait counters paid for, 4,560 before clients waited on the pipeline's in-order ack and the server's copies of the pipeline's counts went, 4,497 before the pipeline lost its inline executor and damaris-gate its stats printer); 5,000 was the target"},
 	{[]string{"internal/aggregate"}, 650,
 		"the aggregation layer's budget (956 before the cross-node tier was deleted): one tier, one sink"},
 	{[]string{"internal/store"}, 2079,
 		"the store seam's budget (2,535 before the directory protocol was written once); raised from 2,250 by the allocation-lean put and commit path, lowered from 2,323 when Backend.List went and the tree named its files relative to open directories, raised from 2,308 by the raw *at calls that name files from a stack buffer and their two per-architecture number files, raised from 2,389 by the numbers for linux/386, riscv64 and ppc64le, which CI vets, and openat's O_LARGEFILE for 386, lowered from 2,410 when the replica set, hedged puts and the put deadline went and the store became one target with one put path"},
 }
+
+// decoders maps each non-test file under internal/ and cmd/ that decodes
+// bytes from a disk or a peer — a json or xml decode, or a
+// binary.LittleEndian.Uint* read — to a Fuzz target that reaches it, as
+// "pkg.FuzzName" with pkg relative to the module (ROADMAP item 11). A
+// decoding file the table does not name fails, and so does an entry whose
+// file decodes nothing or whose target no _test.go file of its package
+// declares.
+var decoders = map[string]string{
+	"internal/config/config.go":       "internal/config.FuzzConfigParse",
+	"internal/dsf/dsf.go":             "internal/dsf.FuzzTOCDecode",
+	"internal/layout/layout.go":       "internal/dsf.FuzzTOCDecode",
+	"internal/mpi/convert.go":         "internal/gateway.FuzzGatewayParams",
+	"internal/obs/trace.go":           "internal/obs.FuzzReadSpansJSONL",
+	"internal/store/objstore.go":      "internal/store.FuzzManifestDecode",
+	"internal/transform/lz.go":        "internal/transform.FuzzPlaneLZRoundTrip",
+	"internal/transform/planes.go":    "internal/transform.FuzzPlaneGzipRoundTrip",
+	"internal/transform/transform.go": "internal/transform.FuzzPlaneGzipRoundTrip",
+}
+
+// decodeCall is what makes a file a decoder; fuzzDecl declares a target.
+var (
+	decodeCall = regexp.MustCompile(`\b(json|xml)\.(Unmarshal|NewDecoder)\(|binary\.LittleEndian\.Uint(16|32|64)\(`)
+	fuzzDecl   = regexp.MustCompile(`(?m)^func (Fuzz\w*)\(`)
+)
 
 // runFlags is the package whose hand-declared flags are counted. Its knob
 // flags come from the table in internal/config (config.BindFlags); only
@@ -173,16 +205,16 @@ func TestTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range check(t, root, allow) {
+	for _, v := range check(t, root, allow, decoders) {
 		t.Error(v)
 	}
 }
 
 // check runs every rule against the module at root.
-func check(t *testing.T, root string, allow map[string]string) []string {
+func check(t *testing.T, root string, allow, decoders map[string]string) []string {
 	t.Helper()
 	mod := load(t, root)
-	return slices.Concat(deadState(mod, allow), staleCitations(t, root, allow), handFlags(mod), forbiddenMatches(t, root), missingRequired(t, root), overCaps(t, root))
+	return slices.Concat(deadState(mod, allow), staleCitations(t, root, allow), handFlags(mod), forbiddenMatches(t, root), missingRequired(t, root), overCaps(t, root), unfuzzedDecoders(t, root, decoders))
 }
 
 // module is every package of a module type-checked from its non-test files.
@@ -682,6 +714,49 @@ func overCaps(t *testing.T, root string) []string {
 			out = append(out, fmt.Sprintf("%s: %d non-test lines, over the cap of %d: %s", strings.Join(c.dirs, "+"), n, c.max, c.reason))
 		}
 	}
+	return out
+}
+
+// unfuzzedDecoders reports each decoding file under root's internal/ and cmd/
+// that decoders does not map, and each entry of decoders whose file decodes
+// nothing or whose target is declared nowhere.
+func unfuzzedDecoders(t *testing.T, root string, decoders map[string]string) []string {
+	t.Helper()
+	var out []string
+	decodes := map[string]bool{}
+	targets := map[string]bool{}
+	err := walk(root, func(rel, path string) error {
+		if !strings.HasSuffix(rel, ".go") || !strings.HasPrefix(rel, "internal/") && !strings.HasPrefix(rel, "cmd/") {
+			return nil
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		if strings.HasSuffix(rel, "_test.go") {
+			for _, m := range fuzzDecl.FindAllSubmatch(b, -1) {
+				targets[filepath.ToSlash(filepath.Dir(rel))+"."+string(m[1])] = true
+			}
+		} else if call := decodeCall.Find(b); call != nil {
+			decodes[rel] = true
+			if decoders[rel] == "" {
+				out = append(out, fmt.Sprintf("%s: decodes bytes (%s…) but decoders maps it to no Fuzz target; fuzz it and add the entry", rel, call))
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for file, target := range decoders {
+		switch {
+		case !decodes[file]:
+			out = append(out, fmt.Sprintf("decoders: %s decodes nothing; drop the entry", file))
+		case !targets[target]:
+			out = append(out, fmt.Sprintf("decoders: %s maps to %s, which no _test.go file of its package declares", file, target))
+		}
+	}
+	slices.Sort(out)
 	return out
 }
 

@@ -10,8 +10,9 @@ import (
 // base is a module every rule passes: a method reached only through an
 // interface, sort.Sort's methods, an allow-listed export whose reason cites
 // an open ROADMAP item, fields read only through a tag, a map key, ==, ++
-// or their address, 10 hand-declared flags beside a config.BindFlags, and lines
-// only an except pattern or a test file may hold.
+// or their address, 10 hand-declared flags beside a config.BindFlags, lines
+// only an except pattern or a test file may hold, and a decoder with its
+// fuzz target.
 var base = map[string]string{
 	"go.mod": "module fixture\n\ngo 1.24\n",
 	"internal/live/live.go": `package live
@@ -67,6 +68,14 @@ func Lengths(words []string) map[pair]int {
 	return m
 }
 `,
+	"internal/live/wire.go": `package live
+
+import "encoding/binary"
+
+// Word reads b's first little-endian word.
+func Word(b []byte) uint32 { return binary.LittleEndian.Uint32(b) }
+`,
+	"internal/live/wire_test.go": "package live\n\nimport \"testing\"\n\nfunc FuzzWord(f *testing.F) {}\n",
 	"internal/config/config.go": `package config
 
 import "flag"
@@ -116,6 +125,7 @@ func main() {
 	flag.Parse()
 	live.Used(flag.Args())
 	_ = live.Lengths(flag.Args())
+	_ = live.Word([]byte("word"))
 	var named live.Named = live.T{}
 	_ = named
 }
@@ -129,8 +139,11 @@ func main() {
 	"ROADMAP.md":                   "# Roadmap\n\n1. A needle, not an item.\n\n## Open items\n\n2. **The item Kept waits for.**\n\n## Recent\n\n3. Done, no longer an item.\n",
 }
 
-// fixtureAllow is base's allow-list.
-var fixtureAllow = map[string]string{"internal/live.Kept": "the fixture's allowed export, until ROADMAP item 2"}
+// fixtureAllow is base's allow-list, and fixtureDecoders its decoders table.
+var (
+	fixtureAllow    = map[string]string{"internal/live.Kept": "the fixture's allowed export, until ROADMAP item 2"}
+	fixtureDecoders = map[string]string{"internal/live/wire.go": "internal/live.FuzzWord"}
+)
 
 // plant writes base, and path/content pairs over it, into a fresh module.
 func plant(t *testing.T, extra ...string) string {
@@ -169,7 +182,7 @@ func expect(t *testing.T, violations []string, want string) {
 // Every planted violation fails the check that owns it, and the unplanted
 // fixture passes them all.
 func TestPlants(t *testing.T) {
-	if v := check(t, plant(t), fixtureAllow); len(v) > 0 {
+	if v := check(t, plant(t), fixtureAllow, fixtureDecoders); len(v) > 0 {
 		t.Fatalf("the unplanted fixture fails: %q", v)
 	}
 	for _, p := range []struct{ name, file, src, want string }{
@@ -194,18 +207,29 @@ func TestPlants(t *testing.T) {
 			"package main\n\nimport \"flag\"\n\nvar _ = flag.String(\"str\", \"\", \"\")\n",
 			"cmd/damaris-run declares 11 flags by hand"},
 	} {
-		t.Run(p.name, func(t *testing.T) { expect(t, check(t, plant(t, p.file, p.src), fixtureAllow), p.want) })
+		t.Run(p.name, func(t *testing.T) {
+			expect(t, check(t, plant(t, p.file, p.src), fixtureAllow, fixtureDecoders), p.want)
+		})
 	}
 	t.Run("allow reason citing a closed ROADMAP item", func(t *testing.T) {
 		for _, item := range []string{"1", "3", "4"} {
 			allow := map[string]string{"internal/live.Kept": "until ROADMAP item " + item}
-			expect(t, check(t, plant(t), allow), "allow-list: internal/live.Kept cites ROADMAP item "+item+", which ROADMAP.md no longer lists")
+			expect(t, check(t, plant(t), allow, fixtureDecoders), "allow-list: internal/live.Kept cites ROADMAP item "+item+", which ROADMAP.md no longer lists")
 		}
 	})
 	t.Run("export only an example uses", func(t *testing.T) {
 		root := plant(t, "internal/live/example.go", "package live\n\n// Shown is used by an example only.\nfunc Shown() {}\n",
 			"examples/x/main.go", "package main\n\nimport \"fixture/internal/live\"\n\nfunc main() { live.Shown() }\n")
-		expect(t, check(t, root, fixtureAllow), "dead export: internal/live.Shown has no non-test caller")
+		expect(t, check(t, root, fixtureAllow, fixtureDecoders), "dead export: internal/live.Shown has no non-test caller")
+	})
+	t.Run("decoder without a fuzz target", func(t *testing.T) {
+		root := plant(t, "internal/live/peer.go", "package live\n\nimport \"encoding/json\"\n\n// Peer decodes what a peer sent.\nfunc Peer(b []byte) (v int) {\n\tjson.Unmarshal(b, &v)\n\treturn v\n}\n",
+			"cmd/damaris-run/peer.go", "package main\n\nimport \"fixture/internal/live\"\n\nfunc init() { live.Peer(nil) }\n")
+		expect(t, unfuzzedDecoders(t, root, fixtureDecoders), "internal/live/peer.go: decodes bytes (json.Unmarshal(…) but decoders maps it to no Fuzz target")
+	})
+	t.Run("decoders entry whose target is gone", func(t *testing.T) {
+		gone := map[string]string{"internal/live/wire.go": "internal/live.FuzzGone"}
+		expect(t, unfuzzedDecoders(t, plant(t), gone), "decoders: internal/live/wire.go maps to internal/live.FuzzGone, which no _test.go file of its package declares")
 	})
 	for _, row := range forbidden {
 		t.Run(row.plant[0], func(t *testing.T) {

@@ -2,17 +2,14 @@ package obs
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"strings"
 )
 
-// This file renders gathered samples in the two exposition formats:
-// Prometheus text (for scrapers) and JSON (for tools and for the gateway's
-// /v1/metrics alias, so the read plane and the write plane expose one
-// schema). Both renderings are deterministic: same sample multiset, same
-// bytes.
+// This file renders gathered samples in the Prometheus text exposition
+// format, the one the write plane and the read plane both serve at /metrics.
+// The rendering is deterministic: same sample multiset, same bytes.
 
 // WritePrometheus renders the registry in the Prometheus text exposition
 // format, families sorted by name and a single TYPE line per family.
@@ -133,43 +130,4 @@ func escapeLabel(v string) string {
 	}
 	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
 	return r.Replace(v)
-}
-
-// MetricJSON is one sample in the JSON exposition schema shared by
-// damaris-run's /v1/metrics and the gateway's /v1/metrics alias.
-type MetricJSON struct {
-	Name   string            `json:"name"`
-	Kind   string            `json:"kind"`
-	Labels map[string]string `json:"labels,omitempty"`
-	Value  float64           `json:"value"`
-}
-
-// MetricsDoc is the JSON exposition document body.
-type MetricsDoc struct {
-	Metrics []MetricJSON `json:"metrics"`
-}
-
-// GatherJSON converts the registry's samples to the JSON exposition schema.
-func (r *Registry) GatherJSON() []MetricJSON {
-	samples := r.Gather()
-	out := make([]MetricJSON, 0, len(samples))
-	for _, s := range samples {
-		m := MetricJSON{Name: s.Name, Kind: s.Kind.String(), Value: s.Value}
-		if len(s.Labels) > 0 {
-			m.Labels = make(map[string]string, len(s.Labels)/2)
-			for i := 0; i < len(s.Labels); i += 2 {
-				m.Labels[s.Labels[i]] = s.Labels[i+1]
-			}
-		}
-		out = append(out, m)
-	}
-	return out
-}
-
-// WriteJSON renders the JSON exposition document. encoding/json sorts map
-// keys, so the bytes are as deterministic as the sample list.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(MetricsDoc{Metrics: r.GatherJSON()})
 }

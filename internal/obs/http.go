@@ -144,11 +144,9 @@ func (p *Plane) JitterReport() []StageJitter {
 
 // Handler returns the exposition endpoint:
 //
-//	GET /metrics            Prometheus text format
-//	GET /metrics.json       JSON exposition (MetricsDoc)
-//	GET /v1/metrics         alias of /metrics.json (the gateway serves the
-//	                        same route over its registry — one schema for
-//	                        the read and write planes)
+//	GET /metrics            Prometheus text format (the gateway serves the
+//	                        same route over its registry — one exposition
+//	                        for the read and write planes)
 //	GET /epochs             per-epoch critical-path reports (EpochReport)
 //	GET /trace              retained lifecycle spans, JSONL
 //	GET /trace?format=chrome  Chrome trace-event format (chrome://tracing)
@@ -180,12 +178,6 @@ func RegisterRoutes(mux *http.ServeMux, p *Plane) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 		p.Registry().WritePrometheus(w)
 	})
-	jsonMetrics := func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		p.Registry().WriteJSON(w)
-	}
-	mux.HandleFunc("GET /metrics.json", jsonMetrics)
-	mux.HandleFunc("GET /v1/metrics", jsonMetrics)
 	mux.HandleFunc("GET /trace", func(w http.ResponseWriter, r *http.Request) {
 		tr := p.Tracer()
 		if r.URL.Query().Get("format") == "chrome" {

@@ -39,23 +39,6 @@ func get(t *testing.T, srv *httptest.Server, path string) (string, string) {
 	return string(body), resp.Header.Get("Content-Type")
 }
 
-// withoutRuntime decodes a JSON exposition and drops its damaris_runtime_*
-// samples.
-func withoutRuntime(t *testing.T, doc string) []MetricJSON {
-	t.Helper()
-	var d MetricsDoc
-	if err := json.Unmarshal([]byte(doc), &d); err != nil {
-		t.Fatalf("metrics JSON: %v", err)
-	}
-	var out []MetricJSON
-	for _, m := range d.Metrics {
-		if !strings.HasPrefix(m.Name, "damaris_runtime_") {
-			out = append(out, m)
-		}
-	}
-	return out
-}
-
 func TestPlaneRoutes(t *testing.T) {
 	p := planeWithSpans(t)
 	srv := httptest.NewServer(p.Handler())
@@ -73,25 +56,6 @@ func TestPlaneRoutes(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q:\n%s", want, body)
 		}
-	}
-
-	// The JSON exposition and its /v1/metrics alias serve the same
-	// document, the runtime's own figures aside: they move between any two
-	// gathers.
-	j1, ct := get(t, srv, "/metrics.json")
-	if ct != "application/json" {
-		t.Errorf("/metrics.json content type %q", ct)
-	}
-	j2, _ := get(t, srv, "/v1/metrics")
-	if !reflect.DeepEqual(withoutRuntime(t, j1), withoutRuntime(t, j2)) {
-		t.Error("/metrics.json and /v1/metrics served different documents")
-	}
-	var doc MetricsDoc
-	if err := json.Unmarshal([]byte(j1), &doc); err != nil {
-		t.Fatalf("metrics JSON: %v", err)
-	}
-	if len(doc.Metrics) == 0 {
-		t.Fatal("metrics JSON is empty")
 	}
 
 	body, _ = get(t, srv, "/trace")

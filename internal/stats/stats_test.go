@@ -155,7 +155,7 @@ func TestWorkerSetSlotsAndUtilization(t *testing.T) {
 	if got := ws.Busy()[0]; got != 10 {
 		t.Fatalf("Busy returned the live slice: slot 0 reads %v after the caller wrote its copy", got)
 	}
-	var none WorkerSet // the inline executor's: no writers
+	var none WorkerSet // the zero value: no slots
 	if none.Workers() != 0 || none.Utilization(10) != 0 || none.Busy() != nil {
 		t.Fatalf("zero WorkerSet: workers=%d utilization=%v busy=%v", none.Workers(), none.Utilization(10), none.Busy())
 	}
