@@ -6,26 +6,21 @@
 // sequential file per node. The pipeline alone still persists one DSF stream
 // per dedicated core, so a node with several dedicated cores hits storage
 // several times per epoch. This package closes that gap (mode "core"): the
-// dedicated cores of a node elect a leader (deterministically — the lowest
-// dedicated-core group, so election needs no communication). Sibling cores
-// hand their completed iterations to the leader over a bounded in-process
-// fan-in ring; the leader merges each flush epoch's contributions in
-// deterministic (member, name, source) order and commits exactly one DSF
-// object per node per epoch through the store.Backend seam. Each node writes
-// independently of every other, as in the paper; docs/aggregate.md says why
-// there is no cross-node tier.
+// dedicated cores of a node share one aggregator, owned by the lowest
+// dedicated-core group (so election needs no communication). Sibling cores
+// file their completed iterations into its pending map under one lock; one
+// leader goroutine merges each flush epoch's contributions in deterministic
+// (member, name, source) order and commits exactly one DSF object per node
+// per epoch through the store.Backend seam. Each node writes independently
+// of every other, as in the paper; docs/aggregate.md says why there is no
+// cross-node tier.
 //
 // Durability acks flow back through the aggregator: a member's Persist call
 // returns only once the *merged* object containing its contribution is
 // durable, so the pipeline's existing release-after-persist rule keeps
 // shared-memory chunks pinned until then, and the client flow window keeps
-// advancing in ack order exactly as before.
-//
-// Epochs are emitted in strictly ascending order. The leader may crash
-// mid-epoch (injected in tests); a standby takes over under the next term
-// and re-emits every pending epoch — contributions stay queued until their
-// epoch's commit is acknowledged, so a re-election never loses data and
-// never releases client chunks early.
+// advancing in ack order exactly as before. That window is also what bounds
+// the contributions the leader holds: nothing a member calls blocks here.
 package aggregate
 
 import (
@@ -39,19 +34,11 @@ import (
 	"damaris/internal/stats"
 )
 
-// DefaultRingDepth bounds the fan-in ring when the configuration leaves the
-// knob unset: enough to absorb every member contributing one epoch plus a
-// queued one without parking writers.
-const DefaultRingDepth = 8
-
 // Sink receives one merged flush epoch at a time, in strictly ascending
 // epoch order, from the aggregation leader. CommitEpoch must be durable when
 // it returns — its error (or nil) is what every contributing member's
-// Persist call reports. Implementations are called from a single leader
-// goroutine, but must tolerate an epoch being committed twice (a leader
-// crash after the commit but before the ack re-emits it), so commits must be
-// idempotent — which DSF objects published by atomic rename or manifest-last
-// commit are by construction.
+// Persist call reports. Implementations are called from the single leader
+// goroutine, once per epoch.
 type Sink interface {
 	// CommitEpoch makes one merged epoch durable. members lists the
 	// contributing member ids ascending; entries are the merged datasets in
@@ -68,15 +55,8 @@ type Config struct {
 	// Members are the ids of every contributor (the node's dedicated cores'
 	// world ranks). Order does not matter; merges always sort ascending.
 	Members []int
-	// RingDepth bounds the fan-in ring (0 selects DefaultRingDepth).
-	RingDepth int
 	// Sink receives the merged epochs.
 	Sink Sink
-	// TestCrashBeforeCommit, when non-nil, is consulted by the leader right
-	// before every sink commit; returning true kills that leader term
-	// mid-epoch (the epoch stays pending, a successor re-emits it). Test
-	// hook only.
-	TestCrashBeforeCommit func(term int, epoch int64) bool
 	// Tracer, when non-nil, records one StageMerge span per emitted epoch
 	// (iteration = epoch) covering the merge plus the sink commit;
 	// TraceServer labels the spans with the leader's world rank.
@@ -84,19 +64,10 @@ type Config struct {
 	TraceServer int
 }
 
-// contribution is one member's datasets for one flush epoch, travelling
-// through the fan-in ring.
+// contribution is one member's datasets for one flush epoch.
 type contribution struct {
-	member  int
-	epoch   int64
 	entries []*metadata.Entry
 	done    chan error // receives the merged epoch's commit outcome
-}
-
-// epochState collects the contributions of one flush epoch until every
-// member has reported in.
-type epochState struct {
-	contribs map[int]*contribution
 }
 
 // Stats is a snapshot of one aggregator's counters, surfaced through
@@ -116,11 +87,9 @@ type Stats struct {
 	MergedBytes  int64
 	// CommitFailures counts sink commits that returned an error.
 	CommitFailures int64
-	// Reelections counts leader terms beyond the first — each one is a
-	// simulated leader crash survived.
-	Reelections int64
-	// RingDepth summarizes fan-in ring occupancy; RingMax is its high-water
-	// mark.
+	// RingDepth summarizes the contributions submitted and not yet
+	// committed, sampled at each submit and each commit; RingMax is its
+	// high-water mark. The members' flow windows bound it.
 	RingDepth stats.Summary
 	RingMax   int
 	// DurabilityWindow summarizes, per committed epoch, how many epochs
@@ -138,15 +107,14 @@ type Stats struct {
 // instance is shared by all of a node's dedicated cores; Submit and
 // MemberDone are safe for concurrent use.
 type Aggregator struct {
-	cfg  Config
-	ring *ring
-	wg   sync.WaitGroup
+	cfg Config
+	led chan struct{} // closed when the leader has drained
 
 	mu        sync.Mutex
-	pending   map[int64]*epochState
+	wake      sync.Cond // signalled by Submit and MemberDone; the leader waits
+	pending   map[int64]map[int]*contribution
 	doneMbr   map[int]bool
 	memberSet map[int]bool
-	closed    bool
 	// counters behind Stats
 	epochs      int64
 	emptyEpochs int64
@@ -154,14 +122,15 @@ type Aggregator struct {
 	chunks      int64
 	bytes       int64
 	commitFails int64
-	reelections int64
+	held        int            // contributions submitted, not yet committed
+	depth       *obs.Histogram // held, at each submit and commit
+	maxHeld     int
 	maxEpochIn  int64          // highest epoch any member has submitted
-	seenEpoch   bool           // maxEpochIn is meaningful
 	lags        *obs.Histogram // per-commit durability window (epochs)
 	maxLag      int64
 }
 
-// New starts an aggregator and its first leader term.
+// New starts an aggregator and its leader.
 func New(cfg Config) (*Aggregator, error) {
 	if len(cfg.Members) == 0 {
 		return nil, fmt.Errorf("aggregate: no members")
@@ -169,41 +138,36 @@ func New(cfg Config) (*Aggregator, error) {
 	if cfg.Sink == nil {
 		return nil, fmt.Errorf("aggregate: nil sink")
 	}
-	if cfg.RingDepth < 0 {
-		return nil, fmt.Errorf("aggregate: negative ring depth %d", cfg.RingDepth)
-	}
-	depth := cfg.RingDepth
-	if depth == 0 {
-		depth = DefaultRingDepth
-	}
 	a := &Aggregator{
 		cfg:       cfg,
-		ring:      newRing(depth),
-		pending:   make(map[int64]*epochState),
+		led:       make(chan struct{}),
+		pending:   make(map[int64]map[int]*contribution),
 		doneMbr:   make(map[int]bool),
 		memberSet: make(map[int]bool, len(cfg.Members)),
+		depth:     obs.NewHistogram(obs.CountBuckets()),
 		lags:      obs.NewHistogram(obs.CountBuckets()),
 	}
+	a.wake.L = &a.mu
 	for _, m := range cfg.Members {
 		if a.memberSet[m] {
 			return nil, fmt.Errorf("aggregate: duplicate member %d", m)
 		}
 		a.memberSet[m] = true
 	}
-	a.wg.Add(1)
-	go a.lead(0)
+	go a.lead()
 	return a, nil
 }
 
-// Submit hands one member's datasets for one flush epoch to the aggregation
-// leader and returns a channel that reports the merged epoch's durable
-// outcome. It blocks while the fan-in ring is full (the aggregation
-// backpressure point). Empty entries are legal and required: every member
-// must submit every epoch it observes, or siblings' epochs never complete.
-// Each member must submit its epochs in ascending order (core's event loop
-// guarantees this by contributing at iteration completion); that is what
-// makes the leader's emission strictly ascending, which keeps each member's
-// acks in order and so lets its flow window advance.
+// Submit files one member's datasets for one flush epoch with the
+// aggregation leader and returns a channel that reports the merged epoch's
+// durable outcome. It never blocks on the leader: the member's flow window
+// is what bounds how many epochs it has pending. Empty entries are legal and
+// required: every member must submit every epoch it observes, or siblings'
+// epochs never complete. Each member must submit its epochs in ascending
+// order (core's event loop guarantees this by contributing at iteration
+// completion); that is what makes the leader's emission strictly ascending,
+// which keeps each member's acks in order and so lets its flow window
+// advance.
 func (a *Aggregator) Submit(member int, epoch int64, entries []*metadata.Entry) <-chan error {
 	done := make(chan error, 1)
 	if !a.memberSet[member] {
@@ -211,36 +175,36 @@ func (a *Aggregator) Submit(member int, epoch int64, entries []*metadata.Entry) 
 		return done
 	}
 	a.mu.Lock()
-	a.contribs++
-	if !a.seenEpoch || epoch > a.maxEpochIn {
-		a.maxEpochIn, a.seenEpoch = epoch, true
+	defer a.mu.Unlock()
+	if len(a.doneMbr) == len(a.memberSet) {
+		panic("aggregate: Submit after every member is done")
 	}
-	a.mu.Unlock()
-	a.ring.push(&contribution{member: member, epoch: epoch, entries: entries, done: done})
+	st := a.pending[epoch]
+	if st == nil {
+		st = make(map[int]*contribution)
+		a.pending[epoch] = st
+	}
+	if st[member] != nil {
+		done <- fmt.Errorf("aggregate: member %d contributed epoch %d twice", member, epoch)
+		return done
+	}
+	st[member] = &contribution{entries: entries, done: done}
+	a.contribs++
+	a.maxEpochIn = max(a.maxEpochIn, epoch)
+	a.hold(1)
+	a.wake.Signal()
 	return done
 }
 
-// MemberDone declares that a member will submit no further epochs. Once
-// every member is done the fan-in ring closes and the leader drains.
+// MemberDone declares that a member will submit no further epochs. A done
+// member counts as contributed, so this may complete a pending epoch; once
+// every member is done the leader flushes what remains and exits.
 func (a *Aggregator) MemberDone(member int) {
 	a.mu.Lock()
-	if a.doneMbr[member] || !a.memberSet[member] {
-		a.mu.Unlock()
-		return
-	}
-	a.doneMbr[member] = true
-	last := len(a.doneMbr) == len(a.memberSet) && !a.closed
-	if last {
-		a.closed = true
-	}
-	a.mu.Unlock()
-	if last {
-		a.ring.close()
-	} else {
-		// A done member counts as "contributed" for completeness, so a
-		// pending epoch may have just become emittable with no further
-		// contribution ever arriving — wake a leader parked in pop.
-		a.ring.kick()
+	defer a.mu.Unlock()
+	if a.memberSet[member] {
+		a.doneMbr[member] = true
+		a.wake.Signal()
 	}
 }
 
@@ -248,13 +212,12 @@ func (a *Aggregator) MemberDone(member int) {
 // sink. Every member must have called MemberDone first (or Close blocks
 // until they do — the shutdown ordering the server teardown follows).
 func (a *Aggregator) Close() error {
-	a.wg.Wait()
+	<-a.led
 	return a.cfg.Sink.Close()
 }
 
 // Stats snapshots the aggregator's counters.
 func (a *Aggregator) Stats() Stats {
-	depth, max := a.ring.snapshot()
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return Stats{
@@ -266,9 +229,8 @@ func (a *Aggregator) Stats() Stats {
 		MergedChunks:        a.chunks,
 		MergedBytes:         a.bytes,
 		CommitFailures:      a.commitFails,
-		Reelections:         a.reelections,
-		RingDepth:           depth,
-		RingMax:             max,
+		RingDepth:           a.depth.Summary(),
+		RingMax:             a.maxHeld,
 		DurabilityWindow:    a.lags.Summary(),
 		DurabilityWindowMax: a.maxLag,
 	}
@@ -288,7 +250,6 @@ func (s Stats) Emit(e *obs.Emitter, labels ...string) {
 	e.Counter("damaris_aggregate_merged_chunks_total", float64(s.MergedChunks), ls...)
 	e.Counter("damaris_aggregate_merged_bytes_total", float64(s.MergedBytes), ls...)
 	e.Counter("damaris_aggregate_commit_failures_total", float64(s.CommitFailures), ls...)
-	e.Counter("damaris_aggregate_reelections_total", float64(s.Reelections), ls...)
 	e.Gauge("damaris_aggregate_ring_max", float64(s.RingMax), ls...)
 	e.Summary("damaris_aggregate_ring_depth", s.RingDepth, ls...)
 	e.Summary("damaris_aggregate_durability_window_epochs", s.DurabilityWindow, ls...)
@@ -298,132 +259,100 @@ func (s Stats) Emit(e *obs.Emitter, labels ...string) {
 	e.Gauge("damaris_aggregate_durability_window_max_epochs", float64(s.DurabilityWindowMax), ls...)
 }
 
-// lead is one leader term: drain the fan-in ring, emit every epoch that
-// becomes complete, strictly ascending. A crash (test hook) ends the term
-// mid-epoch; the successor term re-scans the pending map, so nothing a
-// member contributed is ever lost and no ack is delivered early.
-func (a *Aggregator) lead(term int) {
-	defer a.wg.Done()
+// hold adds n to the contributions held and samples the count. Caller
+// holds a.mu.
+func (a *Aggregator) hold(n int) {
+	a.held += n
+	a.maxHeld = max(a.maxHeld, a.held)
+	a.depth.Observe(float64(a.held))
+}
+
+// lead is the aggregator's one leader: it commits epochs in strictly
+// ascending order until every member is done and nothing is pending.
+func (a *Aggregator) lead() {
+	defer close(a.led)
 	for {
-		// Emit before popping: a successor term must first re-emit epochs
-		// the crashed leader left complete but uncommitted.
-		if crashed := a.emitReady(term, false); crashed {
-			a.reelect(term)
-			return
-		}
-		c, ok := a.ring.pop()
-		if ok && c == nil {
-			continue // wake-up marker: re-run emitReady
-		}
+		epoch, st, ok := a.next()
 		if !ok {
-			// All members done and the ring drained: emit what remains (in a
-			// symmetric deployment everything is complete; stragglers of a
-			// torn-down run are emitted with whoever contributed, which is
-			// still deterministic for a given contribution set).
-			if crashed := a.emitReady(term, true); crashed {
-				a.reelect(term)
-				return
-			}
 			return
 		}
-		a.mu.Lock()
-		st := a.pending[c.epoch]
-		if st == nil {
-			st = &epochState{contribs: make(map[int]*contribution)}
-			a.pending[c.epoch] = st
-		}
-		if prev := st.contribs[c.member]; prev != nil {
-			a.mu.Unlock()
-			c.done <- fmt.Errorf("aggregate: member %d contributed epoch %d twice", c.member, c.epoch)
-			continue
-		}
-		st.contribs[c.member] = c
-		a.mu.Unlock()
+		a.commit(epoch, st)
 	}
 }
 
-// reelect starts the next leader term — the deterministic stand-in for the
-// next dedicated core taking over a crashed leader's duties.
-func (a *Aggregator) reelect(term int) {
+// next waits until the lowest pending epoch is complete, or until every
+// member is done, and removes that epoch from pending. Only the lowest
+// pending epoch may be emitted — that is what keeps emission (and therefore
+// ack and flow-window) order deterministic. Once every member is done, each
+// remaining epoch is flushed ascending with whoever contributed (in a
+// symmetric deployment everything is complete; stragglers of a torn-down
+// run are still deterministic for a given contribution set). ok=false means
+// every member is done and nothing is pending.
+func (a *Aggregator) next() (epoch int64, st map[int]*contribution, ok bool) {
 	a.mu.Lock()
-	a.reelections++
-	a.mu.Unlock()
-	a.wg.Add(1)
-	go a.lead(term + 1)
+	defer a.mu.Unlock()
+	for {
+		allDone := len(a.doneMbr) == len(a.memberSet)
+		epoch, st, ok = a.lowestPending()
+		if ok && (allDone || a.complete(st)) {
+			delete(a.pending, epoch)
+			return epoch, st, true
+		}
+		if allDone {
+			return 0, nil, false
+		}
+		a.wake.Wait()
+	}
 }
 
-// emitReady commits pending epochs in ascending order. Normally only the
-// lowest pending epoch may be emitted, and only once complete — that is what
-// keeps emission (and therefore ack and flow-window) order deterministic.
-// With force (ring closed) every remaining epoch is flushed ascending.
-// Returns true when the test hook crashed this leader term.
-func (a *Aggregator) emitReady(term int, force bool) bool {
-	for {
-		a.mu.Lock()
-		epoch, st, ok := a.lowestPending()
-		if !ok || (!force && !a.complete(st)) {
-			a.mu.Unlock()
-			return false
-		}
-		a.mu.Unlock()
+// commit merges one epoch, commits it through the sink and only then acks
+// its contributors.
+func (a *Aggregator) commit(epoch int64, st map[int]*contribution) {
+	mergeStart := time.Now()
+	members, withData, entries := merge(st)
+	// Empty epochs travel through the sink too (StoreSink declines to
+	// write an empty object). The sink sees only the data-bearing
+	// members — they are the object's provenance — but every
+	// contributor gets the ack.
+	err := a.cfg.Sink.CommitEpoch(epoch, withData, entries)
+	var bytes int64
+	for _, e := range entries {
+		bytes += e.Size()
+	}
+	a.cfg.Tracer.Record(obs.StageMerge, a.cfg.TraceServer, epoch,
+		mergeStart, time.Since(mergeStart), bytes, err != nil)
 
-		if a.cfg.TestCrashBeforeCommit != nil && a.cfg.TestCrashBeforeCommit(term, epoch) {
-			return true
-		}
+	a.mu.Lock()
+	// The slowest-sibling durability window: this epoch just became
+	// durable while the fastest member had already submitted up to
+	// maxEpochIn — every member's chunks for the span in between are
+	// still pinned, which is what the shared-buffer bound must cover.
+	lag := a.maxEpochIn - epoch
+	a.lags.Observe(float64(lag))
+	a.maxLag = max(a.maxLag, lag)
+	if len(entries) == 0 && err == nil {
+		a.emptyEpochs++
+	} else if err != nil {
+		a.commitFails++
+	} else {
+		a.epochs++
+		a.chunks += int64(len(entries))
+		a.bytes += bytes
+	}
+	a.hold(-len(st))
+	a.mu.Unlock()
 
-		mergeStart := time.Now()
-		members, withData, entries := merge(st)
-		// Empty epochs travel through the sink too (StoreSink declines to
-		// write an empty object). The sink sees only the data-bearing
-		// members — they are the object's provenance — but every
-		// contributor gets the ack.
-		err := a.cfg.Sink.CommitEpoch(epoch, withData, entries)
-		var bytes int64
-		for _, e := range entries {
-			bytes += e.Size()
-		}
-		a.cfg.Tracer.Record(obs.StageMerge, a.cfg.TraceServer, epoch,
-			mergeStart, time.Since(mergeStart), bytes, err != nil)
-
-		a.mu.Lock()
-		delete(a.pending, epoch)
-		// The slowest-sibling durability window: this epoch just became
-		// durable while the fastest member had already submitted up to
-		// maxEpochIn — every member's chunks for the span in between are
-		// still pinned, which is what the shared-buffer bound must cover.
-		if a.seenEpoch {
-			lag := a.maxEpochIn - epoch
-			if lag < 0 {
-				lag = 0
-			}
-			a.lags.Observe(float64(lag))
-			if lag > a.maxLag {
-				a.maxLag = lag
-			}
-		}
-		if len(entries) == 0 && err == nil {
-			a.emptyEpochs++
-		} else if err != nil {
-			a.commitFails++
-		} else {
-			a.epochs++
-			a.chunks += int64(len(entries))
-			a.bytes += bytes
-		}
-		a.mu.Unlock()
-
-		// The merged epoch is durable (or definitively failed): only now do
-		// the contributors learn about it and release their chunks.
-		for _, m := range members {
-			st.contribs[m].done <- err
-		}
+	// The merged epoch is durable (or definitively failed): only now do
+	// the contributors learn about it and release their chunks.
+	for _, m := range members {
+		st[m].done <- err
 	}
 }
 
 // lowestPending returns the smallest pending epoch. Caller holds a.mu.
-func (a *Aggregator) lowestPending() (int64, *epochState, bool) {
+func (a *Aggregator) lowestPending() (int64, map[int]*contribution, bool) {
 	var best int64
-	var st *epochState
+	var st map[int]*contribution
 	for e, s := range a.pending {
 		if st == nil || e < best {
 			best, st = e, s
@@ -434,9 +363,9 @@ func (a *Aggregator) lowestPending() (int64, *epochState, bool) {
 
 // complete reports whether every member still expected has contributed.
 // Caller holds a.mu.
-func (a *Aggregator) complete(st *epochState) bool {
+func (a *Aggregator) complete(st map[int]*contribution) bool {
 	for m := range a.memberSet {
-		if st.contribs[m] == nil && !a.doneMbr[m] {
+		if st[m] == nil && !a.doneMbr[m] {
 			return false
 		}
 	}
@@ -446,19 +375,19 @@ func (a *Aggregator) complete(st *epochState) bool {
 // merge flattens one epoch's contributions into the deterministic commit
 // order: members ascending, each member's entries in its submission order
 // (the metadata catalog hands them over sorted by (name, source)). The
-// result is byte-identical for any fan-in arrival order and any pipeline
-// worker count. members lists every contributor (the ack set); withData
-// only those whose entries are in the merged object (its provenance).
-func merge(st *epochState) (members, withData []int, entries []*metadata.Entry) {
-	for m := range st.contribs {
+// result is byte-identical for any arrival order and any pipeline worker
+// count. members lists every contributor (the ack set); withData only those
+// whose entries are in the merged object (its provenance).
+func merge(st map[int]*contribution) (members, withData []int, entries []*metadata.Entry) {
+	for m := range st {
 		members = append(members, m)
 	}
 	sort.Ints(members)
 	for _, m := range members {
-		if len(st.contribs[m].entries) > 0 {
+		if len(st[m].entries) > 0 {
 			withData = append(withData, m)
 		}
-		entries = append(entries, st.contribs[m].entries...)
+		entries = append(entries, st[m].entries...)
 	}
 	return members, withData, entries
 }

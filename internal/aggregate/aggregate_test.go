@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"damaris/internal/dsf"
 	"damaris/internal/layout"
@@ -317,26 +318,34 @@ func TestUnknownMemberRejected(t *testing.T) {
 	}
 }
 
-// The fan-in ring reports its occupancy and bounds it at the configured
-// depth even when the leader is slow.
+// Submit never blocks behind a stalled sink: the members' flow windows, not
+// the aggregator, bound what the leader holds. RingMax counts every
+// contribution submitted and not yet committed — here all six, the first
+// stuck in its commit.
 func TestRingDepthBounded(t *testing.T) {
 	block := make(chan struct{})
 	w := &blockingSink{release: block}
-	agg, err := New(Config{Members: []int{0}, RingDepth: 2, Sink: w})
+	agg, err := New(Config{Members: []int{0}, Sink: w})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var chans []<-chan error
-	done := make(chan struct{})
+	submitted := make(chan struct{})
 	go func() {
-		defer close(done)
+		defer close(submitted)
 		for e := int64(0); e < 6; e++ {
 			chans = append(chans, agg.Submit(0, e, memberEntries(0, e)))
 		}
 	}()
-	// Unblock the sink so everything drains.
+	select {
+	case <-submitted:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Submit blocked behind a stalled sink")
+	}
+	if st := agg.Stats(); st.RingMax != 6 {
+		t.Errorf("RingMax = %d with the sink stalled, want the 6 contributions held", st.RingMax)
+	}
 	close(block)
-	<-done
 	for _, ch := range chans {
 		if err := <-ch; err != nil {
 			t.Fatal(err)
@@ -346,8 +355,8 @@ func TestRingDepthBounded(t *testing.T) {
 	if err := agg.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if st := agg.Stats(); st.RingMax > 2 {
-		t.Errorf("RingMax = %d, want <= configured depth 2", st.RingMax)
+	if st := agg.Stats(); st.RingMax != 6 || st.RingDepth.Min != 0 {
+		t.Errorf("RingMax = %d, depth min %v after the drain, want 6 and 0", st.RingMax, st.RingDepth.Min)
 	}
 }
 
@@ -363,8 +372,8 @@ func (s *blockingSink) CommitEpoch(int64, []int, []*metadata.Entry) error {
 func (s *blockingSink) Close() error { return nil }
 
 // A member that finishes without contributing to a pending epoch must still
-// let that epoch complete: MemberDone wakes a leader parked on the fan-in
-// ring so completeness is re-evaluated, and the epoch commits with the
+// let that epoch complete: MemberDone wakes a leader waiting for the epoch
+// so completeness is re-evaluated, and the epoch commits with the
 // contributors it has.
 func TestMemberDoneCompletesPendingEpoch(t *testing.T) {
 	w := newMemEpochWriter()
@@ -378,13 +387,12 @@ func TestMemberDoneCompletesPendingEpoch(t *testing.T) {
 		t.Fatal(err)
 	}
 	ch := agg.Submit(0, 0, memberEntries(0, 0))
-	// Let the leader drain the contribution and park on the ring before the
-	// sibling declares itself done without ever contributing.
-	for {
-		if _, max := agg.ring.snapshot(); max >= 1 {
-			break
-		}
+	// The contribution is held, and the leader waits for the sibling's,
+	// when the sibling declares itself done without ever contributing.
+	if st := agg.Stats(); st.RingMax != 1 || st.Epochs != 0 {
+		t.Fatalf("stats before MemberDone = %+v, want 1 contribution held and no epoch", st)
 	}
+	time.Sleep(10 * time.Millisecond)
 	agg.MemberDone(1)
 	if err := <-ch; err != nil {
 		t.Fatal(err)

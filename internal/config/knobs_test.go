@@ -26,8 +26,8 @@ func TestUnknownAttributesAndElementsRejected(t *testing.T) {
 		`<control mode="auto"/>`:          {"unknown element <control>", "buffer, pipeline, store, spill, aggregate, shards"},
 		`<shards count="2" mode="auto"/>`: {"<shards>", `"mode"`, "(want count)"},
 		`<shards budget="8"/>`:            {"<shards>", `"budget"`, "(want count)"},
-		// The fan-in ring's depth is no knob: no workload set it
-		// (docs/aggregate.md).
+		// There is no fan-in ring to size: the flow window bounds what
+		// the aggregation leader holds (docs/aggregate.md).
 		`<aggregate ring="4"/>`: {"<aggregate>", `"ring"`, "(want mode)"},
 	} {
 		_, err := ParseString("<simulation>" + doc + "</simulation>")

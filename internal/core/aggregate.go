@@ -46,7 +46,7 @@ type serverAgg struct {
 // pipeline's Persister/BatchPersister contract. Contributions are submitted
 // from the event loop (submit is the pipeline's merge stage, run before the
 // iteration is queued), which is what guarantees each member's epochs reach
-// the fan-in ring in ascending order — pipeline writers race each other, the
+// the aggregator in ascending order — pipeline writers race each other, the
 // event loop does not. Persist then only waits: it blocks until
 // the *merged* object containing this member's contribution is durable, so
 // the pipeline's release-after-persist rule keeps shared-memory chunks
@@ -64,8 +64,8 @@ func newAggPersister(sa *serverAgg) *aggPersister {
 }
 
 // submit hands one completed iteration to the aggregation leader. Called by
-// the event loop in iteration-completion (ascending) order; it blocks only
-// when the fan-in ring is full — the aggregation backpressure point.
+// the event loop in iteration-completion (ascending) order. It never blocks:
+// the flow window, the one backpressure point, bounds what the leader holds.
 func (p *aggPersister) submit(it int64, entries []*metadata.Entry) {
 	ch := p.sa.agg.Submit(p.sa.memberID, it, entries)
 	p.mu.Lock()

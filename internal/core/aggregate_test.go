@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
 	"damaris/internal/config"
 	"damaris/internal/dsf"
@@ -239,6 +240,52 @@ func TestDeployAggregateCoreObjBackend(t *testing.T) {
 		}
 		r.Close()
 		or.Close()
+	}
+}
+
+// The flow window is the aggregation layer's one backpressure point: a
+// client that ends iteration it waits until its dedicated core has acked
+// it-queue, so each member holds at most queue+1 unacked epochs and a node
+// leader at most 2 x (queue+1) contributions. With commits slowed, the
+// clients run into their windows, so at every queue depth some run reaches
+// that bound — and none passes it.
+func TestFlowBoundsAggregateLeader(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs six slowed-commit deployments")
+	}
+	const iters = 30
+	for _, queue := range []int{1, 2, 4} {
+		bound, peak := 2*(queue+1), 0
+		for _, workers := range []int{1, 2} {
+			backend, err := store.NewObjStore(t.TempDir(), store.Options{
+				Fault: store.Latency(3*time.Millisecond, store.OpCommit),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := testCfg(t, "mutex", 2)
+			cfg.AggregateMode = "core"
+			cfg.PersistWorkers = workers
+			cfg.PersistQueueDepth = queue
+			stats := runAggregated(t, cfg, Options{Persister: &DSFPersister{Backend: backend}}, iters)
+			backend.Close()
+			for _, ps := range stats {
+				if ps.Aggregate.Members == 0 {
+					continue
+				}
+				if ps.Aggregate.Epochs != iters {
+					t.Errorf("queue %d workers %d: %d epochs, want %d", queue, workers, ps.Aggregate.Epochs, iters)
+				}
+				if ps.Aggregate.RingMax > bound {
+					t.Errorf("queue %d workers %d: the leader held %d contributions, over the window bound %d",
+						queue, workers, ps.Aggregate.RingMax, bound)
+				}
+				peak = max(peak, ps.Aggregate.RingMax)
+			}
+		}
+		if peak != bound {
+			t.Errorf("queue %d: the leaders held at most %d contributions, want a run at the window bound %d", queue, peak, bound)
+		}
 	}
 }
 

@@ -38,11 +38,11 @@ type pipelineSpec struct {
 	recycle func(entries []*metadata.Entry)
 
 	// merge, with the aggregation layer on, contributes the iteration to the
-	// node's merge from the event loop, before it is queued — so this
-	// member's epochs enter the fan-in ring in ascending order (the property
-	// the leader's in-order emission, and so this member's in-order acks and
-	// flow window, are built on). The writer then only waits for the merged
-	// object's durability ack before releasing chunks.
+	// node's merge from the event loop, before it is queued and without
+	// blocking — so this member's epochs reach the aggregator in ascending
+	// order (the property the leader's in-order emission, and so this
+	// member's in-order acks and flow window, are built on). The writer then
+	// only waits for the merged object's durability ack before releasing chunks.
 	merge func(it int64, entries []*metadata.Entry)
 	// scratch is the degraded-mode overflow. The pipeline owns it: close
 	// gives its drainer a last attempt at the backlog.

@@ -148,7 +148,7 @@ func newServer(sp serverSpec) (*Server, error) {
 		// committed are handed straight to the drainer, which replays them
 		// through this server's normal persist path. Config.Validate has
 		// already rejected spill with aggregation (spilled chunks are
-		// released early, which the shared merge ring cannot tolerate).
+		// released early, which the node's shared merge cannot tolerate).
 		local, err := store.NewFileStore(fmt.Sprintf("%s/.spill-node%04d_srv%04d", cfg.SpillDir, sp.node, worldRank), store.Options{})
 		if err != nil {
 			return fail(fmt.Errorf("scratch dir: %w", err))
