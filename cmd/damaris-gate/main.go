@@ -53,7 +53,7 @@ func main() {
 	defer backend.Close()
 
 	// The telemetry plane folds into the gateway's own mux (no second
-	// listener): /metrics, /trace, /jitter and /readyz ride on -listen next
+	// listener): /metrics, /trace, /epochs and /readyz ride on -listen next
 	// to the data API. pprof does not — the gateway mux is client-facing,
 	// and profiling stays on damaris-run's dedicated -metrics-addr listener.
 	g, err := gateway.New(gateway.Config{

@@ -55,7 +55,7 @@ func main() {
 	flag.StringVar(&o.backend, "backend", "damaris", "damaris | fpp | collective")
 	flag.Int64Var(&o.bufMB, "buffer-mb", 64, "per-node shared buffer (MiB)")
 	flag.StringVar(&o.metricsAddr, "metrics-addr", "",
-		"serve live telemetry over HTTP on this address (/metrics Prometheus text, /trace, /jitter, /debug/pprof); empty disables")
+		"serve live telemetry over HTTP on this address (/metrics Prometheus text, /epochs, /trace JSONL, /readyz, /debug/pprof); empty disables")
 	flag.StringVar(&o.traceOut, "trace-out", "",
 		"write the retained lifecycle spans as JSONL to this file at exit (read back with dsf-inspect -trace)")
 	flag.IntVar(&o.traceRing, "trace-ring", 0,
@@ -100,7 +100,7 @@ func run(cfg *config.Config, o options, out io.Writer) error {
 		}
 		go srv.Serve(ln)
 		defer srv.Close()
-		fmt.Fprintf(out, "telemetry: http://%s/metrics (also /epochs /trace /jitter /readyz /debug/pprof)\n", ln.Addr())
+		fmt.Fprintf(out, "telemetry: http://%s/metrics (also /epochs /trace /readyz /debug/pprof)\n", ln.Addr())
 	}
 
 	res, err := cm1.RunWorld(cm1.WorldSpec{Strategy: o.backend, Ranks: o.ranks, CoresPerNode: o.coresPerNode,
@@ -120,9 +120,7 @@ func run(cfg *config.Config, o options, out io.Writer) error {
 	fmt.Fprintf(out, "client write phases: n=%d mean=%.2gs min=%.2gs max=%.2gs (spread %.2gs)\n",
 		ps.N, ps.Mean, ps.Min, ps.Max, ps.Spread())
 	if o.backend == "damaris" {
-		fmt.Fprintf(out, "blocked write phases: %d of %d (%d waited on the flow window, %d reservations on buffer space)\n",
-			res.Blocked, ps.N, res.FlowWaits, res.BufferWaits)
-		reportJitter(out, plane)
+		fmt.Fprintf(out, "blocked write phases: %d of %d\n", res.Blocked, ps.N)
 	}
 	if o.traceOut != "" {
 		if err := writeTrace(out, plane, o.traceOut); err != nil {
@@ -137,22 +135,6 @@ func run(cfg *config.Config, o options, out io.Writer) error {
 	// aggregation, encode, each core's busy/spare split, its clients' waits —
 	// are the plane's registry, in the bytes /metrics serves.
 	return obs.WriteSamples(out, plane.Registry().Gather())
-}
-
-// reportJitter prints the per-stage lifecycle jitter over the retained
-// spans. It goes through the same Plane.JitterReport the HTTP /jitter route
-// serves, so a live scrape and this report always agree.
-func reportJitter(out io.Writer, plane *obs.Plane) {
-	for _, j := range plane.JitterReport() {
-		window := ""
-		if j.Truncated {
-			// The ring overwrote older spans: these percentiles describe
-			// only the most recent n of the stage's total spans.
-			window = fmt.Sprintf(" (ring kept last %d of %d spans)", j.Count, j.Total)
-		}
-		fmt.Fprintf(out, "jitter[%s]: n=%d mean=%.2gs p50=%.2gs p95=%.2gs p99=%.2gs spread=%.2gs%s\n",
-			j.Stage, j.Count, j.Mean, j.P50, j.P95, j.P99, j.Spread, window)
-	}
 }
 
 // writeTrace dumps the retained lifecycle spans as JSONL for offline

@@ -11,7 +11,7 @@
 //	dsf-inspect -store obj://dir -verify name # verify one object of a backend
 //	dsf-inspect -store obj://dir -gc          # mark-and-sweep unreferenced parts
 //	dsf-inspect -store obj://dir -gc -gc-dry-run  # report only
-//	dsf-inspect -trace run.jsonl              # per-stage jitter summary of a lifecycle trace
+//	dsf-inspect -trace run.jsonl              # per-stage exact percentiles of a lifecycle trace
 //	dsf-inspect -trace -trace-format chrome run.jsonl > run.trace  # chrome://tracing
 //	dsf-inspect -trace -trace-format epochs rank*.jsonl  # merge per-rank traces into per-epoch critical paths
 package main
@@ -52,14 +52,14 @@ func main() {
 			// The epochs view is cross-file by design: each per-rank trace
 			// holds one rank's slice of every epoch, and only their merge
 			// shows the fleet-wide critical path.
-			if err := inspectTraceEpochs(flag.Args()); err != nil {
+			if err := inspectTraceEpochs(os.Stdout, flag.Args()); err != nil {
 				fmt.Fprintf(os.Stderr, "dsf-inspect: %v\n", err)
 				exit = 1
 			}
 			os.Exit(exit)
 		}
 		for _, path := range flag.Args() {
-			if err := inspectTrace(path, *traceFmt); err != nil {
+			if err := inspectTrace(os.Stdout, path, *traceFmt); err != nil {
 				fmt.Fprintf(os.Stderr, "dsf-inspect: %s: %v\n", path, err)
 				exit = 1
 			}

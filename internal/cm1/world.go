@@ -50,10 +50,11 @@ type WorldSpec struct {
 // WorldResult is what one world measured: each compute rank's write phases
 // by world rank (none on a dedicated core, those before its failure on a
 // failed rank), and over the Damaris clients the write phases in which one
-// waited and its waits (core.Client.Waits).
+// waited (core.Client.Waits; the registry's damaris_client_waits_total
+// counts the waits themselves).
 type WorldResult struct {
-	Phases                          [][]time.Duration
-	Blocked, FlowWaits, BufferWaits int
+	Phases  [][]time.Duration
+	Blocked int
 }
 
 // RunWorld runs one world and returns what it measured, or the first rank's
@@ -139,9 +140,8 @@ func RunWorld(spec WorldSpec) (res WorldResult, err error) {
 			return err
 		}
 		if d, ok := b.(*DamarisBackend); ok {
-			flow, buffer := d.cli.Waits()
 			mu.Lock()
-			res.Blocked, res.FlowWaits, res.BufferWaits = res.Blocked+d.blocked, res.FlowWaits+flow, res.BufferWaits+buffer
+			res.Blocked += d.blocked
 			mu.Unlock()
 		}
 		return b.Close()

@@ -192,13 +192,12 @@ func newServer(sp serverSpec) (*Server, error) {
 	return s, nil
 }
 
-// Run executes the dedicated-core loop(s) until every client has finalized
-// and all shard queues have drained. With one shard it runs the loop inline
-// (the classic behavior); with several it runs one goroutine per shard and
-// waits for all of them. It returns the first persistence error, if any;
-// per-event handling errors (unknown variables, failing actions) are
-// counted in damaris_server_event_errors_total and the first is logged,
-// matching a long-running service that logs and continues.
+// Run executes the dedicated-core loops until every client has finalized
+// and all shard queues have drained: one goroutine per shard, however many
+// there are, and Run waits for all of them. It returns the first
+// persistence error, if any; per-event handling errors (unknown variables,
+// failing actions) are counted in damaris_server_event_errors_total and the
+// first is logged, matching a long-running service that logs and continues.
 func (s *Server) Run() error {
 	s.mu.Lock()
 	if s.running {
@@ -208,19 +207,15 @@ func (s *Server) Run() error {
 	s.running = true
 	s.mu.Unlock()
 
-	if len(s.shards) == 1 {
-		s.runShard(s.shards[0])
-	} else {
-		var wg sync.WaitGroup
-		for _, sl := range s.shards {
-			wg.Add(1)
-			go func(sl *shardLoop) {
-				defer wg.Done()
-				s.runShard(sl)
-			}(sl)
-		}
-		wg.Wait()
+	var wg sync.WaitGroup
+	for _, sl := range s.shards {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s.runShard(sl)
+		}()
 	}
+	wg.Wait()
 	s.mu.Lock()
 	s.stoppedAt = time.Now()
 	s.mu.Unlock()

@@ -74,7 +74,7 @@ type Config struct {
 	TOCEntries int
 
 	// Obs is the telemetry plane the gateway registers its stats on and
-	// serves over its mux (/metrics, /trace, /jitter, /readyz — not pprof,
+	// serves over its mux (/metrics, /trace, /epochs, /readyz — not pprof,
 	// which stays off the client-facing mux). Nil means the gateway builds a
 	// private plane, so the read plane always exposes the same metrics
 	// exposition as the write plane.
@@ -228,7 +228,7 @@ func New(cfg Config) (*Gateway, error) {
 	g.obs = cfg.Obs
 	if g.obs == nil {
 		// Nothing in the gateway records a span: its private plane keeps the
-		// smallest trace ring, and /trace and /jitter answer empty.
+		// smallest trace ring, and /trace and /epochs answer empty.
 		g.obs = obs.NewPlane(1)
 	}
 	// The live scrape reads the Stats snapshot; the backend's metrics ride

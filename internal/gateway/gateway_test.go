@@ -387,7 +387,7 @@ func twoGateways(t *testing.T, root string) (urls [2]string) {
 
 // A gateway built without a plane records no span into the private one it
 // builds: that plane's trace ring is the smallest, and its /trace and
-// /jitter still answer.
+// /epochs still answer.
 func TestPrivatePlaneKeepsSmallestRing(t *testing.T) {
 	g := newGateway(t, newBackend(t, 4096), Config{})
 	if n := g.obs.Tracer().Cap(); n != obs.NewTracer(1).Cap() {
@@ -395,7 +395,7 @@ func TestPrivatePlaneKeepsSmallestRing(t *testing.T) {
 	}
 	srv := httptest.NewServer(g.Handler())
 	defer srv.Close()
-	for _, path := range []string{"/trace", "/jitter"} {
+	for _, path := range []string{"/trace", "/epochs"} {
 		if code, body := httpGet(t, srv.URL+path); code != http.StatusOK {
 			t.Errorf("GET %s: %d %s", path, code, body)
 		}

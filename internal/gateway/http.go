@@ -33,7 +33,7 @@ func (g *Gateway) Handler() http.Handler {
 		w.WriteHeader(http.StatusOK)
 		fmt.Fprintln(w, "ok")
 	})
-	// Telemetry-plane routes (/metrics, /trace, /jitter, /epochs, /readyz)
+	// Telemetry-plane routes (/metrics, /trace, /epochs, /readyz)
 	// fold into the same mux, so the read plane exposes the exact
 	// exposition damaris-run's -metrics-addr listener serves. pprof is NOT
 	// mounted here — this mux faces data clients, and profiles would be

@@ -33,7 +33,8 @@ var statsFamilies = map[string]string{
 
 // /metrics is the gateway's one telemetry view: after real reads it carries
 // every gateway.Stats field, each at the value the snapshot holds, and both
-// hit rates. The JSON views that repeated it are gone and answer 404.
+// hit rates. The JSON views that repeated it, and /jitter, which repeated
+// damaris_stage_seconds, are gone and answer 404.
 func TestMetricsIsTheOnlyTelemetryView(t *testing.T) {
 	b := newBackend(t, 4096)
 	writeDSFObject(t, b, "tel.dsf", 2, 3, 1)
@@ -94,7 +95,7 @@ func TestMetricsIsTheOnlyTelemetryView(t *testing.T) {
 		}
 	}
 
-	for _, path := range []string{"/v1/stats", "/metrics.json", "/v1/metrics"} {
+	for _, path := range []string{"/v1/stats", "/metrics.json", "/v1/metrics", "/jitter"} {
 		if code, _ := httpGet(t, srv.URL+path); code != http.StatusNotFound {
 			t.Errorf("GET %s: %d, want 404", path, code)
 		}

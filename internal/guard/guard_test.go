@@ -127,6 +127,9 @@ var forbidden = []struct {
 	{in: `^internal/(aggregate|core)/[^/]*\.go$`, pattern: `TestCrashBeforeCommit|reelect|Reelections|newRing|DefaultRingDepth`, tests: true,
 		reason: "the aggregation leader is one goroutine over one locked pending map (docs/aggregate.md); the bounded fan-in ring was a second backpressure point behind the flow window, and leader terms recovered from a crash only a test hook could cause",
 		plant:  [2]string{"internal/aggregate/ring.go", "func newRing(capacity int) *ring { return nil }"}},
+	{in: `\.go$`, except: `^internal/obs/http_test\.go$`, pattern: `JitterReport|StageJitter|reportJitter|"GET /jitter"|\) WriteChrome\(`, tests: true,
+		reason: "each telemetry quantity has one live view (docs/observability.md): stage latencies are damaris_stage_seconds on /metrics and spans leave the process once, as JSONL; exact percentiles and the Chrome rendering are dsf-inspect -trace's, offline. The obs routes test alone names the deleted route, to see it answer 404",
+		plant:  [2]string{"internal/obs/http.go", "func (p *Plane) JitterReport() []StageJitter {"}},
 	{in: `^internal/core/[^/]*\.go$`, pattern: `workers == 0|persistAndAck\(-1`, tests: true,
 		reason: "the pipeline always has writer goroutines, so the event loop never persists (docs/sharding.md); workers=\"0\", the inline executor, was a comparison baseline no workload ran",
 		plant:  [2]string{"internal/core/pipeline.go", "if p.workers == 0 {"}},
@@ -153,8 +156,8 @@ var caps = []struct {
 	max    int
 	reason string
 }{
-	{[]string{"internal/core", "internal/event", "internal/metadata", "internal/config", "cmd"}, 4447,
-		"ROADMAP item 3's budget for the dedicated core's composition path (5,170 before the dead exports went, 5,029 before what only examples/ used went, 4,969 before the client kept one write call per paper concept, 4,948 before the slot scheduler and the unread fields went, 4,866 before the store URL became the only destination and Deploy's default persister the only one damaris-run builds, 4,809 before the spill committed through a store.Backend and the server's growing error and latency records went, 4,757 before Deploy derived the flow window, the aggregation bound and the committed buffer in one place, 4,755 before a block became a value handle whose zero value and stale release need no nil check, 4,749 before each server registered once on the one registry and damaris-gate lost its replica flags, 4,731 before cmd/damaris-figures went with the model it printed, 4,665 before the put deadline and aggregate ring knobs went, 4,651 before the server held its shm.Segment directly and reported its counters, and planBuffer returned the segment's parts, 4,650 before the server's write times went from a ring and an accumulator to one histogram, 4,606 before damaris-run became a caller of cm1.RunWorld, with the clients' wait counters paid for, 4,560 before clients waited on the pipeline's in-order ack and the server's copies of the pipeline's counts went, 4,497 before the pipeline lost its inline executor and damaris-gate its stats printer); 5,000 was the target"},
+	{[]string{"internal/core", "internal/event", "internal/metadata", "internal/config", "cmd"}, 4426,
+		"ROADMAP item 3's budget for the dedicated core's composition path (5,170 before the dead exports went, 5,029 before what only examples/ used went, 4,969 before the client kept one write call per paper concept, 4,948 before the slot scheduler and the unread fields went, 4,866 before the store URL became the only destination and Deploy's default persister the only one damaris-run builds, 4,809 before the spill committed through a store.Backend and the server's growing error and latency records went, 4,757 before Deploy derived the flow window, the aggregation bound and the committed buffer in one place, 4,755 before a block became a value handle whose zero value and stale release need no nil check, 4,749 before each server registered once on the one registry and damaris-gate lost its replica flags, 4,731 before cmd/damaris-figures went with the model it printed, 4,665 before the put deadline and aggregate ring knobs went, 4,651 before the server held its shm.Segment directly and reported its counters, and planBuffer returned the segment's parts, 4,650 before the server's write times went from a ring and an accumulator to one histogram, 4,606 before damaris-run became a caller of cm1.RunWorld, with the clients' wait counters paid for, 4,560 before clients waited on the pipeline's in-order ack and the server's copies of the pipeline's counts went, 4,497 before the pipeline lost its inline executor and damaris-gate its stats printer, 4,447 before damaris-run lost its jitter printer and Server.Run its inline loop); 5,000 was the target"},
 	{[]string{"internal/aggregate"}, 446,
 		"the aggregation layer's budget: one tier, one sink, one leader over one locked map (956 before the cross-node tier was deleted, 633 before the fan-in ring and the leader terms went)"},
 	{[]string{"internal/store"}, 2079,

@@ -98,59 +98,15 @@ func (p *Plane) Ready() (bool, []ReadyReason) {
 	return len(reasons) == 0, reasons
 }
 
-// StageJitter is one stage's live jitter figures in the /jitter document —
-// exact percentiles over the retained spans plus the paper's Spread.
-// Count is the number of spans the percentiles were computed over; Total is
-// how many the stage recorded over the whole run. When the ring has
-// overwritten older spans the two differ and Truncated is set: the
-// percentiles then describe only the most recent Count spans, not the run.
-type StageJitter struct {
-	Stage     string  `json:"stage"`
-	Count     int     `json:"count"`
-	Total     int64   `json:"total"`
-	Truncated bool    `json:"truncated,omitempty"`
-	Mean      float64 `json:"mean_s"`
-	Min       float64 `json:"min_s"`
-	Max       float64 `json:"max_s"`
-	P50       float64 `json:"p50_s"`
-	P95       float64 `json:"p95_s"`
-	P99       float64 `json:"p99_s"`
-	Spread    float64 `json:"spread_s"`
-}
-
-// JitterReport computes the per-stage jitter document. The HTTP /jitter
-// route and damaris-run's end-of-run jitter lines both call this — the
-// single code path that makes live scrape and final report agree exactly.
-func (p *Plane) JitterReport() []StageJitter {
-	if p == nil {
-		return nil
-	}
-	var out []StageJitter
-	for st, ss := range SummarizeStages(p.trace.Snapshot()) {
-		s := ss.Durations
-		if s.N == 0 {
-			continue
-		}
-		// The lifetime stage histogram never truncates; its count is how
-		// many spans the ring would have needed to keep them all.
-		total := p.trace.StageHistogram(Stage(st)).Count()
-		out = append(out, StageJitter{
-			Stage: Stage(st).String(), Count: s.N, Total: total, Truncated: int64(s.N) < total,
-			Mean: s.Mean, Min: s.Min, Max: s.Max, P50: s.Median, P95: s.P95, P99: s.P99, Spread: s.Spread(),
-		})
-	}
-	return out
-}
-
 // Handler returns the exposition endpoint:
 //
 //	GET /metrics            Prometheus text format (the gateway serves the
 //	                        same route over its registry — one exposition
 //	                        for the read and write planes)
 //	GET /epochs             per-epoch critical-path reports (EpochReport)
-//	GET /trace              retained lifecycle spans, JSONL
-//	GET /trace?format=chrome  Chrome trace-event format (chrome://tracing)
-//	GET /jitter             per-stage live jitter percentiles + Spread
+//	GET /trace              retained lifecycle spans, JSONL (dsf-inspect
+//	                        -trace renders them as exact percentiles,
+//	                        Chrome trace events or epochs offline)
 //	GET /healthz            liveness
 //	GET /readyz             readiness (503 + failing probes while not ready)
 //	GET /debug/pprof/...    net/http/pprof behind the same listener
@@ -179,24 +135,8 @@ func RegisterRoutes(mux *http.ServeMux, p *Plane) {
 		p.Registry().WritePrometheus(w)
 	})
 	mux.HandleFunc("GET /trace", func(w http.ResponseWriter, r *http.Request) {
-		tr := p.Tracer()
-		if r.URL.Query().Get("format") == "chrome" {
-			w.Header().Set("Content-Type", "application/json")
-			tr.WriteChrome(w)
-			return
-		}
 		w.Header().Set("Content-Type", "application/jsonl")
-		tr.WriteJSONL(w)
-	})
-	mux.HandleFunc("GET /jitter", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		report := p.JitterReport()
-		if report == nil {
-			report = []StageJitter{}
-		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(report)
+		p.Tracer().WriteJSONL(w)
 	})
 	mux.HandleFunc("GET /epochs", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")

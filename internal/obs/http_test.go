@@ -67,27 +67,19 @@ func TestPlaneRoutes(t *testing.T) {
 		t.Error("/trace does not round-trip the retained spans")
 	}
 
-	body, ct = get(t, srv, "/trace?format=chrome")
-	if ct != "application/json" {
-		t.Errorf("chrome trace content type %q", ct)
+	// The mux no longer registers "GET /jitter", a second summary of
+	// damaris_stage_seconds over the ring, and /trace has one format: exact
+	// percentiles and the Chrome rendering are dsf-inspect -trace's, offline.
+	resp, err := http.Get(srv.URL + "/jitter")
+	if err != nil {
+		t.Fatal(err)
 	}
-	var chrome struct {
-		TraceEvents []json.RawMessage `json:"traceEvents"`
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /jitter = %s, want 404", resp.Status)
 	}
-	if err := json.Unmarshal([]byte(body), &chrome); err != nil {
-		t.Fatalf("chrome trace: %v", err)
-	}
-	if len(chrome.TraceEvents) != 3 {
-		t.Fatalf("chrome trace has %d events, want 3", len(chrome.TraceEvents))
-	}
-
-	body, _ = get(t, srv, "/jitter")
-	var scraped []StageJitter
-	if err := json.Unmarshal([]byte(body), &scraped); err != nil {
-		t.Fatalf("jitter: %v", err)
-	}
-	if !reflect.DeepEqual(scraped, p.JitterReport()) {
-		t.Errorf("scraped jitter %+v != direct report %+v", scraped, p.JitterReport())
+	if chrome, ct := get(t, srv, "/trace?format=chrome"); ct != "application/jsonl" || chrome != body {
+		t.Errorf("/trace?format=chrome = %q (%s), want the JSONL of /trace", chrome, ct)
 	}
 
 	body, _ = get(t, srv, "/healthz")
@@ -102,7 +94,7 @@ func TestPlaneRoutes(t *testing.T) {
 }
 
 // RegisterRoutes is what damaris-gate folds into its client-facing API mux;
-// it must expose the metrics/trace/jitter routes but never pprof (profiles
+// it must expose the metrics/trace/epochs routes but never pprof (profiles
 // leak process internals and /debug/pprof/profile blocks for seconds=N — a
 // free DoS on a serving endpoint).
 func TestRegisterRoutesExcludesPprof(t *testing.T) {
@@ -124,50 +116,6 @@ func TestRegisterRoutesExcludesPprof(t *testing.T) {
 		if resp.StatusCode != http.StatusNotFound {
 			t.Errorf("GET %s through RegisterRoutes = %s, want 404", path, resp.Status)
 		}
-	}
-}
-
-// When the ring has overwritten older spans, the jitter document must say
-// so: percentiles cover the retained tail, Total carries the lifetime count.
-func TestJitterReportTruncation(t *testing.T) {
-	p := NewPlane(16)
-	tr := p.Tracer()
-	for i := 0; i < 40; i++ {
-		tr.Record(StagePersist, 0, int64(i), time.Unix(0, 0), time.Duration(i+1)*time.Millisecond, 0, false)
-	}
-	rep := p.JitterReport()
-	if len(rep) != 1 {
-		t.Fatalf("jitter has %d stages, want 1: %+v", len(rep), rep)
-	}
-	j := rep[0]
-	if j.Count != 16 || j.Total != 40 || !j.Truncated {
-		t.Fatalf("truncated jitter = %+v, want count=16 total=40 truncated", j)
-	}
-}
-
-func TestJitterReport(t *testing.T) {
-	p := planeWithSpans(t)
-	rep := p.JitterReport()
-	if len(rep) != 2 {
-		t.Fatalf("jitter has %d stages, want 2 (persist, spill)", len(rep))
-	}
-	var persist *StageJitter
-	for i := range rep {
-		if rep[i].Stage == "persist" {
-			persist = &rep[i]
-		}
-	}
-	if persist == nil {
-		t.Fatalf("no persist stage in %+v", rep)
-	}
-	if persist.Count != 2 || persist.Min != 0.002 || persist.Max != 0.004 {
-		t.Fatalf("persist jitter %+v", *persist)
-	}
-	if persist.Total != 2 || persist.Truncated {
-		t.Fatalf("untruncated ring reported %+v", *persist)
-	}
-	if persist.Spread != persist.Max-persist.Min {
-		t.Fatalf("spread %g != max-min", persist.Spread)
 	}
 }
 
@@ -268,7 +216,7 @@ func TestEpochsRoute(t *testing.T) {
 
 func TestNilPlaneSafe(t *testing.T) {
 	var p *Plane
-	if p.Registry() != nil || p.Tracer() != nil || p.JitterReport() != nil {
+	if p.Registry() != nil || p.Tracer() != nil {
 		t.Fatal("nil plane is not inert")
 	}
 	// A mux over a nil plane must serve empty documents, not crash.
@@ -276,9 +224,6 @@ func TestNilPlaneSafe(t *testing.T) {
 	defer srv.Close()
 	if body, _ := get(t, srv, "/metrics"); body != "" {
 		t.Errorf("/metrics over nil plane = %q", body)
-	}
-	if body, _ := get(t, srv, "/jitter"); strings.TrimSpace(body) != "[]" {
-		t.Errorf("/jitter over nil plane = %q", body)
 	}
 	p.AddReadiness("x", func() error { return nil })
 	if ready, reasons := p.Ready(); !ready || reasons != nil {

@@ -19,8 +19,8 @@ import (
 // records one span event into a fixed-size ring. The ring keeps
 // the most recent TraceSlots spans (older ones are overwritten — the
 // truncation semantics tests pin down); per-stage streaming histograms
-// accumulate over the whole run regardless, so live jitter percentiles and
-// the Spread (max−min) figure never lose history.
+// accumulate over the whole run regardless, so damaris_stage_seconds on
+// /metrics, with its _min and _max (the Spread), never loses history.
 
 // Stage identifies one step of the iteration lifecycle.
 type Stage uint8
@@ -189,15 +189,6 @@ func (t *Tracer) Snapshot() []Span {
 	return out
 }
 
-// StageHistogram returns the run-lifetime duration histogram of one stage
-// (nil for a nil tracer). Unlike the ring it never truncates.
-func (t *Tracer) StageHistogram(stage Stage) *Histogram {
-	if t == nil || stage >= NumStages {
-		return nil
-	}
-	return &t.hist[stage]
-}
-
 // StageStats is one stage's figures over a set of spans: exact descriptive
 // statistics of their durations in seconds, percentiles included, and the
 // bytes they carried.
@@ -206,12 +197,9 @@ type StageStats struct {
 	Bytes     int64
 }
 
-// SummarizeStages computes every stage's StageStats in one pass over spans.
-// The live /jitter scrape and damaris-run's jitter report run it over the
-// retained ring (once the ring wraps, the most recent tail, which is why
-// JitterReport pairs it with the never-truncating stage histogram's count),
-// dsf-inspect -trace over a trace file's spans: one code path, so the three
-// agree.
+// SummarizeStages computes every stage's StageStats in one pass over spans:
+// the exact percentiles dsf-inspect -trace prints offline over a trace
+// file's spans (damaris-run -trace-out or a saved GET /trace body).
 func SummarizeStages(spans []Span) [NumStages]StageStats {
 	var durs [NumStages][]float64
 	var out [NumStages]StageStats
@@ -293,8 +281,8 @@ func WriteSpansJSONL(w io.Writer, spans []Span) error {
 }
 
 // ReadSpansJSONL parses spans written by WriteSpansJSONL. A shard is absent
-// or not negative: WriteSpansJSONL never writes a negative one, so a file
-// that holds one was not written by it.
+// or not negative, and a duration is not negative: WriteSpansJSONL never
+// writes either negative, so a file that holds one was not written by it.
 func ReadSpansJSONL(r io.Reader) ([]Span, error) {
 	dec := json.NewDecoder(r)
 	var out []Span
@@ -312,6 +300,9 @@ func ReadSpansJSONL(r io.Reader) ([]Span, error) {
 		origin := sj.Server
 		if sj.Origin != nil {
 			origin = *sj.Origin
+		}
+		if sj.DurNS < 0 {
+			return nil, fmt.Errorf("obs: trace line %d: negative dur_ns %d", len(out)+1, sj.DurNS)
 		}
 		shard := -1
 		if sj.Shard != nil {
@@ -349,12 +340,6 @@ type chromeEvent struct {
 
 type chromeDoc struct {
 	TraceEvents []chromeEvent `json:"traceEvents"`
-}
-
-// WriteChrome writes the retained spans in Chrome trace-event format,
-// loadable in chrome://tracing and Perfetto.
-func (t *Tracer) WriteChrome(w io.Writer) error {
-	return WriteSpansChrome(w, t.Snapshot())
 }
 
 // WriteSpansChrome converts spans to the Chrome trace-event format.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -63,9 +64,18 @@ func TestTracerWraparound(t *testing.T) {
 				i, sp.Iteration, want)
 		}
 	}
-	// The per-stage histogram never truncates: all 100 observations survive.
-	if n := tr.StageHistogram(StagePersist).Count(); n != total {
-		t.Fatalf("stage histogram count = %d, want %d", n, total)
+	// The per-stage histogram never truncates: all 100 observations survive
+	// in damaris_stage_seconds.
+	reg := NewRegistry()
+	reg.Collect(tr.Collect)
+	var n float64
+	for _, s := range reg.Gather() {
+		if s.Name == "damaris_stage_seconds_count" && slices.Equal(s.Labels, []string{"stage", "persist"}) {
+			n = s.Value
+		}
+	}
+	if n != total {
+		t.Fatalf("damaris_stage_seconds_count{stage=\"persist\"} = %g, want %d", n, total)
 	}
 }
 
@@ -184,13 +194,25 @@ func TestSpansJSONLRoundTrip(t *testing.T) {
 	if _, err := ReadSpansJSONL(bytes.NewBufferString(`{"stage":"nope"}`)); err == nil {
 		t.Fatal("unknown stage name decoded without error")
 	}
+	// WriteSpansJSONL writes neither a negative shard nor a negative
+	// duration; a negative duration would make AnalyzeEpochs report a
+	// negative wall time and no slowest origin.
+	for _, doc := range []string{
+		`{"stage":"write","server":1,"shard":-2,"iter":3,"start_ns":1000,"dur_ns":500}`,
+		`{"stage":"write","server":1,"iter":3,"start_ns":1000,"dur_ns":-500}` + "\n" +
+			`{"stage":"ack","server":1,"iter":3,"start_ns":2000,"dur_ns":-9000}`,
+	} {
+		if spans, err := ReadSpansJSONL(strings.NewReader(doc)); err == nil {
+			t.Errorf("%s decoded without error: %+v", doc, spans)
+		}
+	}
 }
 
 func TestWriteChrome(t *testing.T) {
 	tr := NewTracer(64)
 	tr.Record(StagePersist, 2, 5, time.Unix(0, 3_000_000), 4*time.Millisecond, 1024, false)
 	var buf bytes.Buffer
-	if err := tr.WriteChrome(&buf); err != nil {
+	if err := WriteSpansChrome(&buf, tr.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -270,10 +292,10 @@ func TestSnapshotByteStableAfterWrap(t *testing.T) {
 	if !bytes.Equal(ja.Bytes(), jb.Bytes()) {
 		t.Errorf("JSONL exports differ after wrap:\n%s\nvs\n%s", ja.String(), jb.String())
 	}
-	if err := a.WriteChrome(&ca); err != nil {
+	if err := WriteSpansChrome(&ca, a.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.WriteChrome(&cb); err != nil {
+	if err := WriteSpansChrome(&cb, b.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(ca.Bytes(), cb.Bytes()) {
